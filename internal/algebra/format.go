@@ -14,14 +14,36 @@ func FormatRel(md *Metadata, r Rel) string {
 	return b.String()
 }
 
-func indent(b *strings.Builder, depth int) {
-	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
-	}
+// FormatNode renders r's own line of FormatRel — operator and
+// arguments, without indentation, newline or children — so that
+// FormatRel(md, r) is the indented pre-order concatenation of
+// FormatNode over the tree. The one line that depends on more than the
+// node itself is an Apply's, which lists the columns its right side
+// binds from its left; those properties are asked of p.
+func FormatNode(md *Metadata, p Props, r Rel) string {
+	var b strings.Builder
+	formatNode(md, p, r, &b)
+	return b.String()
 }
 
 func formatRel(md *Metadata, r Rel, depth int, b *strings.Builder) {
-	indent(b, depth)
+	for i := 0; i < depth; i++ {
+		b.WriteString("  ")
+	}
+	formatNode(md, FromScratch{}, r, b)
+	b.WriteByte('\n')
+	for _, c := range r.Inputs() {
+		formatRel(md, c, depth+1, b)
+	}
+}
+
+// Operator names of the join variants, indexed by JoinKind.
+var (
+	joinNames  = [...]string{InnerJoin: "Join", CrossJoin: "CrossJoin", LeftOuterJoin: "LeftOuterJoin", SemiJoin: "SemiJoin", AntiSemiJoin: "AntiSemiJoin"}
+	applyNames = [...]string{InnerJoin: "Apply", CrossJoin: "Apply", LeftOuterJoin: "ApplyOuter", SemiJoin: "ApplySemi", AntiSemiJoin: "ApplyAnti"}
+)
+
+func formatNode(md *Metadata, p Props, r Rel, b *strings.Builder) {
 	switch t := r.(type) {
 	case *Get:
 		fmt.Fprintf(b, "Get %s", t.Table)
@@ -59,21 +81,13 @@ func formatRel(md *Metadata, r Rel, depth int, b *strings.Builder) {
 		}
 		b.WriteString("]")
 	case *Join:
-		name := map[JoinKind]string{
-			InnerJoin: "Join", CrossJoin: "CrossJoin", LeftOuterJoin: "LeftOuterJoin",
-			SemiJoin: "SemiJoin", AntiSemiJoin: "AntiSemiJoin",
-		}[t.Kind]
-		b.WriteString(name)
+		b.WriteString(joinNames[t.Kind])
 		if t.On != nil && !IsTrueConst(t.On) {
 			fmt.Fprintf(b, " [%s]", FormatScalar(md, t.On))
 		}
 	case *Apply:
-		name := map[JoinKind]string{
-			InnerJoin: "Apply", CrossJoin: "Apply", LeftOuterJoin: "ApplyOuter",
-			SemiJoin: "ApplySemi", AntiSemiJoin: "ApplyAnti",
-		}[t.Kind]
-		b.WriteString(name)
-		binds := OuterRefs(t.Right).Intersection(OutputCols(t.Left))
+		b.WriteString(applyNames[t.Kind])
+		binds := BindingSignature(p, t)
 		if !binds.Empty() {
 			b.WriteString(" (bind:")
 			first := true
@@ -152,10 +166,6 @@ func formatRel(md *Metadata, r Rel, depth int, b *strings.Builder) {
 		fmt.Fprintf(b, "RowNumber [%s]", md.Alias(t.Col))
 	default:
 		fmt.Fprintf(b, "%T", r)
-	}
-	b.WriteByte('\n')
-	for _, c := range r.Inputs() {
-		formatRel(md, c, depth+1, b)
 	}
 }
 

@@ -2,43 +2,65 @@ package algebra
 
 import "fmt"
 
+// Props supplies already-derived properties of subtrees. The
+// package-level OutputCols and OuterRefs derive everything from scratch
+// on each call; a caller that keeps properties per subtree (the
+// optimizer's subtree table) implements Props over its cache and calls
+// the Derive functions, which compute one node from its children's
+// answers.
+type Props interface {
+	OutputCols(Rel) ColSet
+	OuterRefs(Rel) ColSet
+}
+
+// FromScratch is the Props behind the package-level functions: it
+// keeps nothing and rederives the whole subtree on every question.
+type FromScratch struct{}
+
+func (FromScratch) OutputCols(r Rel) ColSet { return OutputCols(r) }
+func (FromScratch) OuterRefs(r Rel) ColSet  { return OuterRefs(r) }
+
 // OutputCols returns the set of column IDs the expression produces.
-func OutputCols(r Rel) ColSet {
+func OutputCols(r Rel) ColSet { return DeriveOutputCols(FromScratch{}, r) }
+
+// DeriveOutputCols computes r's output columns from its children's,
+// which it asks p for.
+func DeriveOutputCols(p Props, r Rel) ColSet {
 	switch t := r.(type) {
 	case *Get:
 		return NewColSet(t.Cols...)
 	case *Select:
-		return OutputCols(t.Input)
+		return p.OutputCols(t.Input)
 	case *Project:
-		out := t.Passthrough.Copy()
+		out := t.Passthrough
 		for _, it := range t.Items {
 			out.Add(it.Col)
 		}
 		return out
 	case *Join:
-		out := OutputCols(t.Left)
+		out := p.OutputCols(t.Left)
 		if t.Kind.ReturnsRightCols() {
-			out.UnionWith(OutputCols(t.Right))
+			out.UnionWith(p.OutputCols(t.Right))
 		}
 		return out
 	case *Apply:
-		out := OutputCols(t.Left)
+		out := p.OutputCols(t.Left)
 		if t.Kind.ReturnsRightCols() {
-			out.UnionWith(OutputCols(t.Right))
+			out.UnionWith(p.OutputCols(t.Right))
 		}
 		return out
 	case *GroupBy:
-		out := t.GroupCols.Copy()
+		out := t.GroupCols
 		for _, a := range t.Aggs {
 			out.Add(a.Col)
 		}
 		return out
 	case *SegmentApply:
-		return OutputCols(t.Inner)
+		return p.OutputCols(t.Inner)
 	case *SegmentRef:
 		return NewColSet(t.Cols...)
 	case *Max1Row:
-		return OutputCols(t.Input)
+		return p.OutputCols(t.Input)
 	case *UnionAll:
 		return NewColSet(t.OutCols...)
 	case *Difference:
@@ -46,11 +68,11 @@ func OutputCols(r Rel) ColSet {
 	case *Values:
 		return NewColSet(t.Cols...)
 	case *Sort:
-		return OutputCols(t.Input)
+		return p.OutputCols(t.Input)
 	case *Top:
-		return OutputCols(t.Input)
+		return p.OutputCols(t.Input)
 	case *RowNumber:
-		out := OutputCols(t.Input)
+		out := p.OutputCols(t.Input)
 		out.Add(t.Col)
 		return out
 	}
@@ -118,7 +140,11 @@ func relScalars(r Rel) []Scalar {
 // that the expression does not itself produce. A non-empty result means
 // the expression is correlated — it is a parameterized expression in
 // the paper's sense.
-func OuterRefs(r Rel) ColSet {
+func OuterRefs(r Rel) ColSet { return DeriveOuterRefs(FromScratch{}, r) }
+
+// DeriveOuterRefs computes r's free column references from its own
+// scalars and its children's properties, which it asks p for.
+func DeriveOuterRefs(p Props, r Rel) ColSet {
 	var need ColSet
 	for _, s := range relScalars(r) {
 		need.UnionWith(scalarFreeCols(s))
@@ -128,25 +154,25 @@ func OuterRefs(r Rel) ColSet {
 	case *Apply:
 		// Right side's free refs may be bound by Left's output — this
 		// is exactly what Apply is for.
-		need.UnionWith(OuterRefs(t.Left))
-		need.UnionWith(OuterRefs(t.Right))
-		bound = OutputCols(t.Left).Union(OutputCols(t.Right))
+		need.UnionWith(p.OuterRefs(t.Left))
+		need.UnionWith(p.OuterRefs(t.Right))
+		bound = p.OutputCols(t.Left).Union(p.OutputCols(t.Right))
 	case *SegmentApply:
-		need.UnionWith(OuterRefs(t.Input))
-		need.UnionWith(OuterRefs(t.Inner))
-		bound = OutputCols(t.Input).Union(OutputCols(t.Inner))
+		need.UnionWith(p.OuterRefs(t.Input))
+		need.UnionWith(p.OuterRefs(t.Inner))
+		bound = p.OutputCols(t.Input).Union(p.OutputCols(t.Inner))
 		// SegmentRef columns are bound by the apply itself.
 		for _, in := range collectSegmentRefs(t.Inner) {
 			bound.UnionWith(NewColSet(in.Cols...))
 		}
 	default:
 		for _, c := range r.Inputs() {
-			need.UnionWith(OuterRefs(c))
-			bound.UnionWith(OutputCols(c))
+			need.UnionWith(p.OuterRefs(c))
+			bound.UnionWith(p.OutputCols(c))
 		}
 	}
 	need.DifferenceWith(bound)
-	need.DifferenceWith(OutputCols(r))
+	need.DifferenceWith(p.OutputCols(r))
 	return need
 }
 
@@ -162,6 +188,12 @@ func ApplyBindingCols(a *Apply) (sig, ambient ColSet) {
 	free := OuterRefs(a.Right)
 	leftOut := OutputCols(a.Left)
 	return free.Intersection(leftOut), free.Difference(leftOut)
+}
+
+// BindingSignature is the signature half of ApplyBindingCols, derived
+// from the properties p holds for a's inputs.
+func BindingSignature(p Props, a *Apply) ColSet {
+	return p.OuterRefs(a.Right).Intersection(p.OutputCols(a.Left))
 }
 
 // HasForeignSegmentRefs reports whether r contains SegmentRef leaves

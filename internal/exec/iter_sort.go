@@ -29,6 +29,12 @@ func StreamAggApplicable(gb *algebra.GroupBy) bool {
 func MergeJoinApplicable(j *algebra.Join) bool {
 	lKeys, rKeys, _ := SplitJoinKeys(j.On,
 		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
+	return MergeKeysSorted(j, lKeys, rKeys)
+}
+
+// MergeKeysSorted is MergeJoinApplicable for a caller that has already
+// split j's equality keys.
+func MergeKeysSorted(j *algebra.Join, lKeys, rKeys []algebra.ColID) bool {
 	if len(lKeys) == 0 {
 		return false
 	}

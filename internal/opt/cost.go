@@ -48,6 +48,10 @@ type coster struct {
 	md  *algebra.Metadata
 	cat *catalog.Catalog
 	st  *stats.Collection
+	// tab, when set, holds the properties and estimates of subtrees
+	// already met: cost then derives only what the table lacks. Without
+	// it every call derives the whole subtree from scratch.
+	tab *table
 	// bound marks columns available as correlation parameters in the
 	// current (Apply inner / segment) scope.
 	bound algebra.ColSet
@@ -76,8 +80,32 @@ func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
 	return math.Max(1, defRows/10)
 }
 
-// cost estimates a subtree.
+// cost estimates a subtree in the current scope (bound, segRows).
 func (c *coster) cost(r algebra.Rel) estimate {
+	if c.tab != nil {
+		return c.tab.estimate(c, r)
+	}
+	return c.derive(r)
+}
+
+// props is where the coster reads subtree properties from.
+func (c *coster) props() algebra.Props {
+	if c.tab != nil {
+		return c.tab
+	}
+	return algebra.FromScratch{}
+}
+
+// segmentRows is the size of the innermost enclosing segment.
+func (c *coster) segmentRows() float64 {
+	if len(c.segRows) > 0 {
+		return c.segRows[len(c.segRows)-1]
+	}
+	return 1
+}
+
+// derive computes r's estimate from its inputs' estimates.
+func (c *coster) derive(r algebra.Rel) estimate {
 	switch t := r.(type) {
 	case *algebra.Get:
 		return c.costGet(t, nil)
@@ -114,10 +142,7 @@ func (c *coster) cost(r algebra.Rel) estimate {
 		return c.costSegmentApply(t)
 
 	case *algebra.SegmentRef:
-		rows := 1.0
-		if len(c.segRows) > 0 {
-			rows = c.segRows[len(c.segRows)-1]
-		}
+		rows := c.segmentRows()
 		return estimate{rows: rows, cost: rows * cScanRow}
 
 	case *algebra.Max1Row:
@@ -222,7 +247,7 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 	l := c.cost(j.Left)
 	r := c.cost(j.Right)
 	lk, rk, _ := exec.SplitJoinKeys(j.On,
-		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
+		c.props().OutputCols(j.Left), c.props().OutputCols(j.Right))
 
 	var outRows float64
 	sel := c.selectivity(j.On, l.rows*r.rows)
@@ -238,7 +263,7 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 	}
 
 	var cost float64
-	if len(lk) > 0 && exec.MergeJoinApplicable(j) {
+	if exec.MergeKeysSorted(j, lk, rk) {
 		// Both inputs pre-sorted on the keys: the engine merges two
 		// cursors — no build table, no hashing.
 		cost = l.cost + r.cost + (l.rows+r.rows)*cMergeRow
@@ -272,11 +297,11 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 func (c *coster) costApply(a *algebra.Apply) estimate {
 	l := c.cost(a.Left)
 	saved := c.bound
-	c.bound = c.bound.Union(algebra.OutputCols(a.Left))
+	c.bound = c.bound.Union(c.props().OutputCols(a.Left))
 	r := c.cost(a.Right)
 	c.bound = saved
 
-	sig, _ := algebra.ApplyBindingCols(a)
+	sig := algebra.BindingSignature(c.props(), a)
 	execs := l.rows
 	if sig.Empty() {
 		// Uncorrelated inner: spooled, executed once.
@@ -286,11 +311,11 @@ func (c *coster) costApply(a *algebra.Apply) estimate {
 		// column; trust only real statistics (the rows/10 fallback would
 		// claim a dedup win on every correlated plan).
 		d := 0.0
-		for _, col := range sig.Ordered() {
+		sig.ForEach(func(col algebra.ColID) {
 			if cs, _, ok := c.colStats(col); ok && cs.Distinct > 0 {
 				d = math.Max(d, float64(cs.Distinct))
 			}
-		}
+		})
 		if d > 0 {
 			execs = math.Min(l.rows, d)
 		}
@@ -316,13 +341,8 @@ func (c *coster) costApply(a *algebra.Apply) estimate {
 
 func (c *coster) costSegmentApply(sa *algebra.SegmentApply) estimate {
 	in := c.cost(sa.Input)
-	segments := 1.0
-	for _, col := range sa.SegmentCols.Ordered() {
-		segments = math.Max(segments, c.distinct(col, in.rows))
-	}
-	segments = math.Min(segments, math.Max(in.rows, 1))
-	rowsPerSeg := in.rows / segments
-	c.segRows = append(c.segRows, rowsPerSeg)
+	segments := c.segments(sa, in.rows)
+	c.segRows = append(c.segRows, in.rows/segments)
 	inner := c.cost(sa.Inner)
 	c.segRows = c.segRows[:len(c.segRows)-1]
 	return estimate{
@@ -331,14 +351,23 @@ func (c *coster) costSegmentApply(sa *algebra.SegmentApply) estimate {
 	}
 }
 
+// segments estimates how many segments sa cuts an input of inRows into.
+func (c *coster) segments(sa *algebra.SegmentApply, inRows float64) float64 {
+	segments := 1.0
+	sa.SegmentCols.ForEach(func(col algebra.ColID) {
+		segments = math.Max(segments, c.distinct(col, inRows))
+	})
+	return math.Min(segments, math.Max(inRows, 1))
+}
+
 func (c *coster) groupCount(gb *algebra.GroupBy, inRows float64) float64 {
 	if gb.Kind == algebra.ScalarGroupBy {
 		return 1
 	}
 	groups := 1.0
-	for _, col := range gb.GroupCols.Ordered() {
+	gb.GroupCols.ForEach(func(col algebra.ColID) {
 		groups = math.Max(groups, c.distinct(col, inRows))
-	}
+	})
 	return math.Min(groups, math.Max(inRows, 1))
 }
 

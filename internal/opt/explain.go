@@ -35,7 +35,9 @@ type ExecHints struct {
 // optional ExecHints adds runtime strategy predictions (apply=...) to
 // the nodes whose execution strategy depends on configuration.
 func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, hints ...ExecHints) string {
-	c := &coster{md: md, cat: cat, st: st}
+	// A table keeps the walk linear: each node's estimate is derived
+	// once per scope instead of once per ancestor.
+	c := newTable(&Optimizer{Md: md, Cat: cat, Stats: st}).c
 	ectx := &exec.Context{}
 	if len(hints) > 0 {
 		ectx.ApplyStrategy = hints[0].ApplyStrategy
@@ -55,10 +57,7 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 	var walk func(algebra.Rel, int)
 	walk = func(n algebra.Rel, depth int) {
 		est := c.cost(n)
-		line := algebra.FormatRel(md, n)
-		if i := strings.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
-		}
+		line := algebra.FormatNode(md, c.props(), n)
 		for i := 0; i < depth; i++ {
 			b.WriteString("  ")
 		}
@@ -70,10 +69,10 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 			// Annotate only order-exploiting picks; hash stays implicit.
 			// Forcing covers any equi-join (unsorted sides get explicit
 			// sorts); auto needs both sides pre-sorted.
-			if lk, _, _ := exec.SplitJoinKeys(t.On,
-				algebra.OutputCols(t.Left), algebra.OutputCols(t.Right)); len(lk) > 0 {
+			if lk, rk, _ := exec.SplitJoinKeys(t.On,
+				c.props().OutputCols(t.Left), c.props().OutputCols(t.Right)); len(lk) > 0 {
 				if ectx.ForceJoin == "merge" ||
-					(ectx.ForceJoin == "" && !ectx.DisableOrderOpt && exec.MergeJoinApplicable(t)) {
+					(ectx.ForceJoin == "" && !ectx.DisableOrderOpt && exec.MergeKeysSorted(t, lk, rk)) {
 					extra = " join=merge"
 				}
 			}
@@ -94,22 +93,13 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 		case *algebra.Apply:
 			walk(t.Left, depth+1)
 			saved := c.bound
-			c.bound = c.bound.Union(algebra.OutputCols(t.Left))
+			c.bound = c.bound.Union(c.props().OutputCols(t.Left))
 			walk(t.Right, depth+1)
 			c.bound = saved
 		case *algebra.SegmentApply:
 			walk(t.Input, depth+1)
 			in := c.cost(t.Input)
-			segs := 1.0
-			for _, col := range t.SegmentCols.Ordered() {
-				if d := c.distinct(col, in.rows); d > segs {
-					segs = d
-				}
-			}
-			if m := in.rows; segs > m && m >= 1 {
-				segs = m
-			}
-			c.segRows = append(c.segRows, in.rows/segs)
+			c.segRows = append(c.segRows, in.rows/c.segments(t, in.rows))
 			walk(t.Inner, depth+1)
 			c.segRows = c.segRows[:len(c.segRows)-1]
 		default:

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"container/heap"
+	"slices"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/core"
@@ -84,27 +85,40 @@ type Optimizer struct {
 
 // Result reports the chosen plan and search telemetry.
 type Result struct {
-	Plan     algebra.Rel
-	Cost     float64
+	Plan algebra.Rel
+	Cost float64
+	// Explored counts best-first expansions: plans taken off the
+	// frontier.
 	Explored int
+	// Generated counts candidate plans offered to the frontier (the
+	// seeds and every single-rule rewrite of every expanded plan),
+	// before deduplication; most repeat a plan already seen.
+	Generated int
+	// Costed counts subtree estimates derived. The subtree table shares
+	// them between all plans containing the subtree, so this is the
+	// optimizer's actual costing work, against Generated plans that a
+	// search without the table would each cost whole.
+	Costed int
 	// Rules is the sequence of rule applications that derived the
 	// chosen plan from its seed (empty when the seed won unchanged).
 	Rules []string
 }
 
+// frontierItem is one plan awaiting expansion, linked to the plan it
+// was derived from so the winner's rule path can be read back.
 type frontierItem struct {
-	rel  algebra.Rel
+	plan *subtree
 	cost float64
-	// rules is the rewrite path from the seed to rel.
-	rules []string
+	from *frontierItem
+	rule string // the rewrite that derived plan from from.plan
 }
 
-type frontier []frontierItem
+type frontier []*frontierItem
 
 func (f frontier) Len() int           { return len(f) }
 func (f frontier) Less(i, j int) bool { return f[i].cost < f[j].cost }
 func (f frontier) Swap(i, j int)      { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x any)        { *f = append(*f, x.(frontierItem)) }
+func (f *frontier) Push(x any)        { *f = append(*f, x.(*frontierItem)) }
 func (f *frontier) Pop() any {
 	old := *f
 	n := len(old)
@@ -123,69 +137,55 @@ type candidate struct {
 // seeds (equivalent formulations, e.g. the correlated Apply form — the
 // paper's §4 "introduction of correlated execution") join the frontier
 // so the search considers every strategy family.
+//
+// Plans live in a subtree table for the duration of the call (see
+// table): a candidate is deduplicated by the class number of its root
+// and costed from the cached estimates of the subtrees it shares with
+// plans seen before.
 func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 	maxSteps := o.Config.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 1200
 	}
-	cost := func(r algebra.Rel) float64 {
-		c := &coster{md: o.Md, cat: o.Cat, st: o.Stats}
-		return c.cost(r).cost
-	}
-
-	seen := map[string]bool{}
+	t := newTable(o)
+	res := &Result{}
 	var fr frontier
-	push := func(r algebra.Rel, rules []string) {
-		key := algebra.FormatRel(o.Md, r)
-		if seen[key] {
-			return
+	push := func(s *subtree, from *frontierItem, rule string) *frontierItem {
+		res.Generated++
+		if t.pushed[s.class] {
+			return nil
 		}
-		seen[key] = true
-		heap.Push(&fr, frontierItem{rel: r, cost: cost(r), rules: rules})
+		t.pushed[s.class] = true
+		item := &frontierItem{plan: s, cost: t.planCost(s), from: from, rule: rule}
+		heap.Push(&fr, item)
+		return item
 	}
-	push(rel, nil)
+	best := push(t.intern(rel), nil, "")
 	for _, s := range seeds {
-		push(s, nil)
+		push(t.intern(s), nil, "")
 	}
 
-	best := Result{Plan: rel, Cost: cost(rel)}
-	steps := 0
-	for fr.Len() > 0 && steps < maxSteps {
-		item := heap.Pop(&fr).(frontierItem)
-		steps++
-		if item.cost < best.Cost {
-			best.Plan, best.Cost, best.Rules = item.rel, item.cost, item.rules
+	for fr.Len() > 0 && res.Explored < maxSteps {
+		item := heap.Pop(&fr).(*frontierItem)
+		res.Explored++
+		if item.cost < best.cost {
+			best = item
 		}
 		// Prune hopeless regions: anything an order of magnitude worse
 		// than the incumbent rarely leads anywhere better.
-		if item.cost > best.Cost*12 {
+		if item.cost > best.cost*12 {
 			continue
 		}
-		for _, n := range o.neighbors(item.rel) {
-			path := make([]string, len(item.rules), len(item.rules)+1)
-			copy(path, item.rules)
-			push(n.rel, append(path, n.rule))
+		for _, m := range t.expand(item.plan) {
+			push(m.to, item, m.rule)
 		}
 	}
-	best.Explored = steps
-	return &best
-}
-
-// neighbors generates all single-rule rewrites anywhere in the tree,
-// tagged with the rule that produced them.
-func (o *Optimizer) neighbors(rel algebra.Rel) []candidate {
-	var out []candidate
-	out = append(out, o.rulesAt(rel)...)
-	ins := rel.Inputs()
-	for i, child := range ins {
-		for _, nc := range o.neighbors(child) {
-			kids := make([]algebra.Rel, len(ins))
-			copy(kids, ins)
-			kids[i] = nc.rel
-			out = append(out, candidate{rel: rel.WithInputs(kids), rule: nc.rule})
-		}
+	res.Plan, res.Cost, res.Costed = t.relOf(best.plan), best.cost, t.costed
+	for it := best; it.from != nil; it = it.from {
+		res.Rules = append(res.Rules, it.rule)
 	}
-	return out
+	slices.Reverse(res.Rules)
+	return res
 }
 
 // rulesAt applies every enabled rule at the root of r.

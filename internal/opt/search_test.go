@@ -1,0 +1,164 @@
+package opt
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"orthoq/internal/algebra"
+	"orthoq/internal/algebrize"
+	"orthoq/internal/core"
+	"orthoq/internal/sql/parser"
+	"orthoq/internal/stats"
+	"orthoq/internal/storage"
+	"orthoq/internal/tpch"
+)
+
+// updateGolden rewrites testdata/plans.golden from the optimizer under
+// test. The case list (names and SQL) is read from the existing file,
+// so regenerating pins new outputs for the same inputs.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden")
+
+const goldenPath = "testdata/plans.golden"
+
+// goldenCase is one pinned search: a query, optimized with or without
+// the correlated seed the engine adds (orthoq.correlatedSeed).
+type goldenCase struct {
+	name   string
+	seeded bool
+	sql    string
+	want   string // the record body below the sql line
+}
+
+func (c goldenCase) header() string {
+	return fmt.Sprintf("=== %s seed=%t\nsql: %s\n", c.name, c.seeded, c.sql)
+}
+
+// readGolden parses the golden file into its cases.
+func readGolden(t testing.TB) (preamble string, cases []goldenCase) {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := strings.Split(string(data), "=== ")
+	preamble = parts[0]
+	for _, p := range parts[1:] {
+		head, rest, _ := strings.Cut(p, "\n")
+		sqlLine, body, _ := strings.Cut(rest, "\n")
+		name, seed, ok := strings.Cut(head, " seed=")
+		sql, ok2 := strings.CutPrefix(sqlLine, "sql: ")
+		seeded, err := strconv.ParseBool(seed)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: malformed record %q", goldenPath, head)
+		}
+		cases = append(cases, goldenCase{name: name, seeded: seeded, sql: sql, want: body})
+	}
+	return preamble, cases
+}
+
+var goldenStore = sync.OnceValues(func() (*storage.Store, error) {
+	// The scale factor and data seed of perfbench's cold_analytic
+	// workload, so the pinned searches are the ones the benchmark's
+	// exact counters (opt.plans_explored, opt.plan_cost_sum) add up.
+	return tpch.Generate(0.01, 1)
+})
+
+// goldenInputs prepares a case the way the engine does: the normalized
+// plan, plus (when seeded) the correlation-keeping normal form as an
+// extra seed.
+func goldenInputs(t testing.TB, st *storage.Store, c goldenCase) (*algebra.Metadata, algebra.Rel, []algebra.Rel) {
+	t.Helper()
+	q, err := parser.Parse(c.sql)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	md := algebra.NewMetadata()
+	built, err := algebrize.Build(st.Catalog, md, q)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	rel, err := core.Normalize(md, built.Rel, core.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	var seeds []algebra.Rel
+	if c.seeded {
+		seed, err := core.Normalize(md, built.Rel, core.Options{KeepCorrelated: true})
+		if err != nil {
+			t.Fatalf("%s: correlated seed: %v", c.name, err)
+		}
+		seeds = append(seeds, seed)
+	}
+	return md, rel, seeds
+}
+
+// renderResult is the pinned part of a search: cost to the last bit,
+// the step count, the winner's rule path and its plan text.
+func renderResult(md *algebra.Metadata, r *Result) string {
+	return fmt.Sprintf("cost: %s (%.3f)\nexplored: %d\nrules: %s\nplan:\n%s\n",
+		strconv.FormatFloat(r.Cost, 'x', -1, 64), r.Cost, r.Explored,
+		strings.Join(r.Rules, ","), algebra.FormatRel(md, r.Plan))
+}
+
+// TestSearchUnchanged pins the search itself: for the 12 TPC-H
+// queries, the three Q1 spellings of perfbench and a slice of the fuzz
+// corpus, each with and without the correlated seed, the final plan
+// text, its cost (bit-exact), Result.Explored and Result.Rules must
+// equal what the whole-tree search of PR 11 produced. Changes that
+// make a step cheaper must not change which steps are taken.
+func TestSearchUnchanged(t *testing.T) {
+	st, err := goldenStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := stats.Collect(st)
+	preamble, cases := readGolden(t)
+	var out bytes.Buffer
+	out.WriteString(preamble)
+	for _, c := range cases {
+		md, rel, seeds := goldenInputs(t, st, c)
+		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
+		got := renderResult(md, o.Optimize(rel, seeds...))
+		out.WriteString(c.header())
+		out.WriteString(got)
+		if !*updateGolden && got != c.want {
+			t.Errorf("%s seed=%t: search changed\n--- want\n%s--- got\n%s", c.name, c.seeded, c.want, got)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeTPCH times one seeded Optimize call on the queries
+// whose planning dominates perfbench's cold_analytic workload.
+func BenchmarkOptimizeTPCH(b *testing.B) {
+	st, err := goldenStore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := stats.Collect(st)
+	for _, name := range []string{"Q2", "Q21", "Q20", "Q11", "Q18"} {
+		c := goldenCase{name: name, seeded: true, sql: tpch.Queries[name]}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				md, rel, seeds := goldenInputs(b, st, c)
+				o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
+				b.StartTimer()
+				benchResult = o.Optimize(rel, seeds...)
+			}
+		})
+	}
+}
+
+var benchResult *Result

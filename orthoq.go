@@ -1511,7 +1511,8 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: sc, Config: cfg.optConfig()}
 		r := o.Optimize(norm, correlatedSeed(md, res.Rel, cfg)...)
 		finalPlan = r.Plan
-		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored) ===\n", r.Cost, r.Explored)
+		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored, %d generated, %d subtrees costed) ===\n",
+			r.Cost, r.Explored, r.Generated, r.Costed)
 		b.WriteString(opt.FormatWithEstimates(md, db.store.Catalog, sc, r.Plan, opt.ExecHints{
 			ApplyStrategy:   cfg.normApplyStrategy(),
 			Parallelism:     cfg.Parallelism,

@@ -147,6 +147,11 @@ func TestExplainStages(t *testing.T) {
 	if !strings.Contains(out, "rows≈") {
 		t.Error("cost-based stage should carry estimates")
 	}
+	for _, counter := range []string{" plans explored, ", " generated, ", " subtrees costed) ==="} {
+		if !strings.Contains(out, counter) {
+			t.Errorf("cost-based header missing search counter %q", counter)
+		}
+	}
 }
 
 func TestCustomSchemaAPI(t *testing.T) {

@@ -20,6 +20,14 @@ fi
 go vet ./...
 go build ./...
 
+# Benchmark-module leg: perfbench is its own module (replace orthoq =>
+# ../), so ./... above never compiles it. Its tracer calls the engine's
+# layers directly (parser, algebrize, core, opt, exec, plancache, wal);
+# renaming one of those functions breaks it silently until the
+# benchmark pipeline runs. Vet it and run its smoke test (all four
+# workloads at toy size, answers checked) against this tree.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Fast smoke leg: batch-vs-row equivalence is the highest-signal
 # regression check for executor changes — fail it early and clearly
 # before the full suite runs.
