@@ -266,3 +266,50 @@ func BenchmarkOptimizeQ17(b *testing.B) {
 		}
 	}
 }
+
+// warmPassQ1Threshold is the constant of the paper's Q1 in the
+// benchmark's analytic workloads (perfbench/answers.go).
+const warmPassQ1Threshold = 2000000
+
+// warmPassQueries is the query set of perfbench's warm_analytic
+// workload: the 12 TPC-H queries in name order and three spellings of
+// the paper's Q1.
+func warmPassQueries() []string {
+	var qs []string
+	for _, name := range TPCHQueryNames() {
+		q, _ := TPCHQuery(name)
+		qs = append(qs, q)
+	}
+	return append(qs,
+		fmt.Sprintf(`select c_custkey from customer
+			where %d < (select sum(o_totalprice) from orders where o_custkey = c_custkey)`, warmPassQ1Threshold),
+		fmt.Sprintf(`select c_custkey
+			from customer, (select o_custkey, sum(o_totalprice) as total from orders group by o_custkey) as agg
+			where o_custkey = c_custkey and %d < total`, warmPassQ1Threshold),
+		fmt.Sprintf(`select c_custkey
+			from customer left outer join orders on o_custkey = c_custkey
+			group by c_custkey having %d < sum(o_totalprice)`, warmPassQ1Threshold))
+}
+
+// BenchmarkWarmPass is the in-repo mirror of perfbench's warm_analytic
+// workload: one iteration is one pass of the 15 queries through
+// QueryCfg with every plan cached, at SF 0.005 — execution dominates,
+// so the executor's hot path can be profiled with -cpuprofile from the
+// root module.
+func BenchmarkWarmPass(b *testing.B) {
+	db := benchDBGet(b)
+	cfg := DefaultConfig()
+	qs := warmPassQueries()
+	pass := func() {
+		for _, q := range qs {
+			if _, err := db.QueryCfg(q, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // fill the plan cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}

@@ -50,6 +50,12 @@ type Compiler struct {
 	Ev    *Evaluator
 	Ords  map[algebra.ColID]int
 	Ords2 map[algebra.ColID]int
+
+	// shared lists the arithmetic subtrees CompileVec has compiled, so
+	// identical subtrees compile to one kernel (see vec.go).
+	shared []sharedArith
+	// vecCols lists the row ordinals CompileVec kernels read.
+	vecCols []int
 }
 
 // constExpr reports whether s can be folded at compile time: no

@@ -21,6 +21,7 @@ package exec
 // same rows in the same order.
 
 import (
+	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 )
@@ -96,40 +97,140 @@ func nextBatch(it iterator, b *Batch) error {
 	return nil
 }
 
-// initSel resets dst to the live indices of b, reusing dst's storage.
-func initSel(b *Batch, dst []int) []int {
+// initSel resets dst to the live indices of rows under sel (nil = all
+// rows), reusing dst's storage.
+func initSel(rows []types.Row, sel []int, dst []int) []int {
 	dst = dst[:0]
-	if b.Sel != nil {
-		return append(dst, b.Sel...)
+	if sel != nil {
+		return append(dst, sel...)
 	}
-	for i := range b.Rows {
+	for i := range rows {
 		dst = append(dst, i)
 	}
 	return dst
 }
 
-// applyConjuncts narrows sel (in place) to the rows passing every
-// conjunct, one conjunct at a time over the shrinking selection — the
-// vectorized form of SQL's left-to-right AND short-circuit: a row
-// eliminated by an earlier conjunct never reaches a later one.
-func applyConjuncts(conjs []eval.CompiledPred, rows []types.Row, sel []int, fr *eval.Frame) ([]int, error) {
-	for _, cj := range conjs {
-		k := 0
-		for _, ri := range sel {
-			fr.Row = rows[ri]
-			v, err := cj(fr)
-			if err != nil {
-				return nil, err
-			}
-			if v == types.TriTrue {
-				sel[k] = ri
-				k++
-			}
+// filterPred is the predicate of a scan or Select in the form each
+// pull mode evaluates: NextBatch narrows a selection with vector
+// kernels, one top-level conjunct at a time — the vectorized form of
+// SQL's left-to-right AND short-circuit: a row eliminated by an earlier
+// conjunct never reaches a later one — and Next tests one row against
+// the per-row closures of the same conjuncts. Both forms are compiled
+// on first use; under DisableBatch neither is, and Next interprets.
+type filterPred struct {
+	ctx  *Context
+	pred algebra.Scalar
+	env  rowEnv
+
+	comp    *eval.Compiler // nil: interpret
+	rowsOK  bool
+	rows    []eval.CompiledPred
+	rowFr   eval.Frame
+	vecOK   bool
+	vec     []*eval.VecPred
+	frame   eval.VecFrame
+	selBuf  []int
+	trivial bool
+}
+
+// open binds the predicate to its operator's layout; it is cheap and
+// idempotent, so operators call it from every Open.
+func (p *filterPred) open(ctx *Context, pred algebra.Scalar, ords map[algebra.ColID]int) {
+	if p.ctx != nil {
+		return
+	}
+	p.ctx, p.pred = ctx, pred
+	p.env = rowEnv{ctx: ctx, ords: ords}
+	p.comp = ctx.compiler(ords)
+	p.trivial = pred == nil || algebra.IsTrueConst(pred)
+}
+
+// pass reports whether row satisfies the predicate.
+func (p *filterPred) pass(row types.Row) (bool, error) {
+	if p.trivial {
+		return true, nil
+	}
+	if p.comp == nil {
+		p.env.row = row
+		v, err := p.ctx.ev.EvalBool(p.pred, &p.env)
+		return v == types.TriTrue, err
+	}
+	if !p.rowsOK {
+		p.rowsOK = true
+		p.rows = p.comp.CompileConjuncts(p.pred)
+	}
+	p.rowFr.Row, p.rowFr.Outer = row, p.ctx.params
+	for _, cj := range p.rows {
+		v, err := cj(&p.rowFr)
+		if err != nil || v != types.TriTrue {
+			return false, err
 		}
-		sel = sel[:k]
-		if k == 0 {
+	}
+	return true, nil
+}
+
+// narrow returns the rows of the window live under sel (nil = all)
+// that satisfy the predicate, as a selection owned by p and valid
+// until its next call. It must not be called under DisableBatch.
+func (p *filterPred) narrow(rows []types.Row, sel []int) ([]int, error) {
+	if !p.vecOK {
+		p.vecOK = true
+		p.vec = p.comp.CompileVecConjuncts(p.pred)
+	}
+	out := initSel(rows, sel, p.selBuf)
+	p.selBuf = out
+	p.frame.Reset(rows, p.ctx.params)
+	for _, cj := range p.vec {
+		var err error
+		if out, err = cj.Filter(&p.frame, out); err != nil {
+			return nil, err
+		}
+		if len(out) == 0 {
 			break
 		}
 	}
-	return sel, nil
+	return out, nil
+}
+
+// rowArena carves output rows from chunks that are written once and
+// never recycled, so consumers may retain the rows (the Batch ownership
+// contract forbids reuse, not chunking) while allocations drop from one
+// per row to one per chunk. Chunks double from one row, so an operator
+// that emits one row (a point read, the inner side of an Apply) pays
+// for one row, up to arenaChunkDatums — just under the allocator's
+// 32 KiB small-object limit, past which every chunk would be a
+// page-granular large object whose unused tail inflates the heap.
+type rowArena struct {
+	buf  []types.Datum
+	rows int // rows of the last chunk
+}
+
+const arenaChunkDatums = 768
+
+// alloc carves a zero-length row with capacity w.
+func (a *rowArena) alloc(w int) types.Row {
+	if len(a.buf) < w {
+		a.rows = max(1, min(2*a.rows, arenaChunkDatums/max(w, 1)))
+		a.buf = make([]types.Datum, a.rows*w)
+	}
+	out := a.buf[0:0:w]
+	a.buf = a.buf[w:]
+	return out
+}
+
+// concat carves the concatenation of l and r.
+func (a *rowArena) concat(l, r types.Row) types.Row {
+	out := a.alloc(len(l) + len(r))
+	out = append(out, l...)
+	return append(out, r...)
+}
+
+// padNulls carves l followed by n NULLs (the unmatched row of a left
+// outer join).
+func (a *rowArena) padNulls(l types.Row, n int) types.Row {
+	out := append(a.alloc(len(l)+n), l...)
+	for i := 0; i < n; i++ {
+		out = append(out, types.NullUnknown)
+	}
+	return out
 }

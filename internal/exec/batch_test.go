@@ -1,7 +1,7 @@
 package exec
 
 // Unit tests for selection-vector semantics and the batch/row duality:
-// applyConjuncts narrowing (including NULL predicates and conjunct
+// filterPred narrowing (including NULL predicates and conjunct
 // short-circuit), the row→batch adapter, and end-to-end filter →
 // project → aggregate chains with NULLs compared across both pull
 // modes.
@@ -14,7 +14,6 @@ import (
 	"orthoq/internal/algebra"
 	"orthoq/internal/algebrize"
 	"orthoq/internal/core"
-	"orthoq/internal/eval"
 	"orthoq/internal/sql/parser"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/storage"
@@ -72,11 +71,12 @@ func sortedCopy(s []string) []string {
 	return out
 }
 
-// batchTestCompiler builds a Compiler over a two-column layout:
-// col 1 → ordinal 0, col 2 → ordinal 1.
-func batchTestCompiler() (*eval.Compiler, map[algebra.ColID]int) {
-	ords := map[algebra.ColID]int{1: 0, 2: 1}
-	return &eval.Compiler{Ev: &eval.Evaluator{}, Ords: ords}, ords
+// narrowAll filters rows with pred through a filterPred over a
+// two-column layout: col 1 → ordinal 0, col 2 → ordinal 1.
+func narrowAll(pred algebra.Scalar, rows []types.Row) ([]int, error) {
+	var p filterPred
+	p.open(NewContext(nil, nil), pred, map[algebra.ColID]int{1: 0, 2: 1})
+	return p.narrow(rows, nil)
 }
 
 func intRow(vals ...any) types.Row {
@@ -97,7 +97,6 @@ func intRow(vals ...any) types.Row {
 // TestApplyConjunctsNarrowing: each conjunct shrinks the selection in
 // place; NULL comparisons are not TRUE and eliminate the row.
 func TestApplyConjunctsNarrowing(t *testing.T) {
-	comp, _ := batchTestCompiler()
 	rows := []types.Row{
 		intRow(5, 1),   // passes both
 		intRow(0, 1),   // fails col1 > 2
@@ -109,14 +108,7 @@ func TestApplyConjunctsNarrowing(t *testing.T) {
 		&algebra.Cmp{Op: algebra.CmpGt, L: &algebra.ColRef{Col: 1}, R: &algebra.Const{Val: types.NewInt(2)}},
 		&algebra.Cmp{Op: algebra.CmpEq, L: &algebra.ColRef{Col: 2}, R: &algebra.Const{Val: types.NewInt(1)}},
 	}}
-	conjs := comp.CompileConjuncts(pred)
-	if len(conjs) != 2 {
-		t.Fatalf("conjuncts = %d, want 2", len(conjs))
-	}
-	b := &Batch{Rows: rows}
-	sel := initSel(b, nil)
-	var fr eval.Frame
-	sel, err := applyConjuncts(conjs, rows, sel, &fr)
+	sel, err := narrowAll(pred, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +121,6 @@ func TestApplyConjunctsNarrowing(t *testing.T) {
 // conjunct must never reach a later, erroring conjunct — the
 // vectorized form of AND's left-to-right short circuit.
 func TestApplyConjunctsShortCircuit(t *testing.T) {
-	comp, _ := batchTestCompiler()
 	rows := []types.Row{
 		intRow(2, 1), // passes guard, 10/2 > 3 true
 		intRow(0, 1), // fails guard; would divide by zero in conjunct 2
@@ -141,9 +132,7 @@ func TestApplyConjunctsShortCircuit(t *testing.T) {
 			L: &algebra.Arith{Op: types.OpDiv, L: &algebra.Const{Val: types.NewInt(10)}, R: &algebra.ColRef{Col: 1}},
 			R: &algebra.Const{Val: types.NewInt(3)}},
 	}}
-	conjs := comp.CompileConjuncts(pred)
-	b := &Batch{Rows: rows}
-	sel, err := applyConjuncts(conjs, rows, initSel(b, nil), &eval.Frame{})
+	sel, err := narrowAll(pred, rows)
 	if err != nil {
 		t.Fatalf("short circuit violated: %v", err)
 	}
@@ -155,7 +144,6 @@ func TestApplyConjunctsShortCircuit(t *testing.T) {
 // TestApplyConjunctsEmptySelection: once the selection is empty, later
 // conjuncts are skipped entirely.
 func TestApplyConjunctsEmptySelection(t *testing.T) {
-	comp, _ := batchTestCompiler()
 	rows := []types.Row{intRow(0, 1), intRow(0, 2)}
 	pred := &algebra.And{Args: []algebra.Scalar{
 		&algebra.Cmp{Op: algebra.CmpGt, L: &algebra.ColRef{Col: 1}, R: &algebra.Const{Val: types.NewInt(5)}},
@@ -163,12 +151,9 @@ func TestApplyConjunctsEmptySelection(t *testing.T) {
 			L: &algebra.Arith{Op: types.OpDiv, L: &algebra.Const{Val: types.NewInt(1)}, R: &algebra.Const{Val: types.NewInt(0)}},
 			R: &algebra.Const{Val: types.NewInt(0)}},
 	}}
-	// Note: the second conjunct divides by a constant zero; if it were
-	// evaluated at all (compile-time fold or run time) this test setup
-	// is invalid, so build it unfolded via CompilePred on each arg.
-	conjs := []eval.CompiledPred{comp.CompilePred(pred.Args[0]), comp.CompilePred(pred.Args[1])}
-	b := &Batch{Rows: rows}
-	sel, err := applyConjuncts(conjs, rows, initSel(b, nil), &eval.Frame{})
+	// The second conjunct divides by a constant zero: it folds to a
+	// kernel that fails whenever it is evaluated over any row.
+	sel, err := narrowAll(pred, rows)
 	if err != nil {
 		t.Fatalf("conjunct after empty selection ran: %v", err)
 	}

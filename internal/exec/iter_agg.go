@@ -131,6 +131,11 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // serial hashAggIter and, one instance per worker, by the parallel
 // aggregation exchange (partials merged with aggTable.merge).
 //
+// A group is an index: keys[g] is its key and states[j][g] the state of
+// aggregate j, so the batch path folds one aggregate's argument vector
+// into one flat state array with a typed loop. Groups sharing a key
+// hash chain through next.
+//
 // Governed tables (govern called) charge each inserted group against
 // the query memory accountant and degrade hybrid-hash style once the
 // budget is reached: groups already resident keep aggregating in
@@ -140,10 +145,12 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // render directly, spilled partitions are aggregated recursively at
 // the next hash-bit level (drainSpill).
 type aggTable struct {
-	nAggs  int
 	keyIdx []int
-	groups map[uint64][]*aggGroup
-	order  []*aggGroup
+	heads  map[uint64]int32 // key hash → newest group with that hash
+	next   []int32          // older group with the same hash, -1 at the end
+	keys   []types.Row      // in insertion order
+	states [][]aggState     // [aggregate][group]
+	arena  rowArena         // backs cloned keys
 
 	// Governance state (nil ctx = unbounded legacy behavior).
 	ctx     *Context
@@ -153,23 +160,25 @@ type aggTable struct {
 	spill   *spillSet
 }
 
-type aggGroup struct {
-	key    types.Row
-	states []aggState
-}
+// aggPresizeMax caps the group count a table is pre-sized for: the
+// estimate behind the hint is crude (TPC-H Q1 is estimated at thousands
+// of groups and has four), a map grows geometrically anyway, and a
+// large pre-size is paid on every execution.
+const aggPresizeMax = 128
 
 // newAggTable allocates a table for nKeys grouping columns and nAggs
-// aggregates, preallocating the hash map for sizeHint groups.
+// aggregates, preallocating for sizeHint groups.
 func newAggTable(nKeys, nAggs, sizeHint int) *aggTable {
+	sizeHint = min(sizeHint, aggPresizeMax)
 	keyIdx := make([]int, nKeys)
 	for i := range keyIdx {
 		keyIdx[i] = i
 	}
 	return &aggTable{
-		nAggs:  nAggs,
 		keyIdx: keyIdx,
-		groups: make(map[uint64][]*aggGroup, sizeHint),
-		order:  make([]*aggGroup, 0, sizeHint),
+		heads:  make(map[uint64]int32, sizeHint),
+		keys:   make([]types.Row, 0, sizeHint),
+		states: make([][]aggState, nAggs),
 	}
 }
 
@@ -191,41 +200,74 @@ func groupBytes(key types.Row, nAggs int) int64 {
 	return rowBytes(key) + int64(72*nAggs) + 64
 }
 
-// probe returns the resident group for (hk, key), or nil.
-func (t *aggTable) probe(hk uint64, key types.Row) *aggGroup {
-	for _, cand := range t.groups[hk] {
-		if types.EqualRows(cand.key, t.keyIdx, key, t.keyIdx) {
-			return cand
+// aggScanMax is the group count up to which a lookup compares the row
+// against every resident key instead of hashing it: with a handful of
+// groups (TPC-H Q1 has four) a few datum comparisons cost less than one
+// key hash and map probe.
+const aggScanMax = 8
+
+// probe returns the resident group whose key equals row's datums at
+// ords (hk is their hash), or -1.
+func (t *aggTable) probe(hk uint64, row types.Row, ords []int) int {
+	g, ok := t.heads[hk]
+	if !ok {
+		return -1
+	}
+	for ; g >= 0; g = t.next[g] {
+		if types.EqualRows(t.keys[g], t.keyIdx, row, ords) {
+			return int(g)
 		}
 	}
-	return nil
+	return -1
 }
 
-func (t *aggTable) insert(hk uint64, key types.Row) *aggGroup {
-	g := &aggGroup{key: key, states: make([]aggState, t.nAggs)}
-	t.groups[hk] = append(t.groups[hk], g)
-	t.order = append(t.order, g)
+func (t *aggTable) insert(hk uint64, key types.Row) int {
+	g := len(t.keys)
+	prev, ok := t.heads[hk]
+	if !ok {
+		prev = -1
+	}
+	t.heads[hk] = int32(g)
+	t.next = append(t.next, prev)
+	t.keys = append(t.keys, key)
+	for j := range t.states {
+		t.states[j] = append(t.states[j], aggState{})
+	}
 	return g
 }
 
-// findRow is the governed lookup used by the accumulation loops: key
-// is the (possibly scratch) group key, raw is the full input row, and
-// clone says whether key must be copied on insert. A nil group with
-// nil error means the raw row was routed to a spill partition.
-func (t *aggTable) findRow(key, raw types.Row, clone bool) (*aggGroup, error) {
-	hk := types.HashRow(key, t.keyIdx)
-	if g := t.probe(hk, key); g != nil {
-		return g, nil
+// findRow is the governed lookup used by the accumulation loops: it
+// returns the group of input row, whose grouping columns sit at ords,
+// inserting it (the key is copied out of the row) on first sight.
+// Group -1 with nil error means the row was routed to a spill
+// partition.
+func (t *aggTable) findRow(row types.Row, ords []int) (int, error) {
+	if len(t.keys) <= aggScanMax {
+		for g, key := range t.keys {
+			if types.EqualRows(key, t.keyIdx, row, ords) {
+				return g, nil
+			}
+		}
+	}
+	hk := types.HashRow(row, ords)
+	if len(t.keys) > aggScanMax {
+		if g := t.probe(hk, row, ords); g >= 0 {
+			return g, nil
+		}
 	}
 	if t.spill != nil {
-		return nil, t.spill.add(hk, raw)
+		return -1, t.spill.add(hk, row)
+	}
+	key := t.arena.alloc(len(ords))
+	for _, o := range ords {
+		key = append(key, row[o])
 	}
 	if t.ctx != nil {
-		over, err := t.ctx.grantMem(t.st, "GroupBy", groupBytes(key, t.nAggs))
+		over, err := t.ctx.grantMem(t.st, "GroupBy", groupBytes(key, len(t.states)))
 		if err != nil {
-			return nil, err
+			return -1, err
 		}
-		t.charged += groupBytes(key, t.nAggs)
+		t.charged += groupBytes(key, len(t.states))
 		if over && t.level <= maxSpillLevel {
 			// Budget reached: later unseen groups go to disk. The group
 			// that tripped the budget stays resident (one-group
@@ -236,21 +278,7 @@ func (t *aggTable) findRow(key, raw types.Row, clone bool) (*aggGroup, error) {
 			}
 		}
 	}
-	if clone {
-		key = append(types.Row(nil), key...)
-	}
 	return t.insert(hk, key), nil
-}
-
-// find returns the group for key, creating it on first sight. The
-// table takes ownership of key on insert. Legacy ungoverned entry
-// point (merge and tests).
-func (t *aggTable) find(key types.Row) *aggGroup {
-	hk := types.HashRow(key, t.keyIdx)
-	if g := t.probe(hk, key); g != nil {
-		return g
-	}
-	return t.insert(hk, key)
 }
 
 // findForMerge inserts partial states even past the budget: partial
@@ -258,13 +286,13 @@ func (t *aggTable) find(key types.Row) *aggGroup {
 // partials across workers are collectively bounded by the shared
 // budget that made them spill in the first place. Usage is still
 // tracked for the peak statistic.
-func (t *aggTable) findForMerge(key types.Row) *aggGroup {
+func (t *aggTable) findForMerge(key types.Row) int {
 	hk := types.HashRow(key, t.keyIdx)
-	if g := t.probe(hk, key); g != nil {
+	if g := t.probe(hk, key, t.keyIdx); g >= 0 {
 		return g
 	}
 	if t.ctx != nil {
-		n := groupBytes(key, t.nAggs)
+		n := groupBytes(key, len(t.states))
 		t.ctx.noteMem(t.st, n)
 		t.charged += n
 	}
@@ -293,46 +321,136 @@ func aggKeyOrds(in *node, gb *algebra.GroupBy) ([]int, error) {
 	return keyOrds, nil
 }
 
-// compileAggArgs compiles the aggregate argument expressions against
-// in's layout; nil entries are argument-less aggregates (COUNT(*)).
-// Returns nil when the context forces the interpreted path.
-func compileAggArgs(ctx *Context, in *node, gb *algebra.GroupBy) []eval.Compiled {
+// aggVec evaluates a GroupBy's aggregate arguments column-at-a-time:
+// one kernel per argument, compiled by one Compiler so identical
+// argument subtrees (Q1's l_extendedprice*(1-l_discount) under two
+// sums) are evaluated once per batch. It also owns the per-batch
+// scratch of the accumulation loops. One aggVec belongs to one
+// consumer on one strand — each morsel worker builds its own.
+type aggVec struct {
+	frame eval.VecFrame
+	args  []*eval.VecExpr // nil entries are argument-less aggregates (COUNT(*))
+	cols  []int           // input ordinals the arguments read
+	vecs  []*eval.Vec
+	sel   []int   // rows of the batch that have a resident group
+	gidx  []int32 // their groups, parallel to sel
+}
+
+// newAggVec compiles gb's aggregate arguments against in's layout. It
+// returns nil when the context forces the interpreted path.
+func newAggVec(ctx *Context, in *node, gb *algebra.GroupBy) *aggVec {
 	comp := ctx.compiler(in.ords)
 	if comp == nil {
 		return nil
 	}
-	fns := make([]eval.Compiled, len(gb.Aggs))
+	av := &aggVec{
+		args: make([]*eval.VecExpr, len(gb.Aggs)),
+		vecs: make([]*eval.Vec, len(gb.Aggs)),
+	}
 	for i := range gb.Aggs {
 		if gb.Aggs[i].Arg != nil {
-			fns[i] = comp.Compile(gb.Aggs[i].Arg)
+			av.args[i] = comp.CompileVec(gb.Aggs[i].Arg)
 		}
 	}
-	return fns
+	av.cols = comp.VecColumns()
+	return av
 }
 
-// consumeBatch is the batched accumulation loop: input arrives a
-// batch at a time, group keys are gathered into a reused scratch row
-// (cloned only on group insert), and aggregate arguments run
-// compiled. Arguments that are bare column references skip the
-// compiled closure entirely and read the row positionally — the
-// common case for sum/avg/min/max over stored columns.
-func (t *aggTable) consumeBatch(ctx *Context, in *node, gb *algebra.GroupBy, argFns []eval.Compiled) error {
+// eval evaluates every argument over sel, after gathering the columns
+// they read in one pass.
+func (av *aggVec) eval(sel []int) error {
+	av.frame.Gather(av.cols, sel)
+	for j, arg := range av.args {
+		if arg == nil {
+			continue
+		}
+		v, err := arg.Eval(&av.frame, sel)
+		if err != nil {
+			return err
+		}
+		av.vecs[j] = v
+	}
+	return nil
+}
+
+// zeroGroups returns n zero group indices (every row in group 0).
+func (av *aggVec) zeroGroups(n int) []int32 {
+	av.gidx = av.gidx[:0]
+	for len(av.gidx) < n {
+		av.gidx = append(av.gidx, 0)
+	}
+	return av.gidx
+}
+
+// foldAgg accumulates argument vector v into states under the
+// semantics of aggState.add: row sel[k] goes to group gidx[k], in row
+// order, so every (group, aggregate) sees its rows in the order the row
+// path would feed them and float sums come out bit-identical. The
+// typed loops cover counts and the sums and averages of Int and Float
+// vectors; everything else (min/max, DISTINCT, mixed-kind or
+// batch-invariant arguments) boxes each entry and calls add.
+func foldAgg(states []aggState, item *algebra.AggItem, v *eval.Vec, sel []int, gidx []int32) {
+	if item.Func == algebra.AggCountStar {
+		for _, g := range gidx {
+			states[g].count++
+		}
+		return
+	}
+	if !item.Distinct && !v.Mixed() && !v.IsConst() {
+		if v.Kind == types.Unknown {
+			return // every argument is NULL: aggregates ignore NULLs
+		}
+		null := v.Null
+		switch item.Func {
+		case algebra.AggCount:
+			for k, ri := range sel {
+				if null == nil || !null[ri] {
+					states[gidx[k]].count++
+				}
+			}
+			return
+		case algebra.AggSum, algebra.AggAvg:
+			switch v.Kind {
+			case types.Float:
+				for k, ri := range sel {
+					if null == nil || !null[ri] {
+						st := &states[gidx[k]]
+						st.count++
+						st.isFloat = true
+						st.sumF += v.F[ri]
+						st.anyRow = true
+					}
+				}
+				return
+			case types.Int:
+				for k, ri := range sel {
+					if null == nil || !null[ri] {
+						st := &states[gidx[k]]
+						st.count++
+						st.sumI += v.I[ri]
+						st.anyRow = true
+					}
+				}
+				return
+			}
+		}
+	}
+	for k, ri := range sel {
+		states[gidx[k]].add(item, v.Datum(ri))
+	}
+}
+
+// consumeBatch is the batched accumulation loop. Per input batch it
+// resolves each live row's group once (rows routed to a spill
+// partition drop out of the batch), evaluates each aggregate argument once over
+// the remaining rows, and folds each argument vector into its
+// aggregate's state array.
+func (t *aggTable) consumeBatch(ctx *Context, in *node, gb *algebra.GroupBy, av *aggVec) error {
 	keyOrds, err := aggKeyOrds(in, gb)
 	if err != nil {
 		return err
 	}
-	argOrds := make([]int, len(gb.Aggs))
-	for j := range gb.Aggs {
-		argOrds[j] = -1
-		if cr, ok := gb.Aggs[j].Arg.(*algebra.ColRef); ok {
-			if o, ok := in.ords[cr.Col]; ok {
-				argOrds[j] = o
-			}
-		}
-	}
-	scratch := make(types.Row, len(keyOrds))
 	var b Batch
-	fr := eval.Frame{Outer: ctx.params}
 	for {
 		if err := nextBatch(in.it, &b); err != nil {
 			return err
@@ -344,39 +462,60 @@ func (t *aggTable) consumeBatch(ctx *Context, in *node, gb *algebra.GroupBy, arg
 		if err := ctx.chargeN(live); err != nil {
 			return err
 		}
-		for i := 0; i < live; i++ {
-			row := b.Row(i)
-			for j, o := range keyOrds {
-				scratch[j] = row[o]
-			}
-			g, err := t.findRow(scratch, row, true)
-			if err != nil {
-				return err
-			}
-			if g == nil {
-				continue // routed to a spill partition
-			}
-			fr.Row = row
-			for j := range gb.Aggs {
-				var d types.Datum
-				if o := argOrds[j]; o >= 0 {
-					d = row[o]
-				} else if argFns[j] != nil {
-					v, err := argFns[j](&fr)
-					if err != nil {
-						return err
-					}
-					d = v
-				}
-				g.states[j].add(&gb.Aggs[j], d)
-			}
+		av.frame.Reset(b.Rows, ctx.params)
+		sel := b.Sel
+		if sel == nil {
+			sel = av.frame.Identity(len(b.Rows))
+		}
+		if sel, err = t.resolve(av, b.Rows, sel, keyOrds); err != nil {
+			return err
+		}
+		if err := av.eval(sel); err != nil {
+			return err
+		}
+		for j := range gb.Aggs {
+			foldAgg(t.states[j], &gb.Aggs[j], av.vecs[j], sel, av.gidx)
 		}
 	}
 }
 
+// resolve looks up (or inserts) the group of every selected row,
+// leaving the groups in av.gidx and returning the selection they are
+// parallel to: sel itself, or — when rows were routed to a spill
+// partition — the rows that were not.
+func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []int) ([]int, error) {
+	if len(keyOrds) == 0 && len(t.keys) == 1 {
+		// Scalar aggregation past its first row: one resident group.
+		av.zeroGroups(len(sel))
+		return sel, nil
+	}
+	av.gidx = av.gidx[:0]
+	spilled := false
+	for k, ri := range sel {
+		g, err := t.findRow(rows[ri], keyOrds)
+		if err != nil {
+			return nil, err
+		}
+		if g < 0 {
+			if !spilled {
+				spilled = true
+				av.sel = append(av.sel[:0], sel[:k]...)
+			}
+			continue
+		}
+		if spilled {
+			av.sel = append(av.sel, ri)
+		}
+		av.gidx = append(av.gidx, int32(g))
+	}
+	if spilled {
+		return av.sel, nil
+	}
+	return sel, nil
+}
+
 // consume drains in into the table, evaluating aggregate arguments
-// against ctx's evaluator. This is the accumulation loop shared by
-// serial and per-worker partial aggregation.
+// against ctx's evaluator: the row-interpreted baseline (DisableBatch).
 func (t *aggTable) consume(ctx *Context, in *node, gb *algebra.GroupBy) error {
 	keyOrds, err := aggKeyOrds(in, gb)
 	if err != nil {
@@ -394,87 +533,22 @@ func (t *aggTable) consume(ctx *Context, in *node, gb *algebra.GroupBy) error {
 		if err := ctx.charge(); err != nil {
 			return err
 		}
-		g, err := t.findRow(mapRow(row, keyOrds), row, false)
+		g, err := t.findRow(row, keyOrds)
 		if err != nil {
 			return err
 		}
-		if g == nil {
+		if g < 0 {
 			continue // routed to a spill partition
 		}
-		env.row = row
-		for i := range gb.Aggs {
-			item := &gb.Aggs[i]
-			var d types.Datum
-			if item.Arg != nil {
-				v, err := ctx.ev.Eval(item.Arg, &env)
-				if err != nil {
-					return err
-				}
-				d = v
-			}
-			g.states[i].add(item, d)
+		if err := accumRow(ctx, gb, t.states, g, &env, row); err != nil {
+			return err
 		}
 	}
 }
 
-// merge folds another table's partial groups into t using the §3.3
-// local/global combination rules (aggState.mergeFor).
-func (t *aggTable) merge(o *aggTable, gb *algebra.GroupBy) {
-	for _, og := range o.order {
-		g := t.findForMerge(og.key)
-		for i := range og.states {
-			g.states[i].mergeFor(&gb.Aggs[i], &og.states[i])
-		}
-	}
-}
-
-// render materializes the result rows: group key columns followed by
-// aggregate results, with the §1.1 scalar-aggregation empty-input row.
-func (t *aggTable) render(gb *algebra.GroupBy, out []types.Row) []types.Row {
-	return t.renderInto(gb, out[:0], t.spill == nil)
-}
-
-// renderInto appends the resident groups' result rows to out.
-// allowEmptyRow gates the scalar-aggregation empty-input row: it must
-// fire only when the whole aggregation — not just this (sub)table —
-// saw no groups, so callers with spilled partitions pass false.
-func (t *aggTable) renderInto(gb *algebra.GroupBy, out []types.Row, allowEmptyRow bool) []types.Row {
-	if len(t.order) == 0 && allowEmptyRow && gb.Kind == algebra.ScalarGroupBy {
-		// Scalar aggregation returns exactly one row on empty input
-		// (paper §1.1): agg(∅) per aggregate.
-		row := make(types.Row, 0, len(gb.Aggs))
-		for i := range gb.Aggs {
-			var empty aggState
-			row = append(row, empty.result(&gb.Aggs[i]))
-		}
-		return append(out, row)
-	}
-	for _, g := range t.order {
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(&gb.Aggs[i]))
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// accumSpilled folds one decoded spill row into the table through the
-// interpreted argument path (spill drains are I/O bound; compiled
-// argument evaluation would not be observable here).
-func (t *aggTable) accumSpilled(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
-	scratch types.Row, env *rowEnv, row types.Row) error {
-	for j, o := range keyOrds {
-		scratch[j] = row[o]
-	}
-	g, err := t.findRow(scratch, row, true)
-	if err != nil {
-		return err
-	}
-	if g == nil {
-		return nil // re-spilled at the next level
-	}
+// accumRow folds one row into group g of states through the
+// interpreter.
+func accumRow(ctx *Context, gb *algebra.GroupBy, states [][]aggState, g int, env *rowEnv, row types.Row) error {
 	env.row = row
 	for i := range gb.Aggs {
 		item := &gb.Aggs[i]
@@ -486,9 +560,69 @@ func (t *aggTable) accumSpilled(ctx *Context, gb *algebra.GroupBy, keyOrds []int
 			}
 			d = v
 		}
-		g.states[i].add(item, d)
+		states[i][g].add(item, d)
 	}
 	return nil
+}
+
+// merge folds another table's partial groups into t using the §3.3
+// local/global combination rules (aggState.mergeFor).
+func (t *aggTable) merge(o *aggTable, gb *algebra.GroupBy) {
+	for og, key := range o.keys {
+		g := t.findForMerge(key)
+		for i := range t.states {
+			t.states[i][g].mergeFor(&gb.Aggs[i], &o.states[i][og])
+		}
+	}
+}
+
+// render materializes the result rows: group key columns followed by
+// aggregate results, with the §1.1 scalar-aggregation empty-input row.
+func (t *aggTable) render(gb *algebra.GroupBy, out []types.Row) []types.Row {
+	return t.renderInto(gb, out[:0], t.spill == nil)
+}
+
+// emptyAggRow is the row scalar aggregation returns on empty input
+// (paper §1.1): agg(∅) per aggregate.
+func emptyAggRow(gb *algebra.GroupBy) types.Row {
+	row := make(types.Row, 0, len(gb.Aggs))
+	for i := range gb.Aggs {
+		var empty aggState
+		row = append(row, empty.result(&gb.Aggs[i]))
+	}
+	return row
+}
+
+// renderInto appends the resident groups' result rows to out.
+// allowEmptyRow gates the scalar-aggregation empty-input row: it must
+// fire only when the whole aggregation — not just this (sub)table —
+// saw no groups, so callers with spilled partitions pass false.
+func (t *aggTable) renderInto(gb *algebra.GroupBy, out []types.Row, allowEmptyRow bool) []types.Row {
+	if len(t.keys) == 0 && allowEmptyRow && gb.Kind == algebra.ScalarGroupBy {
+		return append(out, emptyAggRow(gb))
+	}
+	var arena rowArena
+	w := len(t.keyIdx) + len(t.states)
+	for g, key := range t.keys {
+		row := append(arena.alloc(w), key...)
+		for i := range t.states {
+			row = append(row, t.states[i][g].result(&gb.Aggs[i]))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// accumSpilled folds one decoded spill row into the table through the
+// interpreted argument path (spill drains are I/O bound; vector
+// argument evaluation would not be observable here).
+func (t *aggTable) accumSpilled(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
+	env *rowEnv, row types.Row) error {
+	g, err := t.findRow(row, keyOrds)
+	if err != nil || g < 0 {
+		return err // g < 0: re-spilled at the next level
+	}
+	return accumRow(ctx, gb, t.states, g, env, row)
 }
 
 // drainSpill renders every spilled partition of t: each partition file
@@ -510,7 +644,6 @@ func (t *aggTable) drainSpill(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
 		return out, err
 	}
 	env := rowEnv{ctx: ctx, ords: ords}
-	scratch := make(types.Row, len(keyOrds))
 	for p, f := range spill.parts {
 		if f == nil {
 			continue
@@ -537,7 +670,7 @@ func (t *aggTable) drainSpill(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
 				spill.dropAll()
 				return out, err
 			}
-			if err := sub.accumSpilled(ctx, gb, keyOrds, scratch, &env, row); err != nil {
+			if err := sub.accumSpilled(ctx, gb, keyOrds, &env, row); err != nil {
 				rd.close()
 				spill.dropAll()
 				return out, err
@@ -570,7 +703,7 @@ type hashAggIter struct {
 	st       *OpStats
 
 	prepped bool
-	argFns  []eval.Compiled
+	av      *aggVec
 
 	out []types.Row
 	pos int
@@ -582,13 +715,13 @@ func (h *hashAggIter) Open() error {
 	}
 	if !h.prepped {
 		h.prepped = true
-		h.argFns = compileAggArgs(h.ctx, h.in, h.gb)
+		h.av = newAggVec(h.ctx, h.in, h.gb)
 	}
 	tbl := newAggTable(h.gb.GroupCols.Len(), len(h.gb.Aggs), h.sizeHint)
 	tbl.govern(h.ctx, h.st, 0)
 	defer tbl.release()
-	if h.argFns != nil {
-		if err := tbl.consumeBatch(h.ctx, h.in, h.gb, h.argFns); err != nil {
+	if h.av != nil {
+		if err := tbl.consumeBatch(h.ctx, h.in, h.gb, h.av); err != nil {
 			return err
 		}
 	} else if err := tbl.consume(h.ctx, h.in, h.gb); err != nil {

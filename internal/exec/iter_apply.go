@@ -331,6 +331,7 @@ type batchApplyIter struct {
 	started bool
 	midx    int
 	matched bool
+	arena   rowArena
 
 	pool *applyPool
 }
@@ -533,7 +534,7 @@ func (b *batchApplyIter) Next() (types.Row, bool, error) {
 			case algebra.AntiSemiJoin:
 				b.midx = len(e.rows)
 			default:
-				return concatRows(lrow, rrow), true, nil
+				return b.arena.concat(lrow, rrow), true, nil
 			}
 		}
 		wasMatched := b.matched
@@ -545,7 +546,7 @@ func (b *batchApplyIter) Next() (types.Row, bool, error) {
 			}
 		case algebra.LeftOuterJoin:
 			if !wasMatched {
-				return concatRows(lrow, nullRow(len(b.right.cols))), true, nil
+				return b.arena.padNulls(lrow, len(b.right.cols)), true, nil
 			}
 		}
 	}

@@ -121,6 +121,7 @@ type hashJoinIter struct {
 	lb        Batch
 	lbPos     int
 	outBuf    []types.Row
+	arena     rowArena // backs joined output rows
 }
 
 // sharedBuild is a once-built hash-join table shared across parallel
@@ -417,7 +418,7 @@ func (h *hashJoinIter) nextRow(batched bool) (types.Row, bool, error) {
 				h.haveL = false
 				// fall to next left row via loop (no emission)
 			default:
-				return concatRows(h.lrow, rrow), true, nil
+				return h.arena.concat(h.lrow, rrow), true, nil
 			}
 			if h.kind == algebra.AntiSemiJoin {
 				break
@@ -434,7 +435,7 @@ func (h *hashJoinIter) nextRow(batched bool) (types.Row, bool, error) {
 				}
 			case algebra.LeftOuterJoin:
 				if !wasMatched {
-					return concatRows(h.lrow, nullRow(h.rWidth)), true, nil
+					return h.arena.padNulls(h.lrow, h.rWidth), true, nil
 				}
 			}
 		}
@@ -454,21 +455,6 @@ func (h *hashJoinIter) Close() error {
 	return h.left.it.Close()
 }
 
-func concatRows(l, r types.Row) types.Row {
-	out := make(types.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	out = append(out, r...)
-	return out
-}
-
-func nullRow(n int) types.Row {
-	out := make(types.Row, n)
-	for i := range out {
-		out[i] = types.NullUnknown
-	}
-	return out
-}
-
 // nlJoinIter is a nested-loops join with a materialized right side.
 type nlJoinIter struct {
 	ctx         *Context
@@ -482,6 +468,7 @@ type nlJoinIter struct {
 	haveL   bool
 	matched bool
 	ridx    int
+	arena   rowArena
 }
 
 func (n *nlJoinIter) Open() error {
@@ -546,7 +533,7 @@ func (n *nlJoinIter) Next() (types.Row, bool, error) {
 			case algebra.AntiSemiJoin:
 				n.haveL = false
 			default:
-				return concatRows(n.lrow, rrow), true, nil
+				return n.arena.concat(n.lrow, rrow), true, nil
 			}
 			if n.kind == algebra.AntiSemiJoin {
 				break
@@ -562,7 +549,7 @@ func (n *nlJoinIter) Next() (types.Row, bool, error) {
 				}
 			case algebra.LeftOuterJoin:
 				if !wasMatched {
-					return concatRows(n.lrow, nullRow(len(n.right.cols))), true, nil
+					return n.arena.padNulls(n.lrow, len(n.right.cols)), true, nil
 				}
 			}
 		}
@@ -663,6 +650,7 @@ type applyIter struct {
 	// saved holds parameter values shadowed by bindLeft, so nested
 	// Apply scopes binding overlapping columns restore correctly.
 	saved []savedParam
+	arena rowArena
 }
 
 type savedParam struct {
@@ -751,7 +739,7 @@ func (ap *applyIter) Next() (types.Row, bool, error) {
 			case algebra.AntiSemiJoin:
 				ap.endLeft()
 			default:
-				return concatRows(ap.lrow, rrow), true, nil
+				return ap.arena.concat(ap.lrow, rrow), true, nil
 			}
 			if ap.a.Kind == algebra.AntiSemiJoin {
 				break
@@ -767,7 +755,7 @@ func (ap *applyIter) Next() (types.Row, bool, error) {
 				}
 			case algebra.LeftOuterJoin:
 				if !wasMatched {
-					return concatRows(ap.lrow, nullRow(len(ap.right.cols))), true, nil
+					return ap.arena.padNulls(ap.lrow, len(ap.right.cols)), true, nil
 				}
 			}
 		}
@@ -876,7 +864,7 @@ func (g *graceJoin) next(batched bool) (types.Row, bool, error) {
 			case algebra.AntiSemiJoin:
 				return lrow, true, nil
 			case algebra.LeftOuterJoin:
-				return concatRows(lrow, nullRow(h.rWidth)), true, nil
+				return h.arena.padNulls(lrow, h.rWidth), true, nil
 			}
 			continue
 		}
@@ -1091,7 +1079,7 @@ func (g *graceJoin) subNext(batched bool) (types.Row, bool, error) {
 			case algebra.AntiSemiJoin:
 				g.haveL = false
 			default:
-				return concatRows(g.lrow, rrow), true, nil
+				return h.arena.concat(g.lrow, rrow), true, nil
 			}
 			if h.kind == algebra.AntiSemiJoin {
 				break
@@ -1107,7 +1095,7 @@ func (g *graceJoin) subNext(batched bool) (types.Row, bool, error) {
 				}
 			case algebra.LeftOuterJoin:
 				if !wasMatched {
-					return concatRows(g.lrow, nullRow(h.rWidth)), true, nil
+					return h.arena.padNulls(g.lrow, h.rWidth), true, nil
 				}
 			}
 		}

@@ -124,6 +124,8 @@ type mergeJoinIter struct {
 	midx    int
 	matches []types.Row
 
+	arena rowArena // backs joined output rows
+
 	prepped   bool
 	residComp eval.CompiledPred
 	lb, rb    Batch
@@ -416,7 +418,7 @@ func (m *mergeJoinIter) nextRow(batched bool) (types.Row, bool, error) {
 				m.haveL = false
 				// fall to next left row via loop (no emission)
 			default:
-				return concatRows(m.lrow, rrow), true, nil
+				return m.arena.concat(m.lrow, rrow), true, nil
 			}
 			if m.kind == algebra.AntiSemiJoin {
 				break
@@ -433,7 +435,7 @@ func (m *mergeJoinIter) nextRow(batched bool) (types.Row, bool, error) {
 				}
 			case algebra.LeftOuterJoin:
 				if !wasMatched {
-					return concatRows(m.lrow, nullRow(m.rWidth)), true, nil
+					return m.arena.padNulls(m.lrow, m.rWidth), true, nil
 				}
 			}
 		}

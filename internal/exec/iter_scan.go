@@ -128,12 +128,8 @@ type scanIter struct {
 	cols []algebra.ColID
 	pred algebra.Scalar
 	pos  int
-	env  rowEnv
 	ords map[algebra.ColID]int
-
-	prepped bool
-	conjs   []eval.CompiledPred
-	selBuf  []int
+	filt filterPred
 }
 
 // storageTable is the minimal surface scan/seek need (eases testing).
@@ -150,18 +146,12 @@ func (s *scanIter) Open() error {
 			s.ords[c] = i
 		}
 	}
-	s.env = rowEnv{ctx: s.ctx, ords: s.ords}
-	if !s.prepped {
-		s.prepped = true
-		if comp := s.ctx.compiler(s.ords); comp != nil {
-			s.conjs = comp.CompileConjuncts(s.pred)
-		}
-	}
+	s.filt.open(s.ctx, s.pred, s.ords)
 	return nil
 }
 
 // NextBatch serves windows of the table's row storage directly,
-// narrowing each window with the compiled filter conjuncts.
+// narrowing each window with the filter's vector conjuncts.
 func (s *scanIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
 	for {
@@ -178,17 +168,11 @@ func (s *scanIter) NextBatch(b *Batch) error {
 		if err := s.ctx.chargeN(len(cand)); err != nil {
 			return err
 		}
-		if len(s.conjs) == 0 {
+		if s.filt.trivial {
 			b.Rows, b.Sel = cand, nil
 			return nil
 		}
-		sel := s.selBuf[:0]
-		for i := range cand {
-			sel = append(sel, i)
-		}
-		s.selBuf = sel
-		fr := eval.Frame{Outer: s.ctx.params}
-		sel, err := applyConjuncts(s.conjs, cand, sel, &fr)
+		sel, err := s.filt.narrow(cand, nil)
 		if err != nil {
 			return err
 		}
@@ -208,7 +192,7 @@ func (s *scanIter) Next() (types.Row, bool, error) {
 		if err := s.ctx.charge(); err != nil {
 			return nil, false, err
 		}
-		ok, err := predTrue(s.ctx, s.pred, &s.env, row)
+		ok, err := s.filt.pass(row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -221,18 +205,6 @@ func (s *scanIter) Next() (types.Row, bool, error) {
 
 func (s *scanIter) Close() error { return nil }
 
-func predTrue(ctx *Context, pred algebra.Scalar, env *rowEnv, row types.Row) (bool, error) {
-	if pred == nil || algebra.IsTrueConst(pred) {
-		return true, nil
-	}
-	env.row = row
-	v, err := ctx.ev.EvalBool(pred, env)
-	if err != nil {
-		return false, err
-	}
-	return v == types.TriTrue, nil
-}
-
 // seekIter looks up rows via an index; key expressions are evaluated
 // at Open (they may reference correlation parameters).
 type seekIter struct {
@@ -244,18 +216,15 @@ type seekIter struct {
 	pred     algebra.Scalar
 	matches  []int
 	pos      int
-	env      rowEnv
 	ords     map[algebra.ColID]int
+	filt     filterPred
 
 	// key is reused across re-opens: under Apply the iterator re-opens
 	// once per outer row and rebuilding the slice was a hot allocation
 	// (LookupOrds does not retain it).
 	key []types.Datum
 
-	prepped bool
-	conjs   []eval.CompiledPred
-	selBuf  []int
-	rowBuf  []types.Row
+	rowBuf []types.Row
 }
 
 func (s *seekIter) Open() error {
@@ -265,13 +234,7 @@ func (s *seekIter) Open() error {
 			s.ords[c] = i
 		}
 	}
-	s.env = rowEnv{ctx: s.ctx, ords: s.ords}
-	if !s.prepped {
-		s.prepped = true
-		if comp := s.ctx.compiler(s.ords); comp != nil {
-			s.conjs = comp.CompileConjuncts(s.pred)
-		}
-	}
+	s.filt.open(s.ctx, s.pred, s.ords)
 	s.key = s.key[:0]
 	for _, e := range s.keyExprs {
 		d, err := s.ctx.ev.Eval(e, s.ctx.params)
@@ -286,7 +249,7 @@ func (s *seekIter) Open() error {
 }
 
 // NextBatch gathers matched rows into an iterator-owned header buffer
-// and filters them with the compiled residual conjuncts.
+// and filters them with the residual's vector conjuncts.
 func (s *seekIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
 	for {
@@ -307,17 +270,11 @@ func (s *seekIter) NextBatch(b *Batch) error {
 		if err := s.ctx.chargeN(len(cand)); err != nil {
 			return err
 		}
-		if len(s.conjs) == 0 {
+		if s.filt.trivial {
 			b.Rows, b.Sel = cand, nil
 			return nil
 		}
-		sel := s.selBuf[:0]
-		for i := range cand {
-			sel = append(sel, i)
-		}
-		s.selBuf = sel
-		fr := eval.Frame{Outer: s.ctx.params}
-		sel, err := applyConjuncts(s.conjs, cand, sel, &fr)
+		sel, err := s.filt.narrow(cand, nil)
 		if err != nil {
 			return err
 		}
@@ -337,7 +294,7 @@ func (s *seekIter) Next() (types.Row, bool, error) {
 		if err := s.ctx.charge(); err != nil {
 			return nil, false, err
 		}
-		ok, err := predTrue(s.ctx, s.pred, &s.env, row)
+		ok, err := s.filt.pass(row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -355,22 +312,12 @@ type filterIter struct {
 	ctx  *Context
 	in   *node
 	pred algebra.Scalar
-	env  rowEnv
-
-	prepped bool
-	conjs   []eval.CompiledPred
-	cb      Batch
-	selBuf  []int
+	filt filterPred
+	cb   Batch
 }
 
 func (f *filterIter) Open() error {
-	f.env = rowEnv{ctx: f.ctx, ords: f.in.ords}
-	if !f.prepped {
-		f.prepped = true
-		if comp := f.ctx.compiler(f.in.ords); comp != nil {
-			f.conjs = comp.CompileConjuncts(f.pred)
-		}
-	}
+	f.filt.open(f.ctx, f.pred, f.in.ords)
 	return f.in.it.Open()
 }
 
@@ -385,14 +332,11 @@ func (f *filterIter) NextBatch(b *Batch) error {
 			b.setEmpty()
 			return nil
 		}
-		if len(f.conjs) == 0 {
+		if f.filt.trivial {
 			b.Rows, b.Sel = f.cb.Rows, f.cb.Sel
 			return nil
 		}
-		sel := initSel(&f.cb, f.selBuf)
-		f.selBuf = sel
-		fr := eval.Frame{Outer: f.ctx.params}
-		sel, err := applyConjuncts(f.conjs, f.cb.Rows, sel, &fr)
+		sel, err := f.filt.narrow(f.cb.Rows, f.cb.Sel)
 		if err != nil {
 			return err
 		}
@@ -410,7 +354,7 @@ func (f *filterIter) Next() (types.Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		pass, err := predTrue(f.ctx, f.pred, &f.env, row)
+		pass, err := f.filt.pass(row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -423,9 +367,8 @@ func (f *filterIter) Next() (types.Row, bool, error) {
 func (f *filterIter) Close() error { return f.in.it.Close() }
 
 // projectIter computes new columns and narrows passthrough ones.
-// Output rows are carved from chunked arenas: the arena is written
-// once and never recycled, so consumers may retain the rows, while
-// allocations drop from one per row to one per BatchSize rows.
+// Output rows are carved from a rowArena, so consumers may retain
+// them.
 type projectIter struct {
 	ctx  *Context
 	in   *node
@@ -435,9 +378,10 @@ type projectIter struct {
 	sel  []int // passthrough ordinals in the input
 
 	prepped bool
-	items   []eval.Compiled
+	items   []*eval.VecExpr
+	frame   eval.VecFrame
 	cb      Batch
-	arena   []types.Datum
+	arena   rowArena
 	outBuf  []types.Row
 }
 
@@ -451,28 +395,7 @@ func (p *projectIter) Open() error {
 		}
 		p.sel = append(p.sel, o)
 	}
-	if !p.prepped {
-		p.prepped = true
-		if comp := p.ctx.compiler(p.in.ords); comp != nil {
-			p.items = make([]eval.Compiled, len(p.proj.Items))
-			for i := range p.proj.Items {
-				p.items[i] = comp.Compile(p.proj.Items[i].Expr)
-			}
-		}
-	}
 	return p.in.it.Open()
-}
-
-// alloc carves a zero-length output row with capacity for the full
-// output width from the current arena chunk.
-func (p *projectIter) alloc() types.Row {
-	w := len(p.cols)
-	if len(p.arena) < w {
-		p.arena = make([]types.Datum, BatchSize*w)
-	}
-	out := p.arena[0:0:w]
-	p.arena = p.arena[w:]
-	return out
 }
 
 func (p *projectIter) Next() (types.Row, bool, error) {
@@ -480,7 +403,7 @@ func (p *projectIter) Next() (types.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := p.alloc()
+	out := p.arena.alloc(len(p.cols))
 	for _, o := range p.sel {
 		out = append(out, row[o])
 	}
@@ -495,9 +418,18 @@ func (p *projectIter) Next() (types.Row, bool, error) {
 	return out, true, nil
 }
 
-// NextBatch projects a whole input batch with compiled item
-// expressions, compacting the selection in the process.
+// NextBatch projects a whole input batch, compacting the selection:
+// the passthrough columns are copied row by row, then each item is
+// evaluated once over the batch and written down its output column.
 func (p *projectIter) NextBatch(b *Batch) error {
+	if !p.prepped {
+		p.prepped = true
+		comp := p.ctx.compiler(p.in.ords)
+		p.items = make([]*eval.VecExpr, len(p.proj.Items))
+		for i := range p.proj.Items {
+			p.items[i] = comp.CompileVec(p.proj.Items[i].Expr)
+		}
+	}
 	if err := nextBatch(p.in.it, &p.cb); err != nil {
 		return err
 	}
@@ -506,23 +438,29 @@ func (p *projectIter) NextBatch(b *Batch) error {
 		b.setEmpty()
 		return nil
 	}
+	p.frame.Reset(p.cb.Rows, p.ctx.params)
+	sel := p.cb.Sel
+	if sel == nil {
+		sel = p.frame.Identity(len(p.cb.Rows))
+	}
+	w, npass := len(p.cols), len(p.sel)
 	out := p.outBuf[:0]
-	fr := eval.Frame{Outer: p.ctx.params}
-	for i := 0; i < live; i++ {
-		row := p.cb.Row(i)
-		orow := p.alloc()
+	for _, ri := range sel {
+		row := p.cb.Rows[ri]
+		orow := p.arena.alloc(w)
 		for _, o := range p.sel {
 			orow = append(orow, row[o])
 		}
-		fr.Row = row
-		for _, item := range p.items {
-			d, err := item(&fr)
-			if err != nil {
-				return err
-			}
-			orow = append(orow, d)
+		out = append(out, orow[:w])
+	}
+	for j, item := range p.items {
+		v, err := item.Eval(&p.frame, sel)
+		if err != nil {
+			return err
 		}
-		out = append(out, orow)
+		for k, ri := range sel {
+			out[k][npass+j] = v.Datum(ri)
+		}
 	}
 	p.outBuf = out
 	b.Rows, b.Sel = out, nil

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"orthoq/internal/algebra"
-	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/storage"
 )
@@ -138,12 +137,8 @@ type orderedScanIter struct {
 	cols    []algebra.ColID
 	pred    algebra.Scalar
 	pos     int // position within perm (already direction-adjusted)
-	env     rowEnv
 	ords    map[algebra.ColID]int
-
-	prepped bool
-	conjs   []eval.CompiledPred
-	selBuf  []int
+	filt    filterPred
 	rowBuf  []types.Row
 }
 
@@ -164,18 +159,12 @@ func (s *orderedScanIter) Open() error {
 			s.ords[c] = i
 		}
 	}
-	s.env = rowEnv{ctx: s.ctx, ords: s.ords}
-	if !s.prepped {
-		s.prepped = true
-		if comp := s.ctx.compiler(s.ords); comp != nil {
-			s.conjs = comp.CompileConjuncts(s.pred)
-		}
-	}
+	s.filt.open(s.ctx, s.pred, s.ords)
 	return nil
 }
 
 // NextBatch gathers permutation windows into an iterator-owned buffer
-// and filters them with the compiled conjuncts; windows preserve the
+// and filters them with the vector conjuncts; windows preserve the
 // permutation order.
 func (s *orderedScanIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
@@ -197,17 +186,11 @@ func (s *orderedScanIter) NextBatch(b *Batch) error {
 		if err := s.ctx.chargeN(len(cand)); err != nil {
 			return err
 		}
-		if len(s.conjs) == 0 {
+		if s.filt.trivial {
 			b.Rows, b.Sel = cand, nil
 			return nil
 		}
-		sel := s.selBuf[:0]
-		for i := range cand {
-			sel = append(sel, i)
-		}
-		s.selBuf = sel
-		fr := eval.Frame{Outer: s.ctx.params}
-		sel, err := applyConjuncts(s.conjs, cand, sel, &fr)
+		sel, err := s.filt.narrow(cand, nil)
 		if err != nil {
 			return err
 		}
@@ -227,7 +210,7 @@ func (s *orderedScanIter) Next() (types.Row, bool, error) {
 		if err := s.ctx.charge(); err != nil {
 			return nil, false, err
 		}
-		ok, err := predTrue(s.ctx, s.pred, &s.env, row)
+		ok, err := s.filt.pass(row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -246,6 +229,13 @@ func (s *orderedScanIter) Close() error { return nil }
 // columns or an explicit sort was inserted), so the operator holds
 // exactly one group of aggregate state and emits it at each group
 // boundary. O(1) memory, streaming output in input-group order.
+//
+// The batch path evaluates every aggregate argument once per input
+// batch, cuts the batch into runs of one group, and folds each run into
+// the single group's states with the typed loops of hash aggregation
+// (foldAgg); completed groups queue in out, which Next and NextBatch
+// both drain. Under DisableBatch, Next is the row-interpreted state
+// machine.
 type streamAggIter struct {
 	ctx  *Context
 	in   *node
@@ -253,21 +243,19 @@ type streamAggIter struct {
 	cols []algebra.ColID
 	st   *OpStats
 
-	prepped bool
-	argFns  []eval.Compiled
-	argOrds []int
 	keyOrds []int
-	env     rowEnv
-	fr      eval.Frame
-
 	curKey  types.Row
-	states  []aggState
+	states  [][]aggState // [aggregate][0]: the current group
 	started bool
 	done    bool
 
+	env rowEnv // row-interpreted path
+
+	av     *aggVec // batch path
 	ib     Batch
-	ibPos  int
-	outBuf []types.Row
+	out    []types.Row // completed groups not yet returned
+	outPos int
+	arena  rowArena
 }
 
 func (s *streamAggIter) Open() error {
@@ -276,62 +264,20 @@ func (s *streamAggIter) Open() error {
 		return err
 	}
 	s.keyOrds = keyOrds
-	if !s.prepped {
-		s.prepped = true
-		s.argFns = compileAggArgs(s.ctx, s.in, s.gb)
-		s.argOrds = make([]int, len(s.gb.Aggs))
-		for j := range s.gb.Aggs {
-			s.argOrds[j] = -1
-			if cr, ok := s.gb.Aggs[j].Arg.(*algebra.ColRef); ok {
-				if o, ok := s.in.ords[cr.Col]; ok {
-					s.argOrds[j] = o
-				}
-			}
+	if s.states == nil {
+		s.av = newAggVec(s.ctx, s.in, s.gb)
+		s.curKey = make(types.Row, len(keyOrds))
+		s.states = make([][]aggState, len(s.gb.Aggs))
+		for j := range s.states {
+			s.states[j] = make([]aggState, 1)
 		}
 	}
 	s.env = rowEnv{ctx: s.ctx, ords: s.in.ords}
-	s.fr = eval.Frame{Outer: s.ctx.params}
-	if s.curKey == nil {
-		s.curKey = make(types.Row, len(keyOrds))
-	}
-	if s.states == nil {
-		s.states = make([]aggState, len(s.gb.Aggs))
-	}
 	s.started = false
 	s.done = false
 	s.ib.setEmpty()
-	s.ibPos = 0
+	s.out, s.outPos = s.out[:0], 0
 	return s.in.it.Open()
-}
-
-// nextInput pulls the next input row — directly in row mode, through
-// an internal batch cursor otherwise — charging row productions.
-func (s *streamAggIter) nextInput() (types.Row, bool, error) {
-	if s.ctx.DisableBatch {
-		row, ok, err := s.in.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if err := s.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	for s.ibPos >= s.ib.Len() {
-		if err := nextBatch(s.in.it, &s.ib); err != nil {
-			return nil, false, err
-		}
-		s.ibPos = 0
-		if s.ib.Len() == 0 {
-			return nil, false, nil
-		}
-		if err := s.ctx.chargeN(s.ib.Len()); err != nil {
-			return nil, false, err
-		}
-	}
-	row := s.ib.Row(s.ibPos)
-	s.ibPos++
-	return row, true, nil
 }
 
 // sameGroup reports whether row belongs to the current group. NULL
@@ -351,111 +297,157 @@ func (s *streamAggIter) startGroup(row types.Row) {
 	for j, o := range s.keyOrds {
 		s.curKey[j] = row[o]
 	}
-	for i := range s.states {
-		s.states[i] = aggState{}
+	for j := range s.states {
+		s.states[j][0] = aggState{}
 	}
 	s.started = true
-}
-
-func (s *streamAggIter) accum(row types.Row) error {
-	s.fr.Row = row
-	s.env.row = row
-	for j := range s.gb.Aggs {
-		var d types.Datum
-		if o := s.argOrds[j]; o >= 0 {
-			d = row[o]
-		} else if s.argFns != nil && s.argFns[j] != nil {
-			v, err := s.argFns[j](&s.fr)
-			if err != nil {
-				return err
-			}
-			d = v
-		} else if s.gb.Aggs[j].Arg != nil {
-			v, err := s.ctx.ev.Eval(s.gb.Aggs[j].Arg, &s.env)
-			if err != nil {
-				return err
-			}
-			d = v
-		}
-		s.states[j].add(&s.gb.Aggs[j], d)
-	}
-	return nil
 }
 
 // emit renders the current group's result row (key copied out — the
 // key buffer is reused for the next group).
 func (s *streamAggIter) emit() types.Row {
-	row := make(types.Row, 0, len(s.curKey)+len(s.states))
-	row = append(row, s.curKey...)
-	for i := range s.states {
-		row = append(row, s.states[i].result(&s.gb.Aggs[i]))
+	row := append(s.arena.alloc(len(s.curKey)+len(s.states)), s.curKey...)
+	for j := range s.states {
+		row = append(row, s.states[j][0].result(&s.gb.Aggs[j]))
 	}
 	return row
 }
 
-func (s *streamAggIter) Next() (types.Row, bool, error) {
-	if s.done {
-		return nil, false, nil
+// finish ends the stream: the open group, or the empty-input row of a
+// scalar aggregation.
+func (s *streamAggIter) finish() (types.Row, bool) {
+	s.done = true
+	if s.started {
+		return s.emit(), true
 	}
+	if s.gb.Kind == algebra.ScalarGroupBy {
+		return emptyAggRow(s.gb), true
+	}
+	return nil, false
+}
+
+// nextInterpreted is the row-at-a-time state machine of the
+// DisableBatch baseline.
+func (s *streamAggIter) nextInterpreted() (types.Row, bool, error) {
 	for {
-		row, ok, err := s.nextInput()
+		row, ok, err := s.in.it.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			s.done = true
-			if s.started {
-				return s.emit(), true, nil
-			}
-			if s.gb.Kind == algebra.ScalarGroupBy {
-				// Scalar aggregation returns exactly one row on empty
-				// input (paper §1.1): agg(∅) per aggregate.
-				out := make(types.Row, 0, len(s.gb.Aggs))
-				for i := range s.gb.Aggs {
-					var empty aggState
-					out = append(out, empty.result(&s.gb.Aggs[i]))
-				}
-				return out, true, nil
-			}
-			return nil, false, nil
+			out, ok := s.finish()
+			return out, ok, nil
 		}
+		if err := s.ctx.charge(); err != nil {
+			return nil, false, err
+		}
+		var out types.Row
 		if s.started && !s.sameGroup(row) {
-			out := s.emit()
-			s.startGroup(row)
-			if err := s.accum(row); err != nil {
-				return nil, false, err
-			}
-			return out, true, nil
+			out = s.emit()
+			s.started = false
 		}
 		if !s.started {
 			s.startGroup(row)
 		}
-		if err := s.accum(row); err != nil {
+		if err := accumRow(s.ctx, s.gb, s.states, 0, &s.env, row); err != nil {
 			return nil, false, err
+		}
+		if out != nil {
+			return out, true, nil
 		}
 	}
 }
 
-// NextBatch assembles up to BatchSize result rows through the
-// streaming state machine (rows are freshly allocated by emit, so the
-// reused buffer is safe to hand off).
-func (s *streamAggIter) NextBatch(b *Batch) error {
-	if s.outBuf == nil {
-		s.outBuf = make([]types.Row, 0, BatchSize)
-	}
-	out := s.outBuf[:0]
-	for len(out) < BatchSize {
-		row, ok, err := s.Next()
-		if err != nil {
+// fill consumes input batches until at least one group completes or
+// the input ends, queueing the completed groups in out.
+func (s *streamAggIter) fill() error {
+	s.out, s.outPos = s.out[:0], 0
+	for len(s.out) == 0 && !s.done {
+		if err := nextBatch(s.in.it, &s.ib); err != nil {
 			return err
 		}
-		if !ok {
-			break
+		live := s.ib.Len()
+		if live == 0 {
+			if row, ok := s.finish(); ok {
+				s.out = append(s.out, row)
+			}
+			return nil
 		}
-		out = append(out, row)
+		if err := s.ctx.chargeN(live); err != nil {
+			return err
+		}
+		rows := s.ib.Rows
+		s.av.frame.Reset(rows, s.ctx.params)
+		sel := s.ib.Sel
+		if sel == nil {
+			sel = s.av.frame.Identity(len(rows))
+		}
+		if err := s.av.eval(sel); err != nil {
+			return err
+		}
+		zeros := s.av.zeroGroups(len(sel))
+		start := 0
+		for k, ri := range sel {
+			row := rows[ri]
+			if s.started && s.sameGroup(row) {
+				continue
+			}
+			if s.started {
+				s.fold(sel[start:k], zeros[:k-start])
+				s.out = append(s.out, s.emit())
+			}
+			s.startGroup(row)
+			start = k
+		}
+		s.fold(sel[start:], zeros[:len(sel)-start])
 	}
-	s.outBuf = out
-	b.Rows, b.Sel = out, nil
+	return nil
+}
+
+// fold accumulates one run of the current group.
+func (s *streamAggIter) fold(run []int, zeros []int32) {
+	for j := range s.gb.Aggs {
+		foldAgg(s.states[j], &s.gb.Aggs[j], s.av.vecs[j], run, zeros)
+	}
+}
+
+func (s *streamAggIter) Next() (types.Row, bool, error) {
+	if s.av == nil {
+		if s.done {
+			return nil, false, nil
+		}
+		return s.nextInterpreted()
+	}
+	if s.outPos >= len(s.out) {
+		if s.done {
+			return nil, false, nil
+		}
+		if err := s.fill(); err != nil {
+			return nil, false, err
+		}
+		if len(s.out) == 0 {
+			return nil, false, nil
+		}
+	}
+	row := s.out[s.outPos]
+	s.outPos++
+	return row, true, nil
+}
+
+// NextBatch hands over the queued groups (at most one per row of an
+// input batch, so never more than BatchSize).
+func (s *streamAggIter) NextBatch(b *Batch) error {
+	if s.outPos >= len(s.out) {
+		if s.done {
+			b.setEmpty()
+			return nil
+		}
+		if err := s.fill(); err != nil {
+			return err
+		}
+	}
+	b.Rows, b.Sel = s.out[s.outPos:], nil
+	s.outPos = len(s.out)
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"orthoq/internal/algebra"
-	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 )
 
@@ -551,8 +550,8 @@ func (p *parallelAggIter) Open() error {
 			}
 			tbl := newAggTable(p.gb.GroupCols.Len(), len(p.gb.Aggs), sizeHint)
 			tbl.govern(wctx, p.st, 0)
-			if fns := compileAggArgs(wctx, n, p.gb); fns != nil {
-				err = tbl.consumeBatch(wctx, n, p.gb, fns)
+			if av := newAggVec(wctx, n, p.gb); av != nil {
+				err = tbl.consumeBatch(wctx, n, p.gb, av)
 			} else {
 				err = tbl.consume(wctx, n, p.gb)
 			}
@@ -625,7 +624,6 @@ func (p *parallelAggIter) Open() error {
 			keyOrds[i] = o
 		}
 		env := rowEnv{ctx: p.ctx, ords: ords}
-		scratch := make(types.Row, len(keyOrds))
 		for _, ss := range spilled {
 			if err := ss.finish(); err != nil {
 				return fail(err)
@@ -651,7 +649,7 @@ func (p *parallelAggIter) Open() error {
 						rd.close()
 						return fail(err)
 					}
-					if err := merged.accumSpilled(p.ctx, p.gb, keyOrds, scratch, &env, row); err != nil {
+					if err := merged.accumSpilled(p.ctx, p.gb, keyOrds, &env, row); err != nil {
 						rd.close()
 						return fail(err)
 					}
@@ -712,12 +710,8 @@ type morselScanIter struct {
 	src  *morselSource
 
 	lo, hi int
-	env    rowEnv
 	ords   map[algebra.ColID]int
-
-	prepped bool
-	conjs   []eval.CompiledPred
-	selBuf  []int
+	filt   filterPred
 }
 
 func (s *morselScanIter) Open() error {
@@ -727,20 +721,14 @@ func (s *morselScanIter) Open() error {
 			s.ords[c] = i
 		}
 	}
-	s.env = rowEnv{ctx: s.ctx, ords: s.ords}
-	if !s.prepped {
-		s.prepped = true
-		if comp := s.ctx.compiler(s.ords); comp != nil {
-			s.conjs = comp.CompileConjuncts(s.pred)
-		}
-	}
+	s.filt.open(s.ctx, s.pred, s.ords)
 	s.lo, s.hi = 0, 0
 	return nil
 }
 
 // NextBatch serves each claimed morsel as whole-batch windows of the
 // driver table (morselSize == BatchSize, so normally one batch per
-// claim), filtered with the compiled conjuncts.
+// claim), filtered with the vector conjuncts.
 func (s *morselScanIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
 	for {
@@ -761,17 +749,11 @@ func (s *morselScanIter) NextBatch(b *Batch) error {
 		if err := s.ctx.chargeN(len(cand)); err != nil {
 			return err
 		}
-		if len(s.conjs) == 0 {
+		if s.filt.trivial {
 			b.Rows, b.Sel = cand, nil
 			return nil
 		}
-		sel := s.selBuf[:0]
-		for i := range cand {
-			sel = append(sel, i)
-		}
-		s.selBuf = sel
-		fr := eval.Frame{Outer: s.ctx.params}
-		sel, err := applyConjuncts(s.conjs, cand, sel, &fr)
+		sel, err := s.filt.narrow(cand, nil)
 		if err != nil {
 			return err
 		}
@@ -792,7 +774,7 @@ func (s *morselScanIter) Next() (types.Row, bool, error) {
 			if err := s.ctx.charge(); err != nil {
 				return nil, false, err
 			}
-			ok, err := predTrue(s.ctx, s.pred, &s.env, row)
+			ok, err := s.filt.pass(row)
 			if err != nil {
 				return nil, false, err
 			}

@@ -307,6 +307,17 @@ func Equal(a, b Datum) bool {
 	if a.null || b.null {
 		return a.null == b.null
 	}
+	if a.kind == b.kind {
+		// Exact-equality kinds skip the three-way order (two string
+		// comparisons for a String). Floats keep it: under Compare a NaN
+		// equals everything.
+		switch a.kind {
+		case Bool, Int, Date:
+			return a.i == b.i
+		case String:
+			return a.s == b.s
+		}
+	}
 	return Compare(a, b) == 0
 }
 

@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"orthoq/internal/sql/catalog"
@@ -146,5 +149,85 @@ func TestSmallTableNoHistogram(t *testing.T) {
 	got := id.SelectivityLT(types.NewInt(5), 10)
 	if got < 0.3 || got > 0.8 {
 		t.Errorf("interpolated LT = %v", got)
+	}
+}
+
+// referenceProfile is the profile as it was computed before the typed
+// sort keys: every non-string datum boxed and sorted in the datum
+// order. profileColumn must agree with it field for field.
+func referenceProfile(rows []types.Row, ord int) ColumnStats {
+	cs := ColumnStats{}
+	distinct := make(map[uint64]struct{})
+	var vals []types.Datum
+	for _, r := range rows {
+		d := r[ord]
+		if d.IsNull() {
+			cs.NullCount++
+			continue
+		}
+		distinct[d.Hash()] = struct{}{}
+		if cs.Distinct == 0 {
+			cs.Min, cs.Max = d, d
+		} else {
+			if types.Compare(d, cs.Min) < 0 {
+				cs.Min = d
+			}
+			if types.Compare(d, cs.Max) > 0 {
+				cs.Max = d
+			}
+		}
+		cs.Distinct = int64(len(distinct))
+		if d.Kind() != types.String {
+			vals = append(vals, d)
+		}
+	}
+	if len(vals) >= histBuckets*2 {
+		sort.Slice(vals, func(i, j int) bool { return types.Compare(vals[i], vals[j]) < 0 })
+		cs.rowsPerBucket = float64(len(vals)) / histBuckets
+		for b := 1; b <= histBuckets; b++ {
+			idx := int(float64(b)*cs.rowsPerBucket) - 1
+			if idx >= len(vals) {
+				idx = len(vals) - 1
+			}
+			cs.Hist = append(cs.Hist, vals[idx])
+		}
+	}
+	return cs
+}
+
+// TestProfileMatchesReference: histograms, min/max, distinct and NULL
+// counts are identical to the boxed-datum profile for every column
+// kind, with NULLs, below and above the histogram threshold, and for a
+// column mixing Int and Float (the datum-sort fallback).
+func TestProfileMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	gens := map[string]func() types.Datum{
+		"int":    func() types.Datum { return types.NewInt(int64(r.Intn(500) - 250)) },
+		"float":  func() types.Datum { return types.NewFloat(float64(r.Intn(1000)) / 7) },
+		"date":   func() types.Datum { return types.NewDate(int64(9000 + r.Intn(2000))) },
+		"bool":   func() types.Datum { return types.NewBool(r.Intn(2) == 0) },
+		"string": func() types.Datum { return types.NewString(fmt.Sprint(r.Intn(40))) },
+		"mixed": func() types.Datum {
+			if r.Intn(2) == 0 {
+				return types.NewInt(int64(r.Intn(50)))
+			}
+			return types.NewFloat(float64(r.Intn(50)) + 0.5)
+		},
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 10, histBuckets*2 - 1, histBuckets * 2, 1000} {
+			rows := make([]types.Row, n)
+			for i := range rows {
+				d := gen()
+				if r.Intn(10) == 0 {
+					d = types.Null(d.Kind())
+				}
+				rows[i] = types.Row{d}
+			}
+			got, want := profileColumn(rows, 0), referenceProfile(rows, 0)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s column, %d rows:\n got  %+v\n want %+v", name, n, got, want)
+			}
+		}
 	}
 }

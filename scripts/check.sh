@@ -33,6 +33,15 @@ go build ./...
 # before the full suite runs.
 go test -run TestBatchRowEquivalence -race .
 
+# Vector-kernel leg: the batch operators evaluate through
+# eval.CompileVec, so the vector ≡ closure ≡ interpreter property
+# (random scalars over random batches and selection vectors, the same
+# datum or the same error per row) is the unit-level twin of the
+# equivalence check above. Then ten seconds of coverage-guided fuzzing
+# over the property's generator seeds.
+go test -race ./internal/eval
+go test -run '^$' -fuzz FuzzVecEval -fuzztime 10s ./internal/eval
+
 # Apply-strategy smoke leg: the binding-batch experiment at a tiny
 # scale factor verifies all three Apply strategies return identical
 # results on the correlated workloads and that the trace counters
@@ -106,7 +115,7 @@ go test -timeout 30m -coverpkg=./... -coverprofile=coverage.out ./...
 
 # Coverage ratchet: the floor only moves up. Raise it when a PR
 # meaningfully grows coverage; never lower it to make a PR pass.
-floor=75.0
+floor=76.0
 total=$(go tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 echo "total coverage: ${total}% (floor ${floor}%)"
 awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
