@@ -38,13 +38,13 @@ func benchDBGet(b *testing.B) *DB {
 func benchQuery(b *testing.B, sql string, cfg Config) {
 	b.Helper()
 	db := benchDBGet(b)
-	prep, err := db.prepare(sql, cfg)
+	stmt, err := db.Prepare(sql, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prep.run(db, nil, "", cfg.execOpts(nil)); err != nil {
+		if _, err := stmt.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func BenchmarkOptimizeQ2(b *testing.B) {
 	q, _ := TPCHQuery("Q2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.prepare(q, DefaultConfig()); err != nil {
+		if _, err := db.Prepare(q, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func BenchmarkOptimizeQ17(b *testing.B) {
 	q, _ := TPCHQuery("Q17")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.prepare(q, DefaultConfig()); err != nil {
+		if _, err := db.Prepare(q, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -688,7 +688,7 @@ func TestCacheOrderStrategySeparation(t *testing.T) {
 		}
 		if r.Cache != "miss" {
 			t.Fatalf("first run under %q cache = %q, want miss (plan aliased across order knobs)",
-				cfg.planKey(), r.Cache)
+				mustIdentity(t, cfg).key(), r.Cache)
 		}
 	}
 	for _, cfg := range []Config{base, merge, noelim} {
@@ -697,7 +697,7 @@ func TestCacheOrderStrategySeparation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.Cache != "hit" {
-			t.Fatalf("second run under %q cache = %q, want hit", cfg.planKey(), r.Cache)
+			t.Fatalf("second run under %q cache = %q, want hit", mustIdentity(t, cfg).key(), r.Cache)
 		}
 	}
 }

@@ -67,7 +67,7 @@ var applyStrategies = []struct {
 func (p *Plan) executeApply(db *DB, strategy string, workers int, traced bool) (rows int, elapsed time.Duration, bindings, innerExecs int64, err error) {
 	ctx := exec.NewContext(db.Store, p.Md)
 	ctx.Stats = db.Stats
-	ctx.ApplyStrategy = strategy
+	ctx.Apply = strategy
 	ctx.Parallelism = workers
 	if traced {
 		ctx.EnableTrace()
@@ -120,7 +120,7 @@ func RunApply(w io.Writer, db *DB, reps int, jsonOut bool) error {
 			}
 			ctx := exec.NewContext(db.Store, plan.Md)
 			ctx.Stats = db.Stats
-			ctx.ApplyStrategy = sc.name
+			ctx.Apply = sc.name
 			ctx.Parallelism = sc.workers
 			res, err := exec.Run(ctx, plan.Rel, plan.Out)
 			if err != nil {

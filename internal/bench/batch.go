@@ -74,7 +74,7 @@ func RunBatch(w io.Writer, db *DB, reps int, jsonOut bool) error {
 		if err != nil {
 			return err
 		}
-		plan = optimize(db, plan, opt.Config{DisableCorrelatedReintro: true})
+		plan = optimize(db, plan, opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)})
 
 		rowRows, err := materializeMode(db, plan, true)
 		if err != nil {

@@ -35,14 +35,14 @@ func SystemConfigs() []SystemConfig {
 	return []SystemConfig{
 		{Name: "correlated-only", Norm: core.Options{KeepCorrelated: true},
 			Opt: opt.Config{Norm: core.Options{KeepCorrelated: true},
-				DisableSegmentApply: true, DisableCorrelatedReintro: true}},
+				DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
 		{Name: "flatten-basic",
-			Opt: opt.Config{DisableGroupByReorder: true, DisableLocalAgg: true,
-				DisableSegmentApply: true, DisableCorrelatedReintro: true}},
+			Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyGroupByReorder, opt.FamilyLocalAgg,
+				opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
 		{Name: "flatten+gb-reorder",
-			Opt: opt.Config{DisableSegmentApply: true, DisableCorrelatedReintro: true}},
+			Opt: opt.Config{DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
 		{Name: "flatten+segment",
-			Opt: opt.Config{DisableCorrelatedReintro: true}},
+			Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)}},
 		{Name: "full-optimization", Opt: opt.Config{}},
 		{Name: "no-oj-simplify", Norm: core.Options{KeepOuterJoins: true},
 			Opt: opt.Config{Norm: core.Options{KeepOuterJoins: true}}},
@@ -157,7 +157,7 @@ type AblationSpec struct {
 // correlated seed cannot mask the primitive under test.
 func Ablations() []AblationSpec {
 	full := SystemConfig{Name: "full", Opt: opt.Config{}}
-	noCorr := opt.Config{DisableCorrelatedReintro: true}
+	noCorr := opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)}
 	// Eager-aggregation showcase: the unselective Figure-1 query, where
 	// aggregating orders before the join beats aggregating after.
 	eagerSQL := `
@@ -171,7 +171,7 @@ func Ablations() []AblationSpec {
 			Without: SystemConfig{Name: "correlated",
 				Norm: core.Options{KeepCorrelated: true},
 				Opt: opt.Config{Norm: core.Options{KeepCorrelated: true},
-					DisableSegmentApply: true, DisableCorrelatedReintro: true}},
+					DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
 		},
 		{
 			// Correlated execution matters when the outer is small and
@@ -186,14 +186,14 @@ func Ablations() []AblationSpec {
 			Without: SystemConfig{Name: "flat-keep-oj",
 				Norm: core.Options{KeepOuterJoins: true},
 				Opt: opt.Config{Norm: core.Options{KeepOuterJoins: true},
-					DisableCorrelatedReintro: true}},
+					DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)}},
 		},
 		{
 			Name: "groupby reordering (eager agg)", Query: eagerSQL,
 			Full: SystemConfig{Name: "flat", Opt: noCorr},
 			Without: SystemConfig{Name: "flat-no-gb-reorder",
-				Opt: opt.Config{DisableCorrelatedReintro: true,
-					DisableGroupByReorder: true, DisableLocalAgg: true}},
+				Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro,
+					opt.FamilyGroupByReorder, opt.FamilyLocalAgg)}},
 		},
 		{
 			// Grouping by a non-key column blocks the strict §3.1 push
@@ -206,18 +206,18 @@ func Ablations() []AblationSpec {
 				group by c_name`,
 			Full: SystemConfig{Name: "flat", Opt: noCorr},
 			Without: SystemConfig{Name: "flat-no-localagg",
-				Opt: opt.Config{DisableCorrelatedReintro: true, DisableLocalAgg: true}},
+				Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro, opt.FamilyLocalAgg)}},
 		},
 		{
 			Name: "segmentapply (Q17, flat path)", Query: tpch.Queries["Q17"],
 			Full: SystemConfig{Name: "flat", Opt: noCorr},
 			Without: SystemConfig{Name: "flat-no-segment",
-				Opt: opt.Config{DisableCorrelatedReintro: true, DisableSegmentApply: true}},
+				Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro, opt.FamilySegmentApply)}},
 		},
 		{
 			Name: "join reordering (Q2)", Query: tpch.Queries["Q2"], Full: full,
 			Without: SystemConfig{Name: "no-join-reorder",
-				Opt: opt.Config{DisableJoinReorder: true}},
+				Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyJoinReorder)}},
 		},
 	}
 }
@@ -262,7 +262,7 @@ func PrepareSystem(db *DB, sql string, sys SystemConfig) (*Plan, error) {
 	plan := &Plan{Name: sys.Name, Md: md, Rel: rel, Out: res.OutCols}
 	if !sys.SkipOpt {
 		var seeds []algebra.Rel
-		if !sys.Opt.DisableCorrelatedReintro && !sys.Norm.KeepCorrelated {
+		if !sys.Opt.DisableRules[opt.RuleJoinToApply] && !sys.Norm.KeepCorrelated {
 			keep := sys.Norm
 			keep.KeepCorrelated = true
 			if corr, err := core.Normalize(md, res.Rel, keep); err == nil {

@@ -91,7 +91,7 @@ func RunParallel(w io.Writer, db *DB, reps int, jsonOut bool) error {
 		if err != nil {
 			return err
 		}
-		plan = optimize(db, plan, opt.Config{DisableCorrelatedReintro: true})
+		plan = optimize(db, plan, opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)})
 		serialRows, err := materialize(db, plan, 0)
 		if err != nil {
 			return err

@@ -61,7 +61,7 @@ func RunSpill(w io.Writer, db *DB, reps int, jsonOut bool) error {
 		if err != nil {
 			return err
 		}
-		plan = optimize(db, plan, opt.Config{DisableCorrelatedReintro: true})
+		plan = optimize(db, plan, opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)})
 		var baseline []types.Row
 		cells := []string{wl.name, ""}
 		for _, budget := range spillBudgets {

@@ -151,16 +151,8 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 		for _, a := range t.Aggs {
 			cols = append(cols, a.Col)
 		}
-		useStream := false
-		switch ctx.ForceAgg {
-		case "stream":
-			useStream = true
-		case "hash":
-		default:
-			useStream = !ctx.DisableOrderOpt && StreamAggApplicable(t)
-		}
-		if useStream {
-			if !StreamAggApplicable(t) {
+		if ctx.AggAlg(t) == AlgStream {
+			if !streamAggApplicable(t) {
 				// Forced streaming over ungrouped input: sort by the
 				// group columns first (the correctness net).
 				in = sortWrapNode(ctx, in, t.GroupCols.Ordered(), t)

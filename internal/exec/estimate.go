@@ -78,7 +78,7 @@ const (
 )
 
 // chooseApplyStrategy picks the execution strategy for an Apply from
-// the Config override (ctx.ApplyStrategy) or, by default, from the
+// the Config override (Strategy.Apply) or, by default, from the
 // estimated outer cardinality.
 func chooseApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet) applyStrategy {
 	return pickApplyStrategy(ctx, a, sig, float64(estimateRows(ctx, a.Left)))
@@ -103,7 +103,7 @@ func pickApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet, outer
 	// SegmentApply cannot be recompiled on a worker context; cap the
 	// strategy at batched.
 	foreign := algebra.HasForeignSegmentRefs(a.Right)
-	switch ctx.ApplyStrategy {
+	switch ctx.Apply {
 	case "sequential":
 		return applySequential
 	case "batched":

@@ -40,10 +40,12 @@ type Context struct {
 	// Stats, when set, supplies cardinality estimates used to
 	// preallocate hash-join and aggregation hash tables.
 	Stats *stats.Collection
-	// Parallelism is the worker count for morsel-driven parallel
-	// execution. 0 or 1 means serial; higher values let eligible
-	// scan/join/aggregation subtrees run on that many goroutines.
-	Parallelism int
+	// Strategy is the plan's physical-choice identity — worker count,
+	// pull mode, and the Apply/join/aggregation/order selectors' inputs
+	// (strategy.go). It is one value from the engine's Config to here,
+	// and one field for workerClone to carry: a worker must run the
+	// same algorithms as its coordinator.
+	Strategy
 	// RowBudget, when positive, aborts execution after this many
 	// operator-row productions — a guard for runaway plans in tests.
 	// The counter itself is shared across workers (see sharedState) so
@@ -53,10 +55,6 @@ type Context struct {
 	// Cached plans are compiled once against parameter slots and
 	// re-bound here per execution.
 	Params []types.Datum
-	// DisableBatch forces the legacy row-at-a-time path with
-	// interpreted expression evaluation. Used as the baseline for the
-	// batch-vs-row equivalence tests and benchmarks.
-	DisableBatch bool
 	// Ctx, when non-nil, carries cancellation and deadline for this
 	// run. Operators check it at amortized row boundaries (charge) and
 	// at batch boundaries, so every strand — including morsel workers —
@@ -76,28 +74,6 @@ type Context struct {
 	// SpillDir is where spill partition files are created ("" = the
 	// system temp directory).
 	SpillDir string
-	// ForceJoin overrides physical join selection for every equi-join in
-	// the plan: "merge" forces merge join (sorting unordered inputs at
-	// Open), "hash" forces hash join even over sorted inputs. "" (or
-	// "auto") streams a merge join when both input orders already cover
-	// the keys and hashes otherwise.
-	ForceJoin string
-	// ForceAgg overrides physical aggregation selection: "stream" forces
-	// sorted-input streaming aggregation (sorting the input first when
-	// it is not already grouped), "hash" forces hash aggregation. "" (or
-	// "auto") streams when the input order makes groups contiguous.
-	ForceAgg string
-	// DisableOrderOpt turns off order-based physical selection in the
-	// executor: ordered index scans for Get.Order fall back to
-	// scan+sort, and auto-detected merge joins / streaming aggregations
-	// revert to their hash forms. Forced modes still apply.
-	DisableOrderOpt bool
-	// ApplyStrategy overrides the binding-batch Apply strategy selector:
-	// "sequential", "batched", or "parallel" force that mode for every
-	// Apply in the plan; "" (or "auto") picks per Apply from estimated
-	// outer cardinality. A forced "parallel" still degrades to batched
-	// for inner sides that cannot be recompiled on a worker context.
-	ApplyStrategy string
 	// Faults, when non-nil, is the test-only fault-injection harness
 	// consulted at every operator boundary.
 	Faults *faultinject.Injector
@@ -242,31 +218,32 @@ func (c *Context) workerClone() *Context {
 	if c.trace != nil {
 		wt = make(map[algebra.Rel]*OpStats)
 	}
-	return &Context{
-		Store:           c.Store,
-		Md:              c.Md,
-		Stats:           c.Stats,
-		RowBudget:       c.RowBudget,
-		Params:          c.Params,
-		DisableBatch:    c.DisableBatch,
-		Ctx:             c.Ctx,
-		MemBudget:       c.MemBudget,
-		DisableSpill:    c.DisableSpill,
-		SpillDir:        c.SpillDir,
-		ForceJoin:       c.ForceJoin,
-		ForceAgg:        c.ForceAgg,
-		DisableOrderOpt: c.DisableOrderOpt,
-		ApplyStrategy:   c.ApplyStrategy,
-		Faults:          c.Faults,
-		Fingerprint:     c.Fingerprint,
-		Snap:            c.Snap,
-		shared:          c.shared,
-		params:          make(eval.MapEnv),
-		segments:        make(map[*algebra.SegmentApply]*segmentBinding),
-		ev:              &eval.Evaluator{Params: c.Params},
-		trace:           wt,
-		isWorker:        true,
+	w := &Context{
+		Store:        c.Store,
+		Md:           c.Md,
+		Stats:        c.Stats,
+		Strategy:     c.Strategy,
+		RowBudget:    c.RowBudget,
+		Params:       c.Params,
+		Ctx:          c.Ctx,
+		MemBudget:    c.MemBudget,
+		DisableSpill: c.DisableSpill,
+		SpillDir:     c.SpillDir,
+		Faults:       c.Faults,
+		Fingerprint:  c.Fingerprint,
+		Snap:         c.Snap,
+		shared:       c.shared,
+		params:       make(eval.MapEnv),
+		segments:     make(map[*algebra.SegmentApply]*segmentBinding),
+		ev:           &eval.Evaluator{Params: c.Params},
+		trace:        wt,
+		isWorker:     true,
 	}
+	// A worker is one serial strand: it runs its coordinator's
+	// algorithms but never fans out again (the Apply selector reads
+	// Parallelism, and a worker's inner Applies must stay batched).
+	w.Parallelism = 0
+	return w
 }
 
 // mergeWorkerTrace folds a finished worker's private trace into the

@@ -12,7 +12,7 @@ import (
 // instead of O(right input), and inner/semi output preserves the left
 // input's order. Selected cost-based when both inputs already deliver
 // a covering order (ordered index scans, ordered Apply outputs), or
-// forced via Context.ForceJoin with explicit sorts as the safety net.
+// forced via Strategy.Join with explicit sorts as the safety net.
 
 // mergeKeySeq picks the key comparison sequence for a merge join of j.
 // Equality conjuncts carry no inherent order, so the sequence is
@@ -59,27 +59,21 @@ func mergeKeySeq(j *algebra.Join, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []al
 		algebra.OrderCovers(dr, ascOrder(rKeys))
 }
 
-// maybeMergeJoin decides whether j executes as a merge join and builds
-// the iterator if so. Auto selection requires both inputs pre-sorted;
-// ForceJoin "merge" accepts any equi-join and sorts whichever inputs
-// need it; ForceJoin "hash" refuses.
+// maybeMergeJoin builds the merge-join iterator when Strategy.JoinAlg
+// picks merge for j. Auto selection only does so with both inputs
+// pre-sorted; a forced merge accepts any equi-join and sorts whichever
+// inputs need it.
 func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 	lKeys, rKeys []algebra.ColID, residual []algebra.Scalar) (*node, bool) {
-	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys)
-	switch ctx.ForceJoin {
-	case "merge":
-		if !lSorted {
-			left = sortWrapNode(ctx, left, lSeq, j)
-		}
-		if !rSorted {
-			right = sortWrapNode(ctx, right, rSeq, j)
-		}
-	case "hash":
+	if ctx.JoinAlg(j, lKeys, rKeys) != AlgMerge {
 		return nil, false
-	default:
-		if ctx.DisableOrderOpt || !lSorted || !rSorted {
-			return nil, false
-		}
+	}
+	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys)
+	if !lSorted {
+		left = sortWrapNode(ctx, left, lSeq, j)
+	}
+	if !rSorted {
+		right = sortWrapNode(ctx, right, rSeq, j)
 	}
 	lOrds := make([]int, len(lSeq))
 	rOrds := make([]int, len(rSeq))

@@ -13,32 +13,13 @@ import (
 // scan walks the index permutation, the aggregation holds one group of
 // state at a time.
 
-// StreamAggApplicable reports whether gb's input delivers an order
+// streamAggApplicable reports whether gb's input delivers an order
 // that makes every group contiguous, i.e. whether the aggregation can
 // stream over sorted input without a hash table. Pure on the logical
-// tree — shared by the compiler, the cost model, and EXPLAIN.
-func StreamAggApplicable(gb *algebra.GroupBy) bool {
+// tree; Strategy.AggAlg is what the compiler, the cost model and
+// EXPLAIN ask.
+func streamAggApplicable(gb *algebra.GroupBy) bool {
 	return algebra.GroupedBy(algebra.DeliveredOrder(gb.Input), gb.GroupCols)
-}
-
-// MergeJoinApplicable reports whether j would stream as a merge join
-// under auto selection: equality keys exist and both inputs already
-// deliver a covering ascending order. Pure on the logical tree —
-// shared by the compiler, the cost model, and EXPLAIN.
-func MergeJoinApplicable(j *algebra.Join) bool {
-	lKeys, rKeys, _ := SplitJoinKeys(j.On,
-		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
-	return MergeKeysSorted(j, lKeys, rKeys)
-}
-
-// MergeKeysSorted is MergeJoinApplicable for a caller that has already
-// split j's equality keys.
-func MergeKeysSorted(j *algebra.Join, lKeys, rKeys []algebra.ColID) bool {
-	if len(lKeys) == 0 {
-		return false
-	}
-	_, _, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys)
-	return lSorted && rSorted
 }
 
 // ascOrder renders a key column sequence as an ascending ordering.
@@ -65,7 +46,7 @@ func sortWrapNode(ctx *Context, in *node, cols []algebra.ColID, at algebra.Rel) 
 // scans but not covered by index permutations). The full filter stays
 // as a per-row residual; ordered delivery precludes the seek path.
 func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, filter algebra.Scalar) (*node, error) {
-	if !ctx.DisableOrderOpt {
+	if ctx.OrderedScan(g) {
 		if perm, reverse, ok := orderedPerm(tbl, g); ok {
 			it := &orderedScanIter{ctx: ctx, tbl: tbl, perm: perm, reverse: reverse,
 				cols: g.Cols, pred: filter}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -214,5 +215,32 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	ctx, rel = build(`select o_orderkey from orders where o_totalprice > 50`)
 	if pp := planParallel(ctx, rel); pp == nil {
 		t.Fatalf("filtered scan should be parallel-eligible")
+	}
+}
+
+// TestWorkerCloneCarriesStrategy: a morsel worker runs the algorithms
+// its coordinator chose. Every field of Strategy — including any added
+// later — is set to a non-zero value by reflection and must arrive on
+// the clone; the one deliberate difference is Parallelism, which a
+// worker (a serial strand) never inherits.
+func TestWorkerCloneCarriesStrategy(t *testing.T) {
+	ctx := NewContext(nil, algebra.NewMetadata())
+	v := reflect.ValueOf(&ctx.Strategy).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(4)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.String:
+			f.SetString("forced-" + v.Type().Field(i).Name)
+		default:
+			t.Fatalf("Strategy.%s: kind %s not covered by this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	want := ctx.Strategy
+	want.Parallelism = 0
+	if got := ctx.workerClone().Strategy; got != want {
+		t.Fatalf("worker strategy = %+v, want %+v", got, want)
 	}
 }

@@ -211,7 +211,7 @@ func TestMergeJoinUnderMemBudget(t *testing.T) {
 
 	run := func(force string, budget int64, disableSpill bool) (*Result, error) {
 		ctx := NewContext(st, md)
-		ctx.ForceJoin = force
+		ctx.Join = force
 		ctx.MemBudget = budget
 		ctx.DisableSpill = disableSpill
 		return Run(ctx, rel, out)
@@ -249,7 +249,7 @@ func TestStreamAggSurvivesHardCapThatKillsHashAgg(t *testing.T) {
 
 	run := func(force string) (*Result, error) {
 		ctx := NewContext(st, md)
-		ctx.ForceAgg = force
+		ctx.Agg = force
 		ctx.MemBudget = 512
 		ctx.DisableSpill = true
 		return Run(ctx, rel, out)
@@ -286,7 +286,7 @@ func TestForcedStreamAggSortChargesBudget(t *testing.T) {
 		core.Options{})
 
 	ctx := NewContext(st, md)
-	ctx.ForceAgg = "stream"
+	ctx.Agg = "stream"
 	ctx.MemBudget = 128
 	ctx.DisableSpill = true
 	if _, err := Run(ctx, rel, out); !errors.Is(err, ErrMemBudget) {
@@ -294,7 +294,7 @@ func TestForcedStreamAggSortChargesBudget(t *testing.T) {
 	}
 
 	ctx = NewContext(st, md)
-	ctx.ForceAgg = "stream"
+	ctx.Agg = "stream"
 	ctx.MemBudget = 128
 	if res, err := Run(ctx, rel, out); err != nil {
 		t.Fatalf("forced stream sort under soft cap: %v", err)

@@ -144,7 +144,7 @@ func TestVectorAggBitIdentical(t *testing.T) {
 		md, rel, out := compilePlan(t, st, tpch.Queries[name], core.Options{})
 		run := func(forceAgg string, disableBatch bool) []types.Row {
 			ctx := NewContext(st, md)
-			ctx.ForceAgg = forceAgg
+			ctx.Agg = forceAgg
 			ctx.DisableBatch = disableBatch
 			res, err := Run(ctx, rel, out)
 			if err != nil {
@@ -183,7 +183,7 @@ func TestVectorAggSpillRouting(t *testing.T) {
 		core.Options{})
 	run := func(budget int64, disableBatch bool) *Result {
 		ctx := NewContext(st, md)
-		ctx.ForceAgg = "hash"
+		ctx.Agg = "hash"
 		ctx.MemBudget = budget
 		ctx.SpillDir = t.TempDir()
 		ctx.DisableBatch = disableBatch

@@ -37,6 +37,12 @@ const (
 	cStreamRow  = 0.6  // folding a row into the current stream-agg group
 )
 
+// priced is the physical strategy the cost model prices plans under:
+// the default, whatever the run's Config forces. Costing asks it the
+// same selector questions the executor's compile step asks, so a plan
+// is priced as the algorithms a default run would pick.
+var priced = exec.Strategy{}
+
 // estimate summarizes one subtree during costing.
 type estimate struct {
 	rows float64
@@ -132,7 +138,7 @@ func (c *coster) derive(r algebra.Rel) estimate {
 		in := c.cost(t.Input)
 		groups := c.groupCount(t, in.rows)
 		perRow := cHashRow
-		if exec.StreamAggApplicable(t) {
+		if priced.AggAlg(t) == exec.AlgStream {
 			// Grouped input streams: no hash table, one resident group.
 			perRow = cStreamRow
 		}
@@ -184,7 +190,7 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	if ts := c.st.Table(g.Table); ts != nil {
 		rows = float64(ts.RowCount)
 	}
-	if len(g.Order) > 0 {
+	if priced.OrderedScan(g) {
 		// Ordered delivery precludes the seek path (the scan walks the
 		// whole index permutation); the filter stays residual.
 		sel := c.selectivity(filter, rows)
@@ -263,16 +269,17 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 	}
 
 	var cost float64
-	if exec.MergeKeysSorted(j, lk, rk) {
+	switch priced.JoinAlg(j, lk, rk) {
+	case exec.AlgMerge:
 		// Both inputs pre-sorted on the keys: the engine merges two
 		// cursors — no build table, no hashing.
 		cost = l.cost + r.cost + (l.rows+r.rows)*cMergeRow
-	} else if len(lk) > 0 {
+	case exec.AlgHash:
 		// The engine builds the hash table on the right input and
 		// probes with the left; building is costlier than probing, so
 		// commuting to put the smaller input on the right pays off.
 		cost = l.cost + r.cost + r.rows*cHashBuild + l.rows*cHashProbe
-	} else {
+	default:
 		cost = l.cost + r.cost + l.rows*r.rows*cPredEval
 	}
 	switch j.Kind {

@@ -10,48 +10,19 @@ import (
 	"orthoq/internal/stats"
 )
 
-// ExecHints carries the execution knobs EXPLAIN needs to predict
-// runtime strategy choices (the optimizer itself never reads them).
-type ExecHints struct {
-	// ApplyStrategy is the Config override for the Apply strategy
-	// selector ("" = auto).
-	ApplyStrategy string
-	// Parallelism is the configured worker count.
-	Parallelism int
-	// DisableBatch pins execution to the row-at-a-time path.
-	DisableBatch bool
-	// JoinStrategy is the Config override for the equi-join algorithm
-	// ("" / "auto", "hash", "merge").
-	JoinStrategy string
-	// AggStrategy is the Config override for the grouping algorithm
-	// ("" / "auto", "hash", "stream").
-	AggStrategy string
-	// DisableSortElim disables order-property execution choices.
-	DisableSortElim bool
-}
-
 // FormatWithEstimates renders a plan with per-node cardinality and
 // cost estimates, for EXPLAIN output and cost-model debugging. An
-// optional ExecHints adds runtime strategy predictions (apply=...) to
-// the nodes whose execution strategy depends on configuration.
-func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, hints ...ExecHints) string {
+// optional exec.Strategy — the one the plan will run under — adds the
+// runtime algorithm picks (apply=..., join=merge, agg=stream, sort
+// elided) to the nodes whose execution depends on it, by asking the
+// same selectors the executor's compile step asks.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, strategy ...exec.Strategy) string {
 	// A table keeps the walk linear: each node's estimate is derived
 	// once per scope instead of once per ancestor.
 	c := newTable(&Optimizer{Md: md, Cat: cat, Stats: st}).c
 	ectx := &exec.Context{}
-	if len(hints) > 0 {
-		ectx.ApplyStrategy = hints[0].ApplyStrategy
-		ectx.Parallelism = hints[0].Parallelism
-		ectx.DisableBatch = hints[0].DisableBatch
-		switch hints[0].JoinStrategy {
-		case "hash", "merge":
-			ectx.ForceJoin = hints[0].JoinStrategy
-		}
-		switch hints[0].AggStrategy {
-		case "hash", "stream":
-			ectx.ForceAgg = hints[0].AggStrategy
-		}
-		ectx.DisableOrderOpt = hints[0].DisableSortElim
+	if len(strategy) > 0 {
+		ectx.Strategy = strategy[0]
 	}
 	var b strings.Builder
 	var walk func(algebra.Rel, int)
@@ -67,22 +38,17 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 			extra = fmt.Sprintf(" apply=%s", exec.PredictApplyStrategy(ectx, t, c.cost(t.Left).rows))
 		case *algebra.Join:
 			// Annotate only order-exploiting picks; hash stays implicit.
-			// Forcing covers any equi-join (unsorted sides get explicit
-			// sorts); auto needs both sides pre-sorted.
-			if lk, rk, _ := exec.SplitJoinKeys(t.On,
-				c.props().OutputCols(t.Left), c.props().OutputCols(t.Right)); len(lk) > 0 {
-				if ectx.ForceJoin == "merge" ||
-					(ectx.ForceJoin == "" && !ectx.DisableOrderOpt && exec.MergeKeysSorted(t, lk, rk)) {
-					extra = " join=merge"
-				}
+			lk, rk, _ := exec.SplitJoinKeys(t.On,
+				c.props().OutputCols(t.Left), c.props().OutputCols(t.Right))
+			if ectx.JoinAlg(t, lk, rk) == exec.AlgMerge {
+				extra = " join=merge"
 			}
 		case *algebra.GroupBy:
-			if ectx.ForceAgg == "stream" ||
-				(ectx.ForceAgg == "" && !ectx.DisableOrderOpt && exec.StreamAggApplicable(t)) {
+			if ectx.AggAlg(t) == exec.AlgStream {
 				extra = " agg=stream"
 			}
 		case *algebra.Get:
-			if len(t.Order) > 0 && !ectx.DisableOrderOpt {
+			if ectx.OrderedScan(t) {
 				extra = " sort elided"
 			}
 		}

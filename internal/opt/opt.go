@@ -42,31 +42,52 @@ func RuleNames() []string {
 	}
 }
 
+// The rule families: each of the paper's optimizer-side primitives is a
+// list of rule names, and switching a primitive off means disabling
+// its rules — there is no second switch. The engine's Config technique
+// flags and the benchmark harness's "systems" are both written over
+// these lists.
+var (
+	// FamilyGroupByReorder is §3.1/3.2 GroupBy reordering around joins.
+	FamilyGroupByReorder = []string{RulePushGroupByBelowJoin, RulePullGroupByAboveJoin,
+		RulePushSemiJoinBelowGroupBy, RuleSemiJoinToJoinDistinct}
+	// FamilyLocalAgg is §3.3 LocalGroupBy splitting and pushdown.
+	FamilyLocalAgg = []string{RuleSplitGroupBy, RulePushLocalGroupByBelowJoin}
+	// FamilySegmentApply is §3.4 segmented execution.
+	FamilySegmentApply = []string{RuleIntroduceSegmentApply, RulePushJoinBelowSegmentApply}
+	// FamilyJoinReorder is join commutativity/associativity.
+	FamilyJoinReorder = []string{RuleCommuteJoin, RuleRotateJoin}
+	// FamilyCorrelatedReintro rewrites joins back into index-lookup
+	// Apply plans (§4).
+	FamilyCorrelatedReintro = []string{RuleJoinToApply}
+	// FamilyOrder is the order-property rules: sort elimination via
+	// ordered indexes, merge-join and streaming-aggregation enablement.
+	FamilyOrder = []string{RuleEliminateSort, RuleMergeJoinOrder, RuleStreamAggOrder}
+)
+
+// Disable builds a Config.DisableRules set from rule-name lists
+// (families, or ad-hoc lists of Rule* names).
+func Disable(lists ...[]string) map[string]bool {
+	set := map[string]bool{}
+	for _, l := range lists {
+		for _, name := range l {
+			set[name] = true
+		}
+	}
+	return set
+}
+
 // Config selects which transformation rules the optimizer may use;
 // disabling individual primitives implements the paper's ablations
-// ("systems" axis of the benchmark harness).
+// ("systems" axis of the benchmark harness). The zero value enables
+// everything.
 type Config struct {
 	// Norm is forwarded to normalization (decorrelation flags).
 	Norm core.Options
-	// DisableGroupByReorder turns off §3.1/3.2 GroupBy reordering.
-	DisableGroupByReorder bool
-	// DisableLocalAgg turns off §3.3 LocalGroupBy splitting/pushdown.
-	DisableLocalAgg bool
-	// DisableSegmentApply turns off §3.4 segmented execution.
-	DisableSegmentApply bool
-	// DisableJoinReorder turns off join commutativity/associativity.
-	DisableJoinReorder bool
-	// DisableCorrelatedReintro turns off rewriting joins back into
-	// index-lookup Apply plans.
-	DisableCorrelatedReintro bool
-	// DisableOrderOpt turns off the order-property rules (sort
-	// elimination via ordered indexes, merge-join and streaming-
-	// aggregation enablement).
-	DisableOrderOpt bool
-	// DisableRules suppresses individual rules by canonical name (the
-	// Rule* constants) — finer grained than the family flags above; the
-	// rule-level equivalence harness disables one rule at a time and
-	// checks result equivalence.
+	// DisableRules suppresses rules by canonical name (the Rule*
+	// constants; see Disable and the Family* lists): a disabled rule is
+	// never tried. The rule-level equivalence harness disables one rule
+	// at a time and checks result equivalence.
 	DisableRules map[string]bool
 	// MaxSteps caps best-first expansions (0 = default).
 	MaxSteps int
@@ -188,53 +209,63 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 	return res
 }
 
-// rulesAt applies every enabled rule at the root of r.
+// rulesAt applies every enabled rule at the root of r. Enablement is
+// Config.DisableRules alone; a disabled rule's rewrite is not even
+// attempted.
 func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
 	var out []candidate
+	on := func(rule string) bool { return !o.Config.disabled(rule) }
 	add := func(rule string, nr algebra.Rel, ok bool) {
-		if ok && nr != nil && !o.Config.disabled(rule) {
+		if ok && nr != nil {
 			out = append(out, candidate{rel: nr, rule: rule})
 		}
 	}
 	switch t := r.(type) {
 	case *algebra.GroupBy:
-		if !o.Config.DisableGroupByReorder {
+		if on(RulePushGroupByBelowJoin) {
 			nr, ok := core.TryPushGroupByBelowJoin(o.Md, t)
 			add(RulePushGroupByBelowJoin, nr, ok)
 		}
-		if !o.Config.DisableLocalAgg {
-			if t.Kind == algebra.VectorGroupBy {
-				nr, ok := core.TrySplitGroupBy(o.Md, t)
-				add(RuleSplitGroupBy, nr, ok)
-			}
-			if t.Kind == algebra.LocalGroupBy {
-				nr, ok := core.TryPushLocalGroupByBelowJoin(o.Md, t)
-				add(RulePushLocalGroupByBelowJoin, nr, ok)
-			}
+		if on(RuleSplitGroupBy) {
+			nr, ok := core.TrySplitGroupBy(o.Md, t)
+			add(RuleSplitGroupBy, nr, ok)
 		}
-		if !o.Config.DisableOrderOpt {
+		if on(RulePushLocalGroupByBelowJoin) {
+			nr, ok := core.TryPushLocalGroupByBelowJoin(o.Md, t)
+			add(RulePushLocalGroupByBelowJoin, nr, ok)
+		}
+		if on(RuleStreamAggOrder) {
 			nr, ok := tryStreamAggOrder(o.Md, o.Cat, t)
 			add(RuleStreamAggOrder, nr, ok)
 		}
 	case *algebra.Join:
-		if !o.Config.DisableGroupByReorder {
+		if on(RulePullGroupByAboveJoin) {
 			nr, ok := core.TryPullGroupByAboveJoin(o.Md, t)
 			add(RulePullGroupByAboveJoin, nr, ok)
-			nr, ok = core.TryPushSemiJoinBelowGroupBy(o.Md, t)
+		}
+		if on(RulePushSemiJoinBelowGroupBy) {
+			nr, ok := core.TryPushSemiJoinBelowGroupBy(o.Md, t)
 			add(RulePushSemiJoinBelowGroupBy, nr, ok)
-			nr, ok = core.TrySemiJoinToJoinDistinct(o.Md, t)
+		}
+		if on(RuleSemiJoinToJoinDistinct) {
+			nr, ok := core.TrySemiJoinToJoinDistinct(o.Md, t)
 			add(RuleSemiJoinToJoinDistinct, nr, ok)
 		}
-		if !o.Config.DisableSegmentApply {
+		if on(RuleIntroduceSegmentApply) {
 			nr, ok := core.TryIntroduceSegmentApply(o.Md, t)
 			add(RuleIntroduceSegmentApply, nr, ok)
-			nr, ok = core.TryPushJoinBelowSegmentApply(o.Md, t)
+		}
+		if on(RulePushJoinBelowSegmentApply) {
+			nr, ok := core.TryPushJoinBelowSegmentApply(o.Md, t)
 			add(RulePushJoinBelowSegmentApply, nr, ok)
+		}
+		if on(RulePushJoinBelowSegmentApply) && on(RuleIntroduceSegmentApply) {
 			// Composite Figure-6→Figure-7 step: introduce SegmentApply
 			// at a child join and immediately push this join below it.
 			// Without the composition, the intermediate whole-table
 			// segmentation costs enough to be pruned before its good
-			// successor is generated.
+			// successor is generated. The composite counts as both
+			// rules, so disabling either removes it.
 			for i, child := range t.Inputs() {
 				cj, ok := child.(*algebra.Join)
 				if !ok {
@@ -248,30 +279,29 @@ func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
 				kids[i] = sa
 				wrapped := t.WithInputs(kids).(*algebra.Join)
 				nr, ok := core.TryPushJoinBelowSegmentApply(o.Md, wrapped)
-				// The composite counts as both rules; gate on either
-				// being disabled via add's check on the segment names.
-				add(RulePushJoinBelowSegmentApply, nr,
-					ok && !o.Config.disabled(RuleIntroduceSegmentApply))
+				add(RulePushJoinBelowSegmentApply, nr, ok)
 			}
 		}
-		if !o.Config.DisableJoinReorder {
+		if on(RuleCommuteJoin) {
 			nr, ok := commuteJoin(t)
 			add(RuleCommuteJoin, nr, ok)
-			nr, ok = rotateJoinRight(t)
+		}
+		if on(RuleRotateJoin) {
+			nr, ok := rotateJoinRight(t)
 			add(RuleRotateJoin, nr, ok)
 			nr, ok = rotateJoinLeft(t)
 			add(RuleRotateJoin, nr, ok)
 		}
-		if !o.Config.DisableCorrelatedReintro {
+		if on(RuleJoinToApply) {
 			nr, ok := joinToApply(o.Md, o.Cat, t)
 			add(RuleJoinToApply, nr, ok)
 		}
-		if !o.Config.DisableOrderOpt {
+		if on(RuleMergeJoinOrder) {
 			nr, ok := tryMergeJoinOrder(o.Md, o.Cat, t)
 			add(RuleMergeJoinOrder, nr, ok)
 		}
 	case *algebra.Sort:
-		if !o.Config.DisableOrderOpt {
+		if on(RuleEliminateSort) {
 			nr, ok := tryEliminateSort(o.Md, o.Cat, t)
 			add(RuleEliminateSort, nr, ok)
 		}

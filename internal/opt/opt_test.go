@@ -234,8 +234,8 @@ func TestAblationFlagsRespected(t *testing.T) {
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{
-		MaxSteps:            1500,
-		DisableSegmentApply: true,
+		MaxSteps:     1500,
+		DisableRules: Disable(FamilySegmentApply),
 	}}
 	r := o.Optimize(rel)
 	if strings.Contains(algebra.FormatRel(md, r.Plan), "SegmentApply") {
@@ -244,13 +244,8 @@ func TestAblationFlagsRespected(t *testing.T) {
 
 	md2, rel2, _ := prep(t, st, tpch.Queries["Q17"])
 	o2 := &Optimizer{Md: md2, Cat: st.Catalog, Stats: sc, Config: Config{
-		MaxSteps:                 600,
-		DisableGroupByReorder:    true,
-		DisableLocalAgg:          true,
-		DisableSegmentApply:      true,
-		DisableJoinReorder:       true,
-		DisableCorrelatedReintro: true,
-		DisableOrderOpt:          true,
+		MaxSteps:     600,
+		DisableRules: Disable(RuleNames()),
 	}}
 	r2 := o2.Optimize(rel2)
 	if algebra.FormatRel(md2, r2.Plan) != algebra.FormatRel(md2, rel2) {

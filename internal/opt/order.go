@@ -37,8 +37,8 @@ func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Jo
 	}
 	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On,
 		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
-	if len(lKeys) == 0 || exec.MergeJoinApplicable(j) {
-		return nil, false
+	if priced.JoinAlg(j, lKeys, rKeys) != exec.AlgHash {
+		return nil, false // no keys to merge on, or a merge join already
 	}
 	lBy, rBy := ascOrderings(lKeys), ascOrderings(rKeys)
 	newL, newR := j.Left, j.Right

@@ -27,7 +27,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden")
 const goldenPath = "testdata/plans.golden"
 
 // goldenCase is one pinned search: a query, optimized with or without
-// the correlated seed the engine adds (orthoq.correlatedSeed).
+// the correlated seed the engine adds (in orthoq's compile).
 type goldenCase struct {
 	name   string
 	seeded bool

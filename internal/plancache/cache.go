@@ -1,15 +1,13 @@
 package plancache
 
 import (
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
+
+	"orthoq/internal/lru"
 )
 
 const (
-	// shardCount is a power of two; per-shard mutexes keep concurrent
-	// lookups from convoying on one lock.
-	shardCount = 16
 	// maxVariantsPerFamily bounds baked-literal blowup within one shape.
 	maxVariantsPerFamily = 16
 	// maxPlansPerVariant bounds selectivity-bucket blowup within one
@@ -24,7 +22,9 @@ type Stats struct {
 	Evictions     uint64
 	Invalidations uint64
 	Bypasses      uint64
-	// Entries counts cached plans; Bytes approximates their footprint.
+	// Entries counts cached plans, plus one for each resident family
+	// holding none (an uncacheable shape still occupies a slot); Bytes
+	// approximates the plans' footprint.
 	Entries int64
 	Bytes   int64
 }
@@ -37,7 +37,6 @@ type Stats struct {
 // Positions, Uncacheable and epoch are immutable after publication;
 // the variant map is guarded by mu.
 type Family struct {
-	key   string
 	epoch uint64
 	// Uncacheable marks shapes where parameterization is unsafe or the
 	// literal walk failed alignment; lookups report bypass.
@@ -47,10 +46,8 @@ type Family struct {
 
 	mu       sync.Mutex
 	variants map[string]*Variant
-	bytes    atomic.Int64
-	plans    atomic.Int64
-
-	prev, next *Family // shard LRU list
+	// plans counts the plans stored in the family; guarded by mu.
+	plans int64
 }
 
 // Variant is one (baked literals, parameter kinds) combination of a
@@ -78,27 +75,18 @@ func (f *Family) Variant(vkey string) *Variant {
 	return f.variants[vkey]
 }
 
-// Cache is the sharded LRU over plan families.
+// Cache is the LRU over plan families. Recency, the entry/byte gauges
+// and eviction live in the shared core (internal/lru); every resident
+// family is charged at least one entry — its first plan rides on that
+// charge, further plans add one each — so shapes that hold no plan are
+// bounded by the same cap as shapes that do.
 type Cache struct {
-	maxEntries int64
-	maxBytes   int64
-	seed       maphash.Seed
-	shards     [shardCount]shard
+	lru *lru.Cache[*Family]
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
-	evictions     atomic.Uint64
 	invalidations atomic.Uint64
 	bypasses      atomic.Uint64
-	entries       atomic.Int64
-	bytes         atomic.Int64
-}
-
-type shard struct {
-	mu       sync.Mutex
-	families map[string]*Family
-	// head is most recently used, tail least.
-	head, tail *Family
 }
 
 // New creates a cache capped at maxEntries plans and approximately
@@ -111,15 +99,7 @@ func New(maxEntries int64, maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	c := &Cache{maxEntries: maxEntries, maxBytes: maxBytes, seed: maphash.MakeSeed()}
-	for i := range c.shards {
-		c.shards[i].families = make(map[string]*Family)
-	}
-	return c
-}
-
-func (c *Cache) shardOf(key string) *shard {
-	return &c.shards[maphash.String(c.seed, key)&(shardCount-1)]
+	return &Cache{lru: lru.New[*Family](maxEntries, maxBytes, nil)}
 }
 
 // CountHit / CountMiss / CountBypass record lookup outcomes decided by
@@ -134,32 +114,24 @@ func (c *Cache) CountBypass() { c.bypasses.Add(1) }
 // epoch) is dropped and counted as an invalidation; the caller then
 // recompiles as on a miss.
 func (c *Cache) Family(key string, epoch uint64) *Family {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.families[key]
-	if f == nil {
+	f, ok := c.lru.Get(key)
+	if !ok {
 		return nil
 	}
 	if f.epoch != epoch {
-		c.invalidations.Add(1)
-		s.remove(f)
-		c.entries.Add(-f.plans.Load())
-		c.bytes.Add(-f.bytes.Load())
+		if c.lru.Remove(key, f) {
+			c.invalidations.Add(1)
+		}
 		return nil
 	}
-	s.touch(f)
 	return f
 }
 
 // Peek reports the fresh family without touching recency or counters
 // (EXPLAIN support).
 func (c *Cache) Peek(key string, epoch uint64) *Family {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.families[key]
-	if f == nil || f.epoch != epoch {
+	f, ok := c.lru.Peek(key)
+	if !ok || f.epoch != epoch {
 		return nil
 	}
 	return f
@@ -169,39 +141,26 @@ func (c *Cache) Peek(key string, epoch uint64) *Family {
 // parameterization walk found an unsafe construct or lost literal
 // alignment), so future queries of the shape skip the walk entirely.
 func (c *Cache) StoreUncacheable(key string, epoch uint64) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.families[key] != nil {
-		return
-	}
-	f := &Family{key: key, epoch: epoch, Uncacheable: true}
-	s.insert(f)
+	c.lru.GetOrPut(key, func() *Family {
+		return &Family{epoch: epoch, Uncacheable: true}
+	}, 1, 0)
 }
 
 // StorePlan inserts a compiled plan. The family and variant are created
 // as needed (the family adopting positions, the variant adopting
 // descs). bucketOf computes the bucket key under the variant's
 // authoritative descriptor set — which may be an earlier compile's, so
-// the caller must not precompute the key. Returns the bucket key used.
+// the caller must not precompute the key.
 func (c *Cache) StorePlan(key string, epoch uint64, positions []PosInfo,
 	vkey string, descs []Descriptor, plan any, planBytes int64,
 	bucketOf func([]Descriptor) string) {
 
-	s := c.shardOf(key)
-	s.mu.Lock()
-	f := s.families[key]
-	if f == nil {
-		f = &Family{key: key, epoch: epoch,
-			Positions: positions, variants: make(map[string]*Variant)}
-		s.insert(f)
-	}
+	f, _ := c.lru.GetOrPut(key, func() *Family {
+		return &Family{epoch: epoch, Positions: positions, variants: make(map[string]*Variant)}
+	}, 1, 0)
 	if f.Uncacheable || f.epoch != epoch {
-		s.mu.Unlock()
 		return
 	}
-	s.touch(f)
-	s.mu.Unlock()
 
 	f.mu.Lock()
 	v := f.variants[vkey]
@@ -236,35 +195,15 @@ func (c *Cache) StorePlan(key string, epoch uint64, positions []PosInfo,
 	}
 	v.mu.Unlock()
 
-	f.plans.Add(added)
-	f.bytes.Add(planBytes)
-	c.entries.Add(added)
-	c.bytes.Add(planBytes)
-	// If the family was evicted while we filled it in, its footprint
-	// was already subtracted from the cache totals without these last
-	// additions; take them back so the counters cannot drift upward.
-	s.mu.Lock()
-	if s.families[key] != f {
-		c.entries.Add(-added)
-		c.bytes.Add(-planBytes)
-	}
-	s.mu.Unlock()
-	c.evict(s)
-}
-
-// evict pops least-recently-used families from the shard until the
-// cache-wide caps hold. Working a single shard keeps the critical
-// section local; other shards converge as they take their own inserts.
-func (c *Cache) evict(s *shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for (c.entries.Load() > c.maxEntries || c.bytes.Load() > c.maxBytes) && s.tail != nil {
-		f := s.tail
-		s.remove(f)
-		c.entries.Add(-f.plans.Load())
-		c.bytes.Add(-f.bytes.Load())
-		c.evictions.Add(1)
-	}
+	// The family's first plan rides on the entry charged at insert.
+	f.mu.Lock()
+	before := max(f.plans, 1)
+	f.plans += added
+	charge := max(f.plans, 1) - before
+	f.mu.Unlock()
+	// A family evicted while we filled it in is charged nothing: its
+	// footprint already left the gauges, so they cannot drift upward.
+	c.lru.Charge(key, f, charge, planBytes)
 }
 
 // CacheStats snapshots the counters.
@@ -272,60 +211,10 @@ func (c *Cache) CacheStats() Stats {
 	return Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
+		Evictions:     c.lru.Evictions(),
 		Invalidations: c.invalidations.Load(),
 		Bypasses:      c.bypasses.Load(),
-		Entries:       c.entries.Load(),
-		Bytes:         c.bytes.Load(),
+		Entries:       c.lru.Entries(),
+		Bytes:         c.lru.Bytes(),
 	}
-}
-
-// shard list helpers; callers hold s.mu.
-
-func (s *shard) insert(f *Family) {
-	s.families[f.key] = f
-	f.prev, f.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = f
-	}
-	s.head = f
-	if s.tail == nil {
-		s.tail = f
-	}
-}
-
-func (s *shard) remove(f *Family) {
-	delete(s.families, f.key)
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else {
-		s.head = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		s.tail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (s *shard) touch(f *Family) {
-	if s.head == f {
-		return
-	}
-	// unlink
-	if f.prev != nil {
-		f.prev.next = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		s.tail = f.prev
-	}
-	// push front
-	f.prev, f.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = f
-	}
-	s.head = f
 }

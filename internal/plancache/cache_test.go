@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// shardCount is the LRU core's shard count: eviction works on the shard
+// that just grew, so the cache may sit this far over a cap.
+const shardCount = 16
+
 func storeSimple(c *Cache, key string, epoch uint64, plan any, bytes int64) {
 	pos := []PosInfo{{Param: true, Class: 'n'}}
 	c.StorePlan(key, epoch, pos, "v", nil, plan, bytes,
@@ -112,6 +116,33 @@ func TestCacheUncacheable(t *testing.T) {
 	storeSimple(c, "q1", 1, "plan", 10)
 	if _, ok := lookupSimple(c, "q1", 1); ok {
 		t.Fatal("uncacheable shape served a plan")
+	}
+}
+
+// TestCacheUncacheableFamiliesAreBounded: a family that holds no plan
+// still occupies one entry and its insert still evicts, so a client
+// sending ever-new unparameterizable shapes cannot grow the cache past
+// its cap (these families used to add 0 to the gauges and skip evict).
+func TestCacheUncacheableFamiliesAreBounded(t *testing.T) {
+	c := New(4, 1<<20)
+	for i := 0; i < 10000; i++ {
+		c.StoreUncacheable(fmt.Sprintf("shape-%d", i), 1)
+	}
+	st := c.CacheStats()
+	// Every resident family is charged at least one entry, so the gauge
+	// bounds the family count.
+	if st.Entries > 4+shardCount {
+		t.Fatalf("%d entries resident under a cap of 4", st.Entries)
+	}
+	if st.Evictions < 10000-4-shardCount {
+		t.Fatalf("evictions = %d after 10000 inserts", st.Evictions)
+	}
+	// A family's first plan rides on its own entry; the second adds one.
+	c = New(8, 1<<20)
+	storeSimple(c, "q", 1, "p0", 10)
+	c.StorePlan("q", 1, nil, "v2", nil, "p1", 10, func([]Descriptor) string { return "" })
+	if st := c.CacheStats(); st.Entries != 2 || st.Bytes != 20 {
+		t.Fatalf("two plans in one family: %+v", st)
 	}
 }
 

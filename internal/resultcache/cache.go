@@ -33,14 +33,11 @@ package resultcache
 
 import (
 	"context"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
-)
 
-// shardCount is a power of two; per-shard mutexes keep concurrent
-// lookups from convoying on one lock.
-const shardCount = 16
+	"orthoq/internal/lru"
+)
 
 // Config sizes a cache. Zero fields take defaults in New.
 type Config struct {
@@ -78,29 +75,34 @@ type Stats struct {
 // data.
 type Entry struct {
 	key    string
-	shard  *shard
 	tables []string
 
 	// Val is the caller's payload.
 	Val any
 
 	bytes int64
-	refs  int  // pin count, guarded by shard.mu
-	dead  bool // removed from the map while pinned; bytes release on last Unpin
 
-	prev, next *Entry // shard LRU list (nil links when dead)
+	// mu orders pinning against removal: a Pin either lands before the
+	// entry leaves the cache (removal then holds its charge until the
+	// last Unpin) or finds it gone and misses.
+	mu   sync.Mutex
+	refs int  // pin count
+	gone bool // no longer resident
 }
 
 // Bytes returns the entry's declared footprint.
 func (e *Entry) Bytes() int64 { return e.bytes }
 
-// Cache is the sharded LRU plus the single-flight table.
+// Cache is the LRU (recency, gauges and eviction in internal/lru) plus
+// the per-table reverse index and the single-flight table.
 type Cache struct {
-	maxEntries    int64
-	maxBytes      int64
 	maxEntryBytes int64
-	seed          maphash.Seed
-	shards        [shardCount]shard
+	lru           *lru.Cache[*Entry]
+
+	// tableIdx maps a table name to the resident entries keyed on a
+	// version of that table — the reverse index behind InvalidateTables.
+	imu      sync.Mutex
+	tableIdx map[string]map[*Entry]struct{}
 
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -112,20 +114,7 @@ type Cache struct {
 	subMisses     atomic.Uint64
 	inserts       atomic.Uint64
 	rejected      atomic.Uint64
-	evictions     atomic.Uint64
 	invalidations atomic.Uint64
-	entries       atomic.Int64
-	bytes         atomic.Int64
-}
-
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*Entry
-	// tableIdx maps a table name to this shard's entries keyed on a
-	// version of that table — the reverse index behind InvalidateTables.
-	tableIdx map[string]map[*Entry]struct{}
-	// head is most recently used, tail least.
-	head, tail *Entry
 }
 
 type flight struct {
@@ -146,16 +135,11 @@ func New(cfg Config) *Cache {
 		cfg.MaxEntryBytes = cfg.MaxBytes / 8
 	}
 	c := &Cache{
-		maxEntries:    cfg.MaxEntries,
-		maxBytes:      cfg.MaxBytes,
 		maxEntryBytes: cfg.MaxEntryBytes,
-		seed:          maphash.MakeSeed(),
+		tableIdx:      make(map[string]map[*Entry]struct{}),
 		flights:       make(map[string]*flight),
 	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*Entry)
-		c.shards[i].tableIdx = make(map[string]map[*Entry]struct{})
-	}
+	c.lru = lru.New(cfg.MaxEntries, cfg.MaxBytes, c.left)
 	return c
 }
 
@@ -164,60 +148,70 @@ func New(cfg Config) *Cache {
 // moment it cannot possibly be admitted.
 func (c *Cache) MaxEntryBytes() int64 { return c.maxEntryBytes }
 
-func (c *Cache) shardOf(key string) *shard {
-	return &c.shards[maphash.String(c.seed, key)&(shardCount-1)]
+// left runs as e leaves the LRU for any reason (replaced, evicted,
+// invalidated, purged): it unhooks e from the reverse index and, while
+// e is pinned, holds its charge on the gauges until the last Unpin.
+func (c *Cache) left(e *Entry) (hold bool) {
+	c.imu.Lock()
+	for _, t := range e.tables {
+		if idx := c.tableIdx[t]; idx != nil {
+			delete(idx, e)
+			if len(idx) == 0 {
+				delete(c.tableIdx, t)
+			}
+		}
+	}
+	c.imu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.gone = true
+	return e.refs > 0
 }
 
 // Lookup returns the payload for key, touching LRU recency. It does
 // not count a hit or miss — the caller declares the traffic family via
 // CountHit/CountMiss/CountSubHit/CountSubMiss.
 func (c *Cache) Lookup(key string) (any, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[key]
-	if e == nil {
+	e, ok := c.lru.Get(key)
+	if !ok {
 		return nil, false
 	}
-	s.touch(e)
 	return e.Val, true
 }
 
 // Contains reports whether key is cached without touching recency or
 // counters — the preview used by EXPLAIN.
 func (c *Cache) Contains(key string) bool {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[key] != nil
+	_, ok := c.lru.Peek(key)
+	return ok
 }
 
 // Pin returns the entry for key with its pin count raised; the caller
 // must Unpin exactly once. A pinned entry's bytes stay accounted even
 // if it is evicted or invalidated while pinned.
 func (c *Cache) Pin(key string) (*Entry, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[key]
-	if e == nil {
+	e, ok := c.lru.Get(key)
+	if !ok {
+		return nil, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.gone {
 		return nil, false
 	}
 	e.refs++
-	s.touch(e)
 	return e, true
 }
 
 // Unpin drops one pin. If the entry was evicted or invalidated while
 // pinned, the last Unpin releases its accounted bytes.
 func (c *Cache) Unpin(e *Entry) {
-	s := e.shard
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	e.mu.Lock()
 	e.refs--
-	if e.refs == 0 && e.dead {
-		c.entries.Add(-1)
-		c.bytes.Add(-e.bytes)
+	release := e.refs == 0 && e.gone
+	e.mu.Unlock()
+	if release {
+		c.lru.Release(1, e.bytes)
 	}
 }
 
@@ -238,63 +232,22 @@ func (c *Cache) Put(key string, tables []string, val any, bytes int64) bool {
 		c.rejected.Add(1)
 		return false
 	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	if old := s.entries[key]; old != nil {
-		s.drop(c, old)
-	}
-	e := &Entry{key: key, shard: s, tables: tables, Val: val, bytes: bytes}
-	s.entries[key] = e
+	e := &Entry{key: key, tables: tables, Val: val, bytes: bytes}
+	// Index first: if the insert below evicts e straight away, left
+	// finds it in the index to unhook.
+	c.imu.Lock()
 	for _, t := range tables {
-		idx := s.tableIdx[t]
+		idx := c.tableIdx[t]
 		if idx == nil {
 			idx = make(map[*Entry]struct{})
-			s.tableIdx[t] = idx
+			c.tableIdx[t] = idx
 		}
 		idx[e] = struct{}{}
 	}
-	s.insert(e)
-	s.mu.Unlock()
-	c.entries.Add(1)
-	c.bytes.Add(bytes)
+	c.imu.Unlock()
+	c.lru.Put(key, e, 1, bytes)
 	c.inserts.Add(1)
-	c.evictFrom(s)
 	return true
-}
-
-// drop unlinks an entry from the map, LRU list, and reverse index,
-// releasing its bytes now or (if pinned) on last Unpin. Callers hold
-// s.mu and count the eviction/invalidation themselves.
-func (s *shard) drop(c *Cache, e *Entry) {
-	delete(s.entries, e.key)
-	s.unlink(e)
-	for _, t := range e.tables {
-		if idx := s.tableIdx[t]; idx != nil {
-			delete(idx, e)
-			if len(idx) == 0 {
-				delete(s.tableIdx, t)
-			}
-		}
-	}
-	if e.refs > 0 {
-		e.dead = true
-		return
-	}
-	c.entries.Add(-1)
-	c.bytes.Add(-e.bytes)
-}
-
-// evictFrom pops least-recently-used entries from the shard until the
-// cache-wide caps hold. Working a single shard keeps the critical
-// section local; other shards converge as they take their own inserts.
-func (c *Cache) evictFrom(s *shard) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for (c.entries.Load() > c.maxEntries || c.bytes.Load() > c.maxBytes) && s.tail != nil {
-		e := s.tail
-		s.drop(c, e)
-		c.evictions.Add(1)
-	}
 }
 
 // InvalidateTables eagerly drops every entry keyed on a version of any
@@ -302,30 +255,24 @@ func (c *Cache) evictFrom(s *shard) {
 // the write that prompted it already minted new version IDs, so the
 // dropped entries could never be looked up again.
 func (c *Cache) InvalidateTables(names ...string) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, name := range names {
-			for e := range s.tableIdx[name] {
-				s.drop(c, e)
-				c.invalidations.Add(1)
-			}
+	var doomed []*Entry
+	c.imu.Lock()
+	for _, name := range names {
+		for e := range c.tableIdx[name] {
+			doomed = append(doomed, e)
 		}
-		s.mu.Unlock()
+	}
+	c.imu.Unlock()
+	for _, e := range doomed {
+		if c.lru.Remove(e.key, e) {
+			c.invalidations.Add(1)
+		}
 	}
 }
 
 // Purge drops every entry (pinned entries release on last Unpin).
 func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, e := range s.entries {
-			s.drop(c, e)
-			c.invalidations.Add(1)
-		}
-		s.mu.Unlock()
-	}
+	c.invalidations.Add(uint64(c.lru.Purge()))
 }
 
 // Do is the single-flight whole-result path. It first consults the
@@ -414,44 +361,9 @@ func (c *Cache) CacheStats() Stats {
 		SubMisses:     c.subMisses.Load(),
 		Inserts:       c.inserts.Load(),
 		Rejected:      c.rejected.Load(),
-		Evictions:     c.evictions.Load(),
+		Evictions:     c.lru.Evictions(),
 		Invalidations: c.invalidations.Load(),
-		Entries:       c.entries.Load(),
-		Bytes:         c.bytes.Load(),
+		Entries:       c.lru.Entries(),
+		Bytes:         c.lru.Bytes(),
 	}
-}
-
-// shard list helpers; callers hold s.mu.
-
-func (s *shard) insert(e *Entry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *shard) unlink(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *shard) touch(e *Entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.insert(e)
 }

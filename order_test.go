@@ -255,21 +255,21 @@ func TestOrderKnobsArePlanIdentity(t *testing.T) {
 	c.AggStrategy = "stream"
 	d := a
 	d.DisableSortElim = true
-	keys := map[string]string{}
+	ids := map[string]planIdentity{}
 	for name, cfg := range map[string]Config{"base": a, "merge": b, "stream": c, "noelim": d} {
-		k := cfg.planKey()
-		for other, ok := range keys {
-			if ok == k {
-				t.Errorf("planKey collision between %s and %s: %q", name, other, k)
+		id := mustIdentity(t, cfg)
+		for other, oid := range ids {
+			if oid == id || oid.key() == id.key() {
+				t.Errorf("identity collision between %s and %s: %q", name, other, id.key())
 			}
 		}
-		keys[name] = k
+		ids[name] = id
 	}
-	// "auto" and "" are the same strategy and must share a key.
+	// "auto" and "" are the same strategy and must share an identity.
 	e := a
 	e.JoinStrategy = "auto"
 	e.AggStrategy = "auto"
-	if e.planKey() != a.planKey() {
-		t.Error("auto and empty strategy produced different plan keys")
+	if mustIdentity(t, e) != mustIdentity(t, a) {
+		t.Error("auto and empty strategy produced different plan identities")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -220,46 +221,36 @@ type Config struct {
 	faults *faultinject.Injector
 }
 
-// runOpts carries the per-run governance knobs. They are execution
-// state, not plan identity: a cached plan compiled once is shared by
-// runs with different budgets, timeouts, and fault rules, so none of
-// these may live on prepared or appear in planKey.
-type runOpts struct {
-	ctx          context.Context
-	timeout      time.Duration
-	memBudget    int64
-	disableSpill bool
-	spillDir     string
-	rowBudget    int64
-	faults       *faultinject.Injector
-	trace        bool
-	queryLog     io.Writer
-	session      string
-	queued       time.Duration
-	snap         *storage.Snapshot
-
-	// Result-cache arming (withResultCache): the cache instance, the
-	// sub-plan toggle, and the plan-affecting config fragment of the
-	// result key. nil rcache = result caching off for this run.
-	rcache   *resultcache.Cache
-	rcSub    bool
-	rcCfgKey string
+// runState is one execution's run state: the caller's context and
+// pinned snapshot, the result cache when the run may use it, and the
+// Config whose run-state fields (trace, log, session, budgets, timeout,
+// faults) govern it. None of it is plan identity — a plan compiled once
+// is shared by runs with different budgets and deadlines — so nothing
+// here may reach prepared or planIdentity; TestConfigFieldsClassified
+// holds that line.
+type runState struct {
+	ctx    context.Context
+	cfg    *Config
+	snap   *storage.Snapshot
+	rcache *resultcache.Cache // nil = result caching off for this run
 }
 
-func (c Config) execOpts(ctx context.Context) runOpts {
-	return runOpts{
-		ctx:          ctx,
-		timeout:      c.Timeout,
-		memBudget:    c.MemBudget,
-		disableSpill: c.DisableSpill,
-		spillDir:     c.SpillDir,
-		rowBudget:    c.RowBudget,
-		faults:       c.faults,
-		trace:        c.Trace,
-		queryLog:     c.QueryLog,
-		session:      c.Session,
-		queued:       c.Queued,
+// newRun assembles a run's state. With the result cache enabled the
+// store snapshot is pinned here — before compilation — so the versions
+// the result key names are exactly the versions execution reads: key
+// time and read time cannot straddle a concurrent publish.
+func (db *DB) newRun(ctx context.Context, cfg *Config, snap *Snapshot) runState {
+	r := runState{ctx: ctx, cfg: cfg}
+	if snap != nil {
+		r.snap = snap.sn
 	}
+	if cfg.ResultCache.Enabled {
+		r.rcache = db.resultCache(cfg.ResultCache)
+		if r.snap == nil {
+			r.snap = db.store.Snapshot()
+		}
+	}
+	return r
 }
 
 // PlanCacheConfig sizes the per-DB plan cache. The cache is created on
@@ -275,87 +266,103 @@ type PlanCacheConfig struct {
 	Disabled bool
 }
 
-// planKey serializes the Config knobs that influence the compiled plan
-// (or its execution strategy) into the cache key, so plans compiled
-// under different configurations never alias.
-func (c Config) planKey() string {
-	key := fmt.Sprintf("%t%t%t%t%t%t%t%t%t%t%t|%d|%d|%s|%s|%s",
-		c.Decorrelate, c.RemoveClass2, c.SimplifyOuterJoins, c.CostBased,
-		c.GroupByReorder, c.LocalAgg, c.SegmentApply, c.JoinReorder,
-		c.CorrelatedReintro, c.DisableBatch, c.DisableSortElim,
-		c.MaxSteps, c.Parallelism,
-		c.normApplyStrategy(), c.normJoinStrategy(), c.normAggStrategy())
-	if len(c.DisableRules) > 0 {
-		// Sorted so the key is order-insensitive; Trace/QueryLog are
-		// deliberately absent — observability is run state.
-		d := append([]string(nil), c.DisableRules...)
-		sort.Strings(d)
-		key += "|" + strings.Join(d, ",")
-	}
-	return key
+// planIdentity is what a Config means to the engine: everything that
+// can change the compiled plan or the algorithms that run it, and
+// nothing else. It is comparable — Configs with equal identities share
+// cached plans and results, Configs with different ones never do — and
+// the same value is carried by a prepared plan, handed to exec.Context
+// for every run, and read by EXPLAIN.
+type planIdentity struct {
+	removeClass2, keepCorrelated, keepOuterJoins bool
+	// costBased runs the optimizer at all; seedCorrelated also offers it
+	// the correlated formulation as a starting point (§4).
+	costBased, seedCorrelated bool
+	// disabled is the one rule switch, as sorted comma-joined names: the
+	// technique flags of Config fold into it family by family (a flag is
+	// exactly "none of these rules is disabled"), DisableRules name by
+	// name.
+	disabled string
+	maxSteps int
+	strat    exec.Strategy
 }
 
-// applyStrategy validates the ApplyStrategy knob and normalizes
-// "auto" to the empty default.
-func (c Config) applyStrategy() (string, error) {
-	switch c.ApplyStrategy {
-	case "", "auto":
+// identity validates c and normalizes it into its plan identity. This
+// is the only place a Config is interpreted: an invalid strategy
+// spelling is rejected here, before any cache or parser work, and
+// "auto" folds into the empty default so both spell one identity.
+func (c Config) identity() (planIdentity, error) {
+	id := planIdentity{
+		removeClass2:   c.RemoveClass2,
+		keepCorrelated: !c.Decorrelate,
+		keepOuterJoins: !c.SimplifyOuterJoins,
+		costBased:      c.CostBased,
+		seedCorrelated: c.CorrelatedReintro && c.Decorrelate,
+		maxSteps:       c.MaxSteps,
+		strat: exec.Strategy{Parallelism: c.Parallelism, DisableBatch: c.DisableBatch,
+			DisableOrderOpt: c.DisableSortElim},
+	}
+	var off []string
+	for _, family := range []struct {
+		on    bool
+		rules []string
+	}{
+		{c.GroupByReorder, opt.FamilyGroupByReorder},
+		{c.LocalAgg, opt.FamilyLocalAgg},
+		{c.SegmentApply, opt.FamilySegmentApply},
+		{c.JoinReorder, opt.FamilyJoinReorder},
+		{c.CorrelatedReintro, opt.FamilyCorrelatedReintro},
+		{!c.DisableSortElim, opt.FamilyOrder},
+	} {
+		if !family.on {
+			off = append(off, family.rules...)
+		}
+	}
+	if off = append(off, c.DisableRules...); len(off) > 0 {
+		sort.Strings(off) // the set is order-insensitive
+		id.disabled = strings.Join(slices.Compact(off), ",")
+	}
+	var err error
+	if id.strat.Apply, err = strategySpelling("ApplyStrategy", c.ApplyStrategy, "sequential", "batched", "parallel"); err != nil {
+		return planIdentity{}, err
+	}
+	if id.strat.Join, err = strategySpelling("JoinStrategy", c.JoinStrategy, exec.AlgHash, exec.AlgMerge); err != nil {
+		return planIdentity{}, err
+	}
+	if id.strat.Agg, err = strategySpelling("AggStrategy", c.AggStrategy, exec.AlgHash, exec.AlgStream); err != nil {
+		return planIdentity{}, err
+	}
+	return id, nil
+}
+
+// strategySpelling validates one strategy knob against its forced
+// spellings and normalizes "auto" to the empty default.
+func strategySpelling(knob, v string, forced ...string) (string, error) {
+	if v == "" || v == "auto" {
 		return "", nil
-	case "sequential", "batched", "parallel":
-		return c.ApplyStrategy, nil
 	}
-	return "", fmt.Errorf("orthoq: unknown ApplyStrategy %q (want auto, sequential, batched, or parallel)", c.ApplyStrategy)
+	if slices.Contains(forced, v) {
+		return v, nil
+	}
+	last := len(forced) - 1
+	return "", fmt.Errorf("orthoq: unknown %s %q (want auto, %s, or %s)",
+		knob, v, strings.Join(forced[:last], ", "), forced[last])
 }
 
-// normApplyStrategy is applyStrategy for cache-key purposes: invalid
-// values keep their spelling (they never reach the cache — prepare
-// rejects them first).
-func (c Config) normApplyStrategy() string {
-	s, err := c.applyStrategy()
-	if err != nil {
-		return c.ApplyStrategy
-	}
-	return s
-}
+// key renders the identity for the string-keyed caches. It is derived
+// from the value, so a field added to planIdentity is in every key
+// without anyone remembering to add it.
+func (id planIdentity) key() string { return fmt.Sprintf("%v", id) }
 
-// joinStrategy validates the JoinStrategy knob and normalizes "auto"
-// to the empty default.
-func (c Config) joinStrategy() (string, error) {
-	switch c.JoinStrategy {
-	case "", "auto":
-		return "", nil
-	case "hash", "merge":
-		return c.JoinStrategy, nil
+// disabledRules is the rule switch as the lookup set core and opt take.
+func (id planIdentity) disabledRules() map[string]bool {
+	if id.disabled == "" {
+		return nil
 	}
-	return "", fmt.Errorf("orthoq: unknown JoinStrategy %q (want auto, hash, or merge)", c.JoinStrategy)
-}
-
-func (c Config) normJoinStrategy() string {
-	s, err := c.joinStrategy()
-	if err != nil {
-		return c.JoinStrategy
+	set := map[string]bool{}
+	for _, name := range strings.Split(id.disabled, ",") {
+		set[name] = true
 	}
-	return s
-}
-
-// aggStrategy validates the AggStrategy knob and normalizes "auto" to
-// the empty default.
-func (c Config) aggStrategy() (string, error) {
-	switch c.AggStrategy {
-	case "", "auto":
-		return "", nil
-	case "hash", "stream":
-		return c.AggStrategy, nil
-	}
-	return "", fmt.Errorf("orthoq: unknown AggStrategy %q (want auto, hash, or stream)", c.AggStrategy)
-}
-
-func (c Config) normAggStrategy() string {
-	s, err := c.aggStrategy()
-	if err != nil {
-		return c.AggStrategy
-	}
-	return s
+	return set
 }
 
 // RuleNames lists the canonical names of every individually disableable
@@ -363,19 +370,6 @@ func (c Config) normAggStrategy() string {
 // simplification) followed by the cost-based transformation rules.
 func RuleNames() []string {
 	return append(core.NormRuleNames(), opt.RuleNames()...)
-}
-
-// ruleSet turns a rule-name list into the lookup map the lower layers
-// use.
-func ruleSet(names []string) map[string]bool {
-	if len(names) == 0 {
-		return nil
-	}
-	m := make(map[string]bool, len(names))
-	for _, n := range names {
-		m[n] = true
-	}
-	return m
 }
 
 // DefaultConfig enables the paper's full technique set.
@@ -389,29 +383,6 @@ func DefaultConfig() Config {
 		SegmentApply:       true,
 		JoinReorder:        true,
 		CorrelatedReintro:  true,
-	}
-}
-
-func (c Config) normOptions() core.Options {
-	return core.Options{
-		RemoveClass2:   c.RemoveClass2,
-		KeepCorrelated: !c.Decorrelate,
-		KeepOuterJoins: !c.SimplifyOuterJoins,
-		DisableRules:   ruleSet(c.DisableRules),
-	}
-}
-
-func (c Config) optConfig() opt.Config {
-	return opt.Config{
-		Norm:                     c.normOptions(),
-		DisableGroupByReorder:    !c.GroupByReorder,
-		DisableLocalAgg:          !c.LocalAgg,
-		DisableSegmentApply:      !c.SegmentApply,
-		DisableJoinReorder:       !c.JoinReorder,
-		DisableCorrelatedReintro: !c.CorrelatedReintro,
-		DisableOrderOpt:          c.DisableSortElim,
-		DisableRules:             ruleSet(c.DisableRules),
-		MaxSteps:                 c.MaxSteps,
 	}
 }
 
@@ -434,13 +405,13 @@ type DB struct {
 	drift        atomic.Int64
 	analyzedRows atomic.Int64
 
-	cacheMu sync.Mutex
-	cache   *plancache.Cache
-
-	// rcache is the semantic result cache, created on first run under a
-	// Config with ResultCache.Enabled (see resultcache.go).
-	rcMu   sync.Mutex
-	rcache *resultcache.Cache
+	// cache is the plan cache, created by the first cached query, and
+	// rcache the semantic result cache, created by the first run under a
+	// Config with ResultCache.Enabled (see resultcache.go). Each is
+	// written once, by compare-and-swap, and sized by the Config that
+	// got there first.
+	cache  atomic.Pointer[plancache.Cache]
+	rcache atomic.Pointer[resultcache.Cache]
 	// disabledBypasses counts cache bypasses taken before/without a
 	// cache instance (PlanCache.Disabled configs).
 	disabledBypasses atomic.Uint64
@@ -501,24 +472,9 @@ func (db *DB) Metrics() MetricsSnapshot {
 	s.CacheMisses = cs.Misses
 	s.CacheBypasses = cs.Bypasses
 	s.CacheEvictions = cs.Evictions
-	db.rcMu.Lock()
-	rc := db.rcache
-	db.rcMu.Unlock()
-	if rc != nil {
-		rs := rc.CacheStats()
-		s.ResultCache = &obs.ResultCacheSnapshot{
-			Hits:          rs.Hits,
-			Misses:        rs.Misses,
-			Shared:        rs.Shared,
-			SubHits:       rs.SubHits,
-			SubMisses:     rs.SubMisses,
-			Inserts:       rs.Inserts,
-			Rejected:      rs.Rejected,
-			Evictions:     rs.Evictions,
-			Invalidations: rs.Invalidations,
-			Entries:       rs.Entries,
-			Bytes:         rs.Bytes,
-		}
+	if rc := db.rcache.Load(); rc != nil {
+		rs := obs.ResultCacheSnapshot(rc.CacheStats()) // same fields, by design
+		s.ResultCache = &rs
 	}
 	if db.walMetrics != nil {
 		ws := db.walMetrics.Snapshot()
@@ -627,24 +583,20 @@ func (db *DB) Analyze() {
 
 // planCache returns the cache, creating it from cfg's sizing on first
 // use.
-func (db *DB) planCache(cfg Config) *plancache.Cache {
-	db.cacheMu.Lock()
-	defer db.cacheMu.Unlock()
-	if db.cache == nil {
-		db.cache = plancache.New(int64(cfg.PlanCache.Size), cfg.PlanCache.Bytes)
+func (db *DB) planCache(cfg PlanCacheConfig) *plancache.Cache {
+	if c := db.cache.Load(); c != nil {
+		return c
 	}
-	return db.cache
+	db.cache.CompareAndSwap(nil, plancache.New(int64(cfg.Size), cfg.Bytes))
+	return db.cache.Load()
 }
 
 // CacheStats reports plan-cache effectiveness counters (hits, misses,
 // evictions, epoch invalidations, bypasses, cached plans and their
 // approximate bytes).
 func (db *DB) CacheStats() plancache.Stats {
-	db.cacheMu.Lock()
-	c := db.cache
-	db.cacheMu.Unlock()
 	var s plancache.Stats
-	if c != nil {
+	if c := db.cache.Load(); c != nil {
 		s = c.CacheStats()
 	}
 	s.Bypasses += db.disabledBypasses.Load()
@@ -782,7 +734,11 @@ type Stmt struct {
 // over budget, even a contained panic — leaves the Stmt fully
 // reusable.
 func (db *DB) Prepare(sql string, cfg Config) (*Stmt, error) {
-	prep, err := db.prepare(sql, cfg)
+	id, err := cfg.identity()
+	if err != nil {
+		return nil, err
+	}
+	prep, err := db.prepare(sql, id)
 	if err != nil {
 		return nil, err
 	}
@@ -790,29 +746,22 @@ func (db *DB) Prepare(sql string, cfg Config) (*Stmt, error) {
 }
 
 // Run executes the prepared plan.
-func (s *Stmt) Run() (*Rows, error) {
-	return s.prep.runCached(s.db, nil, "", s.db.withResultCache(s.cfg, s.cfg.execOpts(nil)))
-}
+func (s *Stmt) Run() (*Rows, error) { return s.RunSnapshot(nil, nil) }
 
 // RunContext executes the prepared plan under a caller-supplied
 // context: cancellation surfaces as an error wrapping ErrCanceled,
 // deadline expiry as ErrTimeout.
-func (s *Stmt) RunContext(ctx context.Context) (*Rows, error) {
-	return s.prep.runCached(s.db, nil, "", s.db.withResultCache(s.cfg, s.cfg.execOpts(ctx)))
-}
+func (s *Stmt) RunContext(ctx context.Context) (*Rows, error) { return s.RunSnapshot(ctx, nil) }
 
 // RunSnapshot executes the prepared plan reading from a pinned
 // snapshot (see DB.Snapshot); a nil snap behaves like RunContext.
 // With the result cache enabled the key is built from the snapshot's
 // own table versions, so an old pinned snapshot can never be served a
 // result computed over newer data (and vice versa) — it version-
-// matches or misses.
+// matches or misses. This is the one statement-run body: the plan was
+// fixed at Prepare, so a run is only run state around it.
 func (s *Stmt) RunSnapshot(ctx context.Context, snap *Snapshot) (*Rows, error) {
-	opts := s.cfg.execOpts(ctx)
-	if snap != nil {
-		opts.snap = snap.sn
-	}
-	return s.prep.runCached(s.db, nil, "", s.db.withResultCache(s.cfg, opts))
+	return s.prep.run(s.db, nil, "", s.db.newRun(ctx, &s.cfg, snap))
 }
 
 // Stale reports whether the database epoch moved since Prepare
@@ -825,20 +774,18 @@ func (s *Stmt) Stale() bool {
 }
 
 // Plan returns the compiled plan text.
-func (s *Stmt) Plan() string {
-	return algebra.FormatRel(s.prep.md, s.prep.plan)
-}
+func (s *Stmt) Plan() string { return s.prep.text }
 
 // Query runs SQL with the full technique set.
 func (db *DB) Query(sql string) (*Rows, error) {
-	return db.QueryCfg(sql, DefaultConfig())
+	return db.QuerySnapshot(nil, sql, DefaultConfig(), nil)
 }
 
 // QueryContext is Query under a caller-supplied context: cancellation
 // surfaces as an error wrapping ErrCanceled, deadline expiry as
 // ErrTimeout.
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
-	return db.QueryCfgContext(ctx, sql, DefaultConfig())
+	return db.QuerySnapshot(ctx, sql, DefaultConfig(), nil)
 }
 
 // QueryCfg runs SQL under an explicit optimization configuration,
@@ -846,7 +793,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
 // queries differing only in literal values reuse the optimized plan,
 // skipping parse/normalize/optimize entirely on a hit.
 func (db *DB) QueryCfg(sql string, cfg Config) (*Rows, error) {
-	return db.QueryCfgContext(nil, sql, cfg)
+	return db.QuerySnapshot(nil, sql, cfg, nil)
 }
 
 // QueryCfgContext is QueryCfg under a caller-supplied context. The
@@ -854,7 +801,7 @@ func (db *DB) QueryCfg(sql string, cfg Config) (*Rows, error) {
 // affect the cached plan or its key, so the same cached plan serves
 // runs with different budgets and deadlines.
 func (db *DB) QueryCfgContext(goCtx context.Context, sql string, cfg Config) (*Rows, error) {
-	return db.queryOpts(sql, cfg, cfg.execOpts(goCtx))
+	return db.QuerySnapshot(goCtx, sql, cfg, nil)
 }
 
 // Snapshot is a pinned, consistent point-in-time view of every table:
@@ -877,123 +824,125 @@ func (db *DB) Snapshot() *Snapshot {
 // instead of the live table versions. Plan compilation (and the plan
 // cache) is shared with the live path — only data access is pinned. A
 // nil snap behaves exactly like QueryCfgContext.
+//
+// This is the one body behind the five Query* entry points: interpret
+// the Config once, set up the run state, get a plan through the plan
+// cache, run it. The result cache is orthogonal to the plan cache — one
+// saves compilation, the other execution — so every way plan can
+// answer, bypasses included, may still serve or populate cached results.
 func (db *DB) QuerySnapshot(goCtx context.Context, sql string, cfg Config, snap *Snapshot) (*Rows, error) {
-	opts := cfg.execOpts(goCtx)
-	if snap != nil {
-		opts.snap = snap.sn
-	}
-	return db.queryOpts(sql, cfg, opts)
-}
-
-// queryOpts is the shared cached-query path behind QueryCfgContext and
-// QuerySnapshot.
-func (db *DB) queryOpts(sql string, cfg Config, opts runOpts) (*Rows, error) {
-	// The result cache is orthogonal to the plan cache: the plan cache
-	// saves compilation, the result cache saves execution, and every
-	// branch below — including plan-cache bypasses — may still serve or
-	// populate cached results.
-	opts = db.withResultCache(cfg, opts)
-	if cfg.PlanCache.Disabled {
-		db.disabledBypasses.Add(1)
-		prep, err := db.prepare(sql, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return prep.runCached(db, nil, "bypass", opts)
-	}
-	c := db.planCache(cfg)
-	shape, lits, err := plancache.Fingerprint(sql)
-	if err != nil {
-		// Not tokenizable: run uncached so the parser reports the
-		// canonical error.
-		c.CountBypass()
-		prep, perr := db.prepare(sql, cfg)
-		if perr != nil {
-			return nil, perr
-		}
-		return prep.runCached(db, nil, "bypass", opts)
-	}
-	key := shape + "\x00" + cfg.planKey()
-	epoch := db.epoch.Load()
-	if fam := c.Family(key, epoch); fam != nil {
-		if fam.Uncacheable {
-			c.CountBypass()
-			prep, perr := db.prepare(sql, cfg)
-			if perr != nil {
-				return nil, perr
-			}
-			return prep.runCached(db, nil, "bypass", opts)
-		}
-		if params, vkey, ok := plancache.Bind(fam.Positions, lits); ok {
-			if v := fam.Variant(vkey); v != nil {
-				bkey := plancache.BucketKey(v.Descs, db.statsNow(), params)
-				if p, found := v.Plan(bkey); found {
-					c.CountHit()
-					return p.(*prepared).runCached(db, params, "hit", opts)
-				}
-			}
-			// Known shape, new variant or bucket: compile with the new
-			// values and add the plan to the family.
-		} else {
-			// A literal failed to convert under the recorded layout
-			// (overflow, malformed date): compile from scratch for the
-			// canonical error or result.
-			c.CountBypass()
-			prep, perr := db.prepare(sql, cfg)
-			if perr != nil {
-				return nil, perr
-			}
-			return prep.runCached(db, nil, "bypass", opts)
-		}
-	}
-	c.CountMiss()
-	return db.compileStoreRun(sql, cfg, c, key, epoch, lits, opts)
-}
-
-// compileStoreRun is the cache-miss path: parse, parameterize, compile
-// against parameter slots, store the plan per selectivity bucket, and
-// run. Any parameterization trouble downgrades the shape to
-// uncacheable and falls back to the classic pipeline — never to an
-// error the uncached path would not also produce.
-func (db *DB) compileStoreRun(sql string, cfg Config, c *plancache.Cache,
-	key string, epoch uint64, lits []plancache.Lit, opts runOpts) (*Rows, error) {
-
-	uncacheable := func() (*Rows, error) {
-		c.StoreUncacheable(key, epoch)
-		prep, err := db.prepare(sql, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return prep.runCached(db, nil, "miss", opts)
-	}
-
-	q, err := parser.Parse(sql)
+	id, err := cfg.identity()
 	if err != nil {
 		return nil, err
 	}
-	pz := plancache.Parameterize(q)
-	if !pz.OK || !plancache.Aligned(pz, lits) {
-		return uncacheable()
-	}
-	prep, err := db.prepareAST(q, cfg, pz.Params)
+	r := db.newRun(goCtx, &cfg, snap)
+	p, params, status, err := db.plan(sql, cfg.PlanCache, id, false)
 	if err != nil {
-		// Parameterization must never surface errors of its own; the
-		// fallback compiles the pristine text and reports its result.
-		return uncacheable()
+		return nil, err
 	}
-	sc := db.statsNow()
-	descs := plancache.Descriptors(prep.md, sc, prep.plan)
-	vkey := plancache.VariantKey(pz.Positions, pz.Texts, pz.Params)
-	c.StorePlan(key, epoch, pz.Positions, vkey, descs, prep,
-		approxPlanBytes(prep), func(authoritative []plancache.Descriptor) string {
-			return plancache.BucketKey(authoritative, sc, pz.Params)
-		})
-	return prep.runCached(db, pz.Params, "miss", opts)
+	return p.run(db, params, status, r)
+}
+
+// plan owns the plan-cache protocol: it resolves sql under id to a
+// compiled plan, the values to bind its parameter slots to, and the
+// status reported as Rows.Cache — "hit" (a cached plan, re-bound to
+// this text's literals), "miss" (compiled now, and stored when the
+// shape parameterizes), or "bypass" (cache disabled, text not
+// tokenizable, shape known uncacheable, or a literal that does not
+// convert under the shape's recorded layout: compiled as written,
+// outside the cache). With peek set it only previews that status for
+// EXPLAIN — no counters, no recency, no compilation, no store.
+func (db *DB) plan(sql string, pc PlanCacheConfig, id planIdentity, peek bool) (*prepared, []types.Datum, string, error) {
+	var c *plancache.Cache
+	bypass := func() (*prepared, []types.Datum, string, error) {
+		if peek {
+			return nil, nil, "bypass", nil
+		}
+		if c != nil {
+			c.CountBypass()
+		} else {
+			db.disabledBypasses.Add(1)
+		}
+		// Compiling the text as written also makes the parser (or the
+		// literal conversion) report its canonical error.
+		p, err := db.prepare(sql, id)
+		return p, nil, "bypass", err
+	}
+	if pc.Disabled {
+		return bypass()
+	}
+	if c = db.cache.Load(); c == nil {
+		if peek {
+			return nil, nil, "miss", nil
+		}
+		c = db.planCache(pc)
+	}
+	shape, lits, err := plancache.Fingerprint(sql)
+	if err != nil {
+		return bypass()
+	}
+	key := shape + "\x00" + id.key()
+	epoch := db.epoch.Load()
+	var fam *plancache.Family
+	if peek {
+		fam = c.Peek(key, epoch)
+	} else {
+		fam = c.Family(key, epoch)
+	}
+	if fam != nil {
+		if fam.Uncacheable {
+			return bypass()
+		}
+		params, vkey, ok := plancache.Bind(fam.Positions, lits)
+		if !ok {
+			return bypass()
+		}
+		if v := fam.Variant(vkey); v != nil {
+			if cached, found := v.Plan(plancache.BucketKey(v.Descs, db.statsNow(), params)); found {
+				if !peek {
+					c.CountHit()
+				}
+				return cached.(*prepared), params, "hit", nil
+			}
+		}
+		// Known shape, new variant or bucket: compile with the new
+		// values and add the plan to the family.
+	}
+	if peek {
+		return nil, nil, "miss", nil
+	}
+	c.CountMiss()
+	q, err := parser.Parse(sql)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if pz := plancache.Parameterize(q); pz.OK && plancache.Aligned(pz, lits) {
+		if p, err := db.compile(q, id, pz.Params, nil); err == nil {
+			sc := db.statsNow()
+			c.StorePlan(key, epoch, pz.Positions, plancache.VariantKey(pz.Positions, pz.Texts, pz.Params),
+				plancache.Descriptors(p.md, sc, p.plan), p, approxPlanBytes(p),
+				func(authoritative []plancache.Descriptor) string {
+					return plancache.BucketKey(authoritative, sc, pz.Params)
+				})
+			return p, pz.Params, "miss", nil
+		}
+	}
+	// The shape does not parameterize — or compiling against parameter
+	// slots failed, which must never surface as an error of its own.
+	// Compile the pristine text and report its result; the shape is
+	// remembered as uncacheable only when that works, so texts that fail
+	// outright (unknown table, unknown column) never occupy the cache.
+	p, err := db.prepare(sql, id)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	c.StoreUncacheable(key, epoch)
+	return p, nil, "miss", nil
 }
 
 // approxPlanBytes estimates a prepared plan's memory footprint for the
 // cache's byte cap: a flat per-node charge over relational and scalar
-// nodes plus metadata overhead.
+// nodes plus metadata overhead and the rendered plan text.
 func approxPlanBytes(p *prepared) int64 {
 	nodes := int64(0)
 	algebra.VisitRel(p.plan, func(r algebra.Rel) bool {
@@ -1003,10 +952,11 @@ func approxPlanBytes(p *prepared) int64 {
 		}
 		return true
 	})
-	return 256 + nodes*160 + int64(p.md.NumColumns())*64
+	return 256 + nodes*160 + int64(p.md.NumColumns())*64 + int64(len(p.text))
 }
 
-// prepared is a compiled query.
+// prepared is a compiled query. Immutable once compile returns: the
+// plan cache, Stmts and concurrent runs all share it.
 type prepared struct {
 	md       *algebra.Metadata
 	plan     algebra.Rel
@@ -1014,80 +964,97 @@ type prepared struct {
 	outNames []string
 	steps    int
 	cost     float64
-	par      int
-	noBatch  bool
-	// applyStrat is the normalized ApplyStrategy override ("" = auto).
-	applyStrat string
-	// joinStrat / aggStrat are the normalized JoinStrategy and
-	// AggStrategy overrides ("" = auto); noOrderOpt pins execution to
-	// order-oblivious operator choices.
-	joinStrat  string
-	aggStrat   string
-	noOrderOpt bool
+	// id is the identity the plan was compiled under; id.strat is the
+	// Strategy every run of it executes with.
+	id planIdentity
 	// rules records the rewrite rules that shaped the plan (see
-	// Rows.Rules). Immutable after prepare.
+	// Rows.Rules).
 	rules []string
-	// fingerprint identifies the plan in contained-panic reports
-	// (FNV-64a over the plan rendering).
-	fingerprint string
+	// text is the plan rendered once, at compile: what Rows.Plan and
+	// Stmt.Plan report, so a run formats nothing. fingerprint identifies
+	// the plan in contained-panic reports (FNV-64a over text).
+	text, fingerprint string
+	// tables lists the referenced base tables, lowercased and sorted —
+	// the result cache's invalidation index and the order its keys name
+	// table versions in — and rkey is the part of those keys fixed at
+	// compile time (format version, fingerprint, identity). See
+	// resultKey.
+	tables []string
+	rkey   string
 }
 
 // planFingerprint hashes the plan text into a short stable identifier.
-func planFingerprint(md *algebra.Metadata, rel algebra.Rel) string {
+func planFingerprint(text string) string {
 	h := fnv.New64a()
-	h.Write([]byte(algebra.FormatRel(md, rel)))
+	h.Write([]byte(text))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func (db *DB) prepare(sql string, cfg Config) (*prepared, error) {
+// prepare compiles SQL text as written (no parameter slots).
+func (db *DB) prepare(sql string, id planIdentity) (*prepared, error) {
 	q, err := parser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.prepareAST(q, cfg, nil)
+	return db.compile(q, id, nil, nil)
 }
 
-// prepareAST compiles a parsed (possibly parameterized) query:
-// algebrize, normalize, and cost-based optimization. params supplies
-// sniffed values for ast.Param slots.
-func (db *DB) prepareAST(q ast.Query, cfg Config, params []types.Datum) (*prepared, error) {
-	strat, err := cfg.applyStrategy()
-	if err != nil {
-		return nil, err
-	}
-	jstrat, err := cfg.joinStrategy()
-	if err != nil {
-		return nil, err
-	}
-	astrat, err := cfg.aggStrategy()
-	if err != nil {
-		return nil, err
-	}
+// trail is what compile saw on its way to a plan; Explain asks for it.
+type trail struct {
+	algebrized, normalized algebra.Rel
+	search                 *opt.Result // nil unless cost-based
+}
+
+// compile is the one pipeline from a parsed query to a plan: algebrize,
+// normalize, and — when the identity says cost-based — seed and
+// optimize. params supplies sniffed values for ast.Param slots (a
+// plan-cache miss compiles against parameter slots). tr, when non-nil,
+// receives the intermediate trees, so Explain prints this pipeline
+// instead of being a second copy of it.
+func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *trail) (*prepared, error) {
 	md := algebra.NewMetadata()
 	res, err := algebrize.BuildWithParams(db.store.Catalog, md, q, params)
 	if err != nil {
 		return nil, err
 	}
 	var fired []string
-	nopts := cfg.normOptions()
+	nopts := core.Options{RemoveClass2: id.removeClass2, KeepCorrelated: id.keepCorrelated,
+		KeepOuterJoins: id.keepOuterJoins, DisableRules: id.disabledRules()}
+	seedOpts := nopts
 	nopts.Record = func(rule string) { fired = append(fired, rule) }
 	rel, err := core.Normalize(md, res.Rel, nopts)
 	if err != nil {
 		return nil, err
 	}
-	p := &prepared{md: md, plan: rel, outCols: res.OutCols, outNames: res.OutNames,
-		par: cfg.Parallelism, noBatch: cfg.DisableBatch, applyStrat: strat,
-		joinStrat: jstrat, aggStrat: astrat, noOrderOpt: cfg.DisableSortElim}
-	if cfg.CostBased {
-		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(), Config: cfg.optConfig()}
-		r := o.Optimize(rel, correlatedSeed(md, res.Rel, cfg)...)
-		p.plan, p.steps, p.cost = r.Plan, r.Explored, r.Cost
+	p := &prepared{md: md, plan: rel, outCols: res.OutCols, outNames: res.OutNames, id: id}
+	var search *opt.Result
+	if id.costBased {
+		var seeds []algebra.Rel
+		if id.seedCorrelated {
+			// The correlated (Apply) formulation is an additional starting
+			// point, so cost-based search considers correlated execution
+			// strategies alongside the flattened form (paper §4).
+			seedOpts.KeepCorrelated = true
+			if seed, err := core.Normalize(md, res.Rel, seedOpts); err == nil {
+				seeds = append(seeds, seed)
+			}
+		}
+		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(),
+			Config: opt.Config{DisableRules: nopts.DisableRules, MaxSteps: id.maxSteps}}
+		search = o.Optimize(rel, seeds...)
+		p.plan, p.steps, p.cost = search.Plan, search.Explored, search.Cost
 		// The correlated seed is a strategy alternative, not a rewrite of
 		// the chosen plan, so only the winner's rule path is reported.
-		fired = append(fired, r.Rules...)
+		fired = append(fired, search.Rules...)
+	}
+	if tr != nil {
+		*tr = trail{algebrized: res.Rel, normalized: rel, search: search}
 	}
 	p.rules = dedupRules(fired)
-	p.fingerprint = planFingerprint(md, p.plan)
+	p.text = algebra.FormatRel(md, p.plan)
+	p.fingerprint = planFingerprint(p.text)
+	p.tables = referencedTables(p.plan)
+	p.rkey = "q1\x00" + p.fingerprint + "\x00" + id.key()
 	return p, nil
 }
 
@@ -1109,74 +1076,48 @@ func dedupRules(fired []string) []string {
 	return out
 }
 
-// correlatedSeed builds the correlated (Apply) formulation as an
-// additional optimizer starting point, so cost-based search considers
-// correlated execution strategies alongside the flattened form
-// (paper §4).
-func correlatedSeed(md *algebra.Metadata, algebrized algebra.Rel, cfg Config) []algebra.Rel {
-	if !cfg.CorrelatedReintro || !cfg.Decorrelate {
-		return nil
-	}
-	keep := cfg.normOptions()
-	keep.KeepCorrelated = true
-	seed, err := core.Normalize(md, algebrized, keep)
-	if err != nil {
-		return nil
-	}
-	return []algebra.Rel{seed}
-}
-
-func (p *prepared) run(db *DB, params []types.Datum, cacheStatus string, opts runOpts) (*Rows, error) {
-	return p.runTraced(db, params, cacheStatus, false, opts)
-}
-
 // execContext builds the per-run execution context from the prepared
-// plan's execution-strategy knobs (plan identity) and the caller's
-// governance knobs (run state). The returned cancel func is non-nil
-// when a Timeout installed a deadline.
-func (p *prepared) execContext(db *DB, params []types.Datum, opts runOpts) (*exec.Context, context.CancelFunc) {
+// plan's Strategy (plan identity) and the caller's governance knobs
+// (run state). The returned cancel func is non-nil when a Timeout
+// installed a deadline.
+func (p *prepared) execContext(db *DB, params []types.Datum, r runState) (*exec.Context, context.CancelFunc) {
 	ctx := exec.NewContext(db.store, p.md)
 	ctx.Stats = db.statsNow()
-	ctx.Parallelism = p.par
+	ctx.Strategy = p.id.strat
 	ctx.Params = params
-	ctx.DisableBatch = p.noBatch
-	ctx.ApplyStrategy = p.applyStrat
-	ctx.ForceJoin = p.joinStrat
-	ctx.ForceAgg = p.aggStrat
-	ctx.DisableOrderOpt = p.noOrderOpt
-	ctx.RowBudget = opts.rowBudget
-	ctx.MemBudget = opts.memBudget
-	ctx.DisableSpill = opts.disableSpill
-	ctx.SpillDir = opts.spillDir
-	ctx.Faults = opts.faults
+	ctx.RowBudget = r.cfg.RowBudget
+	ctx.MemBudget = r.cfg.MemBudget
+	ctx.DisableSpill = r.cfg.DisableSpill
+	ctx.SpillDir = r.cfg.SpillDir
+	ctx.Faults = r.cfg.faults
 	ctx.Fingerprint = p.fingerprint
-	ctx.Snap = opts.snap
-	if opts.rcache != nil && opts.rcSub {
-		ctx.SubCache = opts.rcache
+	ctx.Snap = r.snap
+	if r.rcache != nil && !r.cfg.ResultCache.DisableSubPlans {
+		ctx.SubCache = r.rcache
 	}
-	goCtx := opts.ctx
+	goCtx := r.ctx
 	var cancel context.CancelFunc
-	if opts.timeout > 0 {
+	if r.cfg.Timeout > 0 {
 		if goCtx == nil {
 			goCtx = context.Background()
 		}
-		goCtx, cancel = context.WithTimeout(goCtx, opts.timeout)
+		goCtx, cancel = context.WithTimeout(goCtx, r.cfg.Timeout)
 	}
 	ctx.Ctx = goCtx
 	return ctx, cancel
 }
 
-// runTraced executes the plan. The prepared value is strictly
-// read-only here: per-run state (parameter bindings, evaluator,
-// tracing, budgets) lives in a fresh exec.Context, which is what makes
-// one prepared plan shareable between the cache and concurrent
-// Stmt.Run callers.
-func (p *prepared) runTraced(db *DB, params []types.Datum, cacheStatus string, trace bool, opts runOpts) (*Rows, error) {
-	ctx, cancel := p.execContext(db, params, opts)
+// execute runs the plan; analyze additionally renders the annotated
+// trace (QueryAnalyze). The prepared value is strictly read-only here:
+// per-run state (parameter bindings, evaluator, tracing, budgets) lives
+// in a fresh exec.Context, which is what makes one prepared plan
+// shareable between the cache and concurrent Stmt.Run callers.
+func (p *prepared) execute(db *DB, params []types.Datum, cacheStatus string, analyze bool, r runState) (*Rows, error) {
+	ctx, cancel := p.execContext(db, params, r)
 	if cancel != nil {
 		defer cancel()
 	}
-	tracing := trace || opts.trace
+	tracing := analyze || r.cfg.Trace
 	if tracing {
 		ctx.EnableTrace()
 	}
@@ -1195,15 +1136,14 @@ func (p *prepared) runTraced(db *DB, params []types.Datum, cacheStatus string, t
 		nrows = int64(len(out.Rows))
 	}
 	db.noteRun(p, cacheStatus, elapsed, nrows, err,
-		ctx.PeakMem(), ctx.Spills(), ctx.WorkersSpawned(), ctx.MorselsDispatched(),
-		opts)
+		ctx.PeakMem(), ctx.Spills(), ctx.WorkersSpawned(), ctx.MorselsDispatched(), r)
 	if err != nil {
 		return nil, err
 	}
-	r := &Rows{
+	rows := &Rows{
 		Columns:        append([]string(nil), p.outNames...),
 		Data:           out.Rows,
-		Plan:           algebra.FormatRel(p.md, p.plan),
+		Plan:           p.text,
 		Elapsed:        elapsed,
 		OptimizerSteps: p.steps,
 		EstimatedCost:  p.cost,
@@ -1215,12 +1155,12 @@ func (p *prepared) runTraced(db *DB, params []types.Datum, cacheStatus string, t
 		Rules:          p.rules,
 	}
 	if tracing {
-		r.spans = ctx.Spans(p.plan)
+		rows.spans = ctx.Spans(p.plan)
 	}
-	if trace {
-		r.Trace = ctx.FormatTrace(p.plan)
+	if analyze {
+		rows.Trace = ctx.FormatTrace(p.plan)
 	}
-	return r, nil
+	return rows, nil
 }
 
 // errClass maps an execution error onto the query-log/metrics taxonomy
@@ -1250,9 +1190,9 @@ func errClass(err error) string {
 // Close) funnels through here, which is what keeps DB.Metrics() deltas
 // consistent with per-query observations.
 func (db *DB) noteRun(p *prepared, cacheStatus string, elapsed time.Duration,
-	rows int64, runErr error, peakMem, spills, workers, morsels int64, opts runOpts) {
+	rows int64, runErr error, peakMem, spills, workers, morsels int64, r runState) {
 
-	logw := opts.queryLog
+	logw := r.cfg.QueryLog
 	class := errClass(runErr)
 	db.metrics.RecordRun(elapsed, rows, class)
 	db.metrics.NotePeakMem(peakMem)
@@ -1271,8 +1211,8 @@ func (db *DB) noteRun(p *prepared, cacheStatus string, elapsed time.Duration,
 	rec := obs.QueryRecord{
 		Fingerprint:  p.fingerprint,
 		Cache:        cacheStatus,
-		Session:      opts.session,
-		QueuedUS:     opts.queued.Microseconds(),
+		Session:      r.cfg.Session,
+		QueuedUS:     r.cfg.Queued.Microseconds(),
 		Rules:        p.rules,
 		DurationUS:   elapsed.Microseconds(),
 		Rows:         rows,
@@ -1307,7 +1247,6 @@ type Stream struct {
 	// nil) and the entry stays pinned — its bytes accounted — until
 	// Close unpins it. Cold streams never populate the cache: they
 	// exist for results too large to materialize.
-	rc     *resultcache.Cache
 	entry  *resultcache.Entry
 	replay []Row
 	rpos   int
@@ -1318,7 +1257,7 @@ type Stream struct {
 	// caller think-time between Next calls.
 	db      *DB
 	prep    *prepared
-	opts    runOpts
+	run     runState
 	start   time.Time
 	nrows   int64
 	lastErr error
@@ -1329,61 +1268,55 @@ type Stream struct {
 // plan cache is not consulted (streams are for large results, where
 // execution dominates compilation).
 func (db *DB) QueryStream(sql string, cfg Config) (*Stream, error) {
-	return db.QueryStreamContext(nil, sql, cfg)
+	return db.QueryStreamSnapshot(nil, sql, cfg, nil)
 }
 
 // QueryStreamContext is QueryStream under a caller-supplied context;
 // canceling it makes the next Next return an error wrapping
 // ErrCanceled.
 func (db *DB) QueryStreamContext(goCtx context.Context, sql string, cfg Config) (*Stream, error) {
-	return db.streamOpts(sql, cfg, cfg.execOpts(goCtx))
+	return db.QueryStreamSnapshot(goCtx, sql, cfg, nil)
 }
 
 // QueryStreamSnapshot is QueryStreamContext reading from a pinned
 // snapshot: the stream sees the data exactly as of the snapshot even
 // if it is consumed slowly while writers publish new versions. A nil
-// snap behaves like QueryStreamContext.
+// snap behaves like QueryStreamContext. The one body behind the three
+// QueryStream* entry points.
 func (db *DB) QueryStreamSnapshot(goCtx context.Context, sql string, cfg Config, snap *Snapshot) (*Stream, error) {
-	opts := cfg.execOpts(goCtx)
-	if snap != nil {
-		opts.snap = snap.sn
-	}
-	return db.streamOpts(sql, cfg, opts)
-}
-
-func (db *DB) streamOpts(sql string, cfg Config, opts runOpts) (*Stream, error) {
-	opts = db.withResultCache(cfg, opts)
-	prep, err := db.prepare(sql, cfg)
+	id, err := cfg.identity()
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if opts.rcache != nil {
-		if key, _, ok := resultKey(prep, nil, opts); ok {
-			if e, found := opts.rcache.Pin(key); found {
-				opts.rcache.CountHit()
-				cr := e.Val.(*cachedResult)
-				return &Stream{rc: opts.rcache, entry: e, replay: cr.rows.Data,
-					names: append([]string(nil), prep.outNames...),
-					db:    db, prep: prep, opts: opts, start: start}, nil
+	r := db.newRun(goCtx, &cfg, snap)
+	prep, err := db.prepare(sql, id)
+	if err != nil {
+		return nil, err
+	}
+	st := &Stream{names: append([]string(nil), prep.outNames...),
+		db: db, prep: prep, run: r, start: time.Now()}
+	if r.rcache != nil {
+		if key, ok := resultKey(prep, nil, r.snap); ok {
+			if e, found := r.rcache.Pin(key); found {
+				r.rcache.CountHit()
+				st.entry, st.replay = e, e.Val.(*Rows).Data
+				return st, nil
 			}
-			opts.rcache.CountMiss()
+			r.rcache.CountMiss()
 		}
 	}
-	ctx, cancel := prep.execContext(db, nil, opts)
-	cu, err := exec.RunCursor(ctx, prep.plan, prep.outCols)
+	ectx, cancel := prep.execContext(db, nil, r)
+	cu, err := exec.RunCursor(ectx, prep.plan, prep.outCols)
 	if err != nil {
 		if cancel != nil {
 			cancel()
 		}
-		db.noteRun(prep, "bypass", time.Since(start), 0, err,
-			ctx.PeakMem(), ctx.Spills(), ctx.WorkersSpawned(), ctx.MorselsDispatched(),
-			opts)
+		db.noteRun(prep, "bypass", time.Since(st.start), 0, err,
+			ectx.PeakMem(), ectx.Spills(), ectx.WorkersSpawned(), ectx.MorselsDispatched(), r)
 		return nil, err
 	}
-	return &Stream{cu: cu, cancel: cancel,
-		names: append([]string(nil), prep.outNames...),
-		db:    db, prep: prep, opts: opts, start: start}, nil
+	st.cu, st.cancel = cu, cancel
+	return st, nil
 }
 
 // Columns returns the result column names.
@@ -1438,13 +1371,13 @@ func (s *Stream) Close() error {
 		// bytes if it was evicted or invalidated while we streamed) and
 		// log the replay.
 		if s.entry != nil {
-			s.rc.Unpin(s.entry)
+			s.run.rcache.Unpin(s.entry)
 			s.entry, s.replay = nil, nil
 		}
 		if !s.noted {
 			s.noted = true
 			s.db.noteRun(s.prep, "result", time.Since(s.start), s.nrows, nil,
-				0, 0, 0, 0, s.opts)
+				0, 0, 0, 0, s.run)
 		}
 		return nil
 	}
@@ -1456,7 +1389,7 @@ func (s *Stream) Close() error {
 	if !s.noted {
 		s.noted = true
 		s.db.noteRun(s.prep, "bypass", time.Since(s.start), s.nrows, s.lastErr,
-			s.cu.PeakMem(), s.cu.Spills(), s.cu.Workers(), s.cu.Morsels(), s.opts)
+			s.cu.PeakMem(), s.cu.Spills(), s.cu.Workers(), s.cu.Morsels(), s.run)
 	}
 	return err
 }
@@ -1466,102 +1399,58 @@ func (s *Stream) Close() error {
 // plan (rows produced, Open counts — correlated execution shows its
 // per-row re-opens — and inclusive time per operator).
 func (db *DB) QueryAnalyze(sql string, cfg Config) (*Rows, error) {
-	prep, err := db.prepare(sql, cfg)
+	id, err := cfg.identity()
 	if err != nil {
 		return nil, err
 	}
-	return prep.runTraced(db, nil, "bypass", true, cfg.execOpts(nil))
+	prep, err := db.prepare(sql, id)
+	if err != nil {
+		return nil, err
+	}
+	return prep.execute(db, nil, "bypass", true, runState{cfg: &cfg})
 }
 
 // Explain compiles a query under cfg and reports each compilation
 // stage: the algebrized tree (§2.1), the normalized/decorrelated tree
-// (§2.2–2.3), and the cost-based plan (§3–4).
+// (§2.2–2.3), and the cost-based plan (§3–4). It prints the trail of
+// the compile function every query runs through, so the plan it ends on
+// is the plan Prepare would return.
 func (db *DB) Explain(sql string, cfg Config) (string, error) {
+	id, err := cfg.identity()
+	if err != nil {
+		return "", err
+	}
 	q, err := parser.Parse(sql)
 	if err != nil {
 		return "", err
 	}
-	md := algebra.NewMetadata()
-	res, err := algebrize.Build(db.store.Catalog, md, q)
+	var tr trail
+	p, err := db.compile(q, id, nil, &tr)
+	if err != nil {
+		return "", err
+	}
+	// Shown for the reader only: normalization introduced the Applies
+	// itself.
+	applied, err := core.IntroduceApplies(p.md, tr.algebrized)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "cache: %s\n", db.cacheStatus(sql, cfg))
+	_, _, status, _ := db.plan(sql, cfg.PlanCache, id, true)
+	fmt.Fprintf(&b, "cache: %s\n", status)
 	b.WriteString("=== algebrized (mixed scalar/relational tree) ===\n")
-	b.WriteString(algebra.FormatRel(md, res.Rel))
-
-	applied, err := core.IntroduceApplies(md, res.Rel)
-	if err != nil {
-		return "", err
-	}
+	b.WriteString(algebra.FormatRel(p.md, tr.algebrized))
 	b.WriteString("\n=== after Apply introduction (mutual recursion removed) ===\n")
-	b.WriteString(algebra.FormatRel(md, applied))
-
-	norm, err := core.Normalize(md, res.Rel, cfg.normOptions())
-	if err != nil {
-		return "", err
-	}
+	b.WriteString(algebra.FormatRel(p.md, applied))
 	b.WriteString("\n=== normalized (correlations removed, outerjoins simplified) ===\n")
-	b.WriteString(algebra.FormatRel(md, norm))
-
-	finalPlan := norm
-	if cfg.CostBased {
-		sc := db.statsNow()
-		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: sc, Config: cfg.optConfig()}
-		r := o.Optimize(norm, correlatedSeed(md, res.Rel, cfg)...)
-		finalPlan = r.Plan
+	b.WriteString(algebra.FormatRel(p.md, tr.normalized))
+	if r := tr.search; r != nil {
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored, %d generated, %d subtrees costed) ===\n",
 			r.Cost, r.Explored, r.Generated, r.Costed)
-		b.WriteString(opt.FormatWithEstimates(md, db.store.Catalog, sc, r.Plan, opt.ExecHints{
-			ApplyStrategy:   cfg.normApplyStrategy(),
-			Parallelism:     cfg.Parallelism,
-			DisableBatch:    cfg.DisableBatch,
-			JoinStrategy:    cfg.normJoinStrategy(),
-			AggStrategy:     cfg.normAggStrategy(),
-			DisableSortElim: cfg.DisableSortElim,
-		}))
+		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, db.statsNow(), r.Plan, id.strat))
 	}
-	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(md, finalPlan, cfg))
+	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))
 	return b.String(), nil
-}
-
-// cacheStatus previews how the plan cache would serve this query right
-// now — "hit", "miss", or "bypass" — without touching counters or
-// recency.
-func (db *DB) cacheStatus(sql string, cfg Config) string {
-	if cfg.PlanCache.Disabled {
-		return "bypass"
-	}
-	db.cacheMu.Lock()
-	c := db.cache
-	db.cacheMu.Unlock()
-	if c == nil {
-		return "miss"
-	}
-	shape, lits, err := plancache.Fingerprint(sql)
-	if err != nil {
-		return "bypass"
-	}
-	fam := c.Peek(shape+"\x00"+cfg.planKey(), db.epoch.Load())
-	if fam == nil {
-		return "miss"
-	}
-	if fam.Uncacheable {
-		return "bypass"
-	}
-	params, vkey, ok := plancache.Bind(fam.Positions, lits)
-	if !ok {
-		return "bypass"
-	}
-	v := fam.Variant(vkey)
-	if v == nil {
-		return "miss"
-	}
-	if _, found := v.Plan(plancache.BucketKey(v.Descs, db.statsNow(), params)); !found {
-		return "miss"
-	}
-	return "hit"
 }
 
 // TPCHQuery returns the text of a named TPC-H benchmark query

@@ -9,12 +9,14 @@ package orthoq
 import (
 	"context"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/resultcache"
 	"orthoq/internal/sql/types"
+	"orthoq/internal/storage"
 )
 
 // ResultCacheConfig configures the semantic result cache consulted by
@@ -53,16 +55,15 @@ type ResultCacheConfig struct {
 // resultCache returns the DB's result cache, creating it from cfg's
 // sizing on first use.
 func (db *DB) resultCache(cfg ResultCacheConfig) *resultcache.Cache {
-	db.rcMu.Lock()
-	defer db.rcMu.Unlock()
-	if db.rcache == nil {
-		db.rcache = resultcache.New(resultcache.Config{
-			MaxBytes:      cfg.MaxBytes,
-			MaxEntries:    cfg.MaxEntries,
-			MaxEntryBytes: cfg.MaxEntryBytes,
-		})
+	if c := db.rcache.Load(); c != nil {
+		return c
 	}
-	return db.rcache
+	db.rcache.CompareAndSwap(nil, resultcache.New(resultcache.Config{
+		MaxBytes:      cfg.MaxBytes,
+		MaxEntries:    cfg.MaxEntries,
+		MaxEntryBytes: cfg.MaxEntryBytes,
+	}))
+	return db.rcache.Load()
 }
 
 // ResultCacheStats reports result-cache effectiveness counters: hits,
@@ -70,40 +71,17 @@ func (db *DB) resultCache(cfg ResultCacheConfig) *resultcache.Cache {
 // inserts, rejections, evictions, invalidations, and the live
 // entry/byte gauges. Zero value when no run has enabled the cache.
 func (db *DB) ResultCacheStats() resultcache.Stats {
-	db.rcMu.Lock()
-	c := db.rcache
-	db.rcMu.Unlock()
-	if c == nil {
-		return resultcache.Stats{}
+	if c := db.rcache.Load(); c != nil {
+		return c.CacheStats()
 	}
-	return c.CacheStats()
-}
-
-// withResultCache arms a run's options with the result cache when cfg
-// enables it. The store snapshot is pinned here — before compilation —
-// so the versions the key names are exactly the versions execution
-// reads: key time and read time cannot straddle a concurrent publish.
-func (db *DB) withResultCache(cfg Config, opts runOpts) runOpts {
-	if !cfg.ResultCache.Enabled {
-		return opts
-	}
-	opts.rcache = db.resultCache(cfg.ResultCache)
-	opts.rcSub = !cfg.ResultCache.DisableSubPlans
-	opts.rcCfgKey = cfg.planKey()
-	if opts.snap == nil {
-		opts.snap = db.store.Snapshot()
-	}
-	return opts
+	return resultcache.Stats{}
 }
 
 // invalidateResultCache eagerly drops cached results keyed on the
 // named table. Garbage collection only: the write already minted new
 // version IDs, so the dropped entries could never be served again.
 func (db *DB) invalidateResultCache(table string) {
-	db.rcMu.Lock()
-	c := db.rcache
-	db.rcMu.Unlock()
-	if c != nil {
+	if c := db.rcache.Load(); c != nil {
 		c.InvalidateTables(strings.ToLower(table))
 	}
 }
@@ -111,20 +89,9 @@ func (db *DB) invalidateResultCache(table string) {
 // purgeResultCache drops everything — Analyze republishes every table
 // with fresh version IDs, so the whole cache just became unreachable.
 func (db *DB) purgeResultCache() {
-	db.rcMu.Lock()
-	c := db.rcache
-	db.rcMu.Unlock()
-	if c != nil {
+	if c := db.rcache.Load(); c != nil {
 		c.Purge()
 	}
-}
-
-// cachedResult is the whole-result cache payload: the materialized
-// Rows plus its accounted footprint. The Rows value (and its Data) is
-// shared by every consumer and treated as immutable.
-type cachedResult struct {
-	rows  *Rows
-	bytes int64
 }
 
 // datumKey renders one value for a cache key, kind-tagged so values of
@@ -139,26 +106,11 @@ func datumKey(b *strings.Builder, d types.Datum) {
 	b.WriteString(d.String())
 }
 
-// resultKey builds the whole-result cache key for a prepared plan
-// bound to params, reading versions from the pre-pinned snapshot. It
-// returns the lowercased referenced tables (the invalidation reverse
-// index) and ok=false when the plan is not safely cacheable.
-func resultKey(p *prepared, params []types.Datum, opts runOpts) (string, []string, bool) {
-	if opts.snap == nil {
-		return "", nil, false
-	}
-	var b strings.Builder
-	b.WriteString("q1\x00")
-	b.WriteString(p.fingerprint)
-	b.WriteByte('\x00')
-	b.WriteString(opts.rcCfgKey)
-	b.WriteString("\x00p:")
-	for _, d := range params {
-		datumKey(&b, d)
-		b.WriteByte(';')
-	}
+// referencedTables lists the base tables a plan reads, lowercased and
+// sorted. Fixed at compile time (prepared.tables).
+func referencedTables(plan algebra.Rel) []string {
 	seen := map[string]struct{}{}
-	algebra.VisitRel(p.plan, func(r algebra.Rel) bool {
+	algebra.VisitRel(plan, func(r algebra.Rel) bool {
 		if g, ok := r.(*algebra.Get); ok {
 			seen[strings.ToLower(g.Table)] = struct{}{}
 		}
@@ -169,31 +121,37 @@ func resultKey(p *prepared, params []types.Datum, opts runOpts) (string, []strin
 		tables = append(tables, name)
 	}
 	sort.Strings(tables)
-	for _, name := range tables {
-		v, ok := opts.snap.Table(name)
+	return tables
+}
+
+// resultKey builds the whole-result cache key for a prepared plan
+// bound to params: the plan's compile-time prefix (fingerprint and
+// identity), the bound values, and the version each referenced table
+// has in the pre-pinned snapshot. ok=false when the plan is not safely
+// cacheable (no snapshot, or a table the snapshot does not hold).
+func resultKey(p *prepared, params []types.Datum, snap *storage.Snapshot) (string, bool) {
+	if snap == nil {
+		return "", false
+	}
+	var b strings.Builder
+	var num [20]byte // fits any uint64 in decimal
+	b.WriteString(p.rkey)
+	b.WriteString("\x00p:")
+	for _, d := range params {
+		datumKey(&b, d)
+		b.WriteByte(';')
+	}
+	for _, name := range p.tables {
+		v, ok := snap.Table(name)
 		if !ok {
-			return "", nil, false
+			return "", false
 		}
 		b.WriteString("\x00tv:")
 		b.WriteString(name)
 		b.WriteByte('=')
-		writeUint(&b, v.ID())
+		b.Write(strconv.AppendUint(num[:0], v.ID(), 10))
 	}
-	return b.String(), tables, true
-}
-
-func writeUint(b *strings.Builder, v uint64) {
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	b.Write(buf[i:])
+	return b.String(), true
 }
 
 // approxRowsBytes estimates a materialized result's footprint for
@@ -212,50 +170,52 @@ func approxRowsBytes(data []Row) int64 {
 	return n
 }
 
-// runCached is the result-cache wrapper around prepared.run: serve a
-// provably-equivalent cached result when one exists, otherwise execute
-// under single-flight so concurrent identical queries admit one
-// executor. With the cache disarmed it is exactly prepared.run.
-func (p *prepared) runCached(db *DB, params []types.Datum, cacheStatus string, opts runOpts) (*Rows, error) {
-	if opts.rcache == nil {
-		return p.run(db, params, cacheStatus, opts)
+// run executes the plan for one request, through the result cache when
+// the run is armed with it: serve a provably-equivalent cached result
+// when one exists, otherwise execute under single-flight so concurrent
+// identical queries admit one executor. With the cache disarmed it is
+// exactly execute.
+func (p *prepared) run(db *DB, params []types.Datum, cacheStatus string, r runState) (*Rows, error) {
+	if r.rcache == nil {
+		return p.execute(db, params, cacheStatus, false, r)
 	}
-	key, tables, ok := resultKey(p, params, opts)
+	key, ok := resultKey(p, params, r.snap)
 	if !ok {
-		return p.run(db, params, cacheStatus, opts)
+		return p.execute(db, params, cacheStatus, false, r)
 	}
 	start := time.Now()
-	goCtx := opts.ctx
+	goCtx := r.ctx
 	if goCtx == nil {
 		goCtx = context.Background()
 	}
-	v, src, err := opts.rcache.Do(goCtx, key, tables, func() (any, int64, error) {
-		rows, err := p.run(db, params, cacheStatus, opts)
+	v, src, err := r.rcache.Do(goCtx, key, p.tables, func() (any, int64, error) {
+		rows, err := p.execute(db, params, cacheStatus, false, r)
 		if err != nil {
 			return nil, 0, err
 		}
-		return &cachedResult{rows: rows, bytes: approxRowsBytes(rows.Data)},
-			approxRowsBytes(rows.Data), nil
+		// The cached payload is the Rows itself: it and its Data are shared
+		// by every consumer and treated as immutable.
+		return rows, approxRowsBytes(rows.Data), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	cr := v.(*cachedResult)
+	cached := v.(*Rows)
 	if src == resultcache.SrcMiss {
-		// This caller executed; run already noted metrics and the log.
-		return cr.rows, nil
+		// This caller executed; execute already noted metrics and the log.
+		return cached, nil
 	}
 	// Hit or shared: copy the result header (payload rows are shared,
 	// immutable) and note a run of our own — the request happened even
 	// though execution did not.
 	elapsed := time.Since(start)
-	r := *cr.rows
-	r.Cache = "result"
-	r.Elapsed = elapsed
-	r.PeakMemBytes, r.Spills, r.Workers, r.Morsels = 0, 0, 0, 0
-	r.spans = nil
-	db.noteRun(p, "result", elapsed, int64(len(r.Data)), nil, 0, 0, 0, 0, opts)
-	return &r, nil
+	rows := *cached
+	rows.Cache = "result"
+	rows.Elapsed = elapsed
+	rows.PeakMemBytes, rows.Spills, rows.Workers, rows.Morsels = 0, 0, 0, 0
+	rows.spans = nil
+	db.noteRun(p, "result", elapsed, int64(len(rows.Data)), nil, 0, 0, 0, 0, r)
+	return &rows, nil
 }
 
 // resultCacheStatus previews — without executing, counting, or
@@ -264,19 +224,15 @@ func (p *prepared) runCached(db *DB, params []types.Datum, cacheStatus string, o
 // parameterization, so a parameterized cached entry for the same text
 // may not be found. Returns "off" when caching is disabled, else
 // "hit", "miss", or "uncacheable".
-func (db *DB) resultCacheStatus(md *algebra.Metadata, plan algebra.Rel, cfg Config) string {
-	if !cfg.ResultCache.Enabled {
+func (db *DB) resultCacheStatus(p *prepared, cfg ResultCacheConfig) string {
+	if !cfg.Enabled {
 		return "off"
 	}
-	db.rcMu.Lock()
-	c := db.rcache
-	db.rcMu.Unlock()
+	c := db.rcache.Load()
 	if c == nil {
 		return "miss"
 	}
-	p := &prepared{md: md, plan: plan, fingerprint: planFingerprint(md, plan)}
-	opts := runOpts{rcCfgKey: cfg.planKey(), snap: db.store.Snapshot()}
-	key, _, ok := resultKey(p, nil, opts)
+	key, ok := resultKey(p, nil, db.store.Snapshot())
 	if !ok {
 		return "uncacheable"
 	}
