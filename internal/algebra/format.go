@@ -2,16 +2,20 @@ package algebra
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
+
+// The renderers below append to a byte slice: FormatRel's text keys the
+// Simplify fixpoint and the plan cache's fingerprints, and FormatNode's
+// keys the optimizer's subtree classes, once per node a rule builds —
+// often enough that the text is assembled in one buffer rather than
+// from intermediate strings.
 
 // FormatRel renders the tree in an indented one-operator-per-line form
 // used by EXPLAIN and by the golden plan-shape tests that mirror the
 // paper's figures.
 func FormatRel(md *Metadata, r Rel) string {
-	var b strings.Builder
-	formatRel(md, r, 0, &b)
-	return b.String()
+	return string(appendRel(nil, md, r, 0))
 }
 
 // FormatNode renders r's own line of FormatRel — operator and
@@ -19,22 +23,21 @@ func FormatRel(md *Metadata, r Rel) string {
 // FormatRel(md, r) is the indented pre-order concatenation of
 // FormatNode over the tree. The one line that depends on more than the
 // node itself is an Apply's, which lists the columns its right side
-// binds from its left; those properties are asked of p.
+// binds from its left; those properties of r's inputs are asked of p.
 func FormatNode(md *Metadata, p Props, r Rel) string {
-	var b strings.Builder
-	formatNode(md, p, r, &b)
-	return b.String()
+	return string(AppendNode(nil, md, p, r))
 }
 
-func formatRel(md *Metadata, r Rel, depth int, b *strings.Builder) {
+func appendRel(b []byte, md *Metadata, r Rel, depth int) []byte {
 	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
+		b = append(b, "  "...)
 	}
-	formatNode(md, FromScratch{}, r, b)
-	b.WriteByte('\n')
+	b = AppendNode(b, md, FromScratch{r}, r)
+	b = append(b, '\n')
 	for _, c := range r.Inputs() {
-		formatRel(md, c, depth+1, b)
+		b = appendRel(b, md, c, depth+1)
 	}
+	return b
 }
 
 // Operator names of the join variants, indexed by JoinKind.
@@ -43,231 +46,249 @@ var (
 	applyNames = [...]string{InnerJoin: "Apply", CrossJoin: "Apply", LeftOuterJoin: "ApplyOuter", SemiJoin: "ApplySemi", AntiSemiJoin: "ApplyAnti"}
 )
 
-func formatNode(md *Metadata, p Props, r Rel, b *strings.Builder) {
-	switch t := r.(type) {
-	case *Get:
-		fmt.Fprintf(b, "Get %s", t.Table)
-		if len(t.Order) > 0 {
-			b.WriteString(" order=[")
-			for i, o := range t.Order {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(md.QualifiedAlias(o.Col))
-				if o.Desc {
-					b.WriteString(" desc")
-				}
-			}
-			b.WriteString("]")
+// appendCols appends the qualified aliases of s's columns in ascending
+// ID order, separated by sep.
+func appendCols(b []byte, md *Metadata, s ColSet, sep string) []byte {
+	first := true
+	s.ForEach(func(c ColID) {
+		if !first {
+			b = append(b, sep...)
 		}
-	case *Select:
-		fmt.Fprintf(b, "Select [%s]", FormatScalar(md, t.Filter))
-	case *Project:
-		b.WriteString("Project [")
-		first := true
-		t.Passthrough.ForEach(func(c ColID) {
-			if !first {
-				b.WriteString(", ")
-			}
-			b.WriteString(md.QualifiedAlias(c))
-			first = false
-		})
-		for _, it := range t.Items {
-			if !first {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, "%s:=%s", md.Alias(it.Col), FormatScalar(md, it.Expr))
-			first = false
-		}
-		b.WriteString("]")
-	case *Join:
-		b.WriteString(joinNames[t.Kind])
-		if t.On != nil && !IsTrueConst(t.On) {
-			fmt.Fprintf(b, " [%s]", FormatScalar(md, t.On))
-		}
-	case *Apply:
-		b.WriteString(applyNames[t.Kind])
-		binds := BindingSignature(p, t)
-		if !binds.Empty() {
-			b.WriteString(" (bind:")
-			first := true
-			binds.ForEach(func(c ColID) {
-				if !first {
-					b.WriteString(",")
-				}
-				b.WriteString(md.QualifiedAlias(c))
-				first = false
-			})
-			b.WriteString(")")
-		}
-		if t.On != nil && !IsTrueConst(t.On) {
-			fmt.Fprintf(b, " [%s]", FormatScalar(md, t.On))
-		}
-	case *GroupBy:
-		b.WriteString(t.Kind.String())
-		if !t.GroupCols.Empty() {
-			b.WriteString(" [")
-			first := true
-			t.GroupCols.ForEach(func(c ColID) {
-				if !first {
-					b.WriteString(", ")
-				}
-				b.WriteString(md.QualifiedAlias(c))
-				first = false
-			})
-			b.WriteString("]")
-		}
-		if len(t.Aggs) > 0 {
-			b.WriteString(" aggs:[")
-			for i, a := range t.Aggs {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(b, "%s:=%s", md.Alias(a.Col), formatAgg(md, a))
-			}
-			b.WriteString("]")
-		}
-	case *SegmentApply:
-		b.WriteString("SegmentApply [")
-		first := true
-		t.SegmentCols.ForEach(func(c ColID) {
-			if !first {
-				b.WriteString(", ")
-			}
-			b.WriteString(md.QualifiedAlias(c))
-			first = false
-		})
-		b.WriteString("]")
-	case *SegmentRef:
-		b.WriteString("SegmentRef")
-	case *Max1Row:
-		b.WriteString("Max1Row")
-	case *UnionAll:
-		b.WriteString("UnionAll")
-	case *Difference:
-		b.WriteString("ExceptAll")
-	case *Values:
-		fmt.Fprintf(b, "Values (%d rows)", len(t.Rows))
-	case *Sort:
-		b.WriteString("Sort [")
-		for i, o := range t.By {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(md.QualifiedAlias(o.Col))
-			if o.Desc {
-				b.WriteString(" desc")
-			}
-		}
-		b.WriteString("]")
-	case *Top:
-		fmt.Fprintf(b, "Top %d", t.N)
-	case *RowNumber:
-		fmt.Fprintf(b, "RowNumber [%s]", md.Alias(t.Col))
-	default:
-		fmt.Fprintf(b, "%T", r)
-	}
+		b = md.appendQualifiedAlias(b, c)
+		first = false
+	})
+	return b
 }
 
-func formatAgg(md *Metadata, a AggItem) string {
-	name := a.Func.String()
+func appendOrderings(b []byte, md *Metadata, by []Ordering) []byte {
+	for i, o := range by {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = md.appendQualifiedAlias(b, o.Col)
+		if o.Desc {
+			b = append(b, " desc"...)
+		}
+	}
+	return b
+}
+
+// AppendNode appends FormatNode's text to b.
+func AppendNode(b []byte, md *Metadata, p Props, r Rel) []byte {
+	switch t := r.(type) {
+	case *Get:
+		b = append(append(b, "Get "...), t.Table...)
+		if len(t.Order) > 0 {
+			b = append(b, " order=["...)
+			b = appendOrderings(b, md, t.Order)
+			b = append(b, ']')
+		}
+	case *Select:
+		b = append(b, "Select ["...)
+		b = appendScalar(b, md, t.Filter)
+		b = append(b, ']')
+	case *Project:
+		b = append(b, "Project ["...)
+		b = appendCols(b, md, t.Passthrough, ", ")
+		first := t.Passthrough.Empty()
+		for _, it := range t.Items {
+			if !first {
+				b = append(b, ", "...)
+			}
+			b = append(append(b, md.Alias(it.Col)...), ":="...)
+			b = appendScalar(b, md, it.Expr)
+			first = false
+		}
+		b = append(b, ']')
+	case *Join:
+		b = append(b, joinNames[t.Kind]...)
+		if t.On != nil && !IsTrueConst(t.On) {
+			b = append(b, " ["...)
+			b = appendScalar(b, md, t.On)
+			b = append(b, ']')
+		}
+	case *Apply:
+		b = append(b, applyNames[t.Kind]...)
+		if binds := BindingSignature(p, t); !binds.Empty() {
+			b = append(b, " (bind:"...)
+			b = appendCols(b, md, binds, ",")
+			b = append(b, ')')
+		}
+		if t.On != nil && !IsTrueConst(t.On) {
+			b = append(b, " ["...)
+			b = appendScalar(b, md, t.On)
+			b = append(b, ']')
+		}
+	case *GroupBy:
+		b = append(b, t.Kind.String()...)
+		if !t.GroupCols.Empty() {
+			b = append(b, " ["...)
+			b = appendCols(b, md, t.GroupCols, ", ")
+			b = append(b, ']')
+		}
+		if len(t.Aggs) > 0 {
+			b = append(b, " aggs:["...)
+			for i, a := range t.Aggs {
+				if i > 0 {
+					b = append(b, ", "...)
+				}
+				b = append(append(b, md.Alias(a.Col)...), ":="...)
+				b = appendAgg(b, md, a)
+			}
+			b = append(b, ']')
+		}
+	case *SegmentApply:
+		b = append(b, "SegmentApply ["...)
+		b = appendCols(b, md, t.SegmentCols, ", ")
+		b = append(b, ']')
+	case *SegmentRef:
+		b = append(b, "SegmentRef"...)
+	case *Max1Row:
+		b = append(b, "Max1Row"...)
+	case *UnionAll:
+		b = append(b, "UnionAll"...)
+	case *Difference:
+		b = append(b, "ExceptAll"...)
+	case *Values:
+		b = fmt.Appendf(b, "Values (%d rows)", len(t.Rows))
+	case *Sort:
+		b = append(b, "Sort ["...)
+		b = appendOrderings(b, md, t.By)
+		b = append(b, ']')
+	case *Top:
+		b = fmt.Appendf(b, "Top %d", t.N)
+	case *RowNumber:
+		b = append(append(append(b, "RowNumber ["...), md.Alias(t.Col)...), ']')
+	default:
+		b = fmt.Appendf(b, "%T", r)
+	}
+	return b
+}
+
+func appendAgg(b []byte, md *Metadata, a AggItem) []byte {
+	b = append(b, a.Func.String()...)
 	if a.Global {
-		name += "_g"
+		b = append(b, "_g"...)
 	}
 	if a.Func == AggCountStar {
-		return name
+		return b
 	}
-	arg := FormatScalar(md, a.Arg)
+	b = append(b, '(')
 	if a.Distinct {
-		arg = "distinct " + arg
+		b = append(b, "distinct "...)
 	}
-	return name + "(" + arg + ")"
+	b = appendScalar(b, md, a.Arg)
+	return append(b, ')')
 }
 
 // FormatScalar renders a scalar expression in SQL-ish syntax.
 func FormatScalar(md *Metadata, s Scalar) string {
+	return string(appendScalar(nil, md, s))
+}
+
+// appendJoined appends the renderings of args separated by sep, in
+// parentheses, or empty when there are none.
+func appendJoined(b []byte, md *Metadata, args []Scalar, sep, empty string) []byte {
+	if len(args) == 0 {
+		return append(b, empty...)
+	}
+	b = append(b, '(')
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = appendScalar(b, md, a)
+	}
+	return append(b, ')')
+}
+
+func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 	if s == nil {
-		return "true"
+		return append(b, "true"...)
 	}
 	switch t := s.(type) {
 	case *ColRef:
-		return md.QualifiedAlias(t.Col)
+		return md.appendQualifiedAlias(b, t.Col)
 	case *Const:
-		return t.Val.String()
+		return append(b, t.Val.String()...)
 	case *Param:
 		// Value-free on purpose: FormatRel keys the optimizer memo and
 		// the Simplify fixpoint, so two plans differing only in sniffed
 		// parameter values must format identically.
-		return fmt.Sprintf("$%d", t.Idx+1)
+		return strconv.AppendInt(append(b, '$'), int64(t.Idx+1), 10)
 	case *Cmp:
-		return fmt.Sprintf("%s %s %s", FormatScalar(md, t.L), t.Op, FormatScalar(md, t.R))
+		b = appendScalar(b, md, t.L)
+		b = append(append(append(b, ' '), t.Op.String()...), ' ')
+		return appendScalar(b, md, t.R)
 	case *And:
-		parts := make([]string, len(t.Args))
-		for i, a := range t.Args {
-			parts[i] = FormatScalar(md, a)
-		}
-		if len(parts) == 0 {
-			return "true"
-		}
-		return "(" + strings.Join(parts, " AND ") + ")"
+		return appendJoined(b, md, t.Args, " AND ", "true")
 	case *Or:
-		parts := make([]string, len(t.Args))
-		for i, a := range t.Args {
-			parts[i] = FormatScalar(md, a)
-		}
-		if len(parts) == 0 {
-			return "false"
-		}
-		return "(" + strings.Join(parts, " OR ") + ")"
+		return appendJoined(b, md, t.Args, " OR ", "false")
 	case *Not:
-		return "NOT (" + FormatScalar(md, t.Arg) + ")"
+		b = append(b, "NOT ("...)
+		b = appendScalar(b, md, t.Arg)
+		return append(b, ')')
 	case *Arith:
-		return fmt.Sprintf("(%s %s %s)", FormatScalar(md, t.L), t.Op, FormatScalar(md, t.R))
+		b = append(b, '(')
+		b = appendScalar(b, md, t.L)
+		b = append(append(append(b, ' '), t.Op.String()...), ' ')
+		b = appendScalar(b, md, t.R)
+		return append(b, ')')
 	case *IsNull:
+		b = appendScalar(b, md, t.Arg)
 		if t.Negate {
-			return FormatScalar(md, t.Arg) + " IS NOT NULL"
+			return append(b, " IS NOT NULL"...)
 		}
-		return FormatScalar(md, t.Arg) + " IS NULL"
+		return append(b, " IS NULL"...)
 	case *Like:
-		op := " LIKE "
+		b = appendScalar(b, md, t.L)
 		if t.Negate {
-			op = " NOT LIKE "
+			b = append(b, " NOT LIKE "...)
+		} else {
+			b = append(b, " LIKE "...)
 		}
-		return FormatScalar(md, t.L) + op + FormatScalar(md, t.R)
+		return appendScalar(b, md, t.R)
 	case *InList:
-		parts := make([]string, len(t.List))
-		for i, a := range t.List {
-			parts[i] = FormatScalar(md, a)
-		}
-		op := " IN ("
+		b = appendScalar(b, md, t.Arg)
 		if t.Negate {
-			op = " NOT IN ("
+			b = append(b, " NOT IN ("...)
+		} else {
+			b = append(b, " IN ("...)
 		}
-		return FormatScalar(md, t.Arg) + op + strings.Join(parts, ", ") + ")"
+		for i, a := range t.List {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendScalar(b, md, a)
+		}
+		return append(b, ')')
 	case *Case:
-		var b strings.Builder
-		b.WriteString("CASE")
+		b = append(b, "CASE"...)
 		for _, w := range t.Whens {
-			fmt.Fprintf(&b, " WHEN %s THEN %s", FormatScalar(md, w.Cond), FormatScalar(md, w.Then))
+			b = append(b, " WHEN "...)
+			b = appendScalar(b, md, w.Cond)
+			b = append(b, " THEN "...)
+			b = appendScalar(b, md, w.Then)
 		}
 		if t.Else != nil {
-			fmt.Fprintf(&b, " ELSE %s", FormatScalar(md, t.Else))
+			b = append(b, " ELSE "...)
+			b = appendScalar(b, md, t.Else)
 		}
-		b.WriteString(" END")
-		return b.String()
+		return append(b, " END"...)
 	case *Subquery:
-		return "SUBQUERY(" + md.Alias(t.Col) + ")"
+		return append(append(append(b, "SUBQUERY("...), md.Alias(t.Col)...), ')')
 	case *Exists:
 		if t.Negate {
-			return "NOT EXISTS(...)"
+			return append(b, "NOT EXISTS(...)"...)
 		}
-		return "EXISTS(...)"
+		return append(b, "EXISTS(...)"...)
 	case *Quantified:
-		q := "ANY"
+		b = appendScalar(b, md, t.Arg)
+		b = append(append(append(b, ' '), t.Op.String()...), ' ')
 		if t.All {
-			q = "ALL"
+			return append(b, "ALL(...)"...)
 		}
-		return fmt.Sprintf("%s %s %s(...)", FormatScalar(md, t.Arg), t.Op, q)
+		return append(b, "ANY(...)"...)
 	}
-	return fmt.Sprintf("%T", s)
+	return fmt.Appendf(b, "%T", s)
 }

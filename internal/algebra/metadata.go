@@ -71,3 +71,12 @@ func (md *Metadata) QualifiedAlias(id ColID) string {
 	}
 	return c.Alias
 }
+
+// appendQualifiedAlias appends QualifiedAlias(id) to b.
+func (md *Metadata) appendQualifiedAlias(b []byte, id ColID) []byte {
+	c := md.Column(id)
+	if c.Table != "" {
+		b = append(append(b, c.Table...), '.')
+	}
+	return append(b, c.Alias...)
+}

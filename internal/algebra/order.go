@@ -15,28 +15,26 @@ package algebra
 // ordering (the executor honors it with an ordered index scan or an
 // explicit sort); Sort establishes its keys; filters, limits, and
 // column-preserving projections pass order through.
-func DeliveredOrder(r Rel) []Ordering {
+func DeliveredOrder(r Rel) []Ordering { return DeriveDeliveredOrder(FromScratch{r}, r) }
+
+// DeriveDeliveredOrder computes r's delivered order from its input's,
+// which it asks p for.
+func DeriveDeliveredOrder(p Props, r Rel) []Ordering {
 	switch t := r.(type) {
 	case *Get:
 		return t.Order
 	case *Sort:
 		return t.By
-	case *Select:
-		return DeliveredOrder(t.Input)
-	case *Top:
-		return DeliveredOrder(t.Input)
-	case *Max1Row:
-		return DeliveredOrder(t.Input)
-	case *RowNumber:
-		return DeliveredOrder(t.Input)
+	case *Select, *Top, *Max1Row, *RowNumber:
+		return p.DeliveredOrder(0)
 	case *Project:
 		// Order survives projection up to the longest prefix whose
 		// columns are still visible in the output.
-		in := DeliveredOrder(t.Input)
+		in := p.DeliveredOrder(0)
 		if len(in) == 0 {
 			return nil
 		}
-		out := OutputCols(t)
+		out := DeriveOutputCols(p, t)
 		n := 0
 		for _, o := range in {
 			if !out.Contains(o.Col) {

@@ -2,35 +2,96 @@ package algebra
 
 import "fmt"
 
-// Props supplies already-derived properties of subtrees. The
-// package-level OutputCols and OuterRefs derive everything from scratch
-// on each call; a caller that keeps properties per subtree (the
-// optimizer's subtree table) implements Props over its cache and calls
-// the Derive functions, which compute one node from its children's
-// answers.
+// Props supplies the already-derived properties of one node's inputs,
+// by input position: the Derive functions compute a node's property
+// from its own fields and these answers, never from the trees its
+// input fields point at. The package-level OutputCols, OuterRefs and
+// DeliveredOrder answer from the trees (FromScratch) and so rederive a
+// whole subtree per call; a caller that keeps properties per subtree
+// (the optimizer's table entries, whose operator's input fields may be
+// stale) implements Props over what it has cached.
 type Props interface {
-	OutputCols(Rel) ColSet
-	OuterRefs(Rel) ColSet
+	OutputCols(input int) ColSet
+	OuterRefs(input int) ColSet
+	DeliveredOrder(input int) []Ordering
+	// SegmentRefCols is the union of the Cols of the input's SegmentRef
+	// leaves that a SegmentApply above the input owns.
+	SegmentRefCols(input int) ColSet
 }
 
-// FromScratch is the Props behind the package-level functions: it
-// keeps nothing and rederives the whole subtree on every question.
-type FromScratch struct{}
+// FromScratch is the Props behind the package-level functions: the
+// inputs are Of's own input trees, and nothing is kept.
+type FromScratch struct{ Of Rel }
 
-func (FromScratch) OutputCols(r Rel) ColSet { return OutputCols(r) }
-func (FromScratch) OuterRefs(r Rel) ColSet  { return OuterRefs(r) }
+func (f FromScratch) OutputCols(i int) ColSet         { return OutputCols(f.input(i)) }
+func (f FromScratch) OuterRefs(i int) ColSet          { return OuterRefs(f.input(i)) }
+func (f FromScratch) DeliveredOrder(i int) []Ordering { return DeliveredOrder(f.input(i)) }
+func (f FromScratch) SegmentRefCols(i int) ColSet {
+	in := f.input(i)
+	return DeriveSegmentRefCols(FromScratch{in}, in)
+}
+
+func (f FromScratch) input(i int) Rel {
+	l, r := inputsOf(f.Of)
+	if i == 0 {
+		return l
+	}
+	return r
+}
+
+// inputsOf is r.Inputs() without the slice: nil where absent.
+func inputsOf(r Rel) (left, right Rel) {
+	switch t := r.(type) {
+	case *Select:
+		return t.Input, nil
+	case *Project:
+		return t.Input, nil
+	case *GroupBy:
+		return t.Input, nil
+	case *Max1Row:
+		return t.Input, nil
+	case *Sort:
+		return t.Input, nil
+	case *Top:
+		return t.Input, nil
+	case *RowNumber:
+		return t.Input, nil
+	case *Join:
+		return t.Left, t.Right
+	case *Apply:
+		return t.Left, t.Right
+	case *SegmentApply:
+		return t.Input, t.Inner
+	case *UnionAll:
+		return t.Left, t.Right
+	case *Difference:
+		return t.Left, t.Right
+	}
+	return nil, nil
+}
+
+// numInputs is len(r.Inputs()).
+func numInputs(r Rel) int {
+	switch left, right := inputsOf(r); {
+	case left == nil:
+		return 0
+	case right == nil:
+		return 1
+	}
+	return 2
+}
 
 // OutputCols returns the set of column IDs the expression produces.
-func OutputCols(r Rel) ColSet { return DeriveOutputCols(FromScratch{}, r) }
+func OutputCols(r Rel) ColSet { return DeriveOutputCols(FromScratch{r}, r) }
 
-// DeriveOutputCols computes r's output columns from its children's,
-// which it asks p for.
+// DeriveOutputCols computes r's output columns from its inputs', which
+// it asks p for.
 func DeriveOutputCols(p Props, r Rel) ColSet {
 	switch t := r.(type) {
 	case *Get:
 		return NewColSet(t.Cols...)
 	case *Select:
-		return p.OutputCols(t.Input)
+		return p.OutputCols(0)
 	case *Project:
 		out := t.Passthrough
 		for _, it := range t.Items {
@@ -38,15 +99,15 @@ func DeriveOutputCols(p Props, r Rel) ColSet {
 		}
 		return out
 	case *Join:
-		out := p.OutputCols(t.Left)
+		out := p.OutputCols(0)
 		if t.Kind.ReturnsRightCols() {
-			out.UnionWith(p.OutputCols(t.Right))
+			out.UnionWith(p.OutputCols(1))
 		}
 		return out
 	case *Apply:
-		out := p.OutputCols(t.Left)
+		out := p.OutputCols(0)
 		if t.Kind.ReturnsRightCols() {
-			out.UnionWith(p.OutputCols(t.Right))
+			out.UnionWith(p.OutputCols(1))
 		}
 		return out
 	case *GroupBy:
@@ -56,11 +117,11 @@ func DeriveOutputCols(p Props, r Rel) ColSet {
 		}
 		return out
 	case *SegmentApply:
-		return p.OutputCols(t.Inner)
+		return p.OutputCols(1)
 	case *SegmentRef:
 		return NewColSet(t.Cols...)
 	case *Max1Row:
-		return p.OutputCols(t.Input)
+		return p.OutputCols(0)
 	case *UnionAll:
 		return NewColSet(t.OutCols...)
 	case *Difference:
@@ -68,11 +129,11 @@ func DeriveOutputCols(p Props, r Rel) ColSet {
 	case *Values:
 		return NewColSet(t.Cols...)
 	case *Sort:
-		return p.OutputCols(t.Input)
+		return p.OutputCols(0)
 	case *Top:
-		return p.OutputCols(t.Input)
+		return p.OutputCols(0)
 	case *RowNumber:
-		out := p.OutputCols(t.Input)
+		out := p.OutputCols(0)
 		out.Add(t.Col)
 		return out
 	}
@@ -140,39 +201,29 @@ func relScalars(r Rel) []Scalar {
 // that the expression does not itself produce. A non-empty result means
 // the expression is correlated — it is a parameterized expression in
 // the paper's sense.
-func OuterRefs(r Rel) ColSet { return DeriveOuterRefs(FromScratch{}, r) }
+func OuterRefs(r Rel) ColSet { return DeriveOuterRefs(FromScratch{r}, r) }
 
 // DeriveOuterRefs computes r's free column references from its own
-// scalars and its children's properties, which it asks p for.
+// scalars and its inputs' properties, which it asks p for.
 func DeriveOuterRefs(p Props, r Rel) ColSet {
 	var need ColSet
 	for _, s := range relScalars(r) {
 		need.UnionWith(scalarFreeCols(s))
 	}
 	var bound ColSet
-	switch t := r.(type) {
-	case *Apply:
-		// Right side's free refs may be bound by Left's output — this
-		// is exactly what Apply is for.
-		need.UnionWith(p.OuterRefs(t.Left))
-		need.UnionWith(p.OuterRefs(t.Right))
-		bound = p.OutputCols(t.Left).Union(p.OutputCols(t.Right))
-	case *SegmentApply:
-		need.UnionWith(p.OuterRefs(t.Input))
-		need.UnionWith(p.OuterRefs(t.Inner))
-		bound = p.OutputCols(t.Input).Union(p.OutputCols(t.Inner))
+	// An Apply's right side's free refs may be bound by its left's
+	// output — this is exactly what Apply is for — so the inputs of
+	// every operator are treated alike.
+	for i, n := 0, numInputs(r); i < n; i++ {
+		need.UnionWith(p.OuterRefs(i))
+		bound.UnionWith(p.OutputCols(i))
+	}
+	if _, ok := r.(*SegmentApply); ok {
 		// SegmentRef columns are bound by the apply itself.
-		for _, in := range collectSegmentRefs(t.Inner) {
-			bound.UnionWith(NewColSet(in.Cols...))
-		}
-	default:
-		for _, c := range r.Inputs() {
-			need.UnionWith(p.OuterRefs(c))
-			bound.UnionWith(p.OutputCols(c))
-		}
+		bound.UnionWith(p.SegmentRefCols(1))
 	}
 	need.DifferenceWith(bound)
-	need.DifferenceWith(p.OutputCols(r))
+	need.DifferenceWith(DeriveOutputCols(p, r))
 	return need
 }
 
@@ -193,7 +244,7 @@ func ApplyBindingCols(a *Apply) (sig, ambient ColSet) {
 // BindingSignature is the signature half of ApplyBindingCols, derived
 // from the properties p holds for a's inputs.
 func BindingSignature(p Props, a *Apply) ColSet {
-	return p.OuterRefs(a.Right).Intersection(p.OutputCols(a.Left))
+	return p.OuterRefs(1).Intersection(p.OutputCols(0))
 }
 
 // HasForeignSegmentRefs reports whether r contains SegmentRef leaves
@@ -203,6 +254,29 @@ func BindingSignature(p Props, a *Apply) ColSet {
 // be used.
 func HasForeignSegmentRefs(r Rel) bool {
 	return len(collectSegmentRefs(r)) > 0
+}
+
+// DeriveSegmentRefCols computes the union of the Cols of the SegmentRef
+// leaves at or below r that a SegmentApply above r owns — the refs
+// collectSegmentRefs gathers — from r's own fields and its inputs'
+// answers.
+func DeriveSegmentRefCols(p Props, r Rel) ColSet {
+	var out ColSet
+	switch t := r.(type) {
+	case *SegmentRef:
+		return NewColSet(t.Cols...)
+	case *SegmentApply:
+		return p.SegmentRefCols(0) // Input is in the enclosing scope
+	}
+	for i, n := 0, numInputs(r); i < n; i++ {
+		out.UnionWith(p.SegmentRefCols(i))
+	}
+	for _, s := range relScalars(r) {
+		for _, sub := range ScalarRelInputs(s) {
+			out.UnionWith(DeriveSegmentRefCols(FromScratch{sub}, sub))
+		}
+	}
+	return out
 }
 
 // collectSegmentRefs gathers SegmentRef leaves in r without descending

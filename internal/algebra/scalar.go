@@ -260,18 +260,21 @@ func ConjoinAll(preds ...Scalar) Scalar {
 }
 
 // Conjuncts splits a predicate into its top-level conjuncts.
-func Conjuncts(s Scalar) []Scalar {
+func Conjuncts(s Scalar) []Scalar { return AppendConjuncts(nil, s) }
+
+// AppendConjuncts appends the top-level conjuncts of s to dst, for
+// callers that split predicates often enough to keep a buffer.
+func AppendConjuncts(dst []Scalar, s Scalar) []Scalar {
 	if s == nil || IsTrueConst(s) {
-		return nil
+		return dst
 	}
 	if a, ok := s.(*And); ok {
-		var out []Scalar
 		for _, x := range a.Args {
-			out = append(out, Conjuncts(x)...)
+			dst = AppendConjuncts(dst, x)
 		}
-		return out
+		return dst
 	}
-	return []Scalar{s}
+	return append(dst, s)
 }
 
 // VisitScalar walks s depth-first, calling f on every scalar node. It

@@ -34,8 +34,7 @@ type SystemConfig struct {
 func SystemConfigs() []SystemConfig {
 	return []SystemConfig{
 		{Name: "correlated-only", Norm: core.Options{KeepCorrelated: true},
-			Opt: opt.Config{Norm: core.Options{KeepCorrelated: true},
-				DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
+			Opt: opt.Config{DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
 		{Name: "flatten-basic",
 			Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyGroupByReorder, opt.FamilyLocalAgg,
 				opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
@@ -44,8 +43,7 @@ func SystemConfigs() []SystemConfig {
 		{Name: "flatten+segment",
 			Opt: opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)}},
 		{Name: "full-optimization", Opt: opt.Config{}},
-		{Name: "no-oj-simplify", Norm: core.Options{KeepOuterJoins: true},
-			Opt: opt.Config{Norm: core.Options{KeepOuterJoins: true}}},
+		{Name: "no-oj-simplify", Norm: core.Options{KeepOuterJoins: true}},
 		{Name: "normalize-only", SkipOpt: true},
 	}
 }
@@ -170,8 +168,7 @@ func Ablations() []AblationSpec {
 			Name: "decorrelation (Q20)", Query: tpch.Queries["Q20"], Full: full,
 			Without: SystemConfig{Name: "correlated",
 				Norm: core.Options{KeepCorrelated: true},
-				Opt: opt.Config{Norm: core.Options{KeepCorrelated: true},
-					DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
+				Opt:  opt.Config{DisableRules: opt.Disable(opt.FamilySegmentApply, opt.FamilyCorrelatedReintro)}},
 		},
 		{
 			// Correlated execution matters when the outer is small and
@@ -185,8 +182,7 @@ func Ablations() []AblationSpec {
 			Full: SystemConfig{Name: "flat", Opt: noCorr},
 			Without: SystemConfig{Name: "flat-keep-oj",
 				Norm: core.Options{KeepOuterJoins: true},
-				Opt: opt.Config{Norm: core.Options{KeepOuterJoins: true},
-					DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)}},
+				Opt:  opt.Config{DisableRules: opt.Disable(opt.FamilyCorrelatedReintro)}},
 		},
 		{
 			Name: "groupby reordering (eager agg)", Query: eagerSQL,

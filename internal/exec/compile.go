@@ -151,8 +151,8 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 		for _, a := range t.Aggs {
 			cols = append(cols, a.Col)
 		}
-		if ctx.AggAlg(t) == AlgStream {
-			if !streamAggApplicable(t) {
+		if inOrder := algebra.DeliveredOrder(t.Input); ctx.AggAlg(t, inOrder) == AlgStream {
+			if !streamAggApplicable(t, inOrder) {
 				// Forced streaming over ungrouped input: sort by the
 				// group columns first (the correctness net).
 				in = sortWrapNode(ctx, in, t.GroupCols.Ordered(), t)

@@ -60,7 +60,8 @@ func joinOutCols(kind algebra.JoinKind, left, right *node) []algebra.ColID {
 // conjuncts) from a join predicate, returning the paired key columns
 // and the residual conjuncts. It is shared with the cost model.
 func SplitJoinKeys(on algebra.Scalar, leftCols, rightCols algebra.ColSet) (lk, rk []algebra.ColID, residual []algebra.Scalar) {
-	for _, c := range algebra.Conjuncts(on) {
+	var buf [8]algebra.Scalar // the cost model splits keys per join costed
+	for _, c := range algebra.AppendConjuncts(buf[:0], on) {
 		if cmp, ok := c.(*algebra.Cmp); ok && cmp.Op == algebra.CmpEq {
 			l, lok := cmp.L.(*algebra.ColRef)
 			r, rok := cmp.R.(*algebra.ColRef)

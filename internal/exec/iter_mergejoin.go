@@ -14,16 +14,15 @@ import (
 // a covering order (ordered index scans, ordered Apply outputs), or
 // forced via Strategy.Join with explicit sorts as the safety net.
 
-// mergeKeySeq picks the key comparison sequence for a merge join of j.
-// Equality conjuncts carry no inherent order, so the sequence is
-// aligned with the left input's delivered order when a permutation of
-// the key pairs matches it (making the left side sort-free); otherwise
-// the declared conjunct order is kept. lSorted/rSorted report whether
-// each input's delivered order covers the chosen sequence ascending —
-// sides not covered need an explicit sort.
-func mergeKeySeq(j *algebra.Join, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []algebra.ColID, lSorted, rSorted bool) {
-	dl := algebra.DeliveredOrder(j.Left)
-	dr := algebra.DeliveredOrder(j.Right)
+// mergeKeySeq picks the key comparison sequence for a merge join whose
+// inputs deliver the orders dl and dr. Equality conjuncts carry no
+// inherent order, so the sequence is aligned with the left input's
+// delivered order when a permutation of the key pairs matches it
+// (making the left side sort-free); otherwise the declared conjunct
+// order is kept. lSorted/rSorted report whether each input's delivered
+// order covers the chosen sequence ascending — sides not covered need
+// an explicit sort.
+func mergeKeySeq(lKeys, rKeys []algebra.ColID, dl, dr []algebra.Ordering) (lSeq, rSeq []algebra.ColID, lSorted, rSorted bool) {
 	n := len(lKeys)
 	if len(dl) >= n {
 		used := make([]bool, n)
@@ -51,12 +50,25 @@ func mergeKeySeq(j *algebra.Join, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []al
 			rs = append(rs, rKeys[found])
 		}
 		if ok {
-			return ls, rs, true, algebra.OrderCovers(dr, ascOrder(rs))
+			return ls, rs, true, coversAsc(dr, rs)
 		}
 	}
-	return lKeys, rKeys,
-		algebra.OrderCovers(dl, ascOrder(lKeys)),
-		algebra.OrderCovers(dr, ascOrder(rKeys))
+	return lKeys, rKeys, coversAsc(dl, lKeys), coversAsc(dr, rKeys)
+}
+
+// coversAsc reports whether rows ordered by delivered are ordered
+// ascending on cols: algebra.OrderCovers(delivered, ascOrder(cols)),
+// without building the ordering (the cost model asks per join costed).
+func coversAsc(delivered []algebra.Ordering, cols []algebra.ColID) bool {
+	if len(cols) > len(delivered) {
+		return false
+	}
+	for i, c := range cols {
+		if delivered[i].Col != c || delivered[i].Desc {
+			return false
+		}
+	}
+	return true
 }
 
 // maybeMergeJoin builds the merge-join iterator when Strategy.JoinAlg
@@ -65,10 +77,11 @@ func mergeKeySeq(j *algebra.Join, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []al
 // inputs need it.
 func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 	lKeys, rKeys []algebra.ColID, residual []algebra.Scalar) (*node, bool) {
-	if ctx.JoinAlg(j, lKeys, rKeys) != AlgMerge {
+	dl, dr := algebra.DeliveredOrder(j.Left), algebra.DeliveredOrder(j.Right)
+	if ctx.JoinAlg(lKeys, rKeys, dl, dr) != AlgMerge {
 		return nil, false
 	}
-	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys)
+	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(lKeys, rKeys, dl, dr)
 	if !lSorted {
 		left = sortWrapNode(ctx, left, lSeq, j)
 	}

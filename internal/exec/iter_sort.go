@@ -13,13 +13,12 @@ import (
 // scan walks the index permutation, the aggregation holds one group of
 // state at a time.
 
-// streamAggApplicable reports whether gb's input delivers an order
-// that makes every group contiguous, i.e. whether the aggregation can
-// stream over sorted input without a hash table. Pure on the logical
-// tree; Strategy.AggAlg is what the compiler, the cost model and
-// EXPLAIN ask.
-func streamAggApplicable(gb *algebra.GroupBy) bool {
-	return algebra.GroupedBy(algebra.DeliveredOrder(gb.Input), gb.GroupCols)
+// streamAggApplicable reports whether inOrder, the order gb's input
+// delivers, makes every group contiguous, i.e. whether the aggregation
+// can stream over sorted input without a hash table. Strategy.AggAlg
+// is what the compiler, the cost model and EXPLAIN ask.
+func streamAggApplicable(gb *algebra.GroupBy, inOrder []algebra.Ordering) bool {
+	return algebra.GroupedBy(inOrder, gb.GroupCols)
 }
 
 // ascOrder renders a key column sequence as an ascending ordering.

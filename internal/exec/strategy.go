@@ -10,7 +10,7 @@ import "orthoq/internal/algebra"
 // EXPLAIN asks it the same questions compile does — so what EXPLAIN
 // prints is what runs. The zero value is the default: serial, batch
 // mode, every selector on auto. The cost model prices plans under the
-// zero Strategy.
+// Strategy they will run with (opt.Optimizer.Strategy).
 type Strategy struct {
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution. 0 or 1 means serial; higher values let eligible
@@ -54,12 +54,15 @@ const (
 	AlgNestedLoop = "nested-loop"
 )
 
-// JoinAlg answers which algorithm runs join j, whose equality keys the
-// caller has split (SplitJoinKeys): nested loops without keys, else
-// the forced algorithm, else merge exactly when both inputs already
-// arrive sorted on the keys. A forced merge covers any equi-join — the
-// compiler sorts whichever side needs it.
-func (s Strategy) JoinAlg(j *algebra.Join, lKeys, rKeys []algebra.ColID) string {
+// JoinAlg answers which algorithm runs a join whose equality keys the
+// caller has split (SplitJoinKeys), given the orders its two inputs
+// deliver: nested loops without keys, else the forced algorithm, else
+// merge exactly when both inputs already arrive sorted on the keys. A
+// forced merge covers any equi-join — the compiler sorts whichever
+// side needs it. The delivered orders are the caller's to supply — the
+// compiler derives them from the tree it compiles, the optimizer reads
+// them off its table entries — so the selectors walk no tree.
+func (s Strategy) JoinAlg(lKeys, rKeys []algebra.ColID, lOrder, rOrder []algebra.Ordering) string {
 	if len(lKeys) == 0 {
 		return AlgNestedLoop
 	}
@@ -67,21 +70,22 @@ func (s Strategy) JoinAlg(j *algebra.Join, lKeys, rKeys []algebra.ColID) string 
 		return s.Join
 	}
 	if !s.DisableOrderOpt {
-		if _, _, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys); lSorted && rSorted {
+		if _, _, lSorted, rSorted := mergeKeySeq(lKeys, rKeys, lOrder, rOrder); lSorted && rSorted {
 			return AlgMerge
 		}
 	}
 	return AlgHash
 }
 
-// AggAlg answers which algorithm runs aggregation gb: the forced one,
-// else streaming exactly when the input order makes every group
-// contiguous. A forced stream over ungrouped input sorts it first.
-func (s Strategy) AggAlg(gb *algebra.GroupBy) string {
+// AggAlg answers which algorithm runs aggregation gb over an input
+// delivering inOrder: the forced one, else streaming exactly when the
+// input order makes every group contiguous. A forced stream over
+// ungrouped input sorts it first.
+func (s Strategy) AggAlg(gb *algebra.GroupBy, inOrder []algebra.Ordering) string {
 	if s.Agg != "" {
 		return s.Agg
 	}
-	if !s.DisableOrderOpt && streamAggApplicable(gb) {
+	if !s.DisableOrderOpt && streamAggApplicable(gb, inOrder) {
 		return AlgStream
 	}
 	return AlgHash

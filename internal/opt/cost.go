@@ -37,46 +37,66 @@ const (
 	cStreamRow  = 0.6  // folding a row into the current stream-agg group
 )
 
-// priced is the physical strategy the cost model prices plans under:
-// the default, whatever the run's Config forces. Costing asks it the
-// same selector questions the executor's compile step asks, so a plan
-// is priced as the algorithms a default run would pick.
-var priced = exec.Strategy{}
-
 // estimate summarizes one subtree during costing.
 type estimate struct {
 	rows float64
 	cost float64
 }
 
-// coster computes plan cost and cardinality estimates.
+// coster computes the cost and cardinality estimates of table entries.
+// An entry's estimate is a function of its operator and of what the
+// entries of its inputs hold — their estimates, operator kinds, output
+// columns, outer references and delivered orders — so costing walks
+// entries, never a tree, and each estimate is kept on its entry.
 type coster struct {
 	md  *algebra.Metadata
 	cat *catalog.Catalog
 	st  *stats.Collection
-	// tab, when set, holds the properties and estimates of subtrees
-	// already met: cost then derives only what the table lacks. Without
-	// it every call derives the whole subtree from scratch.
-	tab *table
+	// strategy is the physical strategy plans are priced under: costing
+	// asks it the selector questions the executor's compile step asks,
+	// so a plan is priced as the algorithms its run will pick.
+	strategy exec.Strategy
 	// bound marks columns available as correlation parameters in the
 	// current (Apply inner / segment) scope.
 	bound algebra.ColSet
 	// segRows estimates rows per segment for SegmentRef leaves.
 	segRows []float64
+	// cols caches colStats per column ID (index id-1), resolved on first
+	// use; rules mint columns during the search, so it grows on demand.
+	cols []colStat
+	// more holds, for the few entries costed in more than one scope, the
+	// estimates beyond the first, which the entry holds itself.
+	more map[*subtree][]scopedEstimate
+	// conj is conjuncts' buffer.
+	conj []algebra.Scalar
+	// costed counts estimates derived (cache misses), for Result.Costed.
+	costed int
+}
+
+// colStat is a column's resolved base-table statistics: cs is nil when
+// the column does not trace to a stored column with statistics.
+type colStat struct {
+	resolved bool
+	cs       *stats.ColumnStats
+	rows     int64
 }
 
 // colStats fetches base-table column statistics for a column ID, if it
 // traces to a stored column.
 func (c *coster) colStats(id algebra.ColID) (*stats.ColumnStats, int64, bool) {
-	meta := c.md.Column(id)
-	if meta.Table == "" || c.st == nil {
-		return nil, 0, false
+	if int(id) > len(c.cols) {
+		c.cols = append(c.cols, make([]colStat, int(id)-len(c.cols))...)
 	}
-	ts := c.st.Table(meta.Table)
-	if ts == nil || meta.Ord >= len(ts.Columns) {
-		return nil, 0, false
+	e := &c.cols[id-1]
+	if !e.resolved {
+		e.resolved = true
+		if meta := c.md.Column(id); meta.Table != "" && c.st != nil {
+			if ts := c.st.Table(meta.Table); ts != nil && meta.Ord < len(ts.Columns) {
+				e.cs, e.rows = &ts.Columns[meta.Ord], ts.RowCount
+			}
+		}
 	}
-	return &ts.Columns[meta.Ord], ts.RowCount, true
+	return e.cs, e.rows, e.cs != nil
 }
 
 func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
@@ -86,20 +106,54 @@ func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
 	return math.Max(1, defRows/10)
 }
 
-// cost estimates a subtree in the current scope (bound, segRows).
-func (c *coster) cost(r algebra.Rel) estimate {
-	if c.tab != nil {
-		return c.tab.estimate(c, r)
+// cost returns the estimate of s in the current scope (bound, segRows),
+// derived once per scope. Deriving an estimate consults the scope in
+// two places only: a Get's seek detection asks whether the comparand
+// columns of its filter are bound by an enclosing Apply, and a
+// SegmentRef reads the innermost enclosing segment size. The columns a
+// subtree can ask about that it does not bind itself are its outer
+// references, so the scope reduces to (bound ∩ OuterRefs, innermost
+// segment size if the subtree reads one). A subtree with no outer
+// references and no foreign SegmentRef — nearly all of them — has one
+// scope and is costed once.
+func (c *coster) cost(s *subtree) estimate {
+	var bound algebra.ColSet
+	if !c.bound.Empty() {
+		bound = c.bound.Intersection(s.outerRefs())
 	}
-	return c.derive(r)
+	seg := 0.0
+	if s.segRefs {
+		seg = c.segmentRows()
+	}
+	if s.hasEst && s.est.seg == seg && s.est.bound.Equals(bound) {
+		return s.est.est
+	}
+	if s.hasEst {
+		for _, e := range c.more[s] {
+			if e.seg == seg && e.bound.Equals(bound) {
+				return e.est
+			}
+		}
+	}
+	e := scopedEstimate{bound: bound, seg: seg, est: c.derive(s)}
+	if s.hasEst {
+		if c.more == nil {
+			c.more = map[*subtree][]scopedEstimate{}
+		}
+		c.more[s] = append(c.more[s], e)
+	} else {
+		s.est, s.hasEst = e, true
+	}
+	c.costed++
+	return e.est
 }
 
-// props is where the coster reads subtree properties from.
-func (c *coster) props() algebra.Props {
-	if c.tab != nil {
-		return c.tab
-	}
-	return algebra.FromScratch{}
+// conjuncts splits pred into a buffer the next call reuses: the result
+// is for iterating over at once, with no costing call in the loop that
+// splits another predicate.
+func (c *coster) conjuncts(pred algebra.Scalar) []algebra.Scalar {
+	c.conj = algebra.AppendConjuncts(c.conj[:0], pred)
+	return c.conj
 }
 
 // segmentRows is the size of the innermost enclosing segment.
@@ -110,73 +164,74 @@ func (c *coster) segmentRows() float64 {
 	return 1
 }
 
-// derive computes r's estimate from its inputs' estimates.
-func (c *coster) derive(r algebra.Rel) estimate {
-	switch t := r.(type) {
+// derive computes s's estimate from its operator and its inputs'
+// entries.
+func (c *coster) derive(s *subtree) estimate {
+	switch t := s.op.(type) {
 	case *algebra.Get:
 		return c.costGet(t, nil)
 
 	case *algebra.Select:
-		if g, ok := t.Input.(*algebra.Get); ok {
+		if g, ok := s.kids[0].op.(*algebra.Get); ok {
 			return c.costGet(g, t.Filter)
 		}
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		sel := c.selectivity(t.Filter, in.rows)
 		return estimate{rows: in.rows * sel, cost: in.cost + in.rows*cPredEval}
 
 	case *algebra.Project:
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval*float64(1+len(t.Items))}
 
 	case *algebra.Join:
-		return c.costJoin(t)
+		return c.costJoin(t, s)
 
 	case *algebra.Apply:
-		return c.costApply(t)
+		return c.costApply(t, s)
 
 	case *algebra.GroupBy:
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		groups := c.groupCount(t, in.rows)
 		perRow := cHashRow
-		if priced.AggAlg(t) == exec.AlgStream {
+		if c.strategy.AggAlg(t, s.DeliveredOrder(0)) == exec.AlgStream {
 			// Grouped input streams: no hash table, one resident group.
 			perRow = cStreamRow
 		}
 		return estimate{rows: groups, cost: in.cost + in.rows*perRow*float64(1+len(t.Aggs))}
 
 	case *algebra.SegmentApply:
-		return c.costSegmentApply(t)
+		return c.costSegmentApply(t, s)
 
 	case *algebra.SegmentRef:
 		rows := c.segmentRows()
 		return estimate{rows: rows, cost: rows * cScanRow}
 
 	case *algebra.Max1Row:
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		return estimate{rows: math.Min(in.rows, 1), cost: in.cost}
 
 	case *algebra.UnionAll:
-		l, rr := c.cost(t.Left), c.cost(t.Right)
+		l, rr := c.cost(s.kids[0]), c.cost(s.kids[1])
 		return estimate{rows: l.rows + rr.rows, cost: l.cost + rr.cost}
 
 	case *algebra.Difference:
-		l, rr := c.cost(t.Left), c.cost(t.Right)
+		l, rr := c.cost(s.kids[0]), c.cost(s.kids[1])
 		return estimate{rows: math.Max(0, l.rows-rr.rows/2), cost: l.cost + rr.cost + (l.rows+rr.rows)*cHashRow}
 
 	case *algebra.Values:
 		return estimate{rows: float64(len(t.Rows)), cost: float64(len(t.Rows))}
 
 	case *algebra.Sort:
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		n := math.Max(in.rows, 2)
 		return estimate{rows: in.rows, cost: in.cost + n*math.Log2(n)*cSortRow}
 
 	case *algebra.Top:
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		return estimate{rows: math.Min(in.rows, float64(t.N)), cost: in.cost}
 
 	case *algebra.RowNumber:
-		in := c.cost(t.Input)
+		in := c.cost(s.kids[0])
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval}
 	}
 	return estimate{rows: 1000, cost: 1e12}
@@ -190,7 +245,7 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	if ts := c.st.Table(g.Table); ts != nil {
 		rows = float64(ts.RowCount)
 	}
-	if priced.OrderedScan(g) {
+	if c.strategy.OrderedScan(g) {
 		// Ordered delivery precludes the seek path (the scan walks the
 		// whole index permutation); the filter stays residual.
 		sel := c.selectivity(filter, rows)
@@ -207,7 +262,7 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	seekSel := 1.0
 	seekable := false
 	tbl, _ := c.cat.Table(g.Table)
-	for _, conj := range algebra.Conjuncts(filter) {
+	for _, conj := range c.conjuncts(filter) {
 		cmp, ok := conj.(*algebra.Cmp)
 		if !ok || cmp.Op != algebra.CmpEq {
 			continue
@@ -249,11 +304,10 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	return estimate{rows: outRows, cost: rows * (cScanRow + cPredEval)}
 }
 
-func (c *coster) costJoin(j *algebra.Join) estimate {
-	l := c.cost(j.Left)
-	r := c.cost(j.Right)
-	lk, rk, _ := exec.SplitJoinKeys(j.On,
-		c.props().OutputCols(j.Left), c.props().OutputCols(j.Right))
+func (c *coster) costJoin(j *algebra.Join, s *subtree) estimate {
+	l := c.cost(s.kids[0])
+	r := c.cost(s.kids[1])
+	lk, rk, _ := exec.SplitJoinKeys(j.On, s.OutputCols(0), s.OutputCols(1))
 
 	var outRows float64
 	sel := c.selectivity(j.On, l.rows*r.rows)
@@ -269,7 +323,7 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 	}
 
 	var cost float64
-	switch priced.JoinAlg(j, lk, rk) {
+	switch c.strategy.JoinAlg(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1)) {
 	case exec.AlgMerge:
 		// Both inputs pre-sorted on the keys: the engine merges two
 		// cursors — no build table, no hashing.
@@ -301,14 +355,14 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 // work per outer row is charged separately. Without usable column
 // statistics the distinct count falls back to the outer cardinality —
 // the legacy once-per-row charge.
-func (c *coster) costApply(a *algebra.Apply) estimate {
-	l := c.cost(a.Left)
+func (c *coster) costApply(a *algebra.Apply, s *subtree) estimate {
+	l := c.cost(s.kids[0])
 	saved := c.bound
-	c.bound = c.bound.Union(c.props().OutputCols(a.Left))
-	r := c.cost(a.Right)
+	c.bound = c.bound.Union(s.OutputCols(0))
+	r := c.cost(s.kids[1])
 	c.bound = saved
 
-	sig := algebra.BindingSignature(c.props(), a)
+	sig := algebra.BindingSignature(s, a)
 	execs := l.rows
 	if sig.Empty() {
 		// Uncorrelated inner: spooled, executed once.
@@ -346,11 +400,11 @@ func (c *coster) costApply(a *algebra.Apply) estimate {
 	return estimate{rows: math.Max(outRows, 0), cost: cost}
 }
 
-func (c *coster) costSegmentApply(sa *algebra.SegmentApply) estimate {
-	in := c.cost(sa.Input)
+func (c *coster) costSegmentApply(sa *algebra.SegmentApply, s *subtree) estimate {
+	in := c.cost(s.kids[0])
 	segments := c.segments(sa, in.rows)
 	c.segRows = append(c.segRows, in.rows/segments)
-	inner := c.cost(sa.Inner)
+	inner := c.cost(s.kids[1])
 	c.segRows = c.segRows[:len(c.segRows)-1]
 	return estimate{
 		rows: inner.rows * segments,
@@ -386,32 +440,36 @@ func (c *coster) selectivity(pred algebra.Scalar, rows float64) float64 {
 	if pred == nil || algebra.IsTrueConst(pred) {
 		return 1
 	}
+	// Range bounds per column, in order of first mention (few: searched
+	// linearly), so the product below is taken in one fixed order.
 	type bounds struct {
+		col    algebra.ColID
 		lo, hi types.Datum
 		hasLo  bool
 		hasHi  bool
 	}
-	ranges := map[algebra.ColID]*bounds{}
+	var ranges []bounds
+	rangeOf := func(col algebra.ColID) *bounds {
+		for i := range ranges {
+			if ranges[i].col == col {
+				return &ranges[i]
+			}
+		}
+		ranges = append(ranges, bounds{col: col})
+		return &ranges[len(ranges)-1]
+	}
 	sel := 1.0
-	for _, conj := range algebra.Conjuncts(pred) {
+	for _, conj := range c.conjuncts(pred) {
 		if cmp, ok := conj.(*algebra.Cmp); ok {
 			if col, cst, op := c.colConstCmp(cmp); col != 0 {
 				if _, _, hasStats := c.colStats(col); hasStats {
 					switch op {
 					case algebra.CmpGt, algebra.CmpGe:
-						b := ranges[col]
-						if b == nil {
-							b = &bounds{}
-							ranges[col] = b
-						}
+						b := rangeOf(col)
 						b.lo, b.hasLo = cst, true
 						continue
 					case algebra.CmpLt, algebra.CmpLe:
-						b := ranges[col]
-						if b == nil {
-							b = &bounds{}
-							ranges[col] = b
-						}
+						b := rangeOf(col)
 						b.hi, b.hasHi = cst, true
 						continue
 					}
@@ -420,8 +478,8 @@ func (c *coster) selectivity(pred algebra.Scalar, rows float64) float64 {
 		}
 		sel *= c.conjSelectivity(conj, rows)
 	}
-	for col, b := range ranges {
-		cs, total, _ := c.colStats(col)
+	for _, b := range ranges {
+		cs, total, _ := c.colStats(b.col)
 		lo, hi := 0.0, 1.0
 		if b.hasLo {
 			lo = cs.SelectivityLT(b.lo, total)

@@ -6,6 +6,7 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/core"
+	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 	"orthoq/internal/stats"
 )
@@ -31,15 +32,21 @@ const (
 	RuleStreamAggOrder            = "StreamAggOrder"
 )
 
+// ruleNames lists every cost-based transformation rule; a table move
+// names its rule by index here.
+var ruleNames = [...]string{
+	RulePushGroupByBelowJoin, RuleSplitGroupBy, RulePushLocalGroupByBelowJoin,
+	RulePullGroupByAboveJoin, RulePushSemiJoinBelowGroupBy, RuleSemiJoinToJoinDistinct,
+	RuleIntroduceSegmentApply, RulePushJoinBelowSegmentApply,
+	RuleCommuteJoin, RuleRotateJoin, RuleJoinToApply,
+	RuleEliminateSort, RuleMergeJoinOrder, RuleStreamAggOrder,
+}
+
 // RuleNames lists every cost-based transformation rule.
-func RuleNames() []string {
-	return []string{
-		RulePushGroupByBelowJoin, RuleSplitGroupBy, RulePushLocalGroupByBelowJoin,
-		RulePullGroupByAboveJoin, RulePushSemiJoinBelowGroupBy, RuleSemiJoinToJoinDistinct,
-		RuleIntroduceSegmentApply, RulePushJoinBelowSegmentApply,
-		RuleCommuteJoin, RuleRotateJoin, RuleJoinToApply,
-		RuleEliminateSort, RuleMergeJoinOrder, RuleStreamAggOrder,
-	}
+func RuleNames() []string { return slices.Clone(ruleNames[:]) }
+
+func ruleID(name string) uint8 {
+	return uint8(slices.Index(ruleNames[:], name))
 }
 
 // The rule families: each of the paper's optimizer-side primitives is a
@@ -82,8 +89,6 @@ func Disable(lists ...[]string) map[string]bool {
 // ("systems" axis of the benchmark harness). The zero value enables
 // everything.
 type Config struct {
-	// Norm is forwarded to normalization (decorrelation flags).
-	Norm core.Options
 	// DisableRules suppresses rules by canonical name (the Rule*
 	// constants; see Disable and the Family* lists): a disabled rule is
 	// never tried. The rule-level equivalence harness disables one rule
@@ -102,6 +107,12 @@ type Optimizer struct {
 	Cat    *catalog.Catalog
 	Stats  *stats.Collection
 	Config Config
+	// Strategy is the physical strategy the chosen plan will run under.
+	// Plans are priced, and the order rules decide, by asking it what
+	// the executor's compile step will ask, so a run that forces merge
+	// joins is costed with merge joins. The zero value is the default
+	// run: every selector on auto.
+	Strategy exec.Strategy
 }
 
 // Result reports the chosen plan and search telemetry.
@@ -120,6 +131,10 @@ type Result struct {
 	// optimizer's actual costing work, against Generated plans that a
 	// search without the table would each cost whole.
 	Costed int
+	// Materialized counts the algebra.Rel nodes built from table entries:
+	// the spines of the plans taken off the frontier and of the returned
+	// plan. Candidates that are never expanded stay entries.
+	Materialized int
 	// Rules is the sequence of rule applications that derived the
 	// chosen plan from its seed (empty when the seed won unchanged).
 	Rules []string
@@ -160,9 +175,10 @@ type candidate struct {
 // so the search considers every strategy family.
 //
 // Plans live in a subtree table for the duration of the call (see
-// table): a candidate is deduplicated by the class number of its root
-// and costed from the cached estimates of the subtrees it shares with
-// plans seen before.
+// table) and are handled as its entries: a candidate is deduplicated
+// by probing the class number of its root, costed from the cached
+// estimates of the entries it shares with plans seen before, and turned
+// into a tree only if it is taken off the frontier.
 func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 	maxSteps := o.Config.MaxSteps
 	if maxSteps == 0 {
@@ -172,18 +188,18 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 	res := &Result{}
 	var fr frontier
 	push := func(s *subtree, from *frontierItem, rule string) *frontierItem {
-		res.Generated++
-		if t.pushed[s.class] {
-			return nil
-		}
 		t.pushed[s.class] = true
-		item := &frontierItem{plan: s, cost: t.planCost(s), from: from, rule: rule}
+		// A whole plan is costed in the empty scope.
+		item := &frontierItem{plan: s, cost: t.c.cost(s).cost, from: from, rule: rule}
 		heap.Push(&fr, item)
 		return item
 	}
+	res.Generated = 1 + len(seeds)
 	best := push(t.intern(rel), nil, "")
-	for _, s := range seeds {
-		push(t.intern(s), nil, "")
+	for _, r := range seeds {
+		if s := t.intern(r); !t.pushed[s.class] {
+			push(s, nil, "")
+		}
 	}
 
 	for fr.Len() > 0 && res.Explored < maxSteps {
@@ -197,11 +213,16 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 		if item.cost > best.cost*12 {
 			continue
 		}
-		for _, m := range t.expand(item.plan) {
-			push(m.to, item, m.rule)
+		for k, m := range t.expand(item.plan) {
+			res.Generated++
+			if class := t.probe(item.plan, k); class >= 0 && t.pushed[class] {
+				continue // a plan already seen: no entry was made for it
+			}
+			push(t.target(item.plan, k), item, ruleNames[m.rule])
 		}
 	}
-	res.Plan, res.Cost, res.Costed = t.relOf(best.plan), best.cost, t.costed
+	res.Plan, res.Cost = t.relOf(best.plan), best.cost
+	res.Costed, res.Materialized = t.c.costed, t.materialized
 	for it := best; it.from != nil; it = it.from {
 		res.Rules = append(res.Rules, it.rule)
 	}
@@ -209,10 +230,10 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 	return res
 }
 
-// rulesAt applies every enabled rule at the root of r. Enablement is
-// Config.DisableRules alone; a disabled rule's rewrite is not even
-// attempted.
-func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
+// rulesAt applies every enabled rule at the root of r, whose inputs'
+// properties in holds. Enablement is Config.DisableRules alone; a
+// disabled rule's rewrite is not even attempted.
+func (o *Optimizer) rulesAt(r algebra.Rel, in algebra.Props) []candidate {
 	var out []candidate
 	on := func(rule string) bool { return !o.Config.disabled(rule) }
 	add := func(rule string, nr algebra.Rel, ok bool) {
@@ -235,7 +256,7 @@ func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
 			add(RulePushLocalGroupByBelowJoin, nr, ok)
 		}
 		if on(RuleStreamAggOrder) {
-			nr, ok := tryStreamAggOrder(o.Md, o.Cat, t)
+			nr, ok := tryStreamAggOrder(o.Md, o.Cat, t, in.DeliveredOrder(0))
 			add(RuleStreamAggOrder, nr, ok)
 		}
 	case *algebra.Join:
@@ -297,12 +318,12 @@ func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
 			add(RuleJoinToApply, nr, ok)
 		}
 		if on(RuleMergeJoinOrder) {
-			nr, ok := tryMergeJoinOrder(o.Md, o.Cat, t)
+			nr, ok := tryMergeJoinOrder(o.Md, o.Cat, o.Strategy, t, in)
 			add(RuleMergeJoinOrder, nr, ok)
 		}
 	case *algebra.Sort:
 		if on(RuleEliminateSort) {
-			nr, ok := tryEliminateSort(o.Md, o.Cat, t)
+			nr, ok := tryEliminateSort(o.Md, o.Cat, t, in.DeliveredOrder(0))
 			add(RuleEliminateSort, nr, ok)
 		}
 	}

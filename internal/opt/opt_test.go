@@ -93,9 +93,8 @@ func TestOptimizerLowersCost(t *testing.T) {
 	sc := stats.Collect(st)
 	for _, name := range []string{"Q2", "Q17", "Q18"} {
 		md, rel, _ := prep(t, st, tpch.Queries[name])
-		c := &coster{md: md, cat: st.Catalog, st: sc}
-		before := c.cost(rel).cost
 		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 400}}
+		before := estimateOf(o, rel).cost
 		r := o.Optimize(rel)
 		if r.Cost > before+1e-6 {
 			t.Errorf("%s: cost went up: %.0f -> %.0f", name, before, r.Cost)
@@ -259,12 +258,10 @@ func TestCostModelOrdersScanVsSeek(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, point, _ := prep(t, st, `select o_orderkey from orders where o_orderkey = 5`)
-	c := &coster{md: md, cat: st.Catalog, st: sc}
-	pointCost := c.cost(point).cost
+	pointCost := estimateOf(&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}, point).cost
 
 	md2, full, _ := prep(t, st, `select o_orderkey from orders`)
-	c2 := &coster{md: md2, cat: st.Catalog, st: sc}
-	fullCost := c2.cost(full).cost
+	fullCost := estimateOf(&Optimizer{Md: md2, Cat: st.Catalog, Stats: sc}, full).cost
 	if pointCost*10 > fullCost {
 		t.Errorf("point lookup (%.1f) should be far cheaper than scan (%.1f)", pointCost, fullCost)
 	}
@@ -277,8 +274,7 @@ func TestRangeSelectivityCombines(t *testing.T) {
 	sc := stats.Collect(st)
 	md, narrow, _ := prep(t, st, `select o_orderkey from orders
 		where o_orderdate >= date '1993-07-01' and o_orderdate < date '1993-10-01'`)
-	c := &coster{md: md, cat: st.Catalog, st: sc}
-	est := c.cost(narrow)
+	est := estimateOf(&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}, narrow)
 	total := float64(sc.Table("orders").RowCount)
 	frac := est.rows / total
 	// Three months out of ~79: expect a few percent, far below the

@@ -18,8 +18,8 @@ import (
 // either it already does (redundant Sort), or the requirement can be
 // pushed down a Select/Project spine onto a Get backed by a matching
 // ordered index.
-func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sort) (algebra.Rel, bool) {
-	if algebra.OrderCovers(algebra.DeliveredOrder(s.Input), s.By) {
+func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sort, inOrder []algebra.Ordering) (algebra.Rel, bool) {
+	if algebra.OrderCovers(inOrder, s.By) {
 		return s.Input, true
 	}
 	return pushOrder(md, cat, s.Input, s.By)
@@ -29,27 +29,27 @@ func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sor
 // the executor selects a merge join. Inputs already covering their key
 // order are left alone; the others get the requirement pushed onto an
 // index-backed Get.
-func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
+func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, strategy exec.Strategy, j *algebra.Join, in algebra.Props) (algebra.Rel, bool) {
 	switch j.Kind {
 	case algebra.InnerJoin, algebra.SemiJoin, algebra.AntiSemiJoin, algebra.LeftOuterJoin:
 	default:
 		return nil, false
 	}
-	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On,
-		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
-	if priced.JoinAlg(j, lKeys, rKeys) != exec.AlgHash {
+	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On, in.OutputCols(0), in.OutputCols(1))
+	lOrder, rOrder := in.DeliveredOrder(0), in.DeliveredOrder(1)
+	if strategy.JoinAlg(lKeys, rKeys, lOrder, rOrder) != exec.AlgHash {
 		return nil, false // no keys to merge on, or a merge join already
 	}
 	lBy, rBy := ascOrderings(lKeys), ascOrderings(rKeys)
 	newL, newR := j.Left, j.Right
-	if !algebra.OrderCovers(algebra.DeliveredOrder(newL), lBy) {
+	if !algebra.OrderCovers(lOrder, lBy) {
 		nl, ok := pushOrder(md, cat, newL, lBy)
 		if !ok {
 			return nil, false
 		}
 		newL = nl
 	}
-	if !algebra.OrderCovers(algebra.DeliveredOrder(newR), rBy) {
+	if !algebra.OrderCovers(rOrder, rBy) {
 		nr, ok := pushOrder(md, cat, newR, rBy)
 		if !ok {
 			return nil, false
@@ -64,11 +64,11 @@ func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Jo
 // tryStreamAggOrder orders a GroupBy's input on its grouping columns
 // (in the column sequence of a matching ordered index) so every group
 // arrives contiguously and the executor aggregates streaming.
-func tryStreamAggOrder(md *algebra.Metadata, cat *catalog.Catalog, gb *algebra.GroupBy) (algebra.Rel, bool) {
+func tryStreamAggOrder(md *algebra.Metadata, cat *catalog.Catalog, gb *algebra.GroupBy, inOrder []algebra.Ordering) (algebra.Rel, bool) {
 	if gb.GroupCols.Empty() {
 		return nil, false
 	}
-	if algebra.GroupedBy(algebra.DeliveredOrder(gb.Input), gb.GroupCols) {
+	if algebra.GroupedBy(inOrder, gb.GroupCols) {
 		return nil, false // already grouped
 	}
 	g, ok := spineGet(gb.Input)
@@ -100,7 +100,7 @@ func ascOrderings(cols []algebra.ColID) []algebra.Ordering {
 // base-table access at the bottom of its Select/Project spine,
 // provided a matching ordered index exists. Select and order-column-
 // preserving Project pass the requirement through unchanged (their
-// DeliveredOrder derivations mirror this exactly).
+// delivered-order derivations mirror this exactly).
 func pushOrder(md *algebra.Metadata, cat *catalog.Catalog, r algebra.Rel, by []algebra.Ordering) (algebra.Rel, bool) {
 	switch t := r.(type) {
 	case *algebra.Get:

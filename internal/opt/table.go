@@ -2,14 +2,14 @@ package opt
 
 import "orthoq/internal/algebra"
 
-// table is the interned-subtree table of one Optimize call: every
-// distinct plan subtree the search touches has one entry, and what the
-// search needs to know about a subtree — its identity for
-// deduplication, its logical properties, its cost, the rewrites that
-// apply inside it — is computed once and kept there. A candidate plan
-// differs from the plan it was derived from along one root-to-node
-// spine, so producing, deduplicating and costing it touches only the
-// entries of that spine; the subtrees hanging off it are shared.
+// table is the interned-subtree table of one Optimize call, and its
+// entries are the unit the search works in: a candidate plan is
+// deduplicated, costed and ordered as an entry — an operator plus the
+// entries of its inputs — and the algebra.Rel tree it denotes is built
+// only when the plan is taken off the frontier (its rules need a tree)
+// or returned. A candidate differs from the plan it was derived from
+// along one root-to-node spine, so everything done for it touches only
+// the entries of that spine; the subtrees hanging off it are shared.
 //
 // An entry is a subtree *as built*: two structurally equal trees
 // reached by different rewrites get two entries. That keeps everything
@@ -24,20 +24,30 @@ import "orthoq/internal/algebra"
 // same class iff their FormatRel texts are equal. FormatRel's text is
 // the pre-order sequence of the nodes' own lines, so the class of a
 // node is determined by its own line and its children's classes and is
-// computed bottom-up with two small maps, without rendering a tree.
+// computed bottom-up with two small maps, without rendering a tree —
+// and, for a candidate, without making an entry: see probe.
 type table struct {
 	o *Optimizer
 	// c costs on behalf of the table; its estimates land in the entries.
 	c *coster
 
+	// byRel finds the entry of a tree that exists: what was interned and
+	// what relOf built. Rule outputs share their untouched subtrees with
+	// the tree the rule fired on, and intern recognizes those here.
 	byRel   map[algebra.Rel]*subtree
 	lines   map[string]int32
-	classes map[classKey]int32
+	text    []byte // lineOf's buffer
+	classes classSet
 	// pushed[class] records that a plan of that class has entered the
 	// frontier.
 	pushed []bool
-	// costed counts estimates derived (cache misses), for Result.Costed.
-	costed int
+	// slab is where the next entries come from; scratch stands in for
+	// an entry that may not be needed (lineWith).
+	slab    []subtree
+	scratch subtree
+	// materialized counts tree nodes built by relOf, for
+	// Result.Materialized.
+	materialized int
 }
 
 // classKey identifies a FormatRel text by the root's line and the
@@ -45,15 +55,65 @@ type table struct {
 // two).
 type classKey struct{ line, left, right int32 }
 
-// subtree is one table entry. The search makes an entry for every
-// candidate plan and every node on its spine, and most candidates turn
-// out to repeat a plan already seen, so an entry starts small: what
-// only plans that are costed or expanded need is filled in on demand.
+// classSet numbers the distinct classKeys in order of arrival. Every
+// candidate probes it once per spine node, which is the search's inner
+// loop, so it is an open-addressed table over the three integers
+// rather than a map: keys are held by class number, and slots hold
+// class+1 (0 = empty) under linear probing.
+type classSet struct {
+	keys  []classKey
+	slots []int32
+}
+
+func (k classKey) hash() uint32 {
+	h := uint32(k.line)*0x9E3779B1 ^ uint32(k.left)*0x85EBCA77 ^ uint32(k.right)*0xC2B2AE3D
+	return h ^ h>>15
+}
+
+// slot returns the slot holding k's class, or the empty one k belongs
+// in.
+func (c *classSet) slot(k classKey) *int32 {
+	mask := uint32(len(c.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		if id := &c.slots[i]; *id == 0 || c.keys[*id-1] == k {
+			return id
+		}
+	}
+}
+
+// find returns k's class number.
+func (c *classSet) find(k classKey) (int32, bool) {
+	if len(c.keys) == 0 {
+		return -1, false
+	}
+	id := *c.slot(k)
+	return id - 1, id != 0
+}
+
+// add gives k, which find does not know, the next class number.
+func (c *classSet) add(k classKey) int32 {
+	if 2*(len(c.keys)+1) > len(c.slots) {
+		c.slots = make([]int32, max(32, 2*len(c.slots)))
+		for id, old := range c.keys {
+			*c.slot(old) = int32(id) + 1
+		}
+	}
+	c.keys = append(c.keys, k)
+	*c.slot(k) = int32(len(c.keys))
+	return int32(len(c.keys)) - 1
+}
+
+// subtree is one table entry: an operator, the entries of its inputs,
+// and everything the search has learnt about the subtree the two
+// denote. It is the algebra.Props of its operator — the node's inputs'
+// properties are read off the input entries — so a property or an
+// estimate of an entry is a function of (operator, what is known about
+// its inputs) and needs no tree.
 type subtree struct {
-	// op carries the operator's own fields and kids its inputs (nil
-	// where absent; no operator has more than two). rel is the tree the
-	// two denote; entries made by swapping one input of an existing entry
-	// (with) get it on first use.
+	// op carries the operator's own fields; its input fields are stale
+	// in an entry made by with, and kids are the inputs (nil where
+	// absent; no operator has more than two). rel is the tree the two
+	// denote, nil until relOf is asked for it.
 	op   algebra.Rel
 	kids [2]*subtree
 	rel  algebra.Rel
@@ -63,9 +123,18 @@ type subtree struct {
 	// segRefs: the subtree reads the segment of a SegmentApply above it.
 	segRefs  bool
 	expanded bool
+	own      uint16 // once expanded: how many of moves are rules at the node
 
-	// facts is what costing has learnt about the subtree.
-	facts *facts
+	// Derived properties, each computed on first use from the input
+	// entries': output columns, outer references, delivered sort order.
+	// And the estimate in the first costing scope the subtree was met in
+	// (see coster.cost); the few entries met in more scopes keep the
+	// other estimates in coster.more. The flags sit together so that the
+	// entry packs into 256 bytes.
+	hasOut, hasOuter, hasOrder, hasEst bool
+	out, outer                         algebra.ColSet
+	order                              []algebra.Ordering
+	est                                scopedEstimate
 
 	// moves lists every single-rule rewrite at or below this node, in
 	// the search's generation order: rules at the node itself, then the
@@ -74,12 +143,44 @@ type subtree struct {
 	moves []move
 }
 
-// facts are a subtree's derived properties and its estimate in each
-// costing scope it was met in (see table.estimate).
-type facts struct {
-	out, outer       algebra.ColSet
-	hasOut, hasOuter bool
-	ests             []scopedEstimate
+// move is one single-rule rewrite of a subtree s: the output of a rule
+// fired at s itself (to is set from the start), or a move of one of
+// s's inputs lifted to s — s with that input replaced (see lifted). A
+// lifted move gets its entry only when a plan containing it turns out
+// to be new (target); until then it is known by its class alone
+// (probe). Most of a search's moves never get an entry, so a move is
+// kept to 16 bytes.
+type move struct {
+	to *subtree
+	// class is to's class once known, -1 before.
+	class int32
+	rule  uint8 // index into ruleNames
+}
+
+// lifted says which input's move the lifted move k of s is: s.moves
+// lists the own moves, then input 0's moves, then input 1's.
+func (s *subtree) lifted(k int) (input, idx int) {
+	idx = k - int(s.own)
+	if n := len(s.kids[0].moves); idx >= n {
+		return 1, idx - n
+	}
+	return 0, idx
+}
+
+type scopedEstimate struct {
+	bound algebra.ColSet
+	seg   float64
+	est   estimate
+}
+
+func newTable(o *Optimizer) *table {
+	t := &table{
+		o:     o,
+		byRel: map[algebra.Rel]*subtree{},
+		lines: map[string]int32{},
+	}
+	t.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats, strategy: o.Strategy}
+	return t
 }
 
 // inputs returns the entries of s's inputs.
@@ -91,34 +192,51 @@ func (s *subtree) inputs() []*subtree {
 	return s.kids[:n]
 }
 
-func (s *subtree) known() *facts {
-	if s.facts == nil {
-		s.facts = &facts{}
+// The entry's own properties.
+
+func (s *subtree) outputCols() algebra.ColSet {
+	if !s.hasOut {
+		s.out, s.hasOut = algebra.DeriveOutputCols(s, s.op), true
 	}
-	return s.facts
+	return s.out
 }
 
-// move is one single-rule rewrite of a subtree.
-type move struct {
-	to   *subtree
-	rule string
-}
-
-type scopedEstimate struct {
-	bound algebra.ColSet
-	seg   float64
-	est   estimate
-}
-
-func newTable(o *Optimizer) *table {
-	t := &table{
-		o:       o,
-		byRel:   map[algebra.Rel]*subtree{},
-		lines:   map[string]int32{},
-		classes: map[classKey]int32{},
+func (s *subtree) outerRefs() algebra.ColSet {
+	if !s.hasOuter {
+		s.outer, s.hasOuter = algebra.DeriveOuterRefs(s, s.op), true
 	}
-	t.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats, tab: t}
-	return t
+	return s.outer
+}
+
+func (s *subtree) deliveredOrder() []algebra.Ordering {
+	if !s.hasOrder {
+		s.order, s.hasOrder = algebra.DeriveDeliveredOrder(s, s.op), true
+	}
+	return s.order
+}
+
+// OutputCols, OuterRefs, DeliveredOrder and SegmentRefCols make the
+// entry the algebra.Props of its operator: they answer for input i.
+
+func (s *subtree) OutputCols(i int) algebra.ColSet         { return s.kids[i].outputCols() }
+func (s *subtree) OuterRefs(i int) algebra.ColSet          { return s.kids[i].outerRefs() }
+func (s *subtree) DeliveredOrder(i int) []algebra.Ordering { return s.kids[i].deliveredOrder() }
+
+// SegmentRefCols is asked only when a SegmentApply's outer references
+// are derived, once per such entry, and is not kept.
+func (s *subtree) SegmentRefCols(i int) algebra.ColSet {
+	return algebra.DeriveSegmentRefCols(s.kids[i], s.kids[i].op)
+}
+
+// alloc carves an entry from the current slab. Slabs start small (most
+// queries' searches are) and double up to a size the allocator still
+// serves from its size classes.
+func (t *table) alloc() *subtree {
+	if len(t.slab) == cap(t.slab) {
+		t.slab = make([]subtree, 0, min(max(4, 2*cap(t.slab)), 64))
+	}
+	t.slab = t.slab[:len(t.slab)+1]
+	return &t.slab[len(t.slab)-1]
 }
 
 // intern returns the entry for the tree r, entering it and any of its
@@ -128,50 +246,62 @@ func (t *table) intern(r algebra.Rel) *subtree {
 	if s, ok := t.byRel[r]; ok {
 		return s
 	}
-	s := &subtree{op: r, rel: r}
+	s := t.alloc()
+	s.op, s.rel = r, r
 	for i, in := range r.Inputs() {
 		s.kids[i] = t.intern(in)
 	}
 	t.byRel[r] = s
-	t.classify(s, t.line(r))
+	t.classify(s, t.lineOf(s), -1)
 	return s
 }
 
-// with returns the entry for p with input i replaced by n.
-func (t *table) with(p *subtree, i int, n *subtree) *subtree {
-	s := &subtree{op: p.op, kids: p.kids}
+// with returns a new entry for p with input i replaced by n, whose
+// class is class if that is known (-1 if not).
+func (t *table) with(p *subtree, i int, n *subtree, class int32) *subtree {
+	line := t.lineWith(p, i, n)
+	s := t.alloc()
+	s.op, s.kids = p.op, p.kids
 	s.kids[i] = n
-	line := p.line
-	if _, ok := p.op.(*algebra.Apply); ok {
-		// The one line that is not a function of the operator's own
-		// fields: it names the columns the inputs bind.
-		line = t.line(t.relOf(s))
-	}
-	t.classify(s, line)
+	t.classify(s, line, class)
 	return s
 }
 
-func (t *table) line(r algebra.Rel) int32 {
-	text := algebra.FormatNode(t.o.Md, t, r)
-	id, ok := t.lines[text]
+// lineWith is the line of p with input i replaced by n: p's own,
+// except that an Apply's line names the columns its inputs bind, which
+// the replacement may change.
+func (t *table) lineWith(p *subtree, i int, n *subtree) int32 {
+	a, ok := p.op.(*algebra.Apply)
+	if !ok {
+		return p.line
+	}
+	t.scratch = subtree{op: a, kids: p.kids}
+	t.scratch.kids[i] = n
+	if algebra.BindingSignature(&t.scratch, a).Equals(algebra.BindingSignature(p, a)) {
+		return p.line
+	}
+	return t.lineOf(&t.scratch)
+}
+
+// lineOf interns s's FormatNode text. The text is a function of the
+// operator's own fields, except an Apply's, which names the columns
+// its inputs bind.
+func (t *table) lineOf(s *subtree) int32 {
+	t.text = algebra.AppendNode(t.text[:0], t.o.Md, s, s.op)
+	id, ok := t.lines[string(t.text)]
 	if !ok {
 		id = int32(len(t.lines))
-		t.lines[text] = id
+		t.lines[string(t.text)] = id
 	}
 	return id
 }
 
 // classify fills in what an entry derives from its line and inputs
-// alone.
-func (t *table) classify(s *subtree, line int32) {
+// alone. class is its class number if the caller has probed it, else
+// -1.
+func (t *table) classify(s *subtree, line, class int32) {
 	s.line = line
-	key := classKey{line, -1, -1}
 	for i, k := range s.inputs() {
-		if i == 0 {
-			key.left = k.class
-		} else {
-			key.right = k.class
-		}
 		// A SegmentApply's inner side reads the apply's own segment; only
 		// refs on its input side reach further up.
 		if _, ok := s.op.(*algebra.SegmentApply); !ok || i == 0 {
@@ -181,16 +311,30 @@ func (t *table) classify(s *subtree, line int32) {
 	if _, ok := s.op.(*algebra.SegmentRef); ok {
 		s.segRefs = true
 	}
-	id, ok := t.classes[key]
-	if !ok {
-		id = int32(len(t.classes))
-		t.classes[key] = id
-		t.pushed = append(t.pushed, false)
+	if class < 0 {
+		key := keyOf(line, s.kids)
+		var ok bool
+		if class, ok = t.classes.find(key); !ok {
+			class = t.classes.add(key)
+			t.pushed = append(t.pushed, false)
+		}
 	}
-	s.class = id
+	s.class = class
 }
 
-// relOf returns the tree s denotes.
+func keyOf(line int32, kids [2]*subtree) classKey {
+	key := classKey{line, -1, -1}
+	if kids[0] != nil {
+		key.left = kids[0].class
+	}
+	if kids[1] != nil {
+		key.right = kids[1].class
+	}
+	return key
+}
+
+// relOf returns the tree s denotes, building the nodes that do not
+// exist yet.
 func (t *table) relOf(s *subtree) algebra.Rel {
 	if s.rel == nil {
 		kids := s.inputs()
@@ -200,85 +344,81 @@ func (t *table) relOf(s *subtree) algebra.Rel {
 		}
 		s.rel = s.op.WithInputs(ins)
 		t.byRel[s.rel] = s
+		t.materialized++
 	}
 	return s.rel
 }
 
-// OutputCols and OuterRefs make the table an algebra.Props: each
-// property is derived once per entry from the entries of its inputs.
-
-func (t *table) OutputCols(r algebra.Rel) algebra.ColSet {
-	f := t.intern(r).known()
-	if !f.hasOut {
-		f.out, f.hasOut = algebra.DeriveOutputCols(t, r), true
-	}
-	return f.out
-}
-
-func (t *table) OuterRefs(r algebra.Rel) algebra.ColSet {
-	f := t.intern(r).known()
-	if !f.hasOuter {
-		f.outer, f.hasOuter = algebra.DeriveOuterRefs(t, r), true
-	}
-	return f.outer
-}
-
-// estimate returns c's estimate of r, derived once per costing scope.
-// Deriving an estimate consults the scope in two places only: a Get's
-// seek detection asks whether the comparand columns of its filter are
-// bound by an enclosing Apply, and a SegmentRef reads the innermost
-// enclosing segment size. The columns a subtree can ask about that it
-// does not bind itself are its outer references, so the scope reduces
-// to (bound ∩ OuterRefs, innermost segment size if the subtree reads
-// one). A subtree with no outer references and no foreign SegmentRef —
-// nearly all of them — has one scope and is costed once.
-func (t *table) estimate(c *coster, r algebra.Rel) estimate {
-	s := t.intern(r)
-	var bound algebra.ColSet
-	if !c.bound.Empty() {
-		bound = c.bound.Intersection(t.OuterRefs(r))
-	}
-	seg := 0.0
-	if s.segRefs {
-		seg = c.segmentRows()
-	}
-	f := s.known()
-	for _, e := range f.ests {
-		if e.seg == seg && e.bound.Equals(bound) {
-			return e.est
-		}
-	}
-	est := c.derive(r)
-	f.ests = append(f.ests, scopedEstimate{bound: bound, seg: seg, est: est})
-	t.costed++
-	return est
-}
-
-// planCost is the cost of s as a whole plan (no enclosing scope).
-func (t *table) planCost(s *subtree) float64 {
-	return t.c.cost(t.relOf(s)).cost
-}
-
 // expand returns every single-rule rewrite at or below s. The rules at
-// a node fire once per entry, however many plans contain it.
+// a node fire once per entry, however many plans contain it, and this
+// is the one place the search needs the entry's tree.
 func (t *table) expand(s *subtree) []move {
 	if s.expanded {
 		return s.moves
 	}
 	s.expanded = true
-	here := t.o.rulesAt(t.relOf(s))
+	here := t.o.rulesAt(t.relOf(s), s)
 	n := len(here)
 	for _, k := range s.inputs() {
 		n += len(t.expand(k))
 	}
 	s.moves = make([]move, 0, n)
+	s.own = uint16(len(here))
 	for _, c := range here {
-		s.moves = append(s.moves, move{to: t.intern(c.rel), rule: c.rule})
+		to := t.intern(c.rel)
+		s.moves = append(s.moves, move{to: to, class: to.class, rule: ruleID(c.rule)})
 	}
-	for i, k := range s.inputs() {
+	for _, k := range s.inputs() {
 		for _, m := range k.moves {
-			s.moves = append(s.moves, move{to: t.with(s, i, m.to), rule: m.rule})
+			s.moves = append(s.moves, move{class: -1, rule: m.rule})
 		}
 	}
 	return s.moves
+}
+
+// probe returns the class of move k of the expanded entry s, or -1 if
+// no subtree of that class has been entered — in which case the move
+// is certainly new. The class of a lifted move follows from s's line
+// and the classes of its inputs, one of them probed in turn, so a
+// candidate that repeats a plan already seen costs a map lookup per
+// spine node and no entry. What a probe finds is kept on the move: the
+// next plan sharing the spine node stops there.
+func (t *table) probe(s *subtree, k int) int32 {
+	m := &s.moves[k]
+	if m.class >= 0 {
+		return m.class
+	}
+	i, j := s.lifted(k)
+	kc := t.probe(s.kids[i], j)
+	if kc < 0 {
+		return -1
+	}
+	line := s.line
+	if _, ok := s.op.(*algebra.Apply); ok {
+		// An Apply's line needs the rewritten input's properties, so that
+		// input's entry is made; every plan containing s's input shares it.
+		line = t.lineWith(s, i, t.target(s.kids[i], j))
+	}
+	key := keyOf(line, s.kids)
+	if i == 0 {
+		key.left = kc
+	} else {
+		key.right = kc
+	}
+	if class, ok := t.classes.find(key); ok {
+		m.class = class
+	}
+	return m.class
+}
+
+// target returns the entry of move k of the expanded entry s, making
+// it — and the entries of the moves it is lifted from — on first use.
+func (t *table) target(s *subtree, k int) *subtree {
+	m := &s.moves[k]
+	if m.to == nil {
+		i, j := s.lifted(k)
+		m.to = t.with(s, i, t.target(s.kids[i], j), m.class)
+		m.class = m.to.class
+	}
+	return m.to
 }

@@ -231,3 +231,41 @@ func TestProfileMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestTableLookup: statistics are found under the catalog's spelling of
+// a table's name — which a mixed-case CREATE keeps — under its
+// lower-case form and under any other casing, and the first two, the
+// spellings plans carry and so the ones the optimizer's coster looks up
+// per column, allocate nothing.
+func TestTableLookup(t *testing.T) {
+	st := storage.New(catalog.New())
+	tbl, err := st.CreateTable(&catalog.Table{
+		Name:    "LineItems",
+		Columns: []catalog.Column{{Name: "id", Type: types.Int}},
+		Key:     []int{0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(types.Row{types.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	c := Collect(st)
+	want := c.Table("LineItems")
+	if want == nil || want.RowCount != 1 {
+		t.Fatalf("stats under the catalog's spelling = %+v", want)
+	}
+	for _, name := range []string{"lineitems", "LINEITEMS", "lineItems"} {
+		if c.Table(name) != want {
+			t.Errorf("Table(%q) missed", name)
+		}
+	}
+	if c.Table("lineitem") != nil {
+		t.Error("a different name found statistics")
+	}
+	for _, name := range []string{"LineItems", "lineitems"} {
+		if n := testing.AllocsPerRun(100, func() { c.Table(name) }); n != 0 {
+			t.Errorf("Table(%q) allocates %v times per call", name, n)
+		}
+	}
+}

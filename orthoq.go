@@ -1040,7 +1040,8 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 			}
 		}
 		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(),
-			Config: opt.Config{DisableRules: nopts.DisableRules, MaxSteps: id.maxSteps}}
+			Config:   opt.Config{DisableRules: nopts.DisableRules, MaxSteps: id.maxSteps},
+			Strategy: id.strat}
 		search = o.Optimize(rel, seeds...)
 		p.plan, p.steps, p.cost = search.Plan, search.Explored, search.Cost
 		// The correlated seed is a strategy alternative, not a rewrite of
@@ -1445,8 +1446,8 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 	b.WriteString("\n=== normalized (correlations removed, outerjoins simplified) ===\n")
 	b.WriteString(algebra.FormatRel(p.md, tr.normalized))
 	if r := tr.search; r != nil {
-		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored, %d generated, %d subtrees costed) ===\n",
-			r.Cost, r.Explored, r.Generated, r.Costed)
+		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored, %d generated, %d nodes materialized, %d subtrees costed) ===\n",
+			r.Cost, r.Explored, r.Generated, r.Materialized, r.Costed)
 		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, db.statsNow(), r.Plan, id.strat))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))

@@ -147,7 +147,7 @@ func TestExplainStages(t *testing.T) {
 	if !strings.Contains(out, "rows≈") {
 		t.Error("cost-based stage should carry estimates")
 	}
-	for _, counter := range []string{" plans explored, ", " generated, ", " subtrees costed) ==="} {
+	for _, counter := range []string{" plans explored, ", " generated, ", " nodes materialized, ", " subtrees costed) ==="} {
 		if !strings.Contains(out, counter) {
 			t.Errorf("cost-based header missing search counter %q", counter)
 		}

@@ -38,6 +38,17 @@ go build ./...
 go test -run 'TestPublicAPIGolden|TestConfigFieldsClassified|TestExplainMatchesPrepare' .
 go test ./internal/plancache ./internal/resultcache ./internal/lru
 
+# Optimizer leg, fail-fast: the search is pinned (102 searches against
+# plans.golden: plan text, bit-exact cost, Explored, Rules — never run
+# with -update here), what a table entry holds equals what its tree
+# gives from scratch, two searches of one query agree, and the work one
+# seeded Q2 search does stays bounded (tree nodes materialized,
+# allocations; DESIGN §17). Then one iteration of the optimizer
+# benchmark, which prints costed/op and materialized/op beside B/op
+# and allocs/op for the five planning-heavy TPC-H queries.
+go test -run 'TestSearchUnchanged|TestTableMatches|TestOptimizeDeterministic|TestOptimizeWorkBounds' ./internal/opt
+go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
+
 # Fast smoke leg: batch-vs-row equivalence is the highest-signal
 # regression check for executor changes — fail it early and clearly
 # before the full suite runs.
