@@ -326,3 +326,21 @@ func collectSpans(rows *Rows) []*Span {
 	}
 	return out
 }
+
+// exactSameRows requires identical rows in identical order.
+func exactSameRows(a, b []Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j].IsNull() != b[i][j].IsNull() || a[i][j].String() != b[i][j].String() {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -206,40 +206,30 @@ func BenchmarkParallelJoin(b *testing.B) {
 		where o_custkey = c_custkey and o_totalprice > 1000`)
 }
 
-// Batch-at-a-time execution: each workload in batch mode (the
-// default, compiled expressions) and row mode (interpreted baseline).
+// Executor micro-workloads: scan+filter, scan+aggregate, hash join.
 
-func benchBatchModes(b *testing.B, sql string) {
+func benchBatch(b *testing.B, sql string) {
 	b.Helper()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batch", false}, {"row", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.DisableBatch = mode.disable
-			benchQuery(b, sql, cfg)
-		})
-	}
+	benchQuery(b, sql, DefaultConfig())
 }
 
 func BenchmarkBatchScanFilter(b *testing.B) {
-	benchBatchModes(b, `select l_orderkey, l_extendedprice from lineitem
+	benchBatch(b, `select l_orderkey, l_extendedprice from lineitem
 		where l_quantity > 30 and l_discount > 0.02`)
 }
 
 func BenchmarkBatchScanAggQ1(b *testing.B) {
 	q, _ := TPCHQuery("Q1")
-	benchBatchModes(b, q)
+	benchBatch(b, q)
 }
 
 func BenchmarkBatchScanAggQ6(b *testing.B) {
 	q, _ := TPCHQuery("Q6")
-	benchBatchModes(b, q)
+	benchBatch(b, q)
 }
 
 func BenchmarkBatchJoin(b *testing.B) {
-	benchBatchModes(b, `select o_orderkey, c_name from orders, customer
+	benchBatch(b, `select o_orderkey, c_name from orders, customer
 		where o_custkey = c_custkey and o_totalprice > 1000`)
 }
 

@@ -8,8 +8,7 @@
 //
 //	orthoq-bench -exp all -sf 0.01 -reps 3
 //	orthoq-bench -exp figure9 -sfs 0.002,0.005,0.01,0.02
-//	orthoq-bench -exp batch -sf 0.05 -json
-//	orthoq-bench -exp batch -cpuprofile cpu.out -memprofile mem.out
+//	orthoq-bench -exp parallel -cpuprofile cpu.out -memprofile mem.out
 //	orthoq-bench -exp obs -json
 //	orthoq-bench -exp concurrency -sessions 32 -ops 10 -json
 //	orthoq-bench -exp resultcache -sessions 8 -ops 20 -json -artifacts .
@@ -29,12 +28,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: figure1|figure8|figure9|ablation|parallel|cache|batch|spill|obs|apply|order|concurrency|resultcache|recovery|all")
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for figure1/figure8/ablation/parallel/batch")
+	exp := flag.String("exp", "all", "experiment: figure1|figure8|figure9|ablation|parallel|cache|spill|obs|apply|order|concurrency|resultcache|recovery|all")
+	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for figure1/figure8/ablation/parallel")
 	sfList := flag.String("sfs", "0.002,0.005,0.01,0.02", "comma-separated scale factors for figure9")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	reps := flag.Int("reps", 3, "repetitions per measurement (median reported)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON lines (parallel/cache/batch/apply/concurrency experiments)")
+	jsonOut := flag.Bool("json", false, "emit machine-readable JSON lines (parallel/cache/apply/concurrency experiments)")
 	sessions := flag.Int("sessions", 32, "concurrent wire sessions for the concurrency/resultcache experiments")
 	ops := flag.Int("ops", 10, "operations per session for the concurrency/resultcache experiments")
 	artifacts := flag.String("artifacts", "", "directory for unified BENCH_<exp>.json artifacts (empty = off)")
@@ -97,7 +96,6 @@ func main() {
 	run("ablation", func() error { return bench.RunAblations(os.Stdout, openDB(), *reps) })
 	run("parallel", func() error { return bench.RunParallel(os.Stdout, openDB(), *reps, *jsonOut) })
 	run("cache", func() error { return bench.RunCache(os.Stdout, *sf, *seed, *reps, *jsonOut) })
-	run("batch", func() error { return bench.RunBatch(os.Stdout, openDB(), *reps, *jsonOut) })
 	run("spill", func() error { return bench.RunSpill(os.Stdout, openDB(), *reps, *jsonOut) })
 	run("obs", func() error { return bench.RunObs(os.Stdout, openDB(), *reps, *jsonOut) })
 	run("apply", func() error { return bench.RunApply(os.Stdout, openDB(), *reps, *jsonOut) })
@@ -131,7 +129,7 @@ func main() {
 	}
 
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure1|figure8|figure9|ablation|parallel|cache|batch|spill|obs|apply|order|concurrency|resultcache|recovery|all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want figure1|figure8|figure9|ablation|parallel|cache|spill|obs|apply|order|concurrency|resultcache|recovery|all)\n", *exp)
 		os.Exit(2)
 	}
 

@@ -260,6 +260,7 @@ func TestStreamMatchesQuery(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
 	cfg.MaxSteps = 300
+	cfg.Trace = true
 	sql := `select l_orderkey, o_totalprice from lineitem, orders
 		where l_orderkey = o_orderkey and l_quantity > 40`
 	want, err := db.QueryCfg(sql, cfg)
@@ -285,6 +286,11 @@ func TestStreamMatchesQuery(t *testing.T) {
 		}
 		got = append(got, row)
 	}
+	// A stream is the same execution read a row at a time: every operator
+	// produced the same rows over the same number of opens.
+	if streamed, queried := flattenSpans(st.cu.Spans()), flattenSpans(want.Spans()); streamed != queried {
+		t.Errorf("per-operator counts differ between QueryStream and QueryCfg\nstream:\n%s\nquery:\n%s", streamed, queried)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +300,9 @@ func TestStreamMatchesQuery(t *testing.T) {
 }
 
 // TestStreamEarlyCloseNoLeak: abandoning a parallel cursor mid-result
-// must tear down the exchange workers and release spill files; Close
-// is idempotent.
+// — three rows into a spilling aggregation, one row into a full
+// lineitem scan whose exchange workers are still producing — must tear
+// down the workers and release spill files; Close is idempotent.
 func TestStreamEarlyCloseNoLeak(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
@@ -303,15 +310,22 @@ func TestStreamEarlyCloseNoLeak(t *testing.T) {
 	cfg.Parallelism = 4
 	cfg.MemBudget = 48 << 10
 	cfg.SpillDir = t.TempDir()
-	sql := `select l_orderkey, count(*) from lineitem group by l_orderkey`
+	cases := []struct {
+		sql  string
+		read int
+	}{
+		{`select l_orderkey, count(*) from lineitem group by l_orderkey`, 3},
+		{`select l_orderkey, l_quantity from lineitem`, 1},
+	}
 
 	base := runtime.NumGoroutine() + 2
-	for i := 0; i < 5; i++ {
-		st, err := db.QueryStream(sql, cfg)
+	for i := 0; i < 10; i++ {
+		c := cases[i%len(cases)]
+		st, err := db.QueryStream(c.sql, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := 0; j < 3; j++ {
+		for j := 0; j < c.read; j++ {
 			if _, ok, err := st.Next(); err != nil || !ok {
 				t.Fatalf("iteration %d row %d: ok=%v err=%v", i, j, ok, err)
 			}

@@ -21,52 +21,61 @@ func mustIdentity(t testing.TB, cfg Config) planIdentity {
 	return id
 }
 
-// configFields classifies every field of Config (recursing into
-// PlanCacheConfig and ResultCacheConfig) as plan identity or run state,
-// with a change away from DefaultConfig that is harmless to run.
-// A field added to Config fails TestConfigFieldsClassified until it is
-// listed here — and then the test checks the engine agrees with the
-// classification.
-var configFields = map[string]struct {
-	identity bool
-	flip     func(*Config)
-}{
-	"Decorrelate":        {true, func(c *Config) { c.Decorrelate = false }},
-	"RemoveClass2":       {true, func(c *Config) { c.RemoveClass2 = true }},
-	"SimplifyOuterJoins": {true, func(c *Config) { c.SimplifyOuterJoins = false }},
-	"CostBased":          {true, func(c *Config) { c.CostBased = false }},
-	"GroupByReorder":     {true, func(c *Config) { c.GroupByReorder = false }},
-	"LocalAgg":           {true, func(c *Config) { c.LocalAgg = false }},
-	"SegmentApply":       {true, func(c *Config) { c.SegmentApply = false }},
-	"JoinReorder":        {true, func(c *Config) { c.JoinReorder = false }},
-	"CorrelatedReintro":  {true, func(c *Config) { c.CorrelatedReintro = false }},
-	"MaxSteps":           {true, func(c *Config) { c.MaxSteps = 500 }},
-	"Parallelism":        {true, func(c *Config) { c.Parallelism = 4 }},
-	"DisableBatch":       {true, func(c *Config) { c.DisableBatch = true }},
-	"ApplyStrategy":      {true, func(c *Config) { c.ApplyStrategy = "batched" }},
-	"JoinStrategy":       {true, func(c *Config) { c.JoinStrategy = "merge" }},
-	"AggStrategy":        {true, func(c *Config) { c.AggStrategy = "stream" }},
-	"DisableSortElim":    {true, func(c *Config) { c.DisableSortElim = true }},
-	"DisableRules":       {true, func(c *Config) { c.DisableRules = []string{"CommuteJoin"} }},
+// fieldClass says what a Config field is to the engine.
+type fieldClass int
 
-	"PlanCache.Size":              {false, func(c *Config) { c.PlanCache.Size = 7 }},
-	"PlanCache.Bytes":             {false, func(c *Config) { c.PlanCache.Bytes = 1 << 20 }},
-	"PlanCache.Disabled":          {false, func(c *Config) { c.PlanCache.Disabled = true }},
-	"ResultCache.Enabled":         {false, func(c *Config) { c.ResultCache.Enabled = true }},
-	"ResultCache.MaxBytes":        {false, func(c *Config) { c.ResultCache.MaxBytes = 1 << 20 }},
-	"ResultCache.MaxEntries":      {false, func(c *Config) { c.ResultCache.MaxEntries = 7 }},
-	"ResultCache.MaxEntryBytes":   {false, func(c *Config) { c.ResultCache.MaxEntryBytes = 1 << 10 }},
-	"ResultCache.DisableSubPlans": {false, func(c *Config) { c.ResultCache.DisableSubPlans = true }},
-	"Trace":                       {false, func(c *Config) { c.Trace = true }},
-	"QueryLog":                    {false, func(c *Config) { c.QueryLog = &bytes.Buffer{} }},
-	"Session":                     {false, func(c *Config) { c.Session = "s-1" }},
-	"Queued":                      {false, func(c *Config) { c.Queued = time.Millisecond }},
-	"Timeout":                     {false, func(c *Config) { c.Timeout = time.Hour }},
-	"MemBudget":                   {false, func(c *Config) { c.MemBudget = 1 << 40 }},
-	"DisableSpill":                {false, func(c *Config) { c.DisableSpill = true }},
-	"SpillDir":                    {false, func(c *Config) { c.SpillDir = "/nonexistent-unused" }},
-	"RowBudget":                   {false, func(c *Config) { c.RowBudget = 1 << 40 }},
-	"faults":                      {false, func(c *Config) { c.faults = faultinject.New() }},
+const (
+	classRunState fieldClass = iota // governs one run; never reaches a cache key
+	classIdentity                   // changes the compiled plan or its algorithms
+	classRetired                    // accepted and ignored (kept for API compatibility)
+)
+
+// configFields classifies every field of Config (recursing into
+// PlanCacheConfig and ResultCacheConfig) as plan identity, run state or
+// retired, with a change away from DefaultConfig that is harmless to
+// run. A field added to Config fails TestConfigFieldsClassified until
+// it is listed here — and then the test checks the engine agrees with
+// the classification.
+var configFields = map[string]struct {
+	class fieldClass
+	flip  func(*Config)
+}{
+	"Decorrelate":        {classIdentity, func(c *Config) { c.Decorrelate = false }},
+	"RemoveClass2":       {classIdentity, func(c *Config) { c.RemoveClass2 = true }},
+	"SimplifyOuterJoins": {classIdentity, func(c *Config) { c.SimplifyOuterJoins = false }},
+	"CostBased":          {classIdentity, func(c *Config) { c.CostBased = false }},
+	"GroupByReorder":     {classIdentity, func(c *Config) { c.GroupByReorder = false }},
+	"LocalAgg":           {classIdentity, func(c *Config) { c.LocalAgg = false }},
+	"SegmentApply":       {classIdentity, func(c *Config) { c.SegmentApply = false }},
+	"JoinReorder":        {classIdentity, func(c *Config) { c.JoinReorder = false }},
+	"CorrelatedReintro":  {classIdentity, func(c *Config) { c.CorrelatedReintro = false }},
+	"MaxSteps":           {classIdentity, func(c *Config) { c.MaxSteps = 500 }},
+	"Parallelism":        {classIdentity, func(c *Config) { c.Parallelism = 4 }},
+	"DisableBatch":       {classRetired, func(c *Config) { c.DisableBatch = true }},
+	"ApplyStrategy":      {classIdentity, func(c *Config) { c.ApplyStrategy = "batched" }},
+	"JoinStrategy":       {classIdentity, func(c *Config) { c.JoinStrategy = "merge" }},
+	"AggStrategy":        {classIdentity, func(c *Config) { c.AggStrategy = "stream" }},
+	"DisableSortElim":    {classIdentity, func(c *Config) { c.DisableSortElim = true }},
+	"DisableRules":       {classIdentity, func(c *Config) { c.DisableRules = []string{"CommuteJoin"} }},
+
+	"PlanCache.Size":              {classRunState, func(c *Config) { c.PlanCache.Size = 7 }},
+	"PlanCache.Bytes":             {classRunState, func(c *Config) { c.PlanCache.Bytes = 1 << 20 }},
+	"PlanCache.Disabled":          {classRunState, func(c *Config) { c.PlanCache.Disabled = true }},
+	"ResultCache.Enabled":         {classRunState, func(c *Config) { c.ResultCache.Enabled = true }},
+	"ResultCache.MaxBytes":        {classRunState, func(c *Config) { c.ResultCache.MaxBytes = 1 << 20 }},
+	"ResultCache.MaxEntries":      {classRunState, func(c *Config) { c.ResultCache.MaxEntries = 7 }},
+	"ResultCache.MaxEntryBytes":   {classRunState, func(c *Config) { c.ResultCache.MaxEntryBytes = 1 << 10 }},
+	"ResultCache.DisableSubPlans": {classRunState, func(c *Config) { c.ResultCache.DisableSubPlans = true }},
+	"Trace":                       {classRunState, func(c *Config) { c.Trace = true }},
+	"QueryLog":                    {classRunState, func(c *Config) { c.QueryLog = &bytes.Buffer{} }},
+	"Session":                     {classRunState, func(c *Config) { c.Session = "s-1" }},
+	"Queued":                      {classRunState, func(c *Config) { c.Queued = time.Millisecond }},
+	"Timeout":                     {classRunState, func(c *Config) { c.Timeout = time.Hour }},
+	"MemBudget":                   {classRunState, func(c *Config) { c.MemBudget = 1 << 40 }},
+	"DisableSpill":                {classRunState, func(c *Config) { c.DisableSpill = true }},
+	"SpillDir":                    {classRunState, func(c *Config) { c.SpillDir = "/nonexistent-unused" }},
+	"RowBudget":                   {classRunState, func(c *Config) { c.RowBudget = 1 << 40 }},
+	"faults":                      {classRunState, func(c *Config) { c.faults = faultinject.New() }},
 }
 
 // configFieldPaths walks a config struct type, descending into the
@@ -88,14 +97,16 @@ func configFieldPaths(typ reflect.Type, prefix string) []string {
 // Config type, not a convention. Every field is either identity —
 // changing it changes identity() and misses the plan cache — or run
 // state — changing it leaves identity() equal and hits a plan compiled
-// without it. There is no third kind, and no unlisted field.
+// without it — or retired: two Configs differing only in it are the
+// same Config to the engine, sharing one cached plan and one
+// result-cache entry. There is no unlisted field.
 func TestConfigFieldsClassified(t *testing.T) {
 	paths := configFieldPaths(reflect.TypeOf(Config{}), "")
 	listed := map[string]bool{}
 	for _, p := range paths {
 		listed[p] = true
 		if _, ok := configFields[p]; !ok {
-			t.Errorf("Config.%s is not classified as plan identity or run state", p)
+			t.Errorf("Config.%s is not classified as plan identity, run state or retired", p)
 		}
 	}
 	for p := range configFields {
@@ -113,7 +124,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 	const sql = `select o_orderkey, l_linenumber from orders join lineitem on l_orderkey = o_orderkey
 	             where o_totalprice > 1000 order by o_orderkey, l_linenumber`
-	status := func(cfg Config) string {
+	statusOf := func(sql string, cfg Config) string {
 		t.Helper()
 		r, err := db.QueryCfg(sql, cfg)
 		if err != nil {
@@ -121,6 +132,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 		}
 		return r.Cache
 	}
+	status := func(cfg Config) string { return statusOf(sql, cfg) }
 	base := DefaultConfig()
 	baseID := mustIdentity(t, base)
 	if got := status(base); got != "miss" {
@@ -137,7 +149,18 @@ func TestConfigFieldsClassified(t *testing.T) {
 		id := mustIdentity(t, cfg)
 		got := status(cfg)
 		switch {
-		case class.identity:
+		case class.class == classRetired:
+			if id != baseID || got != "hit" {
+				t.Errorf("%s is retired but identity changed = %t, cache = %q; want unchanged and hit", path, id != baseID, got)
+			}
+			// A query of its own, so the result-cache entry is this leg's.
+			const counted = `select count(*) as n from orders where o_totalprice > 1000`
+			cached, flipped := base, cfg
+			cached.ResultCache.Enabled, flipped.ResultCache.Enabled = true, true
+			if first, second := statusOf(counted, cached), statusOf(counted, flipped); first == "result" || second != "result" {
+				t.Errorf("%s is retired but the flipped Config did not share the result-cache entry: %q then %q", path, first, second)
+			}
+		case class.class == classIdentity:
 			if id == baseID || id.key() == baseID.key() {
 				t.Errorf("%s is plan identity but identity() did not change (%q)", path, id.key())
 			}

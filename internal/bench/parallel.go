@@ -24,7 +24,7 @@ type Result struct {
 	Experiment string  `json:"experiment"`
 	Query      string  `json:"query"`
 	Config     string  `json:"config"`
-	Phase      string  `json:"phase,omitempty"` // cold | warm (batch experiment)
+	Phase      string  `json:"phase,omitempty"` // cold | warm
 	SF         float64 `json:"sf"`
 	Workers    int     `json:"workers"`
 	NsPerOp    int64   `json:"ns_per_op"`

@@ -499,19 +499,6 @@ func (c *Compiler) compileCmp(t *algebra.Cmp) CompiledPred {
 	}
 }
 
-// CompileConjuncts compiles each top-level conjunct of s separately,
-// so a batch filter can apply them one at a time over a shrinking
-// selection vector — vectorized left-to-right AND short-circuit. A nil
-// or constant-TRUE s yields no conjuncts.
-func (c *Compiler) CompileConjuncts(s algebra.Scalar) []CompiledPred {
-	cs := algebra.Conjuncts(s)
-	out := make([]CompiledPred, len(cs))
-	for i, cj := range cs {
-		out[i] = c.CompilePred(cj)
-	}
-	return out
-}
-
 // frameEnv adapts a Frame (plus its compile-time layouts) back to the
 // interpreter's Env interface, for the rare nodes that must fall back
 // to interpretation (relational subexpressions).

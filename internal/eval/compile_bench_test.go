@@ -135,7 +135,7 @@ func BenchmarkVecKernels(b *testing.B) {
 			perRow(b)
 		})
 		b.Run(p.name+"/closure", func(b *testing.B) {
-			conjs := (&Compiler{Ev: &Evaluator{}, Ords: benchOrds()}).CompileConjuncts(p.s)
+			conjs := closureConjuncts(&Compiler{Ev: &Evaluator{}, Ords: benchOrds()}, p.s)
 			sel := make([]int, 0, n)
 			var fr Frame
 			b.ReportAllocs()

@@ -380,7 +380,7 @@ func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, se
 
 		// Conjunct-at-a-time filtering agrees with the closure
 		// conjuncts whenever neither raises an error.
-		cconjs := (&Compiler{Ev: ev, Ords: vecLayout}).CompileConjuncts(expr)
+		cconjs := closureConjuncts(&Compiler{Ev: ev, Ords: vecLayout}, expr)
 		vconjs := (&Compiler{Ev: ev, Ords: vecLayout}).CompileVecConjuncts(expr)
 		wantKept = wantKept[:0]
 		closureErr := false

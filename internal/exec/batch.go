@@ -1,24 +1,30 @@
 package exec
 
-// Batch-at-a-time execution. Hot operators implement a NextBatch fast
-// path moving up to BatchSize rows per virtual call; cold operators
-// (Apply, SegmentApply, Sort, Max1Row, ...) keep their row-at-a-time
-// Next and are bridged by the nextBatch adapter, so a batched subtree
-// can sit under a row-oriented parent and vice versa.
+// The pull protocol. Every operator is Open / NextBatch / Close and
+// moves up to BatchSize rows per call; there is no row-at-a-time twin.
+// Rows exist as a delivery format only where a result leaves the
+// executor: Run copies batches into the materialized Result, and a
+// Cursor is a rowReader (a Batch plus a position) over the root.
 //
 // Ownership contract: the producer SETS b.Rows (and b.Sel) on every
 // NextBatch call; the slices remain valid only until the next
-// Next/NextBatch call on that producer. Consumers may freely copy row
+// NextBatch call on that producer. Consumers may freely copy row
 // headers (types.Row values) out of a batch — the underlying datum
-// storage is never rewritten — but must not retain the Rows or Sel
-// slices themselves. An empty batch (Len() == 0) signals end of
-// stream.
+// storage is never rewritten — but must not retain or write the Rows or
+// Sel slices themselves. An empty batch (Len() == 0) signals end of
+// stream; a producer keeps answering with empty batches after it.
 //
-// A driver chooses one pull mode per iterator instance for the
-// lifetime of an Open: Run drains the root via NextBatch unless
-// Context.DisableBatch is set; batched operators pull their children
-// with nextBatch, row operators with Next. The two modes produce the
-// same rows in the same order.
+// Row cap: the consumer sets b.Limit before the call and the producer
+// returns at most that many live rows — and does not read, charge or
+// compute rows beyond what it needs to fill them. Streaming operators
+// hand the cap to the input that drives them (a scan reads a window of
+// Limit rows, a filter or project asks its child for Limit, a join
+// probes Limit left rows), so a consumer that knows how many rows it
+// will use — Top's remaining count, a Semi Apply's first row, Max1Row's
+// two — pays for those rows and no others. Operators that must see
+// their whole input (sort, hash build, aggregation) pull it uncapped
+// and serve their result in windows of Limit. The per-operator guard
+// turns a producer that overshoots its cap into an internal error.
 
 import (
 	"orthoq/internal/algebra"
@@ -38,9 +44,9 @@ type Batch struct {
 	Rows []types.Row
 	Sel  []int
 
-	// buf backs the row→batch adapter for producers without a native
-	// NextBatch; it is owned by this Batch and reused across calls.
-	buf []types.Row
+	// Limit is the consumer's row cap for the next NextBatch call; 0 (or
+	// anything above BatchSize) means a full batch.
+	Limit int
 }
 
 // Len returns the number of live rows.
@@ -64,37 +70,80 @@ func (b *Batch) setEmpty() {
 	b.Rows, b.Sel = nil, nil
 }
 
-// batchIterator is the optional fast path of the Volcano interface.
-type batchIterator interface {
-	// NextBatch fills b with the next window of rows; an empty batch
-	// means end of stream. The filled slices obey the ownership
-	// contract above.
-	NextBatch(b *Batch) error
+// limit is the effective row cap of the pending call.
+func (b *Batch) limit() int {
+	if b.Limit > 0 && b.Limit < BatchSize {
+		return b.Limit
+	}
+	return BatchSize
 }
 
-// nextBatch pulls one batch from it, via the native fast path when
-// implemented and a row-at-a-time adapter otherwise.
-func nextBatch(it iterator, b *Batch) error {
-	if bi, ok := it.(batchIterator); ok {
-		return bi.NextBatch(b)
+// serve hands out the next window of a materialized result, advancing
+// pos; past the end it leaves the batch empty.
+func (b *Batch) serve(rows []types.Row, pos *int) {
+	end := min(*pos+b.limit(), len(rows))
+	b.Rows, b.Sel = rows[*pos:end], nil
+	*pos = end
+}
+
+// rowReader reads an iterator's batches one row at a time: the form in
+// which join-shaped operators walk their driving input, and the whole
+// of what a Cursor is.
+type rowReader struct {
+	it iterator
+	// charge, when set, counts every pulled row toward RowBudget.
+	charge *Context
+	b      Batch
+	pos    int
+}
+
+// reset forgets the buffered batch (the input was re-opened).
+func (r *rowReader) reset() {
+	r.b.setEmpty()
+	r.pos = 0
+}
+
+// next returns the next row, pulling a batch of at most limit rows when
+// the buffered one is used up; ok=false at end of stream.
+func (r *rowReader) next(limit int) (types.Row, bool, error) {
+	for r.pos >= r.b.Len() {
+		r.b.Limit, r.pos = limit, 0
+		if err := r.it.NextBatch(&r.b); err != nil {
+			return nil, false, err
+		}
+		n := r.b.Len()
+		if n == 0 {
+			return nil, false, nil
+		}
+		if r.charge != nil {
+			if err := r.charge.chargeN(n); err != nil {
+				return nil, false, err
+			}
+		}
 	}
-	if b.buf == nil {
-		b.buf = make([]types.Row, 0, BatchSize)
-	}
-	buf := b.buf[:0]
-	for len(buf) < BatchSize {
-		row, ok, err := it.Next()
-		if err != nil {
+	row := r.b.Row(r.pos)
+	r.pos++
+	return row, true, nil
+}
+
+// drainRows pulls it to exhaustion through the caller's batch, handing
+// every live row to fn.
+func drainRows(it iterator, b *Batch, fn func(types.Row) error) error {
+	b.Limit = 0
+	for {
+		if err := it.NextBatch(b); err != nil {
 			return err
 		}
-		if !ok {
-			break
+		n := b.Len()
+		if n == 0 {
+			return nil
 		}
-		buf = append(buf, row)
+		for i := 0; i < n; i++ {
+			if err := fn(b.Row(i)); err != nil {
+				return err
+			}
+		}
 	}
-	b.buf = buf
-	b.Rows, b.Sel = buf, nil
-	return nil
 }
 
 // initSel resets dst to the live indices of rows under sel (nil = all
@@ -110,68 +159,32 @@ func initSel(rows []types.Row, sel []int, dst []int) []int {
 	return dst
 }
 
-// filterPred is the predicate of a scan or Select in the form each
-// pull mode evaluates: NextBatch narrows a selection with vector
-// kernels, one top-level conjunct at a time — the vectorized form of
-// SQL's left-to-right AND short-circuit: a row eliminated by an earlier
-// conjunct never reaches a later one — and Next tests one row against
-// the per-row closures of the same conjuncts. Both forms are compiled
-// on first use; under DisableBatch neither is, and Next interprets.
+// filterPred is the predicate of a scan or Select: it narrows a
+// selection with vector kernels, one top-level conjunct at a time — the
+// vectorized form of SQL's left-to-right AND short-circuit: a row
+// eliminated by an earlier conjunct never reaches a later one. The
+// kernels are compiled on first use.
 type filterPred struct {
-	ctx  *Context
-	pred algebra.Scalar
-	env  rowEnv
-
-	comp    *eval.Compiler // nil: interpret
-	rowsOK  bool
-	rows    []eval.CompiledPred
-	rowFr   eval.Frame
-	vecOK   bool
-	vec     []*eval.VecPred
-	frame   eval.VecFrame
-	selBuf  []int
+	ctx     *Context
+	pred    algebra.Scalar
+	comp    *eval.Compiler
 	trivial bool
+
+	vecOK  bool
+	vec    []*eval.VecPred
+	frame  eval.VecFrame
+	selBuf []int
 }
 
-// open binds the predicate to its operator's layout; it is cheap and
-// idempotent, so operators call it from every Open.
-func (p *filterPred) open(ctx *Context, pred algebra.Scalar, ords map[algebra.ColID]int) {
-	if p.ctx != nil {
-		return
-	}
-	p.ctx, p.pred = ctx, pred
-	p.env = rowEnv{ctx: ctx, ords: ords}
-	p.comp = ctx.compiler(ords)
-	p.trivial = pred == nil || algebra.IsTrueConst(pred)
-}
-
-// pass reports whether row satisfies the predicate.
-func (p *filterPred) pass(row types.Row) (bool, error) {
-	if p.trivial {
-		return true, nil
-	}
-	if p.comp == nil {
-		p.env.row = row
-		v, err := p.ctx.ev.EvalBool(p.pred, &p.env)
-		return v == types.TriTrue, err
-	}
-	if !p.rowsOK {
-		p.rowsOK = true
-		p.rows = p.comp.CompileConjuncts(p.pred)
-	}
-	p.rowFr.Row, p.rowFr.Outer = row, p.ctx.params
-	for _, cj := range p.rows {
-		v, err := cj(&p.rowFr)
-		if err != nil || v != types.TriTrue {
-			return false, err
-		}
-	}
-	return true, nil
+// newFilterPred binds a predicate to its operator's row layout.
+func newFilterPred(ctx *Context, pred algebra.Scalar, ords map[algebra.ColID]int) filterPred {
+	return filterPred{ctx: ctx, pred: pred, comp: ctx.compiler(ords),
+		trivial: pred == nil || algebra.IsTrueConst(pred)}
 }
 
 // narrow returns the rows of the window live under sel (nil = all)
 // that satisfy the predicate, as a selection owned by p and valid
-// until its next call. It must not be called under DisableBatch.
+// until its next call.
 func (p *filterPred) narrow(rows []types.Row, sel []int) ([]int, error) {
 	if !p.vecOK {
 		p.vecOK = true
@@ -190,6 +203,25 @@ func (p *filterPred) narrow(rows []types.Row, sel []int) ([]int, error) {
 		}
 	}
 	return out, nil
+}
+
+// emit is the tail every scan shares: charge the window just read and
+// hand b its rows that pass. ok=false with a nil error means none did,
+// and the scan moves on to its next window.
+func (p *filterPred) emit(b *Batch, cand []types.Row) (ok bool, err error) {
+	if err := p.ctx.chargeN(len(cand)); err != nil {
+		return false, err
+	}
+	if p.trivial {
+		b.Rows, b.Sel = cand, nil
+		return true, nil
+	}
+	sel, err := p.narrow(cand, nil)
+	if err != nil || len(sel) == 0 {
+		return false, err
+	}
+	b.Rows, b.Sel = cand, sel
+	return true, nil
 }
 
 // rowArena carves output rows from chunks that are written once and
@@ -231,6 +263,15 @@ func (a *rowArena) padNulls(l types.Row, n int) types.Row {
 	out := append(a.alloc(len(l)+n), l...)
 	for i := 0; i < n; i++ {
 		out = append(out, types.NullUnknown)
+	}
+	return out
+}
+
+// mapRow carves the projection of row onto the ordinals sel.
+func (a *rowArena) mapRow(row types.Row, sel []int) types.Row {
+	out := a.alloc(len(sel))
+	for _, o := range sel {
+		out = append(out, row[o])
 	}
 	return out
 }

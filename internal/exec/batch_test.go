@@ -1,81 +1,34 @@
 package exec
 
-// Unit tests for selection-vector semantics and the batch/row duality:
-// filterPred narrowing (including NULL predicates and conjunct
-// short-circuit), the row→batch adapter, and end-to-end filter →
-// project → aggregate chains with NULLs compared across both pull
-// modes.
+// Unit tests for the pull protocol: filterPred narrowing (including
+// NULL predicates and conjunct short-circuit), the row cap a consumer
+// hands down with its Batch, and end-to-end filter → project →
+// aggregate chains with NULLs.
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/algebrize"
 	"orthoq/internal/core"
+	"orthoq/internal/obs"
 	"orthoq/internal/sql/parser"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/storage"
 )
 
-// runSQLMode is runSQL with an explicit pull mode.
-func runSQLMode(t testing.TB, st *storage.Store, sql string, opts core.Options, disableBatch bool) *Result {
+// expectSQL runs sql over the correlated normal form and checks the
+// rows against want.
+func expectSQL(t *testing.T, st *storage.Store, sql string, want ...string) {
 	t.Helper()
-	q, err := parser.Parse(sql)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	md := algebra.NewMetadata()
-	res, err := algebrize.Build(st.Catalog, md, q)
-	if err != nil {
-		t.Fatalf("algebrize: %v", err)
-	}
-	rel, err := core.Normalize(md, res.Rel, opts)
-	if err != nil {
-		t.Fatalf("normalize: %v", err)
-	}
-	ctx := NewContext(st, md)
-	ctx.RowBudget = 10_000_000
-	ctx.DisableBatch = disableBatch
-	out, err := Run(ctx, rel, res.OutCols)
-	if err != nil {
-		t.Fatalf("run (disableBatch=%v): %v\nplan:\n%s", disableBatch, err, algebra.FormatRel(md, rel))
-	}
-	return out
-}
-
-// expectBothModes runs sql in batch and row mode and checks both
-// against want.
-func expectBothModes(t *testing.T, st *storage.Store, sql string, want ...string) {
-	t.Helper()
-	for _, disable := range []bool{false, true} {
-		r := runSQLMode(t, st, sql, core.Options{}, disable)
-		got := resultKey(r)
-		w := append([]string(nil), want...)
-		if fmt.Sprint(got) != fmt.Sprint(sortedCopy(w)) {
-			t.Fatalf("disableBatch=%v: rows = %v, want %v\nsql: %s", disable, got, w, sql)
-		}
-	}
-}
-
-func sortedCopy(s []string) []string {
-	out := append([]string(nil), s...)
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j] < out[i] {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
+	expectRows(t, runSQL(t, st, sql, core.Options{}), want...)
 }
 
 // narrowAll filters rows with pred through a filterPred over a
 // two-column layout: col 1 → ordinal 0, col 2 → ordinal 1.
 func narrowAll(pred algebra.Scalar, rows []types.Row) ([]int, error) {
-	var p filterPred
-	p.open(NewContext(nil, nil), pred, map[algebra.ColID]int{1: 0, 2: 1})
+	p := newFilterPred(NewContext(nil, nil), pred, map[algebra.ColID]int{1: 0, 2: 1})
 	return p.narrow(rows, nil)
 }
 
@@ -162,62 +115,189 @@ func TestApplyConjunctsEmptySelection(t *testing.T) {
 	}
 }
 
-// sliceIter is a row-only iterator (no NextBatch) for adapter tests.
+// sliceIter serves a fixed row slice and counts the rows it hands out.
 type sliceIter struct {
-	rows []types.Row
-	pos  int
+	rows   []types.Row
+	pos    int
+	served int
 }
 
 func (s *sliceIter) Open() error { s.pos = 0; return nil }
-func (s *sliceIter) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	s.pos++
-	return s.rows[s.pos-1], true, nil
+func (s *sliceIter) NextBatch(b *Batch) error {
+	b.serve(s.rows, &s.pos)
+	s.served += b.Len()
+	return nil
 }
 func (s *sliceIter) Close() error { return nil }
 
-// TestRowToBatchAdapter: nextBatch over a row-only iterator fills
-// windows of at most BatchSize rows and signals end of stream with an
-// empty batch.
-func TestRowToBatchAdapter(t *testing.T) {
-	n := BatchSize + 37
+func intRows(n int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := range rows {
 		rows[i] = intRow(i, i)
 	}
-	it := &sliceIter{rows: rows}
-	if err := it.Open(); err != nil {
+	return rows
+}
+
+// TestRowReaderDeliversEveryRowOnce: a rowReader — what a Cursor is —
+// turns batches back into rows, in order, pulling windows no larger
+// than the cap it is given.
+func TestRowReaderDeliversEveryRowOnce(t *testing.T) {
+	n := BatchSize + 37
+	src := &sliceIter{rows: intRows(n)}
+	rd := rowReader{it: src}
+	for i := 0; i < n; i++ {
+		row, ok, err := rd.next(5)
+		if err != nil || !ok {
+			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+		}
+		if v := row[0].Int(); v != int64(i) {
+			t.Fatalf("row %d = %d", i, v)
+		}
+		if want := (i/5 + 1) * 5; src.served > want {
+			t.Fatalf("after %d rows the producer served %d, cap 5 allows %d", i+1, src.served, want)
+		}
+	}
+	if _, ok, err := rd.next(5); ok || err != nil {
+		t.Fatalf("past the end: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestRowCapStopsProducers: what Next gave consumers for free —
+// "produce no row I will discard" — holds through the batch protocol.
+// Top asks its input for exactly its remaining count, through a filter
+// and a projection-free chain, and Max1Row asks for two rows however
+// many there are.
+func TestRowCapStopsProducers(t *testing.T) {
+	ctx := NewContext(nil, nil)
+	cols := []algebra.ColID{1, 2}
+	pass := &algebra.Cmp{Op: algebra.CmpGe, L: &algebra.ColRef{Col: 1}, R: &algebra.Const{Val: types.NewInt(0)}}
+
+	src := &sliceIter{rows: intRows(5000)}
+	in := newNode(src, cols)
+	filt := newNode(&filterIter{in: in, filt: newFilterPred(ctx, pass, in.ords)}, cols)
+	top := &topIter{in: filt, n: 1500}
+	if err := top.Open(); err != nil {
 		t.Fatal(err)
 	}
 	var b Batch
-	var got int
+	got := 0
 	for {
-		if err := nextBatch(it, &b); err != nil {
+		if err := top.NextBatch(&b); err != nil {
 			t.Fatal(err)
 		}
 		if b.Len() == 0 {
 			break
 		}
-		if b.Len() > BatchSize {
-			t.Fatalf("batch of %d exceeds BatchSize", b.Len())
-		}
-		for i := 0; i < b.Len(); i++ {
-			if v := b.Row(i)[0].Int(); v != int64(got) {
-				t.Fatalf("row %d = %d, want %d", got, v, got)
-			}
-			got++
-		}
+		got += b.Len()
 	}
-	if got != n {
-		t.Fatalf("adapter yielded %d rows, want %d", got, n)
+	if got != 1500 || src.served != 1500 {
+		t.Fatalf("Top 1500 returned %d rows and its input served %d; want 1500 and 1500", got, src.served)
+	}
+
+	src = &sliceIter{rows: intRows(5000)}
+	m1 := &max1RowIter{in: newNode(src, cols)}
+	if err := m1.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.NextBatch(&b); err == nil || !strings.Contains(err.Error(), "more than one row") {
+		t.Fatalf("Max1Row over 5000 rows: err = %v", err)
+	}
+	if src.served != 2 {
+		t.Fatalf("Max1Row pulled %d rows to decide, want 2", src.served)
+	}
+
+	src = &sliceIter{rows: intRows(1)}
+	m1 = &max1RowIter{in: newNode(src, cols)}
+	if err := m1.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.NextBatch(&b); err != nil || b.Len() != 1 {
+		t.Fatalf("Max1Row over one row: len=%d err=%v", b.Len(), err)
+	}
+	if err := m1.NextBatch(&b); err != nil || b.Len() != 0 {
+		t.Fatalf("Max1Row second pull: len=%d err=%v", b.Len(), err)
+	}
+}
+
+// TestGuardRejectsCapOvershoot: a producer that returns more rows than
+// its consumer asked for is an internal error at the operator boundary,
+// not extra rows in the answer.
+func TestGuardRejectsCapOvershoot(t *testing.T) {
+	g := &guardIter{in: overshoot{}, op: "Test", ctx: NewContext(nil, nil)}
+	b := Batch{Limit: 3}
+	if err := g.NextBatch(&b); err == nil || !strings.Contains(err.Error(), "over a cap of 3") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+type overshoot struct{}
+
+func (overshoot) Open() error  { return nil }
+func (overshoot) Close() error { return nil }
+func (overshoot) NextBatch(b *Batch) error {
+	b.Rows, b.Sel = intRows(4), nil
+	return nil
+}
+
+// innerRowsPerBinding runs sql traced under the given Apply strategy and
+// returns, for the first Apply in the plan, its binding count and the
+// rows the operator directly under its inner side's root produced.
+func innerRowsPerBinding(t *testing.T, st *storage.Store, sql, strategy string, under string) (bindings, innerRows int64) {
+	t.Helper()
+	md, rel, out := compilePlan(t, st, sql, core.Options{KeepCorrelated: true})
+	ctx := NewContext(st, md)
+	ctx.Apply = strategy
+	ctx.EnableTrace()
+	if _, err := Run(ctx, rel, out); err != nil {
+		t.Fatalf("%v\nplan:\n%s", err, algebra.FormatRel(md, rel))
+	}
+	found := false
+	ctx.Spans(rel).Walk(func(s *obs.Span) {
+		if s.Op != "Apply" || found {
+			return
+		}
+		found = true
+		bindings = s.InnerExecs
+		inner := s.Children[1]
+		for inner.Op != under && len(inner.Children) > 0 {
+			inner = inner.Children[0]
+		}
+		if inner.Op != under {
+			t.Fatalf("no %s under the Apply's inner side:\n%s", under, ctx.FormatTrace(rel))
+		}
+		innerRows = inner.Rows
+	})
+	if !found {
+		t.Fatalf("no Apply in\n%s", algebra.FormatRel(md, rel))
+	}
+	return bindings, innerRows
+}
+
+// TestApplyInnerRowCaps: a Semi Apply with a trivially-true On takes one
+// inner row per binding, and a Max1Row inner side at most two, under
+// both the sequential and the batched strategy. Three customers have
+// orders and customer 1 has two of them: uncapped, the four inner
+// executions of the EXISTS would produce four rows.
+func TestApplyInnerRowCaps(t *testing.T) {
+	st := testDB(t)
+	for _, strategy := range []string{"sequential", "batched"} {
+		execs, rows := innerRowsPerBinding(t, st,
+			`select c_custkey from customer c where exists (select o_orderkey from orders o where o.o_custkey = c.c_custkey)`,
+			strategy, "Select")
+		if execs != 4 || rows != 3 {
+			t.Errorf("%s semi apply: %d inner rows for %d inner executions, want 3 (one per customer with orders) for 4", strategy, rows, execs)
+		}
+		execs, rows = innerRowsPerBinding(t, st,
+			`select c_custkey, (select o_orderkey from orders o where o.o_custkey = c.c_custkey and o.o_orderkey <> 10) as k from customer c`,
+			strategy, "Select")
+		if execs == 0 || rows > 2*execs {
+			t.Errorf("%s max1row apply: %d inner rows for %d inner executions, want at most two each", strategy, rows, execs)
+		}
 	}
 }
 
 // TestBatchFilterProjectAggWithNulls: filter → project → aggregate
-// chains where NULLs flow through every stage, checked in both pull
-// modes. NULLs come from outer-join padding and scalar subqueries
+// chains where NULLs flow through every stage. NULLs come from outer-join padding and scalar subqueries
 // over empty sets, so they exercise the compiled evaluators' tri-state
 // logic rather than storage-level NULLs alone.
 func TestBatchFilterProjectAggWithNulls(t *testing.T) {
@@ -227,21 +307,21 @@ func TestBatchFilterProjectAggWithNulls(t *testing.T) {
 	// is NULL for him; the filter keeps rows where the padded comparison
 	// is TRUE (NULL comparisons drop the row), the projection doubles a
 	// possibly-NULL value, the aggregate skips NULLs but counts rows.
-	expectBothModes(t, st, `
+	expectSQL(t, st, `
 		select c_custkey, sum(o_totalprice * 2) as s, count(*) as n
 		from customer left outer join orders on o_custkey = c_custkey
 		group by c_custkey`,
 		"1|2400|2", "2|4000000|1", "3|200|1", "4|NULL|1")
 
 	// Filter over a NULL-yielding CASE: only TRUE survives.
-	expectBothModes(t, st, `
+	expectSQL(t, st, `
 		select c_custkey from customer
 		where case when c_acctbal > 150 then c_acctbal < 250 else null end`,
 		"2")
 
 	// Aggregate over a projected NULL-bearing expression: avg ignores
 	// NULLs, count(expr) counts non-NULLs, count(*) counts all.
-	expectBothModes(t, st, `
+	expectSQL(t, st, `
 		select avg(case when c_acctbal > 0 then c_acctbal else null end) as a,
 		       count(case when c_acctbal > 0 then c_acctbal else null end) as k,
 		       count(*) as n
@@ -250,7 +330,7 @@ func TestBatchFilterProjectAggWithNulls(t *testing.T) {
 
 	// Group keys that are themselves NULL (scalar subquery over empty
 	// set): NULL keys group together.
-	expectBothModes(t, st, `
+	expectSQL(t, st, `
 		select v, count(*) as n from (
 			select (select max(o_totalprice) from orders
 			        where o_custkey = c_custkey and o_totalprice > 1000) as v
@@ -260,7 +340,7 @@ func TestBatchFilterProjectAggWithNulls(t *testing.T) {
 }
 
 // TestBatchRowBudgetAborts: the budget is charged batch-wise but must
-// still abort runaway plans in batch mode.
+// still abort runaway plans.
 func TestBatchRowBudgetAborts(t *testing.T) {
 	st := testDB(t)
 	q, err := parser.Parse(`select l1.l_orderkey from lineitem l1, lineitem l2, lineitem l3`)

@@ -5,13 +5,12 @@ import (
 	"strings"
 
 	"orthoq/internal/algebra"
-	"orthoq/internal/sql/types"
 )
 
 // compile lowers a logical operator tree to an iterator tree. Every
 // operator is wrapped in a panic guard (and, when tracing is enabled,
 // a statistics collector inside the guard) so that a panic anywhere in
-// an operator's Open/Next/Close surfaces as a typed ErrInternal
+// an operator's Open/NextBatch/Close surfaces as a typed ErrInternal
 // carrying the operator name and plan fingerprint instead of
 // unwinding the caller — and so the fault-injection harness has a
 // deterministic hook at every operator boundary.
@@ -67,17 +66,9 @@ func (g *guardIter) Open() (err error) {
 	return g.in.Open()
 }
 
-func (g *guardIter) Next() (row types.Row, ok bool, err error) {
-	defer g.rescue(&err)
-	if f := g.ctx.Faults; f != nil {
-		if err := f.Check(g.op, "next"); err != nil {
-			return nil, false, err
-		}
-	}
-	return g.in.Next()
-}
-
-// NextBatch forwards the batched pull under the same guard.
+// NextBatch forwards the pull under the guard and holds the producer
+// to the consumer's row cap: an overshoot would make Top return extra
+// rows, so it is reported as the bug it is rather than truncated.
 func (g *guardIter) NextBatch(b *Batch) (err error) {
 	defer g.rescue(&err)
 	if f := g.ctx.Faults; f != nil {
@@ -85,7 +76,14 @@ func (g *guardIter) NextBatch(b *Batch) (err error) {
 			return err
 		}
 	}
-	return nextBatch(g.in, b)
+	if err := g.in.NextBatch(b); err != nil {
+		return err
+	}
+	if n := b.Len(); n > b.limit() {
+		return recovered(g.op, g.ctx.Fingerprint,
+			fmt.Sprintf("produced %d rows over a cap of %d", n, b.limit()))
+	}
+	return nil
 }
 
 // Close always closes the wrapped operator, even when a fault fires
@@ -123,7 +121,7 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newNode(&filterIter{ctx: ctx, in: in, pred: t.Filter}, in.cols), nil
+		return newNode(&filterIter{in: in, filt: newFilterPred(ctx, t.Filter, in.ords)}, in.cols), nil
 
 	case *algebra.Project:
 		in, err := compile(ctx, t.Input)

@@ -2,17 +2,19 @@ package exec
 
 import (
 	"orthoq/internal/algebra"
+	"orthoq/internal/obs"
 	"orthoq/internal/sql/types"
 )
 
-// Cursor is a streaming execution handle: rows are pulled one at a
-// time instead of materialized, and Close may be called before
+// Cursor is a streaming execution handle: the root's batches read one
+// row at a time instead of materialized, and Close may be called before
 // exhaustion — it tears the iterator tree down (stopping and draining
 // any parallel exchange, so no worker goroutine outlives the cursor)
 // and removes spill files. Close is idempotent.
 type Cursor struct {
 	ctx    *Context
-	n      *node
+	rel    algebra.Rel
+	rows   rowReader // over the plan's root
 	sel    []int
 	cols   []algebra.ColID
 	names  []string
@@ -42,7 +44,7 @@ func RunCursor(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (cu *Curs
 		ctx.releaseSpills()
 		return nil, err
 	}
-	cu = &Cursor{ctx: ctx, n: n, sel: sel, cols: outCols}
+	cu = &Cursor{ctx: ctx, rel: rel, rows: rowReader{it: n.it}, sel: sel, cols: outCols}
 	for _, c := range outCols {
 		cu.names = append(cu.names, ctx.Md.Alias(c))
 	}
@@ -71,7 +73,7 @@ func (cu *Cursor) Next() (row types.Row, ok bool, err error) {
 	if err := cu.ctx.checkCtx(); err != nil {
 		return nil, false, err
 	}
-	in, ok, err := cu.n.it.Next()
+	in, ok, err := cu.rows.next(0)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -81,6 +83,10 @@ func (cu *Cursor) Next() (row types.Row, ok bool, err error) {
 	}
 	return out, true, nil
 }
+
+// Spans builds the operator span tree of a traced cursor from what has
+// executed so far (nil when tracing was not enabled).
+func (cu *Cursor) Spans() *obs.Span { return cu.ctx.Spans(cu.rel) }
 
 // PeakMem reports the high-water mark of accounted operator memory so
 // far.
@@ -108,5 +114,5 @@ func (cu *Cursor) Close() (err error) {
 			err = recovered("run", cu.ctx.Fingerprint, r)
 		}
 	}()
-	return cu.n.it.Close()
+	return cu.rows.it.Close()
 }

@@ -57,7 +57,7 @@ func ctxErr(err error) error {
 // value plus where it happened (operator name) and which plan it
 // happened in (fingerprint). It unwraps to ErrInternal.
 type InternalError struct {
-	// Op is the operator whose Open/Next/Close panicked (e.g. "Join",
+	// Op is the operator whose Open/NextBatch/Close panicked (e.g. "Join",
 	// "GroupBy", "exchange-worker").
 	Op string
 	// Fingerprint identifies the plan (see Context.Fingerprint).

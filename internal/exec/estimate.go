@@ -114,9 +114,8 @@ func pickApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet, outer
 		}
 		return applyParallel
 	}
-	if sig.Empty() || ctx.DisableBatch {
-		// Uncorrelated inners are spooled on the sequential path;
-		// DisableBatch pins the engine to pure row-at-a-time plans.
+	if sig.Empty() {
+		// Uncorrelated inners are spooled on the sequential path.
 		return applySequential
 	}
 	if outerRows > 0 && outerRows <= applySeqMaxOuter {

@@ -40,8 +40,8 @@ type Context struct {
 	// Stats, when set, supplies cardinality estimates used to
 	// preallocate hash-join and aggregation hash tables.
 	Stats *stats.Collection
-	// Strategy is the plan's physical-choice identity — worker count,
-	// pull mode, and the Apply/join/aggregation/order selectors' inputs
+	// Strategy is the plan's physical-choice identity — worker count and
+	// the Apply/join/aggregation/order selectors' inputs
 	// (strategy.go). It is one value from the engine's Config to here,
 	// and one field for workerClone to carry: a worker must run the
 	// same algorithms as its coordinator.
@@ -446,22 +446,30 @@ func (c *Context) releaseSpills() {
 	}
 }
 
-// compiler returns an expression compiler for a row layout, or nil
-// when the legacy interpreted path is forced.
+// compiler returns an expression compiler for a row layout.
 func (c *Context) compiler(ords map[algebra.ColID]int) *eval.Compiler {
-	if c.DisableBatch {
-		return nil
-	}
 	return &eval.Compiler{Ev: c.ev, Ords: ords}
 }
 
-// iterator is the Volcano operator interface.
+// joinPred compiles a join or Apply predicate over a (left, right) row
+// pair; nil means every pair passes.
+func (c *Context) joinPred(on algebra.Scalar, left, right *node) eval.CompiledPred {
+	if on == nil || algebra.IsTrueConst(on) {
+		return nil
+	}
+	comp := c.compiler(left.ords)
+	comp.Ords2 = right.ords
+	return comp.CompilePred(on)
+}
+
+// iterator is the operator interface (see batch.go for the contract).
 type iterator interface {
 	// Open prepares the iterator; it may be called again after Close to
-	// re-execute (Apply re-opens its inner side per outer row).
+	// re-execute (Apply re-opens its inner side per binding).
 	Open() error
-	// Next returns the next row, or ok=false at end of stream.
-	Next() (types.Row, bool, error)
+	// NextBatch fills b with the next window of at most b.Limit rows; an
+	// empty batch means end of stream.
+	NextBatch(b *Batch) error
 	Close() error
 }
 
@@ -478,42 +486,6 @@ func newNode(it iterator, cols []algebra.ColID) *node {
 		ords[c] = i
 	}
 	return &node{it: it, cols: cols, ords: ords}
-}
-
-// rowEnv resolves scalar column references against the current row of
-// a node, falling back to correlation parameters.
-type rowEnv struct {
-	ctx  *Context
-	ords map[algebra.ColID]int
-	row  types.Row
-}
-
-// Value implements eval.Env.
-func (e *rowEnv) Value(c algebra.ColID) (types.Datum, bool) {
-	if i, ok := e.ords[c]; ok {
-		return e.row[i], true
-	}
-	d, ok := e.ctx.params[c]
-	return d, ok
-}
-
-// combinedEnv resolves against two nodes' rows (join predicates).
-type combinedEnv struct {
-	ctx          *Context
-	lords, rords map[algebra.ColID]int
-	lrow, rrow   types.Row
-}
-
-// Value implements eval.Env.
-func (e *combinedEnv) Value(c algebra.ColID) (types.Datum, bool) {
-	if i, ok := e.lords[c]; ok {
-		return e.lrow[i], true
-	}
-	if i, ok := e.rords[c]; ok {
-		return e.rrow[i], true
-	}
-	d, ok := e.ctx.params[c]
-	return d, ok
 }
 
 // Result is a fully materialized query result.
@@ -573,47 +545,31 @@ func Run(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (res *Result, e
 			res.Morsels = ctx.MorselsDispatched()
 		}
 	}()
-	if !ctx.DisableBatch {
-		// Batch drain: one arena allocation per batch instead of one
-		// row allocation per result row.
-		var b Batch
-		w := len(sel)
-		for {
-			if err := ctx.checkCtx(); err != nil {
-				return nil, err
-			}
-			if err := nextBatch(n.it, &b); err != nil {
-				return nil, err
-			}
-			live := b.Len()
-			if live == 0 {
-				return res, nil
-			}
-			arena := make([]types.Datum, live*w)
-			for i := 0; i < live; i++ {
-				row := b.Row(i)
-				out := arena[:w:w]
-				arena = arena[w:]
-				for j, o := range sel {
-					out[j] = row[o]
-				}
-				res.Rows = append(res.Rows, out)
-			}
-		}
-	}
+	// One arena allocation per batch instead of one row allocation per
+	// result row.
+	var b Batch
+	w := len(sel)
 	for {
-		row, ok, err := n.it.Next()
-		if err != nil {
+		if err := ctx.checkCtx(); err != nil {
 			return nil, err
 		}
-		if !ok {
+		if err := n.it.NextBatch(&b); err != nil {
+			return nil, err
+		}
+		live := b.Len()
+		if live == 0 {
 			return res, nil
 		}
-		out := make(types.Row, len(sel))
-		for i, o := range sel {
-			out[i] = row[o]
+		arena := make([]types.Datum, live*w)
+		for i := 0; i < live; i++ {
+			row := b.Row(i)
+			out := arena[:w:w]
+			arena = arena[w:]
+			for j, o := range sel {
+				out[j] = row[o]
+			}
+			res.Rows = append(res.Rows, out)
 		}
-		res.Rows = append(res.Rows, out)
 	}
 }
 

@@ -132,7 +132,7 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // aggregation exchange (partials merged with aggTable.merge).
 //
 // A group is an index: keys[g] is its key and states[j][g] the state of
-// aggregate j, so the batch path folds one aggregate's argument vector
+// aggregate j, so accum folds one aggregate's argument vector
 // into one flat state array with a typed loop. Groups sharing a key
 // hash chain through next.
 //
@@ -336,13 +336,10 @@ type aggVec struct {
 	gidx  []int32 // their groups, parallel to sel
 }
 
-// newAggVec compiles gb's aggregate arguments against in's layout. It
-// returns nil when the context forces the interpreted path.
-func newAggVec(ctx *Context, in *node, gb *algebra.GroupBy) *aggVec {
-	comp := ctx.compiler(in.ords)
-	if comp == nil {
-		return nil
-	}
+// newAggVec compiles gb's aggregate arguments against the input layout
+// ords.
+func newAggVec(ctx *Context, ords map[algebra.ColID]int, gb *algebra.GroupBy) *aggVec {
+	comp := ctx.compiler(ords)
 	av := &aggVec{
 		args: make([]*eval.VecExpr, len(gb.Aggs)),
 		vecs: make([]*eval.Vec, len(gb.Aggs)),
@@ -384,8 +381,8 @@ func (av *aggVec) zeroGroups(n int) []int32 {
 
 // foldAgg accumulates argument vector v into states under the
 // semantics of aggState.add: row sel[k] goes to group gidx[k], in row
-// order, so every (group, aggregate) sees its rows in the order the row
-// path would feed them and float sums come out bit-identical. The
+// order, so every (group, aggregate) sees its rows in input order and
+// float sums come out bit-identical to a row-at-a-time fold. The
 // typed loops cover counts and the sums and averages of Int and Float
 // vectors; everything else (min/max, DISTINCT, mixed-kind or
 // batch-invariant arguments) boxes each entry and calls add.
@@ -440,43 +437,51 @@ func foldAgg(states []aggState, item *algebra.AggItem, v *eval.Vec, sel []int, g
 	}
 }
 
-// consumeBatch is the batched accumulation loop. Per input batch it
-// resolves each live row's group once (rows routed to a spill
-// partition drop out of the batch), evaluates each aggregate argument once over
-// the remaining rows, and folds each argument vector into its
-// aggregate's state array.
-func (t *aggTable) consumeBatch(ctx *Context, in *node, gb *algebra.GroupBy, av *aggVec) error {
+// consume drains in into the table a batch at a time.
+func (t *aggTable) consume(ctx *Context, in *node, gb *algebra.GroupBy, av *aggVec) error {
 	keyOrds, err := aggKeyOrds(in, gb)
 	if err != nil {
 		return err
 	}
 	var b Batch
 	for {
-		if err := nextBatch(in.it, &b); err != nil {
+		if err := in.it.NextBatch(&b); err != nil {
 			return err
 		}
-		live := b.Len()
-		if live == 0 {
+		if b.Len() == 0 {
 			return nil
 		}
-		if err := ctx.chargeN(live); err != nil {
+		if err := t.accum(ctx, gb, av, keyOrds, b.Rows, b.Sel); err != nil {
 			return err
-		}
-		av.frame.Reset(b.Rows, ctx.params)
-		sel := b.Sel
-		if sel == nil {
-			sel = av.frame.Identity(len(b.Rows))
-		}
-		if sel, err = t.resolve(av, b.Rows, sel, keyOrds); err != nil {
-			return err
-		}
-		if err := av.eval(sel); err != nil {
-			return err
-		}
-		for j := range gb.Aggs {
-			foldAgg(t.states[j], &gb.Aggs[j], av.vecs[j], sel, av.gidx)
 		}
 	}
+}
+
+// accum folds the rows of one window live under sel (nil = all): it
+// resolves each row's group once (rows routed to a spill partition drop
+// out of the window), evaluates each aggregate argument once over the
+// remaining rows, and folds each argument vector into its aggregate's
+// state array.
+func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int,
+	rows []types.Row, sel []int) error {
+	av.frame.Reset(rows, ctx.params)
+	if sel == nil {
+		sel = av.frame.Identity(len(rows))
+	}
+	if err := ctx.chargeN(len(sel)); err != nil {
+		return err
+	}
+	sel, err := t.resolve(av, rows, sel, keyOrds)
+	if err != nil {
+		return err
+	}
+	if err := av.eval(sel); err != nil {
+		return err
+	}
+	for j := range gb.Aggs {
+		foldAgg(t.states[j], &gb.Aggs[j], av.vecs[j], sel, av.gidx)
+	}
+	return nil
 }
 
 // resolve looks up (or inserts) the group of every selected row,
@@ -512,57 +517,6 @@ func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []in
 		return av.sel, nil
 	}
 	return sel, nil
-}
-
-// consume drains in into the table, evaluating aggregate arguments
-// against ctx's evaluator: the row-interpreted baseline (DisableBatch).
-func (t *aggTable) consume(ctx *Context, in *node, gb *algebra.GroupBy) error {
-	keyOrds, err := aggKeyOrds(in, gb)
-	if err != nil {
-		return err
-	}
-	env := rowEnv{ctx: ctx, ords: in.ords}
-	for {
-		row, ok, err := in.it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := ctx.charge(); err != nil {
-			return err
-		}
-		g, err := t.findRow(row, keyOrds)
-		if err != nil {
-			return err
-		}
-		if g < 0 {
-			continue // routed to a spill partition
-		}
-		if err := accumRow(ctx, gb, t.states, g, &env, row); err != nil {
-			return err
-		}
-	}
-}
-
-// accumRow folds one row into group g of states through the
-// interpreter.
-func accumRow(ctx *Context, gb *algebra.GroupBy, states [][]aggState, g int, env *rowEnv, row types.Row) error {
-	env.row = row
-	for i := range gb.Aggs {
-		item := &gb.Aggs[i]
-		var d types.Datum
-		if item.Arg != nil {
-			v, err := ctx.ev.Eval(item.Arg, env)
-			if err != nil {
-				return err
-			}
-			d = v
-		}
-		states[i][g].add(item, d)
-	}
-	return nil
 }
 
 // merge folds another table's partial groups into t using the §3.3
@@ -613,16 +567,34 @@ func (t *aggTable) renderInto(gb *algebra.GroupBy, out []types.Row, allowEmptyRo
 	return out
 }
 
-// accumSpilled folds one decoded spill row into the table through the
-// interpreted argument path (spill drains are I/O bound; vector
-// argument evaluation would not be observable here).
-func (t *aggTable) accumSpilled(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
-	env *rowEnv, row types.Row) error {
-	g, err := t.findRow(row, keyOrds)
-	if err != nil || g < 0 {
-		return err // g < 0: re-spilled at the next level
+// accumFile folds a spill partition file into the table in windows of
+// BatchSize decoded rows (rows of groups this table cannot hold either
+// re-spill at its own level).
+func (t *aggTable) accumFile(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int, f *spillFile) error {
+	rd, err := f.reader()
+	if err != nil {
+		return err
 	}
-	return accumRow(ctx, gb, t.states, g, env, row)
+	defer rd.close()
+	buf := make([]types.Row, 0, BatchSize)
+	for {
+		row, ok, err := rd.next()
+		if err != nil {
+			return err
+		}
+		if ok {
+			buf = append(buf, row)
+		}
+		if len(buf) == BatchSize || (!ok && len(buf) > 0) {
+			if err := t.accum(ctx, gb, av, keyOrds, buf, nil); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		if !ok {
+			return nil
+		}
+	}
 }
 
 // drainSpill renders every spilled partition of t: each partition file
@@ -631,8 +603,8 @@ func (t *aggTable) accumSpilled(ctx *Context, gb *algebra.GroupBy, keyOrds []int
 // appended to out. The partition files are dropped as they are
 // consumed, and t's resident memory is released first — the resident
 // groups must already be rendered into out by the caller.
-func (t *aggTable) drainSpill(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
-	ords map[algebra.ColID]int, out []types.Row) ([]types.Row, error) {
+func (t *aggTable) drainSpill(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int,
+	out []types.Row) ([]types.Row, error) {
 	if t.spill == nil {
 		return out, nil
 	}
@@ -643,46 +615,24 @@ func (t *aggTable) drainSpill(ctx *Context, gb *algebra.GroupBy, keyOrds []int,
 		spill.dropAll()
 		return out, err
 	}
-	env := rowEnv{ctx: ctx, ords: ords}
 	for p, f := range spill.parts {
 		if f == nil {
 			continue
 		}
 		sub := newAggTable(len(keyOrds), len(gb.Aggs), 64)
 		sub.govern(ctx, t.st, spill.level+1)
-		rd, err := f.reader()
-		if err != nil {
-			spill.dropAll()
-			return out, err
+		err := sub.accumFile(ctx, gb, av, keyOrds, f)
+		if err == nil {
+			f.drop(ctx)
+			spill.parts[p] = nil
+			out = sub.renderInto(gb, out, false)
+			out, err = sub.drainSpill(ctx, gb, av, keyOrds, out)
 		}
-		for {
-			row, ok, err := rd.next()
-			if err != nil {
-				rd.close()
-				spill.dropAll()
-				return out, err
-			}
-			if !ok {
-				break
-			}
-			if err := ctx.charge(); err != nil {
-				rd.close()
-				spill.dropAll()
-				return out, err
-			}
-			if err := sub.accumSpilled(ctx, gb, keyOrds, &env, row); err != nil {
-				rd.close()
-				spill.dropAll()
-				return out, err
-			}
-		}
-		rd.close()
-		f.drop(ctx)
-		spill.parts[p] = nil
-		out = sub.renderInto(gb, out, false)
-		out, err = sub.drainSpill(ctx, gb, keyOrds, ords, out)
 		sub.release()
 		if err != nil {
+			if sub.spill != nil {
+				sub.spill.dropAll()
+			}
 			spill.dropAll()
 			return out, err
 		}
@@ -715,16 +665,12 @@ func (h *hashAggIter) Open() error {
 	}
 	if !h.prepped {
 		h.prepped = true
-		h.av = newAggVec(h.ctx, h.in, h.gb)
+		h.av = newAggVec(h.ctx, h.in.ords, h.gb)
 	}
 	tbl := newAggTable(h.gb.GroupCols.Len(), len(h.gb.Aggs), h.sizeHint)
 	tbl.govern(h.ctx, h.st, 0)
 	defer tbl.release()
-	if h.av != nil {
-		if err := tbl.consumeBatch(h.ctx, h.in, h.gb, h.av); err != nil {
-			return err
-		}
-	} else if err := tbl.consume(h.ctx, h.in, h.gb); err != nil {
+	if err := tbl.consume(h.ctx, h.in, h.gb, h.av); err != nil {
 		return err
 	}
 	if err := h.in.it.Close(); err != nil {
@@ -736,7 +682,7 @@ func (h *hashAggIter) Open() error {
 		if err != nil {
 			return err
 		}
-		h.out, err = tbl.drainSpill(h.ctx, h.gb, keyOrds, h.in.ords, h.out)
+		h.out, err = tbl.drainSpill(h.ctx, h.gb, h.av, keyOrds, h.out)
 		if err != nil {
 			return err
 		}
@@ -745,27 +691,9 @@ func (h *hashAggIter) Open() error {
 	return nil
 }
 
-func (h *hashAggIter) Next() (types.Row, bool, error) {
-	if h.pos >= len(h.out) {
-		return nil, false, nil
-	}
-	row := h.out[h.pos]
-	h.pos++
-	return row, true, nil
-}
-
 // NextBatch serves the materialized result in windows.
 func (h *hashAggIter) NextBatch(b *Batch) error {
-	if h.pos >= len(h.out) {
-		b.setEmpty()
-		return nil
-	}
-	end := h.pos + BatchSize
-	if end > len(h.out) {
-		end = len(h.out)
-	}
-	b.Rows, b.Sel = h.out[h.pos:end], nil
-	h.pos = end
+	b.serve(h.out, &h.pos)
 	return nil
 }
 

@@ -1,10 +1,10 @@
 package exec
 
-// Binding-batch Apply (ISSUE 6): the last row-at-a-time hot path.
-// Correlated plans the rewrites cannot remove (class-3 / Max1row
-// exceptions, cost-retained index-lookup plans) execute their inner
-// expression once per outer row under the sequential applyIter. The
-// batched mode here collects outer rows, deduplicates their
+// Binding-batch Apply (ISSUE 6). Correlated plans the rewrites cannot
+// remove (class-3 / Max1row exceptions, cost-retained index-lookup
+// plans) execute their inner expression once per outer row under the
+// sequential applyIter. The batched mode here collects outer rows,
+// deduplicates their
 // correlation bindings with a NULL-aware key (types.Equal's grouping
 // semantics: NULL matches NULL), executes the inner side once per
 // *distinct* binding, memoizes the results in a bounded,
@@ -22,7 +22,7 @@ package exec
 //   - In batched mode inner executions happen lazily at the first
 //     outer row that needs the binding, so errors — including Max1row
 //     cardinality exceptions and injected faults — surface at the same
-//     outer row as row-at-a-time execution. (Parallel mode executes a
+//     outer row as sequential execution. (Parallel mode executes a
 //     batch's bindings eagerly and may surface such an error earlier;
 //     the query fails either way.)
 //   - Semi/Anti applies with a trivially-true On stop each inner
@@ -83,7 +83,10 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 			spool = &spoolIter{ctx: ctx, in: right.it, st: st}
 			right = newNode(spool, right.cols)
 		}
-		it := &applyIter{ctx: ctx, a: a, left: left, right: right, spool: spool, st: st}
+		it := &applyIter{ctx: ctx, left: left, right: right, spool: spool, st: st,
+			earlyOut: existenceOnly(a), em: newJoinEmit(ctx, a.Kind, a.On, left, right),
+			lr: rowReader{it: left.it, charge: ctx}}
+		it.next = it.probe
 		return newNode(it, outCols), nil
 	}
 	sigCols := sig.Ordered()
@@ -105,7 +108,10 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 		ambientCols: ambient.Ordered(),
 		parallel:    strat == applyParallel,
 		st:          st,
+		earlyOut:    existenceOnly(a),
+		em:          newJoinEmit(ctx, a.Kind, a.On, left, right),
 	}
+	it.next = it.probe
 	return newNode(it, outCols), nil
 }
 
@@ -310,36 +316,27 @@ type batchApplyIter struct {
 	ambientCols []algebra.ColID
 	parallel    bool
 	st          *OpStats
-
-	cenv  combinedEnv
-	cache *bindingCache
-	// saved restores ctx.params shadowed by bindSig, so nested Apply
-	// scopes binding overlapping columns unwind correctly.
-	saved []savedParam
-	// earlyOut stops inner drains at the first row: semi/anti applies
-	// with a trivially-true On need only existence, matching the
-	// sequential path's early Close.
+	// earlyOut stops inner drains at the first row (existenceOnly).
 	earlyOut bool
 
-	// current batch of outer rows and their (lazily resolved) entries.
+	em    joinEmit
+	next  probeFn
+	cache *bindingCache
+	scope paramScope
+	lb    Batch // outer-side pulls
+	rb    Batch // inner-side drains on this strand
+
+	// current batch of outer rows, their (lazily resolved) entries, and
+	// the emission position among them.
 	lrows   []types.Row
 	entries []*applyEntry
-	lEOF    bool
-
-	// emission cursor within the batch.
 	cur     int
-	started bool
-	midx    int
-	matched bool
-	arena   rowArena
+	lEOF    bool
 
 	pool *applyPool
 }
 
 func (b *batchApplyIter) Open() error {
-	b.cenv = combinedEnv{ctx: b.ctx, lords: b.left.ords, rords: b.right.ords}
-	b.earlyOut = (b.a.Kind == algebra.SemiJoin || b.a.Kind == algebra.AntiSemiJoin) &&
-		(b.a.On == nil || algebra.IsTrueConst(b.a.On))
 	if b.cache == nil {
 		b.cache = newBindingCache(b.ctx, b.st, len(b.sigCols))
 	}
@@ -347,10 +344,10 @@ func (b *batchApplyIter) Open() error {
 	// fixed only for the duration of one Open window; entries keyed on
 	// the signature alone must not outlive it.
 	b.cache.reset()
+	b.em.reset()
 	b.lrows = b.lrows[:0]
 	b.entries = b.entries[:0]
-	b.cur, b.midx = 0, 0
-	b.started, b.matched, b.lEOF = false, false, false
+	b.cur, b.lEOF = 0, false
 	return b.left.it.Open()
 }
 
@@ -374,24 +371,23 @@ func (b *batchApplyIter) refill() error {
 	b.lrows = b.lrows[:0]
 	b.entries = b.entries[:0]
 	b.cur = 0
-	b.started = false
-	if b.lEOF {
-		return nil
-	}
-	for len(b.lrows) < applyBatchRows {
-		lrow, ok, err := b.left.it.Next()
-		if err != nil {
+	for !b.lEOF && len(b.lrows) < applyBatchRows {
+		b.lb.Limit = applyBatchRows - len(b.lrows)
+		if err := b.left.it.NextBatch(&b.lb); err != nil {
 			return err
 		}
-		if !ok {
+		n := b.lb.Len()
+		if n == 0 {
 			b.lEOF = true
 			break
 		}
-		if err := b.ctx.charge(); err != nil {
+		if err := b.ctx.chargeN(n); err != nil {
 			return err
 		}
-		b.lrows = append(b.lrows, lrow)
-		b.entries = append(b.entries, nil)
+		for i := 0; i < n; i++ {
+			b.lrows = append(b.lrows, b.lb.Row(i))
+			b.entries = append(b.entries, nil)
+		}
 	}
 	if b.parallel && len(b.lrows) > 0 {
 		return b.prefetch()
@@ -407,53 +403,12 @@ func (b *batchApplyIter) sigKey(lrow types.Row) types.Row {
 	return key
 }
 
-func (b *batchApplyIter) bindSig(key types.Row) {
-	b.saved = b.saved[:0]
-	for i, c := range b.sigCols {
-		prev, had := b.ctx.params[c]
-		b.saved = append(b.saved, savedParam{col: c, val: prev, had: had})
-		b.ctx.params[c] = key[i]
-	}
-}
-
-func (b *batchApplyIter) unbindSig() {
-	for _, s := range b.saved {
-		if s.had {
-			b.ctx.params[s.col] = s.val
-		} else {
-			delete(b.ctx.params, s.col)
-		}
-	}
-	b.saved = b.saved[:0]
-}
-
 // runBinding executes the inner side once on this strand's tree with
 // the binding installed, materializing its rows.
-func (b *batchApplyIter) runBinding(key types.Row) (rows []types.Row, err error) {
-	b.bindSig(key)
-	defer b.unbindSig()
-	if err := b.right.it.Open(); err != nil {
-		b.right.it.Close()
-		return nil, err
-	}
-	for {
-		rrow, ok, rerr := b.right.it.Next()
-		if rerr != nil {
-			b.right.it.Close()
-			return nil, rerr
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, rrow)
-		if b.earlyOut {
-			break
-		}
-	}
-	if cerr := b.right.it.Close(); cerr != nil {
-		return nil, cerr
-	}
-	return rows, nil
+func (b *batchApplyIter) runBinding(key types.Row) ([]types.Row, error) {
+	b.scope.bind(b.ctx.params, b.sigCols, key)
+	defer b.scope.unbind(b.ctx.params)
+	return runInner(b.right.it, &b.rb, b.earlyOut, nil)
 }
 
 // fetch resolves one outer row's binding lazily: a cache hit replays,
@@ -478,79 +433,27 @@ func (b *batchApplyIter) fetch(lrow types.Row) (*applyEntry, error) {
 	return b.cache.add(key, rows)
 }
 
-func (b *batchApplyIter) advance() {
-	b.cur++
-	b.started = false
-}
-
-func (b *batchApplyIter) Next() (types.Row, bool, error) {
-	for {
-		if b.cur >= len(b.lrows) {
-			if b.lEOF && len(b.lrows) == 0 {
-				return nil, false, nil
-			}
-			if err := b.refill(); err != nil {
-				return nil, false, err
-			}
-			if len(b.lrows) == 0 {
-				return nil, false, nil
-			}
-			continue
-		}
-		lrow := b.lrows[b.cur]
-		if !b.started {
-			if b.entries[b.cur] == nil {
-				e, err := b.fetch(lrow)
-				if err != nil {
-					return nil, false, err
-				}
-				b.entries[b.cur] = e
-			}
-			b.started = true
-			b.midx = 0
-			b.matched = false
-		}
-		e := b.entries[b.cur]
-		for b.midx < len(e.rows) {
-			rrow := e.rows[b.midx]
-			b.midx++
-			pass := true
-			if b.a.On != nil && !algebra.IsTrueConst(b.a.On) {
-				b.cenv.lrow, b.cenv.rrow = lrow, rrow
-				v, err := b.ctx.ev.EvalBool(b.a.On, &b.cenv)
-				if err != nil {
-					return nil, false, err
-				}
-				pass = v == types.TriTrue
-			}
-			if !pass {
-				continue
-			}
-			b.matched = true
-			switch b.a.Kind {
-			case algebra.SemiJoin:
-				b.advance()
-				return lrow, true, nil
-			case algebra.AntiSemiJoin:
-				b.midx = len(e.rows)
-			default:
-				return b.arena.concat(lrow, rrow), true, nil
-			}
-		}
-		wasMatched := b.matched
-		b.advance()
-		switch b.a.Kind {
-		case algebra.AntiSemiJoin:
-			if !wasMatched {
-				return lrow, true, nil
-			}
-		case algebra.LeftOuterJoin:
-			if !wasMatched {
-				return b.arena.padNulls(lrow, len(b.right.cols)), true, nil
-			}
+// probe yields the next outer row of the batch with its binding's
+// memoized inner result, collecting the next batch when this one is
+// used up.
+func (b *batchApplyIter) probe(int) (types.Row, []types.Row, bool, error) {
+	if b.cur >= len(b.lrows) {
+		if err := b.refill(); err != nil || len(b.lrows) == 0 {
+			return nil, nil, false, err
 		}
 	}
+	lrow, e := b.lrows[b.cur], b.entries[b.cur]
+	if e == nil {
+		var err error
+		if e, err = b.fetch(lrow); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	b.cur++
+	return lrow, e.rows, true, nil
 }
+
+func (b *batchApplyIter) NextBatch(out *Batch) error { return b.em.run(out, b.next) }
 
 // applyPool holds persistent per-worker contexts and compiled inner
 // trees for the parallel strategy. Goroutines are spawned per batch
@@ -563,6 +466,7 @@ type applyPool struct {
 type applyWorker struct {
 	wctx *Context
 	tree *node
+	rb   Batch
 }
 
 func (p *applyPool) close(ctx *Context) {
@@ -608,30 +512,7 @@ func (w *applyWorker) run(b *batchApplyIter, key types.Row) ([]types.Row, error)
 	for i, c := range b.sigCols {
 		w.wctx.params[c] = key[i]
 	}
-	it := w.tree.it
-	if err := it.Open(); err != nil {
-		it.Close()
-		return nil, err
-	}
-	var rows []types.Row
-	for {
-		rrow, ok, err := it.Next()
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, rrow)
-		if b.earlyOut {
-			break
-		}
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return runInner(w.tree.it, &w.rb, b.earlyOut, nil)
 }
 
 // prefetch resolves every outer row of the collected batch against the

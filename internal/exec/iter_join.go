@@ -34,9 +34,12 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 			lOrds[i] = left.ords[lKeys[i]]
 			rOrds[i] = right.ords[rKeys[i]]
 		}
-		it := &hashJoinIter{ctx: ctx, kind: j.Kind, left: left, right: right,
-			lOrds: lOrds, rOrds: rOrds, residual: algebra.ConjoinAll(residual...),
+		it := &hashJoinIter{ctx: ctx, left: left, right: right, lOrds: lOrds, rOrds: rOrds,
+			em:       newJoinEmit(ctx, j.Kind, algebra.ConjoinAll(residual...), left, right),
+			lr:       rowReader{it: left.it, charge: ctx},
 			sizeHint: estimateRows(ctx, j.Right), st: ctx.traceStats(j)}
+		it.em.lOrds, it.em.rOrds = lOrds, rOrds
+		it.next = it.probe
 		if ctx.isWorker && algebra.OuterRefs(j.Right).Empty() {
 			// Parallel workers probing the same join build the table once:
 			// the first worker to Open builds, the rest share it read-only.
@@ -44,7 +47,10 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 		}
 		return newNode(it, outCols), nil
 	}
-	it := &nlJoinIter{ctx: ctx, kind: j.Kind, left: left, right: right, on: j.On}
+	it := &nlJoinIter{left: left, right: right,
+		em: newJoinEmit(ctx, j.Kind, j.On, left, right), lr: rowReader{it: left.it}}
+	it.em.pairs = ctx
+	it.next = it.probe
 	return newNode(it, outCols), nil
 }
 
@@ -83,15 +89,150 @@ func SplitJoinKeys(on algebra.Scalar, leftCols, rightCols algebra.ColSet) (lk, r
 	return lk, rk, residual
 }
 
+// joinEmit is the emission half of every join-shaped operator — hash,
+// Grace, merge and nested-loop joins and both Apply strategies. Given
+// one left row and its candidate right rows it decides, by join kind,
+// what goes on the output: a concatenation per matching pair (inner,
+// left outer), the left row at its first match (semi), the left row
+// when nothing matched (antisemi), the NULL-padded left row when
+// nothing matched (left outer). The operators differ only in where a
+// left row's candidates come from — their probeFn.
+type joinEmit struct {
+	kind   algebra.JoinKind
+	rWidth int
+	// lOrds/rOrds, when set, re-check key equality per candidate: a hash
+	// bucket holds the rows of a hash value, not of a key. SQL equality:
+	// NULL keys never match (probes hand NULL-key rows no candidates).
+	lOrds, rOrds []int
+	// on is the join, residual or Apply predicate over the pair; nil
+	// passes every pair.
+	on eval.CompiledPred
+	fr eval.Frame
+	// pairs, when set, charges every examined pair to RowBudget (nested
+	// loops, where pairs — not input rows — are the work).
+	pairs *Context
+
+	arena rowArena // backs joined output rows
+	out   []types.Row
+
+	// The left row in progress and the position among its candidates.
+	lrow    types.Row
+	cands   []types.Row
+	pos     int
+	haveL   bool
+	matched bool
+}
+
+// probeFn yields the next left row with its candidate right rows,
+// asking the driving input for at most limit rows when it has to pull;
+// ok=false at end of input. Operators bind theirs once at compile time
+// (it.next = it.probe): a method value taken per NextBatch call would
+// allocate.
+type probeFn func(limit int) (lrow types.Row, cands []types.Row, ok bool, err error)
+
+func newJoinEmit(ctx *Context, kind algebra.JoinKind, on algebra.Scalar, left, right *node) joinEmit {
+	return joinEmit{kind: kind, rWidth: len(right.cols), on: ctx.joinPred(on, left, right),
+		fr: eval.Frame{Outer: ctx.params}}
+}
+
+// reset drops the left row in progress (the operator was re-opened).
+func (j *joinEmit) reset() { j.haveL = false }
+
+// run produces the next output batch of at most b's row cap.
+func (j *joinEmit) run(b *Batch, next probeFn) error {
+	j.out = j.out[:0]
+	return j.fill(b, next)
+}
+
+// fill continues the output batch in j.out.
+func (j *joinEmit) fill(b *Batch, next probeFn) error {
+	limit := b.limit()
+	for len(j.out) < limit {
+		if !j.haveL {
+			lrow, cands, ok, err := next(limit)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			j.lrow, j.cands, j.pos, j.haveL, j.matched = lrow, cands, 0, true, false
+		}
+		done, err := j.feed(limit)
+		if err != nil {
+			return err
+		}
+		if !done {
+			break // output full mid-row; the next call resumes at j.pos
+		}
+		j.haveL = false
+	}
+	b.Rows, b.Sel = j.out, nil
+	return nil
+}
+
+// feed emits what the left row in progress and its remaining
+// candidates put on the output. done=false means the output filled up
+// first.
+func (j *joinEmit) feed(limit int) (done bool, err error) {
+	for ; j.pos < len(j.cands); j.pos++ {
+		if len(j.out) >= limit {
+			return false, nil
+		}
+		rrow := j.cands[j.pos]
+		if j.pairs != nil {
+			if err := j.pairs.charge(); err != nil {
+				return false, err
+			}
+		}
+		if j.lOrds != nil && !types.EqualRows(j.lrow, j.lOrds, rrow, j.rOrds) {
+			continue
+		}
+		if j.on != nil {
+			j.fr.Row, j.fr.Row2 = j.lrow, rrow
+			v, err := j.on(&j.fr)
+			if err != nil {
+				return false, err
+			}
+			if v != types.TriTrue {
+				continue
+			}
+		}
+		j.matched = true
+		switch j.kind {
+		case algebra.SemiJoin:
+			j.out = append(j.out, j.lrow)
+			return true, nil
+		case algebra.AntiSemiJoin:
+			return true, nil
+		}
+		j.out = append(j.out, j.arena.concat(j.lrow, rrow))
+	}
+	if !j.matched {
+		if len(j.out) >= limit {
+			return false, nil
+		}
+		j.unmatched(j.lrow)
+	}
+	return true, nil
+}
+
+// unmatched emits what a left row without a match contributes.
+func (j *joinEmit) unmatched(lrow types.Row) {
+	switch j.kind {
+	case algebra.AntiSemiJoin:
+		j.out = append(j.out, lrow)
+	case algebra.LeftOuterJoin:
+		j.out = append(j.out, j.arena.padNulls(lrow, j.rWidth))
+	}
+}
+
 // hashJoinIter builds a hash table on the right input and probes with
 // the left, supporting inner, left outer, semi and antisemi variants.
-// SQL equality semantics: NULL keys never match.
 type hashJoinIter struct {
 	ctx          *Context
-	kind         algebra.JoinKind
 	left, right  *node
 	lOrds, rOrds []int
-	residual     algebra.Scalar
 	// sizeHint preallocates the build map (cardinality estimate).
 	sizeHint int
 	// shared, when non-nil, is the cross-worker build slot: the first
@@ -100,14 +241,11 @@ type hashJoinIter struct {
 	// st collects memory/spill statistics for EXPLAIN ANALYZE.
 	st *OpStats
 
-	table   map[uint64][]types.Row
-	cenv    combinedEnv
-	lrow    types.Row
-	matches []types.Row
-	midx    int
-	haveL   bool
-	matched bool
-	rWidth  int
+	em    joinEmit
+	lr    rowReader
+	next  probeFn
+	table map[uint64][]types.Row
+	rb    Batch // build-side drain
 
 	// charged is the build table's accounted bytes (private builds
 	// release it on Close; a shared build's memory is genuinely held
@@ -116,13 +254,6 @@ type hashJoinIter struct {
 	// grace, when non-nil, runs the probe side Grace-style against
 	// spilled build partitions (the build overflowed MemBudget).
 	grace *graceJoin
-
-	prepped   bool
-	residComp eval.CompiledPred
-	lb        Batch
-	lbPos     int
-	outBuf    []types.Row
-	arena     rowArena // backs joined output rows
 }
 
 // sharedBuild is a once-built hash-join table shared across parallel
@@ -160,27 +291,17 @@ func (h *hashJoinIter) Open() error {
 			h.grace = newGraceJoin(h, bset, false)
 		}
 	}
-	h.rWidth = len(h.right.cols)
-	h.cenv = combinedEnv{ctx: h.ctx, lords: h.left.ords, rords: h.right.ords}
-	h.haveL = false
-	h.lb.setEmpty()
-	h.lbPos = 0
-	if !h.prepped {
-		h.prepped = true
-		if comp := h.ctx.compiler(h.left.ords); comp != nil {
-			comp.Ords2 = h.right.ords
-			if h.residual != nil && !algebra.IsTrueConst(h.residual) {
-				h.residComp = comp.CompilePred(h.residual)
-			}
-		}
-	}
+	h.em.reset()
+	h.lr.reset()
 	return h.left.it.Open()
 }
 
-// buildTable drains the right input into the probe hash table. Under a
-// memory budget, crossing it degrades to a Grace build: the resident
-// rows are dumped into level-0 partition files, the rest of the input
-// streams there directly, and the returned spillSet replaces the table.
+// buildTable drains the right input into the probe hash table (row
+// headers are copied into it, so the producer reusing its batch buffers
+// is safe). Under a memory budget, crossing it degrades to a Grace
+// build: the resident rows are dumped into level-0 partition files, the
+// rest of the input streams there directly, and the returned spillSet
+// replaces the table.
 func (h *hashJoinIter) buildTable() (map[uint64][]types.Row, *spillSet, error) {
 	if err := h.right.it.Open(); err != nil {
 		return nil, nil, err
@@ -226,7 +347,7 @@ func (h *hashJoinIter) buildTable() (map[uint64][]types.Row, *spillSet, error) {
 		table[k] = append(table[k], row)
 		return nil
 	}
-	fail := func(err error) (map[uint64][]types.Row, *spillSet, error) {
+	if err := drainRows(h.right.it, &h.rb, insert); err != nil {
 		h.right.it.Close()
 		if bset != nil {
 			bset.dropAll()
@@ -236,39 +357,6 @@ func (h *hashJoinIter) buildTable() (map[uint64][]types.Row, *spillSet, error) {
 			h.charged = 0
 		}
 		return nil, nil, err
-	}
-	if !h.ctx.DisableBatch {
-		// Batched build: drain the right input a batch at a time (the
-		// row headers are copied into the table, so reused batch
-		// buffers below are safe).
-		var rb Batch
-		for {
-			if err := nextBatch(h.right.it, &rb); err != nil {
-				return fail(err)
-			}
-			live := rb.Len()
-			if live == 0 {
-				break
-			}
-			for i := 0; i < live; i++ {
-				if err := insert(rb.Row(i)); err != nil {
-					return fail(err)
-				}
-			}
-		}
-	} else {
-		for {
-			row, ok, err := h.right.it.Next()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if err := insert(row); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	if err := h.right.it.Close(); err != nil {
 		if bset != nil {
@@ -295,152 +383,23 @@ func rowHasNullAt(row types.Row, ords []int) bool {
 	return false
 }
 
-func (h *hashJoinIter) Next() (types.Row, bool, error) {
-	return h.nextRow(false)
+// probe yields the next left row with the bucket its key hashes to.
+func (h *hashJoinIter) probe(limit int) (types.Row, []types.Row, bool, error) {
+	lrow, ok, err := h.lr.next(limit)
+	if err != nil || !ok {
+		return nil, nil, false, err
+	}
+	if rowHasNullAt(lrow, h.lOrds) {
+		return lrow, nil, true, nil
+	}
+	return lrow, h.table[types.HashRow(lrow, h.lOrds)], true, nil
 }
 
-// NextBatch assembles up to BatchSize joined rows, pulling left rows
-// from an internal batch cursor and checking the residual with its
-// compiled form.
 func (h *hashJoinIter) NextBatch(b *Batch) error {
-	if h.outBuf == nil {
-		h.outBuf = make([]types.Row, 0, BatchSize)
-	}
-	out := h.outBuf[:0]
-	for len(out) < BatchSize {
-		row, ok, err := h.nextRow(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	h.outBuf = out
-	b.Rows, b.Sel = out, nil
-	return nil
-}
-
-// leftNext pulls the next probe row: directly in row mode, through
-// the internal batch cursor in batch mode.
-func (h *hashJoinIter) leftNext(batched bool) (types.Row, bool, error) {
-	if !batched {
-		lrow, ok, err := h.left.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if err := h.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		return lrow, true, nil
-	}
-	for h.lbPos >= h.lb.Len() {
-		if err := nextBatch(h.left.it, &h.lb); err != nil {
-			return nil, false, err
-		}
-		h.lbPos = 0
-		if h.lb.Len() == 0 {
-			return nil, false, nil
-		}
-		if err := h.ctx.chargeN(h.lb.Len()); err != nil {
-			return nil, false, err
-		}
-	}
-	row := h.lb.Row(h.lbPos)
-	h.lbPos++
-	return row, true, nil
-}
-
-// residualPass evaluates the residual predicate on a candidate row
-// pair, compiled in batch mode and interpreted otherwise.
-func (h *hashJoinIter) residualPass(batched bool, lrow, rrow types.Row) (bool, error) {
-	if h.residComp != nil && batched {
-		fr := eval.Frame{Row: lrow, Row2: rrow, Outer: h.ctx.params}
-		v, err := h.residComp(&fr)
-		if err != nil {
-			return false, err
-		}
-		return v == types.TriTrue, nil
-	}
-	if h.residual != nil && !algebra.IsTrueConst(h.residual) {
-		h.cenv.lrow, h.cenv.rrow = lrow, rrow
-		v, err := h.ctx.ev.EvalBool(h.residual, &h.cenv)
-		if err != nil {
-			return false, err
-		}
-		return v == types.TriTrue, nil
-	}
-	return true, nil
-}
-
-// nextRow is the probe state machine, shared by the row and batch
-// pull modes (they differ only in how left rows arrive and which
-// residual evaluator runs).
-func (h *hashJoinIter) nextRow(batched bool) (types.Row, bool, error) {
 	if h.grace != nil {
-		return h.grace.next(batched)
+		return h.grace.produce(b)
 	}
-	for {
-		if !h.haveL {
-			lrow, ok, err := h.leftNext(batched)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			h.lrow = lrow
-			h.haveL = true
-			h.matched = false
-			h.midx = 0
-			if rowHasNullAt(lrow, h.lOrds) {
-				h.matches = nil
-			} else {
-				h.matches = h.table[types.HashRow(lrow, h.lOrds)]
-			}
-		}
-		for h.midx < len(h.matches) {
-			rrow := h.matches[h.midx]
-			h.midx++
-			if !types.EqualRows(h.lrow, h.lOrds, rrow, h.rOrds) {
-				continue
-			}
-			pass, err := h.residualPass(batched, h.lrow, rrow)
-			if err != nil {
-				return nil, false, err
-			}
-			if !pass {
-				continue
-			}
-			h.matched = true
-			switch h.kind {
-			case algebra.SemiJoin:
-				h.haveL = false
-				return h.lrow, true, nil
-			case algebra.AntiSemiJoin:
-				h.haveL = false
-				// fall to next left row via loop (no emission)
-			default:
-				return h.arena.concat(h.lrow, rrow), true, nil
-			}
-			if h.kind == algebra.AntiSemiJoin {
-				break
-			}
-		}
-		// exhausted matches for this left row
-		wasMatched := h.matched
-		if h.haveL {
-			h.haveL = false
-			switch h.kind {
-			case algebra.AntiSemiJoin:
-				if !wasMatched {
-					return h.lrow, true, nil
-				}
-			case algebra.LeftOuterJoin:
-				if !wasMatched {
-					return h.arena.padNulls(h.lrow, h.rWidth), true, nil
-				}
-			}
-		}
-	}
+	return h.em.run(b, h.next)
 }
 
 func (h *hashJoinIter) Close() error {
@@ -458,18 +417,12 @@ func (h *hashJoinIter) Close() error {
 
 // nlJoinIter is a nested-loops join with a materialized right side.
 type nlJoinIter struct {
-	ctx         *Context
-	kind        algebra.JoinKind
 	left, right *node
-	on          algebra.Scalar
-
-	rrows   []types.Row
-	cenv    combinedEnv
-	lrow    types.Row
-	haveL   bool
-	matched bool
-	ridx    int
-	arena   rowArena
+	em          joinEmit
+	lr          rowReader
+	next        probeFn
+	rrows       []types.Row
+	rb          Batch
 }
 
 func (n *nlJoinIter) Open() error {
@@ -477,85 +430,28 @@ func (n *nlJoinIter) Open() error {
 		return err
 	}
 	n.rrows = n.rrows[:0]
-	for {
-		row, ok, err := n.right.it.Next()
-		if err != nil {
-			n.right.it.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := drainRows(n.right.it, &n.rb, func(row types.Row) error {
 		n.rrows = append(n.rrows, row)
+		return nil
+	})
+	if cerr := n.right.it.Close(); err == nil {
+		err = cerr
 	}
-	if err := n.right.it.Close(); err != nil {
+	if err != nil {
 		return err
 	}
-	n.cenv = combinedEnv{ctx: n.ctx, lords: n.left.ords, rords: n.right.ords}
-	n.haveL = false
+	n.em.reset()
+	n.lr.reset()
 	return n.left.it.Open()
 }
 
-func (n *nlJoinIter) Next() (types.Row, bool, error) {
-	for {
-		if !n.haveL {
-			lrow, ok, err := n.left.it.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			n.lrow = lrow
-			n.haveL = true
-			n.matched = false
-			n.ridx = 0
-		}
-		for n.ridx < len(n.rrows) {
-			rrow := n.rrows[n.ridx]
-			n.ridx++
-			if err := n.ctx.charge(); err != nil {
-				return nil, false, err
-			}
-			pass := true
-			if n.on != nil && !algebra.IsTrueConst(n.on) {
-				n.cenv.lrow, n.cenv.rrow = n.lrow, rrow
-				v, err := n.ctx.ev.EvalBool(n.on, &n.cenv)
-				if err != nil {
-					return nil, false, err
-				}
-				pass = v == types.TriTrue
-			}
-			if !pass {
-				continue
-			}
-			n.matched = true
-			switch n.kind {
-			case algebra.SemiJoin:
-				n.haveL = false
-				return n.lrow, true, nil
-			case algebra.AntiSemiJoin:
-				n.haveL = false
-			default:
-				return n.arena.concat(n.lrow, rrow), true, nil
-			}
-			if n.kind == algebra.AntiSemiJoin {
-				break
-			}
-		}
-		wasMatched := n.matched
-		if n.haveL {
-			n.haveL = false
-			switch n.kind {
-			case algebra.AntiSemiJoin:
-				if !wasMatched {
-					return n.lrow, true, nil
-				}
-			case algebra.LeftOuterJoin:
-				if !wasMatched {
-					return n.arena.padNulls(n.lrow, len(n.right.cols)), true, nil
-				}
-			}
-		}
-	}
+// probe pairs the next left row with the whole right side.
+func (n *nlJoinIter) probe(limit int) (types.Row, []types.Row, bool, error) {
+	lrow, ok, err := n.lr.next(limit)
+	return lrow, n.rrows, ok, err
 }
+
+func (n *nlJoinIter) NextBatch(b *Batch) error { return n.em.run(b, n.next) }
 
 func (n *nlJoinIter) Close() error { return n.left.it.Close() }
 
@@ -573,6 +469,7 @@ type spoolIter struct {
 	rows    []types.Row
 	pos     int
 	charged int64
+	cb      Batch
 }
 
 func (s *spoolIter) Open() error {
@@ -584,28 +481,23 @@ func (s *spoolIter) Open() error {
 		return err
 	}
 	governed := s.ctx.MemBudget > 0 || s.ctx.Faults != nil
-	for {
-		row, ok, err := s.in.Next()
-		if err != nil {
-			s.in.Close()
-			s.release()
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := drainRows(s.in, &s.cb, func(row types.Row) error {
 		if governed {
 			// The spool cannot spill; over-budget usage stays visible in
 			// the accountant and only aborts under DisableSpill.
 			n := rowBytes(row)
 			if _, err := s.ctx.grantMem(s.st, "Spool", n); err != nil {
-				s.in.Close()
-				s.release()
 				return err
 			}
 			s.charged += n
 		}
 		s.rows = append(s.rows, row)
+		return nil
+	})
+	if err != nil {
+		s.in.Close()
+		s.release()
+		return err
 	}
 	s.filled = true
 	return s.in.Close()
@@ -621,37 +513,18 @@ func (s *spoolIter) release() {
 	s.filled = false
 }
 
-func (s *spoolIter) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
+func (s *spoolIter) NextBatch(b *Batch) error {
+	b.serve(s.rows, &s.pos)
+	return nil
 }
 
 func (s *spoolIter) Close() error { return nil }
 
-type applyIter struct {
-	ctx         *Context
-	a           *algebra.Apply
-	left, right *node
-	// spool is set when the invariant inner side was wrapped in a
-	// spool; the apply owns its teardown (see spoolIter.release).
-	spool *spoolIter
-	// st, when tracing, carries the strategy and binding counters
-	// shared with the traceIter wrapping this operator.
-	st *OpStats
-
-	cenv    combinedEnv
-	lrow    types.Row
-	haveL   bool
-	rOpen   bool
-	matched bool
-	// saved holds parameter values shadowed by bindLeft, so nested
-	// Apply scopes binding overlapping columns restore correctly.
+// paramScope installs correlation bindings in a strand's parameter map
+// and restores what they shadowed, so nested Apply scopes binding
+// overlapping columns unwind correctly.
+type paramScope struct {
 	saved []savedParam
-	arena rowArena
 }
 
 type savedParam struct {
@@ -660,123 +533,111 @@ type savedParam struct {
 	had bool
 }
 
+func (p *paramScope) bind(params eval.MapEnv, cols []algebra.ColID, vals types.Row) {
+	p.saved = p.saved[:0]
+	for i, c := range cols {
+		prev, had := params[c]
+		p.saved = append(p.saved, savedParam{col: c, val: prev, had: had})
+		params[c] = vals[i]
+	}
+}
+
+func (p *paramScope) unbind(params eval.MapEnv) {
+	for _, s := range p.saved {
+		if s.had {
+			params[s.col] = s.val
+		} else {
+			delete(params, s.col)
+		}
+	}
+	p.saved = p.saved[:0]
+}
+
+// runInner executes an Apply's inner side once, under the bindings
+// currently installed, appending its rows to dst. With first set it
+// asks for one row and stops: all a Semi/Anti Apply with a
+// trivially-true On needs is existence.
+func runInner(it iterator, rb *Batch, first bool, dst []types.Row) ([]types.Row, error) {
+	if err := it.Open(); err != nil {
+		it.Close()
+		return dst, err
+	}
+	rb.Limit = 0
+	if first {
+		rb.Limit = 1
+	}
+	for {
+		if err := it.NextBatch(rb); err != nil {
+			it.Close()
+			return dst, err
+		}
+		n := rb.Len()
+		for i := 0; i < n; i++ {
+			dst = append(dst, rb.Row(i))
+		}
+		if n == 0 || first {
+			return dst, it.Close()
+		}
+	}
+}
+
+// existenceOnly reports whether an Apply needs only the first inner row
+// per binding: Semi/Anti with a trivially-true On.
+func existenceOnly(a *algebra.Apply) bool {
+	return (a.Kind == algebra.SemiJoin || a.Kind == algebra.AntiSemiJoin) &&
+		(a.On == nil || algebra.IsTrueConst(a.On))
+}
+
+// applyIter is the sequential Apply: the inner side runs once per outer
+// row with the row's columns installed as parameters.
+type applyIter struct {
+	ctx         *Context
+	left, right *node
+	// spool is set when the invariant inner side was wrapped in a
+	// spool; the apply owns its teardown (see spoolIter.release).
+	spool *spoolIter
+	// st, when tracing, carries the strategy and binding counters
+	// shared with the traceIter wrapping this operator.
+	st *OpStats
+	// earlyOut stops each inner execution at its first row
+	// (existenceOnly).
+	earlyOut bool
+
+	em    joinEmit
+	lr    rowReader
+	next  probeFn
+	scope paramScope
+	rb    Batch
+	inner []types.Row // the current outer row's inner result
+}
+
 func (ap *applyIter) Open() error {
-	ap.cenv = combinedEnv{ctx: ap.ctx, lords: ap.left.ords, rords: ap.right.ords}
-	ap.haveL = false
-	ap.rOpen = false
+	ap.em.reset()
+	ap.lr.reset()
 	return ap.left.it.Open()
 }
 
-func (ap *applyIter) bindLeft() {
-	ap.saved = ap.saved[:0]
-	for i, c := range ap.left.cols {
-		prev, had := ap.ctx.params[c]
-		ap.saved = append(ap.saved, savedParam{col: c, val: prev, had: had})
-		ap.ctx.params[c] = ap.lrow[i]
+// probe runs the inner side for the next outer row.
+func (ap *applyIter) probe(limit int) (types.Row, []types.Row, bool, error) {
+	lrow, ok, err := ap.lr.next(limit)
+	if err != nil || !ok {
+		return nil, nil, false, err
 	}
+	if ap.st != nil {
+		// Sequential execution runs the inner per outer row: every
+		// binding is its own execution.
+		ap.st.Bindings++
+		ap.st.InnerExecs++
+	}
+	ap.scope.bind(ap.ctx.params, ap.left.cols, lrow)
+	ap.inner, err = runInner(ap.right.it, &ap.rb, ap.earlyOut, ap.inner[:0])
+	ap.scope.unbind(ap.ctx.params)
+	return lrow, ap.inner, true, err
 }
 
-func (ap *applyIter) unbindLeft() {
-	for _, s := range ap.saved {
-		if s.had {
-			ap.ctx.params[s.col] = s.val
-		} else {
-			delete(ap.ctx.params, s.col)
-		}
-	}
-	ap.saved = ap.saved[:0]
-}
-
-func (ap *applyIter) Next() (types.Row, bool, error) {
-	for {
-		if !ap.haveL {
-			lrow, ok, err := ap.left.it.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			if err := ap.ctx.charge(); err != nil {
-				return nil, false, err
-			}
-			ap.lrow = lrow
-			ap.haveL = true
-			ap.matched = false
-			ap.bindLeft()
-			if ap.st != nil {
-				// Sequential execution runs the inner per outer row:
-				// every binding is its own execution.
-				ap.st.Bindings++
-				ap.st.InnerExecs++
-			}
-			if err := ap.right.it.Open(); err != nil {
-				return nil, false, err
-			}
-			ap.rOpen = true
-		}
-		for {
-			rrow, ok, err := ap.right.it.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				break
-			}
-			pass := true
-			if ap.a.On != nil && !algebra.IsTrueConst(ap.a.On) {
-				ap.cenv.lrow, ap.cenv.rrow = ap.lrow, rrow
-				v, err := ap.ctx.ev.EvalBool(ap.a.On, &ap.cenv)
-				if err != nil {
-					return nil, false, err
-				}
-				pass = v == types.TriTrue
-			}
-			if !pass {
-				continue
-			}
-			ap.matched = true
-			switch ap.a.Kind {
-			case algebra.SemiJoin:
-				ap.endLeft()
-				return ap.lrow, true, nil
-			case algebra.AntiSemiJoin:
-				ap.endLeft()
-			default:
-				return ap.arena.concat(ap.lrow, rrow), true, nil
-			}
-			if ap.a.Kind == algebra.AntiSemiJoin {
-				break
-			}
-		}
-		wasMatched := ap.matched
-		if ap.haveL {
-			ap.endLeft()
-			switch ap.a.Kind {
-			case algebra.AntiSemiJoin:
-				if !wasMatched {
-					return ap.lrow, true, nil
-				}
-			case algebra.LeftOuterJoin:
-				if !wasMatched {
-					return ap.arena.padNulls(ap.lrow, len(ap.right.cols)), true, nil
-				}
-			}
-		}
-	}
-}
-
-func (ap *applyIter) endLeft() {
-	if ap.rOpen {
-		ap.right.it.Close()
-		ap.rOpen = false
-	}
-	ap.unbindLeft()
-	ap.haveL = false
-}
+func (ap *applyIter) NextBatch(b *Batch) error { return ap.em.run(b, ap.next) }
 
 func (ap *applyIter) Close() error {
-	if ap.rOpen {
-		ap.right.it.Close()
-		ap.rOpen = false
-	}
 	if ap.spool != nil {
 		ap.spool.release()
 	}
@@ -810,12 +671,7 @@ type graceJoin struct {
 	table      map[uint64][]types.Row
 	tblCharged int64
 	rd         *spillReader
-
-	lrow    types.Row
-	haveL   bool
-	matched bool
-	matches []types.Row
-	midx    int
+	next       probeFn
 }
 
 // gracePair is one (build, probe) partition pair awaiting processing.
@@ -830,20 +686,23 @@ type gracePair struct {
 func newGraceJoin(h *hashJoinIter, bset *spillSet, shared bool) *graceJoin {
 	g := &graceJoin{h: h, shared: shared, probe: newSpillSet(h.ctx, bset.level)}
 	g.build = bset.parts
+	g.next = g.pairProbe
 	return g
 }
 
-func (g *graceJoin) next(batched bool) (types.Row, bool, error) {
+func (g *graceJoin) produce(b *Batch) error {
 	h := g.h
+	em := &h.em
+	em.out = em.out[:0]
 	// Phase one: partition the probe stream.
-	for !g.partitioned {
-		lrow, ok, err := h.leftNext(batched)
+	for limit := b.limit(); !g.partitioned && len(em.out) < limit; {
+		lrow, ok, err := h.lr.next(0)
 		if err != nil {
-			return nil, false, err
+			return err
 		}
 		if !ok {
 			if err := g.probe.finish(); err != nil {
-				return nil, false, err
+				return err
 			}
 			for p := 0; p < spillFanout; p++ {
 				pf := g.probe.parts[p]
@@ -861,42 +720,51 @@ func (g *graceJoin) next(batched bool) (types.Row, bool, error) {
 			break
 		}
 		if rowHasNullAt(lrow, h.lOrds) {
-			switch h.kind {
-			case algebra.AntiSemiJoin:
-				return lrow, true, nil
-			case algebra.LeftOuterJoin:
-				return h.arena.padNulls(lrow, h.rWidth), true, nil
-			}
+			em.unmatched(lrow)
 			continue
 		}
 		if err := g.probe.add(types.HashRow(lrow, h.lOrds), lrow); err != nil {
-			return nil, false, err
+			return err
 		}
 	}
+	if !g.partitioned {
+		b.Rows, b.Sel = em.out, nil
+		return nil
+	}
 	// Phase two: drain partition pairs.
+	return em.fill(b, g.next)
+}
+
+// pairProbe yields the next probe row of the partition pairs — each
+// pair's probe file replayed against its in-memory build table — moving
+// to the next pair (splitting oversized ones) as files run out.
+func (g *graceJoin) pairProbe(int) (types.Row, []types.Row, bool, error) {
+	h := g.h
 	for {
 		if !g.curActive {
 			if len(g.work) == 0 {
-				return nil, false, nil
+				return nil, nil, false, nil
 			}
 			pair := g.work[len(g.work)-1]
 			g.work = g.work[:len(g.work)-1]
-			split, err := g.startPair(pair)
-			if err != nil {
-				return nil, false, err
-			}
-			if split {
+			if split, err := g.startPair(pair); err != nil {
+				return nil, nil, false, err
+			} else if split {
 				continue // repartitioned into finer pairs
 			}
 		}
-		row, ok, err := g.subNext(batched)
+		lrow, ok, err := g.rd.next()
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
-		if ok {
-			return row, true, nil
+		if !ok {
+			g.endPair()
+			continue
 		}
-		g.endPair()
+		if err := h.ctx.charge(); err != nil {
+			return nil, nil, false, err
+		}
+		return lrow, g.table[types.HashRow(lrow, h.lOrds)], true, nil
 	}
 }
 
@@ -966,7 +834,6 @@ func (g *graceJoin) startPair(pair gracePair) (split bool, err error) {
 	g.rd = rd
 	g.cur = pair
 	g.curActive = true
-	g.haveL = false
 	return false, nil
 }
 
@@ -1037,72 +904,6 @@ func (g *graceJoin) splitPair(pair gracePair) error {
 	return nil
 }
 
-// subNext replays the current pair's probe file against its in-memory
-// build table with the standard probe semantics.
-func (g *graceJoin) subNext(batched bool) (types.Row, bool, error) {
-	h := g.h
-	for {
-		if !g.haveL {
-			lrow, ok, err := g.rd.next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, false, nil
-			}
-			if err := h.ctx.charge(); err != nil {
-				return nil, false, err
-			}
-			g.lrow = lrow
-			g.haveL = true
-			g.matched = false
-			g.midx = 0
-			g.matches = g.table[types.HashRow(lrow, h.lOrds)]
-		}
-		for g.midx < len(g.matches) {
-			rrow := g.matches[g.midx]
-			g.midx++
-			if !types.EqualRows(g.lrow, h.lOrds, rrow, h.rOrds) {
-				continue
-			}
-			pass, err := h.residualPass(batched, g.lrow, rrow)
-			if err != nil {
-				return nil, false, err
-			}
-			if !pass {
-				continue
-			}
-			g.matched = true
-			switch h.kind {
-			case algebra.SemiJoin:
-				g.haveL = false
-				return g.lrow, true, nil
-			case algebra.AntiSemiJoin:
-				g.haveL = false
-			default:
-				return h.arena.concat(g.lrow, rrow), true, nil
-			}
-			if h.kind == algebra.AntiSemiJoin {
-				break
-			}
-		}
-		wasMatched := g.matched
-		if g.haveL {
-			g.haveL = false
-			switch h.kind {
-			case algebra.AntiSemiJoin:
-				if !wasMatched {
-					return g.lrow, true, nil
-				}
-			case algebra.LeftOuterJoin:
-				if !wasMatched {
-					return h.arena.padNulls(g.lrow, h.rWidth), true, nil
-				}
-			}
-		}
-	}
-}
-
 // endPair releases the finished pair's resources.
 func (g *graceJoin) endPair() {
 	h := g.h
@@ -1125,7 +926,6 @@ func (g *graceJoin) endPair() {
 		g.tblCharged = 0
 	}
 	g.table = nil
-	g.haveL = false
 }
 
 // release tears down mid-probe state on Close (early termination).

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"orthoq/internal/algebra"
-	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 )
 
@@ -94,9 +93,11 @@ func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 		lOrds[i] = left.ords[lSeq[i]]
 		rOrds[i] = right.ords[rSeq[i]]
 	}
-	it := &mergeJoinIter{ctx: ctx, kind: j.Kind, left: left, right: right,
-		lOrds: lOrds, rOrds: rOrds, residual: algebra.ConjoinAll(residual...),
+	it := &mergeJoinIter{ctx: ctx, left: left, right: right, lOrds: lOrds, rOrds: rOrds,
+		em: newJoinEmit(ctx, j.Kind, algebra.ConjoinAll(residual...), left, right),
+		lr: rowReader{it: left.it, charge: ctx}, rr: rowReader{it: right.it},
 		st: ctx.traceStats(j)}
+	it.next = it.probe
 	return newNode(it, joinOutCols(j.Kind, left, right)), true
 }
 
@@ -107,38 +108,22 @@ func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 // keys never match.
 type mergeJoinIter struct {
 	ctx          *Context
-	kind         algebra.JoinKind
 	left, right  *node
 	lOrds, rOrds []int
-	residual     algebra.Scalar
 	st           *OpStats
 
-	cenv   combinedEnv
-	rWidth int
+	em     joinEmit
+	lr, rr rowReader
+	next   probeFn
 
 	// right-side cursor: rRow is the one-row lookahead past the current
-	// group; group holds the buffered rows of the current key group.
+	// group; group holds the buffered rows of the current key group (row
+	// headers copied out of the right input's batches).
 	rRow    types.Row
 	rHave   bool
 	rDone   bool
 	group   []types.Row
 	charged int64
-
-	// left-side probe state (mirrors hashJoinIter).
-	lrow    types.Row
-	haveL   bool
-	matched bool
-	midx    int
-	matches []types.Row
-
-	arena rowArena // backs joined output rows
-
-	prepped   bool
-	residComp eval.CompiledPred
-	lb, rb    Batch
-	lbPos     int
-	rbPos     int
-	outBuf    []types.Row
 }
 
 func (m *mergeJoinIter) Open() error {
@@ -149,100 +134,30 @@ func (m *mergeJoinIter) Open() error {
 		m.left.it.Close()
 		return err
 	}
-	m.rWidth = len(m.right.cols)
-	m.cenv = combinedEnv{ctx: m.ctx, lords: m.left.ords, rords: m.right.ords}
 	m.rRow, m.rHave, m.rDone = nil, false, false
 	m.dropGroup()
-	m.haveL = false
-	m.lb.setEmpty()
-	m.rb.setEmpty()
-	m.lbPos, m.rbPos = 0, 0
-	if !m.prepped {
-		m.prepped = true
-		if comp := m.ctx.compiler(m.left.ords); comp != nil {
-			comp.Ords2 = m.right.ords
-			if m.residual != nil && !algebra.IsTrueConst(m.residual) {
-				m.residComp = comp.CompilePred(m.residual)
-			}
-		}
-	}
+	m.em.reset()
+	m.lr.reset()
+	m.rr.reset()
 	return nil
 }
 
-func (m *mergeJoinIter) Next() (types.Row, bool, error) {
-	return m.nextRow(false)
+// probe yields the next left row with the right key group it aligns
+// with (keys are already known equal, so only the residual is checked
+// per pair).
+func (m *mergeJoinIter) probe(limit int) (types.Row, []types.Row, bool, error) {
+	lrow, ok, err := m.lr.next(limit)
+	if err != nil || !ok {
+		return nil, nil, false, err
+	}
+	if rowHasNullAt(lrow, m.lOrds) {
+		return lrow, nil, true, nil
+	}
+	group, err := m.advanceTo(lrow)
+	return lrow, group, true, err
 }
 
-// NextBatch assembles up to BatchSize joined rows through the merge
-// state machine.
-func (m *mergeJoinIter) NextBatch(b *Batch) error {
-	if m.outBuf == nil {
-		m.outBuf = make([]types.Row, 0, BatchSize)
-	}
-	out := m.outBuf[:0]
-	for len(out) < BatchSize {
-		row, ok, err := m.nextRow(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row)
-	}
-	m.outBuf = out
-	b.Rows, b.Sel = out, nil
-	return nil
-}
-
-func (m *mergeJoinIter) leftNext(batched bool) (types.Row, bool, error) {
-	if !batched {
-		lrow, ok, err := m.left.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if err := m.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		return lrow, true, nil
-	}
-	for m.lbPos >= m.lb.Len() {
-		if err := nextBatch(m.left.it, &m.lb); err != nil {
-			return nil, false, err
-		}
-		m.lbPos = 0
-		if m.lb.Len() == 0 {
-			return nil, false, nil
-		}
-		if err := m.ctx.chargeN(m.lb.Len()); err != nil {
-			return nil, false, err
-		}
-	}
-	row := m.lb.Row(m.lbPos)
-	m.lbPos++
-	return row, true, nil
-}
-
-func (m *mergeJoinIter) rightNext(batched bool) (types.Row, bool, error) {
-	if !batched {
-		return m.right.it.Next()
-	}
-	for m.rbPos >= m.rb.Len() {
-		if err := nextBatch(m.right.it, &m.rb); err != nil {
-			return nil, false, err
-		}
-		m.rbPos = 0
-		if m.rb.Len() == 0 {
-			return nil, false, nil
-		}
-	}
-	// Row headers are copied out of the batch into the group buffer, so
-	// the producer reusing its batch buffers is safe (same contract as
-	// the hash-join build).
-	row := m.rb.Row(m.rbPos)
-	m.rbPos++
-	return row, true, nil
-}
+func (m *mergeJoinIter) NextBatch(b *Batch) error { return m.em.run(b, m.next) }
 
 // dropGroup releases the current right group and its accounted memory.
 func (m *mergeJoinIter) dropGroup() {
@@ -256,7 +171,7 @@ func (m *mergeJoinIter) dropGroup() {
 // loadGroup buffers the next right key group, skipping NULL-key rows,
 // leaving the first row of the following group in the lookahead slot.
 // On return either group is non-empty or rDone is set.
-func (m *mergeJoinIter) loadGroup(batched bool) error {
+func (m *mergeJoinIter) loadGroup() error {
 	m.dropGroup()
 	governed := m.ctx.MemBudget > 0 || m.ctx.Faults != nil
 	add := func(row types.Row) error {
@@ -274,7 +189,7 @@ func (m *mergeJoinIter) loadGroup(batched bool) error {
 	}
 	for {
 		if !m.rHave {
-			row, ok, err := m.rightNext(batched)
+			row, ok, err := m.rr.next(0)
 			if err != nil {
 				return err
 			}
@@ -296,7 +211,7 @@ func (m *mergeJoinIter) loadGroup(batched bool) error {
 		return err
 	}
 	for {
-		row, ok, err := m.rightNext(batched)
+		row, ok, err := m.rr.next(0)
 		if err != nil {
 			return err
 		}
@@ -330,128 +245,31 @@ func (m *mergeJoinIter) cmpGroupKey(lrow types.Row) int {
 	return 0
 }
 
-// advanceTo positions the right cursor at the left row's key: groups
-// with smaller keys are discarded (left is ascending, they can never
-// match again), and matches is set when the keys align.
-func (m *mergeJoinIter) advanceTo(batched bool, lrow types.Row) error {
+// advanceTo positions the right cursor at the left row's key and
+// returns the aligned group (nil when no right key equals it): groups
+// with smaller keys are discarded — left is ascending, they can never
+// match again.
+func (m *mergeJoinIter) advanceTo(lrow types.Row) ([]types.Row, error) {
 	for {
-		if len(m.group) == 0 {
-			if m.rDone {
-				m.matches = nil
-				return nil
-			}
-			if err := m.loadGroup(batched); err != nil {
-				return err
-			}
-			continue
-		}
-		c := m.cmpGroupKey(lrow)
-		if c < 0 {
-			if m.rDone {
-				m.dropGroup()
-				m.matches = nil
-				return nil
-			}
-			if err := m.loadGroup(batched); err != nil {
-				return err
-			}
-			continue
-		}
-		if c == 0 {
-			m.matches = m.group
-		} else {
-			m.matches = nil
-		}
-		return nil
-	}
-}
-
-func (m *mergeJoinIter) residualPass(batched bool, lrow, rrow types.Row) (bool, error) {
-	if m.residComp != nil && batched {
-		fr := eval.Frame{Row: lrow, Row2: rrow, Outer: m.ctx.params}
-		v, err := m.residComp(&fr)
-		if err != nil {
-			return false, err
-		}
-		return v == types.TriTrue, nil
-	}
-	if m.residual != nil && !algebra.IsTrueConst(m.residual) {
-		m.cenv.lrow, m.cenv.rrow = lrow, rrow
-		v, err := m.ctx.ev.EvalBool(m.residual, &m.cenv)
-		if err != nil {
-			return false, err
-		}
-		return v == types.TriTrue, nil
-	}
-	return true, nil
-}
-
-// nextRow is the merge state machine; emission semantics mirror
-// hashJoinIter.nextRow (keys are already known equal, so only the
-// residual is checked per pair).
-func (m *mergeJoinIter) nextRow(batched bool) (types.Row, bool, error) {
-	for {
-		if !m.haveL {
-			lrow, ok, err := m.leftNext(batched)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			m.lrow = lrow
-			m.haveL = true
-			m.matched = false
-			m.midx = 0
-			if rowHasNullAt(lrow, m.lOrds) {
-				m.matches = nil
-			} else if err := m.advanceTo(batched, lrow); err != nil {
-				return nil, false, err
+		if len(m.group) > 0 {
+			if c := m.cmpGroupKey(lrow); c == 0 {
+				return m.group, nil
+			} else if c > 0 {
+				return nil, nil
 			}
 		}
-		for m.midx < len(m.matches) {
-			rrow := m.matches[m.midx]
-			m.midx++
-			pass, err := m.residualPass(batched, m.lrow, rrow)
-			if err != nil {
-				return nil, false, err
-			}
-			if !pass {
-				continue
-			}
-			m.matched = true
-			switch m.kind {
-			case algebra.SemiJoin:
-				m.haveL = false
-				return m.lrow, true, nil
-			case algebra.AntiSemiJoin:
-				m.haveL = false
-				// fall to next left row via loop (no emission)
-			default:
-				return m.arena.concat(m.lrow, rrow), true, nil
-			}
-			if m.kind == algebra.AntiSemiJoin {
-				break
-			}
+		if m.rDone {
+			m.dropGroup()
+			return nil, nil
 		}
-		// exhausted matches for this left row
-		wasMatched := m.matched
-		if m.haveL {
-			m.haveL = false
-			switch m.kind {
-			case algebra.AntiSemiJoin:
-				if !wasMatched {
-					return m.lrow, true, nil
-				}
-			case algebra.LeftOuterJoin:
-				if !wasMatched {
-					return m.arena.padNulls(m.lrow, m.rWidth), true, nil
-				}
-			}
+		if err := m.loadGroup(); err != nil {
+			return nil, err
 		}
 	}
 }
 
 func (m *mergeJoinIter) Close() error {
 	m.dropGroup()
-	m.matches = nil
 	err := m.right.it.Close()
 	if lerr := m.left.it.Close(); err == nil {
 		err = lerr

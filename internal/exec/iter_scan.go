@@ -22,23 +22,25 @@ func compileGet(ctx *Context, g *algebra.Get, filter algebra.Scalar) (*node, err
 	if !ok {
 		return nil, fmt.Errorf("exec: table %q not stored", g.Table)
 	}
-	if ctx.morsels != nil && g == ctx.driverGet {
-		it := &morselScanIter{ctx: ctx, tbl: tbl, cols: g.Cols, pred: filter, src: ctx.morsels}
-		return newNode(it, g.Cols), nil
-	}
-	if len(g.Order) > 0 {
+	morsel := ctx.morsels != nil && g == ctx.driverGet
+	if !morsel && len(g.Order) > 0 {
 		// An Order requirement precludes the seek path: the scan must
 		// deliver every row in index order, with the filter as residual.
 		return compileOrderedGet(ctx, g, tbl, filter)
 	}
-	index, keyExprs, pred := planSeek(tbl, g, filter)
-	if index != "" {
-		it := &seekIter{ctx: ctx, tbl: tbl, index: index, keyExprs: keyExprs,
-			cols: g.Cols, pred: pred}
-		return newNode(it, g.Cols), nil
+	n := newNode(nil, g.Cols)
+	if morsel {
+		n.it = &morselScanIter{tbl: tbl, src: ctx.morsels, filt: newFilterPred(ctx, filter, n.ords)}
+		return n, nil
 	}
-	it := &scanIter{ctx: ctx, tbl: tbl, cols: g.Cols, pred: pred}
-	return newNode(it, g.Cols), nil
+	index, keyExprs, pred := planSeek(tbl, g, filter)
+	filt := newFilterPred(ctx, pred, n.ords)
+	if index != "" {
+		n.it = &seekIter{ctx: ctx, tbl: tbl, index: index, keyExprs: keyExprs, filt: filt}
+	} else {
+		n.it = &scanIter{tbl: tbl, filt: filt}
+	}
+	return n, nil
 }
 
 // planSeek chooses the access path for a filtered Get: the index with
@@ -123,13 +125,9 @@ func planSeek(tbl *storage.Version, g *algebra.Get, filter algebra.Scalar) (inde
 
 // scanIter is a filtered full table scan.
 type scanIter struct {
-	ctx  *Context
 	tbl  storageTable
-	cols []algebra.ColID
-	pred algebra.Scalar
-	pos  int
-	ords map[algebra.ColID]int
 	filt filterPred
+	pos  int
 }
 
 // storageTable is the minimal surface scan/seek need (eases testing).
@@ -140,13 +138,6 @@ type storageTable interface {
 
 func (s *scanIter) Open() error {
 	s.pos = 0
-	if s.ords == nil {
-		s.ords = make(map[algebra.ColID]int, len(s.cols))
-		for i, c := range s.cols {
-			s.ords[c] = i
-		}
-	}
-	s.filt.open(s.ctx, s.pred, s.ords)
 	return nil
 }
 
@@ -154,53 +145,16 @@ func (s *scanIter) Open() error {
 // narrowing each window with the filter's vector conjuncts.
 func (s *scanIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
-	for {
-		if s.pos >= len(rows) {
-			b.setEmpty()
-			return nil
-		}
-		end := s.pos + BatchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
+	for s.pos < len(rows) {
+		end := min(s.pos+b.limit(), len(rows))
 		cand := rows[s.pos:end]
 		s.pos = end
-		if err := s.ctx.chargeN(len(cand)); err != nil {
+		if ok, err := s.filt.emit(b, cand); ok || err != nil {
 			return err
 		}
-		if s.filt.trivial {
-			b.Rows, b.Sel = cand, nil
-			return nil
-		}
-		sel, err := s.filt.narrow(cand, nil)
-		if err != nil {
-			return err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		b.Rows, b.Sel = cand, sel
-		return nil
 	}
-}
-
-func (s *scanIter) Next() (types.Row, bool, error) {
-	rows := s.tbl.AllRows()
-	for s.pos < len(rows) {
-		row := rows[s.pos]
-		s.pos++
-		if err := s.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		ok, err := s.filt.pass(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-	}
-	return nil, false, nil
+	b.setEmpty()
+	return nil
 }
 
 func (s *scanIter) Close() error { return nil }
@@ -212,15 +166,12 @@ type seekIter struct {
 	tbl      storageTable
 	index    string
 	keyExprs []algebra.Scalar
-	cols     []algebra.ColID
-	pred     algebra.Scalar
+	filt     filterPred
 	matches  []int
 	pos      int
-	ords     map[algebra.ColID]int
-	filt     filterPred
 
 	// key is reused across re-opens: under Apply the iterator re-opens
-	// once per outer row and rebuilding the slice was a hot allocation
+	// once per binding and rebuilding the slice was a hot allocation
 	// (LookupOrds does not retain it).
 	key []types.Datum
 
@@ -228,13 +179,6 @@ type seekIter struct {
 }
 
 func (s *seekIter) Open() error {
-	if s.ords == nil {
-		s.ords = make(map[algebra.ColID]int, len(s.cols))
-		for i, c := range s.cols {
-			s.ords[c] = i
-		}
-	}
-	s.filt.open(s.ctx, s.pred, s.ords)
 	s.key = s.key[:0]
 	for _, e := range s.keyExprs {
 		d, err := s.ctx.ev.Eval(e, s.ctx.params)
@@ -252,80 +196,39 @@ func (s *seekIter) Open() error {
 // and filters them with the residual's vector conjuncts.
 func (s *seekIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
-	for {
-		if s.pos >= len(s.matches) {
-			b.setEmpty()
-			return nil
-		}
-		end := s.pos + BatchSize
-		if end > len(s.matches) {
-			end = len(s.matches)
-		}
+	for s.pos < len(s.matches) {
+		end := min(s.pos+b.limit(), len(s.matches))
 		cand := s.rowBuf[:0]
 		for _, ri := range s.matches[s.pos:end] {
 			cand = append(cand, rows[ri])
 		}
 		s.rowBuf = cand
 		s.pos = end
-		if err := s.ctx.chargeN(len(cand)); err != nil {
+		if ok, err := s.filt.emit(b, cand); ok || err != nil {
 			return err
 		}
-		if s.filt.trivial {
-			b.Rows, b.Sel = cand, nil
-			return nil
-		}
-		sel, err := s.filt.narrow(cand, nil)
-		if err != nil {
-			return err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		b.Rows, b.Sel = cand, sel
-		return nil
 	}
-}
-
-func (s *seekIter) Next() (types.Row, bool, error) {
-	rows := s.tbl.AllRows()
-	for s.pos < len(s.matches) {
-		row := rows[s.matches[s.pos]]
-		s.pos++
-		if err := s.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		ok, err := s.filt.pass(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-	}
-	return nil, false, nil
+	b.setEmpty()
+	return nil
 }
 
 func (s *seekIter) Close() error { return nil }
 
 // filterIter applies a predicate.
 type filterIter struct {
-	ctx  *Context
 	in   *node
-	pred algebra.Scalar
 	filt filterPred
 	cb   Batch
 }
 
-func (f *filterIter) Open() error {
-	f.filt.open(f.ctx, f.pred, f.in.ords)
-	return f.in.it.Open()
-}
+func (f *filterIter) Open() error { return f.in.it.Open() }
 
 // NextBatch refines the input batch's selection vector in place: no
 // rows are copied, failing rows are simply dropped from Sel.
 func (f *filterIter) NextBatch(b *Batch) error {
+	f.cb.Limit = b.Limit
 	for {
-		if err := nextBatch(f.in.it, &f.cb); err != nil {
+		if err := f.in.it.NextBatch(&f.cb); err != nil {
 			return err
 		}
 		if f.cb.Len() == 0 {
@@ -348,22 +251,6 @@ func (f *filterIter) NextBatch(b *Batch) error {
 	}
 }
 
-func (f *filterIter) Next() (types.Row, bool, error) {
-	for {
-		row, ok, err := f.in.it.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := f.filt.pass(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return row, true, nil
-		}
-	}
-}
-
 func (f *filterIter) Close() error { return f.in.it.Close() }
 
 // projectIter computes new columns and narrows passthrough ones.
@@ -374,7 +261,6 @@ type projectIter struct {
 	in   *node
 	proj *algebra.Project
 	cols []algebra.ColID
-	env  rowEnv
 	sel  []int // passthrough ordinals in the input
 
 	prepped bool
@@ -386,7 +272,6 @@ type projectIter struct {
 }
 
 func (p *projectIter) Open() error {
-	p.env = rowEnv{ctx: p.ctx, ords: p.in.ords}
 	p.sel = p.sel[:0]
 	for _, c := range p.proj.Passthrough.Ordered() {
 		o, ok := p.in.ords[c]
@@ -396,26 +281,6 @@ func (p *projectIter) Open() error {
 		p.sel = append(p.sel, o)
 	}
 	return p.in.it.Open()
-}
-
-func (p *projectIter) Next() (types.Row, bool, error) {
-	row, ok, err := p.in.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := p.arena.alloc(len(p.cols))
-	for _, o := range p.sel {
-		out = append(out, row[o])
-	}
-	p.env.row = row
-	for _, item := range p.proj.Items {
-		d, err := p.ctx.ev.Eval(item.Expr, &p.env)
-		if err != nil {
-			return nil, false, err
-		}
-		out = append(out, d)
-	}
-	return out, true, nil
 }
 
 // NextBatch projects a whole input batch, compacting the selection:
@@ -430,7 +295,8 @@ func (p *projectIter) NextBatch(b *Batch) error {
 			p.items[i] = comp.CompileVec(p.proj.Items[i].Expr)
 		}
 	}
-	if err := nextBatch(p.in.it, &p.cb); err != nil {
+	p.cb.Limit = b.Limit
+	if err := p.in.it.NextBatch(&p.cb); err != nil {
 		return err
 	}
 	live := p.cb.Len()
@@ -446,8 +312,7 @@ func (p *projectIter) NextBatch(b *Batch) error {
 	w, npass := len(p.cols), len(p.sel)
 	out := p.outBuf[:0]
 	for _, ri := range sel {
-		row := p.cb.Rows[ri]
-		orow := p.arena.alloc(w)
+		row, orow := p.cb.Rows[ri], p.arena.alloc(w)
 		for _, o := range p.sel {
 			orow = append(orow, row[o])
 		}
@@ -474,6 +339,7 @@ type valuesIter struct {
 	ctx *Context
 	v   *algebra.Values
 	pos int
+	out []types.Row
 }
 
 func (v *valuesIter) Open() error {
@@ -481,29 +347,33 @@ func (v *valuesIter) Open() error {
 	return nil
 }
 
-func (v *valuesIter) Next() (types.Row, bool, error) {
-	if v.pos >= len(v.v.Rows) {
-		return nil, false, nil
-	}
-	src := v.v.Rows[v.pos]
-	v.pos++
-	out := make(types.Row, len(src))
-	for i, e := range src {
-		d, err := v.ctx.ev.Eval(e, eval.MapEnv(nil))
-		if err != nil {
-			return nil, false, err
+func (v *valuesIter) NextBatch(b *Batch) error {
+	v.out = v.out[:0]
+	for end := min(v.pos+b.limit(), len(v.v.Rows)); v.pos < end; v.pos++ {
+		src := v.v.Rows[v.pos]
+		row := make(types.Row, len(src))
+		for i, e := range src {
+			d, err := v.ctx.ev.Eval(e, eval.MapEnv(nil))
+			if err != nil {
+				return err
+			}
+			row[i] = d
 		}
-		out[i] = d
+		v.out = append(v.out, row)
 	}
-	return out, true, nil
+	b.Rows, b.Sel = v.out, nil
+	return nil
 }
 
 func (v *valuesIter) Close() error { return nil }
 
 // rowNumberIter appends a unique integer column.
 type rowNumberIter struct {
-	in *node
-	n  int64
+	in    *node
+	n     int64
+	cb    Batch
+	arena rowArena
+	out   []types.Row
 }
 
 func (r *rowNumberIter) Open() error {
@@ -511,25 +381,32 @@ func (r *rowNumberIter) Open() error {
 	return r.in.it.Open()
 }
 
-func (r *rowNumberIter) Next() (types.Row, bool, error) {
-	row, ok, err := r.in.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
+func (r *rowNumberIter) NextBatch(b *Batch) error {
+	r.cb.Limit = b.Limit
+	if err := r.in.it.NextBatch(&r.cb); err != nil {
+		return err
 	}
-	r.n++
-	out := make(types.Row, 0, len(row)+1)
-	out = append(out, row...)
-	out = append(out, types.NewInt(r.n))
-	return out, true, nil
+	r.out = r.out[:0]
+	for i, live := 0, r.cb.Len(); i < live; i++ {
+		r.n++
+		row := r.cb.Row(i)
+		r.out = append(r.out, append(append(r.arena.alloc(len(row)+1), row...), types.NewInt(r.n)))
+	}
+	b.Rows, b.Sel = r.out, nil
+	return nil
 }
 
 func (r *rowNumberIter) Close() error { return r.in.it.Close() }
 
 // max1RowIter enforces SQL scalar-subquery cardinality (§2.4): more
-// than one input row is a run-time error.
+// than one input row is a run-time error. It asks its input for two
+// rows and no more — the one to return and the one that would make it
+// an error.
 type max1RowIter struct {
 	in   *node
 	done bool
+	cb   Batch
+	out  [1]types.Row
 }
 
 func (m *max1RowIter) Open() error {
@@ -537,34 +414,42 @@ func (m *max1RowIter) Open() error {
 	return m.in.it.Open()
 }
 
-func (m *max1RowIter) Next() (types.Row, bool, error) {
-	if m.done {
-		return nil, false, nil
-	}
-	row, ok, err := m.in.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if _, extra, err := m.in.it.Next(); err != nil {
-		return nil, false, err
-	} else if extra {
-		return nil, false, fmt.Errorf("exec: scalar subquery returned more than one row")
+func (m *max1RowIter) NextBatch(b *Batch) error {
+	have := 0
+	for !m.done && have < 2 {
+		m.cb.Limit = 2 - have
+		if err := m.in.it.NextBatch(&m.cb); err != nil {
+			return err
+		}
+		n := m.cb.Len()
+		if n == 0 {
+			break
+		}
+		if have == 0 {
+			m.out[0] = m.cb.Row(0)
+		}
+		have += n
 	}
 	m.done = true
-	return row, true, nil
+	if have > 1 {
+		return fmt.Errorf("exec: scalar subquery returned more than one row")
+	}
+	b.Rows, b.Sel = m.out[:have], nil
+	return nil
 }
 
 func (m *max1RowIter) Close() error { return m.in.it.Close() }
 
-// topIter limits output. st is the operator's stats slot (parity with
-// sortIter — the slot EXPLAIN ANALYZE renders for the Top span).
+// topIter limits output by capping what it asks of its input: the
+// input never produces a row the limit would discard. st is the
+// operator's stats slot (parity with sortIter — the slot EXPLAIN
+// ANALYZE renders for the Top span).
 type topIter struct {
 	in   *node
 	n    int64
 	seen int64
 	st   *OpStats
-
-	cb Batch
+	cb   Batch
 }
 
 func (t *topIter) Open() error {
@@ -572,58 +457,18 @@ func (t *topIter) Open() error {
 	return t.in.it.Open()
 }
 
-func (t *topIter) Next() (types.Row, bool, error) {
-	if t.seen >= t.n {
-		return nil, false, nil
-	}
-	row, ok, err := t.in.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	t.seen++
-	return row, true, nil
-}
-
-// NextBatch forwards full input batches only while an entire batch
-// fits under the limit, then switches to row-at-a-time pulls for the
-// final stretch — the input never produces a row the limit would
-// discard, so traced per-operator counts match row execution exactly.
 func (t *topIter) NextBatch(b *Batch) error {
 	remain := t.n - t.seen
 	if remain <= 0 {
 		b.setEmpty()
 		return nil
 	}
-	if remain >= int64(BatchSize) {
-		if err := nextBatch(t.in.it, &t.cb); err != nil {
-			return err
-		}
-		live := t.cb.Len()
-		if live == 0 {
-			b.setEmpty()
-			return nil
-		}
-		t.seen += int64(live)
-		b.Rows, b.Sel = t.cb.Rows, t.cb.Sel
-		return nil
+	t.cb.Limit = int(min(remain, int64(b.limit())))
+	if err := t.in.it.NextBatch(&t.cb); err != nil {
+		return err
 	}
-	if b.buf == nil {
-		b.buf = make([]types.Row, 0, BatchSize)
-	}
-	buf := b.buf[:0]
-	for int64(len(buf)) < remain {
-		row, ok, err := t.in.it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		buf = append(buf, row)
-	}
-	t.seen += int64(len(buf))
-	b.buf = buf
-	b.Rows, b.Sel = buf, nil
+	t.seen += int64(t.cb.Len())
+	b.Rows, b.Sel = t.cb.Rows, t.cb.Sel
 	return nil
 }
 
@@ -642,6 +487,7 @@ type sortIter struct {
 	st   *OpStats
 	rows []types.Row
 	pos  int
+	cb   Batch
 
 	charged int64
 	pending int64
@@ -675,20 +521,15 @@ func (s *sortIter) Open() error {
 		return err
 	}
 	s.rows = s.rows[:0]
-	for {
-		row, ok, err := s.in.it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if governed {
-			if err := s.chargeRow(row); err != nil {
-				return err
-			}
-		}
+	err := drainRows(s.in.it, &s.cb, func(row types.Row) error {
 		s.rows = append(s.rows, row)
+		if governed {
+			return s.chargeRow(row)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	ords := make([]int, len(s.by))
 	for i, o := range s.by {
@@ -714,27 +555,9 @@ func (s *sortIter) Open() error {
 	return nil
 }
 
-func (s *sortIter) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
 // NextBatch serves windows of the sorted buffer directly.
 func (s *sortIter) NextBatch(b *Batch) error {
-	if s.pos >= len(s.rows) {
-		b.setEmpty()
-		return nil
-	}
-	end := s.pos + BatchSize
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	b.Rows, b.Sel = s.rows[s.pos:end], nil
-	s.pos = end
+	b.serve(s.rows, &s.pos)
 	return nil
 }
 
@@ -748,11 +571,24 @@ func (s *sortIter) Close() error {
 	return s.in.it.Close()
 }
 
+// closeBoth closes two inputs even when the first errors, so a failing
+// (or fault-injected) close cannot leak the other input's resources.
+func closeBoth(l, r *node) error {
+	err := l.it.Close()
+	if rerr := r.it.Close(); err == nil {
+		err = rerr
+	}
+	return err
+}
+
 // unionIter concatenates two inputs with positional column mapping.
 type unionIter struct {
 	l, r       *node
 	lsel, rsel []int
 	onRight    bool
+	cb         Batch
+	arena      rowArena
+	out        []types.Row
 }
 
 func (u *unionIter) Open() error {
@@ -763,41 +599,31 @@ func (u *unionIter) Open() error {
 	return u.r.it.Open()
 }
 
-func (u *unionIter) Next() (types.Row, bool, error) {
-	if !u.onRight {
-		row, ok, err := u.l.it.Next()
-		if err != nil {
-			return nil, false, err
+func (u *unionIter) NextBatch(b *Batch) error {
+	u.cb.Limit = b.Limit
+	in, sel := u.l, u.lsel
+	for {
+		if u.onRight {
+			in, sel = u.r, u.rsel
 		}
-		if ok {
-			return mapRow(row, u.lsel), true, nil
+		if err := in.it.NextBatch(&u.cb); err != nil {
+			return err
 		}
-		u.onRight = true
+		live := u.cb.Len()
+		if live == 0 && !u.onRight {
+			u.onRight = true
+			continue
+		}
+		u.out = u.out[:0]
+		for i := 0; i < live; i++ {
+			u.out = append(u.out, u.arena.mapRow(u.cb.Row(i), sel))
+		}
+		b.Rows, b.Sel = u.out, nil
+		return nil
 	}
-	row, ok, err := u.r.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return mapRow(row, u.rsel), true, nil
 }
 
-// Close closes both sides even when the first errors, so a failing
-// (or fault-injected) close cannot leak the other input's resources.
-func (u *unionIter) Close() error {
-	err := u.l.it.Close()
-	if rerr := u.r.it.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-func mapRow(row types.Row, sel []int) types.Row {
-	out := make(types.Row, len(sel))
-	for i, o := range sel {
-		out[i] = row[o]
-	}
-	return out
-}
+func (u *unionIter) Close() error { return closeBoth(u.l, u.r) }
 
 // differenceIter implements EXCEPT ALL via multiset subtraction.
 type differenceIter struct {
@@ -818,83 +644,54 @@ func (d *differenceIter) Open() error {
 	for i := range all {
 		all[i] = i
 	}
-	counts := map[uint64][]struct {
+	type counted struct {
 		row types.Row
 		n   int
-	}{}
-	for {
-		row, ok, err := d.r.it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		m := mapRow(row, d.rsel)
-		h := types.HashRow(m, all)
+	}
+	counts := map[uint64][]counted{}
+	// find returns the bucket entry equal to m, or nil.
+	find := func(h uint64, m types.Row) *counted {
 		bucket := counts[h]
-		found := false
 		for i := range bucket {
 			if types.EqualRows(bucket[i].row, all, m, all) {
-				bucket[i].n++
-				found = true
-				break
+				return &bucket[i]
 			}
 		}
-		if !found {
-			bucket = append(bucket, struct {
-				row types.Row
-				n   int
-			}{m, 1})
-		}
-		counts[h] = bucket
+		return nil
 	}
-	d.out = d.out[:0]
-	for {
-		row, ok, err := d.l.it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		m := mapRow(row, d.lsel)
+	var cb Batch
+	var arena rowArena
+	err := drainRows(d.r.it, &cb, func(row types.Row) error {
+		m := arena.mapRow(row, d.rsel)
 		h := types.HashRow(m, all)
-		bucket := counts[h]
-		consumed := false
-		for i := range bucket {
-			if bucket[i].n > 0 && types.EqualRows(bucket[i].row, all, m, all) {
-				bucket[i].n--
-				counts[h] = bucket
-				consumed = true
-				break
-			}
+		if e := find(h, m); e != nil {
+			e.n++
+		} else {
+			counts[h] = append(counts[h], counted{m, 1})
 		}
-		if !consumed {
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	d.out, d.pos = d.out[:0], 0
+	return drainRows(d.l.it, &cb, func(row types.Row) error {
+		m := arena.mapRow(row, d.lsel)
+		if e := find(types.HashRow(m, all), m); e != nil && e.n > 0 {
+			e.n--
+		} else {
 			d.out = append(d.out, m)
 		}
-	}
-	d.pos = 0
+		return nil
+	})
+}
+
+func (d *differenceIter) NextBatch(b *Batch) error {
+	b.serve(d.out, &d.pos)
 	return nil
 }
 
-func (d *differenceIter) Next() (types.Row, bool, error) {
-	if d.pos >= len(d.out) {
-		return nil, false, nil
-	}
-	row := d.out[d.pos]
-	d.pos++
-	return row, true, nil
-}
-
-// Close closes both sides even when the first errors (see unionIter).
-func (d *differenceIter) Close() error {
-	err := d.l.it.Close()
-	if rerr := d.r.it.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
+func (d *differenceIter) Close() error { return closeBoth(d.l, d.r) }
 
 // segmentApplyIter materializes its input, partitions it by the
 // segmenting columns, and runs the inner expression once per segment
@@ -911,78 +708,70 @@ type segmentApplyIter struct {
 	segments [][]types.Row
 	segPos   int
 	innerOn  bool
+	cb       Batch
 }
 
 func (s *segmentApplyIter) Open() error {
 	if err := s.in.it.Open(); err != nil {
 		return err
 	}
-	type seg struct {
-		rows []types.Row
-	}
-	buckets := map[uint64][]*seg{}
-	var order []*seg
-	for {
-		row, ok, err := s.in.it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		m := mapRow(row, s.inSel)
+	buckets := map[uint64][]int{} // key hash → segment indices
+	s.segments = s.segments[:0]
+	var arena rowArena
+	err := drainRows(s.in.it, &s.cb, func(row types.Row) error {
+		m := arena.mapRow(row, s.inSel)
 		h := types.HashRow(m, s.segOrds)
-		var target *seg
-		for _, sg := range buckets[h] {
-			if types.EqualRows(sg.rows[0], s.segOrds, m, s.segOrds) {
-				target = sg
-				break
+		for _, si := range buckets[h] {
+			if types.EqualRows(s.segments[si][0], s.segOrds, m, s.segOrds) {
+				s.segments[si] = append(s.segments[si], m)
+				return nil
 			}
 		}
-		if target == nil {
-			target = &seg{}
-			buckets[h] = append(buckets[h], target)
-			order = append(order, target)
-		}
-		target.rows = append(target.rows, m)
-	}
-	s.segments = s.segments[:0]
-	for _, sg := range order {
-		s.segments = append(s.segments, sg.rows)
-	}
+		buckets[h] = append(buckets[h], len(s.segments))
+		s.segments = append(s.segments, []types.Row{m})
+		return nil
+	})
 	s.segPos = 0
 	s.innerOn = false
-	return nil
+	return err
 }
 
-func (s *segmentApplyIter) Next() (types.Row, bool, error) {
+// NextBatch forwards the inner expression's batches, segment after
+// segment (segments in first-appearance order).
+func (s *segmentApplyIter) NextBatch(b *Batch) error {
+	s.cb.Limit = b.Limit
 	for {
 		if !s.innerOn {
 			if s.segPos >= len(s.segments) {
-				return nil, false, nil
+				b.setEmpty()
+				return nil
 			}
 			s.ctx.segments[s.sa] = &segmentBinding{cols: s.sa.InputCols, rows: s.segments[s.segPos]}
 			s.segPos++
+			s.innerOn = true // before Open: Close also tears down a failed Open
 			if err := s.inner.it.Open(); err != nil {
-				return nil, false, err
+				return err
 			}
-			s.innerOn = true
 		}
-		row, ok, err := s.inner.it.Next()
-		if err != nil {
-			return nil, false, err
+		if err := s.inner.it.NextBatch(&s.cb); err != nil {
+			return err
 		}
-		if ok {
-			return row, true, nil
-		}
-		if err := s.inner.it.Close(); err != nil {
-			return nil, false, err
+		if s.cb.Len() > 0 {
+			b.Rows, b.Sel = s.cb.Rows, s.cb.Sel
+			return nil
 		}
 		s.innerOn = false
+		if err := s.inner.it.Close(); err != nil {
+			return err
+		}
 	}
 }
 
 func (s *segmentApplyIter) Close() error {
+	if s.innerOn { // the consumer stopped mid-segment
+		s.innerOn = false
+		s.inner.it.Close()
+	}
 	delete(s.ctx.segments, s.sa)
 	return s.in.it.Close()
 }
@@ -1000,17 +789,13 @@ func (s *segmentRefIter) Open() error {
 	return nil
 }
 
-func (s *segmentRefIter) Next() (types.Row, bool, error) {
-	b := s.ctx.segments[s.owner]
-	if b == nil {
-		return nil, false, fmt.Errorf("exec: segment not bound")
+func (s *segmentRefIter) NextBatch(b *Batch) error {
+	seg := s.ctx.segments[s.owner]
+	if seg == nil {
+		return fmt.Errorf("exec: segment not bound")
 	}
-	if s.pos >= len(b.rows) {
-		return nil, false, nil
-	}
-	row := b.rows[s.pos]
-	s.pos++
-	return row, true, nil
+	b.serve(seg.rows, &s.pos)
+	return nil
 }
 
 func (s *segmentRefIter) Close() error { return nil }

@@ -45,15 +45,16 @@ func sortWrapNode(ctx *Context, in *node, cols []algebra.ColID, at algebra.Rel) 
 // scans but not covered by index permutations). The full filter stays
 // as a per-row residual; ordered delivery precludes the seek path.
 func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, filter algebra.Scalar) (*node, error) {
+	n := newNode(nil, g.Cols)
+	filt := newFilterPred(ctx, filter, n.ords)
 	if ctx.OrderedScan(g) {
 		if perm, reverse, ok := orderedPerm(tbl, g); ok {
-			it := &orderedScanIter{ctx: ctx, tbl: tbl, perm: perm, reverse: reverse,
-				cols: g.Cols, pred: filter}
-			return newNode(it, g.Cols), nil
+			n.it = &orderedScanIter{tbl: tbl, perm: perm, reverse: reverse, filt: filt}
+			return n, nil
 		}
 	}
-	base := newNode(&scanIter{ctx: ctx, tbl: tbl, cols: g.Cols, pred: filter}, g.Cols)
-	return newNode(&sortIter{ctx: ctx, in: base, by: g.Order, st: ctx.traceStats(g)}, g.Cols), nil
+	n.it = &scanIter{tbl: tbl, filt: filt}
+	return newNode(&sortIter{ctx: ctx, in: n, by: g.Order, st: ctx.traceStats(g)}, g.Cols), nil
 }
 
 // orderedPerm finds an ordered index whose leading columns match the
@@ -110,15 +111,11 @@ func orderedPerm(tbl *storage.Version, g *algebra.Get) (perm []int, reverse bool
 // the residual predicate. The filter preserves order, so downstream
 // operators see exactly the Get's promised ordering.
 type orderedScanIter struct {
-	ctx     *Context
 	tbl     *storage.Version
 	perm    []int
 	reverse bool
-	cols    []algebra.ColID
-	pred    algebra.Scalar
-	pos     int // position within perm (already direction-adjusted)
-	ords    map[algebra.ColID]int
 	filt    filterPred
+	pos     int // position within perm (already direction-adjusted)
 	rowBuf  []types.Row
 }
 
@@ -133,72 +130,29 @@ func (s *orderedScanIter) at(i int) int {
 
 func (s *orderedScanIter) Open() error {
 	s.pos = 0
-	if s.ords == nil {
-		s.ords = make(map[algebra.ColID]int, len(s.cols))
-		for i, c := range s.cols {
-			s.ords[c] = i
-		}
-	}
-	s.filt.open(s.ctx, s.pred, s.ords)
 	return nil
 }
 
 // NextBatch gathers permutation windows into an iterator-owned buffer
 // and filters them with the vector conjuncts; windows preserve the
-// permutation order.
+// permutation order, and a window is as long as the consumer's row cap
+// — under an elided sort, LIMIT k reads k index entries.
 func (s *orderedScanIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
-	for {
-		if s.pos >= len(s.perm) {
-			b.setEmpty()
-			return nil
-		}
-		end := s.pos + BatchSize
-		if end > len(s.perm) {
-			end = len(s.perm)
-		}
+	for s.pos < len(s.perm) {
+		end := min(s.pos+b.limit(), len(s.perm))
 		cand := s.rowBuf[:0]
 		for i := s.pos; i < end; i++ {
 			cand = append(cand, rows[s.perm[s.at(i)]])
 		}
 		s.rowBuf = cand
 		s.pos = end
-		if err := s.ctx.chargeN(len(cand)); err != nil {
+		if ok, err := s.filt.emit(b, cand); ok || err != nil {
 			return err
 		}
-		if s.filt.trivial {
-			b.Rows, b.Sel = cand, nil
-			return nil
-		}
-		sel, err := s.filt.narrow(cand, nil)
-		if err != nil {
-			return err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		b.Rows, b.Sel = cand, sel
-		return nil
 	}
-}
-
-func (s *orderedScanIter) Next() (types.Row, bool, error) {
-	rows := s.tbl.AllRows()
-	for s.pos < len(s.perm) {
-		row := rows[s.perm[s.at(s.pos)]]
-		s.pos++
-		if err := s.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		ok, err := s.filt.pass(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return row, true, nil
-		}
-	}
-	return nil, false, nil
+	b.setEmpty()
+	return nil
 }
 
 func (s *orderedScanIter) Close() error { return nil }
@@ -210,12 +164,10 @@ func (s *orderedScanIter) Close() error { return nil }
 // exactly one group of aggregate state and emits it at each group
 // boundary. O(1) memory, streaming output in input-group order.
 //
-// The batch path evaluates every aggregate argument once per input
-// batch, cuts the batch into runs of one group, and folds each run into
-// the single group's states with the typed loops of hash aggregation
-// (foldAgg); completed groups queue in out, which Next and NextBatch
-// both drain. Under DisableBatch, Next is the row-interpreted state
-// machine.
+// It evaluates every aggregate argument once per input batch, cuts the
+// batch into runs of one group, and folds each run into the single
+// group's states with the typed loops of hash aggregation (foldAgg);
+// completed groups queue in out, which NextBatch serves.
 type streamAggIter struct {
 	ctx  *Context
 	in   *node
@@ -229,9 +181,7 @@ type streamAggIter struct {
 	started bool
 	done    bool
 
-	env rowEnv // row-interpreted path
-
-	av     *aggVec // batch path
+	av     *aggVec
 	ib     Batch
 	out    []types.Row // completed groups not yet returned
 	outPos int
@@ -245,14 +195,13 @@ func (s *streamAggIter) Open() error {
 	}
 	s.keyOrds = keyOrds
 	if s.states == nil {
-		s.av = newAggVec(s.ctx, s.in, s.gb)
+		s.av = newAggVec(s.ctx, s.in.ords, s.gb)
 		s.curKey = make(types.Row, len(keyOrds))
 		s.states = make([][]aggState, len(s.gb.Aggs))
 		for j := range s.states {
 			s.states[j] = make([]aggState, 1)
 		}
 	}
-	s.env = rowEnv{ctx: s.ctx, ords: s.in.ords}
 	s.started = false
 	s.done = false
 	s.ib.setEmpty()
@@ -306,44 +255,12 @@ func (s *streamAggIter) finish() (types.Row, bool) {
 	return nil, false
 }
 
-// nextInterpreted is the row-at-a-time state machine of the
-// DisableBatch baseline.
-func (s *streamAggIter) nextInterpreted() (types.Row, bool, error) {
-	for {
-		row, ok, err := s.in.it.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			out, ok := s.finish()
-			return out, ok, nil
-		}
-		if err := s.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		var out types.Row
-		if s.started && !s.sameGroup(row) {
-			out = s.emit()
-			s.started = false
-		}
-		if !s.started {
-			s.startGroup(row)
-		}
-		if err := accumRow(s.ctx, s.gb, s.states, 0, &s.env, row); err != nil {
-			return nil, false, err
-		}
-		if out != nil {
-			return out, true, nil
-		}
-	}
-}
-
 // fill consumes input batches until at least one group completes or
 // the input ends, queueing the completed groups in out.
 func (s *streamAggIter) fill() error {
 	s.out, s.outPos = s.out[:0], 0
 	for len(s.out) == 0 && !s.done {
-		if err := nextBatch(s.in.it, &s.ib); err != nil {
+		if err := s.in.it.NextBatch(&s.ib); err != nil {
 			return err
 		}
 		live := s.ib.Len()
@@ -391,43 +308,15 @@ func (s *streamAggIter) fold(run []int, zeros []int32) {
 	}
 }
 
-func (s *streamAggIter) Next() (types.Row, bool, error) {
-	if s.av == nil {
-		if s.done {
-			return nil, false, nil
-		}
-		return s.nextInterpreted()
-	}
-	if s.outPos >= len(s.out) {
-		if s.done {
-			return nil, false, nil
-		}
-		if err := s.fill(); err != nil {
-			return nil, false, err
-		}
-		if len(s.out) == 0 {
-			return nil, false, nil
-		}
-	}
-	row := s.out[s.outPos]
-	s.outPos++
-	return row, true, nil
-}
-
-// NextBatch hands over the queued groups (at most one per row of an
-// input batch, so never more than BatchSize).
+// NextBatch serves the queued groups, refilling the queue when it runs
+// out.
 func (s *streamAggIter) NextBatch(b *Batch) error {
-	if s.outPos >= len(s.out) {
-		if s.done {
-			b.setEmpty()
-			return nil
-		}
+	if s.outPos >= len(s.out) && !s.done {
 		if err := s.fill(); err != nil {
 			return err
 		}
 	}
-	b.Rows, b.Sel = s.out[s.outPos:], nil
-	s.outPos = len(s.out)
+	b.serve(s.out, &s.outPos)
 	return nil
 }
 

@@ -145,39 +145,43 @@ func TestRowBudgetAborts(t *testing.T) {
 	}
 }
 
+// introduceSegmentApply rewrites the first join of rel that the core
+// rule can turn into a SegmentApply, or returns nil.
+func introduceSegmentApply(md *algebra.Metadata, rel algebra.Rel) algebra.Rel {
+	if j, ok := rel.(*algebra.Join); ok {
+		if sa, ok := core.TryIntroduceSegmentApply(md, j); ok {
+			return sa
+		}
+	}
+	ins := rel.Inputs()
+	for i, c := range ins {
+		if nc := introduceSegmentApply(md, c); nc != nil {
+			kids := append([]algebra.Rel(nil), ins...)
+			kids[i] = nc
+			return rel.WithInputs(kids)
+		}
+	}
+	return nil
+}
+
+// q17ShapeSQL is TPC-H Q17's shape over the test data: lineitems below
+// their part's average quantity — a join of two instances of one
+// expression, which IntroduceSegmentApply segments by part.
+const q17ShapeSQL = `
+	select l.l_orderkey, l.l_linenumber
+	from lineitem l,
+		(select l2.l_partkey as pk, avg(l2.l_quantity) as aq
+		 from lineitem l2 group by l2.l_partkey) as agg
+	where l.l_partkey = pk and l.l_quantity < aq`
+
 // TestSegmentApplyExecDirect builds a SegmentApply by hand via the core
 // rule and executes it, verifying against the plain join plan.
 func TestSegmentApplyExecDirect(t *testing.T) {
 	st := testDB(t)
-	sql := `
-		select l.l_orderkey, l.l_linenumber
-		from lineitem l,
-			(select l2.l_partkey as pk, avg(l2.l_quantity) as aq
-			 from lineitem l2 group by l2.l_partkey) as agg
-		where l.l_partkey = pk and l.l_quantity < aq`
-	md, rel, out := compilePlan(t, st, sql, core.Options{})
+	md, rel, out := compilePlan(t, st, q17ShapeSQL, core.Options{})
 	base := runPlanDirect(t, st, md, rel, out)
 
-	var seg algebra.Rel
-	var search func(algebra.Rel) algebra.Rel
-	search = func(n algebra.Rel) algebra.Rel {
-		if j, ok := n.(*algebra.Join); ok {
-			if sa, ok := core.TryIntroduceSegmentApply(md, j); ok {
-				return sa
-			}
-		}
-		ins := n.Inputs()
-		for i, c := range ins {
-			if nc := search(c); nc != nil {
-				kids := make([]algebra.Rel, len(ins))
-				copy(kids, ins)
-				kids[i] = nc
-				return n.WithInputs(kids)
-			}
-		}
-		return nil
-	}
-	seg = search(rel)
+	seg := introduceSegmentApply(md, rel)
 	if seg == nil {
 		t.Fatalf("segment apply not introduced:\n%s", algebra.FormatRel(md, rel))
 	}

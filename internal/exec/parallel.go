@@ -44,10 +44,6 @@ func fmtErrNoTable(name string) error {
 // balance: fast workers simply claim more morsels.
 const morselSize = 1024
 
-// exchangeBatch is the number of rows a worker buffers before handing
-// them to the consumer (amortizes channel synchronization).
-const exchangeBatch = 256
-
 // morselSource hands out row-ordinal ranges [lo, hi) over the driver
 // table to competing workers.
 type morselSource struct {
@@ -367,113 +363,54 @@ func (e *exchangeIter) runWorker() {
 	}
 	defer n.it.Close()
 	governed := e.ctx.MemBudget > 0 || e.ctx.Faults != nil
-	batch := make([]types.Row, 0, exchangeBatch)
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		var bb int64
-		if governed {
-			for _, r := range batch {
-				bb += rowBytes(r)
-			}
-			e.ctx.noteMem(e.st, bb)
-		}
-		select {
-		case e.batches <- exBatch{rows: batch, bytes: bb}:
-			batch = make([]types.Row, 0, exchangeBatch)
-			return true
-		case <-e.cancel:
-			if bb > 0 {
-				e.ctx.releaseMem(bb)
-			}
-			return false
-		}
-	}
-	if !e.ctx.DisableBatch {
-		// Batched workers forward whole subtree batches: the channel
-		// moves O(batches) messages. Row headers are copied out of the
-		// worker's reused batch buffers before the hand-off.
-		var wb Batch
-		for {
-			if err := nextBatch(n.it, &wb); err != nil {
-				e.fail(err)
-				return
-			}
-			live := wb.Len()
-			if live == 0 {
-				flush()
-				return
-			}
-			for i := 0; i < live; i++ {
-				batch = append(batch, wb.Row(i))
-			}
-			if !flush() {
-				return
-			}
-		}
-	}
+	// Workers forward whole subtree batches: the channel moves
+	// O(batches) messages. Row headers are copied out of the worker's
+	// reused batch buffers before the hand-off.
+	var wb Batch
 	for {
-		row, ok, err := n.it.Next()
-		if err != nil {
+		if err := n.it.NextBatch(&wb); err != nil {
 			e.fail(err)
 			return
 		}
-		if !ok {
-			flush()
+		live := wb.Len()
+		if live == 0 {
 			return
 		}
-		batch = append(batch, row)
-		if len(batch) == exchangeBatch && !flush() {
+		rows := make([]types.Row, live)
+		var bb int64
+		for i := range rows {
+			rows[i] = wb.Row(i)
+			if governed {
+				bb += rowBytes(rows[i])
+			}
+		}
+		e.ctx.noteMem(e.st, bb)
+		select {
+		case e.batches <- exBatch{rows: rows, bytes: bb}:
+		case <-e.cancel:
+			e.ctx.releaseMem(bb)
 			return
 		}
 	}
 }
 
-// NextBatch forwards worker batches to the consumer, aliasing the
-// received slice (workers hand off ownership on send).
+// NextBatch serves the current worker batch in windows of the
+// consumer's row cap, taking the next one from the channel (workers
+// hand off ownership on send) when it is used up.
 func (e *exchangeIter) NextBatch(b *Batch) error {
-	if e.pos < len(e.cur) {
-		// A row-mode consumer switched... serve the remainder (only
-		// reachable if Next and NextBatch were mixed; keep it correct).
-		b.Rows, b.Sel = e.cur[e.pos:], nil
-		e.cur, e.pos = nil, 0
-		return nil
-	}
-	batch, ok := <-e.batches
-	if !ok {
-		if err := e.errSeen(); err != nil {
-			return err
-		}
-		b.setEmpty()
-		return nil
-	}
-	if batch.bytes > 0 {
-		e.ctx.releaseMem(batch.bytes)
-	}
-	b.Rows, b.Sel = batch.rows, nil
-	return nil
-}
-
-func (e *exchangeIter) Next() (types.Row, bool, error) {
-	for {
-		if e.pos < len(e.cur) {
-			row := e.cur[e.pos]
-			e.pos++
-			return row, true, nil
-		}
+	for e.pos >= len(e.cur) {
 		batch, ok := <-e.batches
 		if !ok {
-			if err := e.errSeen(); err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
+			b.setEmpty()
+			return e.errSeen()
 		}
 		if batch.bytes > 0 {
 			e.ctx.releaseMem(batch.bytes)
 		}
 		e.cur, e.pos = batch.rows, 0
 	}
+	b.serve(e.cur, &e.pos)
+	return nil
 }
 
 func (e *exchangeIter) Close() error {
@@ -550,11 +487,7 @@ func (p *parallelAggIter) Open() error {
 			}
 			tbl := newAggTable(p.gb.GroupCols.Len(), len(p.gb.Aggs), sizeHint)
 			tbl.govern(wctx, p.st, 0)
-			if av := newAggVec(wctx, n, p.gb); av != nil {
-				err = tbl.consumeBatch(wctx, n, p.gb, av)
-			} else {
-				err = tbl.consume(wctx, n, p.gb)
-			}
+			err = tbl.consume(wctx, n, p.gb, newAggVec(wctx, n.ords, p.gb))
 			if cerr := n.it.Close(); err == nil {
 				err = cerr
 			}
@@ -613,6 +546,7 @@ func (p *parallelAggIter) Open() error {
 		return fail(firstErr)
 	}
 	var keyOrds []int
+	var av *aggVec
 	if len(spilled) > 0 {
 		groupCols := p.gb.GroupCols.Ordered()
 		keyOrds = make([]int, len(groupCols))
@@ -623,7 +557,7 @@ func (p *parallelAggIter) Open() error {
 			}
 			keyOrds[i] = o
 		}
-		env := rowEnv{ctx: p.ctx, ords: ords}
+		av = newAggVec(p.ctx, ords, p.gb)
 		for _, ss := range spilled {
 			if err := ss.finish(); err != nil {
 				return fail(err)
@@ -632,29 +566,9 @@ func (p *parallelAggIter) Open() error {
 				if f == nil {
 					continue
 				}
-				rd, err := f.reader()
-				if err != nil {
+				if err := merged.accumFile(p.ctx, p.gb, av, keyOrds, f); err != nil {
 					return fail(err)
 				}
-				for {
-					row, ok, err := rd.next()
-					if err != nil {
-						rd.close()
-						return fail(err)
-					}
-					if !ok {
-						break
-					}
-					if err := p.ctx.charge(); err != nil {
-						rd.close()
-						return fail(err)
-					}
-					if err := merged.accumSpilled(p.ctx, p.gb, keyOrds, &env, row); err != nil {
-						rd.close()
-						return fail(err)
-					}
-				}
-				rd.close()
 				f.drop(p.ctx)
 				ss.parts[i] = nil
 			}
@@ -663,7 +577,7 @@ func (p *parallelAggIter) Open() error {
 	p.out = merged.render(p.gb, p.out)
 	if merged.spill != nil {
 		var err error
-		p.out, err = merged.drainSpill(p.ctx, p.gb, keyOrds, ords, p.out)
+		p.out, err = merged.drainSpill(p.ctx, p.gb, av, keyOrds, p.out)
 		if err != nil {
 			return fail(err)
 		}
@@ -673,27 +587,9 @@ func (p *parallelAggIter) Open() error {
 	return nil
 }
 
-func (p *parallelAggIter) Next() (types.Row, bool, error) {
-	if p.pos >= len(p.out) {
-		return nil, false, nil
-	}
-	row := p.out[p.pos]
-	p.pos++
-	return row, true, nil
-}
-
 // NextBatch serves the merged result in windows.
 func (p *parallelAggIter) NextBatch(b *Batch) error {
-	if p.pos >= len(p.out) {
-		b.setEmpty()
-		return nil
-	}
-	end := p.pos + BatchSize
-	if end > len(p.out) {
-		end = len(p.out)
-	}
-	b.Rows, b.Sel = p.out[p.pos:end], nil
-	p.pos = end
+	b.serve(p.out, &p.pos)
 	return nil
 }
 
@@ -703,25 +599,14 @@ func (p *parallelAggIter) Close() error { return nil }
 // morsels from the shared source and scans their row ranges with the
 // access predicate applied.
 type morselScanIter struct {
-	ctx  *Context
 	tbl  storageTable
-	cols []algebra.ColID
-	pred algebra.Scalar
 	src  *morselSource
+	filt filterPred
 
 	lo, hi int
-	ords   map[algebra.ColID]int
-	filt   filterPred
 }
 
 func (s *morselScanIter) Open() error {
-	if s.ords == nil {
-		s.ords = make(map[algebra.ColID]int, len(s.cols))
-		for i, c := range s.cols {
-			s.ords[c] = i
-		}
-	}
-	s.filt.open(s.ctx, s.pred, s.ords)
 	s.lo, s.hi = 0, 0
 	return nil
 }
@@ -740,53 +625,12 @@ func (s *morselScanIter) NextBatch(b *Batch) error {
 			}
 			s.lo, s.hi = lo, hi
 		}
-		end := s.lo + BatchSize
-		if end > s.hi {
-			end = s.hi
-		}
+		end := min(s.lo+b.limit(), s.hi)
 		cand := rows[s.lo:end]
 		s.lo = end
-		if err := s.ctx.chargeN(len(cand)); err != nil {
+		if ok, err := s.filt.emit(b, cand); ok || err != nil {
 			return err
 		}
-		if s.filt.trivial {
-			b.Rows, b.Sel = cand, nil
-			return nil
-		}
-		sel, err := s.filt.narrow(cand, nil)
-		if err != nil {
-			return err
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		b.Rows, b.Sel = cand, sel
-		return nil
-	}
-}
-
-func (s *morselScanIter) Next() (types.Row, bool, error) {
-	rows := s.tbl.AllRows()
-	for {
-		for s.lo < s.hi {
-			row := rows[s.lo]
-			s.lo++
-			if err := s.ctx.charge(); err != nil {
-				return nil, false, err
-			}
-			ok, err := s.filt.pass(row)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return row, true, nil
-			}
-		}
-		lo, hi, ok := s.src.claim()
-		if !ok {
-			return nil, false, nil
-		}
-		s.lo, s.hi = lo, hi
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"math"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -300,5 +301,44 @@ func TestForcedStreamAggSortChargesBudget(t *testing.T) {
 		t.Fatalf("forced stream sort under soft cap: %v", err)
 	} else if len(res.Rows) != 7 {
 		t.Fatalf("groups = %d, want 7", len(res.Rows))
+	}
+}
+
+// TestSegmentApplyEarlyCloseReleasesInner: a consumer that stops
+// mid-segment (LIMIT 1 over a Q17-shaped SegmentApply) leaves the inner
+// side open — here a governed hash join holding its build table — and
+// Close must close it: afterwards no operator memory is reserved and no
+// spill file is left, both with the build resident and with it spilled.
+func TestSegmentApplyEarlyCloseReleasesInner(t *testing.T) {
+	st := testDB(t)
+	md, rel, out := compilePlan(t, st, q17ShapeSQL, core.Options{})
+	seg := introduceSegmentApply(md, rel)
+	if seg == nil {
+		t.Fatalf("segment apply not introduced:\n%s", algebra.FormatRel(md, rel))
+	}
+	plan := &algebra.Top{Input: seg, N: 1}
+	for _, budget := range []int64{1 << 20, 64} {
+		ctx := NewContext(st, md)
+		ctx.MemBudget = budget
+		ctx.SpillDir = t.TempDir()
+		cu, err := RunCursor(ctx, plan, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := cu.Next(); err != nil || !ok {
+			t.Fatalf("budget %d: first row: ok=%v err=%v", budget, ok, err)
+		}
+		if ctx.shared.memUsed.Load() == 0 {
+			t.Fatalf("budget %d: nothing reserved mid-segment; the test no longer holds the inner side open", budget)
+		}
+		if err := cu.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if used := ctx.shared.memUsed.Load(); used != 0 {
+			t.Errorf("budget %d: %d bytes still reserved after Close", budget, used)
+		}
+		if left, _ := os.ReadDir(ctx.SpillDir); len(left) != 0 {
+			t.Errorf("budget %d: %d spill files left behind", budget, len(left))
+		}
 	}
 }

@@ -3,23 +3,19 @@ package exec
 import "orthoq/internal/algebra"
 
 // Strategy is the physical-choice part of a plan's identity: which
-// algorithm runs each node is decided from these six values and the
+// algorithm runs each node is decided from these five values and the
 // logical tree, nowhere else. The engine's Config normalizes into one
 // Strategy (spellings validated, "auto" folded to ""), the plan cache
 // keys on it, a prepared plan carries it, Context embeds it, and
 // EXPLAIN asks it the same questions compile does — so what EXPLAIN
-// prints is what runs. The zero value is the default: serial, batch
-// mode, every selector on auto. The cost model prices plans under the
-// Strategy they will run with (opt.Optimizer.Strategy).
+// prints is what runs. The zero value is the default: serial, every
+// selector on auto. The cost model prices plans under the Strategy
+// they will run with (opt.Optimizer.Strategy).
 type Strategy struct {
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution. 0 or 1 means serial; higher values let eligible
 	// scan/join/aggregation subtrees run on that many goroutines.
 	Parallelism int
-	// DisableBatch forces the legacy row-at-a-time path with
-	// interpreted expression evaluation. Used as the baseline for the
-	// batch-vs-row equivalence tests and benchmarks.
-	DisableBatch bool
 	// Apply overrides the binding-batch Apply strategy selector:
 	// "sequential", "batched", or "parallel" force that mode for every
 	// Apply in the plan; "" picks per Apply from estimated outer

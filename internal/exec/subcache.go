@@ -503,68 +503,24 @@ func (s *cachedSubIter) commit() {
 	s.ctx.SubCache.Put(s.key, s.tables, &subEntry{rows: rows}, bytes+64)
 }
 
-func (s *cachedSubIter) Next() (types.Row, bool, error) {
-	if s.replay {
-		if s.pos >= len(s.entry.rows) {
-			return nil, false, nil
-		}
-		row := s.entry.rows[s.pos]
-		s.pos++
-		// Replayed rows count toward RowBudget like produced rows; the
-		// operators below never run, so their productions are saved.
-		if err := s.ctx.charge(); err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	row, ok, err := s.inner.Next()
-	if err != nil {
-		s.abandon()
-		return nil, false, err
-	}
-	if !ok {
-		if s.teeing {
-			s.commit()
-		}
-		return nil, false, nil
-	}
-	if s.teeing {
-		s.observe(row)
-	}
-	return row, true, nil
-}
-
-// NextBatch keeps the batched fast path intact through the tee, and
-// serves replays a batch at a time.
+// NextBatch serves replays in windows of the cached rows, and otherwise
+// passes the subtree's batches through the tee unchanged.
 func (s *cachedSubIter) NextBatch(b *Batch) error {
 	if s.replay {
-		if b.buf == nil {
-			b.buf = make([]types.Row, 0, BatchSize)
-		}
-		buf := b.buf[:0]
-		for s.pos < len(s.entry.rows) && len(buf) < BatchSize {
-			buf = append(buf, s.entry.rows[s.pos])
-			s.pos++
-		}
-		if err := s.ctx.chargeN(len(buf)); err != nil {
-			return err
-		}
-		b.buf = buf
-		b.Rows, b.Sel = buf, nil
-		return nil
+		b.serve(s.entry.rows, &s.pos)
+		// Replayed rows count toward RowBudget like produced rows; the
+		// operators below never run, so their productions are saved.
+		return s.ctx.chargeN(b.Len())
 	}
-	if err := nextBatch(s.inner, b); err != nil {
+	if err := s.inner.NextBatch(b); err != nil {
 		s.abandon()
 		return err
 	}
 	n := b.Len()
-	if n == 0 {
-		if s.teeing {
+	if s.teeing {
+		if n == 0 {
 			s.commit()
 		}
-		return nil
-	}
-	if s.teeing {
 		for i := 0; i < n; i++ {
 			s.observe(b.Row(i))
 		}

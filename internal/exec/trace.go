@@ -8,7 +8,6 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/obs"
-	"orthoq/internal/sql/types"
 )
 
 // OpStats records run-time behavior of one plan operator.
@@ -18,8 +17,7 @@ type OpStats struct {
 	Opens int64
 	// Rows counts rows produced across all opens.
 	Rows int64
-	// Batches counts non-empty NextBatch productions; 0 means the
-	// operator was driven row-at-a-time.
+	// Batches counts non-empty NextBatch productions.
 	Batches int64
 	// Busy is inclusive wall time spent inside this operator and its
 	// children.
@@ -99,61 +97,59 @@ func (c *Context) EnableTrace() {
 const traceClockEvery = 15
 
 // amortClock is a tick-amortized monotone clock shared by every
-// traceIter of one execution strand. Row-mode Apply plans re-open
-// their inner tree per outer row, and with a wrapper on every operator
-// each Open/Next/Close paid two time.Now calls — the 3.3x apply-heavy
-// tracing overhead in EXPERIMENTS.md. Serving most reads from a cached
-// timestamp collapses that to ~2/traceClockEvery real reads per call.
+// traceIter of one execution strand. Apply plans re-open their inner
+// tree per binding, and with a wrapper on every operator each
+// Open/NextBatch/Close paid two time.Now calls — the 3.3x apply-heavy
+// tracing overhead in EXPERIMENTS.md. Serving the reads around cheap
+// calls from a cached timestamp collapses that to ~2/traceClockEvery
+// real reads per call. A call that produced a batch's worth of rows is
+// not cheap, and is timed by the real clock (worked).
 //
 // Correctness: the cached clock is monotone (it only moves forward, on
 // refresh), and every wrapper on the strand reads the same clock, so
 // nested interval deltas still telescope — a child's measured Busy can
 // never exceed its parent's, and the root's Busy never exceeds real
 // elapsed time. Precision, not soundness, is what's amortized: an
-// individual operator's time can be off by up to traceClockEvery call
-// durations, which is noise at the whole-plan level the trace reports.
+// individual operator's time can be off by up to traceClockEvery cheap
+// call durations, which is noise at the whole-plan level the trace
+// reports.
 type amortClock struct {
-	n    int
-	last time.Time
+	n     int
+	fresh int // upcoming reads that must come from the real clock
+	last  time.Time
 }
 
 // read returns the current amortized timestamp, refreshing from the
 // real clock every traceClockEvery reads (and always on first use).
 func (c *amortClock) read() time.Time {
-	if c.n == 0 {
+	if c.n == 0 || c.fresh > 0 {
 		c.last = time.Now()
 		c.n = traceClockEvery
+		c.fresh = max(c.fresh-1, 0)
 	}
 	c.n--
 	return c.last
 }
 
-// traceIter wraps an iterator and accumulates statistics.
-//
-// Counting contract: every delivered row increments Rows exactly once,
-// whichever pull mode delivered it. Both Next and NextBatch funnel
-// through note(), and the wrapped operator's cursor is shared between
-// its row and batch paths, so a consumer that switches modes mid-query
-// (legal: the exchange operator explicitly supports it, and a batched
-// parent can fall back to the row adapter) never re-counts rows it
-// already produced.
+// worked reports that the call about to end produced n rows. From a
+// batch's worth up, the next two reads are real: the producer's end,
+// and the next boundary its consumer crosses after working through
+// those rows — so per-batch work lands on the operator that did it, and
+// only per-binding opens, closes and one-row inner batches amortize.
+func (c *amortClock) worked(n int) {
+	if n >= traceClockEvery {
+		c.fresh = 2
+	}
+}
+
+// traceIter wraps an iterator and accumulates statistics: every
+// delivered row increments Rows exactly once, every non-empty batch
+// increments Batches.
 type traceIter struct {
 	in iterator
 	st *OpStats
 	// clk is the strand's shared amortized clock (see amortClock).
 	clk *amortClock
-}
-
-// note is the single counting site for produced rows.
-func (t *traceIter) note(n int, batched bool, elapsed time.Duration) {
-	t.st.Busy += elapsed
-	if n <= 0 {
-		return
-	}
-	t.st.Rows += int64(n)
-	if batched {
-		t.st.Batches++
-	}
 }
 
 func (t *traceIter) Open() error {
@@ -164,28 +160,16 @@ func (t *traceIter) Open() error {
 	return err
 }
 
-func (t *traceIter) Next() (row types.Row, ok bool, err error) {
-	start := t.clk.read()
-	row, ok, err = t.in.Next()
-	n := 0
-	if ok {
-		n = 1
-	}
-	t.note(n, false, t.clk.read().Sub(start))
-	return row, ok, err
-}
-
-// NextBatch forwards the batched pull (falling back to the row
-// adapter for operators without a native fast path) and accumulates
-// batch counts alongside rows.
 func (t *traceIter) NextBatch(b *Batch) error {
 	start := t.clk.read()
-	err := nextBatch(t.in, b)
-	n := 0
-	if err == nil {
-		n = b.Len()
+	err := t.in.NextBatch(b)
+	n := b.Len()
+	t.clk.worked(n)
+	t.st.Busy += t.clk.read().Sub(start)
+	if err == nil && n > 0 {
+		t.st.Rows += int64(n)
+		t.st.Batches++
 	}
-	t.note(n, true, t.clk.read().Sub(start))
 	return err
 }
 

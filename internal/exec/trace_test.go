@@ -1,70 +1,33 @@
 package exec
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"orthoq/internal/algebra"
 	"orthoq/internal/core"
 	"orthoq/internal/obs"
-	"orthoq/internal/sql/types"
 )
 
-// fakeRows is a minimal row-only iterator producing n constant rows.
-type fakeRows struct {
-	n, pos int
-	opens  int
-}
-
-func (f *fakeRows) Open() error { f.opens++; f.pos = 0; return nil }
-func (f *fakeRows) Next() (types.Row, bool, error) {
-	if f.pos >= f.n {
-		return nil, false, nil
-	}
-	f.pos++
-	return types.Row{types.NewInt(int64(f.pos))}, true, nil
-}
-func (f *fakeRows) Close() error { return nil }
-
-// TestTraceIterMixedModeCountsOnce pins the counting contract: a
-// consumer that interleaves Next and NextBatch on the same traced
-// iterator counts every produced row exactly once — the wrapped
-// operator shares one cursor between both pull modes, and note() is
-// the single counting site.
-func TestTraceIterMixedModeCountsOnce(t *testing.T) {
-	const n = 2500 // > 2×BatchSize so the batch path runs more than once
+// TestTraceIterCountsRowsAndBatches pins the counting contract: every
+// delivered row increments Rows exactly once and every non-empty batch
+// increments Batches, whatever cap each pull carried.
+func TestTraceIterCountsRowsAndBatches(t *testing.T) {
+	const n = 2500 // > 2×BatchSize
 	st := &OpStats{}
-	ti := &traceIter{in: &fakeRows{n: n}, st: st, clk: &amortClock{}}
+	ti := &traceIter{in: &sliceIter{rows: intRows(n)}, st: st, clk: &amortClock{}}
 	if err := ti.Open(); err != nil {
 		t.Fatal(err)
 	}
-	// Three rows via the row path.
-	for i := 0; i < 3; i++ {
-		if _, ok, err := ti.Next(); err != nil || !ok {
-			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	// Drain the rest via the batch path (adapter: fakeRows has no
-	// native NextBatch).
 	var b Batch
-	got := 3
-	for {
+	got, pulls := 0, int64(0)
+	for _, limit := range []int{3, 0, 1, 0, 0, 0} {
+		b.Limit = limit
 		if err := ti.NextBatch(&b); err != nil {
 			t.Fatal(err)
 		}
-		if b.Len() == 0 {
-			break
+		if b.Len() > 0 {
+			pulls++
 		}
 		got += b.Len()
-		// Interleave one more row pull mid-stream while rows remain.
-		if got < n {
-			if _, ok, err := ti.Next(); err != nil {
-				t.Fatal(err)
-			} else if ok {
-				got++
-			}
-		}
 	}
 	if err := ti.Close(); err != nil {
 		t.Fatal(err)
@@ -72,87 +35,11 @@ func TestTraceIterMixedModeCountsOnce(t *testing.T) {
 	if got != n {
 		t.Fatalf("consumer saw %d rows, want %d", got, n)
 	}
-	if st.Rows != int64(n) {
-		t.Errorf("traced Rows = %d, want %d (each row counted exactly once)", st.Rows, n)
-	}
-	if st.Opens != 1 {
-		t.Errorf("Opens = %d, want 1", st.Opens)
-	}
-	if st.Batches == 0 {
-		t.Error("Batches = 0, want > 0 (batch path was used)")
+	if st.Rows != int64(n) || st.Batches != pulls || st.Opens != 1 {
+		t.Errorf("traced rows=%d batches=%d opens=%d, want %d, %d, 1", st.Rows, st.Batches, st.Opens, n, pulls)
 	}
 	if st.Busy <= 0 {
 		t.Error("Busy not accumulated")
-	}
-}
-
-// flattenSpanRows renders a span tree as one line per node with Rows
-// and Opens, for exact cross-path comparison.
-func flattenSpanRows(sp *obs.Span, withOpens bool) []string {
-	var out []string
-	var walk func(s *obs.Span, depth int)
-	walk = func(s *obs.Span, depth int) {
-		line := fmt.Sprintf("%*s%s rows=%d", depth*2, "", s.Op, s.Rows)
-		if withOpens {
-			line += fmt.Sprintf(" opens=%d", s.Opens)
-		}
-		out = append(out, line)
-		for _, c := range s.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(sp, 0)
-	return out
-}
-
-// TestMixedBatchRowPlanCountsEqual pins the regression the trace
-// contract guards against: a row-only operator (Sort) under a batched
-// hash join forces the join's probe loop through the row adapter while
-// the rest of the tree runs batched. Per-operator row and open counts
-// must match the pure row-at-a-time execution exactly.
-func TestMixedBatchRowPlanCountsEqual(t *testing.T) {
-	st := testDB(t)
-	md, rel, out := compilePlan(t, st,
-		`select o_orderkey, c_name from orders, customer where o_custkey = c_custkey`,
-		core.Options{})
-
-	// Wrap the join's left input in a Sort so a row-only operator sits
-	// under the batched hash join.
-	var wrap func(algebra.Rel) algebra.Rel
-	wrap = func(n algebra.Rel) algebra.Rel {
-		if j, ok := n.(*algebra.Join); ok {
-			sortCol := algebra.OutputCols(j.Left).Ordered()[0]
-			return &algebra.Join{Kind: j.Kind, On: j.On,
-				Left:  &algebra.Sort{Input: j.Left, By: []algebra.Ordering{{Col: sortCol}}},
-				Right: j.Right}
-		}
-		ins := n.Inputs()
-		kids := make([]algebra.Rel, len(ins))
-		changed := false
-		for i, c := range ins {
-			kids[i] = wrap(c)
-			changed = changed || kids[i] != c
-		}
-		if changed {
-			return n.WithInputs(kids)
-		}
-		return n
-	}
-	rel = wrap(rel)
-
-	run := func(disableBatch bool) *obs.Span {
-		ctx := NewContext(st, md)
-		ctx.DisableBatch = disableBatch
-		ctx.EnableTrace()
-		if _, err := Run(ctx, rel, out); err != nil {
-			t.Fatal(err)
-		}
-		return ctx.Spans(rel)
-	}
-	batch := strings.Join(flattenSpanRows(run(false), true), "\n")
-	row := strings.Join(flattenSpanRows(run(true), true), "\n")
-	if batch != row {
-		t.Errorf("per-operator counts differ between batch and row execution\nbatch:\n%s\nrow:\n%s", batch, row)
 	}
 }
 
@@ -204,33 +91,27 @@ func TestTopSpanCounted(t *testing.T) {
 	md, rel, out := compilePlan(t, st,
 		`select o_orderkey from orders order by o_orderkey desc limit 3`,
 		core.Options{})
-	for _, disableBatch := range []bool{false, true} {
-		ctx := NewContext(st, md)
-		ctx.DisableBatch = disableBatch
-		ctx.EnableTrace()
-		res, err := Run(ctx, rel, out)
-		if err != nil {
-			t.Fatal(err)
+	ctx := NewContext(st, md)
+	ctx.EnableTrace()
+	res, err := Run(ctx, rel, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("limit returned %d rows", len(res.Rows))
+	}
+	found := false
+	ctx.Spans(rel).Walk(func(s *obs.Span) {
+		if s.Op != "Top" {
+			return
 		}
-		if len(res.Rows) != 3 {
-			t.Fatalf("limit returned %d rows", len(res.Rows))
+		found = true
+		if s.Rows != 3 || s.Opens != 1 {
+			t.Errorf("Top span rows=%d opens=%d, want 3 and 1", s.Rows, s.Opens)
 		}
-		found := false
-		ctx.Spans(rel).Walk(func(s *obs.Span) {
-			if s.Op != "Top" {
-				return
-			}
-			found = true
-			if s.Rows != 3 {
-				t.Errorf("disableBatch=%v: Top span rows=%d, want 3", disableBatch, s.Rows)
-			}
-			if s.Opens != 1 {
-				t.Errorf("disableBatch=%v: Top span opens=%d, want 1", disableBatch, s.Opens)
-			}
-		})
-		if !found {
-			t.Fatalf("disableBatch=%v: no Top span in trace", disableBatch)
-		}
+	})
+	if !found {
+		t.Fatal("no Top span in trace")
 	}
 }
 

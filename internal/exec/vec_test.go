@@ -1,10 +1,11 @@
 package exec
 
 // Bit-exactness of the column-at-a-time aggregation path: float sums
-// must come out with the same bits as the row-interpreted baseline,
-// because every (group, aggregate) folds its rows in row order in both
-// — serially, per worker partial after the §3.3 merge, and when a
-// memory budget routes part of a batch to spill partitions.
+// must come out with the same bits as a direct fold — one row at a
+// time, in row order, through the interpreter — because every (group,
+// aggregate) folds its rows in row order in both: serially, per worker
+// partial after the §3.3 merge, and when a memory budget routes part of
+// a batch to spill partitions.
 
 import (
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/core"
+	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/storage"
 	"orthoq/internal/tpch"
@@ -91,41 +93,126 @@ func findScanAgg(rel algebra.Rel) (sa scanAgg, ok bool) {
 	return sa, ok
 }
 
-// mergedPartials aggregates the scan in four partitions — partition w
-// takes the morsels a four-worker exchange would hand worker w in
-// round-robin — each through the pull mode under test, and merges the
-// partial tables in worker order with the §3.3 combiners.
-func mergedPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa scanAgg, disableBatch bool) []types.Row {
+// colEnv binds one row of a fixed layout for the interpreter.
+type colEnv struct {
+	cols []algebra.ColID
+	row  types.Row
+}
+
+func (e *colEnv) Value(c algebra.ColID) (types.Datum, bool) {
+	for i, id := range e.cols {
+		if id == c {
+			return e.row[i], true
+		}
+	}
+	return types.NullUnknown, false
+}
+
+// folded is a direct fold's result: groups in first-appearance order.
+type folded struct {
+	keys   []types.Row
+	states [][]aggState // [group][aggregate]
+	index  map[string]int
+}
+
+func (f *folded) group(key types.Row, nAggs int) []aggState {
+	k := bitKey(key)
+	g, ok := f.index[k]
+	if !ok {
+		if f.index == nil {
+			f.index = map[string]int{}
+		}
+		g = len(f.keys)
+		f.index[k] = g
+		f.keys = append(f.keys, key)
+		f.states = append(f.states, make([]aggState, nAggs))
+	}
+	return f.states[g]
+}
+
+func (f *folded) render(gb *algebra.GroupBy) []types.Row {
+	if len(f.keys) == 0 && gb.Kind == algebra.ScalarGroupBy {
+		return []types.Row{emptyAggRow(gb)}
+	}
+	var out []types.Row
+	for g, key := range f.keys {
+		row := append(types.Row(nil), key...)
+		for j := range gb.Aggs {
+			row = append(row, f.states[g][j].result(&gb.Aggs[j]))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// directFold is the definition the vector path's bits are held to: the
+// rows passing the filter, one at a time in row order, each aggregate
+// argument evaluated by the interpreter and handed to aggState.add.
+func directFold(t *testing.T, sa scanAgg, rows []types.Row) *folded {
+	t.Helper()
+	ev := &eval.Evaluator{}
+	env := &colEnv{cols: sa.get.Cols}
+	groupCols := sa.gb.GroupCols.Ordered()
+	f := &folded{}
+	for _, row := range rows {
+		env.row = row
+		if sa.filter != nil {
+			v, err := ev.EvalBool(sa.filter, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != types.TriTrue {
+				continue
+			}
+		}
+		key := make(types.Row, len(groupCols))
+		for i, c := range groupCols {
+			key[i], _ = env.Value(c)
+		}
+		states := f.group(key, len(sa.gb.Aggs))
+		for j := range sa.gb.Aggs {
+			item := &sa.gb.Aggs[j]
+			var d types.Datum
+			if item.Arg != nil {
+				var err error
+				if d, err = ev.Eval(item.Arg, env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			states[j].add(item, d)
+		}
+	}
+	return f
+}
+
+// workerPartition is the rows a four-worker exchange would hand worker
+// w in round-robin morsels.
+func workerPartition(rows []types.Row, w, workers int) []types.Row {
+	var part []types.Row
+	for lo := w * morselSize; lo < len(rows); lo += workers * morselSize {
+		part = append(part, rows[lo:min(lo+morselSize, len(rows))]...)
+	}
+	return part
+}
+
+// mergedPartials aggregates the scan in four worker partitions through
+// the executor's aggregation table and merges the partials in worker
+// order with the §3.3 combiners.
+func mergedPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa scanAgg, rows []types.Row) []types.Row {
 	t.Helper()
 	ctx := NewContext(st, md)
-	ctx.DisableBatch = disableBatch
-	tbl, ok := ctx.table(sa.get.Table)
-	if !ok {
-		t.Fatalf("no table %s", sa.get.Table)
-	}
-	rows := tbl.AllRows()
 	const workers = 4
 	merged := newAggTable(sa.gb.GroupCols.Len(), len(sa.gb.Aggs), 0)
 	for w := 0; w < workers; w++ {
-		var part []types.Row
-		for lo := w * morselSize; lo < len(rows); lo += workers * morselSize {
-			part = append(part, rows[lo:min(lo+morselSize, len(rows))]...)
-		}
-		in := newNode(&sliceIter{rows: part}, sa.get.Cols)
+		in := newNode(&sliceIter{rows: workerPartition(rows, w, workers)}, sa.get.Cols)
 		if sa.filter != nil {
-			in = newNode(&filterIter{ctx: ctx, in: in, pred: sa.filter}, in.cols)
+			in = newNode(&filterIter{in: in, filt: newFilterPred(ctx, sa.filter, in.ords)}, in.cols)
 		}
 		if err := in.it.Open(); err != nil {
 			t.Fatal(err)
 		}
 		partial := newAggTable(sa.gb.GroupCols.Len(), len(sa.gb.Aggs), 0)
-		var err error
-		if av := newAggVec(ctx, in, sa.gb); av != nil {
-			err = partial.consumeBatch(ctx, in, sa.gb, av)
-		} else {
-			err = partial.consume(ctx, in, sa.gb)
-		}
-		if err != nil {
+		if err := partial.consume(ctx, in, sa.gb, newAggVec(ctx, in.ords, sa.gb)); err != nil {
 			t.Fatal(err)
 		}
 		merged.merge(partial, sa.gb)
@@ -133,47 +220,67 @@ func mergedPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa sc
 	return merged.render(sa.gb, nil)
 }
 
-// TestVectorAggBitIdentical: Q1, Q6 and Q15 return bit-identical
-// aggregates from the vector path and the row-interpreted baseline,
-// under hash and under (sorted-input) streaming aggregation, and so do
-// their scan aggregations computed as four per-worker partials and
-// merged.
+// mergedDirectFolds is mergedPartials with each partition folded
+// directly and the partials combined by aggState.mergeFor in the same
+// worker order.
+func mergedDirectFolds(t *testing.T, sa scanAgg, rows []types.Row) []types.Row {
+	t.Helper()
+	const workers = 4
+	merged := &folded{}
+	for w := 0; w < workers; w++ {
+		part := directFold(t, sa, workerPartition(rows, w, workers))
+		for g, key := range part.keys {
+			states := merged.group(key, len(sa.gb.Aggs))
+			for j := range states {
+				states[j].mergeFor(&sa.gb.Aggs[j], &part.states[g][j])
+			}
+		}
+	}
+	return merged.render(sa.gb)
+}
+
+// TestVectorAggBitIdentical: the scan aggregations of Q1, Q6 and Q15
+// return, under hash and under (sorted-input) streaming aggregation,
+// aggregates bit-identical to a direct fold of the table in row order —
+// and so do the same aggregations computed as four per-worker partials
+// and merged.
 func TestVectorAggBitIdentical(t *testing.T) {
 	st := tpchStore(t)
 	for _, name := range []string{"Q1", "Q6", "Q15"} {
-		md, rel, out := compilePlan(t, st, tpch.Queries[name], core.Options{})
-		run := func(forceAgg string, disableBatch bool) []types.Row {
-			ctx := NewContext(st, md)
-			ctx.Agg = forceAgg
-			ctx.DisableBatch = disableBatch
-			res, err := Run(ctx, rel, out)
-			if err != nil {
-				t.Fatalf("%s (agg=%q disableBatch=%v): %v", name, forceAgg, disableBatch, err)
-			}
-			return res.Rows
-		}
-		for _, agg := range []string{"hash", "stream"} {
-			vec, row := run(agg, false), run(agg, true)
-			if len(row) == 0 {
-				t.Fatalf("%s: empty result", name)
-			}
-			requireSameBits(t, name+" "+agg+" aggregation, vector vs row", vec, row)
-		}
-
+		md, rel, _ := compilePlan(t, st, tpch.Queries[name], core.Options{})
 		sa, ok := findScanAgg(rel)
 		if !ok {
 			t.Fatalf("%s: no aggregation over a scan in\n%s", name, algebra.FormatRel(md, rel))
 		}
-		requireSameBits(t, name+" merged partials, vector vs row",
-			mergedPartials(t, st, md, sa, false), mergedPartials(t, st, md, sa, true))
+		tbl, ok := NewContext(st, md).table(sa.get.Table)
+		if !ok {
+			t.Fatalf("no table %s", sa.get.Table)
+		}
+		rows := tbl.AllRows()
+		want := directFold(t, sa, rows).render(sa.gb)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty result", name)
+		}
+		for _, agg := range []string{"hash", "stream"} {
+			ctx := NewContext(st, md)
+			ctx.Agg = agg
+			res, err := Run(ctx, sa.gb, nil)
+			if err != nil {
+				t.Fatalf("%s (agg=%q): %v", name, agg, err)
+			}
+			requireSameBits(t, name+" "+agg+" aggregation vs direct fold", res.Rows, want)
+		}
+		requireSameBits(t, name+" merged partials vs merged direct folds",
+			mergedPartials(t, st, md, sa, rows), mergedDirectFolds(t, sa, rows))
 	}
 }
 
 // TestVectorAggSpillRouting: under a memory budget that fills the
 // aggregation table part-way through a batch, the rows of unseen
 // groups are routed to spill partitions and drop out of the batch the
-// argument kernels and fold loops see. The result is bit-identical to
-// the row path under the same budget and to the unbudgeted run.
+// argument kernels and fold loops see, and the partitions are folded
+// later in windows of decoded rows. Every group still sees its rows in
+// row order, so the result is bit-identical to the unbudgeted run.
 func TestVectorAggSpillRouting(t *testing.T) {
 	st := tpchStore(t)
 	md, rel, out := compilePlan(t, st,
@@ -181,37 +288,34 @@ func TestVectorAggSpillRouting(t *testing.T) {
 		        avg(l_quantity) as q, min(l_shipdate) as d, count(*) as n
 		 from lineitem where l_quantity > 2 group by l_orderkey`,
 		core.Options{})
-	run := func(budget int64, disableBatch bool) *Result {
+	run := func(budget int64) *Result {
 		ctx := NewContext(st, md)
 		ctx.Agg = "hash"
 		ctx.MemBudget = budget
 		ctx.SpillDir = t.TempDir()
-		ctx.DisableBatch = disableBatch
 		res, err := Run(ctx, rel, out)
 		if err != nil {
-			t.Fatalf("budget=%d disableBatch=%v: %v", budget, disableBatch, err)
+			t.Fatalf("budget=%d: %v", budget, err)
 		}
 		return res
 	}
-	base := run(0, false)
+	base := run(0)
 	if base.Spills != 0 {
 		t.Fatalf("unbudgeted run spilled %d files", base.Spills)
 	}
 	// About 1/8 of the groups fit: the first batch already crosses the
 	// budget, so findRow starts routing rows in mid-batch.
 	budget := int64(len(base.Rows)) * groupBytes(types.Row{types.NewInt(0)}, 4) / 8
-	vec, row := run(budget, false), run(budget, true)
-	if vec.Spills == 0 || row.Spills == 0 {
-		t.Fatalf("budget %d did not spill (vector %d, row %d files)", budget, vec.Spills, row.Spills)
+	spilled := run(budget)
+	if spilled.Spills == 0 {
+		t.Fatalf("budget %d did not spill", budget)
 	}
-	requireSameBits(t, "spilled vector vs spilled row", vec.Rows, row.Rows)
-	requireSameBits(t, "spilled vector vs unbudgeted", vec.Rows, base.Rows)
+	requireSameBits(t, "spilled vs unbudgeted", spilled.Rows, base.Rows)
 }
 
 // BenchmarkVecFold times the aggregation inner loop — group lookup,
 // argument evaluation, fold — over 16 batches of a four-group input
-// with Q1's discounted-price sum, an average and a count: the vector
-// path (consumeBatch) against the row-interpreted one (consume).
+// with Q1's discounted-price sum, an average and a count.
 func BenchmarkVecFold(b *testing.B) {
 	const n = 16 * BatchSize
 	rows := make([]types.Row, n)
@@ -233,33 +337,19 @@ func BenchmarkVecFold(b *testing.B) {
 			{Col: 6, Func: algebra.AggCountStar},
 		},
 	}
-	for _, mode := range []struct {
-		name         string
-		disableBatch bool
-	}{{"vector", false}, {"row", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			ctx := NewContext(nil, nil)
-			ctx.DisableBatch = mode.disableBatch
-			in := newNode(&sliceIter{rows: rows}, cols)
-			av := newAggVec(ctx, in, gb)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := in.it.Open(); err != nil {
-					b.Fatal(err)
-				}
-				tbl := newAggTable(1, len(gb.Aggs), 0)
-				var err error
-				if av != nil {
-					err = tbl.consumeBatch(ctx, in, gb, av)
-				} else {
-					err = tbl.consume(ctx, in, gb)
-				}
-				if err != nil || len(tbl.keys) != 4 {
-					b.Fatalf("groups=%d err=%v", len(tbl.keys), err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
-		})
+	ctx := NewContext(nil, nil)
+	in := newNode(&sliceIter{rows: rows}, cols)
+	av := newAggVec(ctx, in.ords, gb)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := in.it.Open(); err != nil {
+			b.Fatal(err)
+		}
+		tbl := newAggTable(1, len(gb.Aggs), 0)
+		if err := tbl.consume(ctx, in, gb, av); err != nil || len(tbl.keys) != 4 {
+			b.Fatalf("groups=%d err=%v", len(tbl.keys), err)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 }

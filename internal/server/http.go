@@ -393,12 +393,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeRowsJSONL streams a materialized result as JSON lines: a
-// columns header, one line per row, and a trailer with run stats.
+// columns header, one line per row, and a trailer with run stats. It
+// must not flush: the handler returns next, and net/http then sends a
+// small reply as one write with a Content-Length. A flush here forces
+// a chunked reply whose terminating chunk is a second write that the
+// client reads with the first or after another wake-up, by timing.
 func writeRowsJSONL(w http.ResponseWriter, rows *orthoq.Rows, queued time.Duration) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(map[string]any{"columns": rows.Columns})
-	flusher, _ := w.(http.Flusher)
 	line := make([]any, 0, len(rows.Columns))
 	for _, row := range rows.Data {
 		line = line[:0]
@@ -417,9 +420,6 @@ func writeRowsJSONL(w http.ResponseWriter, rows *orthoq.Rows, queued time.Durati
 		trailer["queued_us"] = queued.Microseconds()
 	}
 	_ = enc.Encode(trailer)
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
 // openCursor starts a server-side streaming cursor. The stream's

@@ -173,6 +173,37 @@ func TestQueryInline(t *testing.T) {
 	}
 }
 
+// TestInlineReplyFraming pins how an inline /query reply leaves the
+// server: writeRowsJSONL does not flush, so a small reply is one write
+// with a Content-Length, and a large one still streams chunked as the
+// response buffer fills — complete, trailer last.
+func TestInlineReplyFraming(t *testing.T) {
+	s := newTestServer(t, newMemDB(t, 5000), Config{})
+	sid := s.newSession(t, SessionConfig{})
+
+	resp, data := s.post(t, "/query", map[string]any{"session": sid, "sql": "select id, val from t where id = 7"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("point read: %d %s", resp.StatusCode, data)
+	}
+	if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("point read (%d bytes): Content-Length %d, Transfer-Encoding %v; want one sized write",
+			len(data), resp.ContentLength, resp.TransferEncoding)
+	}
+
+	resp, data = s.post(t, "/query", map[string]any{"session": sid, "sql": "select id, val from t"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("full read: %d", resp.StatusCode)
+	}
+	if resp.ContentLength != -1 || len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" {
+		t.Errorf("full read (%d bytes): Content-Length %d, Transfer-Encoding %v; want chunked",
+			len(data), resp.ContentLength, resp.TransferEncoding)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	if len(lines) != 5002 || !bytes.Contains(lines[len(lines)-1], []byte(`"done"`)) {
+		t.Errorf("full read: %d lines, last %s; want header + 5000 rows + trailer", len(lines), lines[len(lines)-1])
+	}
+}
+
 func TestQuerySessionless(t *testing.T) {
 	s := newTestServer(t, newMemDB(t, 5), Config{})
 	_, rows, _ := s.queryRows(t, "", "select count(*) as n from t")

@@ -170,9 +170,9 @@ func FormatExpr(e Expr) string {
 	case *NumberLit:
 		return t.Text
 	case *StringLit:
-		return "'" + strings.ReplaceAll(t.Val, "'", "''") + "'"
+		return quote(t.Val)
 	case *DateLit:
-		return "date '" + t.Val + "'"
+		return "date " + quote(t.Val)
 	case *IntervalLit:
 		return fmt.Sprintf("interval '%d' %s", t.N, t.Unit)
 	case *Param:
@@ -266,4 +266,9 @@ func FormatExpr(e Expr) string {
 		return "(" + FormatExpr(t.L) + " " + t.Op + " " + q + " (" + Format(t.Query) + "))"
 	}
 	return fmt.Sprintf("/* unknown expr %T */", e)
+}
+
+// quote renders a string literal, doubling embedded quotes.
+func quote(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }

@@ -111,6 +111,11 @@ func DecodeRow(buf []byte) (types.Row, []byte, error) {
 		return nil, nil, io.ErrUnexpectedEOF
 	}
 	buf = buf[w:]
+	if n > uint64(len(buf)) {
+		// Every datum takes at least its kind byte: a count the remaining
+		// bytes cannot hold is corruption, not a size to allocate.
+		return nil, nil, io.ErrUnexpectedEOF
+	}
 	row := make(types.Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var d types.Datum
@@ -140,6 +145,9 @@ func DecodeRows(buf []byte) ([]types.Row, []byte, error) {
 		return nil, nil, io.ErrUnexpectedEOF
 	}
 	buf = buf[w:]
+	if n > uint64(len(buf)) {
+		return nil, nil, io.ErrUnexpectedEOF // every row takes at least its count byte
+	}
 	rows := make([]types.Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var r types.Row

@@ -3,7 +3,7 @@ package orthoq
 // Order-equivalence harness: every TPC-H benchmark query and a fuzz
 // corpus run under forced physical-operator choices — merge vs hash
 // join, streaming vs hash aggregation, sort elimination on and off,
-// batch vs row execution, serial and parallel — and every variant must
+// serial and parallel — and every variant must
 // return the identical multiset of rows. Wherever the query has an
 // ORDER BY, the variant must additionally return the identical total
 // row sequence. The DisableSortElim variant is the oracle for sort
@@ -11,6 +11,7 @@ package orthoq
 // scan that delivered the wrong order would disagree with it here.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -45,7 +46,7 @@ func multisetOf(seq []string) []string {
 }
 
 // orderVariants is the forced-strategy grid. Baseline is DefaultConfig
-// (auto join/agg, sort elimination on, batch, serial).
+// (auto join/agg, sort elimination on, serial).
 var orderVariants = []struct {
 	name string
 	mut  func(*Config)
@@ -55,14 +56,9 @@ var orderVariants = []struct {
 	{"agg=hash", func(c *Config) { c.AggStrategy = "hash" }},
 	{"agg=stream", func(c *Config) { c.AggStrategy = "stream" }},
 	{"sortelim=off", func(c *Config) { c.DisableSortElim = true }},
-	{"row+merge+stream", func(c *Config) {
-		c.DisableBatch = true
+	{"merge+stream", func(c *Config) {
 		c.JoinStrategy = "merge"
 		c.AggStrategy = "stream"
-	}},
-	{"row+sortelim=off", func(c *Config) {
-		c.DisableBatch = true
-		c.DisableSortElim = true
 	}},
 	{"par4", func(c *Config) { c.Parallelism = 4 }},
 	{"par4+merge+stream", func(c *Config) {
@@ -271,5 +267,47 @@ func TestOrderKnobsArePlanIdentity(t *testing.T) {
 	e.AggStrategy = "auto"
 	if mustIdentity(t, e) != mustIdentity(t, a) {
 		t.Error("auto and empty strategy produced different plan identities")
+	}
+}
+
+// TestLimitReadsOnlyItsRows pins the row cap end to end: with the Sort
+// elided, ORDER BY … DESC LIMIT 3 walks three index entries — every
+// span under the Top reports exactly 3 rows — and therefore runs inside
+// a RowBudget a hair above 3, where reading even one batch of the
+// 3000-row table would not.
+func TestLimitReadsOnlyItsRows(t *testing.T) {
+	db := sharedDB(t)
+	sql := `select o_orderkey, o_totalprice from orders order by o_orderkey desc limit 3`
+	cfg := DefaultConfig()
+	cfg.Trace = true
+	r, err := db.QueryCfg(sql, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(r.Plan, "Sort") {
+		t.Fatalf("Sort not eliminated:\n%s", r.Plan)
+	}
+	var top *Span
+	r.Spans().Walk(func(s *Span) {
+		if s.Op == "Top" {
+			top = s
+		}
+	})
+	if top == nil || len(top.Children) != 1 {
+		t.Fatalf("no Top span over one input:\n%s", r.Plan)
+	}
+	top.Walk(func(s *Span) {
+		if s.Rows != 3 {
+			t.Errorf("%s under LIMIT 3 produced %d rows, want 3", s.Op, s.Rows)
+		}
+	})
+	cfg.RowBudget = 4
+	r, err = db.QueryCfg(sql, cfg)
+	if err != nil || len(r.Data) != 3 {
+		t.Fatalf("under RowBudget 4: %d rows, err = %v", len(r.Data), err)
+	}
+	// The budget is real: without the LIMIT the same scan exceeds it.
+	if _, err := db.QueryCfg(`select o_orderkey, o_totalprice from orders order by o_orderkey desc`, cfg); !errors.Is(err, ErrRowBudget) {
+		t.Fatalf("unlimited scan under RowBudget 4: err = %v, want ErrRowBudget", err)
 	}
 }

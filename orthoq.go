@@ -120,11 +120,12 @@ type Config struct {
 	// order); higher values may return rows in a different order than
 	// serial execution (the bag of rows is identical).
 	Parallelism int
-	// DisableBatch forces row-at-a-time execution with interpreted
-	// expression evaluation instead of the default batch-at-a-time
-	// path with compiled expressions. Results are identical; this is
-	// the baseline knob for the batch benchmarks and equivalence
-	// tests.
+	// DisableBatch is retained so existing callers keep compiling.
+	//
+	// Deprecated: accepted and ignored. The executor has one pull
+	// protocol (batches; DESIGN §9); the row-at-a-time mode this used to
+	// select no longer exists, and the field is neither plan identity
+	// nor run state. It goes at the next API break.
 	DisableBatch bool
 	// ApplyStrategy overrides how correlated Apply operators execute
 	// their inner side: "sequential" re-opens per outer row,
@@ -298,8 +299,7 @@ func (c Config) identity() (planIdentity, error) {
 		costBased:      c.CostBased,
 		seedCorrelated: c.CorrelatedReintro && c.Decorrelate,
 		maxSteps:       c.MaxSteps,
-		strat: exec.Strategy{Parallelism: c.Parallelism, DisableBatch: c.DisableBatch,
-			DisableOrderOpt: c.DisableSortElim},
+		strat:          exec.Strategy{Parallelism: c.Parallelism, DisableOrderOpt: c.DisableSortElim},
 	}
 	var off []string
 	for _, family := range []struct {
@@ -1307,6 +1307,9 @@ func (db *DB) QueryStreamSnapshot(goCtx context.Context, sql string, cfg Config,
 		}
 	}
 	ectx, cancel := prep.execContext(db, nil, r)
+	if cfg.Trace {
+		ectx.EnableTrace()
+	}
 	cu, err := exec.RunCursor(ectx, prep.plan, prep.outCols)
 	if err != nil {
 		if cancel != nil {

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repo-wide static checks and race-detector test run. This is the
-# gate for PRs touching the executor: the property tests in
-# parallel_test.go and batch_test.go execute every TPC-H benchmark
-# query and the fuzz corpus across Parallelism 1/2/4/8 and both pull
-# modes (batch-compiled vs row-interpreted) under -race, and the
+# gate for PRs touching the executor: reference_test.go holds every
+# TPC-H benchmark query, the Q1 spellings and the fuzz corpus to
+# internal/reference — a naive evaluator that shares no code with the
+# executor — under four configurations, parallel_test.go executes the
+# same corpus across Parallelism 1/2/4/8 under -race, and the
 # observability suites (rules_test.go, obs_test.go) check rule-level
 # equivalence and span/metrics invariants on the same corpus.
 set -eu
@@ -49,10 +50,19 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 go test -run 'TestSearchUnchanged|TestTableMatches|TestOptimizeDeterministic|TestOptimizeWorkBounds' ./internal/opt
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
 
-# Fast smoke leg: batch-vs-row equivalence is the highest-signal
-# regression check for executor changes — fail it early and clearly
-# before the full suite runs.
-go test -run TestBatchRowEquivalence -race .
+# Reference-equivalence leg: the engine against the oracle is the
+# highest-signal regression check for executor, normalizer and
+# optimizer changes — fail it early and clearly before the full suite
+# runs. The oracle's independence is part of the leg: of this module,
+# internal/reference may depend on the algebra, the value domain, the
+# catalog and storage, and on nothing that evaluates, executes,
+# normalizes or optimizes.
+go test ./internal/reference
+if go list -deps ./internal/reference | grep -E '^orthoq/internal/(eval|exec|core|opt)$'; then
+    echo "internal/reference must not depend on the packages it checks" >&2
+    exit 1
+fi
+go test -run TestReferenceEquivalence -race .
 
 # Vector-kernel leg: the batch operators evaluate through
 # eval.CompileVec, so the vector ≡ closure ≡ interpreter property
@@ -62,6 +72,17 @@ go test -run TestBatchRowEquivalence -race .
 # over the property's generator seeds.
 go test -race ./internal/eval
 go test -run '^$' -fuzz FuzzVecEval -fuzztime 10s ./internal/eval
+
+# Byte-level surfaces: ten seconds each of coverage-guided fuzzing over
+# the SQL lexer+parser (arbitrary text must parse or error, and what
+# parses must print to SQL that parses), WAL record framing and bodies
+# (seeded from a real segment), and the checkpoint snapshot codec. Each
+# must return an error or a value — never panic, hang, or allocate by a
+# length it has not checked against the bytes that remain. Crashers
+# land in testdata/fuzz and run as regular tests from then on.
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s .
+go test -run '^$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal
+go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/storage
 
 # Apply-strategy smoke leg: the binding-batch experiment at a tiny
 # scale factor verifies all three Apply strategies return identical
@@ -92,13 +113,13 @@ go test -run 'TestResultCache' -race .
 
 # Order leg: the order-equivalence property suite (every TPC-H query
 # and the order-sensitive corpus under forced merge/hash join,
-# stream/hash agg, sort elimination on/off, batch/row, serial and
-# parallel — identical multisets everywhere, identical sequences
-# under ORDER BY) plus the sort-elision pins and the order-strategy
+# stream/hash agg, sort elimination on/off, serial and parallel —
+# identical multisets everywhere, identical sequences under ORDER BY)
+# plus the sort-elision and row-cap pins and the order-strategy
 # spill/cache interplay tests, under -race. Then the order experiment
 # at a tiny scale factor verifies each order-aware plan agrees with
 # its order-blind baseline before timing it.
-go test -run 'TestOrder|TestSortElided|TestMergeJoin|TestStreamAgg|TestForcedStreamAgg|TestTopSpanCounted|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation' -race . ./internal/exec
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestForcedStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation' -race . ./internal/exec
 go run ./cmd/orthoq-bench -exp order -sf 0.002 -reps 1 -json > /dev/null
 
 # Result-cache wire smoke: identical concurrent traffic uncached vs
