@@ -206,28 +206,3 @@ func TestAmortClockMonotone(t *testing.T) {
 		t.Fatal("amortized clock never advanced across refresh boundaries")
 	}
 }
-
-// TestAmortClockTimesBatches: after a call that produced a batch's worth
-// of rows the next two reads come from the real clock — the producer's
-// end and its consumer's next boundary — while a one-row inner batch
-// leaves the reads amortized.
-func TestAmortClockTimesBatches(t *testing.T) {
-	var clk amortClock
-	clk.read() // first use refreshes
-	real := func() bool {
-		before := clk.last
-		time.Sleep(20 * time.Microsecond)
-		return clk.read().After(before)
-	}
-	clk.worked(1)
-	if real() {
-		t.Fatal("a one-row batch forced a clock read")
-	}
-	clk.worked(BatchSize)
-	if !real() || !real() {
-		t.Fatal("a full batch's end and the boundary after it were not read from the real clock")
-	}
-	if real() {
-		t.Fatal("the clock stayed real past the consumer's boundary")
-	}
-}

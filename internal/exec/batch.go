@@ -103,10 +103,13 @@ func (r *rowReader) reset() {
 	r.pos = 0
 }
 
+// spent reports that the buffered batch is used up: the next call pulls.
+func (r *rowReader) spent() bool { return r.pos >= r.b.Len() }
+
 // next returns the next row, pulling a batch of at most limit rows when
 // the buffered one is used up; ok=false at end of stream.
 func (r *rowReader) next(limit int) (types.Row, bool, error) {
-	for r.pos >= r.b.Len() {
+	for r.spent() {
 		r.b.Limit, r.pos = limit, 0
 		if err := r.it.NextBatch(&r.b); err != nil {
 			return nil, false, err

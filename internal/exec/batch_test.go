@@ -6,6 +6,7 @@ package exec
 // aggregate chains with NULLs.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -361,5 +362,164 @@ func TestBatchRowBudgetAborts(t *testing.T) {
 	_, err = Run(ctx, rel, res.OutCols)
 	if err == nil || !strings.Contains(err.Error(), "row budget exceeded") {
 		t.Fatalf("want budget error, got %v", err)
+	}
+}
+
+// TestCursorStopsItsPlan: a reader that stops early has not made the
+// plan work far ahead of it. The cursor's row cap starts at one and
+// doubles per refill, so five rows read cost at most seven produced —
+// over a 12 000-row scan under a RowBudget a full batch would blow, and
+// over a sequential Apply, where each outer row pulled ahead is an
+// inner execution.
+func TestCursorStopsItsPlan(t *testing.T) {
+	st := tpchStore(t)
+	const read = 5
+	cases := []struct {
+		name, sql string
+		budget    int64 // what 1+2+4 rows through the plan may charge
+	}{
+		{"scan", `select l_orderkey, l_quantity from lineitem`, 8},
+		{"apply", `select o_orderkey from orders o
+			where exists (select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey)`, 64},
+	}
+	for _, c := range cases {
+		md, rel, out := compilePlan(t, st, c.sql, core.Options{KeepCorrelated: true})
+		ctx := NewContext(st, md)
+		ctx.Apply = "sequential"
+		ctx.RowBudget = c.budget
+		ctx.EnableTrace()
+		cu, err := RunCursor(ctx, rel, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < read; i++ {
+			if _, ok, err := cu.Next(); err != nil || !ok {
+				t.Fatalf("%s: row %d under RowBudget %d: ok=%v err=%v", c.name, i, c.budget, ok, err)
+			}
+		}
+		if err := cu.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ctx.shared.produced.Load(); got > c.budget {
+			t.Errorf("%s: %d rows examined for %d read", c.name, got, read)
+		}
+		cu.Spans().Walk(func(s *obs.Span) {
+			if s.Op == "Apply" && s.InnerExecs > 2*read {
+				t.Errorf("%s: %d inner executions for %d rows read", c.name, s.InnerExecs, read)
+			}
+		})
+	}
+}
+
+// TestCursorMatchesRun: a cursor is the same execution read a row at a
+// time — every operator produces the same rows over the same number of
+// opens as under Run, whatever caps the refills carried.
+func TestCursorMatchesRun(t *testing.T) {
+	st := tpchStore(t)
+	md, rel, out := compilePlan(t, st, `select l_orderkey, o_totalprice from lineitem, orders
+		where l_orderkey = o_orderkey and l_quantity > 40`, core.Options{})
+	counts := func(ctx *Context) (s string) {
+		ctx.Spans(rel).Walk(func(sp *obs.Span) { s += fmt.Sprintf("%s rows=%d opens=%d\n", sp.Op, sp.Rows, sp.Opens) })
+		return s
+	}
+	rctx := NewContext(st, md)
+	rctx.EnableTrace()
+	want, err := Run(rctx, rel, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx := NewContext(st, md)
+	cctx.EnableTrace()
+	cu, err := RunCursor(cctx, rel, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cu.Close()
+	for i := 0; ; i++ {
+		row, ok, err := cu.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != len(want.Rows) {
+				t.Fatalf("cursor delivered %d rows, Run %d", i, len(want.Rows))
+			}
+			break
+		}
+		if i >= len(want.Rows) || fmt.Sprint(row) != fmt.Sprint(want.Rows[i]) {
+			t.Fatalf("row %d differs: cursor %v", i, row)
+		}
+	}
+	if streamed, ran := counts(cctx), counts(rctx); streamed != ran {
+		t.Errorf("per-operator counts differ\ncursor:\n%s\nrun:\n%s", streamed, ran)
+	}
+}
+
+// applyOverLineitem is a hand-built sequential Apply of the given kind:
+// the AFRICA region row over every lineitem row (the inner side is
+// correlated, so it is not spooled), the On comparing l_linenumber with
+// a constant — a non-trivial On the normalizer would have pushed into
+// the inner side.
+func applyOverLineitem(t *testing.T, st *storage.Store, kind algebra.JoinKind, line int64) (*algebra.Metadata, *algebra.Apply) {
+	t.Helper()
+	md, rel, _ := compilePlan(t, st, `select r_regionkey from region r where r_regionkey = 0 and exists
+		(select l_linenumber from lineitem l where l.l_orderkey >= r.r_regionkey)`, core.Options{KeepCorrelated: true})
+	var ap *algebra.Apply
+	algebra.VisitRel(rel, func(n algebra.Rel) bool {
+		if a, ok := n.(*algebra.Apply); ok {
+			ap = a
+		}
+		return true
+	})
+	if ap == nil {
+		t.Fatalf("no apply in\n%s", algebra.FormatRel(md, rel))
+	}
+	var lineCol algebra.ColID
+	for _, c := range algebra.OutputCols(ap.Right).Ordered() {
+		if md.Alias(c) == "l_linenumber" {
+			lineCol = c
+		}
+	}
+	on := &algebra.Cmp{Op: algebra.CmpEq, L: &algebra.ColRef{Col: lineCol}, R: &algebra.Const{Val: types.NewInt(line)}}
+	return md, &algebra.Apply{Kind: kind, Left: ap.Left, Right: ap.Right, On: on}
+}
+
+// TestSequentialApplyStreamsItsInner: the sequential Apply never holds
+// an inner result. Three rows read from an inner join Apply whose inner
+// side is all of lineitem have pulled a handful of inner rows, not
+// 12 000, and a Semi Apply with a non-trivial On stops its inner side at
+// the first match instead of draining it.
+func TestSequentialApplyStreamsItsInner(t *testing.T) {
+	st := tpchStore(t)
+	md, ap := applyOverLineitem(t, st, algebra.InnerJoin, 1)
+	ctx := NewContext(st, md)
+	ctx.Apply = "sequential"
+	ctx.EnableTrace()
+	cu, err := RunCursor(ctx, ap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok, err := cu.Next(); err != nil || !ok {
+			t.Fatalf("inner apply row %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := cu.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if inner := cu.Spans().Children[1]; inner.Rows > 64 {
+		t.Errorf("inner apply pulled %d inner rows for 3 rows read", inner.Rows)
+	}
+
+	md, ap = applyOverLineitem(t, st, algebra.SemiJoin, 2)
+	ctx = NewContext(st, md)
+	ctx.Apply = "sequential"
+	ctx.EnableTrace()
+	res, err := Run(ctx, ap, nil)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("semi apply: err = %v", err)
+	}
+	if inner := ctx.Spans(ap).Children[1]; inner.Rows > 16 {
+		t.Errorf("semi apply read %d inner rows to find its first l_linenumber = 2", inner.Rows)
 	}
 }

@@ -11,10 +11,17 @@ import (
 // exhaustion — it tears the iterator tree down (stopping and draining
 // any parallel exchange, so no worker goroutine outlives the cursor)
 // and removes spill files. Close is idempotent.
+//
+// A reader that stops early must not have made the plan work far ahead
+// of it: the cursor asks the root for one row first and doubles its row
+// cap per refill up to a full batch, so k rows read cost fewer than 2k
+// produced (and charged to RowBudget) while a full drain settles at
+// BatchSize after ten refills.
 type Cursor struct {
 	ctx    *Context
 	rel    algebra.Rel
 	rows   rowReader // over the plan's root
+	fetch  int       // row cap of the next refill
 	sel    []int
 	cols   []algebra.ColID
 	names  []string
@@ -44,7 +51,7 @@ func RunCursor(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (cu *Curs
 		ctx.releaseSpills()
 		return nil, err
 	}
-	cu = &Cursor{ctx: ctx, rel: rel, rows: rowReader{it: n.it}, sel: sel, cols: outCols}
+	cu = &Cursor{ctx: ctx, rel: rel, rows: rowReader{it: n.it}, fetch: 1, sel: sel, cols: outCols}
 	for _, c := range outCols {
 		cu.names = append(cu.names, ctx.Md.Alias(c))
 	}
@@ -73,7 +80,11 @@ func (cu *Cursor) Next() (row types.Row, ok bool, err error) {
 	if err := cu.ctx.checkCtx(); err != nil {
 		return nil, false, err
 	}
-	in, ok, err := cu.rows.next(0)
+	refill := cu.rows.spent()
+	in, ok, err := cu.rows.next(cu.fetch)
+	if refill {
+		cu.fetch = min(2*cu.fetch, BatchSize)
+	}
 	if err != nil || !ok {
 		return nil, false, err
 	}

@@ -84,9 +84,9 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 			right = newNode(spool, right.cols)
 		}
 		it := &applyIter{ctx: ctx, left: left, right: right, spool: spool, st: st,
-			earlyOut: existenceOnly(a), em: newJoinEmit(ctx, a.Kind, a.On, left, right),
+			em: newJoinEmit(ctx, a.Kind, a.On, left, right),
 			lr: rowReader{it: left.it, charge: ctx}}
-		it.next = it.probe
+		it.next, it.em.more = it.probe, it.window
 		return newNode(it, outCols), nil
 	}
 	sigCols := sig.Ordered()
@@ -403,12 +403,48 @@ func (b *batchApplyIter) sigKey(lrow types.Row) types.Row {
 	return key
 }
 
+// runInner executes an Apply's inner side once, under the bindings
+// currently installed, and materializes its rows for the binding cache
+// — on this strand or on a parallel worker's private tree. With first
+// set it asks for one row and stops: all a Semi/Anti Apply with a
+// trivially-true On needs is existence.
+func runInner(it iterator, rb *Batch, first bool) (rows []types.Row, err error) {
+	if err := it.Open(); err != nil {
+		it.Close()
+		return nil, err
+	}
+	rb.Limit = 0
+	if first {
+		rb.Limit = 1
+	}
+	for {
+		if err := it.NextBatch(rb); err != nil {
+			it.Close()
+			return nil, err
+		}
+		n := rb.Len()
+		for i := 0; i < n; i++ {
+			rows = append(rows, rb.Row(i))
+		}
+		if n == 0 || first {
+			return rows, it.Close()
+		}
+	}
+}
+
+// existenceOnly reports whether an Apply needs only the first inner row
+// per binding: Semi/Anti with a trivially-true On.
+func existenceOnly(a *algebra.Apply) bool {
+	return (a.Kind == algebra.SemiJoin || a.Kind == algebra.AntiSemiJoin) &&
+		(a.On == nil || algebra.IsTrueConst(a.On))
+}
+
 // runBinding executes the inner side once on this strand's tree with
 // the binding installed, materializing its rows.
 func (b *batchApplyIter) runBinding(key types.Row) ([]types.Row, error) {
 	b.scope.bind(b.ctx.params, b.sigCols, key)
 	defer b.scope.unbind(b.ctx.params)
-	return runInner(b.right.it, &b.rb, b.earlyOut, nil)
+	return runInner(b.right.it, &b.rb, b.earlyOut)
 }
 
 // fetch resolves one outer row's binding lazily: a cache hit replays,
@@ -512,7 +548,7 @@ func (w *applyWorker) run(b *batchApplyIter, key types.Row) ([]types.Row, error)
 	for i, c := range b.sigCols {
 		w.wctx.params[c] = key[i]
 	}
-	return runInner(w.tree.it, &w.rb, b.earlyOut, nil)
+	return runInner(w.tree.it, &w.rb, b.earlyOut)
 }
 
 // prefetch resolves every outer row of the collected batch against the

@@ -111,6 +111,11 @@ type joinEmit struct {
 	// pairs, when set, charges every examined pair to RowBudget (nested
 	// loops, where pairs — not input rows — are the work).
 	pairs *Context
+	// more, when set, fetches the left row in progress its next window of
+	// at most want candidates; an empty window ends the row. A sequential
+	// Apply streams its inner side through it, so the inner produces no
+	// row the emitter will not look at and holds one batch, not a result.
+	more func(want int) ([]types.Row, error)
 
 	arena rowArena // backs joined output rows
 	out   []types.Row
@@ -121,6 +126,7 @@ type joinEmit struct {
 	pos     int
 	haveL   bool
 	matched bool
+	drained bool // more has returned its empty window for this row
 }
 
 // probeFn yields the next left row with its candidate right rows,
@@ -157,6 +163,7 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 				break
 			}
 			j.lrow, j.cands, j.pos, j.haveL, j.matched = lrow, cands, 0, true, false
+			j.drained = j.more == nil
 		}
 		done, err := j.feed(limit)
 		if err != nil {
@@ -175,38 +182,57 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 // candidates put on the output. done=false means the output filled up
 // first.
 func (j *joinEmit) feed(limit int) (done bool, err error) {
-	for ; j.pos < len(j.cands); j.pos++ {
-		if len(j.out) >= limit {
-			return false, nil
-		}
-		rrow := j.cands[j.pos]
-		if j.pairs != nil {
-			if err := j.pairs.charge(); err != nil {
-				return false, err
+	for {
+		for ; j.pos < len(j.cands); j.pos++ {
+			if len(j.out) >= limit {
+				return false, nil
 			}
-		}
-		if j.lOrds != nil && !types.EqualRows(j.lrow, j.lOrds, rrow, j.rOrds) {
-			continue
-		}
-		if j.on != nil {
-			j.fr.Row, j.fr.Row2 = j.lrow, rrow
-			v, err := j.on(&j.fr)
-			if err != nil {
-				return false, err
+			rrow := j.cands[j.pos]
+			if j.pairs != nil {
+				if err := j.pairs.charge(); err != nil {
+					return false, err
+				}
 			}
-			if v != types.TriTrue {
+			if j.lOrds != nil && !types.EqualRows(j.lrow, j.lOrds, rrow, j.rOrds) {
 				continue
 			}
+			if j.on != nil {
+				j.fr.Row, j.fr.Row2 = j.lrow, rrow
+				v, err := j.on(&j.fr)
+				if err != nil {
+					return false, err
+				}
+				if v != types.TriTrue {
+					continue
+				}
+			}
+			j.matched = true
+			switch j.kind {
+			case algebra.SemiJoin:
+				j.out = append(j.out, j.lrow)
+				return true, nil
+			case algebra.AntiSemiJoin:
+				return true, nil
+			}
+			j.out = append(j.out, j.arena.concat(j.lrow, rrow))
 		}
-		j.matched = true
-		switch j.kind {
-		case algebra.SemiJoin:
-			j.out = append(j.out, j.lrow)
-			return true, nil
-		case algebra.AntiSemiJoin:
-			return true, nil
+		if j.drained {
+			break
 		}
-		j.out = append(j.out, j.arena.concat(j.lrow, rrow))
+		// A semi or antisemi row is decided by its first match, so it looks
+		// at one candidate at a time; the other kinds can use as many as
+		// the output still holds.
+		want := limit - len(j.out)
+		if !j.kind.ReturnsRightCols() {
+			want = 1
+		}
+		if want <= 0 {
+			return false, nil
+		}
+		if j.cands, err = j.more(want); err != nil {
+			return false, err
+		}
+		j.pos, j.drained = 0, len(j.cands) == 0
 	}
 	if !j.matched {
 		if len(j.out) >= limit {
@@ -553,43 +579,11 @@ func (p *paramScope) unbind(params eval.MapEnv) {
 	p.saved = p.saved[:0]
 }
 
-// runInner executes an Apply's inner side once, under the bindings
-// currently installed, appending its rows to dst. With first set it
-// asks for one row and stops: all a Semi/Anti Apply with a
-// trivially-true On needs is existence.
-func runInner(it iterator, rb *Batch, first bool, dst []types.Row) ([]types.Row, error) {
-	if err := it.Open(); err != nil {
-		it.Close()
-		return dst, err
-	}
-	rb.Limit = 0
-	if first {
-		rb.Limit = 1
-	}
-	for {
-		if err := it.NextBatch(rb); err != nil {
-			it.Close()
-			return dst, err
-		}
-		n := rb.Len()
-		for i := 0; i < n; i++ {
-			dst = append(dst, rb.Row(i))
-		}
-		if n == 0 || first {
-			return dst, it.Close()
-		}
-	}
-}
-
-// existenceOnly reports whether an Apply needs only the first inner row
-// per binding: Semi/Anti with a trivially-true On.
-func existenceOnly(a *algebra.Apply) bool {
-	return (a.Kind == algebra.SemiJoin || a.Kind == algebra.AntiSemiJoin) &&
-		(a.On == nil || algebra.IsTrueConst(a.On))
-}
-
 // applyIter is the sequential Apply: the inner side runs once per outer
-// row with the row's columns installed as parameters.
+// row with the row's columns installed as parameters, and streams into
+// the emitter a window at a time (joinEmit.more) — it is never
+// materialized, so a large inner result holds one batch of memory, and
+// a Semi or Anti Apply stops its inner side at the first match.
 type applyIter struct {
 	ctx         *Context
 	left, right *node
@@ -599,16 +593,17 @@ type applyIter struct {
 	// st, when tracing, carries the strategy and binding counters
 	// shared with the traceIter wrapping this operator.
 	st *OpStats
-	// earlyOut stops each inner execution at its first row
-	// (existenceOnly).
-	earlyOut bool
 
 	em    joinEmit
 	lr    rowReader
 	next  probeFn
 	scope paramScope
 	rb    Batch
-	inner []types.Row // the current outer row's inner result
+	sel   []types.Row // a window that arrived under a selection, gathered
+	// bound: the inner side is open under the current outer row's
+	// bindings. They stay installed until the next outer row is pulled (or
+	// Close), since the emitter may pause mid-row when its output fills.
+	bound bool
 }
 
 func (ap *applyIter) Open() error {
@@ -617,8 +612,12 @@ func (ap *applyIter) Open() error {
 	return ap.left.it.Open()
 }
 
-// probe runs the inner side for the next outer row.
+// probe opens the inner side under the next outer row's bindings; the
+// candidates follow through window.
 func (ap *applyIter) probe(limit int) (types.Row, []types.Row, bool, error) {
+	if err := ap.endInner(); err != nil {
+		return nil, nil, false, err
+	}
 	lrow, ok, err := ap.lr.next(limit)
 	if err != nil || !ok {
 		return nil, nil, false, err
@@ -630,18 +629,49 @@ func (ap *applyIter) probe(limit int) (types.Row, []types.Row, bool, error) {
 		ap.st.InnerExecs++
 	}
 	ap.scope.bind(ap.ctx.params, ap.left.cols, lrow)
-	ap.inner, err = runInner(ap.right.it, &ap.rb, ap.earlyOut, ap.inner[:0])
+	ap.bound = true
+	return lrow, nil, true, ap.right.it.Open()
+}
+
+// window is the emitter's more: the open inner side's next batch.
+func (ap *applyIter) window(want int) ([]types.Row, error) {
+	ap.rb.Limit = want
+	if err := ap.right.it.NextBatch(&ap.rb); err != nil {
+		return nil, err
+	}
+	if ap.rb.Sel == nil {
+		return ap.rb.Rows, nil
+	}
+	ap.sel = ap.sel[:0]
+	for _, i := range ap.rb.Sel {
+		ap.sel = append(ap.sel, ap.rb.Rows[i])
+	}
+	return ap.sel, nil
+}
+
+// endInner closes the inner side and restores what its bindings
+// shadowed.
+func (ap *applyIter) endInner() error {
+	if !ap.bound {
+		return nil
+	}
+	ap.bound = false
+	err := ap.right.it.Close()
 	ap.scope.unbind(ap.ctx.params)
-	return lrow, ap.inner, true, err
+	return err
 }
 
 func (ap *applyIter) NextBatch(b *Batch) error { return ap.em.run(b, ap.next) }
 
 func (ap *applyIter) Close() error {
+	err := ap.endInner()
 	if ap.spool != nil {
 		ap.spool.release()
 	}
-	return ap.left.it.Close()
+	if cerr := ap.left.it.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // graceJoin runs the probe side of a spilled hash join. Phase one

@@ -100,46 +100,32 @@ const traceClockEvery = 15
 // traceIter of one execution strand. Apply plans re-open their inner
 // tree per binding, and with a wrapper on every operator each
 // Open/NextBatch/Close paid two time.Now calls — the 3.3x apply-heavy
-// tracing overhead in EXPERIMENTS.md. Serving the reads around cheap
-// calls from a cached timestamp collapses that to ~2/traceClockEvery
-// real reads per call. A call that produced a batch's worth of rows is
-// not cheap, and is timed by the real clock (worked).
+// tracing overhead in EXPERIMENTS.md. Serving most reads from a cached
+// timestamp collapses that to ~2/traceClockEvery real reads per call.
 //
 // Correctness: the cached clock is monotone (it only moves forward, on
 // refresh), and every wrapper on the strand reads the same clock, so
 // nested interval deltas still telescope — a child's measured Busy can
 // never exceed its parent's, and the root's Busy never exceeds real
 // elapsed time. Precision, not soundness, is what's amortized: an
-// individual operator's time can be off by up to traceClockEvery cheap
-// call durations, which is noise at the whole-plan level the trace
-// reports.
+// individual operator's time can be off by up to traceClockEvery call
+// durations — with every call a batch, whole batches of work can land
+// on a neighbouring operator, so read per-operator self times as
+// shares over many queries, not per query.
 type amortClock struct {
-	n     int
-	fresh int // upcoming reads that must come from the real clock
-	last  time.Time
+	n    int
+	last time.Time
 }
 
 // read returns the current amortized timestamp, refreshing from the
 // real clock every traceClockEvery reads (and always on first use).
 func (c *amortClock) read() time.Time {
-	if c.n == 0 || c.fresh > 0 {
+	if c.n == 0 {
 		c.last = time.Now()
 		c.n = traceClockEvery
-		c.fresh = max(c.fresh-1, 0)
 	}
 	c.n--
 	return c.last
-}
-
-// worked reports that the call about to end produced n rows. From a
-// batch's worth up, the next two reads are real: the producer's end,
-// and the next boundary its consumer crosses after working through
-// those rows — so per-batch work lands on the operator that did it, and
-// only per-binding opens, closes and one-row inner batches amortize.
-func (c *amortClock) worked(n int) {
-	if n >= traceClockEvery {
-		c.fresh = 2
-	}
 }
 
 // traceIter wraps an iterator and accumulates statistics: every
@@ -164,7 +150,6 @@ func (t *traceIter) NextBatch(b *Batch) error {
 	start := t.clk.read()
 	err := t.in.NextBatch(b)
 	n := b.Len()
-	t.clk.worked(n)
 	t.st.Busy += t.clk.read().Sub(start)
 	if err == nil && n > 0 {
 		t.st.Rows += int64(n)

@@ -176,6 +176,7 @@ type Config struct {
 	// operator). Tracing is run state — a cached plan is shared by
 	// traced and untraced runs — and costs one map insert plus two
 	// time.Now calls per operator call when on, nothing when off.
+	// QueryStream* ignores it: a Stream has no Spans to return.
 	Trace bool
 	// QueryLog, when non-nil, receives one JSON line per completed
 	// query execution (success or failure): fingerprint, cache status,
@@ -1307,9 +1308,6 @@ func (db *DB) QueryStreamSnapshot(goCtx context.Context, sql string, cfg Config,
 		}
 	}
 	ectx, cancel := prep.execContext(db, nil, r)
-	if cfg.Trace {
-		ectx.EnableTrace()
-	}
 	cu, err := exec.RunCursor(ectx, prep.plan, prep.outCols)
 	if err != nil {
 		if cancel != nil {
