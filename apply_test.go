@@ -60,7 +60,6 @@ func checkApplyStrategies(t *testing.T, db *DB, label, sql string, cfg Config) {
 func TestApplyStrategyEquivalenceTPCH(t *testing.T) {
 	db := sharedDB(t)
 	optimized := DefaultConfig()
-	optimized.MaxSteps = 300
 	configs := []struct {
 		name string
 		cfg  Config

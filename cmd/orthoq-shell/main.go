@@ -94,7 +94,7 @@ func run(db *orthoq.DB, cfg orthoq.Config, showPlan bool, sql string) {
 	fmt.Print(rows.Table())
 	fmt.Printf("(%d rows, %v", len(rows.Data), rows.Elapsed)
 	if rows.OptimizerSteps > 0 {
-		fmt.Printf(", %d plans explored", rows.OptimizerSteps)
+		fmt.Printf(", %d expressions explored", rows.OptimizerSteps)
 	}
 	fmt.Println(")")
 	if showPlan {

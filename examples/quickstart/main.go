@@ -36,7 +36,7 @@ func main() {
 	}
 	fmt.Println("Customers with more than $1,000,000 ordered:")
 	fmt.Println(rows.Table())
-	fmt.Printf("(%d rows in %v; optimizer explored %d plans)\n\n",
+	fmt.Printf("(%d rows in %v; optimizer explored %d expressions)\n\n",
 		len(rows.Data), rows.Elapsed, rows.OptimizerSteps)
 
 	// The same query through each compilation stage: algebrized tree

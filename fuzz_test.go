@@ -146,11 +146,7 @@ func TestRandomQueriesAgreeAcrossStrategies(t *testing.T) {
 	}{
 		{"correlated", Config{}},
 		{"normalized", Config{Decorrelate: true, SimplifyOuterJoins: true}},
-		{"optimized", func() Config {
-			c := DefaultConfig()
-			c.MaxSteps = 200
-			return c
-		}()},
+		{"optimized", DefaultConfig()},
 	}
 	r := rand.New(rand.NewSource(20010521)) // the paper's conference date
 	for i := 0; i < 120; i++ {
@@ -174,13 +170,45 @@ func TestRandomQueriesAgreeAcrossStrategies(t *testing.T) {
 	}
 }
 
+// TestFuzzCorpusSearchExhausts: over the random-query corpus the other
+// suites draw from, and the TPC-H queries at this scale, the optimizer's
+// exploration ends at its fixpoint, never at the memo's size guard
+// (internal/opt's TestSearchExhausts holds the pinned searches to the
+// same, with the margin).
+func TestFuzzCorpusSearchExhausts(t *testing.T) {
+	db := sharedDB(t)
+	id := mustIdentity(t, DefaultConfig())
+	sqls := warmPassQueries()
+	for _, seed := range []int64{20010521, 571, 41} {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 120; i++ {
+			sqls = append(sqls, randQuery(r))
+		}
+	}
+	largest := 0
+	for _, sql := range sqls {
+		q, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatalf("%v\nsql: %s", err, sql)
+		}
+		var tr trail
+		if _, err := db.compile(q, id, nil, &tr); err != nil {
+			t.Fatalf("%v\nsql: %s", err, sql)
+		}
+		if tr.search.Truncated {
+			t.Errorf("exploration stopped at the size guard after %d expressions\nsql: %s", tr.search.Explored, sql)
+		}
+		largest = max(largest, tr.search.Explored)
+	}
+	t.Logf("%d searches, the largest memo %d expressions", len(sqls), largest)
+}
+
 // TestFormattedQueriesExecuteIdentically: rendering a parsed query
 // back to SQL and running it must give the original's results.
 func TestFormattedQueriesExecuteIdentically(t *testing.T) {
 	db := sharedDB(t)
 	r := rand.New(rand.NewSource(571)) // the paper's first page number
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 150
 	for i := 0; i < 60; i++ {
 		sql := randQuery(r)
 		orig, err := db.QueryCfg(sql, cfg)

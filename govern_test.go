@@ -60,7 +60,6 @@ func expectEmptyDir(t *testing.T, dir, label string) {
 func TestTypedErrors(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 
 	t.Run("RowBudget", func(t *testing.T) {
 		c := cfg
@@ -140,7 +139,6 @@ func TestTypedErrors(t *testing.T) {
 func TestSpillEquivalenceTPCH(t *testing.T) {
 	db := sharedDB(t)
 	base := DefaultConfig()
-	base.MaxSteps = 300
 	spillDir := t.TempDir()
 	var totalSpills int64
 	for _, name := range TPCHQueryNames() {
@@ -186,7 +184,6 @@ func TestSpillEquivalenceTPCH(t *testing.T) {
 func TestFaultInjectionProperties(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	spillDir := t.TempDir()
 
 	queries := TPCHQueryNames()[:3]
@@ -259,7 +256,6 @@ func TestFaultInjectionProperties(t *testing.T) {
 func TestStreamMatchesQuery(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	sql := `select l_orderkey, o_totalprice from lineitem, orders
 		where l_orderkey = o_orderkey and l_quantity > 40`
 	want, err := db.QueryCfg(sql, cfg)
@@ -320,7 +316,6 @@ func TestStreamPagesUnderRowBudget(t *testing.T) {
 func TestStreamEarlyCloseNoLeak(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	cfg.Parallelism = 4
 	cfg.MemBudget = 48 << 10
 	cfg.SpillDir = t.TempDir()
@@ -360,7 +355,6 @@ func TestStreamEarlyCloseNoLeak(t *testing.T) {
 func TestCancelDuringParallelRun(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	cfg.Parallelism = 4
 	cfg.faults = faultinject.New(
 		faultinject.Rule{Point: "next", Kind: faultinject.Delay, Sleep: 50 * time.Millisecond, After: 2})
@@ -383,7 +377,6 @@ func TestCancelDuringParallelRun(t *testing.T) {
 func TestAnalyzeReportsMemory(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	cfg.MemBudget = 16 << 10
 	cfg.SpillDir = t.TempDir()
 	r, err := db.QueryAnalyze("select o_custkey, count(*) from orders group by o_custkey", cfg)

@@ -49,7 +49,7 @@ var configFields = map[string]struct {
 	"SegmentApply":       {classIdentity, func(c *Config) { c.SegmentApply = false }},
 	"JoinReorder":        {classIdentity, func(c *Config) { c.JoinReorder = false }},
 	"CorrelatedReintro":  {classIdentity, func(c *Config) { c.CorrelatedReintro = false }},
-	"MaxSteps":           {classIdentity, func(c *Config) { c.MaxSteps = 500 }},
+	"MaxSteps":           {classRetired, func(c *Config) { c.MaxSteps = 500 }},
 	"Parallelism":        {classIdentity, func(c *Config) { c.Parallelism = 4 }},
 	"DisableBatch":       {classRetired, func(c *Config) { c.DisableBatch = true }},
 	"ApplyStrategy":      {classIdentity, func(c *Config) { c.ApplyStrategy = "batched" }},
@@ -138,7 +138,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 	if got := status(base); got != "miss" {
 		t.Fatalf("first run: cache = %q, want miss", got)
 	}
-	for _, path := range paths {
+	for i, path := range paths {
 		class := configFields[path]
 		cfg := base
 		class.flip(&cfg)
@@ -154,7 +154,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 				t.Errorf("%s is retired but identity changed = %t, cache = %q; want unchanged and hit", path, id != baseID, got)
 			}
 			// A query of its own, so the result-cache entry is this leg's.
-			const counted = `select count(*) as n from orders where o_totalprice > 1000`
+			counted := fmt.Sprintf(`select count(*) as n from orders where o_totalprice > %d`, 1000+i)
 			cached, flipped := base, cfg
 			cached.ResultCache.Enabled, flipped.ResultCache.Enabled = true, true
 			if first, second := statusOf(counted, cached), statusOf(counted, flipped); first == "result" || second != "result" {

@@ -1,7 +1,9 @@
 package algebra
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -95,7 +97,7 @@ func AppendNode(b []byte, md *Metadata, p Props, r Rel) []byte {
 			if !first {
 				b = append(b, ", "...)
 			}
-			b = append(append(b, md.Alias(it.Col)...), ":="...)
+			b = append(md.appendAlias(b, it.Col), ":="...)
 			b = appendScalar(b, md, it.Expr)
 			first = false
 		}
@@ -132,7 +134,7 @@ func AppendNode(b []byte, md *Metadata, p Props, r Rel) []byte {
 				if i > 0 {
 					b = append(b, ", "...)
 				}
-				b = append(append(b, md.Alias(a.Col)...), ":="...)
+				b = append(md.appendAlias(b, a.Col), ":="...)
 				b = appendAgg(b, md, a)
 			}
 			b = append(b, ']')
@@ -158,11 +160,86 @@ func AppendNode(b []byte, md *Metadata, p Props, r Rel) []byte {
 	case *Top:
 		b = fmt.Appendf(b, "Top %d", t.N)
 	case *RowNumber:
-		b = append(append(append(b, "RowNumber ["...), md.Alias(t.Col)...), ']')
+		b = append(md.appendAlias(append(b, "RowNumber ["...), t.Col), ']')
 	default:
 		b = fmt.Appendf(b, "%T", r)
 	}
 	return b
+}
+
+// AppendNodeKey appends a rendering of r's own fields — its inputs
+// excluded — that identifies what the node computes from them: columns
+// are named by ID, the column lists FormatNode leaves out are spelled,
+// and the conjuncts of a filter or join predicate come in sorted order,
+// AND being commutative. Two nodes with equal keys over equivalent
+// inputs are the same expression, which is what the optimizer's memo
+// looks expressions up by; FormatNode's text cannot serve, because two
+// instances of one table print alike.
+func AppendNodeKey(b []byte, r Rel) []byte {
+	switch t := r.(type) {
+	case *Select:
+		return appendConjunctsKey(append(b, "Select "...), t.Filter)
+	case *Join:
+		return appendConjunctsKey(append(append(b, joinNames[t.Kind]...), ' '), t.On)
+	case *Apply:
+		// The binding signature FormatNode prints is derived from the
+		// inputs, not a field.
+		return appendConjunctsKey(append(append(b, applyNames[t.Kind]...), ' '), t.On)
+	}
+	b = AppendNode(b, nil, nil, r)
+	switch t := r.(type) {
+	case *Get:
+		b = appendColIDs(b, t.Cols)
+	case *SegmentRef:
+		b = appendColIDs(b, t.Cols)
+	case *SegmentApply:
+		b = appendColIDs(b, t.InputCols)
+	case *UnionAll:
+		b = appendColIDs(appendColIDs(appendColIDs(b, t.LeftCols), t.RightCols), t.OutCols)
+	case *Difference:
+		b = appendColIDs(appendColIDs(appendColIDs(b, t.LeftCols), t.RightCols), t.OutCols)
+	case *Values:
+		b = appendColIDs(b, t.Cols)
+		for _, row := range t.Rows {
+			b = appendJoined(b, nil, row, ", ", "()")
+		}
+	}
+	return b
+}
+
+func appendColIDs(b []byte, cols []ColID) []byte {
+	b = append(b, ' ')
+	for _, c := range cols {
+		b = (*Metadata)(nil).appendQualifiedAlias(b, c)
+	}
+	return b
+}
+
+// appendConjunctsKey appends the ID-named renderings of pred's
+// conjuncts in sorted order.
+func appendConjunctsKey(b []byte, pred Scalar) []byte {
+	and, ok := pred.(*And)
+	if !ok || len(and.Args) < 2 {
+		return appendScalar(b, nil, pred)
+	}
+	// Render the conjuncts after b, then append them again in order and
+	// move that copy down over the first.
+	start := len(b)
+	var buf [8][2]int
+	parts := buf[:0]
+	for _, a := range and.Args {
+		from := len(b)
+		b = append(appendScalar(b, nil, a), '&')
+		parts = append(parts, [2]int{from, len(b)})
+	}
+	unsorted := b[:len(b):len(b)]
+	slices.SortFunc(parts, func(x, y [2]int) int {
+		return bytes.Compare(unsorted[x[0]:x[1]], unsorted[y[0]:y[1]])
+	})
+	for _, p := range parts {
+		b = append(b, unsorted[p[0]:p[1]]...)
+	}
+	return append(b[:start], b[len(unsorted):]...)
 }
 
 func appendAgg(b []byte, md *Metadata, a AggItem) []byte {
@@ -217,6 +294,14 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		// parameter values must format identically.
 		return strconv.AppendInt(append(b, '$'), int64(t.Idx+1), 10)
 	case *Cmp:
+		if l, r := t.L, t.R; md == nil && t.Op == CmpEq {
+			// In a key, a = b and b = a are one predicate.
+			if lc, ok := l.(*ColRef); ok {
+				if rc, ok := r.(*ColRef); ok && rc.Col < lc.Col {
+					t = &Cmp{Op: CmpEq, L: r, R: l}
+				}
+			}
+		}
 		b = appendScalar(b, md, t.L)
 		b = append(append(append(b, ' '), t.Op.String()...), ' ')
 		return appendScalar(b, md, t.R)
@@ -276,13 +361,21 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		}
 		return append(b, " END"...)
 	case *Subquery:
-		return append(append(append(b, "SUBQUERY("...), md.Alias(t.Col)...), ')')
+		return append(md.appendAlias(append(b, "SUBQUERY("...), t.Col), ')')
 	case *Exists:
+		if md == nil {
+			// A nested query has no ID-exact text: only the node itself
+			// is the same expression.
+			return fmt.Appendf(b, "EXISTS(%p,%t)", t, t.Negate)
+		}
 		if t.Negate {
 			return append(b, "NOT EXISTS(...)"...)
 		}
 		return append(b, "EXISTS(...)"...)
 	case *Quantified:
+		if md == nil {
+			return fmt.Appendf(b, "QUANTIFIED(%p)", t)
+		}
 		b = appendScalar(b, md, t.Arg)
 		b = append(append(append(b, ' '), t.Op.String()...), ' ')
 		if t.All {

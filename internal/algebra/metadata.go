@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"strconv"
 
 	"orthoq/internal/sql/types"
 )
@@ -26,6 +27,13 @@ type ColumnMeta struct {
 // shared by all expressions of a query through optimization.
 type Metadata struct {
 	cols []ColumnMeta // ColID n is cols[n-1]
+	// derived holds the columns DerivedColumn has minted.
+	derived map[derivedKey]ColID
+}
+
+type derivedKey struct {
+	from ColID
+	role string
 }
 
 // NewMetadata returns an empty metadata.
@@ -35,6 +43,28 @@ func NewMetadata() *Metadata { return &Metadata{} }
 func (md *Metadata) AddColumn(alias string, typ types.Kind) ColID {
 	md.cols = append(md.cols, ColumnMeta{Alias: alias, Type: typ})
 	return ColID(len(md.cols))
+}
+
+// DerivedColumn returns the column a rewrite derives from column from
+// in the given role (a partial aggregate "_l", a pre-aggregate "_pre",
+// a segment copy, ...): allocated as meta on the first request and the
+// same ID on every later one. A rule that computes the same thing from
+// the same column twice thereby builds the same expression twice, which
+// is what lets the optimizer's memo recognize a rewrite it has already
+// seen and lets push/pull cycles of rules close. A plan holds at most
+// one producer of from, hence at most one of the derived column.
+func (md *Metadata) DerivedColumn(from ColID, role string, meta ColumnMeta) ColID {
+	key := derivedKey{from, role}
+	id, ok := md.derived[key]
+	if !ok {
+		md.cols = append(md.cols, meta)
+		id = ColID(len(md.cols))
+		if md.derived == nil {
+			md.derived = map[derivedKey]ColID{}
+		}
+		md.derived[key] = id
+	}
+	return id
 }
 
 // AddTableColumn allocates an ID for a base-table column.
@@ -72,11 +102,24 @@ func (md *Metadata) QualifiedAlias(id ColID) string {
 	return c.Alias
 }
 
-// appendQualifiedAlias appends QualifiedAlias(id) to b.
+// appendQualifiedAlias appends QualifiedAlias(id) to b. A nil md names
+// the column by its ID instead, which is what AppendNodeKey renders
+// with: aliases repeat across instances of one table, IDs do not.
 func (md *Metadata) appendQualifiedAlias(b []byte, id ColID) []byte {
+	if md == nil {
+		return strconv.AppendInt(append(b, '#'), int64(id), 10)
+	}
 	c := md.Column(id)
 	if c.Table != "" {
 		b = append(append(b, c.Table...), '.')
 	}
 	return append(b, c.Alias...)
+}
+
+// appendAlias appends Alias(id) to b, or the ID under a nil md.
+func (md *Metadata) appendAlias(b []byte, id ColID) []byte {
+	if md == nil {
+		return md.appendQualifiedAlias(b, id)
+	}
+	return append(b, md.Column(id).Alias...)
 }

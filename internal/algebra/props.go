@@ -32,15 +32,15 @@ func (f FromScratch) SegmentRefCols(i int) ColSet {
 }
 
 func (f FromScratch) input(i int) Rel {
-	l, r := inputsOf(f.Of)
+	l, r := InputsOf(f.Of)
 	if i == 0 {
 		return l
 	}
 	return r
 }
 
-// inputsOf is r.Inputs() without the slice: nil where absent.
-func inputsOf(r Rel) (left, right Rel) {
+// InputsOf is r.Inputs() without the slice: nil where absent.
+func InputsOf(r Rel) (left, right Rel) {
 	switch t := r.(type) {
 	case *Select:
 		return t.Input, nil
@@ -72,7 +72,7 @@ func inputsOf(r Rel) (left, right Rel) {
 
 // numInputs is len(r.Inputs()).
 func numInputs(r Rel) int {
-	switch left, right := inputsOf(r); {
+	switch left, right := InputsOf(r); {
 	case left == nil:
 		return 0
 	case right == nil:

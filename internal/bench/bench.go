@@ -208,8 +208,7 @@ func OptimizePlan(db *DB, p *Plan, cfg opt.Config) *Plan {
 
 // CostOf exposes the cost model for diagnostic tooling.
 func CostOf(db *DB, md *algebra.Metadata, rel algebra.Rel) float64 {
-	o := &opt.Optimizer{Md: md, Cat: db.Store.Catalog, Stats: db.Stats, Config: opt.Config{MaxSteps: 1}}
-	return o.Optimize(rel).Cost
+	return (&opt.Optimizer{Md: md, Cat: db.Store.Catalog, Stats: db.Stats}).Cost(rel)
 }
 
 // ExplainCost exposes cost-annotated plan formatting for diagnostics.

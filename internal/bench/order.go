@@ -37,12 +37,6 @@ type orderConfig struct {
 	cfg  orthoq.Config
 }
 
-func orderBase() orthoq.Config {
-	c := orthoq.DefaultConfig()
-	c.MaxSteps = 300
-	return c
-}
-
 // orderWorkloads returns the measured pairs: query, the order-aware
 // configuration, the order-blind baseline, and whether the output
 // sequence itself must match (true wherever the query has ORDER BY).
@@ -53,16 +47,16 @@ func orderWorkloads() []struct {
 	blind    orderConfig
 	sequence bool
 } {
-	elided := orderBase()
-	fullsort := orderBase()
+	elided := orthoq.DefaultConfig()
+	fullsort := orthoq.DefaultConfig()
 	fullsort.DisableSortElim = true
-	merge := orderBase()
+	merge := orthoq.DefaultConfig()
 	merge.JoinStrategy = "merge"
-	hashJoin := orderBase()
+	hashJoin := orthoq.DefaultConfig()
 	hashJoin.JoinStrategy = "hash"
-	stream := orderBase()
+	stream := orthoq.DefaultConfig()
 	stream.AggStrategy = "stream"
-	hashAgg := orderBase()
+	hashAgg := orthoq.DefaultConfig()
 	hashAgg.AggStrategy = "hash"
 
 	return []struct {

@@ -126,7 +126,8 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 		inner[i] = a
 		if !a.Func.NullOnEmpty() {
 			// compute into a fresh column; project restores the ID
-			fresh := md.AddColumn(md.Alias(a.Col)+"_pre", md.Type(a.Col))
+			fresh := md.DerivedColumn(a.Col, "_pre",
+				algebra.ColumnMeta{Alias: md.Alias(a.Col) + "_pre", Type: md.Type(a.Col)})
 			inner[i].Col = fresh
 			compSub[a.Col] = fresh
 		}
@@ -144,10 +145,14 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 			proj.Passthrough.Add(c)
 		}
 	})
-	for orig, fresh := range compSub {
+	for _, a := range gb.Aggs { // in aggregate order: the plan text must not depend on map iteration
+		fresh, isComp := compSub[a.Col]
+		if !isComp {
+			continue
+		}
 		proj.Passthrough.Remove(fresh)
 		proj.Items = append(proj.Items, algebra.ProjItem{
-			Col: orig,
+			Col: a.Col,
 			Expr: &algebra.Case{
 				Whens: []algebra.When{{
 					Cond: &algebra.IsNull{Arg: &algebra.ColRef{Col: fresh}},

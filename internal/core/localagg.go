@@ -42,10 +42,15 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 	proj := &algebra.Project{}
 	needProj := false
 
+	// The helper columns are derived from the aggregate's own column,
+	// so splitting the same aggregate again names the same partials.
+	derive := func(from algebra.ColID, role string, typ types.Kind) algebra.ColID {
+		return md.DerivedColumn(from, role, algebra.ColumnMeta{Alias: md.Alias(from) + role, Type: typ})
+	}
 	for _, a := range gb.Aggs {
 		switch a.Func {
 		case algebra.AggSum, algebra.AggMin, algebra.AggMax, algebra.AggConstAny:
-			part := md.AddColumn(md.Alias(a.Col)+"_l", md.Type(a.Col))
+			part := derive(a.Col, "_l", md.Type(a.Col))
 			local.Aggs = append(local.Aggs, algebra.AggItem{Col: part, Func: a.Func, Arg: a.Arg})
 			gf := a.Func
 			if gf == algebra.AggSum {
@@ -54,20 +59,20 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 			global.Aggs = append(global.Aggs, algebra.AggItem{
 				Col: a.Col, Func: gf, Arg: &algebra.ColRef{Col: part}, Global: true})
 		case algebra.AggCount, algebra.AggCountStar:
-			part := md.AddColumn(md.Alias(a.Col)+"_l", types.Int)
+			part := derive(a.Col, "_l", types.Int)
 			local.Aggs = append(local.Aggs, algebra.AggItem{Col: part, Func: a.Func, Arg: a.Arg})
 			global.Aggs = append(global.Aggs, algebra.AggItem{
 				Col: a.Col, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: part}, Global: true})
 		case algebra.AggAvg:
 			// Composite (§3.3 footnote): decompose into primitive
 			// sum/count pieces and recombine with a project.
-			sumL := md.AddColumn(md.Alias(a.Col)+"_suml", types.Float)
-			cntL := md.AddColumn(md.Alias(a.Col)+"_cntl", types.Int)
+			sumL := derive(a.Col, "_suml", types.Float)
+			cntL := derive(a.Col, "_cntl", types.Int)
 			local.Aggs = append(local.Aggs,
 				algebra.AggItem{Col: sumL, Func: algebra.AggSum, Arg: a.Arg},
 				algebra.AggItem{Col: cntL, Func: algebra.AggCount, Arg: a.Arg})
-			sumG := md.AddColumn(md.Alias(a.Col)+"_sumg", types.Float)
-			cntG := md.AddColumn(md.Alias(a.Col)+"_cntg", types.Int)
+			sumG := derive(a.Col, "_sumg", types.Float)
+			cntG := derive(a.Col, "_cntg", types.Int)
 			global.Aggs = append(global.Aggs,
 				algebra.AggItem{Col: sumG, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: sumL}, Global: true},
 				algebra.AggItem{Col: cntG, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: cntL}, Global: true})

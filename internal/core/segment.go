@@ -172,8 +172,9 @@ func TryPushJoinBelowSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebr
 			ext = append(ext, tOrdered...)
 		} else {
 			for _, c := range tOrdered {
-				meta := md.Column(c)
-				ext = append(ext, md.AddTableColumn(meta.Table, meta.Alias, meta.Type, meta.NotNull, meta.Ord))
+				// The second instance's copy of T's column: one per
+				// column, however many ways the push is derived.
+				ext = append(ext, md.DerivedColumn(c, "segment", *md.Column(c)))
 			}
 		}
 		return &algebra.SegmentRef{Cols: ext}

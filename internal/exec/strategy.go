@@ -73,6 +73,14 @@ func (s Strategy) JoinAlg(lKeys, rKeys []algebra.ColID, lOrder, rOrder []algebra
 	return AlgHash
 }
 
+// MergeSorted reports which inputs of a merge join on the given keys
+// arrive in key order already; the compile step sorts the others, which
+// only a forced merge join can have. The optimizer prices that sort.
+func MergeSorted(lKeys, rKeys []algebra.ColID, lOrder, rOrder []algebra.Ordering) (left, right bool) {
+	_, _, left, right = mergeKeySeq(lKeys, rKeys, lOrder, rOrder)
+	return left, right
+}
+
 // AggAlg answers which algorithm runs aggregation gb over an input
 // delivering inOrder: the forced one, else streaming exactly when the
 // input order makes every group contiguous. A forced stream over

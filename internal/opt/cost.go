@@ -2,13 +2,15 @@
 // plan space spanned by the paper's transformation rules — join
 // reordering, GroupBy reordering around join variants, LocalGroupBy
 // splitting, SegmentApply, and reintroduction of correlated execution
-// (index-lookup joins) — with best-first search over a cost model fed
-// by internal/stats, in the architecture of the Volcano/Cascades
-// optimizer generators.
+// (index-lookup joins) — exhaustively, in a memo of equivalence groups
+// whose cheapest members are found bottom-up under a cost model fed by
+// internal/stats, in the architecture of the Volcano/Cascades optimizer
+// generators.
 package opt
 
 import (
 	"math"
+	"slices"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/exec"
@@ -43,11 +45,11 @@ type estimate struct {
 	cost float64
 }
 
-// coster computes the cost and cardinality estimates of table entries.
-// An entry's estimate is a function of its operator and of what the
-// entries of its inputs hold — their estimates, operator kinds, output
-// columns, outer references and delivered orders — so costing walks
-// entries, never a tree, and each estimate is kept on its entry.
+// coster prices the memo. An expression's estimate is a function of its
+// operator and of what its input groups hold — their winners' estimates,
+// their representatives' operator kinds, their contracts — so costing
+// walks the memo, never a tree; a group's estimate is its cheapest
+// member's, found once per costing scope and kept on the group.
 type coster struct {
 	md  *algebra.Metadata
 	cat *catalog.Catalog
@@ -64,13 +66,27 @@ type coster struct {
 	// cols caches colStats per column ID (index id-1), resolved on first
 	// use; rules mint columns during the search, so it grows on demand.
 	cols []colStat
-	// more holds, for the few entries costed in more than one scope, the
-	// estimates beyond the first, which the entry holds itself.
-	more map[*subtree][]scopedEstimate
 	// conj is conjuncts' buffer.
 	conj []algebra.Scalar
-	// costed counts estimates derived (cache misses), for Result.Costed.
+	// costed counts estimates derived, for Result.Costed.
 	costed int
+}
+
+// winner is one way of computing a group in one costing scope that no
+// other way beats on both counts: a member, which winner of each of its
+// input groups it reads, and the estimate it derives from them.
+type winner struct {
+	est  estimate
+	best *mexpr
+	pick [2]int
+}
+
+// scopedWinners is a group's winners in one costing scope, cheapest
+// first.
+type scopedWinners struct {
+	bound algebra.ColSet
+	seg   float64
+	ws    []winner
 }
 
 // colStat is a column's resolved base-table statistics: cs is nil when
@@ -106,46 +122,138 @@ func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
 	return math.Max(1, defRows/10)
 }
 
-// cost returns the estimate of s in the current scope (bound, segRows),
-// derived once per scope. Deriving an estimate consults the scope in
-// two places only: a Get's seek detection asks whether the comparand
-// columns of its filter are bound by an enclosing Apply, and a
-// SegmentRef reads the innermost enclosing segment size. The columns a
-// subtree can ask about that it does not bind itself are its outer
-// references, so the scope reduces to (bound ∩ OuterRefs, innermost
-// segment size if the subtree reads one). A subtree with no outer
-// references and no foreign SegmentRef — nearly all of them — has one
-// scope and is costed once.
-func (c *coster) cost(s *subtree) estimate {
+// best returns the winners of g in the current scope (bound, segRows),
+// cheapest first: every member is derived from every winner of its
+// input groups, and what is dominated — no cheaper and no fewer rows
+// than another — is dropped. Members of a group compute the same rows
+// but estimate their number differently (a semijoin and the
+// distinct-join it can run as, a GroupBy and its local/global split),
+// and what reads the group is priced by that number: keeping every
+// undominated (cost, rows) pair, not the cheapest member alone, makes
+// the plan read off the winners the cheapest in the memo as Result.Cost
+// and FormatWithEstimates price it, node by node.
+//
+// Deriving an estimate consults the scope in two places only: a Get's
+// seek detection asks whether the comparand columns of its filter are
+// bound by an enclosing Apply, and a SegmentRef reads the innermost
+// enclosing segment size. The columns a group can ask about that it
+// does not bind itself are its outer references, so the scope reduces
+// to (bound ∩ outer references, innermost segment size if the group
+// reads one). A group with no outer references and no foreign
+// SegmentRef — nearly all of them — has one scope.
+func (c *coster) best(g *group) []winner {
+	g = g.find()
 	var bound algebra.ColSet
 	if !c.bound.Empty() {
-		bound = c.bound.Intersection(s.outerRefs())
+		bound = c.bound.Intersection(g.outer)
 	}
 	seg := 0.0
-	if s.segRefs {
+	if g.segRefs {
 		seg = c.segmentRows()
 	}
-	if s.hasEst && s.est.seg == seg && s.est.bound.Equals(bound) {
-		return s.est.est
+	for _, sw := range g.winners {
+		if sw.seg == seg && sw.bound.Equals(bound) {
+			return sw.ws
+		}
 	}
-	if s.hasEst {
-		for _, e := range c.more[s] {
-			if e.seg == seg && e.bound.Equals(bound) {
-				return e.est
+	if g.busy {
+		// A merge made the group an input of its own member (a Sort over
+		// rows already sorted): that member is no way to compute it.
+		return nil
+	}
+	g.busy = true
+	var ws []winner
+	for _, e := range g.exprs {
+		if e.dead {
+			continue
+		}
+		switch kids := e.inputs(); len(kids) {
+		case 0:
+			ws = c.offer(ws, e, estimate{}, estimate{}, 0, 0)
+		case 1:
+			for i, in := range c.best(kids[0]) {
+				ws = c.offer(ws, e, in.est, estimate{}, i, 0)
+			}
+		case 2:
+			for i, l := range c.best(kids[0]) {
+				c.inner(e, l.est.rows, func() {
+					for k, r := range c.best(kids[1]) {
+						ws = c.offer(ws, e, l.est, r.est, i, k)
+					}
+				})
 			}
 		}
 	}
-	e := scopedEstimate{bound: bound, seg: seg, est: c.derive(s)}
-	if s.hasEst {
-		if c.more == nil {
-			c.more = map[*subtree][]scopedEstimate{}
-		}
-		c.more[s] = append(c.more[s], e)
-	} else {
-		s.est, s.hasEst = e, true
-	}
+	g.busy = false
+	g.winners = append(g.winners, scopedWinners{bound, seg, ws})
+	return ws
+}
+
+// offer derives e over the input estimates l and r — winners i and k of
+// its input groups — and enters the result in ws, kept in order of cost
+// (so of falling row count).
+func (c *coster) offer(ws []winner, e *mexpr, l, r estimate, i, k int) []winner {
 	c.costed++
-	return e.est
+	est := c.derive(e, l, r)
+	at := 0
+	for at < len(ws) && ws[at].est.cost <= est.cost {
+		if ws[at].est.rows <= est.rows {
+			return ws // dominated, or a tie the earlier member keeps
+		}
+		at++
+	}
+	ws = slices.Insert(ws, at, winner{est, e, [2]int{i, k}})
+	// What costs more must count fewer rows to stay.
+	return slices.DeleteFunc(ws[:len(ws):len(ws)], func(w winner) bool {
+		return w.est.cost > est.cost && w.est.rows >= est.rows
+	})
+}
+
+// cost returns g's estimate in the current scope: its cheapest winner's.
+func (c *coster) cost(g *group) estimate {
+	if ws := c.best(g); len(ws) > 0 {
+		return ws[0].est
+	}
+	return estimate{rows: 1, cost: math.Inf(1)}
+}
+
+// inner runs f in the scope e sets up for its second input, given the
+// row estimate of its first: an Apply binds its left input's columns, a
+// SegmentApply fixes the segment size.
+func (c *coster) inner(e *mexpr, leftRows float64, f func()) {
+	switch t := e.op.(type) {
+	case *algebra.Apply:
+		saved := c.bound
+		c.bound = c.bound.Union(e.OutputCols(0))
+		f()
+		c.bound = saved
+	case *algebra.SegmentApply:
+		c.segRows = append(c.segRows, leftRows/c.segments(t, leftRows))
+		f()
+		c.segRows = c.segRows[:len(c.segRows)-1]
+	default:
+		f()
+	}
+}
+
+// plan returns the tree of g's winner number w over the plans of the
+// input groups' winners it reads, each in the scope it was costed in,
+// and reports the expressions the tree is made of to visit.
+func (c *coster) plan(g *group, w int, visit func(*mexpr)) algebra.Rel {
+	win := c.best(g)[w]
+	e := win.best
+	visit(e)
+	kids := e.inputs()
+	ins := make([]algebra.Rel, len(kids))
+	for i, k := range kids {
+		if i == 0 {
+			ins[i] = c.plan(k, win.pick[0], visit)
+		} else {
+			left := c.best(kids[0])[win.pick[0]].est.rows
+			c.inner(e, left, func() { ins[i] = c.plan(k, win.pick[1], visit) })
+		}
+	}
+	return e.op.WithInputs(ins)
 }
 
 // conjuncts splits pred into a buffer the next call reuses: the result
@@ -164,77 +272,82 @@ func (c *coster) segmentRows() float64 {
 	return 1
 }
 
-// derive computes s's estimate from its operator and its inputs'
-// entries.
-func (c *coster) derive(s *subtree) estimate {
+// derive computes the estimate of the expression s from its operator
+// and the estimates l and r of its inputs (zero where absent).
+func (c *coster) derive(s *mexpr, l, r estimate) estimate {
+	in := l
 	switch t := s.op.(type) {
 	case *algebra.Get:
 		return c.costGet(t, nil)
 
 	case *algebra.Select:
-		if g, ok := s.kids[0].op.(*algebra.Get); ok {
+		if g, ok := s.kids[0].find().exprs[0].op.(*algebra.Get); ok {
 			return c.costGet(g, t.Filter)
 		}
-		in := c.cost(s.kids[0])
 		sel := c.selectivity(t.Filter, in.rows)
 		return estimate{rows: in.rows * sel, cost: in.cost + in.rows*cPredEval}
 
 	case *algebra.Project:
-		in := c.cost(s.kids[0])
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval*float64(1+len(t.Items))}
 
 	case *algebra.Join:
-		return c.costJoin(t, s)
+		return c.costJoin(t, s, l, r)
 
 	case *algebra.Apply:
-		return c.costApply(t, s)
+		return c.costApply(t, s, l, r)
 
 	case *algebra.GroupBy:
-		in := c.cost(s.kids[0])
 		groups := c.groupCount(t, in.rows)
-		perRow := cHashRow
+		perRow, sort := cHashRow, 0.0
 		if c.strategy.AggAlg(t, s.DeliveredOrder(0)) == exec.AlgStream {
-			// Grouped input streams: no hash table, one resident group.
+			// Grouped input streams: no hash table, one resident group. A
+			// forced stream over ungrouped input is sorted first.
 			perRow = cStreamRow
+			if !algebra.GroupedBy(s.DeliveredOrder(0), t.GroupCols) {
+				sort = sortCost(in.rows)
+			}
 		}
-		return estimate{rows: groups, cost: in.cost + in.rows*perRow*float64(1+len(t.Aggs))}
+		return estimate{rows: groups, cost: in.cost + sort + in.rows*perRow*float64(1+len(t.Aggs))}
 
 	case *algebra.SegmentApply:
-		return c.costSegmentApply(t, s)
+		segments := c.segments(t, in.rows)
+		return estimate{
+			rows: r.rows * segments,
+			cost: in.cost + in.rows*cHashRow + segments*(r.cost+cOpenIter),
+		}
 
 	case *algebra.SegmentRef:
 		rows := c.segmentRows()
 		return estimate{rows: rows, cost: rows * cScanRow}
 
 	case *algebra.Max1Row:
-		in := c.cost(s.kids[0])
 		return estimate{rows: math.Min(in.rows, 1), cost: in.cost}
 
 	case *algebra.UnionAll:
-		l, rr := c.cost(s.kids[0]), c.cost(s.kids[1])
-		return estimate{rows: l.rows + rr.rows, cost: l.cost + rr.cost}
+		return estimate{rows: l.rows + r.rows, cost: l.cost + r.cost}
 
 	case *algebra.Difference:
-		l, rr := c.cost(s.kids[0]), c.cost(s.kids[1])
-		return estimate{rows: math.Max(0, l.rows-rr.rows/2), cost: l.cost + rr.cost + (l.rows+rr.rows)*cHashRow}
+		return estimate{rows: math.Max(0, l.rows-r.rows/2), cost: l.cost + r.cost + (l.rows+r.rows)*cHashRow}
 
 	case *algebra.Values:
 		return estimate{rows: float64(len(t.Rows)), cost: float64(len(t.Rows))}
 
 	case *algebra.Sort:
-		in := c.cost(s.kids[0])
-		n := math.Max(in.rows, 2)
-		return estimate{rows: in.rows, cost: in.cost + n*math.Log2(n)*cSortRow}
+		return estimate{rows: in.rows, cost: in.cost + sortCost(in.rows)}
 
 	case *algebra.Top:
-		in := c.cost(s.kids[0])
 		return estimate{rows: math.Min(in.rows, float64(t.N)), cost: in.cost}
 
 	case *algebra.RowNumber:
-		in := c.cost(s.kids[0])
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval}
 	}
 	return estimate{rows: 1000, cost: 1e12}
+}
+
+// sortCost is the cost of sorting rows rows.
+func sortCost(rows float64) float64 {
+	n := math.Max(rows, 2)
+	return n * math.Log2(n) * cSortRow
 }
 
 // costGet estimates a (filtered) base-table access, recognizing index
@@ -304,9 +417,7 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	return estimate{rows: outRows, cost: rows * (cScanRow + cPredEval)}
 }
 
-func (c *coster) costJoin(j *algebra.Join, s *subtree) estimate {
-	l := c.cost(s.kids[0])
-	r := c.cost(s.kids[1])
+func (c *coster) costJoin(j *algebra.Join, s *mexpr, l, r estimate) estimate {
 	lk, rk, _ := exec.SplitJoinKeys(j.On, s.OutputCols(0), s.OutputCols(1))
 
 	var outRows float64
@@ -325,12 +436,21 @@ func (c *coster) costJoin(j *algebra.Join, s *subtree) estimate {
 	var cost float64
 	switch c.strategy.JoinAlg(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1)) {
 	case exec.AlgMerge:
-		// Both inputs pre-sorted on the keys: the engine merges two
-		// cursors — no build table, no hashing.
+		// Both inputs sorted on the keys: the engine merges two cursors —
+		// no build table, no hashing. Auto selection picks merge only
+		// over inputs that arrive sorted; a forced merge join sorts the
+		// ones that do not.
 		cost = l.cost + r.cost + (l.rows+r.rows)*cMergeRow
+		lSorted, rSorted := exec.MergeSorted(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1))
+		if !lSorted {
+			cost += sortCost(l.rows)
+		}
+		if !rSorted {
+			cost += sortCost(r.rows)
+		}
 	case exec.AlgHash:
-		// The engine builds the hash table on the right input and
-		// probes with the left; building is costlier than probing, so
+		// The engine builds the hash table on the right input and looks
+		// the left input's rows up in it; building is the costlier, so
 		// commuting to put the smaller input on the right pays off.
 		cost = l.cost + r.cost + r.rows*cHashBuild + l.rows*cHashProbe
 	default:
@@ -355,13 +475,7 @@ func (c *coster) costJoin(j *algebra.Join, s *subtree) estimate {
 // work per outer row is charged separately. Without usable column
 // statistics the distinct count falls back to the outer cardinality —
 // the legacy once-per-row charge.
-func (c *coster) costApply(a *algebra.Apply, s *subtree) estimate {
-	l := c.cost(s.kids[0])
-	saved := c.bound
-	c.bound = c.bound.Union(s.OutputCols(0))
-	r := c.cost(s.kids[1])
-	c.bound = saved
-
+func (c *coster) costApply(a *algebra.Apply, s *mexpr, l, r estimate) estimate {
 	sig := algebra.BindingSignature(s, a)
 	execs := l.rows
 	if sig.Empty() {
@@ -398,18 +512,6 @@ func (c *coster) costApply(a *algebra.Apply, s *subtree) estimate {
 		}
 	}
 	return estimate{rows: math.Max(outRows, 0), cost: cost}
-}
-
-func (c *coster) costSegmentApply(sa *algebra.SegmentApply, s *subtree) estimate {
-	in := c.cost(s.kids[0])
-	segments := c.segments(sa, in.rows)
-	c.segRows = append(c.segRows, in.rows/segments)
-	inner := c.cost(s.kids[1])
-	c.segRows = c.segRows[:len(c.segRows)-1]
-	return estimate{
-		rows: inner.rows * segments,
-		cost: in.cost + in.rows*cHashRow + segments*(inner.cost+cOpenIter),
-	}
 }
 
 // segments estimates how many segments sa cuts an input of inRows into.

@@ -22,16 +22,18 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 	if len(strategy) > 0 {
 		o.Strategy = strategy[0]
 	}
-	// The plan is entered in a table and read back entry by entry: the
-	// estimates are the ones the search ranks plans by, each derived
-	// once per scope instead of once per ancestor.
-	t := newTable(o)
-	c := t.c
+	// The plan is entered in a memo of its own — one expression per group
+	// — and read back group by group: the estimates are the ones the
+	// search ranks plans by, each derived once per scope instead of once
+	// per ancestor.
+	m := newMemo(o)
+	c := m.c
 	ectx := &exec.Context{Strategy: o.Strategy}
 	var b strings.Builder
-	var walk func(*subtree, int)
-	walk = func(s *subtree, depth int) {
-		est := c.cost(s)
+	var walk func(*group, int)
+	walk = func(g *group, depth int) {
+		s := g.exprs[0]
+		est := c.cost(g)
 		for i := 0; i < depth; i++ {
 			b.WriteString("  ")
 		}
@@ -55,27 +57,16 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 			}
 		}
 		fmt.Fprintf(&b, "%s  [rows≈%.0f cost≈%.0f%s]\n", algebra.FormatNode(md, s, s.op), est.rows, est.cost, extra)
-		// Costing an Apply/SegmentApply inner requires scope bindings;
-		// replicate the scopes while walking.
-		switch n := s.op.(type) {
-		case *algebra.Apply:
-			walk(s.kids[0], depth+1)
-			saved := c.bound
-			c.bound = c.bound.Union(s.OutputCols(0))
-			walk(s.kids[1], depth+1)
-			c.bound = saved
-		case *algebra.SegmentApply:
-			walk(s.kids[0], depth+1)
-			in := c.cost(s.kids[0])
-			c.segRows = append(c.segRows, in.rows/c.segments(n, in.rows))
-			walk(s.kids[1], depth+1)
-			c.segRows = c.segRows[:len(c.segRows)-1]
-		default:
-			for _, k := range s.inputs() {
+		for i, k := range s.inputs() {
+			if i == 0 {
 				walk(k, depth+1)
+			} else {
+				// An Apply or SegmentApply costs its inner side in a scope
+				// of its own.
+				c.inner(s, c.cost(s.kids[0]).rows, func() { walk(k, depth+1) })
 			}
 		}
 	}
-	walk(t.intern(r), 0)
+	walk(m.intern(r, nil).group, 0)
 	return b.String()
 }

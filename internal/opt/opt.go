@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"container/heap"
 	"slices"
 
 	"orthoq/internal/algebra"
@@ -22,6 +21,7 @@ const (
 	RulePullGroupByAboveJoin      = "PullGroupByAboveJoin"
 	RulePushSemiJoinBelowGroupBy  = "PushSemiJoinBelowGroupBy"
 	RuleSemiJoinToJoinDistinct    = "SemiJoinToJoinDistinct"
+	RulePushSelectBelowJoin       = "PushSelectBelowJoin"
 	RuleIntroduceSegmentApply     = "IntroduceSegmentApply"
 	RulePushJoinBelowSegmentApply = "PushJoinBelowSegmentApply"
 	RuleCommuteJoin               = "CommuteJoin"
@@ -32,11 +32,11 @@ const (
 	RuleStreamAggOrder            = "StreamAggOrder"
 )
 
-// ruleNames lists every cost-based transformation rule; a table move
-// names its rule by index here.
+// ruleNames lists every cost-based transformation rule.
 var ruleNames = [...]string{
 	RulePushGroupByBelowJoin, RuleSplitGroupBy, RulePushLocalGroupByBelowJoin,
 	RulePullGroupByAboveJoin, RulePushSemiJoinBelowGroupBy, RuleSemiJoinToJoinDistinct,
+	RulePushSelectBelowJoin,
 	RuleIntroduceSegmentApply, RulePushJoinBelowSegmentApply,
 	RuleCommuteJoin, RuleRotateJoin, RuleJoinToApply,
 	RuleEliminateSort, RuleMergeJoinOrder, RuleStreamAggOrder,
@@ -45,19 +45,17 @@ var ruleNames = [...]string{
 // RuleNames lists every cost-based transformation rule.
 func RuleNames() []string { return slices.Clone(ruleNames[:]) }
 
-func ruleID(name string) uint8 {
-	return uint8(slices.Index(ruleNames[:], name))
-}
-
 // The rule families: each of the paper's optimizer-side primitives is a
 // list of rule names, and switching a primitive off means disabling
 // its rules — there is no second switch. The engine's Config technique
 // flags and the benchmark harness's "systems" are both written over
 // these lists.
 var (
-	// FamilyGroupByReorder is §3.1/3.2 GroupBy reordering around joins.
+	// FamilyGroupByReorder is §3.1/3.2 GroupBy reordering around joins,
+	// and the selection that follows a GroupBy below a join (a HAVING-style
+	// filter on the aggregate).
 	FamilyGroupByReorder = []string{RulePushGroupByBelowJoin, RulePullGroupByAboveJoin,
-		RulePushSemiJoinBelowGroupBy, RuleSemiJoinToJoinDistinct}
+		RulePushSemiJoinBelowGroupBy, RuleSemiJoinToJoinDistinct, RulePushSelectBelowJoin}
 	// FamilyLocalAgg is §3.3 LocalGroupBy splitting and pushdown.
 	FamilyLocalAgg = []string{RuleSplitGroupBy, RulePushLocalGroupByBelowJoin}
 	// FamilySegmentApply is §3.4 segmented execution.
@@ -94,11 +92,7 @@ type Config struct {
 	// never tried. The rule-level equivalence harness disables one rule
 	// at a time and checks result equivalence.
 	DisableRules map[string]bool
-	// MaxSteps caps best-first expansions (0 = default).
-	MaxSteps int
 }
-
-func (c *Config) disabled(name string) bool { return c.DisableRules[name] }
 
 // Optimizer explores the rule-generated plan space and returns the
 // cheapest plan under the cost model.
@@ -118,214 +112,145 @@ type Optimizer struct {
 // Result reports the chosen plan and search telemetry.
 type Result struct {
 	Plan algebra.Rel
+	// Cost is Plan priced from scratch, every node from the nodes below
+	// it, which is what FormatWithEstimates shows at the root.
 	Cost float64
-	// Explored counts best-first expansions: plans taken off the
-	// frontier.
+	// Explored counts the expressions the memo holds when exploration
+	// ends: every distinct (operator, input groups) the rules reached.
 	Explored int
-	// Generated counts candidate plans offered to the frontier (the
-	// seeds and every single-rule rewrite of every expanded plan),
-	// before deduplication; most repeat a plan already seen.
+	// Groups counts the equivalence groups those expressions fall into.
+	Groups int
+	// Generated counts rule firings that produced a rewrite; most
+	// rewrites are expressions the memo already holds.
 	Generated int
-	// Costed counts subtree estimates derived. The subtree table shares
-	// them between all plans containing the subtree, so this is the
-	// optimizer's actual costing work, against Generated plans that a
-	// search without the table would each cost whole.
+	// Costed counts expression estimates derived: one per member of
+	// every group costed, per costing scope.
 	Costed int
-	// Materialized counts the algebra.Rel nodes built from table entries:
-	// the spines of the plans taken off the frontier and of the returned
-	// plan. Candidates that are never expanded stay entries.
+	// Materialized counts the algebra.Rel nodes built from expressions:
+	// the bindings rules were fired on and the returned plan.
 	Materialized int
-	// Rules is the sequence of rule applications that derived the
-	// chosen plan from its seed (empty when the seed won unchanged).
+	// Rules is the rule firings on the derivation of the returned plan's
+	// expressions from the seeds, in firing order (empty when a seed won
+	// unchanged).
 	Rules []string
+	// Truncated reports that exploration stopped at the memo's size
+	// guard instead of at the fixpoint; the plan is the best of what
+	// was explored.
+	Truncated bool
 }
 
-// frontierItem is one plan awaiting expansion, linked to the plan it
-// was derived from so the winner's rule path can be read back.
-type frontierItem struct {
-	plan *subtree
-	cost float64
-	from *frontierItem
-	rule string // the rewrite that derived plan from from.plan
-}
-
-type frontier []*frontierItem
-
-func (f frontier) Len() int           { return len(f) }
-func (f frontier) Less(i, j int) bool { return f[i].cost < f[j].cost }
-func (f frontier) Swap(i, j int)      { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x any)        { *f = append(*f, x.(*frontierItem)) }
-func (f *frontier) Pop() any {
-	old := *f
-	n := len(old)
-	it := old[n-1]
-	*f = old[:n-1]
-	return it
-}
-
-// candidate is one named single-rule rewrite.
-type candidate struct {
-	rel  algebra.Rel
-	rule string
-}
-
-// Optimize runs best-first search from the normalized plan. Extra
-// seeds (equivalent formulations, e.g. the correlated Apply form — the
-// paper's §4 "introduction of correlated execution") join the frontier
-// so the search considers every strategy family.
+// Optimize explores, to a fixpoint, everything the enabled rules derive
+// from the normalized plan and the extra seeds (equivalent formulations,
+// e.g. the correlated Apply form — the paper's §4 "introduction of
+// correlated execution"), and returns the cheapest plan found.
 //
-// Plans live in a subtree table for the duration of the call (see
-// table) and are handled as its entries: a candidate is deduplicated
-// by probing the class number of its root, costed from the cached
-// estimates of the entries it shares with plans seen before, and turned
-// into a tree only if it is taken off the frontier.
+// The space is a memo (see memo): expressions over equivalence groups.
+// The seeds enter one root group; each rule fires once per expression
+// and input binding, and its rewrite joins the group of the expression
+// it rewrote; when no binding is pending, every group is costed bottom
+// up — an expression from the winners of its input groups — and the
+// plan is read off the root group's winner.
 func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
-	maxSteps := o.Config.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 1200
+	m := newMemo(o)
+	root := m.intern(rel, nil).group
+	for _, seed := range seeds {
+		// A seed need only produce what every formulation produces.
+		root.out = root.out.Intersection(algebra.OutputCols(seed))
+		m.intern(seed, root)
 	}
-	t := newTable(o)
-	res := &Result{}
-	var fr frontier
-	push := func(s *subtree, from *frontierItem, rule string) *frontierItem {
-		t.pushed[s.class] = true
-		// A whole plan is costed in the empty scope.
-		item := &frontierItem{plan: s, cost: t.c.cost(s).cost, from: from, rule: rule}
-		heap.Push(&fr, item)
-		return item
+	m.explore()
+	var chosen []*mexpr
+	plan := m.c.plan(root, 0, func(e *mexpr) { chosen = append(chosen, e) })
+	return &Result{
+		Plan:         plan,
+		Cost:         o.Cost(plan),
+		Explored:     m.live,
+		Groups:       m.standing,
+		Generated:    m.fired,
+		Costed:       m.c.costed,
+		Materialized: m.materialized,
+		Rules:        derivation(chosen),
+		Truncated:    m.truncated,
 	}
-	res.Generated = 1 + len(seeds)
-	best := push(t.intern(rel), nil, "")
-	for _, r := range seeds {
-		if s := t.intern(r); !t.pushed[s.class] {
-			push(s, nil, "")
-		}
-	}
-
-	for fr.Len() > 0 && res.Explored < maxSteps {
-		item := heap.Pop(&fr).(*frontierItem)
-		res.Explored++
-		if item.cost < best.cost {
-			best = item
-		}
-		// Prune hopeless regions: anything an order of magnitude worse
-		// than the incumbent rarely leads anywhere better.
-		if item.cost > best.cost*12 {
-			continue
-		}
-		for k, m := range t.expand(item.plan) {
-			res.Generated++
-			if class := t.probe(item.plan, k); class >= 0 && t.pushed[class] {
-				continue // a plan already seen: no entry was made for it
-			}
-			push(t.target(item.plan, k), item, ruleNames[m.rule])
-		}
-	}
-	res.Plan, res.Cost = t.relOf(best.plan), best.cost
-	res.Costed, res.Materialized = t.c.costed, t.materialized
-	for it := best; it.from != nil; it = it.from {
-		res.Rules = append(res.Rules, it.rule)
-	}
-	slices.Reverse(res.Rules)
-	return res
 }
 
-// rulesAt applies every enabled rule at the root of r, whose inputs'
-// properties in holds. Enablement is Config.DisableRules alone; a
-// disabled rule's rewrite is not even attempted.
-func (o *Optimizer) rulesAt(r algebra.Rel, in algebra.Props) []candidate {
-	var out []candidate
-	on := func(rule string) bool { return !o.Config.disabled(rule) }
-	add := func(rule string, nr algebra.Rel, ok bool) {
-		if ok && nr != nil {
-			out = append(out, candidate{rel: nr, rule: rule})
+// Cost prices the plan r as given, every node from the nodes below it.
+func (o *Optimizer) Cost(r algebra.Rel) float64 {
+	m := newMemo(o)
+	return m.c.cost(m.intern(r, nil).group).cost
+}
+
+// fire applies the enabled rules to one binding of the expression p:
+// with slot < 0 the rules that look at p alone, on p over its input
+// groups' representatives; otherwise the rules whose pattern names the
+// operator of input slot as well, on p over the member in of that
+// group. A rule's rewrite joins p's group. Enablement is
+// Config.DisableRules alone; a disabled rule's rewrite is not even
+// attempted.
+func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
+	o, md := m.o, m.o.Md
+	r := m.bind(p, slot, in)
+	try := func(rule string, rewrite func() (algebra.Rel, bool)) {
+		if !o.Config.DisableRules[rule] {
+			if nr, ok := rewrite(); ok && nr != nil {
+				m.add(p, in, rule, nr)
+			}
 		}
 	}
 	switch t := r.(type) {
+	case *algebra.Select:
+		if slot == 0 {
+			try(RulePushSelectBelowJoin, func() (algebra.Rel, bool) { return pushSelectBelowJoin(t) })
+		}
 	case *algebra.GroupBy:
-		if on(RulePushGroupByBelowJoin) {
-			nr, ok := core.TryPushGroupByBelowJoin(o.Md, t)
-			add(RulePushGroupByBelowJoin, nr, ok)
+		if slot == 0 {
+			try(RulePushGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushGroupByBelowJoin(md, t) })
+			try(RulePushLocalGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushLocalGroupByBelowJoin(md, t) })
+			return
 		}
-		if on(RuleSplitGroupBy) {
-			nr, ok := core.TrySplitGroupBy(o.Md, t)
-			add(RuleSplitGroupBy, nr, ok)
-		}
-		if on(RulePushLocalGroupByBelowJoin) {
-			nr, ok := core.TryPushLocalGroupByBelowJoin(o.Md, t)
-			add(RulePushLocalGroupByBelowJoin, nr, ok)
-		}
-		if on(RuleStreamAggOrder) {
-			nr, ok := tryStreamAggOrder(o.Md, o.Cat, t, in.DeliveredOrder(0))
-			add(RuleStreamAggOrder, nr, ok)
-		}
+		try(RuleSplitGroupBy, func() (algebra.Rel, bool) { return core.TrySplitGroupBy(md, t) })
+		try(RuleStreamAggOrder, func() (algebra.Rel, bool) { return tryStreamAggOrder(md, o.Cat, t, p.DeliveredOrder(0)) })
 	case *algebra.Join:
-		if on(RulePullGroupByAboveJoin) {
-			nr, ok := core.TryPullGroupByAboveJoin(o.Md, t)
-			add(RulePullGroupByAboveJoin, nr, ok)
+		if slot < 0 {
+			try(RuleSemiJoinToJoinDistinct, func() (algebra.Rel, bool) { return core.TrySemiJoinToJoinDistinct(md, t) })
+			try(RuleCommuteJoin, func() (algebra.Rel, bool) { return commuteJoin(t) })
+			try(RuleMergeJoinOrder, func() (algebra.Rel, bool) { return tryMergeJoinOrder(md, o.Cat, o.Strategy, t, p) })
+			return
 		}
-		if on(RulePushSemiJoinBelowGroupBy) {
-			nr, ok := core.TryPushSemiJoinBelowGroupBy(o.Md, t)
-			add(RulePushSemiJoinBelowGroupBy, nr, ok)
+		if _, ok := in.op.(*algebra.Join); ok {
+			try(RuleRotateJoin, func() (algebra.Rel, bool) {
+				return rotateJoin(t, slot, in.OutputCols(1-slot).Union(p.OutputCols(1-slot)))
+			})
 		}
-		if on(RuleSemiJoinToJoinDistinct) {
-			nr, ok := core.TrySemiJoinToJoinDistinct(o.Md, t)
-			add(RuleSemiJoinToJoinDistinct, nr, ok)
+		if slot == 0 {
+			try(RulePushSemiJoinBelowGroupBy, func() (algebra.Rel, bool) { return core.TryPushSemiJoinBelowGroupBy(md, t) })
+		} else {
+			try(RulePullGroupByAboveJoin, func() (algebra.Rel, bool) { return core.TryPullGroupByAboveJoin(md, t) })
+			try(RuleJoinToApply, func() (algebra.Rel, bool) { return joinToApply(md, o.Cat, t) })
 		}
-		if on(RuleIntroduceSegmentApply) {
-			nr, ok := core.TryIntroduceSegmentApply(o.Md, t)
-			add(RuleIntroduceSegmentApply, nr, ok)
-		}
-		if on(RulePushJoinBelowSegmentApply) {
-			nr, ok := core.TryPushJoinBelowSegmentApply(o.Md, t)
-			add(RulePushJoinBelowSegmentApply, nr, ok)
-		}
-		if on(RulePushJoinBelowSegmentApply) && on(RuleIntroduceSegmentApply) {
-			// Composite Figure-6→Figure-7 step: introduce SegmentApply
-			// at a child join and immediately push this join below it.
-			// Without the composition, the intermediate whole-table
-			// segmentation costs enough to be pruned before its good
-			// successor is generated. The composite counts as both
-			// rules, so disabling either removes it.
-			for i, child := range t.Inputs() {
-				cj, ok := child.(*algebra.Join)
-				if !ok {
-					continue
-				}
-				sa, ok := core.TryIntroduceSegmentApply(o.Md, cj)
-				if !ok {
-					continue
-				}
-				kids := []algebra.Rel{t.Left, t.Right}
-				kids[i] = sa
-				wrapped := t.WithInputs(kids).(*algebra.Join)
-				nr, ok := core.TryPushJoinBelowSegmentApply(o.Md, wrapped)
-				add(RulePushJoinBelowSegmentApply, nr, ok)
-			}
-		}
-		if on(RuleCommuteJoin) {
-			nr, ok := commuteJoin(t)
-			add(RuleCommuteJoin, nr, ok)
-		}
-		if on(RuleRotateJoin) {
-			nr, ok := rotateJoinRight(t)
-			add(RuleRotateJoin, nr, ok)
-			nr, ok = rotateJoinLeft(t)
-			add(RuleRotateJoin, nr, ok)
-		}
-		if on(RuleJoinToApply) {
-			nr, ok := joinToApply(o.Md, o.Cat, t)
-			add(RuleJoinToApply, nr, ok)
-		}
-		if on(RuleMergeJoinOrder) {
-			nr, ok := tryMergeJoinOrder(o.Md, o.Cat, o.Strategy, t, in)
-			add(RuleMergeJoinOrder, nr, ok)
-		}
+		// The segment rules match either input, and match it deeper than
+		// its operator, so they see every member of both.
+		try(RuleIntroduceSegmentApply, func() (algebra.Rel, bool) { return core.TryIntroduceSegmentApply(md, t) })
+		try(RulePushJoinBelowSegmentApply, func() (algebra.Rel, bool) { return core.TryPushJoinBelowSegmentApply(md, t) })
 	case *algebra.Sort:
-		if on(RuleEliminateSort) {
-			nr, ok := tryEliminateSort(o.Md, o.Cat, t, in.DeliveredOrder(0))
-			add(RuleEliminateSort, nr, ok)
-		}
+		try(RuleEliminateSort, func() (algebra.Rel, bool) { return tryEliminateSort(md, o.Cat, t, p.DeliveredOrder(0)) })
 	}
-	return out
+}
+
+// depth2 reports whether some rule's pattern names, beside the operator
+// p it fires on, the operator in of one of p's inputs — whether fire has
+// anything to do for that binding.
+func depth2(p, in algebra.Rel) bool {
+	switch p.(type) {
+	case *algebra.Join:
+		switch in.(type) {
+		case *algebra.Join, *algebra.GroupBy, *algebra.SegmentApply,
+			*algebra.Get, *algebra.Select, *algebra.Project: // the last three: JoinToApply, and what a segment wraps
+			return true
+		}
+	case *algebra.GroupBy, *algebra.Select:
+		_, ok := in.(*algebra.Join)
+		return ok
+	}
+	return false
 }

@@ -73,7 +73,7 @@ func TestOptimizePreservesResults(t *testing.T) {
 		sql := tpch.Queries[name]
 		md, rel, out := prep(t, st, sql)
 		base := runPlan(t, st, md, rel, out)
-		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 400}}
+		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 		r := o.Optimize(rel)
 		got := runPlan(t, st, md, r.Plan, out)
 		if fmt.Sprint(base) != fmt.Sprint(got) {
@@ -93,8 +93,8 @@ func TestOptimizerLowersCost(t *testing.T) {
 	sc := stats.Collect(st)
 	for _, name := range []string{"Q2", "Q17", "Q18"} {
 		md, rel, _ := prep(t, st, tpch.Queries[name])
-		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 400}}
-		before := estimateOf(o, rel).cost
+		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
+		before := o.Cost(rel)
 		r := o.Optimize(rel)
 		if r.Cost > before+1e-6 {
 			t.Errorf("%s: cost went up: %.0f -> %.0f", name, before, r.Cost)
@@ -110,7 +110,7 @@ func TestQ17FindsBetterShape(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
-	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 1500}}
+	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 	r := o.Optimize(rel)
 	plan := algebra.FormatRel(md, r.Plan)
 	if !strings.Contains(plan, "SegmentApply") &&
@@ -148,7 +148,7 @@ func TestCorrelatedReintroduction(t *testing.T) {
 	md, rel, out := prep(t, st, `
 		select c_name, o_orderkey from customer join orders on o_custkey = c_custkey
 		where c_custkey = 5`)
-	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 300}}
+	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 	r := o.Optimize(rel)
 	plan := algebra.FormatRel(md, r.Plan)
 	if !strings.Contains(plan, "Apply") {
@@ -183,9 +183,17 @@ func TestJoinReorderRules(t *testing.T) {
 	// Exercise each rewrite and confirm equivalence.
 	checked := 0
 	for _, j := range joins {
-		for _, rw := range []func(*algebra.Join) (algebra.Rel, bool){
-			commuteJoin, rotateJoinLeft, rotateJoinRight,
-		} {
+		// A rotation takes the columns of the new lower join's inputs.
+		rotate := func(slot int) func(*algebra.Join) (algebra.Rel, bool) {
+			return func(j *algebra.Join) (algebra.Rel, bool) {
+				lower, ok := j.Inputs()[slot].(*algebra.Join)
+				if !ok {
+					return nil, false
+				}
+				return rotateJoin(j, slot, algebra.OutputCols(lower.Inputs()[1-slot]).Union(algebra.OutputCols(j.Inputs()[1-slot])))
+			}
+		}
+		for _, rw := range []func(*algebra.Join) (algebra.Rel, bool){commuteJoin, rotate(0), rotate(1)} {
 			nr, ok := rw(j)
 			if !ok {
 				continue
@@ -233,7 +241,6 @@ func TestAblationFlagsRespected(t *testing.T) {
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{
-		MaxSteps:     1500,
 		DisableRules: Disable(FamilySegmentApply),
 	}}
 	r := o.Optimize(rel)
@@ -243,7 +250,6 @@ func TestAblationFlagsRespected(t *testing.T) {
 
 	md2, rel2, _ := prep(t, st, tpch.Queries["Q17"])
 	o2 := &Optimizer{Md: md2, Cat: st.Catalog, Stats: sc, Config: Config{
-		MaxSteps:     600,
 		DisableRules: Disable(RuleNames()),
 	}}
 	r2 := o2.Optimize(rel2)
@@ -258,10 +264,10 @@ func TestCostModelOrdersScanVsSeek(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, point, _ := prep(t, st, `select o_orderkey from orders where o_orderkey = 5`)
-	pointCost := estimateOf(&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}, point).cost
+	pointCost := (&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}).Cost(point)
 
 	md2, full, _ := prep(t, st, `select o_orderkey from orders`)
-	fullCost := estimateOf(&Optimizer{Md: md2, Cat: st.Catalog, Stats: sc}, full).cost
+	fullCost := (&Optimizer{Md: md2, Cat: st.Catalog, Stats: sc}).Cost(full)
 	if pointCost*10 > fullCost {
 		t.Errorf("point lookup (%.1f) should be far cheaper than scan (%.1f)", pointCost, fullCost)
 	}
@@ -290,7 +296,7 @@ func TestEstimateFormatter(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
-	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 300}}
+	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 	r := o.Optimize(rel)
 	out := FormatWithEstimates(md, st.Catalog, sc, r.Plan)
 	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "cost≈") {

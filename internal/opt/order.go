@@ -16,7 +16,7 @@ import (
 
 // tryEliminateSort removes a Sort whose input can deliver the order:
 // either it already does (redundant Sort), or the requirement can be
-// pushed down a Select/Project spine onto a Get backed by a matching
+// moved down a Select/Project spine onto a Get backed by a matching
 // ordered index.
 func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sort, inOrder []algebra.Ordering) (algebra.Rel, bool) {
 	if algebra.OrderCovers(inOrder, s.By) {
@@ -27,7 +27,7 @@ func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sor
 
 // tryMergeJoinOrder orders both join inputs on the equality keys so
 // the executor selects a merge join. Inputs already covering their key
-// order are left alone; the others get the requirement pushed onto an
+// order are left alone; the others get the requirement installed on an
 // index-backed Get.
 func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, strategy exec.Strategy, j *algebra.Join, in algebra.Props) (algebra.Rel, bool) {
 	switch j.Kind {
@@ -37,10 +37,13 @@ func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, strategy exec
 	}
 	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On, in.OutputCols(0), in.OutputCols(1))
 	lOrder, rOrder := in.DeliveredOrder(0), in.DeliveredOrder(1)
-	if strategy.JoinAlg(lKeys, rKeys, lOrder, rOrder) != exec.AlgHash {
-		return nil, false // no keys to merge on, or a merge join already
-	}
 	lBy, rBy := ascOrderings(lKeys), ascOrderings(rKeys)
+	if strategy.JoinAlg(lKeys, rKeys, lBy, rBy) != exec.AlgMerge {
+		return nil, false // no keys to merge on, or a run that would not merge sorted inputs either
+	}
+	if algebra.OrderCovers(lOrder, lBy) && algebra.OrderCovers(rOrder, rBy) {
+		return nil, false // a merge join already
+	}
 	newL, newR := j.Left, j.Right
 	if !algebra.OrderCovers(lOrder, lBy) {
 		nl, ok := pushOrder(md, cat, newL, lBy)

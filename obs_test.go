@@ -43,7 +43,6 @@ func flattenSpans(sp *obs.Span) string {
 func TestSpanTreeInvariants(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	cfg.Trace = true
 	for i, name := range TPCHQueryNames() {
 		sql, _ := TPCHQuery(name)
@@ -100,7 +99,6 @@ func TestParallelSpanBoundary(t *testing.T) {
 	db := sharedDB(t)
 	sql, _ := TPCHQuery("Q1")
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	cfg.Parallelism = 4
 	cfg.Trace = true
 	rows, err := db.QueryCfg(sql, cfg)
@@ -146,7 +144,6 @@ func TestTraceCountsSerialVsParallel(t *testing.T) {
 	for _, name := range []string{"Q1", "Q6"} {
 		sql, _ := TPCHQuery(name)
 		cfgS := DefaultConfig()
-		cfgS.MaxSteps = 300
 		cfgS.Trace = true
 		cfgP := cfgS
 		cfgP.Parallelism = 4
@@ -181,7 +178,6 @@ func TestMetricsDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 
 	snap := func() obs.Snapshot { return db.Metrics() }
 
@@ -369,7 +365,6 @@ func TestQueryLogJSONL(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	cfg.QueryLog = &buf
 
 	// 1: success — a correlated scalar aggregation, so the rewrite
@@ -460,7 +455,6 @@ func TestTracedFaultsNoLeaks(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		for _, rule := range rules {
 			cfg := DefaultConfig()
-			cfg.MaxSteps = 300
 			cfg.Trace = true
 			cfg.Parallelism = par
 			cfg.MemBudget = 32 << 10

@@ -107,7 +107,6 @@ func orderCorpus() []string {
 func TestOrderEquivalence(t *testing.T) {
 	db := sharedDB(t)
 	base := DefaultConfig()
-	base.MaxSteps = 300
 
 	var sqls []string
 	for _, name := range TPCHQueryNames() {

@@ -112,7 +112,10 @@ type Config struct {
 	// CorrelatedReintro lets the optimizer turn joins back into
 	// index-lookup Apply plans when cheaper (§4).
 	CorrelatedReintro bool
-	// MaxSteps caps optimizer search expansions (0 = default).
+	// MaxSteps is retained so existing callers keep compiling.
+	//
+	// Deprecated: accepted and ignored. The optimizer explores its plan
+	// space to a fixpoint (DESIGN §17); there is no step budget to set.
 	MaxSteps int
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution of eligible scan/join/aggregation subtrees. 0 or 1
@@ -284,7 +287,6 @@ type planIdentity struct {
 	// exactly "none of these rules is disabled"), DisableRules name by
 	// name.
 	disabled string
-	maxSteps int
 	strat    exec.Strategy
 }
 
@@ -299,7 +301,6 @@ func (c Config) identity() (planIdentity, error) {
 		keepOuterJoins: !c.SimplifyOuterJoins,
 		costBased:      c.CostBased,
 		seedCorrelated: c.CorrelatedReintro && c.Decorrelate,
-		maxSteps:       c.MaxSteps,
 		strat:          exec.Strategy{Parallelism: c.Parallelism, DisableOrderOpt: c.DisableSortElim},
 	}
 	var off []string
@@ -625,7 +626,8 @@ type Rows struct {
 	Plan string
 	// Elapsed is the pure execution time (compile excluded).
 	Elapsed time.Duration
-	// OptimizerSteps counts plans explored during optimization.
+	// OptimizerSteps counts the expressions the optimizer's memo held
+	// when it had explored the plan space.
 	OptimizerSteps int
 	// EstimatedCost is the cost model's value for the chosen plan.
 	EstimatedCost float64
@@ -1041,7 +1043,7 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 			}
 		}
 		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(),
-			Config:   opt.Config{DisableRules: nopts.DisableRules, MaxSteps: id.maxSteps},
+			Config:   opt.Config{DisableRules: nopts.DisableRules},
 			Strategy: id.strat}
 		search = o.Optimize(rel, seeds...)
 		p.plan, p.steps, p.cost = search.Plan, search.Explored, search.Cost
@@ -1447,8 +1449,12 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 	b.WriteString("\n=== normalized (correlations removed, outerjoins simplified) ===\n")
 	b.WriteString(algebra.FormatRel(p.md, tr.normalized))
 	if r := tr.search; r != nil {
-		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored, %d generated, %d nodes materialized, %d subtrees costed) ===\n",
-			r.Cost, r.Explored, r.Generated, r.Materialized, r.Costed)
+		exhausted := "explored to the end"
+		if r.Truncated {
+			exhausted = "exploration stopped at the size guard"
+		}
+		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
+			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
 		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, db.statsNow(), r.Plan, id.strat))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))

@@ -98,7 +98,6 @@ func checkParallelAgainstSerial(t *testing.T, db *DB, label, sql string, cfg Con
 func TestParallelTPCHMatchesSerial(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 300
 	for _, name := range TPCHQueryNames() {
 		sql, ok := TPCHQuery(name)
 		if !ok {
@@ -114,7 +113,6 @@ func TestParallelFuzzCorpusMatchesSerial(t *testing.T) {
 	}
 	db := sharedDB(t)
 	cfg := DefaultConfig()
-	cfg.MaxSteps = 200
 	r := rand.New(rand.NewSource(20010521))
 	for i := 0; i < 120; i++ {
 		checkParallelAgainstSerial(t, db, "fuzz", randQuery(r), cfg)

@@ -187,7 +187,6 @@ const referenceFuzzSF = 0.0005
 
 func TestReferenceEquivalence(t *testing.T) {
 	base := DefaultConfig()
-	base.MaxSteps = 300
 	t.Run("tpch", func(t *testing.T) {
 		db := sharedDB(t)
 		// The 12 TPC-H queries and the three Q1 spellings.
@@ -204,7 +203,6 @@ func TestReferenceEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := base
-		cfg.MaxSteps = 200
 		r := rand.New(rand.NewSource(20010521))
 		seen := map[string]bool{}
 		for i := 0; i < 80; i++ {

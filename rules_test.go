@@ -31,7 +31,7 @@ var ruleWitnesses = []struct {
 }{
 	{"scalar-agg", `select c_custkey from customer
 		where 1000 < (select sum(o_totalprice) from orders where o_custkey = c_custkey)`,
-		[]string{"ApplyScalarGroupBy", "ApplySelect", "ApplyToJoin"}},
+		[]string{"ApplyScalarGroupBy", "ApplySelect", "ApplyToJoin", "PushSelectBelowJoin"}},
 	{"select-list", `select c_custkey,
 		(select count(*) from orders where o_custkey = c_custkey) as n from customer`,
 		[]string{"ApplyScalarGroupBy", "ApplyToJoin"}},
@@ -82,7 +82,6 @@ var neverAtThisScale = []string{
 func baselineRuleCfg() Config {
 	cfg := DefaultConfig()
 	cfg.RemoveClass2 = true // Figure-4 identities (5)-(7) included
-	cfg.MaxSteps = 300
 	return cfg
 }
 
@@ -236,7 +235,6 @@ func TestDisableDormantRulesIsNoop(t *testing.T) {
 func TestRuleEquivalenceFuzz(t *testing.T) {
 	db := sharedDB(t)
 	cfg := baselineRuleCfg()
-	cfg.MaxSteps = 200
 	r := rand.New(rand.NewSource(41))
 	run := 0
 	for i := 0; i < 12; i++ {

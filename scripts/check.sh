@@ -40,14 +40,20 @@ go test -run 'TestPublicAPIGolden|TestConfigFieldsClassified|TestExplainMatchesP
 go test ./internal/plancache ./internal/resultcache ./internal/lru
 
 # Optimizer leg, fail-fast: the search is pinned (102 searches against
-# plans.golden: plan text, bit-exact cost, Explored, Rules — never run
-# with -update here), what a table entry holds equals what its tree
-# gives from scratch, two searches of one query agree, and the work one
-# seeded Q2 search does stays bounded (tree nodes materialized,
-# allocations; DESIGN §17). Then one iteration of the optimizer
-# benchmark, which prints costed/op and materialized/op beside B/op
-# and allocs/op for the five planning-heavy TPC-H queries.
-go test -run 'TestSearchUnchanged|TestTableMatches|TestOptimizeDeterministic|TestOptimizeWorkBounds' ./internal/opt
+# plans.golden: plan text, bit-exact cost, memo size, rules — never run
+# with -update here); the members of the memo's groups are the same
+# relation by the reference evaluator, alone or in context; every pinned
+# search and the fuzz corpus end at the fixpoint, nowhere near the size
+# guard; two searches of one query agree; what the memo holds for a plan
+# equals what the tree gives from scratch; seeded Q2's memo stays of the
+# order of 10³ expressions; no plan costs more than the one the budgeted
+# search of the parent commit returned; and the three spellings of the
+# paper's Q1 reach one plan (DESIGN §17). Then one iteration of the
+# optimizer benchmark, which prints groups/op, exprs/op and costed/op
+# beside B/op and allocs/op for the five queries whose searches used to
+# run out of steps.
+go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent' ./internal/opt
+go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
 
 # Reference-equivalence leg: the engine against the oracle is the
