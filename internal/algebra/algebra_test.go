@@ -79,12 +79,12 @@ func TestColSetAlgebraProperties(t *testing.T) {
 // buildTestTables assembles customer(c_custkey, c_name) and
 // orders(o_orderkey, o_custkey, o_totalprice) as in the paper's Q1.
 func buildTestTables(md *Metadata) (cust, ord *Get) {
-	ck := md.AddTableColumn("customer", "c_custkey", types.Int, true, 0)
-	cn := md.AddTableColumn("customer", "c_name", types.String, true, 1)
+	ck := md.AddTableColumn("customer", "customer", "c_custkey", types.Int, true, 0)
+	cn := md.AddTableColumn("customer", "customer", "c_name", types.String, true, 1)
 	cust = &Get{Table: "customer", Cols: []ColID{ck, cn}, KeyCols: NewColSet(ck)}
-	ok := md.AddTableColumn("orders", "o_orderkey", types.Int, true, 0)
-	oc := md.AddTableColumn("orders", "o_custkey", types.Int, true, 1)
-	op := md.AddTableColumn("orders", "o_totalprice", types.Float, true, 2)
+	ok := md.AddTableColumn("orders", "orders", "o_orderkey", types.Int, true, 0)
+	oc := md.AddTableColumn("orders", "orders", "o_custkey", types.Int, true, 1)
+	op := md.AddTableColumn("orders", "orders", "o_totalprice", types.Float, true, 2)
 	ord = &Get{Table: "orders", Cols: []ColID{ok, oc, op}, KeyCols: NewColSet(ok)}
 	return cust, ord
 }

@@ -17,10 +17,15 @@ type ColumnMeta struct {
 	// NotNull records that the column can never be NULL in the relation
 	// producing it (before any outer join NULL-padding).
 	NotNull bool
-	// Table and Ord identify the base-table column this ID was created
-	// for, if any (Table == "" otherwise).
+	// Table qualifies the column in plan text: the name the query gave
+	// the table reference it comes from — its alias, or the table's name
+	// where it gave none ("" for a column that is not a base table's).
 	Table string
-	Ord   int
+	// Source and Ord identify the stored column this ID was created for:
+	// the catalog name of the base table and the column's position in
+	// it. Statistics are looked up by them; Source is "" otherwise.
+	Source string
+	Ord    int
 }
 
 // Metadata allocates and describes column IDs for one query. It is
@@ -67,11 +72,19 @@ func (md *Metadata) DerivedColumn(from ColID, role string, meta ColumnMeta) ColI
 	return id
 }
 
-// AddTableColumn allocates an ID for a base-table column.
-func (md *Metadata) AddTableColumn(table, alias string, typ types.Kind, notNull bool, ord int) ColID {
+// AddTableColumn allocates an ID for column ord of the base table
+// source, referenced in the query as table.
+func (md *Metadata) AddTableColumn(source, table, alias string, typ types.Kind, notNull bool, ord int) ColID {
 	md.cols = append(md.cols, ColumnMeta{
-		Alias: alias, Type: typ, NotNull: notNull, Table: table, Ord: ord,
+		Alias: alias, Type: typ, NotNull: notNull, Table: table, Source: source, Ord: ord,
 	})
+	return ColID(len(md.cols))
+}
+
+// CopyColumn allocates a fresh ID described as id is: another instance
+// of the same column.
+func (md *Metadata) CopyColumn(id ColID) ColID {
+	md.cols = append(md.cols, *md.Column(id))
 	return ColID(len(md.cols))
 }
 

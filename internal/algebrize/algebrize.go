@@ -457,7 +457,7 @@ func (b *builder) buildTableExpr(te ast.TableExpr, outer *scope) (algebra.Rel, *
 		get := &algebra.Get{Table: tbl.Name}
 		sc := &scope{parent: outer}
 		for _, col := range tbl.Columns {
-			id := b.md.AddTableColumn(strings.ToLower(alias), strings.ToLower(col.Name),
+			id := b.md.AddTableColumn(tbl.Name, strings.ToLower(alias), strings.ToLower(col.Name),
 				col.Type, !col.Nullable, len(get.Cols))
 			get.Cols = append(get.Cols, id)
 			sc.add(alias, col.Name, id)

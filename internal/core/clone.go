@@ -14,8 +14,7 @@ func cloneWithFreshCols(md *algebra.Metadata, r algebra.Rel) (algebra.Rel, map[a
 	algebra.VisitRel(r, func(n algebra.Rel) bool {
 		for _, c := range producedCols(n) {
 			if _, ok := remap[c]; !ok {
-				meta := md.Column(c)
-				remap[c] = md.AddTableColumn(meta.Table, meta.Alias, meta.Type, meta.NotNull, meta.Ord)
+				remap[c] = md.CopyColumn(c)
 			}
 		}
 		return true

@@ -143,10 +143,10 @@ func estimateDistinct(ctx *Context, sig algebra.ColSet) float64 {
 	d := 0.0
 	for _, col := range sig.Ordered() {
 		meta := ctx.Md.Column(col)
-		if meta.Table == "" {
+		if meta.Source == "" {
 			continue
 		}
-		ts := ctx.Stats.Table(meta.Table)
+		ts := ctx.Stats.Table(meta.Source)
 		if ts == nil || meta.Ord >= len(ts.Columns) {
 			continue
 		}
@@ -169,10 +169,10 @@ func estimateGroups(ctx *Context, gb *algebra.GroupBy, inRows int) int {
 	groups := 1
 	for _, col := range gb.GroupCols.Ordered() {
 		meta := ctx.Md.Column(col)
-		if meta.Table == "" {
+		if meta.Source == "" {
 			continue
 		}
-		ts := ctx.Stats.Table(meta.Table)
+		ts := ctx.Stats.Table(meta.Source)
 		if ts == nil || meta.Ord >= len(ts.Columns) {
 			continue
 		}

@@ -34,8 +34,8 @@ func estimateFixture(t *testing.T) (*Context, *algebra.Metadata, algebra.ColID, 
 		t.Fatal(err)
 	}
 	md := algebra.NewMetadata()
-	a := md.AddTableColumn("t", "a", types.Int, true, 0)
-	b := md.AddTableColumn("t", "b", types.Int, true, 1)
+	a := md.AddTableColumn("t", "t", "a", types.Int, true, 0)
+	b := md.AddTableColumn("t", "t", "b", types.Int, true, 1)
 	ctx := &Context{Store: st, Md: md, Stats: stats.Collect(st)}
 	return ctx, md, a, b
 }

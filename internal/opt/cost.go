@@ -106,8 +106,8 @@ func (c *coster) colStats(id algebra.ColID) (*stats.ColumnStats, int64, bool) {
 	e := &c.cols[id-1]
 	if !e.resolved {
 		e.resolved = true
-		if meta := c.md.Column(id); meta.Table != "" && c.st != nil {
-			if ts := c.st.Table(meta.Table); ts != nil && meta.Ord < len(ts.Columns) {
+		if meta := c.md.Column(id); meta.Source != "" && c.st != nil {
+			if ts := c.st.Table(meta.Source); ts != nil && meta.Ord < len(ts.Columns) {
 				e.cs, e.rows = &ts.Columns[meta.Ord], ts.RowCount
 			}
 		}

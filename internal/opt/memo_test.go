@@ -90,29 +90,39 @@ func TestDumpMemo(t *testing.T) {
 	t.Logf("%d groups, %d expressions, %d firings, truncated=%t\n%s", m.standing, m.live, m.fired, m.truncated, m.dump())
 }
 
-// parentCosts reads testdata/parent_costs.golden: case header → cost.
-func parentCosts(t *testing.T) map[string]float64 {
+// parentCosts reads testdata/parent_costs.golden: case header → the
+// cost of the parent's plan and of the normalized plan it started from.
+func parentCosts(t *testing.T) map[string][2]float64 {
 	t.Helper()
 	data, err := os.ReadFile("testdata/parent_costs.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := map[string]float64{}
+	costs := map[string][2]float64{}
 	for _, line := range strings.Split(string(data), "\n") {
-		head, hex, ok := strings.Cut(line, " cost=")
+		head, rest, ok := strings.Cut(line, " cost=")
 		if !ok || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if costs[head], err = strconv.ParseFloat(hex, 64); err != nil {
-			t.Fatal(err)
+		var c [2]float64
+		for i, hex := range strings.SplitN(rest, " normalized=", 2) {
+			if c[i], err = strconv.ParseFloat(hex, 64); err != nil {
+				t.Fatal(err)
+			}
 		}
+		costs[head] = c
 	}
 	return costs
 }
 
 // TestPlansNoWorseThanParent: for every pinned search, the plan the
 // memo returns, priced from scratch, costs no more than the plan the
-// budgeted whole-plan search of the parent commit returned.
+// budgeted whole-plan search of the parent commit returned. The two are
+// comparable where the cost model has not moved since, which a search's
+// own starting point shows: a case whose normalized plan the model no
+// longer prices as the parent did (its statistics lookup was fixed for
+// aliased tables after the memo landed) is skipped, and there must be
+// few.
 func TestPlansNoWorseThanParent(t *testing.T) {
 	st, err := goldenStore()
 	if err != nil {
@@ -121,25 +131,32 @@ func TestPlansNoWorseThanParent(t *testing.T) {
 	sc := stats.Collect(st)
 	parent := parentCosts(t)
 	_, cases := readGolden(t)
-	better := 0
+	better, moved := 0, 0
 	for _, c := range cases {
 		md, rel, seeds := goldenInputs(t, st, c)
 		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
-		r := o.Optimize(rel, seeds...)
 		want, ok := parent[fmt.Sprintf("%s seed=%t", c.name, c.seeded)]
 		if !ok {
 			t.Errorf("%s seed=%t: no parent cost recorded", c.name, c.seeded)
 			continue
 		}
-		if r.Cost > want*(1+1e-9) {
-			t.Errorf("%s seed=%t: cost %.3f, the parent's plan cost %.3f\n%s", c.name, c.seeded, r.Cost, want,
+		if o.Cost(rel) != want[1] {
+			moved++
+			continue
+		}
+		r := o.Optimize(rel, seeds...)
+		if r.Cost > want[0]*(1+1e-9) {
+			t.Errorf("%s seed=%t: cost %.3f, the parent's plan cost %.3f\n%s", c.name, c.seeded, r.Cost, want[0],
 				FormatWithEstimates(md, st.Catalog, sc, r.Plan))
 		}
-		if r.Cost < want*(1-1e-9) {
+		if r.Cost < want[0]*(1-1e-9) {
 			better++
 		}
 	}
-	t.Logf("%d of %d searches found a cheaper plan than the parent", better, len(cases))
+	if moved > len(cases)/10 {
+		t.Errorf("the cost model has moved under %d of %d cases; the comparison has lost its subject", moved, len(cases))
+	}
+	t.Logf("%d of %d searches found a cheaper plan than the parent; %d not compared, the model having moved", better, len(cases)-moved, moved)
 }
 
 // TestSearchExhausts: every pinned search ends because no binding is

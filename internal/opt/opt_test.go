@@ -303,3 +303,25 @@ func TestEstimateFormatter(t *testing.T) {
 		t.Errorf("estimates missing:\n%s", out)
 	}
 }
+
+// TestAliasedTableUsesStats: a column's statistics are found by the
+// table it is stored in, not by the name the query calls that table, so
+// aliasing a table reference does not change an estimate.
+func TestAliasedTableUsesStats(t *testing.T) {
+	st := tinyTPCH(t)
+	sc := stats.Collect(st)
+	estimate := func(sql string) estimate {
+		md, rel, _ := prep(t, st, sql)
+		return estimateOf(&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}, rel)
+	}
+	for _, q := range [][2]string{
+		{`select l_quantity from lineitem where l_orderkey = 7`,
+			`select l1.l_quantity from lineitem l1 where l1.l_orderkey = 7`},
+		{`select o_orderkey, count(*) from orders, lineitem where l_orderkey = o_orderkey and l_shipdate < date '1995-01-01' group by o_orderkey`,
+			`select o.o_orderkey, count(*) from orders o, lineitem l where l.l_orderkey = o.o_orderkey and l.l_shipdate < date '1995-01-01' group by o.o_orderkey`},
+	} {
+		if plain, aliased := estimate(q[0]), estimate(q[1]); plain != aliased {
+			t.Errorf("estimate %+v unaliased, %+v aliased:\n%s", plain, aliased, q[1])
+		}
+	}
+}

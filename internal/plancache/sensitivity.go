@@ -42,14 +42,14 @@ func Descriptors(md *algebra.Metadata, sc *stats.Collection, plan algebra.Rel) [
 			return
 		}
 		meta := md.Column(col)
-		if meta.Table == "" {
+		if meta.Source == "" {
 			return
 		}
-		ts := sc.Table(meta.Table)
+		ts := sc.Table(meta.Source)
 		if ts == nil || meta.Ord >= len(ts.Columns) {
 			return
 		}
-		d := Descriptor{ParamIdx: idx, Table: meta.Table, Ord: meta.Ord,
+		d := Descriptor{ParamIdx: idx, Table: meta.Source, Ord: meta.Ord,
 			Inverted: op == algebra.CmpGt || op == algebra.CmpGe}
 		if !seen[d] {
 			seen[d] = true
