@@ -435,6 +435,34 @@ func TestCacheSelectivityBuckets(t *testing.T) {
 	run(110, "hit")   // the low bucket is still cached
 }
 
+// TestCacheAggregateThresholdBuckets: a threshold on an aggregate is
+// estimated from the aggregated column, so the plan may depend on it,
+// and is bucketed like a range predicate on the column itself: a
+// threshold few groups can reach compiles its own plan, and one near it
+// reuses that.
+func TestCacheAggregateThresholdBuckets(t *testing.T) {
+	db, err := OpenTPCH(0.002, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(threshold int, wantCache string) {
+		t.Helper()
+		r, err := db.Query(fmt.Sprintf(`select o_orderkey from orders where o_orderkey in
+			(select l_orderkey from lineitem group by l_orderkey having sum(l_quantity) > %d)`, threshold))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cache != wantCache {
+			t.Fatalf("sum(l_quantity) > %d: cache = %q, want %q", threshold, r.Cache, wantCache)
+		}
+	}
+	run(10, "miss")  // nearly every order
+	run(12, "hit")   // the same regime
+	run(250, "miss") // a handful of orders: another regime, own compile
+	run(260, "hit")
+	run(11, "hit")
+}
+
 // TestStmtConcurrentRuns: one prepared statement, many goroutines.
 // Run with -race (scripts/check.sh does).
 func TestStmtConcurrentRuns(t *testing.T) {

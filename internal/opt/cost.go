@@ -66,6 +66,10 @@ type coster struct {
 	// cols caches colStats per column ID (index id-1), resolved on first
 	// use; rules mint columns during the search, so it grows on demand.
 	cols []colStat
+	// aggs holds, by output column, the sums, averages, minima and maxima
+	// of stored columns met in GroupBys costed so far: what is known
+	// about a column a HAVING-style predicate compares (see aggStats).
+	aggs map[algebra.ColID]algebra.AggItem
 	// conj is conjuncts' buffer.
 	conj []algebra.Scalar
 	// costed counts estimates derived, for Result.Costed.
@@ -204,7 +208,7 @@ func (c *coster) offer(ws []winner, e *mexpr, l, r estimate, i, k int) []winner 
 	}
 	ws = slices.Insert(ws, at, winner{est, e, [2]int{i, k}})
 	// What costs more must count fewer rows to stay.
-	return slices.DeleteFunc(ws[:len(ws):len(ws)], func(w winner) bool {
+	return slices.DeleteFunc(ws, func(w winner) bool {
 		return w.est.cost > est.cost && w.est.rows >= est.rows
 	})
 }
@@ -297,6 +301,7 @@ func (c *coster) derive(s *mexpr, l, r estimate) estimate {
 		return c.costApply(t, s, l, r)
 
 	case *algebra.GroupBy:
+		c.noteAggs(t)
 		groups := c.groupCount(t, in.rows)
 		perRow, sort := cHashRow, 0.0
 		if c.strategy.AggAlg(t, s.DeliveredOrder(0)) == exec.AlgStream {
@@ -621,21 +626,25 @@ func (c *coster) conjSelectivity(conj algebra.Scalar, rows float64) float64 {
 			return 0.3
 		}
 		cs, total, ok := c.colStats(col)
+		floor := 0.0
 		if !ok {
-			if op == algebra.CmpEq {
-				return 0.1
+			if cs, total, cst, ok = c.aggStats(col, cst, rows); !ok {
+				if op == algebra.CmpEq {
+					return 0.1
+				}
+				return 0.3
 			}
-			return 0.3
+			floor = 1 / math.Max(rows, 1) // the scaled threshold is no proof that no group passes
 		}
 		switch op {
 		case algebra.CmpEq:
-			return cs.SelectivityEq(total)
+			return math.Max(floor, cs.SelectivityEq(total))
 		case algebra.CmpLt, algebra.CmpLe:
-			return cs.SelectivityLT(cst, total)
+			return math.Max(floor, cs.SelectivityLT(cst, total))
 		case algebra.CmpGt, algebra.CmpGe:
-			return 1 - cs.SelectivityLT(cst, total)
+			return math.Max(floor, 1-cs.SelectivityLT(cst, total))
 		case algebra.CmpNe:
-			return 1 - cs.SelectivityEq(total)
+			return math.Max(floor, 1-cs.SelectivityEq(total))
 		}
 		return 0.3
 	case *algebra.Like:
@@ -657,6 +666,46 @@ func (c *coster) conjSelectivity(conj algebra.Scalar, rows float64) float64 {
 		return 0.05
 	}
 	return 0.3
+}
+
+// noteAggs records gb's aggregates of stored columns for aggStats.
+func (c *coster) noteAggs(gb *algebra.GroupBy) {
+	for _, a := range gb.Aggs {
+		ref, ok := a.Arg.(*algebra.ColRef)
+		if !ok || a.Global || a.Distinct {
+			continue
+		}
+		switch a.Func {
+		case algebra.AggSum, algebra.AggAvg, algebra.AggMin, algebra.AggMax:
+			if _, _, ok := c.colStats(ref.Col); ok {
+				if c.aggs == nil {
+					c.aggs = map[algebra.ColID]algebra.AggItem{}
+				}
+				c.aggs[a.Col] = a
+			}
+		}
+	}
+}
+
+// aggStats answers for an aggregate's output column, compared with cst
+// in a relation of rows groups, with the statistics of the column it
+// aggregates: a group's average, minimum or maximum is taken to be
+// distributed as the column's values, and its sum as the group's size —
+// the table's rows per group — times a value, so the threshold is
+// scaled down by that size. Crude, but it tells a threshold in the tail
+// of what a group can reach (TPC-H Q18: sum(l_quantity) > 300 over four
+// quantities of at most 50) from an even guess, which decides between
+// seeking from the few survivors and joining everything.
+func (c *coster) aggStats(col algebra.ColID, cst types.Datum, rows float64) (*stats.ColumnStats, int64, types.Datum, bool) {
+	a, ok := c.aggs[col]
+	if !ok {
+		return nil, 0, cst, false
+	}
+	cs, total, _ := c.colStats(a.Arg.(*algebra.ColRef).Col)
+	if v, isNum := cst.AsFloat(); isNum && a.Func == algebra.AggSum && total > 0 {
+		cst = types.NewFloat(v * math.Max(rows, 1) / float64(total))
+	}
+	return cs, total, cst, true
 }
 
 // colConstCmp matches "col op const" (either orientation, op adjusted).

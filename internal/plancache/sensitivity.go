@@ -10,11 +10,12 @@ import (
 )
 
 // Descriptor marks one plan-choice-sensitive parameter: a range
-// comparison between a base-table column and a parameter slot. The
-// fraction of the table selected by such a predicate moves with the
-// bound value, and the optimizer's seek-vs-scan (and join-vs-apply)
-// crossover moves with it; plans are therefore cached per selectivity
-// bucket of each sensitive parameter.
+// comparison between a parameter slot and a base-table column, or an
+// aggregate of one (a HAVING-style threshold). The fraction of the rows
+// selected by such a predicate moves with the bound value, and the
+// optimizer's seek-vs-scan (and join-vs-apply) crossover moves with it;
+// plans are therefore cached per selectivity bucket of each sensitive
+// parameter.
 type Descriptor struct {
 	ParamIdx int
 	Table    string
@@ -22,17 +23,66 @@ type Descriptor struct {
 	// Inverted is set for > / >= comparisons, where the selected
 	// fraction is 1 - P(col < v).
 	Inverted bool
+	// PerGroup is set for a comparison with a sum of the column: the
+	// table's rows per group, by which the optimizer scales the bound
+	// value before it consults the column's distribution.
+	PerGroup float64
 }
 
 // Descriptors scans an optimized plan for range comparisons of the form
-// "col op $n" (either orientation) on statistics-backed base-table
-// columns, deduplicated. Equality comparisons are excluded: the cost
-// model estimates them as 1/distinct regardless of the value, so the
-// chosen plan cannot depend on which value is bound.
+// "col op $n" (either orientation) where col is a statistics-backed
+// base-table column or the sum, average, minimum or maximum of one,
+// deduplicated. Equality comparisons are excluded: the cost model
+// estimates them as 1/distinct regardless of the value, so the chosen
+// plan cannot depend on which value is bound.
 func Descriptors(md *algebra.Metadata, sc *stats.Collection, plan algebra.Rel) []Descriptor {
 	if sc == nil {
 		return nil
 	}
+	column := func(col algebra.ColID) (*stats.TableStats, *algebra.ColumnMeta) {
+		meta := md.Column(col)
+		if meta.Source == "" {
+			return nil, nil
+		}
+		if ts := sc.Table(meta.Source); ts != nil && meta.Ord < len(ts.Columns) {
+			return ts, meta
+		}
+		return nil, nil
+	}
+	// The aggregates the optimizer estimates thresholds on (opt's
+	// aggStats), by output column: the aggregated column, and for a sum
+	// the rows of its table per group.
+	type aggregate struct {
+		of       algebra.ColID
+		perGroup float64
+	}
+	aggs := map[algebra.ColID]aggregate{}
+	algebra.VisitRel(plan, func(r algebra.Rel) bool {
+		gb, ok := r.(*algebra.GroupBy)
+		if !ok {
+			return true
+		}
+		groups := int64(1)
+		gb.GroupCols.ForEach(func(c algebra.ColID) {
+			if ts, meta := column(c); ts != nil {
+				groups = max(groups, ts.Columns[meta.Ord].Distinct)
+			}
+		})
+		for _, a := range gb.Aggs {
+			ref, ok := a.Arg.(*algebra.ColRef)
+			if !ok || a.Global || a.Distinct {
+				continue
+			}
+			switch ts, _ := column(ref.Col); {
+			case ts == nil:
+			case a.Func == algebra.AggSum:
+				aggs[a.Col] = aggregate{ref.Col, max(1, float64(ts.RowCount)/float64(groups))}
+			case a.Func == algebra.AggAvg || a.Func == algebra.AggMin || a.Func == algebra.AggMax:
+				aggs[a.Col] = aggregate{of: ref.Col}
+			}
+		}
+		return true
+	})
 	var out []Descriptor
 	seen := map[Descriptor]bool{}
 	add := func(col algebra.ColID, idx int, op algebra.CmpOp) {
@@ -41,16 +91,16 @@ func Descriptors(md *algebra.Metadata, sc *stats.Collection, plan algebra.Rel) [
 		default:
 			return
 		}
-		meta := md.Column(col)
-		if meta.Source == "" {
-			return
+		agg := aggs[col]
+		if agg.of != 0 {
+			col = agg.of
 		}
-		ts := sc.Table(meta.Source)
-		if ts == nil || meta.Ord >= len(ts.Columns) {
+		_, meta := column(col)
+		if meta == nil {
 			return
 		}
 		d := Descriptor{ParamIdx: idx, Table: meta.Source, Ord: meta.Ord,
-			Inverted: op == algebra.CmpGt || op == algebra.CmpGe}
+			Inverted: op == algebra.CmpGt || op == algebra.CmpGe, PerGroup: agg.perGroup}
 		if !seen[d] {
 			seen[d] = true
 			out = append(out, d)
@@ -105,7 +155,11 @@ func bucketOf(d Descriptor, sc *stats.Collection, params []types.Datum) int {
 	if ts == nil || d.Ord >= len(ts.Columns) {
 		return 0
 	}
-	f := ts.Columns[d.Ord].SelectivityLT(params[d.ParamIdx], ts.RowCount)
+	v := params[d.ParamIdx]
+	if f, ok := v.AsFloat(); ok && d.PerGroup > 0 {
+		v = types.NewFloat(f / d.PerGroup)
+	}
+	f := ts.Columns[d.Ord].SelectivityLT(v, ts.RowCount)
 	if d.Inverted {
 		f = 1 - f
 	}

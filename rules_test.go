@@ -31,7 +31,12 @@ var ruleWitnesses = []struct {
 }{
 	{"scalar-agg", `select c_custkey from customer
 		where 1000 < (select sum(o_totalprice) from orders where o_custkey = c_custkey)`,
-		[]string{"ApplyScalarGroupBy", "ApplySelect", "ApplyToJoin", "PushSelectBelowJoin"}},
+		[]string{"ApplyScalarGroupBy", "ApplySelect", "ApplyToJoin"}},
+	// A threshold few groups pass: the selection follows the GroupBy
+	// below the join.
+	{"having", `select c_custkey from customer
+		where 3000000 < (select sum(o_totalprice) from orders where o_custkey = c_custkey)`,
+		[]string{"PushGroupByBelowJoin", "PushSelectBelowJoin"}},
 	{"select-list", `select c_custkey,
 		(select count(*) from orders where o_custkey = c_custkey) as n from customer`,
 		[]string{"ApplyScalarGroupBy", "ApplyToJoin"}},
