@@ -24,6 +24,11 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebra.Re
 		return nil, false
 	}
 	core2, rebuild := stripWrappers(j.Right)
+	if core2 == j.Right {
+		// A bare second instance: segmenting a plain self-join computes
+		// nothing per segment that the join does not compute as well.
+		return nil, false
+	}
 	remap, ok := matchRels(md, j.Left, core2)
 	if !ok {
 		return nil, false
