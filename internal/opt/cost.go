@@ -171,21 +171,20 @@ func (c *coster) best(g *group) []winner {
 		if e.dead {
 			continue
 		}
-		switch kids := e.inputs(); len(kids) {
-		case 0:
-			ws = c.offer(ws, e, estimate{}, estimate{}, 0, 0)
-		case 1:
-			for i, in := range c.best(kids[0]) {
-				ws = c.offer(ws, e, in.est, estimate{}, i, 0)
-			}
-		case 2:
-			for i, l := range c.best(kids[0]) {
-				c.inner(e, l.est.rows, func() {
-					for k, r := range c.best(kids[1]) {
-						ws = c.offer(ws, e, l.est, r.est, i, k)
-					}
-				})
-			}
+		// An absent input counts as one winner with a zero estimate.
+		kids, left, right := e.inputs(), []winner{{}}, []winner{{}}
+		if len(kids) > 0 {
+			left = c.best(kids[0])
+		}
+		for i, l := range left {
+			c.inner(e, l.est.rows, func() {
+				if len(kids) > 1 {
+					right = c.best(kids[1])
+				}
+				for k, r := range right {
+					ws = c.offer(ws, e, l.est, r.est, i, k)
+				}
+			})
 		}
 	}
 	g.busy = false

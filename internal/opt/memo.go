@@ -49,10 +49,8 @@ type memo struct {
 	standing int
 	// queue holds the bindings no rule has fired on yet, oldest first.
 	queue []binding
-	// by is the firing whose rewrite is being interned (nil: a seed),
-	// allocated from cur when the rewrite brings the first new expression.
-	by  *firing
-	cur firing
+	// by is the firing whose rewrite is being interned (nil: a seed).
+	by *firing
 
 	// live counts expressions, fired the rule firings that produced a
 	// rewrite, materialized the tree nodes built.
@@ -236,11 +234,7 @@ func (m *memo) intern(r algebra.Rel, into *group) *mexpr {
 	if e, ok := m.exprs[key]; ok {
 		return m.place(e, into)
 	}
-	if m.by == nil && m.cur.rule != "" {
-		by := m.cur
-		m.by = &by
-	}
-	e := &mexpr{op: r, kids: kids, key: key, by: m.by, final: m.cur.final}
+	e := &mexpr{op: r, kids: kids, key: key, by: m.by, final: m.by != nil && m.by.final}
 	if into == nil {
 		// The representative's tree is wanted by every binding above.
 		e.group = m.newGroup(e)
@@ -460,9 +454,9 @@ func (m *memo) above(g *group, p *mexpr) {
 // alternatives, so each still gets its ordered variant.
 func (m *memo) add(p, in *mexpr, rule string, r algebra.Rel) {
 	m.fired++
-	m.cur = firing{root: p, in: in, rule: rule, seq: m.fired, final: slices.Contains(FamilyOrder, rule)}
+	m.by = &firing{root: p, in: in, rule: rule, seq: m.fired, final: slices.Contains(FamilyOrder, rule)}
 	m.intern(r, p.group.find())
-	m.by, m.cur = nil, firing{}
+	m.by = nil
 }
 
 // explore fires rules until no binding is pending or the memo has grown

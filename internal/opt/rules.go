@@ -36,7 +36,10 @@ func rotateJoin(j *algebra.Join, slot int, innerCols algebra.ColSet) (algebra.Re
 	if len(inner) == 0 || len(outer) == 0 && j.Kind != algebra.CrossJoin && lower.Kind != algebra.CrossJoin {
 		return nil, false
 	}
-	up := &algebra.Join{Kind: joinKindFor(outer), On: onFor(outer)}
+	up := &algebra.Join{On: onFor(outer)}
+	if len(outer) == 0 {
+		up.Kind = algebra.CrossJoin
+	}
 	if slot == 0 {
 		up.Left, up.Right = lower.Left, &algebra.Join{Left: lower.Right, Right: j.Right, On: onFor(inner)}
 	} else {
@@ -153,13 +156,6 @@ func colEquality(conj algebra.Scalar) (l, r algebra.ColID, ok bool) {
 
 func innerOrCross(k algebra.JoinKind) bool {
 	return k == algebra.InnerJoin || k == algebra.CrossJoin
-}
-
-func joinKindFor(conjs []algebra.Scalar) algebra.JoinKind {
-	if len(conjs) == 0 {
-		return algebra.CrossJoin
-	}
-	return algebra.InnerJoin
 }
 
 // onFor is the join predicate of the conjuncts conjs, which are flat
