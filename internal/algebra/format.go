@@ -294,17 +294,18 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		// parameter values must format identically.
 		return strconv.AppendInt(append(b, '$'), int64(t.Idx+1), 10)
 	case *Cmp:
-		if l, r := t.L, t.R; md == nil && t.Op == CmpEq {
+		l, r := t.L, t.R
+		if md == nil && t.Op == CmpEq {
 			// In a key, a = b and b = a are one predicate.
 			if lc, ok := l.(*ColRef); ok {
 				if rc, ok := r.(*ColRef); ok && rc.Col < lc.Col {
-					t = &Cmp{Op: CmpEq, L: r, R: l}
+					l, r = r, l
 				}
 			}
 		}
-		b = appendScalar(b, md, t.L)
+		b = appendScalar(b, md, l)
 		b = append(append(append(b, ' '), t.Op.String()...), ' ')
-		return appendScalar(b, md, t.R)
+		return appendScalar(b, md, r)
 	case *And:
 		return appendJoined(b, md, t.Args, " AND ", "true")
 	case *Or:
