@@ -46,7 +46,7 @@ func checkApplyStrategies(t *testing.T, db *DB, label, sql string, cfg Config) {
 				t.Fatalf("%s: %s disagrees with sequential\nsql: %s\nsequential:\n%s\n%s:\n%s",
 					label, strat, sql, roundedFingerprint(seq), strat, roundedFingerprint(rows))
 			}
-		} else if !sameBagApprox(seq.Data, rows.Data) {
+		} else if !sameBagTolerant(seq.Data, rows.Data) {
 			t.Fatalf("%s: %s par=%d disagrees with sequential\nsql: %s\nsequential:\n%s\n%s:\n%s",
 				label, strat, cfg.Parallelism, sql, roundedFingerprint(seq), strat, roundedFingerprint(rows))
 		}

@@ -653,7 +653,7 @@ func TestStmtReusableAfterFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("statement unusable after contained panic: %v", err)
 	}
-	if !sameBagApprox(want.Data, r.Data) {
+	if !sameBagTolerant(want.Data, r.Data) {
 		t.Fatal("post-panic run returned wrong rows")
 	}
 
@@ -671,7 +671,7 @@ func TestStmtReusableAfterFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("statement unusable after cancellation: %v", err)
 	}
-	if !sameBagApprox(want.Data, r.Data) {
+	if !sameBagTolerant(want.Data, r.Data) {
 		t.Fatal("post-cancel run returned wrong rows")
 	}
 
@@ -688,7 +688,7 @@ func TestStmtReusableAfterFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameBagApprox(want.Data, r.Data) {
+	if !sameBagTolerant(want.Data, r.Data) {
 		t.Fatal("budgeted prepared run returned wrong rows")
 	}
 }

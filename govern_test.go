@@ -159,7 +159,7 @@ func TestSpillEquivalenceTPCH(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s par=%d budgeted: %v", name, par, err)
 			}
-			if !sameBagApprox(want.Data, got.Data) {
+			if !sameBagTolerant(want.Data, got.Data) {
 				t.Errorf("%s par=%d: budgeted run disagrees with unbounded\nwant %d rows, got %d",
 					name, par, len(want.Data), len(got.Data))
 			}
@@ -240,7 +240,7 @@ func TestFaultInjectionProperties(t *testing.T) {
 						t.Fatalf("query %d rule %d par %d: untyped failure %v\nsql: %s",
 							qi, ri, par, err, label())
 					}
-				} else if !sameBagApprox(want.Data, got.Data) {
+				} else if !sameBagTolerant(want.Data, got.Data) {
 					t.Fatalf("query %d rule %d par %d: fault-surviving run returned wrong rows\nsql: %s",
 						qi, ri, par, label())
 				}
@@ -284,7 +284,7 @@ func TestStreamMatchesQuery(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !sameBagApprox(want.Data, got) {
+	if !sameBagTolerant(want.Data, got) {
 		t.Fatalf("stream returned %d rows, query %d", len(got), len(want.Data))
 	}
 }

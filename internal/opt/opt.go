@@ -70,18 +70,6 @@ var (
 	FamilyOrder = []string{RuleEliminateSort, RuleMergeJoinOrder, RuleStreamAggOrder}
 )
 
-// Disable builds a Config.DisableRules set from rule-name lists
-// (families, or ad-hoc lists of Rule* names).
-func Disable(lists ...[]string) map[string]bool {
-	set := map[string]bool{}
-	for _, l := range lists {
-		for _, name := range l {
-			set[name] = true
-		}
-	}
-	return set
-}
-
 // Config selects which transformation rules the optimizer may use;
 // disabling individual primitives implements the paper's ablations
 // ("systems" axis of the benchmark harness). The zero value enables

@@ -234,6 +234,15 @@ func replaceNode(root algebra.Rel, old, repl algebra.Rel) algebra.Rel {
 	return root.WithInputs(kids)
 }
 
+// ruleSet is a Config.DisableRules set naming every rule in names.
+func ruleSet(names []string) map[string]bool {
+	set := map[string]bool{}
+	for _, name := range names {
+		set[name] = true
+	}
+	return set
+}
+
 // TestAblationFlagsRespected: disabling a rule family removes its
 // shapes from the search space.
 func TestAblationFlagsRespected(t *testing.T) {
@@ -241,7 +250,7 @@ func TestAblationFlagsRespected(t *testing.T) {
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{
-		DisableRules: Disable(FamilySegmentApply),
+		DisableRules: ruleSet(FamilySegmentApply),
 	}}
 	r := o.Optimize(rel)
 	if strings.Contains(algebra.FormatRel(md, r.Plan), "SegmentApply") {
@@ -250,7 +259,7 @@ func TestAblationFlagsRespected(t *testing.T) {
 
 	md2, rel2, _ := prep(t, st, tpch.Queries["Q17"])
 	o2 := &Optimizer{Md: md2, Cat: st.Catalog, Stats: sc, Config: Config{
-		DisableRules: Disable(RuleNames()),
+		DisableRules: ruleSet(RuleNames()),
 	}}
 	r2 := o2.Optimize(rel2)
 	if algebra.FormatRel(md2, r2.Plan) != algebra.FormatRel(md2, rel2) {

@@ -344,8 +344,8 @@ func (d Datum) Hash() uint64 {
 		var f float64
 		if d.kind == Int {
 			f = float64(d.i)
-		} else {
-			f = d.f
+		} else if d.f != 0 {
+			f = d.f // -0 compares equal to 0, so it hashes as 0
 		}
 		return fnvUint64(fnvByte(fnvOffset, 2), math.Float64bits(f))
 	case Date:

@@ -1,8 +1,11 @@
 package types
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +136,95 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	for _, p := range pairs {
 		if Equal(p[0], p[1]) && p[0].Hash() != p[1].Hash() {
 			t.Errorf("equal datums %v, %v hash differently", p[0], p[1])
+		}
+	}
+}
+
+// TestCompareMatchesGoOrdering holds Compare to Go's own orderings on
+// random pairs — Int, Date and Bool to cmp.Compare on their int64
+// values, non-NaN Float to cmp.Compare, String to strings.Compare, Int
+// against Float where float64 holds the integer exactly (|i| ≤ 2^53),
+// NULL before everything — and on the same pairs requires Equal to
+// hold exactly when Compare is 0, and equal values to hash equal.
+// internal/reference shares this package with the engine by design, so
+// a wrong Compare would be invisible to the oracle.
+func TestCompareMatchesGoOrdering(t *testing.T) {
+	r := rand.New(rand.NewSource(20010521))
+	small := func() int64 { return int64(r.Intn(9) - 4) } // equal pairs are common
+	anyInt := func() int64 {
+		if r.Intn(2) == 0 {
+			return small()
+		}
+		return int64(r.Uint64())
+	}
+	anyFloat := func() float64 {
+		switch r.Intn(5) {
+		case 0:
+			return float64(small()) / 2
+		case 1:
+			return math.Inf(int(small()))
+		case 2:
+			return math.Copysign(0, -1)
+		case 3:
+			return r.NormFloat64() * 1e6
+		}
+		for {
+			if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) {
+				return f
+			}
+		}
+	}
+	anyString := func() string {
+		var b strings.Builder
+		for n := r.Intn(4); n > 0; n-- {
+			b.WriteRune([]rune("ab\x00é€")[r.Intn(5)])
+		}
+		return b.String()
+	}
+	check := func(a, b Datum, want int) {
+		t.Helper()
+		if got := Compare(a, b); got != want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got := Compare(b, a); got != -want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", b, a, got, -want)
+		}
+		if Equal(a, b) != (want == 0) {
+			t.Errorf("Equal(%v, %v) = %v with Compare %d", a, b, Equal(a, b), want)
+		}
+		if want == 0 && a.Hash() != b.Hash() {
+			t.Errorf("equal %v and %v hash differently", a, b)
+		}
+	}
+	bit := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for range 20000 {
+		i, j := anyInt(), anyInt()
+		check(NewInt(i), NewInt(j), cmp.Compare(i, j))
+		check(NewDate(i), NewDate(j), cmp.Compare(i, j))
+		p, q := r.Intn(2) == 0, r.Intn(2) == 0
+		check(NewBool(p), NewBool(q), cmp.Compare(bit(p), bit(q)))
+		f, g := anyFloat(), anyFloat()
+		check(NewFloat(f), NewFloat(g), cmp.Compare(f, g))
+		s, u := anyString(), anyString()
+		check(NewString(s), NewString(u), strings.Compare(s, u))
+
+		exact := small()
+		if r.Intn(2) == 0 {
+			exact = r.Int63n(1<<53+1) * (1 - 2*r.Int63n(2))
+		}
+		if r.Intn(3) == 0 {
+			g = float64(exact)
+		}
+		check(NewInt(exact), NewFloat(g), cmp.Compare(float64(exact), g))
+
+		for _, d := range []Datum{NewInt(i), NewDate(j), NewBool(p), NewFloat(f), NewString(s)} {
+			check(Null(d.Kind()), d, -1)
+			check(Null(Kind(r.Intn(5))), Null(d.Kind()), 0)
 		}
 	}
 }

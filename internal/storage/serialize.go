@@ -222,7 +222,9 @@ func WriteSnapshot(w io.Writer, sn *Snapshot) error {
 
 // ReadSnapshot deserializes a WriteSnapshot stream into a fresh store:
 // catalog entries registered, rows loaded, and each table's version
-// stamped with its serialized publication LSN. Indexes are not
+// stamped with its serialized publication LSN. Every row must fit its
+// table's schema, as an insert's must: a checksum catches flipped bits,
+// not a well-formed row of the wrong width or kind. Indexes are not
 // persisted — callers rebuild them (Analyze) after recovery.
 func ReadSnapshot(buf []byte) (*Store, error) {
 	n, w := binary.Uvarint(buf)
@@ -247,6 +249,9 @@ func ReadSnapshot(buf []byte) (*Store, error) {
 		buf = rest
 		t, err := st.CreateTable(schema)
 		if err != nil {
+			return nil, err
+		}
+		if err := t.checkRows(rows); err != nil {
 			return nil, err
 		}
 		t.mu.Lock()

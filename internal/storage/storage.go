@@ -253,6 +253,18 @@ func (t *Table) publish(hashIdx map[string]*hashIndex, ordIdx map[string]*ordere
 	t.cur.Store(v)
 }
 
+// checkRows validates every row's arity and types against the schema
+// (checkRow), whichever way the rows arrive: an insert, a checkpoint
+// load or a log replay.
+func (t *Table) checkRows(rows []types.Row) error {
+	for _, r := range rows {
+		if err := t.checkRow(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // checkRow validates arity and types against the schema. NULLs are
 // rejected in non-nullable columns.
 func (t *Table) checkRow(row types.Row) error {
@@ -302,10 +314,8 @@ func (t *Table) InsertAll(rows []types.Row) error {
 // nothing published: the write was never acknowledged, so recovery
 // owes it nothing.
 func (t *Table) InsertAllThen(rows []types.Row, then func(total int)) error {
-	for _, r := range rows {
-		if err := t.checkRow(r); err != nil {
-			return err
-		}
+	if err := t.checkRows(rows); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -578,12 +588,16 @@ func (s *Store) ApplyCreateTable(schema *catalog.Table, lsn uint64) error {
 // ApplyInsert re-applies a logged row batch during recovery. Records
 // at or below the table's checkpointed LSN are skipped (their rows are
 // already in the snapshot); everything newer is appended and the
-// version restamped. Rows are applied without re-validation — they
-// passed checkRow when first logged.
+// version restamped. The rows passed checkRow when first logged and
+// pass it again here, so a log record that decodes but does not fit
+// the schema fails recovery instead of the first query that reads it.
 func (s *Store) ApplyInsert(table string, rows []types.Row, lsn uint64) error {
 	t, ok := s.Table(table)
 	if !ok {
 		return fmt.Errorf("storage: replay insert into unknown table %q", table)
+	}
+	if err := t.checkRows(rows); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -740,6 +740,35 @@ func TestCreateTableJournalFailureRollsBackCatalog(t *testing.T) {
 	m.Kill()
 }
 
+// A log record that frames and decodes but whose rows do not fit the
+// table — here a string id and a missing column — fails recovery with
+// the table's complaint, rather than reaching the first query to read
+// the table.
+func TestReplayRejectsRowsThatDoNotFitSchema(t *testing.T) {
+	for _, row := range []types.Row{
+		{types.NewString("x"), types.NewInt(1)},
+		{types.NewInt(1)},
+	} {
+		ffs := NewFaultFS(nil)
+		m, st, _ := openFF(t, ffs, SyncAlways)
+		tbl := mustCreate(t, st, "t")
+		if err := tbl.InsertAll(batchRows(1, 3)); err != nil {
+			t.Fatalf("InsertAll: %v", err)
+		}
+		// Logged past checkRow, as a corrupt writer would.
+		if _, err := m.LogInsert("t", []types.Row{row}); err != nil {
+			t.Fatalf("LogInsert: %v", err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		_, _, _, err := Open(Options{Dir: testDir, Policy: SyncAlways, FS: ffs.Reboot()})
+		if err == nil || !strings.Contains(err.Error(), "wal: replay") || !strings.Contains(err.Error(), "storage: ") {
+			t.Errorf("replaying %v: err = %v, want the table's complaint", row, err)
+		}
+	}
+}
+
 // lastSegment returns the path of the newest non-empty log segment.
 func lastSegment(t *testing.T, ffs *FaultFS) string {
 	t.Helper()

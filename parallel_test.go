@@ -51,30 +51,6 @@ func approxEqualRow(a, b Row) bool {
 	return true
 }
 
-// sameBagApprox greedily matches each row of a to an unused
-// approximately-equal row of b.
-func sameBagApprox(a, b []Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	used := make([]bool, len(b))
-	for _, ra := range a {
-		found := false
-		for j, rb := range b {
-			if used[j] || !approxEqualRow(ra, rb) {
-				continue
-			}
-			used[j] = true
-			found = true
-			break
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 func checkParallelAgainstSerial(t *testing.T, db *DB, label, sql string, cfg Config) {
 	t.Helper()
 	serialRows, err := db.QueryCfg(sql, cfg)
@@ -88,7 +64,7 @@ func checkParallelAgainstSerial(t *testing.T, db *DB, label, sql string, cfg Con
 		if err != nil {
 			t.Fatalf("%s par=%d: %v\nsql: %s", label, par, err, sql)
 		}
-		if !sameBagApprox(serialRows.Data, rows.Data) {
+		if !sameBagTolerant(serialRows.Data, rows.Data) {
 			t.Fatalf("%s par=%d disagrees with serial\nsql: %s\nserial:\n%s\nparallel:\n%s",
 				label, par, sql, roundedFingerprint(serialRows), roundedFingerprint(rows))
 		}

@@ -38,8 +38,9 @@ func bagKey(row Row) string {
 	return strings.Join(parts, "|")
 }
 
-// sameBagTolerant is sameBagApprox in near-linear time: rows are
-// matched greedily within buckets of equal non-numeric values.
+// sameBagTolerant reports whether a and b hold the same rows in any
+// order, numerics compared by approxEqualRow: rows are matched greedily
+// within buckets of equal non-numeric values, in near-linear time.
 func sameBagTolerant(a, b []Row) bool {
 	if len(a) != len(b) {
 		return false

@@ -156,7 +156,7 @@ func TestRuleWitnessesFireAndAreRemovable(t *testing.T) {
 			if hasRule(got.Rules, rule) {
 				t.Errorf("%s: disabled rule %s still fired", w.name, rule)
 			}
-			if !sameBagApprox(base.Data, got.Data) {
+			if !sameBagTolerant(base.Data, got.Data) {
 				t.Errorf("%s: disabling %s changed the result (%d rows vs %d)\nbaseline rules: %v\ngot rules: %v",
 					w.name, rule, len(base.Data), len(got.Data), base.Rules, got.Rules)
 			}
@@ -195,7 +195,7 @@ func TestRuleEquivalenceTPCH(t *testing.T) {
 			if hasRule(got.Rules, rule) {
 				t.Errorf("%s: disabled rule %s still fired", name, rule)
 			}
-			if !sameBagApprox(base.Data, got.Data) {
+			if !sameBagTolerant(base.Data, got.Data) {
 				t.Errorf("%s: disabling %s changed the result (%d rows vs %d)",
 					name, rule, len(base.Data), len(got.Data))
 			}
@@ -261,7 +261,7 @@ func TestRuleEquivalenceFuzz(t *testing.T) {
 			if hasRule(got.Rules, rule) {
 				t.Errorf("query %d: disabled rule %s still fired\nsql: %s", i, rule, sql)
 			}
-			if !sameBagApprox(base.Data, got.Data) {
+			if !sameBagTolerant(base.Data, got.Data) {
 				t.Errorf("query %d: disabling %s changed the result (%d vs %d rows)\nsql: %s",
 					i, rule, len(base.Data), len(got.Data), sql)
 			}

@@ -81,20 +81,18 @@ go test -run '^$' -fuzz FuzzVecEval -fuzztime 10s ./internal/eval
 
 # Byte-level surfaces: ten seconds each of coverage-guided fuzzing over
 # the SQL lexer+parser (arbitrary text must parse or error, and what
-# parses must print to SQL that parses), WAL record framing and bodies
-# (seeded from a real segment), and the checkpoint snapshot codec. Each
-# must return an error or a value — never panic, hang, or allocate by a
-# length it has not checked against the bytes that remain. Crashers
-# land in testdata/fuzz and run as regular tests from then on.
+# parses must print to SQL that parses), the wire's JSON request bodies
+# (every endpoint that decodes one answers with JSON and a 2xx or 4xx),
+# WAL record framing and bodies (seeded from a real segment), and the
+# checkpoint snapshot codec (whose accepted rows must fit their
+# tables). Each must return an error or a value — never panic, hang, or
+# allocate by a length it has not checked against the bytes that
+# remain. Crashers land in testdata/fuzz and run as regular tests from
+# then on.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s .
+go test -run '^$' -fuzz FuzzRequestBodies -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/storage
-
-# Apply-strategy smoke leg: the binding-batch experiment at a tiny
-# scale factor verifies all three Apply strategies return identical
-# results on the correlated workloads and that the trace counters
-# (bindings/inner-execs) are populated.
-go run ./cmd/orthoq-bench -exp apply -sf 0.002 -reps 1 -json > /dev/null
 
 # Governance leg: the fault-injection property sweep, spill-vs-unbounded
 # equivalence, and the goroutine/spill-file leak checks, under -race.
@@ -103,10 +101,14 @@ go run ./cmd/orthoq-bench -exp apply -sf 0.002 -reps 1 -json > /dev/null
 go test -run 'TestTypedErrors|TestFaultInjection|TestSpill|TestStream|TestCancel|TestCacheSurvivesFailedRuns|TestStmtReusableAfterFailure' -race .
 
 # Server leg: admission control, session/cursor lifecycle, and the
-# wire front end under -race, plus the concurrent-writer publication
-# tests (storage COW + the root Insert/Analyze-vs-Query hammer and
-# snapshot serial-equivalence checks). The full ./... race run below
-# covers these again; this leg fails fast with a focused signal.
+# wire front end under -race — including the two whole-stack load
+# checks: zero stale reads through the result cache while a writer
+# inserts, and zero failed operations from 32 sessions against an
+# admission pool sized to a quarter of them — plus the
+# concurrent-writer publication tests (storage COW + the root
+# Insert/Analyze-vs-Query hammer and snapshot serial-equivalence
+# checks). The full ./... race run below covers these again; this leg
+# fails fast with a focused signal.
 go test -race ./internal/server ./internal/storage
 go test -run 'TestInsertQueryRace|TestSnapshotSerialEquivalence|TestStmtRunSnapshot' -race .
 
@@ -122,22 +124,8 @@ go test -run 'TestResultCache' -race .
 # stream/hash agg, sort elimination on/off, serial and parallel —
 # identical multisets everywhere, identical sequences under ORDER BY)
 # plus the sort-elision and row-cap pins and the order-strategy
-# spill/cache interplay tests, under -race. Then the order experiment
-# at a tiny scale factor verifies each order-aware plan agrees with
-# its order-blind baseline before timing it.
+# spill/cache interplay tests, under -race.
 go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestForcedStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation' -race . ./internal/exec
-go run ./cmd/orthoq-bench -exp order -sf 0.002 -reps 1 -json > /dev/null
-
-# Result-cache wire smoke: identical concurrent traffic uncached vs
-# cached through the HTTP front end with a writer hammering a scratch
-# table — zero stale reads required (the run fails itself otherwise).
-go run ./cmd/orthoq-bench -exp resultcache -sf 0.002 -sessions 8 -ops 5 -json > /dev/null
-
-# Concurrency smoke leg: the full wire stack — 32 sessions of mixed
-# read/write over HTTP with the admission pool sized below the offered
-# load — must complete with zero errors (rejects are expected and
-# counted, errors are not).
-go run ./cmd/orthoq-bench -exp concurrency -sf 0.002 -sessions 32 -ops 5 -json > /dev/null
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
@@ -149,10 +137,10 @@ go test -race ./internal/wal
 go test -run 'TestDurable|TestNotDurable|TestReadiness|TestDrain' -race . ./internal/server
 go test -run TestKill9RestartSmoke -race ./cmd/orthoq-server
 
-# Full suite under -race. Run separately from coverage: the root and
-# bench packages execute the whole TPC-H property corpus, and stacking
+# Full suite under -race. Run separately from coverage: the root
+# package executes the whole TPC-H property corpus, and stacking
 # cross-package coverage instrumentation on top of the race detector
-# pushes them past a 30-minute per-package timeout. Race-only finishes
+# pushes it past a 30-minute per-package timeout. Race-only finishes
 # in ~6 minutes; coverage-only in a few more.
 go test -race -timeout 30m ./...
 
