@@ -21,22 +21,23 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-// checkApplyStrategies runs sql under each forced Apply strategy and
-// compares results against the sequential baseline. At Parallelism <=
-// 1 the comparison is exact and ordered (all strategies execute the
-// same arithmetic per binding); above it rows are matched as a bag
-// with numeric tolerance, as in the parallel suites.
+// checkApplyStrategies runs sql with every Apply forced onto each path
+// (Config.forceApply; "auto" forces nothing) and compares results
+// against the sequential baseline. At Parallelism <= 1 the comparison
+// is exact and ordered (all strategies execute the same arithmetic per
+// binding); above it rows are matched as a bag with numeric tolerance,
+// as in the parallel suites.
 func checkApplyStrategies(t *testing.T, db *DB, label, sql string, cfg Config) {
 	t.Helper()
 	seqCfg := cfg
-	seqCfg.ApplyStrategy = "sequential"
+	seqCfg.forceApply = "sequential"
 	seq, err := db.QueryCfg(sql, seqCfg)
 	if err != nil {
 		t.Fatalf("%s sequential: %v\nsql: %s", label, err, sql)
 	}
 	for _, strat := range []string{"auto", "batched", "parallel"} {
 		c := cfg
-		c.ApplyStrategy = strat
+		c.forceApply = strat
 		rows, err := db.QueryCfg(sql, c)
 		if err != nil {
 			t.Fatalf("%s %s: %v\nsql: %s", label, strat, err, sql)
@@ -96,22 +97,6 @@ func TestApplyStrategyEquivalenceFuzz(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			cfg := Config{Parallelism: par}
 			checkApplyStrategies(t, db, "fuzz", sql, cfg)
-		}
-	}
-}
-
-// TestApplyStrategyValidation: unknown strategy names are rejected at
-// prepare time, and "auto" normalizes to the default.
-func TestApplyStrategyValidation(t *testing.T) {
-	db := sharedDB(t)
-	cfg := Config{ApplyStrategy: "speculative"}
-	if _, err := db.QueryCfg("select count(*) from orders", cfg); err == nil ||
-		!strings.Contains(err.Error(), "ApplyStrategy") {
-		t.Fatalf("want ApplyStrategy validation error, got %v", err)
-	}
-	for _, ok := range []string{"", "auto", "sequential", "batched", "parallel"} {
-		if _, err := db.QueryCfg("select count(*) from orders", Config{ApplyStrategy: ok}); err != nil {
-			t.Fatalf("strategy %q: %v", ok, err)
 		}
 	}
 }
@@ -251,7 +236,7 @@ func TestApplyAnalyzeTrace(t *testing.T) {
 	sql := `select o_orderkey from orders
 	        where o_totalprice > (select avg(o2.o_totalprice) from orders o2
 	                              where o2.o_custkey = orders.o_custkey)`
-	cfg := Config{ApplyStrategy: "batched"}
+	cfg := Config{forceApply: "batched"}
 	rows, err := db.QueryAnalyze(sql, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +276,7 @@ func TestApplyFaultInjection(t *testing.T) {
 	for _, strat := range []string{"batched", "parallel"} {
 		for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Panic} {
 			for _, point := range []string{"open", "next", "close"} {
-				cfg := Config{ApplyStrategy: strat, Parallelism: 4}
+				cfg := Config{forceApply: strat, Parallelism: 4}
 				cfg.faults = faultinject.New(
 					faultinject.Rule{Op: "Get", Point: point, Kind: kind, After: 5})
 				_, err := db.QueryCfg(sql, cfg)
@@ -303,7 +288,7 @@ func TestApplyFaultInjection(t *testing.T) {
 				}
 				// The DB must stay usable: no stale params, no poisoned
 				// shared state.
-				clean, err := db.QueryCfg(sql, Config{ApplyStrategy: strat, Parallelism: 4})
+				clean, err := db.QueryCfg(sql, Config{forceApply: strat, Parallelism: 4})
 				if err != nil {
 					t.Fatalf("%s/%v/%s: query after fault failed: %v", strat, kind, point, err)
 				}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"orthoq/internal/exec/faultinject"
+	"orthoq/internal/opt"
 	"orthoq/internal/sql/types"
 )
 
@@ -693,10 +694,9 @@ func TestStmtReusableAfterFailure(t *testing.T) {
 	}
 }
 
-// TestCacheOrderStrategySeparation: the order knobs are plan identity —
-// the same SQL under different join/agg strategies or with sort
-// elimination off occupies distinct cache slots, each with its own
-// hit stream.
+// TestCacheOrderStrategySeparation: the order rules are plan identity —
+// the same SQL with them on and off (DisableRules = opt.FamilyOrder)
+// occupies distinct cache slots, each with its own hit stream.
 func TestCacheOrderStrategySeparation(t *testing.T) {
 	db, err := OpenTPCH(0.001, 13)
 	if err != nil {
@@ -705,27 +705,25 @@ func TestCacheOrderStrategySeparation(t *testing.T) {
 	const q = `select o_orderkey, l_linenumber from orders join lineitem on l_orderkey = o_orderkey
 	           order by o_orderkey, l_linenumber`
 	base := DefaultConfig()
-	merge := base
-	merge.JoinStrategy = "merge"
-	noelim := base
-	noelim.DisableSortElim = true
-	for _, cfg := range []Config{base, merge, noelim} {
+	noOrder := base
+	noOrder.DisableRules = opt.FamilyOrder
+	for _, cfg := range []Config{base, noOrder} {
 		r, err := db.QueryCfg(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Cache != "miss" {
-			t.Fatalf("first run under %q cache = %q, want miss (plan aliased across order knobs)",
-				mustIdentity(t, cfg).key(), r.Cache)
+			t.Fatalf("first run under %q cache = %q, want miss (plan aliased across order rules)",
+				cfg.identity().key(), r.Cache)
 		}
 	}
-	for _, cfg := range []Config{base, merge, noelim} {
+	for _, cfg := range []Config{base, noOrder} {
 		r, err := db.QueryCfg(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Cache != "hit" {
-			t.Fatalf("second run under %q cache = %q, want hit", mustIdentity(t, cfg).key(), r.Cache)
+			t.Fatalf("second run under %q cache = %q, want hit", cfg.identity().key(), r.Cache)
 		}
 	}
 }

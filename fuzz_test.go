@@ -177,7 +177,7 @@ func TestRandomQueriesAgreeAcrossStrategies(t *testing.T) {
 // same, with the margin).
 func TestFuzzCorpusSearchExhausts(t *testing.T) {
 	db := sharedDB(t)
-	id := mustIdentity(t, DefaultConfig())
+	id := DefaultConfig().identity()
 	sqls := warmPassQueries()
 	for _, seed := range []int64{20010521, 571, 41} {
 		r := rand.New(rand.NewSource(seed))

@@ -12,15 +12,6 @@ import (
 	"orthoq/internal/exec/faultinject"
 )
 
-func mustIdentity(t testing.TB, cfg Config) planIdentity {
-	t.Helper()
-	id, err := cfg.identity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
-}
-
 // fieldClass says what a Config field is to the engine.
 type fieldClass int
 
@@ -49,13 +40,8 @@ var configFields = map[string]struct {
 	"SegmentApply":       {classIdentity, func(c *Config) { c.SegmentApply = false }},
 	"JoinReorder":        {classIdentity, func(c *Config) { c.JoinReorder = false }},
 	"CorrelatedReintro":  {classIdentity, func(c *Config) { c.CorrelatedReintro = false }},
-	"MaxSteps":           {classRetired, func(c *Config) { c.MaxSteps = 500 }},
 	"Parallelism":        {classIdentity, func(c *Config) { c.Parallelism = 4 }},
 	"DisableBatch":       {classRetired, func(c *Config) { c.DisableBatch = true }},
-	"ApplyStrategy":      {classIdentity, func(c *Config) { c.ApplyStrategy = "batched" }},
-	"JoinStrategy":       {classIdentity, func(c *Config) { c.JoinStrategy = "merge" }},
-	"AggStrategy":        {classIdentity, func(c *Config) { c.AggStrategy = "stream" }},
-	"DisableSortElim":    {classIdentity, func(c *Config) { c.DisableSortElim = true }},
 	"DisableRules":       {classIdentity, func(c *Config) { c.DisableRules = []string{"CommuteJoin"} }},
 
 	"PlanCache.Size":              {classRunState, func(c *Config) { c.PlanCache.Size = 7 }},
@@ -76,6 +62,7 @@ var configFields = map[string]struct {
 	"SpillDir":                    {classRunState, func(c *Config) { c.SpillDir = "/nonexistent-unused" }},
 	"RowBudget":                   {classRunState, func(c *Config) { c.RowBudget = 1 << 40 }},
 	"faults":                      {classRunState, func(c *Config) { c.faults = faultinject.New() }},
+	"forceApply":                  {classRunState, func(c *Config) { c.forceApply = "batched" }},
 }
 
 // configFieldPaths walks a config struct type, descending into the
@@ -134,7 +121,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 	}
 	status := func(cfg Config) string { return statusOf(sql, cfg) }
 	base := DefaultConfig()
-	baseID := mustIdentity(t, base)
+	baseID := base.identity()
 	if got := status(base); got != "miss" {
 		t.Fatalf("first run: cache = %q, want miss", got)
 	}
@@ -146,7 +133,7 @@ func TestConfigFieldsClassified(t *testing.T) {
 			t.Errorf("%s: flip did not change the Config", path)
 			continue
 		}
-		id := mustIdentity(t, cfg)
+		id := cfg.identity()
 		got := status(cfg)
 		switch {
 		case class.class == classRetired:
@@ -187,41 +174,8 @@ func TestConfigFieldsClassified(t *testing.T) {
 	byFlag.JoinReorder = false
 	byName := base
 	byName.DisableRules = []string{"RotateJoin", "CommuteJoin"}
-	if mustIdentity(t, byFlag) != mustIdentity(t, byName) {
+	if byFlag.identity() != byName.identity() {
 		t.Error("JoinReorder=false and DisableRules{CommuteJoin,RotateJoin} are different identities")
-	}
-}
-
-// TestInvalidConfigRejectedFirst: a bad strategy spelling is rejected
-// by identity() at every entry point, before any cache or parser work —
-// no plan cache is created, nothing is counted, and the SQL is never
-// looked at.
-func TestInvalidConfigRejectedFirst(t *testing.T) {
-	db := NewMemory()
-	bad := DefaultConfig()
-	bad.JoinStrategy = "sort-merge"
-	const notSQL = `this is not sql`
-	calls := map[string]func() error{
-		"QueryCfg":    func() error { _, err := db.QueryCfg(notSQL, bad); return err },
-		"QueryStream": func() error { _, err := db.QueryStream(notSQL, bad); return err },
-		"QueryAnalyze": func() error {
-			_, err := db.QueryAnalyze(notSQL, bad)
-			return err
-		},
-		"Prepare": func() error { _, err := db.Prepare(notSQL, bad); return err },
-		"Explain": func() error { _, err := db.Explain(notSQL, bad); return err },
-	}
-	for name, call := range calls {
-		err := call()
-		if err == nil || !strings.Contains(err.Error(), `unknown JoinStrategy "sort-merge" (want auto, hash, or merge)`) {
-			t.Errorf("%s: err = %v, want the JoinStrategy validation error", name, err)
-		}
-	}
-	if db.cache.Load() != nil {
-		t.Error("an invalid Config created the plan cache")
-	}
-	if st := db.CacheStats(); st.Misses+st.Bypasses+st.Hits != 0 {
-		t.Errorf("an invalid Config was counted by the plan cache: %+v", st)
 	}
 }
 

@@ -149,12 +149,7 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 		for _, a := range t.Aggs {
 			cols = append(cols, a.Col)
 		}
-		if inOrder := algebra.DeliveredOrder(t.Input); ctx.AggAlg(t, inOrder) == AlgStream {
-			if !streamAggApplicable(t, inOrder) {
-				// Forced streaming over ungrouped input: sort by the
-				// group columns first (the correctness net).
-				in = sortWrapNode(ctx, in, t.GroupCols.Ordered(), t)
-			}
+		if AggAlg(t, algebra.DeliveredOrder(t.Input)) == AlgStream {
 			agg := iterator(&streamAggIter{ctx: ctx, in: in, gb: t, cols: cols,
 				st: ctx.traceStats(t)})
 			return newNode(maybeCacheSub(ctx, t, agg), cols), nil

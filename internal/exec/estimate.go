@@ -78,8 +78,7 @@ const (
 )
 
 // chooseApplyStrategy picks the execution strategy for an Apply from
-// the Config override (Strategy.Apply) or, by default, from the
-// estimated outer cardinality.
+// its estimated outer cardinality (or the Context.Apply test seam).
 func chooseApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet) applyStrategy {
 	return pickApplyStrategy(ctx, a, sig, float64(estimateRows(ctx, a.Left)))
 }

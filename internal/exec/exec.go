@@ -40,12 +40,17 @@ type Context struct {
 	// Stats, when set, supplies cardinality estimates used to
 	// preallocate hash-join and aggregation hash tables.
 	Stats *stats.Collection
-	// Strategy is the plan's physical-choice identity — worker count and
-	// the Apply/join/aggregation/order selectors' inputs
-	// (strategy.go). It is one value from the engine's Config to here,
-	// and one field for workerClone to carry: a worker must run the
-	// same algorithms as its coordinator.
-	Strategy
+	// Parallelism is the worker count for morsel-driven parallel
+	// execution. 0 or 1 means serial; higher values let eligible
+	// scan/join/aggregation subtrees run on that many goroutines. Every
+	// other physical choice is made from the plan (strategy.go).
+	Parallelism int
+	// Apply, when set to "sequential", "batched" or "parallel", runs
+	// every Apply on that path instead of the one pickApplyStrategy
+	// picks: a seam for tests that hold the three paths to one another.
+	// A forced "parallel" still degrades to batched for inner sides that
+	// cannot be recompiled on a worker context.
+	Apply string
 	// RowBudget, when positive, aborts execution after this many
 	// operator-row productions — a guard for runaway plans in tests.
 	// The counter itself is shared across workers (see sharedState) so
@@ -212,17 +217,19 @@ func NewContext(store *storage.Store, md *algebra.Metadata) *Context {
 // tracing, the clone gets a private trace map — race-free to update —
 // that the worker folds into sharedState.wtrace when it finishes
 // (mergeWorkerTrace), so EXPLAIN ANALYZE and Spans cover the operators
-// below a parallel exchange.
+// below a parallel exchange. A worker is one serial strand: its
+// Parallelism stays 0, so it never fans out again (the Apply selector
+// reads Parallelism, and a worker's inner Applies must stay batched).
 func (c *Context) workerClone() *Context {
 	var wt map[algebra.Rel]*OpStats
 	if c.trace != nil {
 		wt = make(map[algebra.Rel]*OpStats)
 	}
-	w := &Context{
+	return &Context{
 		Store:        c.Store,
 		Md:           c.Md,
 		Stats:        c.Stats,
-		Strategy:     c.Strategy,
+		Apply:        c.Apply,
 		RowBudget:    c.RowBudget,
 		Params:       c.Params,
 		Ctx:          c.Ctx,
@@ -239,11 +246,6 @@ func (c *Context) workerClone() *Context {
 		trace:        wt,
 		isWorker:     true,
 	}
-	// A worker is one serial strand: it runs its coordinator's
-	// algorithms but never fans out again (the Apply selector reads
-	// Parallelism, and a worker's inner Applies must stay batched).
-	w.Parallelism = 0
-	return w
 }
 
 // mergeWorkerTrace folds a finished worker's private trace into the

@@ -9,9 +9,8 @@ import (
 // keys, the iterator advances the two cursors in lockstep and buffers
 // one right-side key group at a time. Memory is O(largest key group)
 // instead of O(right input), and inner/semi output preserves the left
-// input's order. Selected cost-based when both inputs already deliver
-// a covering order (ordered index scans, ordered Apply outputs), or
-// forced via Strategy.Join with explicit sorts as the safety net.
+// input's order. Selected exactly when both inputs already deliver a
+// covering order (ordered index scans, Sort nodes; JoinAlg).
 
 // mergeKeySeq picks the key comparison sequence for a merge join whose
 // inputs deliver the orders dl and dr. Equality conjuncts carry no
@@ -19,8 +18,8 @@ import (
 // delivered order when a permutation of the key pairs matches it
 // (making the left side sort-free); otherwise the declared conjunct
 // order is kept. lSorted/rSorted report whether each input's delivered
-// order covers the chosen sequence ascending — sides not covered need
-// an explicit sort.
+// order covers the chosen sequence ascending; JoinAlg merges only when
+// both do.
 func mergeKeySeq(lKeys, rKeys []algebra.ColID, dl, dr []algebra.Ordering) (lSeq, rSeq []algebra.ColID, lSorted, rSorted bool) {
 	n := len(lKeys)
 	if len(dl) >= n {
@@ -56,7 +55,7 @@ func mergeKeySeq(lKeys, rKeys []algebra.ColID, dl, dr []algebra.Ordering) (lSeq,
 }
 
 // coversAsc reports whether rows ordered by delivered are ordered
-// ascending on cols: algebra.OrderCovers(delivered, ascOrder(cols)),
+// ascending on cols: algebra.OrderCovers over cols in ascending order,
 // without building the ordering (the cost model asks per join costed).
 func coversAsc(delivered []algebra.Ordering, cols []algebra.ColID) bool {
 	if len(cols) > len(delivered) {
@@ -70,23 +69,15 @@ func coversAsc(delivered []algebra.Ordering, cols []algebra.ColID) bool {
 	return true
 }
 
-// maybeMergeJoin builds the merge-join iterator when Strategy.JoinAlg
-// picks merge for j. Auto selection only does so with both inputs
-// pre-sorted; a forced merge accepts any equi-join and sorts whichever
-// inputs need it.
+// maybeMergeJoin builds the merge-join iterator when JoinAlg picks
+// merge for j: both inputs arrive sorted on the keys.
 func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 	lKeys, rKeys []algebra.ColID, residual []algebra.Scalar) (*node, bool) {
 	dl, dr := algebra.DeliveredOrder(j.Left), algebra.DeliveredOrder(j.Right)
-	if ctx.JoinAlg(lKeys, rKeys, dl, dr) != AlgMerge {
+	if JoinAlg(lKeys, rKeys, dl, dr) != AlgMerge {
 		return nil, false
 	}
-	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(lKeys, rKeys, dl, dr)
-	if !lSorted {
-		left = sortWrapNode(ctx, left, lSeq, j)
-	}
-	if !rSorted {
-		right = sortWrapNode(ctx, right, rSeq, j)
-	}
+	lSeq, rSeq, _, _ := mergeKeySeq(lKeys, rKeys, dl, dr)
 	lOrds := make([]int, len(lSeq))
 	rOrds := make([]int, len(rSeq))
 	for i := range lSeq {

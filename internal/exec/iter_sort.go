@@ -13,31 +13,6 @@ import (
 // scan walks the index permutation, the aggregation holds one group of
 // state at a time.
 
-// streamAggApplicable reports whether inOrder, the order gb's input
-// delivers, makes every group contiguous, i.e. whether the aggregation
-// can stream over sorted input without a hash table. Strategy.AggAlg
-// is what the compiler, the cost model and EXPLAIN ask.
-func streamAggApplicable(gb *algebra.GroupBy, inOrder []algebra.Ordering) bool {
-	return algebra.GroupedBy(inOrder, gb.GroupCols)
-}
-
-// ascOrder renders a key column sequence as an ascending ordering.
-func ascOrder(cols []algebra.ColID) []algebra.Ordering {
-	by := make([]algebra.Ordering, len(cols))
-	for i, c := range cols {
-		by[i] = algebra.Ordering{Col: c}
-	}
-	return by
-}
-
-// sortWrapNode wraps a compiled input in an explicit ascending sort on
-// cols — the fallback that keeps forced merge joins and forced
-// streaming aggregations correct over unordered inputs. The sort's
-// memory is attributed to the enclosing operator's stats slot.
-func sortWrapNode(ctx *Context, in *node, cols []algebra.ColID, at algebra.Rel) *node {
-	return newNode(&sortIter{ctx: ctx, in: in, by: ascOrder(cols), st: ctx.traceStats(at)}, in.cols)
-}
-
 // compileOrderedGet lowers a Get carrying an Order requirement: an
 // ordered index scan when a fresh index delivers the order, else a
 // full scan under an explicit sort (the correctness net for stale
@@ -47,11 +22,9 @@ func sortWrapNode(ctx *Context, in *node, cols []algebra.ColID, at algebra.Rel) 
 func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, filter algebra.Scalar) (*node, error) {
 	n := newNode(nil, g.Cols)
 	filt := newFilterPred(ctx, filter, n.ords)
-	if ctx.OrderedScan(g) {
-		if perm, reverse, ok := orderedPerm(tbl, g); ok {
-			n.it = &orderedScanIter{tbl: tbl, perm: perm, reverse: reverse, filt: filt}
-			return n, nil
-		}
+	if perm, reverse, ok := orderedPerm(tbl, g); ok {
+		n.it = &orderedScanIter{tbl: tbl, perm: perm, reverse: reverse, filt: filt}
+		return n, nil
 	}
 	n.it = &scanIter{tbl: tbl, filt: filt}
 	return newNode(&sortIter{ctx: ctx, in: n, by: g.Order, st: ctx.traceStats(g)}, g.Cols), nil
@@ -158,11 +131,11 @@ func (s *orderedScanIter) NextBatch(b *Batch) error {
 func (s *orderedScanIter) Close() error { return nil }
 
 // streamAggIter implements vector, scalar and local GroupBy over
-// grouped input: rows of each group arrive contiguously (guaranteed by
-// the compiler — either the input's delivered order covers the group
-// columns or an explicit sort was inserted), so the operator holds
-// exactly one group of aggregate state and emits it at each group
-// boundary. O(1) memory, streaming output in input-group order.
+// grouped input: rows of each group arrive contiguously (the compiler
+// picks it only where the input's delivered order covers the group
+// columns — AggAlg), so the operator holds exactly one group of
+// aggregate state and emits it at each group boundary. O(1) memory,
+// streaming output in input-group order.
 //
 // It evaluates every aggregate argument once per input batch, cuts the
 // batch into runs of one group, and folds each run into the single

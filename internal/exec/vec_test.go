@@ -240,10 +240,11 @@ func mergedDirectFolds(t *testing.T, sa scanAgg, rows []types.Row) []types.Row {
 }
 
 // TestVectorAggBitIdentical: the scan aggregations of Q1, Q6 and Q15
-// return, under hash and under (sorted-input) streaming aggregation,
-// aggregates bit-identical to a direct fold of the table in row order —
-// and so do the same aggregations computed as four per-worker partials
-// and merged.
+// return, as planned (hash aggregation for the grouped ones) and over
+// input sorted on the group columns (streaming aggregation), aggregates
+// bit-identical to a direct fold of the table in row order — and so do
+// the same aggregations computed as four per-worker partials and
+// merged.
 func TestVectorAggBitIdentical(t *testing.T) {
 	st := tpchStore(t)
 	for _, name := range []string{"Q1", "Q6", "Q15"} {
@@ -261,12 +262,10 @@ func TestVectorAggBitIdentical(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: empty result", name)
 		}
-		for _, agg := range []string{"hash", "stream"} {
-			ctx := NewContext(st, md)
-			ctx.Agg = agg
-			res, err := Run(ctx, sa.gb, nil)
+		for agg, plan := range map[string]algebra.Rel{"planned": sa.gb, "sorted-input": sortedGroupInputs(sa.gb)} {
+			res, err := Run(NewContext(st, md), plan, nil)
 			if err != nil {
-				t.Fatalf("%s (agg=%q): %v", name, agg, err)
+				t.Fatalf("%s (%s): %v", name, agg, err)
 			}
 			requireSameBits(t, name+" "+agg+" aggregation vs direct fold", res.Rows, want)
 		}
@@ -290,7 +289,6 @@ func TestVectorAggSpillRouting(t *testing.T) {
 		core.Options{})
 	run := func(budget int64) *Result {
 		ctx := NewContext(st, md)
-		ctx.Agg = "hash"
 		ctx.MemBudget = budget
 		ctx.SpillDir = t.TempDir()
 		res, err := Run(ctx, rel, out)

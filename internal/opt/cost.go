@@ -54,10 +54,6 @@ type coster struct {
 	md  *algebra.Metadata
 	cat *catalog.Catalog
 	st  *stats.Collection
-	// strategy is the physical strategy plans are priced under: costing
-	// asks it the selector questions the executor's compile step asks,
-	// so a plan is priced as the algorithms its run will pick.
-	strategy exec.Strategy
 	// bound marks columns available as correlation parameters in the
 	// current (Apply inner / segment) scope.
 	bound algebra.ColSet
@@ -302,16 +298,12 @@ func (c *coster) derive(s *mexpr, l, r estimate) estimate {
 	case *algebra.GroupBy:
 		c.noteAggs(t)
 		groups := c.groupCount(t, in.rows)
-		perRow, sort := cHashRow, 0.0
-		if c.strategy.AggAlg(t, s.DeliveredOrder(0)) == exec.AlgStream {
-			// Grouped input streams: no hash table, one resident group. A
-			// forced stream over ungrouped input is sorted first.
+		perRow := cHashRow
+		if exec.AggAlg(t, s.DeliveredOrder(0)) == exec.AlgStream {
+			// Grouped input streams: no hash table, one resident group.
 			perRow = cStreamRow
-			if !algebra.GroupedBy(s.DeliveredOrder(0), t.GroupCols) {
-				sort = sortCost(in.rows)
-			}
 		}
-		return estimate{rows: groups, cost: in.cost + sort + in.rows*perRow*float64(1+len(t.Aggs))}
+		return estimate{rows: groups, cost: in.cost + in.rows*perRow*float64(1+len(t.Aggs))}
 
 	case *algebra.SegmentApply:
 		segments := c.segments(t, in.rows)
@@ -337,7 +329,8 @@ func (c *coster) derive(s *mexpr, l, r estimate) estimate {
 		return estimate{rows: float64(len(t.Rows)), cost: float64(len(t.Rows))}
 
 	case *algebra.Sort:
-		return estimate{rows: in.rows, cost: in.cost + sortCost(in.rows)}
+		n := math.Max(in.rows, 2)
+		return estimate{rows: in.rows, cost: in.cost + n*math.Log2(n)*cSortRow}
 
 	case *algebra.Top:
 		return estimate{rows: math.Min(in.rows, float64(t.N)), cost: in.cost}
@@ -348,12 +341,6 @@ func (c *coster) derive(s *mexpr, l, r estimate) estimate {
 	return estimate{rows: 1000, cost: 1e12}
 }
 
-// sortCost is the cost of sorting rows rows.
-func sortCost(rows float64) float64 {
-	n := math.Max(rows, 2)
-	return n * math.Log2(n) * cSortRow
-}
-
 // costGet estimates a (filtered) base-table access, recognizing index
 // seeks on equality conjuncts whose comparands are constants or bound
 // parameters — matching the execution engine's compileGet.
@@ -362,7 +349,7 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	if ts := c.st.Table(g.Table); ts != nil {
 		rows = float64(ts.RowCount)
 	}
-	if c.strategy.OrderedScan(g) {
+	if len(g.Order) > 0 {
 		// Ordered delivery precludes the seek path (the scan walks the
 		// whole index permutation); the filter stays residual.
 		sel := c.selectivity(filter, rows)
@@ -438,20 +425,11 @@ func (c *coster) costJoin(j *algebra.Join, s *mexpr, l, r estimate) estimate {
 	}
 
 	var cost float64
-	switch c.strategy.JoinAlg(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1)) {
+	switch exec.JoinAlg(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1)) {
 	case exec.AlgMerge:
 		// Both inputs sorted on the keys: the engine merges two cursors —
-		// no build table, no hashing. Auto selection picks merge only
-		// over inputs that arrive sorted; a forced merge join sorts the
-		// ones that do not.
+		// no build table, no hashing.
 		cost = l.cost + r.cost + (l.rows+r.rows)*cMergeRow
-		lSorted, rSorted := exec.MergeSorted(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1))
-		if !lSorted {
-			cost += sortCost(l.rows)
-		}
-		if !rSorted {
-			cost += sortCost(r.rows)
-		}
 	case exec.AlgHash:
 		// The engine builds the hash table on the right input and looks
 		// the left input's rows up in it; building is the costlier, so

@@ -11,24 +11,20 @@ import (
 )
 
 // FormatWithEstimates renders a plan with per-node cardinality and
-// cost estimates, for EXPLAIN output and cost-model debugging. An
-// optional exec.Strategy — the one the plan will run under — prices
-// the plan as that run would execute it and adds the runtime algorithm
-// picks (apply=..., join=merge, agg=stream, sort elided) to the nodes
-// whose execution depends on it, by asking the same selectors the
-// executor's compile step asks.
-func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, strategy ...exec.Strategy) string {
-	o := &Optimizer{Md: md, Cat: cat, Stats: st}
-	if len(strategy) > 0 {
-		o.Strategy = strategy[0]
-	}
+// cost estimates, for EXPLAIN output and cost-model debugging, and
+// adds the runtime algorithm picks (apply=..., join=merge, agg=stream,
+// sort elided) to the nodes whose execution depends on them, by asking
+// the same selectors the executor's compile step asks. parallelism is
+// the worker count the plan will run with, which the Apply selector
+// reads.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, parallelism int) string {
 	// The plan is entered in a memo of its own — one expression per group
 	// — and read back group by group: the estimates are the ones the
 	// search ranks plans by, each derived once per scope instead of once
 	// per ancestor.
-	m := newMemo(o)
+	m := newMemo(&Optimizer{Md: md, Cat: cat, Stats: st})
 	c := m.c
-	ectx := &exec.Context{Strategy: o.Strategy}
+	ectx := &exec.Context{Parallelism: parallelism}
 	var b strings.Builder
 	var walk func(*group, int)
 	walk = func(g *group, depth int) {
@@ -44,15 +40,15 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 		case *algebra.Join:
 			// Annotate only order-exploiting picks; hash stays implicit.
 			lk, rk, _ := exec.SplitJoinKeys(n.On, s.OutputCols(0), s.OutputCols(1))
-			if o.Strategy.JoinAlg(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1)) == exec.AlgMerge {
+			if exec.JoinAlg(lk, rk, s.DeliveredOrder(0), s.DeliveredOrder(1)) == exec.AlgMerge {
 				extra = " join=merge"
 			}
 		case *algebra.GroupBy:
-			if o.Strategy.AggAlg(n, s.DeliveredOrder(0)) == exec.AlgStream {
+			if exec.AggAlg(n, s.DeliveredOrder(0)) == exec.AlgStream {
 				extra = " agg=stream"
 			}
 		case *algebra.Get:
-			if o.Strategy.OrderedScan(n) {
+			if len(n.Order) > 0 {
 				extra = " sort elided"
 			}
 		}

@@ -149,7 +149,7 @@ func newMemo(o *Optimizer) *memo {
 		exprs: map[exprKey]*mexpr{},
 		lines: map[string]int32{},
 	}
-	m.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats, strategy: o.Strategy}
+	m.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats}
 	return m
 }
 

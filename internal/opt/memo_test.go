@@ -147,7 +147,7 @@ func TestPlansNoWorseThanParent(t *testing.T) {
 		r := o.Optimize(rel, seeds...)
 		if r.Cost > want[0]*(1+1e-9) {
 			t.Errorf("%s seed=%t: cost %.3f, the parent's plan cost %.3f\n%s", c.name, c.seeded, r.Cost, want[0],
-				FormatWithEstimates(md, st.Catalog, sc, r.Plan))
+				FormatWithEstimates(md, st.Catalog, sc, r.Plan, 0))
 		}
 		if r.Cost < want[0]*(1-1e-9) {
 			better++
@@ -583,16 +583,9 @@ func (c refCoster) cost(r algebra.Rel) estimate {
 			outRows = l.rows * rr.rows * c.selectivity(t.On, l.rows*rr.rows)
 		}
 		var cost float64
-		switch c.strategy.JoinAlg(lk, rk, algebra.DeliveredOrder(t.Left), algebra.DeliveredOrder(t.Right)) {
+		switch exec.JoinAlg(lk, rk, algebra.DeliveredOrder(t.Left), algebra.DeliveredOrder(t.Right)) {
 		case exec.AlgMerge:
 			cost = l.cost + rr.cost + (l.rows+rr.rows)*cMergeRow
-			lSorted, rSorted := exec.MergeSorted(lk, rk, algebra.DeliveredOrder(t.Left), algebra.DeliveredOrder(t.Right))
-			if n := math.Max(l.rows, 2); !lSorted {
-				cost += n * math.Log2(n) * cSortRow
-			}
-			if n := math.Max(rr.rows, 2); !rSorted {
-				cost += n * math.Log2(n) * cSortRow
-			}
 		case exec.AlgHash:
 			cost = l.cost + rr.cost + rr.rows*cHashBuild + l.rows*cHashProbe
 		default:
@@ -647,15 +640,11 @@ func (c refCoster) cost(r algebra.Rel) estimate {
 	case *algebra.GroupBy:
 		in := c.cost(t.Input)
 		c.noteAggs(t)
-		perRow, sort := cHashRow, 0.0
-		if c.strategy.AggAlg(t, algebra.DeliveredOrder(t.Input)) == exec.AlgStream {
+		perRow := cHashRow
+		if exec.AggAlg(t, algebra.DeliveredOrder(t.Input)) == exec.AlgStream {
 			perRow = cStreamRow
-			if !algebra.GroupedBy(algebra.DeliveredOrder(t.Input), t.GroupCols) {
-				n := math.Max(in.rows, 2)
-				sort = n * math.Log2(n) * cSortRow
-			}
 		}
-		return estimate{rows: c.groupCount(t, in.rows), cost: in.cost + sort + in.rows*perRow*float64(1+len(t.Aggs))}
+		return estimate{rows: c.groupCount(t, in.rows), cost: in.cost + in.rows*perRow*float64(1+len(t.Aggs))}
 
 	case *algebra.SegmentApply:
 		in := c.cost(t.Input)
@@ -730,82 +719,5 @@ func TestOptimizeDeterministic(t *testing.T) {
 			t.Errorf("%s: work differs: generated %d/%d, costed %d/%d, materialized %d/%d", c.name,
 				r1.Generated, r2.Generated, r1.Costed, r2.Costed, r1.Materialized, r2.Materialized)
 		}
-	}
-}
-
-// TestCostedUnderStrategy: the optimizer prices a plan under the
-// strategy it will run with. Under a forced merge join an equi-join
-// costs the merge formula — in the memo's estimate and in EXPLAIN's
-// annotation — plus the sort the compile step puts under a merge join
-// whose input does not arrive in key order, where the default strategy,
-// seeing unordered inputs, prices a hash join; a forced streaming
-// aggregation likewise pays for sorting ungrouped input. (That the zero
-// strategy leaves every golden cost as it was is
-// TestPlansNoWorseThanParent's seeds and TestMemoMatchesFromScratch.)
-func TestCostedUnderStrategy(t *testing.T) {
-	st := tinyTPCH(t)
-	sc := stats.Collect(st)
-	// under enters rel under a strategy and returns the estimates of its
-	// topmost operator isOp accepts and of that operator's inputs.
-	type ests struct{ op, l, r estimate }
-	under := func(md *algebra.Metadata, rel algebra.Rel, strategy exec.Strategy, isOp func(algebra.Rel) bool) ests {
-		m := newMemo(&Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Strategy: strategy})
-		g := m.intern(rel, nil).group
-		for !isOp(g.exprs[0].op) {
-			g = g.exprs[0].kids[0]
-		}
-		e := ests{op: m.c.cost(g), l: m.c.cost(g.exprs[0].kids[0])}
-		if k := g.exprs[0].kids[1]; k != nil {
-			e.r = m.c.cost(k)
-		}
-		return e
-	}
-	isJoin := func(r algebra.Rel) bool { _, ok := r.(*algebra.Join); return ok }
-	isGb := func(r algebra.Rel) bool { _, ok := r.(*algebra.GroupBy); return ok }
-
-	md, rel, _ := prep(t, st, `select o_orderkey, c_name from orders, customer where o_custkey = c_custkey`)
-	merge := exec.Strategy{Join: exec.AlgMerge}
-	j := under(md, rel, merge, isJoin)
-	if want := j.l.cost + j.r.cost + (j.l.rows+j.r.rows)*cMergeRow + sortCost(j.l.rows) + sortCost(j.r.rows); j.op.cost != want {
-		t.Errorf("forced merge join over unsorted inputs costed %v, want the merge formula and two sorts %v", j.op.cost, want)
-	}
-	j = under(md, rel, exec.Strategy{}, isJoin)
-	if want := j.l.cost + j.r.cost + j.r.rows*cHashBuild + j.l.rows*cHashProbe; j.op.cost != want {
-		t.Errorf("default join costed %v, want the hash formula %v", j.op.cost, want)
-	}
-	forced := FormatWithEstimates(md, st.Catalog, sc, rel, merge)
-	if !strings.Contains(forced, "join=merge") || forced == FormatWithEstimates(md, st.Catalog, sc, rel) {
-		t.Errorf("EXPLAIN under a forced merge join does not price it:\n%s", forced)
-	}
-
-	// A merge join the order rules arranged has sorted inputs and pays
-	// for no sort, forced or not.
-	md, rel, _ = prep(t, st, `select o_orderkey, l_quantity from orders, lineitem where l_orderkey = o_orderkey`)
-	arranged, ok := tryMergeJoinOrder(md, st.Catalog, exec.Strategy{}, firstJoin(rel), algebra.FromScratch{Of: firstJoin(rel)})
-	if !ok {
-		t.Fatal("MergeJoinOrder does not apply to orders ⋈ lineitem")
-	}
-	if j := under(md, arranged, merge, isJoin); j.op.cost != j.l.cost+j.r.cost+(j.l.rows+j.r.rows)*cMergeRow {
-		t.Errorf("merge join over index-ordered inputs costed %v, want the bare merge formula", j.op.cost)
-	}
-
-	md, rel, _ = prep(t, st, `select o_custkey, count(*) from orders group by o_custkey`)
-	g := under(md, rel, exec.Strategy{Agg: exec.AlgStream}, isGb)
-	if want := g.l.cost + sortCost(g.l.rows) + g.l.rows*cStreamRow*2; g.op.cost != want {
-		t.Errorf("forced streaming aggregation over ungrouped input costed %v, want the stream formula and a sort %v", g.op.cost, want)
-	}
-	g = under(md, rel, exec.Strategy{}, isGb)
-	if want := g.l.cost + g.l.rows*cHashRow*2; g.op.cost != want {
-		t.Errorf("default aggregation costed %v, want the hash formula %v", g.op.cost, want)
-	}
-}
-
-// firstJoin is the topmost Join of r's leftmost spine.
-func firstJoin(r algebra.Rel) *algebra.Join {
-	for {
-		if j, ok := r.(*algebra.Join); ok {
-			return j
-		}
-		r = r.Inputs()[0]
 	}
 }

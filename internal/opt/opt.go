@@ -5,13 +5,12 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/core"
-	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 	"orthoq/internal/stats"
 )
 
 // Canonical names of the cost-based transformation rules, used by
-// Config.DisableRules, Result.Rules, and the rule-level equivalence
+// Optimizer.DisableRules, Result.Rules, and the rule-level equivalence
 // harness. Normalization rules (the Apply-removal identities and
 // outerjoin simplification) are named in internal/core.
 const (
@@ -70,31 +69,17 @@ var (
 	FamilyOrder = []string{RuleEliminateSort, RuleMergeJoinOrder, RuleStreamAggOrder}
 )
 
-// Config selects which transformation rules the optimizer may use;
-// disabling individual primitives implements the paper's ablations
-// ("systems" axis of the benchmark harness). The zero value enables
-// everything.
-type Config struct {
-	// DisableRules suppresses rules by canonical name (the Rule*
-	// constants; see Disable and the Family* lists): a disabled rule is
-	// never tried. The rule-level equivalence harness disables one rule
-	// at a time and checks result equivalence.
-	DisableRules map[string]bool
-}
-
 // Optimizer explores the rule-generated plan space and returns the
 // cheapest plan under the cost model.
 type Optimizer struct {
-	Md     *algebra.Metadata
-	Cat    *catalog.Catalog
-	Stats  *stats.Collection
-	Config Config
-	// Strategy is the physical strategy the chosen plan will run under.
-	// Plans are priced, and the order rules decide, by asking it what
-	// the executor's compile step will ask, so a run that forces merge
-	// joins is costed with merge joins. The zero value is the default
-	// run: every selector on auto.
-	Strategy exec.Strategy
+	Md    *algebra.Metadata
+	Cat   *catalog.Catalog
+	Stats *stats.Collection
+	// DisableRules suppresses rules by canonical name (the Rule*
+	// constants and the Family* lists): a disabled rule is never tried.
+	// Disabling a primitive's rules is how the paper's ablations run; nil
+	// enables everything.
+	DisableRules map[string]bool
 }
 
 // Result reports the chosen plan and search telemetry.
@@ -173,13 +158,13 @@ func (o *Optimizer) Cost(r algebra.Rel) float64 {
 // groups' representatives; otherwise the rules whose pattern names the
 // operator of input slot as well, on p over the member in of that
 // group. A rule's rewrite joins p's group. Enablement is
-// Config.DisableRules alone; a disabled rule's rewrite is not even
+// DisableRules alone; a disabled rule's rewrite is not even
 // attempted.
 func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 	o, md := m.o, m.o.Md
 	r := m.bind(p, slot, in)
 	try := func(rule string, rewrite func() (algebra.Rel, bool)) {
-		if !o.Config.DisableRules[rule] {
+		if !o.DisableRules[rule] {
 			if nr, ok := rewrite(); ok && nr != nil {
 				m.add(p, in, rule, nr)
 			}
@@ -202,7 +187,7 @@ func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 		if slot < 0 {
 			try(RuleSemiJoinToJoinDistinct, func() (algebra.Rel, bool) { return core.TrySemiJoinToJoinDistinct(md, t) })
 			try(RuleCommuteJoin, func() (algebra.Rel, bool) { return commuteJoin(t) })
-			try(RuleMergeJoinOrder, func() (algebra.Rel, bool) { return tryMergeJoinOrder(md, o.Cat, o.Strategy, t, p) })
+			try(RuleMergeJoinOrder, func() (algebra.Rel, bool) { return tryMergeJoinOrder(md, o.Cat, t, p) })
 			return
 		}
 		if _, ok := in.op.(*algebra.Join); ok {

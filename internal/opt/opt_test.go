@@ -249,18 +249,14 @@ func TestAblationFlagsRespected(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
-	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{
-		DisableRules: ruleSet(FamilySegmentApply),
-	}}
+	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, DisableRules: ruleSet(FamilySegmentApply)}
 	r := o.Optimize(rel)
 	if strings.Contains(algebra.FormatRel(md, r.Plan), "SegmentApply") {
 		t.Error("SegmentApply appeared despite being disabled")
 	}
 
 	md2, rel2, _ := prep(t, st, tpch.Queries["Q17"])
-	o2 := &Optimizer{Md: md2, Cat: st.Catalog, Stats: sc, Config: Config{
-		DisableRules: ruleSet(RuleNames()),
-	}}
+	o2 := &Optimizer{Md: md2, Cat: st.Catalog, Stats: sc, DisableRules: ruleSet(RuleNames())}
 	r2 := o2.Optimize(rel2)
 	if algebra.FormatRel(md2, r2.Plan) != algebra.FormatRel(md2, rel2) {
 		t.Error("all-disabled optimizer must return the input plan")
@@ -307,7 +303,7 @@ func TestEstimateFormatter(t *testing.T) {
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 	r := o.Optimize(rel)
-	out := FormatWithEstimates(md, st.Catalog, sc, r.Plan)
+	out := FormatWithEstimates(md, st.Catalog, sc, r.Plan, 0)
 	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "cost≈") {
 		t.Errorf("estimates missing:\n%s", out)
 	}

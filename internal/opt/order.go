@@ -29,18 +29,18 @@ func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sor
 // the executor selects a merge join. Inputs already covering their key
 // order are left alone; the others get the requirement installed on an
 // index-backed Get.
-func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, strategy exec.Strategy, j *algebra.Join, in algebra.Props) (algebra.Rel, bool) {
+func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join, in algebra.Props) (algebra.Rel, bool) {
 	switch j.Kind {
 	case algebra.InnerJoin, algebra.SemiJoin, algebra.AntiSemiJoin, algebra.LeftOuterJoin:
 	default:
 		return nil, false
 	}
 	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On, in.OutputCols(0), in.OutputCols(1))
+	if len(lKeys) == 0 {
+		return nil, false // no keys to merge on
+	}
 	lOrder, rOrder := in.DeliveredOrder(0), in.DeliveredOrder(1)
 	lBy, rBy := ascOrderings(lKeys), ascOrderings(rKeys)
-	if strategy.JoinAlg(lKeys, rKeys, lBy, rBy) != exec.AlgMerge {
-		return nil, false // no keys to merge on, or a run that would not merge sorted inputs either
-	}
 	if algebra.OrderCovers(lOrder, lBy) && algebra.OrderCovers(rOrder, rBy) {
 		return nil, false // a merge join already
 	}

@@ -1,22 +1,27 @@
 package orthoq
 
-// Order-equivalence harness: every TPC-H benchmark query and a fuzz
-// corpus run under forced physical-operator choices — merge vs hash
-// join, streaming vs hash aggregation, sort elimination on and off,
-// serial and parallel — and every variant must
-// return the identical multiset of rows. Wherever the query has an
-// ORDER BY, the variant must additionally return the identical total
-// row sequence. The DisableSortElim variant is the oracle for sort
-// elimination: it always executes the explicit Sort, so an ordered
-// scan that delivered the wrong order would disagree with it here.
+// Order-equivalence harness: every TPC-H benchmark query and a corpus
+// of order-sensitive shapes run under the variants that change which
+// order-exploiting operators execute — the order rules on and off,
+// serial and parallel, and every equi-join and grouped aggregation fed
+// sorted inputs (sortedInputs), so that each runs as the merge join or
+// streaming aggregation the executor picks for ordered input — and
+// every variant must return the bag of rows internal/reference gives
+// the query, in the reference's ORDER BY key sequence where the query
+// orders its result. With the order rules off the plan keeps its
+// explicit Sorts, so an ordered scan that delivered the wrong order
+// would disagree with the oracle here.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
+
+	"orthoq/internal/algebra"
+	"orthoq/internal/exec"
+	"orthoq/internal/opt"
 )
 
 // orderedFingerprint renders rows in sequence with numeric rounding
@@ -39,33 +44,75 @@ func orderedFingerprint(rows *Rows) []string {
 	return keys
 }
 
-func multisetOf(seq []string) []string {
-	ms := append([]string(nil), seq...)
-	sort.Strings(ms)
-	return ms
+// orderVariants are the configurations the order harness holds to the
+// oracle.
+var orderVariants = []engineVariant{
+	{"default", func(*Config) {}, false},
+	{"order-rules-off", func(c *Config) { c.DisableRules = opt.FamilyOrder }, false},
+	{"par4", func(c *Config) { c.Parallelism = 4 }, false},
+	{"sorted-inputs", func(*Config) {}, true},
+	{"par4+sorted-inputs", func(c *Config) { c.Parallelism = 4 }, true},
 }
 
-// orderVariants is the forced-strategy grid. Baseline is DefaultConfig
-// (auto join/agg, sort elimination on, serial).
-var orderVariants = []struct {
-	name string
-	mut  func(*Config)
-}{
-	{"join=hash", func(c *Config) { c.JoinStrategy = "hash" }},
-	{"join=merge", func(c *Config) { c.JoinStrategy = "merge" }},
-	{"agg=hash", func(c *Config) { c.AggStrategy = "hash" }},
-	{"agg=stream", func(c *Config) { c.AggStrategy = "stream" }},
-	{"sortelim=off", func(c *Config) { c.DisableSortElim = true }},
-	{"merge+stream", func(c *Config) {
-		c.JoinStrategy = "merge"
-		c.AggStrategy = "stream"
-	}},
-	{"par4", func(c *Config) { c.Parallelism = 4 }},
-	{"par4+merge+stream", func(c *Config) {
-		c.Parallelism = 4
-		c.JoinStrategy = "merge"
-		c.AggStrategy = "stream"
-	}},
+// sortedInputs rewrites rel so that both inputs of every equi-join of a
+// kind merge join supports (inner, left outer, semi, anti) arrive
+// sorted on the join keys, and the input of every grouped GroupBy
+// sorted on its group columns. The executor chooses algorithms from the
+// plan alone, so those nodes run as merge joins and streaming
+// aggregations: this is how a test reaches those operators in the form
+// production runs them, on any query.
+func sortedInputs(rel algebra.Rel) algebra.Rel {
+	ins := rel.Inputs()
+	kids := make([]algebra.Rel, len(ins))
+	for i, in := range ins {
+		kids[i] = sortedInputs(in)
+	}
+	switch t := rel.(type) {
+	case *algebra.Join:
+		switch t.Kind {
+		case algebra.InnerJoin, algebra.LeftOuterJoin, algebra.SemiJoin, algebra.AntiSemiJoin:
+			if lk, rk, _ := exec.SplitJoinKeys(t.On, algebra.OutputCols(t.Left), algebra.OutputCols(t.Right)); len(lk) > 0 {
+				kids[0], kids[1] = sortedOn(kids[0], lk), sortedOn(kids[1], rk)
+			}
+		}
+	case *algebra.GroupBy:
+		if !t.GroupCols.Empty() {
+			kids[0] = sortedOn(kids[0], t.GroupCols.Ordered())
+		}
+	}
+	return rel.WithInputs(kids)
+}
+
+// sortedOn sorts rel ascending on cols.
+func sortedOn(rel algebra.Rel, cols []algebra.ColID) algebra.Rel {
+	by := make([]algebra.Ordering, len(cols))
+	for i, c := range cols {
+		by[i] = algebra.Ordering{Col: c}
+	}
+	return &algebra.Sort{Input: rel, By: by}
+}
+
+// noteOrderOps records in ran the merge joins ("merge <kind>") and
+// streaming aggregations ("stream") of a traced run: nodes the
+// compiler's own selectors (exec.JoinAlg, exec.AggAlg) run that way and
+// whose span shows them opened.
+func noteOrderOps(rel algebra.Rel, sp *Span, ran map[string]bool) {
+	if sp.Opens > 0 {
+		switch t := rel.(type) {
+		case *algebra.Join:
+			lk, rk, _ := exec.SplitJoinKeys(t.On, algebra.OutputCols(t.Left), algebra.OutputCols(t.Right))
+			if exec.JoinAlg(lk, rk, algebra.DeliveredOrder(t.Left), algebra.DeliveredOrder(t.Right)) == exec.AlgMerge {
+				ran["merge "+t.Kind.String()] = true
+			}
+		case *algebra.GroupBy:
+			if !t.GroupCols.Empty() && exec.AggAlg(t, algebra.DeliveredOrder(t.Input)) == exec.AlgStream {
+				ran["stream"] = true
+			}
+		}
+	}
+	for i, in := range rel.Inputs() {
+		noteOrderOps(in, sp.Children[i], ran)
+	}
 }
 
 // orderCorpus returns the harness queries beyond the TPC-H set:
@@ -92,6 +139,10 @@ func orderCorpus() []string {
 		 order by o_orderkey`,
 		`select c_custkey, c_name from customer left join orders on o_custkey = c_custkey
 		 where o_orderkey is null order by c_custkey`,
+		// NULL keys into an anti join: customers without orders must
+		// survive NOT EXISTS, whatever algorithm runs it.
+		`select c_custkey, o_orderkey from customer left join orders on o_custkey = c_custkey
+		 where not exists (select l_orderkey from lineitem where l_orderkey = o_orderkey and l_quantity > 45)`,
 	}
 	r := rand.New(rand.NewSource(1616)) // the paper's DOI suffix digits
 	for i := 0; i < 14; i++ {
@@ -100,53 +151,35 @@ func orderCorpus() []string {
 	return qs
 }
 
-// TestOrderEquivalence is the order-equivalence property suite: for
-// each query, each forced variant must agree with the baseline — as a
-// multiset always, and as an exact sequence when the query orders its
-// result.
+// TestOrderEquivalence is the order-equivalence property suite: each
+// query, under each order variant, returns the oracle's bag of rows and,
+// when it orders its result, the oracle's ORDER BY key sequence. The
+// TPC-H queries run on sharedDB; the order corpus runs on the reference
+// fuzz leg's quarter-size data, where the oracle's nested iteration over
+// its orders-with(out)-lineitems tests takes a second, not fifteen. The
+// sorted-inputs runs must between them have executed a merge join of
+// every kind and a streaming aggregation.
 func TestOrderEquivalence(t *testing.T) {
+	o := newOracle(orderVariants)
 	db := sharedDB(t)
-	base := DefaultConfig()
-
-	var sqls []string
 	for _, name := range TPCHQueryNames() {
 		sql, _ := TPCHQuery(name)
-		sqls = append(sqls, sql)
+		o.check(t, db, name, sql, DefaultConfig())
 	}
-	sqls = append(sqls, orderCorpus()...)
-
-	for i, sql := range sqls {
-		want, err := db.QueryCfg(sql, base)
-		if err != nil {
-			t.Fatalf("query %d baseline: %v\nsql: %s", i, err, sql)
-		}
-		wantSeq := orderedFingerprint(want)
-		wantMS := multisetOf(wantSeq)
-		ordered := strings.Contains(strings.ToLower(sql), "order by")
-		for _, v := range orderVariants {
-			cfg := base
-			v.mut(&cfg)
-			got, err := db.QueryCfg(sql, cfg)
-			if err != nil {
-				t.Fatalf("query %d under %s: %v\nsql: %s", i, v.name, err, sql)
-			}
-			gotSeq := orderedFingerprint(got)
-			if fmt.Sprint(multisetOf(gotSeq)) != fmt.Sprint(wantMS) {
-				t.Fatalf("query %d: %s returned a different multiset\nsql: %s\nbase plan:\n%s\nvariant plan:\n%s",
-					i, v.name, sql, want.Plan, got.Plan)
-			}
-			if ordered && fmt.Sprint(gotSeq) != fmt.Sprint(wantSeq) {
-				t.Fatalf("query %d: %s broke the ORDER BY sequence\nsql: %s\nwant: %v\ngot:  %v\nvariant plan:\n%s",
-					i, v.name, sql, wantSeq, gotSeq, got.Plan)
-			}
-		}
+	small, err := OpenTPCH(referenceFuzzSF, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i, sql := range orderCorpus() {
+		o.check(t, small, fmt.Sprintf("corpus %d", i), sql, DefaultConfig())
+	}
+	o.requireSortedRan(t)
 }
 
-// TestSortElidedOnOrderedIndex pins the tentpole end to end: an ORDER
+// TestSortElidedOnOrderedIndex pins sort elision end to end: an ORDER
 // BY on an ordered-index key loses its Sort node (EliminateSort fires,
-// the plan carries the order on the scan, EXPLAIN says so), while the
-// DisableSortElim baseline keeps the Sort — and both orders agree.
+// the plan carries the order on the scan, EXPLAIN says so), while with
+// the order rules off the plan keeps the Sort — and both orders agree.
 func TestSortElidedOnOrderedIndex(t *testing.T) {
 	db := sharedDB(t)
 	sql := `select o_orderkey, o_totalprice from orders order by o_orderkey`
@@ -173,13 +206,13 @@ func TestSortElidedOnOrderedIndex(t *testing.T) {
 	}
 
 	off := cfg
-	off.DisableSortElim = true
+	off.DisableRules = opt.FamilyOrder
 	r2, err := db.QueryCfg(sql, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(r2.Plan, "Sort") {
-		t.Errorf("DisableSortElim plan lost its Sort:\n%s", r2.Plan)
+		t.Errorf("plan without the order rules lost its Sort:\n%s", r2.Plan)
 	}
 	if fmt.Sprint(orderedFingerprint(r)) != fmt.Sprint(orderedFingerprint(r2)) {
 		t.Error("elided-sort order disagrees with explicit sort")
@@ -194,78 +227,31 @@ func TestSortElidedOnOrderedIndex(t *testing.T) {
 	}
 }
 
-// TestMergeJoinAndStreamAggAnnotations: forcing strategies shows up in
-// EXPLAIN, and the auto picks appear where the inputs arrive ordered.
+// TestMergeJoinAndStreamAggAnnotations: where the order rules give a
+// join or an aggregation input that arrives in key order, EXPLAIN shows
+// the merge join or streaming aggregation the executor will pick, and
+// with the order rules off — inputs unordered — it shows neither.
 func TestMergeJoinAndStreamAggAnnotations(t *testing.T) {
 	db := sharedDB(t)
-	join := `select o_orderkey, l_linenumber from orders join lineitem on l_orderkey = o_orderkey`
-	agg := `select l_orderkey, sum(l_quantity) as q from lineitem group by l_orderkey`
-
-	cfg := DefaultConfig()
-	cfg.JoinStrategy = "merge"
-	out, err := db.Explain(join, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "join=merge") {
-		t.Errorf("forced merge join missing from EXPLAIN:\n%s", out)
-	}
-
-	cfg = DefaultConfig()
-	cfg.AggStrategy = "stream"
-	out, err = db.Explain(agg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "agg=stream") {
-		t.Errorf("forced stream agg missing from EXPLAIN:\n%s", out)
-	}
-}
-
-// TestOrderStrategyValidation: misspelled strategy knobs error rather
-// than silently running auto.
-func TestOrderStrategyValidation(t *testing.T) {
-	db := sharedDB(t)
-	cfg := DefaultConfig()
-	cfg.JoinStrategy = "nested-loops"
-	if _, err := db.QueryCfg(`select count(*) as n from orders`, cfg); err == nil ||
-		!strings.Contains(err.Error(), "JoinStrategy") {
-		t.Errorf("bad JoinStrategy: err = %v", err)
-	}
-	cfg = DefaultConfig()
-	cfg.AggStrategy = "sorted"
-	if _, err := db.QueryCfg(`select count(*) as n from orders`, cfg); err == nil ||
-		!strings.Contains(err.Error(), "AggStrategy") {
-		t.Errorf("bad AggStrategy: err = %v", err)
-	}
-}
-
-// TestOrderKnobsArePlanIdentity: plans compiled under different order
-// knobs never alias in the plan cache.
-func TestOrderKnobsArePlanIdentity(t *testing.T) {
-	a := DefaultConfig()
-	b := a
-	b.JoinStrategy = "merge"
-	c := a
-	c.AggStrategy = "stream"
-	d := a
-	d.DisableSortElim = true
-	ids := map[string]planIdentity{}
-	for name, cfg := range map[string]Config{"base": a, "merge": b, "stream": c, "noelim": d} {
-		id := mustIdentity(t, cfg)
-		for other, oid := range ids {
-			if oid == id || oid.key() == id.key() {
-				t.Errorf("identity collision between %s and %s: %q", name, other, id.key())
-			}
+	noOrder := DefaultConfig()
+	noOrder.DisableRules = opt.FamilyOrder
+	for _, c := range []struct{ sql, pick string }{
+		{`select o_orderkey, l_linenumber from orders join lineitem on l_orderkey = o_orderkey`, "join=merge"},
+		{`select l_orderkey, sum(l_quantity) as q from lineitem group by l_orderkey`, "agg=stream"},
+	} {
+		out, err := db.Explain(c.sql, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		ids[name] = id
-	}
-	// "auto" and "" are the same strategy and must share an identity.
-	e := a
-	e.JoinStrategy = "auto"
-	e.AggStrategy = "auto"
-	if mustIdentity(t, e) != mustIdentity(t, a) {
-		t.Error("auto and empty strategy produced different plan identities")
+		if !strings.Contains(out, c.pick) {
+			t.Errorf("%s missing from EXPLAIN:\n%s", c.pick, out)
+		}
+		if out, err = db.Explain(c.sql, noOrder); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(out, c.pick) {
+			t.Errorf("%s in EXPLAIN without the order rules:\n%s", c.pick, out)
+		}
 	}
 }
 

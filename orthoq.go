@@ -112,11 +112,6 @@ type Config struct {
 	// CorrelatedReintro lets the optimizer turn joins back into
 	// index-lookup Apply plans when cheaper (§4).
 	CorrelatedReintro bool
-	// MaxSteps is retained so existing callers keep compiling.
-	//
-	// Deprecated: accepted and ignored. The optimizer explores its plan
-	// space to a fixpoint (DESIGN §17); there is no step budget to set.
-	MaxSteps int
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution of eligible scan/join/aggregation subtrees. 0 or 1
 	// executes serially (the default, preserving deterministic row
@@ -130,32 +125,6 @@ type Config struct {
 	// select no longer exists, and the field is neither plan identity
 	// nor run state. It goes at the next API break.
 	DisableBatch bool
-	// ApplyStrategy overrides how correlated Apply operators execute
-	// their inner side: "sequential" re-opens per outer row,
-	// "batched" deduplicates correlation bindings per batch and
-	// executes once per distinct binding, "parallel" additionally
-	// spreads distinct bindings over a worker pool. "" or "auto"
-	// (the default) picks per Apply from estimated cardinalities.
-	// Results are identical across strategies; only speed differs.
-	ApplyStrategy string
-	// JoinStrategy overrides the equi-join algorithm: "hash" always
-	// builds a hash table, "merge" always merge-joins (sorting
-	// unsorted inputs first). "" or "auto" (the default) merge-joins
-	// only when both inputs already arrive sorted on the keys. The
-	// result bag is identical across strategies.
-	JoinStrategy string
-	// AggStrategy overrides the grouping algorithm: "hash" always
-	// hash-aggregates, "stream" always aggregates streaming (sorting
-	// ungrouped input first). "" or "auto" (the default) streams only
-	// when the input already arrives grouped. The result bag is
-	// identical across strategies.
-	AggStrategy string
-	// DisableSortElim turns off every order-property optimization:
-	// the optimizer stops generating ordered-scan / merge-join /
-	// streaming-aggregation variants, and the executor ignores order
-	// metadata (explicit sorts run even where an ordered index could
-	// satisfy them). The baseline knob for the order benchmarks.
-	DisableSortElim bool
 	// PlanCache configures the parameterized plan cache consulted by
 	// Query/QueryCfg. The zero value enables it with defaults.
 	PlanCache PlanCacheConfig
@@ -224,15 +193,21 @@ type Config struct {
 	// deliberately unexported (set by tests in this package) and, like
 	// the other run-time knobs above, is not part of the plan identity.
 	faults *faultinject.Injector
+	// forceApply is the test-only seam that runs every Apply on one
+	// path — "sequential", "batched" or "parallel" — instead of the one
+	// the executor picks from the plan, so tests can hold the three
+	// paths to one another. Run state, like faults: the plan is the
+	// same, only the path its Applies run on differs.
+	forceApply string
 }
 
 // runState is one execution's run state: the caller's context and
 // pinned snapshot, the result cache when the run may use it, and the
 // Config whose run-state fields (trace, log, session, budgets, timeout,
-// faults) govern it. None of it is plan identity — a plan compiled once
-// is shared by runs with different budgets and deadlines — so nothing
-// here may reach prepared or planIdentity; TestConfigFieldsClassified
-// holds that line.
+// the test seams) govern it. None of it is plan identity — a plan
+// compiled once is shared by runs with different budgets and deadlines
+// — so nothing here may reach prepared or planIdentity;
+// TestConfigFieldsClassified holds that line.
 type runState struct {
 	ctx    context.Context
 	cfg    *Config
@@ -287,21 +262,22 @@ type planIdentity struct {
 	// exactly "none of these rules is disabled"), DisableRules name by
 	// name.
 	disabled string
-	strat    exec.Strategy
+	// parallelism is the worker count: it picks the exchange tree and
+	// the row order, so it is identity too. Every other physical choice
+	// is made from the plan itself.
+	parallelism int
 }
 
-// identity validates c and normalizes it into its plan identity. This
-// is the only place a Config is interpreted: an invalid strategy
-// spelling is rejected here, before any cache or parser work, and
-// "auto" folds into the empty default so both spell one identity.
-func (c Config) identity() (planIdentity, error) {
+// identity normalizes c into its plan identity. This is the only place
+// a Config is interpreted.
+func (c Config) identity() planIdentity {
 	id := planIdentity{
 		removeClass2:   c.RemoveClass2,
 		keepCorrelated: !c.Decorrelate,
 		keepOuterJoins: !c.SimplifyOuterJoins,
 		costBased:      c.CostBased,
 		seedCorrelated: c.CorrelatedReintro && c.Decorrelate,
-		strat:          exec.Strategy{Parallelism: c.Parallelism, DisableOrderOpt: c.DisableSortElim},
+		parallelism:    c.Parallelism,
 	}
 	var off []string
 	for _, family := range []struct {
@@ -313,7 +289,6 @@ func (c Config) identity() (planIdentity, error) {
 		{c.SegmentApply, opt.FamilySegmentApply},
 		{c.JoinReorder, opt.FamilyJoinReorder},
 		{c.CorrelatedReintro, opt.FamilyCorrelatedReintro},
-		{!c.DisableSortElim, opt.FamilyOrder},
 	} {
 		if !family.on {
 			off = append(off, family.rules...)
@@ -323,31 +298,7 @@ func (c Config) identity() (planIdentity, error) {
 		sort.Strings(off) // the set is order-insensitive
 		id.disabled = strings.Join(slices.Compact(off), ",")
 	}
-	var err error
-	if id.strat.Apply, err = strategySpelling("ApplyStrategy", c.ApplyStrategy, "sequential", "batched", "parallel"); err != nil {
-		return planIdentity{}, err
-	}
-	if id.strat.Join, err = strategySpelling("JoinStrategy", c.JoinStrategy, exec.AlgHash, exec.AlgMerge); err != nil {
-		return planIdentity{}, err
-	}
-	if id.strat.Agg, err = strategySpelling("AggStrategy", c.AggStrategy, exec.AlgHash, exec.AlgStream); err != nil {
-		return planIdentity{}, err
-	}
-	return id, nil
-}
-
-// strategySpelling validates one strategy knob against its forced
-// spellings and normalizes "auto" to the empty default.
-func strategySpelling(knob, v string, forced ...string) (string, error) {
-	if v == "" || v == "auto" {
-		return "", nil
-	}
-	if slices.Contains(forced, v) {
-		return v, nil
-	}
-	last := len(forced) - 1
-	return "", fmt.Errorf("orthoq: unknown %s %q (want auto, %s, or %s)",
-		knob, v, strings.Join(forced[:last], ", "), forced[last])
+	return id
 }
 
 // key renders the identity for the string-keyed caches. It is derived
@@ -737,11 +688,7 @@ type Stmt struct {
 // over budget, even a contained panic — leaves the Stmt fully
 // reusable.
 func (db *DB) Prepare(sql string, cfg Config) (*Stmt, error) {
-	id, err := cfg.identity()
-	if err != nil {
-		return nil, err
-	}
-	prep, err := db.prepare(sql, id)
+	prep, err := db.prepare(sql, cfg.identity())
 	if err != nil {
 		return nil, err
 	}
@@ -834,12 +781,8 @@ func (db *DB) Snapshot() *Snapshot {
 // saves compilation, the other execution — so every way plan can
 // answer, bypasses included, may still serve or populate cached results.
 func (db *DB) QuerySnapshot(goCtx context.Context, sql string, cfg Config, snap *Snapshot) (*Rows, error) {
-	id, err := cfg.identity()
-	if err != nil {
-		return nil, err
-	}
 	r := db.newRun(goCtx, &cfg, snap)
-	p, params, status, err := db.plan(sql, cfg.PlanCache, id, false)
+	p, params, status, err := db.plan(sql, cfg.PlanCache, cfg.identity(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -967,8 +910,8 @@ type prepared struct {
 	outNames []string
 	steps    int
 	cost     float64
-	// id is the identity the plan was compiled under; id.strat is the
-	// Strategy every run of it executes with.
+	// id is the identity the plan was compiled under; id.parallelism is
+	// the worker count every run of it executes with.
 	id planIdentity
 	// rules records the rewrite rules that shaped the plan (see
 	// Rows.Rules).
@@ -1043,8 +986,7 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 			}
 		}
 		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(),
-			Config:   opt.Config{DisableRules: nopts.DisableRules},
-			Strategy: id.strat}
+			DisableRules: nopts.DisableRules}
 		search = o.Optimize(rel, seeds...)
 		p.plan, p.steps, p.cost = search.Plan, search.Explored, search.Cost
 		// The correlated seed is a strategy alternative, not a rewrite of
@@ -1081,13 +1023,14 @@ func dedupRules(fired []string) []string {
 }
 
 // execContext builds the per-run execution context from the prepared
-// plan's Strategy (plan identity) and the caller's governance knobs
+// plan's parallelism (plan identity) and the caller's governance knobs
 // (run state). The returned cancel func is non-nil when a Timeout
 // installed a deadline.
 func (p *prepared) execContext(db *DB, params []types.Datum, r runState) (*exec.Context, context.CancelFunc) {
 	ctx := exec.NewContext(db.store, p.md)
 	ctx.Stats = db.statsNow()
-	ctx.Strategy = p.id.strat
+	ctx.Parallelism = p.id.parallelism
+	ctx.Apply = r.cfg.forceApply
 	ctx.Params = params
 	ctx.RowBudget = r.cfg.RowBudget
 	ctx.MemBudget = r.cfg.MemBudget
@@ -1288,12 +1231,8 @@ func (db *DB) QueryStreamContext(goCtx context.Context, sql string, cfg Config) 
 // snap behaves like QueryStreamContext. The one body behind the three
 // QueryStream* entry points.
 func (db *DB) QueryStreamSnapshot(goCtx context.Context, sql string, cfg Config, snap *Snapshot) (*Stream, error) {
-	id, err := cfg.identity()
-	if err != nil {
-		return nil, err
-	}
 	r := db.newRun(goCtx, &cfg, snap)
-	prep, err := db.prepare(sql, id)
+	prep, err := db.prepare(sql, cfg.identity())
 	if err != nil {
 		return nil, err
 	}
@@ -1403,11 +1342,7 @@ func (s *Stream) Close() error {
 // plan (rows produced, Open counts — correlated execution shows its
 // per-row re-opens — and inclusive time per operator).
 func (db *DB) QueryAnalyze(sql string, cfg Config) (*Rows, error) {
-	id, err := cfg.identity()
-	if err != nil {
-		return nil, err
-	}
-	prep, err := db.prepare(sql, id)
+	prep, err := db.prepare(sql, cfg.identity())
 	if err != nil {
 		return nil, err
 	}
@@ -1420,10 +1355,7 @@ func (db *DB) QueryAnalyze(sql string, cfg Config) (*Rows, error) {
 // the compile function every query runs through, so the plan it ends on
 // is the plan Prepare would return.
 func (db *DB) Explain(sql string, cfg Config) (string, error) {
-	id, err := cfg.identity()
-	if err != nil {
-		return "", err
-	}
+	id := cfg.identity()
 	q, err := parser.Parse(sql)
 	if err != nil {
 		return "", err
@@ -1455,7 +1387,7 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
 			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
-		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, db.statsNow(), r.Plan, id.strat))
+		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, db.statsNow(), r.Plan, id.parallelism))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))
 	return b.String(), nil

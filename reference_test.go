@@ -7,9 +7,10 @@ package orthoq
 // executor. Every TPC-H query, the three spellings of the paper's Q1
 // and the fuzz corpus must return that bag of rows (numerics within
 // the float tolerance of the parallel tests) under the default
-// configuration, correlated execution, four workers, and forced
-// merge-join + streaming aggregation; where the query orders its
-// result, the ORDER BY key sequence must match too. The final plan of
+// configuration, correlated execution, four workers, and the final plan
+// fed sorted inputs (so its equi-joins run as merge joins and its
+// grouped aggregations stream); where the query orders its result, the
+// ORDER BY key sequence must match too. The final plan of
 // each configuration is also handed to the reference, so a
 // disagreement says which side of the plan it is on: reference(final
 // plan) ≠ reference(seed) is a rewrite bug, engine(final plan) ≠
@@ -123,33 +124,49 @@ func referenceEval(t *testing.T, db *DB, p *prepared) []Row {
 	return rows
 }
 
-// referenceVariants are the engine configurations held to the oracle.
-var referenceVariants = []struct {
-	name string
-	mut  func(*Config)
-}{
-	{"default", func(*Config) {}},
-	{"correlated", func(c *Config) { c.Decorrelate = false }},
-	{"par4", func(c *Config) { c.Parallelism = 4 }},
-	{"merge+stream", func(c *Config) { c.JoinStrategy, c.AggStrategy = "merge", "stream" }},
+// engineVariant is one way of running a query that must agree with the
+// reference: a change to the Config and, when sorted, the compiled plan
+// rewritten by sortedInputs before it runs.
+type engineVariant struct {
+	name   string
+	mut    func(*Config)
+	sorted bool
 }
 
-// checkAgainstReference holds one query to the oracle under every
-// variant.
-func checkAgainstReference(t *testing.T, db *DB, label, sql string, base Config) {
+// referenceVariants are the engine configurations held to the oracle.
+var referenceVariants = []engineVariant{
+	{"default", func(*Config) {}, false},
+	{"correlated", func(c *Config) { c.Decorrelate = false }, false},
+	{"par4", func(c *Config) { c.Parallelism = 4 }, false},
+	{"sorted-inputs", func(*Config) {}, true},
+}
+
+// oracle holds queries to internal/reference under a list of engine
+// variants, and records which order-exploiting operators the sorted
+// variants executed (requireSortedRan).
+type oracle struct {
+	variants []engineVariant
+	ran      map[string]bool
+}
+
+func newOracle(variants []engineVariant) *oracle {
+	return &oracle{variants: variants, ran: map[string]bool{}}
+}
+
+// check holds one query on db to the oracle under every variant.
+func (o *oracle) check(t *testing.T, db *DB, label, sql string, base Config) {
 	t.Helper()
-	seedID := mustIdentity(t, Config{}) // normalized, correlations kept, no search
-	seed, err := db.prepare(sql, seedID)
+	seed, err := db.prepare(sql, Config{}.identity()) // normalized, correlations kept, no search
 	if err != nil {
 		t.Fatalf("%s: compile seed: %v\nsql: %s", label, err, sql)
 	}
 	want := referenceEval(t, db, seed)
 	prefix := orderPrefix(seed)
 	checked := map[string]bool{seed.text: true}
-	for _, v := range referenceVariants {
+	for _, v := range o.variants {
 		cfg := base
 		v.mut(&cfg)
-		final, err := db.prepare(sql, mustIdentity(t, cfg))
+		final, err := db.prepare(sql, cfg.identity())
 		if err != nil {
 			t.Fatalf("%s/%s: compile: %v\nsql: %s", label, v.name, err, sql)
 		}
@@ -160,8 +177,10 @@ func checkAgainstReference(t *testing.T, db *DB, label, sql string, base Config)
 					label, v.name, sql, seed.text, final.text)
 			}
 		}
-		got, err := db.QueryCfg(sql, cfg)
-		if err != nil {
+		var got *Rows
+		if v.sorted {
+			got = o.runSorted(t, db, final, cfg)
+		} else if got, err = db.QueryCfg(sql, cfg); err != nil {
 			t.Fatalf("%s/%s: %v\nsql: %s", label, v.name, err, sql)
 		}
 		if !sameBagTolerant(want, got.Data) {
@@ -171,6 +190,34 @@ func checkAgainstReference(t *testing.T, db *DB, label, sql string, base Config)
 		if !sameKeySequence(want, got.Data, prefix) {
 			t.Fatalf("%s/%s: engine breaks the ORDER BY sequence of the reference\nsql: %s\nplan:\n%s",
 				label, v.name, sql, got.Plan)
+		}
+	}
+}
+
+// runSorted executes p's plan rewritten by sortedInputs under cfg,
+// traced, and notes the merge joins and streaming aggregations it ran.
+func (o *oracle) runSorted(t *testing.T, db *DB, p *prepared, cfg Config) *Rows {
+	t.Helper()
+	sorted := *p
+	sorted.plan = sortedInputs(p.plan)
+	sorted.text = algebra.FormatRel(p.md, sorted.plan)
+	cfg.Trace = true
+	rows, err := sorted.execute(db, nil, "bypass", false, runState{cfg: &cfg})
+	if err != nil {
+		t.Fatalf("sorted inputs: %v\nplan:\n%s", err, sorted.text)
+	}
+	noteOrderOps(sorted.plan, rows.Spans(), o.ran)
+	return rows
+}
+
+// requireSortedRan fails unless the sorted runs executed a merge join
+// of every kind merge join supports and a streaming aggregation: the
+// harness cannot pass without running the operators it is there for.
+func (o *oracle) requireSortedRan(t *testing.T) {
+	t.Helper()
+	for _, op := range []string{"merge inner", "merge leftouter", "merge semi", "merge antisemi", "stream"} {
+		if !o.ran[op] {
+			t.Errorf("no sorted-inputs run executed a %s (ran: %v)", op, o.ran)
 		}
 	}
 }
@@ -189,10 +236,10 @@ const referenceFuzzSF = 0.0005
 func TestReferenceEquivalence(t *testing.T) {
 	base := DefaultConfig()
 	t.Run("tpch", func(t *testing.T) {
-		db := sharedDB(t)
+		db, o := sharedDB(t), newOracle(referenceVariants)
 		// The 12 TPC-H queries and the three Q1 spellings.
 		for i, sql := range warmPassQueries() {
-			checkAgainstReference(t, db, fmt.Sprintf("query %d", i), sql, base)
+			o.check(t, db, fmt.Sprintf("query %d", i), sql, base)
 		}
 	})
 	t.Run("fuzz", func(t *testing.T) {
@@ -203,14 +250,15 @@ func TestReferenceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := base
+		o := newOracle(referenceVariants)
 		r := rand.New(rand.NewSource(20010521))
 		seen := map[string]bool{}
 		for i := 0; i < 80; i++ {
 			if sql := randQuery(r); !seen[sql] {
 				seen[sql] = true
-				checkAgainstReference(t, db, fmt.Sprintf("fuzz %d", i), sql, cfg)
+				o.check(t, db, fmt.Sprintf("fuzz %d", i), sql, base)
 			}
 		}
+		o.requireSortedRan(t)
 	})
 }

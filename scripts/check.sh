@@ -119,13 +119,16 @@ go test -run 'TestInsertQueryRace|TestSnapshotSerialEquivalence|TestStmtRunSnaps
 # older entry unreachable.
 go test -run 'TestResultCache' -race .
 
-# Order leg: the order-equivalence property suite (every TPC-H query
-# and the order-sensitive corpus under forced merge/hash join,
-# stream/hash agg, sort elimination on/off, serial and parallel —
-# identical multisets everywhere, identical sequences under ORDER BY)
-# plus the sort-elision and row-cap pins and the order-strategy
-# spill/cache interplay tests, under -race.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestForcedStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation' -race . ./internal/exec
+# Order leg: the order-equivalence property suite — every TPC-H query
+# and the order-sensitive corpus with the order rules on and off, serial
+# and parallel, and with sorted inputs (a Sort under every equi-join and
+# grouped GroupBy, so they run as merge joins and streaming
+# aggregations), each held to internal/reference: its bag everywhere,
+# its ORDER BY key sequence under ORDER BY; the sorted runs must have
+# executed every merge-join kind and a streaming aggregation — plus the
+# sort-elision and row-cap pins and the order operators' memory-budget
+# and plan-cache tests, under -race.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
