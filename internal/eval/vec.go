@@ -5,7 +5,7 @@ package eval
 // window plus a selection vector — into typed result vectors, so the
 // per-row work of a filter, projection or aggregate argument is a
 // tight loop over []int64 / []float64 / []string instead of a closure
-// call returning a 40-byte Datum per node per row.
+// call returning a Datum per node per row.
 //
 // Layout. Vectors are positional: entry ri of a vector belongs to
 // rows[ri], whatever the selection, so a kernel evaluated over a

@@ -232,7 +232,7 @@ func (p *filterPred) emit(b *Batch, cand []types.Row) (ok bool, err error) {
 // contract forbids reuse, not chunking) while allocations drop from one
 // per row to one per chunk. Chunks double from one row, so an operator
 // that emits one row (a point read, the inner side of an Apply) pays
-// for one row, up to arenaChunkDatums — just under the allocator's
+// for one row, up to arenaChunkDatums (24 KiB) — under the allocator's
 // 32 KiB small-object limit, past which every chunk would be a
 // page-granular large object whose unused tail inflates the heap.
 type rowArena struct {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
@@ -195,9 +196,9 @@ func (t *aggTable) govern(ctx *Context, st *OpStats, level int) {
 }
 
 // groupBytes approximates one resident group's footprint: key datums,
-// state array, and hash-chain overhead.
+// one aggState per aggregate, and hash-chain overhead.
 func groupBytes(key types.Row, nAggs int) int64 {
-	return rowBytes(key) + int64(72*nAggs) + 64
+	return types.RowBytes(key) + int64(unsafe.Sizeof(aggState{}))*int64(nAggs) + 64
 }
 
 // aggScanMax is the group count up to which a lookup compares the row

@@ -172,9 +172,9 @@ func newBindingCache(ctx *Context, st *OpStats, keyWidth int) *bindingCache {
 }
 
 func entryBytes(key types.Row, rows []types.Row) int64 {
-	n := int64(64) + rowBytes(key)
+	n := int64(64) + types.RowBytes(key)
 	for _, r := range rows {
-		n += rowBytes(r)
+		n += types.RowBytes(r)
 	}
 	return n
 }

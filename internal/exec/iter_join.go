@@ -344,11 +344,11 @@ func (h *hashJoinIter) buildTable() (map[uint64][]types.Row, *spillSet, error) {
 			return bset.add(k, row)
 		}
 		if governed {
-			over, err := h.ctx.grantMem(h.st, "Join", rowBytes(row))
+			over, err := h.ctx.grantMem(h.st, "Join", types.RowBytes(row))
 			if err != nil {
 				return err
 			}
-			h.charged += rowBytes(row)
+			h.charged += types.RowBytes(row)
 			if over {
 				// Budget crossed: dump resident rows to disk and release
 				// the accounted memory; the rest of the build streams
@@ -511,7 +511,7 @@ func (s *spoolIter) Open() error {
 		if governed {
 			// The spool cannot spill; over-budget usage stays visible in
 			// the accountant and only aborts under DisableSpill.
-			n := rowBytes(row)
+			n := types.RowBytes(row)
 			if _, err := s.ctx.grantMem(s.st, "Spool", n); err != nil {
 				return err
 			}
@@ -833,13 +833,13 @@ func (g *graceJoin) startPair(pair gracePair) (split bool, err error) {
 				return false, cerr
 			}
 			if governed {
-				over, gerr := h.ctx.grantMem(h.st, "Join", rowBytes(row))
+				over, gerr := h.ctx.grantMem(h.st, "Join", types.RowBytes(row))
 				if gerr != nil {
 					rd.close()
 					release()
 					return false, gerr
 				}
-				charged += rowBytes(row)
+				charged += types.RowBytes(row)
 				if over && pair.level < maxSpillLevel {
 					// Still too large: repartition both sides on the next
 					// hash bits. At maxSpillLevel the bits are exhausted

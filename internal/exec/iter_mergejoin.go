@@ -167,7 +167,7 @@ func (m *mergeJoinIter) loadGroup() error {
 	governed := m.ctx.MemBudget > 0 || m.ctx.Faults != nil
 	add := func(row types.Row) error {
 		if governed {
-			n := rowBytes(row)
+			n := types.RowBytes(row)
 			over, err := m.ctx.grantMem(m.st, "Join", n)
 			if err != nil {
 				return err

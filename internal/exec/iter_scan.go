@@ -498,7 +498,7 @@ type sortIter struct {
 const sortChargeChunk = 32 << 10
 
 func (s *sortIter) chargeRow(row types.Row) error {
-	s.pending += rowBytes(row)
+	s.pending += types.RowBytes(row)
 	if s.pending < sortChargeChunk {
 		return nil
 	}

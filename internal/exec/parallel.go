@@ -381,7 +381,7 @@ func (e *exchangeIter) runWorker() {
 		for i := range rows {
 			rows[i] = wb.Row(i)
 			if governed {
-				bb += rowBytes(rows[i])
+				bb += types.RowBytes(rows[i])
 			}
 		}
 		e.ctx.noteMem(e.st, bb)

@@ -35,20 +35,6 @@ func spillPart(h uint64, level int) int {
 	return int((h >> uint(spillBits*level)) & (spillFanout - 1))
 }
 
-// rowBytes approximates a row's accounted memory footprint: slice
-// header plus per-datum struct and string payloads. Accounting is
-// deliberately approximate — the budget bounds order of magnitude,
-// not malloc bytes.
-func rowBytes(r types.Row) int64 {
-	n := int64(24 + 40*len(r))
-	for i := range r {
-		if r[i].Kind() == types.String {
-			n += int64(len(r[i].Str()))
-		}
-	}
-	return n
-}
-
 // spillFile is one temp-file partition of spilled rows. Writing goes
 // through a buffered encoder; reading opens an independent handle so
 // parallel workers can replay the same partition concurrently.

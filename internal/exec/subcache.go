@@ -424,18 +424,6 @@ type subEntry struct {
 	rows []types.Row
 }
 
-// subRowBytes approximates a materialized row's footprint for cache
-// accounting: header + per-datum overhead + string payloads.
-func subRowBytes(row types.Row) int64 {
-	n := int64(24 + 40*len(row))
-	for _, d := range row {
-		if !d.IsNull() && d.Kind() == types.String {
-			n += int64(len(d.Str()))
-		}
-	}
-	return n
-}
-
 // cachedSubIter serves a subtree from the sub-expression cache when a
 // materialization for its key exists, and otherwise tees the subtree's
 // output into a candidate entry while passing rows through unchanged.
@@ -486,7 +474,7 @@ func (s *cachedSubIter) abandon() {
 // the row header is safe: produced datum storage is never rewritten
 // (the batch ownership contract); only the Rows/Sel slices are reused.
 func (s *cachedSubIter) observe(row types.Row) {
-	s.bufBytes += subRowBytes(row)
+	s.bufBytes += types.RowBytes(row)
 	if s.bufBytes > s.ctx.SubCache.MaxEntryBytes() {
 		s.abandon()
 		return

@@ -401,26 +401,41 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func writeRowsJSONL(w http.ResponseWriter, rows *orthoq.Rows, queued time.Duration) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	enc := json.NewEncoder(w)
-	_ = enc.Encode(map[string]any{"columns": rows.Columns})
-	line := make([]any, 0, len(rows.Columns))
+	_ = enc.Encode(&columnsLine{rows.Columns})
+	line := &rowLine{Row: make([]any, 0, len(rows.Columns))}
 	for _, row := range rows.Data {
-		line = line[:0]
+		line.Row = line.Row[:0]
 		for _, d := range row {
-			line = append(line, datumJSON(d))
+			line.Row = append(line.Row, datumJSON(d))
 		}
-		_ = enc.Encode(map[string]any{"row": line})
+		_ = enc.Encode(line)
 	}
-	trailer := map[string]any{
-		"done":       true,
-		"rows":       len(rows.Data),
-		"elapsed_us": rows.Elapsed.Microseconds(),
-		"cache":      rows.Cache,
-	}
+	trailer := &trailerLine{Cache: rows.Cache, Done: true, ElapsedUS: rows.Elapsed.Microseconds(), Rows: len(rows.Data)}
 	if queued > 0 {
-		trailer["queued_us"] = queued.Microseconds()
+		us := queued.Microseconds()
+		trailer.QueuedUS = &us
 	}
 	_ = enc.Encode(trailer)
 }
+
+// The lines of an inline reply. They are structs rather than maps,
+// which encoding/json sorts and boxes on every line; the fields are in
+// the order of a map's sorted keys, so the bytes are the same.
+type (
+	columnsLine struct {
+		Columns []string `json:"columns"`
+	}
+	rowLine struct {
+		Row []any `json:"row"`
+	}
+	trailerLine struct {
+		Cache     string `json:"cache"`
+		Done      bool   `json:"done"`
+		ElapsedUS int64  `json:"elapsed_us"`
+		QueuedUS  *int64 `json:"queued_us,omitempty"` // present exactly when the query queued
+		Rows      int    `json:"rows"`
+	}
+)
 
 // openCursor starts a server-side streaming cursor. The stream's
 // context is detached from the creating request (the cursor outlives

@@ -81,7 +81,9 @@ type Server struct {
 	db  *orthoq.DB
 	cfg Config
 	adm *admission
-	sm  obs.ServerMetrics
+	// sm is allocated apart from the Server, which the expvar registry
+	// must not keep reachable (see newServer).
+	sm *obs.ServerMetrics
 	// rcBytes is the result-cache byte cap carved out of the admission
 	// pool at New (0 = engine default sizing).
 	rcBytes int64
@@ -169,6 +171,7 @@ func newServer(db *orthoq.DB, cfg Config) *Server {
 		sessions: make(map[string]*Session),
 		closed:   make(chan struct{}),
 		openDone: make(chan struct{}),
+		sm:       new(obs.ServerMetrics),
 	}
 	adm := s.cfg.Admission
 	if !s.cfg.DisableResultCache {
@@ -186,8 +189,11 @@ func newServer(db *orthoq.DB, cfg Config) *Server {
 			adm.PoolBytes -= s.rcBytes
 		}
 	}
-	s.adm = newAdmission(adm, &s.sm)
-	obs.PublishFunc("orthoq_server", func() any { return s.sm.Snapshot() })
+	s.adm = newAdmission(adm, s.sm)
+	// The closure captures the counters only: capturing s would keep the
+	// first Server, its DB and its store alive for the whole process.
+	sm := s.sm
+	obs.PublishFunc("orthoq_server", func() any { return sm.Snapshot() })
 	s.wg.Add(1)
 	go s.reapLoop()
 	return s

@@ -3,9 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +57,7 @@ func newTestServer(t *testing.T, db *orthoq.DB, cfg Config) *testServer {
 	return &testServer{srv: srv, ts: ts}
 }
 
-func (s *testServer) post(t *testing.T, path string, body any) (*http.Response, []byte) {
+func (s *testServer) post(t testing.TB, path string, body any) (*http.Response, []byte) {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -102,7 +107,7 @@ func (s *testServer) delete(t *testing.T, path string) (*http.Response, []byte) 
 	return resp, data
 }
 
-func (s *testServer) newSession(t *testing.T, cfg SessionConfig) string {
+func (s *testServer) newSession(t testing.TB, cfg SessionConfig) string {
 	t.Helper()
 	resp, data := s.post(t, "/session", cfg)
 	if resp.StatusCode != http.StatusOK {
@@ -674,5 +679,55 @@ func TestSessionConfigDefaultsMerge(t *testing.T) {
 	json.Unmarshal(data, &out)
 	if out.Config.TimeoutMS != 5000 || out.Config.MaxConcurrent != 3 || out.Config.MemBudget != 1<<20 {
 		t.Errorf("merged config = %+v", out.Config)
+	}
+}
+
+// TestDroppedServerIsCollected: a Server and its DB are garbage once
+// closed and dropped, although New published the server's counters,
+// and Open the engine's, in the process-wide expvar registry. Only the
+// first of each is published, so when another test got there first the
+// test reruns itself alone in a fresh process.
+func TestDroppedServerIsCollected(t *testing.T) {
+	if expvar.Get("orthoq") != nil || expvar.Get("orthoq_server") != nil {
+		alone := "^" + t.Name() + "$"
+		if flag.Lookup("test.run").Value.String() == alone {
+			t.Fatal("the registry was published before this test, although it runs alone")
+		}
+		out, err := exec.Command(os.Args[0], "-test.run="+alone, "-test.v").CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: "+t.Name())) {
+			t.Fatalf("%s alone: %v\n%s", t.Name(), err, out)
+		}
+		return
+	}
+	dbGone, srvGone := make(chan struct{}), make(chan struct{})
+	func() {
+		db := newMemDB(t, 100)
+		srv := New(db, Config{})
+		s := &testServer{srv: srv, ts: httptest.NewServer(srv.Handler())}
+		s.queryRows(t, s.newSession(t, SessionConfig{}), "select id, val from t where id < 3")
+		s.ts.Close()
+		srv.Close()
+		runtime.AddCleanup(db, func(ch chan struct{}) { close(ch) }, dbGone)
+		runtime.AddCleanup(srv, func(ch chan struct{}) { close(ch) }, srvGone)
+	}()
+	if expvar.Get("orthoq_server") == nil {
+		t.Fatal(`expvar.Get("orthoq_server") = nil; New did not publish the server counters`)
+	}
+	for _, c := range []struct {
+		what string
+		gone chan struct{}
+	}{{"the dropped Server", srvGone}, {"its DB", dbGone}} {
+		collected := false
+		for i := 0; i < 10 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-c.gone:
+				collected = true
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		if !collected {
+			t.Errorf("%s is still reachable after ten forced collections", c.what)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func (o BinOp) String() string {
 // a NULL result; Int op Int stays Int (except division by zero, which is
 // an error); mixed numeric promotes to Float. Date +/- Int yields Date.
 func Arith(op BinOp, a, b Datum) (Datum, error) {
-	if a.null || b.null {
+	if !a.valid || !b.valid {
 		return Null(resultKind(op, a.kind, b.kind)), nil
 	}
 	// Date arithmetic: date ± int days.
@@ -143,7 +143,7 @@ func timeFromDays(days int64) time.Time {
 // Like implements the SQL LIKE predicate with % and _ wildcards. NULL
 // operands yield TriNull.
 func Like(s, pattern Datum) TriBool {
-	if s.null || pattern.null {
+	if !s.valid || !pattern.valid {
 		return TriNull
 	}
 	return TriOf(likeMatch(s.s, pattern.s))

@@ -12,6 +12,7 @@ import (
 	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the primitive SQL types supported by the engine.
@@ -53,32 +54,43 @@ func (k Kind) Numeric() bool { return k == Int || k == Float }
 // Datum is a single nullable SQL value. The zero value is the untyped
 // NULL. Datums are immutable by convention: operators copy rather than
 // mutate them.
+//
+// A datum is 32 bytes: kind and presence flag in the first word, one
+// payload word, and the string header. Int, Date and Bool keep their
+// value in i, and a Float keeps its IEEE-754 bits there (Float
+// converts them back). In a row that starts 32-byte aligned, as every
+// row allocated on its own with up to 16 columns does (a stored TPC-H
+// row is one), each datum fills half of a 64-byte cache line and none
+// straddles two. Because a float is stored as bits, == on datums is
+// bitwise for floats (NaN equals itself, -0 does not equal 0); SQL
+// comparison is Compare's.
 type Datum struct {
-	kind Kind
-	null bool
-	i    int64 // Int, Date and Bool (0/1) payload
-	f    float64
-	s    string
+	kind  Kind
+	valid bool  // false for SQL NULL, so that Datum{} is NullUnknown
+	i     int64 // Int, Date and Bool (0/1) payload; a Float's bits
+	s     string
 }
 
 // Null constructs a typed NULL of the given kind.
-func Null(k Kind) Datum { return Datum{kind: k, null: true} }
+func Null(k Kind) Datum { return Datum{kind: k} }
 
 // NullUnknown is the untyped NULL.
-var NullUnknown = Datum{kind: Unknown, null: true}
+var NullUnknown = Datum{}
 
 // NewInt returns an Int datum.
-func NewInt(v int64) Datum { return Datum{kind: Int, i: v} }
+func NewInt(v int64) Datum { return Datum{kind: Int, valid: true, i: v} }
 
 // NewFloat returns a Float datum.
-func NewFloat(v float64) Datum { return Datum{kind: Float, f: v} }
+func NewFloat(v float64) Datum {
+	return Datum{kind: Float, valid: true, i: int64(math.Float64bits(v))}
+}
 
 // NewString returns a String datum.
-func NewString(v string) Datum { return Datum{kind: String, s: v} }
+func NewString(v string) Datum { return Datum{kind: String, valid: true, s: v} }
 
 // NewBool returns a Bool datum.
 func NewBool(v bool) Datum {
-	d := Datum{kind: Bool}
+	d := Datum{kind: Bool, valid: true}
 	if v {
 		d.i = 1
 	}
@@ -86,7 +98,7 @@ func NewBool(v bool) Datum {
 }
 
 // NewDate returns a Date datum holding days since the Unix epoch.
-func NewDate(days int64) Datum { return Datum{kind: Date, i: days} }
+func NewDate(days int64) Datum { return Datum{kind: Date, valid: true, i: days} }
 
 // DateFromString parses "YYYY-MM-DD" into a Date datum.
 func DateFromString(s string) (Datum, error) {
@@ -111,13 +123,13 @@ func MustDate(s string) Datum {
 func (d Datum) Kind() Kind { return d.kind }
 
 // IsNull reports whether the datum is SQL NULL.
-func (d Datum) IsNull() bool { return d.null }
+func (d Datum) IsNull() bool { return !d.valid }
 
 // Int returns the integer payload. It is valid only for Int kind.
 func (d Datum) Int() int64 { return d.i }
 
 // Float returns the float payload. It is valid only for Float kind.
-func (d Datum) Float() float64 { return d.f }
+func (d Datum) Float() float64 { return math.Float64frombits(uint64(d.i)) }
 
 // Str returns the string payload. It is valid only for String kind.
 func (d Datum) Str() string { return d.s }
@@ -131,21 +143,21 @@ func (d Datum) Days() int64 { return d.i }
 // AsFloat converts a numeric datum to float64. NULL converts to 0 with
 // ok=false.
 func (d Datum) AsFloat() (v float64, ok bool) {
-	if d.null {
+	if !d.valid {
 		return 0, false
 	}
 	switch d.kind {
 	case Int:
 		return float64(d.i), true
 	case Float:
-		return d.f, true
+		return d.Float(), true
 	}
 	return 0, false
 }
 
 // String renders the datum for display and plan formatting.
 func (d Datum) String() string {
-	if d.null {
+	if !d.valid {
 		return "NULL"
 	}
 	switch d.kind {
@@ -157,7 +169,7 @@ func (d Datum) String() string {
 	case Int:
 		return strconv.FormatInt(d.i, 10)
 	case Float:
-		return strconv.FormatFloat(d.f, 'f', -1, 64)
+		return strconv.FormatFloat(d.Float(), 'f', -1, 64)
 	case String:
 		return "'" + d.s + "'"
 	case Date:
@@ -174,11 +186,11 @@ func (d Datum) String() string {
 // kind mismatch panics, since the algebrizer assigns consistent types.
 func Compare(a, b Datum) int {
 	switch {
-	case a.null && b.null:
+	case !a.valid && !b.valid:
 		return 0
-	case a.null:
+	case !a.valid:
 		return -1
-	case b.null:
+	case !b.valid:
 		return 1
 	}
 	if a.kind != b.kind {
@@ -193,7 +205,7 @@ func Compare(a, b Datum) int {
 	case Bool, Int, Date:
 		return cmpInt(a.i, b.i)
 	case Float:
-		return cmpFloat(a.f, b.f)
+		return cmpFloat(a.Float(), b.Float())
 	case String:
 		switch {
 		case a.s < b.s:
@@ -294,7 +306,7 @@ func (t TriBool) Not() TriBool {
 // result of any comparison is unknown (TriNull); otherwise cmp receives
 // the ordering result.
 func CompareSQL(a, b Datum, test func(int) bool) TriBool {
-	if a.null || b.null {
+	if !a.valid || !b.valid {
 		return TriNull
 	}
 	return TriOf(test(Compare(a, b)))
@@ -304,8 +316,8 @@ func CompareSQL(a, b Datum, test func(int) bool) TriBool {
 // elimination: NULLs compare equal to each other (SQL GROUP BY
 // semantics), and values equal per Compare.
 func Equal(a, b Datum) bool {
-	if a.null || b.null {
-		return a.null == b.null
+	if !a.valid || !b.valid {
+		return a.valid == b.valid
 	}
 	if a.kind == b.kind {
 		// Exact-equality kinds skip the three-way order (two string
@@ -332,7 +344,7 @@ const (
 // it is allocation-free and an order of magnitude faster than a
 // per-datum maphash, which matters in hash joins and aggregation.
 func (d Datum) Hash() uint64 {
-	if d.null {
+	if !d.valid {
 		return fnvByte(fnvOffset, 0)
 	}
 	switch d.kind {
@@ -344,8 +356,8 @@ func (d Datum) Hash() uint64 {
 		var f float64
 		if d.kind == Int {
 			f = float64(d.i)
-		} else if d.f != 0 {
-			f = d.f // -0 compares equal to 0, so it hashes as 0
+		} else if v := d.Float(); v != 0 {
+			f = v // -0 compares equal to 0, so it hashes as 0
 		}
 		return fnvUint64(fnvByte(fnvOffset, 2), math.Float64bits(f))
 	case Date:
@@ -374,6 +386,18 @@ func fnvUint64(h, v uint64) uint64 {
 // Row is a tuple of datums. Rows are positional; the optimizer maps
 // column IDs to ordinals when building the physical plan.
 type Row []Datum
+
+// RowBytes approximates the memory a row holds: its slice header, one
+// Datum per column and the string payloads. Memory budgets and cache
+// byte accounting charge it; it bounds order of magnitude, not malloc
+// bytes (a string shared by many rows is counted in each).
+func RowBytes(r Row) int64 {
+	n := int64(unsafe.Sizeof(r)) + int64(unsafe.Sizeof(Datum{}))*int64(len(r))
+	for i := range r {
+		n += int64(len(r[i].s)) // empty unless a non-NULL String
+	}
+	return n
+}
 
 // Clone returns a deep-enough copy of the row (datums are values).
 func (r Row) Clone() Row {

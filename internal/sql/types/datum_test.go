@@ -8,7 +8,34 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestDatumLayout pins the datum at 32 bytes: kind and presence flag,
+// one payload word shared by every non-string kind, a string header.
+func TestDatumLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Datum{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Datum{}) = %d, want 32. Every stored value and every row "+
+			"the executor touches is a slice of datums; at 40 bytes (a float field beside the "+
+			"integer one) warm_analytic ran at about 0.75x the ops/s and BenchmarkWarmPass took "+
+			"about 1.25x as long (EXPERIMENTS.md, \"A 32-byte datum\")", got)
+	}
+}
+
+// TestZeroDatumIsNullUnknown: the zero value is the untyped NULL, as
+// the type's documentation says, so a datum never set is NULL.
+func TestZeroDatumIsNullUnknown(t *testing.T) {
+	var d Datum
+	if d != NullUnknown || d != Null(Unknown) {
+		t.Errorf("Datum{} = %#v, NullUnknown = %#v", d, NullUnknown)
+	}
+	if !d.IsNull() || d.Kind() != Unknown || d.String() != "NULL" {
+		t.Errorf("Datum{}: IsNull %v, Kind %v, String %q", d.IsNull(), d.Kind(), d.String())
+	}
+	if !Equal(d, Null(Int)) || Compare(d, NewInt(0)) != -1 || d.Hash() != Null(String).Hash() {
+		t.Error("Datum{} does not compare and hash as a NULL")
+	}
+}
 
 func TestDatumConstructorsAndAccessors(t *testing.T) {
 	if d := NewInt(42); d.Kind() != Int || d.Int() != 42 || d.IsNull() {
@@ -142,7 +169,8 @@ func TestHashConsistentWithEqual(t *testing.T) {
 
 // TestCompareMatchesGoOrdering holds Compare to Go's own orderings on
 // random pairs — Int, Date and Bool to cmp.Compare on their int64
-// values, non-NaN Float to cmp.Compare, String to strings.Compare, Int
+// values, non-NaN Float to cmp.Compare (random bit patterns among
+// them, each also required to survive NewFloat and Float bit for bit), String to strings.Compare, Int
 // against Float where float64 holds the integer exactly (|i| ≤ 2^53),
 // NULL before everything — and on the same pairs requires Equal to
 // hold exactly when Compare is 0, and equal values to hash equal.
@@ -157,6 +185,21 @@ func TestCompareMatchesGoOrdering(t *testing.T) {
 		}
 		return int64(r.Uint64())
 	}
+	// Bit patterns a float must keep through NewFloat and Float: NaN
+	// payloads (quiet, signalling, negative), ±0, ±Inf, subnormals and
+	// ±MaxFloat64, mixed into the random ones.
+	specials := []uint64{
+		0x7ff8000000000000, 0x7ff8000000000001, 0x7ff0000000000001, 0xfff8000000000000, 0xffffffffffffffff,
+		0, 1 << 63, 0x7ff0000000000000, 0xfff0000000000000,
+		1, 0x000fffffffffffff, 0x8000000000000001, 0x800fffffffffffff,
+		math.Float64bits(math.MaxFloat64), math.Float64bits(-math.MaxFloat64),
+	}
+	anyBits := func() uint64 {
+		if r.Intn(4) == 0 {
+			return specials[r.Intn(len(specials))]
+		}
+		return r.Uint64()
+	}
 	anyFloat := func() float64 {
 		switch r.Intn(5) {
 		case 0:
@@ -169,7 +212,7 @@ func TestCompareMatchesGoOrdering(t *testing.T) {
 			return r.NormFloat64() * 1e6
 		}
 		for {
-			if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) {
+			if f := math.Float64frombits(anyBits()); !math.IsNaN(f) {
 				return f
 			}
 		}
@@ -203,6 +246,10 @@ func TestCompareMatchesGoOrdering(t *testing.T) {
 		return 0
 	}
 	for range 20000 {
+		bits := anyBits()
+		if got := math.Float64bits(NewFloat(math.Float64frombits(bits)).Float()); got != bits {
+			t.Errorf("NewFloat(%#016x).Float() has bits %#016x", bits, got)
+		}
 		i, j := anyInt(), anyInt()
 		check(NewInt(i), NewInt(j), cmp.Compare(i, j))
 		check(NewDate(i), NewDate(j), cmp.Compare(i, j))

@@ -21,6 +21,8 @@ func TestDatumRoundTrip(t *testing.T) {
 		types.NewFloat(0),
 		types.NewFloat(-3.25),
 		types.NewFloat(math.Inf(1)),
+		types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.Float64frombits(0x7ff8000000000001)), // NaN with a payload
 		types.NewDate(0),
 		types.NewDate(19234),
 		types.NewString(""),
@@ -41,6 +43,42 @@ func TestDatumRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, d) {
 			t.Errorf("round trip: got %#v, want %#v", got, d)
 		}
+	}
+}
+
+// TestDatumEncodingPinned holds AppendDatum to bytes written before
+// Datum kept a float's bits in its integer payload word (and before the
+// zero Datum became the untyped NULL): one value and one NULL of every
+// kind, a -0, a NaN with a payload, and one row. The WAL and checkpoint
+// formats did not move with the in-memory layout, so existing data
+// directories still recover. Unknown has no value form.
+func TestDatumEncodingPinned(t *testing.T) {
+	for _, c := range []struct {
+		d    types.Datum
+		want []byte
+	}{
+		{types.NewBool(true), []byte{0x1, 0x1}},
+		{types.NewInt(-1234567), []byte{0x2, 0x8d, 0xda, 0x96, 0x1}},
+		{types.NewFloat(-3.25), []byte{0x3, 0xc0, 0xa, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}},
+		{types.NewFloat(math.Copysign(0, -1)), []byte{0x3, 0x80, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0}},
+		{types.NewFloat(math.Float64frombits(0x7ff8000000000001)), []byte{0x3, 0x7f, 0xf8, 0x0, 0x0, 0x0, 0x0, 0x0, 0x1}},
+		{types.NewString("héllo"), []byte{0x4, 0x6, 0x68, 0xc3, 0xa9, 0x6c, 0x6c, 0x6f}},
+		{types.NewDate(9131), []byte{0x5, 0xd6, 0x8e, 0x1}},
+		{types.NullUnknown, []byte{0x80}},
+		{types.Null(types.Bool), []byte{0x81}},
+		{types.Null(types.Int), []byte{0x82}},
+		{types.Null(types.Float), []byte{0x83}},
+		{types.Null(types.String), []byte{0x84}},
+		{types.Null(types.Date), []byte{0x85}},
+	} {
+		if got := AppendDatum(nil, c.d); !bytes.Equal(got, c.want) {
+			t.Errorf("AppendDatum(%v) = %#v, want %#v", c.d, got, c.want)
+		}
+	}
+	row := types.Row{types.NewInt(7), types.NewString("x"), types.NewFloat(1.5), types.Null(types.Float), types.NewDate(9131), types.NewBool(false)}
+	want := []byte{0x6, 0x2, 0xe, 0x4, 0x1, 0x78, 0x3, 0x3f, 0xf8, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x83, 0x5, 0xd6, 0x8e, 0x1, 0x1, 0x0}
+	if got := AppendRow(nil, row); !bytes.Equal(got, want) {
+		t.Errorf("AppendRow(%v) = %#v, want %#v", row, got, want)
 	}
 }
 

@@ -10,7 +10,10 @@ import (
 	"context"
 	"encoding/json"
 	"expvar"
+	"flag"
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -491,6 +494,60 @@ func TestExpvarAndMarshal(t *testing.T) {
 	if _, err := json.Marshal(db.Metrics()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDroppedDBIsCollected: a DB its caller drops is garbage, although
+// Open published its counters in the process-wide expvar registry. Only
+// the process's first DB is published, so when another test opened one
+// first, the test reruns itself alone in a fresh process.
+func TestDroppedDBIsCollected(t *testing.T) {
+	if expvar.Get("orthoq") != nil {
+		rerunAlone(t)
+		return
+	}
+	gone := make(chan struct{})
+	func() {
+		db, err := OpenTPCH(0.001, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Query("select count(*) as n from lineitem"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.AddCleanup(db, func(ch chan struct{}) { close(ch) }, gone)
+	}()
+	if expvar.Get("orthoq") == nil {
+		t.Fatal(`expvar.Get("orthoq") = nil; Open did not publish the registry`)
+	}
+	awaitCollected(t, "the dropped DB", gone)
+}
+
+// rerunAlone runs the calling test as the only test of a fresh process
+// and fails unless it passes there.
+func rerunAlone(t *testing.T) {
+	t.Helper()
+	alone := "^" + t.Name() + "$"
+	if flag.Lookup("test.run").Value.String() == alone {
+		t.Fatal("the registry was published before this test, although it runs alone")
+	}
+	out, err := exec.Command(os.Args[0], "-test.run="+alone, "-test.v").CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: "+t.Name())) {
+		t.Fatalf("%s alone: %v\n%s", t.Name(), err, out)
+	}
+}
+
+// awaitCollected forces collections until a cleanup closes gone.
+func awaitCollected(t *testing.T, what string, gone <-chan struct{}) {
+	t.Helper()
+	for range 10 {
+		runtime.GC()
+		select {
+		case <-gone:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatalf("%s is still reachable after ten forced collections", what)
 }
 
 // TestBatchAnalyzeTrace checks that EXPLAIN ANALYZE surfaces batch

@@ -371,8 +371,10 @@ type DB struct {
 
 	// metrics is the engine-wide observability registry; every
 	// execution path folds into it with a few atomic adds. Snapshot via
-	// Metrics().
-	metrics obs.Metrics
+	// Metrics(). It is allocated apart from the DB because the expvar
+	// registry keeps it for the life of the process, and a pointer into
+	// the DB would keep the DB and its whole store reachable too.
+	metrics *obs.Metrics
 	// wal and walMetrics are set by OpenDurable: the write-ahead-log
 	// manager journaling every mutation, and its durability counters.
 	// Both nil for in-memory handles.
@@ -390,13 +392,13 @@ func (db *DB) statsNow() *stats.Collection { return db.statsv.Load() }
 
 // Open wraps an existing store.
 func Open(store *storage.Store) *DB {
-	db := &DB{store: store}
+	db := &DB{store: store, metrics: new(obs.Metrics)}
 	db.statsv.Store(stats.Collect(store))
 	db.analyzedRows.Store(totalRows(db.statsNow(), store))
 	// Expose engine counters on the process debug endpoint. First
 	// handle wins the name; additional handles keep their Metrics()
 	// accessor but are not re-published.
-	obs.Publish("orthoq", &db.metrics)
+	obs.Publish("orthoq", db.metrics)
 	return db
 }
 

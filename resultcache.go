@@ -155,17 +155,11 @@ func resultKey(p *prepared, params []types.Datum, snap *storage.Snapshot) (strin
 }
 
 // approxRowsBytes estimates a materialized result's footprint for
-// cache accounting: slice/header overhead per row and datum plus
-// string payloads.
+// cache accounting: a fixed entry overhead plus every row's.
 func approxRowsBytes(data []Row) int64 {
 	n := int64(256)
 	for _, row := range data {
-		n += int64(24 + 40*len(row))
-		for _, d := range row {
-			if !d.IsNull() && d.Kind() == types.String {
-				n += int64(len(d.Str()))
-			}
-		}
+		n += types.RowBytes(row)
 	}
 	return n
 }

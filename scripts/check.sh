@@ -51,10 +51,22 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # paper's Q1 reach one plan (DESIGN §17). Then one iteration of the
 # optimizer benchmark, which prints groups/op, exprs/op and costed/op
 # beside B/op and allocs/op for the five queries whose searches used to
-# run out of steps.
+# run out of steps. Its executor twin runs one iteration each of the
+# warm pass (the 15 queries of perfbench's warm_analytic, plans cached),
+# Q1's scan-and-aggregate and a hash join, so every run prints B/op and
+# allocs/op for the paths that touch rows.
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
+go test -run '^$' -bench 'WarmPass$|BatchScanAggQ1$|BatchJoin$' -benchtime 1x -benchmem .
+
+# Value-domain leg, fail-fast: every row-touching line of the executor,
+# the reference evaluator and the storage codec depends on the datum's
+# layout and semantics — its size (32 bytes), the zero value being NULL,
+# floats surviving bit for bit, Compare/Equal/Hash agreeing with Go's
+# orderings — and the WAL and checkpoint bytes of every kind are pinned
+# to what was written before the layout changed.
+go test ./internal/sql/types ./internal/storage
 
 # Reference-equivalence leg: the engine against the oracle is the
 # highest-signal regression check for executor, normalizer and
