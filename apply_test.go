@@ -14,6 +14,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -300,6 +301,67 @@ func TestApplyFaultInjection(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// TestExplainApplyMatchesExecution: EXPLAIN's apply= is the strategy
+// the Apply runs under. Over the TPC-H set (the warm pass, with the
+// paper's three Q1 spellings) and the reference fuzz corpus, serial and
+// at four workers, the i-th apply= of the cost-based plan must name the
+// strategy of the i-th Apply span of a traced run, both in plan
+// preorder.
+func TestExplainApplyMatchesExecution(t *testing.T) {
+	fuzzDB, err := OpenTPCH(referenceFuzzSF, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type corpus struct {
+		db  *DB
+		sql []string
+	}
+	corpora := []corpus{{sharedDB(t), warmPassQueries()}, {fuzzDB, nil}}
+	r := rand.New(rand.NewSource(20010521))
+	for i := 0; i < 80; i++ {
+		corpora[1].sql = append(corpora[1].sql, randQuery(r))
+	}
+	applies := 0
+	for _, par := range []int{0, 4} {
+		cfg := DefaultConfig()
+		cfg.Parallelism = par
+		for _, c := range corpora {
+			for _, sql := range c.sql {
+				out, err := c.db.Explain(sql, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var explained []string
+				for _, f := range strings.Fields(out[strings.Index(out, "=== cost-based plan"):]) {
+					if s, ok := strings.CutPrefix(f, "apply="); ok {
+						explained = append(explained, strings.TrimSuffix(s, "]"))
+					}
+				}
+				traced := cfg
+				traced.Trace = true
+				rows, err := c.db.QueryCfg(sql, traced)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ran []string
+				for _, sp := range collectSpans(rows) {
+					if sp.Op == "Apply" {
+						ran = append(ran, sp.Strategy)
+					}
+				}
+				if !slices.Equal(explained, ran) {
+					t.Errorf("parallelism %d: EXPLAIN says apply=%v, the run used %v\nsql: %s\n%s", par, explained, ran, sql, out)
+				}
+				applies += len(ran)
+			}
+		}
+	}
+	if applies == 0 {
+		t.Fatal("no plan in the corpus ran an Apply")
+	}
+	t.Logf("%d Applies compared", applies)
 }
 
 // collectSpans flattens a traced result's span tree.

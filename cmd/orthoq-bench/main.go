@@ -27,7 +27,6 @@ import (
 	"orthoq/internal/core"
 	"orthoq/internal/exec"
 	"orthoq/internal/sql/parser"
-	"orthoq/internal/stats"
 	"orthoq/internal/storage"
 	"orthoq/internal/tpch"
 )
@@ -151,11 +150,8 @@ func (r *runner) compile(sql string, sys system) (func() (*orthoq.Rows, error), 
 			return nil, fmt.Errorf("rewrite not applicable")
 		}
 	}
-	st, sc := r.st, stats.Collect(r.st)
 	return func() (*orthoq.Rows, error) {
-		ctx := exec.NewContext(st, md)
-		ctx.Stats = sc
-		out, err := exec.Run(ctx, rel, res.OutCols)
+		out, err := exec.Run(exec.NewContext(r.st, md), rel, res.OutCols)
 		if err != nil {
 			return nil, err
 		}

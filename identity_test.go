@@ -44,25 +44,24 @@ var configFields = map[string]struct {
 	"DisableBatch":       {classRetired, func(c *Config) { c.DisableBatch = true }},
 	"DisableRules":       {classIdentity, func(c *Config) { c.DisableRules = []string{"CommuteJoin"} }},
 
-	"PlanCache.Size":              {classRunState, func(c *Config) { c.PlanCache.Size = 7 }},
-	"PlanCache.Bytes":             {classRunState, func(c *Config) { c.PlanCache.Bytes = 1 << 20 }},
-	"PlanCache.Disabled":          {classRunState, func(c *Config) { c.PlanCache.Disabled = true }},
-	"ResultCache.Enabled":         {classRunState, func(c *Config) { c.ResultCache.Enabled = true }},
-	"ResultCache.MaxBytes":        {classRunState, func(c *Config) { c.ResultCache.MaxBytes = 1 << 20 }},
-	"ResultCache.MaxEntries":      {classRunState, func(c *Config) { c.ResultCache.MaxEntries = 7 }},
-	"ResultCache.MaxEntryBytes":   {classRunState, func(c *Config) { c.ResultCache.MaxEntryBytes = 1 << 10 }},
-	"ResultCache.DisableSubPlans": {classRunState, func(c *Config) { c.ResultCache.DisableSubPlans = true }},
-	"Trace":                       {classRunState, func(c *Config) { c.Trace = true }},
-	"QueryLog":                    {classRunState, func(c *Config) { c.QueryLog = &bytes.Buffer{} }},
-	"Session":                     {classRunState, func(c *Config) { c.Session = "s-1" }},
-	"Queued":                      {classRunState, func(c *Config) { c.Queued = time.Millisecond }},
-	"Timeout":                     {classRunState, func(c *Config) { c.Timeout = time.Hour }},
-	"MemBudget":                   {classRunState, func(c *Config) { c.MemBudget = 1 << 40 }},
-	"DisableSpill":                {classRunState, func(c *Config) { c.DisableSpill = true }},
-	"SpillDir":                    {classRunState, func(c *Config) { c.SpillDir = "/nonexistent-unused" }},
-	"RowBudget":                   {classRunState, func(c *Config) { c.RowBudget = 1 << 40 }},
-	"faults":                      {classRunState, func(c *Config) { c.faults = faultinject.New() }},
-	"forceApply":                  {classRunState, func(c *Config) { c.forceApply = "batched" }},
+	"PlanCache.Size":            {classRunState, func(c *Config) { c.PlanCache.Size = 7 }},
+	"PlanCache.Bytes":           {classRunState, func(c *Config) { c.PlanCache.Bytes = 1 << 20 }},
+	"PlanCache.Disabled":        {classRunState, func(c *Config) { c.PlanCache.Disabled = true }},
+	"ResultCache.Enabled":       {classRunState, func(c *Config) { c.ResultCache.Enabled = true }},
+	"ResultCache.MaxBytes":      {classRunState, func(c *Config) { c.ResultCache.MaxBytes = 1 << 20 }},
+	"ResultCache.MaxEntries":    {classRunState, func(c *Config) { c.ResultCache.MaxEntries = 7 }},
+	"ResultCache.MaxEntryBytes": {classRunState, func(c *Config) { c.ResultCache.MaxEntryBytes = 1 << 10 }},
+	"Trace":                     {classRunState, func(c *Config) { c.Trace = true }},
+	"QueryLog":                  {classRunState, func(c *Config) { c.QueryLog = &bytes.Buffer{} }},
+	"Session":                   {classRunState, func(c *Config) { c.Session = "s-1" }},
+	"Queued":                    {classRunState, func(c *Config) { c.Queued = time.Millisecond }},
+	"Timeout":                   {classRunState, func(c *Config) { c.Timeout = time.Hour }},
+	"MemBudget":                 {classRunState, func(c *Config) { c.MemBudget = 1 << 40 }},
+	"DisableSpill":              {classRunState, func(c *Config) { c.DisableSpill = true }},
+	"SpillDir":                  {classRunState, func(c *Config) { c.SpillDir = "/nonexistent-unused" }},
+	"RowBudget":                 {classRunState, func(c *Config) { c.RowBudget = 1 << 40 }},
+	"faults":                    {classRunState, func(c *Config) { c.faults = faultinject.New() }},
+	"forceApply":                {classRunState, func(c *Config) { c.forceApply = "batched" }},
 }
 
 // configFieldPaths walks a config struct type, descending into the

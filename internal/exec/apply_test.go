@@ -181,9 +181,10 @@ func TestBindingCacheHardCap(t *testing.T) {
 }
 
 // TestAmortClockMonotone: the amortized clock never goes backwards,
-// refreshes often enough to make progress, and its refresh interval is
-// odd (see the traceClockEvery comment — an even interval pins every
-// refresh to frame starts and measures nothing).
+// also when real reads (now) interleave with amortized ones, refreshes
+// often enough to make progress, and its refresh interval is odd (see
+// the traceClockEvery comment — an even interval pins every refresh to
+// frame starts and measures nothing).
 func TestAmortClockMonotone(t *testing.T) {
 	if traceClockEvery%2 == 0 {
 		t.Fatal("traceClockEvery must be odd")
@@ -194,6 +195,9 @@ func TestAmortClockMonotone(t *testing.T) {
 	for i := 0; i < 10*traceClockEvery; i++ {
 		time.Sleep(10 * time.Microsecond)
 		now := clk.read()
+		if i%7 == 3 {
+			now = clk.now()
+		}
 		if now.Before(prev) {
 			t.Fatal("amortized clock went backwards")
 		}

@@ -150,14 +150,11 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 			cols = append(cols, a.Col)
 		}
 		if AggAlg(t, algebra.DeliveredOrder(t.Input)) == AlgStream {
-			agg := iterator(&streamAggIter{ctx: ctx, in: in, gb: t, cols: cols,
-				st: ctx.traceStats(t)})
-			return newNode(maybeCacheSub(ctx, t, agg), cols), nil
+			return newNode(&streamAggIter{ctx: ctx, in: in, gb: t, cols: cols,
+				st: ctx.traceStats(t)}, cols), nil
 		}
-		hint := estimateGroups(ctx, t, estimateRows(ctx, t.Input))
-		agg := iterator(&hashAggIter{ctx: ctx, in: in, gb: t, cols: cols,
-			sizeHint: hint, st: ctx.traceStats(t)})
-		return newNode(maybeCacheSub(ctx, t, agg), cols), nil
+		return newNode(&hashAggIter{ctx: ctx, in: in, gb: t, cols: cols,
+			sizeHint: ctx.Estimates.sizeHint(t, aggPresizeMax), st: ctx.traceStats(t)}, cols), nil
 
 	case *algebra.SegmentApply:
 		return compileSegmentApply(ctx, t)

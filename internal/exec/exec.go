@@ -21,7 +21,6 @@ import (
 	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
 	"orthoq/internal/exec/faultinject"
-	"orthoq/internal/resultcache"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/stats"
 	"orthoq/internal/storage"
@@ -37,19 +36,25 @@ import (
 type Context struct {
 	Store *storage.Store
 	Md    *algebra.Metadata
-	// Stats, when set, supplies cardinality estimates used to
-	// preallocate hash-join and aggregation hash tables.
+	// Stats is unused: the executor's estimates come from the plan
+	// (Estimates). The field stays because perfbench's tracer, which
+	// changes only with the benchmark, still sets it.
 	Stats *stats.Collection
+	// Estimates is the optimizer's estimate for each node of the plan
+	// this run executes: hash-table pre-sizes and each Apply's strategy
+	// are read from it. Nil means nothing is known (no hints; correlated
+	// Applies run batched).
+	Estimates Estimates
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution. 0 or 1 means serial; higher values let eligible
 	// scan/join/aggregation subtrees run on that many goroutines. Every
 	// other physical choice is made from the plan (strategy.go).
 	Parallelism int
 	// Apply, when set to "sequential", "batched" or "parallel", runs
-	// every Apply on that path instead of the one pickApplyStrategy
-	// picks: a seam for tests that hold the three paths to one another.
-	// A forced "parallel" still degrades to batched for inner sides that
-	// cannot be recompiled on a worker context.
+	// every Apply on that path instead of the one the estimates pick: a
+	// seam for tests that hold the three paths to one another. A forced
+	// "parallel" still degrades to batched for inner sides that cannot
+	// be recompiled on a worker context.
 	Apply string
 	// RowBudget, when positive, aborts execution after this many
 	// operator-row productions — a guard for runaway plans in tests.
@@ -90,13 +95,6 @@ type Context struct {
 	// query always sees one consistent state per table even while
 	// concurrent writers publish new versions.
 	Snap *storage.Snapshot
-	// SubCache, when non-nil, enables shared sub-expression
-	// materialization: eligible aggregation subtrees are fingerprinted
-	// at compile time and served from (or teed into) this cache. See
-	// subcache.go. Deliberately not copied to worker clones — workers
-	// compute per-morsel partial aggregations that must never be keyed
-	// as the logical subtree's full result.
-	SubCache *resultcache.Cache
 
 	// shared is the per-query state common to all worker clones.
 	shared *sharedState
@@ -211,7 +209,7 @@ func NewContext(store *storage.Store, md *algebra.Metadata) *Context {
 }
 
 // workerClone creates a per-worker context for parallel execution: it
-// shares the store, metadata, statistics, and query-wide sharedState
+// shares the store, metadata, estimates, and query-wide sharedState
 // (budget accounting, build cache) but owns private parameter
 // bindings, segment state, and evaluator. When the coordinator is
 // tracing, the clone gets a private trace map — race-free to update —
@@ -228,7 +226,7 @@ func (c *Context) workerClone() *Context {
 	return &Context{
 		Store:        c.Store,
 		Md:           c.Md,
-		Stats:        c.Stats,
+		Estimates:    c.Estimates,
 		Apply:        c.Apply,
 		RowBudget:    c.RowBudget,
 		Params:       c.Params,

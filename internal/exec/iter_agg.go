@@ -162,9 +162,8 @@ type aggTable struct {
 }
 
 // aggPresizeMax caps the group count a table is pre-sized for: the
-// estimate behind the hint is crude (TPC-H Q1 is estimated at thousands
-// of groups and has four), a map grows geometrically anyway, and a
-// large pre-size is paid on every execution.
+// estimate behind the hint can be far off, a map grows geometrically
+// anyway, and a large pre-size is paid on every execution.
 const aggPresizeMax = 128
 
 // newAggTable allocates a table for nKeys grouping columns and nAggs

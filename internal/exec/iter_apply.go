@@ -69,7 +69,7 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	}
 	outCols := joinOutCols(a.Kind, left, right)
 	sig, ambient := algebra.ApplyBindingCols(a)
-	strat := chooseApplyStrategy(ctx, a, sig)
+	strat := ctx.applyStrategy(a)
 	st := ctx.traceStats(a)
 	if st != nil {
 		st.Strategy = strat.String()

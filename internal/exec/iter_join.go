@@ -37,7 +37,7 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 		it := &hashJoinIter{ctx: ctx, left: left, right: right, lOrds: lOrds, rOrds: rOrds,
 			em:       newJoinEmit(ctx, j.Kind, algebra.ConjoinAll(residual...), left, right),
 			lr:       rowReader{it: left.it, charge: ctx},
-			sizeHint: estimateRows(ctx, j.Right), st: ctx.traceStats(j)}
+			sizeHint: ctx.Estimates.sizeHint(j.Right, joinPresizeMax), st: ctx.traceStats(j)}
 		it.em.lOrds, it.em.rOrds = lOrds, rOrds
 		it.next = it.probe
 		if ctx.isWorker && algebra.OuterRefs(j.Right).Empty() {

@@ -460,7 +460,7 @@ func (p *parallelAggIter) Open() error {
 		err  error
 	}
 	results := make(chan aggResult, p.workers)
-	sizeHint := estimateGroups(p.ctx, p.gb, estimateRows(p.ctx, p.gb.Input))
+	sizeHint := p.ctx.Estimates.sizeHint(p.gb, aggPresizeMax)
 	for w := 0; w < p.workers; w++ {
 		go func() {
 			var res aggResult

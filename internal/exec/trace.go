@@ -100,18 +100,22 @@ const traceClockEvery = 15
 // traceIter of one execution strand. Apply plans re-open their inner
 // tree per binding, and with a wrapper on every operator each
 // Open/NextBatch/Close paid two time.Now calls — the 3.3x apply-heavy
-// tracing overhead in EXPERIMENTS.md. Serving most reads from a cached
-// timestamp collapses that to ~2/traceClockEvery real reads per call.
+// tracing overhead in EXPERIMENTS.md. Opens and closes, the per-binding
+// calls, are therefore timed from a cached timestamp, which read
+// refreshes only every traceClockEvery reads. NextBatch, where rows are
+// produced, reads the real clock on entry and, when it produced rows,
+// on exit (now): a batch's work is charged to the operator that did
+// it, and a strand with few calls — a parallel worker — is not credited
+// 0 s because all its reads fell between two refreshes.
 //
-// Correctness: the cached clock is monotone (it only moves forward, on
-// refresh), and every wrapper on the strand reads the same clock, so
-// nested interval deltas still telescope — a child's measured Busy can
-// never exceed its parent's, and the root's Busy never exceeds real
-// elapsed time. Precision, not soundness, is what's amortized: an
-// individual operator's time can be off by up to traceClockEvery call
-// durations — with every call a batch, whole batches of work can land
-// on a neighbouring operator, so read per-operator self times as
-// shares over many queries, not per query.
+// Correctness: a real read refreshes the cached timestamp too, so the
+// clock is monotone (it only moves forward), and every wrapper on the
+// strand reads the same clock, so nested interval deltas still
+// telescope — a child's measured Busy can never exceed its parent's,
+// and the root's Busy never exceeds real elapsed time. Precision, not
+// soundness, is what's amortized: time spent opening and closing can
+// land on a neighbouring operator, so read per-operator self times of
+// per-binding work as shares over many queries, not per query.
 type amortClock struct {
 	n    int
 	last time.Time
@@ -121,10 +125,16 @@ type amortClock struct {
 // real clock every traceClockEvery reads (and always on first use).
 func (c *amortClock) read() time.Time {
 	if c.n == 0 {
-		c.last = time.Now()
 		c.n = traceClockEvery
+		c.last = time.Now()
 	}
 	c.n--
+	return c.last
+}
+
+// now reads the real clock and refreshes the cached timestamp with it.
+func (c *amortClock) now() time.Time {
+	c.last = time.Now()
 	return c.last
 }
 
@@ -147,10 +157,16 @@ func (t *traceIter) Open() error {
 }
 
 func (t *traceIter) NextBatch(b *Batch) error {
-	start := t.clk.read()
+	start := t.clk.now()
 	err := t.in.NextBatch(b)
 	n := b.Len()
-	t.st.Busy += t.clk.read().Sub(start)
+	var end time.Time
+	if n > 0 {
+		end = t.clk.now()
+	} else {
+		end = t.clk.read()
+	}
+	t.st.Busy += end.Sub(start)
 	if err == nil && n > 0 {
 		t.st.Rows += int64(n)
 		t.st.Batches++

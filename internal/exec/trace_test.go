@@ -2,6 +2,7 @@ package exec
 
 import (
 	"testing"
+	"time"
 
 	"orthoq/internal/core"
 	"orthoq/internal/obs"
@@ -40,6 +41,38 @@ func TestTraceIterCountsRowsAndBatches(t *testing.T) {
 	}
 	if st.Busy <= 0 {
 		t.Error("Busy not accumulated")
+	}
+}
+
+// slowIter is sliceIter whose every pull takes at least delay.
+type slowIter struct {
+	sliceIter
+	delay time.Duration
+}
+
+func (s *slowIter) NextBatch(b *Batch) error {
+	time.Sleep(s.delay)
+	return s.sliceIter.NextBatch(b)
+}
+
+// TestTraceClockTimesShortStrand: a strand whose only work is one pull
+// that produced rows is credited that pull's time. Two reads of a
+// fresh amortized clock return one timestamp, so timing the pull from
+// the cached clock alone credited it 0 s — the "WorkerTime = 0s" of a
+// parallel worker with too few calls.
+func TestTraceClockTimesShortStrand(t *testing.T) {
+	const delay = time.Millisecond
+	st := &OpStats{}
+	ti := &traceIter{in: &slowIter{sliceIter{rows: intRows(3)}, delay}, st: st, clk: &amortClock{}}
+	var b Batch
+	if err := ti.NextBatch(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() == 0 {
+		t.Fatal("the pull produced no rows")
+	}
+	if st.Busy < delay {
+		t.Fatalf("Busy = %v for one pull of at least %v", st.Busy, delay)
 	}
 }
 

@@ -151,15 +151,12 @@ type Snapshot struct {
 }
 
 // ResultCacheSnapshot is the point-in-time copy of the semantic result
-// cache's effectiveness counters. Whole-result and sub-expression
-// traffic are counted separately; Shared counts single-flight waiters
+// cache's effectiveness counters. Shared counts single-flight waiters
 // served by a concurrent leader's execution.
 type ResultCacheSnapshot struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Shared        uint64 `json:"shared"`
-	SubHits       uint64 `json:"sub_hits"`
-	SubMisses     uint64 `json:"sub_misses"`
 	Inserts       uint64 `json:"inserts"`
 	Rejected      uint64 `json:"rejected"`
 	Evictions     uint64 `json:"evictions"`

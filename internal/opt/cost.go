@@ -458,27 +458,8 @@ func (c *coster) costJoin(j *algebra.Join, s *mexpr, l, r estimate) estimate {
 // statistics the distinct count falls back to the outer cardinality —
 // the legacy once-per-row charge.
 func (c *coster) costApply(a *algebra.Apply, s *mexpr, l, r estimate) estimate {
-	sig := algebra.BindingSignature(s, a)
-	execs := l.rows
-	if sig.Empty() {
-		// Uncorrelated inner: spooled, executed once.
-		execs = 1
-	} else {
-		// Bindings are at least as distinct as their most distinct
-		// column; trust only real statistics (the rows/10 fallback would
-		// claim a dedup win on every correlated plan).
-		d := 0.0
-		sig.ForEach(func(col algebra.ColID) {
-			if cs, _, ok := c.colStats(col); ok && cs.Distinct > 0 {
-				d = math.Max(d, float64(cs.Distinct))
-			}
-		})
-		if d > 0 {
-			execs = math.Min(l.rows, d)
-		}
-	}
 	perRow := r.cost + cOpenIter
-	cost := l.cost + execs*perRow + l.rows*cHashRow
+	cost := l.cost + c.applyExecs(a, s, l.rows)*perRow + l.rows*cHashRow
 	var outRows float64
 	switch a.Kind {
 	case algebra.SemiJoin:
@@ -494,6 +475,29 @@ func (c *coster) costApply(a *algebra.Apply, s *mexpr, l, r estimate) estimate {
 		}
 	}
 	return estimate{rows: math.Max(outRows, 0), cost: cost}
+}
+
+// applyExecs is how many times the Apply s runs its inner side over
+// outerRows outer rows: once per distinct binding.
+func (c *coster) applyExecs(a *algebra.Apply, s *mexpr, outerRows float64) float64 {
+	sig := algebra.BindingSignature(s, a)
+	if sig.Empty() {
+		// Uncorrelated inner: spooled, executed once.
+		return 1
+	}
+	// Bindings are at least as distinct as their most distinct column;
+	// trust only real statistics (the rows/10 fallback would claim a
+	// dedup win on every correlated plan).
+	d := 0.0
+	sig.ForEach(func(col algebra.ColID) {
+		if cs, _, ok := c.colStats(col); ok && cs.Distinct > 0 {
+			d = math.Max(d, float64(cs.Distinct))
+		}
+	})
+	if d > 0 {
+		return math.Min(outerRows, d)
+	}
+	return outerRows
 }
 
 // segments estimates how many segments sa cuts an input of inRows into.

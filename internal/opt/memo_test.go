@@ -147,7 +147,7 @@ func TestPlansNoWorseThanParent(t *testing.T) {
 		r := o.Optimize(rel, seeds...)
 		if r.Cost > want[0]*(1+1e-9) {
 			t.Errorf("%s seed=%t: cost %.3f, the parent's plan cost %.3f\n%s", c.name, c.seeded, r.Cost, want[0],
-				FormatWithEstimates(md, st.Catalog, sc, r.Plan, 0))
+				FormatWithEstimates(md, PlanEstimates(md, st.Catalog, sc, r.Plan), r.Plan, 0))
 		}
 		if r.Cost < want[0]*(1-1e-9) {
 			better++

@@ -1,7 +1,5 @@
 // Package resultcache is the engine's semantic result cache: a
-// sharded, memory-accounted LRU of materialized query results and
-// shared intermediate sub-expressions (Roy et al., "Efficient and
-// Extensible Algorithms for Multi Query Optimization").
+// sharded, memory-accounted LRU of materialized whole query results.
 //
 // The cache itself is content-agnostic — it maps opaque string keys to
 // opaque payloads with a caller-declared byte footprint. Correctness
@@ -53,15 +51,10 @@ type Config struct {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
-// Whole-result and sub-expression traffic are counted separately
-// (callers declare which family a lookup belongs to); the byte/entry
-// gauges cover both.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
 	Shared        uint64 // single-flight waiters served by a leader's run
-	SubHits       uint64
-	SubMisses     uint64
 	Inserts       uint64
 	Rejected      uint64 // Put refused: payload over MaxEntryBytes
 	Evictions     uint64
@@ -110,8 +103,6 @@ type Cache struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	shared        atomic.Uint64
-	subHits       atomic.Uint64
-	subMisses     atomic.Uint64
 	inserts       atomic.Uint64
 	rejected      atomic.Uint64
 	invalidations atomic.Uint64
@@ -143,11 +134,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// MaxEntryBytes reports the single-entry admission cap, so executors
-// building a candidate materialization can abandon it mid-drain the
-// moment it cannot possibly be admitted.
-func (c *Cache) MaxEntryBytes() int64 { return c.maxEntryBytes }
-
 // left runs as e leaves the LRU for any reason (replaced, evicted,
 // invalidated, purged): it unhooks e from the reverse index and, while
 // e is pinned, holds its charge on the gauges until the last Unpin.
@@ -169,8 +155,8 @@ func (c *Cache) left(e *Entry) (hold bool) {
 }
 
 // Lookup returns the payload for key, touching LRU recency. It does
-// not count a hit or miss — the caller declares the traffic family via
-// CountHit/CountMiss/CountSubHit/CountSubMiss.
+// not count a hit or miss — a caller outside Do records the outcome
+// with CountHit/CountMiss.
 func (c *Cache) Lookup(key string) (any, bool) {
 	e, ok := c.lru.Get(key)
 	if !ok {
@@ -215,13 +201,10 @@ func (c *Cache) Unpin(e *Entry) {
 	}
 }
 
-// CountHit etc. record lookup outcomes in the family the caller
-// belongs to (whole-result vs sub-expression).
-func (c *Cache) CountHit()     { c.hits.Add(1) }
-func (c *Cache) CountMiss()    { c.misses.Add(1) }
-func (c *Cache) CountShared()  { c.shared.Add(1) }
-func (c *Cache) CountSubHit()  { c.subHits.Add(1) }
-func (c *Cache) CountSubMiss() { c.subMisses.Add(1) }
+// CountHit etc. record lookup outcomes decided outside Do.
+func (c *Cache) CountHit()    { c.hits.Add(1) }
+func (c *Cache) CountMiss()   { c.misses.Add(1) }
+func (c *Cache) CountShared() { c.shared.Add(1) }
 
 // Put admits a payload under key, replacing any existing entry.
 // tables lists the table names whose version IDs participate in key
@@ -357,8 +340,6 @@ func (c *Cache) CacheStats() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Shared:        c.shared.Load(),
-		SubHits:       c.subHits.Load(),
-		SubMisses:     c.subMisses.Load(),
 		Inserts:       c.inserts.Load(),
 		Rejected:      c.rejected.Load(),
 		Evictions:     c.lru.Evictions(),

@@ -143,6 +143,12 @@ func orderCorpus() []string {
 		// survive NOT EXISTS, whatever algorithm runs it.
 		`select c_custkey, o_orderkey from customer left join orders on o_custkey = c_custkey
 		 where not exists (select l_orderkey from lineitem where l_orderkey = o_orderkey and l_quantity > 45)`,
+		// Many left rows past the last right key: a merge anti or left
+		// outer join must keep emitting them after its right input ends.
+		`select c_custkey from customer
+		 where not exists (select o_orderkey from orders where o_custkey = c_custkey and o_custkey < 40)`,
+		`select c_custkey, o_orderkey from customer
+		 left join (select o_orderkey, o_custkey from orders where o_custkey < 40) as early on o_custkey = c_custkey`,
 	}
 	r := rand.New(rand.NewSource(1616)) // the paper's DOI suffix digits
 	for i := 0; i < 14; i++ {

@@ -130,8 +130,7 @@ type Config struct {
 	PlanCache PlanCacheConfig
 	// ResultCache configures the semantic result cache: whole-result
 	// reuse keyed on (plan fingerprint, bound values, table versions)
-	// with single-flight deduplication, plus shared sub-expression
-	// materialization. The zero value disables it (see
+	// with single-flight deduplication. The zero value disables it (see
 	// ResultCacheConfig); enablement is run state, never part of the
 	// plan identity.
 	ResultCache ResultCacheConfig
@@ -929,6 +928,9 @@ type prepared struct {
 	// resultKey.
 	tables []string
 	rkey   string
+	// est is the optimizer's estimate per plan node, derived once: every
+	// run sizes hash tables and picks Apply strategies from it.
+	est exec.Estimates
 }
 
 // planFingerprint hashes the plan text into a short stable identifier.
@@ -975,6 +977,7 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 		return nil, err
 	}
 	p := &prepared{md: md, plan: rel, outCols: res.OutCols, outNames: res.OutNames, id: id}
+	st := db.statsNow()
 	var search *opt.Result
 	if id.costBased {
 		var seeds []algebra.Rel
@@ -987,7 +990,7 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 				seeds = append(seeds, seed)
 			}
 		}
-		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(),
+		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: st,
 			DisableRules: nopts.DisableRules}
 		search = o.Optimize(rel, seeds...)
 		p.plan, p.steps, p.cost = search.Plan, search.Explored, search.Cost
@@ -999,6 +1002,7 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 		*tr = trail{algebrized: res.Rel, normalized: rel, search: search}
 	}
 	p.rules = dedupRules(fired)
+	p.est = opt.PlanEstimates(md, db.store.Catalog, st, p.plan)
 	p.text = algebra.FormatRel(md, p.plan)
 	p.fingerprint = planFingerprint(p.text)
 	p.tables = referencedTables(p.plan)
@@ -1030,7 +1034,7 @@ func dedupRules(fired []string) []string {
 // installed a deadline.
 func (p *prepared) execContext(db *DB, params []types.Datum, r runState) (*exec.Context, context.CancelFunc) {
 	ctx := exec.NewContext(db.store, p.md)
-	ctx.Stats = db.statsNow()
+	ctx.Estimates = p.est
 	ctx.Parallelism = p.id.parallelism
 	ctx.Apply = r.cfg.forceApply
 	ctx.Params = params
@@ -1041,9 +1045,6 @@ func (p *prepared) execContext(db *DB, params []types.Datum, r runState) (*exec.
 	ctx.Faults = r.cfg.faults
 	ctx.Fingerprint = p.fingerprint
 	ctx.Snap = r.snap
-	if r.rcache != nil && !r.cfg.ResultCache.DisableSubPlans {
-		ctx.SubCache = r.rcache
-	}
 	goCtx := r.ctx
 	var cancel context.CancelFunc
 	if r.cfg.Timeout > 0 {
@@ -1389,7 +1390,7 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
 			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
-		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, db.statsNow(), r.Plan, id.parallelism))
+		b.WriteString(opt.FormatWithEstimates(p.md, p.est, p.plan, id.parallelism))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))
 	return b.String(), nil

@@ -32,7 +32,8 @@ import (
 // referenced table mints new version IDs, making stale entries
 // unreachable immediately (no TTL). Results served from the cache
 // share row storage with every other consumer; query results are
-// read-only.
+// read-only. Only whole results are cached: a query that misses runs
+// its whole plan, and nothing inside a plan is shared between queries.
 type ResultCacheConfig struct {
 	// Enabled turns the cache on for runs under this Config. All runs
 	// on one DB handle share a single cache instance (first enabling
@@ -46,10 +47,6 @@ type ResultCacheConfig struct {
 	// MaxEntryBytes caps a single result; larger results run uncached
 	// every time (0 = default MaxBytes/8).
 	MaxEntryBytes int64
-	// DisableSubPlans turns off shared sub-expression materialization
-	// (caching eligible aggregation subtrees inside larger plans, per
-	// Roy et al. multi-query optimization). On by default when Enabled.
-	DisableSubPlans bool
 }
 
 // resultCache returns the DB's result cache, creating it from cfg's
@@ -66,10 +63,9 @@ func (db *DB) resultCache(cfg ResultCacheConfig) *resultcache.Cache {
 	return db.rcache.Load()
 }
 
-// ResultCacheStats reports result-cache effectiveness counters: hits,
-// misses, single-flight shared executions, sub-plan hits/misses,
-// inserts, rejections, evictions, invalidations, and the live
-// entry/byte gauges. Zero value when no run has enabled the cache.
+// ResultCacheStats reports the result cache's effectiveness counters
+// and live entry/byte gauges (resultcache.Stats). Zero value when no
+// run has enabled the cache.
 func (db *DB) ResultCacheStats() resultcache.Stats {
 	if c := db.rcache.Load(); c != nil {
 		return c.CacheStats()

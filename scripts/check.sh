@@ -139,8 +139,12 @@ go test -run 'TestResultCache' -race .
 # its ORDER BY key sequence under ORDER BY; the sorted runs must have
 # executed every merge-join kind and a streaming aggregation — plus the
 # sort-elision and row-cap pins and the order operators' memory-budget
-# and plan-cache tests, under -race.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation' -race . ./internal/exec
+# and plan-cache tests, under -race. With them, the two checks that
+# EXPLAIN and traces report what runs: every Apply's apply= in EXPLAIN
+# is the strategy its span ran (TPC-H and the fuzz corpus, serial and at
+# four workers), and a pull that produced rows is timed by the real
+# clock, so a short strand is not credited 0 s.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
