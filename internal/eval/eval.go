@@ -1,8 +1,13 @@
-// Package eval evaluates algebra scalar expressions over an
-// environment binding column IDs to datums. It implements SQL
-// three-valued logic and is shared by the execution engine (filters,
-// projections), the normalizer (null-rejection analysis evaluates
-// predicates on synthesized rows), and constant folding.
+// Package eval evaluates algebra scalar expressions under SQL
+// three-valued logic. It has one evaluator, in two forms over the same
+// semantics. Evaluator.Eval interprets a scalar over an environment
+// binding column IDs to datums, one row at a time: the normalizer
+// (null-rejection analysis evaluates predicates on synthesized rows),
+// constant folding, index seek keys and Values rows use it. The vector
+// kernels of vec.go (Compiler.CompileVec) evaluate a scalar over the
+// selected rows of a batch, column at a time: every operator predicate,
+// projection item and aggregate argument of the executor runs on them,
+// and anything without a kernel falls back to Eval per row.
 package eval
 
 import (
@@ -28,17 +33,29 @@ func (m MapEnv) Value(c algebra.ColID) (types.Datum, bool) {
 	return d, ok
 }
 
-// SubqueryHandler evaluates relational subexpressions reached during
-// scalar evaluation (Subquery/Exists/Quantified nodes). The normalizer
-// removes these before execution, so the executor installs a handler
-// that fails; tests may install real handlers.
-type SubqueryHandler func(s algebra.Scalar, env Env) (types.Datum, error)
+// RowEnv is an Env over one positional row of a known layout: columns
+// in Ords read Row, every other column falls through to Outer.
+type RowEnv struct {
+	Row   types.Row
+	Ords  map[algebra.ColID]int
+	Outer Env
+}
 
-// Evaluator evaluates scalars.
+// Value implements Env.
+func (e *RowEnv) Value(c algebra.ColID) (types.Datum, bool) {
+	if i, ok := e.Ords[c]; ok {
+		return e.Row[i], true
+	}
+	if e.Outer != nil {
+		return e.Outer.Value(c)
+	}
+	return types.NullUnknown, false
+}
+
+// Evaluator evaluates scalars. Relational subexpressions (Subquery,
+// Exists, Quantified) are an error: normalization removes them before
+// anything is evaluated.
 type Evaluator struct {
-	// OnSubquery handles nested relational nodes; nil means they are an
-	// error.
-	OnSubquery SubqueryHandler
 	// Params binds parameter slots (algebra.Param) by index. An
 	// out-of-range slot is an evaluation error; analysis-time
 	// evaluators (folding, null-rejection) deliberately leave Params
@@ -188,10 +205,7 @@ func (ev *Evaluator) Eval(s algebra.Scalar, env Env) (types.Datum, error) {
 		return types.NullUnknown, nil
 
 	case *algebra.Subquery, *algebra.Exists, *algebra.Quantified:
-		if ev.OnSubquery == nil {
-			return types.NullUnknown, fmt.Errorf("eval: unexpected relational subexpression %T (normalization should have removed it)", s)
-		}
-		return ev.OnSubquery(s, env)
+		return types.NullUnknown, fmt.Errorf("eval: unexpected relational subexpression %T (normalization should have removed it)", s)
 	}
 	return types.NullUnknown, fmt.Errorf("eval: unhandled scalar %T", s)
 }
@@ -205,7 +219,9 @@ func (ev *Evaluator) EvalBool(s algebra.Scalar, env Env) (types.TriBool, error) 
 	return DatumTri(d), nil
 }
 
-// DatumTri converts a (possibly NULL) boolean datum to TriBool.
+// DatumTri converts a (possibly NULL) boolean datum to TriBool. A
+// non-NULL value of any other kind is TRUE, zero and the empty string
+// included; well-typed plans do not reach that case.
 func DatumTri(d types.Datum) types.TriBool {
 	if d.IsNull() {
 		return types.TriNull
@@ -213,9 +229,7 @@ func DatumTri(d types.Datum) types.TriBool {
 	if d.Kind() == types.Bool {
 		return types.TriOf(d.Bool())
 	}
-	// Non-boolean non-null is truthy only if it is a nonzero number;
-	// well-typed plans do not hit this.
-	return types.TriOf(!d.IsNull())
+	return types.TriTrue
 }
 
 func triDatum(t types.TriBool) types.Datum {

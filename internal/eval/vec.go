@@ -4,7 +4,7 @@ package eval
 // tree of kernels that evaluate over the live rows of a batch — a row
 // window plus a selection vector — into typed result vectors, so the
 // per-row work of a filter, projection or aggregate argument is a
-// tight loop over []int64 / []float64 / []string instead of a closure
+// tight loop over []int64 / []float64 / []string instead of a call
 // call returning a Datum per node per row.
 //
 // Layout. Vectors are positional: entry ri of a vector belongs to
@@ -25,11 +25,13 @@ package eval
 // The kind of a NULL result is not tracked (it is unobservable: NULLs
 // compare, hash, sort and print alike).
 //
-// Anything without a kernel — subqueries, LIKE, operand kinds outside
-// the typed loops, a column whose values in this batch are not of one
-// kind — runs through rowAdapter, which loops the per-row closure of
-// compile.go over the selection: the closure compiler is the fallback
-// leaf of this tree, not a second path beside it.
+// Batch-invariant subtrees (constNode) and anything without a typed
+// loop — subqueries, operand kinds outside the typed loops, float
+// modulo, a column whose values in this batch are not of one kind — run
+// through the interpreter, Evaluator.Eval: once per evaluation for an
+// invariant subtree, once per selected row (rowAdapter) for the rest.
+// The interpreter defines the semantics, so the fallback is the
+// definition, not a second path beside it.
 
 import (
 	"fmt"
@@ -289,7 +291,6 @@ type VecFrame struct {
 	cols  []*colSlot
 	todo  []*colSlot // gatherCols scratch
 	ident []int
-	fr    Frame
 }
 
 type colSlot struct {
@@ -438,9 +439,24 @@ type filterNode interface {
 	filter(f *VecFrame, sel []int) ([]int, error)
 }
 
-// CompileVec translates s into a vector kernel against c's row layout
-// (Ords; a second-row layout has no vector form — join residuals keep
-// their pair closures).
+// Compiler translates scalars into vector kernels against a fixed row
+// layout: Ords maps columns to row ordinals. A column outside the
+// layout is batch-invariant and read through the frame's outer Env (a
+// join's left row, Apply bindings). Ev supplies parameter slots, read at
+// evaluation time, so re-binding parameters between executions is
+// visible without recompiling.
+type Compiler struct {
+	Ev   *Evaluator
+	Ords map[algebra.ColID]int
+
+	// shared lists the arithmetic subtrees CompileVec has compiled, so
+	// identical subtrees compile to one kernel.
+	shared []sharedArith
+	// vecCols lists the row ordinals CompileVec kernels read.
+	vecCols []int
+}
+
+// CompileVec translates s into a vector kernel against c's row layout.
 func (c *Compiler) CompileVec(s algebra.Scalar) *VecExpr {
 	return &VecExpr{n: c.vecNode(s)}
 }
@@ -483,9 +499,28 @@ func (c *Compiler) invariant(s algebra.Scalar) bool {
 	return inv
 }
 
+// constExpr reports whether s can be folded at compile time: no
+// column references, no parameter slots, no relational subexpressions.
+func constExpr(s algebra.Scalar) bool {
+	pure := true
+	algebra.VisitScalar(s, func(n algebra.Scalar) {
+		switch n.(type) {
+		case *algebra.ColRef, *algebra.Param,
+			*algebra.Subquery, *algebra.Exists, *algebra.Quantified:
+			pure = false
+		}
+	})
+	return pure
+}
+
 func (c *Compiler) vecNode(s algebra.Scalar) vecNode {
 	if c.invariant(s) {
-		return &constNode{fn: c.Compile(s)}
+		n := &constNode{ev: c.Ev, s: s}
+		if constExpr(s) {
+			n.d, n.err = c.Ev.Eval(s, MapEnv(nil))
+			n.s = nil
+		}
+		return n
 	}
 	switch t := s.(type) {
 	case *algebra.ColRef:
@@ -501,7 +536,7 @@ func (c *Compiler) vecNode(s algebra.Scalar) vecNode {
 				return m.n
 			}
 		}
-		n := &arithNode{op: t.Op, l: c.vecNode(t.L), r: c.vecNode(t.R), slow: rowAdapter{c: c, s: s}}
+		n := &arithNode{op: t.Op, l: c.vecNode(t.L), r: c.vecNode(t.R), slow: c.adapter(s)}
 		c.shared = append(c.shared, sharedArith{s: t, n: n})
 		return n
 	case *algebra.Case:
@@ -518,13 +553,14 @@ func (c *Compiler) vecNode(s algebra.Scalar) vecNode {
 		*algebra.IsNull, *algebra.InList, *algebra.Like:
 		return &boolNode{p: c.triNode(s)}
 	}
-	return &rowAdapter{c: c, s: s}
+	a := c.adapter(s)
+	return &a
 }
 
 func (c *Compiler) triNode(s algebra.Scalar) triNode {
 	switch t := s.(type) {
 	case *algebra.Cmp:
-		return &cmpNode{op: t.Op, l: c.vecNode(t.L), r: c.vecNode(t.R), slow: rowAdapter{c: c, s: s}}
+		return &cmpNode{op: t.Op, l: c.vecNode(t.L), r: c.vecNode(t.R), slow: c.adapter(s)}
 	case *algebra.And:
 		n := &andNode{}
 		for _, a := range t.Args {
@@ -542,13 +578,13 @@ func (c *Compiler) triNode(s algebra.Scalar) triNode {
 	case *algebra.IsNull:
 		return &isNullNode{arg: c.vecNode(t.Arg), neg: t.Negate}
 	case *algebra.InList:
-		n := &inListNode{arg: c.vecNode(t.Arg), neg: t.Negate, slow: rowAdapter{c: c, s: s}}
+		n := &inListNode{arg: c.vecNode(t.Arg), neg: t.Negate, slow: c.adapter(s)}
 		for _, le := range t.List {
 			n.list = append(n.list, c.vecNode(le))
 		}
 		return n
 	case *algebra.Like:
-		return &rowAdapter{c: c, s: s}
+		return &likeNode{l: c.vecNode(t.L), r: c.vecNode(t.R), neg: t.Negate}
 	}
 	// Datum-producing nodes (ColRef, Param, Case, Arith, Subquery, ...)
 	// in predicate position.
@@ -586,67 +622,67 @@ func sameScalar(a, b algebra.Scalar) bool {
 	return false
 }
 
-// rowAdapter is the one bridge from vector evaluation to the per-row
-// closures: it loops the closure compiled from s over the selection.
-// Kernels embed it as their fallback for operands outside their typed
-// loops; nodes without a kernel are a bare rowAdapter. The closure is
-// compiled on first use.
+// rowAdapter is the per-row fallback of the kernels: it runs the
+// interpreter on s for each selected row, over an Env on the row layout
+// that falls through to the frame's outer Env. Kernels embed it for
+// operands outside their typed loops; nodes without a kernel are a bare
+// rowAdapter.
 type rowAdapter struct {
-	c   *Compiler
+	ev  *Evaluator
 	s   algebra.Scalar
-	fn  Compiled
-	pfn CompiledPred
+	env RowEnv
 	raw []types.Datum
 	out Vec
 	tri []types.TriBool
 }
 
+func (c *Compiler) adapter(s algebra.Scalar) rowAdapter {
+	return rowAdapter{ev: c.Ev, s: s, env: RowEnv{Ords: c.Ords}}
+}
+
 func (a *rowAdapter) eval(f *VecFrame, sel []int) (*Vec, error) {
-	if a.fn == nil {
-		a.fn = a.c.Compile(a.s)
-	}
 	n := len(f.Rows)
 	a.raw = grow(a.raw, n)
 	d := a.raw
-	fr := &f.fr
-	fr.Outer = f.Outer
+	a.env.Outer = f.Outer
 	for _, ri := range sel {
-		fr.Row = f.Rows[ri]
-		v, err := a.fn(fr)
+		a.env.Row = f.Rows[ri]
+		v, err := a.ev.Eval(a.s, &a.env)
 		if err != nil {
 			return nil, err
 		}
 		d[ri] = v
 	}
-	fr.Row = nil
+	a.env.Row = nil
 	a.out.load(n, sel, func(ri int) *types.Datum { return &d[ri] })
 	return &a.out, nil
 }
 
 func (a *rowAdapter) evalTri(f *VecFrame, sel []int) ([]types.TriBool, error) {
-	if a.pfn == nil {
-		a.pfn = a.c.CompilePred(a.s)
-	}
 	a.tri = grow(a.tri, len(f.Rows))
-	fr := &f.fr
-	fr.Outer = f.Outer
+	a.env.Outer = f.Outer
 	for _, ri := range sel {
-		fr.Row = f.Rows[ri]
-		v, err := a.pfn(fr)
+		a.env.Row = f.Rows[ri]
+		v, err := a.ev.EvalBool(a.s, &a.env)
 		if err != nil {
 			return nil, err
 		}
 		a.tri[ri] = v
 	}
-	fr.Row = nil
+	a.env.Row = nil
 	return a.tri, nil
 }
 
-// constNode evaluates a batch-invariant scalar once per evaluation
-// through its closure (constants fold at compile time; parameter slots
-// and outer references read the current bindings).
+// constNode evaluates a batch-invariant scalar once per evaluation,
+// through the interpreter against the frame's outer Env, so parameter
+// slots and outer references read the current bindings. A subtree with
+// no column, parameter or subquery is folded at compile time (s is then
+// nil) and its error, if any, is reported on every evaluation.
 type constNode struct {
-	fn  Compiled
+	ev  *Evaluator
+	s   algebra.Scalar
+	d   types.Datum
+	err error
 	out Vec
 }
 
@@ -655,8 +691,14 @@ func (n *constNode) eval(f *VecFrame, sel []int) (*Vec, error) {
 		n.out.setConst(types.NullUnknown)
 		return &n.out, nil
 	}
-	f.fr.Row, f.fr.Outer = nil, f.Outer
-	d, err := n.fn(&f.fr)
+	d, err := n.d, n.err
+	if n.s != nil {
+		outer := f.Outer
+		if outer == nil {
+			outer = MapEnv(nil)
+		}
+		d, err = n.ev.Eval(n.s, outer)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1246,6 +1288,34 @@ func (n *isNullNode) evalTri(f *VecFrame, sel []int) ([]types.TriBool, error) {
 	n.tri = grow(n.tri, len(f.Rows))
 	for _, ri := range sel {
 		n.tri[ri] = triOf(v.NullAt(ri) != n.neg)
+	}
+	return n.tri, nil
+}
+
+// likeNode matches the string operand vector against the pattern,
+// types.Like per entry.
+type likeNode struct {
+	l, r vecNode
+	neg  bool
+	tri  []types.TriBool
+}
+
+func (n *likeNode) evalTri(f *VecFrame, sel []int) ([]types.TriBool, error) {
+	l, err := n.l.eval(f, sel)
+	if err != nil {
+		return nil, err
+	}
+	r, err := n.r.eval(f, sel)
+	if err != nil {
+		return nil, err
+	}
+	n.tri = grow(n.tri, len(f.Rows))
+	for _, ri := range sel {
+		t := types.Like(l.Datum(ri), r.Datum(ri))
+		if n.neg {
+			t = t.Not()
+		}
+		n.tri[ri] = t
 	}
 	return n.tri, nil
 }

@@ -10,17 +10,91 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-// The vector ≡ closure ≡ interpreter property. A generator draws typed
-// scalars over a fixed layout — Int, Float, String and Date columns
-// with NULLs, a zero-heavy Int column for division, a column whose
-// values mix Int and Float (the kind-mismatch fallback), an outer
-// reference and a parameter slot — and random batches with random
-// selection vectors. For every row the three evaluators must produce
-// the same datum or the same error.
+// The vector ≡ interpreter property. A generator draws typed scalars
+// over a fixed layout — Int, Float, String and Date columns with NULLs,
+// a zero-heavy Int column for division, a column whose values mix Int
+// and Float (the kind-mismatch fallback), an outer reference and a
+// parameter slot — and random batches with random selection vectors,
+// and an outer environment: column 7, and half the time some layout
+// columns moved out of the batch into a left row, as a join residual
+// reads its left side. For every row both forms must produce the same
+// datum or the same error.
 
 // vecLayout is the row layout of the property test. Column 7 binds
 // through the outer env, column 9 is unbound.
 var vecLayout = map[algebra.ColID]int{1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5}
+
+// testLayout is the row layout of the hand-written shapes: columns 1..4
+// at ordinals 0..3. Column 9 is deliberately unbound, column 7 binds
+// through the outer env only.
+func testLayout() map[algebra.ColID]int {
+	return map[algebra.ColID]int{1: 0, 2: 1, 3: 2, 4: 3}
+}
+
+// testRows covers ints, floats, strings, dates and NULLs in every
+// column position.
+func testRows() []types.Row {
+	return []types.Row{
+		{types.NewInt(1), types.NewFloat(2.5), types.NewString("abc"), types.MustDate("1995-01-01")},
+		{types.NewInt(-3), types.NewFloat(0), types.NewString(""), types.MustDate("2000-06-15")},
+		{types.Null(types.Int), types.NewFloat(7), types.NewString("xyz"), types.NullUnknown},
+		{types.NewInt(42), types.Null(types.Float), types.Null(types.String), types.MustDate("1995-01-01")},
+	}
+}
+
+func cf(v float64) algebra.Scalar { return &algebra.Const{Val: types.NewFloat(v)} }
+
+// testExprs enumerates scalar shapes across every node type, including
+// column-vs-constant, column-vs-column and constant-vs-column
+// comparisons, NULL operands, a folded constant and runtime errors.
+func testExprs() []algebra.Scalar {
+	col, ci, cs, cnull := colRef, constI, constS, nullC
+	return []algebra.Scalar{
+		col(1), col(2), col(3), col(7), col(9),
+		ci(5), cnull(),
+		cmp(algebra.CmpGt, col(1), ci(0)),
+		cmp(algebra.CmpLe, col(1), cf(1.5)),
+		cmp(algebra.CmpEq, col(3), cs("abc")),
+		cmp(algebra.CmpNe, col(1), col(2)),
+		cmp(algebra.CmpLt, ci(0), col(2)),
+		cmp(algebra.CmpGe, col(1), cnull()),
+		cmp(algebra.CmpEq, cnull(), col(1)),
+		cmp(algebra.CmpGt, &algebra.Arith{Op: types.OpAdd, L: col(1), R: ci(1)}, cf(2)),
+		&algebra.And{Args: []algebra.Scalar{
+			cmp(algebra.CmpGt, col(1), ci(0)),
+			cmp(algebra.CmpLt, col(2), cf(100)),
+		}},
+		&algebra.Or{Args: []algebra.Scalar{
+			cmp(algebra.CmpLt, col(1), ci(0)),
+			cmp(algebra.CmpEq, col(3), cs("xyz")),
+		}},
+		&algebra.Not{Arg: cmp(algebra.CmpGt, col(1), ci(0))},
+		&algebra.IsNull{Arg: col(1)},
+		&algebra.IsNull{Arg: col(2), Negate: true},
+		&algebra.Arith{Op: types.OpMul, L: col(2), R: cf(3)},
+		&algebra.Arith{Op: types.OpSub, L: col(4), R: ci(30)},
+		&algebra.Arith{Op: types.OpDiv, L: col(1), R: ci(0)}, // runtime error
+		&algebra.Arith{Op: types.OpAdd, L: ci(2), R: ci(3)},  // folded
+		&algebra.Arith{Op: types.OpDiv, L: ci(1), R: ci(0)},  // folded, error on every evaluation
+		&algebra.Like{L: col(3), R: cs("a%")},
+		&algebra.Like{L: col(3), R: cs("_b_"), Negate: true},
+		&algebra.InList{Arg: col(1), List: []algebra.Scalar{ci(1), ci(42), cnull()}},
+		&algebra.InList{Arg: col(1), List: []algebra.Scalar{ci(7)}, Negate: true},
+		&algebra.Case{
+			Whens: []algebra.When{
+				{Cond: cmp(algebra.CmpGt, col(1), ci(0)), Then: cs("pos")},
+				{Cond: cmp(algebra.CmpLt, col(1), ci(0)), Then: cs("neg")},
+			},
+			Else: cs("other"),
+		},
+		&algebra.Case{Whens: []algebra.When{
+			{Cond: &algebra.IsNull{Arg: col(1)}, Then: col(2)},
+		}},
+		&algebra.Param{Idx: 0},
+		&algebra.Param{Idx: 5}, // out of range: runtime error
+		cmp(algebra.CmpGe, col(1), &algebra.Param{Idx: 0}),
+	}
+}
 
 // vecMd names the nine column IDs for failure messages.
 var vecMd = func() *algebra.Metadata {
@@ -31,10 +105,7 @@ var vecMd = func() *algebra.Metadata {
 	return md
 }()
 
-var (
-	vecOuter  = MapEnv{7: types.NewInt(3)}
-	vecParams = []types.Datum{types.NewInt(2), types.NewFloat(0.5)}
-)
+var vecParams = []types.Datum{types.NewInt(2), types.NewFloat(0.5)}
 
 // exprGen draws scalars by result type.
 type exprGen struct{ r *rand.Rand }
@@ -250,6 +321,30 @@ func (g *exprGen) batch(n int) []types.Row {
 	return rows
 }
 
+// outer draws the environment the batch-invariant columns read, after
+// the expression, batch and selection, so a seed's expression and batch
+// stay what they were. The values come from the batch's column
+// generators. Column 7, read in numeric positions, takes one of the
+// numeric columns' values: an Int, a Float, a zero divisor, the
+// Int/Float mix, or a NULL. Half the time some layout columns also move
+// out of the batch into a left row, strings and dates included. It
+// returns the batch's layout and the Env.
+func (g *exprGen) outer() (map[algebra.ColID]int, Env) {
+	left := g.batch(1)[0]
+	env := &RowEnv{Row: left, Ords: map[algebra.ColID]int{},
+		Outer: MapEnv{7: left[[]int{0, 1, 4, 5}[g.pick(4)]]}}
+	layout := map[algebra.ColID]int{}
+	moved := g.pick(2) == 0
+	for c := algebra.ColID(1); c <= 6; c++ {
+		if moved && g.pick(3) == 0 {
+			env.Ords[c] = vecLayout[c]
+		} else {
+			layout[c] = vecLayout[c]
+		}
+	}
+	return layout, env
+}
+
 // selection draws an ascending subset of [0, n).
 func (g *exprGen) selection(n int) []int {
 	sel := []int{}
@@ -299,33 +394,30 @@ func sameResult(a, b rowResult) bool {
 }
 
 // checkVecEquivalence asserts the property for one expression over one
-// batch and selection.
-func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, sel []int) {
+// batch of the given layout and selection, with outer as the frame's
+// outer Env.
+func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, sel []int, layout map[algebra.ColID]int, outer Env) {
 	t.Helper()
 	ev := &Evaluator{Params: vecParams}
 	desc := func() string { return algebra.FormatScalar(vecMd, expr) }
+	env := func(ri int) Env { return &RowEnv{Row: rows[ri], Ords: layout, Outer: outer} }
 
-	// Interpreter and closure, row by row.
-	closure := (&Compiler{Ev: ev, Ords: vecLayout}).Compile(expr)
+	// The interpreter, row by row.
 	want := make([]rowResult, len(rows))
 	var failing []int
 	for _, ri := range sel {
-		d, err := ev.Eval(expr, &layoutEnv{ords: vecLayout, row: rows[ri], outer: vecOuter})
+		d, err := ev.Eval(expr, env(ri))
 		want[ri] = rowResult{d, err}
 		if err != nil {
 			failing = append(failing, ri)
 		}
-		cd, cerr := closure(&Frame{Row: rows[ri], Outer: vecOuter})
-		if got := (rowResult{cd, cerr}); !sameResult(want[ri], got) {
-			t.Fatalf("%s row %d %v: interpreter %v, closure %v", desc(), ri, rows[ri], want[ri], got)
-		}
 	}
 
 	// Vector over the whole selection.
-	comp := &Compiler{Ev: ev, Ords: vecLayout}
+	comp := &Compiler{Ev: ev, Ords: layout}
 	vx := comp.CompileVec(expr)
 	var f VecFrame
-	f.Reset(rows, vecOuter)
+	f.Reset(rows, outer)
 	v, err := vx.Eval(&f, append([]int(nil), sel...))
 	switch {
 	case err != nil:
@@ -349,7 +441,7 @@ func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, se
 	// Vector one row at a time: the exact datum or error of that row,
 	// reusing the compiled kernels across "batches".
 	for _, ri := range sel {
-		f.Reset(rows, vecOuter)
+		f.Reset(rows, outer)
 		v, err := vx.Eval(&f, []int{ri})
 		got := rowResult{err: err}
 		if err == nil {
@@ -362,8 +454,8 @@ func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, se
 
 	// Predicate position: Filter keeps exactly the TRUE rows.
 	if len(failing) == 0 {
-		vp := (&Compiler{Ev: ev, Ords: vecLayout}).CompileVecPred(expr)
-		f.Reset(rows, vecOuter)
+		vp := (&Compiler{Ev: ev, Ords: layout}).CompileVecPred(expr)
+		f.Reset(rows, outer)
 		kept, err := vp.Filter(&f, append([]int(nil), sel...))
 		if err != nil {
 			t.Fatalf("%s: Filter: %v", desc(), err)
@@ -378,18 +470,17 @@ func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, se
 			t.Fatalf("%s: Filter kept %v, want %v", desc(), kept, wantKept)
 		}
 
-		// Conjunct-at-a-time filtering agrees with the closure
-		// conjuncts whenever neither raises an error.
-		cconjs := closureConjuncts(&Compiler{Ev: ev, Ords: vecLayout}, expr)
-		vconjs := (&Compiler{Ev: ev, Ords: vecLayout}).CompileVecConjuncts(expr)
+		// Conjunct-at-a-time filtering agrees with the interpreter applied
+		// conjunct by conjunct whenever neither raises an error.
+		vconjs := (&Compiler{Ev: ev, Ords: layout}).CompileVecConjuncts(expr)
 		wantKept = wantKept[:0]
-		closureErr := false
+		interpErr := false
 		for _, ri := range sel {
 			pass := true
-			for _, cj := range cconjs {
-				tv, err := cj(&Frame{Row: rows[ri], Outer: vecOuter})
+			for _, cj := range algebra.Conjuncts(expr) {
+				tv, err := ev.EvalBool(cj, env(ri))
 				if err != nil {
-					closureErr = true
+					interpErr = true
 				}
 				if tv != types.TriTrue {
 					pass = false
@@ -400,38 +491,40 @@ func checkVecEquivalence(t *testing.T, expr algebra.Scalar, rows []types.Row, se
 				wantKept = append(wantKept, ri)
 			}
 		}
-		f.Reset(rows, vecOuter)
+		f.Reset(rows, outer)
 		kept = append([]int(nil), sel...)
 		for _, vc := range vconjs {
 			if kept, err = vc.Filter(&f, kept); err != nil {
 				break
 			}
 		}
-		if !closureErr && err == nil && fmt.Sprint(kept) != fmt.Sprint(wantKept) {
+		if !interpErr && err == nil && fmt.Sprint(kept) != fmt.Sprint(wantKept) {
 			t.Fatalf("%s: conjunct filter kept %v, want %v", desc(), kept, wantKept)
 		}
 	}
 }
 
-// checkSeed runs the property for the expression and batch drawn from
-// one seed.
+// checkSeed runs the property for the expression, batch and outer
+// environment drawn from one seed.
 func checkSeed(t *testing.T, seed int64) {
 	t.Helper()
 	g := &exprGen{r: rand.New(rand.NewSource(seed))}
 	expr := g.expr()
 	rows := g.batch(g.pick(48))
-	checkVecEquivalence(t, expr, rows, g.selection(len(rows)))
+	sel := g.selection(len(rows))
+	layout, outer := g.outer()
+	checkVecEquivalence(t, expr, rows, sel, layout, outer)
 }
 
-func TestVecMatchesClosureAndInterpreter(t *testing.T) {
+func TestVecMatchesInterpreter(t *testing.T) {
 	for seed := int64(0); seed < 4000; seed++ {
 		checkSeed(t, seed)
 	}
 }
 
-// TestVecFixedShapes runs the property over the hand-written shapes of
-// the closure compiler's test (every node type, NULL operands, folded
-// constants, the unbound parameter) on that test's rows.
+// TestVecFixedShapes runs the property over hand-written shapes (every
+// node type, NULL operands, folded constants, the unbound parameter)
+// on hand-written rows.
 func TestVecFixedShapes(t *testing.T) {
 	ev := &Evaluator{Params: []types.Datum{types.NewInt(10)}}
 	ords := testLayout()
@@ -441,7 +534,7 @@ func TestVecFixedShapes(t *testing.T) {
 		vx := (&Compiler{Ev: ev, Ords: ords}).CompileVec(expr)
 		var f VecFrame
 		for ri := range rows {
-			want, wantErr := ev.Eval(expr, &layoutEnv{ords: ords, row: rows[ri], outer: outer})
+			want, wantErr := ev.Eval(expr, &RowEnv{Ords: ords, Row: rows[ri], Outer: outer})
 			f.Reset(rows, outer)
 			v, err := vx.Eval(&f, []int{ri})
 			got := rowResult{err: err}
@@ -485,7 +578,7 @@ func TestVecSharedSubexpression(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, ri := range sel {
-				want, _ := ev.Eval(x.expr, &layoutEnv{ords: vecLayout, row: rows[ri]})
+				want, _ := ev.Eval(x.expr, &RowEnv{Ords: vecLayout, Row: rows[ri]})
 				if !sameDatum(want, v.Datum(ri)) {
 					t.Fatalf("round %d row %d: want %v got %v", round, ri, want, v.Datum(ri))
 				}

@@ -451,17 +451,6 @@ func (c *Context) compiler(ords map[algebra.ColID]int) *eval.Compiler {
 	return &eval.Compiler{Ev: c.ev, Ords: ords}
 }
 
-// joinPred compiles a join or Apply predicate over a (left, right) row
-// pair; nil means every pair passes.
-func (c *Context) joinPred(on algebra.Scalar, left, right *node) eval.CompiledPred {
-	if on == nil || algebra.IsTrueConst(on) {
-		return nil
-	}
-	comp := c.compiler(left.ords)
-	comp.Ords2 = right.ords
-	return comp.CompilePred(on)
-}
-
 // iterator is the operator interface (see batch.go for the contract).
 type iterator interface {
 	// Open prepares the iterator; it may be called again after Close to

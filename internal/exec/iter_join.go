@@ -97,6 +97,13 @@ func SplitJoinKeys(on algebra.Scalar, leftCols, rightCols algebra.ColSet) (lk, r
 // when nothing matched (antisemi), the NULL-padded left row when
 // nothing matched (left outer). The operators differ only in where a
 // left row's candidates come from — their probeFn.
+//
+// The predicate runs over a window of the left row's candidates as one
+// vector batch. A window never holds more candidates than the output
+// has room for; semi and antisemi, decided by their first match, take
+// doubling windows (1, 2, 4, … candidates). The outcome is that of a
+// loop over the pairs in candidate order: the same rows in the same
+// order, the same error, the same pairs charged.
 type joinEmit struct {
 	kind   algebra.JoinKind
 	rWidth int
@@ -104,10 +111,14 @@ type joinEmit struct {
 	// bucket holds the rows of a hash value, not of a key. SQL equality:
 	// NULL keys never match (probes hand NULL-key rows no candidates).
 	lOrds, rOrds []int
-	// on is the join, residual or Apply predicate over the pair; nil
-	// passes every pair.
-	on eval.CompiledPred
-	fr eval.Frame
+	// on is the join, residual or Apply predicate, compiled against the
+	// right input's layout; the left row's columns are batch-invariant
+	// and read through lenv, which falls through to the strand's
+	// parameters. nil passes every pair.
+	on    *eval.VecPred
+	frame eval.VecFrame
+	lenv  eval.RowEnv
+	sel   []int
 	// pairs, when set, charges every examined pair to RowBudget (nested
 	// loops, where pairs — not input rows — are the work).
 	pairs *Context
@@ -120,10 +131,12 @@ type joinEmit struct {
 	arena rowArena // backs joined output rows
 	out   []types.Row
 
-	// The left row in progress and the position among its candidates.
+	// The left row in progress, the position among its candidates and,
+	// for semi and antisemi, the size of the next window.
 	lrow    types.Row
 	cands   []types.Row
 	pos     int
+	step    int
 	haveL   bool
 	matched bool
 	drained bool // more has returned its empty window for this row
@@ -137,8 +150,12 @@ type joinEmit struct {
 type probeFn func(limit int) (lrow types.Row, cands []types.Row, ok bool, err error)
 
 func newJoinEmit(ctx *Context, kind algebra.JoinKind, on algebra.Scalar, left, right *node) joinEmit {
-	return joinEmit{kind: kind, rWidth: len(right.cols), on: ctx.joinPred(on, left, right),
-		fr: eval.Frame{Outer: ctx.params}}
+	j := joinEmit{kind: kind, rWidth: len(right.cols),
+		lenv: eval.RowEnv{Ords: left.ords, Outer: ctx.params}}
+	if on != nil && !algebra.IsTrueConst(on) {
+		j.on = ctx.compiler(right.ords).CompileVecPred(on)
+	}
+	return j
 }
 
 // reset drops the left row in progress (the operator was re-opened).
@@ -162,7 +179,8 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 			if !ok {
 				break
 			}
-			j.lrow, j.cands, j.pos, j.haveL, j.matched = lrow, cands, 0, true, false
+			j.lrow, j.cands, j.pos, j.step, j.haveL, j.matched = lrow, cands, 0, 1, true, false
+			j.lenv.Row = lrow
 			j.drained = j.more == nil
 		}
 		done, err := j.feed(limit)
@@ -183,28 +201,25 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 // first.
 func (j *joinEmit) feed(limit int) (done bool, err error) {
 	for {
-		for ; j.pos < len(j.cands); j.pos++ {
-			if len(j.out) >= limit {
+		for j.pos < len(j.cands) {
+			room := limit - len(j.out)
+			if room <= 0 {
 				return false, nil
 			}
-			rrow := j.cands[j.pos]
-			if j.pairs != nil {
-				if err := j.pairs.charge(); err != nil {
-					return false, err
-				}
+			win := j.cands[j.pos:]
+			if j.kind.ReturnsRightCols() {
+				win = win[:min(len(win), room)]
+			} else {
+				win = win[:min(len(win), j.step)]
+				j.step = min(2*j.step, BatchSize)
 			}
-			if j.lOrds != nil && !types.EqualRows(j.lrow, j.lOrds, rrow, j.rOrds) {
+			sel, err := j.match(win)
+			if err != nil {
+				return false, err
+			}
+			j.pos += len(win)
+			if len(sel) == 0 {
 				continue
-			}
-			if j.on != nil {
-				j.fr.Row, j.fr.Row2 = j.lrow, rrow
-				v, err := j.on(&j.fr)
-				if err != nil {
-					return false, err
-				}
-				if v != types.TriTrue {
-					continue
-				}
 			}
 			j.matched = true
 			switch j.kind {
@@ -214,7 +229,9 @@ func (j *joinEmit) feed(limit int) (done bool, err error) {
 			case algebra.AntiSemiJoin:
 				return true, nil
 			}
-			j.out = append(j.out, j.arena.concat(j.lrow, rrow))
+			for _, i := range sel {
+				j.out = append(j.out, j.arena.concat(j.lrow, win[i]))
+			}
 		}
 		if j.drained {
 			break
@@ -241,6 +258,66 @@ func (j *joinEmit) feed(limit int) (done bool, err error) {
 		j.unmatched(j.lrow)
 	}
 	return true, nil
+}
+
+// match returns the positions in win of the candidates that pair with
+// the left row in progress: keys equal, then the predicate TRUE. It
+// charges the pairs the pair loop would have examined: the whole
+// window, or up to the first survivor (semi, antisemi) or the first
+// failing pair.
+func (j *joinEmit) match(win []types.Row) ([]int, error) {
+	sel := j.sel[:0]
+	for i, r := range win {
+		if j.lOrds == nil || types.EqualRows(j.lrow, j.lOrds, r, j.rOrds) {
+			sel = append(sel, i)
+		}
+	}
+	j.sel = sel
+	n := len(win)
+	var err error
+	if j.on != nil && len(sel) > 0 {
+		j.frame.Reset(win, &j.lenv)
+		if sel, err = j.on.Filter(&j.frame, sel); err != nil {
+			sel, n, err = j.pairwise(win)
+		}
+	}
+	if len(sel) > 0 && !j.kind.ReturnsRightCols() {
+		n = sel[0] + 1
+	}
+	if j.pairs != nil {
+		if cerr := j.pairs.chargeN(n); cerr != nil {
+			return nil, cerr
+		}
+	}
+	return sel, err
+}
+
+// pairwise re-runs a window whose batch evaluation failed one candidate
+// at a time, in order, and stops where the pair loop stops: at the
+// first failing pair, or for semi and antisemi at the first survivor.
+// It returns the survivors before the stop, the number of candidates
+// examined, and the failing pair's error.
+func (j *joinEmit) pairwise(win []types.Row) (sel []int, n int, err error) {
+	sel = j.sel[:0]
+	var one [1]int
+	for i, r := range win {
+		if j.lOrds != nil && !types.EqualRows(j.lrow, j.lOrds, r, j.rOrds) {
+			continue
+		}
+		one[0] = i
+		j.frame.Reset(win, &j.lenv)
+		kept, err := j.on.Filter(&j.frame, one[:])
+		if err != nil {
+			return sel, i + 1, err
+		}
+		if len(kept) > 0 {
+			sel = append(sel, i)
+			if !j.kind.ReturnsRightCols() {
+				return sel, i + 1, nil
+			}
+		}
+	}
+	return sel, len(win), nil
 }
 
 // unmatched emits what a left row without a match contributes.

@@ -303,6 +303,14 @@ func (c *Cache) Do(ctx context.Context, key string, tables []string, fn func() (
 		}
 		return val, SrcMiss, err
 	}
+	// No flight, but a leader may have published and left between the
+	// lookup above and taking fmu: its Put happens before it deletes its
+	// flight under fmu, so a second lookup here sees the result.
+	if v, ok := c.Lookup(key); ok {
+		c.fmu.Unlock()
+		c.hits.Add(1)
+		return v, SrcHit, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.fmu.Unlock()

@@ -173,6 +173,40 @@ func TestDoSingleFlight(t *testing.T) {
 	}
 }
 
+// TestDoRechecksUnderFlightLock: a caller whose first lookup misses
+// and who reaches the flight lock after the leader published its result
+// and left must be served that result, not run the query again. The
+// test holds the flight lock while Do starts, publishes the key, then
+// releases the lock. A Put that lands before Do's first lookup only
+// makes the test pass without exercising the re-check, so it cannot
+// fail spuriously.
+func TestDoRechecksUnderFlightLock(t *testing.T) {
+	c := New(Config{})
+	c.fmu.Lock()
+	type result struct {
+		v   any
+		src Source
+		err error
+	}
+	done := make(chan result)
+	var execs atomic.Int32
+	go func() {
+		v, src, err := c.Do(context.Background(), "k", []string{"t"}, func() (any, int64, error) {
+			execs.Add(1)
+			return "again", 10, nil
+		})
+		done <- result{v, src, err}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	c.Put("k", []string{"t"}, "published", 10)
+	c.fmu.Unlock()
+	r := <-done
+	if r.err != nil || execs.Load() != 0 || r.src != SrcHit || r.v.(string) != "published" {
+		t.Fatalf("Do = %v, %v, %v after %d executions; want the published result as a hit, no execution",
+			r.v, r.src, r.err, execs.Load())
+	}
+}
+
 func TestDoLeaderErrorWaiterRetries(t *testing.T) {
 	c := New(Config{})
 	boom := errors.New("boom")

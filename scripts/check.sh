@@ -82,11 +82,11 @@ if go list -deps ./internal/reference | grep -E '^orthoq/internal/(eval|exec|cor
 fi
 go test -run TestReferenceEquivalence -race .
 
-# Vector-kernel leg: the batch operators evaluate through
-# eval.CompileVec, so the vector ≡ closure ≡ interpreter property
-# (random scalars over random batches and selection vectors, the same
-# datum or the same error per row) is the unit-level twin of the
-# equivalence check above. Then ten seconds of coverage-guided fuzzing
+# Vector-kernel leg: every operator predicate, projection and aggregate
+# argument evaluates through eval.CompileVec, so the vector ≡
+# interpreter property (random scalars over random batches, selection
+# vectors and outer environments, the same datum or the same error per
+# row) is the unit-level twin of the equivalence check above. Then ten seconds of coverage-guided fuzzing
 # over the property's generator seeds.
 go test -race ./internal/eval
 go test -run '^$' -fuzz FuzzVecEval -fuzztime 10s ./internal/eval
@@ -143,8 +143,11 @@ go test -run 'TestResultCache' -race .
 # EXPLAIN and traces report what runs: every Apply's apply= in EXPLAIN
 # is the strategy its span ran (TPC-H and the fuzz corpus, serial and at
 # four workers), and a pull that produced rows is timed by the real
-# clock, so a short strand is not credited 0 s.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand' -race . ./internal/exec
+# clock, so a short strand is not credited 0 s. And the join emitter
+# every join and Apply shares, which evaluates a left row's candidates
+# as vector batches, against the per-pair loop it replaced: the same
+# rows in the same order, the same error, the same pairs charged.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
