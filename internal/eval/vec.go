@@ -32,6 +32,11 @@ package eval
 // invariant subtree, once per selected row (rowAdapter) for the rest.
 // The interpreter defines the semantics, so the fallback is the
 // definition, not a second path beside it.
+//
+// Stored columns. For a batch read straight from a table (ResetStored)
+// a column is served as a view — a Vec whose payload is a sub-slice of
+// the table's typed column, nothing copied — instead of being gathered.
+// No kernel writes into an input vector, and no frame buffer aliases one.
 
 import (
 	"fmt"
@@ -269,6 +274,12 @@ func (v *Vec) gatherRun(rows []types.Row, sel []int, ord int) bool {
 	return true
 }
 
+// ColumnSource serves stored rows' typed columns (storage.Version):
+// column ord holding at least its first end rows, or nil.
+type ColumnSource interface {
+	Column(ord, end int) *types.Column
+}
+
 // VecFrame is the environment vector kernels evaluate against: the row
 // window of one batch, the outer Env for correlation parameters, and
 // the per-batch caches (gathered columns, shared subexpressions). A
@@ -285,11 +296,16 @@ type VecFrame struct {
 	Rows  []types.Row
 	Outer Env
 
+	src ColumnSource // when set, row ri is stored row off+ri of src
+	off int
+
 	stamp uint64 // bumped per batch: validates gathered columns
 	epoch uint64 // bumped per (batch, entry selection): validates shared subexpressions
+	outer uint64 // bumped per Reset: validates batch-invariant values
 	entry []int  // selection of the current exported call
 	cols  []*colSlot
 	todo  []*colSlot // gatherCols scratch
+	one   [1]int     // column scratch
 	ident []int
 }
 
@@ -297,12 +313,31 @@ type colSlot struct {
 	stamp uint64
 	ord   int
 	ok    bool // the typed gather loops held (see gatherRun)
-	vec   Vec
+	vec   Vec  // the gather buffer
+	view  Vec  // a stored column's window
+	cur   *Vec // what kernels read: &vec or &view
 }
 
 // Reset points the frame at a new batch, invalidating its caches.
 func (f *VecFrame) Reset(rows []types.Row, outer Env) {
-	f.Rows, f.Outer = rows, outer
+	f.ResetStored(rows, outer, nil, 0)
+}
+
+// ResetStored is Reset for a batch whose row ri is stored row off+ri of
+// src: the columns src holds are read as views of its arrays.
+func (f *VecFrame) ResetStored(rows []types.Row, outer Env, src ColumnSource, off int) {
+	f.Outer = outer
+	f.outer++
+	f.NextWindow(rows)
+	f.src, f.off = src, off
+}
+
+// NextWindow points the frame at the next window of rows under an outer
+// Env unchanged since the last Reset (a join's left row over its windows
+// of candidates): batch-invariant values are not recomputed.
+func (f *VecFrame) NextWindow(rows []types.Row) {
+	f.Rows = rows
+	f.src, f.off = nil, 0
 	f.stamp++
 	f.epoch++
 	f.entry = nil
@@ -316,6 +351,24 @@ func (f *VecFrame) Reset(rows []types.Row, outer Env) {
 func (f *VecFrame) Gather(ords []int, sel []int) {
 	f.enter(sel)
 	f.gatherCols(ords)
+}
+
+// Column returns column ord over sel as the kernels read it: a view of
+// a stored column, or gathered from the rows. The vector belongs to the
+// frame, is valid until the next Reset, and must not be written.
+func (f *VecFrame) Column(ord int, sel []int) *Vec {
+	f.enter(sel)
+	return f.column(ord)
+}
+
+// column returns column ord, gathered over the entry selection.
+func (f *VecFrame) column(ord int) *Vec {
+	c := f.slot(ord)
+	if c.stamp != f.stamp {
+		f.one[0] = ord
+		f.gatherCols(f.one[:])
+	}
+	return c.cur
 }
 
 // Identity returns the selection of all n rows, [0, n). The slice is
@@ -364,6 +417,10 @@ func (f *VecFrame) gatherCols(ords []int) {
 	for _, ord := range ords {
 		if c := f.slot(ord); c.stamp != f.stamp {
 			c.stamp = f.stamp
+			if f.view(c, ord) {
+				continue
+			}
+			c.cur = &c.vec
 			c.ord = ord
 			c.ok = true
 			c.vec.gatherStart(f.Rows, f.entry, ord)
@@ -390,6 +447,31 @@ func (f *VecFrame) gatherCols(ords []int) {
 			c.vec.load(len(rows), f.entry, func(ri int) *types.Datum { return &rows[ri][ord] })
 		}
 	}
+}
+
+// view serves column ord as the window of the source's typed column the
+// batch occupies, capped so that not even an append reaches past it.
+func (f *VecFrame) view(c *colSlot, ord int) bool {
+	if f.src == nil {
+		return false
+	}
+	lo, hi := f.off, f.off+len(f.Rows)
+	col := f.src.Column(ord, hi)
+	if col == nil {
+		return false
+	}
+	c.view = Vec{Kind: col.Kind, mask: -1, I: window(col.I, lo, hi), F: window(col.F, lo, hi),
+		S: window(col.S, lo, hi), Null: window(col.Null, lo, hi)}
+	c.cur = &c.view
+	return true
+}
+
+// window returns s[lo:hi:hi], or nil for a nil s.
+func window[T any](s []T, lo, hi int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[lo:hi:hi]
 }
 
 // vecNode is a datum-valued kernel; triNode a predicate kernel
@@ -528,7 +610,7 @@ func (c *Compiler) vecNode(s algebra.Scalar) vecNode {
 		if !slices.Contains(c.vecCols, ord) {
 			c.vecCols = append(c.vecCols, ord)
 		}
-		return &colNode{ord: ord, one: [1]int{ord}}
+		return &colNode{ord: ord}
 	case *algebra.Arith:
 		for _, m := range c.shared {
 			if sameScalar(m.s, s) {
@@ -673,17 +755,21 @@ func (a *rowAdapter) evalTri(f *VecFrame, sel []int) ([]types.TriBool, error) {
 	return a.tri, nil
 }
 
-// constNode evaluates a batch-invariant scalar once per evaluation,
-// through the interpreter against the frame's outer Env, so parameter
-// slots and outer references read the current bindings. A subtree with
-// no column, parameter or subquery is folded at compile time (s is then
-// nil) and its error, if any, is reported on every evaluation.
+// constNode evaluates a batch-invariant scalar through the interpreter
+// against the frame's outer Env, so parameter slots and outer references
+// read the current bindings — once per Reset of the frame, whatever
+// NextWindow does. A subtree with no column, parameter or subquery is
+// folded at compile time (s is then nil) and its error, if any, is
+// reported on every evaluation.
 type constNode struct {
 	ev  *Evaluator
 	s   algebra.Scalar
 	d   types.Datum
 	err error
 	out Vec
+
+	frame *VecFrame // d, err are s under frame's outer Env at Reset outer
+	outer uint64
 }
 
 func (n *constNode) eval(f *VecFrame, sel []int) (*Vec, error) {
@@ -691,14 +777,15 @@ func (n *constNode) eval(f *VecFrame, sel []int) (*Vec, error) {
 		n.out.setConst(types.NullUnknown)
 		return &n.out, nil
 	}
-	d, err := n.d, n.err
-	if n.s != nil {
+	if n.s != nil && (n.frame != f || n.outer != f.outer) {
 		outer := f.Outer
 		if outer == nil {
 			outer = MapEnv(nil)
 		}
-		d, err = n.ev.Eval(n.s, outer)
+		n.d, n.err = n.ev.Eval(n.s, outer)
+		n.frame, n.outer = f, f.outer
 	}
+	d, err := n.d, n.err
 	if err != nil {
 		return nil, err
 	}
@@ -708,17 +795,10 @@ func (n *constNode) eval(f *VecFrame, sel []int) (*Vec, error) {
 
 // colNode reads a column of the row layout from the frame's gather
 // cache.
-type colNode struct {
-	ord int
-	one [1]int // ord, as the argument of a single-column gather
-}
+type colNode struct{ ord int }
 
 func (n *colNode) eval(f *VecFrame, sel []int) (*Vec, error) {
-	c := f.slot(n.ord)
-	if c.stamp != f.stamp {
-		f.gatherCols(n.one[:])
-	}
-	return &c.vec, nil
+	return f.column(n.ord), nil
 }
 
 // asFloat returns v as a Float vector over sel, converting an Int

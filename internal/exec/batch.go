@@ -14,6 +14,12 @@ package exec
 // Sel slices themselves. An empty batch (Len() == 0) signals end of
 // stream; a producer keeps answering with empty batches after it.
 //
+// Stored rows: a window of a table's stored rows also carries (src,
+// off), row ri being stored row off+ri, so kernels read the table's
+// typed columns instead of gathering. Scans set it (setStored), an
+// operator forwarding its input's rows unchanged passes it on, and one
+// that builds or reorders rows clears it (set, serve, setEmpty).
+//
 // Row cap: the consumer sets b.Limit before the call and the producer
 // returns at most that many live rows — and does not read, charge or
 // compute rows beyond what it needs to fill them. Streaming operators
@@ -47,6 +53,9 @@ type Batch struct {
 	// Limit is the consumer's row cap for the next NextBatch call; 0 (or
 	// anything above BatchSize) means a full batch.
 	Limit int
+
+	src eval.ColumnSource // nil unless Rows are stored rows src[off:]
+	off int
 }
 
 // Len returns the number of live rows.
@@ -66,8 +75,17 @@ func (b *Batch) Row(i int) types.Row {
 }
 
 // setEmpty marks end of stream.
-func (b *Batch) setEmpty() {
-	b.Rows, b.Sel = nil, nil
+func (b *Batch) setEmpty() { b.set(nil, nil) }
+
+// set hands the consumer rows the producer built or reordered.
+func (b *Batch) set(rows []types.Row, sel []int) {
+	b.Rows, b.Sel, b.src, b.off = rows, sel, nil, 0
+}
+
+// setStored hands the consumer a window of stored rows: rows[ri] is row
+// off+ri of src.
+func (b *Batch) setStored(rows []types.Row, sel []int, src eval.ColumnSource, off int) {
+	b.Rows, b.Sel, b.src, b.off = rows, sel, src, off
 }
 
 // limit is the effective row cap of the pending call.
@@ -82,7 +100,7 @@ func (b *Batch) limit() int {
 // pos; past the end it leaves the batch empty.
 func (b *Batch) serve(rows []types.Row, pos *int) {
 	end := min(*pos+b.limit(), len(rows))
-	b.Rows, b.Sel = rows[*pos:end], nil
+	b.set(rows[*pos:end], nil)
 	*pos = end
 }
 
@@ -185,17 +203,17 @@ func newFilterPred(ctx *Context, pred algebra.Scalar, ords map[algebra.ColID]int
 		trivial: pred == nil || algebra.IsTrueConst(pred)}
 }
 
-// narrow returns the rows of the window live under sel (nil = all)
-// that satisfy the predicate, as a selection owned by p and valid
-// until its next call.
-func (p *filterPred) narrow(rows []types.Row, sel []int) ([]int, error) {
+// narrow returns the rows of in's window live under its selection that
+// satisfy the predicate, as a selection owned by p and valid until its
+// next call.
+func (p *filterPred) narrow(in *Batch) ([]int, error) {
 	if !p.vecOK {
 		p.vecOK = true
 		p.vec = p.comp.CompileVecConjuncts(p.pred)
 	}
-	out := initSel(rows, sel, p.selBuf)
+	out := initSel(in.Rows, in.Sel, p.selBuf)
 	p.selBuf = out
-	p.frame.Reset(rows, p.ctx.params)
+	p.frame.ResetStored(in.Rows, p.ctx.params, in.src, in.off)
 	for _, cj := range p.vec {
 		var err error
 		if out, err = cj.Filter(&p.frame, out); err != nil {
@@ -209,21 +227,22 @@ func (p *filterPred) narrow(rows []types.Row, sel []int) ([]int, error) {
 }
 
 // emit is the tail every scan shares: charge the window just read and
-// hand b its rows that pass. ok=false with a nil error means none did,
-// and the scan moves on to its next window.
-func (p *filterPred) emit(b *Batch, cand []types.Row) (ok bool, err error) {
+// hand b its rows that pass. cand is row off of src onward when src is
+// set. ok=false with a nil error means none did, and the scan moves on
+// to its next window.
+func (p *filterPred) emit(b *Batch, cand []types.Row, src eval.ColumnSource, off int) (ok bool, err error) {
 	if err := p.ctx.chargeN(len(cand)); err != nil {
 		return false, err
 	}
+	b.setStored(cand, nil, src, off)
 	if p.trivial {
-		b.Rows, b.Sel = cand, nil
 		return true, nil
 	}
-	sel, err := p.narrow(cand, nil)
+	sel, err := p.narrow(b)
 	if err != nil || len(sel) == 0 {
 		return false, err
 	}
-	b.Rows, b.Sel = cand, sel
+	b.Sel = sel
 	return true, nil
 }
 

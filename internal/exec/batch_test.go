@@ -30,7 +30,7 @@ func expectSQL(t *testing.T, st *storage.Store, sql string, want ...string) {
 // two-column layout: col 1 → ordinal 0, col 2 → ordinal 1.
 func narrowAll(pred algebra.Scalar, rows []types.Row) ([]int, error) {
 	p := newFilterPred(NewContext(nil, nil), pred, map[algebra.ColID]int{1: 0, 2: 1})
-	return p.narrow(rows, nil)
+	return p.narrow(&Batch{Rows: rows})
 }
 
 func intRow(vals ...any) types.Row {

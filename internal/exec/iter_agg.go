@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -150,6 +151,7 @@ type aggTable struct {
 	heads  map[uint64]int32 // key hash → newest group with that hash
 	next   []int32          // older group with the same hash, -1 at the end
 	keys   []types.Row      // in insertion order
+	floats bool             // some key holds a Float
 	states [][]aggState     // [aggregate][group]
 	arena  rowArena         // backs cloned keys
 
@@ -200,10 +202,10 @@ func groupBytes(key types.Row, nAggs int) int64 {
 	return types.RowBytes(key) + int64(unsafe.Sizeof(aggState{}))*int64(nAggs) + 64
 }
 
-// aggScanMax is the group count up to which a lookup compares the row
-// against every resident key instead of hashing it: with a handful of
-// groups (TPC-H Q1 has four) a few datum comparisons cost less than one
-// key hash and map probe.
+// aggScanMax is the group count up to which a key that may hold a float
+// is compared with every resident key in insertion order, not only with
+// its hash chain: under types.Equal a NaN equals every number but does
+// not hash like one, and the scan keeps the group it joins the first.
 const aggScanMax = 8
 
 // probe returns the resident group whose key equals row's datums at
@@ -230,31 +232,48 @@ func (t *aggTable) insert(hk uint64, key types.Row) int {
 	t.heads[hk] = int32(g)
 	t.next = append(t.next, prev)
 	t.keys = append(t.keys, key)
+	for _, d := range key {
+		t.floats = t.floats || (d.Kind() == types.Float && !d.IsNull())
+	}
 	for j := range t.states {
 		t.states[j] = append(t.states[j], aggState{})
 	}
 	return g
 }
 
-// findRow is the governed lookup used by the accumulation loops: it
-// returns the group of input row, whose grouping columns sit at ords,
-// inserting it (the key is copied out of the row) on first sight.
-// Group -1 with nil error means the row was routed to a spill
-// partition.
-func (t *aggTable) findRow(row types.Row, ords []int) (int, error) {
-	if len(t.keys) <= aggScanMax {
+// lookup returns the resident group whose key equals the key vectors'
+// entries at ri (hash hk; floats: see aggScanMax), or -1.
+func (t *aggTable) lookup(keys []*eval.Vec, ri int, hk uint64, floats bool) int {
+	if floats && len(t.keys) <= aggScanMax {
 		for g, key := range t.keys {
-			if types.EqualRows(key, t.keyIdx, row, ords) {
-				return g, nil
+			if keyEqual(key, keys, ri) {
+				return g
 			}
 		}
+		return -1
 	}
-	hk := types.HashRow(row, ords)
-	if len(t.keys) > aggScanMax {
-		if g := t.probe(hk, row, ords); g >= 0 {
-			return g, nil
+	for g, ok := t.heads[hk]; ok && g >= 0; g = t.next[g] {
+		if keyEqual(t.keys[g], keys, ri) {
+			return int(g)
 		}
 	}
+	return -1
+}
+
+// keyEqual reports whether key equals the key vectors' entries at ri.
+func keyEqual(key types.Row, keys []*eval.Vec, ri int) bool {
+	for j, v := range keys {
+		if !types.Equal(v.Datum(ri), key[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// add makes input row, whose grouping columns sit at ords and hash to
+// hk, a new group (the key copied out of the row), governed: once the
+// table spills, the row goes to a spill partition and the group is -1.
+func (t *aggTable) add(hk uint64, row types.Row, ords []int) (int, error) {
 	if t.spill != nil {
 		return -1, t.spill.add(hk, row)
 	}
@@ -331,9 +350,12 @@ type aggVec struct {
 	frame eval.VecFrame
 	args  []*eval.VecExpr // nil entries are argument-less aggregates (COUNT(*))
 	cols  []int           // input ordinals the arguments read
+	reads []int           // the grouping columns, then cols
 	vecs  []*eval.Vec
-	sel   []int   // rows of the batch that have a resident group
-	gidx  []int32 // their groups, parallel to sel
+	keys  []*eval.Vec // the grouping columns' vectors
+	hash  []uint64    // key hashes, positional
+	sel   []int       // rows of the batch that have a resident group
+	gidx  []int32     // their groups, parallel to sel
 }
 
 // newAggVec compiles gb's aggregate arguments against the input layout
@@ -368,6 +390,36 @@ func (av *aggVec) eval(sel []int) error {
 		av.vecs[j] = v
 	}
 	return nil
+}
+
+// keyVecs gathers the grouping columns (at keyOrds) and the arguments'
+// columns over sel in one pass, returning the grouping columns.
+func (av *aggVec) keyVecs(keyOrds, sel []int) []*eval.Vec {
+	if av.reads == nil {
+		av.reads = append(append([]int{}, keyOrds...), av.cols...)
+	}
+	av.frame.Gather(av.reads, sel)
+	av.keys = av.keys[:0]
+	for _, o := range keyOrds {
+		av.keys = append(av.keys, av.frame.Column(o, sel))
+	}
+	return av.keys
+}
+
+// hashKeys returns the hash of every selected row's key, positionally:
+// types.HashRow over the grouping columns, computed a column at a time.
+func (av *aggVec) hashKeys(keys []*eval.Vec, sel []int, n int) []uint64 {
+	h := slices.Grow(av.hash[:0], n)[:n]
+	av.hash = h
+	for _, ri := range sel {
+		h[ri] = types.HashSeed
+	}
+	for _, v := range keys {
+		for _, ri := range sel {
+			h[ri] = types.MixHash(h[ri], v.Datum(ri).Hash())
+		}
+	}
+	return h
 }
 
 // zeroGroups returns n zero group indices (every row in group 0).
@@ -451,20 +503,19 @@ func (t *aggTable) consume(ctx *Context, in *node, gb *algebra.GroupBy, av *aggV
 		if b.Len() == 0 {
 			return nil
 		}
-		if err := t.accum(ctx, gb, av, keyOrds, b.Rows, b.Sel); err != nil {
+		if err := t.accum(ctx, gb, av, keyOrds, &b); err != nil {
 			return err
 		}
 	}
 }
 
-// accum folds the rows of one window live under sel (nil = all): it
-// resolves each row's group once (rows routed to a spill partition drop
-// out of the window), evaluates each aggregate argument once over the
-// remaining rows, and folds each argument vector into its aggregate's
-// state array.
-func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int,
-	rows []types.Row, sel []int) error {
-	av.frame.Reset(rows, ctx.params)
+// accum folds the live rows of one batch: it resolves each row's group
+// once (rows routed to a spill partition drop out of the window),
+// evaluates each aggregate argument once over the remaining rows, and
+// folds each argument vector into its aggregate's state array.
+func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int, b *Batch) error {
+	rows, sel := b.Rows, b.Sel
+	av.frame.ResetStored(rows, ctx.params, b.src, b.off)
 	if sel == nil {
 		sel = av.frame.Identity(len(rows))
 	}
@@ -484,22 +535,32 @@ func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds 
 	return nil
 }
 
-// resolve looks up (or inserts) the group of every selected row,
-// leaving the groups in av.gidx and returning the selection they are
-// parallel to: sel itself, or — when rows were routed to a spill
-// partition — the rows that were not.
+// resolve looks up (or inserts) the group of every selected row from
+// the grouping columns' vectors, leaving the groups in av.gidx and
+// returning the selection they are parallel to: sel itself, or — when
+// rows were routed to a spill partition — the rows that were not. Key
+// hashes are types.HashRow's, as spill routing and findForMerge need.
 func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []int) ([]int, error) {
 	if len(keyOrds) == 0 && len(t.keys) == 1 {
 		// Scalar aggregation past its first row: one resident group.
 		av.zeroGroups(len(sel))
 		return sel, nil
 	}
+	keys := av.keyVecs(keyOrds, sel)
+	hash := av.hashKeys(keys, sel, len(rows))
+	floats := t.floats
+	for _, v := range keys {
+		floats = floats || v.Kind == types.Float || v.Mixed()
+	}
 	av.gidx = av.gidx[:0]
 	spilled := false
 	for k, ri := range sel {
-		g, err := t.findRow(rows[ri], keyOrds)
-		if err != nil {
-			return nil, err
+		g := t.lookup(keys, ri, hash[ri], floats)
+		if g < 0 {
+			var err error
+			if g, err = t.add(hash[ri], rows[ri], keyOrds); err != nil {
+				return nil, err
+			}
 		}
 		if g < 0 {
 			if !spilled {
@@ -577,6 +638,7 @@ func (t *aggTable) accumFile(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyO
 	}
 	defer rd.close()
 	buf := make([]types.Row, 0, BatchSize)
+	var b Batch
 	for {
 		row, ok, err := rd.next()
 		if err != nil {
@@ -586,7 +648,8 @@ func (t *aggTable) accumFile(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyO
 			buf = append(buf, row)
 		}
 		if len(buf) == BatchSize || (!ok && len(buf) > 0) {
-			if err := t.accum(ctx, gb, av, keyOrds, buf, nil); err != nil {
+			b.set(buf, nil)
+			if err := t.accum(ctx, gb, av, keyOrds, &b); err != nil {
 				return err
 			}
 			buf = buf[:0]

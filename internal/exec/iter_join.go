@@ -182,6 +182,8 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 			j.lrow, j.cands, j.pos, j.step, j.haveL, j.matched = lrow, cands, 0, 1, true, false
 			j.lenv.Row = lrow
 			j.drained = j.more == nil
+			// The row's windows share what the frame computes from it.
+			j.frame.Reset(nil, &j.lenv)
 		}
 		done, err := j.feed(limit)
 		if err != nil {
@@ -192,7 +194,7 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 		}
 		j.haveL = false
 	}
-	b.Rows, b.Sel = j.out, nil
+	b.set(j.out, nil)
 	return nil
 }
 
@@ -276,7 +278,7 @@ func (j *joinEmit) match(win []types.Row) ([]int, error) {
 	n := len(win)
 	var err error
 	if j.on != nil && len(sel) > 0 {
-		j.frame.Reset(win, &j.lenv)
+		j.frame.NextWindow(win)
 		if sel, err = j.on.Filter(&j.frame, sel); err != nil {
 			sel, n, err = j.pairwise(win)
 		}
@@ -305,7 +307,7 @@ func (j *joinEmit) pairwise(win []types.Row) (sel []int, n int, err error) {
 			continue
 		}
 		one[0] = i
-		j.frame.Reset(win, &j.lenv)
+		j.frame.NextWindow(win)
 		kept, err := j.on.Filter(&j.frame, one[:])
 		if err != nil {
 			return sel, i + 1, err
@@ -835,7 +837,7 @@ func (g *graceJoin) produce(b *Batch) error {
 		}
 	}
 	if !g.partitioned {
-		b.Rows, b.Sel = em.out, nil
+		b.set(em.out, nil)
 		return nil
 	}
 	// Phase two: drain partition pairs.

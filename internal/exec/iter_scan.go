@@ -125,15 +125,9 @@ func planSeek(tbl *storage.Version, g *algebra.Get, filter algebra.Scalar) (inde
 
 // scanIter is a filtered full table scan.
 type scanIter struct {
-	tbl  storageTable
+	tbl  *storage.Version
 	filt filterPred
 	pos  int
-}
-
-// storageTable is the minimal surface scan/seek need (eases testing).
-type storageTable interface {
-	AllRows() []types.Row
-	LookupOrds(index string, key []types.Datum) []int
 }
 
 func (s *scanIter) Open() error {
@@ -146,10 +140,10 @@ func (s *scanIter) Open() error {
 func (s *scanIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
 	for s.pos < len(rows) {
-		end := min(s.pos+b.limit(), len(rows))
-		cand := rows[s.pos:end]
+		off := s.pos
+		end := min(off+b.limit(), len(rows))
 		s.pos = end
-		if ok, err := s.filt.emit(b, cand); ok || err != nil {
+		if ok, err := s.filt.emit(b, rows[off:end], s.tbl, off); ok || err != nil {
 			return err
 		}
 	}
@@ -163,16 +157,16 @@ func (s *scanIter) Close() error { return nil }
 // at Open (they may reference correlation parameters).
 type seekIter struct {
 	ctx      *Context
-	tbl      storageTable
+	tbl      *storage.Version
 	index    string
 	keyExprs []algebra.Scalar
 	filt     filterPred
 	matches  []int
 	pos      int
 
-	// key is reused across re-opens: under Apply the iterator re-opens
-	// once per binding and rebuilding the slice was a hot allocation
-	// (LookupOrds does not retain it).
+	// key and matches are reused across re-opens: under Apply the
+	// iterator re-opens once per binding and rebuilding them was a hot
+	// allocation (Lookup retains neither).
 	key []types.Datum
 
 	rowBuf []types.Row
@@ -187,7 +181,7 @@ func (s *seekIter) Open() error {
 		}
 		s.key = append(s.key, d)
 	}
-	s.matches = s.tbl.LookupOrds(s.index, s.key)
+	s.matches = s.tbl.Lookup(s.index, s.key, s.matches)
 	s.pos = 0
 	return nil
 }
@@ -204,7 +198,7 @@ func (s *seekIter) NextBatch(b *Batch) error {
 		}
 		s.rowBuf = cand
 		s.pos = end
-		if ok, err := s.filt.emit(b, cand); ok || err != nil {
+		if ok, err := s.filt.emit(b, cand, nil, 0); ok || err != nil {
 			return err
 		}
 	}
@@ -236,17 +230,17 @@ func (f *filterIter) NextBatch(b *Batch) error {
 			return nil
 		}
 		if f.filt.trivial {
-			b.Rows, b.Sel = f.cb.Rows, f.cb.Sel
+			b.setStored(f.cb.Rows, f.cb.Sel, f.cb.src, f.cb.off)
 			return nil
 		}
-		sel, err := f.filt.narrow(f.cb.Rows, f.cb.Sel)
+		sel, err := f.filt.narrow(&f.cb)
 		if err != nil {
 			return err
 		}
 		if len(sel) == 0 {
 			continue
 		}
-		b.Rows, b.Sel = f.cb.Rows, sel
+		b.setStored(f.cb.Rows, sel, f.cb.src, f.cb.off)
 		return nil
 	}
 }
@@ -304,7 +298,7 @@ func (p *projectIter) NextBatch(b *Batch) error {
 		b.setEmpty()
 		return nil
 	}
-	p.frame.Reset(p.cb.Rows, p.ctx.params)
+	p.frame.ResetStored(p.cb.Rows, p.ctx.params, p.cb.src, p.cb.off)
 	sel := p.cb.Sel
 	if sel == nil {
 		sel = p.frame.Identity(len(p.cb.Rows))
@@ -328,7 +322,7 @@ func (p *projectIter) NextBatch(b *Batch) error {
 		}
 	}
 	p.outBuf = out
-	b.Rows, b.Sel = out, nil
+	b.set(out, nil)
 	return nil
 }
 
@@ -361,7 +355,7 @@ func (v *valuesIter) NextBatch(b *Batch) error {
 		}
 		v.out = append(v.out, row)
 	}
-	b.Rows, b.Sel = v.out, nil
+	b.set(v.out, nil)
 	return nil
 }
 
@@ -392,7 +386,7 @@ func (r *rowNumberIter) NextBatch(b *Batch) error {
 		row := r.cb.Row(i)
 		r.out = append(r.out, append(append(r.arena.alloc(len(row)+1), row...), types.NewInt(r.n)))
 	}
-	b.Rows, b.Sel = r.out, nil
+	b.set(r.out, nil)
 	return nil
 }
 
@@ -434,7 +428,7 @@ func (m *max1RowIter) NextBatch(b *Batch) error {
 	if have > 1 {
 		return fmt.Errorf("exec: scalar subquery returned more than one row")
 	}
-	b.Rows, b.Sel = m.out[:have], nil
+	b.set(m.out[:have], nil)
 	return nil
 }
 
@@ -468,7 +462,7 @@ func (t *topIter) NextBatch(b *Batch) error {
 		return err
 	}
 	t.seen += int64(t.cb.Len())
-	b.Rows, b.Sel = t.cb.Rows, t.cb.Sel
+	b.setStored(t.cb.Rows, t.cb.Sel, t.cb.src, t.cb.off)
 	return nil
 }
 
@@ -618,7 +612,7 @@ func (u *unionIter) NextBatch(b *Batch) error {
 		for i := 0; i < live; i++ {
 			u.out = append(u.out, u.arena.mapRow(u.cb.Row(i), sel))
 		}
-		b.Rows, b.Sel = u.out, nil
+		b.set(u.out, nil)
 		return nil
 	}
 }
@@ -757,7 +751,7 @@ func (s *segmentApplyIter) NextBatch(b *Batch) error {
 			return err
 		}
 		if s.cb.Len() > 0 {
-			b.Rows, b.Sel = s.cb.Rows, s.cb.Sel
+			b.setStored(s.cb.Rows, s.cb.Sel, s.cb.src, s.cb.off)
 			return nil
 		}
 		s.innerOn = false

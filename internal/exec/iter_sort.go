@@ -2,6 +2,7 @@ package exec
 
 import (
 	"orthoq/internal/algebra"
+	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/storage"
 )
@@ -34,7 +35,7 @@ func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, filte
 // Get's Order requirement and returns its (fresh) permutation. All
 // keys ascending walks it forward; all keys descending walks it
 // backward; mixed directions cannot use a single permutation.
-func orderedPerm(tbl *storage.Version, g *algebra.Get) (perm []int, reverse bool, ok bool) {
+func orderedPerm(tbl *storage.Version, g *algebra.Get) (perm []int32, reverse bool, ok bool) {
 	allAsc, allDesc := true, true
 	for _, o := range g.Order {
 		if o.Desc {
@@ -85,7 +86,7 @@ func orderedPerm(tbl *storage.Version, g *algebra.Get) (perm []int, reverse bool
 // operators see exactly the Get's promised ordering.
 type orderedScanIter struct {
 	tbl     *storage.Version
-	perm    []int
+	perm    []int32
 	reverse bool
 	filt    filterPred
 	pos     int // position within perm (already direction-adjusted)
@@ -120,7 +121,7 @@ func (s *orderedScanIter) NextBatch(b *Batch) error {
 		}
 		s.rowBuf = cand
 		s.pos = end
-		if ok, err := s.filt.emit(b, cand); ok || err != nil {
+		if ok, err := s.filt.emit(b, cand, nil, 0); ok || err != nil {
 			return err
 		}
 	}
@@ -182,13 +183,13 @@ func (s *streamAggIter) Open() error {
 	return s.in.it.Open()
 }
 
-// sameGroup reports whether row belongs to the current group. NULL
-// group keys compare equal to each other (SQL GROUP BY semantics),
-// matching both the sort order the input delivers and the hash
-// aggregation's key equality.
-func (s *streamAggIter) sameGroup(row types.Row) bool {
-	for j, o := range s.keyOrds {
-		if types.Compare(row[o], s.curKey[j]) != 0 {
+// sameGroup reports whether the key vectors' entries at ri are the
+// current group's key. NULL group keys compare equal to each other (SQL
+// GROUP BY semantics), matching both the sort order the input delivers
+// and the hash aggregation's key equality.
+func (s *streamAggIter) sameGroup(keys []*eval.Vec, ri int) bool {
+	for j, v := range keys {
+		if types.Compare(v.Datum(ri), s.curKey[j]) != 0 {
 			return false
 		}
 	}
@@ -247,26 +248,26 @@ func (s *streamAggIter) fill() error {
 			return err
 		}
 		rows := s.ib.Rows
-		s.av.frame.Reset(rows, s.ctx.params)
+		s.av.frame.ResetStored(rows, s.ctx.params, s.ib.src, s.ib.off)
 		sel := s.ib.Sel
 		if sel == nil {
 			sel = s.av.frame.Identity(len(rows))
 		}
+		keys := s.av.keyVecs(s.keyOrds, sel)
 		if err := s.av.eval(sel); err != nil {
 			return err
 		}
 		zeros := s.av.zeroGroups(len(sel))
 		start := 0
 		for k, ri := range sel {
-			row := rows[ri]
-			if s.started && s.sameGroup(row) {
+			if s.started && s.sameGroup(keys, ri) {
 				continue
 			}
 			if s.started {
 				s.fold(sel[start:k], zeros[:k-start])
 				s.out = append(s.out, s.emit())
 			}
-			s.startGroup(row)
+			s.startGroup(rows[ri])
 			start = k
 		}
 		s.fold(sel[start:], zeros[:len(sel)-start])

@@ -7,6 +7,7 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/sql/types"
+	"orthoq/internal/storage"
 )
 
 func fmtErrNoTable(name string) error {
@@ -233,15 +234,6 @@ func compileExchange(ctx *Context, rel algebra.Rel) (*node, error) {
 	return newNode(it, probe.cols), nil
 }
 
-// driverTable resolves the driver Get's stored table.
-func driverTable(ctx *Context, g *algebra.Get) (storageTable, int, bool) {
-	tbl, ok := ctx.table(g.Table)
-	if !ok {
-		return nil, 0, false
-	}
-	return tbl, tbl.RowCount(), true
-}
-
 // spawnWorker compiles a private copy of rel for one worker over the
 // shared morsel source and returns the compiled tree.
 func spawnWorker(ctx *Context, rel algebra.Rel, driver *algebra.Get, src *morselSource) (*Context, *node, error) {
@@ -302,11 +294,11 @@ func (e *exchangeIter) errSeen() error {
 }
 
 func (e *exchangeIter) Open() error {
-	_, total, ok := driverTable(e.ctx, e.driver)
+	tbl, ok := e.ctx.table(e.driver.Table)
 	if !ok {
 		return fmtErrNoTable(e.driver.Table)
 	}
-	e.src = newMorselSource(total)
+	e.src = newMorselSource(tbl.RowCount())
 	e.batches = make(chan exBatch, e.workers*2)
 	e.cancel = make(chan struct{})
 	e.stopOnce = &sync.Once{}
@@ -445,11 +437,11 @@ type parallelAggIter struct {
 }
 
 func (p *parallelAggIter) Open() error {
-	_, total, ok := driverTable(p.ctx, p.driver)
+	tbl, ok := p.ctx.table(p.driver.Table)
 	if !ok {
 		return fmtErrNoTable(p.driver.Table)
 	}
-	src := newMorselSource(total)
+	src := newMorselSource(tbl.RowCount())
 	if p.st != nil {
 		p.st.Workers = int64(p.workers)
 	}
@@ -599,7 +591,7 @@ func (p *parallelAggIter) Close() error { return nil }
 // morsels from the shared source and scans their row ranges with the
 // access predicate applied.
 type morselScanIter struct {
-	tbl  storageTable
+	tbl  *storage.Version
 	src  *morselSource
 	filt filterPred
 
@@ -625,10 +617,10 @@ func (s *morselScanIter) NextBatch(b *Batch) error {
 			}
 			s.lo, s.hi = lo, hi
 		}
-		end := min(s.lo+b.limit(), s.hi)
-		cand := rows[s.lo:end]
+		off := s.lo
+		end := min(off+b.limit(), s.hi)
 		s.lo = end
-		if ok, err := s.filt.emit(b, cand); ok || err != nil {
+		if ok, err := s.filt.emit(b, rows[off:end], s.tbl, off); ok || err != nil {
 			return err
 		}
 	}

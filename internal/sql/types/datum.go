@@ -10,6 +10,7 @@ package types
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 	"unsafe"
@@ -407,16 +408,20 @@ func (r Row) Clone() Row {
 }
 
 // HashRow hashes the datums at the given ordinals, for hash joins and
-// hash aggregation.
+// hash aggregation: MixHash folds each datum's Hash into HashSeed.
 func HashRow(r Row, ords []int) uint64 {
-	var acc uint64 = 14695981039346656037
+	acc := uint64(HashSeed)
 	for _, o := range ords {
-		h := r[o].Hash()
-		acc ^= h
-		acc *= 1099511628211
+		acc = MixHash(acc, r[o].Hash())
 	}
 	return acc
 }
+
+// HashSeed is HashRow's accumulator before the first column.
+const HashSeed = fnvOffset
+
+// MixHash folds one column's datum hash h into a HashRow accumulator.
+func MixHash(acc, h uint64) uint64 { return (acc ^ h) * fnvPrime }
 
 // EqualRows reports whether rows agree (per Equal) on the given ordinal
 // pairs.
@@ -427,4 +432,78 @@ func EqualRows(a Row, aOrds []int, b Row, bOrds []int) bool {
 		}
 	}
 	return true
+}
+
+// Column is one column of a row slice in typed form, the layout
+// column-at-a-time kernels read: row i's value is at index i of I (Int,
+// Date, and Bool as 0/1), F (Float) or S (String), chosen by Kind.
+// Null[i] marks a NULL row and is nil while no row is NULL; the payload
+// at a NULL row is zero. Kind is Unknown while every row is NULL.
+type Column struct {
+	Kind Kind
+	I    []int64
+	F    []float64
+	S    []string
+	Null []bool
+	N    int // rows held
+}
+
+// Append adds d as the next row. It reports false, leaving c as it
+// was, when d is a non-NULL datum of a kind other than the column's:
+// a column holds one kind, taken from its first non-NULL row.
+func (c *Column) Append(d Datum) bool {
+	if d.valid && d.kind != c.Kind {
+		if c.Kind != Unknown {
+			return false
+		}
+		switch c.Kind = d.kind; d.kind {
+		case Float:
+			c.F = make([]float64, c.N)
+		case String:
+			c.S = make([]string, c.N)
+		default:
+			c.I = make([]int64, c.N)
+		}
+	}
+	if !d.valid && c.Null == nil {
+		c.Null = make([]bool, c.N)
+	}
+	if c.Null != nil {
+		c.Null = append(c.Null, !d.valid)
+	}
+	switch c.Kind { // a NULL's payload is zero
+	case Unknown:
+	case Float:
+		c.F = append(c.F, d.Float())
+	case String:
+		c.S = append(c.S, d.s)
+	default:
+		c.I = append(c.I, d.i)
+	}
+	c.N++
+	return true
+}
+
+// AppendColumn appends datum ord of each row, as Append does, until a
+// row does not fit, and reports whether every row did. The arrays grow
+// at once to hold them all.
+func (c *Column) AppendColumn(rows []Row, ord int) bool {
+	for i, r := range rows {
+		k := c.Kind
+		if !c.Append(r[ord]) {
+			return false
+		}
+		if n := len(rows) - i - 1; i == 0 || k != c.Kind {
+			c.I, c.F, c.S = grow(c.I, n), grow(c.F, n), grow(c.S, n)
+		}
+	}
+	return true
+}
+
+// grow makes room for n more elements in s, unless s is nil.
+func grow[T any](s []T, n int) []T {
+	if s == nil {
+		return nil
+	}
+	return slices.Grow(s, n)
 }

@@ -76,11 +76,11 @@ func TestIndexStalenessPreserved(t *testing.T) {
 	if v.RowCount() != 11 {
 		t.Fatalf("scan sees %d rows, want 11", v.RowCount())
 	}
-	if got := v.Lookup("t_pk", []types.Datum{types.NewInt(200)}); len(got) != 0 {
+	if got := v.Lookup("t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 0 {
 		t.Errorf("unindexed row visible to lookup: %v", got)
 	}
 	tbl.BuildIndexes()
-	if got := tbl.Lookup("t_pk", []types.Datum{types.NewInt(200)}); len(got) != 1 {
+	if got := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 1 {
 		t.Errorf("after BuildIndexes lookup found %d rows, want 1", len(got))
 	}
 }

@@ -16,6 +16,11 @@
 // publication is O(1) and reads are lock-free. Store.Snapshot pins the
 // current Version of every table, giving a transaction a consistent
 // repeatable-read view of the whole database.
+//
+// Beside the rows a table keeps typed columns (types.Column) for the
+// executor's vector kernels, built on first use and append-only like
+// the rows, so every Version, snapshots included, reads a stable prefix
+// of one shared set (Version.Column). They are never persisted.
 package storage
 
 import (
@@ -43,6 +48,7 @@ type Version struct {
 
 	id      uint64
 	rows    []types.Row
+	cols    *columns              // the table's typed columns, shared by its versions
 	hashIdx map[string]*hashIndex // index name -> hash index
 	ordIdx  map[string]*orderedIndex
 
@@ -72,16 +78,48 @@ func (v *Version) ID() uint64 { return v.id }
 // this version (0 when the store has no journal attached).
 func (v *Version) LSN() uint64 { return v.lsn }
 
+// hashIndex maps a key hash to its bucket b, whose row ordinals are
+// ords[starts[b]:starts[b+1]] in ascending order: one array for the
+// whole index, and a bucket's ordinals read in sequence.
 type hashIndex struct {
 	cols    []int
 	rows    []types.Row // rows the index was built over
-	buckets map[uint64][]int
+	buckets map[uint64]uint32
+	starts  []int32
+	ords    []int32
 }
 
 type orderedIndex struct {
 	cols []int
 	rows []types.Row // rows the index was built over
-	perm []int       // row ordinals sorted by cols
+	perm []int32     // row ordinals sorted by cols
+}
+
+// newHashIndex buckets rows by the hash of their cols with a counting
+// sort, buckets numbered in order of first appearance.
+func newHashIndex(cols []int, rows []types.Row) *hashIndex {
+	hi := &hashIndex{cols: cols, rows: rows, buckets: make(map[uint64]uint32),
+		starts: []int32{0, 0}, ords: make([]int32, len(rows))}
+	of := make([]uint32, len(rows))
+	for i, r := range rows {
+		h := types.HashRow(r, cols)
+		b, ok := hi.buckets[h]
+		if !ok {
+			b = uint32(len(hi.buckets))
+			hi.buckets[h] = b
+			hi.starts = append(hi.starts, 0)
+		}
+		of[i] = b
+		hi.starts[b+2]++ // counts, shifted by two for the fill below
+	}
+	for b := 2; b < len(hi.starts); b++ {
+		hi.starts[b] += hi.starts[b-1]
+	}
+	for i, b := range of { // starts[b+1] is bucket b's next free slot
+		hi.ords[hi.starts[b+1]] = int32(i)
+		hi.starts[b+1]++
+	}
+	return hi
 }
 
 // AllRows exposes the version's rows. The slice and its elements are
@@ -99,50 +137,55 @@ func (v *Version) HasIndex(name string) bool {
 	return h || o
 }
 
-// Lookup returns the ordinals of rows whose index columns equal the
-// given key datums, using the named index. The index must exist (the
-// optimizer only emits lookups against catalog indexes).
-func (v *Version) Lookup(indexName string, key []types.Datum) []int {
+// Lookup appends to dst[:0] the ordinals of rows whose index columns
+// equal the given key datums, using the named index, and returns it.
+// The index must exist (the optimizer only emits lookups against
+// catalog indexes).
+func (v *Version) Lookup(indexName string, key []types.Datum, dst []int) []int {
+	out := dst[:0]
 	if hi, ok := v.hashIdx[indexName]; ok {
-		probe := types.Row(key)
-		kOrds := make([]int, len(key))
-		for i := range kOrds {
-			kOrds[i] = i
+		h := uint64(types.HashSeed)
+		for _, d := range key {
+			h = types.MixHash(h, d.Hash())
 		}
-		h := types.HashRow(probe, kOrds)
-		var out []int
-		for _, ord := range hi.buckets[h] {
-			if types.EqualRows(hi.rows[ord], hi.cols, probe, kOrds) {
-				out = append(out, ord)
+		b, ok := hi.buckets[h]
+		if !ok {
+			return out
+		}
+	rows:
+		for _, ord := range hi.ords[hi.starts[b]:hi.starts[b+1]] {
+			r := hi.rows[ord]
+			for i, c := range hi.cols {
+				if !types.Equal(r[c], key[i]) {
+					continue rows
+				}
 			}
+			out = append(out, int(ord))
 		}
 		return out
 	}
 	if oi, ok := v.ordIdx[indexName]; ok {
-		return oi.lookup(key)
+		return oi.lookup(key, out)
 	}
-	return nil
+	return out
 }
 
-// LookupOrds is Lookup under the execution engine's interface name.
-func (v *Version) LookupOrds(index string, key []types.Datum) []int {
-	return v.Lookup(index, key)
-}
-
-func (oi *orderedIndex) lookup(key []types.Datum) []int {
-	cmpAt := func(i int) int {
-		r := oi.rows[oi.perm[i]]
-		for j, kd := range key {
-			if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
-				return c
-			}
+// cmp compares the key columns of the row at permutation position i
+// with key's leading datums.
+func (oi *orderedIndex) cmp(i int, key []types.Datum) int {
+	r := oi.rows[oi.perm[i]]
+	for j, kd := range key {
+		if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
+			return c
 		}
-		return 0
 	}
-	lo := sort.Search(len(oi.perm), func(i int) bool { return cmpAt(i) >= 0 })
-	var out []int
-	for i := lo; i < len(oi.perm) && cmpAt(i) == 0; i++ {
-		out = append(out, oi.perm[i])
+	return 0
+}
+
+func (oi *orderedIndex) lookup(key []types.Datum, out []int) []int {
+	lo := sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, key) >= 0 })
+	for i := lo; i < len(oi.perm) && oi.cmp(i, key) == 0; i++ {
+		out = append(out, int(oi.perm[i]))
 	}
 	return out
 }
@@ -154,7 +197,7 @@ func (oi *orderedIndex) lookup(key []types.Datum) []int {
 // covered by the index, so walking the permutation would silently drop
 // them. The returned slice is shared and immutable; callers must not
 // modify it.
-func (v *Version) OrderedScan(indexName string) ([]int, bool) {
+func (v *Version) OrderedScan(indexName string) ([]int32, bool) {
 	oi, ok := v.ordIdx[indexName]
 	if !ok || len(oi.rows) != len(v.rows) {
 		return nil, false
@@ -169,28 +212,71 @@ func (v *Version) RangeScan(indexName string, lo, hi []types.Datum) []int {
 	if !ok {
 		return nil
 	}
-	cmpKey := func(i int, key []types.Datum) int {
-		r := oi.rows[oi.perm[i]]
-		for j, kd := range key {
-			if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
 	start := 0
 	if lo != nil {
-		start = sort.Search(len(oi.perm), func(i int) bool { return cmpKey(i, lo) >= 0 })
+		start = sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, lo) >= 0 })
 	}
 	end := len(oi.perm)
 	if hi != nil {
-		end = sort.Search(len(oi.perm), func(i int) bool { return cmpKey(i, hi) >= 0 })
+		end = sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, hi) >= 0 })
 	}
 	out := make([]int, 0, end-start)
 	for i := start; i < end; i++ {
-		out = append(out, oi.perm[i])
+		out = append(out, int(oi.perm[i]))
 	}
 	return out
+}
+
+// Column returns column ord in typed form holding at least this
+// version's first end rows, or nil when one of them does not fit its
+// kind (types.Column.Append). The column is built on first use and
+// extended by newer versions' rows, never written below a published
+// length; callers must not modify it.
+func (v *Version) Column(ord, end int) *types.Column {
+	if v.cols == nil || end > len(v.rows) {
+		return nil
+	}
+	if c := v.cols.extend(ord, v.rows); c.N >= end {
+		return &c.Column
+	}
+	return nil
+}
+
+// columns is the typed form of a table's rows, one storedColumn per
+// schema column, shared by every Version the table publishes.
+type columns struct {
+	mu   sync.Mutex // serializes extensions
+	cols []atomic.Pointer[storedColumn]
+}
+
+// storedColumn is one published state of a column: its first N rows
+// converted, and stopped when row N did not fit its kind.
+type storedColumn struct {
+	types.Column
+	stopped bool
+}
+
+// extend returns column ord covering rows, or stopped short of them: a
+// new state appends the missing rows past the old one's length.
+func (cs *columns) extend(ord int, rows []types.Row) *storedColumn {
+	p := &cs.cols[ord]
+	covers := func(c *storedColumn) bool { return c != nil && (c.stopped || c.N >= len(rows)) }
+	if c := p.Load(); covers(c) {
+		return c
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	c := p.Load()
+	if covers(c) {
+		return c
+	}
+	next := &storedColumn{}
+	if c != nil {
+		*next = *c
+	}
+	next.stopped = !next.AppendColumn(rows[next.N:], ord)
+	p.Store(next)
+	return next
 }
 
 // Table is the stored form of one catalog table: a writer side (the
@@ -203,8 +289,9 @@ type Table struct {
 	// single-threaded tooling and tests; concurrent readers must go
 	// through Version()/AllRows() instead, which return the published
 	// immutable state. Writers (Insert, InsertAll, BuildIndexes)
-	// serialize on mu and republish after every mutation.
+	// serialize on mu and republish after every mutation, appending only.
 	Rows []types.Row
+	cols *columns
 
 	// store points back at the owning Store, through which the table
 	// reaches the attached journal (nil for tables of a store without
@@ -216,8 +303,9 @@ type Table struct {
 }
 
 func newTable(s *Store, schema *catalog.Table, lsn uint64) *Table {
-	t := &Table{Schema: schema, store: s}
-	t.cur.Store(&Version{Schema: schema, id: versionIDs.Add(1), lsn: lsn})
+	t := &Table{Schema: schema, store: s,
+		cols: &columns{cols: make([]atomic.Pointer[storedColumn], len(schema.Columns))}}
+	t.cur.Store(&Version{Schema: schema, id: versionIDs.Add(1), cols: t.cols, lsn: lsn})
 	return t
 }
 
@@ -246,6 +334,7 @@ func (t *Table) publish(hashIdx map[string]*hashIndex, ordIdx map[string]*ordere
 		Schema:  t.Schema,
 		id:      versionIDs.Add(1),
 		rows:    t.Rows[:len(t.Rows):len(t.Rows)],
+		cols:    t.cols,
 		hashIdx: hashIdx,
 		ordIdx:  ordIdx,
 		lsn:     lsn,
@@ -348,9 +437,9 @@ func (t *Table) BuildIndexes() {
 	for _, decl := range t.Schema.Indexes {
 		if decl.Ordered {
 			oi := &orderedIndex{cols: decl.Cols, rows: frozen}
-			oi.perm = make([]int, len(frozen))
+			oi.perm = make([]int32, len(frozen))
 			for i := range oi.perm {
-				oi.perm[i] = i
+				oi.perm[i] = int32(i)
 			}
 			cols := decl.Cols
 			sort.SliceStable(oi.perm, func(a, b int) bool {
@@ -364,40 +453,14 @@ func (t *Table) BuildIndexes() {
 			})
 			ordIdx[decl.Name] = oi
 		} else {
-			hi := &hashIndex{cols: decl.Cols, rows: frozen, buckets: make(map[uint64][]int)}
-			for i, r := range frozen {
-				h := types.HashRow(r, decl.Cols)
-				hi.buckets[h] = append(hi.buckets[h], i)
-			}
-			hashIdx[decl.Name] = hi
+			hashIdx[decl.Name] = newHashIndex(decl.Cols, frozen)
 		}
 	}
 	t.publish(hashIdx, ordIdx, t.cur.Load().lsn)
 }
 
-// Lookup returns matching row ordinals via the current published
-// version (see Version.Lookup).
-func (t *Table) Lookup(indexName string, key []types.Datum) []int {
-	return t.Version().Lookup(indexName, key)
-}
-
-// RangeScan returns row ordinals with lo <= indexCols < hi via the
-// current published version.
-func (t *Table) RangeScan(indexName string, lo, hi []types.Datum) []int {
-	return t.Version().RangeScan(indexName, lo, hi)
-}
-
-// HasIndex reports whether an index with the name has been built.
-func (t *Table) HasIndex(name string) bool { return t.Version().HasIndex(name) }
-
-// AllRows exposes the currently published rows (immutable); it
-// satisfies the execution engine's table access interface.
+// AllRows exposes the currently published rows (immutable).
 func (t *Table) AllRows() []types.Row { return t.Version().AllRows() }
-
-// LookupOrds is Lookup under the execution engine's interface name.
-func (t *Table) LookupOrds(index string, key []types.Datum) []int {
-	return t.Lookup(index, key)
-}
 
 // Journal is the durability hook installed under the store: a
 // write-ahead log that mutations append to — and wait on, per the

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestDuplicateTable(t *testing.T) {
 
 func TestHashIndexLookup(t *testing.T) {
 	tbl := newTestTable(t, 70)
-	got := tbl.Lookup("t_grp", []types.Datum{types.NewInt(3)})
+	got := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(3)}, nil)
 	if len(got) != 10 {
 		t.Fatalf("grp=3 lookup: got %d rows, want 10", len(got))
 	}
@@ -85,18 +86,18 @@ func TestHashIndexLookup(t *testing.T) {
 			t.Errorf("row %d has grp %v", ord, tbl.Rows[ord][1])
 		}
 	}
-	if got := tbl.Lookup("t_grp", []types.Datum{types.NewInt(99)}); len(got) != 0 {
+	if got := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(99)}, nil); len(got) != 0 {
 		t.Errorf("missing key returned %d rows", len(got))
 	}
 }
 
 func TestOrderedIndexLookupAndRange(t *testing.T) {
 	tbl := newTestTable(t, 100)
-	got := tbl.Lookup("t_pk", []types.Datum{types.NewInt(42)})
+	got := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(42)}, nil)
 	if len(got) != 1 || tbl.Rows[got[0]][0].Int() != 42 {
 		t.Fatalf("pk lookup: got %v", got)
 	}
-	rng := tbl.RangeScan("t_pk", []types.Datum{types.NewInt(10)}, []types.Datum{types.NewInt(15)})
+	rng := tbl.Version().RangeScan("t_pk", []types.Datum{types.NewInt(10)}, []types.Datum{types.NewInt(15)})
 	if len(rng) != 5 {
 		t.Fatalf("range [10,15): got %d rows", len(rng))
 	}
@@ -105,7 +106,7 @@ func TestOrderedIndexLookupAndRange(t *testing.T) {
 			t.Errorf("range order: got %v want %d", tbl.Rows[ord][0], want)
 		}
 	}
-	if all := tbl.RangeScan("t_pk", nil, nil); len(all) != 100 {
+	if all := tbl.Version().RangeScan("t_pk", nil, nil); len(all) != 100 {
 		t.Errorf("unbounded range: got %d", len(all))
 	}
 }
@@ -130,7 +131,7 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 				want++
 			}
 		}
-		got := tbl.Lookup("t_grp", []types.Datum{types.NewInt(k)})
+		got := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(k)}, nil)
 		if len(got) != want {
 			t.Errorf("key %d: lookup %d rows, scan %d", k, len(got), want)
 		}
@@ -164,5 +165,91 @@ func TestIndexOn(t *testing.T) {
 	}
 	if idx := sch.IndexOn([]int{2}); idx != nil {
 		t.Errorf("IndexOn([2]) = %v, want nil", idx)
+	}
+}
+
+// TestIndexLookupMatchesScan holds Lookup on hash and ordered indexes,
+// single- and multi-column, to a scan of the rows the index was built
+// over: the ordinals of the rows whose index columns equal the key, in
+// ascending order, for keys present and absent, NULL, -0 and Int keys
+// on a Float column; rows appended after the build stay invisible.
+func TestIndexLookupMatchesScan(t *testing.T) {
+	st := New(catalog.New())
+	tbl, err := st.CreateTable(&catalog.Table{
+		Name: "k",
+		Columns: []catalog.Column{
+			{Name: "a", Type: types.Int},
+			{Name: "b", Type: types.Float, Nullable: true},
+			{Name: "c", Type: types.String},
+		},
+		Key: []int{0}, // metadata only: storage enforces no uniqueness
+		Indexes: []catalog.Index{
+			{Name: "k_a", Cols: []int{0}},
+			{Name: "k_b", Cols: []int{1}},
+			{Name: "k_ac", Cols: []int{0, 2}},
+			{Name: "k_ca", Cols: []int{2, 0}, Ordered: true},
+			{Name: "k_b_ord", Cols: []int{1}, Ordered: true},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	floatKey := func() types.Datum {
+		switch r.Intn(6) {
+		case 0:
+			return types.NullUnknown
+		case 1:
+			return types.NewFloat(math.Copysign(0, -1))
+		case 2:
+			return types.NewInt(int64(r.Intn(5)))
+		}
+		return types.NewFloat(float64(r.Intn(10)) / 2)
+	}
+	row := func() types.Row {
+		return types.Row{types.NewInt(int64(r.Intn(40))), floatKey(), types.NewString(string(rune('p' + r.Intn(4))))}
+	}
+	for i := 0; i < 600; i++ {
+		if err := tbl.Insert(row()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.BuildIndexes()
+	built := tbl.Version().AllRows()
+	for i := 0; i < 50; i++ {
+		if err := tbl.Insert(row()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := tbl.Version()
+	dst := []int{-1, -2, -3}
+	for i := 0; i < 2000; i++ {
+		probe := row()
+		probe[0] = types.NewInt(int64(r.Intn(45))) // some absent
+		for _, idx := range v.Schema.Indexes {
+			key := make([]types.Datum, len(idx.Cols))
+			for j, c := range idx.Cols {
+				key[j] = probe[c]
+			}
+			var want []int
+		rows:
+			for ord, br := range built {
+				for j, c := range idx.Cols {
+					if !types.Equal(br[c], key[j]) {
+						continue rows
+					}
+				}
+				want = append(want, ord)
+			}
+			dst = v.Lookup(idx.Name, key, dst)
+			if len(dst) != len(want) {
+				t.Fatalf("%s %v: lookup %v, scan %v", idx.Name, key, dst, want)
+			}
+			for k := range want {
+				if dst[k] != want[k] {
+					t.Fatalf("%s %v: lookup %v, scan %v", idx.Name, key, dst, want)
+				}
+			}
+		}
 	}
 }

@@ -119,10 +119,13 @@ go test -run 'TestTypedErrors|TestFaultInjection|TestSpill|TestStream|TestCancel
 # admission pool sized to a quarter of them — plus the
 # concurrent-writer publication tests (storage COW + the root
 # Insert/Analyze-vs-Query hammer and snapshot serial-equivalence
-# checks). The full ./... race run below covers these again; this leg
+# checks), and the stored typed columns held to their rows — after the
+# TPC-H and fuzz corpora under every engine variant, and while batches
+# are appended beside readers of an old snapshot and the newest
+# version. The full ./... race run below covers these again; this leg
 # fails fast with a focused signal.
 go test -race ./internal/server ./internal/storage
-go test -run 'TestInsertQueryRace|TestSnapshotSerialEquivalence|TestStmtRunSnapshot' -race .
+go test -run 'TestInsertQueryRace|TestSnapshotSerialEquivalence|TestStmtRunSnapshot|TestStoredColumnsMatchRows' -race .
 
 # Result-cache leg: cached-vs-uncached equivalence over TPC-H and the
 # fuzz corpus, the snapshot/version-key interplay, and the concurrent-
@@ -146,8 +149,11 @@ go test -run 'TestResultCache' -race .
 # clock, so a short strand is not credited 0 s. And the join emitter
 # every join and Apply shares, which evaluates a left row's candidates
 # as vector batches, against the per-pair loop it replaced: the same
-# rows in the same order, the same error, the same pairs charged.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop' -race . ./internal/exec
+# rows in the same order, the same error, the same pairs charged. And
+# the aggregation's group lookup from key vectors against the
+# row-at-a-time lookup it replaced: the same hash as types.HashRow, the
+# same group for every row.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
