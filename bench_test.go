@@ -233,6 +233,21 @@ func BenchmarkBatchJoin(b *testing.B) {
 		where o_custkey = c_custkey and o_totalprice > 1000`)
 }
 
+// BenchmarkBatchScanAggQ18 is a hash GroupBy on integer keys with
+// thousands of groups, about Q18's 7 500 (Q18's own aggregation, on
+// l_orderkey, streams over the l_orderkey index).
+func BenchmarkBatchScanAggQ18(b *testing.B) {
+	benchBatch(b, `select l_partkey, l_linenumber, sum(l_quantity) as q
+		from lineitem group by l_partkey, l_linenumber`)
+}
+
+// BenchmarkBatchJoinSelective is Q20's join shape: a filtered lineitem
+// probing a build side of a few rows, so the probe is the whole cost.
+func BenchmarkBatchJoinSelective(b *testing.B) {
+	benchBatch(b, `select l_orderkey, l_extendedprice from lineitem, supplier
+		where l_suppkey = s_suppkey and s_nationkey = 3 and l_shipdate >= date '1994-01-01'`)
+}
+
 // Compilation benchmarks: optimizer throughput.
 
 func BenchmarkOptimizeQ2(b *testing.B) {

@@ -127,19 +127,9 @@ func (r *rowReader) spent() bool { return r.pos >= r.b.Len() }
 // next returns the next row, pulling a batch of at most limit rows when
 // the buffered one is used up; ok=false at end of stream.
 func (r *rowReader) next(limit int) (types.Row, bool, error) {
-	for r.spent() {
-		r.b.Limit, r.pos = limit, 0
-		if err := r.it.NextBatch(&r.b); err != nil {
+	if r.spent() {
+		if ok, err := r.pull(limit); !ok {
 			return nil, false, err
-		}
-		n := r.b.Len()
-		if n == 0 {
-			return nil, false, nil
-		}
-		if r.charge != nil {
-			if err := r.charge.chargeN(n); err != nil {
-				return nil, false, err
-			}
 		}
 	}
 	row := r.b.Row(r.pos)
@@ -147,22 +137,51 @@ func (r *rowReader) next(limit int) (types.Row, bool, error) {
 	return row, true, nil
 }
 
+// pull buffers the next batch of at most limit rows; ok=false at end of
+// stream. Row k of it is live row k of r.b.
+func (r *rowReader) pull(limit int) (ok bool, err error) {
+	r.b.Limit, r.pos = limit, 0
+	if err := r.it.NextBatch(&r.b); err != nil {
+		return false, err
+	}
+	n := r.b.Len()
+	if n == 0 {
+		return false, nil
+	}
+	if r.charge != nil {
+		if err := r.charge.chargeN(n); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // drainRows pulls it to exhaustion through the caller's batch, handing
 // every live row to fn.
 func drainRows(it iterator, b *Batch, fn func(types.Row) error) error {
+	return drainBatches(it, b, func(b *Batch) error {
+		for i := range b.Len() {
+			if err := fn(b.Row(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// drainBatches pulls it to exhaustion through b, handing fn every
+// non-empty batch.
+func drainBatches(it iterator, b *Batch, fn func(*Batch) error) error {
 	b.Limit = 0
 	for {
 		if err := it.NextBatch(b); err != nil {
 			return err
 		}
-		n := b.Len()
-		if n == 0 {
+		if b.Len() == 0 {
 			return nil
 		}
-		for i := 0; i < n; i++ {
-			if err := fn(b.Row(i)); err != nil {
-				return err
-			}
+		if err := fn(b); err != nil {
+			return err
 		}
 	}
 }

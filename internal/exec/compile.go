@@ -274,13 +274,13 @@ func compileSegmentApply(ctx *Context, sa *algebra.SegmentApply) (*node, error) 
 	if err != nil {
 		return nil, err
 	}
-	var segOrds []int
+	var keyOrds []int
 	for i, c := range sa.InputCols {
 		if sa.SegmentCols.Contains(c) {
-			segOrds = append(segOrds, i)
+			keyOrds = append(keyOrds, inSel[i])
 		}
 	}
 	return newNode(&segmentApplyIter{
-		ctx: ctx, sa: sa, in: in, inner: inner, inSel: inSel, segOrds: segOrds,
+		ctx: ctx, sa: sa, in: in, inner: inner, inSel: inSel, keyOrds: keyOrds,
 	}, inner.cols), nil
 }

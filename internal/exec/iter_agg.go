@@ -133,10 +133,10 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // serial hashAggIter and, one instance per worker, by the parallel
 // aggregation exchange (partials merged with aggTable.merge).
 //
-// A group is an index: keys[g] is its key and states[j][g] the state of
-// aggregate j, so accum folds one aggregate's argument vector
-// into one flat state array with a typed loop. Groups sharing a key
-// hash chain through next.
+// A group is an entry of the hash table (its key) and an index into
+// the state arrays: states[j][g] is the state of aggregate j, so accum
+// folds one aggregate's argument vector into one flat state array with
+// a typed loop.
 //
 // Governed tables (govern called) charge each inserted group against
 // the query memory accountant and degrade hybrid-hash style once the
@@ -147,13 +147,8 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // render directly, spilled partitions are aggregated recursively at
 // the next hash-bit level (drainSpill).
 type aggTable struct {
-	keyIdx []int
-	heads  map[uint64]int32 // key hash → newest group with that hash
-	next   []int32          // older group with the same hash, -1 at the end
-	keys   []types.Row      // in insertion order
-	floats bool             // some key holds a Float
-	states [][]aggState     // [aggregate][group]
-	arena  rowArena         // backs cloned keys
+	ht     hashTable
+	states [][]aggState // [aggregate][group]
 
 	// Governance state (nil ctx = unbounded legacy behavior).
 	ctx     *Context
@@ -164,22 +159,15 @@ type aggTable struct {
 }
 
 // aggPresizeMax caps the group count a table is pre-sized for: the
-// estimate behind the hint can be far off, a map grows geometrically
+// estimate behind the hint can be far off, a table grows geometrically
 // anyway, and a large pre-size is paid on every execution.
 const aggPresizeMax = 128
 
 // newAggTable allocates a table for nKeys grouping columns and nAggs
 // aggregates, preallocating for sizeHint groups.
 func newAggTable(nKeys, nAggs, sizeHint int) *aggTable {
-	sizeHint = min(sizeHint, aggPresizeMax)
-	keyIdx := make([]int, nKeys)
-	for i := range keyIdx {
-		keyIdx[i] = i
-	}
 	return &aggTable{
-		keyIdx: keyIdx,
-		heads:  make(map[uint64]int32, sizeHint),
-		keys:   make([]types.Row, 0, sizeHint),
+		ht:     newHashTable(nKeys, min(sizeHint, aggPresizeMax)),
 		states: make([][]aggState, nAggs),
 	}
 }
@@ -197,44 +185,20 @@ func (t *aggTable) govern(ctx *Context, st *OpStats, level int) {
 }
 
 // groupBytes approximates one resident group's footprint: key datums,
-// one aggState per aggregate, and hash-chain overhead.
+// one aggState per aggregate, and hash-table overhead.
 func groupBytes(key types.Row, nAggs int) int64 {
 	return types.RowBytes(key) + int64(unsafe.Sizeof(aggState{}))*int64(nAggs) + 64
 }
 
 // aggScanMax is the group count up to which a key that may hold a float
 // is compared with every resident key in insertion order, not only with
-// its hash chain: under types.Equal a NaN equals every number but does
-// not hash like one, and the scan keeps the group it joins the first.
+// the entries its hash probes: under types.Equal a NaN equals every
+// number but does not hash like one, and the scan keeps the group it
+// joins the first.
 const aggScanMax = 8
 
-// probe returns the resident group whose key equals row's datums at
-// ords (hk is their hash), or -1.
-func (t *aggTable) probe(hk uint64, row types.Row, ords []int) int {
-	g, ok := t.heads[hk]
-	if !ok {
-		return -1
-	}
-	for ; g >= 0; g = t.next[g] {
-		if types.EqualRows(t.keys[g], t.keyIdx, row, ords) {
-			return int(g)
-		}
-	}
-	return -1
-}
-
-func (t *aggTable) insert(hk uint64, key types.Row) int {
-	g := len(t.keys)
-	prev, ok := t.heads[hk]
-	if !ok {
-		prev = -1
-	}
-	t.heads[hk] = int32(g)
-	t.next = append(t.next, prev)
-	t.keys = append(t.keys, key)
-	for _, d := range key {
-		t.floats = t.floats || (d.Kind() == types.Float && !d.IsNull())
-	}
+// newGroup appends the states of the entry just added as group g.
+func (t *aggTable) newGroup(g int) int {
 	for j := range t.states {
 		t.states[j] = append(t.states[j], aggState{})
 	}
@@ -244,49 +208,32 @@ func (t *aggTable) insert(hk uint64, key types.Row) int {
 // lookup returns the resident group whose key equals the key vectors'
 // entries at ri (hash hk; floats: see aggScanMax), or -1.
 func (t *aggTable) lookup(keys []*eval.Vec, ri int, hk uint64, floats bool) int {
-	if floats && len(t.keys) <= aggScanMax {
-		for g, key := range t.keys {
-			if keyEqual(key, keys, ri) {
+	if floats && t.ht.len() <= aggScanMax {
+		for g := range t.ht.len() {
+			if t.ht.equal(g, keys, ri) {
 				return g
 			}
 		}
 		return -1
 	}
-	for g, ok := t.heads[hk]; ok && g >= 0; g = t.next[g] {
-		if keyEqual(t.keys[g], keys, ri) {
-			return int(g)
-		}
-	}
-	return -1
+	return t.ht.findVec(keys, ri, hk)
 }
 
-// keyEqual reports whether key equals the key vectors' entries at ri.
-func keyEqual(key types.Row, keys []*eval.Vec, ri int) bool {
-	for j, v := range keys {
-		if !types.Equal(v.Datum(ri), key[j]) {
-			return false
-		}
-	}
-	return true
-}
-
-// add makes input row, whose grouping columns sit at ords and hash to
-// hk, a new group (the key copied out of the row), governed: once the
-// table spills, the row goes to a spill partition and the group is -1.
-func (t *aggTable) add(hk uint64, row types.Row, ords []int) (int, error) {
+// add makes the key vectors' entries at ri (hash hk), the key of input
+// row, a new group, governed: once the table spills, the row goes to a
+// spill partition and the group is -1.
+func (t *aggTable) add(keys []*eval.Vec, ri int, hk uint64, row types.Row) (int, error) {
 	if t.spill != nil {
 		return -1, t.spill.add(hk, row)
 	}
-	key := t.arena.alloc(len(ords))
-	for _, o := range ords {
-		key = append(key, row[o])
-	}
+	g := t.newGroup(t.ht.addVec(keys, ri, hk))
 	if t.ctx != nil {
-		over, err := t.ctx.grantMem(t.st, "GroupBy", groupBytes(key, len(t.states)))
+		n := groupBytes(t.ht.key(g), len(t.states))
+		over, err := t.ctx.grantMem(t.st, "GroupBy", n)
 		if err != nil {
 			return -1, err
 		}
-		t.charged += groupBytes(key, len(t.states))
+		t.charged += n
 		if over && t.level <= maxSpillLevel {
 			// Budget reached: later unseen groups go to disk. The group
 			// that tripped the budget stays resident (one-group
@@ -297,7 +244,7 @@ func (t *aggTable) add(hk uint64, row types.Row, ords []int) (int, error) {
 			}
 		}
 	}
-	return t.insert(hk, key), nil
+	return g, nil
 }
 
 // findForMerge inserts partial states even past the budget: partial
@@ -305,9 +252,8 @@ func (t *aggTable) add(hk uint64, row types.Row, ords []int) (int, error) {
 // partials across workers are collectively bounded by the shared
 // budget that made them spill in the first place. Usage is still
 // tracked for the peak statistic.
-func (t *aggTable) findForMerge(key types.Row) int {
-	hk := types.HashRow(key, t.keyIdx)
-	if g := t.probe(hk, key, t.keyIdx); g >= 0 {
+func (t *aggTable) findForMerge(key types.Row, hk uint64) int {
+	if g := t.ht.find(hk, func(g int) bool { return slices.EqualFunc(t.ht.key(g), key, types.Equal) }); g >= 0 {
 		return g
 	}
 	if t.ctx != nil {
@@ -315,7 +261,8 @@ func (t *aggTable) findForMerge(key types.Row) int {
 		t.ctx.noteMem(t.st, n)
 		t.charged += n
 	}
-	return t.insert(hk, key)
+	t.ht.keys = append(t.ht.keys, key...)
+	return t.newGroup(t.ht.insert(hk))
 }
 
 // release returns the table's accounted memory to the budget.
@@ -353,7 +300,7 @@ type aggVec struct {
 	reads []int           // the grouping columns, then cols
 	vecs  []*eval.Vec
 	keys  []*eval.Vec // the grouping columns' vectors
-	hash  []uint64    // key hashes, positional
+	hash  []uint64    // key hashes, positional (hashKeys)
 	sel   []int       // rows of the batch that have a resident group
 	gidx  []int32     // their groups, parallel to sel
 }
@@ -404,22 +351,6 @@ func (av *aggVec) keyVecs(keyOrds, sel []int) []*eval.Vec {
 		av.keys = append(av.keys, av.frame.Column(o, sel))
 	}
 	return av.keys
-}
-
-// hashKeys returns the hash of every selected row's key, positionally:
-// types.HashRow over the grouping columns, computed a column at a time.
-func (av *aggVec) hashKeys(keys []*eval.Vec, sel []int, n int) []uint64 {
-	h := slices.Grow(av.hash[:0], n)[:n]
-	av.hash = h
-	for _, ri := range sel {
-		h[ri] = types.HashSeed
-	}
-	for _, v := range keys {
-		for _, ri := range sel {
-			h[ri] = types.MixHash(h[ri], v.Datum(ri).Hash())
-		}
-	}
-	return h
 }
 
 // zeroGroups returns n zero group indices (every row in group 0).
@@ -495,18 +426,12 @@ func (t *aggTable) consume(ctx *Context, in *node, gb *algebra.GroupBy, av *aggV
 	if err != nil {
 		return err
 	}
+	return t.drain(ctx, in.it, gb, av, keyOrds)
+}
+
+func (t *aggTable) drain(ctx *Context, it iterator, gb *algebra.GroupBy, av *aggVec, keyOrds []int) error {
 	var b Batch
-	for {
-		if err := in.it.NextBatch(&b); err != nil {
-			return err
-		}
-		if b.Len() == 0 {
-			return nil
-		}
-		if err := t.accum(ctx, gb, av, keyOrds, &b); err != nil {
-			return err
-		}
-	}
+	return drainBatches(it, &b, func(b *Batch) error { return t.accum(ctx, gb, av, keyOrds, b) })
 }
 
 // accum folds the live rows of one batch: it resolves each row's group
@@ -535,31 +460,43 @@ func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds 
 	return nil
 }
 
-// resolve looks up (or inserts) the group of every selected row from
-// the grouping columns' vectors, leaving the groups in av.gidx and
+// resolve finds (or adds) the group of every selected row from the
+// grouping columns' vectors, leaving the groups in av.gidx and
 // returning the selection they are parallel to: sel itself, or — when
 // rows were routed to a spill partition — the rows that were not. Key
-// hashes are types.HashRow's, as spill routing and findForMerge need.
+// hashes are types.HashRow's, as spill routing and the merge need.
 func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []int) ([]int, error) {
-	if len(keyOrds) == 0 && len(t.keys) == 1 {
+	if len(keyOrds) == 0 && t.ht.len() == 1 {
 		// Scalar aggregation past its first row: one resident group.
 		av.zeroGroups(len(sel))
 		return sel, nil
 	}
 	keys := av.keyVecs(keyOrds, sel)
-	hash := av.hashKeys(keys, sel, len(rows))
-	floats := t.floats
+	av.hash = hashKeys(av.hash, keys, sel, len(rows))
+	floats := t.ht.floats
 	for _, v := range keys {
 		floats = floats || v.Kind == types.Float || v.Mixed()
 	}
-	av.gidx = av.gidx[:0]
-	spilled := false
+	// Past the float scan, the keys already resident are found for the
+	// whole batch at once; the rest are found or added row by row.
+	batch := !floats || t.ht.len() > aggScanMax
+	if batch {
+		av.gidx = t.ht.findBatch(keys, sel, av.hash, av.gidx)
+	} else {
+		av.gidx = slices.Grow(av.gidx[:0], len(sel))[:len(sel)]
+	}
+	spilled, w := false, 0
 	for k, ri := range sel {
-		g := t.lookup(keys, ri, hash[ri], floats)
+		g := -1
+		if batch {
+			g = int(av.gidx[k])
+		}
 		if g < 0 {
-			var err error
-			if g, err = t.add(hash[ri], rows[ri], keyOrds); err != nil {
-				return nil, err
+			if g = t.lookup(keys, ri, av.hash[ri], floats); g < 0 {
+				var err error
+				if g, err = t.add(keys, ri, av.hash[ri], rows[ri]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if g < 0 {
@@ -572,8 +509,10 @@ func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []in
 		if spilled {
 			av.sel = append(av.sel, ri)
 		}
-		av.gidx = append(av.gidx, int32(g))
+		av.gidx[w] = int32(g)
+		w++
 	}
+	av.gidx = av.gidx[:w]
 	if spilled {
 		return av.sel, nil
 	}
@@ -583,8 +522,8 @@ func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []in
 // merge folds another table's partial groups into t using the §3.3
 // local/global combination rules (aggState.mergeFor).
 func (t *aggTable) merge(o *aggTable, gb *algebra.GroupBy) {
-	for og, key := range o.keys {
-		g := t.findForMerge(key)
+	for og := range o.ht.len() {
+		g := t.findForMerge(o.ht.key(og), o.ht.hashes[og])
 		for i := range t.states {
 			t.states[i][g].mergeFor(&gb.Aggs[i], &o.states[i][og])
 		}
@@ -613,13 +552,13 @@ func emptyAggRow(gb *algebra.GroupBy) types.Row {
 // fire only when the whole aggregation — not just this (sub)table —
 // saw no groups, so callers with spilled partitions pass false.
 func (t *aggTable) renderInto(gb *algebra.GroupBy, out []types.Row, allowEmptyRow bool) []types.Row {
-	if len(t.keys) == 0 && allowEmptyRow && gb.Kind == algebra.ScalarGroupBy {
+	if t.ht.len() == 0 && allowEmptyRow && gb.Kind == algebra.ScalarGroupBy {
 		return append(out, emptyAggRow(gb))
 	}
 	var arena rowArena
-	w := len(t.keyIdx) + len(t.states)
-	for g, key := range t.keys {
-		row := append(arena.alloc(w), key...)
+	w := t.ht.n + len(t.states)
+	for g := range t.ht.len() {
+		row := append(arena.alloc(w), t.ht.key(g)...)
 		for i := range t.states {
 			row = append(row, t.states[i][g].result(&gb.Aggs[i]))
 		}
@@ -628,36 +567,15 @@ func (t *aggTable) renderInto(gb *algebra.GroupBy, out []types.Row, allowEmptyRo
 	return out
 }
 
-// accumFile folds a spill partition file into the table in windows of
-// BatchSize decoded rows (rows of groups this table cannot hold either
-// re-spill at its own level).
+// accumFile folds a spill partition file into the table (rows of
+// groups this table cannot hold either re-spill at its own level).
 func (t *aggTable) accumFile(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int, f *spillFile) error {
-	rd, err := f.reader()
-	if err != nil {
+	it := &fileIter{ctx: ctx, f: f}
+	if err := it.Open(); err != nil {
 		return err
 	}
-	defer rd.close()
-	buf := make([]types.Row, 0, BatchSize)
-	var b Batch
-	for {
-		row, ok, err := rd.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			buf = append(buf, row)
-		}
-		if len(buf) == BatchSize || (!ok && len(buf) > 0) {
-			b.set(buf, nil)
-			if err := t.accum(ctx, gb, av, keyOrds, &b); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-		if !ok {
-			return nil
-		}
-	}
+	defer it.Close()
+	return t.drain(ctx, it, gb, av, keyOrds)
 }
 
 // drainSpill renders every spilled partition of t: each partition file

@@ -34,11 +34,10 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 			lOrds[i] = left.ords[lKeys[i]]
 			rOrds[i] = right.ords[rKeys[i]]
 		}
-		it := &hashJoinIter{ctx: ctx, left: left, right: right, lOrds: lOrds, rOrds: rOrds,
-			em:       newJoinEmit(ctx, j.Kind, algebra.ConjoinAll(residual...), left, right),
+		em := newJoinEmit(ctx, j.Kind, algebra.ConjoinAll(residual...), left, right)
+		it := &hashJoinIter{ctx: ctx, left: left, right: right, lOrds: lOrds, rOrds: rOrds, em: &em,
 			lr:       rowReader{it: left.it, charge: ctx},
 			sizeHint: ctx.Estimates.sizeHint(j.Right, joinPresizeMax), st: ctx.traceStats(j)}
-		it.em.lOrds, it.em.rOrds = lOrds, rOrds
 		it.next = it.probe
 		if ctx.isWorker && algebra.OuterRefs(j.Right).Empty() {
 			// Parallel workers probing the same join build the table once:
@@ -107,9 +106,9 @@ func SplitJoinKeys(on algebra.Scalar, leftCols, rightCols algebra.ColSet) (lk, r
 type joinEmit struct {
 	kind   algebra.JoinKind
 	rWidth int
-	// lOrds/rOrds, when set, re-check key equality per candidate: a hash
-	// bucket holds the rows of a hash value, not of a key. SQL equality:
-	// NULL keys never match (probes hand NULL-key rows no candidates).
+	// lOrds/rOrds, when set, re-check key equality per candidate, for
+	// candidates that are not already the rows of the left row's key (a
+	// hash join's are). SQL equality: NULL keys never match.
 	lOrds, rOrds []int
 	// on is the join, residual or Apply predicate, compiled against the
 	// right input's layout; the left row's columns are batch-invariant
@@ -182,8 +181,11 @@ func (j *joinEmit) fill(b *Batch, next probeFn) error {
 			j.lrow, j.cands, j.pos, j.step, j.haveL, j.matched = lrow, cands, 0, 1, true, false
 			j.lenv.Row = lrow
 			j.drained = j.more == nil
-			// The row's windows share what the frame computes from it.
-			j.frame.Reset(nil, &j.lenv)
+			// The row's windows share what the frame computes from it; a
+			// row without candidates has no window.
+			if len(cands) > 0 || !j.drained {
+				j.frame.Reset(nil, &j.lenv)
+			}
 		}
 		done, err := j.feed(limit)
 		if err != nil {
@@ -334,23 +336,31 @@ func (j *joinEmit) unmatched(lrow types.Row) {
 
 // hashJoinIter builds a hash table on the right input and probes with
 // the left, supporting inner, left outer, semi and antisemi variants.
+// The probe resolves a whole left batch against the table (keys read
+// as column vectors, NULLs from their masks) before the emitter walks
+// it row by row.
 type hashJoinIter struct {
 	ctx          *Context
 	left, right  *node
 	lOrds, rOrds []int
-	// sizeHint preallocates the build map (cardinality estimate).
+	// sizeHint pre-sizes the build table (cardinality estimate).
 	sizeHint int
 	// shared, when non-nil, is the cross-worker build slot: the first
 	// worker to Open builds the table, later workers reuse it read-only.
 	shared *sharedBuild
 	// st collects memory/spill statistics for EXPLAIN ANALYZE.
 	st *OpStats
+	// level is the spill level of the build: 0, or one past the level of
+	// the Grace partitions whose pair this join is.
+	level int
 
-	em    joinEmit
+	em    *joinEmit // shared with the joins of Grace partition pairs
 	lr    rowReader
 	next  probeFn
-	table map[uint64][]types.Row
-	rb    Batch // build-side drain
+	table *joinTable
+	kr    keyReader
+	cand  []int32 // the entry of each live row of the buffered left batch
+	rb    Batch   // build-side drain
 
 	// charged is the build table's accounted bytes (private builds
 	// release it on Close; a shared build's memory is genuinely held
@@ -367,7 +377,7 @@ type hashJoinIter struct {
 // runs its own Grace probe over them (readers are independent).
 type sharedBuild struct {
 	once  sync.Once
-	table map[uint64][]types.Row
+	table *joinTable
 	spill *spillSet
 	err   error
 }
@@ -401,58 +411,59 @@ func (h *hashJoinIter) Open() error {
 	return h.left.it.Open()
 }
 
-// buildTable drains the right input into the probe hash table (row
-// headers are copied into it, so the producer reusing its batch buffers
-// is safe). Under a memory budget, crossing it degrades to a Grace
-// build: the resident rows are dumped into level-0 partition files, the
-// rest of the input streams there directly, and the returned spillSet
+// buildTable drains the right input into the join table (row headers
+// are copied into it, so the producer reusing its batch buffers is
+// safe). Under a memory budget, crossing it degrades to a Grace build:
+// the resident rows are dumped into level-0 partition files, the rest
+// of the input streams there directly, and the returned spillSet
 // replaces the table.
-func (h *hashJoinIter) buildTable() (map[uint64][]types.Row, *spillSet, error) {
+func (h *hashJoinIter) buildTable() (*joinTable, *spillSet, error) {
 	if err := h.right.it.Open(); err != nil {
 		return nil, nil, err
 	}
-	table := make(map[uint64][]types.Row, h.sizeHint)
+	table := newJoinTable(len(h.rOrds), h.sizeHint)
 	governed := h.ctx.MemBudget > 0 || h.ctx.Faults != nil
 	var bset *spillSet
-	insert := func(row types.Row) error {
-		if rowHasNullAt(row, h.rOrds) {
-			return nil // NULL keys never join
-		}
-		k := types.HashRow(row, h.rOrds)
-		if bset != nil {
-			return bset.add(k, row)
-		}
-		if governed {
-			over, err := h.ctx.grantMem(h.st, "Join", types.RowBytes(row))
-			if err != nil {
+	kr := &h.kr
+	insert := func(b *Batch) error {
+		kr.read(b, h.rOrds)
+		for _, ri := range kr.sel {
+			if kr.hasNull(ri) {
+				continue // NULL keys never join
+			}
+			row := b.Rows[ri]
+			if bset == nil && governed {
+				over, err := h.ctx.grantMem(h.st, "Join", types.RowBytes(row))
+				if err != nil {
+					return err
+				}
+				h.charged += types.RowBytes(row)
+				if over && h.level <= maxSpillLevel {
+					// Budget crossed: dump resident rows to disk and release
+					// the accounted memory; the rest of the build streams
+					// straight into the partitions. Past the last level the
+					// hash bits are exhausted (identical-key skew cannot
+					// split) and the build stays in memory, unbounded.
+					bset = newSpillSet(h.ctx, h.level)
+					if h.st != nil {
+						atomic.AddInt64(&h.st.Spills, 1)
+					}
+					if err := table.spillTo(bset); err != nil {
+						return err
+					}
+					h.ctx.releaseMem(h.charged)
+					h.charged = 0
+				}
+			}
+			if bset == nil {
+				table.add(kr, ri, row)
+			} else if err := bset.add(kr.hash[ri], row); err != nil {
 				return err
 			}
-			h.charged += types.RowBytes(row)
-			if over {
-				// Budget crossed: dump resident rows to disk and release
-				// the accounted memory; the rest of the build streams
-				// straight into the partitions.
-				bset = newSpillSet(h.ctx, 0)
-				if h.st != nil {
-					atomic.AddInt64(&h.st.Spills, 1)
-				}
-				for _, bucket := range table {
-					for _, brow := range bucket {
-						if err := bset.add(types.HashRow(brow, h.rOrds), brow); err != nil {
-							return err
-						}
-					}
-				}
-				table = nil
-				h.ctx.releaseMem(h.charged)
-				h.charged = 0
-				return bset.add(k, row)
-			}
 		}
-		table[k] = append(table[k], row)
 		return nil
 	}
-	if err := drainRows(h.right.it, &h.rb, insert); err != nil {
+	if err := drainBatches(h.right.it, &h.rb, insert); err != nil {
 		h.right.it.Close()
 		if bset != nil {
 			bset.dropAll()
@@ -476,6 +487,7 @@ func (h *hashJoinIter) buildTable() (map[uint64][]types.Row, *spillSet, error) {
 		}
 		return nil, bset, nil
 	}
+	table.seal()
 	return table, nil, nil
 }
 
@@ -488,16 +500,18 @@ func rowHasNullAt(row types.Row, ords []int) bool {
 	return false
 }
 
-// probe yields the next left row with the bucket its key hashes to.
+// probe yields the next left row with the build rows of its key,
+// resolving a left batch at a time.
 func (h *hashJoinIter) probe(limit int) (types.Row, []types.Row, bool, error) {
-	lrow, ok, err := h.lr.next(limit)
-	if err != nil || !ok {
-		return nil, nil, false, err
+	if h.lr.spent() {
+		if ok, err := h.lr.pull(limit); !ok {
+			return nil, nil, false, err
+		}
+		h.cand = h.table.lookup(&h.kr, &h.lr.b, h.lOrds, h.cand)
 	}
-	if rowHasNullAt(lrow, h.lOrds) {
-		return lrow, nil, true, nil
-	}
-	return lrow, h.table[types.HashRow(lrow, h.lOrds)], true, nil
+	e := h.cand[h.lr.pos]
+	lrow, _, _ := h.lr.next(limit)
+	return lrow, h.table.cands(e), true, nil
 }
 
 func (h *hashJoinIter) NextBatch(b *Batch) error {
@@ -757,11 +771,11 @@ func (ap *applyIter) Close() error {
 // streams the left input into probe partition files aligned with the
 // spilled build partitions, emitting NULL-key rows' outer/anti results
 // inline (NULL keys never match, so they need no partition at all).
-// Phase two processes a worklist of (build, probe) partition pairs:
-// the build file is loaded into an in-memory table and the probe file
-// replayed against it; a build partition that still does not fit
-// repartitions both files on the next hash bits (recursive skew
-// handling) until the hash bits run out.
+// Phase two joins each partition pair with a hash join over the two
+// files at the next level: one whose build still overflows the budget
+// spills and repartitions both files on the next hash bits (recursive
+// skew handling), until the bits run out and a partition is processed
+// unbounded.
 type graceJoin struct {
 	h *hashJoinIter
 	// shared marks level-0 build partitions owned by a cross-worker
@@ -772,294 +786,106 @@ type graceJoin struct {
 	build       [spillFanout]*spillFile
 	probe       *spillSet
 	partitioned bool
-	work        []gracePair
-
-	// current pair state
-	cur        gracePair
-	curActive  bool
-	table      map[uint64][]types.Row
-	tblCharged int64
-	rd         *spillReader
-	next       probeFn
-}
-
-// gracePair is one (build, probe) partition pair awaiting processing.
-type gracePair struct {
-	build, probe *spillFile
-	level        int
-	// sharedBuild: the build file belongs to a cross-worker build and
-	// must not be dropped by this worker.
-	sharedBuild bool
+	part        int           // the next partition of phase two
+	pair        *hashJoinIter // the partition pair being joined
 }
 
 func newGraceJoin(h *hashJoinIter, bset *spillSet, shared bool) *graceJoin {
-	g := &graceJoin{h: h, shared: shared, probe: newSpillSet(h.ctx, bset.level)}
-	g.build = bset.parts
-	g.next = g.pairProbe
-	return g
+	return &graceJoin{h: h, shared: shared, build: bset.parts, probe: newSpillSet(h.ctx, bset.level)}
 }
 
 func (g *graceJoin) produce(b *Batch) error {
 	h := g.h
-	em := &h.em
+	em := h.em
 	em.out = em.out[:0]
 	// Phase one: partition the probe stream.
 	for limit := b.limit(); !g.partitioned && len(em.out) < limit; {
-		lrow, ok, err := h.lr.next(0)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if err := g.probe.finish(); err != nil {
-				return err
-			}
-			for p := 0; p < spillFanout; p++ {
-				pf := g.probe.parts[p]
-				if pf == nil {
-					// No probe rows reached this partition; its build
-					// rows can never match or be emitted.
-					continue
-				}
-				g.work = append(g.work, gracePair{
-					build: g.build[p], probe: pf, level: g.probe.level,
-					sharedBuild: g.shared,
-				})
-			}
-			g.partitioned = true
-			break
-		}
-		if rowHasNullAt(lrow, h.lOrds) {
-			em.unmatched(lrow)
-			continue
-		}
-		if err := g.probe.add(types.HashRow(lrow, h.lOrds), lrow); err != nil {
-			return err
-		}
-	}
-	if !g.partitioned {
-		b.set(em.out, nil)
-		return nil
-	}
-	// Phase two: drain partition pairs.
-	return em.fill(b, g.next)
-}
-
-// pairProbe yields the next probe row of the partition pairs — each
-// pair's probe file replayed against its in-memory build table — moving
-// to the next pair (splitting oversized ones) as files run out.
-func (g *graceJoin) pairProbe(int) (types.Row, []types.Row, bool, error) {
-	h := g.h
-	for {
-		if !g.curActive {
-			if len(g.work) == 0 {
-				return nil, nil, false, nil
-			}
-			pair := g.work[len(g.work)-1]
-			g.work = g.work[:len(g.work)-1]
-			if split, err := g.startPair(pair); err != nil {
-				return nil, nil, false, err
-			} else if split {
-				continue // repartitioned into finer pairs
-			}
-		}
-		lrow, ok, err := g.rd.next()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if !ok {
-			g.endPair()
-			continue
-		}
-		if err := h.ctx.charge(); err != nil {
-			return nil, nil, false, err
-		}
-		return lrow, g.table[types.HashRow(lrow, h.lOrds)], true, nil
-	}
-}
-
-// startPair loads a pair's build partition into memory and opens its
-// probe reader. If the build rows overflow the budget with hash bits
-// to spare, the pair is split instead (split=true) and nothing is
-// loaded.
-func (g *graceJoin) startPair(pair gracePair) (split bool, err error) {
-	h := g.h
-	table := make(map[uint64][]types.Row)
-	var charged int64
-	governed := h.ctx.MemBudget > 0
-	release := func() {
-		if charged > 0 {
-			h.ctx.releaseMem(charged)
-		}
-	}
-	if pair.build != nil {
-		rd, err := pair.build.reader()
-		if err != nil {
-			return false, err
-		}
-		for {
-			row, ok, rerr := rd.next()
-			if rerr != nil {
-				rd.close()
-				release()
-				return false, rerr
-			}
-			if !ok {
-				break
-			}
-			if cerr := h.ctx.charge(); cerr != nil {
-				rd.close()
-				release()
-				return false, cerr
-			}
-			if governed {
-				over, gerr := h.ctx.grantMem(h.st, "Join", types.RowBytes(row))
-				if gerr != nil {
-					rd.close()
-					release()
-					return false, gerr
-				}
-				charged += types.RowBytes(row)
-				if over && pair.level < maxSpillLevel {
-					// Still too large: repartition both sides on the next
-					// hash bits. At maxSpillLevel the bits are exhausted
-					// (identical-key skew cannot split) and the partition
-					// is processed unbounded instead.
-					rd.close()
-					release()
-					return true, g.splitPair(pair)
-				}
-			}
-			table[types.HashRow(row, h.rOrds)] = append(table[types.HashRow(row, h.rOrds)], row)
-		}
-		rd.close()
-	}
-	rd, err := pair.probe.reader()
-	if err != nil {
-		release()
-		return false, err
-	}
-	g.table = table
-	g.tblCharged = charged
-	g.rd = rd
-	g.cur = pair
-	g.curActive = true
-	return false, nil
-}
-
-// splitPair repartitions both files of an oversized pair at the next
-// level and queues the resulting pairs.
-func (g *graceJoin) splitPair(pair gracePair) error {
-	h := g.h
-	if h.st != nil {
-		atomic.AddInt64(&h.st.Spills, 1)
-	}
-	bset := newSpillSet(h.ctx, pair.level+1)
-	pset := newSpillSet(h.ctx, pair.level+1)
-	fail := func(err error) error {
-		bset.dropAll()
-		pset.dropAll()
-		return err
-	}
-	repart := func(src *spillFile, dst *spillSet, ords []int) error {
-		rd, err := src.reader()
-		if err != nil {
-			return err
-		}
-		defer rd.close()
-		for {
-			row, ok, err := rd.next()
+		if h.lr.spent() {
+			ok, err := h.lr.pull(0)
 			if err != nil {
 				return err
 			}
 			if !ok {
-				return nil
+				if err := g.probe.finish(); err != nil {
+					return err
+				}
+				g.partitioned = true
+				break
 			}
-			if err := h.ctx.charge(); err != nil {
-				return err
-			}
-			if err := dst.add(types.HashRow(row, ords), row); err != nil {
-				return err
-			}
+			h.kr.read(&h.lr.b, h.lOrds)
 		}
-	}
-	if pair.build != nil {
-		if err := repart(pair.build, bset, h.rOrds); err != nil {
-			return fail(err)
-		}
-	}
-	if err := repart(pair.probe, pset, h.lOrds); err != nil {
-		return fail(err)
-	}
-	if err := bset.finish(); err != nil {
-		return fail(err)
-	}
-	if err := pset.finish(); err != nil {
-		return fail(err)
-	}
-	if pair.build != nil && !pair.sharedBuild {
-		pair.build.drop(h.ctx)
-	}
-	pair.probe.drop(h.ctx)
-	for p := 0; p < spillFanout; p++ {
-		pf := pset.parts[p]
-		if pf == nil {
-			if bf := bset.parts[p]; bf != nil {
-				bf.drop(h.ctx)
-			}
+		ri := h.kr.sel[h.lr.pos]
+		lrow, _, _ := h.lr.next(0)
+		if h.kr.hasNull(ri) {
+			em.unmatched(lrow)
 			continue
 		}
-		g.work = append(g.work, gracePair{build: bset.parts[p], probe: pf, level: pair.level + 1})
+		if err := g.probe.add(h.kr.hash[ri], lrow); err != nil {
+			return err
+		}
 	}
-	return nil
+	if len(em.out) > 0 || !g.partitioned {
+		b.set(em.out, nil)
+		return nil
+	}
+	// Phase two: join the partition pairs in turn.
+	for {
+		if g.pair == nil {
+			for g.part < spillFanout && g.probe.parts[g.part] == nil {
+				// No probe rows reached this partition; its build rows can
+				// never match or be emitted.
+				g.part++
+			}
+			if g.part == spillFanout {
+				b.setEmpty()
+				return nil
+			}
+			g.pair = g.pairJoin(g.part)
+			g.probe.parts[g.part], g.build[g.part] = nil, nil
+			g.part++
+			if err := g.pair.Open(); err != nil {
+				return err
+			}
+		}
+		if err := g.pair.NextBatch(b); err != nil || b.Len() > 0 {
+			return err
+		}
+		err := g.pair.Close()
+		g.pair = nil
+		if err != nil {
+			return err
+		}
+	}
 }
 
-// endPair releases the finished pair's resources.
-func (g *graceJoin) endPair() {
+// pairJoin is the hash join of partition p's files at the next level.
+// Both files are dropped as they are closed, except a build partition
+// of a shared build. Their rows count toward RowBudget.
+func (g *graceJoin) pairJoin(p int) *hashJoinIter {
 	h := g.h
-	if g.rd != nil {
-		g.rd.close()
-		g.rd = nil
-	}
-	if g.curActive {
-		if g.cur.probe != nil {
-			g.cur.probe.drop(h.ctx)
-		}
-		if g.cur.build != nil && !g.cur.sharedBuild {
-			g.cur.build.drop(h.ctx)
-		}
-	}
-	g.cur = gracePair{}
-	g.curActive = false
-	if g.tblCharged > 0 {
-		h.ctx.releaseMem(g.tblCharged)
-		g.tblCharged = 0
-	}
-	g.table = nil
+	probe := &fileIter{ctx: h.ctx, f: g.probe.parts[p], drop: true}
+	build := &fileIter{ctx: h.ctx, f: g.build[p], drop: !g.shared, charge: true}
+	pair := &hashJoinIter{ctx: h.ctx, left: &node{it: probe}, right: &node{it: build},
+		lOrds: h.lOrds, rOrds: h.rOrds, level: g.probe.level + 1, st: h.st, em: h.em,
+		lr: rowReader{it: probe, charge: h.ctx}}
+	pair.next = pair.probe
+	return pair
 }
 
 // release tears down mid-probe state on Close (early termination).
 // Files owned by this worker drop now; shared build partitions are
 // left for the run's spill registry.
 func (g *graceJoin) release() {
-	g.endPair()
-	for _, p := range g.work {
-		if p.probe != nil {
-			p.probe.drop(g.h.ctx)
-		}
-		if p.build != nil && !p.sharedBuild {
-			p.build.drop(g.h.ctx)
-		}
+	if g.pair != nil {
+		g.pair.right.it.Close()
+		g.pair.Close()
+		g.pair = nil
 	}
-	g.work = nil
-	if g.probe != nil && !g.partitioned {
-		g.probe.dropAll()
-	}
-	if !g.shared {
-		for i, bf := range g.build {
-			if bf != nil {
-				bf.drop(g.h.ctx)
-				g.build[i] = nil
-			}
+	g.probe.dropAll()
+	for i, bf := range g.build {
+		if bf != nil && !g.shared {
+			bf.drop(g.h.ctx)
 		}
+		g.build[i] = nil
 	}
 }

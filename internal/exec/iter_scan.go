@@ -634,34 +634,20 @@ func (d *differenceIter) Open() error {
 	if err := d.r.it.Open(); err != nil {
 		return err
 	}
-	all := make([]int, len(d.rsel))
-	for i := range all {
-		all[i] = i
-	}
-	type counted struct {
-		row types.Row
-		n   int
-	}
-	counts := map[uint64][]counted{}
-	// find returns the bucket entry equal to m, or nil.
-	find := func(h uint64, m types.Row) *counted {
-		bucket := counts[h]
-		for i := range bucket {
-			if types.EqualRows(bucket[i].row, all, m, all) {
-				return &bucket[i]
-			}
-		}
-		return nil
-	}
+	// An entry per distinct right row, counting its copies; a left row
+	// that finds a copy left consumes it, the others are the result.
+	tbl := newHashTable(len(d.rsel), 0)
+	var counts []int
+	var kr keyReader
 	var cb Batch
-	var arena rowArena
-	err := drainRows(d.r.it, &cb, func(row types.Row) error {
-		m := arena.mapRow(row, d.rsel)
-		h := types.HashRow(m, all)
-		if e := find(h, m); e != nil {
-			e.n++
-		} else {
-			counts[h] = append(counts[h], counted{m, 1})
+	err := drainBatches(d.r.it, &cb, func(b *Batch) error {
+		kr.read(b, d.rsel)
+		for _, ri := range kr.sel {
+			e, added := kr.findOrAdd(&tbl, ri)
+			if added {
+				counts = append(counts, 0)
+			}
+			counts[e]++
 		}
 		return nil
 	})
@@ -669,12 +655,15 @@ func (d *differenceIter) Open() error {
 		return err
 	}
 	d.out, d.pos = d.out[:0], 0
-	return drainRows(d.l.it, &cb, func(row types.Row) error {
-		m := arena.mapRow(row, d.lsel)
-		if e := find(types.HashRow(m, all), m); e != nil && e.n > 0 {
-			e.n--
-		} else {
-			d.out = append(d.out, m)
+	var arena rowArena
+	return drainBatches(d.l.it, &cb, func(b *Batch) error {
+		kr.read(b, d.lsel)
+		for _, ri := range kr.sel {
+			if e := tbl.findVec(kr.keys, ri, kr.hash[ri]); e >= 0 && counts[e] > 0 {
+				counts[e]--
+			} else {
+				d.out = append(d.out, arena.mapRow(b.Rows[ri], d.lsel))
+			}
 		}
 		return nil
 	})
@@ -697,7 +686,8 @@ type segmentApplyIter struct {
 	in      *node
 	inner   *node
 	inSel   []int
-	segOrds []int
+	keyOrds []int // the segmenting columns' input ordinals
+	kr      keyReader
 
 	segments [][]types.Row
 	segPos   int
@@ -709,20 +699,19 @@ func (s *segmentApplyIter) Open() error {
 	if err := s.in.it.Open(); err != nil {
 		return err
 	}
-	buckets := map[uint64][]int{} // key hash → segment indices
+	// An entry per distinct segment key, numbered as segments are.
+	tbl := newHashTable(len(s.keyOrds), 0)
 	s.segments = s.segments[:0]
 	var arena rowArena
-	err := drainRows(s.in.it, &s.cb, func(row types.Row) error {
-		m := arena.mapRow(row, s.inSel)
-		h := types.HashRow(m, s.segOrds)
-		for _, si := range buckets[h] {
-			if types.EqualRows(s.segments[si][0], s.segOrds, m, s.segOrds) {
-				s.segments[si] = append(s.segments[si], m)
-				return nil
+	err := drainBatches(s.in.it, &s.cb, func(b *Batch) error {
+		s.kr.read(b, s.keyOrds)
+		for _, ri := range s.kr.sel {
+			si, added := s.kr.findOrAdd(&tbl, ri)
+			if added {
+				s.segments = append(s.segments, nil)
 			}
+			s.segments[si] = append(s.segments[si], arena.mapRow(b.Rows[ri], s.inSel))
 		}
-		buckets[h] = append(buckets[h], len(s.segments))
-		s.segments = append(s.segments, []types.Row{m})
 		return nil
 	})
 	s.segPos = 0

@@ -540,14 +540,9 @@ func (p *parallelAggIter) Open() error {
 	var keyOrds []int
 	var av *aggVec
 	if len(spilled) > 0 {
-		groupCols := p.gb.GroupCols.Ordered()
-		keyOrds = make([]int, len(groupCols))
-		for i, c := range groupCols {
-			o, ok := ords[c]
-			if !ok {
-				return fail(fmt.Errorf("exec: grouping column %d missing from worker input", c))
-			}
-			keyOrds[i] = o
+		var err error
+		if keyOrds, err = aggKeyOrds(&node{ords: ords}, p.gb); err != nil {
+			return fail(err)
 		}
 		av = newAggVec(p.ctx, ords, p.gb)
 		for _, ss := range spilled {

@@ -8,31 +8,50 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-// rowFindRow is the row-at-a-time group lookup that resolve replaced,
+// rowGroups is the row-at-a-time group lookup that resolve replaced,
 // as it stood before groups were resolved from key vectors (ungoverned
-// part): up to eight resident groups the row is compared with every
-// key, past that with the keys of its hash chain, and a miss inserts
-// the row's key. It is the oracle of TestVecHashMatchesHashRow.
-func rowFindRow(t *aggTable, row types.Row, ords []int) int {
-	const scanMax = 8
-	if len(t.keys) <= scanMax {
-		for g, key := range t.keys {
-			if types.EqualRows(key, t.keyIdx, row, ords) {
+// part): up to scanMax resident groups a row is compared with every
+// key in insertion order, past that with the keys of its hash chain
+// (newest first), and a miss makes the row's key a new group. With
+// scanMax 8 it is the oracle of GroupBy's resolve; with 0, of the hash
+// table's find-or-add.
+type rowGroups struct {
+	scanMax int
+	keys    []types.Row
+	chains  map[uint64][]int
+}
+
+func (o *rowGroups) find(row types.Row, ords []int) int {
+	ident := make([]int, len(ords))
+	for i := range ident {
+		ident[i] = i
+	}
+	if len(o.keys) <= o.scanMax {
+		for g, key := range o.keys {
+			if types.EqualRows(key, ident, row, ords) {
 				return g
 			}
 		}
 	}
 	hk := types.HashRow(row, ords)
-	if len(t.keys) > scanMax {
-		if g := t.probe(hk, row, ords); g >= 0 {
-			return g
+	if len(o.keys) > o.scanMax {
+		chain := o.chains[hk]
+		for i := len(chain) - 1; i >= 0; i-- {
+			if types.EqualRows(o.keys[chain[i]], ident, row, ords) {
+				return chain[i]
+			}
 		}
 	}
-	key := t.arena.alloc(len(ords))
+	if o.chains == nil {
+		o.chains = map[uint64][]int{}
+	}
+	key := make(types.Row, 0, len(ords))
 	for _, o := range ords {
 		key = append(key, row[o])
 	}
-	return t.insert(hk, key)
+	o.chains[hk] = append(o.chains[hk], len(o.keys))
+	o.keys = append(o.keys, key)
+	return len(o.keys) - 1
 }
 
 // keyDomain draws the datums of one key column. Kinds that compare
@@ -135,7 +154,7 @@ func TestVecHashMatchesHashRow(t *testing.T) {
 		}
 		src := newRowColumns(stored, width)
 
-		tbl, oracle := newAggTable(nKeys, 0, 0), newAggTable(nKeys, 0, 0)
+		tbl, oracle := newAggTable(nKeys, 0, 0), &rowGroups{scanMax: aggScanMax}
 		av := &aggVec{}
 		for off := 0; off < len(stored); off += batch {
 			rows := stored[off : off+batch]
@@ -156,7 +175,7 @@ func TestVecHashMatchesHashRow(t *testing.T) {
 			}
 
 			keys := av.keyVecs(ords, sel)
-			hash := av.hashKeys(keys, sel, len(rows))
+			hash := hashKeys(nil, keys, sel, len(rows))
 			for _, ri := range sel {
 				if want := types.HashRow(rows[ri], ords); hash[ri] != want {
 					t.Fatalf("trial %d: row %v keys %v: vector hash %x, HashRow %x", trial, rows[ri], ords, hash[ri], want)
@@ -171,13 +190,13 @@ func TestVecHashMatchesHashRow(t *testing.T) {
 				t.Fatalf("trial %d: resolve kept %d of %d rows without a budget", trial, len(got), len(sel))
 			}
 			for k, ri := range sel {
-				if want := rowFindRow(oracle, rows[ri], ords); int(av.gidx[k]) != want {
+				if want := oracle.find(rows[ri], ords); int(av.gidx[k]) != want {
 					t.Fatalf("trial %d: row %v keys %v: group %d, row lookup %d", trial, rows[ri], ords, av.gidx[k], want)
 				}
 			}
 		}
-		if len(tbl.keys) != len(oracle.keys) {
-			t.Fatalf("trial %d: %d groups, row lookup %d", trial, len(tbl.keys), len(oracle.keys))
+		if tbl.ht.len() != len(oracle.keys) {
+			t.Fatalf("trial %d: %d groups, row lookup %d", trial, tbl.ht.len(), len(oracle.keys))
 		}
 	}
 }

@@ -124,6 +124,57 @@ func (s *spillReader) next() (types.Row, bool, error) {
 
 func (s *spillReader) close() { s.f.Close() }
 
+// fileIter replays a spill partition file as an iterator: batches of
+// at most the consumer's cap, each row counted toward RowBudget when
+// charge is set. A nil file is an empty input. Close drops the file
+// when drop is set.
+type fileIter struct {
+	ctx    *Context
+	f      *spillFile
+	drop   bool
+	charge bool
+	rd     *spillReader
+	buf    []types.Row
+}
+
+func (it *fileIter) Open() (err error) {
+	if it.f != nil {
+		it.rd, err = it.f.reader()
+	}
+	return err
+}
+
+func (it *fileIter) NextBatch(b *Batch) error {
+	it.buf = it.buf[:0]
+	for it.rd != nil && len(it.buf) < b.limit() {
+		row, ok, err := it.rd.next()
+		if err != nil || !ok {
+			b.set(it.buf, nil)
+			return err
+		}
+		if it.charge {
+			if err := it.ctx.charge(); err != nil {
+				return err
+			}
+		}
+		it.buf = append(it.buf, row)
+	}
+	b.set(it.buf, nil)
+	return nil
+}
+
+func (it *fileIter) Close() error {
+	if it.rd != nil {
+		it.rd.close()
+		it.rd = nil
+	}
+	if it.drop && it.f != nil {
+		it.f.drop(it.ctx)
+		it.f = nil
+	}
+	return nil
+}
+
 // spillSet is one level of partition files, created lazily per
 // partition so empty partitions cost nothing.
 type spillSet struct {

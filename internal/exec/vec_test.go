@@ -345,8 +345,8 @@ func BenchmarkVecFold(b *testing.B) {
 			b.Fatal(err)
 		}
 		tbl := newAggTable(1, len(gb.Aggs), 0)
-		if err := tbl.consume(ctx, in, gb, av); err != nil || len(tbl.keys) != 4 {
-			b.Fatalf("groups=%d err=%v", len(tbl.keys), err)
+		if err := tbl.consume(ctx, in, gb, av); err != nil || tbl.ht.len() != 4 {
+			b.Fatalf("groups=%d err=%v", tbl.ht.len(), err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")

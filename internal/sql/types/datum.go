@@ -341,47 +341,77 @@ const (
 
 // Hash returns a hash of the datum consistent with Equal: datums that
 // are Equal hash identically (numeric kinds hash via their float value
-// so 1 and 1.0 collide, matching Compare). FNV-1a is used directly —
-// it is allocation-free and an order of magnitude faster than a
-// per-datum maphash, which matters in hash joins and aggregation.
+// so 1 and 1.0 collide, matching Compare). Strings are hashed with
+// FNV-1a, the other kinds by one 64-bit mix of their payload word
+// (mix64, a bijection, so distinct payloads never collide) — both
+// allocation-free and an order of magnitude faster than a per-datum
+// maphash, which matters in hash joins and aggregation.
 func (d Datum) Hash() uint64 {
 	if !d.valid {
-		return fnvByte(fnvOffset, 0)
+		return HashNull
 	}
 	switch d.kind {
 	case Bool:
-		return fnvUint64(fnvByte(fnvOffset, 1), uint64(d.i))
-	case Int, Float:
-		// Hash numerics through float64 so Int(1) and Float(1.0),
-		// which compare equal, hash equal too.
-		var f float64
-		if d.kind == Int {
-			f = float64(d.i)
-		} else if v := d.Float(); v != 0 {
-			f = v // -0 compares equal to 0, so it hashes as 0
-		}
-		return fnvUint64(fnvByte(fnvOffset, 2), math.Float64bits(f))
+		return mix64(uint64(d.i) ^ seedBool)
+	case Int:
+		return HashInt(d.i)
+	case Float:
+		return HashFloat(d.Float())
 	case Date:
-		return fnvUint64(fnvByte(fnvOffset, 3), uint64(d.i))
+		return mix64(uint64(d.i) ^ seedDate)
 	case String:
-		h := fnvByte(fnvOffset, 4)
-		for i := 0; i < len(d.s); i++ {
-			h = fnvByte(h, d.s[i])
-		}
-		return h
+		return HashString(d.s)
 	}
 	return fnvOffset
 }
 
-func fnvByte(h uint64, b byte) uint64 {
-	return (h ^ uint64(b)) * fnvPrime
+// Typed forms of Hash, for hashing a column without boxing it: each
+// equals Hash of the datum of its kind holding the value.
+
+// HashNull is Hash of every NULL.
+var HashNull = fnvByte(fnvOffset, 0)
+
+// HashInt hashes an Int through its float64 value, so that Int(1) and
+// Float(1.0), which compare equal, hash equal too.
+func HashInt(i int64) uint64 { return HashFloat(float64(i)) }
+
+// HashFloat hashes a Float; -0 compares equal to 0, so it hashes as 0.
+func HashFloat(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	return mix64(math.Float64bits(f) ^ seedNumeric)
 }
 
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
+// HashString hashes a String's bytes.
+func HashString(s string) uint64 {
+	h := fnvByte(fnvOffset, 4)
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
 	}
 	return h
+}
+
+// Per-kind seeds of mix64, so that equal payload words of different
+// kinds (a Date and an Int) hash apart.
+const (
+	seedBool    = 0x2545f4914f6cdd1d
+	seedNumeric = 0x9e3779b97f4a7c15
+	seedDate    = 0xbf58476d1ce4e5b9
+)
+
+// mix64 is MurmurHash3's 64-bit finalizer: every input bit reaches
+// every output bit, and it is a bijection.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+func fnvByte(h uint64, b byte) uint64 {
+	return (h ^ uint64(b)) * fnvPrime
 }
 
 // Row is a tuple of datums. Rows are positional; the optimizer maps

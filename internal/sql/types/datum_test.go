@@ -444,3 +444,35 @@ func TestRowHelpers(t *testing.T) {
 		t.Error("HashRow must agree under ordinal mapping")
 	}
 }
+
+// TestHashPinned pins Hash — a change to it moves every hash-partitioned
+// spill and hash-index bucket, so it is made on purpose — and holds each
+// typed form to Hash of the datum it stands for (Date and Bool have
+// none: they pin Hash alone). Equal datums hash alike: 1 and 1.0, -0
+// and 0.
+func TestHashPinned(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		d     Datum
+		typed uint64
+		want  uint64
+	}{
+		{NullUnknown, HashNull, 0xaf63bd4c8601b7df},
+		{NewInt(1), HashInt(1), 0x84418d1ec6572c93},
+		{NewFloat(1), HashFloat(1), 0x84418d1ec6572c93},
+		{NewFloat(negZero), HashFloat(negZero), 0x9ca066f1a4ab2eea},
+		{NewFloat(0), HashFloat(0), 0x9ca066f1a4ab2eea},
+		{NewInt(-7), HashInt(-7), 0xeb490bb569989de3},
+		{NewFloat(math.NaN()), HashFloat(math.NaN()), 0xfc8de8a4fca62153},
+		{NewDate(9131), 0x445d1f2419b7c5d5, 0x445d1f2419b7c5d5},
+		{NewBool(true), 0xcb30a855101ade54, 0xcb30a855101ade54},
+		{NewBool(false), 0xb800bd6c02472607, 0xb800bd6c02472607},
+		{NewString(""), HashString(""), 0xaf63b94c8601b113},
+		{NewString("AIR"), HashString("AIR"), 0xee35735f79708b4d},
+	}
+	for _, c := range cases {
+		if got := c.d.Hash(); got != c.want || c.typed != c.want {
+			t.Errorf("%v: Hash %#x, typed %#x, want %#x", c.d, got, c.typed, c.want)
+		}
+	}
+}

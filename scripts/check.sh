@@ -53,12 +53,14 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # beside B/op and allocs/op for the five queries whose searches used to
 # run out of steps. Its executor twin runs one iteration each of the
 # warm pass (the 15 queries of perfbench's warm_analytic, plans cached),
-# Q1's scan-and-aggregate and a hash join, so every run prints B/op and
-# allocs/op for the paths that touch rows.
+# Q1's scan-and-aggregate, an integer-key aggregation into thousands of
+# groups, a hash join, and a selective probe against a small build side
+# (Q20's shape), so every run prints B/op and allocs/op for the paths
+# that touch rows.
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|BatchScanAggQ1$|BatchJoin$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
@@ -110,7 +112,10 @@ go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/storage
 # equivalence, and the goroutine/spill-file leak checks, under -race.
 # These catch lifecycle bugs (stranded workers, unreleased memory,
 # orphaned spill partitions) that the equivalence suites can't see.
-go test -run 'TestTypedErrors|TestFaultInjection|TestSpill|TestStream|TestCancel|TestCacheSurvivesFailedRuns|TestStmtReusableAfterFailure' -race .
+# With them, the hash join's edge cases against internal/reference: an
+# empty build side, all-NULL probe keys, a key's build rows spanning
+# batches, a build shared by four workers, a Grace spill.
+go test -run 'TestTypedErrors|TestFaultInjection|TestSpill|TestStream|TestCancel|TestCacheSurvivesFailedRuns|TestStmtReusableAfterFailure|TestHashJoinEdgeCases' -race .
 
 # Server leg: admission control, session/cursor lifecycle, and the
 # wire front end under -race — including the two whole-stack load
@@ -152,8 +157,11 @@ go test -run 'TestResultCache' -race .
 # rows in the same order, the same error, the same pairs charged. And
 # the aggregation's group lookup from key vectors against the
 # row-at-a-time lookup it replaced: the same hash as types.HashRow, the
-# same group for every row.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow' -race . ./internal/exec
+# same group for every row. And the executor's one hash table against
+# row-at-a-time definitions: its entries numbered as the row lookup
+# numbers groups, a join table's candidates those of a nested loop over
+# types.EqualRows, in build order.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
