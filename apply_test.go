@@ -310,6 +310,21 @@ func TestApplyFaultInjection(t *testing.T) {
 // strategy of the i-th Apply span of a traced run, both in plan
 // preorder.
 func TestExplainApplyMatchesExecution(t *testing.T) {
+	applies := explainMatchesTrace(t, "apply=", func(sp *Span) (string, bool) {
+		return sp.Strategy, sp.Op == "Apply"
+	})
+	if applies == 0 {
+		t.Fatal("no plan in the corpus ran an Apply")
+	}
+	t.Logf("%d Applies compared", applies)
+}
+
+// explainMatchesTrace runs the TPC-H warm pass and 80 queries of the
+// reference fuzz corpus, serial and at four workers, and requires the
+// values of the cost-based plan's EXPLAIN annotations key (in plan
+// preorder) to equal, in order, ran's values for the spans of a traced
+// run that ran reports. It returns how many spans it compared.
+func explainMatchesTrace(t *testing.T, key string, ran func(*Span) (string, bool)) int {
 	fuzzDB, err := OpenTPCH(referenceFuzzSF, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +338,7 @@ func TestExplainApplyMatchesExecution(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		corpora[1].sql = append(corpora[1].sql, randQuery(r))
 	}
-	applies := 0
+	compared := 0
 	for _, par := range []int{0, 4} {
 		cfg := DefaultConfig()
 		cfg.Parallelism = par
@@ -335,7 +350,7 @@ func TestExplainApplyMatchesExecution(t *testing.T) {
 				}
 				var explained []string
 				for _, f := range strings.Fields(out[strings.Index(out, "=== cost-based plan"):]) {
-					if s, ok := strings.CutPrefix(f, "apply="); ok {
+					if s, ok := strings.CutPrefix(f, key); ok {
 						explained = append(explained, strings.TrimSuffix(s, "]"))
 					}
 				}
@@ -345,23 +360,20 @@ func TestExplainApplyMatchesExecution(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var ran []string
+				var got []string
 				for _, sp := range collectSpans(rows) {
-					if sp.Op == "Apply" {
-						ran = append(ran, sp.Strategy)
+					if v, ok := ran(sp); ok {
+						got = append(got, v)
 					}
 				}
-				if !slices.Equal(explained, ran) {
-					t.Errorf("parallelism %d: EXPLAIN says apply=%v, the run used %v\nsql: %s\n%s", par, explained, ran, sql, out)
+				if !slices.Equal(explained, got) {
+					t.Errorf("parallelism %d: EXPLAIN says %s%v, the run used %v\nsql: %s\n%s", par, key, explained, got, sql, out)
 				}
-				applies += len(ran)
+				compared += len(got)
 			}
 		}
 	}
-	if applies == 0 {
-		t.Fatal("no plan in the corpus ran an Apply")
-	}
-	t.Logf("%d Applies compared", applies)
+	return compared
 }
 
 // collectSpans flattens a traced result's span tree.

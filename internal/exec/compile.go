@@ -109,13 +109,13 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 	}
 	switch t := rel.(type) {
 	case *algebra.Get:
-		return compileGet(ctx, t, nil)
+		return compileGet(ctx, t, t, nil)
 
 	case *algebra.Select:
 		// Select over Get: chance for an index seek when equality
 		// conjuncts bind indexed columns with outer values.
 		if g, ok := t.Input.(*algebra.Get); ok {
-			return compileGet(ctx, g, t.Filter)
+			return compileGet(ctx, t, g, t.Filter)
 		}
 		in, err := compile(ctx, t.Input)
 		if err != nil {

@@ -10,117 +10,41 @@ import (
 	"orthoq/internal/storage"
 )
 
-// compileGet lowers a (possibly filtered) base-table access, choosing
-// an index seek when equality conjuncts bind the leading columns of an
-// index with values available at Open time (constants or correlation
-// parameters) — the correlated index-lookup execution the paper calls
-// "the simplest and most common" correlated strategy (§4). Under
-// parallel execution the plan's designated driver Get instead lowers
-// to a morsel-claiming scan so workers partition the table.
-func compileGet(ctx *Context, g *algebra.Get, filter algebra.Scalar) (*node, error) {
+// compileGet lowers a (possibly filtered) base-table access at plan
+// node at (g, or the Select over it) to the access the selector
+// answers for it (Access): an index seek when equality conjuncts bind
+// leading index columns to values available at Open (constants or
+// correlation parameters) — the correlated index-lookup execution the
+// paper calls "the simplest and most common" correlated strategy (§4)
+// — an ordered index walk for a Get with an Order, else a full scan.
+// The whole filter stays the per-row residual. Under parallel
+// execution the plan's designated driver Get instead lowers to a
+// morsel-claiming scan so workers partition the table. A traced seek
+// names its index on at's span, as EXPLAIN's seek= does.
+func compileGet(ctx *Context, at algebra.Rel, g *algebra.Get, filter algebra.Scalar) (*node, error) {
 	tbl, ok := ctx.table(g.Table)
 	if !ok {
 		return nil, fmt.Errorf("exec: table %q not stored", g.Table)
 	}
-	morsel := ctx.morsels != nil && g == ctx.driverGet
-	if !morsel && len(g.Order) > 0 {
-		// An Order requirement precludes the seek path: the scan must
-		// deliver every row in index order, with the filter as residual.
-		return compileOrderedGet(ctx, g, tbl, filter)
-	}
 	n := newNode(nil, g.Cols)
-	if morsel {
-		n.it = &morselScanIter{tbl: tbl, src: ctx.morsels, filt: newFilterPred(ctx, filter, n.ords)}
+	filt := newFilterPred(ctx, filter, n.ords)
+	if ctx.morsels != nil && g == ctx.driverGet {
+		n.it = &morselScanIter{tbl: tbl, src: ctx.morsels, filt: filt}
 		return n, nil
 	}
-	index, keyExprs, pred := planSeek(tbl, g, filter)
-	filt := newFilterPred(ctx, pred, n.ords)
-	if index != "" {
-		n.it = &seekIter{ctx: ctx, tbl: tbl, index: index, keyExprs: keyExprs, filt: filt}
-	} else {
+	a := CompiledAccess(tbl.Schema, g, filter)
+	switch {
+	case len(g.Order) > 0:
+		return compileOrderedGet(ctx, g, tbl, a, n, filt), nil
+	case a.Seek():
+		if st := ctx.traceStats(at); st != nil {
+			st.Strategy = "seek=" + a.Index.Name
+		}
+		n.it = &seekIter{ctx: ctx, tbl: tbl, index: a.Index.Name, keyExprs: a.Keys, filt: filt}
+	default:
 		n.it = &scanIter{tbl: tbl, filt: filt}
 	}
 	return n, nil
-}
-
-// planSeek chooses the access path for a filtered Get: the index with
-// the longest prefix fully bound by equality conjuncts whose
-// comparands are evaluable at Open. index == "" means full scan. The
-// returned pred is the predicate to re-check per row (bound conjuncts
-// are retained for NULL semantics). Pure — shared by compileGet and
-// the parallel-eligibility analysis, which must know whether a serial
-// compile would seek.
-func planSeek(tbl *storage.Version, g *algebra.Get, filter algebra.Scalar) (index string, keyExprs []algebra.Scalar, pred algebra.Scalar) {
-	selfCols := algebra.NewColSet(g.Cols...)
-	type seekKey struct {
-		ord  int // table column ordinal
-		expr algebra.Scalar
-	}
-	var keys []seekKey
-	var residual []algebra.Scalar
-	for _, c := range algebra.Conjuncts(filter) {
-		cmp, isCmp := c.(*algebra.Cmp)
-		if isCmp && cmp.Op == algebra.CmpEq {
-			l, lok := cmp.L.(*algebra.ColRef)
-			r := cmp.R
-			if !lok || !selfCols.Contains(l.Col) {
-				if rr, rok := cmp.R.(*algebra.ColRef); rok && selfCols.Contains(rr.Col) {
-					l, r = rr, cmp.L
-					lok = true
-				} else {
-					lok = false
-				}
-			}
-			if lok && !algebra.ScalarCols(r).Intersects(selfCols) && !algebra.HasSubquery(r) {
-				for ord, id := range g.Cols {
-					if id == l.Col {
-						keys = append(keys, seekKey{ord: ord, expr: r})
-					}
-				}
-				residual = append(residual, c) // re-checked for NULL semantics
-				continue
-			}
-		}
-		residual = append(residual, c)
-	}
-
-	// Find the index with the longest fully-bound prefix.
-	var bestName string
-	var bestKeys []seekKey
-	if len(keys) > 0 {
-		byOrd := map[int]seekKey{}
-		for _, k := range keys {
-			byOrd[k.ord] = k
-		}
-		for _, idx := range tbl.Schema.Indexes {
-			var prefix []seekKey
-			for _, ord := range idx.Cols {
-				k, ok := byOrd[ord]
-				if !ok {
-					break
-				}
-				prefix = append(prefix, k)
-			}
-			// hash indexes require the full column list bound
-			if !idx.Ordered && len(prefix) != len(idx.Cols) {
-				continue
-			}
-			if len(prefix) > len(bestKeys) {
-				bestKeys = prefix
-				bestName = idx.Name
-			}
-		}
-	}
-
-	pred = algebra.ConjoinAll(residual...)
-	if bestName == "" || !tbl.HasIndex(bestName) {
-		return "", nil, pred
-	}
-	keyExprs = make([]algebra.Scalar, len(bestKeys))
-	for i, k := range bestKeys {
-		keyExprs[i] = k.expr
-	}
-	return bestName, keyExprs, pred
 }
 
 // scanIter is a filtered full table scan.

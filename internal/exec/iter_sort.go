@@ -14,71 +14,21 @@ import (
 // scan walks the index permutation, the aggregation holds one group of
 // state at a time.
 
-// compileOrderedGet lowers a Get carrying an Order requirement: an
-// ordered index scan when a fresh index delivers the order, else a
-// full scan under an explicit sort (the correctness net for stale
-// indexes — rows inserted after the last BuildIndexes are visible to
-// scans but not covered by index permutations). The full filter stays
-// as a per-row residual; ordered delivery precludes the seek path.
-func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, filter algebra.Scalar) (*node, error) {
-	n := newNode(nil, g.Cols)
-	filt := newFilterPred(ctx, filter, n.ords)
-	if perm, reverse, ok := orderedPerm(tbl, g); ok {
-		n.it = &orderedScanIter{tbl: tbl, perm: perm, reverse: reverse, filt: filt}
-		return n, nil
+// compileOrderedGet lowers a Get carrying an Order requirement, node
+// n with filter filt, to a walk of the ordered index a names when
+// storage has a fresh permutation of it, else a full scan under an
+// explicit sort (the correctness net for stale indexes — rows inserted
+// after the last BuildIndexes are visible to scans but not covered by
+// index permutations).
+func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, a AccessPath, n *node, filt filterPred) *node {
+	if a.Index != nil {
+		if perm, ok := tbl.OrderedScan(a.Index.Name); ok {
+			n.it = &orderedScanIter{tbl: tbl, perm: perm, reverse: a.Reverse, filt: filt}
+			return n
+		}
 	}
 	n.it = &scanIter{tbl: tbl, filt: filt}
-	return newNode(&sortIter{ctx: ctx, in: n, by: g.Order, st: ctx.traceStats(g)}, g.Cols), nil
-}
-
-// orderedPerm finds an ordered index whose leading columns match the
-// Get's Order requirement and returns its (fresh) permutation. All
-// keys ascending walks it forward; all keys descending walks it
-// backward; mixed directions cannot use a single permutation.
-func orderedPerm(tbl *storage.Version, g *algebra.Get) (perm []int32, reverse bool, ok bool) {
-	allAsc, allDesc := true, true
-	for _, o := range g.Order {
-		if o.Desc {
-			allAsc = false
-		} else {
-			allDesc = false
-		}
-	}
-	if !allAsc && !allDesc {
-		return nil, false, false
-	}
-	ords := make([]int, len(g.Order))
-	for i, o := range g.Order {
-		ords[i] = -1
-		for j, id := range g.Cols {
-			if id == o.Col {
-				ords[i] = j
-				break
-			}
-		}
-		if ords[i] < 0 {
-			return nil, false, false
-		}
-	}
-	for _, idx := range tbl.Schema.Indexes {
-		if !idx.Ordered || len(idx.Cols) < len(ords) {
-			continue
-		}
-		match := true
-		for i, o := range ords {
-			if idx.Cols[i] != o {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		if perm, ok := tbl.OrderedScan(idx.Name); ok {
-			return perm, allDesc && len(g.Order) > 0, true
-		}
-	}
-	return nil, false, false
+	return newNode(&sortIter{ctx: ctx, in: n, by: g.Order, st: ctx.traceStats(g)}, g.Cols)
 }
 
 // orderedScanIter walks a table in index-permutation order, applying

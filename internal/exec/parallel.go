@@ -177,7 +177,7 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 			if !ok {
 				return nil, false
 			}
-			if index, _, _ := planSeek(tbl, g, t.Filter); index != "" {
+			if CompiledAccess(tbl.Schema, g, t.Filter).Seek() {
 				// A serial index seek beats a parallel full scan.
 				return nil, false
 			}

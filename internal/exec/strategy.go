@@ -1,17 +1,21 @@
 package exec
 
-import "orthoq/internal/algebra"
+import (
+	"orthoq/internal/algebra"
+	"orthoq/internal/sql/catalog"
+)
 
-// The physical selectors: which algorithm runs a join or an
-// aggregation is a function of the plan alone — the node's keys and
-// the orders its inputs deliver — and nothing a caller configures; how
-// an Apply runs is a function of the plan and of the optimizer's
-// estimates for it (Estimates). The compile step, the cost model (opt)
-// and EXPLAIN ask the same functions, so what EXPLAIN prints and what
-// the plan was priced as is what runs. An order a merge join or a
-// streaming aggregation needs is the plan's to deliver (an ordered
-// index scan, a Sort node); the executor never inserts a sort of its
-// own.
+// The physical selectors: which index a table access reads and which
+// algorithm runs a join or an aggregation are functions of the plan
+// alone — the access's filter and the columns bound at Open, the
+// node's keys and the orders its inputs deliver — and nothing a caller
+// configures; how an Apply runs is a function of the plan and of the
+// optimizer's estimates for it (Estimates). The compile step, the cost
+// model and the rules (opt) and EXPLAIN ask the same functions, so
+// what EXPLAIN prints and what the plan was priced as is what runs. An
+// order a merge join or a streaming aggregation needs is the plan's to
+// deliver (an ordered index scan, a Sort node); the executor never
+// inserts a sort of its own.
 
 // Algorithm names the selectors answer with.
 const (
@@ -46,6 +50,122 @@ func AggAlg(gb *algebra.GroupBy, inOrder []algebra.Ordering) string {
 		return AlgStream
 	}
 	return AlgHash
+}
+
+// AccessPath is how a Get reads its table: the index it reads, or a
+// full scan.
+type AccessPath struct {
+	// Index is the index the Get reads; nil means a full scan.
+	Index *catalog.Index
+	// Keys, on an equality seek, is the key expression for each leading
+	// column of Index the filter binds, in index order; empty on a full
+	// scan and on an ordered walk.
+	Keys []algebra.Scalar
+	// Reverse, on an ordered walk, reads the index backward: every key
+	// of the Get's Order is descending.
+	Reverse bool
+}
+
+// Seek reports whether the access looks Keys up in Index.
+func (a AccessPath) Seek() bool { return len(a.Keys) > 0 }
+
+// Access answers which index Get g over table tbl reads, given its
+// filter's conjuncts conjs and the columns bound at Open (correlation
+// parameters; constants need none). A Get with an Order walks the
+// ordered index whose leading columns are the Order's, all keys
+// ascending or all descending, and seeks nothing. Otherwise it seeks
+// the index with the longest prefix of leading columns that equality
+// conjuncts bind to expressions over bound columns — a hash index only
+// when every column is bound — and scans when no index qualifies. The
+// filter stays the seek's residual whole: key conjuncts are re-checked
+// for NULL semantics. Keys are appended to keys[:0]. The compile step,
+// the cost model, JoinToApply, the order rules and EXPLAIN all ask
+// this one function.
+func Access(tbl *catalog.Table, g *algebra.Get, conjs []algebra.Scalar, bound algebra.ColSet, keys []algebra.Scalar) AccessPath {
+	if len(g.Order) > 0 {
+		return orderedAccess(tbl, g)
+	}
+	self := algebra.NewColSet(g.Cols...)
+	var best *catalog.Index
+	bestLen := 0
+	for i := range tbl.Indexes {
+		idx := &tbl.Indexes[i]
+		n := 0
+		for n < len(idx.Cols) && seekKey(g, self, conjs, bound, idx.Cols[n]) != nil {
+			n++
+		}
+		if n > bestLen && (idx.Ordered || n == len(idx.Cols)) {
+			best, bestLen = idx, n
+		}
+	}
+	if best == nil {
+		return AccessPath{}
+	}
+	keys = keys[:0]
+	for _, ord := range best.Cols[:bestLen] {
+		keys = append(keys, seekKey(g, self, conjs, bound, ord))
+	}
+	return AccessPath{Index: best, Keys: keys}
+}
+
+// seekKey is the comparand an equality conjunct binds column ord of g
+// to, when it is evaluable at Open — it reads bound columns only, none
+// of g's own, and no subquery — or nil.
+func seekKey(g *algebra.Get, self algebra.ColSet, conjs []algebra.Scalar, bound algebra.ColSet, ord int) algebra.Scalar {
+	col := g.Cols[ord]
+	for _, c := range conjs {
+		cmp, ok := c.(*algebra.Cmp)
+		if !ok || cmp.Op != algebra.CmpEq {
+			continue
+		}
+		other := cmp.R
+		if l, ok := cmp.L.(*algebra.ColRef); !ok || l.Col != col {
+			if r, ok := cmp.R.(*algebra.ColRef); !ok || r.Col != col {
+				continue
+			}
+			other = cmp.L
+		}
+		if oc := algebra.ScalarCols(other); !oc.Intersects(self) && oc.SubsetOf(bound) && !algebra.HasSubquery(other) {
+			return other
+		}
+	}
+	return nil
+}
+
+// orderedAccess is the ordered index whose leading columns are g's
+// Order columns, walked forward when every key is ascending and
+// backward when every key is descending; mixed directions cannot use
+// one permutation.
+func orderedAccess(tbl *catalog.Table, g *algebra.Get) AccessPath {
+	desc := g.Order[0].Desc
+	for _, o := range g.Order {
+		if o.Desc != desc {
+			return AccessPath{}
+		}
+	}
+indexes:
+	for i := range tbl.Indexes {
+		idx := &tbl.Indexes[i]
+		if !idx.Ordered || len(idx.Cols) < len(g.Order) {
+			continue
+		}
+		for k, o := range g.Order {
+			if g.Cols[idx.Cols[k]] != o.Col {
+				continue indexes
+			}
+		}
+		return AccessPath{Index: idx, Reverse: desc}
+	}
+	return AccessPath{}
+}
+
+// CompiledAccess is the access compile gives Get g under filter: in a
+// plan every column the filter reads that g does not produce is a
+// correlation parameter, bound at Open. EXPLAIN asks it too.
+func CompiledAccess(tbl *catalog.Table, g *algebra.Get, filter algebra.Scalar) AccessPath {
+	bound := algebra.ScalarCols(filter)
+	bound.DifferenceWith(algebra.NewColSet(g.Cols...))
+	return Access(tbl, g, algebra.Conjuncts(filter), bound, nil)
 }
 
 // Estimates is the optimizer's estimate for each node of one plan

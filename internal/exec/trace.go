@@ -35,8 +35,11 @@ type OpStats struct {
 	// Spills counts spill episodes this operator took (a hash
 	// aggregation or join build crossing the memory budget).
 	Spills int64
-	// Strategy is the Apply execution strategy chosen at compile time
-	// ("sequential", "batched", "parallel"); empty for other operators.
+	// Strategy is the physical choice compile made for the node: on an
+	// Apply its execution strategy ("sequential", "batched",
+	// "parallel"); on a table access that seeks an index (a Get, or the
+	// Select over one) "seek=" and the index name, as EXPLAIN prints it;
+	// empty otherwise.
 	Strategy string
 	// Bindings counts correlation-binding lookups (one per outer row of
 	// an Apply); InnerExecs counts actual inner-side executions. Their
@@ -290,9 +293,11 @@ func (c *Context) FormatTrace(rel algebra.Rel) string {
 			if sp.MemBytes > 0 || sp.Spills > 0 {
 				fmt.Fprintf(&b, " (mem=%d spills=%d)", sp.MemBytes, sp.Spills)
 			}
-			if sp.Strategy != "" {
+			if sp.Op == "Apply" {
 				fmt.Fprintf(&b, " (strategy=%s bindings=%d inner-execs=%d)",
 					sp.Strategy, sp.Bindings, sp.InnerExecs)
+			} else if sp.Strategy != "" {
+				fmt.Fprintf(&b, " (%s)", sp.Strategy)
 			}
 		}
 		b.WriteByte('\n')

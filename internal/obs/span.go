@@ -50,8 +50,11 @@ type Span struct {
 	// WorkerTime is the cumulative worker-side wall time at a parallel
 	// boundary (sums across workers; exceeds Busy when workers overlap).
 	WorkerTime time.Duration `json:"worker_ns,omitempty"`
-	// Strategy is the Apply execution strategy chosen at compile time
-	// ("sequential", "batched", "parallel"); empty for other operators.
+	// Strategy is the physical choice compile made for the operator: on
+	// an Apply its execution strategy ("sequential", "batched",
+	// "parallel"); on a table access that seeks an index (a Get, or the
+	// Select over one) "seek=" and the index name, as EXPLAIN prints it;
+	// empty otherwise.
 	Strategy string `json:"strategy,omitempty"`
 	// Bindings counts an Apply's correlation-binding lookups (one per
 	// outer row); InnerExecs counts actual inner-side executions. Their

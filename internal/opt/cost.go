@@ -66,8 +66,8 @@ type coster struct {
 	// of stored columns met in GroupBys costed so far: what is known
 	// about a column a HAVING-style predicate compares (see aggStats).
 	aggs map[algebra.ColID]algebra.AggItem
-	// conj is conjuncts' buffer.
-	conj []algebra.Scalar
+	// conj is conjuncts' buffer, keys the access selector's.
+	conj, keys []algebra.Scalar
 	// costed counts estimates derived, for Result.Costed.
 	costed int
 }
@@ -341,9 +341,11 @@ func (c *coster) derive(s *mexpr, l, r estimate) estimate {
 	return estimate{rows: 1000, cost: 1e12}
 }
 
-// costGet estimates a (filtered) base-table access, recognizing index
-// seeks on equality conjuncts whose comparands are constants or bound
-// parameters — matching the execution engine's compileGet.
+// costGet estimates a (filtered) base-table access, pricing the access
+// the executor's selector (exec.Access) picks with the scope's bound
+// columns: a seek reads the rows matching the bound prefix of its
+// index, estimated by the product of the prefix columns' distinct
+// counts.
 func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	var rows float64 = 1000
 	if ts := c.st.Table(g.Table); ts != nil {
@@ -362,46 +364,19 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	if filter == nil {
 		return estimate{rows: rows, cost: rows * cScanRow}
 	}
-	selfCols := algebra.NewColSet(g.Cols...)
-	seekSel := 1.0
-	seekable := false
-	tbl, _ := c.cat.Table(g.Table)
-	for _, conj := range c.conjuncts(filter) {
-		cmp, ok := conj.(*algebra.Cmp)
-		if !ok || cmp.Op != algebra.CmpEq {
-			continue
-		}
-		col, okc := cmp.L.(*algebra.ColRef)
-		other := cmp.R
-		if !okc || !selfCols.Contains(col.Col) {
-			if rc, okr := cmp.R.(*algebra.ColRef); okr && selfCols.Contains(rc.Col) {
-				col, other = rc, cmp.L
-				okc = true
-			} else {
-				okc = false
-			}
-		}
-		if !okc {
-			continue
-		}
-		// The comparand must be evaluable at open: constants or bound
-		// (correlation) parameters only.
-		oc := algebra.ScalarCols(other)
-		if oc.Intersects(selfCols) || !oc.SubsetOf(c.bound) {
-			continue
-		}
-		// Is there an index whose leading column is this one?
-		if tbl != nil {
-			ord := c.md.Column(col.Col).Ord
-			if idx := tbl.IndexOn([]int{ord}); idx != nil {
-				seekable = true
-				seekSel *= 1 / c.distinct(col.Col, rows)
-			}
+	var a exec.AccessPath
+	if tbl, ok := c.cat.Table(g.Table); ok {
+		a = exec.Access(tbl, g, c.conjuncts(filter), c.bound, c.keys)
+		if a.Seek() {
+			c.keys = a.Keys // a scan returns no Keys: keep the scratch
 		}
 	}
-	sel := c.selectivity(filter, rows)
-	outRows := math.Max(rows*sel, 0)
-	if seekable {
+	outRows := math.Max(rows*c.selectivity(filter, rows), 0)
+	if a.Seek() {
+		seekSel := 1.0
+		for _, ord := range a.Index.Cols[:len(a.Keys)] {
+			seekSel *= 1 / c.distinct(g.Cols[ord], rows)
+		}
 		matched := math.Max(rows*seekSel, 1)
 		return estimate{rows: outRows, cost: cSeek + matched*cScanRow}
 	}

@@ -48,14 +48,15 @@ func PlanEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collect
 	return est
 }
 
-// FormatWithEstimates renders plan r with the per-node cardinality and
-// cost estimates of est (PlanEstimates), for EXPLAIN output and
-// cost-model debugging, and adds the runtime algorithm picks
-// (apply=..., join=merge, agg=stream, sort elided) to the nodes whose
-// execution depends on them, by asking the same selectors, with the
-// same inputs, as the executor's compile step. parallelism is the
-// worker count the plan will run with, which the Apply selector reads.
-func FormatWithEstimates(md *algebra.Metadata, est exec.Estimates, r algebra.Rel, parallelism int) string {
+// FormatWithEstimates renders plan r over catalog cat with the
+// per-node cardinality and cost estimates of est (PlanEstimates), for
+// EXPLAIN output and cost-model debugging, and adds the runtime picks
+// (apply=..., seek=<index>, join=merge, agg=stream, sort elided) to the
+// nodes whose execution depends on them, by asking the same selectors,
+// with the same inputs, as the executor's compile step. parallelism is
+// the worker count the plan will run with, which the Apply selector
+// reads.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est exec.Estimates, r algebra.Rel, parallelism int) string {
 	var b strings.Builder
 	var walk func(algebra.Rel, int)
 	walk = func(rel algebra.Rel, depth int) {
@@ -67,6 +68,14 @@ func FormatWithEstimates(md *algebra.Metadata, est exec.Estimates, r algebra.Rel
 		switch n := rel.(type) {
 		case *algebra.Apply:
 			extra = " apply=" + est.ApplyStrategy(n, parallelism)
+		case *algebra.Select:
+			if g, ok := n.Input.(*algebra.Get); ok {
+				if tbl, ok := cat.Table(g.Table); ok {
+					if a := exec.CompiledAccess(tbl, g, n.Filter); a.Seek() {
+						extra = " seek=" + a.Index.Name
+					}
+				}
+			}
 		case *algebra.Join:
 			// Annotate only order-exploiting picks; hash stays implicit.
 			lk, rk, _ := exec.SplitJoinKeys(n.On, p.OutputCols(0), p.OutputCols(1))

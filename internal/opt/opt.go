@@ -199,7 +199,7 @@ func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 			try(RulePushSemiJoinBelowGroupBy, func() (algebra.Rel, bool) { return core.TryPushSemiJoinBelowGroupBy(md, t) })
 		} else {
 			try(RulePullGroupByAboveJoin, func() (algebra.Rel, bool) { return core.TryPullGroupByAboveJoin(md, t) })
-			try(RuleJoinToApply, func() (algebra.Rel, bool) { return joinToApply(md, o.Cat, t) })
+			try(RuleJoinToApply, func() (algebra.Rel, bool) { return joinToApply(o.Cat, t) })
 		}
 		// The segment rules match either input, and match it deeper than
 		// its operator, so they see every member of both.

@@ -110,11 +110,11 @@ func pushOrder(md *algebra.Metadata, cat *catalog.Catalog, r algebra.Rel, by []a
 		if len(t.Order) > 0 {
 			return nil, false
 		}
-		if !orderedIndexFor(cat, t, by) {
-			return nil, false
-		}
 		ng := *t
 		ng.Order = append([]algebra.Ordering(nil), by...)
+		if tbl, ok := cat.Table(t.Table); !ok || exec.Access(tbl, &ng, nil, algebra.ColSet{}, nil).Index == nil {
+			return nil, false
+		}
 		return &ng, true
 	case *algebra.Select:
 		in, ok := pushOrder(md, cat, t.Input, by)
@@ -154,56 +154,6 @@ func spineGet(r algebra.Rel) (*algebra.Get, bool) {
 		return spineGet(t.Input)
 	}
 	return nil, false
-}
-
-// orderedIndexFor reports whether g's table has an ordered index whose
-// leading columns match by's column sequence, with all keys ascending
-// or all descending (a single permutation walked forward or backward).
-func orderedIndexFor(cat *catalog.Catalog, g *algebra.Get, by []algebra.Ordering) bool {
-	tbl, ok := cat.Table(g.Table)
-	if !ok {
-		return false
-	}
-	allAsc, allDesc := true, true
-	for _, o := range by {
-		if o.Desc {
-			allAsc = false
-		} else {
-			allDesc = false
-		}
-	}
-	if !allAsc && !allDesc {
-		return false
-	}
-	ords := make([]int, len(by))
-	for i, o := range by {
-		ords[i] = -1
-		for j, id := range g.Cols {
-			if id == o.Col {
-				ords[i] = j
-				break
-			}
-		}
-		if ords[i] < 0 {
-			return false
-		}
-	}
-	for _, idx := range tbl.Indexes {
-		if !idx.Ordered || len(idx.Cols) < len(ords) {
-			continue
-		}
-		match := true
-		for i, o := range ords {
-			if idx.Cols[i] != o {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // groupOrderFromIndex finds an ordered index whose leading columns are

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"orthoq/internal/algebra"
+	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 )
 
@@ -215,9 +216,10 @@ func selectOver(r algebra.Rel, conjs []algebra.Scalar) algebra.Rel {
 
 // joinToApply reintroduces correlated execution (paper §4: "the
 // simplest and most common being index-lookup-join"): a join whose
-// right side is a base-table access with an index on an equality
-// column becomes an Apply that seeks the index once per outer row.
-func joinToApply(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
+// right side is a base-table access that would seek an index with the
+// left side's columns bound becomes an Apply that seeks it once per
+// outer row.
+func joinToApply(cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
 	if j.On == nil {
 		return nil, false
 	}
@@ -240,38 +242,7 @@ func joinToApply(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (a
 		return nil, false
 	}
 	tbl, ok := cat.Table(get.Table)
-	if !ok {
-		return nil, false
-	}
-	// Some equality conjunct must bind an indexed column of the right
-	// table to a left-side expression.
-	leftCols := algebra.OutputCols(j.Left)
-	rightCols := algebra.NewColSet(get.Cols...)
-	seekable := false
-	for _, conj := range algebra.Conjuncts(j.On) {
-		cmp, okc := conj.(*algebra.Cmp)
-		if !okc || cmp.Op != algebra.CmpEq {
-			continue
-		}
-		col, other := cmp.L, cmp.R
-		cr, isCR := col.(*algebra.ColRef)
-		if !isCR || !rightCols.Contains(cr.Col) {
-			cr2, isCR2 := other.(*algebra.ColRef)
-			if !isCR2 || !rightCols.Contains(cr2.Col) {
-				continue
-			}
-			cr, other = cr2, col
-		}
-		if !algebra.ScalarCols(other).SubsetOf(leftCols) {
-			continue
-		}
-		ord := md.Column(cr.Col).Ord
-		if tbl.IndexOn([]int{ord}) != nil {
-			seekable = true
-			break
-		}
-	}
-	if !seekable {
+	if !ok || !exec.Access(tbl, get, algebra.Conjuncts(j.On), algebra.OutputCols(j.Left), nil).Seek() {
 		return nil, false
 	}
 	// Fold the join predicate into a correlated select over the right

@@ -5,7 +5,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -47,33 +46,6 @@ func (t *Table) ColumnOrdinal(name string) int {
 		}
 	}
 	return -1
-}
-
-// IndexOn returns an index whose leading columns match cols exactly as a
-// prefix (in any order for the equality set), or nil. It is used by the
-// optimizer when considering index-lookup joins.
-func (t *Table) IndexOn(cols []int) *Index {
-	want := append([]int(nil), cols...)
-	sort.Ints(want)
-	for i := range t.Indexes {
-		idx := &t.Indexes[i]
-		if len(idx.Cols) < len(want) {
-			continue
-		}
-		prefix := append([]int(nil), idx.Cols[:len(want)]...)
-		sort.Ints(prefix)
-		eq := true
-		for j := range want {
-			if prefix[j] != want[j] {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return idx
-		}
-	}
-	return nil
 }
 
 // Catalog is a named collection of tables. Lookup and registration

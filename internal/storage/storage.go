@@ -38,10 +38,11 @@ import (
 // safe for concurrent use by any number of readers; nothing reachable
 // from a Version is ever mutated after publication.
 //
-// Index staleness semantics are unchanged from the pre-versioned
-// store: indexes cover the rows present at the last BuildIndexes, so
-// rows inserted afterwards are visible to scans but not to index
-// lookups until the next BuildIndexes (Analyze).
+// Indexes cover the rows present at the last BuildIndexes (Analyze).
+// Lookup compares the rows inserted since one by one, so a seek sees
+// every row a scan does; an ordered index's permutation is served
+// only while it covers every row (OrderedScan), and compile falls back
+// to scan plus sort otherwise.
 type Version struct {
 	// Schema is the catalog schema of the table (immutable).
 	Schema *catalog.Table
@@ -129,43 +130,67 @@ func (v *Version) AllRows() []types.Row { return v.rows }
 // RowCount returns the number of rows in this version.
 func (v *Version) RowCount() int { return len(v.rows) }
 
-// HasIndex reports whether an index with the name was built in this
-// version.
-func (v *Version) HasIndex(name string) bool {
-	_, h := v.hashIdx[name]
-	_, o := v.ordIdx[name]
-	return h || o
-}
-
-// Lookup appends to dst[:0] the ordinals of rows whose index columns
-// equal the given key datums, using the named index, and returns it.
-// The index must exist (the optimizer only emits lookups against
-// catalog indexes).
+// Lookup appends to dst[:0] the ordinals of rows whose leading index
+// columns equal the given key datums under the named index, and returns
+// it. The key covers every column of a hash index and may be a prefix
+// of an ordered index's columns.
+// The index covers the rows present at its last build (none when it
+// was never built), found through it; the rows appended since are
+// compared one by one with the same equality, so a seek sees every row
+// a scan of this version does. The index must be declared in the
+// schema.
 func (v *Version) Lookup(indexName string, key []types.Datum, dst []int) []int {
 	out := dst[:0]
+	var cols []int
+	covered := 0
 	if hi, ok := v.hashIdx[indexName]; ok {
-		h := uint64(types.HashSeed)
-		for _, d := range key {
-			h = types.MixHash(h, d.Hash())
+		out = hi.lookup(key, out)
+		cols, covered = hi.cols, len(hi.rows)
+	} else if oi, ok := v.ordIdx[indexName]; ok {
+		out = oi.lookup(key, out)
+		cols, covered = oi.cols, len(oi.rows)
+	} else {
+		for _, idx := range v.Schema.Indexes {
+			if idx.Name == indexName {
+				cols = idx.Cols
+				break
+			}
 		}
-		b, ok := hi.buckets[h]
-		if !ok {
+		if cols == nil {
 			return out
 		}
-	rows:
-		for _, ord := range hi.ords[hi.starts[b]:hi.starts[b+1]] {
-			r := hi.rows[ord]
-			for i, c := range hi.cols {
-				if !types.Equal(r[c], key[i]) {
-					continue rows
-				}
+	}
+rows:
+	for ord := covered; ord < len(v.rows); ord++ {
+		for i, d := range key {
+			if !types.Equal(v.rows[ord][cols[i]], d) {
+				continue rows
 			}
-			out = append(out, int(ord))
 		}
+		out = append(out, ord)
+	}
+	return out
+}
+
+// lookup appends the ordinals of the indexed rows whose key is key.
+func (hi *hashIndex) lookup(key []types.Datum, out []int) []int {
+	h := uint64(types.HashSeed)
+	for _, d := range key {
+		h = types.MixHash(h, d.Hash())
+	}
+	b, ok := hi.buckets[h]
+	if !ok {
 		return out
 	}
-	if oi, ok := v.ordIdx[indexName]; ok {
-		return oi.lookup(key, out)
+rows:
+	for _, ord := range hi.ords[hi.starts[b]:hi.starts[b+1]] {
+		r := hi.rows[ord]
+		for i, c := range hi.cols {
+			if !types.Equal(r[c], key[i]) {
+				continue rows
+			}
+		}
+		out = append(out, int(ord))
 	}
 	return out
 }
@@ -203,28 +228,6 @@ func (v *Version) OrderedScan(indexName string) ([]int32, bool) {
 		return nil, false
 	}
 	return oi.perm, true
-}
-
-// RangeScan returns row ordinals with lo <= indexCols < hi (nil bound =
-// unbounded), via the named ordered index.
-func (v *Version) RangeScan(indexName string, lo, hi []types.Datum) []int {
-	oi, ok := v.ordIdx[indexName]
-	if !ok {
-		return nil
-	}
-	start := 0
-	if lo != nil {
-		start = sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, lo) >= 0 })
-	}
-	end := len(oi.perm)
-	if hi != nil {
-		end = sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, hi) >= 0 })
-	}
-	out := make([]int, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, int(oi.perm[i]))
-	}
-	return out
 }
 
 // Column returns column ord in typed form holding at least this

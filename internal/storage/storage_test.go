@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"orthoq/internal/sql/catalog"
@@ -91,23 +92,11 @@ func TestHashIndexLookup(t *testing.T) {
 	}
 }
 
-func TestOrderedIndexLookupAndRange(t *testing.T) {
+func TestOrderedIndexLookup(t *testing.T) {
 	tbl := newTestTable(t, 100)
 	got := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(42)}, nil)
 	if len(got) != 1 || tbl.Rows[got[0]][0].Int() != 42 {
 		t.Fatalf("pk lookup: got %v", got)
-	}
-	rng := tbl.Version().RangeScan("t_pk", []types.Datum{types.NewInt(10)}, []types.Datum{types.NewInt(15)})
-	if len(rng) != 5 {
-		t.Fatalf("range [10,15): got %d rows", len(rng))
-	}
-	for i, ord := range rng {
-		if want := int64(10 + i); tbl.Rows[ord][0].Int() != want {
-			t.Errorf("range order: got %v want %d", tbl.Rows[ord][0], want)
-		}
-	}
-	if all := tbl.Version().RangeScan("t_pk", nil, nil); len(all) != 100 {
-		t.Errorf("unbounded range: got %d", len(all))
 	}
 }
 
@@ -155,24 +144,13 @@ func TestCatalogValidation(t *testing.T) {
 	}
 }
 
-func TestIndexOn(t *testing.T) {
-	sch := testSchema()
-	if idx := sch.IndexOn([]int{0}); idx == nil || idx.Name != "t_pk" {
-		t.Errorf("IndexOn([0]) = %v", idx)
-	}
-	if idx := sch.IndexOn([]int{1}); idx == nil || idx.Name != "t_grp" {
-		t.Errorf("IndexOn([1]) = %v", idx)
-	}
-	if idx := sch.IndexOn([]int{2}); idx != nil {
-		t.Errorf("IndexOn([2]) = %v, want nil", idx)
-	}
-}
-
 // TestIndexLookupMatchesScan holds Lookup on hash and ordered indexes,
 // single- and multi-column, to a scan of the rows the index was built
 // over: the ordinals of the rows whose index columns equal the key, in
-// ascending order, for keys present and absent, NULL, -0 and Int keys
-// on a Float column; rows appended after the build stay invisible.
+// ascending order (as a set for a prefix), for keys present and absent, NULL, -0 and Int keys
+// on a Float column, and every prefix of an ordered index's key — over
+// a version no index was built for, and over one with rows appended
+// after the build, which a lookup must find too.
 func TestIndexLookupMatchesScan(t *testing.T) {
 	st := New(catalog.New())
 	tbl, err := st.CreateTable(&catalog.Table{
@@ -214,40 +192,56 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	unbuilt := tbl.Version()
 	tbl.BuildIndexes()
-	built := tbl.Version().AllRows()
 	for i := 0; i < 50; i++ {
 		if err := tbl.Insert(row()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v := tbl.Version()
 	dst := []int{-1, -2, -3}
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 4000; i++ {
+		v := tbl.Version()
+		if i%2 == 0 {
+			v = unbuilt
+		}
 		probe := row()
 		probe[0] = types.NewInt(int64(r.Intn(45))) // some absent
 		for _, idx := range v.Schema.Indexes {
-			key := make([]types.Datum, len(idx.Cols))
-			for j, c := range idx.Cols {
-				key[j] = probe[c]
+			// A hash index is probed with its full key; an ordered one
+			// also with every shorter prefix.
+			shortest := len(idx.Cols)
+			if idx.Ordered {
+				shortest = 1
 			}
-			var want []int
-		rows:
-			for ord, br := range built {
-				for j, c := range idx.Cols {
-					if !types.Equal(br[c], key[j]) {
-						continue rows
-					}
+			for n := len(idx.Cols); n >= shortest; n-- {
+				key := make([]types.Datum, n)
+				for j, c := range idx.Cols[:n] {
+					key[j] = probe[c]
 				}
-				want = append(want, ord)
-			}
-			dst = v.Lookup(idx.Name, key, dst)
-			if len(dst) != len(want) {
-				t.Fatalf("%s %v: lookup %v, scan %v", idx.Name, key, dst, want)
-			}
-			for k := range want {
-				if dst[k] != want[k] {
+				var want []int
+			rows:
+				for ord, br := range v.AllRows() {
+					for j, c := range idx.Cols[:n] {
+						if !types.Equal(br[c], key[j]) {
+							continue rows
+						}
+					}
+					want = append(want, ord)
+				}
+				dst = v.Lookup(idx.Name, key, dst)
+				if n < len(idx.Cols) {
+					// A prefix's matches come in the order of the
+					// index's remaining columns.
+					slices.Sort(dst)
+				}
+				if len(dst) != len(want) {
 					t.Fatalf("%s %v: lookup %v, scan %v", idx.Name, key, dst, want)
+				}
+				for k := range want {
+					if dst[k] != want[k] {
+						t.Fatalf("%s %v: lookup %v, scan %v", idx.Name, key, dst, want)
+					}
 				}
 			}
 		}

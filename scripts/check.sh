@@ -161,7 +161,11 @@ go test -run 'TestResultCache' -race .
 # row-at-a-time definitions: its entries numbered as the row lookup
 # numbers groups, a join table's candidates those of a nested loop over
 # types.EqualRows, in build order.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle' -race . ./internal/exec
+# And the same check for the access path: every seek= in EXPLAIN names
+# the index its traced access read, and a seek returns the rows a scan
+# does after inserts no Analyze followed, on a table never analyzed and
+# inside an Apply.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
