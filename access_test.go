@@ -15,7 +15,11 @@ import (
 // seek spelling seeking the named index: a hash index, an ordered
 // index sought on its whole key and on a leading prefix, a
 // never-analyzed table's hash and ordered indexes (whole key and
-// prefix), and a correlated seek inside an Apply.
+// prefix), a correlated seek inside an Apply — into an analyzed table,
+// and into the never-analyzed one, where every row the seek returns
+// comes from the scan kernels and the seek is re-opened per binding —
+// and a seek whose filter has a residual conjunct beside the key.
+// Every case runs serial and at four workers.
 func TestSeekSeesUnanalyzedInserts(t *testing.T) {
 	db, err := OpenTPCH(0.001, 1)
 	if err != nil {
@@ -78,29 +82,38 @@ func TestSeekSeesUnanalyzedInserts(t *testing.T) {
 		{"correlated", `select c_custkey, (select count(*) from orders o where o.o_custkey = c.c_custkey) from customer c where c_custkey <= 3`,
 			`select c_custkey, (select count(*) from orders o where o.o_custkey + 0 = c.c_custkey) from customer c where c_custkey <= 3`,
 			"orders_ck", Config{}},
+		{"correlated never-analyzed", `select c_custkey, (select sum(f_id) from fresh f where f.f_grp = c.c_custkey) from customer c where c_custkey <= 9`,
+			`select c_custkey, (select sum(f_id) from fresh f where f.f_grp + 0 = c.c_custkey) from customer c where c_custkey <= 9`,
+			"fresh_grp", Config{}},
+		{"residual", `select o_orderkey, o_totalprice from orders where o_custkey = 1 and o_orderstatus = 'O'`,
+			`select o_orderkey, o_totalprice from orders where o_custkey + 0 = 1 and o_orderstatus = 'O'`, "orders_ck", DefaultConfig()},
 	}
-	for _, c := range cases {
-		want, err := db.QueryCfg(c.scan, c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traced := c.cfg
-		traced.Trace = true
-		got, err := db.QueryCfg(c.seek, traced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBagTolerant(got.Data, want.Data) {
-			t.Errorf("%s: the seek returned %v, the scan %v", c.name, got.Data, want.Data)
-		}
-		var seeks []string
-		for _, sp := range collectSpans(got) {
-			if ix, ok := strings.CutPrefix(sp.Strategy, "seek="); ok {
-				seeks = append(seeks, ix)
+	for _, par := range []int{0, 4} {
+		for _, c := range cases {
+			cfg := c.cfg
+			cfg.Parallelism = par
+			want, err := db.QueryCfg(c.scan, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(seeks) != 1 || seeks[0] != c.index {
-			t.Errorf("%s: the seek spelling read indexes %v, want [%s]", c.name, seeks, c.index)
+			traced := cfg
+			traced.Trace = true
+			got, err := db.QueryCfg(c.seek, traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBagTolerant(got.Data, want.Data) {
+				t.Errorf("%s at parallelism %d: the seek returned %v, the scan %v", c.name, par, got.Data, want.Data)
+			}
+			var seeks []string
+			for _, sp := range collectSpans(got) {
+				if ix, ok := strings.CutPrefix(sp.Strategy, "seek="); ok {
+					seeks = append(seeks, ix)
+				}
+			}
+			if len(seeks) != 1 || seeks[0] != c.index {
+				t.Errorf("%s at parallelism %d: the seek spelling read indexes %v, want [%s]", c.name, par, seeks, c.index)
+			}
 		}
 	}
 }

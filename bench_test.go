@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"orthoq/internal/sql/types"
 )
 
 const benchSF = 0.005
@@ -246,6 +248,49 @@ func BenchmarkBatchScanAggQ18(b *testing.B) {
 func BenchmarkBatchJoinSelective(b *testing.B) {
 	benchBatch(b, `select l_orderkey, l_extendedprice from lineitem, supplier
 		where l_suppkey = s_suppkey and s_nationkey = 3 and l_shipdate >= date '1994-01-01'`)
+}
+
+// BenchmarkSeekUnanalyzed times a seek on a table never analyzed, so
+// its hash index covers no row: 200 000 rows of t(id, grp, v) inserted
+// through DB.Insert, and `grp = 3` (2 000 matches) as the seek spelling
+// beside `grp + 0 = 3`, which binds no index and scans — each serial
+// and at four workers (the seek stays serial; the scan runs as a
+// morsel-driven exchange).
+func BenchmarkSeekUnanalyzed(b *testing.B) {
+	db := NewMemory()
+	if err := db.CreateTable(&Table{
+		Name:    "t",
+		Columns: []Column{{Name: "id", Type: types.Int}, {Name: "grp", Type: types.Int}, {Name: "v", Type: types.Float}},
+		Key:     []int{0},
+		Indexes: []Index{{Name: "t_grp", Cols: []int{1}}},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]Row, 200_000)
+	for i := range rows {
+		rows[i] = Row{types.NewInt(int64(i)), types.NewInt(int64(i % 100)), types.NewFloat(float64(i) / 4)}
+	}
+	if err := db.Insert("t", rows...); err != nil {
+		b.Fatal(err)
+	}
+	for _, sp := range []struct{ name, where string }{{"seek", "grp = 3"}, {"scan", "grp + 0 = 3"}} {
+		for _, par := range []int{0, 4} {
+			b.Run(fmt.Sprintf("%s/par%d", sp.name, par), func(b *testing.B) {
+				cfg := DefaultConfig()
+				cfg.Parallelism = par
+				stmt, err := db.Prepare("select count(*), sum(v) from t where "+sp.where, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := stmt.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // Compilation benchmarks: optimizer throughput.

@@ -23,7 +23,7 @@ import (
 func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor (for statistics)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	qname := flag.String("q", "", "named TPC-H query (Q1, Q2, Q4, Q16, Q17, Q18, Q20, Q21, Q22)")
+	qname := flag.String("q", "", "named TPC-H query (Q1, Q2, Q4, Q6, Q11, Q15, Q16, Q17, Q18, Q20, Q21, Q22)")
 	corr := flag.Bool("corr", false, "keep correlations (skip decorrelation)")
 	class2 := flag.Bool("class2", false, "remove class-2 subqueries (identities (5)-(7))")
 	flag.Parse()

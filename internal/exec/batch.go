@@ -33,6 +33,8 @@ package exec
 // turns a producer that overshoots its cap into an internal error.
 
 import (
+	"slices"
+
 	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
@@ -186,19 +188,6 @@ func drainBatches(it iterator, b *Batch, fn func(*Batch) error) error {
 	}
 }
 
-// initSel resets dst to the live indices of rows under sel (nil = all
-// rows), reusing dst's storage.
-func initSel(rows []types.Row, sel []int, dst []int) []int {
-	dst = dst[:0]
-	if sel != nil {
-		return append(dst, sel...)
-	}
-	for i := range rows {
-		dst = append(dst, i)
-	}
-	return dst
-}
-
 // filterPred is the predicate of a scan or Select: it narrows a
 // selection with vector kernels, one top-level conjunct at a time — the
 // vectorized form of SQL's left-to-right AND short-circuit: a row
@@ -230,7 +219,15 @@ func (p *filterPred) narrow(in *Batch) ([]int, error) {
 		p.vecOK = true
 		p.vec = p.comp.CompileVecConjuncts(p.pred)
 	}
-	out := initSel(in.Rows, in.Sel, p.selBuf)
+	out := p.selBuf[:0] // the live rows, which the conjuncts narrow in place
+	if in.Sel != nil {
+		out = append(out, in.Sel...)
+	} else {
+		out = slices.Grow(out, len(in.Rows))[:len(in.Rows)]
+		for i := range out {
+			out[i] = i
+		}
+	}
 	p.selBuf = out
 	p.frame.ResetStored(in.Rows, p.ctx.params, in.src, in.off)
 	for _, cj := range p.vec {

@@ -213,7 +213,7 @@ func (m *mergeJoinIter) loadGroup() error {
 		if rowHasNullAt(row, m.rOrds) {
 			continue
 		}
-		if types.EqualRows(row, m.rOrds, first, m.rOrds) {
+		if cmpKeys(row, m.rOrds, first, m.rOrds) == 0 {
 			if err := add(row); err != nil {
 				return err
 			}
@@ -227,9 +227,15 @@ func (m *mergeJoinIter) loadGroup() error {
 // cmpGroupKey compares the current right group's key against the left
 // row's key under the ascending merge order.
 func (m *mergeJoinIter) cmpGroupKey(lrow types.Row) int {
-	grow := m.group[0]
-	for i, lo := range m.lOrds {
-		if c := types.Compare(grow[m.rOrds[i]], lrow[lo]); c != 0 {
+	return cmpKeys(m.group[0], m.rOrds, lrow, m.lOrds)
+}
+
+// cmpKeys compares row a's key at aOrds with row b's at bOrds in the
+// order both inputs are sorted by (types.SortCompare), so a NaN key
+// joins only a NaN key, as in the hash join.
+func cmpKeys(a types.Row, aOrds []int, b types.Row, bOrds []int) int {
+	for i, o := range aOrds {
+		if c := types.SortCompare(a[o], b[bOrds[i]]); c != 0 {
 			return c
 		}
 	}

@@ -11,126 +11,142 @@ import (
 )
 
 // compileGet lowers a (possibly filtered) base-table access at plan
-// node at (g, or the Select over it) to the access the selector
-// answers for it (Access): an index seek when equality conjuncts bind
-// leading index columns to values available at Open (constants or
-// correlation parameters) — the correlated index-lookup execution the
-// paper calls "the simplest and most common" correlated strategy (§4)
-// — an ordered index walk for a Get with an Order, else a full scan.
-// The whole filter stays the per-row residual. Under parallel
-// execution the plan's designated driver Get instead lowers to a
-// morsel-claiming scan so workers partition the table. A traced seek
-// names its index on at's span, as EXPLAIN's seek= does.
+// node at (g, or the Select over it) to a tableIter reading what the
+// selector answers for it (Access): an index seek when equality
+// conjuncts bind leading index columns to values available at Open
+// (constants or correlation parameters) — the correlated index-lookup
+// execution the paper calls "the simplest and most common" correlated
+// strategy (§4) — an ordered index walk for a Get with an Order, else a
+// full scan. The whole filter stays the per-row residual. A seek reads
+// its index's matches, then runs the scan kernels over the rows the
+// index does not cover: over an index never built, that is a serial
+// kernel scan of the whole table. A Get with an Order whose
+// permutation is stale (rows inserted since the last build are not in
+// index order) scans under an explicit Sort instead. Under parallel
+// execution the plan's designated driver Get reads the morsels its
+// worker claims, so workers partition the table. A traced seek names
+// its index on at's span, as EXPLAIN's seek= does.
 func compileGet(ctx *Context, at algebra.Rel, g *algebra.Get, filter algebra.Scalar) (*node, error) {
 	tbl, ok := ctx.table(g.Table)
 	if !ok {
 		return nil, fmt.Errorf("exec: table %q not stored", g.Table)
 	}
 	n := newNode(nil, g.Cols)
-	filt := newFilterPred(ctx, filter, n.ords)
+	it := &tableIter{ctx: ctx, tbl: tbl, filt: newFilterPred(ctx, filter, n.ords)}
+	n.it = it
 	if ctx.morsels != nil && g == ctx.driverGet {
-		n.it = &morselScanIter{tbl: tbl, src: ctx.morsels, filt: filt}
+		it.morsels = ctx.morsels
 		return n, nil
 	}
 	a := CompiledAccess(tbl.Schema, g, filter)
 	switch {
 	case len(g.Order) > 0:
-		return compileOrderedGet(ctx, g, tbl, a, n, filt), nil
+		if a.Index != nil {
+			if perm, ok := tbl.OrderedScan(a.Index.Name); ok {
+				it.perm, it.reverse = perm, a.Reverse
+				return n, nil
+			}
+		}
+		return newNode(&sortIter{ctx: ctx, in: n, by: g.Order, st: ctx.traceStats(g)}, g.Cols), nil
 	case a.Seek():
 		if st := ctx.traceStats(at); st != nil {
 			st.Strategy = "seek=" + a.Index.Name
 		}
-		n.it = &seekIter{ctx: ctx, tbl: tbl, index: a.Index.Name, keyExprs: a.Keys, filt: filt}
-	default:
-		n.it = &scanIter{tbl: tbl, filt: filt}
+		it.index, it.keyExprs = a.Index.Name, a.Keys
 	}
 	return n, nil
 }
 
-// scanIter is a filtered full table scan.
-type scanIter struct {
+// tableIter reads a stored table through its filter in two phases.
+// First the ordinals ords, gathered into windows in order: a seek's
+// index matches, or an ordered walk's permutation (read backward when
+// reverse). Then ranges [lo, hi) of stored rows, handed to the kernels
+// zero-copy with their (src, off): the whole table for a scan, the
+// rows past the index's coverage for a seek, each claimed morsel for a
+// parallel driver. Every window is as long as the consumer's row cap
+// and goes through filt.emit, so under an elided sort LIMIT k reads k
+// index entries.
+type tableIter struct {
+	ctx  *Context
 	tbl  *storage.Version
 	filt filterPred
-	pos  int
-}
 
-func (s *scanIter) Open() error {
-	s.pos = 0
-	return nil
-}
+	index    string           // a seek's index, "" otherwise
+	keyExprs []algebra.Scalar // its key, evaluated at Open
+	perm     []int32          // an ordered walk's permutation (covers every row)
+	reverse  bool
+	morsels  *morselSource // a parallel driver's morsels
 
-// NextBatch serves windows of the table's row storage directly,
-// narrowing each window with the filter's vector conjuncts.
-func (s *scanIter) NextBatch(b *Batch) error {
-	rows := s.tbl.AllRows()
-	for s.pos < len(rows) {
-		off := s.pos
-		end := min(off+b.limit(), len(rows))
-		s.pos = end
-		if ok, err := s.filt.emit(b, rows[off:end], s.tbl, off); ok || err != nil {
-			return err
-		}
-	}
-	b.setEmpty()
-	return nil
-}
+	ords   []int32
+	pos    int // next position in ords
+	lo, hi int // the current range of stored rows
 
-func (s *scanIter) Close() error { return nil }
-
-// seekIter looks up rows via an index; key expressions are evaluated
-// at Open (they may reference correlation parameters).
-type seekIter struct {
-	ctx      *Context
-	tbl      *storage.Version
-	index    string
-	keyExprs []algebra.Scalar
-	filt     filterPred
-	matches  []int
-	pos      int
-
-	// key and matches are reused across re-opens: under Apply the
-	// iterator re-opens once per binding and rebuilding them was a hot
-	// allocation (Lookup retains neither).
-	key []types.Datum
-
+	// key and ords are reused across re-opens: under Apply a seek
+	// re-opens once per binding, and rebuilding them was a hot
+	// allocation (Lookup retains neither). ords is never perm's array
+	// on a seek, so Lookup never writes into a shared permutation.
+	key    []types.Datum
 	rowBuf []types.Row
 }
 
-func (s *seekIter) Open() error {
-	s.key = s.key[:0]
-	for _, e := range s.keyExprs {
-		d, err := s.ctx.ev.Eval(e, s.ctx.params)
-		if err != nil {
-			return err
+func (s *tableIter) Open() error {
+	s.pos, s.lo, s.hi = 0, 0, s.tbl.RowCount()
+	switch {
+	case s.index != "":
+		s.key = s.key[:0]
+		for _, e := range s.keyExprs {
+			d, err := s.ctx.ev.Eval(e, s.ctx.params)
+			if err != nil {
+				return err
+			}
+			s.key = append(s.key, d)
 		}
-		s.key = append(s.key, d)
+		s.ords, s.lo = s.tbl.Lookup(s.index, s.key, s.ords)
+	case s.perm != nil:
+		s.ords, s.lo = s.perm, s.hi
+	case s.morsels != nil:
+		s.hi = 0
 	}
-	s.matches = s.tbl.Lookup(s.index, s.key, s.matches)
-	s.pos = 0
 	return nil
 }
 
-// NextBatch gathers matched rows into an iterator-owned header buffer
-// and filters them with the residual's vector conjuncts.
-func (s *seekIter) NextBatch(b *Batch) error {
+func (s *tableIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
-	for s.pos < len(s.matches) {
-		end := min(s.pos+b.limit(), len(s.matches))
+	for s.pos < len(s.ords) {
+		end := min(s.pos+b.limit(), len(s.ords))
 		cand := s.rowBuf[:0]
-		for _, ri := range s.matches[s.pos:end] {
-			cand = append(cand, rows[ri])
+		for i := s.pos; i < end; i++ {
+			if s.reverse {
+				cand = append(cand, rows[s.ords[len(s.ords)-1-i]])
+			} else {
+				cand = append(cand, rows[s.ords[i]])
+			}
 		}
-		s.rowBuf = cand
-		s.pos = end
+		s.rowBuf, s.pos = cand, end
 		if ok, err := s.filt.emit(b, cand, nil, 0); ok || err != nil {
 			return err
 		}
 	}
-	b.setEmpty()
-	return nil
+	for {
+		if s.lo >= s.hi {
+			ok := false
+			if s.morsels != nil {
+				s.lo, s.hi, ok = s.morsels.claim()
+			}
+			if !ok {
+				b.setEmpty()
+				return nil
+			}
+		}
+		off := s.lo
+		s.lo = min(off+b.limit(), s.hi)
+		if ok, err := s.filt.emit(b, rows[off:s.lo], s.tbl, off); ok || err != nil {
+			return err
+		}
+	}
 }
 
-func (s *seekIter) Close() error { return nil }
+func (s *tableIter) Close() error { return nil }
 
 // filterIter applies a predicate.
 type filterIter struct {
@@ -459,7 +475,7 @@ func (s *sortIter) Open() error {
 	}
 	sort.SliceStable(s.rows, func(a, b int) bool {
 		for i, o := range s.by {
-			c := types.Compare(s.rows[a][ords[i]], s.rows[b][ords[i]])
+			c := types.SortCompare(s.rows[a][ords[i]], s.rows[b][ords[i]])
 			if c != 0 {
 				if o.Desc {
 					return c > 0

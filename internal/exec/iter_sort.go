@@ -4,82 +4,13 @@ import (
 	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
-	"orthoq/internal/storage"
 )
 
-// Order-aware physical operators: the ordered index scan that makes a
-// Get's Order property real, and sorted-input streaming aggregation.
-// Both exist so plans chosen by the optimizer's sort-property rules
-// (Get.Order set, Sorts elided) execute without materializing: the
-// scan walks the index permutation, the aggregation holds one group of
-// state at a time.
-
-// compileOrderedGet lowers a Get carrying an Order requirement, node
-// n with filter filt, to a walk of the ordered index a names when
-// storage has a fresh permutation of it, else a full scan under an
-// explicit sort (the correctness net for stale indexes — rows inserted
-// after the last BuildIndexes are visible to scans but not covered by
-// index permutations).
-func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, a AccessPath, n *node, filt filterPred) *node {
-	if a.Index != nil {
-		if perm, ok := tbl.OrderedScan(a.Index.Name); ok {
-			n.it = &orderedScanIter{tbl: tbl, perm: perm, reverse: a.Reverse, filt: filt}
-			return n
-		}
-	}
-	n.it = &scanIter{tbl: tbl, filt: filt}
-	return newNode(&sortIter{ctx: ctx, in: n, by: g.Order, st: ctx.traceStats(g)}, g.Cols)
-}
-
-// orderedScanIter walks a table in index-permutation order, applying
-// the residual predicate. The filter preserves order, so downstream
-// operators see exactly the Get's promised ordering.
-type orderedScanIter struct {
-	tbl     *storage.Version
-	perm    []int32
-	reverse bool
-	filt    filterPred
-	pos     int // position within perm (already direction-adjusted)
-	rowBuf  []types.Row
-}
-
-// at returns the perm index for logical position i under the scan
-// direction.
-func (s *orderedScanIter) at(i int) int {
-	if s.reverse {
-		return len(s.perm) - 1 - i
-	}
-	return i
-}
-
-func (s *orderedScanIter) Open() error {
-	s.pos = 0
-	return nil
-}
-
-// NextBatch gathers permutation windows into an iterator-owned buffer
-// and filters them with the vector conjuncts; windows preserve the
-// permutation order, and a window is as long as the consumer's row cap
-// — under an elided sort, LIMIT k reads k index entries.
-func (s *orderedScanIter) NextBatch(b *Batch) error {
-	rows := s.tbl.AllRows()
-	for s.pos < len(s.perm) {
-		end := min(s.pos+b.limit(), len(s.perm))
-		cand := s.rowBuf[:0]
-		for i := s.pos; i < end; i++ {
-			cand = append(cand, rows[s.perm[s.at(i)]])
-		}
-		s.rowBuf = cand
-		s.pos = end
-		if ok, err := s.filt.emit(b, cand, nil, 0); ok || err != nil {
-			return err
-		}
-	}
-	b.setEmpty()
-	return nil
-}
-
-func (s *orderedScanIter) Close() error { return nil }
+// Sorted-input streaming aggregation: with the ordered index walk that
+// makes a Get's Order property real (tableIter), it lets plans chosen
+// by the optimizer's sort-property rules (Get.Order set, Sorts elided)
+// execute without materializing — the walk reads the index
+// permutation, the aggregation holds one group of state at a time.
 
 // streamAggIter implements vector, scalar and local GroupBy over
 // grouped input: rows of each group arrive contiguously (the compiler
@@ -134,12 +65,13 @@ func (s *streamAggIter) Open() error {
 }
 
 // sameGroup reports whether the key vectors' entries at ri are the
-// current group's key. NULL group keys compare equal to each other (SQL
-// GROUP BY semantics), matching both the sort order the input delivers
-// and the hash aggregation's key equality.
+// current group's key, in the order the input is sorted by
+// (types.SortCompare). NULL group keys compare equal to each other (SQL
+// GROUP BY semantics), and a NaN key differs from every number, as in
+// the hash aggregation's key equality.
 func (s *streamAggIter) sameGroup(keys []*eval.Vec, ri int) bool {
 	for j, v := range keys {
-		if types.Compare(v.Datum(ri), s.curKey[j]) != 0 {
+		if types.SortCompare(v.Datum(ri), s.curKey[j]) != 0 {
 			return false
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/sql/types"
-	"orthoq/internal/storage"
 )
 
 func fmtErrNoTable(name string) error {
@@ -178,7 +177,9 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 				return nil, false
 			}
 			if CompiledAccess(tbl.Schema, g, t.Filter).Seek() {
-				// A serial index seek beats a parallel full scan.
+				// A seek stays serial: a serial index seek beats a
+				// parallel full scan, and over an index never built
+				// it is a serial kernel scan of the whole table.
 				return nil, false
 			}
 			return g, true
@@ -581,44 +582,3 @@ func (p *parallelAggIter) NextBatch(b *Batch) error {
 }
 
 func (p *parallelAggIter) Close() error { return nil }
-
-// morselScanIter is the driver-table scan of one worker: it claims
-// morsels from the shared source and scans their row ranges with the
-// access predicate applied.
-type morselScanIter struct {
-	tbl  *storage.Version
-	src  *morselSource
-	filt filterPred
-
-	lo, hi int
-}
-
-func (s *morselScanIter) Open() error {
-	s.lo, s.hi = 0, 0
-	return nil
-}
-
-// NextBatch serves each claimed morsel as whole-batch windows of the
-// driver table (morselSize == BatchSize, so normally one batch per
-// claim), filtered with the vector conjuncts.
-func (s *morselScanIter) NextBatch(b *Batch) error {
-	rows := s.tbl.AllRows()
-	for {
-		if s.lo >= s.hi {
-			lo, hi, ok := s.src.claim()
-			if !ok {
-				b.setEmpty()
-				return nil
-			}
-			s.lo, s.hi = lo, hi
-		}
-		off := s.lo
-		end := min(off+b.limit(), s.hi)
-		s.lo = end
-		if ok, err := s.filt.emit(b, rows[off:end], s.tbl, off); ok || err != nil {
-			return err
-		}
-	}
-}
-
-func (s *morselScanIter) Close() error { return nil }

@@ -408,7 +408,8 @@ next:
 }
 
 // sorted returns r ordered by the keys, stably; NULLs sort first
-// (types.Compare's total order), last under Desc.
+// (types.SortCompare's total order, NaNs after every number), last
+// under Desc.
 func sorted(r *relation, by []algebra.Ordering) *relation {
 	if len(by) == 0 {
 		return r
@@ -420,7 +421,7 @@ func sorted(r *relation, by []algebra.Ordering) *relation {
 	out := newRelation(r.cols, append([]types.Row(nil), r.rows...))
 	sort.SliceStable(out.rows, func(a, b int) bool {
 		for i, o := range by {
-			if c := types.Compare(out.rows[a][ords[i]], out.rows[b][ords[i]]); c != 0 {
+			if c := types.SortCompare(out.rows[a][ords[i]], out.rows[b][ords[i]]); c != 0 {
 				return (c < 0) != o.Desc
 			}
 		}

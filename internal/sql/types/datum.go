@@ -181,10 +181,12 @@ func (d Datum) String() string {
 }
 
 // Compare orders two datums. NULLs sort before all non-NULL values
-// (this total order is used for sorting and ordered indexes; SQL
-// comparison semantics with NULL propagation live in CompareSQL).
+// (SQL comparison semantics with NULL propagation live in CompareSQL).
 // Cross-kind numeric comparisons (Int vs Float) are supported; any other
 // kind mismatch panics, since the algebrizer assigns consistent types.
+// A NaN is neither less nor greater than any number, so Compare calls
+// it equal to every one: it is not a strict weak order once a NaN is
+// present, and whatever sorts rows uses SortCompare.
 func Compare(a, b Datum) int {
 	switch {
 	case !a.valid && !b.valid:
@@ -218,6 +220,24 @@ func Compare(a, b Datum) int {
 	}
 	return 0
 }
+
+// SortCompare is the total order rows are sorted by: ordered indexes'
+// permutations and their binary search, the Sort operator, and the
+// consumers of a sorted stream. It agrees with Compare on every pair
+// without a NaN; a NaN sorts after every number and equals another NaN.
+func SortCompare(a, b Datum) int {
+	switch an, bn := a.isNaN(), b.isNaN(); {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	return Compare(a, b)
+}
+
+func (d Datum) isNaN() bool { return d.valid && d.kind == Float && math.IsNaN(d.Float()) }
 
 func cmpInt(a, b int64) int {
 	switch {

@@ -68,25 +68,28 @@ func TestInsertAllAtomicPublication(t *testing.T) {
 }
 
 func TestIndexStalenessPreserved(t *testing.T) {
-	// Rows inserted after BuildIndexes are visible to scans and to index
-	// lookups (compared past the index's coverage), but an ordered
-	// index's permutation is stale — not served — until the next
-	// BuildIndexes.
+	// Rows inserted after BuildIndexes are visible to scans, and lie
+	// past the index's coverage — a lookup reports the coverage and
+	// answers none of them — and an ordered index's permutation is
+	// stale — not served — until the next BuildIndexes.
 	tbl := newTestTable(t, 10)
 	tbl.Insert(types.Row{types.NewInt(200), types.NewInt(3), types.NewFloat(0)})
 	v := tbl.Version()
 	if v.RowCount() != 11 {
 		t.Fatalf("scan sees %d rows, want 11", v.RowCount())
 	}
-	if got := v.Lookup("t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 1 || got[0] != 10 {
-		t.Errorf("lookup of the unindexed row: %v, want [10]", got)
+	if got, covered := v.Lookup("t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 0 || covered != 10 {
+		t.Errorf("lookup of the unindexed row: %v covering %d, want [] covering 10", got, covered)
+	}
+	if got := seek(v, "t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 1 || got[0] != 10 {
+		t.Errorf("lookup plus a scan past its coverage: %v, want [10]", got)
 	}
 	if _, ok := v.OrderedScan("t_pk"); ok {
 		t.Error("stale permutation served")
 	}
 	tbl.BuildIndexes()
-	if got := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 1 {
-		t.Errorf("after BuildIndexes lookup found %d rows, want 1", len(got))
+	if got, covered := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(200)}, nil); len(got) != 1 || covered != 11 {
+		t.Errorf("after BuildIndexes lookup found %d rows covering %d, want 1 covering 11", len(got), covered)
 	}
 	if perm, ok := tbl.Version().OrderedScan("t_pk"); !ok || len(perm) != 11 {
 		t.Errorf("after BuildIndexes permutation %v, %v", perm, ok)

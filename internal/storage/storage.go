@@ -38,9 +38,12 @@ import (
 // safe for concurrent use by any number of readers; nothing reachable
 // from a Version is ever mutated after publication.
 //
-// Indexes cover the rows present at the last BuildIndexes (Analyze).
-// Lookup compares the rows inserted since one by one, so a seek sees
-// every row a scan does; an ordered index's permutation is served
+// Indexes cover the rows present at the last BuildIndexes (Analyze),
+// and none of a table never analyzed. Storage supplies rows and
+// leaves the rest to the reader: Lookup answers the matches among the
+// rows its index covers and says how far that coverage reaches, and
+// the reader examines the rows past it (the executor's seek runs its
+// scan kernels over them); an ordered index's permutation is served
 // only while it covers every row (OrderedScan), and compile falls back
 // to scan plus sort otherwise.
 type Version struct {
@@ -130,50 +133,26 @@ func (v *Version) AllRows() []types.Row { return v.rows }
 // RowCount returns the number of rows in this version.
 func (v *Version) RowCount() int { return len(v.rows) }
 
-// Lookup appends to dst[:0] the ordinals of rows whose leading index
-// columns equal the given key datums under the named index, and returns
-// it. The key covers every column of a hash index and may be a prefix
-// of an ordered index's columns.
-// The index covers the rows present at its last build (none when it
-// was never built), found through it; the rows appended since are
-// compared one by one with the same equality, so a seek sees every row
-// a scan of this version does. The index must be declared in the
-// schema.
-func (v *Version) Lookup(indexName string, key []types.Datum, dst []int) []int {
-	out := dst[:0]
-	var cols []int
-	covered := 0
+// Lookup appends to dst[:0] the ordinals of the rows the named index
+// covers whose leading index columns equal the given key datums, and
+// returns them with that coverage: the index covers rows [0, covered),
+// those present at its last build — none when it was never built. The
+// key covers every column of a hash index and may be a prefix of an
+// ordered index's columns. The rows past the coverage are the caller's
+// to examine: the covered matches plus the rows of rows[covered:] that
+// hold the key are every row of this version that does.
+func (v *Version) Lookup(indexName string, key []types.Datum, dst []int32) (ords []int32, covered int) {
 	if hi, ok := v.hashIdx[indexName]; ok {
-		out = hi.lookup(key, out)
-		cols, covered = hi.cols, len(hi.rows)
-	} else if oi, ok := v.ordIdx[indexName]; ok {
-		out = oi.lookup(key, out)
-		cols, covered = oi.cols, len(oi.rows)
-	} else {
-		for _, idx := range v.Schema.Indexes {
-			if idx.Name == indexName {
-				cols = idx.Cols
-				break
-			}
-		}
-		if cols == nil {
-			return out
-		}
+		return hi.lookup(key, dst[:0]), len(hi.rows)
 	}
-rows:
-	for ord := covered; ord < len(v.rows); ord++ {
-		for i, d := range key {
-			if !types.Equal(v.rows[ord][cols[i]], d) {
-				continue rows
-			}
-		}
-		out = append(out, ord)
+	if oi, ok := v.ordIdx[indexName]; ok {
+		return oi.lookup(key, dst[:0]), len(oi.rows)
 	}
-	return out
+	return dst[:0], 0
 }
 
 // lookup appends the ordinals of the indexed rows whose key is key.
-func (hi *hashIndex) lookup(key []types.Datum, out []int) []int {
+func (hi *hashIndex) lookup(key []types.Datum, out []int32) []int32 {
 	h := uint64(types.HashSeed)
 	for _, d := range key {
 		h = types.MixHash(h, d.Hash())
@@ -190,27 +169,27 @@ rows:
 				continue rows
 			}
 		}
-		out = append(out, int(ord))
+		out = append(out, ord)
 	}
 	return out
 }
 
 // cmp compares the key columns of the row at permutation position i
-// with key's leading datums.
+// with key's leading datums, in the permutation's order.
 func (oi *orderedIndex) cmp(i int, key []types.Datum) int {
 	r := oi.rows[oi.perm[i]]
 	for j, kd := range key {
-		if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
+		if c := types.SortCompare(r[oi.cols[j]], kd); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
-func (oi *orderedIndex) lookup(key []types.Datum, out []int) []int {
+func (oi *orderedIndex) lookup(key []types.Datum, out []int32) []int32 {
 	lo := sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, key) >= 0 })
 	for i := lo; i < len(oi.perm) && oi.cmp(i, key) == 0; i++ {
-		out = append(out, int(oi.perm[i]))
+		out = append(out, oi.perm[i])
 	}
 	return out
 }
@@ -448,7 +427,7 @@ func (t *Table) BuildIndexes() {
 			sort.SliceStable(oi.perm, func(a, b int) bool {
 				ra, rb := frozen[oi.perm[a]], frozen[oi.perm[b]]
 				for _, c := range cols {
-					if cmp := types.Compare(ra[c], rb[c]); cmp != 0 {
+					if cmp := types.SortCompare(ra[c], rb[c]); cmp != 0 {
 						return cmp < 0
 					}
 				}

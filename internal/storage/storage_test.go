@@ -76,33 +76,56 @@ func TestDuplicateTable(t *testing.T) {
 	}
 }
 
+// seek is a reader of Lookup's contract: the matches among the rows
+// the index covers, then the rows past the coverage whose index
+// columns equal key, in ordinal order.
+func seek(v *Version, index string, key []types.Datum, dst []int32) []int32 {
+	ords, covered := v.Lookup(index, key, dst)
+	var cols []int
+	for _, idx := range v.Schema.Indexes {
+		if idx.Name == index {
+			cols = idx.Cols
+		}
+	}
+rows:
+	for ord, row := range v.AllRows()[covered:] {
+		for i, d := range key {
+			if !types.Equal(row[cols[i]], d) {
+				continue rows
+			}
+		}
+		ords = append(ords, int32(covered+ord))
+	}
+	return ords
+}
+
 func TestHashIndexLookup(t *testing.T) {
 	tbl := newTestTable(t, 70)
-	got := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(3)}, nil)
-	if len(got) != 10 {
-		t.Fatalf("grp=3 lookup: got %d rows, want 10", len(got))
+	got, covered := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(3)}, nil)
+	if len(got) != 10 || covered != 70 {
+		t.Fatalf("grp=3 lookup: got %d rows covering %d, want 10 covering 70", len(got), covered)
 	}
 	for _, ord := range got {
 		if tbl.Rows[ord][1].Int() != 3 {
 			t.Errorf("row %d has grp %v", ord, tbl.Rows[ord][1])
 		}
 	}
-	if got := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(99)}, nil); len(got) != 0 {
+	if got, _ := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(99)}, nil); len(got) != 0 {
 		t.Errorf("missing key returned %d rows", len(got))
 	}
 }
 
 func TestOrderedIndexLookup(t *testing.T) {
 	tbl := newTestTable(t, 100)
-	got := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(42)}, nil)
-	if len(got) != 1 || tbl.Rows[got[0]][0].Int() != 42 {
-		t.Fatalf("pk lookup: got %v", got)
+	got, covered := tbl.Version().Lookup("t_pk", []types.Datum{types.NewInt(42)}, nil)
+	if len(got) != 1 || tbl.Rows[got[0]][0].Int() != 42 || covered != 100 {
+		t.Fatalf("pk lookup: got %v covering %d", got, covered)
 	}
 }
 
 func TestLookupMatchesLinearScan(t *testing.T) {
-	// Property-style test with random data: index lookups agree with a
-	// linear scan filter.
+	// Property-style test with random data: index lookups, plus a scan
+	// of the rows past their coverage, agree with a linear scan filter.
 	st := New(catalog.New())
 	tbl, err := st.CreateTable(testSchema())
 	if err != nil {
@@ -113,6 +136,9 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 		tbl.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(int64(r.Intn(20))), types.NewFloat(r.Float64())})
 	}
 	tbl.BuildIndexes()
+	for i := 500; i < 540; i++ {
+		tbl.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(int64(r.Intn(20))), types.NewFloat(r.Float64())})
+	}
 	for k := int64(0); k < 25; k++ {
 		want := 0
 		for _, row := range tbl.Rows {
@@ -120,7 +146,7 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 				want++
 			}
 		}
-		got := tbl.Version().Lookup("t_grp", []types.Datum{types.NewInt(k)}, nil)
+		got := seek(tbl.Version(), "t_grp", []types.Datum{types.NewInt(k)}, nil)
 		if len(got) != want {
 			t.Errorf("key %d: lookup %d rows, scan %d", k, len(got), want)
 		}
@@ -145,12 +171,14 @@ func TestCatalogValidation(t *testing.T) {
 }
 
 // TestIndexLookupMatchesScan holds Lookup on hash and ordered indexes,
-// single- and multi-column, to a scan of the rows the index was built
-// over: the ordinals of the rows whose index columns equal the key, in
-// ascending order (as a set for a prefix), for keys present and absent, NULL, -0 and Int keys
-// on a Float column, and every prefix of an ordered index's key — over
-// a version no index was built for, and over one with rows appended
-// after the build, which a lookup must find too.
+// single- and multi-column, to a scan of the version: its covered
+// matches, plus a scan of the rows past its coverage, are the ordinals
+// of the rows whose index columns equal the key, in ascending order
+// (as a set for a prefix), for keys present and absent, NULL, -0 and
+// Int keys on a Float column, and every prefix of an ordered index's
+// key — over a version no index was built for (coverage 0), and over
+// one with rows appended after the build (coverage the built rows).
+// Lookup answers no row past its coverage.
 func TestIndexLookupMatchesScan(t *testing.T) {
 	st := New(catalog.New())
 	tbl, err := st.CreateTable(&catalog.Table{
@@ -199,7 +227,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dst := []int{-1, -2, -3}
+	dst := []int32{-1, -2, -3}
 	for i := 0; i < 4000; i++ {
 		v := tbl.Version()
 		if i%2 == 0 {
@@ -219,7 +247,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 				for j, c := range idx.Cols[:n] {
 					key[j] = probe[c]
 				}
-				var want []int
+				var want []int32
 			rows:
 				for ord, br := range v.AllRows() {
 					for j, c := range idx.Cols[:n] {
@@ -227,9 +255,17 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 							continue rows
 						}
 					}
-					want = append(want, ord)
+					want = append(want, int32(ord))
 				}
-				dst = v.Lookup(idx.Name, key, dst)
+				covered := 0
+				if v != unbuilt {
+					covered = 600
+				}
+				ords, got := v.Lookup(idx.Name, key, dst)
+				if got != covered || slices.ContainsFunc(ords, func(o int32) bool { return o >= int32(got) }) {
+					t.Fatalf("%s %v: lookup %v covering %d, want coverage %d", idx.Name, key, ords, got, covered)
+				}
+				dst = seek(v, idx.Name, key, ords)
 				if n < len(idx.Cols) {
 					// A prefix's matches come in the order of the
 					// index's remaining columns.

@@ -15,13 +15,16 @@ package orthoq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/exec"
 	"orthoq/internal/opt"
+	"orthoq/internal/sql/types"
 )
 
 // orderedFingerprint renders rows in sequence with numeric rounding
@@ -300,5 +303,95 @@ func TestLimitReadsOnlyItsRows(t *testing.T) {
 	// The budget is real: without the LIMIT the same scan exceeds it.
 	if _, err := db.QueryCfg(`select o_orderkey, o_totalprice from orders order by o_orderkey desc`, cfg); !errors.Is(err, ErrRowBudget) {
 		t.Fatalf("unlimited scan under RowBudget 4: err = %v, want ErrRowBudget", err)
+	}
+}
+
+// TestNaNSortsAfterNumbers: one NaN in a Float column leaves the other
+// rows sorted, in an ordered index and under ORDER BY. SQL's comparison
+// calls a NaN equal to every number, so it cannot be what rows are
+// sorted by (types.SortCompare puts a NaN after every number). Over an
+// ordered index on a Float column holding a NaN: the index walk and
+// the Sort spelling return the non-NaN values ascending; an ordered
+// seek returns every non-NaN row its scan spelling (`p_f + 0 = k`,
+// which binds no index) returns, 0 finding -0 too; and GROUP BY over
+// the index yields each non-NaN key once, counting its rows.
+func TestNaNSortsAfterNumbers(t *testing.T) {
+	db := NewMemory()
+	nan := types.NewFloat(math.NaN())
+	for name, vals := range map[string][]Value{
+		"pf": {types.NewFloat(5), types.NewFloat(1), types.NewFloat(2), types.NewFloat(3), nan, types.NewFloat(3), types.NewFloat(2),
+			types.NewFloat(0), types.NewFloat(5), types.NewFloat(4), types.NewFloat(1), types.NewFloat(7), types.NewFloat(6), types.NewFloat(2)},
+		"pg": {types.NewFloat(1), types.NewFloat(2), types.NewFloat(3), nan, types.NewFloat(3),
+			types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewFloat(5), types.NewFloat(4)},
+	} {
+		if err := db.CreateTable(&Table{
+			Name:    name,
+			Columns: []Column{{Name: "p_id", Type: types.Int}, {Name: "p_f", Type: types.Float}},
+			Key:     []int{0},
+			Indexes: []Index{{Name: name + "_f", Cols: []int{1}, Ordered: true}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			if err := db.Insert(name, Row{types.NewInt(int64(i)), v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	db.Analyze()
+	query := func(sql string) []Row {
+		t.Helper()
+		r, err := db.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return r.Data
+	}
+	isNaN := func(d Value) bool { return d.Kind() == types.Float && math.IsNaN(d.Float()) }
+
+	for _, sql := range []string{`select p_f from pf order by p_f`, `select p_f from pf order by p_f + 0`} {
+		var seq []float64
+		for _, r := range query(sql) {
+			if !isNaN(r[0]) {
+				seq = append(seq, r[0].Float())
+			}
+		}
+		if len(seq) != 13 || !sort.Float64sAreSorted(seq) {
+			t.Errorf("%s: non-NaN values %v, want 13 ascending", sql, seq)
+		}
+	}
+
+	for _, c := range []struct {
+		table string
+		key   int
+	}{{"pf", 3}, {"pf", 2}, {"pf", 7}, {"pg", 0}, {"pg", 3}} {
+		seek := fmt.Sprintf(`select p_id from %s where p_f = %d`, c.table, c.key)
+		got := map[int64]bool{}
+		for _, r := range query(seek) {
+			got[r[0].Int()] = true
+		}
+		for _, r := range query(fmt.Sprintf(`select p_id, p_f from %s where p_f + 0 = %d`, c.table, c.key)) {
+			if !isNaN(r[1]) && !got[r[0].Int()] {
+				t.Errorf("%s: misses row %d (p_f = %v), which its scan spelling returns", seek, r[0].Int(), r[1])
+			}
+		}
+	}
+
+	counts := func(sql string) map[float64]int64 {
+		out := map[float64]int64{}
+		for _, r := range query(sql) {
+			if isNaN(r[0]) {
+				continue
+			}
+			if _, dup := out[r[0].Float()]; dup {
+				t.Errorf("%s: key %v appears twice", sql, r[0])
+			}
+			out[r[0].Float()] = r[1].Int()
+		}
+		return out
+	}
+	want := map[float64]int64{0: 1, 1: 2, 2: 3, 3: 2, 4: 1, 5: 2, 6: 1, 7: 1}
+	if got := counts(`select p_f, count(*) from pf group by p_f`); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("group by p_f: non-NaN groups %v, want %v", got, want)
 	}
 }

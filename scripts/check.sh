@@ -60,7 +60,7 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
@@ -165,7 +165,9 @@ go test -run 'TestResultCache' -race .
 # the index its traced access read, and a seek returns the rows a scan
 # does after inserts no Analyze followed, on a table never analyzed and
 # inside an Apply.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle' -race . ./internal/exec
+# And a NaN in a Float column leaves the other rows sorted, in an
+# ordered index and under ORDER BY.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle|TestNaNSortsAfterNumbers' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
