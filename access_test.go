@@ -87,6 +87,15 @@ func TestSeekSeesUnanalyzedInserts(t *testing.T) {
 			"fresh_grp", Config{}},
 		{"residual", `select o_orderkey, o_totalprice from orders where o_custkey = 1 and o_orderstatus = 'O'`,
 			`select o_orderkey, o_totalprice from orders where o_custkey + 0 = 1 and o_orderstatus = 'O'`, "orders_ck", DefaultConfig()},
+		// An EXISTS over a seek runs as an index-lookup probe: a batch of
+		// customers looked up at once, each binding also reading the rows
+		// past the index's coverage.
+		{"probe", `select c_custkey from customer c where c_custkey <= 3 and exists (select o_orderkey from orders o where o.o_custkey = c.c_custkey and o.o_comment = 'inserted after Analyze')`,
+			`select c_custkey from customer c where c_custkey <= 3 and exists (select o_orderkey from orders o where o.o_custkey + 0 = c.c_custkey and o.o_comment = 'inserted after Analyze')`,
+			"orders_ck", Config{}},
+		{"probe never-analyzed", `select c_custkey from customer c where c_custkey <= 9 and not exists (select f_id from fresh f where f.f_grp = c.c_custkey)`,
+			`select c_custkey from customer c where c_custkey <= 9 and not exists (select f_id from fresh f where f.f_grp + 0 = c.c_custkey)`,
+			"fresh_grp", Config{}},
 	}
 	for _, par := range []int{0, 4} {
 		for _, c := range cases {
@@ -106,10 +115,15 @@ func TestSeekSeesUnanalyzedInserts(t *testing.T) {
 				t.Errorf("%s at parallelism %d: the seek returned %v, the scan %v", c.name, par, got.Data, want.Data)
 			}
 			var seeks []string
+			probed := false
 			for _, sp := range collectSpans(got) {
 				if ix, ok := strings.CutPrefix(sp.Strategy, "seek="); ok {
 					seeks = append(seeks, ix)
 				}
+				probed = probed || sp.Op == "Apply" && sp.Strategy == "probe"
+			}
+			if want := strings.HasPrefix(c.name, "probe"); probed != want {
+				t.Errorf("%s at parallelism %d: an Apply ran as a probe: %v, want %v", c.name, par, probed, want)
 			}
 			if len(seeks) != 1 || seeks[0] != c.index {
 				t.Errorf("%s at parallelism %d: the seek spelling read indexes %v, want [%s]", c.name, par, seeks, c.index)

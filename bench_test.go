@@ -363,3 +363,29 @@ func BenchmarkWarmPass(b *testing.B) {
 		pass()
 	}
 }
+
+// BenchmarkApplyProbe times the warm-pass queries whose plans look an
+// index up per outer row — an Apply over a seek, run as an index-lookup
+// probe (Q2, Q4, Q11, Q16, Q18, Q20, Q22) — with their plans cached, at
+// SF 0.005: one iteration runs each once.
+func BenchmarkApplyProbe(b *testing.B) {
+	db := benchDBGet(b)
+	cfg := DefaultConfig()
+	var qs []string
+	for _, name := range []string{"Q2", "Q4", "Q11", "Q16", "Q18", "Q20", "Q22"} {
+		q, _ := TPCHQuery(name)
+		qs = append(qs, q)
+	}
+	pass := func() {
+		for _, q := range qs {
+			if _, err := db.QueryCfg(q, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // fill the plan cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}

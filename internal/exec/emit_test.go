@@ -12,18 +12,18 @@ import (
 )
 
 // pairLoop is the definition joinEmit is held to: a loop over one left
-// row's candidates in order, each pair charged (when pairs is set), its
-// keys re-checked and the predicate interpreted on the concatenated
-// pair; semi and antisemi stop at their first match, and a full output
-// pauses the row before its next pair.
+// row's candidates in order, each pair charged (when pairs is set) and
+// the predicate's conjuncts interpreted on the concatenated pair in
+// turn, a pair matching when every one is TRUE; semi and antisemi stop
+// at their first match, and a full output pauses the row before its
+// next pair.
 type pairLoop struct {
-	kind         algebra.JoinKind
-	rWidth       int
-	lOrds, rOrds []int
-	on           algebra.Scalar
-	ev           *eval.Evaluator
-	env          eval.RowEnv // over the concatenated pair
-	pairs        *Context
+	kind   algebra.JoinKind
+	rWidth int
+	preds  []algebra.Scalar
+	ev     *eval.Evaluator
+	env    eval.RowEnv // over the concatenated pair
+	pairs  *Context
 
 	out            []types.Row
 	lrow           types.Row
@@ -68,19 +68,20 @@ func (p *pairLoop) feed(limit int) (bool, error) {
 				return false, err
 			}
 		}
-		if p.lOrds != nil && !types.EqualRows(p.lrow, p.lOrds, rrow, p.rOrds) {
-			continue
-		}
 		pair := append(append(types.Row(nil), p.lrow...), rrow...)
-		if p.on != nil {
-			p.env.Row = pair
-			v, err := p.ev.EvalBool(p.on, &p.env)
+		p.env.Row = pair
+		pass := true
+		for _, c := range p.preds {
+			v, err := p.ev.EvalBool(c, &p.env)
 			if err != nil {
 				return false, err
 			}
-			if v != types.TriTrue {
-				continue
+			if pass = v == types.TriTrue; !pass {
+				break
 			}
+		}
+		if !pass {
+			continue
 		}
 		p.matched = true
 		switch p.kind {
@@ -150,12 +151,13 @@ func errText(err error) string {
 }
 
 // TestJoinEmitMatchesPairLoop drives joinEmit directly and holds it to
-// pairLoop: inner, left outer, semi and antisemi; hash-style key
-// re-checks and nested-loop pair charging under a row budget; 0–40
-// candidates per left row with NULL keys and values; residuals that
-// divide by zero on some pairs; output limits 1, 3 and 1024. Batch by
-// batch both must give the same rows in the same order and the same
-// error or none, and at the end the same pairs charged.
+// pairLoop: inner, left outer, semi and antisemi; an Apply probe's
+// candidates (an index's rows, not only the key's) under its inner
+// filter, whose key conjunct and a conjunct that divides by zero run
+// before the On; nested-loop pair charging under a row budget; 0–40 candidates per left row with NULL keys and values;
+// residuals that divide by zero on some pairs; output limits 1, 3 and
+// 1024. Batch by batch both must give the same rows in the same order
+// and the same error or none, and at the end the same pairs charged.
 func TestJoinEmitMatchesPairLoop(t *testing.T) {
 	// Left columns 1 (key) and 2; right columns 3 (key) and 4.
 	left := newNode(nil, []algebra.ColID{1, 2})
@@ -174,6 +176,12 @@ func TestJoinEmitMatchesPairLoop(t *testing.T) {
 		&algebra.Or{Args: []algebra.Scalar{
 			cmp(algebra.CmpGe, col(4), col(2)),
 			cmp(algebra.CmpLt, div(num(6), &algebra.Arith{Op: types.OpSub, L: col(4), R: col(2)}), num(2))}},
+	}
+	// A probe's inner filter: the seek's key conjunct, and one that
+	// divides by zero where column 4 is -1.
+	probeFilter := []algebra.Scalar{
+		cmp(algebra.CmpEq, col(3), col(1)),
+		cmp(algebra.CmpGt, div(num(6), &algebra.Arith{Op: types.OpAdd, L: col(4), R: num(1)}), num(-100)),
 	}
 	kinds := []algebra.JoinKind{algebra.InnerJoin, algebra.LeftOuterJoin, algebra.SemiJoin, algebra.AntiSemiJoin}
 	pairOrds := map[algebra.ColID]int{1: 0, 2: 1, 3: 2, 4: 3}
@@ -204,7 +212,7 @@ func TestJoinEmitMatchesPairLoop(t *testing.T) {
 			}
 			c.cands = append(c.cands, cands)
 		}
-		keyed := r.Intn(2) == 0
+		probed := r.Intn(2) == 0
 		budget := int64(1 << 40)
 		if r.Intn(2) == 0 {
 			budget = int64(1 + r.Intn(150))
@@ -213,16 +221,19 @@ func TestJoinEmitMatchesPairLoop(t *testing.T) {
 			for pi, on := range preds {
 				for _, limit := range []int{1, 3, 1024} {
 					runs++
-					name := fmt.Sprintf("seed %d %s pred %d limit %d keyed=%v shared=%v budget=%d",
-						seed, kind, pi, limit, keyed, shared, budget)
+					name := fmt.Sprintf("seed %d %s pred %d limit %d probed=%v shared=%v budget=%d",
+						seed, kind, pi, limit, probed, shared, budget)
 					ctx, refCtx := NewContext(nil, nil), NewContext(nil, nil)
 					ctx.RowBudget, refCtx.RowBudget = budget, budget
 					em := newJoinEmit(ctx, kind, on, left, right)
-					ref := &pairLoop{kind: kind, rWidth: 2, on: on, ev: refCtx.ev,
+					ref := &pairLoop{kind: kind, rWidth: 2, ev: refCtx.ev,
 						env: eval.RowEnv{Ords: pairOrds, Outer: refCtx.params}}
-					if keyed {
-						em.lOrds, em.rOrds = []int{0}, []int{0}
-						ref.lOrds, ref.rOrds = []int{0}, []int{0}
+					if probed {
+						em.preds = append(ctx.compiler(right.ords).CompileVecConjuncts(algebra.ConjoinAll(probeFilter...)), em.preds...)
+						ref.preds = append(ref.preds, probeFilter...)
+					}
+					if on != nil {
+						ref.preds = append(ref.preds, on)
 					}
 					if shared {
 						em.pairs, ref.pairs = ctx, refCtx

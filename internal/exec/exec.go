@@ -4,9 +4,10 @@
 //
 // Physical algorithm selection mirrors the cost model in internal/opt:
 // joins with extractable equality keys run as hash joins, other joins
-// as nested loops; Apply runs as correlated nested loops whose inner
-// side re-opens per outer row, using index seeks when the correlated
-// predicate binds an indexed column (the classic index-lookup-join);
+// as nested loops; an Apply whose inner side is an index seek on its
+// outer row's columns looks a batch of outer rows up in the index at
+// once (the classic index-lookup join), and other Applies run their
+// inner side per outer row or per distinct binding;
 // aggregation is hash-based; SegmentApply partitions its input and
 // evaluates the inner expression once per segment (paper §3.4).
 package exec
@@ -41,9 +42,9 @@ type Context struct {
 	// changes only with the benchmark, still sets it.
 	Stats *stats.Collection
 	// Estimates is the optimizer's estimate for each node of the plan
-	// this run executes: hash-table pre-sizes and each Apply's strategy
-	// are read from it. Nil means nothing is known (no hints; correlated
-	// Applies run batched).
+	// this run executes: hash-table pre-sizes and the strategy of each
+	// Apply that is not an index-lookup probe are read from it. Nil means
+	// nothing is known (no hints; those correlated Applies run batched).
 	Estimates Estimates
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution. 0 or 1 means serial; higher values let eligible

@@ -23,7 +23,6 @@ type hashTable struct {
 	hashes []uint64
 	slots  []int32
 	shift  uint // hash h starts probing at slot (h*fibMul)>>shift
-	floats bool // some key holds a non-NULL Float
 }
 
 // fibMul spreads a key hash over the slots (Fibonacci hashing): FNV's
@@ -147,9 +146,6 @@ func (t *hashTable) addVec(keys []*eval.Vec, ri int, h uint64) int {
 // insert slots the entry whose key was just appended to keys.
 func (t *hashTable) insert(h uint64) int {
 	e := len(t.hashes)
-	for _, d := range t.key(e) {
-		t.floats = t.floats || (d.Kind() == types.Float && !d.IsNull())
-	}
 	t.hashes = append(t.hashes, h)
 	if 2*len(t.hashes) > len(t.slots) {
 		t.resize(2 * len(t.slots))

@@ -190,33 +190,12 @@ func groupBytes(key types.Row, nAggs int) int64 {
 	return types.RowBytes(key) + int64(unsafe.Sizeof(aggState{}))*int64(nAggs) + 64
 }
 
-// aggScanMax is the group count up to which a key that may hold a float
-// is compared with every resident key in insertion order, not only with
-// the entries its hash probes: under types.Equal a NaN equals every
-// number but does not hash like one, and the scan keeps the group it
-// joins the first.
-const aggScanMax = 8
-
 // newGroup appends the states of the entry just added as group g.
 func (t *aggTable) newGroup(g int) int {
 	for j := range t.states {
 		t.states[j] = append(t.states[j], aggState{})
 	}
 	return g
-}
-
-// lookup returns the resident group whose key equals the key vectors'
-// entries at ri (hash hk; floats: see aggScanMax), or -1.
-func (t *aggTable) lookup(keys []*eval.Vec, ri int, hk uint64, floats bool) int {
-	if floats && t.ht.len() <= aggScanMax {
-		for g := range t.ht.len() {
-			if t.ht.equal(g, keys, ri) {
-				return g
-			}
-		}
-		return -1
-	}
-	return t.ht.findVec(keys, ri, hk)
 }
 
 // add makes the key vectors' entries at ri (hash hk), the key of input
@@ -473,26 +452,14 @@ func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []in
 	}
 	keys := av.keyVecs(keyOrds, sel)
 	av.hash = hashKeys(av.hash, keys, sel, len(rows))
-	floats := t.ht.floats
-	for _, v := range keys {
-		floats = floats || v.Kind == types.Float || v.Mixed()
-	}
-	// Past the float scan, the keys already resident are found for the
-	// whole batch at once; the rest are found or added row by row.
-	batch := !floats || t.ht.len() > aggScanMax
-	if batch {
-		av.gidx = t.ht.findBatch(keys, sel, av.hash, av.gidx)
-	} else {
-		av.gidx = slices.Grow(av.gidx[:0], len(sel))[:len(sel)]
-	}
+	// The keys already resident are found for the whole batch at once;
+	// the rest are found or added row by row.
+	av.gidx = t.ht.findBatch(keys, sel, av.hash, av.gidx)
 	spilled, w := false, 0
 	for k, ri := range sel {
-		g := -1
-		if batch {
-			g = int(av.gidx[k])
-		}
+		g := int(av.gidx[k])
 		if g < 0 {
-			if g = t.lookup(keys, ri, av.hash[ri], floats); g < 0 {
+			if g = t.ht.findVec(keys, ri, av.hash[ri]); g < 0 {
 				var err error
 				if g, err = t.add(keys, ri, av.hash[ri], rows[ri]); err != nil {
 					return nil, err

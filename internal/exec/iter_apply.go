@@ -1,20 +1,27 @@
 package exec
 
-// Binding-batch Apply (ISSUE 6). Correlated plans the rewrites cannot
-// remove (class-3 / Max1row exceptions, cost-retained index-lookup
-// plans) execute their inner expression once per outer row under the
-// sequential applyIter. The batched mode here collects outer rows,
-// deduplicates their
-// correlation bindings with a NULL-aware key (types.Equal's grouping
-// semantics: NULL matches NULL), executes the inner side once per
-// *distinct* binding, memoizes the results in a bounded,
-// memory-accounted cache, and replays them per outer row in order —
-// Guravannavar's state-retention invocation, adapted to Volcano
-// iterators. The parallel strategy additionally spreads the distinct
-// missing bindings of each batch over a worker pool built from the
-// morsel-execution worker-context split.
+// Apply strategies. Correlated plans the rewrites cannot remove
+// (class-3 / Max1row exceptions, cost-retained index-lookup plans) run
+// under one of four:
+//   - probe: an inner side that is an index seek on columns of the
+//     outer row (probeSeek) is looked up a batch of outer rows at a
+//     time, typed, with nothing bound, opened or closed per row
+//     (probeIter);
+//   - sequential: the inner expression runs once per outer row with
+//     the row's columns installed as parameters (applyIter);
+//   - batched: outer rows are collected, their correlation bindings
+//     deduplicated with a NULL-aware key (types.Equal's grouping
+//     semantics: NULL matches NULL), the inner side executed once per
+//     *distinct* binding, and the results memoized in a bounded,
+//     memory-accounted cache and replayed per outer row in order —
+//     Guravannavar's state-retention invocation, adapted to Volcano
+//     iterators (batchApplyIter);
+//   - parallel: batched, with the distinct missing bindings of each
+//     batch spread over a worker pool built from the morsel-execution
+//     worker-context split.
 //
-// Semantics are preserved exactly against the sequential path:
+// Semantics are preserved exactly against the sequential path (the
+// probe's in probeIter's comment); for the batched strategies:
 //   - Outer rows are emitted in outer order; a memoized inner result
 //     replays in its original production order (the engine's
 //     operators, including hash aggregation, emit deterministically),
@@ -41,6 +48,7 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/sql/types"
+	"orthoq/internal/storage"
 )
 
 const (
@@ -52,16 +60,24 @@ const (
 	applyCacheBytes = 8 << 20
 )
 
-// compileApply lowers correlated execution. The right side is compiled
-// once; how often it executes depends on the strategy selector:
-// sequentially it re-opens per outer row with the left row's columns
-// installed as parameters (inner index seeks pick the parameters up at
-// Open — the paper's correlated index-lookup plan); batched it
-// executes once per distinct binding per batch.
+// compileApply lowers correlated execution. As a probe the right side
+// is not compiled at all; otherwise it is compiled once, and how often
+// it executes depends on the strategy selector: sequentially it
+// re-opens per outer row with the left row's columns installed as
+// parameters (inner index seeks pick the parameters up at Open);
+// batched it executes once per distinct binding per batch.
 func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	left, err := compile(ctx, a.Left)
 	if err != nil {
 		return nil, err
+	}
+	strat := ctx.applyStrategy(a)
+	st := ctx.traceStats(a)
+	if st != nil {
+		st.Strategy = strat.String()
+	}
+	if strat == applyProbe {
+		return compileProbe(ctx, a, left, st)
 	}
 	right, err := compile(ctx, a.Right)
 	if err != nil {
@@ -69,11 +85,6 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	}
 	outCols := joinOutCols(a.Kind, left, right)
 	sig, ambient := algebra.ApplyBindingCols(a)
-	strat := ctx.applyStrategy(a)
-	st := ctx.traceStats(a)
-	if st != nil {
-		st.Strategy = strat.String()
-	}
 	if strat == applySequential {
 		var spool *spoolIter
 		if sig.Empty() {
@@ -114,6 +125,149 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	it.next = it.probe
 	return newNode(it, outCols), nil
 }
+
+// compileProbe lowers an Apply of probeSeek's shape to a probeIter over
+// its left side; the inner side is not compiled. The right layout is
+// the Get's columns: under a Project the Apply returns none of them. A
+// traced run names the seek on the Select's span, as EXPLAIN does.
+func compileProbe(ctx *Context, a *algebra.Apply, left *node, st *OpStats) (*node, error) {
+	sel, g, acc, _ := probeSeek(ctx.schema, a)
+	tbl, _ := ctx.table(g.Table)
+	right := newNode(nil, g.Cols)
+	keyOrds := make([]int, len(acc.Keys))
+	for i, k := range acc.Keys {
+		keyOrds[i] = left.ords[k.(*algebra.ColRef).Col]
+	}
+	if sst := ctx.traceStats(sel); sst != nil {
+		sst.Strategy = "seek=" + acc.Index.Name
+	}
+	it := &probeIter{ctx: ctx, left: left, tbl: tbl, index: acc.Index.Name, keyOrds: keyOrds, st: st,
+		em: newJoinEmit(ctx, a.Kind, a.On, left, right), lr: rowReader{it: left.it, charge: ctx}}
+	// The Select's filter, key conjuncts included, runs before the On:
+	// a pair the sequential path's seek would not have returned never
+	// reaches it.
+	it.em.preds = append(ctx.compiler(right.ords).CompileVecConjuncts(sel.Filter), it.em.preds...)
+	it.next, it.em.more = it.probe, it.window
+	return newNode(it, joinOutCols(a.Kind, left, right)), nil
+}
+
+// probeIter is the index-lookup Apply (strategy probe): its inner side
+// is a seek whose keys are columns of its left side, so nothing is
+// bound, opened or closed per binding. It pulls a left batch, reads the
+// key columns as vectors (keyReader) and looks every row's key up in
+// one storage call (Version.LookupBatch, typed), then serves joinEmit
+// each left row's candidates under the Select's filter and the Apply's
+// On: the index's covered matches, then the rows past its coverage, in
+// the windows the sequential path's seek reads and charges them in, so
+// the rows, the error and the RowBudget charges are that path's. A
+// batch of bindings is one inner execution. No binding cache: a lookup
+// costs what a cache probe would, and its matches are the stored rows
+// themselves.
+type probeIter struct {
+	ctx     *Context
+	left    *node
+	tbl     *storage.Version
+	index   string
+	keyOrds []int // the seek keys' left ordinals, in index order
+	st      *OpStats
+
+	em   joinEmit
+	lr   rowReader
+	next probeFn
+	kr   keyReader
+	ks   storage.KeyBatch
+	key  []types.Datum // a row's boxed key, for key vectors of mixed kinds
+
+	// The buffered left batch's lookups: live row k's covered matches
+	// are ords[ends[k-1]:ends[k]], the index covering rows [0, covered).
+	ords, ends, tmp []int32
+	covered         int
+	// The left row in progress: its next match ords[pos:end], then its
+	// next stored row past the coverage, rest.
+	pos, end, rest int
+	cands          []types.Row
+}
+
+func (p *probeIter) Open() error {
+	p.em.reset()
+	p.lr.reset()
+	return p.left.it.Open()
+}
+
+// probe yields the next left row, looking up a left batch at a time;
+// its candidates follow through window.
+func (p *probeIter) probe(limit int) (types.Row, []types.Row, bool, error) {
+	if p.lr.spent() {
+		if ok, err := p.lr.pull(limit); !ok {
+			return nil, nil, false, err
+		}
+		p.lookup()
+	}
+	k := p.lr.pos
+	lrow, _, _ := p.lr.next(limit)
+	p.pos, p.end, p.rest = 0, int(p.ends[k]), p.covered
+	if k > 0 {
+		p.pos = int(p.ends[k-1])
+	}
+	return lrow, nil, true, nil
+}
+
+// window is the emitter's more: the left row in progress's next at most
+// want candidates, charged as read — covered matches first, then rows
+// past the coverage, never both in one window.
+func (p *probeIter) window(want int) ([]types.Row, error) {
+	rows := p.tbl.AllRows()
+	var w []types.Row
+	if p.pos < p.end {
+		p.cands = p.cands[:0]
+		for _, o := range p.ords[p.pos:min(p.pos+want, p.end)] {
+			p.cands = append(p.cands, rows[o])
+		}
+		w = p.cands
+		p.pos += len(w)
+	} else {
+		w = rows[p.rest:min(p.rest+want, len(rows))]
+		p.rest += len(w)
+	}
+	return w, p.ctx.chargeN(len(w))
+}
+
+// lookup resolves the buffered left batch's keys against the index.
+func (p *probeIter) lookup() {
+	p.kr.read(&p.lr.b, p.keyOrds)
+	if p.st != nil {
+		p.st.Bindings += int64(len(p.kr.sel))
+		p.st.InnerExecs++
+	}
+	p.ks.Cols, p.ks.Sel, p.ks.Hash = p.ks.Cols[:0], p.kr.sel, p.kr.hash
+	for _, v := range p.kr.keys {
+		if v.Mixed() {
+			p.lookupBoxed()
+			return
+		}
+		p.ks.Cols = append(p.ks.Cols, types.Column{Kind: v.Kind, I: v.I, F: v.F, S: v.S, Null: v.Null})
+	}
+	p.ords, p.ends, p.covered = p.tbl.LookupBatch(p.index, p.ks, p.ords, p.ends)
+}
+
+// lookupBoxed is lookup a key at a time, for key vectors whose values
+// are not of one kind.
+func (p *probeIter) lookupBoxed() {
+	p.ords, p.ends = p.ords[:0], p.ends[:0]
+	for _, ri := range p.kr.sel {
+		p.key = p.key[:0]
+		for _, v := range p.kr.keys {
+			p.key = append(p.key, v.Datum(ri))
+		}
+		p.tmp, p.covered = p.tbl.Lookup(p.index, p.key, p.tmp)
+		p.ords = append(p.ords, p.tmp...)
+		p.ends = append(p.ends, int32(len(p.ords)))
+	}
+}
+
+func (p *probeIter) NextBatch(b *Batch) error { return p.em.run(b, p.next) }
+
+func (p *probeIter) Close() error { return p.left.it.Close() }
 
 // applyEntry is one memoized binding: the signature values and the
 // inner result rows they produced.

@@ -106,15 +106,13 @@ func SplitJoinKeys(on algebra.Scalar, leftCols, rightCols algebra.ColSet) (lk, r
 type joinEmit struct {
 	kind   algebra.JoinKind
 	rWidth int
-	// lOrds/rOrds, when set, re-check key equality per candidate, for
-	// candidates that are not already the rows of the left row's key (a
-	// hash join's are). SQL equality: NULL keys never match.
-	lOrds, rOrds []int
-	// on is the join, residual or Apply predicate, compiled against the
-	// right input's layout; the left row's columns are batch-invariant
-	// and read through lenv, which falls through to the strand's
-	// parameters. nil passes every pair.
-	on    *eval.VecPred
+	// preds is the pair predicate as conjuncts a pair must pass in turn,
+	// compiled against the right input's layout: the join, residual or
+	// Apply predicate whole, and for an Apply probe the inner Select's
+	// filter conjuncts before it. The left row's columns are
+	// batch-invariant and read through lenv, which falls through to the
+	// strand's parameters. Empty passes every pair.
+	preds []*eval.VecPred
 	frame eval.VecFrame
 	lenv  eval.RowEnv
 	sel   []int
@@ -152,7 +150,7 @@ func newJoinEmit(ctx *Context, kind algebra.JoinKind, on algebra.Scalar, left, r
 	j := joinEmit{kind: kind, rWidth: len(right.cols),
 		lenv: eval.RowEnv{Ords: left.ords, Outer: ctx.params}}
 	if on != nil && !algebra.IsTrueConst(on) {
-		j.on = ctx.compiler(right.ords).CompileVecPred(on)
+		j.preds = append(j.preds, ctx.compiler(right.ords).CompileVecPred(on))
 	}
 	return j
 }
@@ -265,24 +263,28 @@ func (j *joinEmit) feed(limit int) (done bool, err error) {
 }
 
 // match returns the positions in win of the candidates that pair with
-// the left row in progress: keys equal, then the predicate TRUE. It
-// charges the pairs the pair loop would have examined: the whole
-// window, or up to the first survivor (semi, antisemi) or the first
-// failing pair.
+// the left row in progress: every conjunct of the predicate TRUE, each
+// evaluated over the pairs the ones before it kept. It charges the
+// pairs the pair loop would have examined: the whole window, or up to
+// the first survivor (semi, antisemi) or the first failing pair.
 func (j *joinEmit) match(win []types.Row) ([]int, error) {
 	sel := j.sel[:0]
-	for i, r := range win {
-		if j.lOrds == nil || types.EqualRows(j.lrow, j.lOrds, r, j.rOrds) {
-			sel = append(sel, i)
-		}
+	for i := range win {
+		sel = append(sel, i)
 	}
 	j.sel = sel
 	n := len(win)
-	var err error
-	if j.on != nil && len(sel) > 0 {
+	if len(j.preds) > 0 {
 		j.frame.NextWindow(win)
-		if sel, err = j.on.Filter(&j.frame, sel); err != nil {
+	}
+	var err error
+	for _, p := range j.preds {
+		if len(sel) == 0 {
+			break
+		}
+		if sel, err = p.Filter(&j.frame, sel); err != nil {
 			sel, n, err = j.pairwise(win)
+			break
 		}
 	}
 	if len(sel) > 0 && !j.kind.ReturnsRightCols() {
@@ -304,15 +306,17 @@ func (j *joinEmit) match(win []types.Row) ([]int, error) {
 func (j *joinEmit) pairwise(win []types.Row) (sel []int, n int, err error) {
 	sel = j.sel[:0]
 	var one [1]int
-	for i, r := range win {
-		if j.lOrds != nil && !types.EqualRows(j.lrow, j.lOrds, r, j.rOrds) {
-			continue
-		}
+	for i := range win {
 		one[0] = i
 		j.frame.NextWindow(win)
-		kept, err := j.on.Filter(&j.frame, one[:])
-		if err != nil {
-			return sel, i + 1, err
+		kept := one[:]
+		for _, p := range j.preds {
+			if kept, err = p.Filter(&j.frame, kept); err != nil {
+				return sel, i + 1, err
+			}
+			if len(kept) == 0 {
+				break
+			}
 		}
 		if len(kept) > 0 {
 			sel = append(sel, i)

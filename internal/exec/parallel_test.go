@@ -237,7 +237,8 @@ func TestWorkerCloneCarriesStrategy(t *testing.T) {
 // execution per outer row, run it sequential; many outer rows run it
 // parallel on a strand with workers.
 func TestApplyStrategyFromEstimates(t *testing.T) {
-	_, rel, _ := compilePlan(t, testDB(t),
+	st := testDB(t)
+	_, rel, _ := compilePlan(t, st,
 		`select o_orderkey from orders
 		 where o_totalprice > (select avg(o2.o_totalprice) from orders o2 where o2.o_custkey = orders.o_custkey)`,
 		core.Options{KeepCorrelated: true})
@@ -264,7 +265,7 @@ func TestApplyStrategyFromEstimates(t *testing.T) {
 		{est(5000, 100), 0, "batched"},
 		{est(5000, 100), 4, "parallel"},
 	} {
-		if got := c.est.ApplyStrategy(a, c.par); got != c.want {
+		if got := c.est.ApplyStrategy(st.Catalog, a, c.par); got != c.want {
 			t.Errorf("estimates %v at parallelism %d: %s, want %s", c.est, c.par, got, c.want)
 		}
 	}

@@ -10,15 +10,12 @@ import (
 
 // rowGroups is the row-at-a-time group lookup that resolve replaced,
 // as it stood before groups were resolved from key vectors (ungoverned
-// part): up to scanMax resident groups a row is compared with every
-// key in insertion order, past that with the keys of its hash chain
-// (newest first), and a miss makes the row's key a new group. With
-// scanMax 8 it is the oracle of GroupBy's resolve; with 0, of the hash
-// table's find-or-add.
+// part): a row is compared with the keys of its hash chain (newest
+// first), and a miss makes the row's key a new group. It is the oracle
+// of GroupBy's resolve and of the hash table's find-or-add.
 type rowGroups struct {
-	scanMax int
-	keys    []types.Row
-	chains  map[uint64][]int
+	keys   []types.Row
+	chains map[uint64][]int
 }
 
 func (o *rowGroups) find(row types.Row, ords []int) int {
@@ -26,20 +23,11 @@ func (o *rowGroups) find(row types.Row, ords []int) int {
 	for i := range ident {
 		ident[i] = i
 	}
-	if len(o.keys) <= o.scanMax {
-		for g, key := range o.keys {
-			if types.EqualRows(key, ident, row, ords) {
-				return g
-			}
-		}
-	}
 	hk := types.HashRow(row, ords)
-	if len(o.keys) > o.scanMax {
-		chain := o.chains[hk]
-		for i := len(chain) - 1; i >= 0; i-- {
-			if types.EqualRows(o.keys[chain[i]], ident, row, ords) {
-				return chain[i]
-			}
+	chain := o.chains[hk]
+	for i := len(chain) - 1; i >= 0; i-- {
+		if types.EqualRows(o.keys[chain[i]], ident, row, ords) {
+			return chain[i]
 		}
 	}
 	if o.chains == nil {
@@ -127,8 +115,7 @@ func (c rowColumns) Column(ord, end int) *types.Column {
 // row-at-a-time lookup it replaced, over one to three key columns of
 // Int, Float (with -0, NaN), equal Int/Float values, Date, Bool, String
 // and NULL, read as gathered vectors and as stored-column views, under
-// full and partial selections, with few groups (the key scan) and many
-// (the hash chains).
+// full and partial selections, with few groups and many.
 func TestVecHashMatchesHashRow(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	const width, batch = 3, 96
@@ -154,7 +141,7 @@ func TestVecHashMatchesHashRow(t *testing.T) {
 		}
 		src := newRowColumns(stored, width)
 
-		tbl, oracle := newAggTable(nKeys, 0, 0), &rowGroups{scanMax: aggScanMax}
+		tbl, oracle := newAggTable(nKeys, 0, 0), &rowGroups{}
 		av := &aggVec{}
 		for off := 0; off < len(stored); off += batch {
 			rows := stored[off : off+batch]

@@ -9,8 +9,10 @@ import (
 // algorithm runs a join or an aggregation are functions of the plan
 // alone — the access's filter and the columns bound at Open, the
 // node's keys and the orders its inputs deliver — and nothing a caller
-// configures; how an Apply runs is a function of the plan and of the
-// optimizer's estimates for it (Estimates). The compile step, the cost
+// configures; how an Apply runs is a function of the plan and the
+// catalog when its inner side is an index lookup on its outer row's
+// columns (the probe), else of the plan and of the optimizer's
+// estimates for it (Estimates). The compile step, the cost
 // model and the rules (opt) and EXPLAIN ask the same functions, so
 // what EXPLAIN prints and what the plan was priced as is what runs. An
 // order a merge join or a streaming aggregation needs is the plan's to
@@ -171,10 +173,11 @@ func CompiledAccess(tbl *catalog.Table, g *algebra.Get, filter algebra.Scalar) A
 // Estimates is the optimizer's estimate for each node of one plan
 // (opt.PlanEstimates builds it once per compiled plan). It is the only
 // cardinality estimate the executor reads: compile sizes hash tables
-// from it and picks each Apply's strategy from it, and EXPLAIN prints
-// the same pick. A node with no entry is unknown: its operator gets no
-// size hint, and a correlated Apply over it runs batched. Read-only
-// once built; every strand of a run shares it.
+// from it and picks the strategy of each Apply that is not an index
+// probe from it, and EXPLAIN prints the same pick. A node with no entry
+// is unknown: its operator gets no size hint, and a correlated Apply
+// over it that is not a probe runs batched. Read-only once built; every
+// strand of a run shares it.
 type Estimates map[algebra.Rel]struct {
 	// Rows is the node's estimated output rows — per execution, for a
 	// node inside an Apply's or SegmentApply's inner side.
@@ -202,16 +205,50 @@ func (e Estimates) sizeHint(rel algebra.Rel, limit int) int {
 	return int(min(rows, float64(limit)))
 }
 
-// ApplyStrategy answers which strategy ("sequential", "batched" or
-// "parallel") runs Apply a of the plan e estimates, on a strand with
-// the given worker count. Compile asks it for every Apply it lowers and
-// EXPLAIN for every Apply it prints.
-func (e Estimates) ApplyStrategy(a *algebra.Apply, parallelism int) string {
-	return e.strategy(a, parallelism).String()
+// ApplyStrategy answers which strategy ("probe", "sequential",
+// "batched" or "parallel") runs Apply a of the plan e estimates, over
+// the tables of cat, on a strand with the given worker count. Compile
+// asks its twin (Context.applyStrategy) for every Apply it lowers and
+// EXPLAIN asks it for every Apply it prints.
+func (e Estimates) ApplyStrategy(cat *catalog.Catalog, a *algebra.Apply, parallelism int) string {
+	return e.strategy(cat.Table, a, parallelism).String()
+}
+
+// probeSeek answers whether Apply a runs as an index-lookup probe, and
+// with which seek: its inner side is a Select over a Get — under a
+// Project that only passes columns through, when the Apply returns no
+// inner column — that Access makes an equality seek whose every key is
+// a column the Apply's left side produces. The answer reads the plan
+// and the catalog (table resolves a Get's table), nothing estimated.
+func probeSeek(table func(string) (*catalog.Table, bool), a *algebra.Apply) (sel *algebra.Select, g *algebra.Get, acc AccessPath, ok bool) {
+	right := a.Right
+	if p, isProj := right.(*algebra.Project); isProj && len(p.Items) == 0 && !a.Kind.ReturnsRightCols() {
+		right = p.Input
+	}
+	if sel, ok = right.(*algebra.Select); !ok {
+		return nil, nil, AccessPath{}, false
+	}
+	if g, ok = sel.Input.(*algebra.Get); !ok {
+		return nil, nil, AccessPath{}, false
+	}
+	tbl, ok := table(g.Table)
+	if !ok {
+		return nil, nil, AccessPath{}, false
+	}
+	if acc = CompiledAccess(tbl, g, sel.Filter); !acc.Seek() {
+		return nil, nil, AccessPath{}, false
+	}
+	leftCols := algebra.OutputCols(a.Left)
+	for _, k := range acc.Keys {
+		if c, isCol := k.(*algebra.ColRef); !isCol || !leftCols.Contains(c.Col) {
+			return nil, nil, AccessPath{}, false
+		}
+	}
+	return sel, g, acc, true
 }
 
 // applyStrategy is the strategy a runs under on this strand: the one
-// the Context.Apply test seam forces, else the estimates' pick.
+// the Context.Apply test seam forces, else the selector's pick.
 func (c *Context) applyStrategy(a *algebra.Apply) applyStrategy {
 	switch c.Apply {
 	case "sequential":
@@ -224,7 +261,17 @@ func (c *Context) applyStrategy(a *algebra.Apply) applyStrategy {
 		}
 		return applyParallel
 	}
-	return c.Estimates.strategy(a, c.Parallelism)
+	return c.Estimates.strategy(c.schema, a, c.Parallelism)
+}
+
+// schema resolves a table name to the catalog table of the version
+// this query reads.
+func (c *Context) schema(name string) (*catalog.Table, bool) {
+	v, ok := c.table(name)
+	if !ok {
+		return nil, false
+	}
+	return v.Schema, true
 }
 
 // applyStrategy selects how correlated Apply executes its inner side.
@@ -233,6 +280,9 @@ type applyStrategy int
 const (
 	// applySequential re-opens the inner per outer row.
 	applySequential applyStrategy = iota
+	// applyProbe looks a batch of outer rows' keys up in the inner
+	// side's index at once (probeSeek's shape).
+	applyProbe
 	// applyBatched dedups correlation bindings per batch of outer rows
 	// and executes once per distinct binding.
 	applyBatched
@@ -243,6 +293,8 @@ const (
 
 func (s applyStrategy) String() string {
 	switch s {
+	case applyProbe:
+		return "probe"
 	case applyBatched:
 		return "batched"
 	case applyParallel:
@@ -266,10 +318,14 @@ const (
 	applyDedupMinRatio = 1.25
 )
 
-// strategy picks a's strategy from two numbers the optimizer derived
-// for the plan — the outer rows and the inner executions it priced (0:
-// unknown) — and the strand's worker count.
-func (e Estimates) strategy(a *algebra.Apply, parallelism int) applyStrategy {
+// strategy picks a's strategy: probe for probeSeek's shape, from the
+// plan and the catalog alone; otherwise from two numbers the optimizer
+// derived for the plan — the outer rows and the inner executions it
+// priced (0: unknown) — and the strand's worker count.
+func (e Estimates) strategy(table func(string) (*catalog.Table, bool), a *algebra.Apply, parallelism int) applyStrategy {
+	if _, _, _, ok := probeSeek(table, a); ok {
+		return applyProbe
+	}
 	outerRows, execs := e[a.Left].Rows, e[a].Execs
 	switch sig, _ := algebra.ApplyBindingCols(a); {
 	case sig.Empty():

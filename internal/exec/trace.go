@@ -36,14 +36,15 @@ type OpStats struct {
 	// aggregation or join build crossing the memory budget).
 	Spills int64
 	// Strategy is the physical choice compile made for the node: on an
-	// Apply its execution strategy ("sequential", "batched",
+	// Apply its execution strategy ("probe", "sequential", "batched",
 	// "parallel"); on a table access that seeks an index (a Get, or the
 	// Select over one) "seek=" and the index name, as EXPLAIN prints it;
 	// empty otherwise.
 	Strategy string
 	// Bindings counts correlation-binding lookups (one per outer row of
-	// an Apply); InnerExecs counts actual inner-side executions. Their
-	// ratio is the binding cache's dedup win.
+	// an Apply); InnerExecs counts actual inner-side executions — for a
+	// probe, the batches of bindings looked up at once. Their ratio is
+	// the binding cache's dedup win, or a probe's batch size.
 	Bindings   int64
 	InnerExecs int64
 }

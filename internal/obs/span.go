@@ -51,14 +51,15 @@ type Span struct {
 	// boundary (sums across workers; exceeds Busy when workers overlap).
 	WorkerTime time.Duration `json:"worker_ns,omitempty"`
 	// Strategy is the physical choice compile made for the operator: on
-	// an Apply its execution strategy ("sequential", "batched",
+	// an Apply its execution strategy ("probe", "sequential", "batched",
 	// "parallel"); on a table access that seeks an index (a Get, or the
 	// Select over one) "seek=" and the index name, as EXPLAIN prints it;
 	// empty otherwise.
 	Strategy string `json:"strategy,omitempty"`
 	// Bindings counts an Apply's correlation-binding lookups (one per
-	// outer row); InnerExecs counts actual inner-side executions. Their
-	// ratio is the binding cache's deduplication win.
+	// outer row); InnerExecs counts actual inner-side executions — for
+	// a probe, the batches of bindings looked up at once. Their ratio is
+	// the binding cache's deduplication win, or a probe's batch size.
 	Bindings   int64 `json:"bindings,omitempty"`
 	InnerExecs int64 `json:"inner_execs,omitempty"`
 	// Children are the operator's input spans in plan order.

@@ -67,7 +67,7 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est exec.Es
 		extra := ""
 		switch n := rel.(type) {
 		case *algebra.Apply:
-			extra = " apply=" + est.ApplyStrategy(n, parallelism)
+			extra = " apply=" + est.ApplyStrategy(cat, n, parallelism)
 		case *algebra.Select:
 			if g, ok := n.Input.(*algebra.Get); ok {
 				if tbl, ok := cat.Table(g.Table); ok {

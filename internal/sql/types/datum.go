@@ -395,10 +395,14 @@ var HashNull = fnvByte(fnvOffset, 0)
 // Float(1.0), which compare equal, hash equal too.
 func HashInt(i int64) uint64 { return HashFloat(float64(i)) }
 
-// HashFloat hashes a Float; -0 compares equal to 0, so it hashes as 0.
+// HashFloat hashes a Float; -0 compares equal to 0, so it hashes as 0,
+// and every NaN payload hashes as math.NaN()'s, so that hash grouping
+// and hash joins keep all NaNs in one key, as SortCompare does.
 func HashFloat(f float64) uint64 {
 	if f == 0 {
 		f = 0
+	} else if f != f {
+		f = math.NaN()
 	}
 	return mix64(math.Float64bits(f) ^ seedNumeric)
 }
@@ -548,6 +552,20 @@ func (c *Column) AppendColumn(rows []Row, ord int) bool {
 		}
 	}
 	return true
+}
+
+// Datum boxes row i.
+func (c *Column) Datum(i int) Datum {
+	if c.Kind == Unknown || c.Null != nil && c.Null[i] {
+		return Null(c.Kind)
+	}
+	switch c.Kind {
+	case Float:
+		return NewFloat(c.F[i])
+	case String:
+		return NewString(c.S[i])
+	}
+	return Datum{kind: c.Kind, valid: true, i: c.I[i]}
 }
 
 // grow makes room for n more elements in s, unless s is nil.

@@ -25,6 +25,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,9 +44,12 @@ import (
 // leaves the rest to the reader: Lookup answers the matches among the
 // rows its index covers and says how far that coverage reaches, and
 // the reader examines the rows past it (the executor's seek runs its
-// scan kernels over them); an ordered index's permutation is served
-// only while it covers every row (OrderedScan), and compile falls back
-// to scan plus sort otherwise.
+// scan kernels over them); LookupBatch does the same for a batch of
+// keys held as typed columns (an index-lookup Apply's outer rows). Both
+// compare keys typed where a key and the stored values are of one
+// kind, and as datums otherwise. An ordered index's permutation is
+// served only while it covers every row (OrderedScan), and compile
+// falls back to scan plus sort otherwise.
 type Version struct {
 	// Schema is the catalog schema of the table (immutable).
 	Schema *catalog.Table
@@ -97,6 +101,46 @@ type orderedIndex struct {
 	cols []int
 	rows []types.Row // rows the index was built over
 	perm []int32     // row ordinals sorted by cols
+	// lead, when the leading key column is an Int or Date column without
+	// NULLs, is its values in permutation order: a key of that kind is
+	// searched there, comparing int64s instead of datums.
+	lead     []int64
+	leadKind types.Kind
+}
+
+// newOrderedIndex sorts the ordinals of rows by cols (types.SortCompare,
+// stable) and copies the leading column out typed when it can.
+func newOrderedIndex(cols []int, rows []types.Row) *orderedIndex {
+	oi := &orderedIndex{cols: cols, rows: rows, perm: make([]int32, len(rows))}
+	for i := range oi.perm {
+		oi.perm[i] = int32(i)
+	}
+	sort.SliceStable(oi.perm, func(a, b int) bool {
+		ra, rb := rows[oi.perm[a]], rows[oi.perm[b]]
+		for _, c := range cols {
+			if cmp := types.SortCompare(ra[c], rb[c]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	if len(rows) == 0 {
+		return oi
+	}
+	kind := rows[oi.perm[0]][cols[0]].Kind()
+	if kind != types.Int && kind != types.Date {
+		return oi
+	}
+	lead := make([]int64, len(oi.perm))
+	for i, o := range oi.perm {
+		d := rows[o][cols[0]]
+		if d.IsNull() || d.Kind() != kind {
+			return oi
+		}
+		lead[i] = d.Int()
+	}
+	oi.lead, oi.leadKind = lead, kind
+	return oi
 }
 
 // newHashIndex buckets rows by the hash of their cols with a counting
@@ -141,9 +185,30 @@ func (v *Version) RowCount() int { return len(v.rows) }
 // ordered index's columns. The rows past the coverage are the caller's
 // to examine: the covered matches plus the rows of rows[covered:] that
 // hold the key are every row of this version that does.
+//
+// An ordered index whose leading column is an Int or Date column
+// without NULLs is searched over a typed copy of that column when the
+// key's first datum is of its kind; a NULL key, or a key of another
+// kind (a Float looked up in an Int column), is compared as a datum
+// (types.SortCompare), with the same matches.
 func (v *Version) Lookup(indexName string, key []types.Datum, dst []int32) (ords []int32, covered int) {
 	if hi, ok := v.hashIdx[indexName]; ok {
-		return hi.lookup(key, dst[:0]), len(hi.rows)
+		h := uint64(types.HashSeed)
+		for _, d := range key {
+			h = types.MixHash(h, d.Hash())
+		}
+		ords = dst[:0]
+	rows:
+		for _, ord := range hi.bucket(h) {
+			r := hi.rows[ord]
+			for j, c := range hi.cols {
+				if !types.Equal(r[c], key[j]) {
+					continue rows
+				}
+			}
+			ords = append(ords, ord)
+		}
+		return ords, len(hi.rows)
 	}
 	if oi, ok := v.ordIdx[indexName]; ok {
 		return oi.lookup(key, dst[:0]), len(oi.rows)
@@ -151,44 +216,113 @@ func (v *Version) Lookup(indexName string, key []types.Datum, dst []int32) (ords
 	return dst[:0], 0
 }
 
-// lookup appends the ordinals of the indexed rows whose key is key.
-func (hi *hashIndex) lookup(key []types.Datum, out []int32) []int32 {
-	h := uint64(types.HashSeed)
-	for _, d := range key {
-		h = types.MixHash(h, d.Hash())
-	}
-	b, ok := hi.buckets[h]
-	if !ok {
-		return out
-	}
-rows:
-	for _, ord := range hi.ords[hi.starts[b]:hi.starts[b+1]] {
-		r := hi.rows[ord]
-		for i, c := range hi.cols {
-			if !types.Equal(r[c], key[i]) {
-				continue rows
-			}
-		}
-		out = append(out, ord)
-	}
-	return out
+// KeyBatch is a batch of index keys in column form, as a vectorized
+// reader holds them: key k is entry Sel[k] of every column of Cols
+// (Cols[j] holding the keys' j-th datums, in index order), and
+// Hash[Sel[k]] is its types.HashRow, which a hash index probes with.
+type KeyBatch struct {
+	Cols []types.Column
+	Sel  []int
+	Hash []uint64
 }
 
-// cmp compares the key columns of the row at permutation position i
-// with key's leading datums, in the permutation's order.
-func (oi *orderedIndex) cmp(i int, key []types.Datum) int {
+// LookupBatch is Lookup for every key of ks in one call: key k's
+// covered matches are appended to dst[:0] as ords[ends[k-1]:ends[k]]
+// (from 0 for k = 0), in the order Lookup returns them, and ends is
+// built in ends[:0]. The coverage is Lookup's. A hash index's rows are
+// compared with a key typed when their values are of one kind, and as
+// datums (types.Equal) otherwise.
+func (v *Version) LookupBatch(indexName string, ks KeyBatch, dst, ends []int32) (ords, kends []int32, covered int) {
+	ords, ends = dst[:0], ends[:0]
+	if hi, ok := v.hashIdx[indexName]; ok {
+		for _, ri := range ks.Sel {
+		rows:
+			for _, ord := range hi.bucket(ks.Hash[ri]) {
+				r := hi.rows[ord]
+				for j, c := range hi.cols {
+					if !equalEntry(&r[c], &ks.Cols[j], ri) {
+						continue rows
+					}
+				}
+				ords = append(ords, ord)
+			}
+			ends = append(ends, int32(len(ords)))
+		}
+		return ords, ends, len(hi.rows)
+	}
+	oi, ok := v.ordIdx[indexName]
+	if !ok {
+		for range ks.Sel {
+			ends = append(ends, 0)
+		}
+		return ords, ends, 0
+	}
+	key := make([]types.Datum, len(ks.Cols))
+	for _, ri := range ks.Sel {
+		for j := range ks.Cols {
+			key[j] = ks.Cols[j].Datum(ri)
+		}
+		ords = oi.lookup(key, ords)
+		ends = append(ends, int32(len(ords)))
+	}
+	return ords, ends, len(oi.rows)
+}
+
+// bucket returns the ordinals of the indexed rows whose key hashes to
+// h, ascending.
+func (hi *hashIndex) bucket(h uint64) []int32 {
+	b, ok := hi.buckets[h]
+	if !ok {
+		return nil
+	}
+	return hi.ords[hi.starts[b]:hi.starts[b+1]]
+}
+
+// equalEntry is types.Equal(*d, c's row ri), typed when both are values
+// of one kind.
+func equalEntry(d *types.Datum, c *types.Column, ri int) bool {
+	if d.Kind() == c.Kind && !d.IsNull() && (c.Null == nil || !c.Null[ri]) {
+		switch c.Kind {
+		case types.Int, types.Date, types.Bool:
+			return d.Int() == c.I[ri]
+		case types.String:
+			return d.Str() == c.S[ri]
+		case types.Float:
+			return !(d.Float() < c.F[ri] || d.Float() > c.F[ri]) // Compare's equality: a NaN equals every number
+		}
+	}
+	return types.Equal(*d, c.Datum(ri))
+}
+
+// cmp compares the key columns from..len(key) of the row at permutation
+// position i with key's datums there, in the permutation's order.
+func (oi *orderedIndex) cmp(i int, key []types.Datum, from int) int {
 	r := oi.rows[oi.perm[i]]
-	for j, kd := range key {
-		if c := types.SortCompare(r[oi.cols[j]], kd); c != 0 {
+	for j := from; j < len(key); j++ {
+		if c := types.SortCompare(r[oi.cols[j]], key[j]); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
+// lookup appends the ordinals of the indexed rows whose leading key
+// columns are key, in permutation order. A key whose first datum is of
+// the typed leading column's kind narrows the search to that datum's
+// run of lead first; the rest of the key is searched inside the run.
 func (oi *orderedIndex) lookup(key []types.Datum, out []int32) []int32 {
-	lo := sort.Search(len(oi.perm), func(i int) bool { return oi.cmp(i, key) >= 0 })
-	for i := lo; i < len(oi.perm) && oi.cmp(i, key) == 0; i++ {
+	lo, hi, from := 0, len(oi.perm), 0
+	if k := key[0]; oi.lead != nil && k.Kind() == oi.leadKind && !k.IsNull() {
+		lo, _ = slices.BinarySearch(oi.lead, k.Int())
+		for hi = lo; hi < len(oi.lead) && oi.lead[hi] == k.Int(); hi++ {
+		}
+		if len(key) == 1 {
+			return append(out, oi.perm[lo:hi]...)
+		}
+		from = 1
+	}
+	lo += sort.Search(hi-lo, func(i int) bool { return oi.cmp(lo+i, key, from) >= 0 })
+	for i := lo; i < hi && oi.cmp(i, key, from) == 0; i++ {
 		out = append(out, oi.perm[i])
 	}
 	return out
@@ -418,22 +552,7 @@ func (t *Table) BuildIndexes() {
 	ordIdx := make(map[string]*orderedIndex)
 	for _, decl := range t.Schema.Indexes {
 		if decl.Ordered {
-			oi := &orderedIndex{cols: decl.Cols, rows: frozen}
-			oi.perm = make([]int32, len(frozen))
-			for i := range oi.perm {
-				oi.perm[i] = int32(i)
-			}
-			cols := decl.Cols
-			sort.SliceStable(oi.perm, func(a, b int) bool {
-				ra, rb := frozen[oi.perm[a]], frozen[oi.perm[b]]
-				for _, c := range cols {
-					if cmp := types.SortCompare(ra[c], rb[c]); cmp != 0 {
-						return cmp < 0
-					}
-				}
-				return false
-			})
-			ordIdx[decl.Name] = oi
+			ordIdx[decl.Name] = newOrderedIndex(decl.Cols, frozen)
 		} else {
 			hashIdx[decl.Name] = newHashIndex(decl.Cols, frozen)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"orthoq/internal/sql/catalog"
@@ -281,5 +282,211 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// boxedLookup is Lookup as it stood before keys were compared typed:
+// a hash index's bucket filtered with types.Equal, an ordered index's
+// permutation binary-searched with types.SortCompare on every key
+// column.
+func boxedLookup(v *Version, name string, key []types.Datum) []int32 {
+	var out []int32
+	if hi, ok := v.hashIdx[name]; ok {
+	rows:
+		for _, ord := range hi.bucket(types.HashRow(key, []int{0, 1, 2}[:len(key)])) {
+			for j, c := range hi.cols {
+				if !types.Equal(hi.rows[ord][c], key[j]) {
+					continue rows
+				}
+			}
+			out = append(out, ord)
+		}
+		return out
+	}
+	oi := v.ordIdx[name]
+	cmp := func(i int) int {
+		for j, kd := range key {
+			if c := types.SortCompare(oi.rows[oi.perm[i]][oi.cols[j]], kd); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	for i := sort.Search(len(oi.perm), func(i int) bool { return cmp(i) >= 0 }); i < len(oi.perm) && cmp(i) == 0; i++ {
+		out = append(out, oi.perm[i])
+	}
+	return out
+}
+
+// TestTypedLookupMatchesBoxed holds the typed lookups to the boxed ones
+// on the same keys: an ordered index searched over its typed leading
+// column (Int, and Date under a composite key probed by prefix and in
+// full), hash indexes compared typed (a Float column holding NaN and
+// -0 among its values), and the fallbacks — a NULL key, Float keys
+// (NaN, -0, fractions) into Int columns, an Int key into a Float column, and leading columns the typed copy cannot hold (a NULL,
+// a Float value in an Int column). LookupBatch, fed the same keys as
+// column vectors, answers what Lookup does key by key.
+func TestTypedLookupMatchesBoxed(t *testing.T) {
+	st := New(catalog.New())
+	tbl, err := st.CreateTable(&catalog.Table{
+		Name: "tk",
+		Columns: []catalog.Column{
+			{Name: "a", Type: types.Int},
+			{Name: "d", Type: types.Date},
+			{Name: "f", Type: types.Float},
+			{Name: "n", Type: types.Int, Nullable: true},
+			{Name: "m", Type: types.Int},
+		},
+		Key: []int{0},
+		Indexes: []catalog.Index{
+			{Name: "tk_a", Cols: []int{0}, Ordered: true},
+			{Name: "tk_a_hash", Cols: []int{0}},
+			{Name: "tk_da", Cols: []int{1, 0}, Ordered: true},
+			{Name: "tk_f", Cols: []int{2}},
+			{Name: "tk_fa", Cols: []int{2, 0}},
+			{Name: "tk_n", Cols: []int{3}, Ordered: true},
+			{Name: "tk_m", Cols: []int{4}, Ordered: true},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(33))
+	for i := 0; i < 400; i++ {
+		n := types.NewInt(int64(r.Intn(9)))
+		if r.Intn(5) == 0 {
+			n = types.Null(types.Int)
+		}
+		m := types.NewInt(int64(r.Intn(9)))
+		if i == 17 {
+			m = types.NewFloat(2.5) // a numeric column may hold either kind
+		}
+		f := float64(r.Intn(8)) / 2
+		switch r.Intn(10) {
+		case 0:
+			f = math.Float64frombits(0xfff8000000000000) // a NaN
+		case 1:
+			f = math.Copysign(0, -1)
+		}
+		if err := tbl.Insert(types.Row{types.NewInt(int64(r.Intn(30))), types.NewDate(int64(9000 + r.Intn(6))),
+			types.NewFloat(f), n, m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.BuildIndexes()
+	v := tbl.Version()
+	for name, typed := range map[string]bool{"tk_a": true, "tk_da": true, "tk_n": false, "tk_m": false} {
+		if got := v.ordIdx[name].lead != nil; got != typed {
+			t.Errorf("%s: typed leading column %v, want %v", name, got, typed)
+		}
+	}
+	// A key generator draws from one kind per batch (mode 0 or 1), or
+	// from both (mode 2): the batch lookup takes key columns of one kind.
+	intKey := func(mode int) types.Datum {
+		if mode == 2 {
+			mode = r.Intn(2)
+		}
+		switch {
+		case r.Intn(8) == 0:
+			return types.Null(types.Int)
+		case mode == 0:
+			return types.NewInt(int64(r.Intn(34)))
+		}
+		switch r.Intn(4) {
+		case 0:
+			return types.NewFloat(math.NaN())
+		case 1:
+			return types.NewFloat(math.Copysign(0, -1))
+		case 2:
+			return types.NewFloat(float64(r.Intn(60)) / 2)
+		}
+		return types.NewFloat(float64(r.Intn(30)))
+	}
+	floatKey := func(mode int) types.Datum {
+		if mode == 2 {
+			mode = r.Intn(2)
+		}
+		switch {
+		case r.Intn(6) == 0:
+			return types.Null(types.Float)
+		case mode == 1:
+			return types.NewInt(int64(r.Intn(4)))
+		case r.Intn(5) == 0:
+			return types.NewFloat(math.Float64frombits(0x7ff8000000000001))
+		}
+		return types.NewFloat(float64(r.Intn(10)) / 2)
+	}
+	dateKey := func(int) types.Datum {
+		if r.Intn(6) == 0 {
+			return types.Null(types.Date)
+		}
+		return types.NewDate(int64(8999 + r.Intn(8)))
+	}
+	keyOf := map[string][]func(int) types.Datum{
+		"tk_a": {intKey}, "tk_a_hash": {intKey}, "tk_da": {dateKey, intKey},
+		"tk_f": {floatKey}, "tk_fa": {floatKey, intKey}, "tk_n": {intKey}, "tk_m": {intKey},
+	}
+	batches := 0
+	for name, gens := range keyOf {
+		for wi, width := range []int{len(gens), 1} {
+			if wi == 1 && (len(gens) == 1 || v.hashIdx[name] != nil) {
+				continue // a hash index is looked up with its full key
+			}
+			for mode := range 3 {
+				var keys [][]types.Datum
+				for range 100 {
+					key := make([]types.Datum, width)
+					for j := range key {
+						key[j] = gens[j](mode)
+					}
+					keys = append(keys, key)
+				}
+				ks := KeyBatch{Cols: make([]types.Column, width)}
+				for k := range keys {
+					if k%3 == 0 {
+						continue // not selected
+					}
+					ks.Sel = append(ks.Sel, k)
+				}
+				ks.Hash = make([]uint64, len(keys))
+				for j := range ks.Cols {
+					for k, key := range keys {
+						if !ks.Cols[j].Append(key[j]) {
+							ks.Cols[j] = types.Column{}
+							break
+						}
+						ks.Hash[k] = types.HashRow(key, []int{0, 1}[:width])
+					}
+				}
+				mixed := slices.ContainsFunc(ks.Cols, func(c types.Column) bool { return c.N != len(keys) })
+				var dst []int32
+				for _, key := range keys {
+					want := boxedLookup(v, name, key)
+					got, covered := v.Lookup(name, key, dst)
+					if covered != 400 || !slices.Equal(got, want) {
+						t.Fatalf("%s %v: typed lookup %v covering %d, boxed %v", name, key, got, covered, want)
+					}
+					dst = got
+				}
+				if mixed {
+					continue // key columns of mixed kinds are looked up key by key
+				}
+				ords, ends, covered := v.LookupBatch(name, ks, nil, nil)
+				if covered != 400 || len(ends) != len(ks.Sel) {
+					t.Fatalf("%s: batch of %d keys answered %d covering %d", name, len(ks.Sel), len(ends), covered)
+				}
+				lo := int32(0)
+				for k, ki := range ks.Sel {
+					if want := boxedLookup(v, name, keys[ki]); !slices.Equal(ords[lo:ends[k]], want) {
+						t.Fatalf("%s %v: batch lookup %v, boxed %v", name, keys[ki], ords[lo:ends[k]], want)
+					}
+					lo = ends[k]
+				}
+				batches++
+			}
+		}
+	}
+	if batches < 12 {
+		t.Fatalf("only %d batches of one kind per key column", batches)
 	}
 }

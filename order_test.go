@@ -395,3 +395,64 @@ func TestNaNSortsAfterNumbers(t *testing.T) {
 		t.Errorf("group by p_f: non-NaN groups %v, want %v", got, want)
 	}
 }
+
+// TestNaNGroupsAsOneKey: every NaN, whatever its payload, is one
+// grouping key and apart from every number, however GROUP BY runs —
+// hash aggregation (`group by p_f + 0`), streaming aggregation over the
+// ordered index (`group by p_f`) — and in internal/reference. Hash
+// aggregation once compared a few resident keys with types.Equal, under
+// which a NaN equals every number, and put the NaN into group 5.
+func TestNaNGroupsAsOneKey(t *testing.T) {
+	db := NewMemory()
+	if err := db.CreateTable(&Table{
+		Name:    "pf",
+		Columns: []Column{{Name: "p_id", Type: types.Int}, {Name: "p_f", Type: types.Float}},
+		Key:     []int{0},
+		Indexes: []Index{{Name: "pf_f", Cols: []int{1}, Ordered: true}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	vals := []float64{5, 1, 2, 3, math.NaN(), 3, 2, 0, 5, 4, 1, 7, 6, 2,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000)}
+	for i, v := range vals {
+		if err := db.Insert("pf", Row{types.NewInt(int64(i)), types.NewFloat(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Analyze()
+	want := "0:1 1:2 2:3 3:2 4:1 5:2 6:1 7:1 NaN:3"
+	groups := func(rows []Row) string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, fmt.Sprintf("%v:%d", r[0].Float(), r[1].Int()))
+		}
+		sort.Strings(out)
+		return strings.Join(out, " ")
+	}
+	for _, c := range []struct{ sql, alg string }{
+		{`select p_f + 0, count(*) from pf group by p_f + 0`, "hash"},
+		{`select p_f, count(*) from pf group by p_f`, "stream"},
+	} {
+		plan, err := db.Explain(c.sql, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streams := strings.Contains(plan, "agg=stream"); streams != (c.alg == "stream") {
+			t.Fatalf("%s: want %s aggregation\n%s", c.sql, c.alg, plan)
+		}
+		r, err := db.Query(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := groups(r.Data); got != want {
+			t.Errorf("%s (%s aggregation): groups %s, want %s", c.sql, c.alg, got, want)
+		}
+		p, err := db.prepare(c.sql, DefaultConfig().identity())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := groups(referenceEval(t, db, p)); got != want {
+			t.Errorf("%s: reference groups %s, want %s", c.sql, got, want)
+		}
+	}
+}

@@ -53,6 +53,7 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # beside B/op and allocs/op for the five queries whose searches used to
 # run out of steps. Its executor twin runs one iteration each of the
 # warm pass (the 15 queries of perfbench's warm_analytic, plans cached),
+# the seven of them whose Applies run as index-lookup probes,
 # Q1's scan-and-aggregate, an integer-key aggregation into thousands of
 # groups, a hash join, and a selective probe against a small build side
 # (Q20's shape), so every run prints B/op and allocs/op for the paths
@@ -60,7 +61,7 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|ApplyProbe$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
@@ -166,8 +167,11 @@ go test -run 'TestResultCache' -race .
 # does after inserts no Analyze followed, on a table never analyzed and
 # inside an Apply.
 # And a NaN in a Float column leaves the other rows sorted, in an
-# ordered index and under ORDER BY.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle|TestNaNSortsAfterNumbers' -race . ./internal/exec
+# ordered index and under ORDER BY, and every NaN is one grouping key
+# under hash and streaming aggregation. And the index-lookup probe
+# against the sequential Apply it replaces: the same rows, error and
+# rows charged, batch by batch.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle|TestNaNSortsAfterNumbers|TestNaNGroupsAsOneKey|TestApplyProbeMatchesSequential' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
