@@ -215,12 +215,18 @@ func appendColIDs(b []byte, cols []ColID) []byte {
 	return b
 }
 
+// AppendScalarKey appends the ID-named rendering of s that
+// AppendNodeKey gives each conjunct of a predicate: a = b and b = a
+// print alike. A predicate of two or more conjuncts is keyed by their
+// renderings, each followed by '&', in sorted order.
+func AppendScalarKey(b []byte, s Scalar) []byte { return appendScalar(b, nil, s) }
+
 // appendConjunctsKey appends the ID-named renderings of pred's
 // conjuncts in sorted order.
 func appendConjunctsKey(b []byte, pred Scalar) []byte {
 	and, ok := pred.(*And)
 	if !ok || len(and.Args) < 2 {
-		return appendScalar(b, nil, pred)
+		return AppendScalarKey(b, pred)
 	}
 	// Render the conjuncts after b, then append them again in order and
 	// move that copy down over the first.
@@ -229,7 +235,7 @@ func appendConjunctsKey(b []byte, pred Scalar) []byte {
 	parts := buf[:0]
 	for _, a := range and.Args {
 		from := len(b)
-		b = append(appendScalar(b, nil, a), '&')
+		b = append(AppendScalarKey(b, a), '&')
 		parts = append(parts, [2]int{from, len(b)})
 	}
 	unsorted := b[:len(b):len(b)]

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"orthoq/internal/algebra"
@@ -31,7 +32,10 @@ import (
 // rewrite is interned node by node, the subtrees it shares with the
 // binding found by pointer (byRel), and its root joins the group of the
 // expression the rule fired on; if it is a member of another group
-// already, the two are one group and are merged.
+// already, the two are one group and are merged. The join reorders are
+// decided first on the memo's numbers — their conjuncts' IDs and the
+// groups' (rotation, commutes) — and build trees only for a rewrite
+// whose interning would change the memo.
 type memo struct {
 	o *Optimizer
 	// c costs on behalf of the memo; its winners land in the groups.
@@ -41,14 +45,30 @@ type memo struct {
 	// built or accepted as an expression's own (mexpr.rel).
 	byRel map[algebra.Rel]*mexpr
 	exprs map[exprKey]*mexpr
-	lines map[string]int32
-	text  []byte // lineOf's buffer
+	// texts interns key texts: operator lines (lineOf) and join
+	// conjuncts (conjunct.id).
+	texts map[string]int32
+	text  []byte // the key texts' buffer
+	// conjs finds the conjunct a join predicate's scalar is, and
+	// equalities the a = b redistribute spelled where no conjunct of
+	// the joins it dealt did, by (a, b).
+	conjs      map[algebra.Scalar]*conjunct
+	equalities map[[2]algebra.ColID]*conjunct
+	// joinLines finds a join's line from its kind and its conjuncts' IDs
+	// (see joinLine); key, ids and on are joinLine's and lineOf's
+	// buffers, dealt redistribute's.
+	joinLines map[string]int32
+	key       []byte
+	ids       []int32
+	on, dealt []*conjunct
 	// groups lists every group made, merged ones included; standing
 	// counts those not merged into another.
 	groups   []*group
 	standing int
-	// queue holds the bindings no rule has fired on yet, oldest first.
+	// queue holds the bindings no rule has fired on yet, oldest first,
+	// from head on: fired ones are dropped (see push).
 	queue []binding
+	head  int
 	// by is the firing whose rewrite is being interned (nil: a seed).
 	by *firing
 
@@ -56,6 +76,10 @@ type memo struct {
 	// rewrite, materialized the tree nodes built.
 	live, fired, materialized int
 	truncated                 bool
+
+	// looked, when set, sees each join reorder decided on the memo's
+	// numbers: the binding, the rule, and whether it is built.
+	looked func(b binding, rule string, built bool)
 }
 
 // maxExprs is the memo's size guard: the rules' closure is finite but
@@ -119,6 +143,9 @@ type mexpr struct {
 	// by is the rule firing that introduced the expression, nil for a
 	// seed's.
 	by *firing
+	// on is a join's predicate as its conjuncts, in
+	// algebra.AppendConjuncts order.
+	on []*conjunct
 	// wide: the expression outputs columns beyond its group's contract.
 	// dead: a merge found it to duplicate another member. final: an
 	// order rule introduced it (see add); no rule fires on it.
@@ -144,10 +171,13 @@ type binding struct {
 
 func newMemo(o *Optimizer) *memo {
 	m := &memo{
-		o:     o,
-		byRel: map[algebra.Rel]*mexpr{},
-		exprs: map[exprKey]*mexpr{},
-		lines: map[string]int32{},
+		o:          o,
+		byRel:      map[algebra.Rel]*mexpr{},
+		exprs:      map[exprKey]*mexpr{},
+		texts:      map[string]int32{},
+		conjs:      map[algebra.Scalar]*conjunct{},
+		equalities: map[[2]algebra.ColID]*conjunct{},
+		joinLines:  map[string]int32{},
 	}
 	m.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats}
 	return m
@@ -178,15 +208,111 @@ func (e *mexpr) SegmentRefCols(i int) algebra.ColSet {
 	return algebra.DeriveSegmentRefCols(rep, rep.op)
 }
 
-// lineOf interns r's AppendNodeKey text.
-func (m *memo) lineOf(r algebra.Rel) int32 {
-	m.text = algebra.AppendNodeKey(m.text[:0], r)
-	id, ok := m.lines[string(m.text)]
+// textID interns the key text in m.text.
+func (m *memo) textID() int32 {
+	id, ok := m.texts[string(m.text)]
 	if !ok {
-		id = int32(len(m.lines))
-		m.lines[string(m.text)] = id
+		id = int32(len(m.texts))
+		m.texts[string(m.text)] = id
 	}
 	return id
+}
+
+// lineOf interns r's AppendNodeKey text, and returns a join's
+// conjuncts as well (in a buffer good until the next call). A join
+// spelled as onFor spells its conjuncts has its line found from their
+// IDs, its text rendered only the first time that set is seen.
+func (m *memo) lineOf(r algebra.Rel) (int32, []*conjunct) {
+	j, ok := r.(*algebra.Join)
+	if !ok {
+		m.text = algebra.AppendNodeKey(m.text[:0], r)
+		return m.textID(), nil
+	}
+	m.on = m.conjuncts(m.on[:0], j.On)
+	spelled := spelledAs(j.On, m.on)
+	if spelled {
+		if line, ok := m.joinLine(j.Kind, m.on); ok {
+			return line, m.on
+		}
+	}
+	m.text = algebra.AppendNodeKey(m.text[:0], r)
+	line := m.textID()
+	if spelled {
+		m.joinLines[string(m.key)] = line // joinLine left the key in m.key
+	}
+	return line, m.on
+}
+
+// spelledAs reports whether on is onFor(cs): the form of a join
+// predicate whose key text its conjuncts' IDs determine.
+func spelledAs(on algebra.Scalar, cs []*conjunct) bool {
+	switch len(cs) {
+	case 0:
+		return on == nil
+	case 1:
+		return on == cs[0].s
+	}
+	and, ok := on.(*algebra.And)
+	if !ok || len(and.Args) != len(cs) {
+		return false
+	}
+	for i, a := range and.Args {
+		if a != cs[i].s {
+			return false
+		}
+	}
+	return true
+}
+
+// joinLine finds the line of a join of kind whose predicate is onFor
+// of the conjuncts on: AppendNodeKey renders such a join as its kind
+// and its conjuncts' key texts in sorted order, so the kind and the
+// sorted IDs determine the text. ok is false if the memo has not seen
+// that text.
+func (m *memo) joinLine(kind algebra.JoinKind, on []*conjunct) (line int32, ok bool) {
+	m.ids = m.ids[:0]
+	for _, c := range on {
+		m.ids = append(m.ids, c.id)
+	}
+	slices.Sort(m.ids)
+	m.key = append(m.key[:0], byte(kind))
+	for _, id := range m.ids {
+		m.key = binary.LittleEndian.AppendUint32(m.key, uint32(id))
+	}
+	line, ok = m.joinLines[string(m.key)]
+	return line, ok
+}
+
+// conjuncts appends the conjuncts of the join predicate on to dst.
+func (m *memo) conjuncts(dst []*conjunct, on algebra.Scalar) []*conjunct {
+	var buf [8]algebra.Scalar
+	for _, s := range algebra.AppendConjuncts(buf[:0], on) {
+		dst = append(dst, m.conjunct(s))
+	}
+	return dst
+}
+
+// conjunct returns the conjunct the scalar s is.
+func (m *memo) conjunct(s algebra.Scalar) *conjunct {
+	c, ok := m.conjs[s]
+	if !ok {
+		m.text = algebra.AppendScalarKey(m.text[:0], s)
+		c = &conjunct{s: s, id: m.textID(), cols: algebra.ScalarCols(s), sub: algebra.HasSubquery(s)}
+		c.l, c.r, _ = colEquality(s)
+		m.conjs[s] = c
+	}
+	return c
+}
+
+// equality returns the conjunct a = b that redistribute spells when
+// neither join has one: one scalar per (a, b).
+func (m *memo) equality(a, b algebra.ColID) *conjunct {
+	c, ok := m.equalities[[2]algebra.ColID{a, b}]
+	if !ok {
+		c = m.conjunct(&algebra.Cmp{Op: algebra.CmpEq, L: &algebra.ColRef{Col: a}, R: &algebra.ColRef{Col: b}})
+		m.equalities[[2]algebra.ColID{a, b}] = c
+	}
+	return c
 }
 
 func keyOf(line int32, kids [2]*group) exprKey {
@@ -230,11 +356,12 @@ func (m *memo) intern(r algebra.Rel, into *group) *mexpr {
 	if kids[0] != nil {
 		kids[0] = kids[0].find() // entering the second input may have merged it
 	}
-	key := keyOf(m.lineOf(r), kids)
+	line, on := m.lineOf(r)
+	key := keyOf(line, kids)
 	if e, ok := m.exprs[key]; ok {
 		return m.place(e, into)
 	}
-	e := &mexpr{op: r, kids: kids, key: key, by: m.by, final: m.by != nil && m.by.final}
+	e := &mexpr{op: r, kids: kids, key: key, on: slices.Clone(on), by: m.by, final: m.by != nil && m.by.final}
 	if into == nil {
 		// The representative's tree is wanted by every binding above.
 		e.group = m.newGroup(e)
@@ -338,7 +465,7 @@ func (m *memo) schedule(e *mexpr) {
 	if e.final {
 		return
 	}
-	m.queue = append(m.queue, binding{p: e, slot: -1})
+	m.push(binding{p: e, slot: -1})
 	for slot, k := range e.inputs() {
 		for _, in := range k.exprs {
 			m.offer(e, slot, in)
@@ -351,8 +478,19 @@ func (m *memo) schedule(e *mexpr) {
 // it.
 func (m *memo) offer(p *mexpr, slot int, in *mexpr) {
 	if !p.dead && !in.dead && !in.final && depth2(p.op, in.op) {
-		m.queue = append(m.queue, binding{p, slot, in})
+		m.push(binding{p, slot, in})
 	}
+}
+
+// push queues b. A full queue whose fired bindings fill half of it or
+// more drops them instead of growing.
+func (m *memo) push(b binding) {
+	if len(m.queue) == cap(m.queue) && m.head >= len(m.queue)/2 {
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
+	m.queue = append(m.queue, b)
 }
 
 // offerAbove queues, for every expression that has g as an input, its
@@ -462,16 +600,92 @@ func (m *memo) add(p, in *mexpr, rule string, r algebra.Rel) {
 // explore fires rules until no binding is pending or the memo has grown
 // to the size guard.
 func (m *memo) explore() {
-	for next := 0; next < len(m.queue); next++ {
+	for m.head < len(m.queue) {
 		if m.live >= maxExprs {
 			m.truncated = true
 			break
 		}
-		if b := m.queue[next]; !b.p.dead && (b.in == nil || !b.in.dead) {
+		b := m.queue[m.head]
+		m.head++
+		if !b.p.dead && (b.in == nil || !b.in.dead) {
 			m.fire(b.p, b.slot, b.in)
 		}
 	}
-	m.queue = nil
+	m.queue, m.head = nil, 0
+}
+
+// rotation decides RotateJoin for the binding of the join p over the
+// join in at slot on the memo's numbers — the conjuncts' IDs and the
+// groups' — before any tree is built. It returns the conjuncts of the
+// rotated joins, and build false when interning the rewrite would
+// change nothing: reassociate refuses the rotation; the new lower join
+// is held by a wide member, so intern withholds the rewrite; or both
+// joins are held, the upper one where intern would put it (see idle).
+func (m *memo) rotation(p *mexpr, slot int, in *mexpr) (inner, outer []*conjunct, build bool) {
+	j, lower := p.op.(*algebra.Join), in.op.(*algebra.Join)
+	inner, outer, ok := m.reassociate(j.Kind, lower.Kind, in.on, p.on, in.OutputCols(1-slot).Union(p.OutputCols(1-slot)))
+	if !ok {
+		return nil, nil, false
+	}
+	// The groups of rotateJoin's trees: (A ⋈ B) ⋈ C becomes A ⋈ (B ⋈ C)
+	// at slot 0, A ⋈ (B ⋈ C) becomes (A ⋈ B) ⋈ C at slot 1.
+	x, y, other := in.kids[0].find(), in.kids[1].find(), p.kids[1-slot].find()
+	kids := [2]*group{y, other}
+	if slot == 1 {
+		kids = [2]*group{other, x}
+	}
+	lo, ok := m.joinExpr(algebra.InnerJoin, inner, kids)
+	if !ok || lo.wide {
+		return inner, outer, !ok
+	}
+	kind := algebra.InnerJoin
+	if len(outer) == 0 {
+		kind = algebra.CrossJoin
+	}
+	kids = [2]*group{x, lo.group.find()}
+	if slot == 1 {
+		kids = [2]*group{lo.group.find(), y}
+	}
+	up, ok := m.joinExpr(kind, outer, kids)
+	return inner, outer, !ok || !m.idle(up, p.group)
+}
+
+// commutes decides CommuteJoin for the join p on the memo's numbers:
+// false when p's mirror, its line over its input groups swapped, is
+// held where intern would put the commute (see idle). Every commute
+// product is held so, and is not commuted back.
+func (m *memo) commutes(p *mexpr) bool {
+	kids := p.inputs()
+	e, ok := m.exprs[exprKey{p.key.line, kids[1].id, kids[0].id}]
+	return !ok || !m.idle(e, p.group)
+}
+
+// decided reports a join reorder's decision to looked, if set, and
+// returns it.
+func (m *memo) decided(b binding, rule string, build bool) bool {
+	if m.looked != nil {
+		m.looked(b, rule, build)
+	}
+	return build
+}
+
+// joinExpr returns the expression a join of kind over the groups kids
+// with the predicate onFor(on) would be, if the memo holds one.
+func (m *memo) joinExpr(kind algebra.JoinKind, on []*conjunct, kids [2]*group) (*mexpr, bool) {
+	line, ok := m.joinLine(kind, on)
+	if !ok {
+		return nil, false
+	}
+	e, ok := m.exprs[keyOf(line, kids)]
+	return e, ok
+}
+
+// idle reports whether interning the expression e, which the memo
+// holds, into the group g changes nothing: e is in g, or its group
+// promises other output columns and merge refuses.
+func (m *memo) idle(e *mexpr, g *group) bool {
+	h, g := e.group.find(), g.find()
+	return h == g || !h.out.Equals(g.out)
 }
 
 // derivation lists the rule firings on the way from the seeds to the

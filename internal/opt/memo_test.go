@@ -370,8 +370,8 @@ func TestGroupsAreSound(t *testing.T) {
 // TestMemoBounds pins the size of seeded Q2's memo — the search that
 // spent 1 200 steps entering 66 617 subtree classes as a whole-plan
 // search and was not done at 20 000 — to the order of 10³ expressions,
-// and the work per expression: a binding builds one tree node, a
-// duplicate rewrite leaves nothing behind.
+// and the work per expression: a binding builds at most one tree node,
+// a duplicate rewrite leaves nothing behind.
 func TestMemoBounds(t *testing.T) {
 	st, err := goldenStore()
 	if err != nil {
@@ -404,8 +404,13 @@ func TestMemoBounds(t *testing.T) {
 	if r.Costed > 4*r.Explored || r.Materialized > 15*r.Explored {
 		t.Errorf("Q2: %d estimates derived, %d tree nodes built for %d expressions", r.Costed, r.Materialized, r.Explored)
 	}
-	if allocs > 200000 {
-		t.Errorf("%.0f allocations per Optimize, want at most 200000", allocs)
+	// With the join reorders the memo holds building no tree, Q2 builds
+	// 7 073 nodes in 83 488 allocations: both bounded 20 % above.
+	if r.Materialized > 8500 {
+		t.Errorf("Q2: %d tree nodes built, want at most 8500", r.Materialized)
+	}
+	if allocs > 100000 {
+		t.Errorf("%.0f allocations per Optimize, want at most 100000", allocs)
 	}
 	t.Logf("Q2: %d expressions, %d groups, %d firings, %d costed, %d materialized, %.0f allocs",
 		r.Explored, r.Groups, r.Generated, r.Costed, r.Materialized, allocs)

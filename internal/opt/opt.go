@@ -93,14 +93,18 @@ type Result struct {
 	Explored int
 	// Groups counts the equivalence groups those expressions fall into.
 	Groups int
-	// Generated counts rule firings that produced a rewrite; most
-	// rewrites are expressions the memo already holds.
+	// Generated counts rule firings that produced a rewrite; many
+	// rewrites are expressions the memo already holds. A commute or
+	// rotation the memo shows to be one it holds (or withholds) before
+	// building it is not counted.
 	Generated int
 	// Costed counts expression estimates derived: one per member of
 	// every group costed, per costing scope.
 	Costed int
 	// Materialized counts the algebra.Rel nodes built from expressions:
-	// the bindings rules were fired on and the returned plan.
+	// the bindings rules were fired on and the returned plan. A binding
+	// of a join over a join is built only when its rotation is new or a
+	// segment rule's operator precondition holds.
 	Materialized int
 	// Rules is the rule firings on the derivation of the returned plan's
 	// expressions from the seeds, in firing order (empty when a seed won
@@ -160,8 +164,26 @@ func (o *Optimizer) Cost(r algebra.Rel) float64 {
 // group. A rule's rewrite joins p's group. Enablement is
 // DisableRules alone; a disabled rule's rewrite is not even
 // attempted.
+//
+// The join reorders are decided on the memo's numbers first: a commute
+// or rotation whose rewrite the memo holds where intern would put it
+// (or withholds, or which is refused) is not built, and a join over a
+// join builds its binding only for a rewrite to build.
 func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 	o, md := m.o, m.o.Md
+	var inner, outer []*conjunct
+	rotate := false
+	if _, ok := p.op.(*algebra.Join); ok && slot >= 0 {
+		if _, ok := in.op.(*algebra.Join); ok {
+			if !o.DisableRules[RuleRotateJoin] {
+				inner, outer, rotate = m.rotation(p, slot, in)
+				rotate = m.decided(binding{p, slot, in}, RuleRotateJoin, rotate)
+			}
+			if !rotate && !m.segmentMatches(p, slot) {
+				return
+			}
+		}
+	}
 	r := m.bind(p, slot, in)
 	try := func(rule string, rewrite func() (algebra.Rel, bool)) {
 		if !o.DisableRules[rule] {
@@ -186,14 +208,17 @@ func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 	case *algebra.Join:
 		if slot < 0 {
 			try(RuleSemiJoinToJoinDistinct, func() (algebra.Rel, bool) { return core.TrySemiJoinToJoinDistinct(md, t) })
-			try(RuleCommuteJoin, func() (algebra.Rel, bool) { return commuteJoin(t) })
+			try(RuleCommuteJoin, func() (algebra.Rel, bool) {
+				if !innerOrCross(t.Kind) || !m.decided(binding{p, -1, nil}, RuleCommuteJoin, m.commutes(p)) {
+					return nil, false
+				}
+				return commuteJoin(t)
+			})
 			try(RuleMergeJoinOrder, func() (algebra.Rel, bool) { return tryMergeJoinOrder(md, o.Cat, t, p) })
 			return
 		}
-		if _, ok := in.op.(*algebra.Join); ok {
-			try(RuleRotateJoin, func() (algebra.Rel, bool) {
-				return rotateJoin(t, slot, in.OutputCols(1-slot).Union(p.OutputCols(1-slot)))
-			})
+		if rotate {
+			try(RuleRotateJoin, func() (algebra.Rel, bool) { return rotateJoin(t, slot, inner, outer), true })
 		}
 		if slot == 0 {
 			try(RulePushSemiJoinBelowGroupBy, func() (algebra.Rel, bool) { return core.TryPushSemiJoinBelowGroupBy(md, t) })
@@ -208,6 +233,25 @@ func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 	case *algebra.Sort:
 		try(RuleEliminateSort, func() (algebra.Rel, bool) { return tryEliminateSort(md, o.Cat, t, p.DeliveredOrder(0)) })
 	}
+}
+
+// segmentMatches reports whether a segment rule's operator
+// precondition holds for the join p over a join at slot:
+// IntroduceSegmentApply wants a GroupBy, Select or Project as p's right
+// input, PushJoinBelowSegmentApply a SegmentApply on either side. They
+// are the only rules besides RotateJoin that can match such a binding
+// (PushSemiJoinBelowGroupBy, PullGroupByAboveJoin and JoinToApply want
+// a GroupBy or a table access where the join is); a rule added for a
+// join over a join is to be added here.
+func (m *memo) segmentMatches(p *mexpr, slot int) bool {
+	left, right := algebra.InputsOf(m.relOf(p))
+	switch [2]algebra.Rel{left, right}[1-slot].(type) {
+	case *algebra.GroupBy, *algebra.Select, *algebra.Project:
+		return slot == 0 && !m.o.DisableRules[RuleIntroduceSegmentApply]
+	case *algebra.SegmentApply:
+		return !m.o.DisableRules[RulePushJoinBelowSegmentApply]
+	}
+	return false
 }
 
 // depth2 reports whether some rule's pattern names, beside the operator

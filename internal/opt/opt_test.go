@@ -190,7 +190,7 @@ func TestJoinReorderRules(t *testing.T) {
 				if !ok {
 					return nil, false
 				}
-				return rotateJoin(j, slot, algebra.OutputCols(lower.Inputs()[1-slot]).Union(algebra.OutputCols(j.Inputs()[1-slot])))
+				return newMemo(&Optimizer{Md: md}).rotateTree(j, slot, algebra.OutputCols(lower.Inputs()[1-slot]).Union(algebra.OutputCols(j.Inputs()[1-slot])))
 			}
 		}
 		for _, rw := range []func(*algebra.Join) (algebra.Rel, bool){commuteJoin, rotate(0), rotate(1)} {

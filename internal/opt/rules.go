@@ -16,11 +16,40 @@ func commuteJoin(j *algebra.Join) (algebra.Rel, bool) {
 	return &algebra.Join{Kind: j.Kind, Left: j.Right, Right: j.Left, On: j.On}, true
 }
 
-// rotateJoin reassociates a join over a join, redistributing predicate
-// conjuncts by the columns they need: with the lower join as input 0,
-// (A ⋈ B) ⋈ C becomes A ⋈ (B ⋈ C); as input 1, A ⋈ (B ⋈ C) becomes
-// (A ⋈ B) ⋈ C. innerCols is what the inputs of the new lower join
-// output.
+// rotateJoin reassociates a join over a join with the conjuncts
+// reassociate dealt: with the lower join as input 0, (A ⋈ B) ⋈ C
+// becomes A ⋈ (B ⋈ C); as input 1, A ⋈ (B ⋈ C) becomes (A ⋈ B) ⋈ C.
+func rotateJoin(j *algebra.Join, slot int, inner, outer []*conjunct) algebra.Rel {
+	lower := [2]algebra.Rel{j.Left, j.Right}[slot].(*algebra.Join)
+	up := &algebra.Join{On: onOf(outer)}
+	if len(outer) == 0 {
+		up.Kind = algebra.CrossJoin
+	}
+	if slot == 0 {
+		up.Left, up.Right = lower.Left, &algebra.Join{Left: lower.Right, Right: j.Right, On: onOf(inner)}
+	} else {
+		up.Left, up.Right = &algebra.Join{Left: j.Left, Right: lower.Left, On: onOf(inner)}, lower.Right
+	}
+	return up
+}
+
+// conjunct is one conjunct of a join predicate as the memo knows it:
+// the scalar, the ID of its key text (algebra.AppendScalarKey; the
+// conjuncts printing alike share one), the columns it reads, the
+// columns it equates (l != r; l == r == 0 if it is no column equality)
+// and whether it holds a subquery.
+type conjunct struct {
+	s    algebra.Scalar
+	id   int32
+	cols algebra.ColSet
+	l, r algebra.ColID
+	sub  bool
+}
+
+// reassociate deals the conjuncts of a join of kind over a join of
+// lowerKind, the lower one's first, for a rotation whose new lower join
+// has inputs producing innerCols. ok is false when the rotation is
+// refused.
 //
 // A rotation may move a cross product but not make one: the new lower
 // join has a predicate, and the upper one lacks one only if one of the
@@ -28,30 +57,21 @@ func commuteJoin(j *algebra.Join) (algebra.Rel, bool) {
 // space (Q2's part × supplier is the outer side of a cheap plan); the 3ⁿ
 // shapes of joining n relations in an order their predicates do not
 // connect are left out.
-func rotateJoin(j *algebra.Join, slot int, innerCols algebra.ColSet) (algebra.Rel, bool) {
-	lower, ok := [2]algebra.Rel{j.Left, j.Right}[slot].(*algebra.Join)
-	if !ok || !innerOrCross(j.Kind) || !innerOrCross(lower.Kind) {
-		return nil, false
+func (m *memo) reassociate(kind, lowerKind algebra.JoinKind, lower, upper []*conjunct, innerCols algebra.ColSet) (inner, outer []*conjunct, ok bool) {
+	if !innerOrCross(kind) || !innerOrCross(lowerKind) {
+		return nil, nil, false
 	}
-	inner, outer := redistribute(lower.On, j.On, innerCols)
-	if len(inner) == 0 || len(outer) == 0 && j.Kind != algebra.CrossJoin && lower.Kind != algebra.CrossJoin {
-		return nil, false
+	inner, outer = m.redistribute(lower, upper, innerCols)
+	if len(inner) == 0 || len(outer) == 0 && kind != algebra.CrossJoin && lowerKind != algebra.CrossJoin {
+		return nil, nil, false
 	}
-	up := &algebra.Join{On: onFor(outer)}
-	if len(outer) == 0 {
-		up.Kind = algebra.CrossJoin
-	}
-	if slot == 0 {
-		up.Left, up.Right = lower.Left, &algebra.Join{Left: lower.Right, Right: j.Right, On: onFor(inner)}
-	} else {
-		up.Left, up.Right = &algebra.Join{Left: j.Left, Right: lower.Left, On: onFor(inner)}, lower.Right
-	}
-	return up, true
+	return inner, outer, true
 }
 
 // redistribute deals the conjuncts of two joins being reassociated to
 // the new inner join, whose inputs produce innerCols, and the new outer
-// one: a conjunct goes as low as its columns allow.
+// one: a conjunct goes as low as its columns allow. The results share
+// one buffer of the memo's, good until the next call.
 //
 // Column equalities are dealt as a set, not one by one. The columns they
 // equate fall into classes (a = b ∧ b = c puts a, b, c in one), and a
@@ -64,10 +84,9 @@ func rotateJoin(j *algebra.Join, slot int, innerCols algebra.ColSet) (algebra.Re
 // way however the rotation was reached, so the memo sees one join of two
 // groups where path-dependent subsets of a = b, b = c, a = c would show
 // it many.
-func redistribute(on1, on2 algebra.Scalar, innerCols algebra.ColSet) (inner, outer []algebra.Scalar) {
-	// The equated columns, each with the number of the class it is in
-	// and the conjunct that mentions it. A query equates a handful of
-	// columns: they are searched linearly.
+func (m *memo) redistribute(lower, upper []*conjunct, innerCols algebra.ColSet) (inner, outer []*conjunct) {
+	// The equated columns, each with the number of the class it is in.
+	// A query equates a handful of columns: they are searched linearly.
 	type member struct {
 		class int
 		col   algebra.ColID
@@ -75,18 +94,19 @@ func redistribute(on1, on2 algebra.Scalar, innerCols algebra.ColSet) (inner, out
 	var mbuf [8]member
 	eq := mbuf[:0]
 	find := func(c algebra.ColID) int {
-		return slices.IndexFunc(eq, func(m member) bool { return m.col == c })
+		return slices.IndexFunc(eq, func(e member) bool { return e.col == c })
 	}
-	var cbuf [8]algebra.Scalar
-	conjs := algebra.AppendConjuncts(algebra.AppendConjuncts(cbuf[:0], on1), on2)
-	// One array holds both results: each gets at most every conjunct.
-	both := make([]algebra.Scalar, 2*len(conjs))
-	inner, outer = both[:0:len(conjs)], both[len(conjs):len(conjs)]
-	var ebuf [8]algebra.Scalar
+	var cbuf [8]*conjunct
+	conjs := append(append(cbuf[:0], lower...), upper...)
+	// Each result gets at most every conjunct.
+	n := len(conjs)
+	m.dealt = slices.Grow(m.dealt[:0], 2*n)
+	inner, outer = m.dealt[:0:n], m.dealt[n:n:2*n]
+	var ebuf [8]*conjunct
 	equalities := ebuf[:0]
-	for _, conj := range conjs {
-		if l, r, ok := colEquality(conj); ok {
-			equalities = append(equalities, conj)
+	for _, c := range conjs {
+		if l, r := c.l, c.r; l != r {
+			equalities = append(equalities, c)
 			switch i, k := find(l), find(r); {
 			case i < 0 && k < 0:
 				eq = append(eq, member{len(eq), l}, member{len(eq), r})
@@ -102,10 +122,10 @@ func redistribute(on1, on2 algebra.Scalar, innerCols algebra.ColSet) (inner, out
 					}
 				}
 			}
-		} else if algebra.ScalarCols(conj).SubsetOf(innerCols) && !algebra.HasSubquery(conj) {
-			inner = append(inner, conj)
+		} else if c.cols.SubsetOf(innerCols) && !c.sub {
+			inner = append(inner, c)
 		} else {
-			outer = append(outer, conj)
+			outer = append(outer, c)
 		}
 	}
 	slices.SortFunc(eq, func(a, b member) int {
@@ -115,27 +135,27 @@ func redistribute(on1, on2 algebra.Scalar, innerCols algebra.ColSet) (inner, out
 		return int(a.col - b.col)
 	})
 	// equal is the conjunct a = b: the query's own if it has one.
-	equal := func(a, b algebra.ColID) algebra.Scalar {
-		for _, conj := range equalities {
-			if l, r, _ := colEquality(conj); l == a && r == b || l == b && r == a {
-				return conj
+	equal := func(a, b algebra.ColID) *conjunct {
+		for _, c := range equalities {
+			if c.l == a && c.r == b || c.l == b && c.r == a {
+				return c
 			}
 		}
-		return &algebra.Cmp{Op: algebra.CmpEq, L: &algebra.ColRef{Col: a}, R: &algebra.ColRef{Col: b}}
+		return m.equality(a, b)
 	}
 	var root, in algebra.ColID
-	for i, m := range eq {
-		if i == 0 || m.class != eq[i-1].class {
-			root, in = m.col, 0
+	for i, x := range eq {
+		if i == 0 || x.class != eq[i-1].class {
+			root, in = x.col, 0
 		}
 		switch {
-		case in != 0 && innerCols.Contains(m.col):
-			inner = append(inner, equal(in, m.col))
-		case m.col != root:
-			outer = append(outer, equal(root, m.col))
+		case in != 0 && innerCols.Contains(x.col):
+			inner = append(inner, equal(in, x.col))
+		case x.col != root:
+			outer = append(outer, equal(root, x.col))
 		}
-		if in == 0 && innerCols.Contains(m.col) {
-			in = m.col
+		if in == 0 && innerCols.Contains(x.col) {
+			in = x.col
 		}
 	}
 	return inner, outer
@@ -169,6 +189,18 @@ func onFor(conjs []algebra.Scalar) algebra.Scalar {
 		return conjs[0]
 	}
 	return &algebra.And{Args: conjs}
+}
+
+// onOf is the join predicate of the conjuncts cs.
+func onOf(cs []*conjunct) algebra.Scalar {
+	if len(cs) == 1 {
+		return cs[0].s
+	}
+	conjs := make([]algebra.Scalar, len(cs))
+	for i, c := range cs {
+		conjs[i] = c.s
+	}
+	return onFor(conjs)
 }
 
 // pushSelectBelowJoin moves the conjuncts of a selection that read one

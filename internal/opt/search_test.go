@@ -144,7 +144,9 @@ func TestSearchUnchanged(t *testing.T) {
 // BenchmarkOptimizeTPCH times one seeded Optimize call on the queries
 // whose planning dominated perfbench's cold_analytic workload while the
 // search had a step budget, and reports the work it did: the memo's
-// groups and expressions, and the estimates derived.
+// groups and expressions, the estimates derived, the rule firings that
+// produced a rewrite (Result.Generated) and the tree nodes built
+// (Result.Materialized).
 func BenchmarkOptimizeTPCH(b *testing.B) {
 	st, err := goldenStore()
 	if err != nil {
@@ -165,6 +167,8 @@ func BenchmarkOptimizeTPCH(b *testing.B) {
 			b.ReportMetric(float64(benchResult.Groups), "groups/op")
 			b.ReportMetric(float64(benchResult.Explored), "exprs/op")
 			b.ReportMetric(float64(benchResult.Costed), "costed/op")
+			b.ReportMetric(float64(benchResult.Generated), "rewrites/op")
+			b.ReportMetric(float64(benchResult.Materialized), "built/op")
 		})
 	}
 }

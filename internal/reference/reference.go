@@ -501,11 +501,11 @@ func (e *Evaluator) aggregate(a *algebra.AggItem, in *relation, rows []types.Row
 				return acc, err
 			}
 		case algebra.AggMin:
-			if types.Compare(d, acc) < 0 {
+			if types.SortCompare(d, acc) < 0 {
 				acc = d
 			}
 		case algebra.AggMax:
-			if types.Compare(d, acc) > 0 {
+			if types.SortCompare(d, acc) > 0 {
 				acc = d
 			}
 		}

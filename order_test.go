@@ -456,3 +456,83 @@ func TestNaNGroupsAsOneKey(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNMinMaxIgnoresInputOrder: MIN and MAX over a Float column with
+// a NaN take the order rows sort in (types.SortCompare), whatever order
+// the rows arrive in: MIN skips a NaN unless every value is one, MAX is
+// NaN if any value is. They once compared with types.Compare, under
+// which a NaN equals every number, so the first value seen decided:
+// 1, NaN, 5 gave [1 5] and NaN, 1, 5 gave [NaN NaN]. Each insertion
+// order runs hash aggregation (`group by g + 0`), streaming
+// aggregation (the scalar aggregate, and `group by g` over the ordered
+// index on g), f and f + 0, serial and with four workers, and
+// internal/reference.
+func TestNaNMinMaxIgnoresInputOrder(t *testing.T) {
+	nan := math.NaN()
+	// Group 1 holds 1, NaN and 5 in the order under test; group 2 only
+	// NaNs.
+	for _, order := range [][]float64{{1, nan, 5}, {nan, 1, 5}, {1, 5, nan}} {
+		db := NewMemory()
+		if err := db.CreateTable(&Table{
+			Name:    "t",
+			Columns: []Column{{Name: "id", Type: types.Int}, {Name: "g", Type: types.Int}, {Name: "f", Type: types.Float}},
+			Key:     []int{0},
+			Indexes: []Index{{Name: "t_g", Cols: []int{1}, Ordered: true}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		rows := []Row{{types.NewInt(0), types.NewInt(2), types.NewFloat(nan)}}
+		for i, f := range order {
+			rows = append(rows, Row{types.NewInt(int64(i + 1)), types.NewInt(1), types.NewFloat(f)})
+		}
+		rows = append(rows, Row{types.NewInt(9), types.NewInt(2), types.NewFloat(nan)})
+		for _, r := range rows {
+			if err := db.Insert("t", r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Analyze()
+		for _, c := range []struct{ sql, alg, want string }{
+			{`select 1, min(f), max(f) from t`, "stream", "1:1:NaN"},
+			{`select 1, min(f + 0), max(f + 0) from t`, "stream", "1:1:NaN"},
+			{`select g + 0, min(f), max(f) from t group by g + 0`, "hash", "1:1:NaN 2:NaN:NaN"},
+			{`select g + 0, min(f + 0), max(f + 0) from t group by g + 0`, "hash", "1:1:NaN 2:NaN:NaN"},
+			{`select g, min(f), max(f) from t group by g`, "stream", "1:1:NaN 2:NaN:NaN"},
+			{`select g, min(f + 0), max(f + 0) from t group by g`, "stream", "1:1:NaN 2:NaN:NaN"},
+		} {
+			render := func(rs []Row) string {
+				var out []string
+				for _, r := range rs {
+					out = append(out, fmt.Sprintf("%d:%v:%v", r[0].Int(), r[1].Float(), r[2].Float()))
+				}
+				sort.Strings(out)
+				return strings.Join(out, " ")
+			}
+			plan, err := db.Explain(c.sql, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if streams := strings.Contains(plan, "agg=stream"); streams != (c.alg == "stream") {
+				t.Fatalf("%s: want %s aggregation\n%s", c.sql, c.alg, plan)
+			}
+			for _, par := range []int{0, 4} {
+				cfg := DefaultConfig()
+				cfg.Parallelism = par
+				r, err := db.QueryCfg(c.sql, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := render(r.Data); got != c.want {
+					t.Errorf("order %v, %s (%s aggregation, parallelism %d): %s, want %s", order, c.sql, c.alg, par, got, c.want)
+				}
+			}
+			p, err := db.prepare(c.sql, DefaultConfig().identity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(referenceEval(t, db, p)); got != c.want {
+				t.Errorf("order %v, %s: reference %s, want %s", order, c.sql, got, c.want)
+			}
+		}
+	}
+}
