@@ -1,20 +1,23 @@
 package orthoq
 
-// End-to-end property tests for binding-batch Apply execution: for
-// correlated plans, the batched and parallel strategies must return
-// exactly the rows of the sequential (row-at-a-time) strategy. Serial
-// runs must agree row for row, in order — the binding cache replays
-// memoized inner results in their original production order, so
-// batching may not perturb anything observable. The suites cover the
-// TPC-H corpus (optimized and pinned-correlated), the random subquery
-// corpus, nested Apply parameter shadowing against the cache,
+// End-to-end property tests for Apply execution: for correlated plans,
+// the selector's strategy, forced batched and forced onto the worker
+// pool must return the bag internal/reference gives the query, and
+// serially the selector's strategy must return forced batched's rows
+// in its order — the binding cache replays memoized inner results in
+// their original production order and the probe reads a seek's rows in
+// its order, so neither may perturb anything observable. The suites
+// cover the TPC-H corpus (optimized and pinned-correlated), the random
+// subquery corpus, nested Apply parameter shadowing against the cache,
 // NULL-vs-absent binding keys, and fault injection mid-batch.
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,43 +25,46 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-// checkApplyStrategies runs sql with every Apply forced onto each path
-// (Config.forceApply; "auto" forces nothing) and compares results
-// against the sequential baseline. At Parallelism <= 1 the comparison
-// is exact and ordered (all strategies execute the same arithmetic per
-// binding); above it rows are matched as a bag with numeric tolerance,
-// as in the parallel suites.
+// applyVariants run every Apply as the selector picks ("auto"), forced
+// batched and forced onto the worker pool from the first batch
+// (Config.forceApply), serially and at four workers.
+var applyVariants = func() (vs []engineVariant) {
+	for _, par := range []int{1, 4} {
+		for _, force := range []string{"", "batched", "parallel"} {
+			vs = append(vs, engineVariant{cmp.Or(force, "auto") + "/par" + strconv.Itoa(par),
+				func(c *Config) { c.Parallelism, c.forceApply = par, force }, false})
+		}
+	}
+	return vs
+}()
+
+// checkApplyStrategies holds sql on db under cfg to the oracle with its
+// Applies run every way applyVariants lists, and requires the serial
+// selector's run to return forced batched's rows in forced batched's
+// order (all strategies execute the same arithmetic per binding).
 func checkApplyStrategies(t *testing.T, db *DB, label, sql string, cfg Config) {
 	t.Helper()
-	seqCfg := cfg
-	seqCfg.forceApply = "sequential"
-	seq, err := db.QueryCfg(sql, seqCfg)
+	newOracle(applyVariants).check(t, db, label, sql, cfg)
+	cfg.Parallelism = 1
+	auto, err := db.QueryCfg(sql, cfg)
 	if err != nil {
-		t.Fatalf("%s sequential: %v\nsql: %s", label, err, sql)
+		t.Fatalf("%s auto: %v\nsql: %s", label, err, sql)
 	}
-	for _, strat := range []string{"auto", "batched", "parallel"} {
-		c := cfg
-		c.forceApply = strat
-		rows, err := db.QueryCfg(sql, c)
-		if err != nil {
-			t.Fatalf("%s %s: %v\nsql: %s", label, strat, err, sql)
-		}
-		if cfg.Parallelism <= 1 {
-			if !exactSameRows(seq.Data, rows.Data) {
-				t.Fatalf("%s: %s disagrees with sequential\nsql: %s\nsequential:\n%s\n%s:\n%s",
-					label, strat, sql, roundedFingerprint(seq), strat, roundedFingerprint(rows))
-			}
-		} else if !sameBagTolerant(seq.Data, rows.Data) {
-			t.Fatalf("%s: %s par=%d disagrees with sequential\nsql: %s\nsequential:\n%s\n%s:\n%s",
-				label, strat, cfg.Parallelism, sql, roundedFingerprint(seq), strat, roundedFingerprint(rows))
-		}
+	cfg.forceApply = "batched"
+	batched, err := db.QueryCfg(sql, cfg)
+	if err != nil {
+		t.Fatalf("%s batched: %v\nsql: %s", label, err, sql)
+	}
+	if !exactSameRows(batched.Data, auto.Data) {
+		t.Fatalf("%s: auto disagrees with batched\nsql: %s\nbatched:\n%s\nauto:\n%s",
+			label, sql, roundedFingerprint(batched), roundedFingerprint(auto))
 	}
 }
 
 // TestApplyStrategyEquivalenceTPCH sweeps the TPC-H corpus under both
 // the fully optimized configuration (whatever Applies the optimizer
 // retains) and the zero-value correlated configuration (every subquery
-// executes as an Apply), at Parallelism 1 and 4.
+// executes as an Apply).
 func TestApplyStrategyEquivalenceTPCH(t *testing.T) {
 	db := sharedDB(t)
 	optimized := DefaultConfig()
@@ -75,30 +81,26 @@ func TestApplyStrategyEquivalenceTPCH(t *testing.T) {
 			if !ok {
 				t.Fatalf("missing query %s", name)
 			}
-			for _, par := range []int{1, 4} {
-				cfg := c.cfg
-				cfg.Parallelism = par
-				checkApplyStrategies(t, db, c.name+"/"+name, sql, cfg)
-			}
+			checkApplyStrategies(t, db, c.name+"/"+name, sql, c.cfg)
 		}
 	}
 }
 
 // TestApplyStrategyEquivalenceFuzz runs the random subquery corpus
 // pinned correlated, so every generated subquery shape exercises the
-// binding cache.
+// binding cache — on the reference leg's fuzz data, where the oracle's
+// nested iteration stays fast.
 func TestApplyStrategyEquivalenceFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	db := sharedDB(t)
+	db, err := OpenTPCH(referenceFuzzSF, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(20010521))
 	for i := 0; i < 60; i++ {
-		sql := randQuery(r)
-		for _, par := range []int{1, 4} {
-			cfg := Config{Parallelism: par}
-			checkApplyStrategies(t, db, "fuzz", sql, cfg)
-		}
+		checkApplyStrategies(t, db, "fuzz", randQuery(r), Config{})
 	}
 }
 
@@ -165,19 +167,13 @@ select g_id,
           and i1.i_val > (select avg(i2.i_val) from item i2
                           where i2.i_grp = i1.i_grp)) as above_avg
 from grp`
-	for _, par := range []int{1, 4} {
-		checkApplyStrategies(t, db, "nested-shadowing", sql, Config{Parallelism: par})
-		checkApplyStrategies(t, db, "nested-shadowing-opt", sql, func() Config {
-			c := DefaultConfig()
-			c.Parallelism = par
-			return c
-		}())
-	}
+	checkApplyStrategies(t, db, "nested-shadowing", sql, Config{})
+	checkApplyStrategies(t, db, "nested-shadowing-opt", sql, DefaultConfig())
 }
 
 // TestApplyNullBindingKeys: rows whose correlation column is NULL must
 // dedup into one cache entry (NULL keys compare equal, as in GROUP
-// BY) and produce the same results as sequential re-execution.
+// BY) and produce the reference's results.
 func TestApplyNullBindingKeys(t *testing.T) {
 	db := NewMemory()
 	if err := db.CreateTable(&Table{
@@ -223,9 +219,7 @@ func TestApplyNullBindingKeys(t *testing.T) {
 		   (select d_key from dim where d_key = p_key)`,
 	}
 	for _, sql := range queries {
-		for _, par := range []int{1, 4} {
-			checkApplyStrategies(t, db, "null-keys", sql, Config{Parallelism: par})
-		}
+		checkApplyStrategies(t, db, "null-keys", sql, Config{})
 	}
 }
 

@@ -152,6 +152,17 @@ func BenchmarkAblationNoDecorrelationQ20(b *testing.B) {
 	benchQuery(b, q, Config{CostBased: true, SimplifyOuterJoins: true, JoinReorder: true})
 }
 
+// BenchmarkApplyDistinctBindings times an EXISTS kept correlated whose
+// bindings are nearly all distinct (one per order) and whose inner side
+// is not an index lookup (the key is an expression), on the correlated
+// ladder: the batched Apply's memo cannot pay for itself here, so it
+// stops memoizing after its first batch.
+func BenchmarkApplyDistinctBindings(b *testing.B) {
+	benchQuery(b, `select o_orderkey from orders o where exists
+		(select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey + 0 and l.l_quantity > 45)`,
+		Config{CostBased: true, SimplifyOuterJoins: true, JoinReorder: true})
+}
+
 func BenchmarkAblationNoGroupByReorder(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.GroupByReorder = false

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"orthoq/internal/core"
+	"orthoq/internal/obs"
 	"orthoq/internal/sql/types"
 )
 
@@ -208,5 +210,66 @@ func TestAmortClockMonotone(t *testing.T) {
 	}
 	if !progressed {
 		t.Fatal("amortized clock never advanced across refresh boundaries")
+	}
+}
+
+// TestApplyDecidesAtRunTime: the batched Apply's run-time memo decision
+// and its one-binding guarantee, over TPC-H at SF 0.002 (3 000 orders,
+// 12 000 lineitems). Every inner side is keyed on an expression, so no
+// Apply here is a probe.
+//   - All 3 000 orders have distinct bindings: the first batch decides
+//     against the memo, so every binding is an execution and no Apply
+//     memory is granted.
+//   - Lineitems repeat their order's binding: the Apply keeps
+//     memoizing, one execution per order, over all 12 000 rows.
+//   - An uncorrelated inner side larger than the cache's cap under a
+//     MemBudget runs once across the 3 000 outer rows.
+func TestApplyDecidesAtRunTime(t *testing.T) {
+	st := tpchStore(t)
+	run := func(sql string, budget int64) *obs.Span {
+		t.Helper()
+		md, rel, out := compilePlan(t, st, sql, core.Options{KeepCorrelated: true})
+		ctx := NewContext(st, md)
+		ctx.MemBudget = budget
+		ctx.EnableTrace()
+		if _, err := Run(ctx, rel, out); err != nil {
+			t.Fatal(err)
+		}
+		var ap *obs.Span
+		ctx.Spans(rel).Walk(func(s *obs.Span) {
+			if s.Op == "Apply" && ap == nil {
+				ap = s
+			}
+		})
+		if ap == nil || ap.Strategy != "batched" {
+			t.Fatalf("want a batched Apply in\n%s", ctx.FormatTrace(rel))
+		}
+		return ap
+	}
+	orders, _ := st.Table("orders")
+	n := int64(len(orders.Version().AllRows()))
+	if n <= 2*applyBatchRows {
+		t.Fatalf("%d orders: the test needs more than two batches", n)
+	}
+
+	all := run(`select o_orderkey from orders o where exists
+		(select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey + 0 and l.l_quantity > 45)`, 1<<40)
+	if all.Bindings != n || all.InnerExecs != n || all.MemBytes != 0 {
+		t.Errorf("distinct bindings: %d inner executions for %d bindings, %d bytes granted; want %d for %d, none",
+			all.InnerExecs, all.Bindings, all.MemBytes, n, n)
+	}
+
+	rep := run(`select l_orderkey from lineitem l where exists
+		(select o_orderkey from orders o where o.o_orderkey = l.l_orderkey + 0 and o.o_totalprice > 1000)`, 1<<40)
+	if rep.Bindings <= 2*applyBatchRows || rep.InnerExecs != n || rep.MemBytes == 0 {
+		t.Errorf("repeated bindings: %d inner executions for %d bindings, %d bytes granted; want one per order (%d), memoized",
+			rep.InnerExecs, rep.Bindings, rep.MemBytes, n)
+	}
+
+	// The customer table, one inner result, is several times the 8 KiB
+	// cap a 16 KiB budget leaves the cache.
+	once := run(`select o_orderkey from orders o where o.o_custkey + 0 in (select c_custkey from customer)`, 16<<10)
+	if once.Bindings != n || once.InnerExecs != 1 {
+		t.Errorf("uncorrelated inner: %d inner executions for %d bindings, want 1", once.InnerExecs, once.Bindings)
 	}
 }

@@ -274,26 +274,24 @@ func innerRowsPerBinding(t *testing.T, st *storage.Store, sql, strategy string, 
 	return bindings, innerRows
 }
 
-// TestApplyInnerRowCaps: a Semi Apply with a trivially-true On takes one
-// inner row per binding, and a Max1Row inner side at most two, under
-// both the sequential and the batched strategy. Three customers have
-// orders and customer 1 has two of them: uncapped, the four inner
-// executions of the EXISTS would produce four rows.
+// TestApplyInnerRowCaps: under the batched strategy a Semi Apply with
+// a trivially-true On takes one inner row per binding, and a Max1Row
+// inner side at most two. Three customers have orders and customer 1
+// has two of them: uncapped, the four inner executions of the EXISTS
+// would produce four rows.
 func TestApplyInnerRowCaps(t *testing.T) {
 	st := testDB(t)
-	for _, strategy := range []string{"sequential", "batched"} {
-		execs, rows := innerRowsPerBinding(t, st,
-			`select c_custkey from customer c where exists (select o_orderkey from orders o where o.o_custkey = c.c_custkey)`,
-			strategy, "Select")
-		if execs != 4 || rows != 3 {
-			t.Errorf("%s semi apply: %d inner rows for %d inner executions, want 3 (one per customer with orders) for 4", strategy, rows, execs)
-		}
-		execs, rows = innerRowsPerBinding(t, st,
-			`select c_custkey, (select o_orderkey from orders o where o.o_custkey = c.c_custkey and o.o_orderkey <> 10) as k from customer c`,
-			strategy, "Select")
-		if execs == 0 || rows > 2*execs {
-			t.Errorf("%s max1row apply: %d inner rows for %d inner executions, want at most two each", strategy, rows, execs)
-		}
+	execs, rows := innerRowsPerBinding(t, st,
+		`select c_custkey from customer c where exists (select o_orderkey from orders o where o.o_custkey = c.c_custkey)`,
+		"batched", "Select")
+	if execs != 4 || rows != 3 {
+		t.Errorf("semi apply: %d inner rows for %d inner executions, want 3 (one per customer with orders) for 4", rows, execs)
+	}
+	execs, rows = innerRowsPerBinding(t, st,
+		`select c_custkey, (select o_orderkey from orders o where o.o_custkey = c.c_custkey and o.o_orderkey <> 10) as k from customer c`,
+		"batched", "Select")
+	if execs == 0 || rows > 2*execs {
+		t.Errorf("max1row apply: %d inner rows for %d inner executions, want at most two each", rows, execs)
 	}
 }
 
@@ -369,8 +367,8 @@ func TestBatchRowBudgetAborts(t *testing.T) {
 // plan work far ahead of it. The cursor's row cap starts at one and
 // doubles per refill, so five rows read cost at most seven produced —
 // over a 12 000-row scan under a RowBudget a full batch would blow, and
-// over a sequential Apply, where each outer row pulled ahead is an
-// inner execution.
+// over a batched Apply, whose outer pulls ask for at most the cap, so
+// an outer row pulled ahead is not an inner execution run ahead.
 func TestCursorStopsItsPlan(t *testing.T) {
 	st := tpchStore(t)
 	const read = 5
@@ -385,7 +383,7 @@ func TestCursorStopsItsPlan(t *testing.T) {
 	for _, c := range cases {
 		md, rel, out := compilePlan(t, st, c.sql, core.Options{KeepCorrelated: true})
 		ctx := NewContext(st, md)
-		ctx.Apply = "sequential"
+		ctx.Apply = "batched"
 		ctx.RowBudget = c.budget
 		ctx.EnableTrace()
 		cu, err := RunCursor(ctx, rel, out)
@@ -452,74 +450,5 @@ func TestCursorMatchesRun(t *testing.T) {
 	}
 	if streamed, ran := counts(cctx), counts(rctx); streamed != ran {
 		t.Errorf("per-operator counts differ\ncursor:\n%s\nrun:\n%s", streamed, ran)
-	}
-}
-
-// applyOverLineitem is a hand-built sequential Apply of the given kind:
-// the AFRICA region row over every lineitem row (the inner side is
-// correlated, so it is not spooled), the On comparing l_linenumber with
-// a constant — a non-trivial On the normalizer would have pushed into
-// the inner side.
-func applyOverLineitem(t *testing.T, st *storage.Store, kind algebra.JoinKind, line int64) (*algebra.Metadata, *algebra.Apply) {
-	t.Helper()
-	md, rel, _ := compilePlan(t, st, `select r_regionkey from region r where r_regionkey = 0 and exists
-		(select l_linenumber from lineitem l where l.l_orderkey >= r.r_regionkey)`, core.Options{KeepCorrelated: true})
-	var ap *algebra.Apply
-	algebra.VisitRel(rel, func(n algebra.Rel) bool {
-		if a, ok := n.(*algebra.Apply); ok {
-			ap = a
-		}
-		return true
-	})
-	if ap == nil {
-		t.Fatalf("no apply in\n%s", algebra.FormatRel(md, rel))
-	}
-	var lineCol algebra.ColID
-	for _, c := range algebra.OutputCols(ap.Right).Ordered() {
-		if md.Alias(c) == "l_linenumber" {
-			lineCol = c
-		}
-	}
-	on := &algebra.Cmp{Op: algebra.CmpEq, L: &algebra.ColRef{Col: lineCol}, R: &algebra.Const{Val: types.NewInt(line)}}
-	return md, &algebra.Apply{Kind: kind, Left: ap.Left, Right: ap.Right, On: on}
-}
-
-// TestSequentialApplyStreamsItsInner: the sequential Apply never holds
-// an inner result. Three rows read from an inner join Apply whose inner
-// side is all of lineitem have pulled a handful of inner rows, not
-// 12 000, and a Semi Apply with a non-trivial On stops its inner side at
-// the first match instead of draining it.
-func TestSequentialApplyStreamsItsInner(t *testing.T) {
-	st := tpchStore(t)
-	md, ap := applyOverLineitem(t, st, algebra.InnerJoin, 1)
-	ctx := NewContext(st, md)
-	ctx.Apply = "sequential"
-	ctx.EnableTrace()
-	cu, err := RunCursor(ctx, ap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok, err := cu.Next(); err != nil || !ok {
-			t.Fatalf("inner apply row %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if err := cu.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if inner := cu.Spans().Children[1]; inner.Rows > 64 {
-		t.Errorf("inner apply pulled %d inner rows for 3 rows read", inner.Rows)
-	}
-
-	md, ap = applyOverLineitem(t, st, algebra.SemiJoin, 2)
-	ctx = NewContext(st, md)
-	ctx.Apply = "sequential"
-	ctx.EnableTrace()
-	res, err := Run(ctx, ap, nil)
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("semi apply: err = %v", err)
-	}
-	if inner := ctx.Spans(ap).Children[1]; inner.Rows > 16 {
-		t.Errorf("semi apply read %d inner rows to find its first l_linenumber = 2", inner.Rows)
 	}
 }

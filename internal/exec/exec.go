@@ -7,7 +7,7 @@
 // as nested loops; an Apply whose inner side is an index seek on its
 // outer row's columns looks a batch of outer rows up in the index at
 // once (the classic index-lookup join), and other Applies run their
-// inner side per outer row or per distinct binding;
+// inner side once per distinct binding of a batch of outer rows;
 // aggregation is hash-based; SegmentApply partitions its input and
 // evaluates the inner expression once per segment (paper §3.4).
 package exec
@@ -42,20 +42,20 @@ type Context struct {
 	// changes only with the benchmark, still sets it.
 	Stats *stats.Collection
 	// Estimates is the optimizer's estimate for each node of the plan
-	// this run executes: hash-table pre-sizes and the strategy of each
-	// Apply that is not an index-lookup probe are read from it. Nil means
-	// nothing is known (no hints; those correlated Applies run batched).
+	// this run executes: hash-table pre-sizes are read from it, and
+	// FormatTrace prints it beside the actual rows. Nil means nothing is
+	// known.
 	Estimates Estimates
 	// Parallelism is the worker count for morsel-driven parallel
 	// execution. 0 or 1 means serial; higher values let eligible
 	// scan/join/aggregation subtrees run on that many goroutines. Every
 	// other physical choice is made from the plan (strategy.go).
 	Parallelism int
-	// Apply, when set to "sequential", "batched" or "parallel", runs
-	// every Apply on that path instead of the one the estimates pick: a
-	// seam for tests that hold the three paths to one another. A forced
-	// "parallel" still degrades to batched for inner sides that cannot
-	// be recompiled on a worker context.
+	// Apply, when set to "batched" or "parallel", runs every Apply
+	// batched, probes included: a seam for tests that hold the probe to
+	// the batched path. "parallel" runs every batch on the worker pool
+	// from the first one, so small inputs exercise it, except for inner
+	// sides that cannot be recompiled on a worker context.
 	Apply string
 	// RowBudget, when positive, aborts execution after this many
 	// operator-row productions — a guard for runaway plans in tests.
@@ -217,8 +217,8 @@ func NewContext(store *storage.Store, md *algebra.Metadata) *Context {
 // that the worker folds into sharedState.wtrace when it finishes
 // (mergeWorkerTrace), so EXPLAIN ANALYZE and Spans cover the operators
 // below a parallel exchange. A worker is one serial strand: its
-// Parallelism stays 0, so it never fans out again (the Apply selector
-// reads Parallelism, and a worker's inner Applies must stay batched).
+// Parallelism stays 0, so it never fans out again (a batched Apply
+// reads Parallelism, and a worker's inner Applies must stay serial).
 func (c *Context) workerClone() *Context {
 	var wt map[algebra.Rel]*OpStats
 	if c.trace != nil {

@@ -2,39 +2,51 @@ package exec
 
 // Apply strategies. Correlated plans the rewrites cannot remove
 // (class-3 / Max1row exceptions, cost-retained index-lookup plans) run
-// under one of four:
+// under one of two, chosen from the plan and the catalog alone
+// (ApplyStrategy):
 //   - probe: an inner side that is an index seek on columns of the
 //     outer row (probeSeek) is looked up a batch of outer rows at a
 //     time, typed, with nothing bound, opened or closed per row
 //     (probeIter);
-//   - sequential: the inner expression runs once per outer row with
-//     the row's columns installed as parameters (applyIter);
 //   - batched: outer rows are collected, their correlation bindings
 //     deduplicated with a NULL-aware key (types.Equal's grouping
 //     semantics: NULL matches NULL), the inner side executed once per
 //     *distinct* binding, and the results memoized in a bounded,
 //     memory-accounted cache and replayed per outer row in order —
 //     Guravannavar's state-retention invocation, adapted to Volcano
-//     iterators (batchApplyIter);
-//   - parallel: batched, with the distinct missing bindings of each
-//     batch spread over a worker pool built from the morsel-execution
+//     iterators (batchApplyIter).
+//
+// Two choices of the batched Apply are observations it makes while it
+// runs, never estimates:
+//   - memo: when an Open's first full batch (or its last, if the outer
+//     side ends first) holds nearly one distinct binding per row —
+//     fewer than applyDedupMinRatio rows per distinct binding — the
+//     cache cannot pay for itself, and that Open from that batch on
+//     runs each binding without a cache lookup, pinning or retention;
+//   - pool: at Parallelism > 1, once an Open has read applyParMinOuter
+//     outer rows, each later batch's distinct missing bindings are
+//     spread over a worker pool built from the morsel-execution
 //     worker-context split.
 //
-// Semantics are preserved exactly against the sequential path (the
-// probe's in probeIter's comment); for the batched strategies:
+// An uncorrelated inner side (an empty binding signature) is one cache
+// entry that stays for the whole Open whatever the cache's cap, so it
+// runs once per Open, like a spool.
+//
+// Semantics (the probe's in probeIter's comment):
 //   - Outer rows are emitted in outer order; a memoized inner result
 //     replays in its original production order (the engine's
 //     operators, including hash aggregation, emit deterministically),
-//     so serial batched output is row-for-row identical.
-//   - In batched mode inner executions happen lazily at the first
-//     outer row that needs the binding, so errors — including Max1row
-//     cardinality exceptions and injected faults — surface at the same
-//     outer row as sequential execution. (Parallel mode executes a
-//     batch's bindings eagerly and may surface such an error earlier;
-//     the query fails either way.)
+//     so serial output is the same rows in the same order whether or
+//     not the Apply memoizes.
+//   - Serially, inner executions happen lazily at the first outer row
+//     that needs the binding, so errors — including Max1row
+//     cardinality exceptions and injected faults — surface at that
+//     outer row. (A pooled batch executes its bindings eagerly and may
+//     surface such an error earlier; the query fails either way.)
 //   - Semi/Anti applies with a trivially-true On stop each inner
-//     execution at the first row, matching the sequential path's early
-//     Close.
+//     execution at the first row.
+//   - Outer pulls ask for at most the consumer's row cap, so a reader
+//     that stops early has not made the inner side run far ahead.
 //   - Cache entries are keyed on the binding signature only (the left
 //     output columns the inner can observe, algebra.ApplyBindingCols);
 //     ambient parameters and segment bindings from enclosing scopes
@@ -44,6 +56,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"orthoq/internal/algebra"
@@ -58,14 +71,20 @@ const (
 	// applyCacheBytes bounds the binding cache's retained footprint
 	// even when no memory budget is configured.
 	applyCacheBytes = 8 << 20
+	// applyDedupMinRatio is the outer rows per distinct binding, in an
+	// Open's first full batch, below which the Apply stops memoizing:
+	// nearly every binding is unique, so the cache never hits and its
+	// hashing and retention are pure overhead.
+	applyDedupMinRatio = 1.25
+	// applyParMinOuter is how many outer rows an Open reads before its
+	// batches run on the worker pool: below it the pool's setup is not
+	// worth amortizing.
+	applyParMinOuter = 4096
 )
 
 // compileApply lowers correlated execution. As a probe the right side
-// is not compiled at all; otherwise it is compiled once, and how often
-// it executes depends on the strategy selector: sequentially it
-// re-opens per outer row with the left row's columns installed as
-// parameters (inner index seeks pick the parameters up at Open);
-// batched it executes once per distinct binding per batch.
+// is not compiled at all; batched it is compiled once and executes once
+// per distinct binding per batch.
 func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	left, err := compile(ctx, a.Left)
 	if err != nil {
@@ -74,32 +93,16 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	strat := ctx.applyStrategy(a)
 	st := ctx.traceStats(a)
 	if st != nil {
-		st.Strategy = strat.String()
+		st.Strategy = strat
 	}
-	if strat == applyProbe {
+	if strat == "probe" {
 		return compileProbe(ctx, a, left, st)
 	}
 	right, err := compile(ctx, a.Right)
 	if err != nil {
 		return nil, err
 	}
-	outCols := joinOutCols(a.Kind, left, right)
 	sig, ambient := algebra.ApplyBindingCols(a)
-	if strat == applySequential {
-		var spool *spoolIter
-		if sig.Empty() {
-			// An inner side that does not reference the outer row is
-			// invariant across re-opens; spool it (SQL Server's lazy
-			// spool does the same under correlated execution).
-			spool = &spoolIter{ctx: ctx, in: right.it, st: st}
-			right = newNode(spool, right.cols)
-		}
-		it := &applyIter{ctx: ctx, left: left, right: right, spool: spool, st: st,
-			em: newJoinEmit(ctx, a.Kind, a.On, left, right),
-			lr: rowReader{it: left.it, charge: ctx}}
-		it.next, it.em.more = it.probe, it.window
-		return newNode(it, outCols), nil
-	}
 	sigCols := sig.Ordered()
 	sigOrds := make([]int, len(sigCols))
 	for i, c := range sigCols {
@@ -109,6 +112,16 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 		}
 		sigOrds[i] = o
 	}
+	poolAfter := -1
+	switch {
+	case algebra.HasForeignSegmentRefs(a.Right):
+		// An inner side holding SegmentRef leaves bound by an enclosing
+		// SegmentApply cannot be recompiled on a worker context.
+	case ctx.Apply == "parallel":
+		poolAfter = 0
+	case ctx.Apply == "" && ctx.Parallelism > 1:
+		poolAfter = applyParMinOuter
+	}
 	it := &batchApplyIter{
 		ctx:         ctx,
 		a:           a,
@@ -117,13 +130,13 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 		sigCols:     sigCols,
 		sigOrds:     sigOrds,
 		ambientCols: ambient.Ordered(),
-		parallel:    strat == applyParallel,
+		poolAfter:   poolAfter,
 		st:          st,
 		earlyOut:    existenceOnly(a),
 		em:          newJoinEmit(ctx, a.Kind, a.On, left, right),
 	}
 	it.next = it.probe
-	return newNode(it, outCols), nil
+	return newNode(it, joinOutCols(a.Kind, left, right)), nil
 }
 
 // compileProbe lowers an Apply of probeSeek's shape to a probeIter over
@@ -144,7 +157,7 @@ func compileProbe(ctx *Context, a *algebra.Apply, left *node, st *OpStats) (*nod
 	it := &probeIter{ctx: ctx, left: left, tbl: tbl, index: acc.Index.Name, keyOrds: keyOrds, st: st,
 		em: newJoinEmit(ctx, a.Kind, a.On, left, right), lr: rowReader{it: left.it, charge: ctx}}
 	// The Select's filter, key conjuncts included, runs before the On:
-	// a pair the sequential path's seek would not have returned never
+	// a pair a seek of the inner side would not have returned never
 	// reaches it.
 	it.em.preds = append(ctx.compiler(right.ords).CompileVecConjuncts(sel.Filter), it.em.preds...)
 	it.next, it.em.more = it.probe, it.window
@@ -158,9 +171,9 @@ func compileProbe(ctx *Context, a *algebra.Apply, left *node, st *OpStats) (*nod
 // one storage call (Version.LookupBatch, typed), then serves joinEmit
 // each left row's candidates under the Select's filter and the Apply's
 // On: the index's covered matches, then the rows past its coverage, in
-// the windows the sequential path's seek reads and charges them in, so
-// the rows, the error and the RowBudget charges are that path's. A
-// batch of bindings is one inner execution. No binding cache: a lookup
+// the order a seek of the inner side reads them, charged a window at a
+// time, so the rows and the error are the batched path's. A batch of
+// bindings is one inner execution. No binding cache: a lookup
 // costs what a cache probe would, and its matches are the stored rows
 // themselves.
 type probeIter struct {
@@ -275,6 +288,9 @@ type applyEntry struct {
 	key   types.Row
 	rows  []types.Row
 	bytes int64
+	// hash is the key's hash; next chains the entries of one hash.
+	hash uint64
+	next *applyEntry
 	// pinned marks entries referenced by the in-flight batch; pinned
 	// entries are never evicted.
 	pinned bool
@@ -298,7 +314,7 @@ type bindingCache struct {
 	governed bool
 	cap      int64
 	ords     []int
-	buckets  map[uint64][]*applyEntry
+	buckets  map[uint64]*applyEntry // chained through applyEntry.next
 	order    []*applyEntry
 	pinned   []*applyEntry
 	// bytes is the retained set's footprint (transient entries are
@@ -321,7 +337,6 @@ func newBindingCache(ctx *Context, st *OpStats, keyWidth int) *bindingCache {
 		governed: ctx.MemBudget > 0 || ctx.Faults != nil,
 		cap:      capBytes,
 		ords:     ords,
-		buckets:  make(map[uint64][]*applyEntry),
 	}
 }
 
@@ -334,8 +349,7 @@ func entryBytes(key types.Row, rows []types.Row) int64 {
 }
 
 func (bc *bindingCache) lookup(key types.Row) *applyEntry {
-	h := types.HashRow(key, bc.ords)
-	for _, e := range bc.buckets[h] {
+	for e := bc.buckets[types.HashRow(key, bc.ords)]; e != nil; e = e.next {
 		if types.EqualRows(e.key, bc.ords, key, bc.ords) {
 			return e
 		}
@@ -366,35 +380,48 @@ func (bc *bindingCache) add(key types.Row, rows []types.Row) (*applyEntry, error
 		}
 	}
 	bc.pin(e)
-	h := types.HashRow(key, bc.ords)
-	bc.buckets[h] = append(bc.buckets[h], e)
+	if bc.buckets == nil {
+		bc.buckets = make(map[uint64]*applyEntry)
+	}
+	e.hash = types.HashRow(key, bc.ords)
+	e.next = bc.buckets[e.hash]
+	bc.buckets[e.hash] = e
 	bc.order = append(bc.order, e)
-	if over {
+	switch {
+	case len(bc.ords) == 0:
+		// The one binding of an uncorrelated inner side stays for the
+		// whole Open whatever the cap and the budget: the inner side
+		// runs once per Open.
+	case over:
 		// Query-wide pressure: shed the retained set and keep this
 		// entry for its batch only.
 		bc.evictTo(0)
 		return e, nil
+	case bc.bytes+e.bytes > bc.cap:
+		if bc.evictTo(bc.cap - e.bytes); bc.bytes+e.bytes > bc.cap {
+			return e, nil
+		}
 	}
-	if bc.bytes+e.bytes > bc.cap {
-		bc.evictTo(bc.cap - e.bytes)
-	}
-	if bc.bytes+e.bytes <= bc.cap {
-		e.retained = true
-		bc.bytes += e.bytes
-	}
+	e.retained = true
+	bc.bytes += e.bytes
 	return e, nil
 }
 
-// unlink removes the entry from its hash bucket and returns its
+// unlink removes the entry from its hash chain and returns its
 // accounted bytes. Callers maintain bc.order.
 func (bc *bindingCache) unlink(e *applyEntry) {
-	h := types.HashRow(e.key, bc.ords)
-	bkt := bc.buckets[h]
-	for i, x := range bkt {
-		if x == e {
-			bc.buckets[h] = append(bkt[:i], bkt[i+1:]...)
-			break
+	switch head := bc.buckets[e.hash]; {
+	case head != e:
+		for p := head; p != nil; p = p.next {
+			if p.next == e {
+				p.next = e.next
+				break
+			}
 		}
+	case e.next != nil:
+		bc.buckets[e.hash] = e.next
+	default:
+		delete(bc.buckets, e.hash)
 	}
 	if e.retained {
 		e.retained = false
@@ -455,9 +482,7 @@ func (bc *bindingCache) reset() {
 	bc.pinned = bc.pinned[:0]
 	bc.order = bc.order[:0]
 	bc.bytes = 0
-	for h := range bc.buckets {
-		delete(bc.buckets, h)
-	}
+	clear(bc.buckets)
 }
 
 // batchApplyIter is the binding-batch Apply operator.
@@ -468,8 +493,10 @@ type batchApplyIter struct {
 	sigCols     []algebra.ColID
 	sigOrds     []int
 	ambientCols []algebra.ColID
-	parallel    bool
-	st          *OpStats
+	// poolAfter is how many outer rows an Open reads before its batches
+	// run on the worker pool; negative: never.
+	poolAfter int
+	st        *OpStats
 	// earlyOut stops inner drains at the first row (existenceOnly).
 	earlyOut bool
 
@@ -477,15 +504,24 @@ type batchApplyIter struct {
 	next  probeFn
 	cache *bindingCache
 	scope paramScope
-	lb    Batch // outer-side pulls
-	rb    Batch // inner-side drains on this strand
+	lb    Batch       // outer-side pulls
+	rb    Batch       // inner-side drains on this strand
+	key   types.Row   // the binding in progress
+	rows  []types.Row // its inner result, when not memoizing
 
-	// current batch of outer rows, their (lazily resolved) entries, and
-	// the emission position among them.
-	lrows   []types.Row
-	entries []*applyEntry
-	cur     int
-	lEOF    bool
+	// The current batch of outer rows, the emission position among them
+	// and, when the pool ran the batch, each row's inner result.
+	lrows  []types.Row
+	cur    int
+	pooled bool
+	inner  [][]types.Row
+	lEOF   bool
+	// This Open's outer rows read, and whether it memoizes bindings:
+	// decided once, on its first full batch or its last one, from the
+	// distinct binding hashes seen.
+	read          int
+	memo, decided bool
+	hashes        []uint64
 
 	pool *applyPool
 }
@@ -500,8 +536,8 @@ func (b *batchApplyIter) Open() error {
 	b.cache.reset()
 	b.em.reset()
 	b.lrows = b.lrows[:0]
-	b.entries = b.entries[:0]
 	b.cur, b.lEOF = 0, false
+	b.read, b.memo, b.decided = 0, true, false
 	return b.left.it.Open()
 }
 
@@ -509,8 +545,7 @@ func (b *batchApplyIter) Close() error {
 	if b.cache != nil {
 		b.cache.reset()
 	}
-	b.lrows = nil
-	b.entries = nil
+	b.lrows, b.inner, b.rows = nil, nil, nil
 	if b.pool != nil {
 		b.pool.close(b.ctx)
 		b.pool = nil
@@ -518,15 +553,20 @@ func (b *batchApplyIter) Close() error {
 	return b.left.it.Close()
 }
 
-// refill collects the next batch of outer rows; in parallel mode it
-// also resolves and executes the batch's distinct bindings eagerly.
-func (b *batchApplyIter) refill() error {
+// refill collects the next batch of outer rows, at most limit of them
+// (the consumer's row cap); whether the pool runs it follows from the
+// outer rows this Open read before it. The Open's first full batch —
+// or its last, when the outer side ends first — decides whether the
+// Apply memoizes from that batch on. A pooled batch's distinct bindings
+// are executed before emission starts.
+func (b *batchApplyIter) refill(limit int) error {
 	b.cache.endBatch()
+	b.pooled = b.poolAfter >= 0 && b.read >= b.poolAfter
 	b.lrows = b.lrows[:0]
-	b.entries = b.entries[:0]
 	b.cur = 0
-	for !b.lEOF && len(b.lrows) < applyBatchRows {
-		b.lb.Limit = applyBatchRows - len(b.lrows)
+	want := min(limit, applyBatchRows)
+	for !b.lEOF && len(b.lrows) < want {
+		b.lb.Limit = want - len(b.lrows)
 		if err := b.left.it.NextBatch(&b.lb); err != nil {
 			return err
 		}
@@ -540,29 +580,48 @@ func (b *batchApplyIter) refill() error {
 		}
 		for i := 0; i < n; i++ {
 			b.lrows = append(b.lrows, b.lb.Row(i))
-			b.entries = append(b.entries, nil)
 		}
 	}
-	if b.parallel && len(b.lrows) > 0 {
+	b.read += len(b.lrows)
+	if !b.decided && (len(b.lrows) == applyBatchRows || b.lEOF) {
+		b.decided = true
+		b.memo = applyDedupMinRatio*float64(b.distinct()) < float64(len(b.lrows))
+		if !b.memo {
+			b.cache.reset()
+		}
+	}
+	if b.pooled && len(b.lrows) > 0 {
 		return b.prefetch()
 	}
 	return nil
 }
 
-func (b *batchApplyIter) sigKey(lrow types.Row) types.Row {
-	key := make(types.Row, len(b.sigOrds))
-	for i, o := range b.sigOrds {
-		key[i] = lrow[o]
+// distinct counts the batch's distinct bindings by their hashes: a
+// collision undercounts, which only keeps the memo.
+func (b *batchApplyIter) distinct() int {
+	b.hashes = b.hashes[:0]
+	for _, r := range b.lrows {
+		b.hashes = append(b.hashes, types.HashRow(r, b.sigOrds))
 	}
-	return key
+	slices.Sort(b.hashes)
+	return len(slices.Compact(b.hashes))
+}
+
+// sigKey appends lrow's binding signature values to dst.
+func (b *batchApplyIter) sigKey(dst, lrow types.Row) types.Row {
+	for _, o := range b.sigOrds {
+		dst = append(dst, lrow[o])
+	}
+	return dst
 }
 
 // runInner executes an Apply's inner side once, under the bindings
-// currently installed, and materializes its rows for the binding cache
-// — on this strand or on a parallel worker's private tree. With first
-// set it asks for one row and stops: all a Semi/Anti Apply with a
-// trivially-true On needs is existence.
-func runInner(it iterator, rb *Batch, first bool) (rows []types.Row, err error) {
+// currently installed, and appends its rows to dst — on this strand or
+// on a parallel worker's private tree. With first set it asks for one
+// row and stops: all a Semi/Anti Apply with a trivially-true On needs
+// is existence.
+func runInner(it iterator, rb *Batch, first bool, dst []types.Row) (rows []types.Row, err error) {
+	rows = dst
 	if err := it.Open(); err != nil {
 		it.Close()
 		return nil, err
@@ -594,53 +653,66 @@ func existenceOnly(a *algebra.Apply) bool {
 }
 
 // runBinding executes the inner side once on this strand's tree with
-// the binding installed, materializing its rows.
-func (b *batchApplyIter) runBinding(key types.Row) ([]types.Row, error) {
+// the binding installed, appending its rows to dst.
+func (b *batchApplyIter) runBinding(key types.Row, dst []types.Row) ([]types.Row, error) {
 	b.scope.bind(b.ctx.params, b.sigCols, key)
 	defer b.scope.unbind(b.ctx.params)
-	return runInner(b.right.it, &b.rb, b.earlyOut)
+	return runInner(b.right.it, &b.rb, b.earlyOut, dst)
 }
 
 // fetch resolves one outer row's binding lazily: a cache hit replays,
-// a miss executes the inner side here and now, so error order matches
-// sequential execution exactly.
-func (b *batchApplyIter) fetch(lrow types.Row) (*applyEntry, error) {
-	key := b.sigKey(lrow)
+// a miss executes the inner side here and now, so an error surfaces at
+// the outer row that needs the binding. Without the memo the binding
+// runs into a buffer the next row reuses: the emitter has finished
+// with a row's candidates before it asks for the next row.
+func (b *batchApplyIter) fetch(lrow types.Row) ([]types.Row, error) {
+	b.key = b.sigKey(b.key[:0], lrow)
 	if b.st != nil {
 		b.st.Bindings++
 	}
-	if e := b.cache.lookup(key); e != nil {
-		b.cache.pin(e)
-		return e, nil
+	if b.memo {
+		if e := b.cache.lookup(b.key); e != nil {
+			b.cache.pin(e)
+			return e.rows, nil
+		}
 	}
 	if b.st != nil {
 		b.st.InnerExecs++
 	}
-	rows, err := b.runBinding(key)
+	if !b.memo {
+		var err error
+		b.rows, err = b.runBinding(b.key, b.rows[:0])
+		return b.rows, err
+	}
+	key := slices.Clone(b.key)
+	rows, err := b.runBinding(key, nil)
 	if err != nil {
 		return nil, err
 	}
-	return b.cache.add(key, rows)
+	_, err = b.cache.add(key, rows)
+	return rows, err
 }
 
-// probe yields the next outer row of the batch with its binding's
-// memoized inner result, collecting the next batch when this one is
-// used up.
-func (b *batchApplyIter) probe(int) (types.Row, []types.Row, bool, error) {
+// probe yields the next outer row of the batch with its binding's inner
+// result, collecting the next batch when this one is used up.
+func (b *batchApplyIter) probe(limit int) (types.Row, []types.Row, bool, error) {
 	if b.cur >= len(b.lrows) {
-		if err := b.refill(); err != nil || len(b.lrows) == 0 {
+		if err := b.refill(limit); err != nil || len(b.lrows) == 0 {
 			return nil, nil, false, err
 		}
 	}
-	lrow, e := b.lrows[b.cur], b.entries[b.cur]
-	if e == nil {
+	lrow := b.lrows[b.cur]
+	var rows []types.Row
+	if b.pooled {
+		rows = b.inner[b.cur]
+	} else {
 		var err error
-		if e, err = b.fetch(lrow); err != nil {
+		if rows, err = b.fetch(lrow); err != nil {
 			return nil, nil, false, err
 		}
 	}
 	b.cur++
-	return lrow, e.rows, true, nil
+	return lrow, rows, true, nil
 }
 
 func (b *batchApplyIter) NextBatch(out *Batch) error { return b.em.run(out, b.next) }
@@ -702,43 +774,52 @@ func (w *applyWorker) run(b *batchApplyIter, key types.Row) ([]types.Row, error)
 	for i, c := range b.sigCols {
 		w.wctx.params[c] = key[i]
 	}
-	return runInner(w.tree.it, &w.rb, b.earlyOut)
+	return runInner(w.tree.it, &w.rb, b.earlyOut, nil)
 }
 
 // prefetch resolves every outer row of the collected batch against the
 // cache and executes the distinct missing bindings across the worker
-// pool before emission starts.
+// pool before emission starts. Without the memo every row's binding is
+// its own execution.
 func (b *batchApplyIter) prefetch() error {
 	var (
 		pendKeys []types.Row
-		pendRows [][]int
+		pendOf   = make([]int, len(b.lrows)) // each row's pending binding; -1 for a cache hit
 		pendIdx  = make(map[uint64][]int)
+		w        = len(b.sigOrds)
+		keys     = make(types.Row, 0, len(b.lrows)*w)
 	)
+	b.inner = b.inner[:0]
 	for i, lrow := range b.lrows {
-		key := b.sigKey(lrow)
+		b.inner = append(b.inner, nil)
+		keys = b.sigKey(keys, lrow)
+		key := keys[len(keys)-w : len(keys) : len(keys)]
 		if b.st != nil {
 			b.st.Bindings++
 		}
-		if e := b.cache.lookup(key); e != nil {
-			b.cache.pin(e)
-			b.entries[i] = e
-			continue
-		}
-		h := types.HashRow(key, b.cache.ords)
-		found := -1
-		for _, pi := range pendIdx[h] {
-			if types.EqualRows(pendKeys[pi], b.cache.ords, key, b.cache.ords) {
-				found = pi
-				break
+		pendOf[i] = -1
+		var h uint64
+		if b.memo {
+			if e := b.cache.lookup(key); e != nil {
+				b.cache.pin(e)
+				b.inner[i] = e.rows
+				continue
+			}
+			h = types.HashRow(key, b.cache.ords)
+			for _, pi := range pendIdx[h] {
+				if types.EqualRows(pendKeys[pi], b.cache.ords, key, b.cache.ords) {
+					pendOf[i] = pi
+					break
+				}
 			}
 		}
-		if found < 0 {
-			found = len(pendKeys)
+		if pendOf[i] < 0 {
+			pendOf[i] = len(pendKeys)
+			if b.memo {
+				pendIdx[h] = append(pendIdx[h], len(pendKeys))
+			}
 			pendKeys = append(pendKeys, key)
-			pendRows = append(pendRows, nil)
-			pendIdx[h] = append(pendIdx[h], found)
 		}
-		pendRows[found] = append(pendRows[found], i)
 	}
 	if len(pendKeys) == 0 {
 		return nil
@@ -755,7 +836,7 @@ func (b *batchApplyIter) prefetch() error {
 		nw = len(pendKeys)
 	}
 	if nw <= 1 {
-		rows, err := b.runBinding(pendKeys[0])
+		rows, err := b.runBinding(pendKeys[0], nil)
 		if err != nil {
 			return err
 		}
@@ -816,13 +897,16 @@ func (b *batchApplyIter) prefetch() error {
 			return firstErr
 		}
 	}
-	for pi, key := range pendKeys {
-		e, err := b.cache.add(key, results[pi])
-		if err != nil {
-			return err
+	if b.memo {
+		for pi, key := range pendKeys {
+			if _, err := b.cache.add(key, results[pi]); err != nil {
+				return err
+			}
 		}
-		for _, i := range pendRows[pi] {
-			b.entries[i] = e
+	}
+	for i, pi := range pendOf {
+		if pi >= 0 {
+			b.inner[i] = results[pi]
 		}
 	}
 	return nil

@@ -120,9 +120,9 @@ type joinEmit struct {
 	// loops, where pairs — not input rows — are the work).
 	pairs *Context
 	// more, when set, fetches the left row in progress its next window of
-	// at most want candidates; an empty window ends the row. A sequential
-	// Apply streams its inner side through it, so the inner produces no
-	// row the emitter will not look at and holds one batch, not a result.
+	// at most want candidates; an empty window ends the row. The probe
+	// serves its index matches through it, so it reads and charges no
+	// candidate the emitter will not look at.
 	more func(want int) ([]types.Row, error)
 
 	arena rowArena // backs joined output rows
@@ -578,71 +578,6 @@ func (n *nlJoinIter) NextBatch(b *Batch) error { return n.em.run(b, n.next) }
 
 func (n *nlJoinIter) Close() error { return n.left.it.Close() }
 
-// spoolIter materializes its input on first Open and replays the
-// buffered rows on every later Open. The buffered rows are charged to
-// the per-query memory accountant as they arrive; the owning Apply
-// iterator calls release on its own Close (the spool must survive the
-// per-outer-row Close/Open cycle of the inner side, so its own Close
-// is a no-op), after which a later Open refills.
-type spoolIter struct {
-	ctx     *Context
-	st      *OpStats
-	in      iterator
-	filled  bool
-	rows    []types.Row
-	pos     int
-	charged int64
-	cb      Batch
-}
-
-func (s *spoolIter) Open() error {
-	s.pos = 0
-	if s.filled {
-		return nil
-	}
-	if err := s.in.Open(); err != nil {
-		return err
-	}
-	governed := s.ctx.MemBudget > 0 || s.ctx.Faults != nil
-	err := drainRows(s.in, &s.cb, func(row types.Row) error {
-		if governed {
-			// The spool cannot spill; over-budget usage stays visible in
-			// the accountant and only aborts under DisableSpill.
-			n := types.RowBytes(row)
-			if _, err := s.ctx.grantMem(s.st, "Spool", n); err != nil {
-				return err
-			}
-			s.charged += n
-		}
-		s.rows = append(s.rows, row)
-		return nil
-	})
-	if err != nil {
-		s.in.Close()
-		s.release()
-		return err
-	}
-	s.filled = true
-	return s.in.Close()
-}
-
-// release drops the buffered rows and returns their accounted bytes.
-func (s *spoolIter) release() {
-	if s.charged > 0 {
-		s.ctx.releaseMem(s.charged)
-		s.charged = 0
-	}
-	s.rows = nil
-	s.filled = false
-}
-
-func (s *spoolIter) NextBatch(b *Batch) error {
-	b.serve(s.rows, &s.pos)
-	return nil
-}
-
-func (s *spoolIter) Close() error { return nil }
-
 // paramScope installs correlation bindings in a strand's parameter map
 // and restores what they shadowed, so nested Apply scopes binding
 // overlapping columns unwind correctly.
@@ -674,101 +609,6 @@ func (p *paramScope) unbind(params eval.MapEnv) {
 		}
 	}
 	p.saved = p.saved[:0]
-}
-
-// applyIter is the sequential Apply: the inner side runs once per outer
-// row with the row's columns installed as parameters, and streams into
-// the emitter a window at a time (joinEmit.more) — it is never
-// materialized, so a large inner result holds one batch of memory, and
-// a Semi or Anti Apply stops its inner side at the first match.
-type applyIter struct {
-	ctx         *Context
-	left, right *node
-	// spool is set when the invariant inner side was wrapped in a
-	// spool; the apply owns its teardown (see spoolIter.release).
-	spool *spoolIter
-	// st, when tracing, carries the strategy and binding counters
-	// shared with the traceIter wrapping this operator.
-	st *OpStats
-
-	em    joinEmit
-	lr    rowReader
-	next  probeFn
-	scope paramScope
-	rb    Batch
-	sel   []types.Row // a window that arrived under a selection, gathered
-	// bound: the inner side is open under the current outer row's
-	// bindings. They stay installed until the next outer row is pulled (or
-	// Close), since the emitter may pause mid-row when its output fills.
-	bound bool
-}
-
-func (ap *applyIter) Open() error {
-	ap.em.reset()
-	ap.lr.reset()
-	return ap.left.it.Open()
-}
-
-// probe opens the inner side under the next outer row's bindings; the
-// candidates follow through window.
-func (ap *applyIter) probe(limit int) (types.Row, []types.Row, bool, error) {
-	if err := ap.endInner(); err != nil {
-		return nil, nil, false, err
-	}
-	lrow, ok, err := ap.lr.next(limit)
-	if err != nil || !ok {
-		return nil, nil, false, err
-	}
-	if ap.st != nil {
-		// Sequential execution runs the inner per outer row: every
-		// binding is its own execution.
-		ap.st.Bindings++
-		ap.st.InnerExecs++
-	}
-	ap.scope.bind(ap.ctx.params, ap.left.cols, lrow)
-	ap.bound = true
-	return lrow, nil, true, ap.right.it.Open()
-}
-
-// window is the emitter's more: the open inner side's next batch.
-func (ap *applyIter) window(want int) ([]types.Row, error) {
-	ap.rb.Limit = want
-	if err := ap.right.it.NextBatch(&ap.rb); err != nil {
-		return nil, err
-	}
-	if ap.rb.Sel == nil {
-		return ap.rb.Rows, nil
-	}
-	ap.sel = ap.sel[:0]
-	for _, i := range ap.rb.Sel {
-		ap.sel = append(ap.sel, ap.rb.Rows[i])
-	}
-	return ap.sel, nil
-}
-
-// endInner closes the inner side and restores what its bindings
-// shadowed.
-func (ap *applyIter) endInner() error {
-	if !ap.bound {
-		return nil
-	}
-	ap.bound = false
-	err := ap.right.it.Close()
-	ap.scope.unbind(ap.ctx.params)
-	return err
-}
-
-func (ap *applyIter) NextBatch(b *Batch) error { return ap.em.run(b, ap.next) }
-
-func (ap *applyIter) Close() error {
-	err := ap.endInner()
-	if ap.spool != nil {
-		ap.spool.release()
-	}
-	if cerr := ap.left.it.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // graceJoin runs the probe side of a spilled hash join. Phase one

@@ -7,6 +7,7 @@ import (
 	"orthoq/internal/algebra"
 	"orthoq/internal/algebrize"
 	"orthoq/internal/core"
+	"orthoq/internal/obs"
 	"orthoq/internal/sql/parser"
 	"orthoq/internal/storage"
 )
@@ -41,94 +42,54 @@ func TestSeekUsesCompositeIndexPrefix(t *testing.T) {
 	expectRows(t, r, "1", "2")
 }
 
-// TestApplySpoolsUncorrelatedInner: an uncorrelated subquery under an
-// Apply is compiled behind a spool so it evaluates once, not per outer
-// row.
-func TestApplySpoolsUncorrelatedInner(t *testing.T) {
-	st := testDB(t)
-	md, rel, out := compilePlan(t, st, `
-		select c_custkey from customer
-		where c_acctbal > (select avg(c2.c_acctbal) from customer c2)`,
-		core.Options{KeepCorrelated: true})
+// applySpan runs sql correlated and traced under the selector's Apply
+// strategy and returns its rows and the first Apply's span.
+func applySpan(t *testing.T, st *storage.Store, sql string) (*Result, *obs.Span) {
+	t.Helper()
+	md, rel, out := compilePlan(t, st, sql, core.Options{KeepCorrelated: true})
 	ctx := NewContext(st, md)
-	n, err := compile(ctx, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	var walk func(it iterator)
-	walk = func(it iterator) {
-		switch x := it.(type) {
-		case *guardIter:
-			walk(x.in)
-		case *traceIter:
-			walk(x.in)
-		case *applyIter:
-			if _, ok := x.right.it.(*spoolIter); ok {
-				found = true
-			}
-			walk(x.left.it)
-			walk(x.right.it)
-		case *spoolIter:
-			walk(x.in)
-		case *filterIter:
-			walk(x.in.it)
-		case *projectIter:
-			walk(x.in.it)
-		case *hashAggIter:
-			walk(x.in.it)
-		}
-	}
-	walk(n.it)
-	if !found {
-		t.Errorf("uncorrelated apply inner is not spooled:\n%s", algebra.FormatRel(md, rel))
-	}
-	// avg(acctbal) = (100+200+300-5)/4 = 148.75: alice loses, bob and
-	// carol win.
+	ctx.EnableTrace()
 	res, err := Run(ctx, rel, out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ap *obs.Span
+	ctx.Spans(rel).Walk(func(s *obs.Span) {
+		if s.Op == "Apply" && ap == nil {
+			ap = s
+		}
+	})
+	if ap == nil {
+		t.Fatalf("no Apply in\n%s", algebra.FormatRel(md, rel))
+	}
+	return res, ap
+}
+
+// TestApplySpoolsUncorrelatedInner: an uncorrelated subquery under an
+// Apply is one binding, so its inner side evaluates once, not per outer
+// row.
+func TestApplySpoolsUncorrelatedInner(t *testing.T) {
+	res, ap := applySpan(t, testDB(t), `
+		select c_custkey from customer
+		where c_acctbal > (select avg(c2.c_acctbal) from customer c2)`)
+	if ap.Bindings != 4 || ap.InnerExecs != 1 {
+		t.Errorf("%d inner executions for %d outer rows, want 1 for 4", ap.InnerExecs, ap.Bindings)
+	}
+	// avg(acctbal) = (100+200+300-5)/4 = 148.75: alice loses, bob and
+	// carol win.
 	if len(res.Rows) != 2 {
 		t.Errorf("rows = %d, want 2", len(res.Rows))
 	}
 }
 
-// TestCorrelatedInnerNotSpooled: a correlated inner must re-execute
-// per outer row (no spool).
+// TestCorrelatedInnerNotSpooled: a correlated inner side re-executes
+// per distinct binding: four customers, four executions.
 func TestCorrelatedInnerNotSpooled(t *testing.T) {
-	st := testDB(t)
-	md, rel, _ := compilePlan(t, st, `
+	_, ap := applySpan(t, testDB(t), `
 		select c_custkey from customer
-		where c_acctbal > (select avg(o_totalprice) from orders where o_custkey = c_custkey)`,
-		core.Options{KeepCorrelated: true})
-	ctx := NewContext(st, md)
-	n, err := compile(ctx, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spooled := false
-	var walk func(it iterator)
-	walk = func(it iterator) {
-		switch x := it.(type) {
-		case *guardIter:
-			walk(x.in)
-		case *traceIter:
-			walk(x.in)
-		case *applyIter:
-			if _, ok := x.right.it.(*spoolIter); ok {
-				spooled = true
-			}
-			walk(x.left.it)
-		case *filterIter:
-			walk(x.in.it)
-		case *projectIter:
-			walk(x.in.it)
-		}
-	}
-	walk(n.it)
-	if spooled {
-		t.Error("correlated inner must not be spooled")
+		where c_acctbal > (select avg(o_totalprice) from orders where o_custkey = c_custkey)`)
+	if ap.Bindings != 4 || ap.InnerExecs != 4 {
+		t.Errorf("%d inner executions for %d outer rows, want 4 for 4", ap.InnerExecs, ap.Bindings)
 	}
 }
 

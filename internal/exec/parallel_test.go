@@ -230,43 +230,3 @@ func TestWorkerCloneCarriesStrategy(t *testing.T) {
 			w.Parallelism, w.Apply, len(w.Estimates))
 	}
 }
-
-// TestApplyStrategyFromEstimates: an Apply's strategy is read off the
-// plan's estimates of its outer rows and inner executions. A plan with
-// no estimates runs it batched; a few outer rows, or nearly one
-// execution per outer row, run it sequential; many outer rows run it
-// parallel on a strand with workers.
-func TestApplyStrategyFromEstimates(t *testing.T) {
-	st := testDB(t)
-	_, rel, _ := compilePlan(t, st,
-		`select o_orderkey from orders
-		 where o_totalprice > (select avg(o2.o_totalprice) from orders o2 where o2.o_custkey = orders.o_custkey)`,
-		core.Options{KeepCorrelated: true})
-	var a *algebra.Apply
-	algebra.VisitRel(rel, func(r algebra.Rel) bool {
-		if ap, ok := r.(*algebra.Apply); ok && a == nil {
-			a = ap
-		}
-		return true
-	})
-	if a == nil {
-		t.Fatal("the correlated plan has no Apply")
-	}
-	est := func(outer, execs float64) Estimates { return Estimates{a.Left: {Rows: outer}, a: {Execs: execs}} }
-	for _, c := range []struct {
-		est  Estimates
-		par  int
-		want string
-	}{
-		{nil, 4, "batched"},
-		{est(5, 2), 0, "sequential"},
-		{est(1000, 990), 0, "sequential"},
-		{est(1000, 100), 0, "batched"},
-		{est(5000, 100), 0, "batched"},
-		{est(5000, 100), 4, "parallel"},
-	} {
-		if got := c.est.ApplyStrategy(st.Catalog, a, c.par); got != c.want {
-			t.Errorf("estimates %v at parallelism %d: %s, want %s", c.est, c.par, got, c.want)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -120,17 +121,19 @@ func runCapped(t *testing.T, st *storage.Store, md *algebra.Metadata, ap *algebr
 	return batches, ctx.shared.produced.Load(), ctx.trace[ap].Strategy, err
 }
 
-// TestApplyProbeMatchesSequential holds the index-lookup probe to the
-// sequential Apply, batch by batch: the same rows in the same order,
-// the same error after the same rows, the same rows charged. It covers
-// hash and ordered indexes, single-column and composite (a prefix
-// seek and a full one), over Int, Float, String and Date keys with
-// NULL, NaN and -0 bindings, repeated bindings, an Int binding into a
-// Float index and a Float binding into an Int index (the typed lookups'
-// fallbacks), and rows past the index's coverage; Inner, LeftOuter,
-// Semi and Anti Applies with an On that divides by zero on some pairs;
-// row caps 1, 3 and 1024; and RowBudgets that run out mid-run.
-func TestApplyProbeMatchesSequential(t *testing.T) {
+// TestApplyProbeMatchesBatched holds the index-lookup probe to the
+// batched Apply, batch by batch: the same rows in the same order and
+// the same error after the same rows. It covers hash and ordered
+// indexes, single-column and composite (a prefix seek and a full one),
+// over Int, Float, String and Date keys with NULL, NaN and -0
+// bindings, repeated bindings, an Int binding into a Float index and a
+// Float binding into an Int index (the typed lookups' fallbacks), and
+// rows past the index's coverage; Inner, LeftOuter, Semi and Anti
+// Applies with an On that divides by zero on some pairs; and row caps
+// 1, 3 and 1024. Under RowBudgets that run out mid-run, each path
+// either returns its unbudgeted answer or ErrRowBudget, never another
+// answer.
+func TestApplyProbeMatchesBatched(t *testing.T) {
 	st := probeStore(t)
 	seeks := []struct{ table, pred string }{
 		{"r_ih", "r.r_i = l.l_i"},
@@ -189,27 +192,36 @@ func TestApplyProbeMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: the selector ran %q, want probe\n%s", label, ran, algebra.FormatRel(md, ap))
 				}
 				for _, limit := range []int{1, 3, 1024} {
-					for _, budget := range []int64{unlimited, 1 + r.Int63n(total), total - 1} {
-						runs++
-						want, wantCharged, _, wantErr := runCapped(t, st, md, ap, "sequential", limit, budget)
-						got, charged, _, err := runCapped(t, st, md, ap, "", limit, budget)
-						name := fmt.Sprintf("%s limit %d budget %d", label, limit, budget)
-						if errText(err) != errText(wantErr) {
-							t.Fatalf("%s: error %q, sequential %q", name, errText(err), errText(wantErr))
-						}
-						if strings.Join(got, "\n") != strings.Join(want, "\n") {
-							t.Fatalf("%s:\n got  %v\n want %v", name, got, want)
-						}
-						if budget == unlimited && charged != wantCharged {
-							t.Fatalf("%s: %d rows charged, sequential %d", name, charged, wantCharged)
-						}
-						switch msg := errText(err); {
-						case err == nil:
-							outcomes["answered"]++
-						case strings.Contains(msg, "budget"):
-							outcomes["out of budget"]++
-						case strings.Contains(msg, "division by zero"):
-							outcomes["divided by zero"]++
+					name := fmt.Sprintf("%s limit %d", label, limit)
+					want, _, ran, wantErr := runCapped(t, st, md, ap, "batched", limit, unlimited)
+					if ran != "batched" {
+						t.Fatalf("%s: forced batched ran %q", name, ran)
+					}
+					got, _, _, err := runCapped(t, st, md, ap, "", limit, unlimited)
+					runs++
+					if errText(err) != errText(wantErr) {
+						t.Fatalf("%s: error %q, batched %q", name, errText(err), errText(wantErr))
+					}
+					if strings.Join(got, "\n") != strings.Join(want, "\n") {
+						t.Fatalf("%s:\n got  %v\n want %v", name, got, want)
+					}
+					for _, budget := range []int64{1 + r.Int63n(total), total - 1} {
+						for _, strategy := range []string{"", "batched"} {
+							runs++
+							got, _, _, err := runCapped(t, st, md, ap, strategy, limit, budget)
+							switch msg := errText(err); {
+							case errors.Is(err, ErrRowBudget):
+								outcomes["out of budget"]++
+								continue
+							case err == nil:
+								outcomes["answered"]++
+							case strings.Contains(msg, "division by zero"):
+								outcomes["divided by zero"]++
+							}
+							if errText(err) != errText(wantErr) || strings.Join(got, "\n") != strings.Join(want, "\n") {
+								t.Fatalf("%s strategy %q budget %d: a different answer than unbudgeted, error %q\n got  %v\n want %v",
+									name, strategy, budget, errText(err), got, want)
+							}
 						}
 					}
 				}

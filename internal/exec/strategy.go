@@ -9,10 +9,8 @@ import (
 // algorithm runs a join or an aggregation are functions of the plan
 // alone — the access's filter and the columns bound at Open, the
 // node's keys and the orders its inputs deliver — and nothing a caller
-// configures; how an Apply runs is a function of the plan and the
-// catalog when its inner side is an index lookup on its outer row's
-// columns (the probe), else of the plan and of the optimizer's
-// estimates for it (Estimates). The compile step, the cost
+// configures; whether an Apply probes an index or runs batched is a
+// function of the plan and the catalog. The compile step, the cost
 // model and the rules (opt) and EXPLAIN ask the same functions, so
 // what EXPLAIN prints and what the plan was priced as is what runs. An
 // order a merge join or a streaming aggregation needs is the plan's to
@@ -173,21 +171,16 @@ func CompiledAccess(tbl *catalog.Table, g *algebra.Get, filter algebra.Scalar) A
 // Estimates is the optimizer's estimate for each node of one plan
 // (opt.PlanEstimates builds it once per compiled plan). It is the only
 // cardinality estimate the executor reads: compile sizes hash tables
-// from it and picks the strategy of each Apply that is not an index
-// probe from it, and EXPLAIN prints the same pick. A node with no entry
-// is unknown: its operator gets no size hint, and a correlated Apply
-// over it that is not a probe runs batched. Read-only once built; every
-// strand of a run shares it.
+// from it, and a traced run prints it beside each operator's actual
+// rows (FormatTrace). No physical choice reads it. A node with no
+// entry is unknown: its operator gets no size hint. Read-only once
+// built; every strand of a run shares it.
 type Estimates map[algebra.Rel]struct {
 	// Rows is the node's estimated output rows — per execution, for a
 	// node inside an Apply's or SegmentApply's inner side.
 	Rows float64
 	// Cost is the estimated cost of the subtree the node roots.
 	Cost float64
-	// Execs, on an Apply, is how many times the cost model priced its
-	// inner side to run: the distinct correlation bindings, or 1 when
-	// the inner side is uncorrelated.
-	Execs float64
 }
 
 // joinPresizeMax caps the build rows a hash-join table is pre-sized
@@ -205,13 +198,22 @@ func (e Estimates) sizeHint(rel algebra.Rel, limit int) int {
 	return int(min(rows, float64(limit)))
 }
 
-// ApplyStrategy answers which strategy ("probe", "sequential",
-// "batched" or "parallel") runs Apply a of the plan e estimates, over
-// the tables of cat, on a strand with the given worker count. Compile
-// asks its twin (Context.applyStrategy) for every Apply it lowers and
-// EXPLAIN asks it for every Apply it prints.
-func (e Estimates) ApplyStrategy(cat *catalog.Catalog, a *algebra.Apply, parallelism int) string {
-	return e.strategy(cat.Table, a, parallelism).String()
+// ApplyStrategy answers which strategy runs Apply a over the tables of
+// cat: "probe" when its inner side is an index lookup on its outer
+// row's columns (probeSeek), else "batched". The answer reads the plan
+// and the catalog alone; how a batched Apply memoizes and whether it
+// spreads its bindings over workers are decided while it runs
+// (batchApplyIter). Compile asks its twin (Context.applyStrategy) for
+// every Apply it lowers and EXPLAIN asks it for every Apply it prints.
+func ApplyStrategy(cat *catalog.Catalog, a *algebra.Apply) string {
+	return applyStrategy(cat.Table, a)
+}
+
+func applyStrategy(table func(string) (*catalog.Table, bool), a *algebra.Apply) string {
+	if _, _, _, ok := probeSeek(table, a); ok {
+		return "probe"
+	}
+	return "batched"
 }
 
 // probeSeek answers whether Apply a runs as an index-lookup probe, and
@@ -247,21 +249,14 @@ func probeSeek(table func(string) (*catalog.Table, bool), a *algebra.Apply) (sel
 	return sel, g, acc, true
 }
 
-// applyStrategy is the strategy a runs under on this strand: the one
-// the Context.Apply test seam forces, else the selector's pick.
-func (c *Context) applyStrategy(a *algebra.Apply) applyStrategy {
-	switch c.Apply {
-	case "sequential":
-		return applySequential
-	case "batched":
-		return applyBatched
-	case "parallel":
-		if algebra.HasForeignSegmentRefs(a.Right) {
-			return applyBatched // see Estimates.strategy
-		}
-		return applyParallel
+// applyStrategy is the strategy a runs under on this strand: batched
+// when the Context.Apply test seam forces a path, else the selector's
+// pick.
+func (c *Context) applyStrategy(a *algebra.Apply) string {
+	if c.Apply != "" {
+		return "batched"
 	}
-	return c.Estimates.strategy(c.schema, a, c.Parallelism)
+	return applyStrategy(c.schema, a)
 }
 
 // schema resolves a table name to the catalog table of the version
@@ -272,77 +267,4 @@ func (c *Context) schema(name string) (*catalog.Table, bool) {
 		return nil, false
 	}
 	return v.Schema, true
-}
-
-// applyStrategy selects how correlated Apply executes its inner side.
-type applyStrategy int
-
-const (
-	// applySequential re-opens the inner per outer row.
-	applySequential applyStrategy = iota
-	// applyProbe looks a batch of outer rows' keys up in the inner
-	// side's index at once (probeSeek's shape).
-	applyProbe
-	// applyBatched dedups correlation bindings per batch of outer rows
-	// and executes once per distinct binding.
-	applyBatched
-	// applyParallel additionally spreads a batch's distinct missing
-	// bindings over a worker pool.
-	applyParallel
-)
-
-func (s applyStrategy) String() string {
-	switch s {
-	case applyProbe:
-		return "probe"
-	case applyBatched:
-		return "batched"
-	case applyParallel:
-		return "parallel"
-	default:
-		return "sequential"
-	}
-}
-
-const (
-	// applySeqMaxOuter: with at most this many estimated outer rows,
-	// batching machinery costs more than it saves.
-	applySeqMaxOuter = 8
-	// applyParMinOuter: below this many estimated outer rows the
-	// worker-pool setup is not worth amortizing.
-	applyParMinOuter = 4096
-	// applyDedupMinRatio is the outer-rows-per-execution ratio below
-	// which batching is pointless: when nearly every binding is unique
-	// the cache never hits and the batch machinery is pure overhead, so
-	// the selector stays sequential.
-	applyDedupMinRatio = 1.25
-)
-
-// strategy picks a's strategy: probe for probeSeek's shape, from the
-// plan and the catalog alone; otherwise from two numbers the optimizer
-// derived for the plan — the outer rows and the inner executions it
-// priced (0: unknown) — and the strand's worker count.
-func (e Estimates) strategy(table func(string) (*catalog.Table, bool), a *algebra.Apply, parallelism int) applyStrategy {
-	if _, _, _, ok := probeSeek(table, a); ok {
-		return applyProbe
-	}
-	outerRows, execs := e[a.Left].Rows, e[a].Execs
-	switch sig, _ := algebra.ApplyBindingCols(a); {
-	case sig.Empty():
-		// Uncorrelated inners are spooled on the sequential path.
-		return applySequential
-	case outerRows <= 0:
-		return applyBatched
-	case outerRows <= applySeqMaxOuter:
-		return applySequential
-	case execs > 0 && outerRows/execs < applyDedupMinRatio:
-		// Nearly-unique bindings (e.g. correlation on a key column):
-		// the cache cannot pay for the batching machinery.
-		return applySequential
-	case parallelism > 1 && outerRows >= applyParMinOuter && !algebra.HasForeignSegmentRefs(a.Right):
-		// An inner side holding SegmentRef leaves bound by an enclosing
-		// SegmentApply cannot be recompiled on a worker context.
-		return applyParallel
-	}
-	return applyBatched
 }

@@ -36,10 +36,9 @@ type OpStats struct {
 	// aggregation or join build crossing the memory budget).
 	Spills int64
 	// Strategy is the physical choice compile made for the node: on an
-	// Apply its execution strategy ("probe", "sequential", "batched",
-	// "parallel"); on a table access that seeks an index (a Get, or the
-	// Select over one) "seek=" and the index name, as EXPLAIN prints it;
-	// empty otherwise.
+	// Apply "probe" or "batched"; on a table access that seeks an index
+	// (a Get, or the Select over one) "seek=" and the index name, as
+	// EXPLAIN prints it; empty otherwise.
 	Strategy string
 	// Bindings counts correlation-binding lookups (one per outer row of
 	// an Apply); InnerExecs counts actual inner-side executions — for a
@@ -260,14 +259,22 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 
 // FormatTrace renders the plan with the collected statistics, in the
 // same shape as algebra.FormatRel, including per-operator inclusive
-// (time=) and self (self=) wall time.
+// (time=) and self (self=) wall time, and ends every operator's line
+// with the optimizer's estimated rows (est=, from Estimates) and their
+// q-error against the actual rows (q=): max(est/act, act/est), both
+// floored at one row. Inside an Apply's or SegmentApply's inner side
+// the estimate is per execution, so the actual rows there are rows per
+// open. An operator that never opened — one that did not run as an
+// iterator of its own (a Get its Select reads, a probe's inner side),
+// or an inner side no binding reached — has no actual rows, and its
+// q-error prints as "-".
 func (c *Context) FormatTrace(rel algebra.Rel) string {
 	if c.trace == nil {
 		return ""
 	}
 	var b strings.Builder
-	var walk func(n algebra.Rel, sp *obs.Span, depth int)
-	walk = func(n algebra.Rel, sp *obs.Span, depth int) {
+	var walk func(n algebra.Rel, sp *obs.Span, depth int, perOpen bool)
+	walk = func(n algebra.Rel, sp *obs.Span, depth int, perOpen bool) {
 		line := algebra.FormatRel(c.Md, n)
 		if i := strings.IndexByte(line, '\n'); i >= 0 {
 			line = line[:i]
@@ -301,11 +308,25 @@ func (c *Context) FormatTrace(rel algebra.Rel) string {
 				fmt.Fprintf(&b, " (%s)", sp.Strategy)
 			}
 		}
-		b.WriteByte('\n')
+		if est := c.Estimates[n].Rows; sp.Opens == 0 {
+			fmt.Fprintf(&b, " (est=%.0f q=-)\n", est)
+		} else {
+			act := float64(sp.Rows)
+			if perOpen {
+				act /= float64(sp.Opens)
+			}
+			q := max(est, 1) / max(act, 1)
+			fmt.Fprintf(&b, " (est=%.0f q=%.2f)\n", est, max(q, 1/q))
+		}
+		inner := -1
+		switch n.(type) {
+		case *algebra.Apply, *algebra.SegmentApply:
+			inner = 1
+		}
 		for i, child := range n.Inputs() {
-			walk(child, sp.Children[i], depth+1)
+			walk(child, sp.Children[i], depth+1, perOpen || i == inner)
 		}
 	}
-	walk(rel, c.buildSpan(rel), 0)
+	walk(rel, c.buildSpan(rel), 0, false)
 	return b.String()
 }

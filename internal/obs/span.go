@@ -51,8 +51,9 @@ type Span struct {
 	// boundary (sums across workers; exceeds Busy when workers overlap).
 	WorkerTime time.Duration `json:"worker_ns,omitempty"`
 	// Strategy is the physical choice compile made for the operator: on
-	// an Apply its execution strategy ("probe", "sequential", "batched",
-	// "parallel"); on a table access that seeks an index (a Get, or the
+	// an Apply "probe" or "batched" (whether a batched Apply memoized and
+	// used workers is decided at run time and shows in InnerExecs and
+	// Workers); on a table access that seeks an index (a Get, or the
 	// Select over one) "seek=" and the index name, as EXPLAIN prints it;
 	// empty otherwise.
 	Strategy string `json:"strategy,omitempty"`

@@ -11,13 +11,12 @@ import (
 )
 
 // PlanEstimates returns the optimizer's estimate for each node of the
-// final plan r: its rows and cost, and for an Apply the inner
-// executions costApply priced. The plan is entered in a memo of its own
+// final plan r: its rows and cost. The plan is entered in a memo of its own
 // — one expression per group — and read back group by group, so the
 // estimates are the ones the search ranks plans by, each derived once
 // per scope instead of once per ancestor. The executor sizes its hash
-// tables and picks each Apply's strategy from this table, and
-// FormatWithEstimates prints it.
+// tables from this table and prints it beside the actual rows of a
+// traced run, and FormatWithEstimates prints it.
 func PlanEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel) exec.Estimates {
 	m := newMemo(&Optimizer{Md: md, Cat: cat, Stats: st})
 	c := m.c
@@ -34,13 +33,9 @@ func PlanEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collect
 			walk(left, kids[0])
 		}
 		if len(kids) > 1 {
-			leftRows := c.cost(kids[0]).rows
-			if a, ok := rel.(*algebra.Apply); ok {
-				e.Execs = c.applyExecs(a, s, leftRows)
-			}
 			// An Apply or SegmentApply costs its inner side in a scope of
 			// its own.
-			c.inner(s, leftRows, func() { walk(right, kids[1]) })
+			c.inner(s, c.cost(kids[0]).rows, func() { walk(right, kids[1]) })
 		}
 		est[rel] = e
 	}
@@ -53,10 +48,8 @@ func PlanEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collect
 // EXPLAIN output and cost-model debugging, and adds the runtime picks
 // (apply=..., seek=<index>, join=merge, agg=stream, sort elided) to the
 // nodes whose execution depends on them, by asking the same selectors,
-// with the same inputs, as the executor's compile step. parallelism is
-// the worker count the plan will run with, which the Apply selector
-// reads.
-func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est exec.Estimates, r algebra.Rel, parallelism int) string {
+// with the same inputs, as the executor's compile step.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est exec.Estimates, r algebra.Rel) string {
 	var b strings.Builder
 	var walk func(algebra.Rel, int)
 	walk = func(rel algebra.Rel, depth int) {
@@ -67,7 +60,7 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est exec.Es
 		extra := ""
 		switch n := rel.(type) {
 		case *algebra.Apply:
-			extra = " apply=" + est.ApplyStrategy(cat, n, parallelism)
+			extra = " apply=" + exec.ApplyStrategy(cat, n)
 		case *algebra.Select:
 			if g, ok := n.Input.(*algebra.Get); ok {
 				if tbl, ok := cat.Table(g.Table); ok {

@@ -192,10 +192,11 @@ type Config struct {
 	// deliberately unexported (set by tests in this package) and, like
 	// the other run-time knobs above, is not part of the plan identity.
 	faults *faultinject.Injector
-	// forceApply is the test-only seam that runs every Apply on one
-	// path — "sequential", "batched" or "parallel" — instead of the one
-	// the executor picks from the plan, so tests can hold the three
-	// paths to one another. Run state, like faults: the plan is the
+	// forceApply is the test-only seam that runs every Apply batched —
+	// "batched", or "parallel" for batched on the worker pool from the
+	// first batch — instead of on the path the executor picks from the
+	// plan, so tests can hold the probe to the batched path and reach
+	// the pool on small data. Run state, like faults: the plan is the
 	// same, only the path its Applies run on differs.
 	forceApply string
 }
@@ -1390,7 +1391,7 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
 			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
-		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan, id.parallelism))
+		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))
 	return b.String(), nil

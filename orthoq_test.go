@@ -459,3 +459,31 @@ func TestIntervalArithmetic(t *testing.T) {
 		t.Error("interval over column accepted (not supported)")
 	}
 }
+
+// TestTraceCarriesEstimates: every operator line of Q2's traced run
+// ends with the optimizer's estimated rows and their q-error against
+// the actual rows — at least 1 by definition, or "-" for an operator
+// that never opened — and some operators opened.
+func TestTraceCarriesEstimates(t *testing.T) {
+	q, _ := TPCHQuery("Q2")
+	rows, err := sharedDB(t).QueryAnalyze(q, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(rows.Trace), "\n")
+	opened := 0
+	for _, line := range lines {
+		i := strings.LastIndex(line, " (est=")
+		var est, qerr float64
+		switch n, err := fmt.Sscanf(line[max(i, 0):], " (est=%g q=%g)", &est, &qerr); {
+		case i >= 0 && n == 2 && err == nil && qerr >= 1:
+			opened++
+		case i >= 0 && n == 1 && strings.HasSuffix(line, " q=-)"):
+		default:
+			t.Errorf("line without est= and q=: %q", line)
+		}
+	}
+	if opened == 0 {
+		t.Errorf("no operator line with a q-error:\n%s", rows.Trace)
+	}
+}

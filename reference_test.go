@@ -7,7 +7,8 @@ package orthoq
 // executor. Every TPC-H query, the three spellings of the paper's Q1
 // and the fuzz corpus must return that bag of rows (numerics within
 // the float tolerance of the parallel tests) under the default
-// configuration, correlated execution, four workers, and the final plan
+// configuration, correlated execution, four workers, every Apply run
+// batched (no index-lookup probes), and the final plan
 // fed sorted inputs (so its equi-joins run as merge joins and its
 // grouped aggregations stream); where the query orders its result, the
 // ORDER BY key sequence must match too. The final plan of
@@ -138,6 +139,7 @@ var referenceVariants = []engineVariant{
 	{"default", func(*Config) {}, false},
 	{"correlated", func(c *Config) { c.Decorrelate = false }, false},
 	{"par4", func(c *Config) { c.Parallelism = 4 }, false},
+	{"batched", func(c *Config) { c.forceApply = "batched" }, false},
 	{"sorted-inputs", func(*Config) {}, true},
 }
 

@@ -3,7 +3,7 @@
 # gate for PRs touching the executor: reference_test.go holds every
 # TPC-H benchmark query, the Q1 spellings and the fuzz corpus to
 # internal/reference — a naive evaluator that shares no code with the
-# executor — under four configurations, parallel_test.go executes the
+# executor — under five configurations, parallel_test.go executes the
 # same corpus across Parallelism 1/2/4/8 under -race, and the
 # observability suites (rules_test.go, obs_test.go) check rule-level
 # equivalence and span/metrics invariants on the same corpus.
@@ -56,6 +56,8 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # run out of steps. Its executor twin runs one iteration each of the
 # warm pass (the 15 queries of perfbench's warm_analytic, plans cached),
 # the seven of them whose Applies run as index-lookup probes,
+# the batched Apply over nearly unique bindings and Q2's and Q17's
+# correlated plans (the Applies that are not probes),
 # Q1's scan-and-aggregate, an integer-key aggregation into thousands of
 # groups, a hash join, and a selective probe against a small build side
 # (Q20's shape), so every run prints B/op and allocs/op for the paths
@@ -63,7 +65,7 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestJoinReorderLookupMatchesRewrite' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|ApplyProbe$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
@@ -172,9 +174,10 @@ go test -run 'TestResultCache' -race .
 # ordered index and under ORDER BY, and every NaN is one grouping key
 # under hash and streaming aggregation, whose MIN and MAX do not depend
 # on where the NaN arrives. And the index-lookup probe
-# against the sequential Apply it replaces: the same rows, error and
-# rows charged, batch by batch.
-go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle|TestNaNSortsAfterNumbers|TestNaNGroupsAsOneKey|TestNaNMinMaxIgnoresInputOrder|TestApplyProbeMatchesSequential' -race . ./internal/exec
+# against the batched Apply: the same rows in the same order and the
+# same error, batch by batch, and under a RowBudget either that answer
+# or ErrRowBudget.
+go test -run 'TestOrder|TestSortElided|TestLimitReadsOnlyItsRows|TestMergeJoin|TestStreamAgg|TestSortUnderStreamAgg|TestTopSpanCounted|TestRowCap|TestApplyInnerRowCaps|TestCacheStaleOrderedIndex|TestCacheOrderStrategySeparation|TestExplainApplyMatchesExecution|TestExplainAccessMatchesExecution|TestSeekSeesUnanalyzedInserts|TestTraceClockTimesShortStrand|TestJoinEmitMatchesPairLoop|TestVecHashMatchesHashRow|TestHashTableMatchesRowOracle|TestNaNSortsAfterNumbers|TestNaNGroupsAsOneKey|TestNaNMinMaxIgnoresInputOrder|TestApplyProbeMatchesBatched' -race . ./internal/exec
 
 # Recovery leg: the WAL crash matrix (fault-injected crashes mid-append,
 # mid-fsync, mid-checkpoint-rename; torn tails; CRC corruption; the
