@@ -239,17 +239,20 @@ var lattice = []system{
 	{name: "agg+outerjoin", opts: core.Options{KeepOuterJoins: true},
 		rewrites: []rewrite{firstGroupBy(core.TryPushGroupByBelowJoin)}}, // §3.2
 	{name: "localagg+join", rewrites: []rewrite{
-		firstGroupBy(core.TrySplitGroupBy), firstGroupBy(core.TryPushLocalGroupByBelowJoin)}}, // §3.3
+		firstGroupBy(func(md *algebra.Metadata, _ algebra.ColsOf, gb *algebra.GroupBy) (algebra.Rel, bool) {
+			return core.TrySplitGroupBy(md, gb)
+		}),
+		firstGroupBy(core.TryPushLocalGroupByBelowJoin)}}, // §3.3
 	{name: "cost-based pick", cfg: full.cfg},
 }
 
 // firstGroupBy applies a GroupBy rewrite at the first GroupBy of a tree
 // (pre-order) where it applies.
-func firstGroupBy(try func(*algebra.Metadata, *algebra.GroupBy) (algebra.Rel, bool)) rewrite {
+func firstGroupBy(try func(*algebra.Metadata, algebra.ColsOf, *algebra.GroupBy) (algebra.Rel, bool)) rewrite {
 	var first rewrite
 	first = func(md *algebra.Metadata, rel algebra.Rel) (algebra.Rel, bool) {
 		if gb, ok := rel.(*algebra.GroupBy); ok {
-			if out, ok := try(md, gb); ok {
+			if out, ok := try(md, algebra.TreeCols{}, gb); ok {
 				return out, true
 			}
 		}

@@ -39,6 +39,19 @@ func (f FromScratch) input(i int) Rel {
 	return r
 }
 
+// ColsOf answers the output columns of whole subtrees. The rewrite
+// rules read their inputs' columns through one: TreeCols derives them
+// from the tree at every call, while the optimizer answers for the
+// subtrees its memo holds from what the memo has derived already.
+type ColsOf interface {
+	ColsOf(r Rel) ColSet
+}
+
+// TreeCols is the ColsOf that derives from the tree (OutputCols).
+type TreeCols struct{}
+
+func (TreeCols) ColsOf(r Rel) ColSet { return OutputCols(r) }
+
 // InputsOf is r.Inputs() without the slice: nil where absent.
 func InputsOf(r Rel) (left, right Rel) {
 	switch t := r.(type) {
@@ -393,14 +406,14 @@ func NotNullCols(md *Metadata, r Rel) ColSet {
 		return out
 	case *Join:
 		out := NotNullCols(md, t.Left)
-		if t.Kind == InnerJoin || t.Kind == CrossJoin {
+		if t.Kind.InnerOrCross() {
 			out.UnionWith(NotNullCols(md, t.Right))
 		}
 		// LeftOuterJoin: right columns become nullable.
 		return out
 	case *Apply:
 		out := NotNullCols(md, t.Left)
-		if t.Kind == InnerJoin || t.Kind == CrossJoin {
+		if t.Kind.InnerOrCross() {
 			out.UnionWith(NotNullCols(md, t.Right))
 		}
 		return out

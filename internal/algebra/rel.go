@@ -35,6 +35,9 @@ func (k JoinKind) String() string {
 // (outerjoin).
 func (k JoinKind) PreservesLeftUnmatched() bool { return k == LeftOuterJoin }
 
+// InnerOrCross reports an inner or cross join.
+func (k JoinKind) InnerOrCross() bool { return k == InnerJoin || k == CrossJoin }
+
 // ReturnsRightCols reports whether the variant emits right-side columns.
 func (k JoinKind) ReturnsRightCols() bool {
 	return k == InnerJoin || k == CrossJoin || k == LeftOuterJoin

@@ -230,6 +230,20 @@ func IsTrueConst(s Scalar) bool {
 	return ok && !c.Val.IsNull() && c.Val.Kind() == types.Bool && c.Val.Bool()
 }
 
+// ColEquality matches a conjunct equating two different columns.
+func ColEquality(s Scalar) (l, r ColID, ok bool) {
+	cmp, ok := s.(*Cmp)
+	if !ok || cmp.Op != CmpEq {
+		return 0, 0, false
+	}
+	lc, lok := cmp.L.(*ColRef)
+	rc, rok := cmp.R.(*ColRef)
+	if !lok || !rok || lc.Col == rc.Col {
+		return 0, 0, false
+	}
+	return lc.Col, rc.Col, true
+}
+
 // ConjoinAll flattens the non-nil predicates into a single conjunction,
 // returning TRUE for an empty list and the lone predicate unwrapped.
 func ConjoinAll(preds ...Scalar) Scalar {

@@ -227,7 +227,7 @@ func pushApplyThroughProject(md *algebra.Metadata, a *algebra.Apply, p *algebra.
 	}
 	items := p.Items
 	if a.Kind == algebra.LeftOuterJoin && len(items) > 0 {
-		probe, ok := pickNotNull(md, p.Input)
+		probe, ok := pickNotNull(md, algebra.TreeCols{}, p.Input)
 		if !ok {
 			return nil, false
 		}
@@ -325,7 +325,7 @@ func adjustAggsForOuterJoin(md *algebra.Metadata, aggs []algebra.AggItem, inner 
 		}
 	}
 	if probeNeeded {
-		p, ok := pickNotNull(md, inner)
+		p, ok := pickNotNull(md, algebra.TreeCols{}, inner)
 		if !ok {
 			return nil, false
 		}
@@ -343,8 +343,8 @@ func adjustAggsForOuterJoin(md *algebra.Metadata, aggs []algebra.AggItem, inner 
 }
 
 // pickNotNull selects a guaranteed non-nullable output column.
-func pickNotNull(md *algebra.Metadata, r algebra.Rel) (algebra.ColID, bool) {
-	nn := algebra.NotNullCols(md, r).Intersection(algebra.OutputCols(r))
+func pickNotNull(md *algebra.Metadata, cols algebra.ColsOf, r algebra.Rel) (algebra.ColID, bool) {
+	nn := algebra.NotNullCols(md, r).Intersection(cols.ColsOf(r))
 	if nn.Empty() {
 		return 0, false
 	}

@@ -189,7 +189,7 @@ func TestEquivalencePushGroupByBelowOuterJoin(t *testing.T) {
 		if !ok {
 			return nil, false
 		}
-		return TryPushGroupByBelowJoin(md, gb)
+		return TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	})
 }
 
@@ -201,7 +201,7 @@ func TestEquivalencePushGroupByBelowOuterJoinCount(t *testing.T) {
 		if !ok {
 			return nil, false
 		}
-		return TryPushGroupByBelowJoin(md, gb)
+		return TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	})
 }
 
@@ -217,7 +217,7 @@ func TestEquivalencePushGroupByBelowInnerJoin(t *testing.T) {
 		if gb.Input.(*algebra.Join).Kind != algebra.InnerJoin {
 			return nil, false
 		}
-		return TryPushGroupByBelowJoin(md, gb)
+		return TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	})
 }
 
@@ -228,7 +228,7 @@ func TestEquivalencePullGroupByAboveJoin(t *testing.T) {
 		if !ok {
 			return nil, false
 		}
-		pushed, ok := TryPushGroupByBelowJoin(md, gb)
+		pushed, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 		if !ok {
 			return nil, false
 		}
@@ -236,7 +236,7 @@ func TestEquivalencePullGroupByAboveJoin(t *testing.T) {
 		if !ok {
 			return nil, false
 		}
-		return TryPullGroupByAboveJoin(md, j)
+		return TryPullGroupByAboveJoin(md, algebra.TreeCols{}, j)
 	})
 }
 
@@ -275,7 +275,7 @@ func TestEquivalenceLocalAggPush(t *testing.T) {
 				if !ok || lg.Kind != algebra.LocalGroupBy {
 					return nil, false
 				}
-				return TryPushLocalGroupByBelowJoin(md, lg)
+				return TryPushLocalGroupByBelowJoin(md, algebra.TreeCols{}, lg)
 			})
 		})
 }
@@ -308,7 +308,7 @@ func TestEquivalenceSemiJoinBelowGroupBy(t *testing.T) {
 		sj := &algebra.Join{Kind: algebra.SemiJoin, Left: gb, Right: custRes.Rel,
 			On: &algebra.Cmp{Op: algebra.CmpEq,
 				L: &algebra.ColRef{Col: oc}, R: &algebra.ColRef{Col: custRes.OutCols[0]}}}
-		pushed, ok := TryPushSemiJoinBelowGroupBy(md, sj)
+		pushed, ok := TryPushSemiJoinBelowGroupBy(md, algebra.TreeCols{}, sj)
 		if !ok {
 			t.Fatalf("seed %d: push refused", seed)
 		}
@@ -333,7 +333,7 @@ func TestEquivalenceSegmentApplyIntro(t *testing.T) {
 		if !ok {
 			return nil, false
 		}
-		return TryIntroduceSegmentApply(md, j)
+		return TryIntroduceSegmentApply(md, algebra.TreeCols{}, j)
 	})
 }
 
@@ -351,7 +351,7 @@ func TestEquivalenceSegmentApplyJoinPushdown(t *testing.T) {
 			if !isJ {
 				return nil, false
 			}
-			return TryIntroduceSegmentApply(md, j)
+			return TryIntroduceSegmentApply(md, algebra.TreeCols{}, j)
 		})
 		if !ok {
 			t.Fatalf("seed %d: no segment apply", seed)
@@ -377,7 +377,7 @@ func TestEquivalenceSegmentApplyJoinPushdown(t *testing.T) {
 		join := &algebra.Join{Kind: algebra.InnerJoin, Left: sa, Right: partRes.Rel,
 			On: &algebra.Cmp{Op: algebra.CmpEq,
 				L: &algebra.ColRef{Col: segKey}, R: &algebra.ColRef{Col: partRes.OutCols[0]}}}
-		pushed, ok := TryPushJoinBelowSegmentApply(md, join)
+		pushed, ok := TryPushJoinBelowSegmentApply(md, algebra.TreeCols{}, join)
 		if !ok {
 			t.Fatalf("seed %d: pushdown refused", seed)
 		}
@@ -433,6 +433,6 @@ func TestEquivalenceSemiJoinToJoinDistinct(t *testing.T) {
 			if !ok {
 				return nil, false
 			}
-			return TrySemiJoinToJoinDistinct(md, j)
+			return TrySemiJoinToJoinDistinct(md, algebra.TreeCols{}, j)
 		})
 }

@@ -18,7 +18,7 @@ import (
 //
 // The rewrite aggregates the join's right input; callers wanting the
 // left input aggregated commute the join first.
-func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bool) {
+func TryPushGroupByBelowJoin(md *algebra.Metadata, cols algebra.ColsOf, gb *algebra.GroupBy) (algebra.Rel, bool) {
 	if gb.Kind != algebra.VectorGroupBy {
 		return nil, false
 	}
@@ -31,8 +31,8 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 	default:
 		return nil, false
 	}
-	sCols := algebra.OutputCols(j.Left)
-	rCols := algebra.OutputCols(j.Right)
+	sCols := cols.ColsOf(j.Left)
+	rCols := cols.ColsOf(j.Right)
 
 	// Condition (1), modulo the equality-equivalence induced by p
 	// (the paper's §3.2 example groups the pushed aggregate by
@@ -43,13 +43,13 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 	// row matches at most one value combination per original group.
 	var eqRCols algebra.ColSet
 	for _, c := range algebra.Conjuncts(j.On) {
-		cols := algebra.ScalarCols(c)
-		if !cols.Intersects(rCols) {
+		read := algebra.ScalarCols(c)
+		if !read.Intersects(rCols) {
 			continue // S-only conjunct: group-independent filter
 		}
 		cmp, ok := c.(*algebra.Cmp)
 		if !ok || cmp.Op != algebra.CmpEq {
-			if cols.Intersection(rCols).SubsetOf(gb.GroupCols) {
+			if read.Intersection(rCols).SubsetOf(gb.GroupCols) {
 				continue // literal condition (1) holds for this conjunct
 			}
 			return nil, false
@@ -57,7 +57,7 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 		l, lok := cmp.L.(*algebra.ColRef)
 		r, rok := cmp.R.(*algebra.ColRef)
 		if !lok || !rok {
-			if cols.Intersection(rCols).SubsetOf(gb.GroupCols) {
+			if read.Intersection(rCols).SubsetOf(gb.GroupCols) {
 				continue
 			}
 			return nil, false
@@ -67,7 +67,7 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 			rc, sc = sc, rc
 		}
 		if !rCols.Contains(rc) || !sCols.Contains(sc) {
-			if cols.Intersection(rCols).SubsetOf(gb.GroupCols) {
+			if read.Intersection(rCols).SubsetOf(gb.GroupCols) {
 				continue
 			}
 			return nil, false
@@ -88,7 +88,7 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 			// count(*) counts joined rows, which depends on both sides;
 			// pushing it below requires the identity-(9)-style probe.
 			// Redirect to a non-nullable column of R.
-			if _, ok := pickNotNull(md, j.Right); !ok {
+			if _, ok := pickNotNull(md, cols, j.Right); !ok {
 				return nil, false
 			}
 		}
@@ -99,7 +99,7 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 	for i, a := range gb.Aggs {
 		aggs[i] = a
 		if a.Func == algebra.AggCountStar {
-			probe, _ := pickNotNull(md, j.Right)
+			probe, _ := pickNotNull(md, cols, j.Right)
 			aggs[i].Func = algebra.AggCount
 			aggs[i].Arg = &algebra.ColRef{Col: probe}
 		}
@@ -139,7 +139,7 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 		return join, true
 	}
 	proj := &algebra.Project{Input: join}
-	outCols := algebra.OutputCols(join)
+	outCols := cols.ColsOf(join)
 	outCols.ForEach(func(c algebra.ColID) {
 		if _, isComp := compSub[c]; !isComp {
 			proj.Passthrough.Add(c)
@@ -172,7 +172,7 @@ func TryPushGroupByBelowJoin(md *algebra.Metadata, gb *algebra.GroupBy) (algebra
 //
 // legal iff S has a key (included in the new grouping columns) and the
 // join predicate does not use aggregate results.
-func TryPullGroupByAboveJoin(md *algebra.Metadata, j *algebra.Join) (algebra.Rel, bool) {
+func TryPullGroupByAboveJoin(md *algebra.Metadata, cols algebra.ColsOf, j *algebra.Join) (algebra.Rel, bool) {
 	if j.Kind != algebra.InnerJoin {
 		return nil, false
 	}
@@ -194,7 +194,7 @@ func TryPullGroupByAboveJoin(md *algebra.Metadata, j *algebra.Join) (algebra.Rel
 	return &algebra.GroupBy{
 		Kind:      algebra.VectorGroupBy,
 		Input:     nj,
-		GroupCols: gb.GroupCols.Union(algebra.OutputCols(j.Left)),
+		GroupCols: gb.GroupCols.Union(cols.ColsOf(j.Left)),
 		Aggs:      gb.Aggs,
 	}, true
 }
@@ -203,7 +203,7 @@ func TryPullGroupByAboveJoin(md *algebra.Metadata, j *algebra.Join) (algebra.Rel
 // (G(A,F) R) ⋉p S  =  G(A,F)(R ⋉p S)  iff p does not use aggregate
 // results and every non-S column of p is (functionally determined by)
 // a grouping column. The same condition covers antisemijoin.
-func TryPushSemiJoinBelowGroupBy(md *algebra.Metadata, j *algebra.Join) (algebra.Rel, bool) {
+func TryPushSemiJoinBelowGroupBy(md *algebra.Metadata, cols algebra.ColsOf, j *algebra.Join) (algebra.Rel, bool) {
 	if j.Kind != algebra.SemiJoin && j.Kind != algebra.AntiSemiJoin {
 		return nil, false
 	}
@@ -211,7 +211,7 @@ func TryPushSemiJoinBelowGroupBy(md *algebra.Metadata, j *algebra.Join) (algebra
 	if !ok || gb.Kind != algebra.VectorGroupBy {
 		return nil, false
 	}
-	sCols := algebra.OutputCols(j.Right)
+	sCols := cols.ColsOf(j.Right)
 	var aggCols algebra.ColSet
 	for _, a := range gb.Aggs {
 		aggCols.Add(a.Col)
@@ -236,7 +236,7 @@ func TryPushSemiJoinBelowGroupBy(md *algebra.Metadata, j *algebra.Join) (algebra
 // the magic-set-style semijoin strategies of Pirahesh et al. A key of
 // the left input (manufactured if necessary) keeps duplicate left rows
 // distinct through the grouping.
-func TrySemiJoinToJoinDistinct(md *algebra.Metadata, j *algebra.Join) (algebra.Rel, bool) {
+func TrySemiJoinToJoinDistinct(md *algebra.Metadata, cols algebra.ColsOf, j *algebra.Join) (algebra.Rel, bool) {
 	if j.Kind != algebra.SemiJoin {
 		return nil, false
 	}
@@ -248,6 +248,53 @@ func TrySemiJoinToJoinDistinct(md *algebra.Metadata, j *algebra.Join) (algebra.R
 	return &algebra.GroupBy{
 		Kind:      algebra.VectorGroupBy,
 		Input:     inner,
-		GroupCols: algebra.OutputCols(left),
+		GroupCols: cols.ColsOf(left),
 	}, true
+}
+
+// TryPushSelectBelowJoin moves the conjuncts of a selection that read one
+// join input only onto that input. Normalization leaves no such
+// selection; one arises when a GroupBy under a selection on its
+// aggregate moves below a join, and the selection should follow it:
+// the spelling of a query that aggregates in a derived table has it
+// there from the start. Any join variant lets a filter on its left
+// (preserved) input through; only an inner or cross join one on its
+// right.
+func TryPushSelectBelowJoin(cols algebra.ColsOf, s *algebra.Select) (algebra.Rel, bool) {
+	j, ok := s.Input.(*algebra.Join)
+	if !ok {
+		return nil, false
+	}
+	lCols, rCols := cols.ColsOf(j.Left), cols.ColsOf(j.Right)
+	var left, right, rest []algebra.Scalar
+	for _, c := range algebra.Conjuncts(s.Filter) {
+		switch read := algebra.ScalarCols(c); {
+		case read.Empty() || algebra.HasSubquery(c):
+			rest = append(rest, c)
+		case read.SubsetOf(lCols):
+			left = append(left, c)
+		case read.SubsetOf(rCols) && j.Kind.InnerOrCross():
+			right = append(right, c)
+		default:
+			rest = append(rest, c)
+		}
+	}
+	if len(left)+len(right) == 0 {
+		return nil, false
+	}
+	nj := *j
+	nj.Left, nj.Right = selectOver(j.Left, left), selectOver(j.Right, right)
+	return selectOver(&nj, rest), true
+}
+
+// selectOver filters r by conjs, if there are any.
+func selectOver(r algebra.Rel, conjs []algebra.Scalar) algebra.Rel {
+	if len(conjs) == 0 {
+		return r
+	}
+	var f algebra.Scalar = &algebra.And{Args: conjs}
+	if len(conjs) == 1 {
+		f = conjs[0]
+	}
+	return &algebra.Select{Input: r, Filter: f}
 }

@@ -130,7 +130,7 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 // together agree on the join columns, hence have identical match
 // multiplicity, and the global GroupBy above recombines partials
 // exactly as the unsplit aggregate would.
-func TryPushLocalGroupByBelowJoin(md *algebra.Metadata, lg *algebra.GroupBy) (algebra.Rel, bool) {
+func TryPushLocalGroupByBelowJoin(md *algebra.Metadata, cols algebra.ColsOf, lg *algebra.GroupBy) (algebra.Rel, bool) {
 	if lg.Kind != algebra.LocalGroupBy {
 		return nil, false
 	}
@@ -151,8 +151,8 @@ func TryPushLocalGroupByBelowJoin(md *algebra.Metadata, lg *algebra.GroupBy) (al
 			return nil, false
 		}
 	}
-	lCols := algebra.OutputCols(j.Left)
-	rCols := algebra.OutputCols(j.Right)
+	lCols := cols.ColsOf(j.Left)
+	rCols := cols.ColsOf(j.Right)
 
 	push := func(side algebra.Rel, sideCols algebra.ColSet, buildJoin func(algebra.Rel) *algebra.Join) (algebra.Rel, bool) {
 		if !argCols.SubsetOf(sideCols) {

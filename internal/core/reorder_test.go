@@ -46,7 +46,7 @@ func TestPushGroupByBelowJoin(t *testing.T) {
 	if !ok {
 		t.Fatal("no GroupBy in normalized Q1")
 	}
-	pushed, ok := TryPushGroupByBelowJoin(md, gb)
+	pushed, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	if !ok {
 		t.Fatalf("push below join refused:\n%s", algebra.FormatRel(md, gb))
 	}
@@ -75,7 +75,7 @@ func TestPushGroupByBelowJoinConditions(t *testing.T) {
 	// Violate condition (2): drop the key of S from grouping columns.
 	bad := &algebra.GroupBy{Kind: algebra.VectorGroupBy, Input: j,
 		GroupCols: algebra.NewColSet(), Aggs: gb.Aggs}
-	if _, ok := TryPushGroupByBelowJoin(md, bad); ok {
+	if _, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, bad); ok {
 		t.Error("push without key(S) in grouping columns must be refused")
 	}
 
@@ -85,7 +85,7 @@ func TestPushGroupByBelowJoinConditions(t *testing.T) {
 		GroupCols: gb.GroupCols,
 		Aggs: []algebra.AggItem{{Col: md.AddColumn("x", md.Type(custCol)),
 			Func: algebra.AggMax, Arg: &algebra.ColRef{Col: custCol}}}}
-	if _, ok := TryPushGroupByBelowJoin(md, bad3); ok {
+	if _, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, bad3); ok {
 		t.Error("push with S-side aggregate args must be refused")
 	}
 }
@@ -108,7 +108,7 @@ func TestPushGroupByBelowOuterJoin(t *testing.T) {
 	if _, ok := gb.Input.(*algebra.Join); !ok {
 		t.Fatalf("GroupBy input = %T:\n%s", gb.Input, algebra.FormatRel(md, r))
 	}
-	pushed, ok := TryPushGroupByBelowJoin(md, gb)
+	pushed, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	if !ok {
 		t.Fatalf("outerjoin push refused:\n%s", algebra.FormatRel(md, gb))
 	}
@@ -143,7 +143,7 @@ func TestPushGroupByBelowOuterJoinSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	gb, _ := findNode[*algebra.GroupBy](r)
-	pushed, ok := TryPushGroupByBelowJoin(md, gb)
+	pushed, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	if !ok {
 		t.Fatal("push refused")
 	}
@@ -159,12 +159,12 @@ func TestPullGroupByAboveJoin(t *testing.T) {
 	// Build Kim-form manually by pushing, then pull back up.
 	r, md := normalizedQ1(t)
 	gb, _ := findNode[*algebra.GroupBy](r)
-	pushed, ok := TryPushGroupByBelowJoin(md, gb)
+	pushed, ok := TryPushGroupByBelowJoin(md, algebra.TreeCols{}, gb)
 	if !ok {
 		t.Fatal("push failed")
 	}
 	j := pushed.(*algebra.Join)
-	pulled, ok := TryPullGroupByAboveJoin(md, j)
+	pulled, ok := TryPullGroupByAboveJoin(md, algebra.TreeCols{}, j)
 	if !ok {
 		t.Fatal("pull refused")
 	}
@@ -257,7 +257,7 @@ func TestPushLocalGroupByBelowJoin(t *testing.T) {
 	if lg == nil {
 		t.Fatal("no local GroupBy")
 	}
-	pushed, ok := TryPushLocalGroupByBelowJoin(md, lg)
+	pushed, ok := TryPushLocalGroupByBelowJoin(md, algebra.TreeCols{}, lg)
 	if !ok {
 		t.Fatal("local push refused")
 	}
@@ -295,7 +295,7 @@ func TestSegmentApplyFigure6(t *testing.T) {
 	if !ok || j.Kind != algebra.InnerJoin {
 		t.Fatalf("no inner join:\n%s", algebra.FormatRel(md, r))
 	}
-	sa, ok := TryIntroduceSegmentApply(md, j)
+	sa, ok := TryIntroduceSegmentApply(md, algebra.TreeCols{}, j)
 	if !ok {
 		t.Fatalf("segment apply refused:\n%s", algebra.FormatRel(md, j))
 	}
@@ -331,7 +331,7 @@ func TestSegmentApplyJoinPushdownFigure7(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, _ := findNode[*algebra.Join](r)
-	saRel, ok := TryIntroduceSegmentApply(md, j)
+	saRel, ok := TryIntroduceSegmentApply(md, algebra.TreeCols{}, j)
 	if !ok {
 		t.Fatal("segment intro failed")
 	}
@@ -348,7 +348,7 @@ func TestSegmentApplyJoinPushdownFigure7(t *testing.T) {
 		On: &algebra.Cmp{Op: algebra.CmpEq,
 			L: &algebra.ColRef{Col: segKey}, R: &algebra.ColRef{Col: pkey}},
 	}
-	pushed, ok := TryPushJoinBelowSegmentApply(md, top)
+	pushed, ok := TryPushJoinBelowSegmentApply(md, algebra.TreeCols{}, top)
 	if !ok {
 		t.Fatalf("join pushdown refused:\n%s", algebra.FormatRel(md, top))
 	}
@@ -374,7 +374,7 @@ func TestSegmentApplyRefusesDifferentTables(t *testing.T) {
 	res, md := algebrizeSQL(t, `
 		select c_custkey from customer join orders on c_custkey = o_custkey`)
 	j, _ := findNode[*algebra.Join](res.Rel)
-	if _, ok := TryIntroduceSegmentApply(md, j); ok {
+	if _, ok := TryIntroduceSegmentApply(md, algebra.TreeCols{}, j); ok {
 		t.Error("customer⋈orders must not segment (different expressions)")
 	}
 }
@@ -390,7 +390,7 @@ func TestPushJoinBelowSegmentApplyRefusesNonSegmentPredicate(t *testing.T) {
 		where l.l_partkey = pk2 and l.l_quantity < x`)
 	r, _ := Normalize(md, res.Rel, Options{})
 	j, _ := findNode[*algebra.Join](r)
-	saRel, ok := TryIntroduceSegmentApply(md, j)
+	saRel, ok := TryIntroduceSegmentApply(md, algebra.TreeCols{}, j)
 	if !ok {
 		t.Fatal("intro failed")
 	}
@@ -406,7 +406,7 @@ func TestPushJoinBelowSegmentApplyRefusesNonSegmentPredicate(t *testing.T) {
 	top := &algebra.Join{Kind: algebra.InnerJoin, Left: sa, Right: partRes.Rel,
 		On: &algebra.Cmp{Op: algebra.CmpLt,
 			L: &algebra.ColRef{Col: lq}, R: &algebra.ColRef{Col: partRes.OutCols[0]}}}
-	if _, ok := TryPushJoinBelowSegmentApply(md, top); ok {
+	if _, ok := TryPushJoinBelowSegmentApply(md, algebra.TreeCols{}, top); ok {
 		t.Error("pushdown with non-segment predicate must be refused")
 	}
 }
@@ -421,7 +421,7 @@ func TestSemiJoinBelowGroupBy(t *testing.T) {
 	sj := &algebra.Join{Kind: algebra.SemiJoin, Left: gb, Right: custRes.Rel,
 		On: &algebra.Cmp{Op: algebra.CmpEq,
 			L: &algebra.ColRef{Col: oc}, R: &algebra.ColRef{Col: custRes.OutCols[0]}}}
-	pushed, ok := TryPushSemiJoinBelowGroupBy(md, sj)
+	pushed, ok := TryPushSemiJoinBelowGroupBy(md, algebra.TreeCols{}, sj)
 	if !ok {
 		t.Fatal("semijoin push refused")
 	}
@@ -441,7 +441,7 @@ func TestSemiJoinBelowGroupBy(t *testing.T) {
 	bad := &algebra.Join{Kind: algebra.SemiJoin, Left: gb, Right: custRes.Rel,
 		On: &algebra.Cmp{Op: algebra.CmpGt,
 			L: &algebra.ColRef{Col: aggCol}, R: &algebra.Const{Val: mdFloat(0)}}}
-	if _, ok := TryPushSemiJoinBelowGroupBy(md, bad); ok {
+	if _, ok := TryPushSemiJoinBelowGroupBy(md, algebra.TreeCols{}, bad); ok {
 		t.Error("semijoin on aggregate result must not push below")
 	}
 }

@@ -14,27 +14,22 @@ import (
 //	E1 ⋈p wrap(E2)  →  E1 SA_cols  (Seg1 ⋈p wrap(Seg2))
 //
 // where the segmenting columns are the equated instance columns.
-func TryIntroduceSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebra.Rel, bool) {
+func TryIntroduceSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *algebra.Join) (algebra.Rel, bool) {
 	switch j.Kind {
 	case algebra.InnerJoin, algebra.SemiJoin, algebra.AntiSemiJoin:
 	default:
 		return nil, false
 	}
-	if j.On == nil {
+	if j.On == nil || !instances(j.Kind, j.Left, j.Right) {
 		return nil, false
 	}
 	core2, rebuild := stripWrappers(j.Right)
-	if core2 == j.Right {
-		// A bare second instance: segmenting a plain self-join computes
-		// nothing per segment that the join does not compute as well.
-		return nil, false
-	}
 	remap, ok := matchRels(md, j.Left, core2)
 	if !ok {
 		return nil, false
 	}
 	// Find equality conjuncts between corresponding instance columns.
-	leftCols := algebra.OutputCols(j.Left)
+	leftCols := cols.ColsOf(j.Left)
 	var segCols algebra.ColSet
 	for _, c := range algebra.Conjuncts(j.On) {
 		cmp, ok := c.(*algebra.Cmp)
@@ -62,7 +57,7 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebra.Re
 		return nil, false
 	}
 
-	inputCols := algebra.OutputCols(j.Left).Ordered()
+	inputCols := leftCols.Ordered()
 	ref1 := &algebra.SegmentRef{Cols: inputCols}
 	ref2Cols := make([]algebra.ColID, len(inputCols))
 	inv := make(map[algebra.ColID]algebra.ColID, len(remap))
@@ -85,6 +80,70 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebra.Re
 		SegmentCols: segCols,
 		Inner:       inner,
 	}, true
+}
+
+// SegmentCandidate reports whether a segment rule can match a join of
+// kind over left and right, on the trees' shapes alone:
+// TryPushJoinBelowSegmentApply wants an inner join over a SegmentApply,
+// TryIntroduceSegmentApply two instances (see instances). It builds
+// nothing; the rules' column matching decides the rest.
+func SegmentCandidate(kind algebra.JoinKind, left, right algebra.Rel) bool {
+	_, l := left.(*algebra.SegmentApply)
+	_, r := right.(*algebra.SegmentApply)
+	return kind == algebra.InnerJoin && (l || r) || instances(kind, left, right)
+}
+
+// instances reports whether a join of kind over left and right joins
+// two instances of one expression as TryIntroduceSegmentApply wants
+// them: right is a second instance of left's shape under at least one
+// wrapper (a bare second instance — a plain self-join — computes
+// nothing per segment that the join does not compute as well).
+func instances(kind algebra.JoinKind, left, right algebra.Rel) bool {
+	switch kind {
+	case algebra.InnerJoin, algebra.SemiJoin, algebra.AntiSemiJoin:
+	default:
+		return false
+	}
+	core := right
+	for {
+		switch t := core.(type) {
+		case *algebra.GroupBy:
+			core = t.Input
+			continue
+		case *algebra.Select:
+			core = t.Input
+			continue
+		case *algebra.Project:
+			core = t.Input
+			continue
+		}
+		break
+	}
+	return core != right && sameShape(left, core)
+}
+
+// sameShape is what matchRels requires of two trees before it compares
+// columns: the same operators and kinds, the same tables, the same
+// numbers of columns, items and aggregates.
+func sameShape(a, b algebra.Rel) bool {
+	switch ta := a.(type) {
+	case *algebra.Get:
+		tb, ok := b.(*algebra.Get)
+		return ok && ta.Table == tb.Table && len(ta.Cols) == len(tb.Cols)
+	case *algebra.Select:
+		tb, ok := b.(*algebra.Select)
+		return ok && sameShape(ta.Input, tb.Input)
+	case *algebra.Project:
+		tb, ok := b.(*algebra.Project)
+		return ok && len(ta.Items) == len(tb.Items) && sameShape(ta.Input, tb.Input)
+	case *algebra.GroupBy:
+		tb, ok := b.(*algebra.GroupBy)
+		return ok && ta.Kind == tb.Kind && len(ta.Aggs) == len(tb.Aggs) && sameShape(ta.Input, tb.Input)
+	case *algebra.Join:
+		tb, ok := b.(*algebra.Join)
+		return ok && ta.Kind == tb.Kind && sameShape(ta.Left, tb.Left) && sameShape(ta.Right, tb.Right)
+	}
+	return false
 }
 
 // stripWrappers peels GroupBy/Select/Project wrappers off an
@@ -128,7 +187,7 @@ func stripWrappers(r algebra.Rel) (algebra.Rel, func(algebra.Rel) algebra.Rel) {
 // several T rows. SegmentRefs are extended so the joined T columns
 // flow into the segment: the identity-bound reference re-exposes T's
 // columns under their own IDs; others get fresh aliases.
-func TryPushJoinBelowSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebra.Rel, bool) {
+func TryPushJoinBelowSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *algebra.Join) (algebra.Rel, bool) {
 	if j.Kind != algebra.InnerJoin {
 		return nil, false
 	}
@@ -146,7 +205,7 @@ func TryPushJoinBelowSegmentApply(md *algebra.Metadata, j *algebra.Join) (algebr
 	} else {
 		t = j.Left
 	}
-	tCols := algebra.OutputCols(t)
+	tCols := cols.ColsOf(t)
 	if j.On == nil {
 		return nil, false
 	}

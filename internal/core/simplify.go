@@ -138,7 +138,7 @@ func pushSelectIntoJoin(sel *algebra.Select, j *algebra.Join) algebra.Rel {
 			// For LOJ a right-only filter above is NOT the same as
 			// below (it also eliminates padded rows); keep it above.
 			toRight = append(toRight, c)
-		case j.Kind == algebra.InnerJoin || j.Kind == algebra.CrossJoin:
+		case j.Kind.InnerOrCross():
 			toOn = append(toOn, c)
 		default:
 			stay = append(stay, c)

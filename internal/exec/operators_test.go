@@ -110,7 +110,7 @@ func TestRowBudgetAborts(t *testing.T) {
 // rule can turn into a SegmentApply, or returns nil.
 func introduceSegmentApply(md *algebra.Metadata, rel algebra.Rel) algebra.Rel {
 	if j, ok := rel.(*algebra.Join); ok {
-		if sa, ok := core.TryIntroduceSegmentApply(md, j); ok {
+		if sa, ok := core.TryIntroduceSegmentApply(md, algebra.TreeCols{}, j); ok {
 			return sa
 		}
 	}
@@ -184,7 +184,7 @@ func TestSemiJoinSegmentApply(t *testing.T) {
 	var search func(algebra.Rel) algebra.Rel
 	search = func(n algebra.Rel) algebra.Rel {
 		if j, ok := n.(*algebra.Join); ok && (j.Kind == algebra.SemiJoin || j.Kind == algebra.AntiSemiJoin) {
-			if sa, ok := core.TryIntroduceSegmentApply(md, j); ok {
+			if sa, ok := core.TryIntroduceSegmentApply(md, algebra.TreeCols{}, j); ok {
 				applied = true
 				return sa
 			}

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
+
 	"orthoq/internal/algebra"
 	"orthoq/internal/sql/catalog"
 )
@@ -267,4 +270,55 @@ func (c *Context) schema(name string) (*catalog.Table, bool) {
 		return nil, false
 	}
 	return v.Schema, true
+}
+
+// FormatWithEstimates renders plan r over catalog cat with the
+// per-node cardinality and cost estimates of est (opt.PlanEstimates), for
+// EXPLAIN output and cost-model debugging, and adds the runtime picks
+// (apply=..., seek=<index>, join=merge, agg=stream, sort elided) to the
+// nodes whose execution depends on them, by asking the same selectors,
+// with the same inputs, as compile.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est Estimates, r algebra.Rel) string {
+	var b strings.Builder
+	var walk func(algebra.Rel, int)
+	walk = func(rel algebra.Rel, depth int) {
+		p := algebra.FromScratch{Of: rel}
+		for i := 0; i < depth; i++ {
+			b.WriteString("  ")
+		}
+		extra := ""
+		switch n := rel.(type) {
+		case *algebra.Apply:
+			extra = " apply=" + ApplyStrategy(cat, n)
+		case *algebra.Select:
+			if g, ok := n.Input.(*algebra.Get); ok {
+				if tbl, ok := cat.Table(g.Table); ok {
+					if a := CompiledAccess(tbl, g, n.Filter); a.Seek() {
+						extra = " seek=" + a.Index.Name
+					}
+				}
+			}
+		case *algebra.Join:
+			// Annotate only order-exploiting picks; hash stays implicit.
+			lk, rk, _ := SplitJoinKeys(n.On, p.OutputCols(0), p.OutputCols(1))
+			if JoinAlg(lk, rk, p.DeliveredOrder(0), p.DeliveredOrder(1)) == AlgMerge {
+				extra = " join=merge"
+			}
+		case *algebra.GroupBy:
+			if AggAlg(n, p.DeliveredOrder(0)) == AlgStream {
+				extra = " agg=stream"
+			}
+		case *algebra.Get:
+			if len(n.Order) > 0 {
+				extra = " sort elided"
+			}
+		}
+		e := est[rel]
+		fmt.Fprintf(&b, "%s  [rows≈%.0f cost≈%.0f%s]\n", algebra.FormatNode(md, p, rel), e.Rows, e.Cost, extra)
+		for _, k := range rel.Inputs() {
+			walk(k, depth+1)
+		}
+	}
+	walk(r, 0)
+	return b.String()
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -260,14 +262,16 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 // FormatTrace renders the plan with the collected statistics, in the
 // same shape as algebra.FormatRel, including per-operator inclusive
 // (time=) and self (self=) wall time, and ends every operator's line
-// with the optimizer's estimated rows (est=, from Estimates) and their
-// q-error against the actual rows (q=): max(est/act, act/est), both
-// floored at one row. Inside an Apply's or SegmentApply's inner side
-// the estimate is per execution, so the actual rows there are rows per
-// open. An operator that never opened — one that did not run as an
-// iterator of its own (a Get its Select reads, a probe's inner side),
-// or an inner side no binding reached — has no actual rows, and its
-// q-error prints as "-".
+// with the optimizer's estimates (from Estimates) — its rows (est=) and
+// its own cost (cost=: its subtree's cost less its inputs') — and the
+// rows' q-error against the actual rows (q=): max(est/act, act/est),
+// both floored at one row. Estimates print to two significant digits,
+// so a fraction of a row shows. Inside an Apply's or SegmentApply's
+// inner side the estimates are per execution, so the actual rows there
+// are rows per open. An operator that never opened — one that did not
+// run as an iterator of its own (a Get its Select reads, a probe's
+// inner side), or an inner side no binding reached — has no actual
+// rows, and its q-error prints as "-".
 func (c *Context) FormatTrace(rel algebra.Rel) string {
 	if c.trace == nil {
 		return ""
@@ -308,15 +312,20 @@ func (c *Context) FormatTrace(rel algebra.Rel) string {
 				fmt.Fprintf(&b, " (%s)", sp.Strategy)
 			}
 		}
-		if est := c.Estimates[n].Rows; sp.Opens == 0 {
-			fmt.Fprintf(&b, " (est=%.0f q=-)\n", est)
+		est, cost := c.Estimates[n].Rows, c.Estimates[n].Cost
+		for _, in := range n.Inputs() {
+			cost -= c.Estimates[in].Cost
+		}
+		fmt.Fprintf(&b, " (est=%s cost=%s ", twoDigits(est), twoDigits(cost))
+		if sp.Opens == 0 {
+			b.WriteString("q=-)\n")
 		} else {
 			act := float64(sp.Rows)
 			if perOpen {
 				act /= float64(sp.Opens)
 			}
 			q := max(est, 1) / max(act, 1)
-			fmt.Fprintf(&b, " (est=%.0f q=%.2f)\n", est, max(q, 1/q))
+			fmt.Fprintf(&b, "q=%.2f)\n", max(q, 1/q))
 		}
 		inner := -1
 		switch n.(type) {
@@ -329,4 +338,13 @@ func (c *Context) FormatTrace(rel algebra.Rel) string {
 	}
 	walk(rel, c.buildSpan(rel), 0, false)
 	return b.String()
+}
+
+// twoDigits prints an estimate to two significant digits, and a whole
+// number from 10 on in full.
+func twoDigits(x float64) string {
+	if math.Abs(x) >= 10 {
+		return strconv.FormatFloat(x, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(x, 'g', 2, 64)
 }

@@ -131,7 +131,7 @@ func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
 // and what reads the group is priced by that number: keeping every
 // undominated (cost, rows) pair, not the cheapest member alone, makes
 // the plan read off the winners the cheapest in the memo as Result.Cost
-// and FormatWithEstimates price it, node by node.
+// and exec.FormatWithEstimates price it, node by node.
 //
 // Deriving an estimate consults the scope in two places only: a Get's
 // seek detection asks whether the comparand columns of its filter are

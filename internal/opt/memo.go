@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"orthoq/internal/algebra"
+	"orthoq/internal/core"
 )
 
 // memo is the plan space of one Optimize call (DESIGN §17): expressions
@@ -35,7 +36,8 @@ import (
 // already, the two are one group and are merged. The join reorders are
 // decided first on the memo's numbers — their conjuncts' IDs and the
 // groups' (rotation, commutes) — and build trees only for a rewrite
-// whose interning would change the memo.
+// whose interning would change the memo; a join over a join that no
+// rule can rewrite into anything new is not even queued (offer).
 type memo struct {
 	o *Optimizer
 	// c costs on behalf of the memo; its winners land in the groups.
@@ -54,9 +56,15 @@ type memo struct {
 	// the joins it dealt did, by (a, b).
 	conjs      map[algebra.Scalar]*conjunct
 	equalities map[[2]algebra.ColID]*conjunct
+	// preds interns join predicates as kinds and conjunct IDs in order
+	// (mexpr.pred), predCols has the columns each reads, and deals the
+	// rotations dealt from each pair (lower, upper) of them (see deal).
+	preds    map[string]int32
+	predCols []algebra.ColSet
+	deals    [][][]*deal
 	// joinLines finds a join's line from its kind and its conjuncts' IDs
-	// (see joinLine); key, ids and on are joinLine's and lineOf's
-	// buffers, dealt redistribute's.
+	// (see idKey); key, ids and on are idKey's and lineOf's buffers,
+	// dealt redistribute's.
 	joinLines map[string]int32
 	key       []byte
 	ids       []int32
@@ -73,13 +81,14 @@ type memo struct {
 	by *firing
 
 	// live counts expressions, fired the rule firings that produced a
-	// rewrite, materialized the tree nodes built.
-	live, fired, materialized int
-	truncated                 bool
+	// rewrite, materialized the tree nodes built, queued the bindings
+	// queued.
+	live, fired, materialized, queued int
+	truncated                         bool
 
-	// looked, when set, sees each join reorder decided on the memo's
-	// numbers: the binding, the rule, and whether it is built.
-	looked func(b binding, rule string, built bool)
+	// skip sees each binding on which the memo does not fire every
+	// enabled rule, and the path that decided it; tests set it.
+	skip func(b binding, path string)
 }
 
 // maxExprs is the memo's size guard: the rules' closure is finite but
@@ -144,8 +153,9 @@ type mexpr struct {
 	// seed's.
 	by *firing
 	// on is a join's predicate as its conjuncts, in
-	// algebra.AppendConjuncts order.
-	on []*conjunct
+	// algebra.AppendConjuncts order; pred is its ID (see preds).
+	on   []*conjunct
+	pred int32
 	// wide: the expression outputs columns beyond its group's contract.
 	// dead: a merge found it to duplicate another member. final: an
 	// order rule introduced it (see add); no rule fires on it.
@@ -178,6 +188,8 @@ func newMemo(o *Optimizer) *memo {
 		conjs:      map[algebra.Scalar]*conjunct{},
 		equalities: map[[2]algebra.ColID]*conjunct{},
 		joinLines:  map[string]int32{},
+		preds:      map[string]int32{},
+		skip:       func(binding, string) {},
 	}
 	m.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats}
 	return m
@@ -220,7 +232,7 @@ func (m *memo) textID() int32 {
 
 // lineOf interns r's AppendNodeKey text, and returns a join's
 // conjuncts as well (in a buffer good until the next call). A join
-// spelled as onFor spells its conjuncts has its line found from their
+// spelled as onOf spells its conjuncts has its line found from their
 // IDs, its text rendered only the first time that set is seen.
 func (m *memo) lineOf(r algebra.Rel) (int32, []*conjunct) {
 	j, ok := r.(*algebra.Join)
@@ -231,19 +243,20 @@ func (m *memo) lineOf(r algebra.Rel) (int32, []*conjunct) {
 	m.on = m.conjuncts(m.on[:0], j.On)
 	spelled := spelledAs(j.On, m.on)
 	if spelled {
-		if line, ok := m.joinLine(j.Kind, m.on); ok {
+		m.idKey(j.Kind, m.on, true)
+		if line, ok := m.joinLines[string(m.key)]; ok {
 			return line, m.on
 		}
 	}
 	m.text = algebra.AppendNodeKey(m.text[:0], r)
 	line := m.textID()
 	if spelled {
-		m.joinLines[string(m.key)] = line // joinLine left the key in m.key
+		m.joinLines[string(m.key)] = line
 	}
 	return line, m.on
 }
 
-// spelledAs reports whether on is onFor(cs): the form of a join
+// spelledAs reports whether on is onOf(cs): the form of a join
 // predicate whose key text its conjuncts' IDs determine.
 func spelledAs(on algebra.Scalar, cs []*conjunct) bool {
 	switch len(cs) {
@@ -264,23 +277,22 @@ func spelledAs(on algebra.Scalar, cs []*conjunct) bool {
 	return true
 }
 
-// joinLine finds the line of a join of kind whose predicate is onFor
-// of the conjuncts on: AppendNodeKey renders such a join as its kind
-// and its conjuncts' key texts in sorted order, so the kind and the
-// sorted IDs determine the text. ok is false if the memo has not seen
-// that text.
-func (m *memo) joinLine(kind algebra.JoinKind, on []*conjunct) (line int32, ok bool) {
+// idKey renders kind and the IDs of the conjuncts on, sorted or in
+// order, into m.key. Sorted, it keys joinLines: AppendNodeKey renders a join whose
+// predicate is onOf(on) as its kind and its conjuncts' key texts in
+// sorted order, so the kind and the sorted IDs determine the text.
+func (m *memo) idKey(kind algebra.JoinKind, on []*conjunct, sorted bool) {
 	m.ids = m.ids[:0]
 	for _, c := range on {
 		m.ids = append(m.ids, c.id)
 	}
-	slices.Sort(m.ids)
+	if sorted {
+		slices.Sort(m.ids)
+	}
 	m.key = append(m.key[:0], byte(kind))
 	for _, id := range m.ids {
 		m.key = binary.LittleEndian.AppendUint32(m.key, uint32(id))
 	}
-	line, ok = m.joinLines[string(m.key)]
-	return line, ok
 }
 
 // conjuncts appends the conjuncts of the join predicate on to dst.
@@ -298,7 +310,7 @@ func (m *memo) conjunct(s algebra.Scalar) *conjunct {
 	if !ok {
 		m.text = algebra.AppendScalarKey(m.text[:0], s)
 		c = &conjunct{s: s, id: m.textID(), cols: algebra.ScalarCols(s), sub: algebra.HasSubquery(s)}
-		c.l, c.r, _ = colEquality(s)
+		c.l, c.r, _ = algebra.ColEquality(s)
 		m.conjs[s] = c
 	}
 	return c
@@ -313,6 +325,18 @@ func (m *memo) equality(a, b algebra.ColID) *conjunct {
 		m.equalities[[2]algebra.ColID{a, b}] = c
 	}
 	return c
+}
+
+// ColsOf answers a rule's question for a subtree's output columns
+// (algebra.ColsOf) without rederiving the subtree: a tree the memo
+// holds outputs what its expression's operator derives over its input
+// groups' contracts, since the trees below it are those groups'
+// representatives. Only a node a rule built is derived from scratch.
+func (m *memo) ColsOf(r algebra.Rel) algebra.ColSet {
+	if e, ok := m.byRel[r]; ok {
+		return algebra.DeriveOutputCols(e, e.op)
+	}
+	return algebra.OutputCols(r)
 }
 
 func keyOf(line int32, kids [2]*group) exprKey {
@@ -362,6 +386,9 @@ func (m *memo) intern(r algebra.Rel, into *group) *mexpr {
 		return m.place(e, into)
 	}
 	e := &mexpr{op: r, kids: kids, key: key, on: slices.Clone(on), by: m.by, final: m.by != nil && m.by.final}
+	if j, ok := r.(*algebra.Join); ok {
+		e.pred = m.predID(j.Kind, on)
+	}
 	if into == nil {
 		// The representative's tree is wanted by every binding above.
 		e.group = m.newGroup(e)
@@ -458,14 +485,21 @@ func (m *memo) bind(p *mexpr, slot int, in *mexpr) algebra.Rel {
 	return p.op.WithInputs(ins[:len(p.inputs())])
 }
 
-// schedule queues the bindings the new expression e brings: e alone, e
-// over every member of its input groups, and every expression above
-// e's group over e.
+// schedule queues the bindings the new expression e brings: e alone
+// (see alone), e over every member of its input groups, and every
+// expression above e's group over e.
 func (m *memo) schedule(e *mexpr) {
 	if e.final {
 		return
 	}
-	m.push(binding{p: e, slot: -1})
+	if b := (binding{p: e, slot: -1}); alone(e.op) {
+		m.push(b)
+	} else {
+		m.skip(b, "alone not queued")
+	}
+	if _, ok := e.op.(*algebra.Join); ok {
+		m.relOf(e) // offer decides a join over a join on the trees
+	}
 	for slot, k := range e.inputs() {
 		for _, in := range k.exprs {
 			m.offer(e, slot, in)
@@ -475,17 +509,29 @@ func (m *memo) schedule(e *mexpr) {
 }
 
 // offer queues the binding of p over in at slot if a rule could match
-// it.
+// it: a join over a join only if its rotation is not settled as changing
+// nothing (rotation) or a segment rule's precondition holds; no other
+// rule matches one (PushSemiJoinBelowGroupBy, PullGroupByAboveJoin and
+// JoinToApply want a GroupBy or a table access where the join is).
 func (m *memo) offer(p *mexpr, slot int, in *mexpr) {
-	if !p.dead && !in.dead && !in.final && depth2(p.op, in.op) {
-		m.push(binding{p, slot, in})
+	if p.dead || in.dead || in.final || !depth2(p.op, in.op) {
+		return
 	}
+	b := binding{p, slot, in}
+	if joinOverJoin(b) && !p.final { // a final join's tree is built when its binding fires
+		if _, build, settled := m.rotation(b); !build && settled && !m.segmentMatches(b) {
+			m.skip(b, "join over join not queued")
+			return
+		}
+	}
+	m.push(b)
 }
 
-// push queues b. A full queue whose fired bindings fill half of it or
+// push queues b. A full queue whose fired bindings fill a quarter of it or
 // more drops them instead of growing.
 func (m *memo) push(b binding) {
-	if len(m.queue) == cap(m.queue) && m.head >= len(m.queue)/2 {
+	m.queued++
+	if len(m.queue) == cap(m.queue) && m.head >= len(m.queue)/4 {
 		n := copy(m.queue, m.queue[m.head:])
 		clear(m.queue[n:])
 		m.queue, m.head = m.queue[:n], 0
@@ -608,46 +654,103 @@ func (m *memo) explore() {
 		b := m.queue[m.head]
 		m.head++
 		if !b.p.dead && (b.in == nil || !b.in.dead) {
-			m.fire(b.p, b.slot, b.in)
+			m.fire(b)
 		}
 	}
 	m.queue, m.head = nil, 0
 }
 
-// rotation decides RotateJoin for the binding of the join p over the
-// join in at slot on the memo's numbers — the conjuncts' IDs and the
-// groups' — before any tree is built. It returns the conjuncts of the
-// rotated joins, and build false when interning the rewrite would
-// change nothing: reassociate refuses the rotation; the new lower join
-// is held by a wide member, so intern withholds the rewrite; or both
-// joins are held, the upper one where intern would put it (see idle).
-func (m *memo) rotation(p *mexpr, slot int, in *mexpr) (inner, outer []*conjunct, build bool) {
-	j, lower := p.op.(*algebra.Join), in.op.(*algebra.Join)
-	inner, outer, ok := m.reassociate(j.Kind, lower.Kind, in.on, p.on, in.OutputCols(1-slot).Union(p.OutputCols(1-slot)))
-	if !ok {
-		return nil, nil, false
+// rotation decides RotateJoin for the binding b of a join over a join on
+// the memo's numbers before any tree is built (see deal). build is false
+// when interning the rewrite would change nothing: reassociate refuses
+// it; intern withholds it (the new lower join is held by a wide member);
+// or both joins are held, the upper one where intern would put it (see
+// idle). settled: refused, or the upper join held in b.p's group, which
+// no later change to the memo undoes.
+func (m *memo) rotation(b binding) (d *deal, build, settled bool) {
+	if m.o.DisableRules[RuleRotateJoin] {
+		return nil, false, true
+	}
+	if d = m.deal(b); !d.ok {
+		return d, false, true
 	}
 	// The groups of rotateJoin's trees: (A ⋈ B) ⋈ C becomes A ⋈ (B ⋈ C)
 	// at slot 0, A ⋈ (B ⋈ C) becomes (A ⋈ B) ⋈ C at slot 1.
-	x, y, other := in.kids[0].find(), in.kids[1].find(), p.kids[1-slot].find()
+	x, y, other := b.in.kids[0].find(), b.in.kids[1].find(), b.p.kids[1-b.slot].find()
 	kids := [2]*group{y, other}
-	if slot == 1 {
+	if b.slot == 1 {
 		kids = [2]*group{other, x}
 	}
-	lo, ok := m.joinExpr(algebra.InnerJoin, inner, kids)
+	lo, ok := m.joinExpr(&d.lines[0], algebra.InnerJoin, d.inner, kids)
 	if !ok || lo.wide {
-		return inner, outer, !ok
+		return d, !ok, false
 	}
 	kind := algebra.InnerJoin
-	if len(outer) == 0 {
+	if len(d.outer) == 0 {
 		kind = algebra.CrossJoin
 	}
 	kids = [2]*group{x, lo.group.find()}
-	if slot == 1 {
+	if b.slot == 1 {
 		kids = [2]*group{lo.group.find(), y}
 	}
-	up, ok := m.joinExpr(kind, outer, kids)
-	return inner, outer, !ok || !m.idle(up, p.group)
+	up, ok := m.joinExpr(&d.lines[1], kind, d.outer, kids)
+	if !ok {
+		return d, true, false
+	}
+	settled = up.group.find() == b.p.group.find()
+	return d, !m.idle(up, b.p.group), settled
+}
+
+// deal is reassociate's outcome for one rotation: refused (ok false), or
+// the conjuncts of the new lower and upper joins, and their lines once
+// the memo has seen them (-1 till then). under is the subset of the
+// predicates' columns the new lower join's inputs produce.
+type deal struct {
+	under        algebra.ColSet
+	ok           bool
+	inner, outer []*conjunct
+	lines        [2]int32
+}
+
+// deal returns how the binding b of a join over a join deals its
+// conjuncts in a rotation. That depends on the two joins' kinds and
+// predicates and on which of the predicates' columns the new lower
+// join's inputs produce, and on nothing else (reassociate,
+// redistribute), so each such case is dealt once per Optimize.
+func (m *memo) deal(b binding) *deal {
+	lower, upper := int(b.in.pred), int(b.p.pred)
+	if lower >= len(m.deals) {
+		m.deals = append(m.deals, make([][][]*deal, len(m.preds)-len(m.deals))...)
+	}
+	if upper >= len(m.deals[lower]) {
+		m.deals[lower] = append(m.deals[lower], make([][]*deal, len(m.preds)-len(m.deals[lower]))...)
+	}
+	innerCols := b.in.OutputCols(1 - b.slot).Union(b.p.OutputCols(1 - b.slot))
+	under := m.predCols[lower].Union(m.predCols[upper]).Intersection(innerCols)
+	for _, d := range m.deals[lower][upper] {
+		if d.under.Equals(under) {
+			return d
+		}
+	}
+	inner, outer, ok := m.reassociate(b.p.op.(*algebra.Join).Kind, b.in.op.(*algebra.Join).Kind, b.in.on, b.p.on, innerCols)
+	d := &deal{under: under, ok: ok, inner: slices.Clone(inner), outer: slices.Clone(outer), lines: [2]int32{-1, -1}}
+	m.deals[lower][upper] = append(m.deals[lower][upper], d)
+	return d
+}
+
+// predID interns the predicate of a join of kind whose conjuncts are on.
+func (m *memo) predID(kind algebra.JoinKind, on []*conjunct) int32 {
+	m.idKey(kind, on, false)
+	id, ok := m.preds[string(m.key)]
+	if !ok {
+		id = int32(len(m.preds))
+		m.preds[string(m.key)] = id
+		m.predCols = append(m.predCols, algebra.ColSet{})
+		for _, c := range on {
+			m.predCols[id].UnionWith(c.cols)
+		}
+	}
+	return id
 }
 
 // commutes decides CommuteJoin for the join p on the memo's numbers:
@@ -660,23 +763,41 @@ func (m *memo) commutes(p *mexpr) bool {
 	return !ok || !m.idle(e, p.group)
 }
 
-// decided reports a join reorder's decision to looked, if set, and
-// returns it.
-func (m *memo) decided(b binding, rule string, build bool) bool {
-	if m.looked != nil {
-		m.looked(b, rule, build)
+// joinOverJoin reports whether b binds a join over a join.
+func joinOverJoin(b binding) bool {
+	if b.in == nil {
+		return false
 	}
-	return build
+	_, p := b.p.op.(*algebra.Join)
+	_, in := b.in.op.(*algebra.Join)
+	return p && in
+}
+
+// segmentMatches reports whether a segment rule's precondition holds
+// for the binding b of a join over a join (core.SegmentCandidate), on
+// the trees the binding is built from: a join's tree is built when it
+// is entered (schedule).
+func (m *memo) segmentMatches(b binding) bool {
+	var ins [2]algebra.Rel
+	ins[0], ins[1] = algebra.InputsOf(m.relOf(b.p))
+	ins[b.slot] = b.in.rel
+	j := b.p.op.(*algebra.Join)
+	return j.On != nil && core.SegmentCandidate(j.Kind, ins[0], ins[1])
 }
 
 // joinExpr returns the expression a join of kind over the groups kids
-// with the predicate onFor(on) would be, if the memo holds one.
-func (m *memo) joinExpr(kind algebra.JoinKind, on []*conjunct, kids [2]*group) (*mexpr, bool) {
-	line, ok := m.joinLine(kind, on)
-	if !ok {
-		return nil, false
+// with the predicate onOf(on) would be, if the memo holds one. line
+// keeps that join's line once the memo has one (-1 till then).
+func (m *memo) joinExpr(line *int32, kind algebra.JoinKind, on []*conjunct, kids [2]*group) (*mexpr, bool) {
+	if *line < 0 {
+		m.idKey(kind, on, true)
+		l, ok := m.joinLines[string(m.key)]
+		if !ok {
+			return nil, false
+		}
+		*line = l
 	}
-	e, ok := m.exprs[keyOf(line, kids)]
+	e, ok := m.exprs[keyOf(*line, kids)]
 	return e, ok
 }
 

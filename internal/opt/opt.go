@@ -86,7 +86,7 @@ type Optimizer struct {
 type Result struct {
 	Plan algebra.Rel
 	// Cost is Plan priced from scratch, every node from the nodes below
-	// it, which is what FormatWithEstimates shows at the root.
+	// it, which is what exec.FormatWithEstimates shows at the root.
 	Cost float64
 	// Explored counts the expressions the memo holds when exploration
 	// ends: every distinct (operator, input groups) the rules reached.
@@ -104,8 +104,11 @@ type Result struct {
 	// Materialized counts the algebra.Rel nodes built from expressions:
 	// the bindings rules were fired on and the returned plan. A binding
 	// of a join over a join is built only when its rotation is new or a
-	// segment rule's operator precondition holds.
+	// segment rule's precondition holds.
 	Materialized int
+	// Queued counts the bindings queued: not a join over a join no rule
+	// can rewrite into anything new, nor an operator alone no rule reads.
+	Queued int
 	// Rules is the rule firings on the derivation of the returned plan's
 	// expressions from the seeds, in firing order (empty when a seed won
 	// unchanged).
@@ -146,6 +149,7 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 		Generated:    m.fired,
 		Costed:       m.c.costed,
 		Materialized: m.materialized,
+		Queued:       m.queued,
 		Rules:        derivation(chosen),
 		Truncated:    m.truncated,
 	}
@@ -157,34 +161,37 @@ func (o *Optimizer) Cost(r algebra.Rel) float64 {
 	return m.c.cost(m.intern(r, nil).group).cost
 }
 
-// fire applies the enabled rules to one binding of the expression p:
-// with slot < 0 the rules that look at p alone, on p over its input
-// groups' representatives; otherwise the rules whose pattern names the
-// operator of input slot as well, on p over the member in of that
-// group. A rule's rewrite joins p's group. Enablement is
-// DisableRules alone; a disabled rule's rewrite is not even
-// attempted.
-//
-// The join reorders are decided on the memo's numbers first: a commute
-// or rotation whose rewrite the memo holds where intern would put it
-// (or withholds, or which is refused) is not built, and a join over a
-// join builds its binding only for a rewrite to build.
-func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
-	o, md := m.o, m.o.Md
-	var inner, outer []*conjunct
-	rotate := false
-	if _, ok := p.op.(*algebra.Join); ok && slot >= 0 {
-		if _, ok := in.op.(*algebra.Join); ok {
-			if !o.DisableRules[RuleRotateJoin] {
-				inner, outer, rotate = m.rotation(p, slot, in)
-				rotate = m.decided(binding{p, slot, in}, RuleRotateJoin, rotate)
-			}
-			if !rotate && !m.segmentMatches(p, slot) {
-				return
-			}
+// fire applies the enabled rules to the binding b: with b.slot < 0
+// the rules that look at b.p alone, on p over its input groups'
+// representatives; otherwise the rules whose pattern names the operator
+// of input slot as well, on p over the member b.in of that group. A
+// rule's rewrite joins p's group. Enablement is DisableRules alone; a
+// disabled rule's rewrite is not even attempted. A commute or rotation
+// that would change nothing is not built (commutes, rotation), nor the
+// tree of a join over a join that no rule would rewrite.
+func (m *memo) fire(b binding) {
+	var rotate func(*algebra.Join) (algebra.Rel, bool)
+	if joinOverJoin(b) {
+		d, build, _ := m.rotation(b)
+		switch {
+		case build:
+			rotate = func(j *algebra.Join) (algebra.Rel, bool) { return rotateJoin(j, b.slot, d.inner, d.outer), true }
+		case !m.segmentMatches(b):
+			m.skip(b, "join over join not fired")
+			return
+		default:
+			m.skip(b, RuleRotateJoin+" not built")
 		}
 	}
-	r := m.bind(p, slot, in)
+	m.rewrite(b, m.bind(b.p, b.slot, b.in), rotate, m.commutes)
+}
+
+// rewrite fires the enabled rules on the binding b, whose tree is r.
+// rotate is RotateJoin's rewrite of a join over a join (nil: not
+// tried); commutes decides whether CommuteJoin is tried on a join.
+func (m *memo) rewrite(b binding, r algebra.Rel, rotate func(*algebra.Join) (algebra.Rel, bool), commutes func(*mexpr) bool) {
+	o, md := m.o, m.o.Md
+	p, slot, in := b.p, b.slot, b.in
 	try := func(rule string, rewrite func() (algebra.Rel, bool)) {
 		if !o.DisableRules[rule] {
 			if nr, ok := rewrite(); ok && nr != nil {
@@ -195,21 +202,22 @@ func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 	switch t := r.(type) {
 	case *algebra.Select:
 		if slot == 0 {
-			try(RulePushSelectBelowJoin, func() (algebra.Rel, bool) { return pushSelectBelowJoin(t) })
+			try(RulePushSelectBelowJoin, func() (algebra.Rel, bool) { return core.TryPushSelectBelowJoin(m, t) })
 		}
 	case *algebra.GroupBy:
 		if slot == 0 {
-			try(RulePushGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushGroupByBelowJoin(md, t) })
-			try(RulePushLocalGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushLocalGroupByBelowJoin(md, t) })
+			try(RulePushGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushGroupByBelowJoin(md, m, t) })
+			try(RulePushLocalGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushLocalGroupByBelowJoin(md, m, t) })
 			return
 		}
 		try(RuleSplitGroupBy, func() (algebra.Rel, bool) { return core.TrySplitGroupBy(md, t) })
 		try(RuleStreamAggOrder, func() (algebra.Rel, bool) { return tryStreamAggOrder(md, o.Cat, t, p.DeliveredOrder(0)) })
 	case *algebra.Join:
 		if slot < 0 {
-			try(RuleSemiJoinToJoinDistinct, func() (algebra.Rel, bool) { return core.TrySemiJoinToJoinDistinct(md, t) })
+			try(RuleSemiJoinToJoinDistinct, func() (algebra.Rel, bool) { return core.TrySemiJoinToJoinDistinct(md, m, t) })
 			try(RuleCommuteJoin, func() (algebra.Rel, bool) {
-				if !innerOrCross(t.Kind) || !m.decided(binding{p, -1, nil}, RuleCommuteJoin, m.commutes(p)) {
+				if t.Kind.InnerOrCross() && !commutes(p) {
+					m.skip(b, RuleCommuteJoin+" not built")
 					return nil, false
 				}
 				return commuteJoin(t)
@@ -217,41 +225,31 @@ func (m *memo) fire(p *mexpr, slot int, in *mexpr) {
 			try(RuleMergeJoinOrder, func() (algebra.Rel, bool) { return tryMergeJoinOrder(md, o.Cat, t, p) })
 			return
 		}
-		if rotate {
-			try(RuleRotateJoin, func() (algebra.Rel, bool) { return rotateJoin(t, slot, inner, outer), true })
+		if rotate != nil {
+			try(RuleRotateJoin, func() (algebra.Rel, bool) { return rotate(t) })
 		}
 		if slot == 0 {
-			try(RulePushSemiJoinBelowGroupBy, func() (algebra.Rel, bool) { return core.TryPushSemiJoinBelowGroupBy(md, t) })
+			try(RulePushSemiJoinBelowGroupBy, func() (algebra.Rel, bool) { return core.TryPushSemiJoinBelowGroupBy(md, m, t) })
 		} else {
-			try(RulePullGroupByAboveJoin, func() (algebra.Rel, bool) { return core.TryPullGroupByAboveJoin(md, t) })
-			try(RuleJoinToApply, func() (algebra.Rel, bool) { return joinToApply(o.Cat, t) })
+			try(RulePullGroupByAboveJoin, func() (algebra.Rel, bool) { return core.TryPullGroupByAboveJoin(md, m, t) })
+			try(RuleJoinToApply, func() (algebra.Rel, bool) { return joinToApply(o.Cat, m, t) })
 		}
 		// The segment rules match either input, and match it deeper than
 		// its operator, so they see every member of both.
-		try(RuleIntroduceSegmentApply, func() (algebra.Rel, bool) { return core.TryIntroduceSegmentApply(md, t) })
-		try(RulePushJoinBelowSegmentApply, func() (algebra.Rel, bool) { return core.TryPushJoinBelowSegmentApply(md, t) })
+		try(RuleIntroduceSegmentApply, func() (algebra.Rel, bool) { return core.TryIntroduceSegmentApply(md, m, t) })
+		try(RulePushJoinBelowSegmentApply, func() (algebra.Rel, bool) { return core.TryPushJoinBelowSegmentApply(md, m, t) })
 	case *algebra.Sort:
 		try(RuleEliminateSort, func() (algebra.Rel, bool) { return tryEliminateSort(md, o.Cat, t, p.DeliveredOrder(0)) })
 	}
 }
 
-// segmentMatches reports whether a segment rule's operator
-// precondition holds for the join p over a join at slot:
-// IntroduceSegmentApply wants a GroupBy, Select or Project as p's right
-// input, PushJoinBelowSegmentApply a SegmentApply on either side. They
-// are the only rules besides RotateJoin that can match such a binding
-// (PushSemiJoinBelowGroupBy, PullGroupByAboveJoin and JoinToApply want
-// a GroupBy or a table access where the join is); a rule added for a
-// join over a join is to be added here.
-func (m *memo) segmentMatches(p *mexpr, slot int) bool {
-	left, right := algebra.InputsOf(m.relOf(p))
-	switch [2]algebra.Rel{left, right}[1-slot].(type) {
-	case *algebra.GroupBy, *algebra.Select, *algebra.Project:
-		return slot == 0 && !m.o.DisableRules[RuleIntroduceSegmentApply]
-	case *algebra.SegmentApply:
-		return !m.o.DisableRules[RulePushJoinBelowSegmentApply]
-	}
-	return false
+// alone reports whether the binding of an operator alone is queued: a
+// rule matches it alone (a join, a GroupBy, a Sort), or depth2 names it
+// as a join's input, whose tree a binding above reads as it was built
+// when this binding fired. No rule reads an Apply, a Top, ... alone.
+func alone(op algebra.Rel) bool {
+	_, sort := op.(*algebra.Sort)
+	return sort || depth2(&algebra.Join{}, op)
 }
 
 // depth2 reports whether some rule's pattern names, beside the operator

@@ -305,7 +305,7 @@ func TestEstimateFormatter(t *testing.T) {
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 	r := o.Optimize(rel)
 	est := PlanEstimates(md, st.Catalog, sc, r.Plan)
-	out := FormatWithEstimates(md, st.Catalog, est, r.Plan)
+	out := exec.FormatWithEstimates(md, st.Catalog, est, r.Plan)
 	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "cost≈") {
 		t.Errorf("estimates missing:\n%s", out)
 	}

@@ -35,6 +35,11 @@ func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Jo
 	default:
 		return nil, false
 	}
+	for i, side := range [2]algebra.Rel{j.Left, j.Right} {
+		if _, ok := spineGet(side); !ok && len(in.DeliveredOrder(i)) == 0 {
+			return nil, false // unordered, and no index can order it
+		}
+	}
 	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On, in.OutputCols(0), in.OutputCols(1))
 	if len(lKeys) == 0 {
 		return nil, false // no keys to merge on

@@ -10,7 +10,7 @@ import (
 
 // commuteJoin swaps the inputs of an inner or cross join.
 func commuteJoin(j *algebra.Join) (algebra.Rel, bool) {
-	if j.Kind != algebra.InnerJoin && j.Kind != algebra.CrossJoin {
+	if !j.Kind.InnerOrCross() {
 		return nil, false
 	}
 	return &algebra.Join{Kind: j.Kind, Left: j.Right, Right: j.Left, On: j.On}, true
@@ -58,7 +58,7 @@ type conjunct struct {
 // shapes of joining n relations in an order their predicates do not
 // connect are left out.
 func (m *memo) reassociate(kind, lowerKind algebra.JoinKind, lower, upper []*conjunct, innerCols algebra.ColSet) (inner, outer []*conjunct, ok bool) {
-	if !innerOrCross(kind) || !innerOrCross(lowerKind) {
+	if !kind.InnerOrCross() || !lowerKind.InnerOrCross() {
 		return nil, nil, false
 	}
 	inner, outer = m.redistribute(lower, upper, innerCols)
@@ -161,89 +161,19 @@ func (m *memo) redistribute(lower, upper []*conjunct, innerCols algebra.ColSet) 
 	return inner, outer
 }
 
-// colEquality matches a conjunct equating two different columns.
-func colEquality(conj algebra.Scalar) (l, r algebra.ColID, ok bool) {
-	cmp, ok := conj.(*algebra.Cmp)
-	if !ok || cmp.Op != algebra.CmpEq {
-		return 0, 0, false
-	}
-	lc, lok := cmp.L.(*algebra.ColRef)
-	rc, rok := cmp.R.(*algebra.ColRef)
-	if !lok || !rok || lc.Col == rc.Col {
-		return 0, 0, false
-	}
-	return lc.Col, rc.Col, true
-}
-
-func innerOrCross(k algebra.JoinKind) bool {
-	return k == algebra.InnerJoin || k == algebra.CrossJoin
-}
-
-// onFor is the join predicate of the conjuncts conjs, which are flat
-// already (no conjunction or TRUE among them).
-func onFor(conjs []algebra.Scalar) algebra.Scalar {
-	switch len(conjs) {
+// onOf is the join predicate of the conjuncts cs.
+func onOf(cs []*conjunct) algebra.Scalar {
+	switch len(cs) {
 	case 0:
 		return nil
 	case 1:
-		return conjs[0]
-	}
-	return &algebra.And{Args: conjs}
-}
-
-// onOf is the join predicate of the conjuncts cs.
-func onOf(cs []*conjunct) algebra.Scalar {
-	if len(cs) == 1 {
 		return cs[0].s
 	}
 	conjs := make([]algebra.Scalar, len(cs))
 	for i, c := range cs {
 		conjs[i] = c.s
 	}
-	return onFor(conjs)
-}
-
-// pushSelectBelowJoin moves the conjuncts of a selection that read one
-// join input only onto that input. Normalization leaves no such
-// selection; one arises when a GroupBy under a selection on its
-// aggregate moves below a join, and the selection should follow it:
-// the spelling of a query that aggregates in a derived table has it
-// there from the start. Any join variant lets a filter on its left
-// (preserved) input through; only an inner or cross join one on its
-// right.
-func pushSelectBelowJoin(s *algebra.Select) (algebra.Rel, bool) {
-	j, ok := s.Input.(*algebra.Join)
-	if !ok {
-		return nil, false
-	}
-	lCols, rCols := algebra.OutputCols(j.Left), algebra.OutputCols(j.Right)
-	var left, right, rest []algebra.Scalar
-	for _, c := range algebra.Conjuncts(s.Filter) {
-		switch cols := algebra.ScalarCols(c); {
-		case cols.Empty() || algebra.HasSubquery(c):
-			rest = append(rest, c)
-		case cols.SubsetOf(lCols):
-			left = append(left, c)
-		case cols.SubsetOf(rCols) && innerOrCross(j.Kind):
-			right = append(right, c)
-		default:
-			rest = append(rest, c)
-		}
-	}
-	if len(left)+len(right) == 0 {
-		return nil, false
-	}
-	nj := *j
-	nj.Left, nj.Right = selectOver(j.Left, left), selectOver(j.Right, right)
-	return selectOver(&nj, rest), true
-}
-
-// selectOver filters r by conjs, if there are any.
-func selectOver(r algebra.Rel, conjs []algebra.Scalar) algebra.Rel {
-	if len(conjs) == 0 {
-		return r
-	}
-	return &algebra.Select{Input: r, Filter: onFor(conjs)}
+	return &algebra.And{Args: conjs}
 }
 
 // joinToApply reintroduces correlated execution (paper §4: "the
@@ -251,7 +181,7 @@ func selectOver(r algebra.Rel, conjs []algebra.Scalar) algebra.Rel {
 // right side is a base-table access that would seek an index with the
 // left side's columns bound becomes an Apply that seeks it once per
 // outer row.
-func joinToApply(cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
+func joinToApply(cat *catalog.Catalog, cols algebra.ColsOf, j *algebra.Join) (algebra.Rel, bool) {
 	if j.On == nil {
 		return nil, false
 	}
@@ -274,7 +204,7 @@ func joinToApply(cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
 		return nil, false
 	}
 	tbl, ok := cat.Table(get.Table)
-	if !ok || !exec.Access(tbl, get, algebra.Conjuncts(j.On), algebra.OutputCols(j.Left), nil).Seek() {
+	if !ok || !exec.Access(tbl, get, algebra.Conjuncts(j.On), cols.ColsOf(j.Left), nil).Seek() {
 		return nil, false
 	}
 	// Fold the join predicate into a correlated select over the right

@@ -145,8 +145,8 @@ func TestSearchUnchanged(t *testing.T) {
 // whose planning dominated perfbench's cold_analytic workload while the
 // search had a step budget, and reports the work it did: the memo's
 // groups and expressions, the estimates derived, the rule firings that
-// produced a rewrite (Result.Generated) and the tree nodes built
-// (Result.Materialized).
+// produced a rewrite (Result.Generated), the tree nodes built
+// (Result.Materialized) and the bindings queued (Result.Queued).
 func BenchmarkOptimizeTPCH(b *testing.B) {
 	st, err := goldenStore()
 	if err != nil {
@@ -169,6 +169,7 @@ func BenchmarkOptimizeTPCH(b *testing.B) {
 			b.ReportMetric(float64(benchResult.Costed), "costed/op")
 			b.ReportMetric(float64(benchResult.Generated), "rewrites/op")
 			b.ReportMetric(float64(benchResult.Materialized), "built/op")
+			b.ReportMetric(float64(benchResult.Queued), "queued/op")
 		})
 	}
 }

@@ -1391,7 +1391,7 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
 			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
-		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
+		b.WriteString(exec.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))
 	return b.String(), nil

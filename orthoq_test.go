@@ -461,9 +461,11 @@ func TestIntervalArithmetic(t *testing.T) {
 }
 
 // TestTraceCarriesEstimates: every operator line of Q2's traced run
-// ends with the optimizer's estimated rows and their q-error against
-// the actual rows — at least 1 by definition, or "-" for an operator
-// that never opened — and some operators opened.
+// ends with the optimizer's estimated rows, the operator's own
+// estimated cost and the rows' q-error against the actual rows — at
+// least 1 by definition, or "-" for an operator that never opened —
+// and some operators opened. Q2's top operators are estimated at a
+// fraction of a row, which shows as such, not as 0.
 func TestTraceCarriesEstimates(t *testing.T) {
 	q, _ := TPCHQuery("Q2")
 	rows, err := sharedDB(t).QueryAnalyze(q, DefaultConfig())
@@ -471,19 +473,25 @@ func TestTraceCarriesEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(rows.Trace), "\n")
-	opened := 0
+	opened, fractions := 0, 0
 	for _, line := range lines {
 		i := strings.LastIndex(line, " (est=")
-		var est, qerr float64
-		switch n, err := fmt.Sscanf(line[max(i, 0):], " (est=%g q=%g)", &est, &qerr); {
-		case i >= 0 && n == 2 && err == nil && qerr >= 1:
+		var est, cost, qerr float64
+		switch n, err := fmt.Sscanf(line[max(i, 0):], " (est=%g cost=%g q=%g)", &est, &cost, &qerr); {
+		case i >= 0 && n == 3 && err == nil && qerr >= 1:
 			opened++
-		case i >= 0 && n == 1 && strings.HasSuffix(line, " q=-)"):
+		case i >= 0 && n == 2 && strings.HasSuffix(line, " q=-)"):
 		default:
-			t.Errorf("line without est= and q=: %q", line)
+			t.Errorf("line without est=, cost= and q=: %q", line)
+		}
+		if est > 0 && est < 1 {
+			fractions++
 		}
 	}
 	if opened == 0 {
 		t.Errorf("no operator line with a q-error:\n%s", rows.Trace)
+	}
+	if fractions == 0 {
+		t.Errorf("no operator estimated at a fraction of a row:\n%s", rows.Trace)
 	}
 }
