@@ -1,8 +1,9 @@
 package orthoq
 
 // End-to-end property tests for Apply execution: for correlated plans,
-// the selector's strategy, forced batched and forced onto the worker
-// pool must return the bag internal/reference gives the query, and
+// the selector's strategy and forced batched, serially and inside the
+// morsel exchange, must return the bag internal/reference gives the
+// query, and
 // serially the selector's strategy must return forced batched's rows
 // in its order — the binding cache replays memoized inner results in
 // their original production order and the probe reads a seek's rows in
@@ -12,7 +13,6 @@ package orthoq
 // NULL-vs-absent binding keys, and fault injection mid-batch.
 
 import (
-	"cmp"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -25,18 +25,26 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-// applyVariants run every Apply as the selector picks ("auto"), forced
-// batched and forced onto the worker pool from the first batch
-// (Config.forceApply), serially and at four workers.
+// applyVariants run every Apply as the selector picks ("auto") and
+// forced batched (Config.forceBatched), serially and at four workers,
+// where an Apply the exchange can carry runs on each worker.
 var applyVariants = func() (vs []engineVariant) {
 	for _, par := range []int{1, 4} {
-		for _, force := range []string{"", "batched", "parallel"} {
-			vs = append(vs, engineVariant{cmp.Or(force, "auto") + "/par" + strconv.Itoa(par),
-				func(c *Config) { c.Parallelism, c.forceApply = par, force }, false})
+		for _, force := range []bool{false, true} {
+			vs = append(vs, engineVariant{applyLabel(force) + "/par" + strconv.Itoa(par),
+				func(c *Config) { c.Parallelism, c.forceBatched = par, force }, false})
 		}
 	}
 	return vs
 }()
+
+// applyLabel names an Apply path: the selector's, or forced batched.
+func applyLabel(forceBatched bool) string {
+	if forceBatched {
+		return "batched"
+	}
+	return "auto"
+}
 
 // checkApplyStrategies holds sql on db under cfg to the oracle with its
 // Applies run every way applyVariants lists, and requires the serial
@@ -50,7 +58,7 @@ func checkApplyStrategies(t *testing.T, db *DB, label, sql string, cfg Config) {
 	if err != nil {
 		t.Fatalf("%s auto: %v\nsql: %s", label, err, sql)
 	}
-	cfg.forceApply = "batched"
+	cfg.forceBatched = true
 	batched, err := db.QueryCfg(sql, cfg)
 	if err != nil {
 		t.Fatalf("%s batched: %v\nsql: %s", label, err, sql)
@@ -231,7 +239,7 @@ func TestApplyAnalyzeTrace(t *testing.T) {
 	sql := `select o_orderkey from orders
 	        where o_totalprice > (select avg(o2.o_totalprice) from orders o2
 	                              where o2.o_custkey = orders.o_custkey)`
-	cfg := Config{forceApply: "batched"}
+	cfg := Config{forceBatched: true}
 	rows, err := db.QueryAnalyze(sql, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +266,8 @@ func TestApplyAnalyzeTrace(t *testing.T) {
 // TestApplyFaultInjection: errors and panics raised by the inner side
 // mid-batch must surface as ordinary query errors, leave no stale
 // correlation parameters (the next query on the same DB works), and
-// leak no worker goroutines — under both batched and parallel
-// strategies.
+// leak no worker goroutines — under the selector's strategy and forced
+// batched, at four workers.
 func TestApplyFaultInjection(t *testing.T) {
 	db := nestedApplyDB(t)
 	sql := `select g_id,
@@ -268,10 +276,11 @@ func TestApplyFaultInjection(t *testing.T) {
 	                         where i2.i_grp = i1.i_grp)) as above_avg
 	        from grp`
 	base := runtime.NumGoroutine()
-	for _, strat := range []string{"batched", "parallel"} {
+	for _, force := range []bool{false, true} {
+		strat := applyLabel(force)
 		for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Panic} {
 			for _, point := range []string{"open", "next", "close"} {
-				cfg := Config{forceApply: strat, Parallelism: 4}
+				cfg := Config{forceBatched: force, Parallelism: 4}
 				cfg.faults = faultinject.New(
 					faultinject.Rule{Op: "Get", Point: point, Kind: kind, After: 5})
 				_, err := db.QueryCfg(sql, cfg)
@@ -283,7 +292,7 @@ func TestApplyFaultInjection(t *testing.T) {
 				}
 				// The DB must stay usable: no stale params, no poisoned
 				// shared state.
-				clean, err := db.QueryCfg(sql, Config{forceApply: strat, Parallelism: 4})
+				clean, err := db.QueryCfg(sql, Config{forceBatched: force, Parallelism: 4})
 				if err != nil {
 					t.Fatalf("%s/%v/%s: query after fault failed: %v", strat, kind, point, err)
 				}

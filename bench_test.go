@@ -70,6 +70,13 @@ func BenchmarkFigure1Correlated(b *testing.B) {
 	benchQuery(b, figure1Q, Config{})
 }
 
+// BenchmarkFigure1CorrelatedPar4 is Figure 1 kept correlated at four
+// workers: the Apply runs inside the morsel exchange, each worker over
+// the customers of its morsels.
+func BenchmarkFigure1CorrelatedPar4(b *testing.B) {
+	benchQuery(b, figure1Q, Config{Parallelism: 4})
+}
+
 func BenchmarkFigure1OuterjoinAgg(b *testing.B) {
 	benchQuery(b, figure1Q, Config{Decorrelate: true})
 }
@@ -158,10 +165,18 @@ func BenchmarkAblationNoDecorrelationQ20(b *testing.B) {
 // ladder: the batched Apply's memo cannot pay for itself here, so it
 // stops memoizing after its first batch.
 func BenchmarkApplyDistinctBindings(b *testing.B) {
-	benchQuery(b, `select o_orderkey from orders o where exists
-		(select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey + 0 and l.l_quantity > 45)`,
-		Config{CostBased: true, SimplifyOuterJoins: true, JoinReorder: true})
+	benchQuery(b, applyDistinctQ, Config{CostBased: true, SimplifyOuterJoins: true, JoinReorder: true})
 }
+
+// BenchmarkApplyDistinctBindingsPar2 is the same query at two workers:
+// the Apply runs inside the morsel exchange, each worker a batched
+// Apply over the orders of its morsels.
+func BenchmarkApplyDistinctBindingsPar2(b *testing.B) {
+	benchQuery(b, applyDistinctQ, Config{CostBased: true, SimplifyOuterJoins: true, JoinReorder: true, Parallelism: 2})
+}
+
+const applyDistinctQ = `select o_orderkey from orders o where exists
+	(select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey + 0 and l.l_quantity > 45)`
 
 func BenchmarkAblationNoGroupByReorder(b *testing.B) {
 	cfg := DefaultConfig()

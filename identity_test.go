@@ -61,7 +61,7 @@ var configFields = map[string]struct {
 	"SpillDir":                  {classRunState, func(c *Config) { c.SpillDir = "/nonexistent-unused" }},
 	"RowBudget":                 {classRunState, func(c *Config) { c.RowBudget = 1 << 40 }},
 	"faults":                    {classRunState, func(c *Config) { c.faults = faultinject.New() }},
-	"forceApply":                {classRunState, func(c *Config) { c.forceApply = "batched" }},
+	"forceBatched":              {classRunState, func(c *Config) { c.forceBatched = true }},
 }
 
 // configFieldPaths walks a config struct type, descending into the

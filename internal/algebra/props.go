@@ -240,31 +240,29 @@ func DeriveOuterRefs(p Props, r Rel) ColSet {
 	return need
 }
 
-// ApplyBindingCols splits the free column references of an Apply's
-// inner side into the binding signature — the left-output columns the
-// inner expression can actually observe through correlation parameters
-// — and the ambient references bound by enclosing scopes. Two outer
-// rows that agree on the signature columns parameterize the inner
-// expression identically, so the executor's batched Apply deduplicates
-// inner executions on exactly this set (Guravannavar's
-// state-retention invocation, keyed per distinct binding).
-func ApplyBindingCols(a *Apply) (sig, ambient ColSet) {
-	free := OuterRefs(a.Right)
-	leftOut := OutputCols(a.Left)
-	return free.Intersection(leftOut), free.Difference(leftOut)
+// ApplyBindingCols is an Apply's binding signature: the free column
+// references of its inner side that its left side produces — the
+// columns the inner expression can actually observe through
+// correlation parameters. The other free references are ambient, bound
+// by enclosing scopes. Two outer rows that agree on the signature
+// columns parameterize the inner expression identically, so the
+// executor's batched Apply deduplicates inner executions on exactly
+// this set (Guravannavar's state-retention invocation, keyed per
+// distinct binding).
+func ApplyBindingCols(a *Apply) ColSet {
+	return OuterRefs(a.Right).Intersection(OutputCols(a.Left))
 }
 
-// BindingSignature is the signature half of ApplyBindingCols, derived
-// from the properties p holds for a's inputs.
+// BindingSignature is ApplyBindingCols derived from the properties p
+// holds for a's inputs.
 func BindingSignature(p Props, a *Apply) ColSet {
 	return p.OuterRefs(1).Intersection(p.OutputCols(0))
 }
 
 // HasForeignSegmentRefs reports whether r contains SegmentRef leaves
 // owned by a SegmentApply outside r. Such refs read segment state that
-// is invisible to OuterRefs, so execution strategies that hoist or
-// cache r across scope changes (worker-compiled Apply inners) must not
-// be used.
+// is invisible to OuterRefs, so r cannot run on a parallel worker, and
+// a hash-join build over r cannot be shared across Opens.
 func HasForeignSegmentRefs(r Rel) bool {
 	return len(collectSegmentRefs(r)) > 0
 }

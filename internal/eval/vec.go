@@ -994,36 +994,40 @@ func cmpOrd[T int64 | string](op algebra.CmpOp, a []T, am int, b []T, bm int, se
 	}
 }
 
-// cmpFloat compares floats through the three-way order of
-// types.Compare, under which a NaN is "equal" to everything — so = is
-// "neither less nor greater", not ==.
+// cmpFloat compares floats in types.Compare's order: IEEE's, with a
+// NaN after every number and equal to another NaN (the NaN tests are
+// x != x).
 func cmpFloat(op algebra.CmpOp, a []float64, am int, b []float64, bm int, sel []int, out []types.TriBool) {
 	switch op {
 	case algebra.CmpEq:
 		for _, ri := range sel {
 			x, y := a[ri&am], b[ri&bm]
-			out[ri] = triOf(!(x < y) && !(x > y))
+			out[ri] = triOf(x == y || x != x && y != y)
 		}
 	case algebra.CmpNe:
 		for _, ri := range sel {
 			x, y := a[ri&am], b[ri&bm]
-			out[ri] = triOf(x < y || x > y)
+			out[ri] = triOf(x != y && (x == x || y == y))
 		}
 	case algebra.CmpLt:
 		for _, ri := range sel {
-			out[ri] = triOf(a[ri&am] < b[ri&bm])
+			x, y := a[ri&am], b[ri&bm]
+			out[ri] = triOf(x < y || y != y && x == x)
 		}
 	case algebra.CmpLe:
 		for _, ri := range sel {
-			out[ri] = triOf(!(a[ri&am] > b[ri&bm]))
+			x, y := a[ri&am], b[ri&bm]
+			out[ri] = triOf(x <= y || y != y)
 		}
 	case algebra.CmpGt:
 		for _, ri := range sel {
-			out[ri] = triOf(a[ri&am] > b[ri&bm])
+			x, y := a[ri&am], b[ri&bm]
+			out[ri] = triOf(x > y || x != x && y == y)
 		}
 	case algebra.CmpGe:
 		for _, ri := range sel {
-			out[ri] = triOf(!(a[ri&am] < b[ri&bm]))
+			x, y := a[ri&am], b[ri&bm]
+			out[ri] = triOf(x >= y || x != x)
 		}
 	}
 }
@@ -1169,44 +1173,42 @@ func keepFloat(op algebra.CmpOp, a []float64, am int, b []float64, bm int, sel [
 	switch op {
 	case algebra.CmpEq:
 		for _, ri := range sel {
-			x, y := a[ri&am], b[ri&bm]
-			if !(x < y) && !(x > y) {
+			if x, y := a[ri&am], b[ri&bm]; x == y || x != x && y != y {
 				sel[k] = ri
 				k++
 			}
 		}
 	case algebra.CmpNe:
 		for _, ri := range sel {
-			x, y := a[ri&am], b[ri&bm]
-			if x < y || x > y {
+			if x, y := a[ri&am], b[ri&bm]; x != y && (x == x || y == y) {
 				sel[k] = ri
 				k++
 			}
 		}
 	case algebra.CmpLt:
 		for _, ri := range sel {
-			if a[ri&am] < b[ri&bm] {
+			if x, y := a[ri&am], b[ri&bm]; x < y || y != y && x == x {
 				sel[k] = ri
 				k++
 			}
 		}
 	case algebra.CmpLe:
 		for _, ri := range sel {
-			if !(a[ri&am] > b[ri&bm]) {
+			if x, y := a[ri&am], b[ri&bm]; x <= y || y != y {
 				sel[k] = ri
 				k++
 			}
 		}
 	case algebra.CmpGt:
 		for _, ri := range sel {
-			if a[ri&am] > b[ri&bm] {
+			if x, y := a[ri&am], b[ri&bm]; x > y || x != x && y == y {
 				sel[k] = ri
 				k++
 			}
 		}
 	case algebra.CmpGe:
 		for _, ri := range sel {
-			if !(a[ri&am] < b[ri&bm]) {
+			if x, y := a[ri&am], b[ri&bm]; x >= y || x != x {
 				sel[k] = ri
 				k++
 			}

@@ -247,7 +247,7 @@ func innerRowsPerBinding(t *testing.T, st *storage.Store, sql, strategy string, 
 	t.Helper()
 	md, rel, out := compilePlan(t, st, sql, core.Options{KeepCorrelated: true})
 	ctx := NewContext(st, md)
-	ctx.Apply = strategy
+	ctx.ForceBatched = strategy == "batched"
 	ctx.EnableTrace()
 	if _, err := Run(ctx, rel, out); err != nil {
 		t.Fatalf("%v\nplan:\n%s", err, algebra.FormatRel(md, rel))
@@ -383,7 +383,7 @@ func TestCursorStopsItsPlan(t *testing.T) {
 	for _, c := range cases {
 		md, rel, out := compilePlan(t, st, c.sql, core.Options{KeepCorrelated: true})
 		ctx := NewContext(st, md)
-		ctx.Apply = "batched"
+		ctx.ForceBatched = true
 		ctx.RowBudget = c.budget
 		ctx.EnableTrace()
 		cu, err := RunCursor(ctx, rel, out)

@@ -106,7 +106,7 @@ func (cu *Cursor) PeakMem() int64 { return cu.ctx.PeakMem() }
 // Spills reports spill partition files written so far.
 func (cu *Cursor) Spills() int64 { return cu.ctx.Spills() }
 
-// Workers reports parallel worker goroutines spawned so far.
+// Workers reports parallel workers started so far.
 func (cu *Cursor) Workers() int64 { return cu.ctx.WorkersSpawned() }
 
 // Morsels reports driver-scan morsels dispatched so far.

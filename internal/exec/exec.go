@@ -51,12 +51,9 @@ type Context struct {
 	// scan/join/aggregation subtrees run on that many goroutines. Every
 	// other physical choice is made from the plan (strategy.go).
 	Parallelism int
-	// Apply, when set to "batched" or "parallel", runs every Apply
-	// batched, probes included: a seam for tests that hold the probe to
-	// the batched path. "parallel" runs every batch on the worker pool
-	// from the first one, so small inputs exercise it, except for inner
-	// sides that cannot be recompiled on a worker context.
-	Apply string
+	// ForceBatched runs every Apply batched, probes included: a seam
+	// for tests that hold the probe to the batched path.
+	ForceBatched bool
 	// RowBudget, when positive, aborts execution after this many
 	// operator-row productions — a guard for runaway plans in tests.
 	// The counter itself is shared across workers (see sharedState) so
@@ -153,7 +150,7 @@ type sharedState struct {
 	// spills counts spill partition files written by any operator.
 	spills atomic.Int64
 	// workers and morsels count parallel-exchange activity for this
-	// query: goroutines spawned and driver-scan morsels dispatched.
+	// query: workers started and driver-scan morsels dispatched.
 	// Maintained whether or not tracing is on — they feed the engine
 	// metrics registry, not just EXPLAIN ANALYZE.
 	workers atomic.Int64
@@ -174,8 +171,8 @@ type sharedState struct {
 	spillFiles map[*spillFile]struct{}
 	// pins holds the table versions this query reads: lazily pinned at
 	// first touch (query-level repeatable reads) and shared by every
-	// worker clone, so all strands — morsel workers, Apply inner
-	// recompiles — resolve a table to the same frozen version.
+	// worker clone, so every strand resolves a table to the same frozen
+	// version.
 	pinMu sync.Mutex
 	pins  map[string]*storage.Version
 }
@@ -217,8 +214,7 @@ func NewContext(store *storage.Store, md *algebra.Metadata) *Context {
 // that the worker folds into sharedState.wtrace when it finishes
 // (mergeWorkerTrace), so EXPLAIN ANALYZE and Spans cover the operators
 // below a parallel exchange. A worker is one serial strand: its
-// Parallelism stays 0, so it never fans out again (a batched Apply
-// reads Parallelism, and a worker's inner Applies must stay serial).
+// Parallelism stays 0, so it never fans out again.
 func (c *Context) workerClone() *Context {
 	var wt map[algebra.Rel]*OpStats
 	if c.trace != nil {
@@ -228,7 +224,7 @@ func (c *Context) workerClone() *Context {
 		Store:        c.Store,
 		Md:           c.Md,
 		Estimates:    c.Estimates,
-		Apply:        c.Apply,
+		ForceBatched: c.ForceBatched,
 		RowBudget:    c.RowBudget,
 		Params:       c.Params,
 		Ctx:          c.Ctx,
@@ -272,7 +268,7 @@ func (c *Context) mergeWorkerTrace(w *Context) {
 	}
 }
 
-// WorkersSpawned reports the parallel worker goroutines started by
+// WorkersSpawned reports the parallel workers started by
 // this run so far.
 func (c *Context) WorkersSpawned() int64 { return c.shared.workers.Load() }
 
@@ -488,7 +484,7 @@ type Result struct {
 	// Spills counts spill partition files written during execution.
 	Spills int64
 	// Workers and Morsels report morsel-driven parallel activity
-	// (goroutines spawned, driver-scan morsels dispatched).
+	// (workers started, driver-scan morsels dispatched).
 	Workers int64
 	Morsels int64
 }

@@ -78,7 +78,8 @@ func equalVec(d *types.Datum, v *eval.Vec, ri int) bool {
 	if d.Kind() == v.Kind && v.D == nil && !d.IsNull() && (v.Null == nil || !v.Null[ri]) {
 		switch v.Kind {
 		case types.Float:
-			return !(v.F[ri] < d.Float() || v.F[ri] > d.Float()) // a NaN equals every number
+			x, y := v.F[ri], d.Float()
+			return x == y || x != x && y != y // types.Compare's equality: a NaN equals only a NaN
 		case types.String:
 			return v.S[ri] == d.Str()
 		case types.Int, types.Date, types.Bool:

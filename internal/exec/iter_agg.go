@@ -53,12 +53,12 @@ func (s *aggState) add(item *algebra.AggItem, d types.Datum) {
 		}
 		s.anyRow = true
 	case algebra.AggMin:
-		if !s.anyRow || types.SortCompare(d, s.minMax) < 0 {
+		if !s.anyRow || types.Compare(d, s.minMax) < 0 {
 			s.minMax = d
 		}
 		s.anyRow = true
 	case algebra.AggMax:
-		if !s.anyRow || types.SortCompare(d, s.minMax) > 0 {
+		if !s.anyRow || types.Compare(d, s.minMax) > 0 {
 			s.minMax = d
 		}
 		s.anyRow = true
@@ -80,12 +80,12 @@ func (s *aggState) add(item *algebra.AggItem, d types.Datum) {
 func (s *aggState) mergeFor(item *algebra.AggItem, o *aggState) {
 	switch item.Func {
 	case algebra.AggMin:
-		if o.anyRow && (!s.anyRow || types.SortCompare(o.minMax, s.minMax) < 0) {
+		if o.anyRow && (!s.anyRow || types.Compare(o.minMax, s.minMax) < 0) {
 			s.minMax = o.minMax
 		}
 		s.anyRow = s.anyRow || o.anyRow
 	case algebra.AggMax:
-		if o.anyRow && (!s.anyRow || types.SortCompare(o.minMax, s.minMax) > 0) {
+		if o.anyRow && (!s.anyRow || types.Compare(o.minMax, s.minMax) > 0) {
 			s.minMax = o.minMax
 		}
 		s.anyRow = s.anyRow || o.anyRow

@@ -16,17 +16,18 @@ package exec
 //     Guravannavar's state-retention invocation, adapted to Volcano
 //     iterators (batchApplyIter).
 //
-// Two choices of the batched Apply are observations it makes while it
-// runs, never estimates:
-//   - memo: when an Open's first full batch (or its last, if the outer
-//     side ends first) holds nearly one distinct binding per row —
-//     fewer than applyDedupMinRatio rows per distinct binding — the
-//     cache cannot pay for itself, and that Open from that batch on
-//     runs each binding without a cache lookup, pinning or retention;
-//   - pool: at Parallelism > 1, once an Open has read applyParMinOuter
-//     outer rows, each later batch's distinct missing bindings are
-//     spread over a worker pool built from the morsel-execution
-//     worker-context split.
+// Whether the batched Apply memoizes is an observation it makes while
+// it runs, never an estimate: when an Open's first full batch (or its
+// last, if the outer side ends first) holds nearly one distinct binding
+// per row — fewer than applyDedupMinRatio rows per distinct binding —
+// the cache cannot pay for itself, and that Open from that batch on
+// runs each binding without a cache lookup, pinning or retention.
+//
+// An Apply has no concurrency of its own. At Parallelism > 1 it runs
+// inside the morsel exchange (parallel.go) when its inner side can be
+// compiled on a worker: each worker runs its own Apply, probe or
+// batched, with its own binding memo, over the outer rows of the
+// morsels it claims.
 //
 // An uncorrelated inner side (an empty binding signature) is one cache
 // entry that stays for the whole Open whatever the cache's cap, so it
@@ -38,11 +39,9 @@ package exec
 //     operators, including hash aggregation, emit deterministically),
 //     so serial output is the same rows in the same order whether or
 //     not the Apply memoizes.
-//   - Serially, inner executions happen lazily at the first outer row
-//     that needs the binding, so errors — including Max1row
-//     cardinality exceptions and injected faults — surface at that
-//     outer row. (A pooled batch executes its bindings eagerly and may
-//     surface such an error earlier; the query fails either way.)
+//   - Inner executions happen lazily at the first outer row that
+//     needs the binding, so errors — including Max1row cardinality
+//     exceptions and injected faults — surface at that outer row.
 //   - Semi/Anti applies with a trivially-true On stop each inner
 //     execution at the first row.
 //   - Outer pulls ask for at most the consumer's row cap, so a reader
@@ -57,7 +56,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/sql/types"
@@ -76,10 +74,6 @@ const (
 	// nearly every binding is unique, so the cache never hits and its
 	// hashing and retention are pure overhead.
 	applyDedupMinRatio = 1.25
-	// applyParMinOuter is how many outer rows an Open reads before its
-	// batches run on the worker pool: below it the pool's setup is not
-	// worth amortizing.
-	applyParMinOuter = 4096
 )
 
 // compileApply lowers correlated execution. As a probe the right side
@@ -102,8 +96,7 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	sig, ambient := algebra.ApplyBindingCols(a)
-	sigCols := sig.Ordered()
+	sigCols := algebra.ApplyBindingCols(a).Ordered()
 	sigOrds := make([]int, len(sigCols))
 	for i, c := range sigCols {
 		o, ok := left.ords[c]
@@ -112,28 +105,15 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 		}
 		sigOrds[i] = o
 	}
-	poolAfter := -1
-	switch {
-	case algebra.HasForeignSegmentRefs(a.Right):
-		// An inner side holding SegmentRef leaves bound by an enclosing
-		// SegmentApply cannot be recompiled on a worker context.
-	case ctx.Apply == "parallel":
-		poolAfter = 0
-	case ctx.Apply == "" && ctx.Parallelism > 1:
-		poolAfter = applyParMinOuter
-	}
 	it := &batchApplyIter{
-		ctx:         ctx,
-		a:           a,
-		left:        left,
-		right:       right,
-		sigCols:     sigCols,
-		sigOrds:     sigOrds,
-		ambientCols: ambient.Ordered(),
-		poolAfter:   poolAfter,
-		st:          st,
-		earlyOut:    existenceOnly(a),
-		em:          newJoinEmit(ctx, a.Kind, a.On, left, right),
+		ctx:      ctx,
+		left:     left,
+		right:    right,
+		sigCols:  sigCols,
+		sigOrds:  sigOrds,
+		st:       st,
+		earlyOut: existenceOnly(a),
+		em:       newJoinEmit(ctx, a.Kind, a.On, left, right),
 	}
 	it.next = it.probe
 	return newNode(it, joinOutCols(a.Kind, left, right)), nil
@@ -488,15 +468,10 @@ func (bc *bindingCache) reset() {
 // batchApplyIter is the binding-batch Apply operator.
 type batchApplyIter struct {
 	ctx         *Context
-	a           *algebra.Apply
 	left, right *node
 	sigCols     []algebra.ColID
 	sigOrds     []int
-	ambientCols []algebra.ColID
-	// poolAfter is how many outer rows an Open reads before its batches
-	// run on the worker pool; negative: never.
-	poolAfter int
-	st        *OpStats
+	st          *OpStats
 	// earlyOut stops inner drains at the first row (existenceOnly).
 	earlyOut bool
 
@@ -505,25 +480,19 @@ type batchApplyIter struct {
 	cache *bindingCache
 	scope paramScope
 	lb    Batch       // outer-side pulls
-	rb    Batch       // inner-side drains on this strand
+	rb    Batch       // inner-side drains
 	key   types.Row   // the binding in progress
 	rows  []types.Row // its inner result, when not memoizing
 
-	// The current batch of outer rows, the emission position among them
-	// and, when the pool ran the batch, each row's inner result.
-	lrows  []types.Row
-	cur    int
-	pooled bool
-	inner  [][]types.Row
-	lEOF   bool
-	// This Open's outer rows read, and whether it memoizes bindings:
-	// decided once, on its first full batch or its last one, from the
-	// distinct binding hashes seen.
-	read          int
+	// The current batch of outer rows and the emission position among
+	// them.
+	lrows []types.Row
+	cur   int
+	lEOF  bool
+	// Whether this Open memoizes bindings: decided once, on its first
+	// full batch or its last one, from the distinct binding hashes seen.
 	memo, decided bool
 	hashes        []uint64
-
-	pool *applyPool
 }
 
 func (b *batchApplyIter) Open() error {
@@ -537,7 +506,7 @@ func (b *batchApplyIter) Open() error {
 	b.em.reset()
 	b.lrows = b.lrows[:0]
 	b.cur, b.lEOF = 0, false
-	b.read, b.memo, b.decided = 0, true, false
+	b.memo, b.decided = true, false
 	return b.left.it.Open()
 }
 
@@ -545,23 +514,16 @@ func (b *batchApplyIter) Close() error {
 	if b.cache != nil {
 		b.cache.reset()
 	}
-	b.lrows, b.inner, b.rows = nil, nil, nil
-	if b.pool != nil {
-		b.pool.close(b.ctx)
-		b.pool = nil
-	}
+	b.lrows, b.rows = nil, nil
 	return b.left.it.Close()
 }
 
 // refill collects the next batch of outer rows, at most limit of them
-// (the consumer's row cap); whether the pool runs it follows from the
-// outer rows this Open read before it. The Open's first full batch —
-// or its last, when the outer side ends first — decides whether the
-// Apply memoizes from that batch on. A pooled batch's distinct bindings
-// are executed before emission starts.
+// (the consumer's row cap). The Open's first full batch — or its last,
+// when the outer side ends first — decides whether the Apply memoizes
+// from that batch on.
 func (b *batchApplyIter) refill(limit int) error {
 	b.cache.endBatch()
-	b.pooled = b.poolAfter >= 0 && b.read >= b.poolAfter
 	b.lrows = b.lrows[:0]
 	b.cur = 0
 	want := min(limit, applyBatchRows)
@@ -582,16 +544,12 @@ func (b *batchApplyIter) refill(limit int) error {
 			b.lrows = append(b.lrows, b.lb.Row(i))
 		}
 	}
-	b.read += len(b.lrows)
 	if !b.decided && (len(b.lrows) == applyBatchRows || b.lEOF) {
 		b.decided = true
 		b.memo = applyDedupMinRatio*float64(b.distinct()) < float64(len(b.lrows))
 		if !b.memo {
 			b.cache.reset()
 		}
-	}
-	if b.pooled && len(b.lrows) > 0 {
-		return b.prefetch()
 	}
 	return nil
 }
@@ -615,36 +573,6 @@ func (b *batchApplyIter) sigKey(dst, lrow types.Row) types.Row {
 	return dst
 }
 
-// runInner executes an Apply's inner side once, under the bindings
-// currently installed, and appends its rows to dst — on this strand or
-// on a parallel worker's private tree. With first set it asks for one
-// row and stops: all a Semi/Anti Apply with a trivially-true On needs
-// is existence.
-func runInner(it iterator, rb *Batch, first bool, dst []types.Row) (rows []types.Row, err error) {
-	rows = dst
-	if err := it.Open(); err != nil {
-		it.Close()
-		return nil, err
-	}
-	rb.Limit = 0
-	if first {
-		rb.Limit = 1
-	}
-	for {
-		if err := it.NextBatch(rb); err != nil {
-			it.Close()
-			return nil, err
-		}
-		n := rb.Len()
-		for i := 0; i < n; i++ {
-			rows = append(rows, rb.Row(i))
-		}
-		if n == 0 || first {
-			return rows, it.Close()
-		}
-	}
-}
-
 // existenceOnly reports whether an Apply needs only the first inner row
 // per binding: Semi/Anti with a trivially-true On.
 func existenceOnly(a *algebra.Apply) bool {
@@ -652,12 +580,35 @@ func existenceOnly(a *algebra.Apply) bool {
 		(a.On == nil || algebra.IsTrueConst(a.On))
 }
 
-// runBinding executes the inner side once on this strand's tree with
-// the binding installed, appending its rows to dst.
+// runBinding executes the inner side once with the binding installed,
+// appending its rows to dst. With earlyOut set it asks for one row and
+// stops: all a Semi/Anti Apply with a trivially-true On needs is
+// existence.
 func (b *batchApplyIter) runBinding(key types.Row, dst []types.Row) ([]types.Row, error) {
 	b.scope.bind(b.ctx.params, b.sigCols, key)
 	defer b.scope.unbind(b.ctx.params)
-	return runInner(b.right.it, &b.rb, b.earlyOut, dst)
+	it := b.right.it
+	if err := it.Open(); err != nil {
+		it.Close()
+		return nil, err
+	}
+	b.rb.Limit = 0
+	if b.earlyOut {
+		b.rb.Limit = 1
+	}
+	for {
+		if err := it.NextBatch(&b.rb); err != nil {
+			it.Close()
+			return nil, err
+		}
+		n := b.rb.Len()
+		for i := 0; i < n; i++ {
+			dst = append(dst, b.rb.Row(i))
+		}
+		if n == 0 || b.earlyOut {
+			return dst, it.Close()
+		}
+	}
 }
 
 // fetch resolves one outer row's binding lazily: a cache hit replays,
@@ -702,212 +653,12 @@ func (b *batchApplyIter) probe(limit int) (types.Row, []types.Row, bool, error) 
 		}
 	}
 	lrow := b.lrows[b.cur]
-	var rows []types.Row
-	if b.pooled {
-		rows = b.inner[b.cur]
-	} else {
-		var err error
-		if rows, err = b.fetch(lrow); err != nil {
-			return nil, nil, false, err
-		}
+	rows, err := b.fetch(lrow)
+	if err != nil {
+		return nil, nil, false, err
 	}
 	b.cur++
 	return lrow, rows, true, nil
 }
 
 func (b *batchApplyIter) NextBatch(out *Batch) error { return b.em.run(out, b.next) }
-
-// applyPool holds persistent per-worker contexts and compiled inner
-// trees for the parallel strategy. Goroutines are spawned per batch
-// and joined before prefetch returns, so no goroutine outlives a
-// batch, let alone the query.
-type applyPool struct {
-	workers []*applyWorker
-}
-
-type applyWorker struct {
-	wctx *Context
-	tree *node
-	rb   Batch
-}
-
-func (p *applyPool) close(ctx *Context) {
-	for _, w := range p.workers {
-		ctx.mergeWorkerTrace(w.wctx)
-	}
-	p.workers = nil
-}
-
-func (b *batchApplyIter) ensurePool(n int) error {
-	if b.pool == nil {
-		b.pool = &applyPool{}
-	}
-	for len(b.pool.workers) < n {
-		wctx := b.ctx.workerClone()
-		// Unlike morsel workers, apply workers execute a correlated
-		// subtree: hash-join builds inside it may depend on the binding,
-		// so the cross-worker build cache must stay off (isWorker gates
-		// it) and every worker keeps private builds.
-		wctx.isWorker = false
-		tree, err := compile(wctx, b.a.Right)
-		if err != nil {
-			return err
-		}
-		b.pool.workers = append(b.pool.workers, &applyWorker{wctx: wctx, tree: tree})
-	}
-	return nil
-}
-
-// run executes one binding on this worker's private tree.
-func (w *applyWorker) run(b *batchApplyIter, key types.Row) ([]types.Row, error) {
-	for k := range w.wctx.params {
-		delete(w.wctx.params, k)
-	}
-	// Ambient parameters from enclosing scopes are read-only here: the
-	// coordinator is blocked joining the batch, so concurrent reads of
-	// b.ctx.params are safe.
-	for _, c := range b.ambientCols {
-		if v, ok := b.ctx.params[c]; ok {
-			w.wctx.params[c] = v
-		}
-	}
-	for i, c := range b.sigCols {
-		w.wctx.params[c] = key[i]
-	}
-	return runInner(w.tree.it, &w.rb, b.earlyOut, nil)
-}
-
-// prefetch resolves every outer row of the collected batch against the
-// cache and executes the distinct missing bindings across the worker
-// pool before emission starts. Without the memo every row's binding is
-// its own execution.
-func (b *batchApplyIter) prefetch() error {
-	var (
-		pendKeys []types.Row
-		pendOf   = make([]int, len(b.lrows)) // each row's pending binding; -1 for a cache hit
-		pendIdx  = make(map[uint64][]int)
-		w        = len(b.sigOrds)
-		keys     = make(types.Row, 0, len(b.lrows)*w)
-	)
-	b.inner = b.inner[:0]
-	for i, lrow := range b.lrows {
-		b.inner = append(b.inner, nil)
-		keys = b.sigKey(keys, lrow)
-		key := keys[len(keys)-w : len(keys) : len(keys)]
-		if b.st != nil {
-			b.st.Bindings++
-		}
-		pendOf[i] = -1
-		var h uint64
-		if b.memo {
-			if e := b.cache.lookup(key); e != nil {
-				b.cache.pin(e)
-				b.inner[i] = e.rows
-				continue
-			}
-			h = types.HashRow(key, b.cache.ords)
-			for _, pi := range pendIdx[h] {
-				if types.EqualRows(pendKeys[pi], b.cache.ords, key, b.cache.ords) {
-					pendOf[i] = pi
-					break
-				}
-			}
-		}
-		if pendOf[i] < 0 {
-			pendOf[i] = len(pendKeys)
-			if b.memo {
-				pendIdx[h] = append(pendIdx[h], len(pendKeys))
-			}
-			pendKeys = append(pendKeys, key)
-		}
-	}
-	if len(pendKeys) == 0 {
-		return nil
-	}
-	if b.st != nil {
-		b.st.InnerExecs += int64(len(pendKeys))
-	}
-	results := make([][]types.Row, len(pendKeys))
-	nw := b.ctx.Parallelism
-	if nw < 2 {
-		nw = 2
-	}
-	if nw > len(pendKeys) {
-		nw = len(pendKeys)
-	}
-	if nw <= 1 {
-		rows, err := b.runBinding(pendKeys[0], nil)
-		if err != nil {
-			return err
-		}
-		results[0] = rows
-	} else {
-		if err := b.ensurePool(nw); err != nil {
-			return err
-		}
-		b.ctx.shared.workers.Add(int64(nw))
-		if b.st != nil {
-			b.st.Workers += int64(nw)
-		}
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		fail := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-		failed := func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return firstErr != nil
-		}
-		for wi := 0; wi < nw; wi++ {
-			w := b.pool.workers[wi]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						fail(recovered("apply-worker", b.ctx.Fingerprint, r))
-					}
-				}()
-				for pi := range idxCh {
-					if failed() {
-						continue
-					}
-					rows, err := w.run(b, pendKeys[pi])
-					if err != nil {
-						fail(err)
-						continue
-					}
-					results[pi] = rows
-				}
-			}()
-		}
-		for pi := range pendKeys {
-			idxCh <- pi
-		}
-		close(idxCh)
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
-	}
-	if b.memo {
-		for pi, key := range pendKeys {
-			if _, err := b.cache.add(key, results[pi]); err != nil {
-				return err
-			}
-		}
-	}
-	for i, pi := range pendOf {
-		if pi >= 0 {
-			b.inner[i] = results[pi]
-		}
-	}
-	return nil
-}

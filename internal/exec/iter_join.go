@@ -39,9 +39,12 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 			lr:       rowReader{it: left.it, charge: ctx},
 			sizeHint: ctx.Estimates.sizeHint(j.Right, joinPresizeMax), st: ctx.traceStats(j)}
 		it.next = it.probe
-		if ctx.isWorker && algebra.OuterRefs(j.Right).Empty() {
+		if ctx.isWorker && algebra.OuterRefs(j.Right).Empty() && !algebra.HasForeignSegmentRefs(j.Right) {
 			// Parallel workers probing the same join build the table once:
 			// the first worker to Open builds, the rest share it read-only.
+			// A build side that reads a binding or a segment (inside an
+			// Apply's inner side or a SegmentApply's) differs per Open,
+			// so each Open builds its own.
 			it.shared = ctx.shared.buildFor(j)
 		}
 		return newNode(it, outCols), nil

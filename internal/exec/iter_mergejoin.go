@@ -231,11 +231,11 @@ func (m *mergeJoinIter) cmpGroupKey(lrow types.Row) int {
 }
 
 // cmpKeys compares row a's key at aOrds with row b's at bOrds in the
-// order both inputs are sorted by (types.SortCompare), so a NaN key
+// order both inputs are sorted by (types.Compare), so a NaN key
 // joins only a NaN key, as in the hash join.
 func cmpKeys(a types.Row, aOrds []int, b types.Row, bOrds []int) int {
 	for i, o := range aOrds {
-		if c := types.SortCompare(a[o], b[bOrds[i]]); c != 0 {
+		if c := types.Compare(a[o], b[bOrds[i]]); c != 0 {
 			return c
 		}
 	}

@@ -475,7 +475,7 @@ func (s *sortIter) Open() error {
 	}
 	sort.SliceStable(s.rows, func(a, b int) bool {
 		for i, o := range s.by {
-			c := types.SortCompare(s.rows[a][ords[i]], s.rows[b][ords[i]])
+			c := types.Compare(s.rows[a][ords[i]], s.rows[b][ords[i]])
 			if c != 0 {
 				if o.Desc {
 					return c > 0

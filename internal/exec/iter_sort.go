@@ -66,12 +66,12 @@ func (s *streamAggIter) Open() error {
 
 // sameGroup reports whether the key vectors' entries at ri are the
 // current group's key, in the order the input is sorted by
-// (types.SortCompare). NULL group keys compare equal to each other (SQL
+// (types.Compare). NULL group keys compare equal to each other (SQL
 // GROUP BY semantics), and a NaN key differs from every number, as in
 // the hash aggregation's key equality.
 func (s *streamAggIter) sameGroup(keys []*eval.Vec, ri int) bool {
 	for j, v := range keys {
-		if types.SortCompare(v.Datum(ri), s.curKey[j]) != 0 {
+		if types.Compare(v.Datum(ri), s.curKey[j]) != 0 {
 			return false
 		}
 	}

@@ -21,9 +21,12 @@ func fmtErrNoTable(name string) error {
 // morsels they claim. Two exchange shapes exist:
 //
 //   - scan/join exchange (exchangeIter): workers stream result rows
-//     to the consumer in batches. Hash joins inside the subtree build
-//     their table once — the first worker to arrive builds, the rest
-//     probe the shared read-only table.
+//     to the consumer in batches. Hash joins inside the subtree whose
+//     build side reads nothing bound outside it build their table
+//     once — the first worker to arrive builds, the rest probe the
+//     shared read-only table. An Apply on the streaming path runs on
+//     every worker over the outer rows of its morsels, probe or
+//     batched, with its own binding memo.
 //   - aggregation exchange (parallelAggIter): each worker accumulates
 //     a partial hash-aggregate over its morsels and the coordinator
 //     merges the partials, exactly the local/global decomposition of
@@ -31,13 +34,17 @@ func fmtErrNoTable(name string) error {
 //     per-worker table is the LocalGroupBy, the merge is the global
 //     combiner.
 //
-// Operators whose semantics depend on run-time bindings or input
-// order — Apply, SegmentApply, SegmentRef, Max1Row, Top, RowNumber,
-// UnionAll, Difference, Values — stay on the serial path; Sort,
-// Project, Select, and serial GroupBy may sit above the exchange
-// (they are order-insensitive in bag semantics). Parallel plans
-// return the same bag of rows as serial plans; only row order may
-// differ.
+// An exchange starts no more workers than its driver has morsels, and
+// the one worker of a driver that fits one morsel runs on the
+// consumer's strand.
+//
+// Operators whose semantics depend on segment bindings or input
+// order — SegmentApply, SegmentRef, Max1Row, Top, RowNumber, UnionAll,
+// Difference, Values — stay on the serial path, and so does an Apply
+// that reads a column or a segment bound outside it; Sort, Project,
+// Select, and serial GroupBy may sit above the exchange (they are
+// order-insensitive in bag semantics). Parallel plans return the same
+// bag of rows as serial plans; only row order may differ.
 
 // morselSize is the number of driver-table rows per morsel. Fixed
 // size keeps the dispenser trivial while giving work-stealing-like
@@ -54,6 +61,29 @@ type morselSource struct {
 
 func newMorselSource(total int) *morselSource {
 	return &morselSource{total: total}
+}
+
+// startWorkers is how many of want workers src can keep busy — no more
+// than it has morsels, and at least one, so an empty table still runs
+// the subtree once (a scalar aggregate's one row) — counted on st and
+// the query's counter.
+func (c *Context) startWorkers(st *OpStats, src *morselSource, want int) int {
+	n := max(1, min(want, (src.total+morselSize-1)/morselSize))
+	if st != nil {
+		st.Workers = int64(n)
+	}
+	c.shared.workers.Add(int64(n))
+	return n
+}
+
+// countMorsels records the morsels src handed out on st and the
+// query's counter.
+func (c *Context) countMorsels(st *OpStats, src *morselSource) {
+	claimed := src.claimed.Load()
+	if st != nil {
+		st.Morsels = claimed
+	}
+	c.shared.morsels.Add(claimed)
 }
 
 // claim returns the next unclaimed morsel; ok=false once the table is
@@ -114,6 +144,14 @@ func planParallel(ctx *Context, rel algebra.Rel) *parallelPlan {
 		}
 		return planParallel(ctx, t.Input)
 	case *algebra.Join:
+		if driver, ok := streamDriver(ctx, rel); ok {
+			return &parallelPlan{at: rel, driver: driver}
+		}
+		return planParallel(ctx, t.Left)
+	case *algebra.Apply:
+		if !applyOnWorker(t) {
+			return nil
+		}
 		if driver, ok := streamDriver(ctx, rel); ok {
 			return &parallelPlan{at: rel, driver: driver}
 		}
@@ -202,8 +240,22 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 			return nil, false
 		}
 		return streamDriver(ctx, t.Left)
+	case *algebra.Apply:
+		// The inner side runs inside each worker, once per binding of
+		// the worker's outer rows.
+		if !applyOnWorker(t) || t.On != nil && algebra.HasSubquery(t.On) {
+			return nil, false
+		}
+		return streamDriver(ctx, t.Left)
 	}
 	return nil, false
+}
+
+// applyOnWorker reports whether a worker can compile and run a: its
+// inner side reads no segment bound by a SegmentApply outside it, and
+// a reads no column bound outside itself.
+func applyOnWorker(a *algebra.Apply) bool {
+	return !algebra.HasForeignSegmentRefs(a.Right) && algebra.OuterRefs(a).Empty()
 }
 
 // compileExchange lowers the marked subtree to its exchange operator.
@@ -264,6 +316,11 @@ type exchangeIter struct {
 
 	cur []types.Row
 	pos int
+	// solo is the one worker of a driver that fits one morsel, run on
+	// the consumer's strand: with nothing to split there is nothing to
+	// hand over, and its batches pass straight through.
+	solo    *node
+	soloCtx *Context
 }
 
 // exBatch is one worker-to-consumer hand-off: the rows plus their
@@ -300,18 +357,23 @@ func (e *exchangeIter) Open() error {
 		return fmtErrNoTable(e.driver.Table)
 	}
 	e.src = newMorselSource(tbl.RowCount())
-	e.batches = make(chan exBatch, e.workers*2)
+	workers := e.ctx.startWorkers(e.st, e.src, e.workers)
+	if workers == 1 {
+		wctx, n, err := spawnWorker(e.ctx, e.rel, e.driver, e.src)
+		if err != nil {
+			return err
+		}
+		e.solo, e.soloCtx = n, wctx
+		return n.it.Open()
+	}
+	e.batches = make(chan exBatch, workers*2)
 	e.cancel = make(chan struct{})
 	e.stopOnce = &sync.Once{}
 	e.firstErr = nil
 	e.cur, e.pos = nil, 0
-	if e.st != nil {
-		e.st.Workers = int64(e.workers)
-	}
-	e.ctx.shared.workers.Add(int64(e.workers))
 
 	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -320,11 +382,7 @@ func (e *exchangeIter) Open() error {
 	}
 	go func() {
 		wg.Wait()
-		claimed := e.src.claimed.Load()
-		if e.st != nil {
-			e.st.Morsels = claimed
-		}
-		e.ctx.shared.morsels.Add(claimed)
+		e.ctx.countMorsels(e.st, e.src)
 		close(e.batches)
 	}()
 	return nil
@@ -391,6 +449,9 @@ func (e *exchangeIter) runWorker() {
 // consumer's row cap, taking the next one from the channel (workers
 // hand off ownership on send) when it is used up.
 func (e *exchangeIter) NextBatch(b *Batch) error {
+	if e.solo != nil {
+		return e.solo.it.NextBatch(b)
+	}
 	for e.pos >= len(e.cur) {
 		batch, ok := <-e.batches
 		if !ok {
@@ -407,6 +468,13 @@ func (e *exchangeIter) NextBatch(b *Batch) error {
 }
 
 func (e *exchangeIter) Close() error {
+	if e.solo != nil {
+		err := e.solo.it.Close()
+		e.ctx.countMorsels(e.st, e.src)
+		e.ctx.mergeWorkerTrace(e.soloCtx)
+		e.solo, e.soloCtx = nil, nil
+		return err
+	}
 	if e.batches != nil {
 		e.stop()
 		// Drain so blocked workers exit; the closer goroutine closes
@@ -443,18 +511,15 @@ func (p *parallelAggIter) Open() error {
 		return fmtErrNoTable(p.driver.Table)
 	}
 	src := newMorselSource(tbl.RowCount())
-	if p.st != nil {
-		p.st.Workers = int64(p.workers)
-	}
-	p.ctx.shared.workers.Add(int64(p.workers))
+	workers := p.ctx.startWorkers(p.st, src, p.workers)
 	type aggResult struct {
 		tbl  *aggTable
 		ords map[algebra.ColID]int
 		err  error
 	}
-	results := make(chan aggResult, p.workers)
+	results := make(chan aggResult, workers)
 	sizeHint := p.ctx.Estimates.sizeHint(p.gb, aggPresizeMax)
-	for w := 0; w < p.workers; w++ {
+	for w := 0; w < workers; w++ {
 		go func() {
 			var res aggResult
 			defer func() {
@@ -499,7 +564,7 @@ func (p *parallelAggIter) Open() error {
 	var firstErr error
 	var spilled []*spillSet
 	var ords map[algebra.ColID]int
-	for w := 0; w < p.workers; w++ {
+	for w := 0; w < workers; w++ {
 		r := <-results
 		if r.err != nil && firstErr == nil {
 			firstErr = r.err
@@ -520,10 +585,7 @@ func (p *parallelAggIter) Open() error {
 		}
 		r.tbl.release()
 	}
-	if p.st != nil {
-		p.st.Morsels = src.claimed.Load()
-	}
-	p.ctx.shared.morsels.Add(src.claimed.Load())
+	p.ctx.countMorsels(p.st, src)
 	fail := func(err error) error {
 		for _, ss := range spilled {
 			ss.dropAll()

@@ -8,8 +8,10 @@ import (
 	"orthoq/internal/algebra"
 	"orthoq/internal/algebrize"
 	"orthoq/internal/core"
+	"orthoq/internal/obs"
 	"orthoq/internal/sql/parser"
 	"orthoq/internal/storage"
+	"orthoq/internal/tpch"
 )
 
 // runSQLWith compiles and executes sql with an explicit parallelism.
@@ -174,12 +176,113 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 	if !strings.Contains(trace, wantMorsels) {
 		t.Fatalf("trace missing %s:\n%s", wantMorsels, trace)
 	}
+
+	// Q4 kept correlated: its EXISTS Apply runs on the workers, under
+	// the aggregation exchange and, run alone, under an exchange of its
+	// own. Either way the Apply's span carries its strategy, and its
+	// bindings are summed over the workers — one per outer row, as a
+	// serial run counts.
+	tst := tpchStore(t)
+	md, rel, out := compilePlan(t, tst, tpch.Queries["Q4"], core.Options{KeepCorrelated: true})
+	var ap *algebra.Apply
+	for n := rel; ap == nil && len(n.Inputs()) > 0; n = n.Inputs()[0] {
+		ap, _ = n.(*algebra.Apply)
+	}
+	if ap == nil {
+		t.Fatalf("no Apply in Q4:\n%s", algebra.FormatRel(md, rel))
+	}
+	applySpan := func(root algebra.Rel, out []algebra.ColID, par int) (*obs.Span, string) {
+		ctx := NewContext(tst, md)
+		ctx.Parallelism = par
+		ctx.EnableTrace()
+		if _, err := Run(ctx, root, out); err != nil {
+			t.Fatal(err)
+		}
+		var span *obs.Span
+		ctx.Spans(root).Walk(func(sp *obs.Span) {
+			if sp.Op == "Apply" {
+				span = sp
+			}
+		})
+		return span, ctx.FormatTrace(root)
+	}
+	orders, _ := tst.Table("orders")
+	wantMorsels = fmt.Sprintf("morsels=%d", (orders.Version().RowCount()+morselSize-1)/morselSize)
+	for _, c := range []struct {
+		root algebra.Rel
+		out  []algebra.ColID
+	}{{rel, out}, {ap, algebra.OutputCols(ap).Ordered()}} {
+		serial, _ := applySpan(c.root, c.out, 0)
+		par, trace := applySpan(c.root, c.out, 2)
+		if !strings.Contains(trace, "workers=2") || !strings.Contains(trace, wantMorsels) {
+			t.Fatalf("Q4 trace missing workers=2 or %s:\n%s", wantMorsels, trace)
+		}
+		if serial.Bindings == 0 || par.Bindings != serial.Bindings || par.Strategy != serial.Strategy {
+			t.Fatalf("Q4 Apply at two workers: strategy %q, %d bindings; serial %q, %d\n%s",
+				par.Strategy, par.Bindings, serial.Strategy, serial.Bindings, trace)
+		}
+	}
+}
+
+// TestParallelApplyBuildsSegmentJoinPerOpen: a worker compiles an
+// Apply's inner side, so a hash join there whose build side reads the
+// current segment of a SegmentApply must build per Open. Shared across
+// Opens and workers, every segment would probe the first segment's
+// build. The Apply runs Q17's segmented shape once per region.
+func TestParallelApplyBuildsSegmentJoinPerOpen(t *testing.T) {
+	st := testDB(t)
+	md := algebra.NewMetadata()
+	build := func(sql string) (algebra.Rel, []algebra.ColID) {
+		q, err := parser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := algebrize.Build(st.Catalog, md, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := core.Normalize(md, res.Rel, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel, res.OutCols
+	}
+	outer, outerCols := build(`select r_regionkey from region`)
+	inner, innerCols := build(q17ShapeSQL)
+	seg := introduceSegmentApply(md, inner)
+	if seg == nil {
+		t.Fatalf("segment apply not introduced:\n%s", algebra.FormatRel(md, inner))
+	}
+	ap := &algebra.Apply{Kind: algebra.InnerJoin, Left: outer, Right: seg}
+	out := append(append([]algebra.ColID(nil), outerCols...), innerCols...)
+	run := func(par int) []string {
+		ctx := NewContext(st, md)
+		ctx.Parallelism = par
+		if par > 1 {
+			if pp := planParallel(ctx, ap); pp == nil || pp.at != ap {
+				t.Fatalf("no exchange at the Apply:\n%s", algebra.FormatRel(md, ap))
+			}
+		}
+		res, err := Run(ctx, ap, out)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		return resultKey(res)
+	}
+	serial := run(0)
+	if len(serial) == 0 {
+		t.Fatal("the serial run returned no rows")
+	}
+	if got := run(2); strings.Join(got, ";") != strings.Join(serial, ";") {
+		t.Fatalf("two workers:\n got  %v\n want %v", got, serial)
+	}
 }
 
 // TestPlanParallelStopsAtSerialOperators checks the eligibility
 // analysis: Top and seek-compiled access paths must not be morselized.
 func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	st := testDB(t)
+	opts := core.Options{}
 	build := func(sql string) (*Context, algebra.Rel) {
 		q, err := parser.Parse(sql)
 		if err != nil {
@@ -190,7 +293,7 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := core.Normalize(md, res.Rel, core.Options{})
+		rel, err := core.Normalize(md, res.Rel, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,18 +318,47 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	if pp := planParallel(ctx, rel); pp == nil {
 		t.Fatalf("filtered scan should be parallel-eligible")
 	}
+
+	// An Apply over a scan gets the exchange at the Apply: each worker
+	// runs it over its morsels' outer rows.
+	opts.KeepCorrelated = true
+	ctx, rel = build(`select o_orderkey from orders o
+		where exists (select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey)`)
+	var ap *algebra.Apply
+	for n := rel; ap == nil && len(n.Inputs()) > 0; n = n.Inputs()[0] {
+		ap, _ = n.(*algebra.Apply)
+	}
+	if _, ok := ap.Left.(*algebra.Get); !ok {
+		t.Fatalf("want an Apply over a scan:\n%s", algebra.FormatRel(ctx.Md, rel))
+	}
+	if pp := planParallel(ctx, ap); pp == nil || pp.at != ap {
+		t.Fatalf("an Apply over a scan should get the exchange at the Apply")
+	}
+
+	// An Apply whose inner side reads a segment bound outside it cannot
+	// run on a worker, and the walk does not pass it.
+	foreign := &algebra.Apply{Kind: ap.Kind, Left: ap.Left, On: ap.On,
+		Right: &algebra.SegmentRef{Cols: algebra.OutputCols(ap.Right).Ordered()}}
+	if pp := planParallel(ctx, foreign); pp != nil {
+		t.Fatalf("an Apply over a foreign SegmentRef got an exchange at %T", pp.at)
+	}
+
+	// Top still stops the walk.
+	if pp := planParallel(ctx, &algebra.Top{Input: ap, N: 3}); pp != nil {
+		t.Fatalf("an Apply under Top got an exchange at %T", pp.at)
+	}
 }
 
 // TestWorkerCloneCarriesStrategy: a morsel worker runs the Apply path
 // its coordinator was told to, from the same estimates, and — one serial
-// strand — never fans out again: the clone keeps Apply and Estimates
-// and drops Parallelism.
+// strand — never fans out again: the clone keeps ForceBatched and
+// Estimates and drops Parallelism.
 func TestWorkerCloneCarriesStrategy(t *testing.T) {
 	ctx := NewContext(nil, algebra.NewMetadata())
-	ctx.Parallelism, ctx.Apply = 4, "batched"
+	ctx.Parallelism, ctx.ForceBatched = 4, true
 	ctx.Estimates = Estimates{&algebra.Values{}: {Rows: 1}}
-	if w := ctx.workerClone(); w.Parallelism != 0 || w.Apply != "batched" || len(w.Estimates) != 1 {
-		t.Fatalf("worker Parallelism = %d, Apply = %q, %d estimates; want 0, batched and 1",
-			w.Parallelism, w.Apply, len(w.Estimates))
+	if w := ctx.workerClone(); w.Parallelism != 0 || !w.ForceBatched || len(w.Estimates) != 1 {
+		t.Fatalf("worker Parallelism = %d, ForceBatched = %v, %d estimates; want 0, true and 1",
+			w.Parallelism, w.ForceBatched, len(w.Estimates))
 	}
 }

@@ -96,7 +96,7 @@ var probeIndexes = map[string]catalog.Index{
 func runCapped(t *testing.T, st *storage.Store, md *algebra.Metadata, ap *algebra.Apply, strategy string, limit int, budget int64) (batches []string, charged int64, ran string, err error) {
 	t.Helper()
 	ctx := NewContext(st, md)
-	ctx.Apply, ctx.RowBudget = strategy, budget
+	ctx.ForceBatched, ctx.RowBudget = strategy == "batched", budget
 	ctx.EnableTrace()
 	n, _, err := prepareRun(ctx, ap, nil)
 	if err != nil {

@@ -253,10 +253,10 @@ func probeSeek(table func(string) (*catalog.Table, bool), a *algebra.Apply) (sel
 }
 
 // applyStrategy is the strategy a runs under on this strand: batched
-// when the Context.Apply test seam forces a path, else the selector's
+// when the Context.ForceBatched test seam says so, else the selector's
 // pick.
 func (c *Context) applyStrategy(a *algebra.Apply) string {
-	if c.Apply != "" {
+	if c.ForceBatched {
 		return "batched"
 	}
 	return applyStrategy(c.schema, a)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -25,7 +26,7 @@ type OpStats struct {
 	// children.
 	Busy time.Duration
 	// Workers and Morsels are set by a parallel exchange operator
-	// compiled at this node: the goroutines spawned and the driver-scan
+	// compiled at this node: the workers started and the driver-scan
 	// morsels dispatched across them.
 	Workers int64
 	Morsels int64
@@ -243,6 +244,10 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 		sp.WorkerTime = wst.Busy
 		sp.MemBytes += atomic.LoadInt64(&wst.MemBytes)
 		sp.Spills += atomic.LoadInt64(&wst.Spills)
+		// An Apply's strategy and binding counters are its workers'.
+		sp.Strategy = cmp.Or(sp.Strategy, wst.Strategy)
+		sp.Bindings += wst.Bindings
+		sp.InnerExecs += wst.InnerExecs
 	}
 	for _, child := range rel.Inputs() {
 		sp.Children = append(sp.Children, c.buildSpan(child))

@@ -43,8 +43,8 @@ type Span struct {
 	MemBytes int64 `json:"mem_bytes,omitempty"`
 	// Spills counts the operator's spill episodes.
 	Spills int64 `json:"spills,omitempty"`
-	// Workers and Morsels are set on parallel boundaries: goroutines
-	// spawned and driver-scan morsels dispatched.
+	// Workers and Morsels are set on parallel boundaries: workers
+	// started and driver-scan morsels dispatched.
 	Workers int64 `json:"workers,omitempty"`
 	Morsels int64 `json:"morsels,omitempty"`
 	// WorkerTime is the cumulative worker-side wall time at a parallel

@@ -619,7 +619,7 @@ func (c refCoster) cost(r algebra.Rel) estimate {
 		c.bound = c.bound.Union(algebra.OutputCols(t.Left))
 		rr := c.cost(t.Right)
 		c.bound = saved
-		sig, _ := algebra.ApplyBindingCols(t)
+		sig := algebra.ApplyBindingCols(t)
 		execs := l.rows
 		if sig.Empty() {
 			execs = 1

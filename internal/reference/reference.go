@@ -408,7 +408,7 @@ next:
 }
 
 // sorted returns r ordered by the keys, stably; NULLs sort first
-// (types.SortCompare's total order, NaNs after every number), last
+// (types.Compare's total order, NaNs after every number), last
 // under Desc.
 func sorted(r *relation, by []algebra.Ordering) *relation {
 	if len(by) == 0 {
@@ -421,7 +421,7 @@ func sorted(r *relation, by []algebra.Ordering) *relation {
 	out := newRelation(r.cols, append([]types.Row(nil), r.rows...))
 	sort.SliceStable(out.rows, func(a, b int) bool {
 		for i, o := range by {
-			if c := types.SortCompare(out.rows[a][ords[i]], out.rows[b][ords[i]]); c != 0 {
+			if c := types.Compare(out.rows[a][ords[i]], out.rows[b][ords[i]]); c != 0 {
 				return (c < 0) != o.Desc
 			}
 		}
@@ -501,11 +501,11 @@ func (e *Evaluator) aggregate(a *algebra.AggItem, in *relation, rows []types.Row
 				return acc, err
 			}
 		case algebra.AggMin:
-			if types.SortCompare(d, acc) < 0 {
+			if types.Compare(d, acc) < 0 {
 				acc = d
 			}
 		case algebra.AggMax:
-			if types.SortCompare(d, acc) > 0 {
+			if types.Compare(d, acc) > 0 {
 				acc = d
 			}
 		}

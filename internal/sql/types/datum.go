@@ -180,13 +180,14 @@ func (d Datum) String() string {
 	}
 }
 
-// Compare orders two datums. NULLs sort before all non-NULL values
-// (SQL comparison semantics with NULL propagation live in CompareSQL).
-// Cross-kind numeric comparisons (Int vs Float) are supported; any other
-// kind mismatch panics, since the algebrizer assigns consistent types.
-// A NaN is neither less nor greater than any number, so Compare calls
-// it equal to every one: it is not a strict weak order once a NaN is
-// present, and whatever sorts rows uses SortCompare.
+// Compare orders two datums. It is a total order, and the only one:
+// SQL comparisons (CompareSQL), grouping (Equal), the Sort operator,
+// ordered indexes and their seeks all use it. NULLs sort before all
+// non-NULL values (SQL comparison semantics with NULL propagation live
+// in CompareSQL). Cross-kind numeric comparisons (Int vs Float) are
+// supported; any other kind mismatch panics, since the algebrizer
+// assigns consistent types. A NaN equals another NaN and sorts after
+// every number; -0 equals 0.
 func Compare(a, b Datum) int {
 	switch {
 	case !a.valid && !b.valid:
@@ -221,24 +222,6 @@ func Compare(a, b Datum) int {
 	return 0
 }
 
-// SortCompare is the total order rows are sorted by: ordered indexes'
-// permutations and their binary search, the Sort operator, and the
-// consumers of a sorted stream. It agrees with Compare on every pair
-// without a NaN; a NaN sorts after every number and equals another NaN.
-func SortCompare(a, b Datum) int {
-	switch an, bn := a.isNaN(), b.isNaN(); {
-	case an && bn:
-		return 0
-	case an:
-		return 1
-	case bn:
-		return -1
-	}
-	return Compare(a, b)
-}
-
-func (d Datum) isNaN() bool { return d.valid && d.kind == Float && math.IsNaN(d.Float()) }
-
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:
@@ -249,14 +232,20 @@ func cmpInt(a, b int64) int {
 	return 0
 }
 
+// cmpFloat is Compare's order of floats: IEEE's, with a NaN after
+// every number and equal to another NaN.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b, a != a && b != b:
+		return 0
+	case a != a:
+		return 1
 	}
-	return 0
+	return -1
 }
 
 // TriBool is SQL three-valued logic: True, False or Null.
@@ -342,8 +331,8 @@ func Equal(a, b Datum) bool {
 	}
 	if a.kind == b.kind {
 		// Exact-equality kinds skip the three-way order (two string
-		// comparisons for a String). Floats keep it: under Compare a NaN
-		// equals everything.
+		// comparisons for a String). Floats keep it: a NaN equals
+		// another NaN, which == does not say.
 		switch a.kind {
 		case Bool, Int, Date:
 			return a.i == b.i
@@ -397,7 +386,7 @@ func HashInt(i int64) uint64 { return HashFloat(float64(i)) }
 
 // HashFloat hashes a Float; -0 compares equal to 0, so it hashes as 0,
 // and every NaN payload hashes as math.NaN()'s, so that hash grouping
-// and hash joins keep all NaNs in one key, as SortCompare does.
+// and hash joins keep all NaNs in one key, as Compare does.
 func HashFloat(f float64) uint64 {
 	if f == 0 {
 		f = 0

@@ -101,43 +101,50 @@ func TestCompareTotalOrder(t *testing.T) {
 	}
 }
 
-// TestSortCompareIsTotal: SortCompare agrees with Compare on pairs
-// without a NaN, puts a NaN (any payload) after every number and level
-// with another NaN, and sorting with it leaves every pair of adjacent
-// values in order — which Compare, calling a NaN equal to everything,
-// does not.
-func TestSortCompareIsTotal(t *testing.T) {
+// TestCompareIsTotal: Compare is IEEE's order on numbers (-0 equal to
+// 0, Int against Float by value), puts a NaN (any payload) after every
+// number and level with another NaN, and sorting with it leaves every
+// pair of adjacent values in order.
+func TestCompareIsTotal(t *testing.T) {
 	nan, nan2 := NewFloat(math.NaN()), NewFloat(math.Float64frombits(0xfff8000000000001))
 	vals := []Datum{NewFloat(5), NewInt(1), NewFloat(2), NewFloat(3), nan, NewFloat(3), NewInt(2),
 		NewFloat(math.Copysign(0, -1)), Null(Float), NewFloat(math.Inf(1)), nan2, NewFloat(math.Inf(-1)), NewFloat(0)}
+	isNaN := func(d Datum) bool { return d.Kind() == Float && !d.IsNull() && math.IsNaN(d.Float()) }
 	for _, a := range vals {
 		for _, b := range vals {
-			got := SortCompare(a, b)
-			switch an, bn := a.isNaN(), b.isNaN(); {
+			got := Compare(a, b)
+			switch an, bn := isNaN(a), isNaN(b); {
 			case an && bn:
 				if got != 0 {
-					t.Errorf("SortCompare(%v, %v) = %d, want 0", a, b, got)
+					t.Errorf("Compare(%v, %v) = %d, want 0", a, b, got)
 				}
 			case an || bn:
 				if want := map[bool]int{true: 1, false: -1}[an]; got != want {
-					t.Errorf("SortCompare(%v, %v) = %d, want %d", a, b, got, want)
+					t.Errorf("Compare(%v, %v) = %d, want %d", a, b, got, want)
 				}
+			case a.IsNull() || b.IsNull():
 			default:
-				if want := Compare(a, b); got != want {
-					t.Errorf("SortCompare(%v, %v) = %d, Compare says %d", a, b, got, want)
+				af, _ := a.AsFloat()
+				bf, _ := b.AsFloat()
+				want := map[bool]int{true: -1, false: 1}[af < bf]
+				if af == bf {
+					want = 0
+				}
+				if got != want {
+					t.Errorf("Compare(%v, %v) = %d, want %d", a, b, got, want)
 				}
 			}
 		}
 	}
 	sorted := append([]Datum(nil), vals...)
-	slices.SortStableFunc(sorted, SortCompare)
+	slices.SortStableFunc(sorted, Compare)
 	for i := 1; i < len(sorted); i++ {
-		if SortCompare(sorted[i-1], sorted[i]) > 0 {
-			t.Fatalf("sorted with SortCompare: %v", sorted)
+		if Compare(sorted[i-1], sorted[i]) > 0 {
+			t.Fatalf("sorted with Compare: %v", sorted)
 		}
 	}
-	if !sorted[len(sorted)-1].isNaN() || !sorted[len(sorted)-2].isNaN() || !sorted[0].IsNull() {
-		t.Fatalf("sorted with SortCompare: %v; want NULL first and the NaNs last", sorted)
+	if !isNaN(sorted[len(sorted)-1]) || !isNaN(sorted[len(sorted)-2]) || !sorted[0].IsNull() {
+		t.Fatalf("sorted with Compare: %v; want NULL first and the NaNs last", sorted)
 	}
 }
 

@@ -169,10 +169,10 @@ func referenceProfile(rows []types.Row, ord int) ColumnStats {
 		if cs.Distinct == 0 {
 			cs.Min, cs.Max = d, d
 		} else {
-			if types.SortCompare(d, cs.Min) < 0 {
+			if types.Compare(d, cs.Min) < 0 {
 				cs.Min = d
 			}
-			if types.SortCompare(d, cs.Max) > 0 {
+			if types.Compare(d, cs.Max) > 0 {
 				cs.Max = d
 			}
 		}
@@ -182,7 +182,7 @@ func referenceProfile(rows []types.Row, ord int) ColumnStats {
 		}
 	}
 	if len(vals) >= histBuckets*2 {
-		sort.Slice(vals, func(i, j int) bool { return types.SortCompare(vals[i], vals[j]) < 0 })
+		sort.Slice(vals, func(i, j int) bool { return types.Compare(vals[i], vals[j]) < 0 })
 		cs.rowsPerBucket = float64(len(vals)) / histBuckets
 		for b := 1; b <= histBuckets; b++ {
 			idx := int(float64(b)*cs.rowsPerBucket) - 1

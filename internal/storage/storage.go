@@ -108,7 +108,7 @@ type orderedIndex struct {
 	leadKind types.Kind
 }
 
-// newOrderedIndex sorts the ordinals of rows by cols (types.SortCompare,
+// newOrderedIndex sorts the ordinals of rows by cols (types.Compare,
 // stable) and copies the leading column out typed when it can.
 func newOrderedIndex(cols []int, rows []types.Row) *orderedIndex {
 	oi := &orderedIndex{cols: cols, rows: rows, perm: make([]int32, len(rows))}
@@ -118,7 +118,7 @@ func newOrderedIndex(cols []int, rows []types.Row) *orderedIndex {
 	sort.SliceStable(oi.perm, func(a, b int) bool {
 		ra, rb := rows[oi.perm[a]], rows[oi.perm[b]]
 		for _, c := range cols {
-			if cmp := types.SortCompare(ra[c], rb[c]); cmp != 0 {
+			if cmp := types.Compare(ra[c], rb[c]); cmp != 0 {
 				return cmp < 0
 			}
 		}
@@ -190,7 +190,7 @@ func (v *Version) RowCount() int { return len(v.rows) }
 // without NULLs is searched over a typed copy of that column when the
 // key's first datum is of its kind; a NULL key, or a key of another
 // kind (a Float looked up in an Int column), is compared as a datum
-// (types.SortCompare), with the same matches.
+// (types.Compare), with the same matches.
 func (v *Version) Lookup(indexName string, key []types.Datum, dst []int32) (ords []int32, covered int) {
 	if hi, ok := v.hashIdx[indexName]; ok {
 		h := uint64(types.HashSeed)
@@ -288,7 +288,8 @@ func equalEntry(d *types.Datum, c *types.Column, ri int) bool {
 		case types.String:
 			return d.Str() == c.S[ri]
 		case types.Float:
-			return !(d.Float() < c.F[ri] || d.Float() > c.F[ri]) // Compare's equality: a NaN equals every number
+			x, y := d.Float(), c.F[ri]
+			return x == y || x != x && y != y // types.Compare's equality: a NaN equals only a NaN
 		}
 	}
 	return types.Equal(*d, c.Datum(ri))
@@ -299,7 +300,7 @@ func equalEntry(d *types.Datum, c *types.Column, ri int) bool {
 func (oi *orderedIndex) cmp(i int, key []types.Datum, from int) int {
 	r := oi.rows[oi.perm[i]]
 	for j := from; j < len(key); j++ {
-		if c := types.SortCompare(r[oi.cols[j]], key[j]); c != 0 {
+		if c := types.Compare(r[oi.cols[j]], key[j]); c != 0 {
 			return c
 		}
 	}

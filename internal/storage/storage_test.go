@@ -287,7 +287,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 
 // boxedLookup is Lookup as it stood before keys were compared typed:
 // a hash index's bucket filtered with types.Equal, an ordered index's
-// permutation binary-searched with types.SortCompare on every key
+// permutation binary-searched with types.Compare on every key
 // column.
 func boxedLookup(v *Version, name string, key []types.Datum) []int32 {
 	var out []int32
@@ -306,7 +306,7 @@ func boxedLookup(v *Version, name string, key []types.Datum) []int32 {
 	oi := v.ordIdx[name]
 	cmp := func(i int) int {
 		for j, kd := range key {
-			if c := types.SortCompare(oi.rows[oi.perm[i]][oi.cols[j]], kd); c != 0 {
+			if c := types.Compare(oi.rows[oi.perm[i]][oi.cols[j]], kd); c != 0 {
 				return c
 			}
 		}

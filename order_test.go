@@ -307,14 +307,14 @@ func TestLimitReadsOnlyItsRows(t *testing.T) {
 }
 
 // TestNaNSortsAfterNumbers: one NaN in a Float column leaves the other
-// rows sorted, in an ordered index and under ORDER BY. SQL's comparison
-// calls a NaN equal to every number, so it cannot be what rows are
-// sorted by (types.SortCompare puts a NaN after every number). Over an
-// ordered index on a Float column holding a NaN: the index walk and
-// the Sort spelling return the non-NaN values ascending; an ordered
-// seek returns every non-NaN row its scan spelling (`p_f + 0 = k`,
-// which binds no index) returns, 0 finding -0 too; and GROUP BY over
-// the index yields each non-NaN key once, counting its rows.
+// rows sorted, in an ordered index and under ORDER BY (types.Compare
+// puts a NaN after every number, and SQL's comparison is the same
+// order). Over an ordered index on a Float column holding a NaN: the
+// index walk and the Sort spelling return the non-NaN values
+// ascending; an ordered seek returns the rows its scan spelling
+// (`p_f + 0 = k`, which binds no index) returns, 0 finding -0 too and
+// no number finding the NaN; and GROUP BY over the index yields each
+// non-NaN key once, counting its rows.
 func TestNaNSortsAfterNumbers(t *testing.T) {
 	db := NewMemory()
 	nan := types.NewFloat(math.NaN())
@@ -370,10 +370,14 @@ func TestNaNSortsAfterNumbers(t *testing.T) {
 		for _, r := range query(seek) {
 			got[r[0].Int()] = true
 		}
-		for _, r := range query(fmt.Sprintf(`select p_id, p_f from %s where p_f + 0 = %d`, c.table, c.key)) {
-			if !isNaN(r[1]) && !got[r[0].Int()] {
+		scan := query(fmt.Sprintf(`select p_id, p_f from %s where p_f + 0 = %d`, c.table, c.key))
+		for _, r := range scan {
+			if !got[r[0].Int()] {
 				t.Errorf("%s: misses row %d (p_f = %v), which its scan spelling returns", seek, r[0].Int(), r[1])
 			}
+		}
+		if len(got) != len(scan) {
+			t.Errorf("%s: %d rows, its scan spelling %d", seek, len(got), len(scan))
 		}
 	}
 
@@ -401,7 +405,7 @@ func TestNaNSortsAfterNumbers(t *testing.T) {
 // hash aggregation (`group by p_f + 0`), streaming aggregation over the
 // ordered index (`group by p_f`) — and in internal/reference. Hash
 // aggregation once compared a few resident keys with types.Equal, under
-// which a NaN equals every number, and put the NaN into group 5.
+// which a NaN then equaled every number, and put the NaN into group 5.
 func TestNaNGroupsAsOneKey(t *testing.T) {
 	db := NewMemory()
 	if err := db.CreateTable(&Table{
@@ -458,10 +462,10 @@ func TestNaNGroupsAsOneKey(t *testing.T) {
 }
 
 // TestNaNMinMaxIgnoresInputOrder: MIN and MAX over a Float column with
-// a NaN take the order rows sort in (types.SortCompare), whatever order
+// a NaN take the order rows sort in (types.Compare), whatever order
 // the rows arrive in: MIN skips a NaN unless every value is one, MAX is
-// NaN if any value is. They once compared with types.Compare, under
-// which a NaN equals every number, so the first value seen decided:
+// NaN if any value is. They once compared with an order under which a
+// NaN equaled every number, so the first value seen decided:
 // 1, NaN, 5 gave [1 5] and NaN, 1, 5 gave [NaN NaN]. Each insertion
 // order runs hash aggregation (`group by g + 0`), streaming
 // aggregation (the scalar aggregate, and `group by g` over the ordered

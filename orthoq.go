@@ -192,13 +192,11 @@ type Config struct {
 	// deliberately unexported (set by tests in this package) and, like
 	// the other run-time knobs above, is not part of the plan identity.
 	faults *faultinject.Injector
-	// forceApply is the test-only seam that runs every Apply batched —
-	// "batched", or "parallel" for batched on the worker pool from the
-	// first batch — instead of on the path the executor picks from the
-	// plan, so tests can hold the probe to the batched path and reach
-	// the pool on small data. Run state, like faults: the plan is the
-	// same, only the path its Applies run on differs.
-	forceApply string
+	// forceBatched is the test-only seam that runs every Apply batched
+	// instead of on the path the executor picks from the plan, so tests
+	// can hold the probe to the batched path. Run state, like faults:
+	// the plan is the same, only the path its Applies run on differs.
+	forceBatched bool
 }
 
 // runState is one execution's run state: the caller's context and
@@ -602,7 +600,7 @@ type Rows struct {
 	// (non-zero only when MemBudget forced operators to disk).
 	Spills int64
 	// Workers and Morsels report morsel-driven parallel activity
-	// (goroutines spawned, driver-scan morsels dispatched).
+	// (workers started, driver-scan morsels dispatched).
 	Workers int64
 	Morsels int64
 	// Rules lists the rewrite rules that shaped the plan, in firing
@@ -1037,7 +1035,7 @@ func (p *prepared) execContext(db *DB, params []types.Datum, r runState) (*exec.
 	ctx := exec.NewContext(db.store, p.md)
 	ctx.Estimates = p.est
 	ctx.Parallelism = p.id.parallelism
-	ctx.Apply = r.cfg.forceApply
+	ctx.ForceBatched = r.cfg.forceBatched
 	ctx.Params = params
 	ctx.RowBudget = r.cfg.RowBudget
 	ctx.MemBudget = r.cfg.MemBudget

@@ -139,7 +139,7 @@ var referenceVariants = []engineVariant{
 	{"default", func(*Config) {}, false},
 	{"correlated", func(c *Config) { c.Decorrelate = false }, false},
 	{"par4", func(c *Config) { c.Parallelism = 4 }, false},
-	{"batched", func(c *Config) { c.forceApply = "batched" }, false},
+	{"batched", func(c *Config) { c.forceBatched = true }, false},
 	{"sorted-inputs", func(*Config) {}, true},
 }
 

@@ -60,8 +60,10 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # five queries whose searches used to run out of steps. Its executor twin runs one iteration each of the
 # warm pass (the 15 queries of perfbench's warm_analytic, plans cached),
 # the seven of them whose Applies run as index-lookup probes,
-# the batched Apply over nearly unique bindings and Q2's and Q17's
-# correlated plans (the Applies that are not probes),
+# the batched Apply over nearly unique bindings, serially and at two
+# workers, Figure 1 kept correlated at four workers (both Applies run
+# inside the morsel exchange), Q2's and Q17's correlated plans (the
+# Applies that are not probes),
 # Q1's scan-and-aggregate, an integer-key aggregation into thousands of
 # groups, a hash join, and a selective probe against a small build side
 # (Q20's shape), so every run prints B/op and allocs/op for the paths
@@ -70,7 +72,7 @@ go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOpti
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run TestQErrorReport -v .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
