@@ -269,6 +269,13 @@ func BenchmarkBatchScanAggQ18(b *testing.B) {
 		from lineitem group by l_partkey, l_linenumber`)
 }
 
+// BenchmarkBatchStreamAggQ18 is Q18's own aggregation: a streaming
+// GroupBy on l_orderkey over the ordered walk of lineitem_pk, about
+// 7 500 groups of a few rows.
+func BenchmarkBatchStreamAggQ18(b *testing.B) {
+	benchBatch(b, `select l_orderkey, sum(l_quantity) as q from lineitem group by l_orderkey`)
+}
+
 // BenchmarkBatchJoinSelective is Q20's join shape: a filtered lineitem
 // probing a build side of a few rows, so the probe is the whole cost.
 func BenchmarkBatchJoinSelective(b *testing.B) {

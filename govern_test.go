@@ -153,7 +153,7 @@ func TestSpillEquivalenceTPCH(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			cfg := base
 			cfg.Parallelism = par
-			cfg.MemBudget = 48 << 10
+			cfg.MemBudget = 8 << 10
 			cfg.SpillDir = spillDir
 			got, err := db.QueryCfg(sql, cfg)
 			if err != nil {
@@ -171,7 +171,7 @@ func TestSpillEquivalenceTPCH(t *testing.T) {
 		}
 	}
 	if totalSpills == 0 {
-		t.Fatal("a 48KiB budget never forced a spill across the TPC-H suite")
+		t.Fatal("an 8KiB budget never forced a spill across the TPC-H suite")
 	}
 }
 
@@ -317,7 +317,7 @@ func TestStreamEarlyCloseNoLeak(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
-	cfg.MemBudget = 48 << 10
+	cfg.MemBudget = 8 << 10
 	cfg.SpillDir = t.TempDir()
 	cases := []struct {
 		sql  string

@@ -36,6 +36,9 @@ package eval
 // Stored columns. For a batch read straight from a table (ResetStored)
 // a column is served as a view — a Vec whose payload is a sub-slice of
 // the table's typed column, nothing copied — instead of being gathered.
+// A batch of stored rows out of order (an ordered walk, a seek) carries
+// their ordinals, and its columns are gathered from the typed column by
+// ordinal instead of out of the rows.
 // No kernel writes into an input vector, and no frame buffer aliases one.
 
 import (
@@ -280,6 +283,15 @@ type ColumnSource interface {
 	Column(ord, end int) *types.Column
 }
 
+// Stored places a batch's rows in a table. With Src set, row ri is
+// stored row Off+ri of Src, or stored row Ords[ri] when Ords is set.
+// The zero value places nothing: the rows are read as they are.
+type Stored struct {
+	Src  ColumnSource
+	Off  int
+	Ords []int32
+}
+
 // VecFrame is the environment vector kernels evaluate against: the row
 // window of one batch, the outer Env for correlation parameters, and
 // the per-batch caches (gathered columns, shared subexpressions). A
@@ -296,8 +308,8 @@ type VecFrame struct {
 	Rows  []types.Row
 	Outer Env
 
-	src ColumnSource // when set, row ri is stored row off+ri of src
-	off int
+	at     Stored // where the rows are stored, if they are
+	ordEnd int    // one past the largest of at.Ords; 0 until needed
 
 	stamp uint64 // bumped per batch: validates gathered columns
 	epoch uint64 // bumped per (batch, entry selection): validates shared subexpressions
@@ -320,16 +332,17 @@ type colSlot struct {
 
 // Reset points the frame at a new batch, invalidating its caches.
 func (f *VecFrame) Reset(rows []types.Row, outer Env) {
-	f.ResetStored(rows, outer, nil, 0)
+	f.ResetStored(rows, outer, Stored{})
 }
 
-// ResetStored is Reset for a batch whose row ri is stored row off+ri of
-// src: the columns src holds are read as views of its arrays.
-func (f *VecFrame) ResetStored(rows []types.Row, outer Env, src ColumnSource, off int) {
+// ResetStored is Reset for a batch of stored rows placed by at: the
+// columns its source holds are read as views of its arrays, or gathered
+// from them by ordinal.
+func (f *VecFrame) ResetStored(rows []types.Row, outer Env, at Stored) {
 	f.Outer = outer
 	f.outer++
 	f.NextWindow(rows)
-	f.src, f.off = src, off
+	f.at = at
 }
 
 // NextWindow points the frame at the next window of rows under an outer
@@ -337,7 +350,7 @@ func (f *VecFrame) ResetStored(rows []types.Row, outer Env, src ColumnSource, of
 // of candidates): batch-invariant values are not recomputed.
 func (f *VecFrame) NextWindow(rows []types.Row) {
 	f.Rows = rows
-	f.src, f.off = nil, 0
+	f.at, f.ordEnd = Stored{}, 0
 	f.stamp++
 	f.epoch++
 	f.entry = nil
@@ -449,14 +462,29 @@ func (f *VecFrame) gatherCols(ords []int) {
 	}
 }
 
-// view serves column ord as the window of the source's typed column the
-// batch occupies, capped so that not even an append reaches past it.
+// view serves column ord from the source's typed column: as the window
+// the batch occupies, capped so that not even an append reaches past
+// it, or gathered by ordinal over the entry selection.
 func (f *VecFrame) view(c *colSlot, ord int) bool {
-	if f.src == nil {
+	if f.at.Src == nil {
 		return false
 	}
-	lo, hi := f.off, f.off+len(f.Rows)
-	col := f.src.Column(ord, hi)
+	if f.at.Ords != nil {
+		if f.ordEnd == 0 {
+			for _, ri := range f.entry {
+				f.ordEnd = max(f.ordEnd, int(f.at.Ords[ri])+1)
+			}
+		}
+		col := f.at.Src.Column(ord, f.ordEnd)
+		if col == nil {
+			return false
+		}
+		c.vec.gatherOrds(col, f.at.Ords, f.entry, len(f.Rows))
+		c.cur = &c.vec
+		return true
+	}
+	lo, hi := f.at.Off, f.at.Off+len(f.Rows)
+	col := f.at.Src.Column(ord, hi)
 	if col == nil {
 		return false
 	}
@@ -464,6 +492,36 @@ func (f *VecFrame) view(c *colSlot, ord int) bool {
 		S: window(col.S, lo, hi), Null: window(col.Null, lo, hi)}
 	c.cur = &c.view
 	return true
+}
+
+// gatherOrds loads the entries of col at the ordinals ords[ri] of the
+// selected positions ri, over n positions.
+func (v *Vec) gatherOrds(col *types.Column, ords []int32, sel []int, n int) {
+	v.reset(col.Kind, n)
+	switch col.Kind {
+	case types.Int, types.Date, types.Bool:
+		for _, ri := range sel {
+			v.I[ri] = col.I[ords[ri]]
+		}
+	case types.Float:
+		for _, ri := range sel {
+			v.F[ri] = col.F[ords[ri]]
+		}
+	case types.String:
+		for _, ri := range sel {
+			v.S[ri] = col.S[ords[ri]]
+		}
+	}
+	if col.Null != nil && col.Kind != types.Unknown {
+		null, anyNull := v.withNulls(n), false
+		for _, ri := range sel {
+			null[ri] = col.Null[ords[ri]]
+			anyNull = anyNull || null[ri]
+		}
+		if !anyNull {
+			v.Null = nil
+		}
+	}
 }
 
 // window returns s[lo:hi:hi], or nil for a nil s.

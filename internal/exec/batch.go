@@ -14,11 +14,13 @@ package exec
 // Sel slices themselves. An empty batch (Len() == 0) signals end of
 // stream; a producer keeps answering with empty batches after it.
 //
-// Stored rows: a window of a table's stored rows also carries (src,
-// off), row ri being stored row off+ri, so kernels read the table's
-// typed columns instead of gathering. Scans set it (setStored), an
-// operator forwarding its input's rows unchanged passes it on, and one
-// that builds or reorders rows clears it (set, serve, setEmpty).
+// Stored rows: a batch of a table's stored rows also says where they
+// are stored (at): row ri is stored row off+ri of a scan's window, or
+// stored row ords[ri] of an ordered walk or a seek, so kernels read the
+// table's typed columns — as views, or gathered by ordinal — instead of
+// gathering out of the rows. Scans set it (setStored), an operator
+// forwarding its input's rows unchanged passes it on, and one that
+// builds or reorders rows clears it (set, serve, setEmpty).
 //
 // Row cap: the consumer sets b.Limit before the call and the producer
 // returns at most that many live rows — and does not read, charge or
@@ -56,8 +58,7 @@ type Batch struct {
 	// anything above BatchSize) means a full batch.
 	Limit int
 
-	src eval.ColumnSource // nil unless Rows are stored rows src[off:]
-	off int
+	at eval.Stored // where Rows are stored, if they are
 }
 
 // Len returns the number of live rows.
@@ -81,13 +82,12 @@ func (b *Batch) setEmpty() { b.set(nil, nil) }
 
 // set hands the consumer rows the producer built or reordered.
 func (b *Batch) set(rows []types.Row, sel []int) {
-	b.Rows, b.Sel, b.src, b.off = rows, sel, nil, 0
+	b.Rows, b.Sel, b.at = rows, sel, eval.Stored{}
 }
 
-// setStored hands the consumer a window of stored rows: rows[ri] is row
-// off+ri of src.
-func (b *Batch) setStored(rows []types.Row, sel []int, src eval.ColumnSource, off int) {
-	b.Rows, b.Sel, b.src, b.off = rows, sel, src, off
+// setStored hands the consumer stored rows placed by at.
+func (b *Batch) setStored(rows []types.Row, sel []int, at eval.Stored) {
+	b.Rows, b.Sel, b.at = rows, sel, at
 }
 
 // limit is the effective row cap of the pending call.
@@ -229,7 +229,7 @@ func (p *filterPred) narrow(in *Batch) ([]int, error) {
 		}
 	}
 	p.selBuf = out
-	p.frame.ResetStored(in.Rows, p.ctx.params, in.src, in.off)
+	p.frame.ResetStored(in.Rows, p.ctx.params, in.at)
 	for _, cj := range p.vec {
 		var err error
 		if out, err = cj.Filter(&p.frame, out); err != nil {
@@ -243,14 +243,13 @@ func (p *filterPred) narrow(in *Batch) ([]int, error) {
 }
 
 // emit is the tail every scan shares: charge the window just read and
-// hand b its rows that pass. cand is row off of src onward when src is
-// set. ok=false with a nil error means none did, and the scan moves on
-// to its next window.
-func (p *filterPred) emit(b *Batch, cand []types.Row, src eval.ColumnSource, off int) (ok bool, err error) {
+// hand b its rows that pass; at places cand in the table. ok=false with
+// a nil error means none did, and the scan moves on to its next window.
+func (p *filterPred) emit(b *Batch, cand []types.Row, at eval.Stored) (ok bool, err error) {
 	if err := p.ctx.chargeN(len(cand)); err != nil {
 		return false, err
 	}
-	b.setStored(cand, nil, src, off)
+	b.setStored(cand, nil, at)
 	if p.trivial {
 		return true, nil
 	}

@@ -155,6 +155,8 @@ type sharedState struct {
 	// metrics registry, not just EXPLAIN ANALYZE.
 	workers atomic.Int64
 	morsels atomic.Int64
+	// trees counts the worker trees compiled (spawnWorker).
+	trees atomic.Int64
 	// wtrace accumulates operator statistics merged from finished
 	// parallel workers (each worker traces into a private map; see
 	// mergeWorkerTrace). Guarded by wmu: workers finish concurrently.

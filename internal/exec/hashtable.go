@@ -15,14 +15,78 @@ import (
 // are open-addressed int32s (entry+1, 0 free) probed linearly; each
 // entry keeps its key hash — types.HashRow's, which spill routing and
 // the merge of partial tables also use — compared before the key and
-// reused by a resize. Keys are probed a batch at a time from key
-// vectors (findBatch), compared typed against the stored datums.
+// reused by a resize. The keys are stored a column at a time, typed
+// (keyCol), and probed a batch at a time from key vectors (findBatch),
+// payload against payload.
 type hashTable struct {
-	n      int           // key columns
-	keys   []types.Datum // entry e's key is keys[e*n : e*n+n]
+	cols   []keyCol // entry e's key is entry e of each column
+	room   int      // the entries the typed payloads hold (growKeys)
+	hint   int      // the entries the first payloads hold
 	hashes []uint64
 	slots  []int32
 	shift  uint // hash h starts probing at slot (h*fibMul)>>shift
+}
+
+// keyCol is one key column of a table's entries: a types.Column while
+// its non-NULL keys are of one kind, boxed in d from the first that is
+// not.
+type keyCol struct {
+	types.Column
+	d []types.Datum
+}
+
+// append adds d as the next entry; a payload started here makes room
+// for room entries.
+func (c *keyCol) append(d types.Datum, room int) {
+	if c.d == nil && c.Kind == types.Unknown && !d.IsNull() {
+		c.Kind = d.Kind()
+		switch n := max(room, c.N+1); c.Kind {
+		case types.Float:
+			c.F = make([]float64, c.N, n)
+		case types.String:
+			c.S = make([]string, c.N, n)
+		default:
+			c.I = make([]int64, c.N, n)
+		}
+	}
+	if c.d == nil {
+		if c.Append(d) {
+			return
+		}
+		c.d = make([]types.Datum, c.N, 2*c.N+1)
+		for e := range c.d {
+			c.d[e] = c.Datum(e)
+		}
+	}
+	c.d = append(c.d, d)
+}
+
+// datum boxes entry e.
+func (c *keyCol) datum(e int) types.Datum {
+	if c.d != nil {
+		return c.d[e]
+	}
+	return c.Datum(e)
+}
+
+// equal is types.Equal(v's entry at ri, entry e), comparing payloads
+// when both sides are typed of one kind.
+func (c *keyCol) equal(e int, v *eval.Vec, ri int) bool {
+	if c.d != nil || v.D != nil || v.Kind != c.Kind {
+		return types.Equal(v.Datum(ri), c.datum(e))
+	}
+	cn, vn := c.Kind == types.Unknown || c.Null != nil && c.Null[e], v.NullAt(ri)
+	if cn || vn {
+		return cn == vn
+	}
+	switch c.Kind {
+	case types.Float:
+		x, y := v.F[ri], c.F[e]
+		return x == y || x != x && y != y // types.Compare's equality: a NaN equals only a NaN
+	case types.String:
+		return v.S[ri] == c.S[e]
+	}
+	return v.I[ri] == c.I[e]
 }
 
 // fibMul spreads a key hash over the slots (Fibonacci hashing): FNV's
@@ -35,15 +99,30 @@ const collided = -2
 // newHashTable returns a table of nKeys key columns with room for
 // sizeHint entries before its first resize.
 func newHashTable(nKeys, sizeHint int) hashTable {
-	t := hashTable{n: nKeys, keys: make([]types.Datum, 0, nKeys*sizeHint), hashes: make([]uint64, 0, sizeHint)}
+	t := hashTable{cols: make([]keyCol, nKeys), hint: sizeHint, hashes: make([]uint64, 0, sizeHint)}
 	t.resize(max(16, 2*sizeHint))
 	return t
 }
 
 func (t *hashTable) len() int { return len(t.hashes) }
 
-// key returns entry e's key.
-func (t *hashTable) key(e int) types.Row { return t.keys[e*t.n : (e+1)*t.n : (e+1)*t.n] }
+// appendKey appends entry e's key to dst.
+func (t *hashTable) appendKey(dst types.Row, e int) types.Row {
+	for j := range t.cols {
+		dst = append(dst, t.cols[j].datum(e))
+	}
+	return dst
+}
+
+// keyEqual reports whether entry e's key equals key under types.Equal.
+func (t *hashTable) keyEqual(e int, key types.Row) bool {
+	for j := range t.cols {
+		if !types.Equal(t.cols[j].datum(e), key[j]) {
+			return false
+		}
+	}
+	return true
+}
 
 // find returns the entry with hash h whose key eq accepts, or -1.
 func (t *hashTable) find(h uint64, eq func(e int) bool) int {
@@ -65,34 +144,19 @@ func (t *hashTable) findVec(keys []*eval.Vec, ri int, h uint64) int {
 // at ri.
 func (t *hashTable) equal(e int, keys []*eval.Vec, ri int) bool {
 	for j, v := range keys {
-		if !equalVec(&t.keys[e*t.n+j], v, ri) {
+		if !t.cols[j].equal(e, v, ri) {
 			return false
 		}
 	}
 	return true
 }
 
-// equalVec is types.Equal(v's entry at ri, *d), typed when both are
-// non-NULL values of one kind.
-func equalVec(d *types.Datum, v *eval.Vec, ri int) bool {
-	if d.Kind() == v.Kind && v.D == nil && !d.IsNull() && (v.Null == nil || !v.Null[ri]) {
-		switch v.Kind {
-		case types.Float:
-			x, y := v.F[ri], d.Float()
-			return x == y || x != x && y != y // types.Compare's equality: a NaN equals only a NaN
-		case types.String:
-			return v.S[ri] == d.Str()
-		case types.Int, types.Date, types.Bool:
-			return v.I[ri] == d.Int()
-		}
-	}
-	return types.Equal(v.Datum(ri), *d)
-}
-
 // findBatch is findVec for every selected row: out[k] is the entry row
 // sel[k]'s key equals, or -1. Each row's slots are probed for the first
 // entry with its hash, those candidates are checked a key column at a
-// time, and only a row whose candidate differs is looked up in full.
+// time — payload against payload when the column and the vector are of
+// one kind without NULLs — and only a row whose candidate differs is
+// looked up in full.
 func (t *hashTable) findBatch(keys []*eval.Vec, sel []int, hash []uint64, out []int32) []int32 {
 	out = slices.Grow(out[:0], len(sel))[:len(sel)]
 	mask := len(t.slots) - 1
@@ -108,22 +172,26 @@ func (t *hashTable) findBatch(keys []*eval.Vec, sel []int, hash []uint64, out []
 	}
 	differ := false
 	for j, v := range keys {
-		// A non-NULL Int or String column compares its payloads inline;
-		// a mismatch, or any other column, goes through equalVec.
-		ints := v.D == nil && v.Null == nil && v.Kind == types.Int
-		strs := v.D == nil && v.Null == nil && v.Kind == types.String
-		for k, ri := range sel {
-			e := out[k]
-			if e < 0 {
-				continue
+		c := &t.cols[j]
+		typed := c.d == nil && v.D == nil && v.Kind == c.Kind && c.Null == nil && v.Null == nil
+		switch {
+		case typed && (v.Kind == types.Int || v.Kind == types.Date || v.Kind == types.Bool):
+			for k, ri := range sel {
+				if e := out[k]; e >= 0 && c.I[e] != v.I[ri] {
+					out[k], differ = collided, true
+				}
 			}
-			d := &t.keys[int(e)*t.n+j]
-			if ints && d.Kind() == types.Int && !d.IsNull() && d.Int() == v.I[ri] ||
-				strs && d.Kind() == types.String && !d.IsNull() && d.Str() == v.S[ri] {
-				continue
+		case typed && v.Kind == types.String:
+			for k, ri := range sel {
+				if e := out[k]; e >= 0 && c.S[e] != v.S[ri] {
+					out[k], differ = collided, true
+				}
 			}
-			if !equalVec(d, v, ri) {
-				out[k], differ = collided, true
+		default:
+			for k, ri := range sel {
+				if e := out[k]; e >= 0 && !c.equal(int(e), v, ri) {
+					out[k], differ = collided, true
+				}
 			}
 		}
 	}
@@ -138,13 +206,60 @@ func (t *hashTable) findBatch(keys []*eval.Vec, sel []int, hash []uint64, out []
 // addVec makes the key vectors' entries at ri (hash h) a new entry;
 // the caller found no equal entry.
 func (t *hashTable) addVec(keys []*eval.Vec, ri int, h uint64) int {
-	for _, v := range keys {
-		t.keys = append(t.keys, v.Datum(ri))
+	t.growKeys()
+	for j, v := range keys {
+		t.cols[j].append(v.Datum(ri), t.room)
 	}
 	return t.insert(h)
 }
 
-// insert slots the entry whose key was just appended to keys.
+// addKey makes key (hash h) a new entry; the caller found no equal
+// entry.
+func (t *hashTable) addKey(key types.Row, h uint64) int {
+	t.growKeys()
+	for j, d := range key {
+		t.cols[j].append(d, t.room)
+	}
+	return t.insert(h)
+}
+
+// growKeys makes room for the next entry: when the payloads are full,
+// every typed column moves to an array twice as long, the columns of one
+// payload kind sharing one allocation, so a table of many key columns
+// grows as often as one of a single column.
+func (t *hashTable) growKeys() {
+	if t.len() < t.room {
+		return
+	}
+	n := max(8, t.hint, 2*t.room)
+	var ni, nf, ns int
+	for j := range t.cols {
+		switch c := &t.cols[j]; {
+		case c.d != nil || c.Kind == types.Unknown:
+		case c.Kind == types.Float:
+			nf++
+		case c.Kind == types.String:
+			ns++
+		default:
+			ni++
+		}
+	}
+	ints, floats, strs := make([]int64, ni*n), make([]float64, nf*n), make([]string, ns*n)
+	for j := range t.cols {
+		switch c := &t.cols[j]; {
+		case c.d != nil || c.Kind == types.Unknown:
+		case c.Kind == types.Float:
+			c.F, floats = append(floats[:0:n], c.F...), floats[n:]
+		case c.Kind == types.String:
+			c.S, strs = append(strs[:0:n], c.S...), strs[n:]
+		default:
+			c.I, ints = append(ints[:0:n], c.I...), ints[n:]
+		}
+	}
+	t.room = n
+}
+
+// insert slots the entry whose key was just appended to the columns.
 func (t *hashTable) insert(h uint64) int {
 	e := len(t.hashes)
 	t.hashes = append(t.hashes, h)
@@ -216,7 +331,7 @@ type keyReader struct {
 
 // read loads the key columns at ords of b's live rows.
 func (kr *keyReader) read(b *Batch, ords []int) {
-	kr.frame.ResetStored(b.Rows, nil, b.src, b.off)
+	kr.frame.ResetStored(b.Rows, nil, b.at)
 	kr.sel = b.Sel
 	if kr.sel == nil {
 		kr.sel = kr.frame.Identity(len(b.Rows))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 )
 
@@ -24,7 +25,7 @@ func eachBatch(r *rand.Rand, rows []types.Row, src rowColumns, fn func(b *Batch)
 		}
 		var b Batch
 		if r.Intn(2) == 0 {
-			b.setStored(rows[off:off+n], sel, src, off)
+			b.setStored(rows[off:off+n], sel, eval.Stored{Src: src, Off: off})
 		} else {
 			b.set(rows[off:off+n], sel)
 		}
@@ -104,7 +105,7 @@ func TestHashTableMatchesRowOracle(t *testing.T) {
 			t.Fatalf("trial %d: %d entries, row lookup %d", trial, tbl.len(), len(oracle.keys))
 		}
 		for e, want := range oracle.keys {
-			if got := tbl.key(e); !types.EqualRows(got, identOrds(nKeys), want, identOrds(nKeys)) {
+			if got := tbl.appendKey(nil, e); !types.EqualRows(got, identOrds(nKeys), want, identOrds(nKeys)) {
 				t.Fatalf("trial %d: entry %d key %v, want %v", trial, e, got, want)
 			}
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -11,122 +10,182 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-// aggState accumulates one aggregate within one group.
+// aggState is one aggregate's state in every group of a table, as
+// typed arrays indexed by group. An aggregate keeps only the arrays its
+// function reads; the others stay nil.
 type aggState struct {
-	count   int64
-	sumF    float64
-	sumI    int64
-	isFloat bool
-	anyRow  bool
-	minMax  types.Datum
-	seen    map[string]struct{} // distinct values
+	item *algebra.AggItem
+	acc  []aggAcc              // COUNT(*), COUNT, SUM, AVG
+	ext  []types.Datum         // MIN, MAX, ConstAny: the value kept, NULL before one
+	seen []map[string]struct{} // DISTINCT: the values folded
 }
 
-func (s *aggState) add(item *algebra.AggItem, d types.Datum) {
+// aggAcc is a counting aggregate's state in one group.
+type aggAcc struct {
+	count int64   // the rows folded
+	sumI  int64   // SUM, AVG: the sum of the Int arguments
+	sumF  float64 // SUM, AVG: the sum of the Float arguments
+	flt   bool    // SUM, AVG: a Float argument was folded
+}
+
+// newAggStates returns the (group-less) states of the aggregates aggs.
+func newAggStates(aggs []algebra.AggItem) []aggState {
+	s := make([]aggState, len(aggs))
+	for j := range s {
+		s[j].item = &aggs[j]
+	}
+	return s
+}
+
+// keeps reports whether the aggregate keeps a value (ext) rather than
+// counting (acc).
+func (s *aggState) keeps() bool {
+	f := s.item.Func
+	return f == algebra.AggMin || f == algebra.AggMax || f == algebra.AggConstAny
+}
+
+// fit resizes the state to n groups: the first keep as they are, the
+// rest zero (no row folded).
+func (s *aggState) fit(keep, n int) {
+	if s.keeps() {
+		s.ext = fit(s.ext, keep, n)
+	} else {
+		s.acc = fit(s.acc, keep, n)
+	}
+	if s.item.Distinct {
+		s.seen = fit(s.seen, keep, n)
+	}
+}
+
+// fit returns a with n entries: its first keep (as many as it has),
+// then zeros.
+func fit[T any](a []T, keep, n int) []T {
+	if cap(a) < n {
+		b := make([]T, n, max(n, 2*cap(a)))
+		copy(b, a[:min(keep, len(a))])
+		return b
+	}
+	a = a[:n]
+	clear(a[keep:])
+	return a
+}
+
+// groupBytes is what one group of the state occupies.
+func (s *aggState) groupBytes() int64 {
+	n := unsafe.Sizeof(aggAcc{})
+	if s.keeps() {
+		n = unsafe.Sizeof(types.Datum{})
+	}
+	if s.item.Distinct {
+		n += unsafe.Sizeof(map[string]struct{}{})
+	}
+	return int64(n)
+}
+
+// move copies group src's state over group dst's.
+func (s *aggState) move(dst, src int) {
+	if s.acc != nil {
+		s.acc[dst] = s.acc[src]
+	}
+	if s.ext != nil {
+		s.ext[dst] = s.ext[src]
+	}
+	if s.seen != nil {
+		s.seen[dst] = s.seen[src]
+	}
+}
+
+// add folds one argument value into group g: the boxed definition the
+// typed loops of foldAgg follow.
+func (s *aggState) add(g int, d types.Datum) {
+	item := s.item
 	if item.Func == algebra.AggCountStar {
-		s.count++
+		s.acc[g].count++
 		return
 	}
 	if d.IsNull() {
 		return // aggregates ignore NULLs
 	}
 	if item.Distinct {
-		if s.seen == nil {
-			s.seen = make(map[string]struct{})
+		if s.seen[g] == nil {
+			s.seen[g] = make(map[string]struct{})
 		}
 		key := d.String()
-		if _, dup := s.seen[key]; dup {
+		if _, dup := s.seen[g][key]; dup {
 			return
 		}
-		s.seen[key] = struct{}{}
+		s.seen[g][key] = struct{}{}
 	}
 	switch item.Func {
 	case algebra.AggCount:
-		s.count++
+		s.acc[g].count++
 	case algebra.AggSum, algebra.AggAvg:
-		s.count++
+		a := &s.acc[g]
+		a.count++
 		if d.Kind() == types.Float {
-			s.isFloat = true
-			s.sumF += d.Float()
+			a.flt = true
+			a.sumF += d.Float()
 		} else {
-			s.sumI += d.Int()
+			a.sumI += d.Int()
 		}
-		s.anyRow = true
 	case algebra.AggMin:
-		if !s.anyRow || types.Compare(d, s.minMax) < 0 {
-			s.minMax = d
+		if s.ext[g].IsNull() || types.Compare(d, s.ext[g]) < 0 {
+			s.ext[g] = d
 		}
-		s.anyRow = true
 	case algebra.AggMax:
-		if !s.anyRow || types.Compare(d, s.minMax) > 0 {
-			s.minMax = d
+		if s.ext[g].IsNull() || types.Compare(d, s.ext[g]) > 0 {
+			s.ext[g] = d
 		}
-		s.anyRow = true
 	case algebra.AggConstAny:
-		if !s.anyRow {
-			s.minMax = d
+		if s.ext[g].IsNull() {
+			s.ext[g] = d
 		}
-		s.anyRow = true
 	}
 }
 
-// mergeFor folds another worker's partial state into s under the
-// semantics of item. The combination rules are exactly the global
-// combiners of the §3.3 LocalGroupBy split (core.TrySplitGroupBy):
-// sum of partial sums and counts, min of mins, max of maxes, avg
-// recombined from partial sum+count (both live in the same state),
-// any-of for ConstAny. DISTINCT aggregates are not mergeable and are
-// excluded from parallel plans.
-func (s *aggState) mergeFor(item *algebra.AggItem, o *aggState) {
-	switch item.Func {
-	case algebra.AggMin:
-		if o.anyRow && (!s.anyRow || types.Compare(o.minMax, s.minMax) < 0) {
-			s.minMax = o.minMax
+// merge folds group og of another worker's partial state o into group
+// g. The combination rules are exactly the global combiners of the
+// §3.3 LocalGroupBy split (core.TrySplitGroupBy): sum of partial sums
+// and counts, min of mins, max of maxes, avg recombined from partial
+// sum+count (both live in the same state), any-of for ConstAny.
+// DISTINCT aggregates are not mergeable and are excluded from parallel
+// plans.
+func (s *aggState) merge(g int, o *aggState, og int) {
+	if s.keeps() {
+		if d := o.ext[og]; !d.IsNull() {
+			s.add(g, d)
 		}
-		s.anyRow = s.anyRow || o.anyRow
-	case algebra.AggMax:
-		if o.anyRow && (!s.anyRow || types.Compare(o.minMax, s.minMax) > 0) {
-			s.minMax = o.minMax
-		}
-		s.anyRow = s.anyRow || o.anyRow
-	case algebra.AggConstAny:
-		if !s.anyRow && o.anyRow {
-			s.minMax = o.minMax
-		}
-		s.anyRow = s.anyRow || o.anyRow
-	default: // count, count(*), sum, avg: additive partials
-		s.count += o.count
-		s.sumF += o.sumF
-		s.sumI += o.sumI
-		s.isFloat = s.isFloat || o.isFloat
-		s.anyRow = s.anyRow || o.anyRow
+		return
 	}
+	a, b := &s.acc[g], &o.acc[og]
+	a.count += b.count
+	a.sumI += b.sumI
+	a.sumF += b.sumF
+	a.flt = a.flt || b.flt
 }
 
-func (s *aggState) result(item *algebra.AggItem) types.Datum {
-	switch item.Func {
-	case algebra.AggCount, algebra.AggCountStar:
-		return types.NewInt(s.count)
+// result is group g's aggregate value.
+func (s *aggState) result(g int) types.Datum {
+	if s.keeps() {
+		return s.ext[g] // NULL when no row arrived
+	}
+	a := &s.acc[g]
+	switch s.item.Func {
 	case algebra.AggSum:
-		if !s.anyRow {
+		if a.count == 0 {
 			return types.NullUnknown
 		}
-		if s.isFloat {
-			return types.NewFloat(s.sumF + float64(s.sumI))
+		if a.flt {
+			return types.NewFloat(a.sumF + float64(a.sumI))
 		}
-		return types.NewInt(s.sumI)
+		return types.NewInt(a.sumI)
 	case algebra.AggAvg:
-		if !s.anyRow || s.count == 0 {
+		if a.count == 0 {
 			return types.NullUnknown
 		}
-		return types.NewFloat((s.sumF + float64(s.sumI)) / float64(s.count))
-	case algebra.AggMin, algebra.AggMax, algebra.AggConstAny:
-		if !s.anyRow {
-			return types.NullUnknown
-		}
-		return s.minMax
+		return types.NewFloat((a.sumF + float64(a.sumI)) / float64(a.count))
 	}
-	return types.NullUnknown
+	return types.NewInt(a.count)
 }
 
 // aggTable accumulates hash groups for one GroupBy; it is used by the
@@ -134,9 +193,9 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // aggregation exchange (partials merged with aggTable.merge).
 //
 // A group is an entry of the hash table (its key) and an index into
-// the state arrays: states[j][g] is the state of aggregate j, so accum
-// folds one aggregate's argument vector into one flat state array with
-// a typed loop.
+// the state arrays: group g of states[j] is aggregate j's state, so
+// accum folds one aggregate's argument vector into its typed arrays
+// with one loop.
 //
 // Governed tables (govern called) charge each inserted group against
 // the query memory accountant and degrade hybrid-hash style once the
@@ -148,7 +207,8 @@ func (s *aggState) result(item *algebra.AggItem) types.Datum {
 // the next hash-bit level (drainSpill).
 type aggTable struct {
 	ht     hashTable
-	states [][]aggState // [aggregate][group]
+	states []aggState // one per aggregate, indexed by group
+	keyBuf types.Row  // a new group's key, for its accounting
 
 	// Governance state (nil ctx = unbounded legacy behavior).
 	ctx     *Context
@@ -163,13 +223,16 @@ type aggTable struct {
 // anyway, and a large pre-size is paid on every execution.
 const aggPresizeMax = 128
 
-// newAggTable allocates a table for nKeys grouping columns and nAggs
-// aggregates, preallocating for sizeHint groups.
-func newAggTable(nKeys, nAggs, sizeHint int) *aggTable {
-	return &aggTable{
-		ht:     newHashTable(nKeys, min(sizeHint, aggPresizeMax)),
-		states: make([][]aggState, nAggs),
+// newAggTable allocates a table for nKeys grouping columns and the
+// aggregates aggs, preallocating for sizeHint groups.
+func newAggTable(nKeys int, aggs []algebra.AggItem, sizeHint int) *aggTable {
+	sizeHint = min(sizeHint, aggPresizeMax)
+	t := &aggTable{ht: newHashTable(nKeys, sizeHint), states: newAggStates(aggs)}
+	for j := range t.states {
+		t.states[j].fit(0, sizeHint)
+		t.states[j].fit(0, 0) // room for sizeHint groups
 	}
+	return t
 }
 
 // govern turns on memory accounting and spilling at the given hash-bit
@@ -185,15 +248,19 @@ func (t *aggTable) govern(ctx *Context, st *OpStats, level int) {
 }
 
 // groupBytes approximates one resident group's footprint: key datums,
-// one aggState per aggregate, and hash-table overhead.
-func groupBytes(key types.Row, nAggs int) int64 {
-	return types.RowBytes(key) + int64(unsafe.Sizeof(aggState{}))*int64(nAggs) + 64
+// each aggregate's state, and hash-table overhead.
+func groupBytes(key types.Row, states []aggState) int64 {
+	n := types.RowBytes(key) + 64
+	for j := range states {
+		n += states[j].groupBytes()
+	}
+	return n
 }
 
-// newGroup appends the states of the entry just added as group g.
+// newGroup gives the entry just added, group g, its zero states.
 func (t *aggTable) newGroup(g int) int {
 	for j := range t.states {
-		t.states[j] = append(t.states[j], aggState{})
+		t.states[j].fit(g, g+1)
 	}
 	return g
 }
@@ -207,7 +274,8 @@ func (t *aggTable) add(keys []*eval.Vec, ri int, hk uint64, row types.Row) (int,
 	}
 	g := t.newGroup(t.ht.addVec(keys, ri, hk))
 	if t.ctx != nil {
-		n := groupBytes(t.ht.key(g), len(t.states))
+		t.keyBuf = t.ht.appendKey(t.keyBuf[:0], g)
+		n := groupBytes(t.keyBuf, t.states)
 		over, err := t.ctx.grantMem(t.st, "GroupBy", n)
 		if err != nil {
 			return -1, err
@@ -232,16 +300,15 @@ func (t *aggTable) add(keys []*eval.Vec, ri int, hk uint64, row types.Row) (int,
 // budget that made them spill in the first place. Usage is still
 // tracked for the peak statistic.
 func (t *aggTable) findForMerge(key types.Row, hk uint64) int {
-	if g := t.ht.find(hk, func(g int) bool { return slices.EqualFunc(t.ht.key(g), key, types.Equal) }); g >= 0 {
+	if g := t.ht.find(hk, func(g int) bool { return t.ht.keyEqual(g, key) }); g >= 0 {
 		return g
 	}
 	if t.ctx != nil {
-		n := groupBytes(key, len(t.states))
+		n := groupBytes(key, t.states)
 		t.ctx.noteMem(t.st, n)
 		t.charged += n
 	}
-	t.ht.keys = append(t.ht.keys, key...)
-	return t.newGroup(t.ht.insert(hk))
+	return t.newGroup(t.ht.addKey(key, hk))
 }
 
 // release returns the table's accounted memory to the budget.
@@ -341,17 +408,18 @@ func (av *aggVec) zeroGroups(n int) []int32 {
 	return av.gidx
 }
 
-// foldAgg accumulates argument vector v into states under the
-// semantics of aggState.add: row sel[k] goes to group gidx[k], in row
-// order, so every (group, aggregate) sees its rows in input order and
-// float sums come out bit-identical to a row-at-a-time fold. The
-// typed loops cover counts and the sums and averages of Int and Float
-// vectors; everything else (min/max, DISTINCT, mixed-kind or
-// batch-invariant arguments) boxes each entry and calls add.
-func foldAgg(states []aggState, item *algebra.AggItem, v *eval.Vec, sel []int, gidx []int32) {
+// foldAgg accumulates argument vector v into s under the semantics of
+// aggState.add: row sel[k] goes to group gidx[k], in row order, so
+// every group sees its rows in input order and float sums come out
+// bit-identical to a row-at-a-time fold. The typed loops cover counts
+// and the sums and averages of Int and Float vectors; everything else
+// (min/max, DISTINCT, mixed-kind or batch-invariant arguments) boxes
+// each entry and calls add.
+func foldAgg(s *aggState, v *eval.Vec, sel []int, gidx []int32) {
+	item := s.item
 	if item.Func == algebra.AggCountStar {
 		for _, g := range gidx {
-			states[g].count++
+			s.acc[g].count++
 		}
 		return
 	}
@@ -364,7 +432,7 @@ func foldAgg(states []aggState, item *algebra.AggItem, v *eval.Vec, sel []int, g
 		case algebra.AggCount:
 			for k, ri := range sel {
 				if null == nil || !null[ri] {
-					states[gidx[k]].count++
+					s.acc[gidx[k]].count++
 				}
 			}
 			return
@@ -373,21 +441,19 @@ func foldAgg(states []aggState, item *algebra.AggItem, v *eval.Vec, sel []int, g
 			case types.Float:
 				for k, ri := range sel {
 					if null == nil || !null[ri] {
-						st := &states[gidx[k]]
-						st.count++
-						st.isFloat = true
-						st.sumF += v.F[ri]
-						st.anyRow = true
+						a := &s.acc[gidx[k]]
+						a.count++
+						a.sumF += v.F[ri]
+						a.flt = true
 					}
 				}
 				return
 			case types.Int:
 				for k, ri := range sel {
 					if null == nil || !null[ri] {
-						st := &states[gidx[k]]
-						st.count++
-						st.sumI += v.I[ri]
-						st.anyRow = true
+						a := &s.acc[gidx[k]]
+						a.count++
+						a.sumI += v.I[ri]
 					}
 				}
 				return
@@ -395,7 +461,7 @@ func foldAgg(states []aggState, item *algebra.AggItem, v *eval.Vec, sel []int, g
 		}
 	}
 	for k, ri := range sel {
-		states[gidx[k]].add(item, v.Datum(ri))
+		s.add(int(gidx[k]), v.Datum(ri))
 	}
 }
 
@@ -419,7 +485,7 @@ func (t *aggTable) drain(ctx *Context, it iterator, gb *algebra.GroupBy, av *agg
 // folds each argument vector into its aggregate's state array.
 func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds []int, b *Batch) error {
 	rows, sel := b.Rows, b.Sel
-	av.frame.ResetStored(rows, ctx.params, b.src, b.off)
+	av.frame.ResetStored(rows, ctx.params, b.at)
 	if sel == nil {
 		sel = av.frame.Identity(len(rows))
 	}
@@ -433,8 +499,8 @@ func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds 
 	if err := av.eval(sel); err != nil {
 		return err
 	}
-	for j := range gb.Aggs {
-		foldAgg(t.states[j], &gb.Aggs[j], av.vecs[j], sel, av.gidx)
+	for j := range t.states {
+		foldAgg(&t.states[j], av.vecs[j], sel, av.gidx)
 	}
 	return nil
 }
@@ -487,12 +553,14 @@ func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []in
 }
 
 // merge folds another table's partial groups into t using the §3.3
-// local/global combination rules (aggState.mergeFor).
-func (t *aggTable) merge(o *aggTable, gb *algebra.GroupBy) {
+// local/global combination rules (aggState.merge).
+func (t *aggTable) merge(o *aggTable) {
+	var key types.Row
 	for og := range o.ht.len() {
-		g := t.findForMerge(o.ht.key(og), o.ht.hashes[og])
-		for i := range t.states {
-			t.states[i][g].mergeFor(&gb.Aggs[i], &o.states[i][og])
+		key = o.ht.appendKey(key[:0], og)
+		g := t.findForMerge(key, o.ht.hashes[og])
+		for j := range t.states {
+			t.states[j].merge(g, &o.states[j], og)
 		}
 	}
 }
@@ -507,9 +575,10 @@ func (t *aggTable) render(gb *algebra.GroupBy, out []types.Row) []types.Row {
 // (paper §1.1): agg(∅) per aggregate.
 func emptyAggRow(gb *algebra.GroupBy) types.Row {
 	row := make(types.Row, 0, len(gb.Aggs))
-	for i := range gb.Aggs {
-		var empty aggState
-		row = append(row, empty.result(&gb.Aggs[i]))
+	states := newAggStates(gb.Aggs)
+	for j := range states {
+		states[j].fit(0, 1)
+		row = append(row, states[j].result(0))
 	}
 	return row
 }
@@ -523,11 +592,11 @@ func (t *aggTable) renderInto(gb *algebra.GroupBy, out []types.Row, allowEmptyRo
 		return append(out, emptyAggRow(gb))
 	}
 	var arena rowArena
-	w := t.ht.n + len(t.states)
+	w := len(t.ht.cols) + len(t.states)
 	for g := range t.ht.len() {
-		row := append(arena.alloc(w), t.ht.key(g)...)
-		for i := range t.states {
-			row = append(row, t.states[i][g].result(&gb.Aggs[i]))
+		row := t.ht.appendKey(arena.alloc(w), g)
+		for j := range t.states {
+			row = append(row, t.states[j].result(g))
 		}
 		out = append(out, row)
 	}
@@ -567,7 +636,7 @@ func (t *aggTable) drainSpill(ctx *Context, gb *algebra.GroupBy, av *aggVec, key
 		if f == nil {
 			continue
 		}
-		sub := newAggTable(len(keyOrds), len(gb.Aggs), 64)
+		sub := newAggTable(len(keyOrds), gb.Aggs, 64)
 		sub.govern(ctx, t.st, spill.level+1)
 		err := sub.accumFile(ctx, gb, av, keyOrds, f)
 		if err == nil {
@@ -615,7 +684,7 @@ func (h *hashAggIter) Open() error {
 		h.prepped = true
 		h.av = newAggVec(h.ctx, h.in.ords, h.gb)
 	}
-	tbl := newAggTable(h.gb.GroupCols.Len(), len(h.gb.Aggs), h.sizeHint)
+	tbl := newAggTable(h.gb.GroupCols.Len(), h.gb.Aggs, h.sizeHint)
 	tbl.govern(h.ctx, h.st, 0)
 	defer tbl.release()
 	if err := tbl.consume(h.ctx, h.in, h.gb, h.av); err != nil {

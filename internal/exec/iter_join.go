@@ -376,6 +376,9 @@ type hashJoinIter struct {
 	// grace, when non-nil, runs the probe side Grace-style against
 	// spilled build partitions (the build overflowed MemBudget).
 	grace *graceJoin
+	// idle marks an Open whose left side was never opened: the build
+	// came out empty and the kind returns nothing without a match.
+	idle bool
 }
 
 // sharedBuild is a once-built hash-join table shared across parallel
@@ -415,7 +418,23 @@ func (h *hashJoinIter) Open() error {
 	}
 	h.em.reset()
 	h.lr.reset()
+	// An empty in-memory build of the first level answers an inner or
+	// semi join without reading the probe side. A shared build keeps
+	// every worker's probe, and a Grace pair's probe file is dropped by
+	// its Close.
+	h.idle = h.shared == nil && h.grace == nil && h.level == 0 &&
+		h.table.ht.len() == 0 && needsMatch(h.em.kind)
+	if h.idle {
+		return nil
+	}
 	return h.left.it.Open()
+}
+
+// needsMatch reports whether a join of kind emits nothing for a left
+// row without a matching right row: over an empty right side it emits
+// nothing at all.
+func needsMatch(kind algebra.JoinKind) bool {
+	return kind == algebra.InnerJoin || kind == algebra.CrossJoin || kind == algebra.SemiJoin
 }
 
 // buildTable drains the right input into the join table (row headers
@@ -522,6 +541,10 @@ func (h *hashJoinIter) probe(limit int) (types.Row, []types.Row, bool, error) {
 }
 
 func (h *hashJoinIter) NextBatch(b *Batch) error {
+	if h.idle {
+		b.setEmpty()
+		return nil
+	}
 	if h.grace != nil {
 		return h.grace.produce(b)
 	}
@@ -538,10 +561,16 @@ func (h *hashJoinIter) Close() error {
 		h.charged = 0
 	}
 	h.table = nil
+	if h.idle {
+		h.idle = false
+		return nil
+	}
 	return h.left.it.Close()
 }
 
 // nlJoinIter is a nested-loops join with a materialized right side.
+// Like the hash join, it leaves its left side unopened when the right
+// side is empty and the kind needs a match (idle).
 type nlJoinIter struct {
 	left, right *node
 	em          joinEmit
@@ -549,6 +578,7 @@ type nlJoinIter struct {
 	next        probeFn
 	rrows       []types.Row
 	rb          Batch
+	idle        bool
 }
 
 func (n *nlJoinIter) Open() error {
@@ -568,6 +598,9 @@ func (n *nlJoinIter) Open() error {
 	}
 	n.em.reset()
 	n.lr.reset()
+	if n.idle = len(n.rrows) == 0 && needsMatch(n.em.kind); n.idle {
+		return nil
+	}
 	return n.left.it.Open()
 }
 
@@ -577,9 +610,21 @@ func (n *nlJoinIter) probe(limit int) (types.Row, []types.Row, bool, error) {
 	return lrow, n.rrows, ok, err
 }
 
-func (n *nlJoinIter) NextBatch(b *Batch) error { return n.em.run(b, n.next) }
+func (n *nlJoinIter) NextBatch(b *Batch) error {
+	if n.idle {
+		b.setEmpty()
+		return nil
+	}
+	return n.em.run(b, n.next)
+}
 
-func (n *nlJoinIter) Close() error { return n.left.it.Close() }
+func (n *nlJoinIter) Close() error {
+	if n.idle {
+		n.idle = false
+		return nil
+	}
+	return n.left.it.Close()
+}
 
 // paramScope installs correlation bindings in a strand's parameter map
 // and restores what they shadowed, so nested Apply scopes binding

@@ -58,14 +58,15 @@ func compileGet(ctx *Context, at algebra.Rel, g *algebra.Get, filter algebra.Sca
 }
 
 // tableIter reads a stored table through its filter in two phases.
-// First the ordinals ords, gathered into windows in order: a seek's
-// index matches, or an ordered walk's permutation (read backward when
-// reverse). Then ranges [lo, hi) of stored rows, handed to the kernels
-// zero-copy with their (src, off): the whole table for a scan, the
-// rows past the index's coverage for a seek, each claimed morsel for a
-// parallel driver. Every window is as long as the consumer's row cap
-// and goes through filt.emit, so under an elided sort LIMIT k reads k
-// index entries.
+// First the ordinals ords, gathered into windows in order and handed
+// on with the window's ordinals, so kernels gather the typed columns by
+// ordinal: a seek's index matches, or an ordered walk's permutation
+// (read backward when reverse). Then ranges [lo, hi) of stored rows,
+// handed to the kernels zero-copy with their offset: the whole table
+// for a scan, the rows past the index's coverage for a seek, each
+// claimed morsel for a parallel driver. Every window is as long as the
+// consumer's row cap and goes through filt.emit, so under an elided
+// sort LIMIT k reads k index entries.
 type tableIter struct {
 	ctx  *Context
 	tbl  *storage.Version
@@ -87,6 +88,7 @@ type tableIter struct {
 	// on a seek, so Lookup never writes into a shared permutation.
 	key    []types.Datum
 	rowBuf []types.Row
+	revBuf []int32 // a reverse walk's window of ordinals, in read order
 }
 
 func (s *tableIter) Open() error {
@@ -114,16 +116,20 @@ func (s *tableIter) NextBatch(b *Batch) error {
 	rows := s.tbl.AllRows()
 	for s.pos < len(s.ords) {
 		end := min(s.pos+b.limit(), len(s.ords))
-		cand := s.rowBuf[:0]
-		for i := s.pos; i < end; i++ {
-			if s.reverse {
-				cand = append(cand, rows[s.ords[len(s.ords)-1-i]])
-			} else {
-				cand = append(cand, rows[s.ords[i]])
+		win := s.ords[s.pos:end]
+		if s.reverse {
+			win = s.revBuf[:0]
+			for i := s.pos; i < end; i++ {
+				win = append(win, s.ords[len(s.ords)-1-i])
 			}
+			s.revBuf = win
+		}
+		cand := s.rowBuf[:0]
+		for _, o := range win {
+			cand = append(cand, rows[o])
 		}
 		s.rowBuf, s.pos = cand, end
-		if ok, err := s.filt.emit(b, cand, nil, 0); ok || err != nil {
+		if ok, err := s.filt.emit(b, cand, eval.Stored{Src: s.tbl, Ords: win}); ok || err != nil {
 			return err
 		}
 	}
@@ -140,7 +146,7 @@ func (s *tableIter) NextBatch(b *Batch) error {
 		}
 		off := s.lo
 		s.lo = min(off+b.limit(), s.hi)
-		if ok, err := s.filt.emit(b, rows[off:s.lo], s.tbl, off); ok || err != nil {
+		if ok, err := s.filt.emit(b, rows[off:s.lo], eval.Stored{Src: s.tbl, Off: off}); ok || err != nil {
 			return err
 		}
 	}
@@ -170,7 +176,7 @@ func (f *filterIter) NextBatch(b *Batch) error {
 			return nil
 		}
 		if f.filt.trivial {
-			b.setStored(f.cb.Rows, f.cb.Sel, f.cb.src, f.cb.off)
+			b.setStored(f.cb.Rows, f.cb.Sel, f.cb.at)
 			return nil
 		}
 		sel, err := f.filt.narrow(&f.cb)
@@ -180,7 +186,7 @@ func (f *filterIter) NextBatch(b *Batch) error {
 		if len(sel) == 0 {
 			continue
 		}
-		b.setStored(f.cb.Rows, sel, f.cb.src, f.cb.off)
+		b.setStored(f.cb.Rows, sel, f.cb.at)
 		return nil
 	}
 }
@@ -238,7 +244,7 @@ func (p *projectIter) NextBatch(b *Batch) error {
 		b.setEmpty()
 		return nil
 	}
-	p.frame.ResetStored(p.cb.Rows, p.ctx.params, p.cb.src, p.cb.off)
+	p.frame.ResetStored(p.cb.Rows, p.ctx.params, p.cb.at)
 	sel := p.cb.Sel
 	if sel == nil {
 		sel = p.frame.Identity(len(p.cb.Rows))
@@ -402,7 +408,7 @@ func (t *topIter) NextBatch(b *Batch) error {
 		return err
 	}
 	t.seen += int64(t.cb.Len())
-	b.setStored(t.cb.Rows, t.cb.Sel, t.cb.src, t.cb.off)
+	b.setStored(t.cb.Rows, t.cb.Sel, t.cb.at)
 	return nil
 }
 
@@ -680,7 +686,7 @@ func (s *segmentApplyIter) NextBatch(b *Batch) error {
 			return err
 		}
 		if s.cb.Len() > 0 {
-			b.setStored(s.cb.Rows, s.cb.Sel, s.cb.src, s.cb.off)
+			b.setStored(s.cb.Rows, s.cb.Sel, s.cb.at)
 			return nil
 		}
 		s.innerOn = false

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
@@ -15,14 +17,17 @@ import (
 // streamAggIter implements vector, scalar and local GroupBy over
 // grouped input: rows of each group arrive contiguously (the compiler
 // picks it only where the input's delivered order covers the group
-// columns — AggAlg), so the operator holds exactly one group of
-// aggregate state and emits it at each group boundary. O(1) memory,
-// streaming output in input-group order.
+// columns — AggAlg), so the operator holds one open group of aggregate
+// state between batches and emits each group once its last row has
+// passed. Streaming output in input-group order.
 //
-// It evaluates every aggregate argument once per input batch, cuts the
-// batch into runs of one group, and folds each run into the single
-// group's states with the typed loops of hash aggregation (foldAgg);
-// completed groups queue in out, which NextBatch serves.
+// A batch is folded whole: one typed pass per key column marks where
+// each row's key differs from the row before it (markRuns), the runs
+// are numbered — run 0 continues the group left open by the last batch
+// — and every aggregate argument folds into a batch-local state array
+// indexed by run with the typed loops of hash aggregation (foldAgg).
+// The completed runs render into one block of rows, and the last run's
+// state moves to slot 0, the open group of the next batch.
 type streamAggIter struct {
 	ctx  *Context
 	in   *node
@@ -31,16 +36,18 @@ type streamAggIter struct {
 	st   *OpStats
 
 	keyOrds []int
-	curKey  types.Row
-	states  [][]aggState // [aggregate][0]: the current group
-	started bool
+	curKey  types.Row  // the open group's key
+	states  []aggState // [aggregate], indexed by run; slot 0 is the open group
+	started bool       // a group is open
 	done    bool
 
 	av     *aggVec
 	ib     Batch
-	out    []types.Row // completed groups not yet returned
+	brk    []bool  // brk[k]: live row k starts a run
+	runs   []int32 // each live row's run
+	starts []int   // each run's first live row
+	out    []types.Row
 	outPos int
-	arena  rowArena
 }
 
 func (s *streamAggIter) Open() error {
@@ -52,10 +59,7 @@ func (s *streamAggIter) Open() error {
 	if s.states == nil {
 		s.av = newAggVec(s.ctx, s.in.ords, s.gb)
 		s.curKey = make(types.Row, len(keyOrds))
-		s.states = make([][]aggState, len(s.gb.Aggs))
-		for j := range s.states {
-			s.states[j] = make([]aggState, 1)
-		}
+		s.states = newAggStates(s.gb.Aggs)
 	}
 	s.started = false
 	s.done = false
@@ -64,51 +68,61 @@ func (s *streamAggIter) Open() error {
 	return s.in.it.Open()
 }
 
-// sameGroup reports whether the key vectors' entries at ri are the
-// current group's key, in the order the input is sorted by
-// (types.Compare). NULL group keys compare equal to each other (SQL
-// GROUP BY semantics), and a NaN key differs from every number, as in
-// the hash aggregation's key equality.
-func (s *streamAggIter) sameGroup(keys []*eval.Vec, ri int) bool {
-	for j, v := range keys {
-		if types.Compare(v.Datum(ri), s.curKey[j]) != 0 {
-			return false
+// markRuns sets brk[k] for every live row k > 0 whose entry in v
+// differs from live row k-1's, under types.Compare: a NaN equals a NaN,
+// -0 equals 0 and NULL equals NULL. A typed column without NULLs
+// compares its payloads; any other column compares boxed entries.
+func markRuns(brk []bool, v *eval.Vec, sel []int) {
+	typed := v.D == nil && v.Null == nil
+	switch {
+	case v.D == nil && v.Kind == types.Unknown:
+		// Every key is NULL: one run.
+	case typed && (v.Kind == types.Int || v.Kind == types.Date || v.Kind == types.Bool):
+		for k := 1; k < len(sel); k++ {
+			brk[k] = brk[k] || v.I[sel[k]] != v.I[sel[k-1]]
+		}
+	case typed && v.Kind == types.Float:
+		for k := 1; k < len(sel); k++ {
+			x, y := v.F[sel[k]], v.F[sel[k-1]]
+			brk[k] = brk[k] || !(x == y || x != x && y != y)
+		}
+	case typed && v.Kind == types.String:
+		for k := 1; k < len(sel); k++ {
+			brk[k] = brk[k] || v.S[sel[k]] != v.S[sel[k-1]]
+		}
+	default:
+		for k := 1; k < len(sel); k++ {
+			brk[k] = brk[k] || types.Compare(v.Datum(sel[k]), v.Datum(sel[k-1])) != 0
 		}
 	}
-	return true
 }
 
-func (s *streamAggIter) startGroup(row types.Row) {
-	for j, o := range s.keyOrds {
-		s.curKey[j] = row[o]
+// number numbers the runs of the live rows sel: a row's run is its
+// slot in the batch's state arrays. Run 0 is the open group, which the
+// first row continues when its key is the open group's; every other
+// run starts at a marked row. It returns the last run.
+func (s *streamAggIter) number(keys []*eval.Vec, sel []int) int {
+	s.brk = fit(s.brk, 0, len(sel))
+	for _, v := range keys {
+		markRuns(s.brk, v, sel)
 	}
-	for j := range s.states {
-		s.states[j][0] = aggState{}
+	s.brk[0] = !s.started
+	for j, v := range keys {
+		if !s.brk[0] && types.Compare(v.Datum(sel[0]), s.curKey[j]) != 0 {
+			s.brk[0] = true
+		}
 	}
-	s.started = true
-}
-
-// emit renders the current group's result row (key copied out — the
-// key buffer is reused for the next group).
-func (s *streamAggIter) emit() types.Row {
-	row := append(s.arena.alloc(len(s.curKey)+len(s.states)), s.curKey...)
-	for j := range s.states {
-		row = append(row, s.states[j][0].result(&s.gb.Aggs[j]))
+	s.runs = slices.Grow(s.runs[:0], len(sel))
+	s.starts = append(slices.Grow(s.starts[:0], len(sel)+1), 0)
+	r := int32(0)
+	for k, b := range s.brk {
+		if b {
+			r++
+			s.starts = append(s.starts, k)
+		}
+		s.runs = append(s.runs, r)
 	}
-	return row
-}
-
-// finish ends the stream: the open group, or the empty-input row of a
-// scalar aggregation.
-func (s *streamAggIter) finish() (types.Row, bool) {
-	s.done = true
-	if s.started {
-		return s.emit(), true
-	}
-	if s.gb.Kind == algebra.ScalarGroupBy {
-		return emptyAggRow(s.gb), true
-	}
-	return nil, false
+	return int(r)
 }
 
 // fill consumes input batches until at least one group completes or
@@ -121,16 +135,14 @@ func (s *streamAggIter) fill() error {
 		}
 		live := s.ib.Len()
 		if live == 0 {
-			if row, ok := s.finish(); ok {
-				s.out = append(s.out, row)
-			}
+			s.finish()
 			return nil
 		}
 		if err := s.ctx.chargeN(live); err != nil {
 			return err
 		}
 		rows := s.ib.Rows
-		s.av.frame.ResetStored(rows, s.ctx.params, s.ib.src, s.ib.off)
+		s.av.frame.ResetStored(rows, s.ctx.params, s.ib.at)
 		sel := s.ib.Sel
 		if sel == nil {
 			sel = s.av.frame.Identity(len(rows))
@@ -139,28 +151,67 @@ func (s *streamAggIter) fill() error {
 		if err := s.av.eval(sel); err != nil {
 			return err
 		}
-		zeros := s.av.zeroGroups(len(sel))
-		start := 0
-		for k, ri := range sel {
-			if s.started && s.sameGroup(keys, ri) {
-				continue
-			}
-			if s.started {
-				s.fold(sel[start:k], zeros[:k-start])
-				s.out = append(s.out, s.emit())
-			}
-			s.startGroup(rows[ri])
-			start = k
+		last := s.number(keys, sel)
+		for j := range s.states {
+			s.states[j].fit(1, last+1)
+			foldAgg(&s.states[j], s.av.vecs[j], sel, s.runs)
 		}
-		s.fold(sel[start:], zeros[:len(sel)-start])
+		if last == 0 {
+			s.started = true
+			continue
+		}
+		// Runs [first, last) are complete; run 0 holds a group only when
+		// one was open.
+		first := 1
+		if s.started {
+			first = 0
+		}
+		s.render(keys, sel, first, last)
+		for j, v := range keys {
+			s.curKey[j] = v.Datum(sel[s.starts[last]])
+		}
+		for j := range s.states {
+			s.states[j].move(0, last)
+		}
+		s.started = true
 	}
 	return nil
 }
 
-// fold accumulates one run of the current group.
-func (s *streamAggIter) fold(run []int, zeros []int32) {
-	for j := range s.gb.Aggs {
-		foldAgg(s.states[j], &s.gb.Aggs[j], s.av.vecs[j], run, zeros)
+// render queues runs [first, last) as result rows carved from one
+// block allocated for the batch: each run's key (the open group's for
+// run 0), then its aggregates.
+func (s *streamAggIter) render(keys []*eval.Vec, sel []int, first, last int) {
+	w := len(s.keyOrds) + len(s.states)
+	block := make([]types.Datum, 0, (last-first)*w)
+	for r := first; r < last; r++ {
+		if r == 0 {
+			block = append(block, s.curKey...)
+		} else {
+			for _, v := range keys {
+				block = append(block, v.Datum(sel[s.starts[r]]))
+			}
+		}
+		for j := range s.states {
+			block = append(block, s.states[j].result(r))
+		}
+		s.out = append(s.out, block[len(block)-w:len(block):len(block)])
+	}
+}
+
+// finish ends the stream: the open group, or the empty-input row of a
+// scalar aggregation.
+func (s *streamAggIter) finish() {
+	s.done = true
+	switch {
+	case s.started:
+		row := append(make(types.Row, 0, len(s.curKey)+len(s.states)), s.curKey...)
+		for j := range s.states {
+			row = append(row, s.states[j].result(0))
+		}
+		s.out = append(s.out, row)
+	case s.gb.Kind == algebra.ScalarGroupBy:
+		s.out = append(s.out, emptyAggRow(s.gb))
 	}
 }
 

@@ -63,6 +63,14 @@ func newMorselSource(total int) *morselSource {
 	return &morselSource{total: total}
 }
 
+// reset rewinds the source over a driver table of total rows. No
+// worker of its previous run may still claim from it.
+func (m *morselSource) reset(total int) {
+	m.total = total
+	m.next.Store(0)
+	m.claimed.Store(0)
+}
+
 // startWorkers is how many of want workers src can keep busy — no more
 // than it has morsels, and at least one, so an empty table still runs
 // the subtree once (a scalar aggregate's one row) — counted on st and
@@ -266,30 +274,54 @@ func compileExchange(ctx *Context, rel algebra.Rel) (*node, error) {
 		st = &OpStats{}
 		ctx.trace[rel] = st
 	}
+	// The first worker's tree is compiled now, and the first Open runs
+	// it: a scan exchange's layout is its. Its trace is merged at once
+	// too — every counter still zero — so the strategies compile chose
+	// show even when the exchange never opens (an empty build above
+	// it), as a serial tree's do.
+	src := newMorselSource(0)
+	in := rel
+	if pp.agg != nil {
+		in = pp.agg.Input
+	}
+	wctx, first, err := spawnWorker(ctx, in, pp.driver, src)
+	if err != nil {
+		return nil, err
+	}
+	ctx.mergeWorkerTrace(wctx)
+	fw := firstWorker{n: first, ctx: wctx}
 	if pp.agg != nil {
 		cols := append([]algebra.ColID(nil), pp.agg.GroupCols.Ordered()...)
 		for _, a := range pp.agg.Aggs {
 			cols = append(cols, a.Col)
 		}
-		it := &parallelAggIter{ctx: ctx, gb: pp.agg, driver: pp.driver,
+		it := &parallelAggIter{ctx: ctx, gb: pp.agg, driver: pp.driver, src: src, first: fw,
 			workers: ctx.Parallelism, st: st}
 		return newNode(it, cols), nil
 	}
-	// Compile a throwaway worker tree to learn the subtree's output
-	// layout (cheap: no execution). Worker trees are recompiled per
-	// goroutine at Open.
-	probe, err := compile(ctx.workerClone(), rel)
-	if err != nil {
-		return nil, err
-	}
-	it := &exchangeIter{ctx: ctx, rel: rel, driver: pp.driver,
-		cols: probe.cols, workers: ctx.Parallelism, st: st}
-	return newNode(it, probe.cols), nil
+	it := &exchangeIter{ctx: ctx, rel: rel, driver: pp.driver, src: src,
+		first: fw, workers: ctx.Parallelism, st: st}
+	return newNode(it, first.cols), nil
+}
+
+// firstWorker is the worker tree an exchange compiles with itself, for
+// its first Open's first worker; later Opens compile every worker's.
+type firstWorker struct {
+	n   *node
+	ctx *Context
+}
+
+// take hands out the tree once: the tree, or a nil node after that.
+func (f *firstWorker) take() (*Context, *node) {
+	ctx, n := f.ctx, f.n
+	*f = firstWorker{}
+	return ctx, n
 }
 
 // spawnWorker compiles a private copy of rel for one worker over the
 // shared morsel source and returns the compiled tree.
 func spawnWorker(ctx *Context, rel algebra.Rel, driver *algebra.Get, src *morselSource) (*Context, *node, error) {
+	ctx.shared.trees.Add(1)
 	wctx := ctx.workerClone()
 	wctx.morsels = src
 	wctx.driverGet = driver
@@ -303,11 +335,11 @@ type exchangeIter struct {
 	ctx     *Context
 	rel     algebra.Rel
 	driver  *algebra.Get
-	cols    []algebra.ColID
 	workers int
 	st      *OpStats
+	first   firstWorker
 
-	src      *morselSource
+	src      *morselSource // reset by every Open
 	batches  chan exBatch
 	cancel   chan struct{}
 	stopOnce *sync.Once
@@ -356,15 +388,25 @@ func (e *exchangeIter) Open() error {
 	if !ok {
 		return fmtErrNoTable(e.driver.Table)
 	}
-	e.src = newMorselSource(tbl.RowCount())
+	e.src.reset(tbl.RowCount())
 	workers := e.ctx.startWorkers(e.st, e.src, e.workers)
+	wctx, first := e.first.take()
 	if workers == 1 {
-		wctx, n, err := spawnWorker(e.ctx, e.rel, e.driver, e.src)
-		if err != nil {
-			return err
+		if first == nil {
+			var err error
+			if wctx, first, err = spawnWorker(e.ctx, e.rel, e.driver, e.src); err != nil {
+				return err
+			}
 		}
-		e.solo, e.soloCtx = n, wctx
-		return n.it.Open()
+		e.solo, e.soloCtx = first, wctx
+		err := first.it.Open()
+		if e.ctx.trace != nil {
+			// The worker ran on this strand under its own trace clock:
+			// the real clock is read on this one, so the exchange's Open
+			// is timed with the work it did.
+			e.ctx.clk.now()
+		}
+		return err
 	}
 	e.batches = make(chan exBatch, workers*2)
 	e.cancel = make(chan struct{})
@@ -375,10 +417,11 @@ func (e *exchangeIter) Open() error {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(wctx *Context, n *node) {
 			defer wg.Done()
-			e.runWorker()
-		}()
+			e.runWorker(wctx, n)
+		}(wctx, first)
+		wctx, first = nil, nil
 	}
 	go func() {
 		wg.Wait()
@@ -388,7 +431,9 @@ func (e *exchangeIter) Open() error {
 	return nil
 }
 
-func (e *exchangeIter) runWorker() {
+// runWorker runs one worker: the tree n on wctx, or, when n is nil, a
+// tree it compiles.
+func (e *exchangeIter) runWorker(wctx *Context, n *node) {
 	// Panics in the worker's own machinery (operator panics are already
 	// contained by guardIter) must surface as the exchange's error, not
 	// crash the process from a bare goroutine.
@@ -397,10 +442,12 @@ func (e *exchangeIter) runWorker() {
 			e.fail(recovered("exchange-worker", e.ctx.Fingerprint, r))
 		}
 	}()
-	wctx, n, err := spawnWorker(e.ctx, e.rel, e.driver, e.src)
-	if err != nil {
-		e.fail(err)
-		return
+	if n == nil {
+		var err error
+		if wctx, n, err = spawnWorker(e.ctx, e.rel, e.driver, e.src); err != nil {
+			e.fail(err)
+			return
+		}
 	}
 	// Fold this worker's private trace into the query's merged
 	// worker-side statistics once the worker is done (the enclosing
@@ -493,13 +540,15 @@ func (e *exchangeIter) Close() error {
 // aggregates over morsels, merged by the coordinator — the §3.3
 // LocalGroupBy decomposition executed physically: worker tables are
 // the local aggregates, the merge applies the global combiners
-// (aggState.mergeFor).
+// (aggState.merge).
 type parallelAggIter struct {
 	ctx     *Context
 	gb      *algebra.GroupBy
 	driver  *algebra.Get
 	workers int
 	st      *OpStats
+	first   firstWorker
+	src     *morselSource // reset by every Open
 
 	out []types.Row
 	pos int
@@ -510,7 +559,8 @@ func (p *parallelAggIter) Open() error {
 	if !ok {
 		return fmtErrNoTable(p.driver.Table)
 	}
-	src := newMorselSource(tbl.RowCount())
+	src := p.src
+	src.reset(tbl.RowCount())
 	workers := p.ctx.startWorkers(p.st, src, p.workers)
 	type aggResult struct {
 		tbl  *aggTable
@@ -520,6 +570,7 @@ func (p *parallelAggIter) Open() error {
 	results := make(chan aggResult, workers)
 	sizeHint := p.ctx.Estimates.sizeHint(p.gb, aggPresizeMax)
 	for w := 0; w < workers; w++ {
+		wctx, n := p.first.take()
 		go func() {
 			var res aggResult
 			defer func() {
@@ -530,10 +581,12 @@ func (p *parallelAggIter) Open() error {
 				}
 				results <- res
 			}()
-			wctx, n, err := spawnWorker(p.ctx, p.gb.Input, p.driver, src)
-			if err != nil {
-				res.err = err
-				return
+			if n == nil {
+				var err error
+				if wctx, n, err = spawnWorker(p.ctx, p.gb.Input, p.driver, src); err != nil {
+					res.err = err
+					return
+				}
 			}
 			// Merge the worker's private trace when it finishes; the
 			// results channel hand-off publishes it to the coordinator.
@@ -543,9 +596,9 @@ func (p *parallelAggIter) Open() error {
 				res.err = err
 				return
 			}
-			tbl := newAggTable(p.gb.GroupCols.Len(), len(p.gb.Aggs), sizeHint)
+			tbl := newAggTable(p.gb.GroupCols.Len(), p.gb.Aggs, sizeHint)
 			tbl.govern(wctx, p.st, 0)
-			err = tbl.consume(wctx, n, p.gb, newAggVec(wctx, n.ords, p.gb))
+			err := tbl.consume(wctx, n, p.gb, newAggVec(wctx, n.ords, p.gb))
 			if cerr := n.it.Close(); err == nil {
 				err = cerr
 			}
@@ -559,7 +612,7 @@ func (p *parallelAggIter) Open() error {
 	// files drain through the merged table afterwards — a group spilled
 	// by one worker but resident in another simply keeps aggregating in
 	// place.
-	merged := newAggTable(p.gb.GroupCols.Len(), len(p.gb.Aggs), sizeHint)
+	merged := newAggTable(p.gb.GroupCols.Len(), p.gb.Aggs, sizeHint)
 	merged.govern(p.ctx, p.st, 0)
 	var firstErr error
 	var spilled []*spillSet
@@ -573,7 +626,7 @@ func (p *parallelAggIter) Open() error {
 			continue
 		}
 		if r.err == nil {
-			merged.merge(r.tbl, p.gb)
+			merged.merge(r.tbl)
 			if r.tbl.spill != nil {
 				spilled = append(spilled, r.tbl.spill)
 				r.tbl.spill = nil

@@ -17,6 +17,13 @@ import (
 // runSQLWith compiles and executes sql with an explicit parallelism.
 func runSQLWith(t testing.TB, st *storage.Store, sql string, par int) *Result {
 	t.Helper()
+	out, _ := runSQLCtx(t, st, sql, par)
+	return out
+}
+
+// runSQLCtx is runSQLWith, also returning the run's Context.
+func runSQLCtx(t testing.TB, st *storage.Store, sql string, par int) (*Result, *Context) {
+	t.Helper()
 	q, err := parser.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -37,7 +44,29 @@ func runSQLWith(t testing.TB, st *storage.Store, sql string, par int) *Result {
 	if err != nil {
 		t.Fatalf("run (par=%d): %v\nplan:\n%s", par, err, algebra.FormatRel(md, rel))
 	}
-	return out
+	return out, ctx
+}
+
+// TestExchangeCompilesTreesItRuns: an exchange compiles one worker tree
+// per worker it starts — the first with the plan, the rest at Open —
+// and none only to learn its layout: a scan exchange, an aggregation
+// exchange, and each as one worker over a table of one morsel.
+func TestExchangeCompilesTreesItRuns(t *testing.T) {
+	st := bigDB(t)
+	for _, q := range []string{
+		`select o_orderkey from orders where o_totalprice > 50`,
+		`select o_custkey, sum(o_totalprice) as s from orders group by o_custkey`,
+		`select c_custkey from customer where c_acctbal > 0`,
+		`select c_nationkey, count(*) as n from customer group by c_nationkey`,
+	} {
+		for _, par := range []int{2, 4} {
+			_, ctx := runSQLCtx(t, st, q, par)
+			workers, trees := ctx.WorkersSpawned(), ctx.shared.trees.Load()
+			if workers == 0 || trees != workers {
+				t.Errorf("par=%d: %d worker trees compiled for %d workers: %s", par, trees, workers, q)
+			}
+		}
+	}
 }
 
 func TestMorselSourceCoversTable(t *testing.T) {

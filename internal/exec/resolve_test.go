@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"orthoq/internal/eval"
 	"orthoq/internal/sql/types"
 )
 
@@ -141,7 +142,7 @@ func TestVecHashMatchesHashRow(t *testing.T) {
 		}
 		src := newRowColumns(stored, width)
 
-		tbl, oracle := newAggTable(nKeys, 0, 0), &rowGroups{}
+		tbl, oracle := newAggTable(nKeys, nil, 0), &rowGroups{}
 		av := &aggVec{}
 		for off := 0; off < len(stored); off += batch {
 			rows := stored[off : off+batch]
@@ -156,7 +157,7 @@ func TestVecHashMatchesHashRow(t *testing.T) {
 				sel = av.frame.Identity(len(rows))
 			}
 			if r.Intn(2) == 0 {
-				av.frame.ResetStored(rows, nil, src, off)
+				av.frame.ResetStored(rows, nil, eval.Stored{Src: src, Off: off})
 			} else {
 				av.frame.Reset(rows, nil)
 			}

@@ -114,6 +114,12 @@ const traceClockEvery = 15
 // it, and a strand with few calls — a parallel worker — is not credited
 // 0 s because all its reads fell between two refreshes.
 //
+// An Open times itself from the cached timestamp too, unless the real
+// clock was read while it ran (reals moved): then it did real work —
+// pulled batches, built a table — and reads the real clock on exit, so
+// that work is not left out of its time. An Open that only resets
+// state, a seek's re-open per binding, still reads no real clock.
+//
 // Correctness: a real read refreshes the cached timestamp too, so the
 // clock is monotone (it only moves forward), and every wrapper on the
 // strand reads the same clock, so nested interval deltas still
@@ -123,8 +129,9 @@ const traceClockEvery = 15
 // land on a neighbouring operator, so read per-operator self times of
 // per-binding work as shares over many queries, not per query.
 type amortClock struct {
-	n    int
-	last time.Time
+	n     int
+	last  time.Time
+	reals uint64 // real reads (now) so far
 }
 
 // read returns the current amortized timestamp, refreshing from the
@@ -141,6 +148,7 @@ func (c *amortClock) read() time.Time {
 // now reads the real clock and refreshes the cached timestamp with it.
 func (c *amortClock) now() time.Time {
 	c.last = time.Now()
+	c.reals++
 	return c.last
 }
 
@@ -155,9 +163,15 @@ type traceIter struct {
 }
 
 func (t *traceIter) Open() error {
-	start := t.clk.read()
+	start, reals := t.clk.read(), t.clk.reals
 	err := t.in.Open()
-	t.st.Busy += t.clk.read().Sub(start)
+	var end time.Time
+	if t.clk.reals != reals {
+		end = t.clk.now()
+	} else {
+		end = t.clk.read()
+	}
+	t.st.Busy += end.Sub(start)
 	t.st.Opens++
 	return err
 }

@@ -111,23 +111,26 @@ func (e *colEnv) Value(c algebra.ColID) (types.Datum, bool) {
 // folded is a direct fold's result: groups in first-appearance order.
 type folded struct {
 	keys   []types.Row
-	states [][]aggState // [group][aggregate]
+	states []aggState // [aggregate], indexed by group
 	index  map[string]int
 }
 
-func (f *folded) group(key types.Row, nAggs int) []aggState {
+func (f *folded) group(key types.Row, gb *algebra.GroupBy) int {
 	k := bitKey(key)
 	g, ok := f.index[k]
 	if !ok {
 		if f.index == nil {
 			f.index = map[string]int{}
+			f.states = newAggStates(gb.Aggs)
 		}
 		g = len(f.keys)
 		f.index[k] = g
 		f.keys = append(f.keys, key)
-		f.states = append(f.states, make([]aggState, nAggs))
+		for j := range f.states {
+			f.states[j].fit(g, g+1)
+		}
 	}
-	return f.states[g]
+	return g
 }
 
 func (f *folded) render(gb *algebra.GroupBy) []types.Row {
@@ -137,8 +140,8 @@ func (f *folded) render(gb *algebra.GroupBy) []types.Row {
 	var out []types.Row
 	for g, key := range f.keys {
 		row := append(types.Row(nil), key...)
-		for j := range gb.Aggs {
-			row = append(row, f.states[g][j].result(&gb.Aggs[j]))
+		for j := range f.states {
+			row = append(row, f.states[j].result(g))
 		}
 		out = append(out, row)
 	}
@@ -169,7 +172,7 @@ func directFold(t *testing.T, sa scanAgg, rows []types.Row) *folded {
 		for i, c := range groupCols {
 			key[i], _ = env.Value(c)
 		}
-		states := f.group(key, len(sa.gb.Aggs))
+		g := f.group(key, sa.gb)
 		for j := range sa.gb.Aggs {
 			item := &sa.gb.Aggs[j]
 			var d types.Datum
@@ -179,7 +182,7 @@ func directFold(t *testing.T, sa scanAgg, rows []types.Row) *folded {
 					t.Fatal(err)
 				}
 			}
-			states[j].add(item, d)
+			f.states[j].add(g, d)
 		}
 	}
 	return f
@@ -202,7 +205,7 @@ func mergedPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa sc
 	t.Helper()
 	ctx := NewContext(st, md)
 	const workers = 4
-	merged := newAggTable(sa.gb.GroupCols.Len(), len(sa.gb.Aggs), 0)
+	merged := newAggTable(sa.gb.GroupCols.Len(), sa.gb.Aggs, 0)
 	for w := 0; w < workers; w++ {
 		in := newNode(&sliceIter{rows: workerPartition(rows, w, workers)}, sa.get.Cols)
 		if sa.filter != nil {
@@ -211,17 +214,17 @@ func mergedPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa sc
 		if err := in.it.Open(); err != nil {
 			t.Fatal(err)
 		}
-		partial := newAggTable(sa.gb.GroupCols.Len(), len(sa.gb.Aggs), 0)
+		partial := newAggTable(sa.gb.GroupCols.Len(), sa.gb.Aggs, 0)
 		if err := partial.consume(ctx, in, sa.gb, newAggVec(ctx, in.ords, sa.gb)); err != nil {
 			t.Fatal(err)
 		}
-		merged.merge(partial, sa.gb)
+		merged.merge(partial)
 	}
 	return merged.render(sa.gb, nil)
 }
 
 // mergedDirectFolds is mergedPartials with each partition folded
-// directly and the partials combined by aggState.mergeFor in the same
+// directly and the partials combined by aggState.merge in the same
 // worker order.
 func mergedDirectFolds(t *testing.T, sa scanAgg, rows []types.Row) []types.Row {
 	t.Helper()
@@ -229,10 +232,10 @@ func mergedDirectFolds(t *testing.T, sa scanAgg, rows []types.Row) []types.Row {
 	merged := &folded{}
 	for w := 0; w < workers; w++ {
 		part := directFold(t, sa, workerPartition(rows, w, workers))
-		for g, key := range part.keys {
-			states := merged.group(key, len(sa.gb.Aggs))
-			for j := range states {
-				states[j].mergeFor(&sa.gb.Aggs[j], &part.states[g][j])
+		for og, key := range part.keys {
+			g := merged.group(key, sa.gb)
+			for j := range merged.states {
+				merged.states[j].merge(g, &part.states[j], og)
 			}
 		}
 	}
@@ -303,7 +306,11 @@ func TestVectorAggSpillRouting(t *testing.T) {
 	}
 	// About 1/8 of the groups fit: the first batch already crosses the
 	// budget, so findRow starts routing rows in mid-batch.
-	budget := int64(len(base.Rows)) * groupBytes(types.Row{types.NewInt(0)}, 4) / 8
+	sa, ok := findScanAgg(rel)
+	if !ok {
+		t.Fatalf("no aggregation over a scan in\n%s", algebra.FormatRel(md, rel))
+	}
+	budget := int64(len(base.Rows)) * groupBytes(types.Row{types.NewInt(0)}, newAggStates(sa.gb.Aggs)) / 8
 	spilled := run(budget)
 	if spilled.Spills == 0 {
 		t.Fatalf("budget %d did not spill", budget)
@@ -344,7 +351,7 @@ func BenchmarkVecFold(b *testing.B) {
 		if err := in.it.Open(); err != nil {
 			b.Fatal(err)
 		}
-		tbl := newAggTable(1, len(gb.Aggs), 0)
+		tbl := newAggTable(1, gb.Aggs, 0)
 		if err := tbl.consume(ctx, in, gb, av); err != nil || tbl.ht.len() != 4 {
 			b.Fatalf("groups=%d err=%v", tbl.ht.len(), err)
 		}

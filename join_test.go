@@ -129,6 +129,59 @@ func TestHashJoinEdgeCases(t *testing.T) {
 	}
 }
 
+// TestEmptyBuildSkipsProbe: an inner or semi join whose build side
+// comes out empty answers without reading its probe side. Q21's
+// supplier-side builds are empty on the shared store (no SAUDI ARABIA
+// supplier): every join span whose build produced no row has a probe
+// side that never opened and produced nothing, and the answer is the
+// oracle's under every variant. A left outer and an anti join over an
+// empty build still return every probe row.
+func TestEmptyBuildSkipsProbe(t *testing.T) {
+	db := sharedDB(t)
+	sql, _ := TPCHQuery("Q21")
+	newOracle(referenceVariants).check(t, db, "Q21", sql, DefaultConfig())
+	rows, err := db.QueryAnalyze(sql, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := 0
+	for _, sp := range collectSpans(rows) {
+		if sp.Op != "Join" || len(sp.Children) != 2 {
+			continue
+		}
+		probe, build := sp.Children[0], sp.Children[1]
+		if build.Opens == 0 || build.Rows > 0 {
+			continue
+		}
+		skipped++
+		if probe.Opens != 0 || probe.Rows != 0 {
+			t.Errorf("a join over an empty build read its probe side (opens=%d rows=%d)\n%s",
+				probe.Opens, probe.Rows, rows.Trace)
+		}
+	}
+	if skipped == 0 {
+		t.Fatalf("no join of Q21 saw an empty build\n%s", rows.Trace)
+	}
+
+	edge := joinEdgeDB(t)
+	all, err := edge.Query(`select p_id from prb`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		`select p_id, e_id from prb left outer join empty on p_key = e_key`,
+		`select p_id from prb where not exists (select * from empty where e_key = p_key)`,
+	} {
+		got, err := edge.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Data) != len(all.Data) {
+			t.Errorf("%d rows of %d probe rows: %s", len(got.Data), len(all.Data), sql)
+		}
+	}
+}
+
 // joinUnderWorkers reports whether a join span sits below a parallel
 // exchange that ran more than one worker.
 func joinUnderWorkers(s *obs.Span, parallel bool) bool {

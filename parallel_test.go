@@ -23,6 +23,9 @@ func approxEqualDatum(a, b Value) bool {
 	if a.Kind().Numeric() && b.Kind().Numeric() {
 		fa, _ := a.AsFloat()
 		fb, _ := b.AsFloat()
+		if fa != fa || fb != fb {
+			return fa != fa && fb != fb // a NaN equals a NaN, as types.Compare says
+		}
 		diff := fa - fb
 		if diff < 0 {
 			diff = -diff
@@ -108,5 +111,38 @@ func TestParallelAnalyzeTrace(t *testing.T) {
 	}
 	if !strings.Contains(rows.Trace, "workers=4") {
 		t.Fatalf("trace missing workers=4:\n%s", rows.Trace)
+	}
+}
+
+// TestExchangeOpenTimed: work a worker does inside Open shows in the
+// exchange's time. Q15 at two workers and SF 0.01 runs its top exchange
+// as one worker on the consumer's strand, whose Open builds two hash
+// aggregations under the worker's own trace clock; the exchange's
+// time= must cover at least half its workertime=.
+func TestExchangeOpenTimed(t *testing.T) {
+	db, err := OpenTPCH(0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, _ := TPCHQuery("Q15")
+	cfg := DefaultConfig()
+	cfg.Parallelism = 2
+	rows, err := db.QueryAnalyze(sql, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchanges := 0
+	for _, sp := range collectSpans(rows) {
+		if sp.Workers == 0 || sp.WorkerTime == 0 {
+			continue
+		}
+		exchanges++
+		if 2*sp.Busy < sp.WorkerTime {
+			t.Errorf("%s exchange: time=%v covers less than half its workertime=%v\n%s",
+				sp.Op, sp.Busy, sp.WorkerTime, rows.Trace)
+		}
+	}
+	if exchanges == 0 {
+		t.Fatalf("no exchange in\n%s", rows.Trace)
 	}
 }

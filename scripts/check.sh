@@ -65,14 +65,16 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # inside the morsel exchange), Q2's and Q17's correlated plans (the
 # Applies that are not probes),
 # Q1's scan-and-aggregate, an integer-key aggregation into thousands of
-# groups, a hash join, and a selective probe against a small build side
+# groups, Q18's streaming aggregation over the lineitem_pk walk, Q21
+# (whose joins over empty builds never read their probe sides), a hash
+# join, and a selective probe against a small build side
 # (Q20's shape), so every run prints B/op and allocs/op for the paths
 # that touch rows.
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestSkippedBindingsChangeNothing' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run TestQErrorReport -v .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchStreamAggQ18$|TPCHQ21$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
