@@ -302,7 +302,7 @@ func TestMetricsDeltas(t *testing.T) {
 	// Spills: a small budget with spilling allowed.
 	before = snap()
 	spillCfg := cfg
-	spillCfg.MemBudget = 16 << 10
+	spillCfg.MemBudget = 8 << 10
 	r2, err := db.QueryCfg("select o_custkey, count(*) as n from orders group by o_custkey", spillCfg)
 	if err != nil {
 		t.Fatal(err)
