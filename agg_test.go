@@ -106,10 +106,11 @@ func aggDB(t *testing.T) *DB {
 }
 
 // aggList is every aggregate function the executor folds, over Int,
-// Float and String arguments with NULLs.
+// Float and String arguments with NULLs; the DISTINCT ones over a_flt
+// count -0 and 0 as one value, and every NaN as one.
 const aggList = `count(*) as n, count(v_i) as ni, sum(v_i) as si, sum(v_f) as sf, avg(v_f) as af,
 	min(v_i) as mni, max(v_i) as mxi, min(v_s) as mns, max(v_s) as mxs, min(v_f) as mnf,
-	max(v_f) as mxf, count(distinct v_i) as di`
+	max(v_f) as mxf, count(distinct v_i) as di, count(distinct a_flt) as dfl, sum(distinct a_flt) as sfl`
 
 // TestAggregationMatchesReference holds streaming and hash GroupBy to
 // internal/reference over every key kind (Int, Date, Bool, String, a
@@ -143,6 +144,10 @@ func TestAggregationMatchesReference(t *testing.T) {
 		aggCase{`select m, count(*) as n, sum(v_i) as si, min(v_f) as mnf from
 			(select case when a_id % 2 = 0 then a_int else a_int + 0.0 end as m, v_i, v_f from ah) x
 			group by m`, "hash"},
+		// ... and one value to a DISTINCT aggregate.
+		aggCase{`select a_bool, count(distinct m) as dm, sum(distinct m) as sm from
+			(select a_bool, case when a_id % 2 = 0 then a_int else a_int + 0.0 end as m from ah) x
+			group by a_bool`, "hash"},
 		// Thousands of groups: the 16 KiB budget spills.
 		aggCase{"select v_s, v_i, count(*) as n, sum(v_f) as sf from ah group by v_s, v_i", "hash"},
 		// Scalar aggregation over empty input: one row of agg(∅).

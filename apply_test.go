@@ -244,8 +244,8 @@ func TestApplyAnalyzeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rows.Trace, "strategy=batched") {
-		t.Fatalf("trace missing strategy=batched:\n%s", rows.Trace)
+	if !strings.Contains(rows.Trace, " apply=batched ") {
+		t.Fatalf("trace missing apply=batched:\n%s", rows.Trace)
 	}
 	if !strings.Contains(rows.Trace, "bindings=") || !strings.Contains(rows.Trace, "inner-execs=") {
 		t.Fatalf("trace missing binding counters:\n%s", rows.Trace)

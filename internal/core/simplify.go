@@ -9,12 +9,14 @@ import (
 // select merging and elimination, projection collapsing, and outerjoin
 // simplification. It never changes results, only shapes.
 func Simplify(md *algebra.Metadata, r algebra.Rel, opts Options) algebra.Rel {
+	text := algebra.FormatRel(md, r)
 	for i := 0; i < 64; i++ {
 		next := simplifyOnce(md, r, opts)
-		if algebra.FormatRel(md, next) == algebra.FormatRel(md, r) {
+		nextText := algebra.FormatRel(md, next)
+		if nextText == text {
 			return next
 		}
-		r = next
+		r, text = next, nextText
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -15,9 +16,9 @@ import (
 // function reads; the others stay nil.
 type aggState struct {
 	item *algebra.AggItem
-	acc  []aggAcc              // COUNT(*), COUNT, SUM, AVG
-	ext  []types.Datum         // MIN, MAX, ConstAny: the value kept, NULL before one
-	seen []map[string]struct{} // DISTINCT: the values folded
+	acc  []aggAcc                   // COUNT(*), COUNT, SUM, AVG
+	ext  []types.Datum              // MIN, MAX, ConstAny: the value kept, NULL before one
+	seen []map[types.Datum]struct{} // DISTINCT: the values folded, by distinctKey
 }
 
 // aggAcc is a counting aggregate's state in one group.
@@ -77,7 +78,7 @@ func (s *aggState) groupBytes() int64 {
 		n = unsafe.Sizeof(types.Datum{})
 	}
 	if s.item.Distinct {
-		n += unsafe.Sizeof(map[string]struct{}{})
+		n += unsafe.Sizeof(map[types.Datum]struct{}{})
 	}
 	return int64(n)
 }
@@ -95,6 +96,20 @@ func (s *aggState) move(dst, src int) {
 	}
 }
 
+// distinctKey is d as a DISTINCT set keys it: values types.Equal calls
+// equal share a key (-0 and 0, every NaN, an Int and the Float of the
+// same integer).
+func distinctKey(d types.Datum) types.Datum {
+	switch f := d.Float(); {
+	case d.Kind() != types.Float:
+	case f == math.Trunc(f) && math.Abs(f) < 1<<63:
+		return types.NewInt(int64(f))
+	case f != f:
+		return types.NewFloat(math.NaN())
+	}
+	return d
+}
+
 // add folds one argument value into group g: the boxed definition the
 // typed loops of foldAgg follow.
 func (s *aggState) add(g int, d types.Datum) {
@@ -108,9 +123,9 @@ func (s *aggState) add(g int, d types.Datum) {
 	}
 	if item.Distinct {
 		if s.seen[g] == nil {
-			s.seen[g] = make(map[string]struct{})
+			s.seen[g] = make(map[types.Datum]struct{})
 		}
-		key := d.String()
+		key := distinctKey(d)
 		if _, dup := s.seen[g][key]; dup {
 			return
 		}

@@ -84,7 +84,10 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	strat := ctx.applyStrategy(a)
+	strat := applyStrategy(ctx.schema, a)
+	if ctx.ForceBatched {
+		strat = "batched"
+	}
 	st := ctx.traceStats(a)
 	if st != nil {
 		st.Strategy = strat

@@ -202,7 +202,7 @@ func TestSemiJoinSegmentApply(t *testing.T) {
 	}
 	seg := search(rel)
 	if !applied || seg == nil {
-		t.Skipf("semijoin segment pattern did not fire on:\n%s", algebra.FormatRel(md, rel))
+		t.Fatalf("precondition: IntroduceSegmentApply rewrites a semijoin of this plan, but it fired on none:\n%s", algebra.FormatRel(md, rel))
 	}
 	got := runPlanDirect(t, st, md, seg, out)
 	if strings.Join(base, ";") != strings.Join(got, ";") {

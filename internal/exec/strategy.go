@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"strings"
-
 	"orthoq/internal/algebra"
 	"orthoq/internal/sql/catalog"
 )
@@ -171,13 +168,12 @@ func CompiledAccess(tbl *catalog.Table, g *algebra.Get, filter algebra.Scalar) A
 	return Access(tbl, g, algebra.Conjuncts(filter), bound, nil)
 }
 
-// Estimates is the optimizer's estimate for each node of one plan
-// (opt.PlanEstimates builds it once per compiled plan). It is the only
-// cardinality estimate the executor reads: compile sizes hash tables
-// from it, and a traced run prints it beside each operator's actual
-// rows (FormatTrace). No physical choice reads it. A node with no
-// entry is unknown: its operator gets no size hint. Read-only once
-// built; every strand of a run shares it.
+// Estimates is the optimizer's estimate for each node of one plan, read
+// off the search's winners. It is the only cardinality estimate the
+// executor reads: compile sizes hash tables from it, and EXPLAIN and a
+// traced run print it. No physical choice reads it. A node with no entry
+// is unknown: its operator gets no size hint. Read-only once built;
+// every strand of a run shares it.
 type Estimates map[algebra.Rel]struct {
 	// Rows is the node's estimated output rows — per execution, for a
 	// node inside an Apply's or SegmentApply's inner side.
@@ -201,17 +197,13 @@ func (e Estimates) sizeHint(rel algebra.Rel, limit int) int {
 	return int(min(rows, float64(limit)))
 }
 
-// ApplyStrategy answers which strategy runs Apply a over the tables of
-// cat: "probe" when its inner side is an index lookup on its outer
-// row's columns (probeSeek), else "batched". The answer reads the plan
-// and the catalog alone; how a batched Apply memoizes and whether it
-// spreads its bindings over workers are decided while it runs
-// (batchApplyIter). Compile asks its twin (Context.applyStrategy) for
-// every Apply it lowers and EXPLAIN asks it for every Apply it prints.
-func ApplyStrategy(cat *catalog.Catalog, a *algebra.Apply) string {
-	return applyStrategy(cat.Table, a)
-}
-
+// applyStrategy answers which strategy runs Apply a over the tables
+// table resolves: "probe" when its inner side is an index lookup on its
+// outer row's columns (probeSeek), else "batched". The answer reads the
+// plan and the catalog alone; how a batched Apply memoizes and whether
+// it spreads its bindings over workers are decided while it runs
+// (batchApplyIter). Compile asks it for every Apply it lowers, EXPLAIN
+// for every Apply it prints.
 func applyStrategy(table func(string) (*catalog.Table, bool), a *algebra.Apply) string {
 	if _, _, _, ok := probeSeek(table, a); ok {
 		return "probe"
@@ -252,16 +244,6 @@ func probeSeek(table func(string) (*catalog.Table, bool), a *algebra.Apply) (sel
 	return sel, g, acc, true
 }
 
-// applyStrategy is the strategy a runs under on this strand: batched
-// when the Context.ForceBatched test seam says so, else the selector's
-// pick.
-func (c *Context) applyStrategy(a *algebra.Apply) string {
-	if c.ForceBatched {
-		return "batched"
-	}
-	return applyStrategy(c.schema, a)
-}
-
 // schema resolves a table name to the catalog table of the version
 // this query reads.
 func (c *Context) schema(name string) (*catalog.Table, bool) {
@@ -270,55 +252,4 @@ func (c *Context) schema(name string) (*catalog.Table, bool) {
 		return nil, false
 	}
 	return v.Schema, true
-}
-
-// FormatWithEstimates renders plan r over catalog cat with the
-// per-node cardinality and cost estimates of est (opt.PlanEstimates), for
-// EXPLAIN output and cost-model debugging, and adds the runtime picks
-// (apply=..., seek=<index>, join=merge, agg=stream, sort elided) to the
-// nodes whose execution depends on them, by asking the same selectors,
-// with the same inputs, as compile.
-func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est Estimates, r algebra.Rel) string {
-	var b strings.Builder
-	var walk func(algebra.Rel, int)
-	walk = func(rel algebra.Rel, depth int) {
-		p := algebra.FromScratch{Of: rel}
-		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
-		}
-		extra := ""
-		switch n := rel.(type) {
-		case *algebra.Apply:
-			extra = " apply=" + ApplyStrategy(cat, n)
-		case *algebra.Select:
-			if g, ok := n.Input.(*algebra.Get); ok {
-				if tbl, ok := cat.Table(g.Table); ok {
-					if a := CompiledAccess(tbl, g, n.Filter); a.Seek() {
-						extra = " seek=" + a.Index.Name
-					}
-				}
-			}
-		case *algebra.Join:
-			// Annotate only order-exploiting picks; hash stays implicit.
-			lk, rk, _ := SplitJoinKeys(n.On, p.OutputCols(0), p.OutputCols(1))
-			if JoinAlg(lk, rk, p.DeliveredOrder(0), p.DeliveredOrder(1)) == AlgMerge {
-				extra = " join=merge"
-			}
-		case *algebra.GroupBy:
-			if AggAlg(n, p.DeliveredOrder(0)) == AlgStream {
-				extra = " agg=stream"
-			}
-		case *algebra.Get:
-			if len(n.Order) > 0 {
-				extra = " sort elided"
-			}
-		}
-		e := est[rel]
-		fmt.Fprintf(&b, "%s  [rows≈%.0f cost≈%.0f%s]\n", algebra.FormatNode(md, p, rel), e.Rows, e.Cost, extra)
-		for _, k := range rel.Inputs() {
-			walk(k, depth+1)
-		}
-	}
-	walk(r, 0)
-	return b.String()
 }

@@ -11,6 +11,7 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/obs"
+	"orthoq/internal/sql/catalog"
 )
 
 // OpStats records run-time behavior of one plan operator.
@@ -278,85 +279,131 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 	return sp
 }
 
-// FormatTrace renders the plan with the collected statistics, in the
-// same shape as algebra.FormatRel, including per-operator inclusive
-// (time=) and self (self=) wall time, and ends every operator's line
-// with the optimizer's estimates (from Estimates) — its rows (est=) and
-// its own cost (cost=: its subtree's cost less its inputs') — and the
-// rows' q-error against the actual rows (q=): max(est/act, act/est),
-// both floored at one row. Estimates print to two significant digits,
-// so a fraction of a row shows. Inside an Apply's or SegmentApply's
-// inner side the estimates are per execution, so the actual rows there
-// are rows per open. An operator that never opened — one that did not
-// run as an iterator of its own (a Get its Select reads, a probe's
-// inner side), or an inner side no binding reached — has no actual
-// rows, and its q-error prints as "-".
+// FormatWithEstimates renders plan r for EXPLAIN: formatPlan with no
+// actuals, its picks asked over the tables of cat.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, est Estimates, r algebra.Rel) string {
+	return formatPlan(md, cat.Table, est, r, nil, nil)
+}
+
+// FormatTrace renders the plan of a traced run (EXPLAIN ANALYZE):
+// formatPlan with the collected statistics; "" when not traced.
 func (c *Context) FormatTrace(rel algebra.Rel) string {
 	if c.trace == nil {
 		return ""
 	}
-	var b strings.Builder
+	return formatPlan(c.Md, c.schema, c.Estimates, rel, c, c.buildSpan(rel))
+}
+
+// formatPlan is the annotated-plan renderer, a line per operator in the
+// shape of algebra.FormatRel: "<node>  [<actuals> ][<pick> ](est=<rows>
+// cost=<own>[ q=<q-error>])". The actuals, from the spans sp of c's
+// trace, are shown for an operator c compiled as an iterator; cost= is
+// the operator's own, its subtree's less its inputs'; q= is
+// max(est/act, act/est), both floored at one row, with the actual rows
+// per open inside an Apply's or SegmentApply's inner side (whose
+// estimates are per execution), and "-" for an operator never opened.
+func formatPlan(md *algebra.Metadata, table func(string) (*catalog.Table, bool), est Estimates, r algebra.Rel, c *Context, sp *obs.Span) string {
+	var b []byte
 	var walk func(n algebra.Rel, sp *obs.Span, depth int, perOpen bool)
 	walk = func(n algebra.Rel, sp *obs.Span, depth int, perOpen bool) {
-		line := algebra.FormatRel(c.Md, n)
-		if i := strings.IndexByte(line, '\n'); i >= 0 {
-			line = line[:i]
+		b = append(b, strings.Repeat("  ", depth)...)
+		p := algebra.FromScratch{Of: n}
+		b = append(algebra.AppendNode(b, md, p, n), "  "...)
+		ran := ""
+		if sp != nil {
+			if st, wst := c.statFor(n); st != nil || wst != nil {
+				b = appendActuals(b, sp)
+			}
+			ran = sp.Strategy
 		}
-		for i := 0; i < depth; i++ {
-			b.WriteString("  ")
+		if pick := planPick(table, p, n, ran); pick != "" {
+			b = append(append(b, pick...), ' ')
 		}
-		b.WriteString(line)
-		if st, wst := c.statFor(n); st != nil || wst != nil {
-			if sp.Workers > 0 {
-				fmt.Fprintf(&b, "  (rows=%d opens=%d workers=%d morsels=%d time=%v self=%v workertime=%v)",
-					sp.Rows, sp.Opens, sp.Workers, sp.Morsels,
-					sp.Busy.Round(time.Microsecond), sp.Self.Round(time.Microsecond),
-					sp.WorkerTime.Round(time.Microsecond))
-			} else {
-				fmt.Fprintf(&b, "  (rows=%d opens=%d time=%v self=%v)",
-					sp.Rows, sp.Opens,
-					sp.Busy.Round(time.Microsecond), sp.Self.Round(time.Microsecond))
-			}
-			if sp.Batches > 0 {
-				fmt.Fprintf(&b, " (batches=%d rows/batch=%.1f)",
-					sp.Batches, float64(sp.Rows)/float64(sp.Batches))
-			}
-			if sp.MemBytes > 0 || sp.Spills > 0 {
-				fmt.Fprintf(&b, " (mem=%d spills=%d)", sp.MemBytes, sp.Spills)
-			}
-			if sp.Op == "Apply" {
-				fmt.Fprintf(&b, " (strategy=%s bindings=%d inner-execs=%d)",
-					sp.Strategy, sp.Bindings, sp.InnerExecs)
-			} else if sp.Strategy != "" {
-				fmt.Fprintf(&b, " (%s)", sp.Strategy)
-			}
-		}
-		est, cost := c.Estimates[n].Rows, c.Estimates[n].Cost
+		e := est[n]
+		cost := e.Cost
 		for _, in := range n.Inputs() {
-			cost -= c.Estimates[in].Cost
+			cost -= est[in].Cost
 		}
-		fmt.Fprintf(&b, " (est=%s cost=%s ", twoDigits(est), twoDigits(cost))
-		if sp.Opens == 0 {
-			b.WriteString("q=-)\n")
-		} else {
+		b = fmt.Appendf(b, "(est=%s cost=%s", twoDigits(e.Rows), twoDigits(cost))
+		switch {
+		case sp == nil:
+		case sp.Opens == 0:
+			b = append(b, " q=-"...)
+		default:
 			act := float64(sp.Rows)
 			if perOpen {
 				act /= float64(sp.Opens)
 			}
-			q := max(est, 1) / max(act, 1)
-			fmt.Fprintf(&b, "q=%.2f)\n", max(q, 1/q))
+			q := max(e.Rows, 1) / max(act, 1)
+			b = fmt.Appendf(b, " q=%.2f", max(q, 1/q))
 		}
-		inner := -1
-		switch n.(type) {
-		case *algebra.Apply, *algebra.SegmentApply:
-			inner = 1
-		}
+		b = append(b, ")\n"...)
+		_, apply := n.(*algebra.Apply)
+		_, seg := n.(*algebra.SegmentApply)
 		for i, child := range n.Inputs() {
-			walk(child, sp.Children[i], depth+1, perOpen || i == inner)
+			var csp *obs.Span
+			if sp != nil {
+				csp = sp.Children[i]
+			}
+			walk(child, csp, depth+1, perOpen || i == 1 && (apply || seg))
 		}
 	}
-	walk(rel, c.buildSpan(rel), 0, false)
-	return b.String()
+	walk(r, sp, 0, false)
+	return string(b)
+}
+
+// appendActuals appends what a traced run counted for an operator.
+func appendActuals(b []byte, sp *obs.Span) []byte {
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	if sp.Workers > 0 {
+		b = fmt.Appendf(b, "(rows=%d opens=%d workers=%d morsels=%d time=%v self=%v workertime=%v)",
+			sp.Rows, sp.Opens, sp.Workers, sp.Morsels, us(sp.Busy), us(sp.Self), us(sp.WorkerTime))
+	} else {
+		b = fmt.Appendf(b, "(rows=%d opens=%d time=%v self=%v)", sp.Rows, sp.Opens, us(sp.Busy), us(sp.Self))
+	}
+	if sp.Batches > 0 {
+		b = fmt.Appendf(b, " (batches=%d rows/batch=%.1f)", sp.Batches, float64(sp.Rows)/float64(sp.Batches))
+	}
+	if sp.MemBytes > 0 || sp.Spills > 0 {
+		b = fmt.Appendf(b, " (mem=%d spills=%d)", sp.MemBytes, sp.Spills)
+	}
+	if sp.Op == "Apply" {
+		b = fmt.Appendf(b, " (bindings=%d inner-execs=%d)", sp.Bindings, sp.InnerExecs)
+	}
+	return append(b, ' ')
+}
+
+// planPick is the physical choice compile makes for n, asked of the
+// selectors compile asks (a hash join stays implicit); ran, the strategy
+// a traced run recorded for n, stands in for the Apply's or the seek's.
+func planPick(table func(string) (*catalog.Table, bool), p algebra.Props, n algebra.Rel, ran string) string {
+	switch n := n.(type) {
+	case *algebra.Apply:
+		return "apply=" + cmp.Or(ran, applyStrategy(table, n))
+	case *algebra.Select:
+		if g, ok := n.Input.(*algebra.Get); ok && ran == "" {
+			if tbl, ok := table(g.Table); ok {
+				if a := CompiledAccess(tbl, g, n.Filter); a.Seek() {
+					return "seek=" + a.Index.Name
+				}
+			}
+		}
+		return ran
+	case *algebra.Join:
+		lk, rk, _ := SplitJoinKeys(n.On, p.OutputCols(0), p.OutputCols(1))
+		if JoinAlg(lk, rk, p.DeliveredOrder(0), p.DeliveredOrder(1)) == AlgMerge {
+			return "join=merge"
+		}
+	case *algebra.GroupBy:
+		if AggAlg(n, p.DeliveredOrder(0)) == AlgStream {
+			return "agg=stream"
+		}
+	case *algebra.Get:
+		if len(n.Order) > 0 {
+			return "sort elided"
+		}
+	}
+	return ""
 }
 
 // twoDigits prints an estimate to two significant digits, and a whole

@@ -130,8 +130,8 @@ func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
 // distinct-join it can run as, a GroupBy and its local/global split),
 // and what reads the group is priced by that number: keeping every
 // undominated (cost, rows) pair, not the cheapest member alone, makes
-// the plan read off the winners the cheapest in the memo as Result.Cost
-// and exec.FormatWithEstimates price it, node by node.
+// the plan read off the winners the cheapest in the memo as
+// Optimizer.Cost prices it, node by node.
 //
 // Deriving an estimate consults the scope in two places only: a Get's
 // seek detection asks whether the comparand columns of its filter are
@@ -237,11 +237,13 @@ func (c *coster) inner(e *mexpr, leftRows float64, f func()) {
 
 // plan returns the tree of g's winner number w over the plans of the
 // input groups' winners it reads, each in the scope it was costed in,
-// and reports the expressions the tree is made of to visit.
-func (c *coster) plan(g *group, w int, visit func(*mexpr)) algebra.Rel {
+// and reports each expression the tree is made of to visit, with the
+// node it became and the estimate it was chosen by. An expression whose
+// inputs come back as the ones its operator reads is that operator, so
+// the plan of a memo of one tree is the tree.
+func (c *coster) plan(g *group, w int, visit func(*mexpr, algebra.Rel, estimate)) algebra.Rel {
 	win := c.best(g)[w]
 	e := win.best
-	visit(e)
 	kids := e.inputs()
 	ins := make([]algebra.Rel, len(kids))
 	for i, k := range kids {
@@ -252,7 +254,12 @@ func (c *coster) plan(g *group, w int, visit func(*mexpr)) algebra.Rel {
 			c.inner(e, left, func() { ins[i] = c.plan(k, win.pick[1], visit) })
 		}
 	}
-	return e.op.WithInputs(ins)
+	n := e.op
+	if l, r := algebra.InputsOf(n); len(ins) > 0 && ins[0] != l || len(ins) > 1 && ins[1] != r {
+		n = e.op.WithInputs(ins)
+	}
+	visit(e, n, win.est)
+	return n
 }
 
 // conjuncts splits pred into a buffer the next call reuses: the result

@@ -5,6 +5,7 @@ import (
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/core"
+	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 	"orthoq/internal/stats"
 )
@@ -85,9 +86,13 @@ type Optimizer struct {
 // Result reports the chosen plan and search telemetry.
 type Result struct {
 	Plan algebra.Rel
-	// Cost is Plan priced from scratch, every node from the nodes below
-	// it, which is what exec.FormatWithEstimates shows at the root.
+	// Cost is the root winner's estimated cost: Plan priced node by node
+	// from the nodes below it, as Cost prices the tree.
 	Cost float64
+	// Est is each node of Plan's estimate: the winner's it was read off,
+	// in the costing scope it was chosen in. The executor sizes its hash
+	// tables from it and exec.FormatWithEstimates prints it.
+	Est exec.Estimates
 	// Explored counts the expressions the memo holds when exploration
 	// ends: every distinct (operator, input groups) the rules reached.
 	Explored int
@@ -139,11 +144,40 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 		m.intern(seed, root)
 	}
 	m.explore()
+	return m.extract(root)
+}
+
+// Estimate prices the plan r as given: r entered in a memo of its own,
+// one expression per group, and read back by the extraction Optimize
+// reads its plan with, so Result.Plan is r itself, every node priced
+// from the nodes below it, and Result.Est is keyed by r's nodes.
+func (o *Optimizer) Estimate(r algebra.Rel) *Result {
+	m := newMemo(o)
+	return m.extract(m.intern(r, nil).group)
+}
+
+// Cost prices the plan r as given, every node from the nodes below it.
+func (o *Optimizer) Cost(r algebra.Rel) float64 { return o.Estimate(r).Cost }
+
+// PlanEstimates returns the estimate of each node of the plan r, as
+// Optimizer.Estimate prices it.
+func PlanEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel) exec.Estimates {
+	return (&Optimizer{Md: md, Cat: cat, Stats: st}).Estimate(r).Est
+}
+
+// extract reads the plan off root's cheapest winner, with the estimate
+// each of its nodes was chosen by, and the memo's telemetry.
+func (m *memo) extract(root *group) *Result {
+	est := exec.Estimates{}
 	var chosen []*mexpr
-	plan := m.c.plan(root, 0, func(e *mexpr) { chosen = append(chosen, e) })
+	plan := m.c.plan(root, 0, func(e *mexpr, n algebra.Rel, w estimate) {
+		chosen = append(chosen, e)
+		est[n] = struct{ Rows, Cost float64 }{w.rows, w.cost}
+	})
 	return &Result{
 		Plan:         plan,
-		Cost:         o.Cost(plan),
+		Cost:         est[plan].Cost,
+		Est:          est,
 		Explored:     m.live,
 		Groups:       m.standing,
 		Generated:    m.fired,
@@ -153,12 +187,6 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 		Rules:        derivation(chosen),
 		Truncated:    m.truncated,
 	}
-}
-
-// Cost prices the plan r as given, every node from the nodes below it.
-func (o *Optimizer) Cost(r algebra.Rel) float64 {
-	m := newMemo(o)
-	return m.c.cost(m.intern(r, nil).group).cost
 }
 
 // fire applies the enabled rules to the binding b: with b.slot < 0

@@ -297,20 +297,19 @@ func TestRangeSelectivityCombines(t *testing.T) {
 
 // TestEstimateFormatter smoke-checks the cost-annotated plan renderer
 // on a plan with Apply and SegmentApply scopes, and that the estimates
-// table it renders has an entry for every node of the plan.
+// the search returns have an entry for every node of the plan.
 func TestEstimateFormatter(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
 	r := o.Optimize(rel)
-	est := PlanEstimates(md, st.Catalog, sc, r.Plan)
-	out := exec.FormatWithEstimates(md, st.Catalog, est, r.Plan)
-	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "cost≈") {
+	out := exec.FormatWithEstimates(md, st.Catalog, r.Est, r.Plan)
+	if !strings.Contains(out, " (est=") || !strings.Contains(out, " cost=") {
 		t.Errorf("estimates missing:\n%s", out)
 	}
 	algebra.VisitRel(r.Plan, func(n algebra.Rel) bool {
-		if _, ok := est[n]; !ok {
+		if _, ok := r.Est[n]; !ok {
 			t.Errorf("no estimate for %s", algebra.FormatNode(md, algebra.FromScratch{Of: n}, n))
 		}
 		return true

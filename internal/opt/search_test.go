@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -139,6 +140,48 @@ func TestSearchUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSearchEstimatesArePricing: the estimates a search returns are the
+// plan's own. For every pinned search, Result.Cost is bit for bit what
+// Optimizer.Cost prices Result.Plan at, and each node's entry in
+// Result.Est is bit for bit the one the plan gets entered alone in a
+// memo that is not explored (Optimizer.Estimate, which hands back the
+// very tree it was given).
+func TestSearchEstimatesArePricing(t *testing.T) {
+	st, err := goldenStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := stats.Collect(st)
+	_, cases := readGolden(t)
+	nodes := 0
+	for _, c := range cases {
+		md, rel, seeds := goldenInputs(t, st, c)
+		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
+		r := o.Optimize(rel, seeds...)
+		if cost := o.Cost(r.Plan); math.Float64bits(r.Cost) != math.Float64bits(cost) {
+			t.Errorf("%s seed=%t: Result.Cost %x, the plan priced %x", c.name, c.seeded, r.Cost, cost)
+		}
+		alone := o.Estimate(r.Plan)
+		if alone.Plan != r.Plan {
+			t.Fatalf("%s seed=%t: Estimate returned another tree", c.name, c.seeded)
+		}
+		if len(r.Est) != len(alone.Est) {
+			t.Errorf("%s seed=%t: %d estimates from the search, %d from pricing", c.name, c.seeded, len(r.Est), len(alone.Est))
+		}
+		algebra.VisitRel(r.Plan, func(n algebra.Rel) bool {
+			nodes++
+			got, ok := r.Est[n]
+			want := alone.Est[n]
+			if !ok || math.Float64bits(got.Rows) != math.Float64bits(want.Rows) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Errorf("%s seed=%t: %s estimated %+v by the search, %+v priced alone", c.name, c.seeded,
+					algebra.FormatNode(md, algebra.FromScratch{Of: n}, n), got, want)
+			}
+			return true
+		})
+	}
+	t.Logf("%d searches, %d plan nodes compared", len(cases), nodes)
 }
 
 // BenchmarkOptimizeTPCH times one seeded Optimize call on the queries

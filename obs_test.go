@@ -109,7 +109,7 @@ func TestParallelSpanBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rows.Workers == 0 {
-		t.Skip("plan did not parallelize at this scale")
+		t.Fatalf("precondition: Q1 at Parallelism 4 runs on workers, but it spawned none\n%s", rows.Plan)
 	}
 	var workers, morsels int64
 	var boundary *obs.Span
@@ -309,7 +309,7 @@ func TestMetricsDeltas(t *testing.T) {
 	}
 	after = snap()
 	if r2.Spills == 0 {
-		t.Skip("budget did not force a spill at this scale")
+		t.Fatal("precondition: an 8 KiB budget makes the grouping of orders by o_custkey spill, but it did not")
 	}
 	if d := after.Spills - before.Spills; d != uint64(r2.Spills) {
 		t.Errorf("Spills delta = %d, Rows.Spills = %d", d, r2.Spills)

@@ -927,8 +927,9 @@ type prepared struct {
 	// resultKey.
 	tables []string
 	rkey   string
-	// est is the optimizer's estimate per plan node, derived once: every
-	// run sizes hash tables and picks Apply strategies from it.
+	// est is the optimizer's estimate per plan node, read off the search
+	// (or, without one, the plan priced as it stands): every run sizes
+	// hash tables from it, and EXPLAIN and traces print it.
 	est exec.Estimates
 }
 
@@ -976,7 +977,7 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 		return nil, err
 	}
 	p := &prepared{md: md, plan: rel, outCols: res.OutCols, outNames: res.OutNames, id: id}
-	st := db.statsNow()
+	o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(), DisableRules: nopts.DisableRules}
 	var search *opt.Result
 	if id.costBased {
 		var seeds []algebra.Rel
@@ -989,19 +990,19 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 				seeds = append(seeds, seed)
 			}
 		}
-		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: st,
-			DisableRules: nopts.DisableRules}
 		search = o.Optimize(rel, seeds...)
-		p.plan, p.steps, p.cost = search.Plan, search.Explored, search.Cost
+		p.plan, p.steps, p.cost, p.est = search.Plan, search.Explored, search.Cost, search.Est
 		// The correlated seed is a strategy alternative, not a rewrite of
 		// the chosen plan, so only the winner's rule path is reported.
 		fired = append(fired, search.Rules...)
+	} else {
+		// Without a search the plan is priced as it stands.
+		p.est = o.Estimate(rel).Est
 	}
 	if tr != nil {
 		*tr = trail{algebrized: res.Rel, normalized: rel, search: search}
 	}
 	p.rules = dedupRules(fired)
-	p.est = opt.PlanEstimates(md, db.store.Catalog, st, p.plan)
 	p.text = algebra.FormatRel(md, p.plan)
 	p.fingerprint = planFingerprint(p.text)
 	p.tables = referencedTables(p.plan)

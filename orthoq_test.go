@@ -171,7 +171,7 @@ func TestExplainStages(t *testing.T) {
 	if !strings.Contains(out, "Apply (bind:customer.c_custkey)") {
 		t.Error("apply stage should show the bound correlation")
 	}
-	if !strings.Contains(out, "rows≈") {
+	if !strings.Contains(out, " (est=") {
 		t.Error("cost-based stage should carry estimates")
 	}
 	for _, counter := range []string{" groups, ", " expressions, ", " rule firings, ", "explored to the end", " estimates derived) ==="} {

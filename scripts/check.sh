@@ -51,7 +51,9 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # paper's Q1 reach one plan (DESIGN §17); and every binding the memo
 # does not queue or fire in full (a join over a join that cannot change
 # it, a commute or rotation it holds, an operator alone no rule reads)
-# changes nothing when built from its trees once exploration ends. Then
+# changes nothing when built from its trees once exploration ends; and
+# the estimates a search returns with its plan are the plan's own, node
+# for node and at the root, bit for bit as the plan priced alone. Then
 # the cost model's estimate-versus-actual record, printed (q-error
 # median and p95, the worst operators, estimated cost per ms of each
 # operator family; it pins nothing). Then one iteration of the
@@ -70,7 +72,7 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # join, and a selective probe against a small build side
 # (Q20's shape), so every run prints B/op and allocs/op for the paths
 # that touch rows.
-go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestSkippedBindingsChangeNothing' ./internal/opt
+go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestSkippedBindingsChangeNothing|TestSearchEstimatesArePricing' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run TestQErrorReport -v .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
