@@ -181,3 +181,136 @@ func TestAggregationMatchesReference(t *testing.T) {
 		t.Error("a 16 KiB budget never made the hash aggregation spill")
 	}
 }
+
+// TestSplitAvgOfInt: the §3.3 split of an avg over an Int column
+// returns what the unsplit avg returns — a Float, the Int sum over the
+// count — bit for bit, serially (where the search picks the split) and
+// on workers, and the reference evaluating the split plan agrees. An
+// Int sum over an Int count would divide integrally.
+func TestSplitAvgOfInt(t *testing.T) {
+	db := sharedDB(t)
+	sql := `select o_orderpriority, avg(l_linenumber) as a from orders, lineitem
+		where o_orderkey = l_orderkey group by o_orderpriority`
+	unsplit := DefaultConfig()
+	unsplit.LocalAgg = false
+	p, err := db.prepare(sql, unsplit.identity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(rows []Row) map[string]uint64 {
+		m := map[string]uint64{}
+		for _, r := range rows {
+			f, _ := r[1].AsFloat()
+			if r[1].Kind() != types.Float {
+				t.Fatalf("avg %v is a %v, want a Float", r[1], r[1].Kind())
+			}
+			m[r[0].String()] = math.Float64bits(f)
+		}
+		return m
+	}
+	want := bits(referenceEval(t, db, p))
+	if len(want) == 0 {
+		t.Fatal("no groups")
+	}
+	same := func(label string, got map[string]uint64) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: avg bits %v, want %v", label, got, want)
+		}
+	}
+	for _, par := range []int{0, 2, 4} {
+		cfg := DefaultConfig()
+		cfg.Parallelism = par
+		split, err := db.prepare(sql, cfg.identity())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(split.text, "LGb") {
+			t.Fatalf("par=%d: the plan does not split the avg\n%s", par, split.text)
+		}
+		same(fmt.Sprintf("reference over the split plan at par=%d", par), bits(referenceEval(t, db, split)))
+		rows, err := db.QueryCfg(sql, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("engine at par=%d", par), bits(rows.Data))
+	}
+}
+
+// parAggList is every aggregate the §3.3 split takes, over Int and
+// Float arguments with NULLs.
+const parAggList = `count(*) as n, count(v_i) as ni, count(v_f) as nf, sum(v_i) as si, sum(v_f) as sf,
+	avg(v_i) as ai, avg(v_f) as af, min(v_i) as mni, max(v_i) as mxi, min(v_f) as mnf, max(v_f) as mxf`
+
+// TestParallelAggregationMatchesReference holds aggregation at two and
+// four workers — the §3.3 split around the morsel exchange, each
+// worker's LocalGroupBy over its morsels and the global GroupBy over
+// their partials — to internal/reference over the plan compiled
+// without search, with and without a 16 KiB memory budget: grouped and
+// scalar, over aggDB's hash-aggregated table, over a driver whose every
+// row is filtered out and over an empty table.
+func TestParallelAggregationMatchesReference(t *testing.T) {
+	db := aggDB(t)
+	err := db.CreateTable(&Table{Name: "ae", Key: []int{0}, Columns: []Column{
+		{Name: "a_id", Type: types.Int},
+		{Name: "a_int", Type: types.Int, Nullable: true},
+		{Name: "v_i", Type: types.Int, Nullable: true},
+		{Name: "v_f", Type: types.Float, Nullable: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spillDir := t.TempDir()
+	spilled := false
+	for i, sql := range []string{
+		"select a_int, " + parAggList + " from ah group by a_int",
+		"select a_bool, a_str, " + parAggList + " from ah group by a_bool, a_str",
+		// Thousands of groups: the 16 KiB budget spills.
+		"select v_s, v_i, " + parAggList + " from ah group by v_s, v_i",
+		"select " + parAggList + " from ah",
+		"select a_int, " + parAggList + " from ah where v_s = 'none' group by a_int",
+		"select " + parAggList + " from ah where v_s = 'none'",
+		"select a_int, " + parAggList + " from ae group by a_int",
+		"select " + parAggList + " from ae",
+	} {
+		seed, err := db.prepare(sql, Config{}.identity())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceEval(t, db, seed)
+		for _, par := range []int{2, 4} {
+			for _, budget := range []int64{0, 16 << 10} {
+				label := fmt.Sprintf("case %d par=%d budget=%d", i, par, budget)
+				cfg := DefaultConfig()
+				cfg.Parallelism, cfg.MemBudget, cfg.SpillDir = par, budget, spillDir
+				final, err := db.prepare(sql, cfg.identity())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(final.text, "LGb") {
+					t.Fatalf("%s: the plan does not split the aggregation\n%s", label, final.text)
+				}
+				if got := referenceEval(t, db, final); !sameBagTolerant(want, got) {
+					t.Fatalf("%s: the split changed the answer\nsql: %s\nplan:\n%s\nreference:\n%s\nsplit:\n%s", label, sql,
+						final.text, roundedFingerprint(&Rows{Data: want}), roundedFingerprint(&Rows{Data: got}))
+				}
+				rows, err := db.QueryCfg(sql, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if rows.Workers == 0 {
+					t.Fatalf("%s: no worker ran\n%s", label, rows.Plan)
+				}
+				if !sameBagTolerant(want, rows.Data) {
+					t.Fatalf("%s: engine disagrees with the reference\nsql: %s\nplan:\n%s\nreference:\n%s\nengine:\n%s", label, sql,
+						rows.Plan, roundedFingerprint(&Rows{Data: want}), roundedFingerprint(rows))
+				}
+				spilled = spilled || rows.Spills > 0
+			}
+		}
+	}
+	if !spilled {
+		t.Error("a 16 KiB budget never made a split aggregation spill")
+	}
+	expectEmptyDir(t, spillDir, "split aggregation")
+}

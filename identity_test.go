@@ -260,7 +260,9 @@ func finalPlan(explain string) string {
 // TestExplainMatchesPrepare: Explain observes the compile function
 // every query runs through, so for the 12 TPC-H queries and the three
 // spellings of the paper's Q1, under the full technique set and three
-// ablations, the plan Explain ends on is the plan Prepare returns.
+// ablations, and under the full set and normalization alone at two
+// workers (where compile splits the GroupBy over the exchange), the
+// plan Explain ends on is the plan Prepare returns.
 func TestExplainMatchesPrepare(t *testing.T) {
 	db := sharedDB(t)
 	normalizeOnly := DefaultConfig()
@@ -270,9 +272,12 @@ func TestExplainMatchesPrepare(t *testing.T) {
 	flat.CorrelatedReintro = false
 	flat.SegmentApply = false
 	flat.DisableRules = []string{"CommuteJoin"}
+	defaultPar2, normalizeOnlyPar2 := DefaultConfig(), normalizeOnly
+	defaultPar2.Parallelism, normalizeOnlyPar2.Parallelism = 2, 2
 	configs := map[string]Config{
 		"default": DefaultConfig(), "normalize-only": normalizeOnly,
 		"correlated": correlated, "flat-no-segment": flat,
+		"default-par2": defaultPar2, "normalize-only-par2": normalizeOnlyPar2,
 	}
 	for cname, cfg := range configs {
 		for i, sql := range warmPassQueries() {

@@ -395,3 +395,25 @@ func (r *RowNumber) WithInputs(c []Rel) Rel {
 	n.Input = c[0]
 	return &n
 }
+
+// Replace returns r with its node old replaced by new, rebuilding the
+// nodes above it and sharing the rest.
+func Replace(r, old, new Rel) Rel {
+	if r == old {
+		return new
+	}
+	ins := r.Inputs()
+	var out []Rel
+	for i, in := range ins {
+		if n := Replace(in, old, new); n != in {
+			if out == nil {
+				out = append([]Rel(nil), ins...)
+			}
+			out[i] = n
+		}
+	}
+	if out == nil {
+		return r
+	}
+	return r.WithInputs(out)
+}

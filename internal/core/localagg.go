@@ -14,10 +14,16 @@ import (
 //	min/max  → local min/max,   global min/max of partials
 //	avg      → local sum+count, global sum/sum with a computing project
 //
+// A scalar GroupBy splits into a scalar global over a LocalGroupBy
+// without grouping columns. On empty input no partial reaches the
+// global, whose one row is then agg(∅) of the combiners: NULL for
+// every aggregate but a count, which a computing project turns from
+// sum(∅) back into count(∅), 0.
+//
 // DISTINCT aggregates are not splittable. The returned expression
 // computes exactly the same result columns as gb.
 func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bool) {
-	if gb.Kind != algebra.VectorGroupBy || len(gb.Aggs) == 0 {
+	if gb.Kind == algebra.LocalGroupBy || len(gb.Aggs) == 0 {
 		return nil, false
 	}
 	for _, a := range gb.Aggs {
@@ -37,8 +43,7 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 
 	local := &algebra.GroupBy{Kind: algebra.LocalGroupBy, Input: gb.Input,
 		GroupCols: gb.GroupCols.Copy()}
-	global := &algebra.GroupBy{Kind: algebra.VectorGroupBy,
-		GroupCols: gb.GroupCols.Copy()}
+	global := &algebra.GroupBy{Kind: gb.Kind, GroupCols: gb.GroupCols.Copy()}
 	proj := &algebra.Project{}
 	needProj := false
 
@@ -52,20 +57,36 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 		case algebra.AggSum, algebra.AggMin, algebra.AggMax, algebra.AggConstAny:
 			part := derive(a.Col, "_l", md.Type(a.Col))
 			local.Aggs = append(local.Aggs, algebra.AggItem{Col: part, Func: a.Func, Arg: a.Arg})
-			gf := a.Func
-			if gf == algebra.AggSum {
-				gf = algebra.AggSum
-			}
 			global.Aggs = append(global.Aggs, algebra.AggItem{
-				Col: a.Col, Func: gf, Arg: &algebra.ColRef{Col: part}, Global: true})
+				Col: a.Col, Func: a.Func, Arg: &algebra.ColRef{Col: part}, Global: true})
 		case algebra.AggCount, algebra.AggCountStar:
 			part := derive(a.Col, "_l", types.Int)
 			local.Aggs = append(local.Aggs, algebra.AggItem{Col: part, Func: a.Func, Arg: a.Arg})
+			if gb.Kind == algebra.VectorGroupBy {
+				global.Aggs = append(global.Aggs, algebra.AggItem{
+					Col: a.Col, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: part}, Global: true})
+				break
+			}
+			sumG := derive(a.Col, "_g", types.Int)
 			global.Aggs = append(global.Aggs, algebra.AggItem{
-				Col: a.Col, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: part}, Global: true})
+				Col: sumG, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: part}, Global: true})
+			proj.Items = append(proj.Items, algebra.ProjItem{
+				Col: a.Col,
+				Expr: &algebra.Case{
+					Whens: []algebra.When{{
+						Cond: &algebra.IsNull{Arg: &algebra.ColRef{Col: sumG}},
+						Then: &algebra.Const{Val: types.NewInt(0)},
+					}},
+					Else: &algebra.ColRef{Col: sumG},
+				},
+			})
+			needProj = true
 		case algebra.AggAvg:
 			// Composite (§3.3 footnote): decompose into primitive
-			// sum/count pieces and recombine with a project.
+			// sum/count pieces and recombine with a project. The sum is
+			// made a Float before the division, as the unsplit avg
+			// divides: an Int sum over an Int count would divide
+			// integrally.
 			sumL := derive(a.Col, "_suml", types.Float)
 			cntL := derive(a.Col, "_cntl", types.Int)
 			local.Aggs = append(local.Aggs,
@@ -84,7 +105,9 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 							L: &algebra.ColRef{Col: cntG},
 							R: &algebra.Const{Val: types.NewInt(0)}},
 						Then: &algebra.Arith{Op: types.OpDiv,
-							L: &algebra.ColRef{Col: sumG},
+							L: &algebra.Arith{Op: types.OpMul,
+								L: &algebra.ColRef{Col: sumG},
+								R: &algebra.Const{Val: types.NewFloat(1)}},
 							R: &algebra.ColRef{Col: cntG}},
 					}},
 				},

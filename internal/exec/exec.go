@@ -568,7 +568,7 @@ func prepareRun(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (*node, 
 		return nil, nil, err
 	}
 	if ctx.Parallelism > 1 && ctx.pplan == nil {
-		ctx.pplan = planParallel(ctx, rel)
+		ctx.pplan = planParallel(ctx.schema, rel)
 	}
 	n, err := compile(ctx, rel)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // segments and EXCEPT ALL's counts are its entries. An entry is a
 // distinct key under types.Equal, numbered in insertion order. Slots
 // are open-addressed int32s (entry+1, 0 free) probed linearly; each
-// entry keeps its key hash — types.HashRow's, which spill routing and
-// the merge of partial tables also use — compared before the key and
+// entry keeps its key hash — types.HashRow's, which spill routing also
+// uses — compared before the key and
 // reused by a resize. The keys are stored a column at a time, typed
 // (keyCol), and probed a batch at a time from key vectors (findBatch),
 // payload against payload.
@@ -114,16 +114,6 @@ func (t *hashTable) appendKey(dst types.Row, e int) types.Row {
 	return dst
 }
 
-// keyEqual reports whether entry e's key equals key under types.Equal.
-func (t *hashTable) keyEqual(e int, key types.Row) bool {
-	for j := range t.cols {
-		if !types.Equal(t.cols[j].datum(e), key[j]) {
-			return false
-		}
-	}
-	return true
-}
-
 // find returns the entry with hash h whose key eq accepts, or -1.
 func (t *hashTable) find(h uint64, eq func(e int) bool) int {
 	mask := len(t.slots) - 1
@@ -209,16 +199,6 @@ func (t *hashTable) addVec(keys []*eval.Vec, ri int, h uint64) int {
 	t.growKeys()
 	for j, v := range keys {
 		t.cols[j].append(v.Datum(ri), t.room)
-	}
-	return t.insert(h)
-}
-
-// addKey makes key (hash h) a new entry; the caller found no equal
-// entry.
-func (t *hashTable) addKey(key types.Row, h uint64) int {
-	t.growKeys()
-	for j, d := range key {
-		t.cols[j].append(d, t.room)
 	}
 	return t.insert(h)
 }

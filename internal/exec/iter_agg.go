@@ -158,27 +158,6 @@ func (s *aggState) add(g int, d types.Datum) {
 	}
 }
 
-// merge folds group og of another worker's partial state o into group
-// g. The combination rules are exactly the global combiners of the
-// §3.3 LocalGroupBy split (core.TrySplitGroupBy): sum of partial sums
-// and counts, min of mins, max of maxes, avg recombined from partial
-// sum+count (both live in the same state), any-of for ConstAny.
-// DISTINCT aggregates are not mergeable and are excluded from parallel
-// plans.
-func (s *aggState) merge(g int, o *aggState, og int) {
-	if s.keeps() {
-		if d := o.ext[og]; !d.IsNull() {
-			s.add(g, d)
-		}
-		return
-	}
-	a, b := &s.acc[g], &o.acc[og]
-	a.count += b.count
-	a.sumI += b.sumI
-	a.sumF += b.sumF
-	a.flt = a.flt || b.flt
-}
-
 // result is group g's aggregate value.
 func (s *aggState) result(g int) types.Datum {
 	if s.keeps() {
@@ -203,9 +182,8 @@ func (s *aggState) result(g int) types.Datum {
 	return types.NewInt(a.count)
 }
 
-// aggTable accumulates hash groups for one GroupBy; it is used by the
-// serial hashAggIter and, one instance per worker, by the parallel
-// aggregation exchange (partials merged with aggTable.merge).
+// aggTable accumulates hash groups for one GroupBy of a hashAggIter
+// (at Parallelism > 1, a worker's LocalGroupBy is one too).
 //
 // A group is an entry of the hash table (its key) and an index into
 // the state arrays: group g of states[j] is aggregate j's state, so
@@ -307,23 +285,6 @@ func (t *aggTable) add(keys []*eval.Vec, ri int, hk uint64, row types.Row) (int,
 		}
 	}
 	return g, nil
-}
-
-// findForMerge inserts partial states even past the budget: partial
-// aggregate states cannot be re-spilled as rows, and the resident
-// partials across workers are collectively bounded by the shared
-// budget that made them spill in the first place. Usage is still
-// tracked for the peak statistic.
-func (t *aggTable) findForMerge(key types.Row, hk uint64) int {
-	if g := t.ht.find(hk, func(g int) bool { return t.ht.keyEqual(g, key) }); g >= 0 {
-		return g
-	}
-	if t.ctx != nil {
-		n := groupBytes(key, t.states)
-		t.ctx.noteMem(t.st, n)
-		t.charged += n
-	}
-	return t.newGroup(t.ht.addKey(key, hk))
 }
 
 // release returns the table's accounted memory to the budget.
@@ -524,7 +485,7 @@ func (t *aggTable) accum(ctx *Context, gb *algebra.GroupBy, av *aggVec, keyOrds 
 // grouping columns' vectors, leaving the groups in av.gidx and
 // returning the selection they are parallel to: sel itself, or — when
 // rows were routed to a spill partition — the rows that were not. Key
-// hashes are types.HashRow's, as spill routing and the merge need.
+// hashes are types.HashRow's, as spill routing needs.
 func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []int) ([]int, error) {
 	if len(keyOrds) == 0 && t.ht.len() == 1 {
 		// Scalar aggregation past its first row: one resident group.
@@ -565,19 +526,6 @@ func (t *aggTable) resolve(av *aggVec, rows []types.Row, sel []int, keyOrds []in
 		return av.sel, nil
 	}
 	return sel, nil
-}
-
-// merge folds another table's partial groups into t using the §3.3
-// local/global combination rules (aggState.merge).
-func (t *aggTable) merge(o *aggTable) {
-	var key types.Row
-	for og := range o.ht.len() {
-		key = o.ht.appendKey(key[:0], og)
-		g := t.findForMerge(key, o.ht.hashes[og])
-		for j := range t.states {
-			t.states[j].merge(g, &o.states[j], og)
-		}
-	}
 }
 
 // render materializes the result rows: group key columns followed by

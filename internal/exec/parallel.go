@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"orthoq/internal/algebra"
+	"orthoq/internal/sql/catalog"
 	"orthoq/internal/sql/types"
 )
 
@@ -14,25 +15,23 @@ func fmtErrNoTable(name string) error {
 }
 
 // Morsel-driven parallel execution. A plan's highest eligible subtree
-// is compiled into an exchange operator: the base-table scan at the
-// subtree's streaming leaf (the "driver") is split into fixed-size
-// row-ordinal morsels claimed from a shared dispenser, and
+// is compiled into an exchange operator (exchangeIter): the base-table
+// scan at the subtree's streaming leaf (the "driver") is split into
+// fixed-size row-ordinal morsels claimed from a shared dispenser, and
 // Parallelism workers each run a private copy of the subtree over the
-// morsels they claim. Two exchange shapes exist:
+// morsels they claim, streaming its result rows to the consumer in
+// batches. Hash joins inside the subtree whose build side reads
+// nothing bound outside it build their table once — the first worker
+// to arrive builds, the rest probe the shared read-only table. An
+// Apply on the streaming path runs on every worker over the outer rows
+// of its morsels, probe or batched, with its own binding memo.
 //
-//   - scan/join exchange (exchangeIter): workers stream result rows
-//     to the consumer in batches. Hash joins inside the subtree whose
-//     build side reads nothing bound outside it build their table
-//     once — the first worker to arrive builds, the rest probe the
-//     shared read-only table. An Apply on the streaming path runs on
-//     every worker over the outer rows of its morsels, probe or
-//     batched, with its own binding memo.
-//   - aggregation exchange (parallelAggIter): each worker accumulates
-//     a partial hash-aggregate over its morsels and the coordinator
-//     merges the partials, exactly the local/global decomposition of
-//     the paper's §3.3 LocalGroupBy split (core.TrySplitGroupBy): the
-//     per-worker table is the LocalGroupBy, the merge is the global
-//     combiner.
+// Aggregation is the paper's §3.3 split around the exchange, decided
+// at plan time: the root package splits the GroupBy over the exchange
+// (ExchangeAgg) with core.TrySplitGroupBy, so each worker runs the
+// LocalGroupBy over its morsels and the global GroupBy above the
+// exchange combines the partials serially. A GroupBy the split refuses
+// (a DISTINCT aggregate) aggregates the exchange's stream serially.
 //
 // An exchange starts no more workers than its driver has morsels, and
 // the one worker of a driver that fits one morsel runs on the
@@ -42,7 +41,7 @@ func fmtErrNoTable(name string) error {
 // order — SegmentApply, SegmentRef, Max1Row, Top, RowNumber, UnionAll,
 // Difference, Values — stay on the serial path, and so does an Apply
 // that reads a column or a segment bound outside it; Sort, Project,
-// Select, and serial GroupBy may sit above the exchange (they are
+// Select, and GroupBy may sit above the exchange (they are
 // order-insensitive in bag semantics). Parallel plans return the same
 // bag of rows as serial plans; only row order may differ.
 
@@ -73,8 +72,7 @@ func (m *morselSource) reset(total int) {
 
 // startWorkers is how many of want workers src can keep busy — no more
 // than it has morsels, and at least one, so an empty table still runs
-// the subtree once (a scalar aggregate's one row) — counted on st and
-// the query's counter.
+// the subtree once — counted on st and the query's counter.
 func (c *Context) startWorkers(st *OpStats, src *morselSource, want int) int {
 	n := max(1, min(want, (src.total+morselSize-1)/morselSize))
 	if st != nil {
@@ -115,34 +113,32 @@ type parallelPlan struct {
 	at algebra.Rel
 	// driver is the base-table scan partitioned into morsels.
 	driver *algebra.Get
-	// agg, when non-nil, selects the aggregation exchange (at is this
-	// GroupBy).
-	agg *algebra.GroupBy
 }
 
-// planParallel finds the highest parallel-eligible subtree of rel,
-// descending through operators that can consume the exchange's merged
-// stream serially. Returns nil when the plan must stay serial.
-func planParallel(ctx *Context, rel algebra.Rel) *parallelPlan {
+// planParallel finds the highest parallel-eligible subtree of rel over
+// the tables table resolves, descending through operators that can
+// consume the exchange's merged stream serially. Returns nil when the
+// plan must stay serial.
+func planParallel(table func(string) (*catalog.Table, bool), rel algebra.Rel) *parallelPlan {
 	switch t := rel.(type) {
 	case *algebra.Sort:
-		return planParallel(ctx, t.Input)
+		return planParallel(table, t.Input)
 	case *algebra.GroupBy:
-		if aggMergeable(t) {
-			if driver, ok := streamDriver(ctx, t.Input); ok {
-				return &parallelPlan{at: rel, driver: driver, agg: t}
+		if t.Kind == algebra.LocalGroupBy {
+			// A LocalGroupBy may run over any partition of its input
+			// (§3.3): each worker aggregates its morsels.
+			if driver, ok := streamDriver(table, t.Input); ok {
+				return &parallelPlan{at: rel, driver: driver}
 			}
 		}
-		// Not mergeable (e.g. DISTINCT aggregates): aggregate serially
-		// over a parallel input stream.
-		return planParallel(ctx, t.Input)
+		return planParallel(table, t.Input)
 	case *algebra.Project:
-		if driver, ok := streamDriver(ctx, rel); ok {
+		if driver, ok := streamDriver(table, rel); ok {
 			return &parallelPlan{at: rel, driver: driver}
 		}
-		return planParallel(ctx, t.Input)
+		return planParallel(table, t.Input)
 	case *algebra.Select:
-		if driver, ok := streamDriver(ctx, rel); ok {
+		if driver, ok := streamDriver(table, rel); ok {
 			return &parallelPlan{at: rel, driver: driver}
 		}
 		if _, isGet := t.Input.(*algebra.Get); isGet {
@@ -150,45 +146,46 @@ func planParallel(ctx *Context, rel algebra.Rel) *parallelPlan {
 			// descending past the Select would split them.
 			return nil
 		}
-		return planParallel(ctx, t.Input)
+		return planParallel(table, t.Input)
 	case *algebra.Join:
-		if driver, ok := streamDriver(ctx, rel); ok {
+		if driver, ok := streamDriver(table, rel); ok {
 			return &parallelPlan{at: rel, driver: driver}
 		}
-		return planParallel(ctx, t.Left)
+		return planParallel(table, t.Left)
 	case *algebra.Apply:
 		if !applyOnWorker(t) {
 			return nil
 		}
-		if driver, ok := streamDriver(ctx, rel); ok {
+		if driver, ok := streamDriver(table, rel); ok {
 			return &parallelPlan{at: rel, driver: driver}
 		}
-		return planParallel(ctx, t.Left)
+		return planParallel(table, t.Left)
 	case *algebra.Get:
-		if driver, ok := streamDriver(ctx, rel); ok {
+		if driver, ok := streamDriver(table, rel); ok {
 			return &parallelPlan{at: rel, driver: driver}
 		}
 	}
 	return nil
 }
 
-// aggMergeable reports whether every aggregate of gb can be computed
-// as per-worker partials and recombined (§3.3 splittability plus avg,
-// which merges through its sum+count state). DISTINCT aggregates need
-// global duplicate elimination and stay serial.
-func aggMergeable(gb *algebra.GroupBy) bool {
-	for _, a := range gb.Aggs {
-		if a.Distinct {
-			return false
-		}
-		switch a.Func {
-		case algebra.AggSum, algebra.AggCount, algebra.AggCountStar,
-			algebra.AggMin, algebra.AggMax, algebra.AggAvg, algebra.AggConstAny:
-		default:
-			return false
-		}
+// ExchangeAgg returns the GroupBy of rel that would aggregate the
+// exchange's stream serially at Parallelism > 1 — the GroupBy whose
+// input is where planParallel puts the exchange over the tables table
+// resolves — or nil. Its §3.3 split puts the LocalGroupBy on the
+// workers.
+func ExchangeAgg(table func(string) (*catalog.Table, bool), rel algebra.Rel) *algebra.GroupBy {
+	pp := planParallel(table, rel)
+	if pp == nil {
+		return nil
 	}
-	return true
+	var agg *algebra.GroupBy
+	algebra.VisitRel(rel, func(n algebra.Rel) bool {
+		if gb, ok := n.(*algebra.GroupBy); ok && gb.Input == pp.at {
+			agg = gb
+		}
+		return agg == nil
+	})
+	return agg
 }
 
 // streamDriver descends the streaming (probe) side of rel looking for
@@ -196,7 +193,7 @@ func aggMergeable(gb *algebra.GroupBy) bool {
 // must be row-streaming, and off-path subtrees (join build sides)
 // must be self-contained so each worker can evaluate them without
 // outer bindings.
-func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
+func streamDriver(table func(string) (*catalog.Table, bool), rel algebra.Rel) (*algebra.Get, bool) {
 	switch t := rel.(type) {
 	case *algebra.Get:
 		if len(t.Order) > 0 {
@@ -206,7 +203,7 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 			// depends on). Stay serial.
 			return nil, false
 		}
-		if _, ok := ctx.table(t.Table); !ok {
+		if _, ok := table(t.Table); !ok {
 			return nil, false
 		}
 		return t, true
@@ -218,11 +215,11 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 			if len(g.Order) > 0 {
 				return nil, false // ordered scans stay serial (see Get case)
 			}
-			tbl, ok := ctx.table(g.Table)
+			tbl, ok := table(g.Table)
 			if !ok {
 				return nil, false
 			}
-			if CompiledAccess(tbl.Schema, g, t.Filter).Seek() {
+			if CompiledAccess(tbl, g, t.Filter).Seek() {
 				// A seek stays serial: a serial index seek beats a
 				// parallel full scan, and over an index never built
 				// it is a serial kernel scan of the whole table.
@@ -230,14 +227,14 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 			}
 			return g, true
 		}
-		return streamDriver(ctx, t.Input)
+		return streamDriver(table, t.Input)
 	case *algebra.Project:
 		for _, it := range t.Items {
 			if algebra.HasSubquery(it.Expr) {
 				return nil, false
 			}
 		}
-		return streamDriver(ctx, t.Input)
+		return streamDriver(table, t.Input)
 	case *algebra.Join:
 		// The right (build) side runs inside each worker; it must not
 		// reference columns bound outside itself.
@@ -247,14 +244,14 @@ func streamDriver(ctx *Context, rel algebra.Rel) (*algebra.Get, bool) {
 		if t.On != nil && algebra.HasSubquery(t.On) {
 			return nil, false
 		}
-		return streamDriver(ctx, t.Left)
+		return streamDriver(table, t.Left)
 	case *algebra.Apply:
 		// The inner side runs inside each worker, once per binding of
 		// the worker's outer rows.
 		if !applyOnWorker(t) || t.On != nil && algebra.HasSubquery(t.On) {
 			return nil, false
 		}
-		return streamDriver(ctx, t.Left)
+		return streamDriver(table, t.Left)
 	}
 	return nil, false
 }
@@ -275,32 +272,18 @@ func compileExchange(ctx *Context, rel algebra.Rel) (*node, error) {
 		ctx.trace[rel] = st
 	}
 	// The first worker's tree is compiled now, and the first Open runs
-	// it: a scan exchange's layout is its. Its trace is merged at once
+	// it: the exchange's layout is its. Its trace is merged at once
 	// too — every counter still zero — so the strategies compile chose
 	// show even when the exchange never opens (an empty build above
 	// it), as a serial tree's do.
 	src := newMorselSource(0)
-	in := rel
-	if pp.agg != nil {
-		in = pp.agg.Input
-	}
-	wctx, first, err := spawnWorker(ctx, in, pp.driver, src)
+	wctx, first, err := spawnWorker(ctx, rel, pp.driver, src)
 	if err != nil {
 		return nil, err
 	}
 	ctx.mergeWorkerTrace(wctx)
-	fw := firstWorker{n: first, ctx: wctx}
-	if pp.agg != nil {
-		cols := append([]algebra.ColID(nil), pp.agg.GroupCols.Ordered()...)
-		for _, a := range pp.agg.Aggs {
-			cols = append(cols, a.Col)
-		}
-		it := &parallelAggIter{ctx: ctx, gb: pp.agg, driver: pp.driver, src: src, first: fw,
-			workers: ctx.Parallelism, st: st}
-		return newNode(it, cols), nil
-	}
 	it := &exchangeIter{ctx: ctx, rel: rel, driver: pp.driver, src: src,
-		first: fw, workers: ctx.Parallelism, st: st}
+		first: firstWorker{n: first, ctx: wctx}, workers: ctx.Parallelism, st: st}
 	return newNode(it, first.cols), nil
 }
 
@@ -502,6 +485,12 @@ func (e *exchangeIter) NextBatch(b *Batch) error {
 	for e.pos >= len(e.cur) {
 		batch, ok := <-e.batches
 		if !ok {
+			if e.ctx.trace != nil {
+				// This pull waited for the last worker to finish: the
+				// real clock times the wait, as it times a pull that
+				// produced rows.
+				e.ctx.clk.now()
+			}
 			b.setEmpty()
 			return e.errSeen()
 		}
@@ -535,165 +524,3 @@ func (e *exchangeIter) Close() error {
 	}
 	return nil
 }
-
-// parallelAggIter computes a GroupBy as per-worker partial hash
-// aggregates over morsels, merged by the coordinator — the §3.3
-// LocalGroupBy decomposition executed physically: worker tables are
-// the local aggregates, the merge applies the global combiners
-// (aggState.merge).
-type parallelAggIter struct {
-	ctx     *Context
-	gb      *algebra.GroupBy
-	driver  *algebra.Get
-	workers int
-	st      *OpStats
-	first   firstWorker
-	src     *morselSource // reset by every Open
-
-	out []types.Row
-	pos int
-}
-
-func (p *parallelAggIter) Open() error {
-	tbl, ok := p.ctx.table(p.driver.Table)
-	if !ok {
-		return fmtErrNoTable(p.driver.Table)
-	}
-	src := p.src
-	src.reset(tbl.RowCount())
-	workers := p.ctx.startWorkers(p.st, src, p.workers)
-	type aggResult struct {
-		tbl  *aggTable
-		ords map[algebra.ColID]int
-		err  error
-	}
-	results := make(chan aggResult, workers)
-	sizeHint := p.ctx.Estimates.sizeHint(p.gb, aggPresizeMax)
-	for w := 0; w < workers; w++ {
-		wctx, n := p.first.take()
-		go func() {
-			var res aggResult
-			defer func() {
-				// Contain panics from the worker's own machinery and
-				// always deliver a result so the coordinator never hangs.
-				if r := recover(); r != nil {
-					res = aggResult{err: recovered("agg-worker", p.ctx.Fingerprint, r)}
-				}
-				results <- res
-			}()
-			if n == nil {
-				var err error
-				if wctx, n, err = spawnWorker(p.ctx, p.gb.Input, p.driver, src); err != nil {
-					res.err = err
-					return
-				}
-			}
-			// Merge the worker's private trace when it finishes; the
-			// results channel hand-off publishes it to the coordinator.
-			defer p.ctx.mergeWorkerTrace(wctx)
-			if err := n.it.Open(); err != nil {
-				n.it.Close()
-				res.err = err
-				return
-			}
-			tbl := newAggTable(p.gb.GroupCols.Len(), p.gb.Aggs, sizeHint)
-			tbl.govern(wctx, p.st, 0)
-			err := tbl.consume(wctx, n, p.gb, newAggVec(wctx, n.ords, p.gb))
-			if cerr := n.it.Close(); err == nil {
-				err = cerr
-			}
-			res = aggResult{tbl: tbl, ords: n.ords, err: err}
-		}()
-	}
-	// Merge partial tables. Workers share the query budget, so a worker
-	// that crossed it holds resident partials plus raw-row spill files
-	// for its unseen groups; the merged table seeds from every worker's
-	// partials (those groups stay resident and complete) and the spill
-	// files drain through the merged table afterwards — a group spilled
-	// by one worker but resident in another simply keeps aggregating in
-	// place.
-	merged := newAggTable(p.gb.GroupCols.Len(), p.gb.Aggs, sizeHint)
-	merged.govern(p.ctx, p.st, 0)
-	var firstErr error
-	var spilled []*spillSet
-	var ords map[algebra.ColID]int
-	for w := 0; w < workers; w++ {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		if r.tbl == nil {
-			continue
-		}
-		if r.err == nil {
-			merged.merge(r.tbl)
-			if r.tbl.spill != nil {
-				spilled = append(spilled, r.tbl.spill)
-				r.tbl.spill = nil
-			}
-			ords = r.ords
-		} else if r.tbl.spill != nil {
-			r.tbl.spill.dropAll()
-			r.tbl.spill = nil
-		}
-		r.tbl.release()
-	}
-	p.ctx.countMorsels(p.st, src)
-	fail := func(err error) error {
-		for _, ss := range spilled {
-			ss.dropAll()
-		}
-		if merged.spill != nil {
-			merged.spill.dropAll()
-			merged.spill = nil
-		}
-		merged.release()
-		return err
-	}
-	if firstErr != nil {
-		return fail(firstErr)
-	}
-	var keyOrds []int
-	var av *aggVec
-	if len(spilled) > 0 {
-		var err error
-		if keyOrds, err = aggKeyOrds(&node{ords: ords}, p.gb); err != nil {
-			return fail(err)
-		}
-		av = newAggVec(p.ctx, ords, p.gb)
-		for _, ss := range spilled {
-			if err := ss.finish(); err != nil {
-				return fail(err)
-			}
-			for i, f := range ss.parts {
-				if f == nil {
-					continue
-				}
-				if err := merged.accumFile(p.ctx, p.gb, av, keyOrds, f); err != nil {
-					return fail(err)
-				}
-				f.drop(p.ctx)
-				ss.parts[i] = nil
-			}
-		}
-	}
-	p.out = merged.render(p.gb, p.out)
-	if merged.spill != nil {
-		var err error
-		p.out, err = merged.drainSpill(p.ctx, p.gb, av, keyOrds, p.out)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	merged.release()
-	p.pos = 0
-	return nil
-}
-
-// NextBatch serves the merged result in windows.
-func (p *parallelAggIter) NextBatch(b *Batch) error {
-	b.serve(p.out, &p.pos)
-	return nil
-}
-
-func (p *parallelAggIter) Close() error { return nil }

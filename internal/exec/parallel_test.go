@@ -21,7 +21,19 @@ func runSQLWith(t testing.TB, st *storage.Store, sql string, par int) *Result {
 	return out
 }
 
-// runSQLCtx is runSQLWith, also returning the run's Context.
+// splitAtExchange splits the GroupBy over rel's exchange (§3.3), as
+// the root package's compile does at Parallelism > 1.
+func splitAtExchange(st *storage.Store, md *algebra.Metadata, rel algebra.Rel) algebra.Rel {
+	if gb := ExchangeAgg(st.Catalog.Table, rel); gb != nil {
+		if split, ok := core.TrySplitGroupBy(md, gb); ok {
+			return algebra.Replace(rel, gb, split)
+		}
+	}
+	return rel
+}
+
+// runSQLCtx is runSQLWith, also returning the run's Context. At
+// Parallelism > 1 the plan's GroupBy over the exchange is split.
 func runSQLCtx(t testing.TB, st *storage.Store, sql string, par int) (*Result, *Context) {
 	t.Helper()
 	q, err := parser.Parse(sql)
@@ -37,6 +49,9 @@ func runSQLCtx(t testing.TB, st *storage.Store, sql string, par int) (*Result, *
 	if err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
+	if par > 1 {
+		rel = splitAtExchange(st, md, rel)
+	}
 	ctx := NewContext(st, md)
 	ctx.RowBudget = 10_000_000
 	ctx.Parallelism = par
@@ -49,8 +64,9 @@ func runSQLCtx(t testing.TB, st *storage.Store, sql string, par int) (*Result, *
 
 // TestExchangeCompilesTreesItRuns: an exchange compiles one worker tree
 // per worker it starts — the first with the plan, the rest at Open —
-// and none only to learn its layout: a scan exchange, an aggregation
-// exchange, and each as one worker over a table of one morsel.
+// and none only to learn its layout: an exchange at a scan, one at the
+// LocalGroupBy of a split aggregation, and each as one worker over a
+// table of one morsel.
 func TestExchangeCompilesTreesItRuns(t *testing.T) {
 	st := bigDB(t)
 	for _, q := range []string{
@@ -191,6 +207,7 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rel = splitAtExchange(st, md, rel)
 	ctx := NewContext(st, md)
 	ctx.Parallelism = 3
 	ctx.EnableTrace()
@@ -198,8 +215,8 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := ctx.FormatTrace(rel)
-	if !strings.Contains(trace, "workers=3") {
-		t.Fatalf("trace missing workers=3:\n%s", trace)
+	if !strings.Contains(trace, "LGb") || !strings.Contains(trace, "workers=3") {
+		t.Fatalf("trace missing an LGb exchange of workers=3:\n%s", trace)
 	}
 	wantMorsels := fmt.Sprintf("morsels=%d", (5004+morselSize-1)/morselSize)
 	if !strings.Contains(trace, wantMorsels) {
@@ -207,12 +224,13 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 	}
 
 	// Q4 kept correlated: its EXISTS Apply runs on the workers, under
-	// the aggregation exchange and, run alone, under an exchange of its
-	// own. Either way the Apply's span carries its strategy, and its
-	// bindings are summed over the workers — one per outer row, as a
-	// serial run counts.
+	// the LocalGroupBy of the split aggregation and, run alone, under an
+	// exchange of its own. Either way the Apply's span carries its
+	// strategy, and its bindings are summed over the workers — one per
+	// outer row, as a serial run counts.
 	tst := tpchStore(t)
 	md, rel, out := compilePlan(t, tst, tpch.Queries["Q4"], core.Options{KeepCorrelated: true})
+	rel = splitAtExchange(tst, md, rel)
 	var ap *algebra.Apply
 	for n := rel; ap == nil && len(n.Inputs()) > 0; n = n.Inputs()[0] {
 		ap, _ = n.(*algebra.Apply)
@@ -288,7 +306,7 @@ func TestParallelApplyBuildsSegmentJoinPerOpen(t *testing.T) {
 		ctx := NewContext(st, md)
 		ctx.Parallelism = par
 		if par > 1 {
-			if pp := planParallel(ctx, ap); pp == nil || pp.at != ap {
+			if pp := planParallel(ctx.schema, ap); pp == nil || pp.at != ap {
 				t.Fatalf("no exchange at the Apply:\n%s", algebra.FormatRel(md, ap))
 			}
 		}
@@ -332,20 +350,32 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	}
 
 	ctx, rel := build(`select o_orderkey from orders limit 3`)
-	if pp := planParallel(ctx, rel); pp != nil {
+	if pp := planParallel(ctx.schema, rel); pp != nil {
 		t.Fatalf("limit query should stay serial, got exchange at %T", pp.at)
 	}
 
 	// Equality on the indexed primary key compiles to a seek: a
 	// parallel full scan would be a de-optimization.
 	ctx, rel = build(`select o_totalprice from orders where o_orderkey = 10`)
-	if pp := planParallel(ctx, rel); pp != nil {
+	if pp := planParallel(ctx.schema, rel); pp != nil {
 		t.Fatalf("seekable query should stay serial, got exchange at %T", pp.at)
 	}
 
 	ctx, rel = build(`select o_orderkey from orders where o_totalprice > 50`)
-	if pp := planParallel(ctx, rel); pp == nil {
+	if pp := planParallel(ctx.schema, rel); pp == nil {
 		t.Fatalf("filtered scan should be parallel-eligible")
+	}
+
+	// A GroupBy aggregates the exchange's stream, and ExchangeAgg names
+	// it; once it is split (§3.3) the exchange goes at its LocalGroupBy.
+	ctx, rel = build(`select o_custkey, sum(o_totalprice) as s from orders group by o_custkey`)
+	gb := ExchangeAgg(ctx.schema, rel)
+	if gb == nil || planParallel(ctx.schema, rel).at != gb.Input {
+		t.Fatalf("no GroupBy over the exchange:\n%s", algebra.FormatRel(ctx.Md, rel))
+	}
+	pp := planParallel(ctx.schema, splitAtExchange(st, ctx.Md, rel))
+	if lg, ok := pp.at.(*algebra.GroupBy); !ok || lg.Kind != algebra.LocalGroupBy {
+		t.Fatalf("the split's exchange is at %T, want its LocalGroupBy", pp.at)
 	}
 
 	// An Apply over a scan gets the exchange at the Apply: each worker
@@ -360,7 +390,7 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	if _, ok := ap.Left.(*algebra.Get); !ok {
 		t.Fatalf("want an Apply over a scan:\n%s", algebra.FormatRel(ctx.Md, rel))
 	}
-	if pp := planParallel(ctx, ap); pp == nil || pp.at != ap {
+	if pp := planParallel(ctx.schema, ap); pp == nil || pp.at != ap {
 		t.Fatalf("an Apply over a scan should get the exchange at the Apply")
 	}
 
@@ -368,12 +398,12 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	// run on a worker, and the walk does not pass it.
 	foreign := &algebra.Apply{Kind: ap.Kind, Left: ap.Left, On: ap.On,
 		Right: &algebra.SegmentRef{Cols: algebra.OutputCols(ap.Right).Ordered()}}
-	if pp := planParallel(ctx, foreign); pp != nil {
+	if pp := planParallel(ctx.schema, foreign); pp != nil {
 		t.Fatalf("an Apply over a foreign SegmentRef got an exchange at %T", pp.at)
 	}
 
 	// Top still stops the walk.
-	if pp := planParallel(ctx, &algebra.Top{Input: ap, N: 3}); pp != nil {
+	if pp := planParallel(ctx.schema, &algebra.Top{Input: ap, N: 3}); pp != nil {
 		t.Fatalf("an Apply under Top got an exchange at %T", pp.at)
 	}
 }

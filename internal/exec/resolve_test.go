@@ -111,8 +111,8 @@ func (c rowColumns) Column(ord, end int) *types.Column {
 }
 
 // TestVecHashMatchesHashRow holds resolve's column-at-a-time key hash
-// to types.HashRow bit for bit — spill routing and the merges of
-// partial tables hash key rows — and its group assignment to the
+// to types.HashRow bit for bit — spill routing hashes key rows — and
+// its group assignment to the
 // row-at-a-time lookup it replaced, over one to three key columns of
 // Int, Float (with -0, NaN), equal Int/Float values, Date, Bool, String
 // and NULL, read as gathered vectors and as stored-column views, under

@@ -267,14 +267,6 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 	for _, child := range rel.Inputs() {
 		sp.Children = append(sp.Children, c.buildSpan(child))
 	}
-	if sp.Workers > 0 && sp.WorkerTime == 0 {
-		// Aggregation exchange: workers executed the input subtree (no
-		// root collision); their cumulative time is the direct
-		// children's inclusive time.
-		for _, ch := range sp.Children {
-			sp.WorkerTime += ch.Busy
-		}
-	}
 	sp.FinishSelf()
 	return sp
 }

@@ -3,9 +3,10 @@ package exec
 // Bit-exactness of the column-at-a-time aggregation path: float sums
 // must come out with the same bits as a direct fold — one row at a
 // time, in row order, through the interpreter — because every (group,
-// aggregate) folds its rows in row order in both: serially, per worker
-// partial after the §3.3 merge, and when a memory budget routes part of
-// a batch to spill partitions.
+// aggregate) folds its rows in row order in both: serially, in each
+// worker's LocalGroupBy and the global GroupBy over the partials of the
+// §3.3 split, and when a memory budget routes part of a batch to spill
+// partitions.
 
 import (
 	"fmt"
@@ -198,56 +199,116 @@ func workerPartition(rows []types.Row, w, workers int) []types.Row {
 	return part
 }
 
-// mergedPartials aggregates the scan in four worker partitions through
-// the executor's aggregation table and merges the partials in worker
-// order with the §3.3 combiners.
-func mergedPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa scanAgg, rows []types.Row) []types.Row {
+// gbCols is the column layout a GroupBy's iterator produces: the
+// grouping columns, then the aggregates.
+func gbCols(gb *algebra.GroupBy) []algebra.ColID {
+	cols := append([]algebra.ColID(nil), gb.GroupCols.Ordered()...)
+	for _, a := range gb.Aggs {
+		cols = append(cols, a.Col)
+	}
+	return cols
+}
+
+// splitOf is the §3.3 split of sa's GroupBy, with its LocalGroupBy and
+// its global GroupBy.
+func splitOf(t *testing.T, md *algebra.Metadata, sa scanAgg) (split algebra.Rel, local, global *algebra.GroupBy) {
 	t.Helper()
+	split, ok := core.TrySplitGroupBy(md, sa.gb)
+	if !ok {
+		t.Fatalf("split refused:\n%s", algebra.FormatRel(md, sa.gb))
+	}
+	algebra.VisitRel(split, func(n algebra.Rel) bool {
+		if gb, ok := n.(*algebra.GroupBy); ok {
+			if gb.Kind == algebra.LocalGroupBy {
+				local = gb
+			} else {
+				global = gb
+			}
+		}
+		return true
+	})
+	return split, local, global
+}
+
+// splitPartials runs the split of sa's GroupBy as a four-worker
+// exchange runs it: the executor's LocalGroupBy over each worker's
+// partition, then the split's global GroupBy (and the project that
+// recombines an avg) over the partials in worker order.
+func splitPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa scanAgg, rows []types.Row) []types.Row {
+	t.Helper()
+	split, local, _ := splitOf(t, md, sa)
 	ctx := NewContext(st, md)
 	const workers = 4
-	merged := newAggTable(sa.gb.GroupCols.Len(), sa.gb.Aggs, 0)
+	partials := &algebra.Values{Cols: gbCols(local)}
 	for w := 0; w < workers; w++ {
 		in := newNode(&sliceIter{rows: workerPartition(rows, w, workers)}, sa.get.Cols)
 		if sa.filter != nil {
 			in = newNode(&filterIter{in: in, filt: newFilterPred(ctx, sa.filter, in.ords)}, in.cols)
 		}
-		if err := in.it.Open(); err != nil {
+		h := &hashAggIter{ctx: ctx, in: in, gb: local, cols: partials.Cols}
+		if err := h.Open(); err != nil {
 			t.Fatal(err)
 		}
-		partial := newAggTable(sa.gb.GroupCols.Len(), sa.gb.Aggs, 0)
-		if err := partial.consume(ctx, in, sa.gb, newAggVec(ctx, in.ords, sa.gb)); err != nil {
-			t.Fatal(err)
+		for _, row := range h.out {
+			vr := make(algebra.ValuesRow, len(row))
+			for i, d := range row {
+				vr[i] = &algebra.Const{Val: d}
+			}
+			partials.Rows = append(partials.Rows, vr)
 		}
-		merged.merge(partial)
 	}
-	return merged.render(sa.gb, nil)
+	res, err := Run(NewContext(st, md), algebra.Replace(split, local, partials), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
 }
 
-// mergedDirectFolds is mergedPartials with each partition folded
-// directly and the partials combined by aggState.merge in the same
-// worker order.
-func mergedDirectFolds(t *testing.T, sa scanAgg, rows []types.Row) []types.Row {
+// splitDirectFolds is splitPartials with each partition and then the
+// partials folded directly, and the project evaluated by the
+// interpreter.
+func splitDirectFolds(t *testing.T, md *algebra.Metadata, sa scanAgg, rows []types.Row) []types.Row {
 	t.Helper()
+	split, local, global := splitOf(t, md, sa)
 	const workers = 4
-	merged := &folded{}
+	var partials []types.Row
 	for w := 0; w < workers; w++ {
-		part := directFold(t, sa, workerPartition(rows, w, workers))
-		for og, key := range part.keys {
-			g := merged.group(key, sa.gb)
-			for j := range merged.states {
-				merged.states[j].merge(g, &part.states[j], og)
-			}
-		}
+		part := directFold(t, scanAgg{gb: local, get: sa.get, filter: sa.filter}, workerPartition(rows, w, workers))
+		partials = append(partials, part.render(local)...)
 	}
-	return merged.render(sa.gb)
+	out := directFold(t, scanAgg{gb: global, get: &algebra.Get{Cols: gbCols(local)}}, partials).render(global)
+	proj, ok := split.(*algebra.Project)
+	if !ok {
+		return out
+	}
+	ev := &eval.Evaluator{}
+	env := &colEnv{cols: gbCols(global)}
+	for i, row := range out {
+		env.row = row
+		var pr types.Row
+		for _, c := range proj.Passthrough.Ordered() {
+			d, _ := env.Value(c)
+			pr = append(pr, d)
+		}
+		for _, it := range proj.Items {
+			d, err := ev.Eval(it.Expr, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr = append(pr, d)
+		}
+		out[i] = pr
+	}
+	return out
 }
 
 // TestVectorAggBitIdentical: the scan aggregations of Q1, Q6 and Q15
 // return, as planned (hash aggregation for the grouped ones) and over
 // input sorted on the group columns (streaming aggregation), aggregates
-// bit-identical to a direct fold of the table in row order — and so do
-// the same aggregations computed as four per-worker partials and
-// merged.
+// bit-identical to a direct fold of the table in row order — and their
+// §3.3 splits, run over four worker partitions, return aggregates
+// bit-identical to direct folds of the partitions and then of the
+// partials.
 func TestVectorAggBitIdentical(t *testing.T) {
 	st := tpchStore(t)
 	for _, name := range []string{"Q1", "Q6", "Q15"} {
@@ -272,8 +333,8 @@ func TestVectorAggBitIdentical(t *testing.T) {
 			}
 			requireSameBits(t, name+" "+agg+" aggregation vs direct fold", res.Rows, want)
 		}
-		requireSameBits(t, name+" merged partials vs merged direct folds",
-			mergedPartials(t, st, md, sa, rows), mergedDirectFolds(t, sa, rows))
+		requireSameBits(t, name+" split over four workers vs its direct folds",
+			splitPartials(t, st, md, sa, rows), splitDirectFolds(t, md, sa, rows))
 	}
 }
 

@@ -238,7 +238,14 @@ func (m *memo) rewrite(b binding, r algebra.Rel, rotate func(*algebra.Join) (alg
 			try(RulePushLocalGroupByBelowJoin, func() (algebra.Rel, bool) { return core.TryPushLocalGroupByBelowJoin(md, m, t) })
 			return
 		}
-		try(RuleSplitGroupBy, func() (algebra.Rel, bool) { return core.TrySplitGroupBy(md, t) })
+		try(RuleSplitGroupBy, func() (algebra.Rel, bool) {
+			// A scalar aggregate is split only for the morsel exchange
+			// (the root package's compile), never explored.
+			if t.Kind != algebra.VectorGroupBy {
+				return nil, false
+			}
+			return core.TrySplitGroupBy(md, t)
+		})
 		try(RuleStreamAggOrder, func() (algebra.Rel, bool) { return tryStreamAggOrder(md, o.Cat, t, p.DeliveredOrder(0)) })
 	case *algebra.Join:
 		if slot < 0 {

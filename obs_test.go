@@ -139,11 +139,35 @@ func TestParallelSpanBoundary(t *testing.T) {
 }
 
 // TestTraceCountsSerialVsParallel: for aggregation-only queries the
-// per-operator row counts are also a parallelism invariant. (Join
-// plans are excluded: under an exchange each worker re-executes the
-// build side, legitimately multiplying build-side counts.)
+// per-operator row counts are also a parallelism invariant, up to the
+// §3.3 split the parallel plan runs. Every serial operator appears in
+// the parallel trace, in order and with its rows; what the parallel
+// plan adds is the split's LocalGroupBy, whose rows are the workers'
+// partials, and a Project recombining an avg; and the global GroupBy
+// over the LocalGroupBy returns the serial GroupBy's rows. (Join plans
+// are excluded: under an exchange each worker re-executes the build
+// side, legitimately multiplying build-side counts.)
 func TestTraceCountsSerialVsParallel(t *testing.T) {
 	db := sharedDB(t)
+	type opRows struct {
+		op   string
+		rows int64
+	}
+	walk := func(r *Rows) []opRows {
+		lines := strings.Split(strings.TrimSpace(r.Plan), "\n")
+		var ops []opRows
+		r.Spans().Walk(func(s *obs.Span) {
+			op := s.Op
+			if i := len(ops); i < len(lines) && strings.HasPrefix(strings.TrimSpace(lines[i]), "LGb") {
+				op = "LocalGroupBy"
+			}
+			ops = append(ops, opRows{op, s.Rows})
+		})
+		if len(ops) != len(lines) {
+			t.Fatalf("%d spans for a plan of %d operators:\n%s", len(ops), len(lines), r.Plan)
+		}
+		return ops
+	}
 	for _, name := range []string{"Q1", "Q6"} {
 		sql, _ := TPCHQuery(name)
 		cfgS := DefaultConfig()
@@ -158,17 +182,34 @@ func TestTraceCountsSerialVsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var serial, par []string
-		rs.Spans().Walk(func(s *obs.Span) {
-			serial = append(serial, fmt.Sprintf("%s rows=%d", s.Op, s.Rows))
-		})
-		rp.Spans().Walk(func(s *obs.Span) {
-			par = append(par, fmt.Sprintf("%s rows=%d", s.Op, s.Rows))
-		})
-		a, b := strings.Join(serial, "\n"), strings.Join(par, "\n")
-		if a != b {
-			t.Errorf("%s: per-operator rows differ serial vs parallel\nserial:\n%s\nparallel:\n%s",
-				name, a, b)
+		serial, par := walk(rs), walk(rp)
+		i, locals := 0, 0
+		for j, p := range par {
+			switch {
+			case i < len(serial) && p == serial[i]:
+				i++
+			case p.op == "LocalGroupBy":
+				locals++
+				if j == 0 || par[j-1].op != "GroupBy" {
+					t.Fatalf("%s: the LocalGroupBy is not under a global GroupBy: %v", name, par)
+				}
+				global, gb := par[j-1], -1
+				for k, s := range serial {
+					if s.op == "GroupBy" {
+						gb = k
+					}
+				}
+				if gb < 0 || global != serial[gb] {
+					t.Errorf("%s: the global GroupBy returned %d rows, the serial GroupBy %v", name, global.rows, serial)
+				}
+			case p.op != "Project":
+				t.Errorf("%s: %s rows=%d is neither a serial operator nor the split's\nserial: %v\nparallel: %v",
+					name, p.op, p.rows, serial, par)
+			}
+		}
+		if i != len(serial) || locals != 1 {
+			t.Errorf("%s: %d of %d serial operators matched, %d LocalGroupBys\nserial: %v\nparallel: %v",
+				name, i, len(serial), locals, serial, par)
 		}
 	}
 }

@@ -260,9 +260,10 @@ type planIdentity struct {
 	// exactly "none of these rules is disabled"), DisableRules name by
 	// name.
 	disabled string
-	// parallelism is the worker count: it picks the exchange tree and
-	// the row order, so it is identity too. Every other physical choice
-	// is made from the plan itself.
+	// parallelism is the worker count: it picks the exchange tree, the
+	// §3.3 split of the GroupBy over it, and the row order, so it is
+	// identity too. Every other physical choice is made from the plan
+	// itself.
 	parallelism int
 }
 
@@ -995,9 +996,21 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 		// The correlated seed is a strategy alternative, not a rewrite of
 		// the chosen plan, so only the winner's rule path is reported.
 		fired = append(fired, search.Rules...)
-	} else {
-		// Without a search the plan is priced as it stands.
-		p.est = o.Estimate(rel).Est
+	}
+	if id.parallelism > 1 {
+		// The GroupBy over the morsel exchange runs as its §3.3 split:
+		// the LocalGroupBy on the workers, the global over the
+		// exchange's stream.
+		if gb := exec.ExchangeAgg(db.store.Catalog.Table, p.plan); gb != nil {
+			if split, ok := core.TrySplitGroupBy(md, gb); ok {
+				p.plan, p.est = algebra.Replace(p.plan, gb, split), nil
+			}
+		}
+	}
+	if p.est == nil {
+		// Without a search, or with the plan split, the plan is priced
+		// as it stands.
+		p.est = o.Estimate(p.plan).Est
 	}
 	if tr != nil {
 		*tr = trail{algebrized: res.Rel, normalized: rel, search: search}
@@ -1390,6 +1403,9 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
 			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
+		b.WriteString(exec.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
+	} else if p.plan != tr.normalized {
+		b.WriteString("\n=== split over the morsel exchange (§3.3) ===\n")
 		b.WriteString(exec.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))

@@ -114,35 +114,46 @@ func TestParallelAnalyzeTrace(t *testing.T) {
 	}
 }
 
-// TestExchangeOpenTimed: work a worker does inside Open shows in the
-// exchange's time. Q15 at two workers and SF 0.01 runs its top exchange
-// as one worker on the consumer's strand, whose Open builds two hash
-// aggregations under the worker's own trace clock; the exchange's
-// time= must cover at least half its workertime=.
+// TestExchangeOpenTimed: the time workers spend shows in their
+// exchange's time, not in an operator above it. Q15 at two workers and
+// SF 0.01 runs its top exchange as one worker on the consumer's strand,
+// whose Open builds two hash aggregations under the worker's own trace
+// clock; Q1 and Q4 run their LocalGroupBy on two workers while the
+// global GroupBy above waits for the partials. Each exchange's time=
+// must cover at least half its workertime=, and the Sort's self= over
+// Q1's and Q4's must be less than the exchange's time=.
 func TestExchangeOpenTimed(t *testing.T) {
 	db, err := OpenTPCH(0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sql, _ := TPCHQuery("Q15")
-	cfg := DefaultConfig()
-	cfg.Parallelism = 2
-	rows, err := db.QueryAnalyze(sql, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exchanges := 0
-	for _, sp := range collectSpans(rows) {
-		if sp.Workers == 0 || sp.WorkerTime == 0 {
-			continue
+	for _, name := range []string{"Q15", "Q1", "Q4"} {
+		sql, _ := TPCHQuery(name)
+		cfg := DefaultConfig()
+		cfg.Parallelism = 2
+		rows, err := db.QueryAnalyze(sql, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		exchanges++
-		if 2*sp.Busy < sp.WorkerTime {
-			t.Errorf("%s exchange: time=%v covers less than half its workertime=%v\n%s",
-				sp.Op, sp.Busy, sp.WorkerTime, rows.Trace)
+		var exchange, sort *Span
+		for _, sp := range collectSpans(rows) {
+			if sp.Op == "Sort" && sort == nil {
+				sort = sp
+			}
+			if sp.Workers == 0 || sp.WorkerTime == 0 {
+				continue
+			}
+			exchange = sp
+			if 2*sp.Busy < sp.WorkerTime {
+				t.Errorf("%s: %s exchange: time=%v covers less than half its workertime=%v\n%s",
+					name, sp.Op, sp.Busy, sp.WorkerTime, rows.Trace)
+			}
 		}
-	}
-	if exchanges == 0 {
-		t.Fatalf("no exchange in\n%s", rows.Trace)
+		if exchange == nil {
+			t.Fatalf("%s: no exchange in\n%s", name, rows.Trace)
+		}
+		if name != "Q15" && (sort == nil || sort.Self >= exchange.Busy) {
+			t.Errorf("%s: the Sort's self time is not below the exchange's time=%v\n%s", name, exchange.Busy, rows.Trace)
+		}
 	}
 }

@@ -70,13 +70,14 @@ go test ./internal/plancache ./internal/resultcache ./internal/lru
 # groups, Q18's streaming aggregation over the lineitem_pk walk, Q21
 # (whose joins over empty builds never read their probe sides), a hash
 # join, and a selective probe against a small build side
-# (Q20's shape), so every run prints B/op and allocs/op for the paths
+# (Q20's shape), and Q1 at two workers (the §3.3 split around the
+# morsel exchange), so every run prints B/op and allocs/op for the paths
 # that touch rows.
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestSkippedBindingsChangeNothing|TestSearchEstimatesArePricing' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run TestQErrorReport -v .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchStreamAggQ18$|TPCHQ21$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchStreamAggQ18$|TPCHQ21$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$|ParallelAgg/par2$' -benchtime 1x -benchmem .
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
@@ -99,6 +100,12 @@ if go list -deps ./internal/reference | grep -E '^orthoq/internal/(eval|exec|cor
     exit 1
 fi
 go test -run TestReferenceEquivalence -race .
+# Parallel aggregation is the §3.3 split around the morsel exchange:
+# every splittable aggregate, grouped and scalar, over an empty table
+# and a driver whose rows are all filtered out, at two and four workers
+# with and without a 16 KiB budget, against the oracle; and the split's
+# avg of an Int column, bit for bit the unsplit avg.
+go test -run 'TestParallelAggregationMatchesReference|TestSplitAvgOfInt' -race .
 
 # Vector-kernel leg: every operator predicate, projection and aggregate
 # argument evaluates through eval.CompileVec, so the vector ≡
