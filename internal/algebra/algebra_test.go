@@ -284,6 +284,31 @@ func TestMapScalarCols(t *testing.T) {
 	if !ScalarCols(orig).Equals(NewColSet(1, 2)) {
 		t.Error("MapScalarCols mutated input")
 	}
+
+	// MapScalar replaces a column with any scalar.
+	plus := &Arith{Op: types.OpAdd, L: &ColRef{Col: 5}, R: &Const{Val: types.NewInt(1)}}
+	inlined := MapScalar(orig, func(c ColID) Scalar {
+		if c == 1 {
+			return plus
+		}
+		return nil
+	}, nil)
+	if got := inlined.(*Cmp).L; got != Scalar(plus) || !ScalarCols(inlined).Equals(NewColSet(2, 5)) {
+		t.Errorf("MapScalar inlined %v, columns %v", got, ScalarCols(inlined))
+	}
+
+	// A quantifier's Arg is mapped and its value column renamed; a
+	// non-column replacement leaves the value column as it is.
+	input := &Get{Table: "t", Cols: []ColID{2}}
+	q := &Quantified{Op: CmpEq, Arg: &ColRef{Col: 1}, Input: input, Col: 2}
+	mq := MapScalarCols(q, map[ColID]ColID{1: 10, 2: 20}, nil).(*Quantified)
+	if mq.Arg.(*ColRef).Col != 10 || mq.Col != 20 || mq.Input != Rel(input) || q.Col != 2 {
+		t.Errorf("mapped quantifier: Arg %v, Col %d, Input %v", mq.Arg, mq.Col, mq.Input)
+	}
+	sq := MapScalar(q, func(c ColID) Scalar { return plus }, nil).(*Quantified)
+	if sq.Arg != Scalar(plus) || sq.Col != 2 {
+		t.Errorf("substituted quantifier: Arg %v, Col %d", sq.Arg, sq.Col)
+	}
 }
 
 func TestCmpOpHelpers(t *testing.T) {

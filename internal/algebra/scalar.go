@@ -372,78 +372,104 @@ func HasSubquery(s Scalar) bool {
 	return len(ScalarRelInputs(s)) > 0
 }
 
-// MapScalarCols rewrites column references through the substitution
-// map, returning a new scalar tree. Columns absent from the map are
-// preserved. Relational subexpressions are rewritten recursively via
-// the rel callback (which may be nil to leave them in place).
-func MapScalarCols(s Scalar, sub map[ColID]ColID, rel func(Rel) Rel) Scalar {
-	if s == nil {
-		return nil
+// MapChildren returns s rebuilt with f applied to each of its direct
+// scalar children, in the order VisitScalar visits them (a nil child
+// stays nil). A node without scalar children — ColRef, Const, Param,
+// Subquery, Exists — is returned as it is.
+func MapChildren(s Scalar, f func(Scalar) Scalar) Scalar {
+	g := func(c Scalar) Scalar {
+		if c == nil {
+			return nil
+		}
+		return f(c)
 	}
+	all := func(xs []Scalar) []Scalar {
+		out := make([]Scalar, len(xs))
+		for i, x := range xs {
+			out[i] = g(x)
+		}
+		return out
+	}
+	switch t := s.(type) {
+	case *Cmp:
+		return &Cmp{Op: t.Op, L: g(t.L), R: g(t.R)}
+	case *And:
+		return &And{Args: all(t.Args)}
+	case *Or:
+		return &Or{Args: all(t.Args)}
+	case *Not:
+		return &Not{Arg: g(t.Arg)}
+	case *Arith:
+		return &Arith{Op: t.Op, L: g(t.L), R: g(t.R)}
+	case *IsNull:
+		return &IsNull{Arg: g(t.Arg), Negate: t.Negate}
+	case *Like:
+		return &Like{L: g(t.L), R: g(t.R), Negate: t.Negate}
+	case *InList:
+		return &InList{Arg: g(t.Arg), List: all(t.List), Negate: t.Negate}
+	case *Case:
+		whens := make([]When, len(t.Whens))
+		for i, w := range t.Whens {
+			whens[i] = When{Cond: g(w.Cond), Then: g(w.Then)}
+		}
+		return &Case{Whens: whens, Else: g(t.Else)}
+	case *Quantified:
+		q := *t
+		q.Arg = g(t.Arg)
+		return &q
+	}
+	return s
+}
+
+// MapScalar returns a new scalar tree with every column reference c
+// replaced by col(c) — any scalar; nil keeps the reference — and every
+// relational subexpression by rel(r) (a nil rel leaves them in place).
+// A subquery's or quantifier's value column is renamed where col maps
+// it to a column.
+func MapScalar(s Scalar, col func(ColID) Scalar, rel func(Rel) Rel) Scalar {
 	mapRel := func(r Rel) Rel {
 		if rel == nil {
 			return r
 		}
 		return rel(r)
 	}
-	switch t := s.(type) {
-	case *ColRef:
-		if nc, ok := sub[t.Col]; ok {
-			return &ColRef{Col: nc}
+	valueCol := func(c ColID) ColID {
+		if r, ok := col(c).(*ColRef); ok {
+			return r.Col
 		}
-		return t
-	case *Const:
-		return t
-	case *Param:
-		return t
-	case *Cmp:
-		return &Cmp{Op: t.Op, L: MapScalarCols(t.L, sub, rel), R: MapScalarCols(t.R, sub, rel)}
-	case *And:
-		args := make([]Scalar, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = MapScalarCols(a, sub, rel)
-		}
-		return &And{Args: args}
-	case *Or:
-		args := make([]Scalar, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = MapScalarCols(a, sub, rel)
-		}
-		return &Or{Args: args}
-	case *Not:
-		return &Not{Arg: MapScalarCols(t.Arg, sub, rel)}
-	case *Arith:
-		return &Arith{Op: t.Op, L: MapScalarCols(t.L, sub, rel), R: MapScalarCols(t.R, sub, rel)}
-	case *IsNull:
-		return &IsNull{Arg: MapScalarCols(t.Arg, sub, rel), Negate: t.Negate}
-	case *Like:
-		return &Like{L: MapScalarCols(t.L, sub, rel), R: MapScalarCols(t.R, sub, rel), Negate: t.Negate}
-	case *InList:
-		list := make([]Scalar, len(t.List))
-		for i, a := range t.List {
-			list[i] = MapScalarCols(a, sub, rel)
-		}
-		return &InList{Arg: MapScalarCols(t.Arg, sub, rel), List: list, Negate: t.Negate}
-	case *Case:
-		whens := make([]When, len(t.Whens))
-		for i, w := range t.Whens {
-			whens[i] = When{Cond: MapScalarCols(w.Cond, sub, rel), Then: MapScalarCols(w.Then, sub, rel)}
-		}
-		return &Case{Whens: whens, Else: MapScalarCols(t.Else, sub, rel)}
-	case *Subquery:
-		col := t.Col
-		if nc, ok := sub[col]; ok {
-			col = nc
-		}
-		return &Subquery{Input: mapRel(t.Input), Col: col}
-	case *Exists:
-		return &Exists{Input: mapRel(t.Input), Negate: t.Negate}
-	case *Quantified:
-		col := t.Col
-		if nc, ok := sub[col]; ok {
-			col = nc
-		}
-		return &Quantified{Op: t.Op, All: t.All, Arg: MapScalarCols(t.Arg, sub, rel), Input: mapRel(t.Input), Col: col}
+		return c
 	}
-	panic("algebra: unhandled scalar in MapScalarCols")
+	var f func(Scalar) Scalar
+	f = func(s Scalar) Scalar {
+		switch t := s.(type) {
+		case *ColRef:
+			if n := col(t.Col); n != nil {
+				return n
+			}
+			return t
+		case *Subquery:
+			return &Subquery{Input: mapRel(t.Input), Col: valueCol(t.Col)}
+		case *Exists:
+			return &Exists{Input: mapRel(t.Input), Negate: t.Negate}
+		case *Quantified:
+			q := MapChildren(t, f).(*Quantified)
+			q.Input, q.Col = mapRel(t.Input), valueCol(t.Col)
+			return q
+		}
+		return MapChildren(s, f)
+	}
+	return f(s)
+}
+
+// MapScalarCols rewrites column references through the substitution
+// map, returning a new scalar tree. Columns absent from the map are
+// preserved. Relational subexpressions are rewritten recursively via
+// the rel callback (which may be nil to leave them in place).
+func MapScalarCols(s Scalar, sub map[ColID]ColID, rel func(Rel) Rel) Scalar {
+	return MapScalar(s, func(c ColID) Scalar {
+		if n, ok := sub[c]; ok {
+			return &ColRef{Col: n}
+		}
+		return nil
+	}, rel)
 }

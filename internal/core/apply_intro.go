@@ -41,7 +41,7 @@ func introduceAt(md *algebra.Metadata, n algebra.Rel) (algebra.Rel, error) {
 		if !algebra.HasSubquery(t.Filter) {
 			return n, nil
 		}
-		return hoistSelect(md, t)
+		return hoistSelect(md, t), nil
 	case *algebra.Project:
 		need := false
 		for _, it := range t.Items {
@@ -53,7 +53,7 @@ func introduceAt(md *algebra.Metadata, n algebra.Rel) (algebra.Rel, error) {
 		if !need {
 			return n, nil
 		}
-		return hoistProject(md, t)
+		return hoistProject(md, t), nil
 	case *algebra.Join:
 		if t.On != nil && algebra.HasSubquery(t.On) {
 			return nil, fmt.Errorf("core: subqueries in JOIN ON conditions are not supported")
@@ -80,7 +80,7 @@ func introduceAt(md *algebra.Metadata, n algebra.Rel) (algebra.Rel, error) {
 // whose predicate conjuncts include existential subqueries becomes
 // Apply-semijoin / Apply-antisemijoin, splitting the select as needed.
 // Remaining conjuncts with scalar subqueries are computed via Apply.
-func hoistSelect(md *algebra.Metadata, sel *algebra.Select) (algebra.Rel, error) {
+func hoistSelect(md *algebra.Metadata, sel *algebra.Select) algebra.Rel {
 	input := sel.Input
 	var remaining []algebra.Scalar
 	for _, c := range algebra.Conjuncts(sel.Filter) {
@@ -98,18 +98,14 @@ func hoistSelect(md *algebra.Metadata, sel *algebra.Select) (algebra.Rel, error)
 			continue
 		}
 		if algebra.HasSubquery(c) {
-			var err error
-			c, input, err = hoistScalar(md, c, input)
-			if err != nil {
-				return nil, err
-			}
+			c, input = hoistScalar(md, c, input)
 		}
 		remaining = append(remaining, c)
 	}
 	if len(remaining) == 0 {
-		return input, nil
+		return input
 	}
-	return &algebra.Select{Input: input, Filter: algebra.ConjoinAll(remaining...)}, nil
+	return &algebra.Select{Input: input, Filter: algebra.ConjoinAll(remaining...)}
 }
 
 // pushNotIntoSubquery rewrites NOT EXISTS / NOT (x op ANY/ALL) into the
@@ -162,7 +158,7 @@ func quantifiedToApply(input algebra.Rel, q *algebra.Quantified) algebra.Rel {
 }
 
 // hoistProject computes item subqueries below the projection.
-func hoistProject(md *algebra.Metadata, p *algebra.Project) (algebra.Rel, error) {
+func hoistProject(md *algebra.Metadata, p *algebra.Project) algebra.Rel {
 	input := p.Input
 	items := make([]algebra.ProjItem, len(p.Items))
 	for i, it := range p.Items {
@@ -170,21 +166,15 @@ func hoistProject(md *algebra.Metadata, p *algebra.Project) (algebra.Rel, error)
 		if !algebra.HasSubquery(it.Expr) {
 			continue
 		}
-		ne, ni, err := hoistScalar(md, it.Expr, input)
-		if err != nil {
-			return nil, err
-		}
-		items[i].Expr = ne
-		input = ni
+		items[i].Expr, input = hoistScalar(md, it.Expr, input)
 	}
-	return &algebra.Project{Input: input, Passthrough: p.Passthrough, Items: items}, nil
+	return &algebra.Project{Input: input, Passthrough: p.Passthrough, Items: items}
 }
 
 // hoistScalar rewrites every relational node inside the scalar into a
 // column computed by an Apply stacked onto input, returning the
 // rewritten scalar and the extended input.
-func hoistScalar(md *algebra.Metadata, s algebra.Scalar, input algebra.Rel) (algebra.Scalar, algebra.Rel, error) {
-	var err error
+func hoistScalar(md *algebra.Metadata, s algebra.Scalar, input algebra.Rel) (algebra.Scalar, algebra.Rel) {
 	// guard, when set, is the condition under which the current scalar
 	// position is actually evaluated (conditional scalar execution,
 	// paper §2.4): hoisted subqueries are wrapped in a Select on it so
@@ -193,9 +183,6 @@ func hoistScalar(md *algebra.Metadata, s algebra.Scalar, input algebra.Rel) (alg
 	var guard algebra.Scalar
 	var rewrite func(algebra.Scalar) algebra.Scalar
 	rewrite = func(x algebra.Scalar) algebra.Scalar {
-		if err != nil || x == nil {
-			return x
-		}
 		switch t := x.(type) {
 		case *algebra.Subquery:
 			sub := t.Input
@@ -242,22 +229,6 @@ func hoistScalar(md *algebra.Metadata, s algebra.Scalar, input algebra.Rel) (alg
 			return &algebra.Cmp{Op: op,
 				L: &algebra.ColRef{Col: cnt},
 				R: &algebra.Const{Val: types.NewInt(0)}}
-		case *algebra.Cmp:
-			return &algebra.Cmp{Op: t.Op, L: rewrite(t.L), R: rewrite(t.R)}
-		case *algebra.And:
-			return &algebra.And{Args: rewriteAll(t.Args, rewrite)}
-		case *algebra.Or:
-			return &algebra.Or{Args: rewriteAll(t.Args, rewrite)}
-		case *algebra.Not:
-			return &algebra.Not{Arg: rewrite(t.Arg)}
-		case *algebra.Arith:
-			return &algebra.Arith{Op: t.Op, L: rewrite(t.L), R: rewrite(t.R)}
-		case *algebra.IsNull:
-			return &algebra.IsNull{Arg: rewrite(t.Arg), Negate: t.Negate}
-		case *algebra.Like:
-			return &algebra.Like{L: rewrite(t.L), R: rewrite(t.R), Negate: t.Negate}
-		case *algebra.InList:
-			return &algebra.InList{Arg: rewrite(t.Arg), List: rewriteAll(t.List, rewrite), Negate: t.Negate}
 		case *algebra.Case:
 			// Conditional scalar execution (paper §2.4): a subquery in a
 			// THEN/ELSE arm must not be evaluated when its branch is not
@@ -290,13 +261,10 @@ func hoistScalar(md *algebra.Metadata, s algebra.Scalar, input algebra.Rel) (alg
 			}
 			return &algebra.Case{Whens: whens, Else: els}
 		}
-		return x
+		return algebra.MapChildren(x, rewrite)
 	}
-	out := rewrite(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, input, nil
+	out := rewrite(s) // extends input, so it runs before input is read
+	return out, input
 }
 
 // notTrue builds "c IS NOT TRUE" (c is FALSE or UNKNOWN), the branch
@@ -306,14 +274,6 @@ func notTrue(c algebra.Scalar) algebra.Scalar {
 		&algebra.Not{Arg: c},
 		&algebra.IsNull{Arg: c},
 	}}
-}
-
-func rewriteAll(xs []algebra.Scalar, f func(algebra.Scalar) algebra.Scalar) []algebra.Scalar {
-	out := make([]algebra.Scalar, len(xs))
-	for i, x := range xs {
-		out[i] = f(x)
-	}
-	return out
 }
 
 // applyScalarSubquery attaches a scalar-valued subquery to input:

@@ -404,7 +404,7 @@ func pushApplyThroughJoin(md *algebra.Metadata, a *algebra.Apply, j *algebra.Joi
 		key, _ := algebra.KeyCols(left)
 		l2, remap := cloneWithFreshCols(md, left)
 		a1 := &algebra.Apply{Kind: algebra.CrossJoin, Left: left, Right: j.Left}
-		rightSide := remapRel(md, j.Right, remap)
+		rightSide := remapRel(j.Right, remap)
 		a2 := &algebra.Apply{Kind: algebra.CrossJoin, Left: l2, Right: rightSide}
 		var conds []algebra.Scalar
 		key.ForEach(func(c algebra.ColID) {
@@ -436,7 +436,7 @@ func pushApplyThroughUnion(md *algebra.Metadata, a *algebra.Apply, u *algebra.Un
 	b1 := &algebra.Apply{Kind: algebra.CrossJoin, Left: a.Left,
 		Right: inlineUnionSide(u.Left, u.LeftCols, u.OutCols)}
 	b2 := &algebra.Apply{Kind: algebra.CrossJoin, Left: r2,
-		Right: remapRel(md, inlineUnionSide(u.Right, u.RightCols, u.OutCols), remap)}
+		Right: remapRel(inlineUnionSide(u.Right, u.RightCols, u.OutCols), remap)}
 	nu := &algebra.UnionAll{Left: b1, Right: b2}
 	for _, c := range leftCols {
 		nu.LeftCols = append(nu.LeftCols, c)
@@ -459,7 +459,7 @@ func pushApplyThroughDifference(md *algebra.Metadata, a *algebra.Apply, d *algeb
 	b1 := &algebra.Apply{Kind: algebra.CrossJoin, Left: a.Left,
 		Right: inlineUnionSide(d.Left, d.LeftCols, d.OutCols)}
 	b2 := &algebra.Apply{Kind: algebra.CrossJoin, Left: r2,
-		Right: remapRel(md, inlineUnionSide(d.Right, d.RightCols, d.OutCols), remap)}
+		Right: remapRel(inlineUnionSide(d.Right, d.RightCols, d.OutCols), remap)}
 	nd := &algebra.Difference{Left: b1, Right: b2}
 	for _, c := range leftCols {
 		nd.LeftCols = append(nd.LeftCols, c)
@@ -522,13 +522,8 @@ func decomposeApplyViaKeyJoin(md *algebra.Metadata, a *algebra.Apply) (algebra.R
 		return nil, false
 	}
 	l2, remap := cloneWithFreshCols(md, left)
-	right := remapRel(md, a.Right, remap)
-	var on algebra.Scalar
-	if a.On != nil {
-		on = algebra.MapScalarCols(a.On, remap, func(sub algebra.Rel) algebra.Rel {
-			return remapRel(md, sub, remap)
-		})
-	}
+	right := remapRel(a.Right, remap)
+	on := algebra.MapScalarCols(a.On, remap, func(sub algebra.Rel) algebra.Rel { return remapRel(sub, remap) })
 	inner := &algebra.Apply{Kind: algebra.CrossJoin, Left: l2, Right: right}
 	var innerRel algebra.Rel = inner
 	if on != nil && !algebra.IsTrueConst(on) {

@@ -117,59 +117,5 @@ func rewriteNestedRels(r algebra.Rel, f func(algebra.Rel) algebra.Rel) algebra.R
 // expressions (used to inline projection items into predicates when
 // pulling a Project through an Apply).
 func substituteCols(s algebra.Scalar, sub map[algebra.ColID]algebra.Scalar) algebra.Scalar {
-	if s == nil || len(sub) == 0 {
-		return s
-	}
-	if cr, ok := s.(*algebra.ColRef); ok {
-		if e, ok := sub[cr.Col]; ok {
-			return e
-		}
-		return s
-	}
-	// Walk via MapScalarCols with an identity col map, then fix up
-	// ColRefs manually: MapScalarCols cannot produce non-ColRef
-	// replacements, so recurse structurally instead.
-	switch t := s.(type) {
-	case *algebra.Const:
-		return t
-	case *algebra.Cmp:
-		return &algebra.Cmp{Op: t.Op, L: substituteCols(t.L, sub), R: substituteCols(t.R, sub)}
-	case *algebra.And:
-		args := make([]algebra.Scalar, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = substituteCols(a, sub)
-		}
-		return &algebra.And{Args: args}
-	case *algebra.Or:
-		args := make([]algebra.Scalar, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = substituteCols(a, sub)
-		}
-		return &algebra.Or{Args: args}
-	case *algebra.Not:
-		return &algebra.Not{Arg: substituteCols(t.Arg, sub)}
-	case *algebra.Arith:
-		return &algebra.Arith{Op: t.Op, L: substituteCols(t.L, sub), R: substituteCols(t.R, sub)}
-	case *algebra.IsNull:
-		return &algebra.IsNull{Arg: substituteCols(t.Arg, sub), Negate: t.Negate}
-	case *algebra.Like:
-		return &algebra.Like{L: substituteCols(t.L, sub), R: substituteCols(t.R, sub), Negate: t.Negate}
-	case *algebra.InList:
-		list := make([]algebra.Scalar, len(t.List))
-		for i, a := range t.List {
-			list[i] = substituteCols(a, sub)
-		}
-		return &algebra.InList{Arg: substituteCols(t.Arg, sub), List: list, Negate: t.Negate}
-	case *algebra.Case:
-		whens := make([]algebra.When, len(t.Whens))
-		for i, w := range t.Whens {
-			whens[i] = algebra.When{Cond: substituteCols(w.Cond, sub), Then: substituteCols(w.Then, sub)}
-		}
-		return &algebra.Case{Whens: whens, Else: substituteCols(t.Else, sub)}
-	case *algebra.Subquery, *algebra.Exists, *algebra.Quantified:
-		// Substitution happens after subquery removal in practice;
-		// leave nested relational scalars untouched.
-		return s
-	}
-	return s
+	return algebra.MapScalar(s, func(c algebra.ColID) algebra.Scalar { return sub[c] }, nil)
 }

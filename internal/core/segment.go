@@ -24,7 +24,7 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *alge
 		return nil, false
 	}
 	core2, rebuild := stripWrappers(j.Right)
-	remap, ok := matchRels(md, j.Left, core2)
+	remap, ok := matchRels(j.Left, core2)
 	if !ok {
 		return nil, false
 	}

@@ -39,6 +39,13 @@ go build ./...
 go test -run 'TestPublicAPIGolden|TestConfigFieldsClassified|TestExplainMatchesPrepare' .
 go test ./internal/plancache ./internal/resultcache ./internal/lru
 
+# Normalization-primitives leg, fail-fast: the algebra's scalar and
+# column maps (MapChildren, MapScalar), the clone and instance matcher
+# of core (cloneWithFreshCols, matchRels) and the normalizer's rewrites
+# are what the memo's rules are made of, so a fault there fails here,
+# by name, before the optimizer leg reports it as a moved plan.
+go test ./internal/algebra ./internal/core
+
 # Optimizer leg, fail-fast: the search is pinned (102 searches against
 # plans.golden: plan text, bit-exact cost, memo size, rules — never run
 # with -update here); the members of the memo's groups are the same
