@@ -75,9 +75,10 @@ func OpenDurable(cfg DurableConfig) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := Open(store)
+	db := newDB(store)
 	// Indexes and statistics are not persisted; rebuild them before the
-	// journal attaches so the rebuild itself is not logged.
+	// journal attaches so the rebuild itself is not logged. Analyze
+	// collects the statistics, once.
 	db.Analyze()
 	db.wal = m
 	db.walMetrics = met

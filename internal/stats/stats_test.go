@@ -2,14 +2,17 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"orthoq/internal/sql/catalog"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/storage"
+	"orthoq/internal/tpch"
 )
 
 func buildStore(t *testing.T, n int, f func(i int) types.Row) *storage.Store {
@@ -152,9 +155,9 @@ func TestSmallTableNoHistogram(t *testing.T) {
 	}
 }
 
-// referenceProfile is the profile as it was computed before the typed
-// sort keys: every non-string datum boxed and sorted in the datum
-// order. profileColumn must agree with it field for field.
+// referenceProfile is the boxed profile: every non-NULL datum hashed
+// into a set, every non-string datum boxed and sorted in the datum
+// order. Collect must agree with it field for field (sameProfile).
 func referenceProfile(rows []types.Row, ord int) ColumnStats {
 	cs := ColumnStats{}
 	distinct := make(map[uint64]struct{})
@@ -195,40 +198,216 @@ func referenceProfile(rows []types.Row, ord int) ColumnStats {
 	return cs
 }
 
+// sameProfile is reflect.DeepEqual, except that a histogram bound may
+// be 0 on one side and -0 on the other: a sort leaves unspecified
+// which of the two equal values lands on a bound, and the estimates
+// read a bound only through types.Compare.
+func sameProfile(got, want ColumnStats) bool {
+	if len(got.Hist) != len(want.Hist) {
+		return false
+	}
+	for i, g := range got.Hist {
+		w := want.Hist[i]
+		if g != w && !(g.Kind() == types.Float && w.Kind() == types.Float && g.Float() == 0 && w.Float() == 0) {
+			return false
+		}
+	}
+	got.Hist, want.Hist = nil, nil
+	return reflect.DeepEqual(got, want)
+}
+
+// checkCollect holds Collect over a whole store to referenceProfile
+// over every column of every table.
+func checkCollect(t *testing.T, st *storage.Store) {
+	t.Helper()
+	c := Collect(st)
+	for _, schema := range st.Catalog.Tables() {
+		tbl, _ := st.Table(schema.Name)
+		rows := tbl.Version().AllRows()
+		ts := c.Table(schema.Name)
+		if ts == nil || ts.RowCount != int64(len(rows)) || len(ts.Columns) != len(schema.Columns) {
+			t.Fatalf("%s: stats %+v for %d rows", schema.Name, ts, len(rows))
+		}
+		for ord, col := range schema.Columns {
+			if got, want := ts.Columns[ord], referenceProfile(rows, ord); !sameProfile(got, want) {
+				t.Errorf("%s.%s, %d rows:\n got  %+v\n want %+v", schema.Name, col.Name, len(rows), got, want)
+			}
+		}
+	}
+}
+
+// storeOf builds a store holding one table t of the given columns and
+// rows.
+func storeOf(t *testing.T, cols []catalog.Column, rows []types.Row) *storage.Store {
+	t.Helper()
+	st := storage.New(catalog.New())
+	tbl, err := st.CreateTable(&catalog.Table{Name: "t", Columns: cols, Key: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestProfileMatchesReference: histograms, min/max, distinct and NULL
 // counts are identical to the boxed-datum profile for every column
-// kind, with NULLs, below and above the histogram threshold, and for a
-// column mixing Int and Float (the datum-sort fallback).
+// kind, with NULLs, below and above the histogram threshold, for a
+// column holding NaNs and for one mixing Int and Float (both the
+// datum-sort fallback).
 func TestProfileMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	gens := map[string]func() types.Datum{
-		"int":    func() types.Datum { return types.NewInt(int64(r.Intn(500) - 250)) },
-		"float":  func() types.Datum { return types.NewFloat(float64(r.Intn(1000)) / 7) },
-		"date":   func() types.Datum { return types.NewDate(int64(9000 + r.Intn(2000))) },
-		"bool":   func() types.Datum { return types.NewBool(r.Intn(2) == 0) },
-		"string": func() types.Datum { return types.NewString(fmt.Sprint(r.Intn(40))) },
-		"mixed": func() types.Datum {
+	gens := map[string]struct {
+		kind types.Kind
+		gen  func() types.Datum
+	}{
+		"int":    {types.Int, func() types.Datum { return types.NewInt(int64(r.Intn(500) - 250)) }},
+		"float":  {types.Float, func() types.Datum { return types.NewFloat(float64(r.Intn(1000)-500) / 7) }},
+		"date":   {types.Date, func() types.Datum { return types.NewDate(int64(9000 + r.Intn(2000))) }},
+		"bool":   {types.Bool, func() types.Datum { return types.NewBool(r.Intn(2) == 0) }},
+		"string": {types.String, func() types.Datum { return types.NewString(fmt.Sprint(r.Intn(40))) }},
+		"mixed": {types.Float, func() types.Datum {
 			if r.Intn(2) == 0 {
 				return types.NewInt(int64(r.Intn(50)))
 			}
 			return types.NewFloat(float64(r.Intn(50)) + 0.5)
-		},
+		}},
+		"nan": {types.Float, func() types.Datum {
+			if r.Intn(20) == 0 {
+				return types.NewFloat(math.NaN())
+			}
+			return types.NewFloat(float64(r.Intn(50)) - 25)
+		}},
 	}
-	for name, gen := range gens {
+	for name, g := range gens {
 		for _, n := range []int{0, 10, histBuckets*2 - 1, histBuckets * 2, 1000} {
 			rows := make([]types.Row, n)
 			for i := range rows {
-				d := gen()
+				d := g.gen()
 				if r.Intn(10) == 0 {
 					d = types.Null(d.Kind())
 				}
-				rows[i] = types.Row{d}
+				rows[i] = types.Row{types.NewInt(int64(i)), d}
 			}
-			got, want := profileColumn(rows, 0), referenceProfile(rows, 0)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s column, %d rows:\n got  %+v\n want %+v", name, n, got, want)
-			}
+			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
+				checkCollect(t, storeOf(t, []catalog.Column{
+					{Name: "id", Type: types.Int}, {Name: name, Type: g.kind, Nullable: true},
+				}, rows))
+			})
 		}
+	}
+}
+
+// TestCollectMatchesReferenceAcrossChunks: a table several gather
+// chunks long, with NULLs on the chunk edges, an all-NULL column, a
+// column whose first zero is -0 (so Min is -0, wherever 0 and -0 fall
+// later) and one whose greatest value is a zero seen first as -0, a
+// NaN column and an Int/Float mix (the boxed fallback), and Date,
+// Bool and String columns; and an empty table and one too small for a
+// histogram. At least four goroutines profile it, whatever the host.
+func TestCollectMatchesReferenceAcrossChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	cols := []catalog.Column{
+		{Name: "id", Type: types.Int},
+		{Name: "edge", Type: types.Int, Nullable: true},
+		{Name: "none", Type: types.Float, Nullable: true},
+		{Name: "zmin", Type: types.Float},
+		{Name: "zmax", Type: types.Float},
+		{Name: "nan", Type: types.Float},
+		{Name: "mixed", Type: types.Float},
+		{Name: "day", Type: types.Date, Nullable: true},
+		{Name: "flag", Type: types.Bool},
+		{Name: "name", Type: types.String, Nullable: true},
+		{Name: "big", Type: types.Int},
+	}
+	r := rand.New(rand.NewSource(5))
+	negZero := math.Copysign(0, -1)
+	row := func(i int) types.Row {
+		edge := types.NewInt(int64(r.Intn(300)))
+		if at := i % chunkRows; at == 0 || at == chunkRows-1 || r.Intn(7) == 0 {
+			edge = types.Null(types.Int)
+		}
+		zmin := types.NewFloat(float64(r.Intn(100)+1) / 4)
+		if i == 3 {
+			zmin = types.NewFloat(negZero)
+		} else if i > 3 && i%(chunkRows/2) == 0 {
+			zmin = types.NewFloat(0)
+		} else if i%97 == 0 {
+			zmin = types.NewFloat(negZero)
+		}
+		zmax := types.NewFloat(-float64(r.Intn(100)+1) / 4)
+		if i == 5 || i%89 == 0 {
+			zmax = types.NewFloat(negZero)
+		} else if i%61 == 0 {
+			zmax = types.NewFloat(0)
+		}
+		nan := types.NewFloat(float64(r.Intn(1000)) / 8)
+		if i%500 == 7 {
+			nan = types.NewFloat(math.NaN())
+		}
+		mixed := types.NewFloat(float64(r.Intn(100)) + 0.5)
+		if r.Intn(3) == 0 {
+			mixed = types.NewInt(int64(r.Intn(100)))
+		}
+		day := types.NewDate(int64(8000 + r.Intn(3000)))
+		if r.Intn(11) == 0 {
+			day = types.Null(types.Date)
+		}
+		name := types.NewString(fmt.Sprintf("n%d", r.Intn(900)))
+		if r.Intn(13) == 0 {
+			name = types.Null(types.String)
+		}
+		// Ints past 2^53 that convert to one float64 hash alike, so
+		// they are one value to the distinct count.
+		big := types.NewInt(1<<60 + int64(r.Intn(64)))
+		return types.Row{types.NewInt(int64(i)), edge, types.Null(types.Float), zmin, zmax,
+			nan, mixed, day, types.NewBool(r.Intn(3) == 0), name, big}
+	}
+	for _, n := range []int{3*chunkRows + 17, histBuckets*2 - 1, 0} {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			st := storeOf(t, cols, rows)
+			checkCollect(t, st)
+			ts := Collect(st).Table("t")
+			if n == 0 {
+				return
+			}
+			if z := ts.Columns[3].Min; z.Float() != 0 || !math.Signbit(z.Float()) {
+				t.Errorf("zmin's Min is %v, want the -0 seen first", z)
+			}
+			if z := ts.Columns[4].Max; z.Float() != 0 || !math.Signbit(z.Float()) {
+				t.Errorf("zmax's Max is %v, want the -0 seen first", z)
+			}
+			if n > histBuckets*2 && len(ts.Columns[1].Hist) == 0 {
+				t.Error("edge has no histogram")
+			}
+		})
+	}
+}
+
+// TestCollectMatchesReferenceTPCH: every column of the TPC-H stores.
+func TestCollectMatchesReferenceTPCH(t *testing.T) {
+	for _, sf := range []float64{0.002, 0.01} {
+		st, err := tpch.Generate(sf, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprint(sf), func(t *testing.T) { checkCollect(t, st) })
+	}
+}
+
+// BenchmarkCollect profiles the TPC-H store at SF 0.01.
+func BenchmarkCollect(b *testing.B) {
+	st, err := tpch.Generate(0.01, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		Collect(st)
 	}
 }
 

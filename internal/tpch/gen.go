@@ -108,29 +108,31 @@ func scaled(base int, sf float64) int {
 
 func loadRegionNation(st *storage.Store) error {
 	rt, _ := st.Table("region")
+	regionRows := make([]types.Row, 0, len(regions))
 	for i, name := range regions {
-		if err := rt.Insert(types.Row{
+		regionRows = append(regionRows, types.Row{
 			types.NewInt(int64(i)), types.NewString(name), types.NewString("region " + name),
-		}); err != nil {
-			return err
-		}
+		})
+	}
+	if err := rt.InsertAll(regionRows); err != nil {
+		return err
 	}
 	nt, _ := st.Table("nation")
+	nationRows := make([]types.Row, 0, len(nations))
 	for i, name := range nations {
-		if err := nt.Insert(types.Row{
+		nationRows = append(nationRows, types.Row{
 			types.NewInt(int64(i)), types.NewString(name),
 			types.NewInt(int64(i % len(regions))), types.NewString("nation " + name),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return nt.InsertAll(nationRows)
 }
 
 func loadSuppliers(st *storage.Store, rnd *rand.Rand, n int) error {
 	t, _ := st.Table("supplier")
+	rows := make([]types.Row, 0, n)
 	for i := 1; i <= n; i++ {
-		if err := t.Insert(types.Row{
+		rows = append(rows, types.Row{
 			types.NewInt(int64(i)),
 			types.NewString(fmt.Sprintf("Supplier#%09d", i)),
 			types.NewString(randText(rnd, 12)),
@@ -138,17 +140,16 @@ func loadSuppliers(st *storage.Store, rnd *rand.Rand, n int) error {
 			types.NewString(randPhone(rnd)),
 			types.NewFloat(float64(rnd.Intn(1100000)-100000) / 100),
 			types.NewString(randText(rnd, 20)),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return t.InsertAll(rows)
 }
 
 func loadCustomers(st *storage.Store, rnd *rand.Rand, n int) error {
 	t, _ := st.Table("customer")
+	rows := make([]types.Row, 0, n)
 	for i := 1; i <= n; i++ {
-		if err := t.Insert(types.Row{
+		rows = append(rows, types.Row{
 			types.NewInt(int64(i)),
 			types.NewString(fmt.Sprintf("Customer#%09d", i)),
 			types.NewString(randText(rnd, 12)),
@@ -157,23 +158,22 @@ func loadCustomers(st *storage.Store, rnd *rand.Rand, n int) error {
 			types.NewFloat(float64(rnd.Intn(1100000)-100000) / 100),
 			types.NewString(segments[rnd.Intn(len(segments))]),
 			types.NewString(randText(rnd, 20)),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	return t.InsertAll(rows)
 }
 
 func loadParts(st *storage.Store, rnd *rand.Rand, n int) ([]float64, error) {
 	t, _ := st.Table("part")
 	prices := make([]float64, n+1)
+	rows := make([]types.Row, 0, n)
 	for i := 1; i <= n; i++ {
 		price := float64(90000+((i/10)%20001)+100*(i%1000)) / 100
 		prices[i] = price
 		name := partNouns[rnd.Intn(len(partNouns))] + " " + partNouns[rnd.Intn(len(partNouns))]
 		ptype := typeSyl1[rnd.Intn(len(typeSyl1))] + " " +
 			typeSyl2[rnd.Intn(len(typeSyl2))] + " " + typeSyl3[rnd.Intn(len(typeSyl3))]
-		if err := t.Insert(types.Row{
+		rows = append(rows, types.Row{
 			types.NewInt(int64(i)),
 			types.NewString(name),
 			types.NewString(fmt.Sprintf("Manufacturer#%d", 1+rnd.Intn(5))),
@@ -183,30 +183,27 @@ func loadParts(st *storage.Store, rnd *rand.Rand, n int) ([]float64, error) {
 			types.NewString(containers[rnd.Intn(len(containers))]),
 			types.NewFloat(price),
 			types.NewString(randText(rnd, 10)),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	return prices, nil
+	return prices, t.InsertAll(rows)
 }
 
 func loadPartSupp(st *storage.Store, rnd *rand.Rand, nPart, nSupp int) error {
 	t, _ := st.Table("partsupp")
+	rows := make([]types.Row, 0, 4*nPart)
 	for p := 1; p <= nPart; p++ {
 		for k := 0; k < 4; k++ {
 			s := 1 + (p+k*(nSupp/4+1))%nSupp
-			if err := t.Insert(types.Row{
+			rows = append(rows, types.Row{
 				types.NewInt(int64(p)),
 				types.NewInt(int64(s)),
 				types.NewInt(int64(1 + rnd.Intn(9999))),
 				types.NewFloat(float64(100+rnd.Intn(99900)) / 100),
 				types.NewString(randText(rnd, 15)),
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	return nil
+	return t.InsertAll(rows)
 }
 
 func loadOrdersAndLineitems(st *storage.Store, rnd *rand.Rand,
@@ -214,6 +211,8 @@ func loadOrdersAndLineitems(st *storage.Store, rnd *rand.Rand,
 	ot, _ := st.Table("orders")
 	lt, _ := st.Table("lineitem")
 	dateRange := endDate - startDate - 200
+	otRows := make([]types.Row, 0, nOrd)
+	ltRows := make([]types.Row, 0, 4*nOrd)
 	for o := 1; o <= nOrd; o++ {
 		// Customer keys divisible by 3 receive no orders, mirroring
 		// dbgen's sparse custkey population (one third of customers
@@ -237,7 +236,7 @@ func loadOrdersAndLineitems(st *storage.Store, rnd *rand.Rand,
 			ship := odate + int64(1+rnd.Intn(120))
 			commit := odate + int64(30+rnd.Intn(90))
 			receipt := ship + int64(1+rnd.Intn(30))
-			if err := lt.Insert(types.Row{
+			ltRows = append(ltRows, types.Row{
 				types.NewInt(int64(o)),
 				types.NewInt(int64(part)),
 				types.NewInt(int64(supp)),
@@ -254,15 +253,13 @@ func loadOrdersAndLineitems(st *storage.Store, rnd *rand.Rand,
 				types.NewString(instructs[rnd.Intn(len(instructs))]),
 				types.NewString(shipModes[rnd.Intn(len(shipModes))]),
 				types.NewString(randText(rnd, 10)),
-			}); err != nil {
-				return err
-			}
+			})
 		}
 		status := "F"
 		if rnd.Intn(2) == 0 {
 			status = "O"
 		}
-		if err := ot.Insert(types.Row{
+		otRows = append(otRows, types.Row{
 			types.NewInt(int64(o)),
 			types.NewInt(int64(cust)),
 			types.NewString(status),
@@ -272,11 +269,12 @@ func loadOrdersAndLineitems(st *storage.Store, rnd *rand.Rand,
 			types.NewString(fmt.Sprintf("Clerk#%09d", 1+rnd.Intn(1000))),
 			types.NewInt(0),
 			types.NewString(randText(rnd, 12)),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
+	if err := lt.InsertAll(ltRows); err != nil {
+		return err
+	}
+	return ot.InsertAll(otRows)
 }
 
 const letters = "abcdefghijklmnopqrstuvwxyz "

@@ -391,9 +391,16 @@ func (db *DB) statsNow() *stats.Collection { return db.statsv.Load() }
 
 // Open wraps an existing store.
 func Open(store *storage.Store) *DB {
-	db := &DB{store: store, metrics: new(obs.Metrics)}
+	db := newDB(store)
 	db.statsv.Store(stats.Collect(store))
 	db.analyzedRows.Store(totalRows(db.statsNow(), store))
+	return db
+}
+
+// newDB wraps a store without collecting its statistics: Open collects
+// them next, OpenDurable runs Analyze.
+func newDB(store *storage.Store) *DB {
+	db := &DB{store: store, metrics: new(obs.Metrics)}
 	// Expose engine counters on the process debug endpoint. First
 	// handle wins the name; additional handles keep their Metrics()
 	// accessor but are not re-published.

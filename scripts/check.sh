@@ -79,12 +79,14 @@ go test ./internal/algebra ./internal/core
 # join, and a selective probe against a small build side
 # (Q20's shape), and Q1 at two workers (the §3.3 split around the
 # morsel exchange), so every run prints B/op and allocs/op for the paths
-# that touch rows.
+# that touch rows. Last, one statistics collection over the TPC-H store
+# at SF 0.01, which every Open and Analyze runs.
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestSkippedBindingsChangeNothing|TestSearchEstimatesArePricing' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run TestQErrorReport -v .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
 go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchStreamAggQ18$|TPCHQ21$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$|ParallelAgg/par2$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'Collect$' -benchtime 1x -benchmem ./internal/stats
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
 # the reference evaluator and the storage codec depends on the datum's
@@ -157,9 +159,10 @@ go test -run 'TestTypedErrors|TestFaultInjection|TestSpill|TestStream|TestCancel
 # checks), and the stored typed columns held to their rows — after the
 # TPC-H and fuzz corpora under every engine variant, and while batches
 # are appended beside readers of an old snapshot and the newest
-# version. The full ./... race run below covers these again; this leg
-# fails fast with a focused signal.
-go test -race ./internal/server ./internal/storage
+# version. With them the statistics collector, which profiles a table
+# on several goroutines. The full ./... race run below covers these
+# again; this leg fails fast with a focused signal.
+go test -race ./internal/server ./internal/storage ./internal/stats
 go test -run 'TestInsertQueryRace|TestSnapshotSerialEquivalence|TestStmtRunSnapshot|TestStoredColumnsMatchRows' -race .
 
 # Result-cache leg: cached-vs-uncached equivalence over TPC-H and the
