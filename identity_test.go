@@ -261,7 +261,7 @@ func finalPlan(explain string) string {
 // every query runs through, so for the 12 TPC-H queries and the three
 // spellings of the paper's Q1, under the full technique set and three
 // ablations, and under the full set and normalization alone at two
-// workers (where compile splits the GroupBy over the exchange), the
+// workers (where the search places the exchange and its split), the
 // plan Explain ends on is the plan Prepare returns.
 func TestExplainMatchesPrepare(t *testing.T) {
 	db := sharedDB(t)

@@ -161,6 +161,8 @@ func AppendNode(b []byte, md *Metadata, p Props, r Rel) []byte {
 		b = append(b, ']')
 	case *Top:
 		b = fmt.Appendf(b, "Top %d", t.N)
+	case *Exchange:
+		b = append(b, "Exchange"...)
 	case *RowNumber:
 		b = append(md.appendAlias(append(b, "RowNumber ["...), t.Col), ']')
 	default:

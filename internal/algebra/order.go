@@ -44,9 +44,9 @@ func DeriveDeliveredOrder(p Props, r Rel) []Ordering {
 		}
 		return in[:n]
 	}
-	// Join, Apply, GroupBy, SegmentApply, UnionAll, Difference, Values:
-	// no guarantee — the physical choice (hash vs merge, parallel
-	// exchange) may destroy any input order.
+	// Join, Apply, GroupBy, SegmentApply, UnionAll, Difference, Values,
+	// Exchange: no guarantee — the physical choice (hash vs merge) or
+	// the workers' interleaving may destroy any input order.
 	return nil
 }
 

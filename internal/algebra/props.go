@@ -69,6 +69,8 @@ func InputsOf(r Rel) (left, right Rel) {
 		return t.Input, nil
 	case *RowNumber:
 		return t.Input, nil
+	case *Exchange:
+		return t.Input, nil
 	case *Join:
 		return t.Left, t.Right
 	case *Apply:
@@ -143,7 +145,7 @@ func DeriveOutputCols(p Props, r Rel) ColSet {
 		return NewColSet(t.Cols...)
 	case *Sort:
 		return p.OutputCols(0)
-	case *Top:
+	case *Top, *Exchange:
 		return p.OutputCols(0)
 	case *RowNumber:
 		out := p.OutputCols(0)

@@ -286,6 +286,13 @@ type Top struct {
 	N     int64
 }
 
+// Exchange passes its input through, run on workers over morsels of a
+// base-table scan in it: the enforcer of a partitioned input, as Sort is
+// of an ordered one. It delivers no order; the optimizer places it.
+type Exchange struct {
+	Input Rel
+}
+
 // RowNumber extends each input row with a fresh, unique integer column.
 // It manufactures a key when key inference fails (paper §3.1: "one can
 // always be manufactured during execution").
@@ -309,6 +316,7 @@ func (*Values) relNode()       {}
 func (*Sort) relNode()         {}
 func (*Top) relNode()          {}
 func (*RowNumber) relNode()    {}
+func (*Exchange) relNode()     {}
 
 // Inputs implementations.
 
@@ -329,6 +337,7 @@ func (v *Values) Inputs() []Rel     { return nil }
 func (s *Sort) Inputs() []Rel       { return []Rel{s.Input} }
 func (t *Top) Inputs() []Rel        { return []Rel{t.Input} }
 func (r *RowNumber) Inputs() []Rel  { return []Rel{r.Input} }
+func (x *Exchange) Inputs() []Rel   { return []Rel{x.Input} }
 
 // WithInputs implementations (copy-on-write).
 
@@ -395,25 +404,4 @@ func (r *RowNumber) WithInputs(c []Rel) Rel {
 	n.Input = c[0]
 	return &n
 }
-
-// Replace returns r with its node old replaced by new, rebuilding the
-// nodes above it and sharing the rest.
-func Replace(r, old, new Rel) Rel {
-	if r == old {
-		return new
-	}
-	ins := r.Inputs()
-	var out []Rel
-	for i, in := range ins {
-		if n := Replace(in, old, new); n != in {
-			if out == nil {
-				out = append([]Rel(nil), ins...)
-			}
-			out[i] = n
-		}
-	}
-	if out == nil {
-		return r
-	}
-	return r.WithInputs(out)
-}
+func (x *Exchange) WithInputs(c []Rel) Rel { return &Exchange{Input: c[0]} }

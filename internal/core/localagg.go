@@ -6,13 +6,17 @@ import (
 )
 
 // TrySplitGroupBy implements §3.3: G(A,F) R = G(A,Fg)(LG(A,Fl) R).
-// Each aggregate is split into a local partial and a global combiner:
+// Each aggregate is split into local partials and a global combiner:
 //
 //	sum      → local sum,       global sum of partials
 //	count(x) → local count(x),  global sum of partials
 //	count(*) → local count(*),  global sum of partials
 //	min/max  → local min/max,   global min/max of partials
 //	avg      → local sum+count, global sum/sum with a computing project
+//
+// The LocalGroupBy folds one partial per function and argument, which
+// every aggregate needing it reads (an avg shares its sum and count),
+// and a count of a column NotNullCols proves never NULL is count(*).
 //
 // A scalar GroupBy splits into a scalar global over a LocalGroupBy
 // without grouping columns. On empty input no partial reaches the
@@ -52,24 +56,36 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 	derive := func(from algebra.ColID, role string, typ types.Kind) algebra.ColID {
 		return md.DerivedColumn(from, role, algebra.ColumnMeta{Alias: md.Alias(from) + role, Type: typ})
 	}
+	partials := map[string]algebra.ColID{} // named for the first aggregate reading one
+	notNull := algebra.NotNullCols(md, gb.Input)
+	partial := func(fn algebra.AggFunc, arg algebra.Scalar, from algebra.ColID, role string, typ types.Kind) *algebra.ColRef {
+		if ref, ok := arg.(*algebra.ColRef); ok && fn == algebra.AggCount && notNull.Contains(ref.Col) {
+			fn, arg = algebra.AggCountStar, nil
+		}
+		key := string(algebra.AppendScalarKey([]byte(fn.String()+"\x00"), arg))
+		col, ok := partials[key]
+		if !ok {
+			col = derive(from, role, typ)
+			partials[key] = col
+			local.Aggs = append(local.Aggs, algebra.AggItem{Col: col, Func: fn, Arg: arg})
+		}
+		return &algebra.ColRef{Col: col}
+	}
 	for _, a := range gb.Aggs {
 		switch a.Func {
 		case algebra.AggSum, algebra.AggMin, algebra.AggMax, algebra.AggConstAny:
-			part := derive(a.Col, "_l", md.Type(a.Col))
-			local.Aggs = append(local.Aggs, algebra.AggItem{Col: part, Func: a.Func, Arg: a.Arg})
 			global.Aggs = append(global.Aggs, algebra.AggItem{
-				Col: a.Col, Func: a.Func, Arg: &algebra.ColRef{Col: part}, Global: true})
+				Col: a.Col, Func: a.Func, Arg: partial(a.Func, a.Arg, a.Col, "_l", md.Type(a.Col)), Global: true})
 		case algebra.AggCount, algebra.AggCountStar:
-			part := derive(a.Col, "_l", types.Int)
-			local.Aggs = append(local.Aggs, algebra.AggItem{Col: part, Func: a.Func, Arg: a.Arg})
+			part := partial(a.Func, a.Arg, a.Col, "_l", types.Int)
 			if gb.Kind == algebra.VectorGroupBy {
 				global.Aggs = append(global.Aggs, algebra.AggItem{
-					Col: a.Col, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: part}, Global: true})
+					Col: a.Col, Func: algebra.AggSum, Arg: part, Global: true})
 				break
 			}
 			sumG := derive(a.Col, "_g", types.Int)
 			global.Aggs = append(global.Aggs, algebra.AggItem{
-				Col: sumG, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: part}, Global: true})
+				Col: sumG, Func: algebra.AggSum, Arg: part, Global: true})
 			proj.Items = append(proj.Items, algebra.ProjItem{
 				Col: a.Col,
 				Expr: &algebra.Case{
@@ -87,16 +103,13 @@ func TrySplitGroupBy(md *algebra.Metadata, gb *algebra.GroupBy) (algebra.Rel, bo
 			// made a Float before the division, as the unsplit avg
 			// divides: an Int sum over an Int count would divide
 			// integrally.
-			sumL := derive(a.Col, "_suml", types.Float)
-			cntL := derive(a.Col, "_cntl", types.Int)
-			local.Aggs = append(local.Aggs,
-				algebra.AggItem{Col: sumL, Func: algebra.AggSum, Arg: a.Arg},
-				algebra.AggItem{Col: cntL, Func: algebra.AggCount, Arg: a.Arg})
+			sumL := partial(algebra.AggSum, a.Arg, a.Col, "_suml", types.Float)
+			cntL := partial(algebra.AggCount, a.Arg, a.Col, "_cntl", types.Int)
 			sumG := derive(a.Col, "_sumg", types.Float)
 			cntG := derive(a.Col, "_cntg", types.Int)
 			global.Aggs = append(global.Aggs,
-				algebra.AggItem{Col: sumG, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: sumL}, Global: true},
-				algebra.AggItem{Col: cntG, Func: algebra.AggSum, Arg: &algebra.ColRef{Col: cntL}, Global: true})
+				algebra.AggItem{Col: sumG, Func: algebra.AggSum, Arg: sumL, Global: true},
+				algebra.AggItem{Col: cntG, Func: algebra.AggSum, Arg: cntL, Global: true})
 			proj.Items = append(proj.Items, algebra.ProjItem{
 				Col: a.Col,
 				Expr: &algebra.Case{

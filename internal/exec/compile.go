@@ -101,12 +101,6 @@ func (g *guardIter) Close() (err error) {
 }
 
 func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
-	if ctx.pplan != nil && rel == ctx.pplan.at {
-		// The parallel-eligible subtree compiles to an exchange
-		// operator; worker clones recompile it serially (pplan is unset
-		// on clones, so this fires exactly once).
-		return compileExchange(ctx, rel)
-	}
 	switch t := rel.(type) {
 	case *algebra.Get:
 		return compileGet(ctx, t, t, nil)
@@ -195,6 +189,9 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 			return nil, err
 		}
 		return newNode(&topIter{in: in, n: t.N, st: ctx.traceStats(t)}, in.cols), nil
+
+	case *algebra.Exchange:
+		return compileExchange(ctx, t)
 
 	case *algebra.RowNumber:
 		in, err := compile(ctx, t.Input)

@@ -46,10 +46,9 @@ type Context struct {
 	// FormatTrace prints it beside the actual rows. Nil means nothing is
 	// known.
 	Estimates Estimates
-	// Parallelism is the worker count for morsel-driven parallel
-	// execution. 0 or 1 means serial; higher values let eligible
-	// scan/join/aggregation subtrees run on that many goroutines. Every
-	// other physical choice is made from the plan (strategy.go).
+	// Parallelism is the worker count of each exchange in the plan
+	// (parallel.go); where the exchanges go is the plan's. Every other
+	// physical choice is made from the plan too (strategy.go).
 	Parallelism int
 	// ForceBatched runs every Apply batched, probes included: a seam
 	// for tests that hold the probe to the batched path.
@@ -115,9 +114,6 @@ type Context struct {
 	// the logical node (see EnableTrace / FormatTrace).
 	trace map[algebra.Rel]*OpStats
 
-	// pplan, when non-nil, marks the subtree compiled as a parallel
-	// exchange (set on the coordinating context only).
-	pplan *parallelPlan
 	// morsels + driverGet, when non-nil, make compileGet lower the
 	// driver base-table scan to a morsel-claiming scan (set on worker
 	// clones only).
@@ -493,9 +489,9 @@ type Result struct {
 
 // Run compiles and executes the plan, materializing all rows. outCols
 // selects and orders the result columns (nil = plan output order).
-// When ctx.Parallelism > 1 an eligible subtree is executed
-// morsel-parallel; row order of the result may then differ from the
-// serial order (the bag of rows is identical).
+// Below an algebra.Exchange the plan runs morsel-parallel; row order
+// of the result may then differ from the serial order (the bag of rows
+// is identical).
 func Run(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (res *Result, err error) {
 	defer ctx.releaseSpills()
 	defer func() {
@@ -566,9 +562,6 @@ func prepareRun(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (*node, 
 	ctx.ev.Params = ctx.Params
 	if err := ctx.checkCtx(); err != nil {
 		return nil, nil, err
-	}
-	if ctx.Parallelism > 1 && ctx.pplan == nil {
-		ctx.pplan = planParallel(ctx.schema, rel)
 	}
 	n, err := compile(ctx, rel)
 	if err != nil {

@@ -183,7 +183,7 @@ func (s *aggState) result(g int) types.Datum {
 }
 
 // aggTable accumulates hash groups for one GroupBy of a hashAggIter
-// (at Parallelism > 1, a worker's LocalGroupBy is one too).
+// (a LocalGroupBy below an exchange is one per worker).
 //
 // A group is an entry of the hash table (its key) and an index into
 // the state arrays: group g of states[j] is aggregate j's state, so

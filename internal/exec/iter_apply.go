@@ -23,9 +23,8 @@ package exec
 // the cache cannot pay for itself, and that Open from that batch on
 // runs each binding without a cache lookup, pinning or retention.
 //
-// An Apply has no concurrency of its own. At Parallelism > 1 it runs
-// inside the morsel exchange (parallel.go) when its inner side can be
-// compiled on a worker: each worker runs its own Apply, probe or
+// An Apply has no concurrency of its own. Below an exchange the plan
+// put over it (parallel.go), each worker runs its own Apply, probe or
 // batched, with its own binding memo, over the outer rows of the
 // morsels it claims.
 //

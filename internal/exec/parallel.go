@@ -10,40 +10,28 @@ import (
 	"orthoq/internal/sql/types"
 )
 
-func fmtErrNoTable(name string) error {
-	return fmt.Errorf("exec: table %q not stored", name)
-}
-
-// Morsel-driven parallel execution. A plan's highest eligible subtree
-// is compiled into an exchange operator (exchangeIter): the base-table
-// scan at the subtree's streaming leaf (the "driver") is split into
-// fixed-size row-ordinal morsels claimed from a shared dispenser, and
-// Parallelism workers each run a private copy of the subtree over the
+// Morsel-driven parallel execution. An algebra.Exchange in the plan
+// compiles into an exchange operator (exchangeIter): the base-table scan
+// at its input's streaming leaf (the "driver", StreamDriver) is split
+// into fixed-size row-ordinal morsels claimed from a shared dispenser,
+// and Parallelism workers each run a private copy of the input over the
 // morsels they claim, streaming its result rows to the consumer in
-// batches. Hash joins inside the subtree whose build side reads
-// nothing bound outside it build their table once — the first worker
-// to arrive builds, the rest probe the shared read-only table. An
-// Apply on the streaming path runs on every worker over the outer rows
-// of its morsels, probe or batched, with its own binding memo.
+// batches. Hash joins inside the input whose build side reads nothing
+// bound outside it build their table once — the first worker to arrive
+// builds, the rest probe the shared read-only table. An Apply on the
+// streaming path runs on every worker over the outer rows of its
+// morsels, probe or batched, with its own binding memo.
 //
-// Aggregation is the paper's §3.3 split around the exchange, decided
-// at plan time: the root package splits the GroupBy over the exchange
-// (ExchangeAgg) with core.TrySplitGroupBy, so each worker runs the
-// LocalGroupBy over its morsels and the global GroupBy above the
-// exchange combines the partials serially. A GroupBy the split refuses
-// (a DISTINCT aggregate) aggregates the exchange's stream serially.
+// Where an exchange goes is the optimizer's choice, by cost
+// (internal/opt); the executor compiles one only where the plan has
+// one. Aggregation is the paper's §3.3 split around it: each worker
+// runs the LocalGroupBy below the exchange over its morsels, and the
+// global GroupBy above it combines the partials serially.
 //
 // An exchange starts no more workers than its driver has morsels, and
 // the one worker of a driver that fits one morsel runs on the
-// consumer's strand.
-//
-// Operators whose semantics depend on segment bindings or input
-// order — SegmentApply, SegmentRef, Max1Row, Top, RowNumber, UnionAll,
-// Difference, Values — stay on the serial path, and so does an Apply
-// that reads a column or a segment bound outside it; Sort, Project,
-// Select, and GroupBy may sit above the exchange (they are
-// order-insensitive in bag semantics). Parallel plans return the same
-// bag of rows as serial plans; only row order may differ.
+// consumer's strand. Parallel plans return the same bag of rows as
+// serial plans; only row order may differ.
 
 // morselSize is the number of driver-table rows per morsel. Fixed
 // size keeps the dispenser trivial while giving work-stealing-like
@@ -72,7 +60,7 @@ func (m *morselSource) reset(total int) {
 
 // startWorkers is how many of want workers src can keep busy — no more
 // than it has morsels, and at least one, so an empty table still runs
-// the subtree once — counted on st and the query's counter.
+// the exchange's input once — counted on st and the query's counter.
 func (c *Context) startWorkers(st *OpStats, src *morselSource, want int) int {
 	n := max(1, min(want, (src.total+morselSize-1)/morselSize))
 	if st != nil {
@@ -107,93 +95,15 @@ func (m *morselSource) claim() (lo, hi int, ok bool) {
 	return int(start), int(end), true
 }
 
-// parallelPlan marks the subtree compiled as a parallel exchange.
-type parallelPlan struct {
-	// at is the node lowered to an exchange operator.
-	at algebra.Rel
-	// driver is the base-table scan partitioned into morsels.
-	driver *algebra.Get
-}
-
-// planParallel finds the highest parallel-eligible subtree of rel over
-// the tables table resolves, descending through operators that can
-// consume the exchange's merged stream serially. Returns nil when the
-// plan must stay serial.
-func planParallel(table func(string) (*catalog.Table, bool), rel algebra.Rel) *parallelPlan {
-	switch t := rel.(type) {
-	case *algebra.Sort:
-		return planParallel(table, t.Input)
-	case *algebra.GroupBy:
-		if t.Kind == algebra.LocalGroupBy {
-			// A LocalGroupBy may run over any partition of its input
-			// (§3.3): each worker aggregates its morsels.
-			if driver, ok := streamDriver(table, t.Input); ok {
-				return &parallelPlan{at: rel, driver: driver}
-			}
-		}
-		return planParallel(table, t.Input)
-	case *algebra.Project:
-		if driver, ok := streamDriver(table, rel); ok {
-			return &parallelPlan{at: rel, driver: driver}
-		}
-		return planParallel(table, t.Input)
-	case *algebra.Select:
-		if driver, ok := streamDriver(table, rel); ok {
-			return &parallelPlan{at: rel, driver: driver}
-		}
-		if _, isGet := t.Input.(*algebra.Get); isGet {
-			// Select-over-Get compiles as one fused access path (seek);
-			// descending past the Select would split them.
-			return nil
-		}
-		return planParallel(table, t.Input)
-	case *algebra.Join:
-		if driver, ok := streamDriver(table, rel); ok {
-			return &parallelPlan{at: rel, driver: driver}
-		}
-		return planParallel(table, t.Left)
-	case *algebra.Apply:
-		if !applyOnWorker(t) {
-			return nil
-		}
-		if driver, ok := streamDriver(table, rel); ok {
-			return &parallelPlan{at: rel, driver: driver}
-		}
-		return planParallel(table, t.Left)
-	case *algebra.Get:
-		if driver, ok := streamDriver(table, rel); ok {
-			return &parallelPlan{at: rel, driver: driver}
-		}
-	}
-	return nil
-}
-
-// ExchangeAgg returns the GroupBy of rel that would aggregate the
-// exchange's stream serially at Parallelism > 1 — the GroupBy whose
-// input is where planParallel puts the exchange over the tables table
-// resolves — or nil. Its §3.3 split puts the LocalGroupBy on the
-// workers.
-func ExchangeAgg(table func(string) (*catalog.Table, bool), rel algebra.Rel) *algebra.GroupBy {
-	pp := planParallel(table, rel)
-	if pp == nil {
-		return nil
-	}
-	var agg *algebra.GroupBy
-	algebra.VisitRel(rel, func(n algebra.Rel) bool {
-		if gb, ok := n.(*algebra.GroupBy); ok && gb.Input == pp.at {
-			agg = gb
-		}
-		return agg == nil
-	})
-	return agg
-}
-
-// streamDriver descends the streaming (probe) side of rel looking for
-// the base-table scan to morsel-partition. Every operator on the path
-// must be row-streaming, and off-path subtrees (join build sides)
-// must be self-contained so each worker can evaluate them without
-// outer bindings.
-func streamDriver(table func(string) (*catalog.Table, bool), rel algebra.Rel) (*algebra.Get, bool) {
+// StreamDriver returns the base-table scan an exchange over rel splits
+// into morsels, found down rel's streaming (probe) side. Every operator
+// on that path must stream rows — a LocalGroupBy does, as it may run
+// over any partition of its input (§3.3) — and the subtrees off it
+// (join build sides, Apply inner sides) must be self-contained, so each
+// worker can evaluate them without outer bindings. It is the
+// precondition of an exchange: the optimizer offers one only over an
+// input StreamDriver accepts.
+func StreamDriver(table func(string) (*catalog.Table, bool), rel algebra.Rel) (*algebra.Get, bool) {
 	switch t := rel.(type) {
 	case *algebra.Get:
 		if len(t.Order) > 0 {
@@ -227,14 +137,14 @@ func streamDriver(table func(string) (*catalog.Table, bool), rel algebra.Rel) (*
 			}
 			return g, true
 		}
-		return streamDriver(table, t.Input)
+		return StreamDriver(table, t.Input)
 	case *algebra.Project:
 		for _, it := range t.Items {
 			if algebra.HasSubquery(it.Expr) {
 				return nil, false
 			}
 		}
-		return streamDriver(table, t.Input)
+		return StreamDriver(table, t.Input)
 	case *algebra.Join:
 		// The right (build) side runs inside each worker; it must not
 		// reference columns bound outside itself.
@@ -244,45 +154,45 @@ func streamDriver(table func(string) (*catalog.Table, bool), rel algebra.Rel) (*
 		if t.On != nil && algebra.HasSubquery(t.On) {
 			return nil, false
 		}
-		return streamDriver(table, t.Left)
+		return StreamDriver(table, t.Left)
 	case *algebra.Apply:
 		// The inner side runs inside each worker, once per binding of
-		// the worker's outer rows.
-		if !applyOnWorker(t) || t.On != nil && algebra.HasSubquery(t.On) {
+		// the worker's outer rows: it may read no segment bound by a
+		// SegmentApply outside it, and the Apply no column bound outside.
+		if algebra.HasForeignSegmentRefs(t.Right) || !algebra.OuterRefs(t).Empty() ||
+			t.On != nil && algebra.HasSubquery(t.On) {
 			return nil, false
 		}
-		return streamDriver(table, t.Left)
+		return StreamDriver(table, t.Left)
+	case *algebra.GroupBy:
+		if t.Kind == algebra.LocalGroupBy {
+			return StreamDriver(table, t.Input)
+		}
 	}
 	return nil, false
 }
 
-// applyOnWorker reports whether a worker can compile and run a: its
-// inner side reads no segment bound by a SegmentApply outside it, and
-// a reads no column bound outside itself.
-func applyOnWorker(a *algebra.Apply) bool {
-	return !algebra.HasForeignSegmentRefs(a.Right) && algebra.OuterRefs(a).Empty()
-}
-
-// compileExchange lowers the marked subtree to its exchange operator.
-func compileExchange(ctx *Context, rel algebra.Rel) (*node, error) {
-	pp := ctx.pplan
-	var st *OpStats
-	if ctx.trace != nil {
-		st = &OpStats{}
-		ctx.trace[rel] = st
+// compileExchange lowers x to its exchange operator. An input with no
+// driver on the run's tables (an index built since the plan was chosen
+// turned its scan into a seek) runs serially in x's place.
+func compileExchange(ctx *Context, x *algebra.Exchange) (*node, error) {
+	driver, ok := StreamDriver(ctx.schema, x.Input)
+	if !ok {
+		return compile(ctx, x.Input)
 	}
+	st := ctx.traceStats(x)
 	// The first worker's tree is compiled now, and the first Open runs
 	// it: the exchange's layout is its. Its trace is merged at once
 	// too — every counter still zero — so the strategies compile chose
 	// show even when the exchange never opens (an empty build above
 	// it), as a serial tree's do.
 	src := newMorselSource(0)
-	wctx, first, err := spawnWorker(ctx, rel, pp.driver, src)
+	wctx, first, err := spawnWorker(ctx, x.Input, driver, src)
 	if err != nil {
 		return nil, err
 	}
 	ctx.mergeWorkerTrace(wctx)
-	it := &exchangeIter{ctx: ctx, rel: rel, driver: pp.driver, src: src,
+	it := &exchangeIter{ctx: ctx, rel: x.Input, driver: driver, src: src,
 		first: firstWorker{n: first, ctx: wctx}, workers: ctx.Parallelism, st: st}
 	return newNode(it, first.cols), nil
 }
@@ -312,8 +222,8 @@ func spawnWorker(ctx *Context, rel algebra.Rel, driver *algebra.Get, src *morsel
 	return wctx, n, err
 }
 
-// exchangeIter runs a streaming subtree on N workers and merges their
-// row batches; the consumer pulls rows in arbitrary interleaving.
+// exchangeIter runs the exchange's input rel on N workers and merges
+// their row batches; the consumer pulls rows in arbitrary interleaving.
 type exchangeIter struct {
 	ctx     *Context
 	rel     algebra.Rel
@@ -369,7 +279,7 @@ func (e *exchangeIter) errSeen() error {
 func (e *exchangeIter) Open() error {
 	tbl, ok := e.ctx.table(e.driver.Table)
 	if !ok {
-		return fmtErrNoTable(e.driver.Table)
+		return fmt.Errorf("exec: table %q not stored", e.driver.Table)
 	}
 	e.src.reset(tbl.RowCount())
 	workers := e.ctx.startWorkers(e.st, e.src, e.workers)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,19 +22,32 @@ func runSQLWith(t testing.TB, st *storage.Store, sql string, par int) *Result {
 	return out
 }
 
-// splitAtExchange splits the GroupBy over rel's exchange (§3.3), as
-// the root package's compile does at Parallelism > 1.
-func splitAtExchange(st *storage.Store, md *algebra.Metadata, rel algebra.Rel) algebra.Rel {
-	if gb := ExchangeAgg(st.Catalog.Table, rel); gb != nil {
-		if split, ok := core.TrySplitGroupBy(md, gb); ok {
-			return algebra.Replace(rel, gb, split)
-		}
+// placeExchange puts an exchange over the highest subtree down rel's
+// streaming side that StreamDriver accepts, as the optimizer would at
+// Parallelism > 1 — the executor places none — and splits a GroupBy
+// right above it (§3.3), its LocalGroupBy below the exchange.
+func placeExchange(st *storage.Store, md *algebra.Metadata, rel algebra.Rel) algebra.Rel {
+	if _, ok := StreamDriver(st.Catalog.Table, rel); ok {
+		return &algebra.Exchange{Input: rel}
 	}
-	return rel
+	switch t := rel.(type) {
+	case *algebra.GroupBy:
+		if _, ok := StreamDriver(st.Catalog.Table, t.Input); ok {
+			if split, ok := core.TrySplitGroupBy(md, t); ok {
+				return placeExchange(st, md, split)
+			}
+		}
+	case *algebra.Sort, *algebra.Project, *algebra.Join, *algebra.Apply:
+	default:
+		return rel
+	}
+	ins := slices.Clone(rel.Inputs())
+	ins[0] = placeExchange(st, md, ins[0])
+	return rel.WithInputs(ins)
 }
 
 // runSQLCtx is runSQLWith, also returning the run's Context. At
-// Parallelism > 1 the plan's GroupBy over the exchange is split.
+// Parallelism > 1 the plan gets an exchange (placeExchange).
 func runSQLCtx(t testing.TB, st *storage.Store, sql string, par int) (*Result, *Context) {
 	t.Helper()
 	q, err := parser.Parse(sql)
@@ -50,7 +64,7 @@ func runSQLCtx(t testing.TB, st *storage.Store, sql string, par int) (*Result, *
 		t.Fatalf("normalize: %v", err)
 	}
 	if par > 1 {
-		rel = splitAtExchange(st, md, rel)
+		rel = placeExchange(st, md, rel)
 	}
 	ctx := NewContext(st, md)
 	ctx.RowBudget = 10_000_000
@@ -186,7 +200,7 @@ func TestParallelRowBudgetExact(t *testing.T) {
 	ctx := NewContext(st, md)
 	ctx.Parallelism = 4
 	ctx.RowBudget = 100
-	_, err = Run(ctx, rel, res.OutCols)
+	_, err = Run(ctx, &algebra.Exchange{Input: rel}, res.OutCols)
 	if err == nil || !strings.Contains(err.Error(), "row budget exceeded") {
 		t.Fatalf("err = %v, want row budget exceeded", err)
 	}
@@ -207,7 +221,7 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel = splitAtExchange(st, md, rel)
+	rel = placeExchange(st, md, rel)
 	ctx := NewContext(st, md)
 	ctx.Parallelism = 3
 	ctx.EnableTrace()
@@ -230,7 +244,6 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 	// outer row, as a serial run counts.
 	tst := tpchStore(t)
 	md, rel, out := compilePlan(t, tst, tpch.Queries["Q4"], core.Options{KeepCorrelated: true})
-	rel = splitAtExchange(tst, md, rel)
 	var ap *algebra.Apply
 	for n := rel; ap == nil && len(n.Inputs()) > 0; n = n.Inputs()[0] {
 		ap, _ = n.(*algebra.Apply)
@@ -239,6 +252,9 @@ func TestParallelTraceReportsWorkers(t *testing.T) {
 		t.Fatalf("no Apply in Q4:\n%s", algebra.FormatRel(md, rel))
 	}
 	applySpan := func(root algebra.Rel, out []algebra.ColID, par int) (*obs.Span, string) {
+		if par > 1 {
+			root = placeExchange(tst, md, root)
+		}
 		ctx := NewContext(tst, md)
 		ctx.Parallelism = par
 		ctx.EnableTrace()
@@ -305,12 +321,14 @@ func TestParallelApplyBuildsSegmentJoinPerOpen(t *testing.T) {
 	run := func(par int) []string {
 		ctx := NewContext(st, md)
 		ctx.Parallelism = par
+		root := algebra.Rel(ap)
 		if par > 1 {
-			if pp := planParallel(ctx.schema, ap); pp == nil || pp.at != ap {
-				t.Fatalf("no exchange at the Apply:\n%s", algebra.FormatRel(md, ap))
+			if _, ok := StreamDriver(ctx.schema, ap); !ok {
+				t.Fatalf("no exchange over the Apply:\n%s", algebra.FormatRel(md, ap))
 			}
+			root = &algebra.Exchange{Input: ap}
 		}
-		res, err := Run(ctx, ap, out)
+		res, err := Run(ctx, root, out)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -325,8 +343,8 @@ func TestParallelApplyBuildsSegmentJoinPerOpen(t *testing.T) {
 	}
 }
 
-// TestPlanParallelStopsAtSerialOperators checks the eligibility
-// analysis: Top and seek-compiled access paths must not be morselized.
+// TestPlanParallelStopsAtSerialOperators checks the precondition of an
+// exchange: StreamDriver refuses Top and seek-compiled access paths.
 func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	st := testDB(t)
 	opts := core.Options{}
@@ -344,42 +362,44 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := NewContext(st, md)
-		ctx.Parallelism = 4
-		return ctx, rel
+		return NewContext(st, md), rel
+	}
+	drives := func(ctx *Context, rel algebra.Rel) bool {
+		_, ok := StreamDriver(ctx.schema, rel)
+		return ok
 	}
 
 	ctx, rel := build(`select o_orderkey from orders limit 3`)
-	if pp := planParallel(ctx.schema, rel); pp != nil {
-		t.Fatalf("limit query should stay serial, got exchange at %T", pp.at)
+	if drives(ctx, rel) {
+		t.Fatalf("a limit query has no stream driver")
 	}
 
 	// Equality on the indexed primary key compiles to a seek: a
 	// parallel full scan would be a de-optimization.
 	ctx, rel = build(`select o_totalprice from orders where o_orderkey = 10`)
-	if pp := planParallel(ctx.schema, rel); pp != nil {
-		t.Fatalf("seekable query should stay serial, got exchange at %T", pp.at)
+	if drives(ctx, rel) {
+		t.Fatalf("a seekable query has no stream driver")
 	}
 
 	ctx, rel = build(`select o_orderkey from orders where o_totalprice > 50`)
-	if pp := planParallel(ctx.schema, rel); pp == nil {
-		t.Fatalf("filtered scan should be parallel-eligible")
+	if !drives(ctx, rel) {
+		t.Fatalf("a filtered scan should have a stream driver")
 	}
 
-	// A GroupBy aggregates the exchange's stream, and ExchangeAgg names
-	// it; once it is split (§3.3) the exchange goes at its LocalGroupBy.
+	// A GroupBy aggregates the exchange's stream; its §3.3 split's
+	// LocalGroupBy runs on the workers.
 	ctx, rel = build(`select o_custkey, sum(o_totalprice) as s from orders group by o_custkey`)
-	gb := ExchangeAgg(ctx.schema, rel)
-	if gb == nil || planParallel(ctx.schema, rel).at != gb.Input {
-		t.Fatalf("no GroupBy over the exchange:\n%s", algebra.FormatRel(ctx.Md, rel))
+	gb := rel.(*algebra.GroupBy)
+	if drives(ctx, gb) || !drives(ctx, gb.Input) {
+		t.Fatalf("want an exchange below the GroupBy, not over it:\n%s", algebra.FormatRel(ctx.Md, rel))
 	}
-	pp := planParallel(ctx.schema, splitAtExchange(st, ctx.Md, rel))
-	if lg, ok := pp.at.(*algebra.GroupBy); !ok || lg.Kind != algebra.LocalGroupBy {
-		t.Fatalf("the split's exchange is at %T, want its LocalGroupBy", pp.at)
+	split, _ := core.TrySplitGroupBy(ctx.Md, gb)
+	if lg := split.(*algebra.GroupBy).Input; !drives(ctx, lg) {
+		t.Fatalf("the split's LocalGroupBy has no stream driver")
 	}
 
-	// An Apply over a scan gets the exchange at the Apply: each worker
-	// runs it over its morsels' outer rows.
+	// An Apply over a scan has the scan as its driver: each worker runs
+	// it over its morsels' outer rows.
 	opts.KeepCorrelated = true
 	ctx, rel = build(`select o_orderkey from orders o
 		where exists (select l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey)`)
@@ -390,21 +410,21 @@ func TestPlanParallelStopsAtSerialOperators(t *testing.T) {
 	if _, ok := ap.Left.(*algebra.Get); !ok {
 		t.Fatalf("want an Apply over a scan:\n%s", algebra.FormatRel(ctx.Md, rel))
 	}
-	if pp := planParallel(ctx.schema, ap); pp == nil || pp.at != ap {
-		t.Fatalf("an Apply over a scan should get the exchange at the Apply")
+	if !drives(ctx, ap) {
+		t.Fatalf("an Apply over a scan should have a stream driver")
 	}
 
 	// An Apply whose inner side reads a segment bound outside it cannot
-	// run on a worker, and the walk does not pass it.
+	// run on a worker.
 	foreign := &algebra.Apply{Kind: ap.Kind, Left: ap.Left, On: ap.On,
 		Right: &algebra.SegmentRef{Cols: algebra.OutputCols(ap.Right).Ordered()}}
-	if pp := planParallel(ctx.schema, foreign); pp != nil {
-		t.Fatalf("an Apply over a foreign SegmentRef got an exchange at %T", pp.at)
+	if drives(ctx, foreign) {
+		t.Fatalf("an Apply over a foreign SegmentRef has a stream driver")
 	}
 
-	// Top still stops the walk.
-	if pp := planParallel(ctx.schema, &algebra.Top{Input: ap, N: 3}); pp != nil {
-		t.Fatalf("an Apply under Top got an exchange at %T", pp.at)
+	// Top stops the driver search.
+	if drives(ctx, &algebra.Top{Input: ap, N: 3}) {
+		t.Fatalf("a Top over an Apply has a stream driver")
 	}
 }
 

@@ -203,18 +203,17 @@ func (t *traceIter) Close() error {
 }
 
 // statFor resolves the stats for a logical node across the two trace
-// domains: the coordinator's own map and the merged worker-side map
-// (populated by mergeWorkerTrace as parallel workers finish). For an
-// exchange node both exist — the coordinator slot describes the
-// exchange itself (rows forwarded, wall time), the worker slot the
-// subtree root as executed across workers.
-func (c *Context) statFor(rel algebra.Rel) (st, wst *OpStats) {
-	st = c.trace[rel]
+// domains, nil if it has none: an operator the consumer's strand ran is
+// in the coordinator's own map, one below an exchange in the merged
+// worker-side map (populated by mergeWorkerTrace as workers finish).
+func (c *Context) statFor(rel algebra.Rel) *OpStats {
+	if st := c.trace[rel]; st != nil {
+		return st
+	}
 	s := c.shared
 	s.wmu.Lock()
-	wst = s.wtrace[rel]
-	s.wmu.Unlock()
-	return st, wst
+	defer s.wmu.Unlock()
+	return s.wtrace[rel]
 }
 
 // Spans builds the per-query operator span tree for a traced run.
@@ -231,13 +230,8 @@ func (c *Context) Spans(rel algebra.Rel) *obs.Span {
 }
 
 func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
-	st, wst := c.statFor(rel)
 	sp := &obs.Span{Op: opName(rel)}
-	use := st
-	if use == nil {
-		use = wst
-	}
-	if use != nil {
+	if use := c.statFor(rel); use != nil {
 		sp.Opens = use.Opens
 		sp.Rows = use.Rows
 		sp.Batches = use.Batches
@@ -250,19 +244,12 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 		sp.Bindings = use.Bindings
 		sp.InnerExecs = use.InnerExecs
 	}
-	if st != nil && wst != nil {
-		// Exchange collision: the worker subtree's root is the same
-		// logical node as the exchange. The span keeps the coordinator's
-		// production counts (folding the workers' would double-count
-		// every forwarded row) and takes the worker-side inclusive time
-		// as WorkerTime, plus worker-side memory/spill attribution.
-		sp.WorkerTime = wst.Busy
-		sp.MemBytes += atomic.LoadInt64(&wst.MemBytes)
-		sp.Spills += atomic.LoadInt64(&wst.Spills)
-		// An Apply's strategy and binding counters are its workers'.
-		sp.Strategy = cmp.Or(sp.Strategy, wst.Strategy)
-		sp.Bindings += wst.Bindings
-		sp.InnerExecs += wst.InnerExecs
+	if x, ok := rel.(*algebra.Exchange); ok {
+		// The exchange's input ran on the workers: its inclusive time,
+		// summed over them, is the exchange's WorkerTime.
+		if in := c.statFor(x.Input); in != nil {
+			sp.WorkerTime = in.Busy
+		}
 	}
 	for _, child := range rel.Inputs() {
 		sp.Children = append(sp.Children, c.buildSpan(child))
@@ -303,7 +290,7 @@ func formatPlan(md *algebra.Metadata, table func(string) (*catalog.Table, bool),
 		b = append(algebra.AppendNode(b, md, p, n), "  "...)
 		ran := ""
 		if sp != nil {
-			if st, wst := c.statFor(n); st != nil || wst != nil {
+			if c.statFor(n) != nil {
 				b = appendActuals(b, sp)
 			}
 			ran = sp.Strategy

@@ -236,7 +236,7 @@ func splitOf(t *testing.T, md *algebra.Metadata, sa scanAgg) (split algebra.Rel,
 // recombines an avg) over the partials in worker order.
 func splitPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa scanAgg, rows []types.Row) []types.Row {
 	t.Helper()
-	split, local, _ := splitOf(t, md, sa)
+	split, local, global := splitOf(t, md, sa)
 	ctx := NewContext(st, md)
 	const workers = 4
 	partials := &algebra.Values{Cols: gbCols(local)}
@@ -257,7 +257,8 @@ func splitPartials(t *testing.T, st *storage.Store, md *algebra.Metadata, sa sca
 			partials.Rows = append(partials.Rows, vr)
 		}
 	}
-	res, err := Run(NewContext(st, md), algebra.Replace(split, local, partials), nil)
+	global.Input = partials // the split is this call's own
+	res, err := Run(NewContext(st, md), split, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

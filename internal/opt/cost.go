@@ -37,6 +37,9 @@ const (
 	cOrderedRow = 1.15 // producing a row via an index permutation
 	cMergeRow   = 0.8  // advancing a merge-join cursor over a row
 	cStreamRow  = 0.6  // folding a row into the current stream-agg group
+	// An exchange divides its input's cost over the workers.
+	cWorkerOpen = 1000.0 // starting a worker: its tree compiled, a goroutine
+	cHandOver   = 0.2    // handing a row over to the consumer
 )
 
 // estimate summarizes one subtree during costing.
@@ -54,6 +57,8 @@ type coster struct {
 	md  *algebra.Metadata
 	cat *catalog.Catalog
 	st  *stats.Collection
+	// workers is Optimizer.Parallelism, what an exchange divides by.
+	workers int
 	// bound marks columns available as correlation parameters in the
 	// current (Apply inner / segment) scope.
 	bound algebra.ColSet
@@ -74,11 +79,13 @@ type coster struct {
 
 // winner is one way of computing a group in one costing scope that no
 // other way beats on both counts: a member, which winner of each of its
-// input groups it reads, and the estimate it derives from them.
+// input groups it reads, and the estimate it derives from them; par: an
+// exchange is in it, so only some operators may read it (reads).
 type winner struct {
 	est  estimate
 	best *mexpr
 	pick [2]int
+	par  bool
 }
 
 // scopedWinners is a group's winners in one costing scope, cheapest
@@ -172,13 +179,19 @@ func (c *coster) best(g *group) []winner {
 		if len(kids) > 0 {
 			left = c.best(kids[0])
 		}
+		_, exchange := e.op.(*algebra.Exchange)
 		for i, l := range left {
+			if !c.reads(e, kids, i, l) {
+				continue
+			}
 			c.inner(e, l.est.rows, func() {
 				if len(kids) > 1 {
 					right = c.best(kids[1])
 				}
 				for k, r := range right {
-					ws = c.offer(ws, e, l.est, r.est, i, k)
+					if !r.par { // a second input is never read from workers
+						ws = c.offer(ws, winner{c.derive(e, l.est, r.est), e, [2]int{i, k}, exchange || l.par})
+					}
 				}
 			})
 		}
@@ -188,24 +201,47 @@ func (c *coster) best(g *group) []winner {
 	return ws
 }
 
-// offer derives e over the input estimates l and r — winners i and k of
-// its input groups — and enters the result in ws, kept in order of cost
-// (so of falling row count).
-func (c *coster) offer(ws []winner, e *mexpr, l, r estimate, i, k int) []winner {
+// offer enters the way w into ws, kept in order of cost (so, among the
+// ways with an exchange and among those without, of falling row count).
+// A way without an exchange serves wherever one with an exchange does,
+// so it can beat one, but not the reverse.
+func (c *coster) offer(ws []winner, w winner) []winner {
 	c.costed++
-	est := c.derive(e, l, r)
 	at := 0
-	for at < len(ws) && ws[at].est.cost <= est.cost {
-		if ws[at].est.rows <= est.rows {
+	for at < len(ws) && ws[at].est.cost <= w.est.cost {
+		if ws[at].est.rows <= w.est.rows && (w.par || !ws[at].par) {
 			return ws // dominated, or a tie the earlier member keeps
 		}
 		at++
 	}
-	ws = slices.Insert(ws, at, winner{est, e, [2]int{i, k}})
+	ws = slices.Insert(ws, at, w)
 	// What costs more must count fewer rows to stay.
-	return slices.DeleteFunc(ws, func(w winner) bool {
-		return w.est.cost > est.cost && w.est.rows >= est.rows
+	return slices.DeleteFunc(ws, func(o winner) bool {
+		return o.est.cost > w.est.cost && o.est.rows >= w.est.rows && (o.par || !w.par)
 	})
+}
+
+// reads reports whether e may read l, winner i of its first input group.
+// A way with an exchange in it is read by what consumes the merged
+// stream as the serial plan consumes its input: Sort, Project, Select,
+// GroupBy. Top, Max1Row, RowNumber, the set operators and a SegmentApply
+// depend on their input's order or segments. A Join or an Apply runs on
+// the workers or above none: its other side could compare a float sum
+// the workers took in morsel order with the same sum taken serially
+// (Q15 joins its revenue view to the view's maximum). An exchange reads
+// a way with none (it never nests) whose plan StreamDriver drives.
+func (c *coster) reads(e *mexpr, kids []*group, i int, l winner) bool {
+	switch e.op.(type) {
+	case *algebra.Exchange:
+		if l.par {
+			return false
+		}
+		_, ok := exec.StreamDriver(c.cat.Table, c.plan(kids[0], i, func(*mexpr, algebra.Rel, estimate) {}))
+		return ok
+	case *algebra.Sort, *algebra.Project, *algebra.Select, *algebra.GroupBy:
+		return true
+	}
+	return !l.par
 }
 
 // cost returns g's estimate in the current scope: its cheapest winner's.
@@ -344,6 +380,10 @@ func (c *coster) derive(s *mexpr, l, r estimate) estimate {
 
 	case *algebra.RowNumber:
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval}
+
+	case *algebra.Exchange:
+		w := float64(max(c.workers, 1))
+		return estimate{rows: in.rows, cost: in.cost/w + w*cWorkerOpen + in.rows*cHandOver}
 	}
 	return estimate{rows: 1000, cost: 1e12}
 }

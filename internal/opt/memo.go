@@ -191,7 +191,7 @@ func newMemo(o *Optimizer) *memo {
 		preds:      map[string]int32{},
 		skip:       func(binding, string) {},
 	}
-	m.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats}
+	m.c = &coster{md: o.Md, cat: o.Cat, st: o.Stats, workers: o.Parallelism}
 	return m
 }
 

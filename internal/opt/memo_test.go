@@ -140,14 +140,14 @@ func TestPlansNoWorseThanParent(t *testing.T) {
 			t.Errorf("%s seed=%t: no parent cost recorded", c.name, c.seeded)
 			continue
 		}
-		if o.Cost(rel) != want[1] {
+		if o.Estimate(rel).Cost != want[1] {
 			moved++
 			continue
 		}
 		r := o.Optimize(rel, seeds...)
 		if r.Cost > want[0]*(1+1e-9) {
 			t.Errorf("%s seed=%t: cost %.3f, the parent's plan cost %.3f\n%s", c.name, c.seeded, r.Cost, want[0],
-				exec.FormatWithEstimates(md, st.Catalog, PlanEstimates(md, st.Catalog, sc, r.Plan), r.Plan))
+				exec.FormatWithEstimates(md, st.Catalog, o.Estimate(r.Plan).Est, r.Plan))
 		}
 		if r.Cost < want[0]*(1-1e-9) {
 			better++

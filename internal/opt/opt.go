@@ -81,6 +81,9 @@ type Optimizer struct {
 	// Disabling a primitive's rules is how the paper's ablations run; nil
 	// enables everything.
 	DisableRules map[string]bool
+	// Parallelism is the worker count the plan runs with. Above one,
+	// cost decides whether and where an exchange goes (offerExchanges).
+	Parallelism int
 }
 
 // Result reports the chosen plan and search telemetry.
@@ -144,6 +147,9 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 		m.intern(seed, root)
 	}
 	m.explore()
+	if o.Parallelism > 1 {
+		root = m.offerExchanges(root)
+	}
 	return m.extract(root)
 }
 
@@ -154,15 +160,6 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 func (o *Optimizer) Estimate(r algebra.Rel) *Result {
 	m := newMemo(o)
 	return m.extract(m.intern(r, nil).group)
-}
-
-// Cost prices the plan r as given, every node from the nodes below it.
-func (o *Optimizer) Cost(r algebra.Rel) float64 { return o.Estimate(r).Cost }
-
-// PlanEstimates returns the estimate of each node of the plan r, as
-// Optimizer.Estimate prices it.
-func PlanEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel) exec.Estimates {
-	return (&Optimizer{Md: md, Cat: cat, Stats: st}).Estimate(r).Est
 }
 
 // extract reads the plan off root's cheapest winner, with the estimate
@@ -239,8 +236,9 @@ func (m *memo) rewrite(b binding, r algebra.Rel, rotate func(*algebra.Join) (alg
 			return
 		}
 		try(RuleSplitGroupBy, func() (algebra.Rel, bool) {
-			// A scalar aggregate is split only for the morsel exchange
-			// (the root package's compile), never explored.
+			// A scalar aggregate is split only under the exchange
+			// (offerExchanges), never explored: exploring its split
+			// moves 29 of the pinned searches.
 			if t.Kind != algebra.VectorGroupBy {
 				return nil, false
 			}

@@ -94,7 +94,7 @@ func TestOptimizerLowersCost(t *testing.T) {
 	for _, name := range []string{"Q2", "Q17", "Q18"} {
 		md, rel, _ := prep(t, st, tpch.Queries[name])
 		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc}
-		before := o.Cost(rel)
+		before := o.Estimate(rel).Cost
 		r := o.Optimize(rel)
 		if r.Cost > before+1e-6 {
 			t.Errorf("%s: cost went up: %.0f -> %.0f", name, before, r.Cost)
@@ -269,10 +269,10 @@ func TestCostModelOrdersScanVsSeek(t *testing.T) {
 	st := tinyTPCH(t)
 	sc := stats.Collect(st)
 	md, point, _ := prep(t, st, `select o_orderkey from orders where o_orderkey = 5`)
-	pointCost := (&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}).Cost(point)
+	pointCost := (&Optimizer{Md: md, Cat: st.Catalog, Stats: sc}).Estimate(point).Cost
 
 	md2, full, _ := prep(t, st, `select o_orderkey from orders`)
-	fullCost := (&Optimizer{Md: md2, Cat: st.Catalog, Stats: sc}).Cost(full)
+	fullCost := (&Optimizer{Md: md2, Cat: st.Catalog, Stats: sc}).Estimate(full).Cost
 	if pointCost*10 > fullCost {
 		t.Errorf("point lookup (%.1f) should be far cheaper than scan (%.1f)", pointCost, fullCost)
 	}

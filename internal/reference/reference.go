@@ -289,6 +289,10 @@ func (e *Evaluator) rel(rel algebra.Rel, outer *scope) (*relation, error) {
 	case *algebra.Top:
 		return newRelation(in[0].cols, in[0].rows[:min(int64(len(in[0].rows)), max(t.N, 0))]), nil
 
+	case *algebra.Exchange:
+		// Workers change where the rows are computed, not which.
+		return in[0], nil
+
 	case *algebra.RowNumber:
 		out := newRelation(append(append([]algebra.ColID(nil), in[0].cols...), t.Col), nil)
 		for i, row := range in[0].rows {

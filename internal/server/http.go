@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"orthoq"
@@ -90,7 +91,9 @@ func decodeBody(r *http.Request, v any) error {
 }
 
 // datumJSON renders a datum as its natural JSON value: null, bool,
-// number, or string (dates as "2006-01-02").
+// number, or string (dates as "2006-01-02"). JSON has no number for a
+// non-finite float, so ±Inf and NaN are the strings "Infinity",
+// "-Infinity" and "NaN", which datumFromJSON reads back.
 func datumJSON(d types.Datum) any {
 	if d.IsNull() {
 		return nil
@@ -101,6 +104,9 @@ func datumJSON(d types.Datum) any {
 	case types.Int:
 		return d.Int()
 	case types.Float:
+		if f := d.Float(); f-f != 0 { // ±Inf or NaN: FormatFloat spells them +Inf, -Inf, NaN
+			return strings.TrimPrefix(strings.Replace(strconv.FormatFloat(f, 'g', -1, 64), "Inf", "Infinity", 1), "+")
+		}
 		return d.Float()
 	case types.String:
 		return d.Str()
@@ -135,6 +141,10 @@ func datumFromJSON(v any, kind types.Kind) (types.Datum, error) {
 		}
 		return types.NewInt(i), nil
 	case types.Float:
+		if s, ok := v.(string); ok && (s == "Infinity" || s == "-Infinity" || s == "NaN") {
+			f, _ := strconv.ParseFloat(s, 64)
+			return types.NewFloat(f), nil
+		}
 		n, ok := v.(json.Number)
 		if !ok {
 			return types.Datum{}, fmt.Errorf("want number, got %T", v)

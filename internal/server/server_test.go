@@ -209,6 +209,78 @@ func TestInlineReplyFraming(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFloatsOverWire: a row holding ±Inf or NaN reaches the
+// client, inline and through a cursor, as the strings "Infinity",
+// "-Infinity" and "NaN" — JSON has no number for them — and an insert
+// of those strings into a Float column stores the values they name. A
+// finite float is the JSON number it always was.
+func TestNonFiniteFloatsOverWire(t *testing.T) {
+	s := newTestServer(t, newMemDB(t, 10), Config{})
+	sid := s.newSession(t, SessionConfig{})
+	inf := "val * 1" + strings.Repeat("0", 308) + ".0 * 10.0" // +Inf for every val > 0
+	sql := "select id, " + inf + " as x, " + inf + " - " + inf + " as y, 0 - " + inf + " as z from t where id < 4"
+	want := []any{"Infinity", "NaN", "-Infinity"}
+	check := func(label string, rows [][]any) {
+		t.Helper()
+		if len(rows) != 4 {
+			t.Fatalf("%s: %d rows, want 4: %v", label, len(rows), rows)
+		}
+		for _, r := range rows {
+			if r[0].(float64) == 0 {
+				continue // val 0: every column is 0
+			}
+			for i, w := range want {
+				if r[i+1] != w {
+					t.Errorf("%s: row %v column %d = %v, want %v", label, r[0], i+1, r[i+1], w)
+				}
+			}
+		}
+	}
+	_, rows, trailer := s.queryRows(t, sid, sql)
+	if trailer["rows"].(float64) != 4 {
+		t.Errorf("inline trailer rows = %v, want 4", trailer["rows"])
+	}
+	check("inline", rows)
+
+	resp, data := s.post(t, "/query", map[string]any{"session": sid, "sql": sql, "cursor": true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open cursor: %d %s", resp.StatusCode, data)
+	}
+	var opened struct {
+		Cursor string `json:"cursor"`
+	}
+	json.Unmarshal(data, &opened)
+	resp, data = s.post(t, "/cursor/"+opened.Cursor, map[string]any{"session": sid, "limit": 16})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fetch: %d %s", resp.StatusCode, data)
+	}
+	var fetched struct {
+		Rows [][]any `json:"rows"`
+	}
+	json.Unmarshal(data, &fetched)
+	check("cursor", fetched.Rows)
+
+	resp, data = s.post(t, "/exec", map[string]any{"session": sid, "insert": map[string]any{"table": "t",
+		"rows": [][]any{{100, "Infinity"}, {101, "NaN"}, {102, "-Infinity"}}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d %s", resp.StatusCode, data)
+	}
+	_, rows, _ = s.queryRows(t, sid, "select id, val from t where id >= 100 order by id")
+	if len(rows) != 3 {
+		t.Fatalf("read back %d rows, want 3", len(rows))
+	}
+	for i, w := range want {
+		if rows[i][1] != w {
+			t.Errorf("read back row %v = %v, want %v", rows[i][0], rows[i][1], w)
+		}
+	}
+
+	resp, data = s.post(t, "/query", map[string]any{"session": sid, "sql": "select id, val from t where id = 3"})
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte(`{"row":[3,1.5]}`)) {
+		t.Errorf("a finite float: %d %s, want the row line {\"row\":[3,1.5]}", resp.StatusCode, data)
+	}
+}
+
 func TestQuerySessionless(t *testing.T) {
 	s := newTestServer(t, newMemDB(t, 5), Config{})
 	_, rows, _ := s.queryRows(t, "", "select count(*) as n from t")

@@ -143,8 +143,10 @@ func TestParallelSpanBoundary(t *testing.T) {
 // §3.3 split the parallel plan runs. Every serial operator appears in
 // the parallel trace, in order and with its rows; what the parallel
 // plan adds is the split's LocalGroupBy, whose rows are the workers'
-// partials, and a Project recombining an avg; and the global GroupBy
-// over the LocalGroupBy returns the serial GroupBy's rows. (Join plans
+// partials (a serial plan that splits too has one, of fewer rows), the
+// Exchange above it that forwards them, and a Project recombining an
+// avg; and the global GroupBy over the Exchange returns the serial
+// GroupBy's rows. (Join plans
 // are excluded: under an exchange each worker re-executes the build
 // side, legitimately multiplying build-side counts.)
 func TestTraceCountsSerialVsParallel(t *testing.T) {
@@ -190,10 +192,10 @@ func TestTraceCountsSerialVsParallel(t *testing.T) {
 				i++
 			case p.op == "LocalGroupBy":
 				locals++
-				if j == 0 || par[j-1].op != "GroupBy" {
-					t.Fatalf("%s: the LocalGroupBy is not under a global GroupBy: %v", name, par)
+				if j < 2 || par[j-1] != (opRows{"Exchange", p.rows}) || par[j-2].op != "GroupBy" {
+					t.Fatalf("%s: the LocalGroupBy is not under an Exchange of its rows under a global GroupBy: %v", name, par)
 				}
-				global, gb := par[j-1], -1
+				global, gb := par[j-2], -1
 				for k, s := range serial {
 					if s.op == "GroupBy" {
 						gb = k
@@ -202,7 +204,10 @@ func TestTraceCountsSerialVsParallel(t *testing.T) {
 				if gb < 0 || global != serial[gb] {
 					t.Errorf("%s: the global GroupBy returned %d rows, the serial GroupBy %v", name, global.rows, serial)
 				}
-			case p.op != "Project":
+				if i < len(serial) && serial[i].op == "LocalGroupBy" {
+					i++
+				}
+			case p.op != "Project" && p.op != "Exchange":
 				t.Errorf("%s: %s rows=%d is neither a serial operator nor the split's\nserial: %v\nparallel: %v",
 					name, p.op, p.rows, serial, par)
 			}

@@ -113,10 +113,11 @@ type Config struct {
 	// index-lookup Apply plans when cheaper (§4).
 	CorrelatedReintro bool
 	// Parallelism is the worker count for morsel-driven parallel
-	// execution of eligible scan/join/aggregation subtrees. 0 or 1
-	// executes serially (the default, preserving deterministic row
-	// order); higher values may return rows in a different order than
-	// serial execution (the bag of rows is identical).
+	// execution: above one, the optimizer offers the plan an exchange
+	// and places it where cost says it pays. 0 or 1 executes serially
+	// (the default, preserving deterministic row order); higher values
+	// may return rows in a different order than serial execution (the
+	// bag of rows is identical).
 	Parallelism int
 	// DisableBatch is retained so existing callers keep compiling.
 	//
@@ -260,10 +261,10 @@ type planIdentity struct {
 	// exactly "none of these rules is disabled"), DisableRules name by
 	// name.
 	disabled string
-	// parallelism is the worker count: it picks the exchange tree, the
-	// §3.3 split of the GroupBy over it, and the row order, so it is
-	// identity too. Every other physical choice is made from the plan
-	// itself.
+	// parallelism is the worker count: the optimizer places the
+	// exchange, with the §3.3 split of the GroupBy over it, by cost for
+	// it, and it decides the row order, so it is identity too. Every
+	// other physical choice is made from the plan itself.
 	parallelism int
 }
 
@@ -960,15 +961,17 @@ func (db *DB) prepare(sql string, id planIdentity) (*prepared, error) {
 // trail is what compile saw on its way to a plan; Explain asks for it.
 type trail struct {
 	algebrized, normalized algebra.Rel
-	search                 *opt.Result // nil unless cost-based
+	search                 *opt.Result // nil unless a memo chose the plan
 }
 
 // compile is the one pipeline from a parsed query to a plan: algebrize,
 // normalize, and — when the identity says cost-based — seed and
-// optimize. params supplies sniffed values for ast.Param slots (a
-// plan-cache miss compiles against parameter slots). tr, when non-nil,
-// receives the intermediate trees, so Explain prints this pipeline
-// instead of being a second copy of it.
+// optimize. At more than one worker the memo also places the exchange,
+// by cost; without a search it holds the normalized plan alone. params
+// supplies sniffed values for ast.Param slots (a plan-cache miss
+// compiles against parameter slots). tr, when non-nil, receives the
+// intermediate trees, so Explain prints this pipeline instead of being
+// a second copy of it.
 func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *trail) (*prepared, error) {
 	md := algebra.NewMetadata()
 	res, err := algebrize.BuildWithParams(db.store.Catalog, md, q, params)
@@ -985,11 +988,20 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 		return nil, err
 	}
 	p := &prepared{md: md, plan: rel, outCols: res.OutCols, outNames: res.OutNames, id: id}
-	o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(), DisableRules: nopts.DisableRules}
+	o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(),
+		DisableRules: nopts.DisableRules, Parallelism: id.parallelism}
 	var search *opt.Result
-	if id.costBased {
+	switch {
+	case id.costBased || id.parallelism > 1:
 		var seeds []algebra.Rel
-		if id.seedCorrelated {
+		if !id.costBased {
+			// Without a search the memo holds the normalized plan alone,
+			// every rule off, and offers only the exchange.
+			o.DisableRules = map[string]bool{}
+			for _, r := range opt.RuleNames() {
+				o.DisableRules[r] = true
+			}
+		} else if id.seedCorrelated {
 			// The correlated (Apply) formulation is an additional starting
 			// point, so cost-based search considers correlated execution
 			// strategies alongside the flattened form (paper §4).
@@ -1003,20 +1015,8 @@ func (db *DB) compile(q ast.Query, id planIdentity, params []types.Datum, tr *tr
 		// The correlated seed is a strategy alternative, not a rewrite of
 		// the chosen plan, so only the winner's rule path is reported.
 		fired = append(fired, search.Rules...)
-	}
-	if id.parallelism > 1 {
-		// The GroupBy over the morsel exchange runs as its §3.3 split:
-		// the LocalGroupBy on the workers, the global over the
-		// exchange's stream.
-		if gb := exec.ExchangeAgg(db.store.Catalog.Table, p.plan); gb != nil {
-			if split, ok := core.TrySplitGroupBy(md, gb); ok {
-				p.plan, p.est = algebra.Replace(p.plan, gb, split), nil
-			}
-		}
-	}
-	if p.est == nil {
-		// Without a search, or with the plan split, the plan is priced
-		// as it stands.
+	default:
+		// Without a search the plan is priced as it stands.
 		p.est = o.Estimate(p.plan).Est
 	}
 	if tr != nil {
@@ -1410,9 +1410,6 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f; memo of %d groups, %d expressions, %d rule firings, %s; %d estimates derived) ===\n",
 			r.Cost, r.Groups, r.Explored, r.Generated, exhausted, r.Costed)
-		b.WriteString(exec.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
-	} else if p.plan != tr.normalized {
-		b.WriteString("\n=== split over the morsel exchange (§3.3) ===\n")
 		b.WriteString(exec.FormatWithEstimates(p.md, db.store.Catalog, p.est, p.plan))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p, cfg.ResultCache))

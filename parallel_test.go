@@ -9,9 +9,15 @@ package orthoq
 // with a small relative tolerance on numeric values.
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
+
+	"orthoq/internal/algebra"
+	"orthoq/internal/exec"
 )
 
 // approxEqualDatum compares two result values with relative tolerance
@@ -156,4 +162,129 @@ func TestExchangeOpenTimed(t *testing.T) {
 			t.Errorf("%s: the Sort's self time is not below the exchange's time=%v\n%s", name, exchange.Busy, rows.Trace)
 		}
 	}
+}
+
+var updateParallelPlans = flag.Bool("update-parallel-plans", false, "rewrite "+parallelPlansPath)
+
+const parallelPlansPath = "testdata/parallel_plans.golden"
+
+// TestParallelPlansGolden pins the plans of the 12 TPC-H queries at four
+// workers on sharedDB as EXPLAIN ends on them: est= and cost= on every
+// operator, each exchange included. A change that means to move an
+// exchange regenerates the file with -update-parallel-plans and says
+// why.
+func TestParallelPlansGolden(t *testing.T) {
+	db := sharedDB(t)
+	cfg := DefaultConfig()
+	cfg.Parallelism = 4
+	var b strings.Builder
+	b.WriteString("# The 12 TPC-H queries at Parallelism 4, SF 0.002: EXPLAIN's final plan.\n")
+	b.WriteString("# Regenerate with: go test -run TestParallelPlansGolden -update-parallel-plans .\n")
+	for _, name := range TPCHQueryNames() {
+		sql, _ := TPCHQuery(name)
+		out, err := db.Explain(sql, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		body := out[:strings.LastIndex(out, "\nresult cache:")]
+		fmt.Fprintf(&b, "=== %s\n%s\n", name, body[strings.LastIndex(body, "\n=== ")+1:])
+	}
+	if *updateParallelPlans {
+		if err := os.WriteFile(parallelPlansPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(parallelPlansPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("the plans at four workers moved; diff against %s:\n%s", parallelPlansPath, got)
+	}
+}
+
+// TestExchangePlacement holds every plan compiled at two and four
+// workers, cost-based and without a search, over the TPC-H queries and
+// the reference fuzz corpus, to the exchange's invariants: StreamDriver
+// finds the driver of each exchange's input, no exchange nests, only
+// Sort, Project, Select and GroupBy read one, and the plan returns what
+// internal/reference returns for the seed plan.
+func TestExchangePlacement(t *testing.T) {
+	searchless := DefaultConfig()
+	searchless.CostBased = false
+	check := func(t *testing.T, db *DB, label, sql string) (exchanges int) {
+		t.Helper()
+		seed, err := db.prepare(sql, Config{}.identity())
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := referenceEval(t, db, seed)
+		for _, base := range []Config{DefaultConfig(), searchless} {
+			for _, par := range []int{2, 4} {
+				cfg := base
+				cfg.Parallelism = par
+				p, err := db.prepare(sql, cfg.identity())
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var walk func(r algebra.Rel, above []algebra.Rel)
+				walk = func(r algebra.Rel, above []algebra.Rel) {
+					if x, ok := r.(*algebra.Exchange); ok {
+						exchanges++
+						if _, ok := exec.StreamDriver(db.store.Catalog.Table, x.Input); !ok {
+							t.Errorf("%s par=%d: an exchange's input has no stream driver\n%s", label, par, p.text)
+						}
+						algebra.VisitRel(x.Input, func(n algebra.Rel) bool {
+							if _, nested := n.(*algebra.Exchange); nested {
+								t.Errorf("%s par=%d: an exchange nests\n%s", label, par, p.text)
+							}
+							return true
+						})
+						for _, a := range above {
+							switch a.(type) {
+							case *algebra.Sort, *algebra.Project, *algebra.Select, *algebra.GroupBy:
+							default:
+								t.Errorf("%s par=%d: a %T reads an exchange\n%s", label, par, a, p.text)
+							}
+						}
+					}
+					for _, in := range r.Inputs() {
+						walk(in, append(above, r))
+					}
+				}
+				walk(p.plan, nil)
+				if got := referenceEval(t, db, p); !sameBagTolerant(want, got) {
+					t.Fatalf("%s par=%d: reference(plan) ≠ reference(seed)\nsql: %s\nplan:\n%s", label, par, sql, p.text)
+				}
+			}
+		}
+		return exchanges
+	}
+	t.Run("tpch", func(t *testing.T) {
+		db, exchanges := sharedDB(t), 0
+		for _, name := range TPCHQueryNames() {
+			sql, _ := TPCHQuery(name)
+			exchanges += check(t, db, name, sql)
+		}
+		if exchanges == 0 {
+			t.Error("no TPC-H plan has an exchange")
+		}
+	})
+	t.Run("fuzz", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("short mode")
+		}
+		db, err := OpenTPCH(referenceFuzzSF, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, exchanges := rand.New(rand.NewSource(20010521)), 0
+		for i := 0; i < 80; i++ {
+			exchanges += check(t, db, fmt.Sprintf("fuzz %d", i), randQuery(r))
+		}
+		if exchanges == 0 {
+			t.Error("no fuzz plan has an exchange")
+		}
+	})
 }

@@ -76,7 +76,7 @@ var ruleWitnesses = []struct {
 // query meets at test scale; their disable plumbing is checked as a
 // strict no-op instead.
 var neverAtThisScale = []string{
-	"SplitGroupBy", "PushLocalGroupByBelowJoin", "PushSemiJoinBelowGroupBy",
+	"PushLocalGroupByBelowJoin", "PushSemiJoinBelowGroupBy",
 	"IntroduceSegmentApply", "PushJoinBelowSegmentApply",
 	// The TPC-H ORDER BYs sort aggregate outputs, never an indexed base
 	// column, so sort elimination has nothing to remove (MergeJoinOrder

@@ -77,15 +77,15 @@ go test ./internal/algebra ./internal/core
 # groups, Q18's streaming aggregation over the lineitem_pk walk, Q21
 # (whose joins over empty builds never read their probe sides), a hash
 # join, and a selective probe against a small build side
-# (Q20's shape), and Q1 at two workers (the §3.3 split around the
-# morsel exchange), so every run prints B/op and allocs/op for the paths
+# (Q20's shape), and Q1 at two and four workers (the §3.3 split around
+# the morsel exchange), so every run prints B/op and allocs/op for the paths
 # that touch rows. Last, one statistics collection over the TPC-H store
 # at SF 0.01, which every Open and Analyze runs.
 go test -run 'TestSearchUnchanged|TestGroupsAreSound|TestSearchExhausts|TestOptimizeDeterministic|TestMemoMatchesFromScratch|TestMemoBounds|TestPlansNoWorseThanParent|TestSkippedBindingsChangeNothing|TestSearchEstimatesArePricing' ./internal/opt
 go test -run 'TestQ1SpellingsReachOnePlan|TestFuzzCorpusSearchExhausts' .
 go test -run TestQErrorReport -v .
 go test -run '^$' -bench OptimizeTPCH -benchtime 1x -benchmem ./internal/opt
-go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchStreamAggQ18$|TPCHQ21$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$|ParallelAgg/par2$' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'WarmPass$|ApplyProbe$|ApplyDistinctBindings$|ApplyDistinctBindingsPar2$|Figure1CorrelatedPar4$|TPCHQ2Correlated$|TPCHQ17Correlated$|BatchScanAggQ1$|BatchScanAggQ18$|BatchStreamAggQ18$|TPCHQ21$|BatchJoin$|BatchJoinSelective$|SeekUnanalyzed$|ParallelAgg/par2$|ParallelAgg/par4$' -benchtime 1x -benchmem .
 go test -run '^$' -bench 'Collect$' -benchtime 1x -benchmem ./internal/stats
 
 # Value-domain leg, fail-fast: every row-touching line of the executor,
@@ -113,8 +113,12 @@ go test -run TestReferenceEquivalence -race .
 # every splittable aggregate, grouped and scalar, over an empty table
 # and a driver whose rows are all filtered out, at two and four workers
 # with and without a 16 KiB budget, against the oracle; and the split's
-# avg of an Int column, bit for bit the unsplit avg.
-go test -run 'TestParallelAggregationMatchesReference|TestSplitAvgOfInt' -race .
+# avg of an Int column, bit for bit the unsplit avg. With them, the
+# exchanges the optimizer places: the 12 TPC-H plans at four workers
+# pinned (testdata/parallel_plans.golden), and every plan at two and
+# four workers over TPC-H and the fuzz corpus held to the exchange's
+# invariants and to the oracle.
+go test -run 'TestParallelAggregationMatchesReference|TestSplitAvgOfInt|TestParallelPlansGolden|TestExchangePlacement' -race .
 
 # Vector-kernel leg: every operator predicate, projection and aggregate
 # argument evaluates through eval.CompileVec, so the vector ≡
@@ -146,8 +150,11 @@ go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/storage
 # orphaned spill partitions) that the equivalence suites can't see.
 # With them, the hash join's edge cases against internal/reference: an
 # empty build side, all-NULL probe keys, a key's build rows spanning
-# batches, a build shared by four workers, a Grace spill.
+# batches, a build shared by four workers, a Grace spill; and a row
+# holding ±Inf or NaN, which reaches a wire client inline and through a
+# cursor.
 go test -run 'TestTypedErrors|TestFaultInjection|TestSpill|TestStream|TestCancel|TestCacheSurvivesFailedRuns|TestStmtReusableAfterFailure|TestHashJoinEdgeCases' -race .
+go test -run TestNonFiniteFloatsOverWire -race ./internal/server
 
 # Server leg: admission control, session/cursor lifecycle, and the
 # wire front end under -race — including the two whole-stack load
