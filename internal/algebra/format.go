@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -51,16 +52,26 @@ var (
 )
 
 // appendCols appends the qualified aliases of s's columns in ascending
-// ID order, separated by sep.
+// ID order (an instance key's: in keyRank order), separated by sep.
 func appendCols(b []byte, md *Metadata, s ColSet, sep string) []byte {
 	first := true
-	s.ForEach(func(c ColID) {
+	add := func(c ColID) {
 		if !first {
 			b = append(b, sep...)
 		}
 		b = md.appendQualifiedAlias(b, c)
 		first = false
-	})
+	}
+	if md != nil && md.at != nil {
+		// An instance key lists columns in the order it names them.
+		cols := s.Ordered()
+		slices.SortFunc(cols, func(x, y ColID) int { return md.keyRank(x) - md.keyRank(y) })
+		for _, c := range cols {
+			add(c)
+		}
+		return b
+	}
+	s.ForEach(add)
 	return b
 }
 
@@ -179,42 +190,94 @@ func AppendNode(b []byte, md *Metadata, p Props, r Rel) []byte {
 // inputs are the same expression, which is what the optimizer's memo
 // looks expressions up by; FormatNode's text cannot serve, because two
 // instances of one table print alike.
-func AppendNodeKey(b []byte, r Rel) []byte {
+func AppendNodeKey(b []byte, r Rel) []byte { return appendNodeKey(b, nil, r) }
+
+// appendNodeKey is AppendNodeKey naming columns as the keying md does.
+func appendNodeKey(b []byte, md *Metadata, r Rel) []byte {
 	switch t := r.(type) {
 	case *Select:
-		return appendConjunctsKey(append(b, "Select "...), t.Filter)
+		return appendConjunctsKey(append(b, "Select "...), md, t.Filter)
 	case *Join:
-		return appendConjunctsKey(append(append(b, joinNames[t.Kind]...), ' '), t.On)
+		return appendConjunctsKey(append(append(b, joinNames[t.Kind]...), ' '), md, t.On)
 	case *Apply:
 		// The binding signature FormatNode prints is derived from the
 		// inputs, not a field.
-		return appendConjunctsKey(append(append(b, applyNames[t.Kind]...), ' '), t.On)
+		return appendConjunctsKey(append(append(b, applyNames[t.Kind]...), ' '), md, t.On)
 	}
-	b = AppendNode(b, nil, nil, r)
+	b = AppendNode(b, md, nil, r)
 	switch t := r.(type) {
 	case *Get:
-		b = appendColIDs(b, t.Cols)
+		b = appendColIDs(b, md, t.Cols)
 	case *SegmentRef:
-		b = appendColIDs(b, t.Cols)
+		b = appendColIDs(b, md, t.Cols)
 	case *SegmentApply:
-		b = appendColIDs(b, t.InputCols)
+		b = appendColIDs(b, md, t.InputCols)
 	case *UnionAll:
-		b = appendColIDs(appendColIDs(appendColIDs(b, t.LeftCols), t.RightCols), t.OutCols)
+		b = appendColIDs(appendColIDs(appendColIDs(b, md, t.LeftCols), md, t.RightCols), md, t.OutCols)
 	case *Difference:
-		b = appendColIDs(appendColIDs(appendColIDs(b, t.LeftCols), t.RightCols), t.OutCols)
+		b = appendColIDs(appendColIDs(appendColIDs(b, md, t.LeftCols), md, t.RightCols), md, t.OutCols)
 	case *Values:
-		b = appendColIDs(b, t.Cols)
+		b = appendColIDs(b, md, t.Cols)
 		for _, row := range t.Rows {
-			b = appendJoined(b, nil, row, ", ", "()")
+			b = appendJoined(b, md, row, ", ", "()")
 		}
 	}
 	return b
 }
 
-func appendColIDs(b []byte, cols []ColID) []byte {
+func appendColIDs(b []byte, md *Metadata, cols []ColID) []byte {
 	b = append(b, ' ')
 	for _, c := range cols {
-		b = (*Metadata)(nil).appendQualifiedAlias(b, c)
+		b = md.appendQualifiedAlias(b, c)
+	}
+	return b
+}
+
+// Instance is a subtree's ID-free key and the columns its nodes
+// produce, in preorder. Two subtrees are instances of one expression —
+// the same rows up to a renaming of the columns they produce — exactly
+// when their keys are equal and not empty, and the renaming is then the
+// zip of their Cols.
+type Instance struct {
+	Key  string
+	Cols []ColID
+}
+
+// InstanceOf returns r's Instance: r's nodes in preorder, each as
+// AppendNodeKey renders it, except that a column r produces is named by
+// its position in Cols and an outer reference by its ID, tagged apart.
+// Only Get, Select, Project, GroupBy and Join are keyed: a tree holding
+// another operator has the empty Instance. A subquery is keyed by
+// pointer, so a tree holding one is an instance of no other tree.
+func InstanceOf(r Rel) Instance {
+	md := &Metadata{at: []ColID{}}
+	if !md.number(r) {
+		return Instance{}
+	}
+	return Instance{Key: string(md.appendInstanceKey(make([]byte, 0, 256), r)), Cols: md.at}
+}
+
+// number appends the columns r's nodes produce to md.at, in preorder,
+// and reports whether InstanceOf keys r.
+func (md *Metadata) number(r Rel) bool {
+	switch r.(type) {
+	case *Get, *Select, *Project, *GroupBy, *Join:
+	default:
+		return false
+	}
+	md.at = append(md.at, ProducedCols(r)...)
+	left, right := InputsOf(r)
+	return (left == nil || md.number(left)) && (right == nil || md.number(right))
+}
+
+// appendInstanceKey appends the keys of r's nodes in preorder, each
+// after its length, so no two sequences of nodes render alike.
+func (md *Metadata) appendInstanceKey(b []byte, r Rel) []byte {
+	at := len(b)
+	b = appendNodeKey(append(b, 0, 0, 0, 0), md, r)
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	for _, in := range r.Inputs() {
+		b = md.appendInstanceKey(b, in)
 	}
 	return b
 }
@@ -225,12 +288,12 @@ func appendColIDs(b []byte, cols []ColID) []byte {
 // renderings, each followed by '&', in sorted order.
 func AppendScalarKey(b []byte, s Scalar) []byte { return appendScalar(b, nil, s) }
 
-// appendConjunctsKey appends the ID-named renderings of pred's
+// appendConjunctsKey appends the keying md's renderings of pred's
 // conjuncts in sorted order.
-func appendConjunctsKey(b []byte, pred Scalar) []byte {
+func appendConjunctsKey(b []byte, md *Metadata, pred Scalar) []byte {
 	and, ok := pred.(*And)
 	if !ok || len(and.Args) < 2 {
-		return AppendScalarKey(b, pred)
+		return appendScalar(b, md, pred)
 	}
 	// Render the conjuncts after b, then append them again in order and
 	// move that copy down over the first.
@@ -239,7 +302,7 @@ func appendConjunctsKey(b []byte, pred Scalar) []byte {
 	parts := buf[:0]
 	for _, a := range and.Args {
 		from := len(b)
-		b = append(AppendScalarKey(b, a), '&')
+		b = append(appendScalar(b, md, a), '&')
 		parts = append(parts, [2]int{from, len(b)})
 	}
 	unsorted := b[:len(b):len(b)]
@@ -298,7 +361,7 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		return md.appendQualifiedAlias(b, t.Col)
 	case *Const:
 		b = append(b, t.Val.String()...)
-		if k := t.Val.Kind(); md == nil && !t.Val.IsNull() && (k == types.Float || k == types.Date) {
+		if k := t.Val.Kind(); md.keying() && !t.Val.IsNull() && (k == types.Float || k == types.Date) {
 			// In a key a constant's kind is part of it: Int 2 and Float
 			// 2.0 print alike, but 3/2 and 3/2.0 differ.
 			b = append(append(b, "::"...), k.String()...)
@@ -311,10 +374,10 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		return strconv.AppendInt(append(b, '$'), int64(t.Idx+1), 10)
 	case *Cmp:
 		l, r := t.L, t.R
-		if md == nil && t.Op == CmpEq {
+		if md.keying() && t.Op == CmpEq {
 			// In a key, a = b and b = a are one predicate.
 			if lc, ok := l.(*ColRef); ok {
-				if rc, ok := r.(*ColRef); ok && rc.Col < lc.Col {
+				if rc, ok := r.(*ColRef); ok && md.keyRank(rc.Col) < md.keyRank(lc.Col) {
 					l, r = r, l
 				}
 			}
@@ -378,14 +441,14 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		}
 		return append(b, " END"...)
 	case *Subquery:
-		if md == nil {
+		if md.keying() {
 			// A nested query has no ID-exact text: only the node itself
 			// is the same expression.
 			return fmt.Appendf(b, "SUBQUERY(%p)", t)
 		}
 		return append(md.appendAlias(append(b, "SUBQUERY("...), t.Col), ')')
 	case *Exists:
-		if md == nil {
+		if md.keying() {
 			return fmt.Appendf(b, "EXISTS(%p,%t)", t, t.Negate)
 		}
 		if t.Negate {
@@ -393,7 +456,7 @@ func appendScalar(b []byte, md *Metadata, s Scalar) []byte {
 		}
 		return append(b, "EXISTS(...)"...)
 	case *Quantified:
-		if md == nil {
+		if md.keying() {
 			return fmt.Appendf(b, "QUANTIFIED(%p)", t)
 		}
 		b = appendScalar(b, md, t.Arg)

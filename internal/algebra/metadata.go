@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"orthoq/internal/sql/types"
@@ -34,6 +35,9 @@ type Metadata struct {
 	cols []ColumnMeta // ColID n is cols[n-1]
 	// derived holds the columns DerivedColumn has minted.
 	derived map[derivedKey]ColID
+	// at makes md InstanceOf's renderer, and nothing else of it is set:
+	// it names the columns in at by their positions there.
+	at []ColID
 }
 
 type derivedKey struct {
@@ -115,11 +119,29 @@ func (md *Metadata) QualifiedAlias(id ColID) string {
 	return c.Alias
 }
 
-// appendQualifiedAlias appends QualifiedAlias(id) to b. A nil md names
-// the column by its ID instead, which is what AppendNodeKey renders
-// with: aliases repeat across instances of one table, IDs do not.
+// keying reports whether md renders keys: a nil md, AppendNodeKey's,
+// names every column by its ID; InstanceOf's names those it numbers by
+// position and any other by its ID.
+func (md *Metadata) keying() bool { return md == nil || md.at != nil }
+
+// keyRank orders the columns of a key: by position, then by ID.
+func (md *Metadata) keyRank(id ColID) int {
+	if md != nil {
+		if p := slices.Index(md.at, id); p >= 0 {
+			return p
+		}
+	}
+	return 1<<32 + int(id)
+}
+
+// appendQualifiedAlias appends QualifiedAlias(id) to b. A keying md
+// names the column by its ID or its position instead: aliases repeat
+// across instances of one table, IDs and positions do not.
 func (md *Metadata) appendQualifiedAlias(b []byte, id ColID) []byte {
-	if md == nil {
+	if md.keying() {
+		if p := md.keyRank(id); p < 1<<32 {
+			return strconv.AppendInt(append(b, '@'), int64(p), 10)
+		}
 		return strconv.AppendInt(append(b, '#'), int64(id), 10)
 	}
 	c := md.Column(id)
@@ -129,9 +151,9 @@ func (md *Metadata) appendQualifiedAlias(b []byte, id ColID) []byte {
 	return append(b, c.Alias...)
 }
 
-// appendAlias appends Alias(id) to b, or the ID under a nil md.
+// appendAlias appends Alias(id) to b, or its key name under a keying md.
 func (md *Metadata) appendAlias(b []byte, id ColID) []byte {
-	if md == nil {
+	if md.keying() {
 		return md.appendQualifiedAlias(b, id)
 	}
 	return append(b, md.Column(id).Alias...)

@@ -39,18 +39,22 @@ func (f FromScratch) input(i int) Rel {
 	return r
 }
 
-// ColsOf answers the output columns of whole subtrees. The rewrite
-// rules read their inputs' columns through one: TreeCols derives them
-// from the tree at every call, while the optimizer answers for the
-// subtrees its memo holds from what the memo has derived already.
+// ColsOf answers for whole subtrees: their output columns and their
+// Instance. The rewrite rules read their inputs' through one: TreeCols
+// derives them from the tree at every call, while the optimizer answers
+// for the subtrees its memo holds from what the memo has derived
+// already.
 type ColsOf interface {
 	ColsOf(r Rel) ColSet
+	InstanceOf(r Rel) Instance
 }
 
-// TreeCols is the ColsOf that derives from the tree (OutputCols).
+// TreeCols is the ColsOf that derives from the tree (OutputCols,
+// InstanceOf).
 type TreeCols struct{}
 
-func (TreeCols) ColsOf(r Rel) ColSet { return OutputCols(r) }
+func (TreeCols) ColsOf(r Rel) ColSet       { return OutputCols(r) }
+func (TreeCols) InstanceOf(r Rel) Instance { return InstanceOf(r) }
 
 // InputsOf is r.Inputs() without the slice: nil where absent.
 func InputsOf(r Rel) (left, right Rel) {
@@ -498,6 +502,37 @@ func scalarNotNull(s Scalar, notNullIn ColSet) bool {
 		return true
 	}
 	return false
+}
+
+// ProducedCols lists the column IDs a node itself introduces.
+func ProducedCols(n Rel) []ColID {
+	switch t := n.(type) {
+	case *Get:
+		return t.Cols
+	case *Project:
+		out := make([]ColID, 0, len(t.Items))
+		for _, it := range t.Items {
+			out = append(out, it.Col)
+		}
+		return out
+	case *GroupBy:
+		out := make([]ColID, 0, len(t.Aggs))
+		for _, a := range t.Aggs {
+			out = append(out, a.Col)
+		}
+		return out
+	case *UnionAll:
+		return t.OutCols
+	case *Difference:
+		return t.OutCols
+	case *Values:
+		return t.Cols
+	case *RowNumber:
+		return []ColID{t.Col}
+	case *SegmentRef:
+		return t.Cols
+	}
+	return nil
 }
 
 // VisitRel walks the relational tree depth-first (pre-order), including

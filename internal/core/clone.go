@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-
 	"orthoq/internal/algebra"
 )
 
@@ -14,7 +12,7 @@ func cloneWithFreshCols(md *algebra.Metadata, r algebra.Rel) (algebra.Rel, map[a
 	remap := make(map[algebra.ColID]algebra.ColID)
 	// First pass: allocate fresh IDs for every produced column.
 	algebra.VisitRel(r, func(n algebra.Rel) bool {
-		for _, c := range producedCols(n) {
+		for _, c := range algebra.ProducedCols(n) {
 			if _, ok := remap[c]; !ok {
 				remap[c] = md.CopyColumn(c)
 			}
@@ -26,90 +24,19 @@ func cloneWithFreshCols(md *algebra.Metadata, r algebra.Rel) (algebra.Rel, map[a
 
 // matchRels reports whether b is an instance of a — the same
 // expression up to a bijection of the columns the two produce — and on
-// success returns the bijection, from b's produced columns to a's.
-// This drives §3.4.1 SegmentApply detection (correlation removal
-// "frequently results in two almost identical expressions joined
-// together"). An instance is recognized with the tools that make one:
-// the trees' produced columns, zipped in preorder, are the candidate
-// bijection, and b renamed through it by remapRel must render node for
-// node as a does under algebra.AppendNodeKey, the memo's own key. Only
-// Get, Select, Project, GroupBy and Join take part; a subquery never
-// matches, because its key is its pointer.
-func matchRels(a, b algebra.Rel) (map[algebra.ColID]algebra.ColID, bool) {
-	na, nb := preorder(nil, a), preorder(nil, b)
-	if len(na) != len(nb) {
+// success returns the bijection, from b's produced columns to a's: the
+// zip of the two keys' columns (algebra.InstanceOf). This drives §3.4.1
+// SegmentApply detection (correlation removal "frequently results in
+// two almost identical expressions joined together").
+func matchRels(a, b algebra.Instance) (map[algebra.ColID]algebra.ColID, bool) {
+	if a.Key == "" || a.Key != b.Key {
 		return nil, false
 	}
-	remap := make(map[algebra.ColID]algebra.ColID)
-	for i, n := range na {
-		if !inMatchDomain(n) {
-			return nil, false
-		}
-		pa, pb := producedCols(n), producedCols(nb[i])
-		if len(pa) != len(pb) {
-			return nil, false
-		}
-		for j, c := range pb {
-			remap[c] = pa[j]
-		}
-	}
-	var ka, kb []byte
-	for i, n := range preorder(nb[:0], remapRel(b, remap)) {
-		ka, kb = algebra.AppendNodeKey(ka[:0], na[i]), algebra.AppendNodeKey(kb[:0], n)
-		if !bytes.Equal(ka, kb) {
-			return nil, false
-		}
+	remap := make(map[algebra.ColID]algebra.ColID, len(b.Cols))
+	for i, c := range b.Cols {
+		remap[c] = a.Cols[i]
 	}
 	return remap, true
-}
-
-// inMatchDomain reports whether matchRels reads the node n.
-func inMatchDomain(n algebra.Rel) bool {
-	switch n.(type) {
-	case *algebra.Get, *algebra.Select, *algebra.Project, *algebra.GroupBy, *algebra.Join:
-		return true
-	}
-	return false
-}
-
-// preorder appends r's nodes to dst, each before its inputs.
-func preorder(dst []algebra.Rel, r algebra.Rel) []algebra.Rel {
-	dst = append(dst, r)
-	for _, c := range r.Inputs() {
-		dst = preorder(dst, c)
-	}
-	return dst
-}
-
-// producedCols lists the column IDs a node itself introduces.
-func producedCols(n algebra.Rel) []algebra.ColID {
-	switch t := n.(type) {
-	case *algebra.Get:
-		return t.Cols
-	case *algebra.Project:
-		out := make([]algebra.ColID, 0, len(t.Items))
-		for _, it := range t.Items {
-			out = append(out, it.Col)
-		}
-		return out
-	case *algebra.GroupBy:
-		out := make([]algebra.ColID, 0, len(t.Aggs))
-		for _, a := range t.Aggs {
-			out = append(out, a.Col)
-		}
-		return out
-	case *algebra.UnionAll:
-		return t.OutCols
-	case *algebra.Difference:
-		return t.OutCols
-	case *algebra.Values:
-		return t.Cols
-	case *algebra.RowNumber:
-		return []algebra.ColID{t.Col}
-	case *algebra.SegmentRef:
-		return t.Cols
-	}
-	return nil
 }
 
 // remapRel rewrites every column reference and produced column through

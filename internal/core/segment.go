@@ -20,16 +20,35 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *alge
 	default:
 		return nil, false
 	}
-	if j.On == nil || !instances(j.Kind, j.Left, j.Right) {
+	if j.On == nil {
 		return nil, false
 	}
-	core2, rebuild := stripWrappers(j.Right)
-	remap, ok := matchRels(j.Left, core2)
+	// The second instance is under at least one wrapper: a bare second
+	// instance — a plain self-join — computes nothing per segment that
+	// the join does not compute as well.
+	var wrappers []algebra.Rel
+	core2 := j.Right
+	for {
+		switch core2.(type) {
+		case *algebra.GroupBy, *algebra.Select, *algebra.Project:
+			wrappers = append(wrappers, core2)
+			core2, _ = algebra.InputsOf(core2)
+			continue
+		}
+		break
+	}
+	// Two instances output as many columns, which tells most joins apart
+	// before a key is derived.
+	leftCols := cols.ColsOf(j.Left)
+	if len(wrappers) == 0 || leftCols.Len() != cols.ColsOf(core2).Len() {
+		return nil, false
+	}
+	// toSecond maps the first instance's columns to the second's.
+	toSecond, ok := matchRels(cols.InstanceOf(core2), cols.InstanceOf(j.Left))
 	if !ok {
 		return nil, false
 	}
 	// Find equality conjuncts between corresponding instance columns.
-	leftCols := cols.ColsOf(j.Left)
 	var segCols algebra.ColSet
 	for _, c := range algebra.Conjuncts(j.On) {
 		cmp, ok := c.(*algebra.Cmp)
@@ -49,7 +68,7 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *alge
 			continue
 		}
 		// b must be the same column from the other instance.
-		if mapped, ok := remap[b]; ok && mapped == a {
+		if mapped, ok := toSecond[a]; ok && mapped == b {
 			segCols.Add(a)
 		}
 	}
@@ -60,121 +79,23 @@ func TryIntroduceSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *alge
 	inputCols := leftCols.Ordered()
 	ref1 := &algebra.SegmentRef{Cols: inputCols}
 	ref2Cols := make([]algebra.ColID, len(inputCols))
-	inv := make(map[algebra.ColID]algebra.ColID, len(remap))
-	for from, to := range remap {
-		inv[to] = from
-	}
 	for i, c := range inputCols {
-		o, ok := inv[c]
+		o, ok := toSecond[c]
 		if !ok {
 			return nil, false
 		}
 		ref2Cols[i] = o
 	}
-	ref2 := &algebra.SegmentRef{Cols: ref2Cols}
-
-	inner := &algebra.Join{Kind: j.Kind, Left: ref1, Right: rebuild(ref2), On: j.On}
+	right := algebra.Rel(&algebra.SegmentRef{Cols: ref2Cols})
+	for i := len(wrappers) - 1; i >= 0; i-- {
+		right = wrappers[i].WithInputs([]algebra.Rel{right})
+	}
 	return &algebra.SegmentApply{
 		Input:       j.Left,
 		InputCols:   inputCols,
 		SegmentCols: segCols,
-		Inner:       inner,
+		Inner:       &algebra.Join{Kind: j.Kind, Left: ref1, Right: right, On: j.On},
 	}, true
-}
-
-// SegmentCandidate reports whether a segment rule can match a join of
-// kind over left and right, on the trees' shapes alone:
-// TryPushJoinBelowSegmentApply wants an inner join over a SegmentApply,
-// TryIntroduceSegmentApply two instances (see instances). It builds
-// nothing; the rules' column matching decides the rest.
-func SegmentCandidate(kind algebra.JoinKind, left, right algebra.Rel) bool {
-	_, l := left.(*algebra.SegmentApply)
-	_, r := right.(*algebra.SegmentApply)
-	return kind == algebra.InnerJoin && (l || r) || instances(kind, left, right)
-}
-
-// instances reports whether a join of kind over left and right joins
-// two instances of one expression as TryIntroduceSegmentApply wants
-// them: right is a second instance of left's shape under at least one
-// wrapper (a bare second instance — a plain self-join — computes
-// nothing per segment that the join does not compute as well).
-func instances(kind algebra.JoinKind, left, right algebra.Rel) bool {
-	switch kind {
-	case algebra.InnerJoin, algebra.SemiJoin, algebra.AntiSemiJoin:
-	default:
-		return false
-	}
-	core := right
-	for {
-		switch t := core.(type) {
-		case *algebra.GroupBy:
-			core = t.Input
-			continue
-		case *algebra.Select:
-			core = t.Input
-			continue
-		case *algebra.Project:
-			core = t.Input
-			continue
-		}
-		break
-	}
-	return core != right && sameShape(left, core)
-}
-
-// sameShape is what matchRels requires of two trees before it compares
-// columns: the same operators and kinds, the same tables, the same
-// numbers of columns, items and aggregates.
-func sameShape(a, b algebra.Rel) bool {
-	switch ta := a.(type) {
-	case *algebra.Get:
-		tb, ok := b.(*algebra.Get)
-		return ok && ta.Table == tb.Table && len(ta.Cols) == len(tb.Cols)
-	case *algebra.Select:
-		tb, ok := b.(*algebra.Select)
-		return ok && sameShape(ta.Input, tb.Input)
-	case *algebra.Project:
-		tb, ok := b.(*algebra.Project)
-		return ok && len(ta.Items) == len(tb.Items) && sameShape(ta.Input, tb.Input)
-	case *algebra.GroupBy:
-		tb, ok := b.(*algebra.GroupBy)
-		return ok && ta.Kind == tb.Kind && len(ta.Aggs) == len(tb.Aggs) && sameShape(ta.Input, tb.Input)
-	case *algebra.Join:
-		tb, ok := b.(*algebra.Join)
-		return ok && ta.Kind == tb.Kind && sameShape(ta.Left, tb.Left) && sameShape(ta.Right, tb.Right)
-	}
-	return false
-}
-
-// stripWrappers peels GroupBy/Select/Project wrappers off an
-// expression ("one of them may optionally have an extra aggregate
-// and/or an extra filter"), returning the core and a function that
-// re-wraps a replacement core.
-func stripWrappers(r algebra.Rel) (algebra.Rel, func(algebra.Rel) algebra.Rel) {
-	switch t := r.(type) {
-	case *algebra.GroupBy:
-		core, rb := stripWrappers(t.Input)
-		return core, func(n algebra.Rel) algebra.Rel {
-			c := *t
-			c.Input = rb(n)
-			return &c
-		}
-	case *algebra.Select:
-		core, rb := stripWrappers(t.Input)
-		return core, func(n algebra.Rel) algebra.Rel {
-			c := *t
-			c.Input = rb(n)
-			return &c
-		}
-	case *algebra.Project:
-		core, rb := stripWrappers(t.Input)
-		return core, func(n algebra.Rel) algebra.Rel {
-			c := *t
-			c.Input = rb(n)
-			return &c
-		}
-	}
-	return r, func(n algebra.Rel) algebra.Rel { return n }
 }
 
 // TryPushJoinBelowSegmentApply implements §3.4.2:
@@ -229,7 +150,7 @@ func TryPushJoinBelowSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *
 		}
 		return true
 	}
-	newInner := extendSegmentRefs(md, sa.Inner, func(ref *algebra.SegmentRef) *algebra.SegmentRef {
+	newInner := extendSegmentRefs(sa.Inner, func(ref *algebra.SegmentRef) *algebra.SegmentRef {
 		ext := make([]algebra.ColID, 0, len(ref.Cols)+len(tOrdered))
 		ext = append(ext, ref.Cols...)
 		if isIdentity(ref) {
@@ -254,13 +175,13 @@ func TryPushJoinBelowSegmentApply(md *algebra.Metadata, cols algebra.ColsOf, j *
 
 // extendSegmentRefs rewrites the SegmentRef leaves belonging to the
 // current scope (not descending into nested SegmentApply inners).
-func extendSegmentRefs(md *algebra.Metadata, r algebra.Rel, f func(*algebra.SegmentRef) *algebra.SegmentRef) algebra.Rel {
+func extendSegmentRefs(r algebra.Rel, f func(*algebra.SegmentRef) *algebra.SegmentRef) algebra.Rel {
 	switch t := r.(type) {
 	case *algebra.SegmentRef:
 		return f(t)
 	case *algebra.SegmentApply:
 		n := *t
-		n.Input = extendSegmentRefs(md, t.Input, f)
+		n.Input = extendSegmentRefs(t.Input, f)
 		return &n
 	}
 	ins := r.Inputs()
@@ -270,7 +191,7 @@ func extendSegmentRefs(md *algebra.Metadata, r algebra.Rel, f func(*algebra.Segm
 	newIns := make([]algebra.Rel, len(ins))
 	changed := false
 	for i, c := range ins {
-		newIns[i] = extendSegmentRefs(md, c, f)
+		newIns[i] = extendSegmentRefs(c, f)
 		if newIns[i] != c {
 			changed = true
 		}

@@ -163,7 +163,7 @@ func TestCloneWithFreshColsIsDisjointAndEquivalent(t *testing.T) {
 		}
 	})
 	// Structure matches modulo ids: matchRels must accept the pair.
-	if _, ok := matchRels(res.Rel, clone); !ok {
+	if _, ok := matchTrees(res.Rel, clone); !ok {
 		t.Error("clone does not structurally match the original")
 	}
 
@@ -190,7 +190,7 @@ func TestCloneWithFreshColsIsDisjointAndEquivalent(t *testing.T) {
 				return true
 			}
 			clone, remap := cloneWithFreshCols(md, sub)
-			back, ok := matchRels(sub, clone)
+			back, ok := matchTrees(sub, clone)
 			if !ok {
 				t.Errorf("%s: clone of\n%sdoes not match it", name, algebra.FormatRel(md, sub))
 				return true
@@ -214,17 +214,17 @@ func TestCloneWithFreshColsIsDisjointAndEquivalent(t *testing.T) {
 func TestMatchRelsRejectsDifferences(t *testing.T) {
 	resA, md := algebrizeSQL(t, `select o_custkey from orders where o_totalprice > 10`)
 	resB, _ := algebrizeSQLShared(t, md, `select o_custkey from orders where o_totalprice > 20`)
-	if _, ok := matchRels(resA.Rel, resB.Rel); ok {
+	if _, ok := matchTrees(resA.Rel, resB.Rel); ok {
 		t.Error("different constants must not match")
 	}
 	// Int and Float constants that print alike divide differently.
 	resI, _ := algebrizeSQLShared(t, md, `select o_custkey, o_shippriority/2 as v from orders`)
 	resF, _ := algebrizeSQLShared(t, md, `select o_custkey, o_shippriority/2.0 as v from orders`)
-	if _, ok := matchRels(resI.Rel, resF.Rel); ok {
+	if _, ok := matchTrees(resI.Rel, resF.Rel); ok {
 		t.Error("an Int and a Float constant must not match")
 	}
 	resC, _ := algebrizeSQLShared(t, md, `select c_custkey from customer`)
-	if _, ok := matchRels(resA.Rel, resC.Rel); ok {
+	if _, ok := matchTrees(resA.Rel, resC.Rel); ok {
 		t.Error("different tables must not match")
 	}
 
@@ -236,10 +236,10 @@ func TestMatchRelsRejectsDifferences(t *testing.T) {
 		return &algebra.Select{Input: r, Filter: &algebra.Cmp{Op: algebra.CmpEq,
 			L: &algebra.ColRef{Col: c}, R: &algebra.ColRef{Col: outer}}}
 	}
-	if _, ok := matchRels(correlated(resA.Rel, outer1), correlated(resA2.Rel, outer1)); !ok {
+	if _, ok := matchTrees(correlated(resA.Rel, outer1), correlated(resA2.Rel, outer1)); !ok {
 		t.Error("one outer reference on both sides must match")
 	}
-	if _, ok := matchRels(correlated(resA.Rel, outer1), correlated(resA2.Rel, outer2)); ok {
+	if _, ok := matchTrees(correlated(resA.Rel, outer1), correlated(resA2.Rel, outer2)); ok {
 		t.Error("different outer references must not match")
 	}
 
@@ -249,11 +249,11 @@ func TestMatchRelsRejectsDifferences(t *testing.T) {
 		return res.Rel
 	}
 	sum := agg(`sum(o_totalprice)`)
-	if _, ok := matchRels(sum, agg(`sum(o_totalprice)`)); !ok {
+	if _, ok := matchTrees(sum, agg(`sum(o_totalprice)`)); !ok {
 		t.Error("one aggregate on both sides must match")
 	}
 	for _, other := range []string{`max(o_totalprice)`, `sum(distinct o_totalprice)`} {
-		if _, ok := matchRels(sum, agg(other)); ok {
+		if _, ok := matchTrees(sum, agg(other)); ok {
 			t.Errorf("sum(o_totalprice) must not match %s", other)
 		}
 	}
@@ -264,10 +264,10 @@ func TestMatchRelsRejectsDifferences(t *testing.T) {
 	resS, _ := algebrizeSQLShared(t, md, subSQL)
 	resS2, _ := algebrizeSQLShared(t, md, subSQL)
 	clone, _ := cloneWithFreshCols(md, resS.Rel)
-	if _, ok := matchRels(resS.Rel, resS2.Rel); ok {
+	if _, ok := matchTrees(resS.Rel, resS2.Rel); ok {
 		t.Error("a filter with a subquery must not match")
 	}
-	if _, ok := matchRels(resS.Rel, clone); ok {
+	if _, ok := matchTrees(resS.Rel, clone); ok {
 		t.Error("a filter with a subquery must not match its clone")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"orthoq/internal/algebra"
-	"orthoq/internal/core"
 )
 
 // memo is the plan space of one Optimize call (DESIGN §17): expressions
@@ -120,6 +119,9 @@ type group struct {
 	out, outer algebra.ColSet
 	order      []algebra.Ordering
 	segRefs    bool
+	// inst is the representative's instance key (see InstanceOf), nil
+	// until asked for.
+	inst *algebra.Instance
 
 	// winners holds, per costing scope, the ways of computing the group
 	// worth keeping (see coster.best); busy marks a group whose winners
@@ -339,6 +341,25 @@ func (m *memo) ColsOf(r algebra.Rel) algebra.ColSet {
 	return algebra.OutputCols(r)
 }
 
+// InstanceOf answers a rule's question for a subtree's instance key
+// (algebra.ColsOf) from the subtree's group, which derives it from its
+// representative once: the members of a group are one relation on one
+// set of output columns, so two groups whose representatives are
+// instances of one expression hold instances of it, whichever members
+// the rule reads. Only a node a rule built is keyed from scratch.
+func (m *memo) InstanceOf(r algebra.Rel) algebra.Instance {
+	e, ok := m.byRel[r]
+	if !ok {
+		return algebra.InstanceOf(r)
+	}
+	g := e.group.find()
+	if g.inst == nil {
+		inst := algebra.InstanceOf(g.exprs[0].rel)
+		g.inst = &inst
+	}
+	return *g.inst
+}
+
 func keyOf(line int32, kids [2]*group) exprKey {
 	key := exprKey{line, -1, -1}
 	if kids[0] != nil {
@@ -497,9 +518,6 @@ func (m *memo) schedule(e *mexpr) {
 	} else {
 		m.skip(b, "alone not queued")
 	}
-	if _, ok := e.op.(*algebra.Join); ok {
-		m.relOf(e) // offer decides a join over a join on the trees
-	}
 	for slot, k := range e.inputs() {
 		for _, in := range k.exprs {
 			m.offer(e, slot, in)
@@ -510,16 +528,16 @@ func (m *memo) schedule(e *mexpr) {
 
 // offer queues the binding of p over in at slot if a rule could match
 // it: a join over a join only if its rotation is not settled as changing
-// nothing (rotation) or a segment rule's precondition holds; no other
-// rule matches one (PushSemiJoinBelowGroupBy, PullGroupByAboveJoin and
-// JoinToApply want a GroupBy or a table access where the join is).
+// nothing (rotation); no other rule matches one (PushSemiJoinBelowGroupBy,
+// PullGroupByAboveJoin and JoinToApply want a GroupBy or a table access
+// where the join is, PushJoinBelowSegmentApply a SegmentApply).
 func (m *memo) offer(p *mexpr, slot int, in *mexpr) {
 	if p.dead || in.dead || in.final || !depth2(p.op, in.op) {
 		return
 	}
 	b := binding{p, slot, in}
 	if joinOverJoin(b) && !p.final { // a final join's tree is built when its binding fires
-		if _, build, settled := m.rotation(b); !build && settled && !m.segmentMatches(b) {
+		if _, build, settled := m.rotation(b); !build && settled {
 			m.skip(b, "join over join not queued")
 			return
 		}
@@ -771,18 +789,6 @@ func joinOverJoin(b binding) bool {
 	_, p := b.p.op.(*algebra.Join)
 	_, in := b.in.op.(*algebra.Join)
 	return p && in
-}
-
-// segmentMatches reports whether a segment rule's precondition holds
-// for the binding b of a join over a join (core.SegmentCandidate), on
-// the trees the binding is built from: a join's tree is built when it
-// is entered (schedule).
-func (m *memo) segmentMatches(b binding) bool {
-	var ins [2]algebra.Rel
-	ins[0], ins[1] = algebra.InputsOf(m.relOf(b.p))
-	ins[b.slot] = b.in.rel
-	j := b.p.op.(*algebra.Join)
-	return j.On != nil && core.SegmentCandidate(j.Kind, ins[0], ins[1])
 }
 
 // joinExpr returns the expression a join of kind over the groups kids

@@ -111,8 +111,7 @@ type Result struct {
 	Costed int
 	// Materialized counts the algebra.Rel nodes built from expressions:
 	// the bindings rules were fired on and the returned plan. A binding
-	// of a join over a join is built only when its rotation is new or a
-	// segment rule's precondition holds.
+	// of a join over a join is built only when its rotation is new.
 	Materialized int
 	// Queued counts the bindings queued: not a join over a join no rule
 	// can rewrite into anything new, nor an operator alone no rule reads.
@@ -198,15 +197,11 @@ func (m *memo) fire(b binding) {
 	var rotate func(*algebra.Join) (algebra.Rel, bool)
 	if joinOverJoin(b) {
 		d, build, _ := m.rotation(b)
-		switch {
-		case build:
-			rotate = func(j *algebra.Join) (algebra.Rel, bool) { return rotateJoin(j, b.slot, d.inner, d.outer), true }
-		case !m.segmentMatches(b):
+		if !build {
 			m.skip(b, "join over join not fired")
 			return
-		default:
-			m.skip(b, RuleRotateJoin+" not built")
 		}
+		rotate = func(j *algebra.Join) (algebra.Rel, bool) { return rotateJoin(j, b.slot, d.inner, d.outer), true }
 	}
 	m.rewrite(b, m.bind(b.p, b.slot, b.in), rotate, m.commutes)
 }
@@ -256,6 +251,9 @@ func (m *memo) rewrite(b binding, r algebra.Rel, rotate func(*algebra.Join) (alg
 				return commuteJoin(t)
 			})
 			try(RuleMergeJoinOrder, func() (algebra.Rel, bool) { return tryMergeJoinOrder(md, o.Cat, t, p) })
+			// The two instances are found by their groups' keys, so the
+			// join over its inputs' representatives is the one binding.
+			try(RuleIntroduceSegmentApply, func() (algebra.Rel, bool) { return core.TryIntroduceSegmentApply(md, m, t) })
 			return
 		}
 		if rotate != nil {
@@ -267,10 +265,9 @@ func (m *memo) rewrite(b binding, r algebra.Rel, rotate func(*algebra.Join) (alg
 			try(RulePullGroupByAboveJoin, func() (algebra.Rel, bool) { return core.TryPullGroupByAboveJoin(md, m, t) })
 			try(RuleJoinToApply, func() (algebra.Rel, bool) { return joinToApply(o.Cat, m, t) })
 		}
-		// The segment rules match either input, and match it deeper than
-		// its operator, so they see every member of both.
-		try(RuleIntroduceSegmentApply, func() (algebra.Rel, bool) { return core.TryIntroduceSegmentApply(md, m, t) })
-		try(RulePushJoinBelowSegmentApply, func() (algebra.Rel, bool) { return core.TryPushJoinBelowSegmentApply(md, m, t) })
+		if _, ok := in.op.(*algebra.SegmentApply); ok {
+			try(RulePushJoinBelowSegmentApply, func() (algebra.Rel, bool) { return core.TryPushJoinBelowSegmentApply(md, m, t) })
+		}
 	case *algebra.Sort:
 		try(RuleEliminateSort, func() (algebra.Rel, bool) { return tryEliminateSort(md, o.Cat, t, p.DeliveredOrder(0)) })
 	}
@@ -293,7 +290,7 @@ func depth2(p, in algebra.Rel) bool {
 	case *algebra.Join:
 		switch in.(type) {
 		case *algebra.Join, *algebra.GroupBy, *algebra.SegmentApply,
-			*algebra.Get, *algebra.Select, *algebra.Project: // the last three: JoinToApply, and what a segment wraps
+			*algebra.Get, *algebra.Select: // the last two: JoinToApply
 			return true
 		}
 	case *algebra.GroupBy, *algebra.Select:

@@ -202,9 +202,8 @@ func (c *Cache) Unpin(e *Entry) {
 }
 
 // CountHit etc. record lookup outcomes decided outside Do.
-func (c *Cache) CountHit()    { c.hits.Add(1) }
-func (c *Cache) CountMiss()   { c.misses.Add(1) }
-func (c *Cache) CountShared() { c.shared.Add(1) }
+func (c *Cache) CountHit()  { c.hits.Add(1) }
+func (c *Cache) CountMiss() { c.misses.Add(1) }
 
 // Put admits a payload under key, replacing any existing entry.
 // tables lists the table names whose version IDs participate in key

@@ -119,6 +119,9 @@ go test -run TestReferenceEquivalence -race .
 # four workers over TPC-H and the fuzz corpus held to the exchange's
 # invariants and to the oracle.
 go test -run 'TestParallelAggregationMatchesReference|TestSplitAvgOfInt|TestParallelPlansGolden|TestExchangePlacement' -race .
+# The parallel tests at both ends of the worker spread: with one
+# GOMAXPROCS a single worker may drain every morsel, with two they race.
+go test -run 'Parallel|Exchange|TraceCounts' -cpu 1,2 . ./internal/exec
 
 # Vector-kernel leg: every operator predicate, projection and aggregate
 # argument evaluates through eval.CompileVec, so the vector ≡
